@@ -21,7 +21,9 @@
 // container cannot exhibit parallel speedup, and failing there would
 // only punish the wrong machine. -maxallocs / -maxbytes cap the
 // arena-backed exact paths' allocs/op and bytes/op — the canary for
-// accidental per-node garbage creeping back into the solver hot loop.
+// accidental per-node garbage creeping back into the solver hot loop —
+// and -gate also holds the pipeline cycle to pipelineMaxAllocs, the same
+// canary for everything around the solver.
 package main
 
 import (
@@ -43,6 +45,13 @@ import (
 	"medea/internal/lra"
 	"medea/internal/resource"
 )
+
+// pipelineMaxAllocs caps the pipeline fixture's allocs/op at every CPU
+// count under -gate: 1.25x the recorded BENCH_pipeline.json value
+// (43,032 at 8 workers; 108,972–110,238 before the greedy score table
+// and the structural cluster.Clone). Allocation counts do not depend on
+// the host, so unlike the speedup gate this one never skips.
+const pipelineMaxAllocs = 53790
 
 type benchResult struct {
 	CPU             int     `json:"cpu"`
@@ -517,6 +526,14 @@ func main() {
 	}
 
 	if *gate {
+		for _, r := range pipeFile.Results {
+			if r.AllocsPerOp > pipelineMaxAllocs {
+				fmt.Fprintf(os.Stderr, "gate: FAIL — pipeline cycle at %d CPUs allocates %d/op, cap is %d\n",
+					r.CPU, r.AllocsPerOp, pipelineMaxAllocs)
+				os.Exit(1)
+			}
+		}
+		fmt.Printf("gate: OK — pipeline cycle within %d allocs/op at every CPU count\n", pipelineMaxAllocs)
 		hi := cpus[len(cpus)-1]
 		if runtime.NumCPU() < hi {
 			fmt.Printf("gate: skipped — host has %d CPUs, gate needs %d to be meaningful\n",

@@ -106,7 +106,9 @@ func CheckPlacement(state *cluster.Cluster, app *lra.Application, p *lra.Placeme
 // state (CheckPlacement without the application shape). The repair path
 // uses it directly on the remapped batch it actually commits.
 func CheckAssignments(state *cluster.Cluster, appID string, assigns []lra.Assignment, entries []constraint.Entry, hardWeight float64) error {
-	hard := HardEntries(entries, hardWeight)
+	// Resolved once here, not per container: ViolationFor runs for every
+	// container of the cluster, twice.
+	hard := lra.ResolveEntries(HardEntries(entries, hardWeight))
 	// Hard-constraint semantics are final-state: the whole batch is
 	// tentatively applied to a clone, then every container that was clean
 	// before must still be clean (a batch may carry affinity constraints

@@ -325,3 +325,62 @@ func TestHardEntries(t *testing.T) {
 		t.Fatalf("HardEntries kept %v, want only the hard entry", got)
 	}
 }
+
+// TestHardVerdictsOn256Nodes pins the hard-constraint verdicts of
+// CheckAssignments on a populated 256-node state: a weight-100 node
+// anti-affinity, an operator override that only conflict resolution
+// makes binding, and a violation that predates the batch. The hard
+// entries are resolved once per call; the verdicts must be those of
+// resolving them per container.
+func TestHardVerdictsOn256Nodes(t *testing.T) {
+	small := resource.New(100, 1)
+	c := cluster.Grid(256, 8, resource.New(16384, 8))
+	for i := 0; i < 256; i++ {
+		if err := c.Allocate(cluster.NodeID(i), cluster.MakeContainerID("bg", i), small, []constraint.Tag{"bg"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Two "db" containers already share node 7: a violation the batch
+	// did not cause and must not be blamed for.
+	for _, id := range []cluster.ContainerID{"db#0", "db#1"} {
+		if err := c.Allocate(7, id, small, []constraint.Tag{"db"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spread := hardEntry("db", constraint.AntiAffinity(constraint.E("db"), constraint.E("db"), constraint.Node))
+	// The application allows up to 3 "web" per rack; the operator's
+	// tighter (0,1) replaces those bounds when conflicts are resolved.
+	appWeb := hardEntry("web", constraint.MaxCardinality(constraint.E("web"), constraint.E("web"), 3, constraint.Rack))
+	opWeb := constraint.Entry{Source: constraint.SourceOperator,
+		Constraint: constraint.Weighted(constraint.MaxCardinality(constraint.E("web"), constraint.E("web"), 1, constraint.Rack), DefaultHardWeight)}
+	entries := []constraint.Entry{spread, spread, appWeb, opWeb} // the duplicate is deduplicated
+
+	assign := func(app string, tag constraint.Tag, nodes ...cluster.NodeID) []lra.Assignment {
+		var out []lra.Assignment
+		for i, n := range nodes {
+			out = append(out, lra.Assignment{Container: cluster.MakeContainerID(app, i), Node: n, Demand: small, Tags: []constraint.Tag{tag}})
+		}
+		return out
+	}
+	cases := []struct {
+		name    string
+		assigns []lra.Assignment
+		reject  bool
+	}{
+		{"db on distinct free nodes", assign("d2", "db", 20, 21, 22), false},
+		{"db twice on one node", assign("d2", "db", 20, 20), true},
+		{"db next to a deployed db on a clean node", assign("d2", "db", 7), true}, // db#0/db#1 were violating already, the newcomer was not
+		{"two web in one rack", assign("w", "web", 8, 9), false},
+		{"three web in one rack: the operator's bound binds", assign("w", "web", 8, 9, 10), true},
+		{"three web across racks", assign("w", "web", 8, 16, 24), false},
+	}
+	for _, tc := range cases {
+		err := CheckAssignments(c, "batch", tc.assigns, entries, DefaultHardWeight)
+		if (err != nil) != tc.reject {
+			t.Errorf("%s: reject=%v, got %v", tc.name, tc.reject, err)
+		}
+		if err != nil && !strings.Contains(err.Error(), "hard constraint violated") {
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		}
+	}
+}

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"medea/internal/constraint"
@@ -28,9 +30,9 @@ func (c *Cluster) Allocate(node NodeID, id ContainerID, demand resource.Vector, 
 			id, demand, n.Name, n.Free())
 	}
 	n.used = n.used.Add(demand)
-	n.containers[id] = struct{}{}
+	n.containers = append(n.containers, id)
 	c.addTags(node, tags)
-	c.containers[id] = containerInfo{node: node, demand: demand, tags: append([]constraint.Tag(nil), tags...)}
+	c.containers[id] = &containerInfo{node: node, demand: demand, tags: append([]constraint.Tag(nil), tags...)}
 	return nil
 }
 
@@ -44,7 +46,9 @@ func (c *Cluster) Release(id ContainerID) error {
 	}
 	n := c.nodes[info.node]
 	n.used = n.used.Sub(info.demand)
-	delete(n.containers, id)
+	if i := slices.Index(n.containers, id); i >= 0 {
+		n.containers = slices.Delete(n.containers, i, i+1)
+	}
 	c.removeTags(info.node, info.tags)
 	delete(c.containers, id)
 	return nil
@@ -60,7 +64,7 @@ func (c *Cluster) addTags(node NodeID, tags []constraint.Tag) {
 		if name == constraint.Node {
 			continue
 		}
-		for _, sid := range g.ofNode[node] {
+		for _, sid := range g.setsOf(node) {
 			g.tagSets[sid].AddContainer(tags)
 		}
 	}
@@ -72,7 +76,7 @@ func (c *Cluster) removeTags(node NodeID, tags []constraint.Tag) {
 		if name == constraint.Node {
 			continue
 		}
-		for _, sid := range g.ofNode[node] {
+		for _, sid := range g.setsOf(node) {
 			g.tagSets[sid].RemoveContainer(tags)
 		}
 	}
@@ -86,21 +90,27 @@ func (c *Cluster) AddStaticTags(node NodeID, tags ...constraint.Tag) {
 	c.staticSeq++
 	c.staticCount++
 	id := ContainerID(fmt.Sprintf("static:%d#%d", node, c.staticSeq))
-	c.containers[id] = containerInfo{node: node, tags: append([]constraint.Tag(nil), tags...)}
-	c.nodes[node].containers[id] = struct{}{}
+	c.containers[id] = &containerInfo{node: node, tags: append([]constraint.Tag(nil), tags...)}
+	c.nodes[node].containers = append(c.nodes[node].containers, id)
 	c.addTags(node, tags)
 }
 
 // ContainerNode returns the node hosting a container.
 func (c *Cluster) ContainerNode(id ContainerID) (NodeID, bool) {
 	info, ok := c.containers[id]
-	return info.node, ok
+	if !ok {
+		return 0, false
+	}
+	return info.node, true
 }
 
 // ContainerTags returns the tags of an allocated container.
 func (c *Cluster) ContainerTags(id ContainerID) ([]constraint.Tag, bool) {
 	info, ok := c.containers[id]
-	return info.tags, ok
+	if !ok {
+		return nil, false
+	}
+	return info.tags, true
 }
 
 // NumContainers returns the number of allocated containers cluster-wide,
@@ -115,6 +125,16 @@ func (c *Cluster) Gamma(name constraint.GroupName, sid SetID, expr constraint.Ex
 		return 0
 	}
 	return g.tagSets[sid].CountExpr(expr)
+}
+
+// GammaBoth is Gamma over the conjunction a ∧ b, without the caller
+// having to build the joined expression.
+func (c *Cluster) GammaBoth(name constraint.GroupName, sid SetID, a, b constraint.Expr) int {
+	g := c.groups[name]
+	if g == nil {
+		return 0
+	}
+	return g.tagSets[sid].CountBoth(a, b)
 }
 
 // GammaNode is Gamma over the singleton set of the "node" group.
@@ -134,44 +154,45 @@ func (c *Cluster) SetAvailable(node NodeID, up bool) {
 	}
 }
 
-// Clone returns a deep copy of the cluster, used by schedulers for
-// tentative what-if placement without disturbing live state.
+// Clone returns an independent copy of the cluster, used by schedulers
+// for tentative what-if placement without disturbing live state. It is a
+// structural copy: node structs, resident sets, the container map and
+// every tag multiset are copied directly; the group topology and the
+// containers' tag slices are immutable once written and are shared.
+// Concurrent Clones of one cluster are safe (they only read it).
 func (c *Cluster) Clone() *Cluster {
-	cc := New()
-	cc.staticSeq = c.staticSeq
-	for _, n := range c.nodes {
-		cc.AddNode(n.Name, n.Capacity)
+	cc := &Cluster{
+		nodes:       make([]*Node, len(c.nodes)),
+		groups:      make(map[constraint.GroupName]*group, len(c.groups)),
+		containers:  maps.Clone(c.containers),
+		staticSeq:   c.staticSeq,
+		staticCount: c.staticCount,
+		capacity:    c.capacity,
+	}
+	nodes := make([]Node, len(c.nodes))
+	for i, n := range c.nodes {
+		nodes[i] = *n
+		nodes[i].tags = n.tags.Clone()
+		nodes[i].containers = slices.Clone(n.containers)
+		cc.nodes[i] = &nodes[i]
 	}
 	for name, g := range c.groups {
-		if name == constraint.Node {
-			continue
+		// Capacity-clamped: an append on either side reallocates instead
+		// of writing into an array the other side can reach.
+		ng := &group{
+			sets:     g.sets[:len(g.sets):len(g.sets)],
+			ofNode:   g.ofNode[:len(g.ofNode):len(g.ofNode)],
+			setNames: g.setNames[:len(g.setNames):len(g.setNames)],
+			tagSets:  make([]*constraint.Set, len(g.tagSets)),
 		}
-		sets := make([][]NodeID, len(g.sets))
-		for i, s := range g.sets {
-			sets[i] = append([]NodeID(nil), s...)
+		for i, ts := range g.tagSets {
+			if name == constraint.Node {
+				ng.tagSets[i] = cc.nodes[i].tags // set i of the node group is node i's own tag set
+			} else {
+				ng.tagSets[i] = ts.Clone()
+			}
 		}
-		if err := cc.RegisterGroup(name, sets); err != nil {
-			panic(err) // unreachable: copying a valid cluster
-		}
-		copy(cc.groups[name].setNames, g.setNames)
-	}
-	for id, info := range c.containers {
-		if info.demand.IsZero() && len(info.tags) > 0 {
-			// static-attribute pseudo-container
-			cc.containers[id] = containerInfo{node: info.node, tags: info.tags}
-			cc.nodes[info.node].containers[id] = struct{}{}
-			cc.addTags(info.node, info.tags)
-			cc.staticCount++
-			continue
-		}
-		if err := cc.Allocate(info.node, id, info.demand, info.tags); err != nil {
-			panic(fmt.Sprintf("cluster: clone re-allocate %s: %v", id, err))
-		}
-	}
-	// Availability is copied last so that containers on currently-down or
-	// draining nodes re-allocate cleanly above.
-	for i, n := range c.nodes {
-		cc.nodes[i].state = n.state
+		cc.groups[name] = ng
 	}
 	return cc
 }
@@ -193,7 +214,10 @@ func (c *Cluster) ContainerIDs() []ContainerID {
 // ContainerDemand returns the resource demand of an allocated container
 // (zero for unknown IDs and static-attribute pseudo-containers).
 func (c *Cluster) ContainerDemand(id ContainerID) resource.Vector {
-	return c.containers[id].demand
+	if info, ok := c.containers[id]; ok {
+		return info.demand
+	}
+	return resource.Vector{}
 }
 
 // CheckAccounting verifies the cluster's internal bookkeeping invariants:
@@ -208,14 +232,14 @@ func (c *Cluster) CheckAccounting() error {
 		if int(info.node) < 0 || int(info.node) >= len(c.nodes) {
 			return fmt.Errorf("cluster: container %s on unknown node %d", id, info.node)
 		}
-		if _, ok := c.nodes[info.node].containers[id]; !ok {
+		if !slices.Contains(c.nodes[info.node].containers, id) {
 			return fmt.Errorf("cluster: container %s missing from node %s resident set", id, c.nodes[info.node].Name)
 		}
 		perNode[info.node] = perNode[info.node].Add(info.demand)
 	}
 	for _, n := range c.nodes {
-		for id := range n.containers {
-			if _, ok := c.containers[id]; !ok {
+		for i, id := range n.containers {
+			if info, ok := c.containers[id]; !ok || info.node != n.ID || slices.Contains(n.containers[:i], id) {
 				return fmt.Errorf("cluster: node %s lists unknown container %s", n.Name, id)
 			}
 		}

@@ -61,10 +61,13 @@ type Node struct {
 	Name     string
 	Capacity resource.Vector
 
-	used       resource.Vector
-	tags       *constraint.Set
-	containers map[ContainerID]struct{}
-	state      NodeState
+	used  resource.Vector
+	tags  *constraint.Set
+	state NodeState
+	// containers is the resident set, unordered. A node holds a handful
+	// of containers, so a slice beats a map on every operation that
+	// matters — above all on Clone, which copies it with one memmove.
+	containers []ContainerID
 }
 
 // Used returns the resources currently allocated on the node.
@@ -92,17 +95,31 @@ func (n *Node) Tags() *constraint.Set { return n.tags }
 // NumContainers returns the number of containers on the node.
 func (n *Node) NumContainers() int { return len(n.containers) }
 
+// containerInfo is written once, at allocation; clusters share it by
+// pointer after a Clone.
 type containerInfo struct {
 	node   NodeID
 	demand resource.Vector
 	tags   []constraint.Tag
 }
 
+// group is one node group. sets, ofNode and setNames are the topology,
+// which Clone shares between clusters: it is never written in place,
+// only extended (AddNode, RegisterGroup). tagSets is per-cluster state.
 type group struct {
-	sets     [][]NodeID         // members of each set
-	ofNode   map[NodeID][]SetID // node -> sets containing it
-	tagSets  []*constraint.Set  // γ per set, maintained incrementally
-	setNames []string           // optional human names
+	sets     [][]NodeID        // members of each set
+	ofNode   [][]SetID         // node -> sets containing it; may be shorter than the node list
+	tagSets  []*constraint.Set // γ per set, maintained incrementally
+	setNames []string          // optional human names
+}
+
+// setsOf returns the sets containing the node (nil for nodes added after
+// the group's last registration).
+func (g *group) setsOf(node NodeID) []SetID {
+	if int(node) >= len(g.ofNode) {
+		return nil
+	}
+	return g.ofNode[node]
 }
 
 // Cluster is the mutable cluster state. It is not safe for concurrent
@@ -111,16 +128,19 @@ type group struct {
 type Cluster struct {
 	nodes       []*Node
 	groups      map[constraint.GroupName]*group
-	containers  map[ContainerID]containerInfo
+	containers  map[ContainerID]*containerInfo
 	staticSeq   int
 	staticCount int
+	// capacity is the sum of the nodes' capacities, fixed per node at
+	// AddNode: every idle task-scheduler heartbeat asks for it.
+	capacity resource.Vector
 }
 
 // New returns an empty cluster.
 func New() *Cluster {
 	return &Cluster{
 		groups:     make(map[constraint.GroupName]*group),
-		containers: make(map[ContainerID]containerInfo),
+		containers: make(map[ContainerID]*containerInfo),
 	}
 }
 
@@ -130,23 +150,25 @@ func New() *Cluster {
 func (c *Cluster) AddNode(name string, capacity resource.Vector) NodeID {
 	id := NodeID(len(c.nodes))
 	n := &Node{
-		ID:         id,
-		Name:       name,
-		Capacity:   capacity,
-		tags:       constraint.NewSet(),
-		containers: make(map[ContainerID]struct{}),
-		state:      NodeUp,
+		ID:       id,
+		Name:     name,
+		Capacity: capacity,
+		tags:     constraint.NewSet(),
+		state:    NodeUp,
 	}
 	c.nodes = append(c.nodes, n)
+	c.capacity = c.capacity.Add(capacity)
 	g := c.groups[constraint.Node]
 	if g == nil {
-		g = &group{ofNode: make(map[NodeID][]SetID)}
+		g = &group{}
 		c.groups[constraint.Node] = g
 	}
-	sid := SetID(len(g.sets))
+	// The node group's set i is {node i} and shares the node's own tag
+	// set; its topology only ever grows by whole entries, so plain appends
+	// are safe next to clones.
 	g.sets = append(g.sets, []NodeID{id})
-	g.ofNode[id] = append(g.ofNode[id], sid)
-	g.tagSets = append(g.tagSets, n.tags) // node-group set shares the node's own tag set
+	g.ofNode = append(g.ofNode, []SetID{SetID(id)})
+	g.tagSets = append(g.tagSets, n.tags)
 	g.setNames = append(g.setNames, name)
 	return id
 }
@@ -162,26 +184,34 @@ func (c *Cluster) RegisterGroup(name constraint.GroupName, sets [][]NodeID) erro
 	}
 	g := c.groups[name]
 	if g == nil {
-		g = &group{ofNode: make(map[NodeID][]SetID)}
+		g = &group{}
 		c.groups[name] = g
 	}
 	for _, set := range sets {
-		sid := SetID(len(g.sets))
-		members := append([]NodeID(nil), set...)
-		for _, nid := range members {
+		for _, nid := range set {
 			if int(nid) < 0 || int(nid) >= len(c.nodes) {
 				return fmt.Errorf("cluster: group %q references unknown node %d", name, nid)
 			}
-			g.ofNode[nid] = append(g.ofNode[nid], sid)
 		}
-		g.sets = append(g.sets, members)
+	}
+	// Clones may share this group's topology. Their outer slices are
+	// capacity-clamped, so appends reallocate; ofNode is the one slice
+	// whose existing entries grow, so it is rebuilt rather than updated.
+	ofNode := make([][]SetID, len(c.nodes))
+	copy(ofNode, g.ofNode)
+	for _, set := range sets {
+		sid := SetID(len(g.sets))
+		members := append([]NodeID(nil), set...)
 		ts := constraint.NewSet()
 		for _, nid := range members {
+			ofNode[nid] = append(ofNode[nid][:len(ofNode[nid]):len(ofNode[nid])], sid)
 			ts.Merge(c.nodes[nid].tags)
 		}
+		g.sets = append(g.sets, members)
 		g.tagSets = append(g.tagSets, ts)
 		g.setNames = append(g.setNames, fmt.Sprintf("%s-%d", name, sid))
 	}
+	g.ofNode = ofNode
 	return nil
 }
 
@@ -262,17 +292,11 @@ func (c *Cluster) SetsOfNode(name constraint.GroupName, node NodeID) []SetID {
 	if g == nil {
 		return nil
 	}
-	return g.ofNode[node]
+	return g.setsOf(node)
 }
 
 // TotalCapacity returns the sum of all node capacities.
-func (c *Cluster) TotalCapacity() resource.Vector {
-	var t resource.Vector
-	for _, n := range c.nodes {
-		t = t.Add(n.Capacity)
-	}
-	return t
-}
+func (c *Cluster) TotalCapacity() resource.Vector { return c.capacity }
 
 // TotalUsed returns the sum of allocated resources across nodes.
 func (c *Cluster) TotalUsed() resource.Vector {

@@ -42,7 +42,7 @@ func (c *Cluster) knownNode(node NodeID) bool {
 func (c *Cluster) residentEvictions(node NodeID) []Eviction {
 	n := c.nodes[node]
 	out := make([]Eviction, 0, len(n.containers))
-	for id := range n.containers {
+	for _, id := range n.containers {
 		if isStaticID(id) {
 			continue
 		}

@@ -237,8 +237,8 @@ func staticSeqOf(id ContainerID) int {
 // topology first, then every allocation while all nodes are still up
 // (static pseudo-containers are inserted directly, real containers
 // through Allocate so bookkeeping is re-derived and re-validated), and
-// the node state machine last — mirroring Clone, so containers resident
-// on draining nodes re-allocate cleanly.
+// the node state machine last, so containers resident on draining nodes
+// re-allocate cleanly.
 func FromSnapshot(s *Snapshot) (*Cluster, error) {
 	if len(s.Nodes) == 0 {
 		return nil, fmt.Errorf("cluster: snapshot has no nodes")
@@ -294,8 +294,8 @@ func FromSnapshot(s *Snapshot) (*Cluster, error) {
 			if _, exists := c.containers[id]; exists {
 				return nil, fmt.Errorf("cluster: snapshot has duplicate container %s", id)
 			}
-			c.containers[id] = containerInfo{node: nid, tags: tags}
-			c.nodes[nid].containers[id] = struct{}{}
+			c.containers[id] = &containerInfo{node: nid, tags: tags}
+			c.nodes[nid].containers = append(c.nodes[nid].containers, id)
 			c.addTags(nid, tags)
 			c.staticCount++
 			if seq := staticSeqOf(id); seq > c.staticSeq {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -134,11 +135,12 @@ func (a Atom) ViolationExtent(gamma int) float64 {
 
 // String renders the paper's syntax: {storm, {hb&mem, 1, inf}, node}.
 func (a Atom) String() string {
-	maxStr := fmt.Sprint(a.Max)
-	if a.Max == Unbounded {
-		maxStr = "inf"
+	maxStr := "inf"
+	if a.Max != Unbounded {
+		maxStr = strconv.Itoa(a.Max)
 	}
-	return fmt.Sprintf("{%s, {%s, %d, %s}, %s}", a.Subject, a.Target, a.Min, maxStr, a.Group)
+	return "{" + a.Subject.String() + ", {" + a.Target.String() + ", " +
+		strconv.Itoa(a.Min) + ", " + maxStr + "}, " + string(a.Group) + "}"
 }
 
 // Constraint is a (possibly compound) placement constraint with a soft
@@ -219,19 +221,25 @@ func (c Constraint) EffectiveWeight() float64 {
 	return c.Weight
 }
 
-// String renders terms joined by " | " with atoms joined by " & ".
+// String renders terms joined by " | " with atoms joined by " & ". The
+// schedulers deduplicate constraints by this text every cycle, so it is
+// built without fmt.
 func (c Constraint) String() string {
-	terms := make([]string, len(c.Terms))
-	for i, term := range c.Terms {
-		atoms := make([]string, len(term))
-		for j, a := range term {
-			atoms[j] = a.String()
-		}
-		terms[i] = strings.Join(atoms, " & ")
-	}
-	s := strings.Join(terms, " | ")
+	var b strings.Builder
 	if c.Weight > 0 && c.Weight != 1 {
-		s = fmt.Sprintf("%g: %s", c.Weight, s)
+		b.WriteString(strconv.FormatFloat(c.Weight, 'g', -1, 64))
+		b.WriteString(": ")
 	}
-	return s
+	for i, term := range c.Terms {
+		if i > 0 {
+			b.WriteString(" | ")
+		}
+		for j, a := range term {
+			if j > 0 {
+				b.WriteString(" & ")
+			}
+			b.WriteString(a.String())
+		}
+	}
+	return b.String()
 }

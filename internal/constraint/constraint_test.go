@@ -1,6 +1,7 @@
 package constraint
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -142,5 +143,35 @@ func TestAtomString(t *testing.T) {
 	a := Affinity(E("storm"), E("hb", "mem"), Node)
 	if got := a.String(); got != "{storm, {hb&mem, 1, inf}, node}" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+// TestStringMatchesFmt pins the hand-built String methods to the fmt
+// renderings they replaced: schedulers deduplicate constraints by this
+// text, so it may not change by a byte.
+func TestStringMatchesFmt(t *testing.T) {
+	atoms := []Atom{
+		Affinity(E("storm"), E("mem", "hb"), Node),
+		AntiAffinity(E("b", "a"), E("b", "a"), Rack),
+		CardinalityRange(E("x"), Expr{}, 2, 7, "zone"),
+	}
+	for _, a := range atoms {
+		maxStr := fmt.Sprint(a.Max)
+		if a.Max == Unbounded {
+			maxStr = "inf"
+		}
+		if want := fmt.Sprintf("{%s, {%s, %d, %s}, %s}", a.Subject, a.Target, a.Min, maxStr, a.Group); a.String() != want {
+			t.Errorf("atom: got %q, want %q", a.String(), want)
+		}
+	}
+	for _, w := range []float64{-1, 0, 0.5, 1, 2.5, 100, 1e6, 1e21, 1.0 / 3, 1e-7} {
+		c := Constraint{Terms: [][]Atom{{atoms[0], atoms[1]}, {atoms[2]}}, Weight: w}
+		want := atoms[0].String() + " & " + atoms[1].String() + " | " + atoms[2].String()
+		if w > 0 && w != 1 {
+			want = fmt.Sprintf("%g: %s", w, want)
+		}
+		if c.String() != want {
+			t.Errorf("weight %v: got %q, want %q", w, c.String(), want)
+		}
 	}
 }

@@ -169,6 +169,9 @@ func ResolveConflicts(entries []Entry) []Entry {
 		}
 	}
 	out := make([]Entry, 0, len(entries))
+	if len(opBounds) == 0 {
+		return append(out, entries...) // nothing to override with
+	}
 	for _, e := range entries {
 		if e.Source == SourceApplication {
 			if a, ok := e.Constraint.Simple(); ok {

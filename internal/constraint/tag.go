@@ -7,6 +7,7 @@ package constraint
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -86,8 +87,11 @@ func (e Expr) Equal(o Expr) bool {
 
 // String renders "hb&mem" (canonically sorted).
 func (e Expr) String() string {
-	if len(e) == 0 {
+	switch len(e) {
+	case 0:
 		return "*"
+	case 1:
+		return string(e[0])
 	}
 	ss := make([]string, len(e))
 	for i, t := range e {
@@ -191,15 +195,29 @@ func (s *Set) Count(t Tag) int {
 // CountExpr returns γ(e): the number of containers whose tag vector
 // matches the whole conjunction e.
 func (s *Set) CountExpr(e Expr) int {
-	if s.vectors == nil {
-		return 0
-	}
 	if len(e) == 1 {
 		return s.Count(e[0])
 	}
+	return s.CountBoth(e, nil)
+}
+
+// CountBoth returns γ(a ∧ b): the number of containers whose tag vector
+// matches both conjunctions, without materialising the joined Expr.
+func (s *Set) CountBoth(a, b Expr) int {
+	// A tag no container carries rules out every vector without a scan.
+	for _, t := range a {
+		if s.counts[t] == 0 {
+			return 0
+		}
+	}
+	for _, t := range b {
+		if s.counts[t] == 0 {
+			return 0
+		}
+	}
 	n := 0
 	for _, entry := range s.vectors {
-		if e.Matches(entry.tags) {
+		if a.Matches(entry.tags) && b.Matches(entry.tags) {
 			n += entry.count
 		}
 	}
@@ -235,11 +253,11 @@ func (s *Set) Merge(o *Set) {
 	}
 }
 
-// Clone returns a deep copy of s.
+// Clone returns a deep copy of s: both maps are copied directly. The tag
+// slices inside the vector entries are shared — they are written once, in
+// AddContainer, and never mutated afterwards.
 func (s *Set) Clone() *Set {
-	c := NewSet()
-	c.Merge(s)
-	return c
+	return &Set{counts: maps.Clone(s.counts), vectors: maps.Clone(s.vectors)}
 }
 
 // String renders the multiset as "{hb:2, hb_m:1}".

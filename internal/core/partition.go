@@ -51,9 +51,11 @@ func (u *unionFind) union(a, b int) {
 
 // constraintTags collects every tag a constraint's expressions mention.
 func constraintTags(c constraint.Constraint, into []constraint.Tag) []constraint.Tag {
-	for _, a := range c.Atoms() {
-		into = append(into, a.Subject...)
-		into = append(into, a.Target...)
+	for _, term := range c.Terms {
+		for _, a := range term {
+			into = append(into, a.Subject...)
+			into = append(into, a.Target...)
+		}
 	}
 	return into
 }

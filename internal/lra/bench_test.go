@@ -1,0 +1,76 @@
+package lra_test
+
+import (
+	"fmt"
+	"testing"
+
+	"medea/internal/cluster"
+	"medea/internal/constraint"
+	"medea/internal/lra"
+	"medea/internal/resource"
+	"medea/internal/workload"
+)
+
+// templateApp is the benchmark's two_sched request mix: the §7.1
+// TensorFlow and HBase templates and the §2.2 Storm+Memcached pipeline
+// in equal thirds.
+func templateApp(i int) *lra.Application {
+	switch i % 3 {
+	case 0:
+		return workload.TensorFlow(fmt.Sprintf("tf-%05d", i), workload.DefaultTF())
+	case 1:
+		return workload.HBase(fmt.Sprintf("hb-%05d", i), workload.HBaseConfig{
+			Workers: 10, MaxWorkersPerNode: 4, RackAffinity: true, MasterConstraints: true,
+		})
+	default:
+		return workload.StormPipeline(fmt.Sprintf("st-%05d", i), 4, "intra-inter")
+	}
+}
+
+// twoSchedState builds the steady state of the two_sched workload: a
+// 256-node grid in racks of 8 with 80 template LRAs deployed by Medea-NC
+// and ~640 untagged task containers beside them. It returns the state,
+// the deployed LRAs' constraints and the next batch (one HBase, one TF).
+func twoSchedState(tb testing.TB) (*cluster.Cluster, []constraint.Entry, []*lra.Application) {
+	tb.Helper()
+	c := cluster.Grid(256, 8, resource.New(16384, 8))
+	var active []constraint.Entry
+	nc := lra.NewNodeCandidates()
+	for i := 0; i < 80; i++ {
+		app := templateApp(i)
+		res := nc.Place(c, []*lra.Application{app}, active, lra.Options{})
+		if res.PlacedApps() != 1 {
+			tb.Fatalf("fixture: %s not placed", app.ID)
+		}
+		for _, a := range res.Placements[0].Assignments {
+			if err := c.Allocate(a.Node, a.Container, a.Demand, a.Tags); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		for _, con := range app.Constraints {
+			active = append(active, constraint.Entry{AppID: app.ID, Source: constraint.SourceApplication, Constraint: con})
+		}
+	}
+	for i, placed := 0, 0; placed < 640; i++ {
+		// Strided over the grid, skipping nodes the LRAs filled.
+		id := cluster.ContainerID(fmt.Sprintf("task-%d", placed))
+		if c.Allocate(cluster.NodeID(i*7%256), id, resource.DefaultProfile, nil) == nil {
+			placed++
+		}
+	}
+	return c, active, []*lra.Application{templateApp(82), templateApp(81)}
+}
+
+func benchmarkGreedyPlace(b *testing.B, alg lra.Algorithm) {
+	state, active, batch := twoSchedState(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := alg.Place(state, batch, active, lra.Options{}); res.PlacedApps() != len(batch) {
+			b.Fatalf("placed %d of %d", res.PlacedApps(), len(batch))
+		}
+	}
+}
+
+func BenchmarkGreedyPlaceNC256(b *testing.B) { benchmarkGreedyPlace(b, lra.NewNodeCandidates()) }
+func BenchmarkGreedyPlaceTP256(b *testing.B) { benchmarkGreedyPlace(b, lra.NewTagPopularity()) }

@@ -8,20 +8,20 @@ import (
 	"medea/internal/constraint"
 )
 
-// atomGamma returns the γ values a subject container placed on node sees
-// for an atom: one value per node set of the atom's group containing the
-// node. selfMatches indicates whether the subject container's own tags
-// match the atom's target (the ILP's Equations 6–7 exclude the subject
-// container itself from the count). When the node belongs to no set of
-// the group, a single γ of 0 is returned, so affinity constraints are
-// reported violated and anti-affinity satisfied.
-func atomGamma(state *cluster.Cluster, a constraint.Atom, node cluster.NodeID, selfMatches bool) []int {
+// subjectExtent returns the summed violation extent of an atom for a
+// subject container on node: one γ per node set of the atom's group
+// containing the node. selfMatches indicates whether the subject
+// container's own tags match the atom's target and it is already counted
+// in γ (the ILP's Equations 6–7 exclude the subject container itself from
+// the count). When the node belongs to no set of the group, γ is 0, so
+// affinity constraints are reported violated and anti-affinity satisfied.
+func subjectExtent(state *cluster.Cluster, a constraint.Atom, node cluster.NodeID, selfMatches bool) float64 {
 	sets := state.SetsOfNode(a.Group, node)
 	if len(sets) == 0 {
-		return []int{0}
+		return a.ViolationExtent(0)
 	}
-	out := make([]int, len(sets))
-	for i, sid := range sets {
+	ext := 0.0
+	for _, sid := range sets {
 		g := state.Gamma(a.Group, sid, a.Target)
 		if selfMatches {
 			g--
@@ -29,20 +29,9 @@ func atomGamma(state *cluster.Cluster, a constraint.Atom, node cluster.NodeID, s
 		if g < 0 {
 			g = 0
 		}
-		out[i] = g
-	}
-	return out
-}
-
-// atomExtent returns the summed violation extent of an atom for a subject
-// container on node, and whether the atom is satisfied (extent zero).
-func atomExtent(state *cluster.Cluster, a constraint.Atom, node cluster.NodeID, tags []constraint.Tag) (float64, bool) {
-	self := a.Target.Matches(tags)
-	ext := 0.0
-	for _, g := range atomGamma(state, a, node, self) {
 		ext += a.ViolationExtent(g)
 	}
-	return ext, ext == 0
+	return ext
 }
 
 // constraintExtent evaluates a (possibly compound, DNF) constraint for a
@@ -63,8 +52,7 @@ func constraintExtent(state *cluster.Cluster, c constraint.Constraint, node clus
 				continue
 			}
 			termApplies = true
-			e, _ := atomExtent(state, a, node, tags)
-			sum += e
+			sum += subjectExtent(state, a, node, a.Target.Matches(tags))
 		}
 		if !termApplies {
 			continue
@@ -112,7 +100,7 @@ func (r Report) ViolationFraction() float64 {
 // constraint and aggregates violations.
 func Evaluate(state *cluster.Cluster, entries []constraint.Entry) Report {
 	var rep Report
-	resolved := dedupEntries(constraint.ResolveConflicts(entries))
+	resolved := ResolveEntries(entries)
 	for _, id := range state.ContainerIDs() {
 		node, ok := state.ContainerNode(id)
 		if !ok {
@@ -199,9 +187,7 @@ func atomDelta(state *cluster.Cluster, a constraint.Atom, tags []constraint.Tag,
 	if isSubject {
 		// The new container's own cardinality test at this node. Self is
 		// excluded, and the container is not yet in γ, so γ is used as-is.
-		for _, g := range atomGamma(state, a, node, false) {
-			delta += a.ViolationExtent(g)
-		}
+		delta += subjectExtent(state, a, node, false)
 	}
 	if !isTarget {
 		return delta
@@ -210,8 +196,7 @@ func atomDelta(state *cluster.Cluster, a constraint.Atom, tags []constraint.Tag,
 	for _, sid := range state.SetsOfNode(a.Group, node) {
 		gTotal := state.Gamma(a.Group, sid, a.Target)
 		nSubj := state.Gamma(a.Group, sid, a.Subject)
-		both := append(append(constraint.Expr{}, a.Subject...), a.Target...)
-		nBoth := state.Gamma(a.Group, sid, both)
+		nBoth := state.GammaBoth(a.Group, sid, a.Subject, a.Target)
 		// Subjects that match the target see γ go from gTotal-1 to gTotal;
 		// others from gTotal to gTotal+1.
 		if nBoth > 0 {
@@ -241,6 +226,13 @@ func flattenConstraints(apps []*Application, active []constraint.Entry) []constr
 			})
 		}
 	}
+	return ResolveEntries(entries)
+}
+
+// ResolveEntries returns the entries in the form the evaluator scores
+// against: operator overrides applied (constraint.ResolveConflicts) and
+// textually identical constraints dropped.
+func ResolveEntries(entries []constraint.Entry) []constraint.Entry {
 	return dedupEntries(constraint.ResolveConflicts(entries))
 }
 
@@ -270,18 +262,30 @@ func dedupEntries(entries []constraint.Entry) []constraint.Entry {
 func relevantEntries(entries []constraint.Entry, tags []constraint.Tag) []constraint.Entry {
 	var out []constraint.Entry
 	for _, e := range entries {
-		keep := false
-		for _, a := range e.Constraint.Atoms() {
-			if a.Subject.Matches(tags) || a.Target.Matches(tags) {
-				keep = true
-				break
-			}
-		}
-		if keep {
+		if matchesAny(e.Constraint, tags) {
 			out = append(out, e)
 		}
 	}
 	return out
+}
+
+// matchesAtom reports whether a container with the given tags can interact
+// with the atom, as its subject or as a target it counts.
+func matchesAtom(a constraint.Atom, tags []constraint.Tag) bool {
+	return a.Subject.Matches(tags) || a.Target.Matches(tags)
+}
+
+// matchesAny reports whether some atom of c can interact with a container
+// carrying the given tags.
+func matchesAny(c constraint.Constraint, tags []constraint.Tag) bool {
+	for _, term := range c.Terms {
+		for _, a := range term {
+			if matchesAtom(a, tags) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // tagKey returns a canonical string key for a tag vector.
@@ -300,22 +304,23 @@ func tagKey(tags []constraint.Tag) string {
 // scheduler uses it to support constraints for task containers in a
 // heuristic fashion (§5.4) without involving the LRA scheduler.
 func ScoreNode(state *cluster.Cluster, entries []constraint.Entry, tags []constraint.Tag, node cluster.NodeID) float64 {
-	return placementDelta(state, dedupEntries(constraint.ResolveConflicts(entries)), tags, node)
+	return placementDelta(state, ResolveEntries(entries), tags, node)
 }
 
 // ViolationFor returns the summed weighted violation extent of the
 // constraints applicable to one allocated container (0 for unknown IDs or
-// when all applicable constraints are satisfied). The audit layer uses it
-// to decide whether a proposed placement introduces new hard-constraint
-// violations.
-func ViolationFor(state *cluster.Cluster, entries []constraint.Entry, id cluster.ContainerID) float64 {
+// when all applicable constraints are satisfied). resolved must come from
+// ResolveEntries: callers sweep whole clusters with one constraint list,
+// so resolving it is theirs to do once. The audit layer uses it to decide
+// whether a proposed placement introduces new hard-constraint violations.
+func ViolationFor(state *cluster.Cluster, resolved []constraint.Entry, id cluster.ContainerID) float64 {
 	node, ok := state.ContainerNode(id)
 	if !ok {
 		return 0
 	}
 	tags, _ := state.ContainerTags(id)
 	total := 0.0
-	for _, e := range dedupEntries(constraint.ResolveConflicts(entries)) {
+	for _, e := range resolved {
 		ext, applies := constraintExtent(state, e.Constraint, node, tags)
 		if applies && ext > 0 {
 			total += ext * e.Constraint.EffectiveWeight()

@@ -157,46 +157,30 @@ func (g *greedy) Place(state *cluster.Cluster, apps []*Application, active []con
 		queue = nq
 	}
 
-	// Memoised per-tag-vector relevant-constraint subsets: node scoring
-	// only needs the constraints that can interact with the container.
-	relCache := map[string][]constraint.Entry{}
-	rel := func(r containerReq) []constraint.Entry {
-		k := tagKey(r.tags)
-		if v, ok := relCache[k]; ok {
-			return v
-		}
-		v := relevantEntries(cons, r.tags)
-		relCache[k] = v
-		return v
+	// Every node score of this call lives in one table, kept current
+	// across the tentative allocations and rollbacks below. The first-fit
+	// baseline ignores scores and has none.
+	var tab *scoreTable
+	var classOf []int
+	if !g.firstFit {
+		tab, classOf = newScoreTable(g, work, cons, queue, opts.workers())
 	}
 
 	failed := make([]bool, len(apps))
 	placedBy := make([][]Assignment, len(apps))
-	var nc []int
-	if g.order == orderNC {
-		nc = make([]int, len(queue))
-		for i := range queue {
-			nc[i] = countCandidates(work, rel(queue[i]), queue[i])
-		}
-	}
 	done := make([]bool, len(queue))
 	for range queue {
 		sel := -1
-		if g.order == orderNC {
-			for i := range queue {
-				if done[i] || failed[queue[i].appIdx] {
-					continue
-				}
-				if sel < 0 || nc[i] < nc[sel] {
-					sel = i
-				}
+		for i := range queue {
+			if done[i] || failed[queue[i].appIdx] {
+				continue
 			}
-		} else {
-			for i := range queue {
-				if !done[i] && !failed[queue[i].appIdx] {
-					sel = i
-					break
-				}
+			if g.order != orderNC {
+				sel = i
+				break
+			}
+			if sel < 0 || tab.classes[classOf[i]].nc < tab.classes[classOf[sel]].nc {
+				sel = i
 			}
 		}
 		if sel < 0 {
@@ -204,7 +188,13 @@ func (g *greedy) Place(state *cluster.Cluster, apps []*Application, active []con
 		}
 		r := queue[sel]
 		done[sel] = true
-		node, ok := g.bestNode(work, rel(r), r, opts.workers())
+		var node cluster.NodeID
+		var ok bool
+		if tab != nil {
+			node, ok = tab.best(classOf[sel])
+		} else {
+			node, ok = g.firstFitNode(work, r)
+		}
 		if !ok {
 			// All-or-nothing (Equation 4): roll the application back.
 			failed[r.appIdx] = true
@@ -212,26 +202,25 @@ func (g *greedy) Place(state *cluster.Cluster, apps []*Application, active []con
 				if err := work.Release(a.Container); err != nil {
 					panic(err) // unreachable: releasing our own tentative allocation
 				}
+				if tab != nil {
+					tab.touched(a.Node)
+				}
 			}
 			placedBy[r.appIdx] = nil
 			continue
 		}
 		if err := work.Allocate(node, r.id, r.demand, r.tags); err != nil {
-			panic(err) // unreachable: bestNode verified the fit
+			panic(err) // unreachable: the node was scored as fitting
 		}
 		placedBy[r.appIdx] = append(placedBy[r.appIdx], Assignment{
 			Container: r.id, Group: r.group, Node: node, Demand: r.demand, Tags: r.tags,
 		})
-		if g.order == orderNC {
-			// Recalculate Nc only for containers whose placement
-			// opportunities were affected in this iteration (§5.3).
-			for i := range queue {
-				if done[i] || failed[queue[i].appIdx] {
-					continue
-				}
-				if sharesConstraintScope(cons, r.tags, queue[i].tags) {
-					nc[i] = countCandidates(work, rel(queue[i]), queue[i])
-				}
+		if tab != nil {
+			tab.touched(node)
+			if g.order == orderNC {
+				// Recalculate Nc only for containers whose placement
+				// opportunities were affected in this iteration (§5.3).
+				tab.refreshNc(classOf[sel])
 			}
 		}
 	}
@@ -247,82 +236,22 @@ func (g *greedy) Place(state *cluster.Cluster, apps []*Application, active []con
 	return res
 }
 
-// bestNode returns the feasible node with the best score: lowest weighted
-// violation delta, then (scaled by loadBalanceWeight, if set) the least
-// utilised node, then the lowest node ID for determinism. Scoring fans
-// out across workers into index-addressed slots; the selection reduction
-// runs sequentially in node order, so the result is identical for every
-// worker count.
-func (g *greedy) bestNode(work *cluster.Cluster, cons []constraint.Entry, r containerReq, workers int) (cluster.NodeID, bool) {
-	if g.firstFit {
-		const frontier = 8
-		var fits []cluster.NodeID
-		for _, n := range work.Nodes() {
-			if n.Available() && r.demand.Fits(n.Free()) {
-				fits = append(fits, n.ID)
-				if len(fits) == frontier {
-					break
-				}
+// firstFitNode picks randomly among the first few nodes (by ID) with room.
+func (g *greedy) firstFitNode(work *cluster.Cluster, r containerReq) (cluster.NodeID, bool) {
+	const frontier = 8
+	var fits []cluster.NodeID
+	for _, n := range work.Nodes() {
+		if n.Available() && r.demand.Fits(n.Free()) {
+			fits = append(fits, n.ID)
+			if len(fits) == frontier {
+				break
 			}
 		}
-		if len(fits) == 0 {
-			return -1, false
-		}
-		return fits[g.rng.Intn(len(fits))], true
 	}
-	nodes := work.Nodes()
-	type score struct {
-		ok          bool
-		delta, util float64
+	if len(fits) == 0 {
+		return -1, false
 	}
-	scores := make([]score, len(nodes))
-	parallelFor(len(nodes), workers, func(i int) {
-		n := nodes[i]
-		if !n.Available() || !r.demand.Fits(n.Free()) {
-			return
-		}
-		delta := placementDeltaMode(work, cons, r.tags, n.ID, g.subjectOnly)
-		if g.affinityPull > 0 {
-			delta -= g.affinityPull * affinityPopulation(work, cons, r.tags, n.ID)
-		}
-		util := n.Used().Add(r.demand).DominantShare(n.Capacity)
-		if g.loadBalanceWeight > 0 {
-			// J-Kube blends constraint and spreading scores rather than
-			// lexicographically preferring constraints.
-			delta += g.loadBalanceWeight * util
-		}
-		scores[i] = score{ok: true, delta: delta, util: util}
-	})
-	bestID := cluster.NodeID(-1)
-	bestDelta, bestUtil := 0.0, 0.0
-	for i, n := range nodes {
-		s := scores[i]
-		if !s.ok {
-			continue
-		}
-		if bestID < 0 || s.delta < bestDelta-1e-12 ||
-			(s.delta < bestDelta+1e-12 && s.util < bestUtil-1e-12) {
-			bestID, bestDelta, bestUtil = n.ID, s.delta, s.util
-		}
-	}
-	return bestID, bestID >= 0
-}
-
-// countCandidates returns Nc: the number of nodes on which the container
-// can be placed without creating any new violation (§5.3). When no node is
-// violation-free, Nc counts nodes that merely fit, so such containers sort
-// first (least flexibility).
-func countCandidates(work *cluster.Cluster, cons []constraint.Entry, r containerReq) int {
-	clean := 0
-	for _, n := range work.Nodes() {
-		if !n.Available() || !r.demand.Fits(n.Free()) {
-			continue
-		}
-		if placementDelta(work, cons, r.tags, n.ID) <= 1e-12 {
-			clean++
-		}
-	}
-	return clean
+	return fits[g.rng.Intn(len(fits))], true
 }
 
 // tagPopularity counts constraint atoms whose subject or target matches
@@ -330,9 +259,11 @@ func countCandidates(work *cluster.Cluster, cons []constraint.Entry, r container
 func tagPopularity(cons []constraint.Entry, tags []constraint.Tag) int {
 	n := 0
 	for _, e := range cons {
-		for _, a := range e.Constraint.Atoms() {
-			if a.Subject.Matches(tags) || a.Target.Matches(tags) {
-				n++
+		for _, term := range e.Constraint.Terms {
+			for _, a := range term {
+				if matchesAtom(a, tags) {
+					n++
+				}
 			}
 		}
 	}
@@ -345,12 +276,11 @@ func tagPopularity(cons []constraint.Entry, tags []constraint.Tag) int {
 // compete as subjects of the same atom).
 func sharesConstraintScope(cons []constraint.Entry, a, b []constraint.Tag) bool {
 	for _, e := range cons {
-		for _, atom := range e.Constraint.Atoms() {
-			if atom.Target.Matches(a) && atom.Subject.Matches(b) {
-				return true
-			}
-			if atom.Subject.Matches(a) && atom.Subject.Matches(b) {
-				return true
+		for _, term := range e.Constraint.Terms {
+			for _, atom := range term {
+				if atom.Subject.Matches(b) && (atom.Target.Matches(a) || atom.Subject.Matches(a)) {
+					return true
+				}
 			}
 		}
 	}
@@ -364,12 +294,14 @@ func sharesConstraintScope(cons []constraint.Entry, a, b []constraint.Tag) bool 
 func affinityPopulation(work *cluster.Cluster, cons []constraint.Entry, tags []constraint.Tag, node cluster.NodeID) float64 {
 	total := 0.0
 	for _, e := range cons {
-		for _, a := range e.Constraint.Atoms() {
-			if !a.IsAffinity() || !a.Subject.Matches(tags) {
-				continue
-			}
-			for _, sid := range work.SetsOfNode(a.Group, node) {
-				total += float64(work.Gamma(a.Group, sid, a.Target))
+		for _, term := range e.Constraint.Terms {
+			for _, a := range term {
+				if !a.IsAffinity() || !a.Subject.Matches(tags) {
+					continue
+				}
+				for _, sid := range work.SetsOfNode(a.Group, node) {
+					total += float64(work.Gamma(a.Group, sid, a.Target))
+				}
 			}
 		}
 	}

@@ -82,7 +82,7 @@ func PlanMigration(state *cluster.Cluster, entries []constraint.Entry, opts Migr
 	}
 	start := clk()
 	work := state.Clone()
-	cons := dedupEntries(constraint.ResolveConflicts(entries))
+	cons := ResolveEntries(entries)
 	plan := &MigrationPlan{BeforeExtent: totalWeightedExtent(work, cons)}
 	current := plan.BeforeExtent
 
