@@ -139,14 +139,11 @@ func TestArenaPoisonedApproxPath(t *testing.T) {
 	}
 }
 
-// TestWarmStartDifferential checks the warm-start contract on the corpus
-// and random models: seeding the solver with the cold solve's own
-// solution (values + branch order, as the LRA scheduler replays them
-// across cycles) must keep the objective bit-identical, mark WarmUsed,
-// and stay feasible — through a poisoned shared arena.
-func TestWarmStartDifferential(t *testing.T) {
+// warmStartModels are the models of TestWarmStartDifferential (and of the
+// warm-replay cases of TestSolveGolden): the fuzz corpus plus 250 seeded
+// random models.
+func warmStartModels() []*Model {
 	r := rand.New(rand.NewSource(97))
-	arena := NewSolverArena()
 	models := make([]*Model, 0, 260)
 	for _, data := range fuzzCorpus() {
 		m, _, _ := decodeModel(data)
@@ -155,7 +152,17 @@ func TestWarmStartDifferential(t *testing.T) {
 	for i := 0; i < 250; i++ {
 		models = append(models, randomOracleModel(r))
 	}
-	for i, m := range models {
+	return models
+}
+
+// TestWarmStartDifferential checks the warm-start contract on the corpus
+// and random models: seeding the solver with the cold solve's own
+// solution (values + branch order, as the LRA scheduler replays them
+// across cycles) must keep the objective bit-identical, mark WarmUsed,
+// and stay feasible — through a poisoned shared arena.
+func TestWarmStartDifferential(t *testing.T) {
+	arena := NewSolverArena()
+	for i, m := range warmStartModels() {
 		if m.Check() != nil {
 			continue
 		}

@@ -138,28 +138,32 @@ func FuzzSolve(f *testing.F) {
 	})
 }
 
+// correlatedKnapsack is a strongly correlated 0/1 knapsack over n items
+// (profit = weight + constant, capacity half the total weight): the LP
+// bound is nearly flat across subtrees, so branch-and-bound prunes poorly.
+func correlatedKnapsack(n int) *Model {
+	m := NewModel(Maximize)
+	terms := make([]Term, n)
+	total := 0.0
+	for j := range terms {
+		v := m.Binary("x")
+		w := float64(13 + (j*7919)%37)
+		m.SetObjective(v, w+10)
+		terms[j] = T(w, v)
+		total += w
+	}
+	m.AddLE("cap", math.Floor(total/2), terms...)
+	return m
+}
+
 // TestDeadlineAdherence verifies the end-to-end budget promise: a solve
 // with a deadline returns within the budget plus one check granularity
 // (deadlineCheckEvery pivots / 16 nodes), never runs to completion of an
 // exponential search, and reports DeadlineHit.
 func TestDeadlineAdherence(t *testing.T) {
-	// A strongly correlated knapsack (profit = weight + constant, tight
-	// capacity): the LP bound is nearly flat across subtrees, so
-	// branch-and-bound prunes poorly and full search takes far longer
-	// than the budget.
+	// Full search of the 64-item knapsack takes far longer than the budget.
 	const n = 64
-	m := NewModel(Maximize)
-	vars := make([]Var, n)
-	terms := make([]Term, n)
-	total := 0.0
-	for j := range vars {
-		vars[j] = m.Binary("x")
-		w := float64(13 + (j*7919)%37)
-		m.SetObjective(vars[j], w+10)
-		terms[j] = T(w, vars[j])
-		total += w
-	}
-	m.AddLE("cap", math.Floor(total/2), terms...)
+	m := correlatedKnapsack(n)
 
 	budget := 25 * time.Millisecond
 	start := time.Now()
@@ -179,7 +183,7 @@ func TestDeadlineAdherence(t *testing.T) {
 	if sol.Status == Feasible {
 		x := make([]float64, n)
 		for j := range x {
-			x[j] = sol.Value(vars[j])
+			x[j] = sol.Value(Var(j))
 		}
 		if !m.CheckFeasible(x) {
 			t.Fatal("deadline incumbent is infeasible")
