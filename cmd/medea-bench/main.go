@@ -1,29 +1,27 @@
-// Command medea-bench measures the parallel placement engine and emits
-// machine-readable benchmark artifacts: BENCH_ilp.json for the raw
-// branch-and-bound solver and BENCH_pipeline.json for the end-to-end
-// scheduling cycle. Each suite runs at every requested CPU count
-// (GOMAXPROCS and solver workers move together), so the artifacts
-// record the parallel scaling curve alongside ns/op, allocs/op and the
-// solver deadline-hit rate.
+// Command medea-bench measures the ILP solver and the scheduling cycle
+// and emits machine-readable benchmark artifacts: BENCH_ilp.json for the
+// solver and BENCH_pipeline.json for the end-to-end cycle, each with
+// ns/op, allocs/op and the solver deadline-hit rate.
 //
 // The ILP suite is benchmarked per solving path: exact search with cold
 // allocation, exact search over a pooled SolverArena, exact search
 // warm-started from a prior solution, and the LP-relaxation rounding
-// fast path on a placement-shaped fixture. BENCH_ilp.json carries the
-// per-path numbers plus derived comparisons (arena allocation
-// reduction, warm-vs-cold speedup, approx-vs-exact speedup and
-// objective ratio).
+// fast path on a placement-shaped fixture. A solve runs on one
+// goroutine, so each path has one row, taken at the host's GOMAXPROCS.
+// BENCH_ilp.json carries the per-path numbers plus derived comparisons
+// (arena allocation reduction, warm-vs-cold speedup, approx-vs-exact
+// speedup and objective ratio).
 //
-// With -gate the binary enforces the CI speedup regression gate: the
-// large pipeline fixture at the highest CPU count must be at least
-// -speedup times faster than at one CPU. The gate auto-skips on hosts
-// with fewer physical CPUs than the gated count — a single-core
-// container cannot exhibit parallel speedup, and failing there would
-// only punish the wrong machine. -maxallocs / -maxbytes cap the
-// arena-backed exact paths' allocs/op and bytes/op — the canary for
-// accidental per-node garbage creeping back into the solver hot loop —
-// and -gate also holds the pipeline cycle to pipelineMaxAllocs, the same
-// canary for everything around the solver.
+// The pipeline fixture is 12 constraint-independent LRAs, which
+// core.placeBatch solves concurrently — the one fan-out in the placement
+// path. It gets a row at GOMAXPROCS 1 and, on hosts that have more, one
+// at runtime.NumCPU(); no row claims a CPU count the host lacks.
+//
+// -maxallocs / -maxbytes cap the arena-backed exact paths' allocs/op and
+// bytes/op — the canary for accidental per-node garbage creeping back
+// into the solver hot loop — and -gate holds the pipeline cycle to
+// pipelineMaxAllocs, the same canary for everything around the solver.
+// Allocation counts do not depend on the host, so neither gate skips.
 package main
 
 import (
@@ -33,8 +31,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -46,16 +42,13 @@ import (
 	"medea/internal/resource"
 )
 
-// pipelineMaxAllocs caps the pipeline fixture's allocs/op at every CPU
-// count under -gate: 1.25x the recorded BENCH_pipeline.json value
-// (43,032 at 8 workers; 108,972–110,238 before the greedy score table
-// and the structural cluster.Clone). Allocation counts do not depend on
-// the host, so unlike the speedup gate this one never skips.
+// pipelineMaxAllocs caps the pipeline fixture's allocs/op on every row
+// under -gate: 1.25x the value recorded when the greedy score table and
+// the structural cluster.Clone landed (43,032; 108,972–110,238 before).
 const pipelineMaxAllocs = 53790
 
 type benchResult struct {
 	CPU             int     `json:"cpu"`
-	Workers         int     `json:"workers"`
 	NsPerOp         int64   `json:"ns_per_op"`
 	AllocsPerOp     int64   `json:"allocs_per_op"`
 	BytesPerOp      int64   `json:"bytes_per_op"`
@@ -71,7 +64,7 @@ type benchFile struct {
 	Results   []benchResult `json:"results"`
 }
 
-// pathFile is one solving path's scaling curve in BENCH_ilp.json.
+// pathFile is one solving path's row in BENCH_ilp.json.
 type pathFile struct {
 	Path    string        `json:"path"`
 	Fixture string        `json:"fixture"`
@@ -79,12 +72,12 @@ type pathFile struct {
 }
 
 // comparisonSet holds the derived cross-path numbers. The allocation
-// ratio compares the knapsack paths at the first benchmarked CPU count;
-// the warm and approx numbers come from single timed solves of the
-// large placement fixture — cold exact is time-boxed (at this size it
-// cannot close the tree, which is exactly why the warm and approximate
-// paths exist), approx runs free, and warm re-solves seeded with the
-// approx solution under the production 1% relative gap.
+// ratio compares the two knapsack paths; the warm and approx numbers come
+// from single timed solves of the large placement fixture — cold exact is
+// time-boxed (at this size it cannot close the tree, which is exactly why
+// the warm and approximate paths exist), approx runs free, and warm
+// re-solves seeded with the approx solution under the production 1%
+// relative gap.
 type comparisonSet struct {
 	ArenaAllocsReduction float64 `json:"arena_allocs_reduction"`
 	WarmVsColdSpeedup    float64 `json:"warm_vs_cold_speedup"`
@@ -110,8 +103,7 @@ const placementFixture = "placement model, 32 gangs x 10 nodes, 320 int vars"
 // ilpFixture builds the solver benchmark model: a strongly correlated
 // 0/1 knapsack (profit = weight + constant, capacity = half the total
 // weight). The LP bound is nearly flat across subtrees, so the search
-// genuinely explores the frontier — exactly the shape the parallel
-// worker pool exists for.
+// prunes poorly and solves ~20,000 LP relaxations.
 func ilpFixture() (*ilp.Model, int) {
 	const n = 34
 	m := ilp.NewModel(ilp.Maximize)
@@ -157,8 +149,8 @@ func lraFixture() *ilp.Model {
 
 // runSolves wraps testing.Benchmark around a solve loop `count` times
 // and keeps the best (lowest ns/op) run.
-func runSolves(workers, count int, loop func(b *testing.B) (iters, hits int)) benchResult {
-	best := benchResult{Workers: workers}
+func runSolves(count int, loop func(b *testing.B) (iters, hits int)) benchResult {
+	var best benchResult
 	for c := 0; c < count; c++ {
 		iters, hits := 0, 0
 		r := testing.Benchmark(func(b *testing.B) {
@@ -168,7 +160,7 @@ func runSolves(workers, count int, loop func(b *testing.B) (iters, hits int)) be
 			hits += h
 		})
 		res := benchResult{
-			Workers:     workers,
+			CPU:         runtime.GOMAXPROCS(0),
 			NsPerOp:     r.NsPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
 			BytesPerOp:  r.AllocedBytesPerOp(),
@@ -186,12 +178,12 @@ func runSolves(workers, count int, loop func(b *testing.B) (iters, hits int)) be
 
 // benchExactCold is the baseline: every solve allocates its working set
 // from scratch (no arena, no warm start).
-func benchExactCold(workers, count int) benchResult {
+func benchExactCold(count int) benchResult {
 	m, _ := ilpFixture()
-	return runSolves(workers, count, func(b *testing.B) (int, int) {
+	return runSolves(count, func(b *testing.B) (int, int) {
 		iters, hits := 0, 0
 		for i := 0; i < b.N; i++ {
-			sol := m.Solve(ilp.Options{Workers: workers, MaxNodes: 200000})
+			sol := m.Solve(ilp.Options{MaxNodes: 200000})
 			iters++
 			if sol.DeadlineHit {
 				hits++
@@ -207,13 +199,13 @@ func benchExactCold(workers, count int) benchResult {
 // benchExactArena reuses one SolverArena across every solve — the
 // production shape: the LRA scheduler checks an arena out of a pool per
 // Place call, so steady-state solves run out of recycled memory.
-func benchExactArena(workers, count int) benchResult {
+func benchExactArena(count int) benchResult {
 	m, _ := ilpFixture()
 	arena := ilp.NewSolverArena()
-	return runSolves(workers, count, func(b *testing.B) (int, int) {
+	return runSolves(count, func(b *testing.B) (int, int) {
 		iters, hits := 0, 0
 		for i := 0; i < b.N; i++ {
-			sol := m.Solve(ilp.Options{Workers: workers, MaxNodes: 200000, Arena: arena})
+			sol := m.Solve(ilp.Options{MaxNodes: 200000, Arena: arena})
 			iters++
 			if sol.DeadlineHit {
 				hits++
@@ -232,15 +224,15 @@ func benchExactArena(workers, count int) benchResult {
 // incumbent meets the root bound almost immediately, so this is the
 // cost a scheduling cycle pays when nothing changed — the case
 // cross-cycle memory exists for.
-func benchExactWarm(workers, count int) benchResult {
+func benchExactWarm(count int) benchResult {
 	m := lraFixture()
 	arena := ilp.NewSolverArena()
-	warm := prevCycleSolution(m, workers, arena)
-	return runSolves(workers, count, func(b *testing.B) (int, int) {
+	warm := prevCycleSolution(m, arena)
+	return runSolves(count, func(b *testing.B) (int, int) {
 		iters, hits := 0, 0
 		for i := 0; i < b.N; i++ {
 			sol := m.Solve(ilp.Options{
-				Workers: workers, MaxNodes: 200000, RelGap: 0.01, Arena: arena,
+				MaxNodes: 200000, RelGap: 0.01, Arena: arena,
 				WarmStarts: []map[ilp.Var]float64{warm},
 			})
 			iters++
@@ -262,8 +254,8 @@ func benchExactWarm(workers, count int) benchResult {
 // full integer solution of m from "last cycle" (produced by the
 // relaxation path, which is how a first placement of this size lands in
 // production too).
-func prevCycleSolution(m *ilp.Model, workers int, arena *ilp.SolverArena) map[ilp.Var]float64 {
-	ref := m.Solve(ilp.Options{Mode: ilp.ModeApprox, Workers: workers, Arena: arena})
+func prevCycleSolution(m *ilp.Model, arena *ilp.SolverArena) map[ilp.Var]float64 {
+	ref := m.Solve(ilp.Options{Mode: ilp.ModeApprox, Arena: arena})
 	if ref.Status != ilp.Optimal && ref.Status != ilp.Feasible {
 		panic(fmt.Sprintf("warm reference solve ended %v", ref.Status))
 	}
@@ -277,13 +269,13 @@ func prevCycleSolution(m *ilp.Model, workers int, arena *ilp.SolverArena) map[il
 // benchApprox times the LP-relaxation + rounding fast path on the large
 // placement fixture (the exact tree there is unclosable; see
 // approxComparisons for the quality side of the trade).
-func benchApprox(workers, count int) benchResult {
+func benchApprox(count int) benchResult {
 	m := lraFixture()
 	arena := ilp.NewSolverArena()
-	return runSolves(workers, count, func(b *testing.B) (int, int) {
+	return runSolves(count, func(b *testing.B) (int, int) {
 		iters, hits := 0, 0
 		for i := 0; i < b.N; i++ {
-			sol := m.Solve(ilp.Options{Mode: ilp.ModeApprox, Workers: workers, Arena: arena})
+			sol := m.Solve(ilp.Options{Mode: ilp.ModeApprox, Arena: arena})
 			iters++
 			if sol.DeadlineHit {
 				hits++
@@ -300,19 +292,19 @@ func benchApprox(workers, count int) benchResult {
 // — exact time-boxed to exactBudget (it cannot close 320 integer vars),
 // approx unboxed, and a warm re-solve seeded with the approx solution —
 // and reports relative speed and objective quality.
-func fixtureComparisons(workers int, exactBudget time.Duration, c *comparisonSet) {
+func fixtureComparisons(exactBudget time.Duration, c *comparisonSet) {
 	m := lraFixture()
 	arena := ilp.NewSolverArena()
 
 	t0 := time.Now()
 	exact := m.Solve(ilp.Options{
-		Workers: workers, RelGap: 0.01, Arena: arena,
+		RelGap: 0.01, Arena: arena,
 		Deadline: t0.Add(exactBudget), MaxNodes: 500000,
 	})
 	exactNs := time.Since(t0)
 
 	t0 = time.Now()
-	approx := m.Solve(ilp.Options{Mode: ilp.ModeApprox, Workers: workers, Arena: arena})
+	approx := m.Solve(ilp.Options{Mode: ilp.ModeApprox, Arena: arena})
 	approxNs := time.Since(t0)
 
 	warm := make(map[ilp.Var]float64, m.NumVars())
@@ -321,7 +313,7 @@ func fixtureComparisons(workers int, exactBudget time.Duration, c *comparisonSet
 	}
 	t0 = time.Now()
 	m.Solve(ilp.Options{
-		Workers: workers, RelGap: 0.01, MaxNodes: 500000, Arena: arena,
+		RelGap: 0.01, MaxNodes: 500000, Arena: arena,
 		WarmStarts: []map[ilp.Var]float64{warm},
 	})
 	warmNs := time.Since(t0)
@@ -361,16 +353,15 @@ func pipelineApp(i int) *lra.Application {
 
 // benchPipeline times one full scheduling cycle — cluster build, batch
 // submission and RunCycle over 12 independent ILP sub-batches on a
-// 64-node grid — per iteration. This is the "large fixture" the CI
-// speedup gate compares across CPU counts.
-func benchPipeline(workers, count int) benchResult {
-	return runSolves(workers, count, func(b *testing.B) (int, int) {
+// 64-node grid — per iteration.
+func benchPipeline(count int) benchResult {
+	return runSolves(count, func(b *testing.B) (int, int) {
 		iters, hits := 0, 0
 		for i := 0; i < b.N; i++ {
 			cl := cluster.Grid(64, 4, resource.New(4000, 64))
 			m := core.New(cl, lra.NewILP(), core.Config{
 				Interval: time.Second,
-				Options:  lra.Options{Workers: workers, SolverBudget: 30 * time.Second},
+				Options:  lra.Options{SolverBudget: 30 * time.Second},
 			})
 			now := time.Unix(0, 0)
 			for a := 0; a < 12; a++ {
@@ -403,42 +394,19 @@ func writeJSON(dir, name string, f any) error {
 	return os.WriteFile(filepath.Join(dir, name), append(data, '\n'), 0o644)
 }
 
-func parseCPUs(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -cpu element %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
 func main() {
-	cpuList := flag.String("cpu", "1,4,8", "comma-separated CPU counts to benchmark at")
 	count := flag.Int("count", 3, "runs per configuration; the best (lowest ns/op) is kept")
-	gate := flag.Bool("gate", false, "enforce the parallel speedup gate on the pipeline fixture")
-	minSpeedup := flag.Float64("speedup", 2.0, "required speedup of the highest CPU count over 1 CPU")
+	gate := flag.Bool("gate", false, "fail if the pipeline cycle exceeds its allocs/op cap")
 	maxAllocs := flag.Int64("maxallocs", 0, "fail if an arena-backed exact solve exceeds this many allocs/op (0 = off)")
 	maxBytes := flag.Int64("maxbytes", 0, "fail if an arena-backed exact solve exceeds this many bytes/op (0 = off)")
 	exactBudget := flag.Duration("exact-budget", 2*time.Second, "time box for the exact reference solve of the placement fixture")
 	outDir := flag.String("out", ".", "directory for BENCH_*.json artifacts")
 	flag.Parse()
 
-	cpus, err := parseCPUs(*cpuList)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
-	// ILP suite: one scaling curve per solving path.
+	// ILP suite: one row per solving path.
 	paths := []struct {
 		name, fixture string
-		run           func(workers, count int) benchResult
+		run           func(count int) benchResult
 	}{
 		{"exact-cold", knapsackFixture, benchExactCold},
 		{"exact-arena", knapsackFixture, benchExactArena},
@@ -446,31 +414,20 @@ func main() {
 		{"approx", placementFixture, benchApprox},
 	}
 	ilpFile := ilpBenchFile{Benchmark: "ilp-solve", NumCPU: runtime.NumCPU(), Count: *count}
-	pathAt := make(map[string]benchResult) // path name -> result at cpus[0]
-	var gated []pathFile
+	pathAt := make(map[string]benchResult)
 	for _, p := range paths {
-		pf := pathFile{Path: p.name, Fixture: p.fixture}
-		for _, cpu := range cpus {
-			runtime.GOMAXPROCS(cpu)
-			res := p.run(cpu, *count)
-			res.CPU = cpu
-			pf.Results = append(pf.Results, res)
-			fmt.Printf("ilp/%-12s cpu=%d  %12d ns/op  %8d allocs/op  %10d B/op  deadline-hit %.2f\n",
-				p.name, cpu, res.NsPerOp, res.AllocsPerOp, res.BytesPerOp, res.DeadlineHitRate)
-		}
-		runtime.GOMAXPROCS(prev)
-		pathAt[p.name] = pf.Results[0]
-		ilpFile.Paths = append(ilpFile.Paths, pf)
-		if p.name == "exact-arena" || p.name == "exact-warm" {
-			gated = append(gated, pf)
-		}
+		res := p.run(*count)
+		fmt.Printf("ilp/%-12s cpu=%d  %12d ns/op  %8d allocs/op  %10d B/op  deadline-hit %.2f\n",
+			p.name, res.CPU, res.NsPerOp, res.AllocsPerOp, res.BytesPerOp, res.DeadlineHitRate)
+		pathAt[p.name] = res
+		ilpFile.Paths = append(ilpFile.Paths, pathFile{Path: p.name, Fixture: p.fixture, Results: []benchResult{res}})
 	}
 
 	cold, arena := pathAt["exact-cold"], pathAt["exact-arena"]
 	if arena.AllocsPerOp > 0 {
 		ilpFile.Comparisons.ArenaAllocsReduction = float64(cold.AllocsPerOp) / float64(arena.AllocsPerOp)
 	}
-	fixtureComparisons(cpus[len(cpus)-1], *exactBudget, &ilpFile.Comparisons)
+	fixtureComparisons(*exactBudget, &ilpFile.Comparisons)
 	fmt.Printf("ilp comparisons: arena cuts allocs %.0fx; on the placement fixture a warm "+
 		"re-solve is %.0fx and approx %.0fx faster than a %s cold exact box, approx at %.3f "+
 		"of the box's objective\n",
@@ -482,16 +439,20 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Pipeline suite (unchanged shape; feeds the speedup gate).
+	// Pipeline suite: the sub-batch fan-out on one CPU and on all of them.
 	pipeFile := benchFile{
 		Benchmark: "pipeline-cycle",
 		Fixture:   "64-node grid, 12 anti-affinity LRAs, build + one RunCycle",
 		NumCPU:    runtime.NumCPU(), Count: *count,
 	}
+	cpus := []int{1}
+	if runtime.NumCPU() > 1 {
+		cpus = append(cpus, runtime.NumCPU())
+	}
+	prev := runtime.GOMAXPROCS(0)
 	for _, cpu := range cpus {
 		runtime.GOMAXPROCS(cpu)
-		res := benchPipeline(cpu, *count)
-		res.CPU = cpu
+		res := benchPipeline(*count)
 		pipeFile.Results = append(pipeFile.Results, res)
 		fmt.Printf("pipeline-cycle   cpu=%d  %12d ns/op  %8d allocs/op  deadline-hit %.2f\n",
 			cpu, res.NsPerOp, res.AllocsPerOp, res.DeadlineHitRate)
@@ -502,27 +463,22 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The allocation gates are CPU-count independent: an arena-backed
-	// exact solve of the knapsack fixture must stay within its allocs/op
-	// and bytes/op caps whatever the parallelism. This is the cheap
-	// canary for accidental per-node or per-candidate garbage returning
-	// to the solver hot path.
-	if *maxAllocs > 0 || *maxBytes > 0 {
-		for _, pf := range gated {
-			for _, r := range pf.Results {
-				if *maxAllocs > 0 && r.AllocsPerOp > *maxAllocs {
-					fmt.Fprintf(os.Stderr, "gate: FAIL — %s at %d CPUs allocates %d/op, cap is %d\n",
-						pf.Path, r.CPU, r.AllocsPerOp, *maxAllocs)
-					os.Exit(1)
-				}
-				if *maxBytes > 0 && r.BytesPerOp > *maxBytes {
-					fmt.Fprintf(os.Stderr, "gate: FAIL — %s at %d CPUs allocates %d B/op, cap is %d\n",
-						pf.Path, r.CPU, r.BytesPerOp, *maxBytes)
-					os.Exit(1)
-				}
-			}
+	// An arena-backed exact solve must stay within its allocs/op and
+	// bytes/op caps: the cheap canary for accidental per-node or
+	// per-candidate garbage returning to the solver hot path.
+	for _, name := range []string{"exact-arena", "exact-warm"} {
+		r := pathAt[name]
+		if *maxAllocs > 0 && r.AllocsPerOp > *maxAllocs {
+			fmt.Fprintf(os.Stderr, "gate: FAIL — %s allocates %d/op, cap is %d\n", name, r.AllocsPerOp, *maxAllocs)
+			os.Exit(1)
 		}
-		fmt.Printf("gate: OK — arena-backed exact paths within allocs/bytes caps at every CPU count\n")
+		if *maxBytes > 0 && r.BytesPerOp > *maxBytes {
+			fmt.Fprintf(os.Stderr, "gate: FAIL — %s allocates %d B/op, cap is %d\n", name, r.BytesPerOp, *maxBytes)
+			os.Exit(1)
+		}
+	}
+	if *maxAllocs > 0 || *maxBytes > 0 {
+		fmt.Printf("gate: OK — arena-backed exact paths within allocs/bytes caps\n")
 	}
 
 	if *gate {
@@ -533,32 +489,6 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		fmt.Printf("gate: OK — pipeline cycle within %d allocs/op at every CPU count\n", pipelineMaxAllocs)
-		hi := cpus[len(cpus)-1]
-		if runtime.NumCPU() < hi {
-			fmt.Printf("gate: skipped — host has %d CPUs, gate needs %d to be meaningful\n",
-				runtime.NumCPU(), hi)
-			return
-		}
-		var base, top int64
-		for _, r := range pipeFile.Results {
-			if r.CPU == 1 {
-				base = r.NsPerOp
-			}
-			if r.CPU == hi {
-				top = r.NsPerOp
-			}
-		}
-		if base == 0 || top == 0 {
-			fmt.Fprintln(os.Stderr, "gate: -cpu list must include 1 and the gated count")
-			os.Exit(2)
-		}
-		speedup := float64(base) / float64(top)
-		if speedup < *minSpeedup {
-			fmt.Fprintf(os.Stderr, "gate: FAIL — pipeline speedup at %d CPUs is %.2fx, need >= %.2fx\n",
-				hi, speedup, *minSpeedup)
-			os.Exit(1)
-		}
-		fmt.Printf("gate: OK — pipeline speedup at %d CPUs is %.2fx\n", hi, speedup)
+		fmt.Printf("gate: OK — pipeline cycle within %d allocs/op on every row\n", pipelineMaxAllocs)
 	}
 }

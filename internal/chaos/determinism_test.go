@@ -23,7 +23,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the determinism golden fi
 // placementFingerprint extends the durable-state Fingerprint with the
 // exact node of every deployed container. The crash tests deliberately
 // exclude node assignments (a crash may shift WHERE a repair lands);
-// the determinism regression demands them — the parallel pipeline must
+// the determinism regression demands them — concurrent sub-batches must
 // reproduce placements bit for bit, or PR 3's journal replay diverges.
 func placementFingerprint(m *core.Medea) string {
 	var b strings.Builder
@@ -48,11 +48,11 @@ func placementFingerprint(m *core.Medea) string {
 // with automatic repair, and an app teardown — and returns the final
 // placement fingerprint. SolverBudget is effectively unbounded so no
 // wall-clock deadline can leak nondeterminism into the search.
-func determinismScenario(workers int) (string, error) {
+func determinismScenario() (string, error) {
 	c := cluster.Grid(12, 4, resource.New(1000, 16))
 	m := core.New(c, lra.NewILP(), core.Config{
 		Interval: time.Second,
-		Options:  lra.Options{Workers: workers, SolverBudget: time.Hour},
+		Options:  lra.Options{SolverBudget: time.Hour},
 	})
 	now := time.Unix(0, 0)
 
@@ -70,7 +70,7 @@ func determinismScenario(workers int) (string, error) {
 	// Three cycles of mixed batches. Within each batch: two apps coupled
 	// through the shared "db" tag, one coupled pair via "web"/"cache",
 	// and one unconstrained singleton — at least three independent
-	// components per cycle for the parallel sub-batch path.
+	// components per cycle for the sub-batch fan-out.
 	for i := 0; i < 3; i++ {
 		sfx := fmt.Sprintf("-%d", i)
 		db := constraint.E(constraint.Tag("db"))
@@ -141,13 +141,13 @@ func determinismScenario(workers int) (string, error) {
 }
 
 // TestPlacementDeterminism is the end-to-end determinism regression of
-// the parallel placement pipeline: the scenario fingerprint must be
-// identical across GOMAXPROCS 1, 4 and 8 (with matching worker counts)
-// and across 20 repeated runs at GOMAXPROCS 8, and must match the
-// golden fingerprint pinned in testdata (refresh with `go test -run
-// PlacementDeterminism -update ./internal/chaos/`).
+// the sub-batch fan-out: the scenario fingerprint must be identical
+// across GOMAXPROCS 1, 4 and 8 and across 20 repeated runs at
+// GOMAXPROCS 8, and must match the golden fingerprint pinned in testdata
+// (refresh with `go test -run PlacementDeterminism -update
+// ./internal/chaos/`).
 func TestPlacementDeterminism(t *testing.T) {
-	ref, err := determinismScenario(1)
+	ref, err := determinismScenario()
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -156,19 +156,19 @@ func TestPlacementDeterminism(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	for _, p := range []int{1, 4, 8} {
 		runtime.GOMAXPROCS(p)
-		got, err := determinismScenario(p)
+		got, err := determinismScenario()
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", p, err)
 		}
 		if got != ref {
-			t.Fatalf("GOMAXPROCS=%d fingerprint diverged:\n--- workers=1 ---\n%s--- workers=%d ---\n%s",
+			t.Fatalf("GOMAXPROCS=%d fingerprint diverged:\n--- reference ---\n%s--- GOMAXPROCS=%d ---\n%s",
 				p, ref, p, got)
 		}
 	}
 
 	runtime.GOMAXPROCS(8)
 	for run := 0; run < 20; run++ {
-		got, err := determinismScenario(8)
+		got, err := determinismScenario()
 		if err != nil {
 			t.Fatalf("repeat %d: %v", run, err)
 		}

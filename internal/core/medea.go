@@ -604,7 +604,7 @@ func (m *Medea) safePlace(alg lra.Algorithm, apps []*lra.Application, active []c
 // (disjoint tag footprints, detected by partitionBatch's union-find) are
 // solved concurrently — each solve sees the same pre-cycle cluster state —
 // and the per-component results are merged back in submission order, so
-// the outcome is identical for every worker count and GOMAXPROCS setting.
+// the outcome is identical for every GOMAXPROCS setting and interleaving.
 // Capacity conflicts the split cannot see are absorbed downstream by
 // commit-time validation and the §5.4 requeue path, in deterministic
 // submission order. A panic in ANY component fails the cycle whole
@@ -616,28 +616,19 @@ func (m *Medea) placeBatch(alg lra.Algorithm, apps []*lra.Application, active []
 		return m.safePlace(alg, apps, active)
 	}
 	results := make([]*lra.Result, len(comps))
-	solve := func(ci int) {
-		sub := make([]*lra.Application, len(comps[ci]))
-		for k, i := range comps[ci] {
+	var wg sync.WaitGroup
+	for ci, comp := range comps {
+		sub := make([]*lra.Application, len(comp))
+		for k, i := range comp {
 			sub[k] = apps[i]
 		}
-		results[ci] = m.safePlace(alg, sub, active)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[ci] = m.safePlace(alg, sub, active)
+		}()
 	}
-	if workers := m.cfg.Options.Workers; workers == 1 {
-		for ci := range comps {
-			solve(ci)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for ci := range comps {
-			wg.Add(1)
-			go func(ci int) {
-				defer wg.Done()
-				solve(ci)
-			}(ci)
-		}
-		wg.Wait()
-	}
+	wg.Wait()
 	merged := &lra.Result{Placements: make([]lra.Placement, len(apps))}
 	for ci, comp := range comps {
 		r := results[ci]

@@ -88,8 +88,8 @@ func entryFootprint(e constraint.Entry) []constraint.Tag {
 // partitionBatch splits a batch into constraint-independent components,
 // each a sorted list of batch indices, returned in submission order of
 // their first member. The partition depends only on the batch and the
-// active constraint set — never on timing or worker count — so the
-// parallel sub-batch solve stays deterministic.
+// active constraint set, never on timing, so the concurrent sub-batch
+// solve stays deterministic.
 func partitionBatch(apps []*lra.Application, active []constraint.Entry) [][]int {
 	uf := newUnionFind(len(apps))
 	owner := make(map[constraint.Tag]int)

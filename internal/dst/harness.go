@@ -157,7 +157,6 @@ func newHarness(cfg Config) (*harness, error) {
 	h.coreCfg = core.Config{
 		Interval:        25 * time.Millisecond,
 		CheckpointEvery: 8,
-		Options:         lra.Options{Workers: 1},
 		Clock:           h.clock,
 	}
 	fc := federation.FleetConfig{

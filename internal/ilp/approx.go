@@ -51,7 +51,7 @@ func ParseMode(s string) Mode {
 // ModeAuto selection policy (see effectiveMode).
 const (
 	// defaultApproxIntVars: instances with at least this many integer
-	// variables round instead of branching (Options.ApproxIntVars = 0).
+	// variables round instead of branching.
 	// Branch-and-bound on hundreds of integers rarely proves optimality
 	// inside a scheduling budget anyway — the rounding path gets a
 	// feasible answer in a handful of LP solves.
@@ -85,7 +85,7 @@ func (m *Model) numIntVars() int {
 }
 
 // effectiveMode resolves Options.Mode for this model: ModeAuto chooses
-// the approximate path when the instance is large (>= ApproxIntVars
+// the approximate path when the instance is large (>= defaultApproxIntVars
 // integer variables) or the remaining deadline is too thin for
 // branch-and-bound to be worth starting.
 func (m *Model) effectiveMode(opts Options) Mode {
@@ -100,11 +100,7 @@ func (m *Model) effectiveMode(opts Options) Mode {
 	if ints == 0 {
 		return ModeExact // pure LP: the exact path is one simplex call
 	}
-	thr := opts.ApproxIntVars
-	if thr <= 0 {
-		thr = defaultApproxIntVars
-	}
-	if ints >= thr {
+	if ints >= defaultApproxIntVars {
 		return ModeApprox
 	}
 	if ints > approxBudgetMinInts && !opts.Deadline.IsZero() && opts.Deadline.Sub(opts.now()) < approxBudgetFloor {
@@ -115,8 +111,8 @@ func (m *Model) effectiveMode(opts Options) Mode {
 
 // fingerprint hashes the model structure (sense, variables, constraint
 // matrix). It seeds the approximate path's rounding RNG, making the dive
-// a deterministic function of the model — identical across processes,
-// worker counts and repeated solves.
+// a deterministic function of the model — identical across processes and
+// repeated solves.
 func (m *Model) fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -175,12 +171,10 @@ func (m *Model) solveApprox(opts Options) *Solution {
 	if arena == nil {
 		arena = NewSolverArena()
 	}
-	arena.ensure(1)
-	sc := arena.slot(0)
 	p := m.preparedFor(opts, arena)
 	lo, hi, hasInt := m.rootBounds()
 
-	root := solveLP(m, p, lo, hi, opts.Deadline, opts.Clock, &sc.lp)
+	root := solveLP(m, p, lo, hi, opts.Deadline, opts.Clock, &arena.lp)
 	if root.status == statusDeadline {
 		return &Solution{Status: NoSolution, Nodes: 1, DeadlineHit: true}
 	}
@@ -197,7 +191,7 @@ func (m *Model) solveApprox(opts Options) *Solution {
 	best := m.worst()
 	var bestX []float64
 	warmUsed := false
-	if obj, x, ok := m.warmIncumbent(opts, p, lo, hi, &sc.lp); ok {
+	if obj, x, ok := m.warmIncumbent(opts, p, lo, hi, &arena.lp); ok {
 		best, bestX, warmUsed = obj, x, true
 	}
 
@@ -241,7 +235,7 @@ attempts:
 				v1, v2 = v2, v1
 			}
 			wlo[j], whi[j] = v1, v1
-			res := solveLP(m, p, wlo, whi, opts.Deadline, opts.Clock, &sc.lp)
+			res := solveLP(m, p, wlo, whi, opts.Deadline, opts.Clock, &arena.lp)
 			nodes++
 			if res.status == statusDeadline {
 				deadlineHit = true
@@ -250,7 +244,7 @@ attempts:
 			if res.status != Optimal {
 				// Flip the rounding.
 				wlo[j], whi[j] = v2, v2
-				res = solveLP(m, p, wlo, whi, opts.Deadline, opts.Clock, &sc.lp)
+				res = solveLP(m, p, wlo, whi, opts.Deadline, opts.Clock, &arena.lp)
 				nodes++
 				if res.status == statusDeadline {
 					deadlineHit = true
@@ -274,7 +268,7 @@ attempts:
 					wlo[fj], whi[fj] = lo[fj], hi[fj]
 				}
 				wlo[j], whi[j] = lo[j], hi[j]
-				res = solveLP(m, p, wlo, whi, opts.Deadline, opts.Clock, &sc.lp)
+				res = solveLP(m, p, wlo, whi, opts.Deadline, opts.Clock, &arena.lp)
 				nodes++
 				if res.status == statusDeadline {
 					deadlineHit = true

@@ -24,11 +24,11 @@ func approxGap(exact, approx float64) float64 {
 // checkApproxAgainstExact solves m down both paths and enforces the
 // approximate-path contract: every returned solution is feasible, the
 // feasibility verdict agrees with the exact oracle, and the objective is
-// within approxQualityRatio of SolveSequential's optimum.
+// within approxQualityRatio of the exact optimum.
 func checkApproxAgainstExact(t *testing.T, m *Model, label string) float64 {
 	t.Helper()
-	exact := m.SolveSequential(oracleOpts(1))
-	opts := oracleOpts(1)
+	exact := m.Solve(oracleOpts())
+	opts := oracleOpts()
 	opts.Mode = ModeApprox
 	approx := m.Solve(opts)
 
@@ -101,9 +101,8 @@ func TestApproxOracleCorpus(t *testing.T) {
 }
 
 // TestApproxDeterministic pins the determinism of the rounding dive: the
-// RNG is seeded from the model fingerprint, so repeated solves (and
-// solves at different Workers settings, which the approximate path
-// ignores) are byte-identical.
+// RNG is seeded from the model fingerprint, so repeated solves are
+// byte-identical.
 func TestApproxDeterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(31415))
 	for i := 0; i < 100; i++ {
@@ -111,16 +110,11 @@ func TestApproxDeterministic(t *testing.T) {
 		if m.Check() != nil {
 			continue
 		}
-		var ref *Solution
-		for _, w := range []int{1, 4, 8} {
-			opts := oracleOpts(w)
-			opts.Mode = ModeApprox
-			sol := m.Solve(opts)
-			if ref == nil {
-				ref = sol
-				continue
-			}
-			if diff := identicalSolutions(ref, sol); diff != "" {
+		opts := oracleOpts()
+		opts.Mode = ModeApprox
+		ref := m.Solve(opts)
+		for run := 0; run < 2; run++ {
+			if diff := identicalSolutions(ref, m.Solve(opts)); diff != "" {
 				t.Fatalf("model %d: approximate solve not deterministic: %s", i, diff)
 			}
 		}

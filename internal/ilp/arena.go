@@ -4,53 +4,33 @@ import "math"
 
 // SolverArena owns every piece of reusable solver memory: the simplex
 // scratch (standard-form mapping, row assembly, tableau, cost rows,
-// solution extraction), the branch-and-bound bound-vector free lists and
+// solution extraction), the branch-and-bound bound-vector free list and
 // a reusable CSR build area. Threading one arena through ilp.Options
 // across solves removes nearly all per-solve allocations — consecutive
 // scheduling cycles solve near-identical models, so the grown buffers fit
 // immediately.
 //
 // Determinism contract: an arena is plain grow-only memory, not a
-// sync.Pool — which goroutine-slot serves which worker is fixed by the
-// worker index, so reuse can never reorder or perturb results. Every
-// buffer handed out is fully (re)initialised by its consumer before any
-// element is read; Poison exists so tests can prove that (fill the arena
-// with garbage between solves and demand byte-identical solutions).
+// sync.Pool, so reuse can never reorder or perturb results. Every buffer
+// handed out is fully (re)initialised by its consumer before any element
+// is read; Poison exists so tests can prove that (fill the arena with
+// garbage between solves and demand byte-identical solutions).
 //
-// Concurrency contract: one arena serves ONE solve at a time. The
-// parallel solver hands slot w to worker w (slot 0 doubles as the main
-// goroutine's scratch, which is safe: the main goroutine blocks while
-// workers run). Callers that solve concurrently — the LRA scheduler's
-// sub-batches — keep a free list of whole arenas and check one out per
-// solve.
+// Concurrency contract: one arena serves ONE solve at a time, and a solve
+// runs on one goroutine. Callers that solve concurrently — the LRA
+// scheduler's sub-batches — keep a free list of whole arenas and check
+// one out per solve.
 type SolverArena struct {
-	slots []*solveScratch
+	lp   lpScratch  // the LP relaxation being solved
+	pool boundsPool // bound vectors of open branch-and-bound nodes
 	// prep is the reusable CSR build area for models that were not
 	// prepare()d: rebuilt (cheaply, into the same backing arrays) at the
-	// start of each solve and read-only while workers run.
+	// start of each solve and read-only for its duration.
 	prep prepared
 }
 
 // NewSolverArena returns an empty arena; buffers grow on first use.
 func NewSolverArena() *SolverArena { return &SolverArena{} }
-
-// solveScratch is the per-goroutine-slot reusable memory: the LP scratch
-// plus the bound-vector free list feeding branch-and-bound nodes.
-type solveScratch struct {
-	lp   lpScratch
-	pool boundsPool
-}
-
-// ensure grows the slot table to at least n slots. It must be called on
-// the solve's main goroutine before any worker starts.
-func (a *SolverArena) ensure(n int) {
-	for len(a.slots) < n {
-		a.slots = append(a.slots, &solveScratch{})
-	}
-}
-
-// slot returns scratch i; ensure(i+1) must have been called.
-func (a *SolverArena) slot(i int) *solveScratch { return a.slots[i] }
 
 // preparedFor returns the CSR constraint matrix for m, reusing the
 // arena's build area when the model was not already prepare()d. The
@@ -97,10 +77,8 @@ func (a *SolverArena) Poison() {
 	poisonF64(a.prep.conHi[:cap(a.prep.conHi)])
 	poisonInt(a.prep.rowStart[:cap(a.prep.rowStart)])
 	poisonInt(a.prep.cols[:cap(a.prep.cols)])
-	for _, s := range a.slots {
-		s.lp.poison()
-		s.pool.poison()
-	}
+	a.lp.poison()
+	a.pool.poison()
 }
 
 // lpScratch holds the reusable buffers of one LP relaxation solve. All

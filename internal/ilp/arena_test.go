@@ -62,20 +62,6 @@ func poisonedReuseCheck(t *testing.T, m *Model, arena *SolverArena, opts Options
 	if diff := identicalSolutions(first, fresh); diff != "" {
 		t.Fatalf("%s: arena solve differs from fresh solve: %s", label, diff)
 	}
-
-	seqArena := opts
-	seqArena.Arena = arena
-	arena.Poison()
-	seqFirst := m.SolveSequential(seqArena)
-	arena.Poison()
-	seqSecond := m.SolveSequential(seqArena)
-	seqFresh := m.SolveSequential(opts)
-	if diff := identicalSolutions(seqFirst, seqSecond); diff != "" {
-		t.Fatalf("%s: sequential poisoned arena re-solve differs: %s", label, diff)
-	}
-	if diff := identicalSolutions(seqFirst, seqFresh); diff != "" {
-		t.Fatalf("%s: sequential arena solve differs from fresh: %s", label, diff)
-	}
 }
 
 // TestArenaPoisonedFuzzCorpus replays the FuzzSolve seed corpus through
@@ -88,7 +74,7 @@ func TestArenaPoisonedFuzzCorpus(t *testing.T) {
 		if m.Check() != nil {
 			continue
 		}
-		poisonedReuseCheck(t, m, arena, oracleOpts(4), fmt.Sprintf("corpus[%d]", i))
+		poisonedReuseCheck(t, m, arena, oracleOpts(), fmt.Sprintf("corpus[%d]", i))
 	}
 }
 
@@ -105,7 +91,7 @@ func TestArenaPoisonedRandomModels(t *testing.T) {
 		if m.Check() != nil {
 			continue
 		}
-		poisonedReuseCheck(t, m, arena, oracleOpts(4), fmt.Sprintf("random[%d]", i))
+		poisonedReuseCheck(t, m, arena, oracleOpts(), fmt.Sprintf("random[%d]", i))
 	}
 }
 
@@ -116,7 +102,7 @@ func TestArenaPoisonedRandomModels(t *testing.T) {
 func TestArenaPoisonedApproxPath(t *testing.T) {
 	r := rand.New(rand.NewSource(4321))
 	arena := NewSolverArena()
-	opts := oracleOpts(1)
+	opts := oracleOpts()
 	opts.Mode = ModeApprox
 	for i := 0; i < 200; i++ {
 		m := randomOracleModel(r)
@@ -167,19 +153,11 @@ func TestWarmStartDifferential(t *testing.T) {
 			continue
 		}
 		label := fmt.Sprintf("model[%d]", i)
-		cold := m.Solve(oracleOpts(4))
+		cold := m.Solve(oracleOpts())
 		if cold.Status != Optimal {
 			continue
 		}
-		warm := map[Var]float64{}
-		for j := range m.vars {
-			if m.vars[j].integer {
-				warm[Var(j)] = cold.Value(Var(j))
-			}
-		}
-		opts := oracleOpts(4)
-		opts.WarmStarts = []map[Var]float64{warm}
-		opts.BranchPriority = cold.Branched
+		opts := warmReplay(m, oracleOpts(), cold)
 		opts.Arena = arena
 		arena.Poison()
 		sol := m.Solve(opts)
@@ -195,7 +173,7 @@ func TestWarmStartDifferential(t *testing.T) {
 		// A solve that ends at the root (integral relaxation) never
 		// consults the warm start; past the root a feasible one must be
 		// marked used.
-		if len(warm) > 0 && sol.Nodes > 1 && !sol.WarmUsed {
+		if len(opts.WarmStarts[0]) > 0 && sol.Nodes > 1 && !sol.WarmUsed {
 			t.Fatalf("%s: feasible warm start not marked used", label)
 		}
 		x := make([]float64, len(m.vars))
@@ -204,43 +182,6 @@ func TestWarmStartDifferential(t *testing.T) {
 		}
 		if !m.CheckFeasible(x) {
 			t.Fatalf("%s: warm-started solution infeasible: %v", label, x)
-		}
-	}
-}
-
-// TestWarmStartWorkerInvariance pins worker-count invariance for
-// warm-started solves: identical options (warm starts + branch priority)
-// must give bit-identical solutions at 1, 2, 4 and 8 workers.
-func TestWarmStartWorkerInvariance(t *testing.T) {
-	r := rand.New(rand.NewSource(53))
-	for i := 0; i < 60; i++ {
-		m := randomOracleModel(r)
-		if m.Check() != nil {
-			continue
-		}
-		cold := m.Solve(oracleOpts(1))
-		if cold.Status != Optimal {
-			continue
-		}
-		warm := map[Var]float64{}
-		for j := range m.vars {
-			if m.vars[j].integer {
-				warm[Var(j)] = cold.Value(Var(j))
-			}
-		}
-		var ref *Solution
-		for _, w := range []int{1, 2, 4, 8} {
-			opts := oracleOpts(w)
-			opts.WarmStarts = []map[Var]float64{warm}
-			opts.BranchPriority = cold.Branched
-			sol := m.Solve(opts)
-			if ref == nil {
-				ref = sol
-				continue
-			}
-			if diff := identicalSolutions(ref, sol); diff != "" {
-				t.Fatalf("model %d: workers=%d differs from workers=1: %s", i, w, diff)
-			}
 		}
 	}
 }

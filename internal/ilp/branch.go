@@ -12,10 +12,14 @@ type Options struct {
 	Deadline time.Time
 	// MaxNodes bounds the number of explored nodes (0 = 200000).
 	MaxNodes int
-	// RelGap stops when (bound-incumbent)/max(1,|incumbent|) is below it.
-	// The parallel solver applies it as deterministic bound pruning: nodes
-	// that cannot improve the incumbent by more than the gap are cut, so a
-	// returned Optimal is "optimal within RelGap".
+	// RelGap widens the tie window of bound pruning; it never stops the
+	// search early. A node is cut without solving its LP only when its
+	// bound is worse than the incumbent by more than
+	// RelGap·max(1,|incumbent|) (see pruneFloor), so a larger gap prunes
+	// less: nodes that merely tie the incumbent, or trail it by float
+	// noise of that size, stay in the search. A completed search is
+	// therefore exactly optimal for every RelGap in [0, 1), and Optimal
+	// means proven, not "within the gap".
 	RelGap float64
 	// WarmStart optionally supplies values for the integer variables of a
 	// known-feasible solution. The solver fixes them, solves one LP for
@@ -34,14 +38,6 @@ type Options struct {
 	// (Solution.Branched) so near-identical models re-walk yesterday's
 	// tree first. Unknown or non-integer entries are ignored.
 	BranchPriority []Var
-	// Workers is the number of concurrent subtree workers of the parallel
-	// branch-and-bound (0 = runtime.NumCPU()). The search is deterministic
-	// by construction: the frontier fanned out to the pool is fixed ahead
-	// of time and the best-solution selection tie-breaks on objective,
-	// then lexicographic variable assignment, so the returned solution is
-	// identical for every worker count. Sequential solving (Workers == 1)
-	// runs the same algorithm on one goroutine.
-	Workers int
 	// Clock is the time source for deadline enforcement (nil = time.Now).
 	// Deterministic harnesses inject a virtual clock, which freezes the
 	// budget for the duration of a solve and so removes the wall clock
@@ -56,9 +52,6 @@ type Options struct {
 	// branch-and-bound, ModeApprox the LP-relaxation + randomized-rounding
 	// fast path, ModeAuto picks per instance (see effectiveMode).
 	Mode Mode
-	// ApproxIntVars is the ModeAuto threshold: models with at least this
-	// many integer variables take the approximate path (0 = 256).
-	ApproxIntVars int
 }
 
 // now reads the configured clock, defaulting to the wall clock.
@@ -69,20 +62,25 @@ func (o Options) now() time.Time {
 	return time.Now()
 }
 
-// tolObj is the shared-incumbent pruning guard: a subtree node is pruned
-// on another worker's incumbent only when its bound is worse by more than
-// this margin, so float noise in LP bounds cannot make tie-for-best
-// solutions appear in one run and vanish in another.
+// tolObj is the bound-pruning guard: a node is cut on the incumbent only
+// when its bound is worse by more than this margin, so float noise in LP
+// bounds cannot cut a subtree holding a solution that ties the optimum.
 const tolObj = 1e-9
 
 // maxBranchedRecord caps Solution.Branched: the next cycle only replays
 // the top of the tree, so recording deep branches buys nothing.
 const maxBranchedRecord = 32
 
+// defaultMaxNodes is the node budget applied when Options.MaxNodes is 0.
+const defaultMaxNodes = 200000
+
+// frontierTarget is the number of open subproblems at which the dive
+// hands over to per-subtree search (see solveExact).
+const frontierTarget = 32
+
 type bbNode struct {
 	lo, hi []float64
 	bound  float64 // parent LP objective (in model sense)
-	depth  int
 }
 
 // better reports whether objective a improves on b under the sense.
@@ -220,9 +218,9 @@ func (m *Model) branchVariable(x []float64, prio []Var) int {
 // full parent copies, so pooled garbage can never reach a child.
 func branch(pl *boundsPool, nd bbNode, j int, v, bound float64) (first, second bbNode) {
 	fl, ce := math.Floor(v), math.Ceil(v)
-	down := bbNode{lo: pl.cloneOf(nd.lo), hi: pl.cloneOf(nd.hi), bound: bound, depth: nd.depth + 1}
+	down := bbNode{lo: pl.cloneOf(nd.lo), hi: pl.cloneOf(nd.hi), bound: bound}
 	down.hi[j] = math.Min(down.hi[j], fl)
-	up := bbNode{lo: pl.cloneOf(nd.lo), hi: pl.cloneOf(nd.hi), bound: bound, depth: nd.depth + 1}
+	up := bbNode{lo: pl.cloneOf(nd.lo), hi: pl.cloneOf(nd.hi), bound: bound}
 	up.lo[j] = math.Max(up.lo[j], ce)
 	if v-fl >= 0.5 {
 		return down, up
@@ -230,11 +228,26 @@ func branch(pl *boundsPool, nd bbNode, j int, v, bound float64) (first, second b
 	return up, down
 }
 
+// pruneFloor maps an incumbent objective v to the cut line of bound
+// pruning: a node whose bound is strictly worse than pruneFloor(v) holds
+// no solution that ties v, let alone beats it, and is dropped without
+// solving its LP. The line lies RelGap·max(1,|v|) + tolObj on the worse
+// side of v and, for RelGap < 1, only ever tightens as v improves.
+func (m *Model) pruneFloor(relGap, v float64) float64 {
+	w := tolObj
+	if relGap > 0 {
+		w += relGap * math.Max(1, math.Abs(v))
+	}
+	if m.sense == Minimize {
+		return v + w
+	}
+	return v - w
+}
+
 // Solve optimises the model. Continuous models solve with one simplex
-// call; integer models run the deterministic parallel branch-and-bound
-// (see solveParallel) or, when Options.Mode selects it, the approximate
-// relaxation+rounding path (see solveApprox). A model that fails Check
-// returns Invalid without solving.
+// call; integer models run branch-and-bound (see solveExact) or, when
+// Options.Mode selects it, the approximate relaxation+rounding path (see
+// solveApprox). A model that fails Check returns Invalid without solving.
 func (m *Model) Solve(opts Options) *Solution {
 	if m.effectiveMode(opts) == ModeApprox {
 		sol := m.solveApprox(opts)
@@ -245,15 +258,33 @@ func (m *Model) Solve(opts Options) *Solution {
 			return sol
 		}
 	}
-	return m.solveParallel(opts)
+	return m.solveExact(opts)
 }
 
-// SolveSequential runs the original single-threaded depth-first
-// branch-and-bound. It is kept as the reference implementation for the
-// differential oracle tests that pin the parallel solver's objectives,
-// and for callers that want the classic first-within-gap RelGap
-// semantics.
-func (m *Model) SolveSequential(opts Options) *Solution {
+// solveExact is depth-first branch-and-bound on one goroutine, a pure
+// function of (model, options) up to the deadline:
+//
+//  1. Root LP and warm starts seed the incumbent.
+//  2. The dive: depth-first from the root, promising child first, until
+//     the tree is exhausted — most models end here — or frontierTarget
+//     subproblems are open. Integral leaves found on the way down improve
+//     the incumbent, so a deadline that fires this early still returns one.
+//  3. Each open subproblem is then searched to exhaustion on its own,
+//     deepest first (the order the dive would have continued in, so a
+//     deadline loses the least promising work), with an equal share of
+//     the remaining node budget and the dive's incumbent as its own
+//     starting point. What a subtree can contribute to the optimum is
+//     therefore the same whatever its siblings found before it; across
+//     subtrees the incumbent only cuts through pruneFloor, which keeps
+//     ties.
+//
+// The incumbent orders solutions by objective, then lexicographically by
+// assignment, so which of several equal optima is returned does not
+// depend on when each was found. It does depend on the hand-over point
+// and the subtree order: every golden file and benchmark fingerprint
+// holds the optimum they select (TestSolveGolden pins it), so changing
+// either means regenerating those.
+func (m *Model) solveExact(opts Options) *Solution {
 	if err := m.Check(); err != nil {
 		return &Solution{Status: Invalid}
 	}
@@ -261,8 +292,6 @@ func (m *Model) SolveSequential(opts Options) *Solution {
 	if arena == nil {
 		arena = NewSolverArena()
 	}
-	arena.ensure(1)
-	sc := arena.slot(0)
 	p := m.preparedFor(opts, arena)
 	maxNodes := opts.MaxNodes
 	if maxNodes == 0 {
@@ -270,7 +299,7 @@ func (m *Model) SolveSequential(opts Options) *Solution {
 	}
 	lo, hi, hasInt := m.rootBounds()
 
-	root := solveLP(m, p, lo, hi, opts.Deadline, opts.Clock, &sc.lp)
+	root := solveLP(m, p, lo, hi, opts.Deadline, opts.Clock, &arena.lp)
 	if root.status == statusDeadline {
 		return &Solution{Status: NoSolution, Nodes: 1, DeadlineHit: true}
 	}
@@ -280,93 +309,114 @@ func (m *Model) SolveSequential(opts Options) *Solution {
 	if !hasInt || m.integral(root.x) {
 		return &Solution{Status: Optimal, Objective: root.obj, values: m.snap(root.x), Nodes: 1}
 	}
-	rootObj := root.obj
 
-	incumbent := m.worst()
-	var incumbentX []float64
+	s := &search{m: m, opts: opts, p: p, arena: arena, obj: m.worst(), nodes: 1, seen: make([]bool, len(m.vars))}
 	warmUsed := false
-	if obj, x, ok := m.warmIncumbent(opts, p, lo, hi, &sc.lp); ok {
-		incumbent, incumbentX, warmUsed = obj, x, true
+	if obj, x, ok := m.warmIncumbent(opts, p, lo, hi, &arena.lp); ok {
+		s.obj, s.x, warmUsed = obj, x, true
 	}
-	nodes := 0
-	sc.pool.reset(len(m.vars))
-	var branched []Var
-	branchSeen := make([]bool, len(m.vars))
-	stack := []bbNode{{lo: lo, hi: hi, bound: rootObj, depth: 0}}
-	deadlineHit := false
-
-	for len(stack) > 0 {
-		if nodes >= maxNodes {
-			deadlineHit = true
-			break
+	arena.pool.reset(len(m.vars))
+	open := s.explore([]bbNode{{lo: lo, hi: hi, bound: root.obj}}, s.obj, maxNodes-1, true)
+	if left := maxNodes - s.nodes; len(open) > 0 && !s.cut {
+		if left < len(open) {
+			s.cut = true // not even one node per subtree
+		} else {
+			inc := s.obj
+			for i := len(open) - 1; i >= 0; i-- {
+				s.explore([]bbNode{open[i]}, inc, left/len(open), false)
+			}
 		}
-		if !opts.Deadline.IsZero() && nodes%16 == 0 && opts.now().After(opts.Deadline) {
-			deadlineHit = true
+	}
+
+	sol := &Solution{Nodes: s.nodes, Branched: s.branched}
+	switch {
+	case s.x == nil && s.cut:
+		sol.Status, sol.DeadlineHit = NoSolution, true
+	case s.x == nil:
+		sol.Status = Infeasible
+	default:
+		sol.Status, sol.DeadlineHit = Optimal, s.cut
+		if s.cut {
+			sol.Status = Feasible
+		}
+		sol.Objective, sol.values, sol.WarmUsed = s.obj, s.x, warmUsed
+	}
+	return sol
+}
+
+// search is the state of one branch-and-bound solve.
+type search struct {
+	m     *Model
+	opts  Options
+	p     *prepared
+	arena *SolverArena
+	// obj and x are the incumbent: the best integer-feasible solution
+	// found so far (x nil and obj the worst() sentinel while there is
+	// none), ties going to the lexicographically smaller assignment.
+	obj float64
+	x   []float64
+	// nodes counts the LP relaxations solved; cut reports that the node
+	// budget or the deadline stopped the search with work left.
+	nodes int
+	cut   bool
+	// branched is the dive's branch order (Solution.Branched).
+	branched []Var
+	seen     []bool
+}
+
+// explore searches stack depth-first within budget nodes and returns the
+// subproblems it left open: none unless it was cut or, when dive is set,
+// stopped at frontierTarget. inc is the objective an LP result must beat
+// to be kept. It starts as the caller's and follows this call's own
+// finds, not the incumbent's: a solution of equal objective found
+// elsewhere must not hide this one from the lexicographic tie-break.
+func (s *search) explore(stack []bbNode, inc float64, budget int, dive bool) []bbNode {
+	m, opts, pool := s.m, s.opts, &s.arena.pool
+	for used := 0; len(stack) > 0 && !(dive && len(stack) >= frontierTarget); {
+		if used >= budget || (!opts.Deadline.IsZero() && used%16 == 0 && opts.now().After(opts.Deadline)) {
+			s.cut = true
 			break
 		}
 		nd := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		// Bound pruning against the incumbent.
-		if incumbentX != nil && !m.better(nd.bound, incumbent) {
-			sc.pool.release(nd)
+		if m.better(m.pruneFloor(opts.RelGap, s.obj), nd.bound) {
+			pool.release(nd)
 			continue
 		}
-		res := solveLP(m, p, nd.lo, nd.hi, opts.Deadline, opts.Clock, &sc.lp)
-		nodes++
+		res := solveLP(m, s.p, nd.lo, nd.hi, opts.Deadline, opts.Clock, &s.arena.lp)
+		used++
+		s.nodes++
 		if res.status == statusDeadline {
-			deadlineHit = true
+			s.cut = true
 			break
 		}
-		if res.status != Optimal {
-			sc.pool.release(nd)
-			continue // infeasible (or numerically bad) subtree
-		}
-		if incumbentX != nil && !m.better(res.obj, incumbent) {
-			sc.pool.release(nd)
+		// Infeasible (or numerically bad) subtree, or one that cannot
+		// beat what this call already holds.
+		if res.status != Optimal || !m.better(res.obj, inc) {
+			pool.release(nd)
 			continue
 		}
-		branchVar := m.branchVariable(res.x, opts.BranchPriority)
-		if branchVar < 0 {
+		j := m.branchVariable(res.x, opts.BranchPriority)
+		if j < 0 {
 			// Integer feasible.
-			if incumbentX == nil || m.better(res.obj, incumbent) {
-				incumbent = res.obj
-				incumbentX = m.snap(res.x)
-				if opts.RelGap > 0 {
-					gap := math.Abs(rootObj-incumbent) / math.Max(1, math.Abs(incumbent))
-					if gap <= opts.RelGap {
-						sc.pool.release(nd)
-						break
-					}
-				}
+			inc = res.obj
+			if x := m.snap(res.x); m.better(inc, s.obj) || (inc == s.obj && lexLess(x, s.x)) {
+				s.obj, s.x = inc, x
 			}
-			sc.pool.release(nd)
+			pool.release(nd)
 			continue
 		}
-		if !branchSeen[branchVar] && len(branched) < maxBranchedRecord {
-			branchSeen[branchVar] = true
-			branched = append(branched, Var(branchVar))
+		if dive && !s.seen[j] && len(s.branched) < maxBranchedRecord {
+			s.seen[j] = true
+			s.branched = append(s.branched, Var(j))
 		}
-		first, second := branch(&sc.pool, nd, branchVar, res.x[branchVar], res.obj)
-		sc.pool.release(nd)
-		// DFS: push the less promising child first so the more promising
+		first, second := branch(pool, nd, j, res.x[j], res.obj)
+		pool.release(nd)
+		// LIFO: push the less promising child first so the more promising
 		// (closer rounding) is explored next.
 		stack = append(stack, second, first)
 	}
-
-	var sol *Solution
-	switch {
-	case incumbentX == nil && deadlineHit:
-		sol = &Solution{Status: NoSolution, Nodes: nodes, DeadlineHit: true}
-	case incumbentX == nil:
-		sol = &Solution{Status: Infeasible, Nodes: nodes}
-	case deadlineHit || len(stack) > 0:
-		sol = &Solution{Status: Feasible, Objective: incumbent, values: incumbentX, Nodes: nodes, DeadlineHit: deadlineHit}
-	default:
-		sol = &Solution{Status: Optimal, Objective: incumbent, values: incumbentX, Nodes: nodes}
-	}
-	sol.WarmUsed = warmUsed && sol.values != nil
-	sol.Branched = branched
-	return sol
+	return stack
 }
 
 // integral reports whether all integer variables are integral within tol.

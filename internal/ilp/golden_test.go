@@ -77,7 +77,7 @@ func goldenCases() []goldenCase {
 	}
 	for i, data := range fuzzCorpus() {
 		m, _, _ := decodeModel(data)
-		atGaps(fmt.Sprintf("corpus[%d]", i), m, oracleOpts(1))
+		atGaps(fmt.Sprintf("corpus[%d]", i), m, oracleOpts())
 	}
 	for _, fam := range []struct {
 		seed int64
@@ -85,15 +85,15 @@ func goldenCases() []goldenCase {
 	}{{7, 60}, {99, 40}} {
 		r := rand.New(rand.NewSource(fam.seed))
 		for i := 0; i < fam.n; i++ {
-			atGaps(fmt.Sprintf("random%d[%d]", fam.seed, i), randomOracleModel(r), oracleOpts(1))
+			atGaps(fmt.Sprintf("random%d[%d]", fam.seed, i), randomOracleModel(r), oracleOpts())
 		}
 	}
 	for i, m := range warmStartModels() {
-		cold := m.Solve(oracleOpts(1))
+		cold := m.Solve(oracleOpts())
 		if cold.Status != Optimal {
 			continue
 		}
-		cases = append(cases, goldenCase{fmt.Sprintf("warm[%d]", i), m, warmReplay(m, oracleOpts(1), cold)})
+		cases = append(cases, goldenCase{fmt.Sprintf("warm[%d]", i), m, warmReplay(m, oracleOpts(), cold)})
 	}
 	for _, g := range []struct {
 		groups, nodes, perGroup int
@@ -101,9 +101,9 @@ func goldenCases() []goldenCase {
 	}{{7, 4, 6, 7.5}, {7, 4, 6, 9.5}, {7, 4, 5, 9.5}, {8, 3, 8, 7.5}, {8, 3, 8, 9.5}, {9, 3, 8, 7.5}} {
 		m := gangModel(g.groups, g.nodes, g.perGroup, g.capacity)
 		label := fmt.Sprintf("gang%dx%dx%d/%v", g.groups, g.nodes, g.perGroup, g.capacity)
-		atGaps(label, m, oracleOpts(1))
+		atGaps(label, m, oracleOpts())
 		approx := m.Solve(Options{Mode: ModeApprox})
-		cases = append(cases, goldenCase{label + "/warm", m, warmReplay(m, oracleOpts(1), approx)})
+		cases = append(cases, goldenCase{label + "/warm", m, warmReplay(m, oracleOpts(), approx)})
 	}
 	cases = append(cases,
 		goldenCase{"gang8x4x6/9.5/nodes=5000", gangModel(8, 4, 6, 9.5), Options{MaxNodes: 5000}},
@@ -145,23 +145,7 @@ func TestSolveGolden(t *testing.T) {
 	cases := goldenCases()
 	lines := make([]string, len(cases))
 	for i, c := range cases {
-		c.opts.Workers = 1
-		ref := c.m.Solve(c.opts)
-		lines[i] = goldenLine(c.label, ref)
-		if ref.DeadlineHit {
-			// A search cut by its node budget explores a different part of
-			// the tree when workers race for the shared incumbent.
-			continue
-		}
-		for _, w := range []int{2, 4, 8} {
-			c.opts.Workers = w
-			got := c.m.Solve(c.opts)
-			// Node counts legitimately vary with pruning races.
-			got.Nodes = ref.Nodes
-			if line := goldenLine(c.label, got); line != lines[i] {
-				t.Fatalf("workers=%d differs from workers=1:\n%s\n%s", w, line, lines[i])
-			}
-		}
+		lines[i] = goldenLine(c.label, c.m.Solve(c.opts))
 	}
 	got := strings.Join(lines, "\n") + "\n"
 	golden := filepath.Join("testdata", "solve.golden")

@@ -59,9 +59,9 @@ type Model struct {
 	vars  []varDef
 	cons  []conDef
 	errs  []error
-	// prep is the cached CSR constraint matrix, built once per solve by
-	// prepare() and shared read-only by all branch-and-bound workers.
-	// Mutating the model (addVar/addCon) invalidates it.
+	// prep is the cached CSR constraint matrix, built by prepare() and
+	// read-only afterwards. Mutating the model (addVar/addCon)
+	// invalidates it.
 	prep *prepared
 }
 
@@ -70,8 +70,7 @@ type Model struct {
 // Branch-and-bound solves thousands of LP relaxations of the SAME
 // constraint rows with different variable bounds; flattening the per-
 // constraint term slices into three contiguous arrays removes the
-// pointer-chasing from every row-assembly pass and gives the parallel
-// workers an immutable shared structure instead of per-solve rebuilds.
+// pointer-chasing from every row-assembly pass.
 type prepared struct {
 	rowStart []int
 	cols     []int
@@ -80,9 +79,7 @@ type prepared struct {
 	conHi    []float64
 }
 
-// prepare builds (or reuses) the CSR constraint matrix. It must be
-// called before worker goroutines start: the workers treat the result as
-// immutable and never write it.
+// prepare builds (or reuses) the CSR constraint matrix.
 func (m *Model) prepare() *prepared {
 	if m.prep != nil {
 		return m.prep

@@ -7,48 +7,55 @@ import (
 	"testing"
 )
 
-// oracleOpts are the settings under which the parallel solver's contract
-// is exact: no deadline, no gap, a node budget generous enough that the
-// small oracle models always solve to proven optimality.
-func oracleOpts(workers int) Options {
-	return Options{MaxNodes: 50000, Workers: workers}
+// oracleOpts are the settings under which the solver's contract is exact:
+// no deadline and a node budget generous enough that the small oracle
+// models always solve to proven optimality.
+func oracleOpts() Options {
+	return Options{MaxNodes: 50000}
 }
 
-// checkAgainstSequential solves the model with both engines and fails
-// unless they return agreeing feasibility verdicts and — when both prove
-// optimality — exactly equal objectives. The oracle models use small
-// integer coefficients over binary variables, so equal objectives are
-// exact float sums and the comparison needs no tolerance.
-func checkAgainstSequential(t *testing.T, m *Model, label string) {
+// checkAgainstBruteForce solves the model at RelGap 0 and 0.05 and fails
+// unless both agree with exhaustive enumeration: Infeasible exactly when
+// no assignment is feasible, otherwise Optimal with the enumerated
+// optimum — the gap only widens the tie window (see Options.RelGap), it
+// never trades optimality away. The oracle models use small integer
+// coefficients over at most 10 binary variables, so the objective of the
+// returned assignment is an exact float sum and is compared without
+// tolerance; the reported objective is the LP's and may carry its noise.
+func checkAgainstBruteForce(t *testing.T, m *Model, label string) {
 	t.Helper()
-	seq := m.SolveSequential(oracleOpts(1))
-	par := m.Solve(oracleOpts(4))
-
-	feasible := func(s Status) bool { return s == Optimal || s == Feasible }
-	switch {
-	case feasible(seq.Status) != feasible(par.Status):
-		t.Fatalf("%s: feasibility verdicts disagree: sequential %v, parallel %v",
-			label, seq.Status, par.Status)
-	case seq.Status == Infeasible && par.Status != Infeasible,
-		seq.Status == Invalid && par.Status != Invalid,
-		seq.Status == Unbounded && par.Status != Unbounded:
-		t.Fatalf("%s: status mismatch: sequential %v, parallel %v", label, seq.Status, par.Status)
+	obj := make([]float64, len(m.vars))
+	for j := range obj {
+		obj[j] = m.vars[j].obj
 	}
-	if seq.Status == Optimal && par.Status == Optimal && seq.Objective != par.Objective {
-		t.Fatalf("%s: objective mismatch: sequential %v, parallel %v",
-			label, seq.Objective, par.Objective)
-	}
-	// Any returned incumbent must be genuinely feasible on both sides.
-	for name, sol := range map[string]*Solution{"sequential": seq, "parallel": par} {
-		if !feasible(sol.Status) {
+	want := bruteForce(m, obj, len(m.vars))
+	for _, gap := range []float64{0, 0.05} {
+		opts := oracleOpts()
+		opts.RelGap = gap
+		sol := m.Solve(opts)
+		if math.IsNaN(want) {
+			if sol.Status != Infeasible {
+				t.Fatalf("%s gap %v: status %v, brute force says infeasible", label, gap, sol.Status)
+			}
 			continue
 		}
+		if sol.Status != Optimal {
+			t.Fatalf("%s gap %v: status %v, brute force found %v", label, gap, sol.Status, want)
+		}
+		if math.Abs(sol.Objective-want) > 1e-9 {
+			t.Fatalf("%s gap %v: objective %v, brute force %v", label, gap, sol.Objective, want)
+		}
 		x := make([]float64, len(m.vars))
+		got := 0.0
 		for j := range x {
 			x[j] = sol.Value(Var(j))
+			got += obj[j] * x[j]
 		}
 		if !m.CheckFeasible(x) {
-			t.Fatalf("%s: %s incumbent infeasible: %v", label, name, x)
+			t.Fatalf("%s gap %v: incumbent infeasible: %v", label, gap, x)
+		}
+		if got != want {
+			t.Fatalf("%s gap %v: assignment %v scores %v, brute force %v", label, gap, x, got, want)
 		}
 	}
 }
@@ -69,22 +76,14 @@ func fuzzCorpus() [][]byte {
 }
 
 // TestOracleFuzzCorpusDifferential replays the FuzzSolve seed corpus
-// through the parallel-vs-sequential differential oracle.
+// through the brute-force differential oracle.
 func TestOracleFuzzCorpusDifferential(t *testing.T) {
 	for i, data := range fuzzCorpus() {
-		m, obj, n := decodeModel(data)
+		m, _, _ := decodeModel(data)
 		if m.Check() != nil {
 			continue
 		}
-		label := fmt.Sprintf("corpus[%d]", i)
-		checkAgainstSequential(t, m, label)
-		// The corpus models are small enough to brute-force, so also pin
-		// the parallel objective against exhaustive enumeration.
-		if sol := m.Solve(oracleOpts(4)); sol.Status == Optimal {
-			if want := bruteForce(m, obj, n); math.Abs(sol.Objective-want) > 1e-9 {
-				t.Fatalf("%s: parallel optimal %v, brute force %v", label, sol.Objective, want)
-			}
-		}
+		checkAgainstBruteForce(t, m, fmt.Sprintf("corpus[%d]", i))
 	}
 }
 
@@ -126,81 +125,12 @@ func randomOracleModel(r *rand.Rand) *Model {
 	return m
 }
 
-// TestOracleRandomDifferential cross-checks the parallel solver against
-// the sequential reference on 500 randomized 0/1 models: agreeing
-// feasibility verdicts and exactly matching optimal objectives.
+// TestOracleRandomDifferential cross-checks the solver against exhaustive
+// enumeration on 500 randomized 0/1 models, at RelGap 0 and 0.05.
 func TestOracleRandomDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 500; i++ {
 		m := randomOracleModel(r)
-		checkAgainstSequential(t, m, fmt.Sprintf("random[%d]", i))
-	}
-}
-
-// TestParallelWorkerCountInvariance is the solver-level determinism
-// regression: the same model solved with 1, 2, 4 and 8 workers must
-// return the identical status, objective and variable assignment —
-// bit for bit — because journal replay (PR 3) re-runs placements and
-// must reproduce them on hosts with different core counts.
-func TestParallelWorkerCountInvariance(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < 60; i++ {
-		m := randomOracleModel(r)
-		if m.Check() != nil {
-			continue
-		}
-		var ref *Solution
-		for _, w := range []int{1, 2, 4, 8} {
-			sol := m.Solve(oracleOpts(w))
-			if ref == nil {
-				ref = sol
-				continue
-			}
-			if sol.Status != ref.Status || sol.Objective != ref.Objective {
-				t.Fatalf("model %d: workers=%d gave (%v, %v), workers=1 gave (%v, %v)",
-					i, w, sol.Status, sol.Objective, ref.Status, ref.Objective)
-			}
-			for j := 0; j < len(m.vars); j++ {
-				if sol.Value(Var(j)) != ref.Value(Var(j)) {
-					t.Fatalf("model %d: workers=%d x[%d]=%v, workers=1 x[%d]=%v",
-						i, w, j, sol.Value(Var(j)), j, ref.Value(Var(j)))
-				}
-			}
-		}
-	}
-}
-
-// TestParallelRelGapInvariance verifies the gap-pruning determinism
-// claim: with a nonzero RelGap the parallel solver prunes on a window
-// below the shared incumbent, and the monotone prune floor guarantees
-// the same solution for every worker count and interleaving.
-func TestParallelRelGapInvariance(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	for i := 0; i < 40; i++ {
-		m := randomOracleModel(r)
-		if m.Check() != nil {
-			continue
-		}
-		var ref *Solution
-		for run := 0; run < 3; run++ {
-			for _, w := range []int{1, 4, 8} {
-				opts := oracleOpts(w)
-				opts.RelGap = 0.05
-				sol := m.Solve(opts)
-				if ref == nil {
-					ref = sol
-					continue
-				}
-				if sol.Status != ref.Status || sol.Objective != ref.Objective {
-					t.Fatalf("model %d run %d workers=%d: (%v, %v) != reference (%v, %v)",
-						i, run, w, sol.Status, sol.Objective, ref.Status, ref.Objective)
-				}
-				for j := 0; j < len(m.vars); j++ {
-					if sol.Value(Var(j)) != ref.Value(Var(j)) {
-						t.Fatalf("model %d run %d workers=%d: x[%d] differs", i, run, w, j)
-					}
-				}
-			}
-		}
+		checkAgainstBruteForce(t, m, fmt.Sprintf("random[%d]", i))
 	}
 }

@@ -163,7 +163,7 @@ func (g *greedy) Place(state *cluster.Cluster, apps []*Application, active []con
 	var tab *scoreTable
 	var classOf []int
 	if !g.firstFit {
-		tab, classOf = newScoreTable(g, work, cons, queue, opts.workers())
+		tab, classOf = newScoreTable(g, work, cons, queue)
 	}
 
 	failed := make([]bool, len(apps))

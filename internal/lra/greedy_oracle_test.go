@@ -335,7 +335,7 @@ func TestScoreTableMatchesOracle(t *testing.T) {
 			for _, rs := range buildRequests(apps) {
 				queue = append(queue, rs...)
 			}
-			tab, classOf := newScoreTable(g, work, cons, queue, 1+int(seed%3))
+			tab, classOf := newScoreTable(g, work, cons, queue)
 			checkTable(t, fmt.Sprintf("seed %d fill", seed), g, tab, queue, classOf)
 
 			placed := map[int]cluster.NodeID{} // queue index -> node
@@ -414,7 +414,7 @@ func TestGreedyPlaceMatchesOracle(t *testing.T) {
 		apps := oracleBatch(rng, "new", 2+rng.Intn(8))
 		for _, g := range scoringVariants() {
 			want := g.oraclePlace(state, apps, active)
-			got := g.Place(state, apps, active, Options{Workers: 1 + int(seed%4)}).Placements
+			got := g.Place(state, apps, active, Options{}).Placements
 			for i := range want {
 				if !reflect.DeepEqual(got[i], want[i]) {
 					t.Fatalf("seed %d %s:\n table  %+v\n oracle %+v", seed, g.name, got[i], want[i])

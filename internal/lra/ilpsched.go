@@ -690,7 +690,6 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 		RelGap:         0.01,
 		WarmStart:      warm,
 		BranchPriority: branchPrio,
-		Workers:        opts.Workers,
 		Clock:          opts.Clock,
 		Arena:          arena,
 		Mode:           opts.SolverMode,
@@ -889,22 +888,10 @@ func selectCandidates(state *cluster.Cluster, cons []constraint.Entry, groups []
 			delta float64
 			free  int64
 		}
-		// Per-node violation scoring is the hot part of candidate
-		// selection (one placementDelta per node per group); it fans out
-		// across workers into index-addressed slots, and the class
-		// bucketing below reduces them sequentially in node order so the
-		// candidate sets stay identical for every worker count.
-		nodes := state.Nodes()
-		type nodeScore struct {
-			ok    bool
-			delta float64
-			key   string
-		}
-		scored := make([]nodeScore, len(nodes))
-		parallelFor(len(nodes), opts.workers(), func(i int) {
-			n := nodes[i]
+		classes := map[string]*class{}
+		for _, n := range state.Nodes() {
 			if !n.Available() || !g.demand.Fits(n.Free()) {
-				return
+				continue
 			}
 			delta := placementDelta(state, gcons, g.tags, n.ID)
 			var key strings.Builder
@@ -915,18 +902,11 @@ func selectCandidates(state *cluster.Cluster, cons []constraint.Entry, groups []
 				}
 				fmt.Fprintf(&key, "|%v", state.SetsOfNode(gn, n.ID))
 			}
-			scored[i] = nodeScore{ok: true, delta: delta, key: key.String()}
-		})
-		classes := map[string]*class{}
-		for i, n := range nodes {
-			s := scored[i]
-			if !s.ok {
-				continue
-			}
-			cl := classes[s.key]
+			k := key.String()
+			cl := classes[k]
 			if cl == nil {
-				cl = &class{delta: s.delta, free: n.Free().Scalar()}
-				classes[s.key] = cl
+				cl = &class{delta: delta, free: n.Free().Scalar()}
+				classes[k] = cl
 			}
 			cl.nodes = append(cl.nodes, n.ID)
 		}

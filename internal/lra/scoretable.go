@@ -56,11 +56,9 @@ type scoreTable struct {
 	scope [][]bool
 }
 
-// newScoreTable groups the queue into classes, fills every cell (fanned
-// out across workers into index-addressed slots, so the table is the
-// same for every worker count) and returns the table with each queue
-// entry's class index.
-func newScoreTable(g *greedy, work *cluster.Cluster, cons []constraint.Entry, queue []containerReq, workers int) (*scoreTable, []int) {
+// newScoreTable groups the queue into classes, fills every cell and
+// returns the table with each queue entry's class index.
+func newScoreTable(g *greedy, work *cluster.Cluster, cons []constraint.Entry, queue []containerReq) (*scoreTable, []int) {
 	t := &scoreTable{g: g, work: work}
 	type classKey struct {
 		tags   string
@@ -91,14 +89,12 @@ func newScoreTable(g *greedy, work *cluster.Cluster, cons []constraint.Entry, qu
 
 	nodes := work.Nodes()
 	cells := make([]nodeScore, len(t.classes)*len(nodes))
-	parallelFor(len(cells), workers, func(i int) {
-		cells[i] = t.score(&t.classes[i/len(nodes)], nodes[i%len(nodes)])
-	})
 	for ci := range t.classes {
 		c := &t.classes[ci]
 		c.scores = cells[ci*len(nodes) : (ci+1)*len(nodes)]
-		for _, s := range c.scores {
-			if s.clean() {
+		for i, n := range nodes {
+			c.scores[i] = t.score(c, n)
+			if c.scores[i].clean() {
 				c.clean++
 			}
 		}

@@ -165,12 +165,6 @@ type Options struct {
 	// RMin is the fragmentation threshold r_min of Equation 5 (zero value
 	// uses cluster.FragmentationThreshold).
 	RMin resource.Vector
-	// Workers bounds the number of goroutines the algorithms use for the
-	// parallel solver and candidate scoring (0 = runtime.NumCPU()). Every
-	// worker count produces identical placements: the parallel
-	// branch-and-bound is deterministic by construction and the scoring
-	// fan-out writes to index-addressed slots.
-	Workers int
 	// Clock is the time source for latency stamps and the ILP solver's
 	// deadline (nil = time.Now). Deterministic harnesses inject a virtual
 	// clock so placement outcomes never depend on the wall clock.
