@@ -269,42 +269,57 @@ func (h *harness) shadowCheck(event int) *Violation {
 				Detail: fmt.Sprintf("%s: recovering journal clone: %v", m.ID, err),
 			}
 		}
-		if d := diffSets(m.Med.DeployedApps(), rec.DeployedApps()); d != "" {
-			return &Violation{
-				Name:   VioShadowRecovery,
-				Event:  event,
-				Detail: fmt.Sprintf("%s deployed set: %s", m.ID, d),
-			}
-		}
-		if d := diffSets(m.Med.PendingApps(), rec.PendingApps()); d != "" {
-			return &Violation{
-				Name:   VioShadowRecovery,
-				Event:  event,
-				Detail: fmt.Sprintf("%s pending set: %s", m.ID, d),
-			}
+		if d := diffBookkeeping(bookkeeping(m.Med), bookkeeping(rec)); d != "" {
+			return &Violation{Name: VioShadowRecovery, Event: event, Detail: m.ID + ": " + d}
 		}
 	}
 	return nil
 }
 
-// diffSets compares two app-ID sets, returning "" when equal and a
-// live-vs-recovered description otherwise.
-func diffSets(live, recovered []string) string {
-	a := append([]string(nil), live...)
-	b := append([]string(nil), recovered...)
-	sort.Strings(a)
-	sort.Strings(b)
-	if len(a) == len(b) {
-		same := true
-		for i := range a {
-			if a[i] != b[i] {
-				same = false
-				break
-			}
+// bookkeeping renders the scheduler state a recovery has to rebuild, one
+// line per fact in a fixed order: each deployed LRA with its live
+// container IDs in placement order, each pending LRA with its consumed
+// retries, each degraded LRA with its lost pieces and consumed repair
+// attempts.
+func bookkeeping(m *core.Medea) []string {
+	var out []string
+	for _, app := range m.DeployedApps() {
+		ids, _ := m.Deployed(app)
+		out = append(out, fmt.Sprintf("deployed %s %v", app, ids))
+	}
+	pending := m.PendingApps()
+	sort.Strings(pending)
+	for _, app := range pending {
+		retries, _ := m.PendingRetries(app)
+		out = append(out, fmt.Sprintf("pending %s retries=%d", app, retries))
+	}
+	pieces := m.PendingRepairPieces()
+	degraded := make([]string, 0, len(pieces))
+	for app := range pieces {
+		degraded = append(degraded, app)
+	}
+	sort.Strings(degraded)
+	for _, app := range degraded {
+		attempts, _ := m.RepairBudget(app)
+		out = append(out, fmt.Sprintf("repair %s %v attempts=%d", app, pieces[app], attempts))
+	}
+	return out
+}
+
+// diffBookkeeping returns "" when the two renderings agree and the first
+// line on which they differ otherwise.
+func diffBookkeeping(live, recovered []string) string {
+	for i := 0; i < len(live) || i < len(recovered); i++ {
+		l, r := "(nothing)", "(nothing)"
+		if i < len(live) {
+			l = live[i]
 		}
-		if same {
-			return ""
+		if i < len(recovered) {
+			r = recovered[i]
+		}
+		if l != r {
+			return fmt.Sprintf("live has %q, recovered has %q", l, r)
 		}
 	}
-	return fmt.Sprintf("live=%v recovered=%v", a, b)
+	return ""
 }
