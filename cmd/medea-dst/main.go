@@ -1,9 +1,11 @@
 // Command medea-dst runs the deterministic simulation harness: the full
-// federation stack — journaled scheduler cores behind their serving
+// federation stack — journaled ILP scheduler cores behind their serving
 // APIs, scout, balancer — on virtual time under seeded fault schedules
 // (member crashes with torn journal tails, partitions, slow-tail
 // networks, node failures drawn from service-unit traces, racing client
-// traffic), with cross-layer invariants checked after every event.
+// traffic, runtime exact/auto/approx solver-mode flips, two-phase
+// migrations with armed crash points, member drains, rolling restarts),
+// with cross-layer invariants checked after every event.
 //
 // Modes:
 //
@@ -11,8 +13,6 @@
 //	medea-dst -seed 42                        one seed, run twice, traces must match byte-for-byte
 //	medea-dst -replay dst-repro.json          re-run a minimized failure artifact
 //	medea-dst -long -max-wall 10m             open-ended sweep until the wall budget runs out
-//	medea-dst -seeds 50 -mixed-solver         ILP members with runtime exact/auto/approx flips
-//	medea-dst -seeds 50 -migrations           mix two-phase migrations, drains and rolling restarts in
 //
 // On a violation the failing schedule is minimized by delta debugging
 // and written as a replayable JSON artifact (-artifact).
@@ -54,8 +54,6 @@ func main() {
 		nodes    = flag.Int("nodes", 0, "nodes per member (0 = default)")
 		long     = flag.Bool("long", false, "ignore -seeds; sweep until -max-wall is spent")
 		maxWall  = flag.Duration("max-wall", 10*time.Minute, "wall-clock budget for -long sweeps")
-		mixed    = flag.Bool("mixed-solver", false, "run members on the ILP scheduler and mix exact/auto/approx mode flips into the schedule")
-		migrate  = flag.Bool("migrations", false, "mix two-phase migrations (with armed crash points), member drains and rolling restarts into the schedule")
 		verbose  = flag.Bool("v", false, "print the full trace of failing runs")
 	)
 	flag.Parse()
@@ -64,10 +62,10 @@ func main() {
 	case *replay != "":
 		os.Exit(runReplay(*replay, *verbose))
 	case *seed != 0:
-		cfg := dst.Config{Seed: *seed, Events: *events, Members: *members, Nodes: *nodes, Inject: *inject, MixedSolver: *mixed, Migrations: *migrate}
+		cfg := dst.Config{Seed: *seed, Events: *events, Members: *members, Nodes: *nodes, Inject: *inject}
 		os.Exit(runOne(cfg, *artifact, *verbose))
 	default:
-		os.Exit(runSweep(*seeds, *events, *members, *nodes, *inject, *mixed, *migrate, *long, *maxWall, *artifact, *verbose))
+		os.Exit(runSweep(*seeds, *events, *members, *nodes, *inject, *long, *maxWall, *artifact, *verbose))
 	}
 }
 
@@ -124,10 +122,10 @@ func runOne(cfg dst.Config, artifactPath string, verbose bool) int {
 // runSweep runs many seeds (in parallel workers; each run is itself
 // single-threaded and deterministic) and reports the lowest failing
 // seed, minimized.
-func runSweep(seeds, events, members, nodes int, inject, mixed, migrate, long bool, maxWall time.Duration, artifactPath string, verbose bool) int {
+func runSweep(seeds, events, members, nodes int, inject, long bool, maxWall time.Duration, artifactPath string, verbose bool) int {
 	start := time.Now()
 	cfgFor := func(s int64) dst.Config {
-		return dst.Config{Seed: s, Events: events, Members: members, Nodes: nodes, Inject: inject, MixedSolver: mixed, Migrations: migrate}
+		return dst.Config{Seed: s, Events: events, Members: members, Nodes: nodes, Inject: inject}
 	}
 
 	type fail struct {

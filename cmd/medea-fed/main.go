@@ -347,11 +347,11 @@ func main() {
 		MigrationsAborted:   st.MigrationsAborted(),
 		MigrationP99Ms:      metrics.Percentile(migMs, 99),
 
-		AuditPlaced:       finalAudit.Placed,
-		AuditDegraded:     finalAudit.Degraded,
-		AuditRejected:     finalAudit.Rejected,
-		AuditLost:         append([]string{}, finalAudit.Lost...),
-		WallSeconds:       wall.Seconds(),
+		AuditPlaced:   finalAudit.Placed,
+		AuditDegraded: finalAudit.Degraded,
+		AuditRejected: finalAudit.Rejected,
+		AuditLost:     append([]string{}, finalAudit.Lost...),
+		WallSeconds:   wall.Seconds(),
 	}
 	if rep.Routed > 0 {
 		rep.SpilloverRate = float64(rep.Spillovers) / float64(rep.Routed)

@@ -72,12 +72,12 @@ func ParseMode(s string) (Mode, error) {
 const DefaultHardWeight = 100
 
 // HardEntries filters constraint entries to the audited-as-hard subset:
-// EffectiveWeight >= hardWeight. Soft constraints may legitimately be
-// violated for a better global objective and never cause a reject.
-func HardEntries(entries []constraint.Entry, hardWeight float64) []constraint.Entry {
+// EffectiveWeight >= DefaultHardWeight. Soft constraints may legitimately
+// be violated for a better global objective and never cause a reject.
+func HardEntries(entries []constraint.Entry) []constraint.Entry {
 	var out []constraint.Entry
 	for _, e := range entries {
-		if e.Constraint.EffectiveWeight() >= hardWeight {
+		if e.Constraint.EffectiveWeight() >= DefaultHardWeight {
 			out = append(out, e)
 		}
 	}
@@ -90,7 +90,7 @@ func HardEntries(entries []constraint.Entry, hardWeight float64) []constraint.En
 // known and healthy, capacity after each assignment, no double-assigned
 // container IDs, and no new hard-constraint violations. It returns nil
 // for unplaced proposals and the first defect found otherwise.
-func CheckPlacement(state *cluster.Cluster, app *lra.Application, p *lra.Placement, entries []constraint.Entry, hardWeight float64) error {
+func CheckPlacement(state *cluster.Cluster, app *lra.Application, p *lra.Placement, entries []constraint.Entry) error {
 	if p == nil || !p.Placed {
 		return nil
 	}
@@ -99,16 +99,16 @@ func CheckPlacement(state *cluster.Cluster, app *lra.Application, p *lra.Placeme
 			return err
 		}
 	}
-	return CheckAssignments(state, p.AppID, p.Assignments, entries, hardWeight)
+	return CheckAssignments(state, p.AppID, p.Assignments, entries)
 }
 
 // CheckAssignments validates a raw assignment batch against the current
 // state (CheckPlacement without the application shape). The repair path
 // uses it directly on the remapped batch it actually commits.
-func CheckAssignments(state *cluster.Cluster, appID string, assigns []lra.Assignment, entries []constraint.Entry, hardWeight float64) error {
+func CheckAssignments(state *cluster.Cluster, appID string, assigns []lra.Assignment, entries []constraint.Entry) error {
 	// Resolved once here, not per container: ViolationFor runs for every
 	// container of the cluster, twice.
-	hard := lra.ResolveEntries(HardEntries(entries, hardWeight))
+	hard := lra.ResolveEntries(HardEntries(entries))
 	// Hard-constraint semantics are final-state: the whole batch is
 	// tentatively applied to a clone, then every container that was clean
 	// before must still be clean (a batch may carry affinity constraints

@@ -238,7 +238,7 @@ func TestCheckPlacementTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := cluster.Grid(4, 2, resource.New(1000, 10))
 			app, p, ents := tc.setup(t, c)
-			err := CheckPlacement(c, app, p, ents, DefaultHardWeight)
+			err := CheckPlacement(c, app, p, ents)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("CheckPlacement() = %v, want accept", err)
@@ -259,7 +259,7 @@ func TestCheckPlacementTable(t *testing.T) {
 func TestCheckPlacementDoesNotMutate(t *testing.T) {
 	c := cluster.Grid(2, 2, resource.New(1000, 10))
 	app := testApp("a", 1, resource.New(100, 1), "svc")
-	if err := CheckPlacement(c, app, placementFor(app, 0), nil, DefaultHardWeight); err != nil {
+	if err := CheckPlacement(c, app, placementFor(app, 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.NumContainers(); got != 0 {
@@ -320,7 +320,7 @@ func TestHardEntries(t *testing.T) {
 	soft := constraint.Entry{Constraint: constraint.New(constraint.AntiAffinity(
 		constraint.E("a"), constraint.E("a"), constraint.Node))}
 	hard := hardEntry("x", constraint.AntiAffinity(constraint.E("b"), constraint.E("b"), constraint.Node))
-	got := HardEntries([]constraint.Entry{soft, hard}, DefaultHardWeight)
+	got := HardEntries([]constraint.Entry{soft, hard})
 	if len(got) != 1 || got[0].AppID != "x" {
 		t.Fatalf("HardEntries kept %v, want only the hard entry", got)
 	}
@@ -375,7 +375,7 @@ func TestHardVerdictsOn256Nodes(t *testing.T) {
 		{"three web across racks", assign("w", "web", 8, 16, 24), false},
 	}
 	for _, tc := range cases {
-		err := CheckAssignments(c, "batch", tc.assigns, entries, DefaultHardWeight)
+		err := CheckAssignments(c, "batch", tc.assigns, entries)
 		if (err != nil) != tc.reject {
 			t.Errorf("%s: reject=%v, got %v", tc.name, tc.reject, err)
 		}

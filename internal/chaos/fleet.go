@@ -141,14 +141,3 @@ func (s *FleetScript) ApplyDue(t FleetTarget, elapsed time.Duration) (int, error
 	}
 	return fired, nil
 }
-
-// Remaining reports how many events have not fired yet.
-func (s *FleetScript) Remaining() int {
-	n := 0
-	for _, a := range s.applied {
-		if !a {
-			n++
-		}
-	}
-	return n
-}

@@ -249,12 +249,6 @@ func (c *Cluster) Nodes() []*Node { return c.nodes }
 // Node returns the node with the given ID.
 func (c *Cluster) Node(id NodeID) *Node { return c.nodes[id] }
 
-// HasGroup reports whether the named node group is registered.
-func (c *Cluster) HasGroup(name constraint.GroupName) bool {
-	_, ok := c.groups[name]
-	return ok
-}
-
 // Groups returns the registered group names, sorted.
 func (c *Cluster) Groups() []constraint.GroupName {
 	out := make([]constraint.GroupName, 0, len(c.groups))

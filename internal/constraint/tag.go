@@ -48,17 +48,6 @@ func (e Expr) Matches(tags []Tag) bool {
 	return true
 }
 
-// MatchesSet reports whether a tag multiset contains every tag of e at
-// least once.
-func (e Expr) MatchesSet(s *Set) bool {
-	for _, t := range e {
-		if s.Count(t) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Contains reports whether e includes tag t.
 func (e Expr) Contains(t Tag) bool {
 	for _, x := range e {

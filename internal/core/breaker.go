@@ -75,9 +75,6 @@ func (b *breaker) algorithm(cycle int) (lra.Algorithm, int) {
 		}
 		b.transition(cycle, bkHalfOpen, b.level, "cooldown")
 	}
-	if b.state == bkHalfOpen {
-		return b.ladder[0], 0
-	}
 	return b.ladder[0], 0
 }
 

@@ -9,7 +9,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -53,9 +52,6 @@ type Config struct {
 	// LRA; consecutive failures back off exponentially from it (zero =
 	// Interval).
 	RepairBackoff time.Duration
-	// RepairBackoffMax caps the exponential repair backoff (zero = 8 ×
-	// RepairBackoff).
-	RepairBackoffMax time.Duration
 	// RepairFallbackAfter is the number of consecutive failed repair
 	// attempts for one LRA after which its repair batch is placed with
 	// the greedy Medea-NC heuristic instead of the configured algorithm —
@@ -74,11 +70,6 @@ type Config struct {
 	// audit.FailFast (panic on the first violation — tests, CI, sim).
 	// Commit-time placement validation is always on regardless of mode.
 	Audit audit.Mode
-	// HardWeight is the constraint weight at or above which commit-time
-	// validation treats a constraint as hard and vetoes placements
-	// violating it (0 = audit.DefaultHardWeight, negative = no
-	// hard-constraint validation).
-	HardWeight float64
 	// BreakerThreshold is the number of consecutive failed cycles (panic,
 	// solver exhaustion, invalid model, validation rejection) that trips
 	// the circuit breaker onto the degradation ladder (0 = 3, negative =
@@ -133,12 +124,9 @@ func (c Config) repairBackoff() time.Duration {
 	return c.Interval
 }
 
-func (c Config) repairBackoffMax() time.Duration {
-	if c.RepairBackoffMax > 0 {
-		return c.RepairBackoffMax
-	}
-	return 8 * c.repairBackoff()
-}
+// repairBackoffCap caps the exponential repair backoff, as a multiple of
+// the base delay.
+const repairBackoffCap = 8
 
 // repairFallbackAfter resolves the fallback threshold; -1 means never.
 func (c Config) repairFallbackAfter() int {
@@ -149,18 +137,6 @@ func (c Config) repairFallbackAfter() int {
 		return -1
 	}
 	return c.RepairFallbackAfter
-}
-
-// hardWeight resolves the HardWeight sentinel; negative disables
-// hard-constraint validation (no finite weight qualifies as hard).
-func (c Config) hardWeight() float64 {
-	if c.HardWeight == 0 {
-		return audit.DefaultHardWeight
-	}
-	if c.HardWeight < 0 {
-		return math.Inf(1)
-	}
-	return c.HardWeight
 }
 
 func (c Config) breakerThreshold() int {
@@ -187,30 +163,6 @@ func (c Config) checkpointEvery() int {
 		return 0
 	}
 	return c.CheckpointEvery
-}
-
-type pendingApp struct {
-	app     *lra.Application
-	submit  time.Time
-	retries int
-}
-
-// containerSpec is what core remembers about one live LRA container, so
-// an equivalent replacement can be requested after an eviction.
-type containerSpec struct {
-	group  string
-	demand resource.Vector
-	tags   []constraint.Tag // effective tags, incl. the appID tag
-}
-
-// deployment is the live state of one placed LRA.
-type deployment struct {
-	app        *lra.Application
-	containers map[cluster.ContainerID]containerSpec
-	order      []cluster.ContainerID // placement order, for Deployed
-	// degradedSince is the wall-clock start of the current degradation
-	// window (zero when the LRA is at full strength).
-	degradedSince time.Time
 }
 
 // Medea is the cluster scheduler.
@@ -392,36 +344,20 @@ func (m *Medea) buildCheckpoint(now time.Time) *journal.Checkpoint {
 	for _, pa := range m.pending {
 		cp.Pending = append(cp.Pending, journal.PendingApp{App: pa.app, Submit: pa.submit, Retries: pa.retries})
 	}
-	deployedIDs := make([]string, 0, len(m.deployed))
-	for appID := range m.deployed {
-		deployedIDs = append(deployedIDs, appID)
-	}
-	sort.Strings(deployedIDs)
-	for _, appID := range deployedIDs {
+	for _, appID := range m.DeployedApps() {
 		dep := m.deployed[appID]
 		da := journal.DeployedApp{App: dep.app, DegradedSince: dep.degradedSince}
 		for _, id := range dep.order {
-			spec := dep.containers[id]
-			da.Containers = append(da.Containers, journal.DeployedContainer{
-				ID: id, Group: spec.group, Demand: spec.demand, Tags: spec.tags,
-			})
+			da.Containers = append(da.Containers, dep.containers[id])
 		}
 		cp.Deployed = append(cp.Deployed, da)
 	}
-	repairIDs := make([]string, 0, len(m.repairs))
-	for appID := range m.repairs {
-		repairIDs = append(repairIDs, appID)
-	}
-	sort.Strings(repairIDs)
-	for _, appID := range repairIDs {
+	for _, appID := range sortedRepairIDs(m.repairs) {
 		r := m.repairs[appID]
-		item := journal.RepairItem{AppID: appID, Attempts: r.attempts, NotBefore: r.notBefore, Since: r.since}
-		for _, p := range r.lost {
-			item.Lost = append(item.Lost, journal.DeployedContainer{
-				ID: p.id, Group: p.spec.group, Demand: p.spec.demand, Tags: p.spec.tags,
-			})
-		}
-		cp.Repairs = append(cp.Repairs, item)
+		cp.Repairs = append(cp.Repairs, journal.RepairItem{
+			AppID: appID, Lost: append([]journal.DeployedContainer(nil), r.lost...),
+			Attempts: r.attempts, NotBefore: r.notBefore, Since: r.since,
+		})
 	}
 	snap := m.Cluster.TakeSnapshot()
 	cp.Cluster = &snap
@@ -453,18 +389,15 @@ func (m *Medea) SubmitLRA(app *lra.Application, now time.Time) error {
 	if _, ok := m.deployed[app.ID]; ok {
 		return fmt.Errorf("core: LRA %s already deployed", app.ID)
 	}
-	for _, pa := range m.pending {
-		if pa.app.ID == app.ID {
-			// A second pending copy would double-register constraints and
-			// eventually double-place the app, orphaning one copy's
-			// containers when m.deployed[id] is overwritten.
-			return fmt.Errorf("core: LRA %s already pending", app.ID)
-		}
+	if _, pending := m.PendingRetries(app.ID); pending {
+		// A second pending copy would double-register constraints and
+		// eventually double-place the app, orphaning one copy's
+		// containers when m.deployed[id] is overwritten.
+		return fmt.Errorf("core: LRA %s already pending", app.ID)
 	}
-	if err := m.Constraints.AddApplication(app.ID, app.Constraints...); err != nil {
+	if err := m.enqueue(app, now, 0); err != nil {
 		return err
 	}
-	m.pending = append(m.pending, &pendingApp{app: app, submit: now})
 	m.logRecord(&journal.Record{Kind: journal.KindSubmit, At: now, App: app, AppID: app.ID})
 	return nil
 }
@@ -745,18 +678,14 @@ func (m *Medea) RunCycle(now time.Time) CycleStats {
 		// persistently panicking algorithm.
 		failed, reason = true, "panic"
 		stats.PanicRecovered = true
-		m.pending = append(m.pending, batch...)
-		stats.Requeued += len(batch)
-		m.journalRequeues(batch, now)
+		m.requeueWhole(batch, now, &stats)
 	case len(res.Placements) != len(batch):
 		// Malformed result shape; indexing it would corrupt accounting.
 		failed, reason = true, "validation"
 		m.Pipeline.RecordValidationReject(fmt.Sprintf("%s returned %d placements for a batch of %d",
 			alg.Name(), len(res.Placements), len(batch)))
 		stats.ValidationRejects++
-		m.pending = append(m.pending, batch...)
-		stats.Requeued += len(batch)
-		m.journalRequeues(batch, now)
+		m.requeueWhole(batch, now, &stats)
 	default:
 		stats.AlgLatency = res.Latency
 		stats.DeadlineHit = res.DeadlineHit
@@ -787,7 +716,7 @@ func (m *Medea) RunCycle(now time.Time) CycleStats {
 			}
 			own := appEntries(pa.app)
 			all := append(append(make([]constraint.Entry, 0, len(entries)+len(own)), entries...), own...)
-			if err := audit.CheckPlacement(m.Cluster, pa.app, &p, all, m.cfg.hardWeight()); err != nil {
+			if err := audit.CheckPlacement(m.Cluster, pa.app, &p, all); err != nil {
 				// The algorithm proposed an inadmissible placement:
 				// reject it before it corrupts cluster state.
 				failed, reason = true, "validation"
@@ -804,28 +733,13 @@ func (m *Medea) RunCycle(now time.Time) CycleStats {
 			m.logRecord(&journal.Record{
 				Kind: journal.KindPlace, At: now, AppID: p.AppID, Assignments: p.Assignments,
 			})
-			commit := make([]taskched.CommitAssignment, len(p.Assignments))
-			for j, a := range p.Assignments {
-				commit[j] = taskched.CommitAssignment{
-					Container: a.Container, Node: a.Node, Demand: a.Demand, Tags: a.Tags,
-				}
-			}
-			if err := m.Tasks.Commit(commit); err != nil {
+			if err := m.Tasks.Commit(p.Assignments); err != nil {
 				// Conflict with task allocations made since the decision:
 				// resubmit the LRA (§5.4).
 				m.requeueOrReject(pa, now, &stats)
 				continue
 			}
-			dep := &deployment{
-				app:        pa.app,
-				containers: make(map[cluster.ContainerID]containerSpec, len(p.Assignments)),
-			}
-			for _, a := range p.Assignments {
-				dep.containers[a.Container] = containerSpec{group: a.Group, demand: a.Demand, tags: a.Tags}
-				dep.order = append(dep.order, a.Container)
-				m.owner[a.Container] = p.AppID
-			}
-			m.deployed[p.AppID] = dep
+			m.deploy(pa.app, p.Assignments)
 			m.LRALatencies = append(m.LRALatencies, now.Sub(pa.submit)+res.Latency)
 			stats.Placed++
 			entries = append(entries, own...)
@@ -854,14 +768,16 @@ func (m *Medea) finishCycle(journaled bool, now time.Time) {
 	}
 }
 
-// journalRequeues records a whole-batch requeue (panic or malformed
-// result) with each app's retry count unchanged.
-func (m *Medea) journalRequeues(batch []*pendingApp, now time.Time) {
+// requeueWhole sends a whole batch back to the pending queue (panic or
+// malformed result) with each app's retry count unchanged.
+func (m *Medea) requeueWhole(batch []*pendingApp, now time.Time, stats *CycleStats) {
 	for _, pa := range batch {
+		m.requeue(pa, pa.retries)
 		m.logRecord(&journal.Record{
 			Kind: journal.KindRequeue, At: now, AppID: pa.app.ID, Retries: pa.retries,
 		})
 	}
+	stats.Requeued += len(batch)
 }
 
 // auditCycle runs the post-commit whole-cluster invariant checker in the
@@ -885,15 +801,9 @@ func (m *Medea) auditCycle() {
 // consistency. It returns the first violation found, or nil.
 func (m *Medea) CheckInvariants() error {
 	known := func(appID string) bool {
-		if _, ok := m.deployed[appID]; ok {
-			return true
-		}
-		for _, p := range m.pending {
-			if p.app.ID == appID {
-				return true
-			}
-		}
-		return false
+		_, deployed := m.deployed[appID]
+		_, pending := m.PendingRetries(appID)
+		return deployed || pending
 	}
 	if err := audit.CheckCluster(m.Cluster, m.Tasks, m.Constraints.Apps(), known); err != nil {
 		return err
@@ -921,15 +831,13 @@ func (m *Medea) CheckInvariants() error {
 }
 
 func (m *Medea) requeueOrReject(pa *pendingApp, now time.Time, stats *CycleStats) {
-	pa.retries++
-	if pa.retries > m.cfg.maxRetries() {
-		m.Constraints.RemoveApplication(pa.app.ID)
-		m.Rejected = append(m.Rejected, pa.app.ID)
+	if pa.retries >= m.cfg.maxRetries() {
+		m.reject(pa.app.ID)
 		stats.Rejected++
 		m.logRecord(&journal.Record{Kind: journal.KindReject, At: now, AppID: pa.app.ID})
 		return
 	}
-	m.pending = append(m.pending, pa)
+	m.requeue(pa, pa.retries+1)
 	stats.Requeued++
 	// The persisted retry count is the consumed budget: a recovery
 	// replaying this record resumes with pa.retries already spent rather
@@ -944,17 +852,12 @@ func (m *Medea) requeueOrReject(pa *pendingApp, now time.Time, stats *CycleStats
 // layer's DELETE path uses it so an app that drained into the core but
 // has not deployed yet can still be removed.
 func (m *Medea) WithdrawLRA(appID string, now time.Time) bool {
-	for i, pa := range m.pending {
-		if pa.app.ID != appID {
-			continue
-		}
-		m.pending = append(m.pending[:i], m.pending[i+1:]...)
-		delete(m.repairs, appID)
-		m.Constraints.RemoveApplication(appID)
-		m.logRecord(&journal.Record{Kind: journal.KindRemove, At: now, AppID: appID})
-		return true
+	if _, pending := m.PendingRetries(appID); !pending {
+		return false
 	}
-	return false
+	m.forget(appID)
+	m.logRecord(&journal.Record{Kind: journal.KindRemove, At: now, AppID: appID})
+	return true
 }
 
 // RemoveLRA tears an LRA down: releases its containers, drops its
@@ -963,20 +866,15 @@ func (m *Medea) WithdrawLRA(appID string, now time.Time) bool {
 // forward: recovery drops the LRA and the orphan sweep releases whatever
 // containers the crashed process left behind.
 func (m *Medea) RemoveLRA(appID string) error {
-	dep, ok := m.deployed[appID]
-	if !ok {
+	if _, ok := m.deployed[appID]; !ok {
 		return fmt.Errorf("core: LRA %s not deployed", appID)
 	}
 	m.logRecord(&journal.Record{Kind: journal.KindRemove, AppID: appID})
-	for _, id := range dep.order {
+	for _, id := range m.forget(appID) {
 		if err := m.Cluster.Release(id); err != nil {
 			return err
 		}
-		delete(m.owner, id)
 	}
-	delete(m.deployed, appID)
-	delete(m.repairs, appID)
-	m.Constraints.RemoveApplication(appID)
 	return nil
 }
 
@@ -1016,8 +914,8 @@ func (m *Medea) PendingRepairPieces() map[string][]cluster.ContainerID {
 	out := make(map[string][]cluster.ContainerID, len(m.repairs))
 	for appID, r := range m.repairs {
 		ids := make([]cluster.ContainerID, 0, len(r.lost))
-		for _, p := range r.lost {
-			ids = append(ids, p.id)
+		for _, c := range r.lost {
+			ids = append(ids, c.ID)
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		out[appID] = ids

@@ -82,8 +82,8 @@ func Recover(j journal.Journal, c *cluster.Cluster, alg lra.Algorithm, cfg Confi
 		}
 	}
 	for _, r := range m.repairs {
-		for _, p := range r.lost {
-			rp.lraSeen[p.id] = true
+		for _, c := range r.lost {
+			rp.lraSeen[c.ID] = true
 		}
 	}
 	for _, r := range tail {
@@ -118,10 +118,9 @@ func (m *Medea) restoreCheckpoint(cp *journal.Checkpoint) error {
 		if pa.App == nil {
 			return fmt.Errorf("checkpoint pending entry without application")
 		}
-		if err := m.Constraints.AddApplication(pa.App.ID, pa.App.Constraints...); err != nil {
+		if err := m.enqueue(pa.App, pa.Submit, pa.Retries); err != nil {
 			return err
 		}
-		m.pending = append(m.pending, &pendingApp{app: pa.App, submit: pa.Submit, retries: pa.Retries})
 	}
 	for _, da := range cp.Deployed {
 		if da.App == nil {
@@ -132,24 +131,18 @@ func (m *Medea) restoreCheckpoint(cp *journal.Checkpoint) error {
 		}
 		dep := &deployment{
 			app:           da.App,
-			containers:    make(map[cluster.ContainerID]containerSpec, len(da.Containers)),
+			containers:    make(map[cluster.ContainerID]journal.DeployedContainer, len(da.Containers)),
 			degradedSince: da.DegradedSince,
 		}
-		for _, ctr := range da.Containers {
-			dep.containers[ctr.ID] = containerSpec{group: ctr.Group, demand: ctr.Demand, tags: ctr.Tags}
-			dep.order = append(dep.order, ctr.ID)
-			m.owner[ctr.ID] = da.App.ID
+		for _, c := range da.Containers {
+			m.adopt(dep, c)
 		}
 		m.deployed[da.App.ID] = dep
 	}
 	for _, it := range cp.Repairs {
-		r := &repairReq{appID: it.AppID, attempts: it.Attempts, notBefore: it.NotBefore, since: it.Since}
-		for _, ctr := range it.Lost {
-			r.lost = append(r.lost, repairPiece{
-				id: ctr.ID, spec: containerSpec{group: ctr.Group, demand: ctr.Demand, tags: ctr.Tags},
-			})
+		m.repairs[it.AppID] = &repairReq{
+			appID: it.AppID, lost: it.Lost, attempts: it.Attempts, notBefore: it.NotBefore, since: it.Since,
 		}
-		m.repairs[it.AppID] = r
 	}
 	if m.brk != nil && cp.Breaker != nil {
 		m.brk.restore(cp.Breaker)
@@ -157,19 +150,21 @@ func (m *Medea) restoreCheckpoint(cp *journal.Checkpoint) error {
 	return nil
 }
 
-// replayRecord applies one WAL record to the rebuilding scheduler state.
-// Replay touches scheduler bookkeeping only — never the cluster, whose
-// live state is truth the reconciliation sweep compares against.
+// replayRecord applies one WAL record to the rebuilding scheduler state:
+// it hands the record's fields to the transition the live path ran beside
+// it. Three kinds have no live counterpart and stay replay-specific —
+// begin-batch, place and commit-batch — because only replay has to hold a
+// cycle's apps and placement intents aside until it learns whether they
+// committed. Replay touches scheduler bookkeeping only — never the
+// cluster, whose live state is truth the reconciliation sweep compares
+// against.
 func (m *Medea) replayRecord(r *journal.Record, rp *replayState) error {
 	switch r.Kind {
 	case journal.KindSubmit:
 		if r.App == nil {
 			return fmt.Errorf("submit record without application")
 		}
-		if err := m.Constraints.AddApplication(r.App.ID, r.App.Constraints...); err != nil {
-			return err
-		}
-		m.pending = append(m.pending, &pendingApp{app: r.App, submit: r.At})
+		return m.enqueue(r.App, r.At, 0)
 
 	case journal.KindBeginBatch:
 		m.cycles = r.Cycle
@@ -196,18 +191,13 @@ func (m *Medea) replayRecord(r *journal.Record, rp *replayState) error {
 		}
 
 	case journal.KindRequeue:
-		if pa := rp.inFlight[r.AppID]; pa != nil {
-			pa.retries = r.Retries
-			m.pending = append(m.pending, pa)
-			delete(rp.inFlight, r.AppID)
-			delete(rp.intents, r.AppID)
+		if pa := rp.resolve(r.AppID); pa != nil {
+			m.requeue(pa, r.Retries)
 		}
 
 	case journal.KindReject:
-		delete(rp.inFlight, r.AppID)
-		delete(rp.intents, r.AppID)
-		m.Constraints.RemoveApplication(r.AppID)
-		m.Rejected = append(m.Rejected, r.AppID)
+		rp.resolve(r.AppID)
+		m.reject(r.AppID)
 
 	case journal.KindCommitBatch:
 		m.cycles = r.Cycle
@@ -218,14 +208,13 @@ func (m *Medea) replayRecord(r *journal.Record, rp *replayState) error {
 			if pa == nil {
 				continue
 			}
-			intent := rp.intents[appID]
-			if len(intent) == 0 {
+			if intent := rp.intents[appID]; len(intent) > 0 {
+				m.deploy(pa.app, intent)
+			} else {
 				// Defensive: a batch member with neither intent nor
 				// requeue/reject should not exist; re-queue it unchanged.
-				m.pending = append(m.pending, pa)
-				continue
+				m.requeue(pa, pa.retries)
 			}
-			m.adoptIntent(pa.app, intent)
 		}
 		rp.inFlight = make(map[string]*pendingApp)
 		rp.intents = make(map[string][]lra.Assignment)
@@ -236,58 +225,14 @@ func (m *Medea) replayRecord(r *journal.Record, rp *replayState) error {
 
 	case journal.KindEvict:
 		for _, ev := range r.Evictions {
-			appID, owned := m.owner[ev.Container]
-			if !owned {
-				continue // task eviction: queue accounting is not persisted
+			// Task evictions are skipped: queue accounting is not persisted.
+			if _, owned := m.lose(ev.Container, r.At); owned {
+				rp.lraSeen[ev.Container] = true
 			}
-			rp.lraSeen[ev.Container] = true
-			dep := m.deployed[appID]
-			spec, ok := dep.containers[ev.Container]
-			if !ok {
-				continue
-			}
-			delete(dep.containers, ev.Container)
-			delete(m.owner, ev.Container)
-			for i, id := range dep.order {
-				if id == ev.Container {
-					dep.order = append(dep.order[:i], dep.order[i+1:]...)
-					break
-				}
-			}
-			if dep.degradedSince.IsZero() {
-				dep.degradedSince = r.At
-			}
-			req := m.repairs[appID]
-			if req == nil {
-				req = &repairReq{appID: appID, since: r.At, notBefore: r.At}
-				m.repairs[appID] = req
-			}
-			req.lost = append(req.lost, repairPiece{id: ev.Container, spec: spec})
 		}
 
 	case journal.KindRepairOK:
-		req := m.repairs[r.AppID]
-		dep := m.deployed[r.AppID]
-		if req == nil || dep == nil {
-			return nil
-		}
-		byID := make(map[cluster.ContainerID]repairPiece, len(req.lost))
-		for _, p := range req.lost {
-			byID[p.id] = p
-		}
-		for _, id := range r.Restored {
-			p, ok := byID[id]
-			if !ok {
-				continue
-			}
-			dep.containers[p.id] = p.spec
-			dep.order = append(dep.order, p.id)
-			m.owner[p.id] = r.AppID
-		}
-		delete(m.repairs, r.AppID) // repairs are all-or-nothing
-		if len(dep.containers) == dep.app.NumContainers() {
-			dep.degradedSince = time.Time{}
-		}
+		m.restore(r.AppID, r.Restored)
 
 	case journal.KindRepairFail:
 		if req := m.repairs[r.AppID]; req != nil {
@@ -296,41 +241,21 @@ func (m *Medea) replayRecord(r *journal.Record, rp *replayState) error {
 		}
 
 	case journal.KindRepairAbandon:
-		delete(m.repairs, r.AppID)
-		if dep := m.deployed[r.AppID]; dep != nil {
-			dep.degradedSince = time.Time{}
-		}
+		m.abandon(r.AppID)
 
 	case journal.KindRemove:
-		if dep := m.deployed[r.AppID]; dep != nil {
-			// Scheduler-side teardown only; the crashed process may have
-			// released any subset of the containers. They stay in lraSeen,
-			// so the orphan sweep finishes the job against cluster truth.
-			for id := range dep.containers {
-				rp.lraSeen[id] = true
-				delete(m.owner, id)
-			}
-			delete(m.deployed, r.AppID)
+		// Scheduler-side teardown only; the crashed process may have
+		// released any subset of the containers. They go into lraSeen, so
+		// the orphan sweep finishes the job against cluster truth. A
+		// withdrawn pending LRA (WithdrawLRA) journals the same record and
+		// owns none.
+		rp.resolve(r.AppID)
+		for _, id := range m.forget(r.AppID) {
+			rp.lraSeen[id] = true
 		}
-		// A withdrawn pending LRA (WithdrawLRA) journals the same record;
-		// drop the pending entry the submit record re-created.
-		for i, pa := range m.pending {
-			if pa.app.ID == r.AppID {
-				m.pending = append(m.pending[:i], m.pending[i+1:]...)
-				break
-			}
-		}
-		delete(rp.inFlight, r.AppID)
-		delete(rp.intents, r.AppID)
-		delete(m.repairs, r.AppID)
-		m.Constraints.RemoveApplication(r.AppID)
 
 	case journal.KindNodeRecover:
-		for _, req := range m.repairs {
-			if req.notBefore.After(r.At) {
-				req.notBefore = r.At
-			}
-		}
+		m.clearBackoffs(r.At)
 
 	default:
 		return fmt.Errorf("unknown record kind %q", r.Kind)
@@ -338,20 +263,13 @@ func (m *Medea) replayRecord(r *journal.Record, rp *replayState) error {
 	return nil
 }
 
-// adoptIntent turns a replayed placement intent into a deployment. The
-// reconciliation sweep afterwards validates every adopted container
-// against cluster truth (missing ones become zombies).
-func (m *Medea) adoptIntent(app *lra.Application, intent []lra.Assignment) {
-	dep := &deployment{
-		app:        app,
-		containers: make(map[cluster.ContainerID]containerSpec, len(intent)),
-	}
-	for _, a := range intent {
-		dep.containers[a.Container] = containerSpec{group: a.Group, demand: a.Demand, tags: a.Tags}
-		dep.order = append(dep.order, a.Container)
-		m.owner[a.Container] = app.ID
-	}
-	m.deployed[app.ID] = dep
+// resolve takes appID out of the open batch window, returning its
+// in-flight entry (nil if it had none).
+func (rp *replayState) resolve(appID string) *pendingApp {
+	pa := rp.inFlight[appID]
+	delete(rp.inFlight, appID)
+	delete(rp.intents, appID)
+	return pa
 }
 
 // reconcile aligns the replayed scheduler state with live cluster truth.
@@ -369,17 +287,17 @@ func (m *Medea) reconcile(rp *replayState, now time.Time) {
 		intent := rp.intents[appID]
 		committed := len(intent) > 0
 		for _, a := range intent {
-			if _, ok := m.Cluster.ContainerNode(a.Container); !ok {
+			if !m.running(a.Container) {
 				committed = false // task commits are atomic: all or nothing
 				break
 			}
 		}
 		if !committed {
-			m.pending = append(m.pending, pa)
+			m.requeue(pa, pa.retries)
 			m.Recovery.BatchesReadmitted++
 			continue
 		}
-		m.adoptIntent(pa.app, intent)
+		m.deploy(pa.app, intent)
 		m.Recovery.ContainersAdopted += len(intent)
 	}
 
@@ -387,64 +305,27 @@ func (m *Medea) reconcile(rp *replayState, now time.Time) {
 	// the crash beat its repair-ok record. Re-adopt them; what remains
 	// lost keeps its persisted attempt budget.
 	for _, appID := range sortedRepairIDs(m.repairs) {
-		req := m.repairs[appID]
-		dep := m.deployed[appID]
-		if dep == nil {
-			delete(m.repairs, appID)
-			continue
-		}
-		var remaining []repairPiece
-		for _, p := range req.lost {
-			if _, ok := m.Cluster.ContainerNode(p.id); !ok {
-				remaining = append(remaining, p)
-				continue
+		var running []cluster.ContainerID
+		for _, c := range m.repairs[appID].lost {
+			if m.running(c.ID) {
+				running = append(running, c.ID)
 			}
-			dep.containers[p.id] = p.spec
-			dep.order = append(dep.order, p.id)
-			m.owner[p.id] = appID
-			m.Recovery.ContainersAdopted++
 		}
-		if len(remaining) == 0 {
-			delete(m.repairs, appID)
-			if len(dep.containers) == dep.app.NumContainers() {
-				dep.degradedSince = time.Time{}
-			}
-			continue
-		}
-		req.lost = remaining
+		n, _ := m.restore(appID, running)
+		m.Recovery.ContainersAdopted += n
 	}
 
 	// 3. Zombie sweep: deployed containers the cluster no longer runs
 	// (an eviction whose record never landed, or state the checkpoint
 	// believed in). Re-queue them through the repair pipeline.
-	deployedIDs := make([]string, 0, len(m.deployed))
-	for appID := range m.deployed {
-		deployedIDs = append(deployedIDs, appID)
-	}
-	sort.Strings(deployedIDs)
-	for _, appID := range deployedIDs {
-		dep := m.deployed[appID]
-		live := dep.order[:0]
-		for _, id := range dep.order {
-			if _, ok := m.Cluster.ContainerNode(id); ok {
-				live = append(live, id)
-				continue
+	for _, appID := range m.DeployedApps() {
+		ids, _ := m.Deployed(appID)
+		for _, id := range ids {
+			if !m.running(id) {
+				m.lose(id, now)
+				m.Recovery.ZombiesRequeued++
 			}
-			spec := dep.containers[id]
-			delete(dep.containers, id)
-			delete(m.owner, id)
-			req := m.repairs[appID]
-			if req == nil {
-				req = &repairReq{appID: appID, since: now, notBefore: now}
-				m.repairs[appID] = req
-			}
-			req.lost = append(req.lost, repairPiece{id: id, spec: spec})
-			if dep.degradedSince.IsZero() {
-				dep.degradedSince = now
-			}
-			m.Recovery.ZombiesRequeued++
 		}
-		dep.order = live
 	}
 
 	// 4. Orphan sweep: containers the cluster runs for an LRA that no
@@ -456,10 +337,7 @@ func (m *Medea) reconcile(rp *replayState, now time.Time) {
 	}
 	sort.Slice(orphans, func(i, j int) bool { return orphans[i] < orphans[j] })
 	for _, id := range orphans {
-		if _, owned := m.owner[id]; owned {
-			continue
-		}
-		if _, ok := m.Cluster.ContainerNode(id); !ok {
+		if _, owned := m.owner[id]; owned || !m.running(id) {
 			continue
 		}
 		if err := m.Cluster.Release(id); err != nil {
@@ -467,6 +345,12 @@ func (m *Medea) reconcile(rp *replayState, now time.Time) {
 		}
 		m.Recovery.OrphansReleased++
 	}
+}
+
+// running reports whether the cluster runs the container.
+func (m *Medea) running(id cluster.ContainerID) bool {
+	_, ok := m.Cluster.ContainerNode(id)
+	return ok
 }
 
 func sortedRepairIDs(repairs map[string]*repairReq) []string {

@@ -10,7 +10,6 @@ import (
 	"medea/internal/cluster"
 	"medea/internal/journal"
 	"medea/internal/lra"
-	"medea/internal/taskched"
 )
 
 // Failure recovery (the live counterpart of §7.3): when a node goes down,
@@ -25,23 +24,6 @@ import (
 // committed through the task-based scheduler like any other placement
 // (§5.4's single-writer discipline), so repairs can lose races with task
 // allocations and retry just like initial placements.
-
-// repairPiece is one lost container awaiting a replacement. The original
-// container ID is reused for the replacement, so an LRA's container
-// identity is stable across failures.
-type repairPiece struct {
-	id   cluster.ContainerID
-	spec containerSpec
-}
-
-// repairReq collects the lost containers of one degraded LRA.
-type repairReq struct {
-	appID     string
-	lost      []repairPiece
-	attempts  int
-	notBefore time.Time // backoff gate
-	since     time.Time // first eviction of this degradation window
-}
 
 // knownNode reports whether the ID names a node of the cluster; state
 // transitions on unknown IDs are no-ops (failure reports come from
@@ -72,11 +54,7 @@ func (m *Medea) RecoverNode(node cluster.NodeID, now time.Time) bool {
 	}
 	m.Recovery.NodeRecoveries++
 	m.logRecord(&journal.Record{Kind: journal.KindNodeRecover, At: now, Node: node})
-	for _, r := range m.repairs {
-		if r.notBefore.After(now) {
-			r.notBefore = now
-		}
-	}
+	m.clearBackoffs(now)
 	return true
 }
 
@@ -121,36 +99,14 @@ func (m *Medea) HandleEvictions(evs []cluster.Eviction, now time.Time) int {
 	degraded := map[string]bool{}
 	var taskEvs []cluster.Eviction
 	for _, ev := range evs {
-		appID, owned := m.owner[ev.Container]
+		appID, owned := m.lose(ev.Container, now)
 		if !owned {
 			m.Recovery.TaskEvictions++
 			taskEvs = append(taskEvs, ev)
 			continue
 		}
-		dep := m.deployed[appID]
-		spec, ok := dep.containers[ev.Container]
-		if !ok {
-			continue // already evicted (defensive; evictions are reported once)
-		}
 		m.Recovery.Evictions++
 		degraded[appID] = true
-		delete(dep.containers, ev.Container)
-		delete(m.owner, ev.Container)
-		for i, id := range dep.order {
-			if id == ev.Container {
-				dep.order = append(dep.order[:i], dep.order[i+1:]...)
-				break
-			}
-		}
-		if dep.degradedSince.IsZero() {
-			dep.degradedSince = now
-		}
-		r := m.repairs[appID]
-		if r == nil {
-			r = &repairReq{appID: appID, since: now, notBefore: now}
-			m.repairs[appID] = r
-		}
-		r.lost = append(r.lost, repairPiece{id: ev.Container, spec: spec})
 	}
 	if len(taskEvs) > 0 {
 		m.Tasks.HandleEvictions(taskEvs)
@@ -182,7 +138,7 @@ func (m *Medea) PendingRepairs() int {
 
 // repairBackoffFor returns the backoff gate delay after the attempts-th
 // consecutive failed repair of appID: exponential from repairBackoff(),
-// capped at repairBackoffMax(), plus a decorrelation jitter in
+// capped at repairBackoffCap times it, plus a decorrelation jitter in
 // [0, backoff/8) drawn from an FNV-1a hash of (appID, attempts). The
 // jitter spreads the retries of LRAs degraded by the same node failure
 // without any mutable RNG state: the schedule is a pure function of its
@@ -197,7 +153,7 @@ func (c Config) repairBackoffFor(appID string, attempts int) time.Duration {
 		shift = 16 // cap the shift; the max clamp below dominates anyway
 	}
 	backoff := c.repairBackoff() << uint(shift)
-	if max := c.repairBackoffMax(); backoff > max {
+	if max := repairBackoffCap * c.repairBackoff(); backoff > max {
 		backoff = max
 	}
 	if window := backoff / 8; window > 0 {
@@ -240,15 +196,12 @@ func (m *Medea) runRepairs(now time.Time, stats *CycleStats) {
 			delete(m.repairs, appID) // LRA removed while degraded
 			continue
 		}
-		if m.attemptRepair(r, dep, now, stats) {
-			delete(m.repairs, appID)
-		}
+		m.attemptRepair(r, dep, now, stats)
 	}
 }
 
-// attemptRepair tries to place and commit one repair batch; it reports
-// whether the LRA was restored.
-func (m *Medea) attemptRepair(r *repairReq, dep *deployment, now time.Time, stats *CycleStats) bool {
+// attemptRepair tries to place and commit one repair batch.
+func (m *Medea) attemptRepair(r *repairReq, dep *deployment, now time.Time, stats *CycleStats) {
 	// Rebuild the lost container groups as a synthetic application. The
 	// synthetic ID must differ from the original so generated container
 	// IDs cannot collide with surviving containers; the group tags are
@@ -257,12 +210,12 @@ func (m *Medea) attemptRepair(r *repairReq, dep *deployment, now time.Time, stat
 	// the lost ones.
 	m.repairSeq++
 	synthID := fmt.Sprintf("%s~repair%d", r.appID, m.repairSeq)
-	lostByGroup := map[string][]repairPiece{}
+	lostByGroup := map[string][]journal.DeployedContainer{}
 	for _, p := range r.lost {
-		lostByGroup[p.spec.group] = append(lostByGroup[p.spec.group], p)
+		lostByGroup[p.Group] = append(lostByGroup[p.Group], p)
 	}
 	var groups []lra.ContainerGroup
-	var pieceOrder [][]repairPiece // parallel to groups
+	var pieceOrder [][]journal.DeployedContainer // parallel to groups
 	for _, g := range dep.app.Groups {
 		pieces := lostByGroup[g.Name]
 		if len(pieces) == 0 {
@@ -272,7 +225,7 @@ func (m *Medea) attemptRepair(r *repairReq, dep *deployment, now time.Time, stat
 			Name:   g.Name,
 			Count:  len(pieces),
 			Demand: g.Demand,
-			Tags:   pieces[0].spec.tags,
+			Tags:   pieces[0].Tags,
 		})
 		pieceOrder = append(pieceOrder, pieces)
 	}
@@ -292,8 +245,7 @@ func (m *Medea) attemptRepair(r *repairReq, dep *deployment, now time.Time, stat
 
 	res := m.safePlace(alg, []*lra.Application{synth}, m.activeExcluding(map[string]bool{r.appID: true}))
 	restored := res != nil && len(res.Placements) == 1 && res.Placements[0].Placed
-	var commit []taskched.CommitAssignment
-	var restoredPieces []repairPiece
+	var remapped []lra.Assignment
 	if restored {
 		p := res.Placements[0]
 		// Remap the synthetic assignments back to the original container
@@ -305,24 +257,18 @@ func (m *Medea) attemptRepair(r *repairReq, dep *deployment, now time.Time, stat
 		for i, g := range groups {
 			gIdx[g.Name] = i
 		}
-		var remapped []lra.Assignment
 		for _, a := range p.Assignments {
 			gi, ok := gIdx[a.Group]
 			if !ok || next[a.Group] >= len(pieceOrder[gi]) {
 				restored = false
 				break
 			}
-			pieces := pieceOrder[gi]
-			piece := pieces[next[a.Group]]
+			piece := pieceOrder[gi][next[a.Group]]
 			next[a.Group]++
-			commit = append(commit, taskched.CommitAssignment{
-				Container: piece.id, Node: a.Node, Demand: piece.spec.demand, Tags: piece.spec.tags,
-			})
 			remapped = append(remapped, lra.Assignment{
-				Container: piece.id, Group: piece.spec.group, Node: a.Node,
-				Demand: piece.spec.demand, Tags: piece.spec.tags,
+				Container: piece.ID, Group: piece.Group, Node: a.Node,
+				Demand: piece.Demand, Tags: piece.Tags,
 			})
-			restoredPieces = append(restoredPieces, piece)
 		}
 		if restored && len(remapped) != len(r.lost) {
 			restored = false // partial batch: repairs are all-or-nothing
@@ -331,14 +277,14 @@ func (m *Medea) attemptRepair(r *repairReq, dep *deployment, now time.Time, stat
 			// Commit-time validation on the batch actually committed (the
 			// remapped one): capacity, health, duplicates and hard
 			// constraints, exactly like initial placements.
-			if err := audit.CheckAssignments(m.Cluster, r.appID, remapped, m.Constraints.Active(), m.cfg.hardWeight()); err != nil {
+			if err := audit.CheckAssignments(m.Cluster, r.appID, remapped, m.Constraints.Active()); err != nil {
 				m.Pipeline.RecordValidationReject(err.Error())
 				stats.ValidationRejects++
 				restored = false
 			}
 		}
 		if restored {
-			if err := m.Tasks.Commit(commit); err != nil {
+			if err := m.Tasks.Commit(remapped); err != nil {
 				restored = false // lost a race; retry with backoff
 			}
 		}
@@ -353,10 +299,9 @@ func (m *Medea) attemptRepair(r *repairReq, dep *deployment, now time.Time, stat
 			// accounting window here — degraded time measures the repair
 			// loop's responsiveness, not the (unbounded) aftermath.
 			m.Recovery.RepairsAbandoned++
-			m.Recovery.AddDegraded(r.appID, now.Sub(dep.degradedSince))
-			dep.degradedSince = time.Time{}
+			m.Recovery.AddDegraded(r.appID, now.Sub(m.abandon(r.appID)))
 			m.logRecord(&journal.Record{Kind: journal.KindRepairAbandon, At: now, AppID: r.appID})
-			return true // drop the request
+			return
 		}
 		r.notBefore = now.Add(m.cfg.repairBackoffFor(r.appID, r.attempts))
 		// The persisted attempt count and gate are the consumed budget: a
@@ -365,24 +310,20 @@ func (m *Medea) attemptRepair(r *repairReq, dep *deployment, now time.Time, stat
 			Kind: journal.KindRepairFail, At: now, AppID: r.appID,
 			Attempts: r.attempts, NotBefore: r.notBefore,
 		})
-		return false
+		return
 	}
 
-	restoredIDs := make([]cluster.ContainerID, len(restoredPieces))
-	for i, piece := range restoredPieces {
-		restoredIDs[i] = piece.id
+	restoredIDs := make([]cluster.ContainerID, len(remapped))
+	for i, a := range remapped {
+		restoredIDs[i] = a.Container
 	}
 	// Post-commit record: if the process dies between the commit above
 	// and this append, recovery finds the pieces alive in the cluster and
 	// re-adopts them (the repair-piece reconciliation rule).
 	m.logRecord(&journal.Record{Kind: journal.KindRepairOK, At: now, AppID: r.appID, Restored: restoredIDs})
 
-	for _, piece := range restoredPieces {
-		dep.containers[piece.id] = piece.spec
-		dep.order = append(dep.order, piece.id)
-		m.owner[piece.id] = r.appID
-	}
-	m.Recovery.RepairsPlaced += len(restoredPieces)
+	n, healedSince := m.restore(r.appID, restoredIDs)
+	m.Recovery.RepairsPlaced += n
 	// Repair latency is eviction→commit in scheduler time; the algorithm's
 	// wall-clock solve latency is tracked separately (res.Latency) so the
 	// metric stays deterministic under simulation.
@@ -390,10 +331,8 @@ func (m *Medea) attemptRepair(r *repairReq, dep *deployment, now time.Time, stat
 	if usedFallback {
 		m.Recovery.FallbackPlacements++
 	}
-	stats.Repaired += len(restoredPieces)
-	if len(dep.containers) == dep.app.NumContainers() && !dep.degradedSince.IsZero() {
-		m.Recovery.AddDegraded(r.appID, now.Sub(dep.degradedSince))
-		dep.degradedSince = time.Time{}
+	stats.Repaired += n
+	if !healedSince.IsZero() {
+		m.Recovery.AddDegraded(r.appID, now.Sub(healedSince))
 	}
-	return true
 }

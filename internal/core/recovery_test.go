@@ -34,9 +34,6 @@ func TestConfigSentinels(t *testing.T) {
 	if got := (Config{Interval: 10 * time.Second}).repairBackoff(); got != 10*time.Second {
 		t.Errorf("repairBackoff zero = %v, want Interval", got)
 	}
-	if got := (Config{RepairBackoff: time.Second}).repairBackoffMax(); got != 8*time.Second {
-		t.Errorf("repairBackoffMax zero = %v, want 8×backoff", got)
-	}
 	if got := (Config{}).repairFallbackAfter(); got != 2 {
 		t.Errorf("repairFallbackAfter zero = %d, want 2", got)
 	}

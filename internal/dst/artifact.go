@@ -12,44 +12,39 @@ import (
 // node faults carry explicit node lists, submissions carry their exact
 // demands.
 type Artifact struct {
-	Version int   `json:"version"`
-	Seed    int64 `json:"seed"`
-	Members int   `json:"members"`
-	Nodes   int   `json:"nodes"`
-	Inject  bool  `json:"inject,omitempty"`
-	// MixedSolver must travel with the schedule: replaying EvSolverMode
-	// flips needs the members on the ILP scheduler.
-	MixedSolver bool `json:"mixed_solver,omitempty"`
-	// Migrations must travel too: it widens the settle bound and arms
-	// drain cancellation on heal, both of which shape the trace.
-	Migrations bool       `json:"migrations,omitempty"`
-	Violation   *Violation `json:"violation"`
-	FullEvents  int        `json:"full_events"`
-	Events      []Event    `json:"events"`
+	Version    int        `json:"version"`
+	Seed       int64      `json:"seed"`
+	Members    int        `json:"members"`
+	Nodes      int        `json:"nodes"`
+	Inject     bool       `json:"inject,omitempty"`
+	Violation  *Violation `json:"violation"`
+	FullEvents int        `json:"full_events"`
+	Events     []Event    `json:"events"`
 }
 
-// artifactVersion guards the schema; bump on incompatible Event changes.
-const artifactVersion = 1
+// artifactVersion guards the schema and the harness the schedule runs
+// against; bump on incompatible changes to either. Version 1 artifacts
+// carried mixed_solver / migrations flags that chose between schedules
+// and harness shapes that no longer exist.
+const artifactVersion = 2
 
 // NewArtifact packages a failing run for replay.
 func NewArtifact(cfg Config, v *Violation, minimized []Event, fullLen int) *Artifact {
 	return &Artifact{
-		Version:     artifactVersion,
-		Seed:        cfg.Seed,
-		Members:     cfg.members(),
-		Nodes:       cfg.nodes(),
-		Inject:      cfg.Inject,
-		MixedSolver: cfg.MixedSolver,
-		Migrations:  cfg.Migrations,
-		Violation:   v,
-		FullEvents:  fullLen,
-		Events:      minimized,
+		Version:    artifactVersion,
+		Seed:       cfg.Seed,
+		Members:    cfg.members(),
+		Nodes:      cfg.nodes(),
+		Inject:     cfg.Inject,
+		Violation:  v,
+		FullEvents: fullLen,
+		Events:     minimized,
 	}
 }
 
 // Config rebuilds the run configuration the artifact's schedule expects.
 func (a *Artifact) Config() Config {
-	return Config{Seed: a.Seed, Members: a.Members, Nodes: a.Nodes, Inject: a.Inject, MixedSolver: a.MixedSolver, Migrations: a.Migrations}
+	return Config{Seed: a.Seed, Members: a.Members, Nodes: a.Nodes, Inject: a.Inject}
 }
 
 // Replay runs the artifact's schedule and returns the result; the

@@ -40,20 +40,6 @@ type Config struct {
 	// expected to catch it; a run that passes despite Inject means the
 	// checker has gone blind.
 	Inject bool
-	// MixedSolver runs every member on the ILP scheduler and mixes
-	// solver-mode flips (exact / auto / approx, warm memory on or off)
-	// into the schedule, proving every solving path yields valid,
-	// deterministic placements under faults. Off by default: the flag
-	// gates both the algorithm choice and the extra RNG draws, so
-	// existing seeds replay byte-identically.
-	MixedSolver bool
-	// Migrations mixes the cross-cluster movement machinery into the
-	// schedule: two-phase migrations (a third of them with an armed crash
-	// point that kills the balancer or a member mid-protocol), planned
-	// member drains, and fleet-wide rolling restarts. Off by default for
-	// the same reason as MixedSolver: the flag gates every extra RNG
-	// draw, so existing seeds replay byte-identically.
-	Migrations bool
 }
 
 func (c Config) events() int {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"medea/internal/cluster"
@@ -76,6 +77,16 @@ func TestInjectedViolationCaughtMinimizedReplayable(t *testing.T) {
 	rr := loaded.Replay()
 	if rr.Violation == nil || rr.Violation.Name != VioAckedLost {
 		t.Fatalf("replayed artifact got %v, want %s", rr.Violation, VioAckedLost)
+	}
+
+	// An artifact from before the one-schedule harness must be refused,
+	// not replayed against a fleet it was not recorded on.
+	art.Version = 1
+	if err := WriteArtifact(path, art); err != nil {
+		t.Fatalf("writing version-1 artifact: %v", err)
+	}
+	if _, err := ReadArtifact(path); err == nil || !strings.Contains(err.Error(), "has version 1, want 2") {
+		t.Fatalf("reading version-1 artifact: err = %v, want the version error", err)
 	}
 }
 

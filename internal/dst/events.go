@@ -50,21 +50,19 @@ const (
 	// member keeps running it. The checker must catch this.
 	EvInject EventKind = "inject"
 	// EvSolverMode flips one member's ILP solving path (exact / auto /
-	// approx) and its cross-cycle warm-start memory at runtime. Only
-	// generated under Config.MixedSolver.
+	// approx) and its cross-cycle warm-start memory at runtime.
 	EvSolverMode EventKind = "solvermode"
 	// EvMigrate starts a two-phase cross-cluster migration of App to
 	// Dest. MigPoint, when set, arms a crash at that protocol point:
 	// Victim "balancer" drops the response before the ledger transition
 	// (a simulated balancer crash the next Step must recover from); any
-	// other Victim kills that member process at the same instant. Only
-	// generated under Config.Migrations.
+	// other Victim kills that member process at the same instant.
 	EvMigrate EventKind = "migrate"
 	// EvDrainMember cordons a member and evacuates its applications to
-	// the rest of the fleet. Only generated under Config.Migrations.
+	// the rest of the fleet.
 	EvDrainMember EventKind = "drainmember"
 	// EvRollingRestart drains, restarts and re-confirms every member one
-	// at a time. Only generated under Config.Migrations.
+	// at a time.
 	EvRollingRestart EventKind = "rollingrestart"
 )
 
@@ -199,47 +197,35 @@ func Generate(cfg Config) []Event {
 			s.AdvanceMs = ev.AdvanceMs
 			ev = s
 			apps = append(apps, id)
-		case roll < 550: // step (flags carve sub-bands out of this range)
-			if cfg.MixedSolver && roll < 340 {
-				// Carved from the step band only when the flag is set, so
-				// runs without it draw the identical RNG sequence.
-				ev.Kind = EvSolverMode
-				ev.Member = memberID(rng.Intn(members))
-				ev.SolverMode = []string{"exact", "auto", "approx"}[rng.Intn(3)]
-				ev.DisableWarm = rng.Intn(4) == 0
-				break
-			}
-			if cfg.Migrations && roll >= 460 {
-				// Carved from the top of the step band, again only under
-				// the flag; disjoint from the MixedSolver carve so the two
-				// compose.
-				switch {
-				case roll < 520: // cross-cluster migration
-					if len(apps) == 0 {
-						ev.Kind = EvStep
-						break
-					}
-					ev.Kind = EvMigrate
-					ev.App = apps[rng.Intn(len(apps))]
-					ev.Dest = memberID(rng.Intn(members))
-					if rng.Intn(3) == 0 {
-						points := []string{"post-prepare", "mid-commit", "pre-delete", "post-delete"}
-						ev.MigPoint = points[rng.Intn(len(points))]
-						if v := rng.Intn(members + 1); v == 0 {
-							ev.Victim = "balancer"
-						} else {
-							ev.Victim = memberID(v - 1)
-						}
-					}
-				case roll < 545: // planned drain
-					ev.Kind = EvDrainMember
-					ev.Member = memberID(rng.Intn(members))
-				default: // rolling restart
-					ev.Kind = EvRollingRestart
-				}
-				break
-			}
+		case roll < 340: // solver-mode flip
+			ev.Kind = EvSolverMode
+			ev.Member = memberID(rng.Intn(members))
+			ev.SolverMode = []string{"exact", "auto", "approx"}[rng.Intn(3)]
+			ev.DisableWarm = rng.Intn(4) == 0
+		case roll < 460: // step
 			ev.Kind = EvStep
+		case roll < 520: // cross-cluster migration
+			if len(apps) == 0 {
+				ev.Kind = EvStep
+				break
+			}
+			ev.Kind = EvMigrate
+			ev.App = apps[rng.Intn(len(apps))]
+			ev.Dest = memberID(rng.Intn(members))
+			if rng.Intn(3) == 0 {
+				points := []string{"post-prepare", "mid-commit", "pre-delete", "post-delete"}
+				ev.MigPoint = points[rng.Intn(len(points))]
+				if v := rng.Intn(members + 1); v == 0 {
+					ev.Victim = "balancer"
+				} else {
+					ev.Victim = memberID(v - 1)
+				}
+			}
+		case roll < 545: // planned drain
+			ev.Kind = EvDrainMember
+			ev.Member = memberID(rng.Intn(members))
+		case roll < 550: // rolling restart
+			ev.Kind = EvRollingRestart
 		case roll < 610: // remove
 			if len(apps) == 0 {
 				ev.Kind = EvStep

@@ -32,8 +32,9 @@ const maxLostRounds = 25
 
 // minSilentRounds is the fewest federation rounds of probe silence that
 // can legitimately confirm a member dead: the phi detector requires
-// ConfirmMisses (3) consecutive missed probes, one probe per round.
-const minSilentRounds = 3
+// federation.ConfirmMisses consecutive missed probes, one probe per
+// round.
+const minSilentRounds = federation.ConfirmMisses
 
 // epoch is the fixed virtual-time origin; nothing in a run reads the
 // wall clock.
@@ -86,16 +87,6 @@ type migCrashArm struct {
 	point  federation.MigPoint
 	app    string
 	victim string
-}
-
-// memberAlgorithm picks the fleet's LRA algorithm factory: the default
-// heuristic, or — under MixedSolver — the full ILP scheduler whose
-// exact/approx/warm paths the schedule flips at runtime.
-func memberAlgorithm(cfg Config) func() lra.Algorithm {
-	if !cfg.MixedSolver {
-		return nil
-	}
-	return lra.NewILP
 }
 
 func (h *harness) clock() time.Time { return h.now }
@@ -174,11 +165,11 @@ func newHarness(cfg Config) (*harness, error) {
 			return cj
 		},
 		VirtualDelay: true,
-		// MixedSolver runs the members on the ILP scheduler so the
-		// EvSolverMode flips actually steer solver paths; a restart loses
-		// the scheduler's in-memory solver state (arena pool, cross-cycle
-		// warm memory), exactly like a real process.
-		Algorithm: memberAlgorithm(cfg),
+		// The members run the ILP scheduler so the EvSolverMode flips
+		// actually steer solver paths; a restart loses the scheduler's
+		// in-memory solver state (arena pool, cross-cycle warm memory),
+		// exactly like a real process.
+		Algorithm: lra.NewILP,
 		// Real-time budgets are set far beyond anything an in-process
 		// call can take: wall-clock never decides an outcome; injected
 		// faults (which surface instantly under VirtualDelay) do.
@@ -411,13 +402,9 @@ func (h *harness) apply(i int, ev Event) *Violation {
 	case EvHeal:
 		h.fleet.HealMember(ev.Member)
 		h.partitioned[ev.Member] = false
-		if h.cfg.Migrations {
-			// Heal also lifts a planned drain, so generated schedules
-			// exercise drain cancellation (and its uncordon) too. Gated on
-			// the flag: cancellation issues a wire request, which would
-			// shift legacy seeds' fault-gate counters.
-			h.fleet.Balancer.CancelDrain(ev.Member)
-		}
+		// Heal also lifts a planned drain, so generated schedules
+		// exercise drain cancellation (and its uncordon) too.
+		h.fleet.Balancer.CancelDrain(ev.Member)
 
 	case EvNodeFault:
 		h.applyNodeFault(ev)
@@ -560,19 +547,15 @@ func (h *harness) settle() *Violation {
 		}
 	}
 	// Run the fleet until the audit is clean, bounded; then hold it to
-	// the strict standard. Under Migrations the bound is much larger: a
-	// rolling restart caught mid-flight cycles every member through
-	// drain → crash → restart → re-confirm, one at a time, and every
-	// in-flight migration must finish or roll back before quiescence. A
-	// single unfittable move is the worst case: its commit phase burns
-	// the full waits budget watching the destination's own
-	// requeue-then-reject cycle before each of its bounded retries, so
-	// one resolution can cost several hundred rounds on its own.
-	const minSteps = 20
-	maxSteps := 80
-	if h.cfg.Migrations {
-		maxSteps = 1500
-	}
+	// the strict standard. The bound is large: a rolling restart caught
+	// mid-flight cycles every member through drain → crash → restart →
+	// re-confirm, one at a time, and every in-flight migration must
+	// finish or roll back before quiescence. A single unfittable move is
+	// the worst case: its commit phase burns the full waits budget
+	// watching the destination's own requeue-then-reject cycle before
+	// each of its bounded retries, so one resolution can cost several
+	// hundred rounds on its own.
+	const minSteps, maxSteps = 20, 1500
 	for i := 0; i < maxSteps; i++ {
 		h.now = h.now.Add(25 * time.Millisecond)
 		h.round++

@@ -6,52 +6,22 @@ import (
 	"testing"
 )
 
-// TestMigrationSchedulesGated checks the generator's gating both ways:
-// Migrations schedules contain migrate/drain/rolling events, and leaving
-// the flag off keeps them out entirely (so existing seeds draw the
-// identical RNG sequence and replay byte-for-byte).
-func TestMigrationSchedulesGated(t *testing.T) {
-	count := func(evs []Event) (mig, drain, roll int) {
-		for _, ev := range evs {
-			switch ev.Kind {
-			case EvMigrate:
-				mig++
-			case EvDrainMember:
-				drain++
-			case EvRollingRestart:
-				roll++
-			}
-		}
-		return
-	}
-	for _, seed := range []int64{3, 17} {
-		plain := Generate(Config{Seed: seed, Events: 300})
-		if m, d, r := count(plain); m+d+r != 0 {
-			t.Fatalf("seed %d: %d/%d/%d migration events without the flag", seed, m, d, r)
-		}
-		mig := Generate(Config{Seed: seed, Events: 300, Migrations: true})
-		if m, d, _ := count(mig); m == 0 || d == 0 {
-			t.Fatalf("seed %d: Migrations schedule has %d migrates, %d drains", seed, m, d)
-		}
-	}
-}
-
 // TestMigrationDeterministic extends the byte-identical-trace contract
 // to the movement machinery: with two-phase migrations (including armed
 // crash points), drains and rolling restarts in the schedule, the same
 // seed must still produce the same bytes.
 func TestMigrationDeterministic(t *testing.T) {
 	for _, seed := range []int64{5, 23} {
-		cfg := Config{Seed: seed, Events: 200, Migrations: true}
+		cfg := Config{Seed: seed, Events: 200}
 		evs1 := Generate(cfg)
 		evs2 := Generate(cfg)
 		if !reflect.DeepEqual(evs1, evs2) {
-			t.Fatalf("seed %d: Generate is not deterministic under Migrations", seed)
+			t.Fatalf("seed %d: Generate is not deterministic", seed)
 		}
 		r1 := Run(cfg, evs1)
 		r2 := Run(cfg, evs2)
 		if !bytes.Equal(r1.Trace, r2.Trace) {
-			t.Fatalf("seed %d: traces differ between two Migrations runs", seed)
+			t.Fatalf("seed %d: traces differ between two runs", seed)
 		}
 	}
 }
@@ -62,7 +32,7 @@ func TestMigrationDeterministic(t *testing.T) {
 // incoherent — must hold on every path.
 func TestMigrationSmokeSweep(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
-		r := RunSeed(Config{Seed: seed, Events: 150, Migrations: true})
+		r := RunSeed(Config{Seed: seed, Events: 150})
 		if r.Violation != nil {
 			t.Errorf("seed %d: %v\ntrace tail:\n%s", seed, r.Violation, traceTail(r.Trace, 3000))
 		}
@@ -95,7 +65,7 @@ func TestMigrationCrashPointSweep(t *testing.T) {
 				for i := 0; i < 12; i++ {
 					evs = append(evs, Event{Kind: EvStep, AdvanceMs: 25})
 				}
-				r := Run(Config{Seed: 1, Migrations: true}, evs)
+				r := Run(Config{Seed: 1}, evs)
 				if r.Violation != nil {
 					t.Fatalf("%s: %v\ntrace tail:\n%s", name, r.Violation, traceTail(r.Trace, 4000))
 				}
@@ -104,16 +74,12 @@ func TestMigrationCrashPointSweep(t *testing.T) {
 	}
 }
 
-// TestMigrationArtifactRoundTrip pins the Migrations flag into the
-// artifact schema: a schedule with migrate events replayed from disk
-// must rebuild the harness with the migration machinery armed, or the
-// settle bound and heal semantics silently differ.
+// TestMigrationArtifactRoundTrip: a schedule with migrate events
+// replayed from an artifact must run against the same harness (settle
+// bound, heal semantics) as the direct run.
 func TestMigrationArtifactRoundTrip(t *testing.T) {
-	cfg := Config{Seed: 11, Events: 150, Migrations: true}
+	cfg := Config{Seed: 11, Events: 150}
 	art := NewArtifact(cfg, nil, Generate(cfg), 150)
-	if !art.Config().Migrations {
-		t.Fatal("artifact round-trip dropped Migrations")
-	}
 	r1 := Run(cfg, art.Events)
 	r2 := art.Replay()
 	if !bytes.Equal(r1.Trace, r2.Trace) {
@@ -142,10 +108,10 @@ func TestRollingRestartDirected(t *testing.T) {
 		evs = append(evs, Event{Kind: EvStep, AdvanceMs: 25})
 		if i%10 == 5 {
 			evs = append(evs, Event{Kind: EvSubmit, AdvanceMs: 25,
-				App: "app-1" + appID(i/10)[4:], Containers: 1, MemMB: 256, VCores: 1})
+				App: "app-1" + appID(i / 10)[4:], Containers: 1, MemMB: 256, VCores: 1})
 		}
 	}
-	r := Run(Config{Seed: 2, Migrations: true}, evs)
+	r := Run(Config{Seed: 2}, evs)
 	if r.Violation != nil {
 		t.Fatalf("%v\ntrace tail:\n%s", r.Violation, traceTail(r.Trace, 4000))
 	}

@@ -6,28 +6,19 @@ import (
 	"testing"
 )
 
-// TestMixedSolverSchedulesFlipModes checks the generator's gating both
-// ways: MixedSolver schedules actually contain solver-mode flips, and
-// leaving the flag off keeps them out entirely (so existing seeds draw
-// the identical RNG sequence and replay byte-for-byte).
+// TestMixedSolverSchedulesFlipModes checks that generated schedules
+// actually contain what the one schedule promises beyond plain faults:
+// solver-mode flips, cross-cluster migrations and member drains.
 func TestMixedSolverSchedulesFlipModes(t *testing.T) {
-	countFlips := func(evs []Event) int {
-		n := 0
-		for _, ev := range evs {
-			if ev.Kind == EvSolverMode {
-				n++
+	for _, seed := range []int64{2, 3, 9, 17} {
+		count := make(map[EventKind]int)
+		for _, ev := range Generate(Config{Seed: seed, Events: 300}) {
+			count[ev.Kind]++
+		}
+		for _, kind := range []EventKind{EvSolverMode, EvMigrate, EvDrainMember} {
+			if count[kind] == 0 {
+				t.Fatalf("seed %d: schedule has no %s events", seed, kind)
 			}
-		}
-		return n
-	}
-	for _, seed := range []int64{2, 9} {
-		plain := Generate(Config{Seed: seed, Events: 200})
-		if n := countFlips(plain); n != 0 {
-			t.Fatalf("seed %d: %d solvermode events without MixedSolver", seed, n)
-		}
-		mixed := Generate(Config{Seed: seed, Events: 200, MixedSolver: true})
-		if n := countFlips(mixed); n == 0 {
-			t.Fatalf("seed %d: MixedSolver schedule has no solvermode events", seed)
 		}
 	}
 }
@@ -41,16 +32,16 @@ func TestMixedSolverSchedulesFlipModes(t *testing.T) {
 // solution is reached, never *which* solution a given history yields.
 func TestMixedSolverDeterministic(t *testing.T) {
 	for _, seed := range []int64{4, 21} {
-		cfg := Config{Seed: seed, Events: 200, MixedSolver: true}
+		cfg := Config{Seed: seed, Events: 200}
 		evs1 := Generate(cfg)
 		evs2 := Generate(cfg)
 		if !reflect.DeepEqual(evs1, evs2) {
-			t.Fatalf("seed %d: Generate is not deterministic under MixedSolver", seed)
+			t.Fatalf("seed %d: Generate is not deterministic", seed)
 		}
 		r1 := Run(cfg, evs1)
 		r2 := Run(cfg, evs2)
 		if !bytes.Equal(r1.Trace, r2.Trace) {
-			t.Fatalf("seed %d: traces differ between two MixedSolver runs", seed)
+			t.Fatalf("seed %d: traces differ between two runs", seed)
 		}
 	}
 }
@@ -61,24 +52,19 @@ func TestMixedSolverDeterministic(t *testing.T) {
 // agreement, journal recoverability — must hold on every path.
 func TestMixedSolverSmokeSweep(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
-		r := RunSeed(Config{Seed: seed, Events: 120, MixedSolver: true})
+		r := RunSeed(Config{Seed: seed, Events: 120})
 		if r.Violation != nil {
 			t.Errorf("seed %d: %v\ntrace tail:\n%s", seed, r.Violation, traceTail(r.Trace, 3000))
 		}
 	}
 }
 
-// TestMixedSolverArtifactRoundTrip pins the MixedSolver flag into the
-// artifact schema: a schedule with solver-mode flips replayed from disk
-// must rebuild the fleet on the ILP scheduler, or the flips degrade to
-// meaningless no-ops against the default algorithm.
+// TestMixedSolverArtifactRoundTrip: a schedule with solver-mode flips
+// replayed from an artifact must rebuild the fleet on the ILP scheduler,
+// or the flips degrade to meaningless no-ops against another algorithm.
 func TestMixedSolverArtifactRoundTrip(t *testing.T) {
-	cfg := Config{Seed: 7, Events: 150, MixedSolver: true}
+	cfg := Config{Seed: 7, Events: 150}
 	art := NewArtifact(cfg, nil, Generate(cfg), 150)
-	got := art.Config()
-	if !got.MixedSolver {
-		t.Fatal("artifact round-trip dropped MixedSolver")
-	}
 	r1 := Run(cfg, art.Events)
 	r2 := art.Replay()
 	if !bytes.Equal(r1.Trace, r2.Trace) {

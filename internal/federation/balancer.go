@@ -25,10 +25,6 @@ type RouteConfig struct {
 	// MaxRounds is how many full passes over the ranked member list a
 	// submission gets before routing gives up (0 = 3).
 	MaxRounds int
-	// BackoffBase/BackoffMax shape the jittered exponential backoff
-	// between rounds (0 = 10ms / 250ms).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Sleep is the backoff sleeper (nil = time.Sleep). Tests inject a
 	// recorder to keep routing deterministic and instant.
 	Sleep func(time.Duration)
@@ -52,19 +48,12 @@ func (c RouteConfig) maxRounds() int {
 	return 3
 }
 
-func (c RouteConfig) backoffBase() time.Duration {
-	if c.BackoffBase > 0 {
-		return c.BackoffBase
-	}
-	return 10 * time.Millisecond
-}
-
-func (c RouteConfig) backoffMax() time.Duration {
-	if c.BackoffMax > 0 {
-		return c.BackoffMax
-	}
-	return 250 * time.Millisecond
-}
+// routeBackoffBase and routeBackoffCap shape the jittered exponential
+// backoff between routing rounds.
+const (
+	routeBackoffBase = 10 * time.Millisecond
+	routeBackoffCap  = 250 * time.Millisecond
+)
 
 // routedApp is the balancer's ledger entry for one acknowledged
 // submission: enough to re-place it elsewhere (the original body), where
@@ -163,9 +152,9 @@ func (b *Balancer) sleep(d time.Duration) {
 // idiom, so concurrent submissions back off on distinct schedules
 // without shared RNG state.
 func (b *Balancer) routeBackoff(appID string, round int) time.Duration {
-	d := b.cfg.backoffBase() << uint(round)
-	if max := b.cfg.backoffMax(); d > max {
-		d = max
+	d := routeBackoffBase << uint(round)
+	if d > routeBackoffCap {
+		d = routeBackoffCap
 	}
 	window := d / 2
 	if window <= 0 {

@@ -41,62 +41,27 @@ func (s DetectorState) String() string {
 	return "unknown"
 }
 
-// DetectorConfig tunes the phi-accrual failure detector.
-type DetectorConfig struct {
-	// PhiSuspect is the phi threshold for Suspect (0 = 3: odds of a false
+// The phi-accrual failure detector's thresholds.
+const (
+	// phiSuspect is the phi threshold for Suspect: odds of a false
 	// suspicion about 1 in 10^3 per window under the learned arrival
-	// distribution).
-	PhiSuspect float64
-	// PhiDead is the phi threshold for Dead (0 = 12).
-	PhiDead float64
+	// distribution.
+	phiSuspect = 3
+	// phiDead is the phi threshold for Dead.
+	phiDead = 12
 	// ConfirmMisses is the number of *consecutive* missed probes also
-	// required for Dead (0 = 3). Phi alone can spike on one long stall;
-	// requiring consecutive misses keeps a slow-but-alive member from
-	// flapping into failover.
-	ConfirmMisses int
-	// Window is how many heartbeat inter-arrival samples the detector
-	// remembers (0 = 64).
-	Window int
-	// MinSamples is how many samples must accumulate before phi is
-	// trusted; below it the detector stays Alive unless misses alone
-	// reach ConfirmMisses×2 (0 = 3).
-	MinSamples int
-}
-
-func (c DetectorConfig) phiSuspect() float64 {
-	if c.PhiSuspect > 0 {
-		return c.PhiSuspect
-	}
-	return 3
-}
-
-func (c DetectorConfig) phiDead() float64 {
-	if c.PhiDead > 0 {
-		return c.PhiDead
-	}
-	return 12
-}
-
-func (c DetectorConfig) confirmMisses() int {
-	if c.ConfirmMisses > 0 {
-		return c.ConfirmMisses
-	}
-	return 3
-}
-
-func (c DetectorConfig) window() int {
-	if c.Window > 0 {
-		return c.Window
-	}
-	return 64
-}
-
-func (c DetectorConfig) minSamples() int {
-	if c.MinSamples > 0 {
-		return c.MinSamples
-	}
-	return 3
-}
+	// required for Dead. Phi alone can spike on one long stall; requiring
+	// consecutive misses keeps a slow-but-alive member from flapping into
+	// failover.
+	ConfirmMisses = 3
+	// detectorWindow is how many heartbeat inter-arrival samples the
+	// detector remembers.
+	detectorWindow = 64
+	// detectorMinSamples is how many samples must accumulate before phi is
+	// trusted; below it the detector stays Alive unless misses alone reach
+	// ConfirmMisses×2.
+	detectorMinSamples = 3
+)
 
 // Detector is a phi-accrual failure detector (Hayashibara et al.) over
 // one member's probe responses. Instead of a binary timeout it keeps a
@@ -109,7 +74,6 @@ func (c DetectorConfig) minSamples() int {
 // heartbeat — can suspect a member but never kill it. The detector is
 // not concurrency-safe; the scout serialises access.
 type Detector struct {
-	cfg       DetectorConfig
 	intervals []time.Duration // ring buffer of inter-arrival samples
 	next      int             // ring write cursor
 	filled    bool
@@ -118,9 +82,9 @@ type Detector struct {
 	dead      bool      // sticky Dead latch
 }
 
-// NewDetector builds a detector with the given thresholds.
-func NewDetector(cfg DetectorConfig) *Detector {
-	return &Detector{cfg: cfg, intervals: make([]time.Duration, 0, cfg.window())}
+// NewDetector builds a detector.
+func NewDetector() *Detector {
+	return &Detector{intervals: make([]time.Duration, 0, detectorWindow)}
 }
 
 // Heartbeat records a successful probe response at now. It feeds the
@@ -129,13 +93,13 @@ func NewDetector(cfg DetectorConfig) *Detector {
 func (d *Detector) Heartbeat(now time.Time) {
 	if !d.last.IsZero() {
 		if iv := now.Sub(d.last); iv > 0 {
-			if len(d.intervals) < d.cfg.window() {
+			if len(d.intervals) < detectorWindow {
 				d.intervals = append(d.intervals, iv)
 			} else {
 				d.intervals[d.next] = iv
 				d.filled = true
 			}
-			d.next = (d.next + 1) % d.cfg.window()
+			d.next = (d.next + 1) % detectorWindow
 		}
 	}
 	d.last = now
@@ -145,9 +109,6 @@ func (d *Detector) Heartbeat(now time.Time) {
 
 // Miss records a failed or timed-out probe at now.
 func (d *Detector) Miss(now time.Time) { d.misses++ }
-
-// Misses returns the consecutive missed-probe count.
-func (d *Detector) Misses() int { return d.misses }
 
 // meanStd fits the inter-arrival window. The standard deviation is
 // floored at a quarter of the mean: perfectly regular simulated probes
@@ -179,7 +140,7 @@ func (d *Detector) meanStd() (mean, std float64) {
 // a live member would still be silent after now-lastHeartbeat, under the
 // normal fit of its past inter-arrivals. 0 while too few samples exist.
 func (d *Detector) Phi(now time.Time) float64 {
-	if d.last.IsZero() || len(d.intervals) < d.cfg.minSamples() {
+	if d.last.IsZero() || len(d.intervals) < detectorMinSamples {
 		return 0
 	}
 	elapsed := float64(now.Sub(d.last))
@@ -197,9 +158,9 @@ func (d *Detector) Phi(now time.Time) float64 {
 }
 
 // State returns the liveness verdict at now. Dead requires BOTH phi
-// beyond PhiDead and ConfirmMisses consecutive misses, and then latches
+// beyond phiDead and ConfirmMisses consecutive misses, and then latches
 // until a heartbeat arrives; Suspect requires at least one miss plus phi
-// beyond PhiSuspect. With a cold window (fewer than MinSamples
+// beyond phiSuspect. With a cold window (fewer than detectorMinSamples
 // heartbeats) phi is unavailable, so Dead falls back to pure miss
 // counting at twice the confirmation bar.
 func (d *Detector) State(now time.Time) DetectorState {
@@ -207,22 +168,22 @@ func (d *Detector) State(now time.Time) DetectorState {
 		return Dead
 	}
 	phi := d.Phi(now)
-	cold := d.last.IsZero() || len(d.intervals) < d.cfg.minSamples()
+	cold := d.last.IsZero() || len(d.intervals) < detectorMinSamples
 	if cold {
-		if d.misses >= d.cfg.confirmMisses()*2 {
+		if d.misses >= ConfirmMisses*2 {
 			d.dead = true
 			return Dead
 		}
-		if d.misses >= d.cfg.confirmMisses() {
+		if d.misses >= ConfirmMisses {
 			return Suspect
 		}
 		return Alive
 	}
-	if d.misses >= d.cfg.confirmMisses() && phi >= d.cfg.phiDead() {
+	if d.misses >= ConfirmMisses && phi >= phiDead {
 		d.dead = true
 		return Dead
 	}
-	if d.misses >= 1 && phi >= d.cfg.phiSuspect() {
+	if d.misses >= 1 && phi >= phiSuspect {
 		return Suspect
 	}
 	return Alive

@@ -21,7 +21,7 @@ func feed(d *Detector, start time.Time, n int, every time.Duration) time.Time {
 // TestDetectorStaysAliveOnRegularHeartbeats: steady probes keep the
 // member Alive with phi near zero.
 func TestDetectorStaysAliveOnRegularHeartbeats(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	last := feed(d, dT0, 10, 50*time.Millisecond)
 	if st := d.State(last); st != Alive {
 		t.Fatalf("state %v after regular heartbeats, want alive", st)
@@ -35,7 +35,7 @@ func TestDetectorStaysAliveOnRegularHeartbeats(t *testing.T) {
 // the detector Alive → Suspect → Dead, and Dead latches until a real
 // heartbeat arrives.
 func TestDetectorConfirmsDeathOnConsecutiveMisses(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	last := feed(d, dT0, 10, 50*time.Millisecond)
 
 	// Probe rounds keep firing every 50ms; the member never answers.
@@ -72,7 +72,7 @@ func TestDetectorConfirmsDeathOnConsecutiveMisses(t *testing.T) {
 // answering every other probe (slow, Byzantine, but alive) may be
 // suspected, never confirmed dead — misses are never consecutive enough.
 func TestDetectorNeverKillsSlowMember(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	last := feed(d, dT0, 6, 50*time.Millisecond)
 
 	now := last
@@ -94,15 +94,15 @@ func TestDetectorNeverKillsSlowMember(t *testing.T) {
 // widens the learned distribution, so the same silence later is judged
 // more leniently.
 func TestDetectorSingleSlowProbeOnlySuspects(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	last := feed(d, dT0, 10, 50*time.Millisecond)
 
 	// One probe round times out, the silence stretching to 4 intervals:
-	// phi is far beyond PhiDead, but a single miss cannot confirm death.
+	// phi is far beyond phiDead, but a single miss cannot confirm death.
 	stall := last.Add(200 * time.Millisecond)
 	d.Miss(stall)
-	if phi := d.Phi(stall); phi < d.cfg.phiDead() {
-		t.Fatalf("phi %.2f after a 4-interval stall, want beyond dead threshold %v", phi, d.cfg.phiDead())
+	if phi := d.Phi(stall); phi < phiDead {
+		t.Fatalf("phi %.2f after a 4-interval stall, want beyond dead threshold %v", phi, phiDead)
 	}
 	if st := d.State(stall); st != Suspect {
 		t.Fatalf("state %v after one slow probe, want suspect (never dead)", st)
@@ -117,8 +117,8 @@ func TestDetectorSingleSlowProbeOnlySuspects(t *testing.T) {
 // phi is unavailable, so death falls back to pure miss counting at twice
 // the confirmation bar.
 func TestDetectorColdStartFallback(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
-	d.Heartbeat(dT0) // one sample: below MinSamples
+	d := NewDetector()
+	d.Heartbeat(dT0) // one sample: below detectorMinSamples
 	now := dT0
 	for i := 1; i <= 5; i++ {
 		now = now.Add(50 * time.Millisecond)

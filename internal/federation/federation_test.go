@@ -187,12 +187,11 @@ func TestRouteRetryBackoffIsJittered(t *testing.T) {
 	if d1 == d2 {
 		t.Fatalf("identical backoff %v for distinct apps", d1)
 	}
-	base := b.cfg.backoffBase()
-	if d1 < 2*base || d1 >= 3*base {
+	if base := routeBackoffBase; d1 < 2*base || d1 >= 3*base {
 		t.Fatalf("round-1 backoff %v outside [2*base, 3*base)", d1)
 	}
-	// Growth is capped at BackoffMax (plus jitter under half of it).
-	if d := b.routeBackoff("app-a", 10); d >= b.cfg.backoffMax()+b.cfg.backoffMax()/2 {
+	// Growth is capped at routeBackoffCap (plus jitter under half of it).
+	if d := b.routeBackoff("app-a", 10); d >= routeBackoffCap+routeBackoffCap/2 {
 		t.Fatalf("backoff %v beyond cap", d)
 	}
 }

@@ -49,23 +49,6 @@ type MigrateConfig struct {
 	// (0 = 5s). It only has to outlive PREPARE→COMMIT, not the whole
 	// migration: the reservation is consumed when the submission lands.
 	ReservationTTL time.Duration
-	// MaxAttempts bounds transient-failure retries per phase before the
-	// migration aborts (0 = 5). The DELETE phase is exempt: past the
-	// point of no return the protocol only moves forward.
-	MaxAttempts int
-	// MaxWaits bounds how many control rounds COMMIT waits for the
-	// destination to deploy the copy before aborting (0 = 64).
-	MaxWaits int
-	// DrainConcurrency bounds in-flight migrations per draining member
-	// (0 = 4).
-	DrainConcurrency int
-	// DrainMaxRetries bounds how many migrations a drain starts per app
-	// before leaving it behind (0 = 3).
-	DrainMaxRetries int
-	// DrainMaxRounds bounds a drain's total control rounds before it
-	// gives up on whatever remains (0 = 128) — a drain must terminate
-	// even when no destination ever has capacity.
-	DrainMaxRounds int
 	// RebalanceEvery triggers a dominant-share imbalance check every N
 	// control rounds (0 = disabled).
 	RebalanceEvery int
@@ -82,40 +65,25 @@ func (c MigrateConfig) reservationTTL() time.Duration {
 	return 5 * time.Second
 }
 
-func (c MigrateConfig) maxAttempts() int {
-	if c.MaxAttempts > 0 {
-		return c.MaxAttempts
-	}
-	return 5
-}
-
-func (c MigrateConfig) maxWaits() int {
-	if c.MaxWaits > 0 {
-		return c.MaxWaits
-	}
-	return 64
-}
-
-func (c MigrateConfig) drainConcurrency() int {
-	if c.DrainConcurrency > 0 {
-		return c.DrainConcurrency
-	}
-	return 4
-}
-
-func (c MigrateConfig) drainMaxRetries() int {
-	if c.DrainMaxRetries > 0 {
-		return c.DrainMaxRetries
-	}
-	return 3
-}
-
-func (c MigrateConfig) drainMaxRounds() int {
-	if c.DrainMaxRounds > 0 {
-		return c.DrainMaxRounds
-	}
-	return 128
-}
+// The migration protocol's and the drain's budgets.
+const (
+	// migMaxAttempts bounds transient-failure retries per phase before the
+	// migration aborts. The DELETE phase is exempt: past the point of no
+	// return the protocol only moves forward.
+	migMaxAttempts = 5
+	// migMaxWaits bounds how many control rounds COMMIT waits for the
+	// destination to deploy the copy before aborting.
+	migMaxWaits = 64
+	// drainConcurrency bounds in-flight migrations per draining member.
+	drainConcurrency = 4
+	// drainMaxRetries bounds how many migrations a drain starts per app
+	// before leaving it behind.
+	drainMaxRetries = 3
+	// drainMaxRounds bounds a drain's total control rounds before it gives
+	// up on whatever remains — a drain must terminate even when no
+	// destination ever has capacity.
+	drainMaxRounds = 128
+)
 
 func (c MigrateConfig) rebalanceSpread() float64 {
 	if c.RebalanceSpread > 0 {
@@ -474,7 +442,7 @@ func (b *Balancer) stepCommit(a *routedApp, now time.Time, debits map[string]res
 			waits = a.mig.waits
 		}
 		b.mu.Unlock()
-		if waits > b.cfg.Migrate.maxWaits() {
+		if waits > migMaxWaits {
 			b.abortMigration(a, "destination never deployed the copy")
 		}
 	default:
@@ -572,7 +540,7 @@ func (b *Balancer) migRetry(a *routedApp, now time.Time, reason string) {
 		return
 	}
 	mig.attempts++
-	exhausted := mig.phase != migDelete && mig.attempts > b.cfg.Migrate.maxAttempts()
+	exhausted := mig.phase != migDelete && mig.attempts > migMaxAttempts
 	if !exhausted {
 		round := mig.attempts
 		if round > 6 {
@@ -737,7 +705,7 @@ func (b *Balancer) stepDrain(memberID string, now time.Time, debits map[string]r
 			continue
 		}
 		if a.home == memberID && !a.degraded && !a.removed && a.mig == nil {
-			if d.retries[a.id] >= b.cfg.Migrate.drainMaxRetries() {
+			if d.retries[a.id] >= drainMaxRetries {
 				exhausted++
 				continue
 			}
@@ -758,7 +726,7 @@ func (b *Balancer) stepDrain(memberID string, now time.Time, debits map[string]r
 		}
 		return
 	}
-	if rounds > b.cfg.Migrate.drainMaxRounds() {
+	if rounds > drainMaxRounds {
 		b.finishDrain(memberID)
 		b.logf("federation: drain of %s gave up after %d rounds; %d apps remain", memberID, rounds, len(pending)+inflight)
 		return
@@ -777,7 +745,7 @@ func (b *Balancer) stepDrain(memberID string, now time.Time, debits map[string]r
 		return pending[i].id < pending[j].id
 	})
 	for _, a := range pending {
-		if inflight >= b.cfg.Migrate.drainConcurrency() {
+		if inflight >= drainConcurrency {
 			break
 		}
 		dest := b.pickDest(a, memberID, now, debits)

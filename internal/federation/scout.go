@@ -16,15 +16,13 @@ import (
 
 // ScoutConfig tunes the health/capacity prober.
 type ScoutConfig struct {
-	// ProbeInterval is the expected cadence between probe rounds; it
-	// seeds nothing directly but documents the cadence the detector's
-	// learned inter-arrival distribution will converge to.
+	// ProbeInterval is the cadence between probe rounds: Fleet.Start
+	// ticks its control loop with it (0 = 50ms), and it is the
+	// inter-arrival time the detector's learned distribution converges to.
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe request (0 = 25ms). A probe slower
 	// than this counts as a miss.
 	ProbeTimeout time.Duration
-	// Detector tunes the per-member phi-accrual failure detector.
-	Detector DetectorConfig
 }
 
 func (c ScoutConfig) probeTimeout() time.Duration {
@@ -78,7 +76,7 @@ type Scout struct {
 func NewScout(cfg ScoutConfig, members []*Member, stats *metrics.FedStats) *Scout {
 	s := &Scout{cfg: cfg, byID: make(map[string]*memberProbe), stats: stats}
 	for _, m := range members {
-		p := &memberProbe{m: m, det: NewDetector(cfg.Detector)}
+		p := &memberProbe{m: m, det: NewDetector()}
 		s.members = append(s.members, p)
 		s.byID[m.ID] = p
 	}
@@ -189,19 +187,6 @@ func (s *Scout) MemberIDs() []string {
 		ids[i] = p.m.ID
 	}
 	return ids
-}
-
-// Live returns the IDs of members not currently Dead.
-func (s *Scout) Live(now time.Time) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for _, p := range s.members {
-		if p.det.State(now) != Dead {
-			out = append(out, p.m.ID)
-		}
-	}
-	return out
 }
 
 // Rank orders members for a submission of the given total demand: Dead

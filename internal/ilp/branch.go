@@ -21,16 +21,13 @@ type Options struct {
 	// therefore exactly optimal for every RelGap in [0, 1), and Optimal
 	// means proven, not "within the gap".
 	RelGap float64
-	// WarmStart optionally supplies values for the integer variables of a
-	// known-feasible solution. The solver fixes them, solves one LP for
-	// the continuous remainder, and uses the result as the initial
-	// incumbent — branch-and-bound then only ever improves on it. An
-	// infeasible warm start is ignored.
-	WarmStart map[Var]float64
-	// WarmStarts supplies additional warm-start candidates (e.g. the
-	// previous scheduling cycle's solution next to the greedy heuristic's).
-	// Every candidate is evaluated like WarmStart; the best feasible one
-	// (objective, then lexicographic tie-break) seeds the incumbent.
+	// WarmStarts optionally supplies candidate values for the integer
+	// variables of known-feasible solutions (e.g. the greedy heuristic's
+	// and the previous scheduling cycle's). For each the solver fixes
+	// them and solves one LP for the continuous remainder; the best
+	// feasible outcome (objective, then lexicographic tie-break) is the
+	// initial incumbent — branch-and-bound then only ever improves on it.
+	// Empty and infeasible candidates are ignored.
 	WarmStarts []map[Var]float64
 	// BranchPriority orders branching: the first fractional variable in
 	// this list is branched before the default most-fractional rule kicks
@@ -133,15 +130,12 @@ func (m *Model) preparedFor(opts Options, arena *SolverArena) *prepared {
 	return arena.preparedFor(m)
 }
 
-// warmIncumbent evaluates Options.WarmStart and every Options.WarmStarts
-// candidate: each fixes its supplied integer values, solves one LP for
-// the remainder, and the best feasible outcome (objective first, then
-// lexicographic assignment — a deterministic tie-break) becomes the
-// initial incumbent. ok is false when no candidate is feasible.
+// warmIncumbent evaluates every Options.WarmStarts candidate: each fixes
+// its supplied integer values, solves one LP for the remainder, and the
+// best feasible outcome (objective first, then lexicographic assignment —
+// a deterministic tie-break) becomes the initial incumbent. ok is false
+// when no candidate is feasible.
 func (m *Model) warmIncumbent(opts Options, p *prepared, lo, hi []float64, sc *lpScratch) (obj float64, x []float64, ok bool) {
-	if opts.WarmStart == nil && len(opts.WarmStarts) == 0 {
-		return 0, nil, false
-	}
 	n := len(m.vars)
 	var wlo, whi []float64
 	tryOne := func(ws map[Var]float64) (float64, []float64, bool) {
@@ -176,7 +170,6 @@ func (m *Model) warmIncumbent(opts Options, p *prepared, lo, hi []float64, sc *l
 			obj, x, ok = o, cx, true
 		}
 	}
-	consider(tryOne(opts.WarmStart))
 	for _, ws := range opts.WarmStarts {
 		consider(tryOne(ws))
 	}

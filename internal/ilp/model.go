@@ -265,7 +265,7 @@ type Solution struct {
 	// path (Options.Mode Approx/Auto). An Optimal approximate solution
 	// met the LP relaxation bound and is provably optimal regardless.
 	Approximate bool
-	// WarmUsed reports that a supplied warm start (WarmStart/WarmStarts)
+	// WarmUsed reports that a supplied warm start (Options.WarmStarts)
 	// was feasible and seeded the incumbent.
 	WarmUsed bool
 	// Branched lists, in first-branch order (capped), the variables the

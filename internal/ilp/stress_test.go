@@ -170,25 +170,25 @@ func TestWarmStartUsedAsIncumbent(t *testing.T) {
 	}
 	m, vars := build()
 	poor := map[Var]float64{vars[0]: 1, vars[1]: 0, vars[2]: 0, vars[3]: 0} // value 3
-	s := m.Solve(Options{WarmStart: poor})
+	s := m.Solve(Options{WarmStarts: []map[Var]float64{poor}})
 	if s.Status != Optimal || math.Abs(s.Objective-7) > 1e-6 {
 		t.Fatalf("poor warm start degraded solve: %v %v", s.Status, s.Objective)
 	}
 	m2, vars2 := build()
 	infeasible := map[Var]float64{vars2[0]: 1, vars2[1]: 1, vars2[2]: 1, vars2[3]: 1} // weight 14 > 5
-	s2 := m2.Solve(Options{WarmStart: infeasible})
+	s2 := m2.Solve(Options{WarmStarts: []map[Var]float64{infeasible}})
 	if s2.Status != Optimal || math.Abs(s2.Objective-7) > 1e-6 {
 		t.Fatalf("infeasible warm start broke solve: %v %v", s2.Status, s2.Objective)
 	}
 	m3, vars3 := build()
 	outOfRange := map[Var]float64{vars3[0]: 7}
-	s3 := m3.Solve(Options{WarmStart: outOfRange})
+	s3 := m3.Solve(Options{WarmStarts: []map[Var]float64{outOfRange}})
 	if s3.Status != Optimal || math.Abs(s3.Objective-7) > 1e-6 {
 		t.Fatalf("out-of-range warm start broke solve: %v %v", s3.Status, s3.Objective)
 	}
 	m4, vars4 := build()
 	badVar := map[Var]float64{Var(99): 1}
-	s4 := m4.Solve(Options{WarmStart: badVar})
+	s4 := m4.Solve(Options{WarmStarts: []map[Var]float64{badVar}})
 	_ = vars4
 	if s4.Status != Optimal || math.Abs(s4.Objective-7) > 1e-6 {
 		t.Fatalf("unknown-var warm start broke solve: %v %v", s4.Status, s4.Objective)

@@ -328,12 +328,12 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	}
 
 	// Equation 5: fragmentation indicators z_n, relaxed to [0,1] with the
-	// row r_min·z_n + Σ demand·Y ≤ free. A node keeps full credit (z=1)
+	// row r_min·z_n + Σ demand·Y ≤ free (r_min is the §7.4 threshold). A node keeps full credit (z=1)
 	// as long as ≥ r_min stays free after placement — exactly the paper's
 	// binary semantics in that regime — and the credit decays linearly
 	// only inside the fragmentation band, so the relaxation exerts no
 	// spurious packing pressure on comfortable nodes.
-	rmin := float64(opts.rmin().Scalar())
+	rmin := float64(cluster.FragmentationThreshold.Scalar())
 	for _, n := range union {
 		free := float64(state.Node(n).Free().Scalar())
 		if free <= 0 {
@@ -688,14 +688,11 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	solveOpts := ilp.Options{
 		Deadline:       start.Add(opts.solverBudget()),
 		RelGap:         0.01,
-		WarmStart:      warm,
+		WarmStarts:     []map[ilp.Var]float64{warm, cycleWarm},
 		BranchPriority: branchPrio,
 		Clock:          opts.Clock,
 		Arena:          arena,
 		Mode:           opts.SolverMode,
-	}
-	if cycleWarm != nil {
-		solveOpts.WarmStarts = []map[ilp.Var]float64{cycleWarm}
 	}
 	sol := m.Solve(solveOpts)
 	// recordSolve stamps the outcome's solve-path counters: which path
@@ -714,7 +711,7 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 		warmObj := 0.0
 		if warm != nil {
 			// Recompute the warm incumbent's objective for comparison.
-			wsol := m.Solve(ilp.Options{WarmStart: warm, MaxNodes: 1})
+			wsol := m.Solve(ilp.Options{WarmStarts: []map[ilp.Var]float64{warm}, MaxNodes: 1})
 			warmObj = wsol.Objective
 		}
 		fmt.Printf("[ilp] vars=%d cons=%d status=%v nodes=%d obj=%.4f warm=%.4f\n",

@@ -162,9 +162,6 @@ type Options struct {
 	// ILP per scheduling round (0 = automatic). Pruning keeps the model
 	// tractable on multi-thousand-node clusters.
 	MaxCandidates int
-	// RMin is the fragmentation threshold r_min of Equation 5 (zero value
-	// uses cluster.FragmentationThreshold).
-	RMin resource.Vector
 	// Clock is the time source for latency stamps and the ILP solver's
 	// deadline (nil = time.Now). Deterministic harnesses inject a virtual
 	// clock so placement outcomes never depend on the wall clock.
@@ -197,13 +194,6 @@ func (o Options) weights() Weights {
 
 // balanceWeight returns W4 including the zero default.
 func (w Weights) balanceWeight() float64 { return w.W4 }
-
-func (o Options) rmin() resource.Vector {
-	if o.RMin.IsZero() {
-		return cluster.FragmentationThreshold
-	}
-	return o.RMin
-}
 
 func (o Options) solverBudget() time.Duration {
 	if o.SolverBudget == 0 {

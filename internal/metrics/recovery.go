@@ -96,12 +96,6 @@ func (r *RecoveryStats) MaxRepairLatency() time.Duration {
 	return m
 }
 
-// RepairLatencyBox returns the five-number summary of repair latencies in
-// seconds.
-func (r *RecoveryStats) RepairLatencyBox() BoxStats {
-	return Box(Durations(r.RepairLatencies))
-}
-
 // TotalDegraded sums degraded time across LRAs.
 func (r *RecoveryStats) TotalDegraded() time.Duration {
 	var sum time.Duration

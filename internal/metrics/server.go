@@ -118,12 +118,6 @@ func (s *ServerStats) ReservationReleased() int { return int(s.reservationReleas
 // ReservationConsumed returns the consumed-by-landing reservation count.
 func (s *ServerStats) ReservationConsumed() int { return int(s.reservationConsumed.Load()) }
 
-// Shed returns the total submissions turned away for overload reasons
-// (watermarks + queue full + deadline expiry), excluding rate limiting.
-func (s *ServerStats) Shed() int {
-	return s.ShedOverload() + s.ShedQueueFull() + s.Expired()
-}
-
 // Table renders the counters as a two-column summary table.
 func (s *ServerStats) Table(title string) *Table {
 	t := NewTable(title, "metric", "value")

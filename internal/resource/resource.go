@@ -27,9 +27,6 @@ func New(memoryMB, vcores int64) Vector {
 	return Vector{MemoryMB: memoryMB, VCores: vcores}
 }
 
-// MB constructs a memory-only vector; convenient in tests.
-func MB(memoryMB int64) Vector { return Vector{MemoryMB: memoryMB} }
-
 // Add returns v + o.
 func (v Vector) Add(o Vector) Vector {
 	return Vector{MemoryMB: v.MemoryMB + o.MemoryMB, VCores: v.VCores + o.VCores}

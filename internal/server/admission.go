@@ -3,27 +3,22 @@ package server
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
-// AdmissionConfig sets the overload watermarks. Each dimension has a
-// high watermark (start rejecting at or above it) and a low watermark
-// (resume admitting only at or below it). The gap is hysteresis: without
-// it, a queue hovering at the boundary would flap between admit and
-// reject on every request. A zero high watermark disables the dimension;
-// a zero low watermark defaults to half the high one.
+// AdmissionConfig sets the overload watermarks of the two dimensions,
+// backlog and journal lag. Each has a high watermark (start rejecting at
+// or above it) and a low watermark (resume admitting only at or below
+// it). The gap is hysteresis: without it, a queue hovering at the
+// boundary would flap between admit and reject on every request. A zero
+// high watermark disables the dimension; a zero low watermark defaults to
+// half the high one.
 type AdmissionConfig struct {
 	// QueueHigh/QueueLow bound the total submission backlog: the bounded
 	// submit queue plus the core's pending and repair queues.
 	QueueHigh, QueueLow int
-	// InflightHigh/InflightLow bound concurrently scheduling batches.
-	InflightHigh, InflightLow int
 	// LagHigh/LagLow bound the journal replay tail (records since the
 	// last checkpoint) — durability backpressure.
 	LagHigh, LagLow int
-	// RetryAfter is the Retry-After hint returned on rejection (0 = the
-	// scheduling interval, set by the server).
-	RetryAfter time.Duration
 }
 
 func low(high, low int) int {
@@ -39,8 +34,6 @@ type Load struct {
 	// Queue is the total submission backlog (server queue + core pending
 	// + pending repairs).
 	Queue int
-	// Inflight is the number of scheduling batches currently running.
-	Inflight int
 	// JournalLag is the WAL replay tail length.
 	JournalLag int
 }
@@ -93,13 +86,10 @@ func (a *Admission) Admit(l Load) (ok bool, reason string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	queue := a.dimension("queue", l.Queue, a.cfg.QueueHigh, a.cfg.QueueLow)
-	inflight := a.dimension("inflight", l.Inflight, a.cfg.InflightHigh, a.cfg.InflightLow)
 	lag := a.dimension("journal-lag", l.JournalLag, a.cfg.LagHigh, a.cfg.LagLow)
 	switch {
 	case queue:
 		return false, "queue"
-	case inflight:
-		return false, "inflight"
 	case lag:
 		return false, "journal-lag"
 	}
@@ -112,7 +102,7 @@ func (a *Admission) Shedding() (bool, []string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var dims []string
-	for _, d := range []string{"queue", "inflight", "journal-lag"} {
+	for _, d := range []string{"queue", "journal-lag"} {
 		if a.shedding[d] {
 			dims = append(dims, d)
 		}
@@ -122,8 +112,7 @@ func (a *Admission) Shedding() (bool, []string) {
 
 // String describes the configured watermarks.
 func (a *Admission) String() string {
-	return fmt.Sprintf("queue %d/%d, inflight %d/%d, journal-lag %d/%d",
+	return fmt.Sprintf("queue %d/%d, journal-lag %d/%d",
 		a.cfg.QueueHigh, low(a.cfg.QueueHigh, a.cfg.QueueLow),
-		a.cfg.InflightHigh, low(a.cfg.InflightHigh, a.cfg.InflightLow),
 		a.cfg.LagHigh, low(a.cfg.LagHigh, a.cfg.LagLow))
 }

@@ -70,7 +70,7 @@ func TestWatermarkDimensionsIndependent(t *testing.T) {
 // sheds.
 func TestZeroHighWatermarkDisablesDimension(t *testing.T) {
 	a := NewAdmission(AdmissionConfig{QueueHigh: 10, QueueLow: 5})
-	if ok, _ := a.Admit(Load{Queue: 0, Inflight: 1 << 30, JournalLag: 1 << 30}); !ok {
+	if ok, _ := a.Admit(Load{Queue: 0, JournalLag: 1 << 30}); !ok {
 		t.Fatal("disabled dimensions must not shed")
 	}
 }

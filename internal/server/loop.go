@@ -57,11 +57,9 @@ func (s *Server) step() {
 			budget = rem
 		}
 	}
-	s.inflight.Store(1)
 	s.med.SetSolverBudget(budget)
 	_, ran := s.med.Tick(now)
 	s.med.SetSolverBudget(base)
-	s.inflight.Store(0)
 	if ran {
 		s.pruneDeadlinesLocked()
 	}

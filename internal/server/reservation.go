@@ -289,6 +289,3 @@ func (s *Server) handleUncordon(w http.ResponseWriter, r *http.Request) {
 func (s *Server) refusing() bool {
 	return s.draining.Load() || s.cordoned.Load()
 }
-
-// Cordoned reports whether an operator cordon is in effect.
-func (s *Server) Cordoned() bool { return s.cordoned.Load() }

@@ -51,9 +51,6 @@ type Config struct {
 	// RateLimit sets the per-tenant fair-share budget (zero GlobalRate =
 	// unlimited).
 	RateLimit RateLimitConfig
-	// DefaultTenant is used when a request carries no tenant ("" =
-	// "default").
-	DefaultTenant string
 	// ReservationTTL bounds capacity reservations whose request carries
 	// no TTL (0 = 30s). Expired reservations are swept by the scheduling
 	// loop.
@@ -80,12 +77,12 @@ func (c Config) queueCap() int {
 	return 1024
 }
 
-func (c Config) defaultTenant() string {
-	if c.DefaultTenant != "" {
-		return c.DefaultTenant
-	}
-	return "default"
-}
+// defaultTenant is the tenant of a request that names none.
+const defaultTenant = "default"
+
+// overloadRetryAfter is the Retry-After hint of overload rejections,
+// before jitter.
+const overloadRetryAfter = time.Second
 
 // maxOutcomes bounds the terminal-outcome memory (shed/expired/failed/
 // removed apps the core no longer knows about).
@@ -111,7 +108,6 @@ type Server struct {
 	// Gauges published by the scheduling loop for the lock-free accept
 	// path.
 	corePending atomic.Int64 // core pending LRAs + pending repairs
-	inflight    atomic.Int64 // scheduling batches currently running
 	journalLag  atomic.Int64
 
 	draining atomic.Bool
@@ -206,7 +202,6 @@ func (s *Server) logf(format string, args ...any) {
 func (s *Server) load() Load {
 	return Load{
 		Queue:      s.queue.Len() + int(s.corePending.Load()),
-		Inflight:   int(s.inflight.Load()),
 		JournalLag: int(s.journalLag.Load()),
 	}
 }
@@ -378,11 +373,7 @@ func buildApplication(req *SubmitRequest) (*lra.Application, error) {
 // not come back together (the same retry-storm defense as the rate
 // limiter's RetryJitter).
 func (s *Server) retryAfterHint() time.Duration {
-	base := time.Second
-	if s.cfg.Admission.RetryAfter > 0 {
-		base = s.cfg.Admission.RetryAfter
-	}
-	return base + retryJitterFor(base, s.cfg.RateLimit.retryJitter(), "overload", s.retrySeq.Add(1))
+	return overloadRetryAfter + retryJitterFor(overloadRetryAfter, s.cfg.RateLimit.retryJitter(), "overload", s.retrySeq.Add(1))
 }
 
 // handleSubmit is the guarded accept path: drain gate, rate limit,
@@ -405,7 +396,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		tenant = req.Tenant
 	}
 	if tenant == "" {
-		tenant = s.cfg.defaultTenant()
+		tenant = defaultTenant
 	}
 	now := s.now()
 	// A submission arriving under a capacity reservation already passed

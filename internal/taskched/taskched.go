@@ -230,19 +230,10 @@ func (s *Scheduler) NodeHeartbeat(node cluster.NodeID, now time.Time) []Allocati
 // resubmits the LRA (§5.4 "Placement conflicts").
 var ErrConflict = errors.New("taskched: placement conflicts with current cluster state")
 
-// CommitAssignment is one LRA container placement decided by the LRA
-// scheduler.
-type CommitAssignment struct {
-	Container cluster.ContainerID
-	Node      cluster.NodeID
-	Demand    resource.Vector
-	Tags      []constraint.Tag
-}
-
 // Commit atomically allocates an LRA placement through the task-based
 // scheduler (Figure 4, step 2→3). If any container no longer fits, the
 // whole placement is rolled back and ErrConflict returned.
-func (s *Scheduler) Commit(assignments []CommitAssignment) error {
+func (s *Scheduler) Commit(assignments []lra.Assignment) error {
 	var donePrefix []cluster.ContainerID
 	for _, a := range assignments {
 		if err := s.cluster.Allocate(a.Node, a.Container, a.Demand, a.Tags); err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"medea/internal/cluster"
 	"medea/internal/constraint"
+	"medea/internal/lra"
 	"medea/internal/resource"
 )
 
@@ -146,7 +147,7 @@ func TestFIFOWithinQueue(t *testing.T) {
 func TestCommitAndConflict(t *testing.T) {
 	c := cluster.Grid(1, 1, resource.New(4096, 4))
 	s := New(c)
-	good := []CommitAssignment{
+	good := []lra.Assignment{
 		{Container: "lra#0", Node: 0, Demand: resource.New(2048, 1), Tags: []constraint.Tag{"hb"}},
 		{Container: "lra#1", Node: 0, Demand: resource.New(2048, 1), Tags: []constraint.Tag{"hb"}},
 	}
@@ -157,7 +158,7 @@ func TestCommitAndConflict(t *testing.T) {
 		t.Fatalf("containers = %d", got)
 	}
 	// Node now full: next commit conflicts and must roll back atomically.
-	bad := []CommitAssignment{
+	bad := []lra.Assignment{
 		{Container: "lra#2", Node: 0, Demand: resource.New(1, 1)}, // fits? only 0MB... 0 free mem
 	}
 	err := s.Commit(bad)
@@ -172,7 +173,7 @@ func TestCommitAndConflict(t *testing.T) {
 func TestCommitRollbackPartial(t *testing.T) {
 	c := cluster.Grid(2, 2, resource.New(2048, 2))
 	s := New(c)
-	batch := []CommitAssignment{
+	batch := []lra.Assignment{
 		{Container: "x#0", Node: 0, Demand: resource.New(2048, 1)},
 		{Container: "x#1", Node: 0, Demand: resource.New(2048, 1)}, // does not fit
 	}
