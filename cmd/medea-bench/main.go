@@ -43,9 +43,9 @@ import (
 )
 
 // pipelineMaxAllocs caps the pipeline fixture's allocs/op on every row
-// under -gate: 1.25x the value recorded when the greedy score table and
-// the structural cluster.Clone landed (43,032; 108,972–110,238 before).
-const pipelineMaxAllocs = 53790
+// under -gate: 1.25x the value recorded when PR 20 made a Place resolve
+// its constraints and score each placement once (23,210; 42,511 before).
+const pipelineMaxAllocs = 29012
 
 type benchResult struct {
 	CPU             int     `json:"cpu"`

@@ -3,12 +3,12 @@ package ilp
 import "math"
 
 // SolverArena owns every piece of reusable solver memory: the simplex
-// scratch (standard-form mapping, row assembly, tableau, cost rows,
-// solution extraction), the branch-and-bound bound-vector free list and
-// a reusable CSR build area. Threading one arena through ilp.Options
-// across solves removes nearly all per-solve allocations — consecutive
-// scheduling cycles solve near-identical models, so the grown buffers fit
-// immediately.
+// scratch (standard-form mapping, row shapes, tableau, cost row, pivot
+// buffers, solution extraction), the branch-and-bound bound-vector free
+// list and a reusable CSR build area. Threading one arena through
+// ilp.Options across solves removes nearly all per-solve allocations —
+// consecutive scheduling cycles solve near-identical models, so the grown
+// buffers fit immediately.
 //
 // Determinism contract: an arena is plain grow-only memory, not a
 // sync.Pool, so reuse can never reorder or perturb results. Every buffer
@@ -22,11 +22,15 @@ import "math"
 // one out per solve.
 type SolverArena struct {
 	lp   lpScratch  // the LP relaxation being solved
-	pool boundsPool // bound vectors of open branch-and-bound nodes
+	pool boundsPool // bound vectors of open branch-and-bound nodes, the root's included
 	// prep is the reusable CSR build area for models that were not
 	// prepare()d: rebuilt (cheaply, into the same backing arrays) at the
 	// start of each solve and read-only for its duration.
 	prep prepared
+	// rootX keeps the root relaxation's solution for the search's first
+	// node while the warm-start LPs reuse lp.x; seen is search.seen.
+	rootX []float64
+	seen  []bool
 }
 
 // NewSolverArena returns an empty arena; buffers grow on first use.
@@ -77,46 +81,63 @@ func (a *SolverArena) Poison() {
 	poisonF64(a.prep.conHi[:cap(a.prep.conHi)])
 	poisonInt(a.prep.rowStart[:cap(a.prep.rowStart)])
 	poisonInt(a.prep.cols[:cap(a.prep.cols)])
+	poisonF64(a.rootX[:cap(a.rootX)])
+	poisonBool(a.seen[:cap(a.seen)])
 	a.lp.poison()
 	a.pool.poison()
 }
 
-// lpScratch holds the reusable buffers of one LP relaxation solve. All
-// buffers are grow-only; every element read during a solve is written
-// earlier in that same solve (poisoned-arena tests enforce this), so
-// nothing from a previous — possibly unrelated — model can leak into a
-// result.
+// lpScratch holds the reusable buffers of one LP relaxation solve: the
+// standard-form mapping (svars, colOf, fixed, ubCol/ubWide), the shape of
+// every tableau row (rowSrc, rowFlip, rowRel, rowB), the tableau with its
+// basis and cost row, the pivot's gathered column and non-zero index list
+// (col, nz) and the extracted solution (stdVal, x). All buffers are
+// grow-only; every element read during a solve is written earlier in that
+// same solve (poison garbage-fills each one and the poisoned-arena tests
+// enforce this), so nothing from a previous — possibly unrelated — model
+// can leak into a result.
 type lpScratch struct {
-	svars  []stdVar
-	colOf  []int
-	fixed  []float64
-	ubCol  []int     // std columns with a finite range width...
-	ubWide []float64 // ...and the width itself (parallel arrays)
-	conRow []float64 // one constraint row being assembled
-	rowA   []float64 // row coefficients, flat, stride nStructural
-	rowRel []int8    // -1: <=, 0: ==, +1: >=
-	rowB   []float64
-	tabF   []float64   // flat tableau backing, stride totalCols+1
-	tab    [][]float64 // row headers into tabF
-	basis  []int
-	cost   []float64
-	stdVal []float64
-	x      []float64 // extracted model-space solution (lpResult.x)
+	svars   []stdVar
+	colOf   []int
+	fixed   []float64
+	ubCol   []int     // std columns with a finite range width...
+	ubWide  []float64 // ...and the width itself (parallel arrays)
+	rowSrc  []int     // per tableau row: its constraint, or -1-i for ubCol[i]'s bound row
+	rowFlip []bool    // the row was negated to make its right-hand side non-negative
+	rowRel  []int8    // -1: <=, 0: ==, +1: >= (after the flip)
+	rowB    []float64
+	tabF    []float64   // flat tableau backing, stride totalCols+1
+	tab     [][]float64 // row headers into tabF
+	basis   []int
+	cost    []float64
+	col     []float64 // the pivot column, gathered for one pivot
+	nz      []int     // columns where the scaled pivot row is non-zero
+	stdVal  []float64
+	x       []float64 // extracted model-space solution (lpResult.x)
+	// wlo and whi are the bound vectors of the warm-start candidate being
+	// evaluated (warmIncumbent).
+	wlo, whi []float64
+	// lps counts the LPs solved through this scratch; tests assert on it.
+	lps int
 }
 
 func (sc *lpScratch) poison() {
 	poisonF64(sc.fixed[:cap(sc.fixed)])
 	poisonF64(sc.ubWide[:cap(sc.ubWide)])
-	poisonF64(sc.conRow[:cap(sc.conRow)])
-	poisonF64(sc.rowA[:cap(sc.rowA)])
 	poisonF64(sc.rowB[:cap(sc.rowB)])
 	poisonF64(sc.tabF[:cap(sc.tabF)])
 	poisonF64(sc.cost[:cap(sc.cost)])
+	poisonF64(sc.col[:cap(sc.col)])
 	poisonF64(sc.stdVal[:cap(sc.stdVal)])
 	poisonF64(sc.x[:cap(sc.x)])
+	poisonF64(sc.wlo[:cap(sc.wlo)])
+	poisonF64(sc.whi[:cap(sc.whi)])
 	poisonInt(sc.colOf[:cap(sc.colOf)])
 	poisonInt(sc.ubCol[:cap(sc.ubCol)])
+	poisonInt(sc.rowSrc[:cap(sc.rowSrc)])
 	poisonInt(sc.basis[:cap(sc.basis)])
+	poisonInt(sc.nz[:cap(sc.nz)])
+	poisonBool(sc.rowFlip[:cap(sc.rowFlip)])
 	sv := sc.svars[:cap(sc.svars)]
 	for i := range sv {
 		sv[i] = stdVar{model: math.MinInt, shift: math.NaN(), sign: math.NaN()}
@@ -215,5 +236,13 @@ func poisonF64(s []float64) {
 func poisonInt(s []int) {
 	for i := range s {
 		s[i] = math.MinInt
+	}
+}
+
+// poisonBool sets every flag: a stale true is the harmful value for the
+// flags kept here (a row flipped, a variable already recorded).
+func poisonBool(s []bool) {
+	for i := range s {
+		s[i] = true
 	}
 }

@@ -100,9 +100,13 @@ func (m *Model) worst() float64 {
 // tightened to the nearest integers, plus whether any integer variable
 // exists.
 func (m *Model) rootBounds() (lo, hi []float64, hasInt bool) {
-	n := len(m.vars)
-	lo = make([]float64, n)
-	hi = make([]float64, n)
+	lo, hi = make([]float64, len(m.vars)), make([]float64, len(m.vars))
+	return lo, hi, m.rootBoundsInto(lo, hi)
+}
+
+// rootBoundsInto is rootBounds into caller-supplied vectors of the
+// model's variable count; every element is written.
+func (m *Model) rootBoundsInto(lo, hi []float64) (hasInt bool) {
 	for j, v := range m.vars {
 		lo[j], hi[j] = v.lo, v.hi
 		if v.integer {
@@ -115,7 +119,7 @@ func (m *Model) rootBounds() (lo, hi []float64, hasInt bool) {
 			}
 		}
 	}
-	return lo, hi, hasInt
+	return hasInt
 }
 
 // preparedFor resolves the CSR constraint matrix for one solve: a model
@@ -137,14 +141,12 @@ func (m *Model) preparedFor(opts Options, arena *SolverArena) *prepared {
 // when no candidate is feasible.
 func (m *Model) warmIncumbent(opts Options, p *prepared, lo, hi []float64, sc *lpScratch) (obj float64, x []float64, ok bool) {
 	n := len(m.vars)
-	var wlo, whi []float64
 	tryOne := func(ws map[Var]float64) (float64, []float64, bool) {
 		if len(ws) == 0 {
 			return 0, nil, false
 		}
-		if wlo == nil {
-			wlo, whi = make([]float64, n), make([]float64, n)
-		}
+		wlo, whi := growF64(sc.wlo, n), growF64(sc.whi, n)
+		sc.wlo, sc.whi = wlo, whi
 		copy(wlo, lo)
 		copy(whi, hi)
 		for v, val := range ws {
@@ -290,33 +292,45 @@ func (m *Model) solveExact(opts Options) *Solution {
 	if maxNodes == 0 {
 		maxNodes = defaultMaxNodes
 	}
-	lo, hi, hasInt := m.rootBounds()
+	n := len(m.vars)
+	arena.pool.reset(n)
+	rootNode := bbNode{lo: arena.pool.get(), hi: arena.pool.get()}
+	lo, hi := rootNode.lo, rootNode.hi
+	hasInt := m.rootBoundsInto(lo, hi)
 
 	root := solveLP(m, p, lo, hi, opts.Deadline, opts.Clock, &arena.lp)
-	if root.status == statusDeadline {
-		return &Solution{Status: NoSolution, Nodes: 1, DeadlineHit: true}
-	}
-	if root.status != Optimal {
-		return &Solution{Status: root.status, Nodes: 1}
-	}
-	if !hasInt || m.integral(root.x) {
+	if root.status != Optimal || !hasInt || m.integral(root.x) {
+		arena.pool.release(rootNode)
+		switch {
+		case root.status == statusDeadline:
+			return &Solution{Status: NoSolution, Nodes: 1, DeadlineHit: true}
+		case root.status != Optimal:
+			return &Solution{Status: root.status, Nodes: 1}
+		}
 		return &Solution{Status: Optimal, Objective: root.obj, values: m.snap(root.x), Nodes: 1}
 	}
+	// The warm-start LPs below reuse the scratch root.x points into.
+	arena.rootX = append(arena.rootX[:0], root.x...)
+	root.x = arena.rootX
+	rootNode.bound = root.obj
 
-	s := &search{m: m, opts: opts, p: p, arena: arena, obj: m.worst(), nodes: 1, seen: make([]bool, len(m.vars))}
+	if cap(arena.seen) < n {
+		arena.seen = make([]bool, n)
+	}
+	clear(arena.seen[:n])
+	s := &search{m: m, opts: opts, p: p, arena: arena, obj: m.worst(), nodes: 1, seen: arena.seen[:n]}
 	warmUsed := false
 	if obj, x, ok := m.warmIncumbent(opts, p, lo, hi, &arena.lp); ok {
 		s.obj, s.x, warmUsed = obj, x, true
 	}
-	arena.pool.reset(len(m.vars))
-	open := s.explore([]bbNode{{lo: lo, hi: hi, bound: root.obj}}, s.obj, maxNodes-1, true)
+	open := s.explore([]bbNode{rootNode}, &root, s.obj, maxNodes-1, true)
 	if left := maxNodes - s.nodes; len(open) > 0 && !s.cut {
 		if left < len(open) {
 			s.cut = true // not even one node per subtree
 		} else {
 			inc := s.obj
 			for i := len(open) - 1; i >= 0; i-- {
-				s.explore([]bbNode{open[i]}, inc, left/len(open), false)
+				s.explore([]bbNode{open[i]}, nil, inc, left/len(open), false)
 			}
 		}
 	}
@@ -363,7 +377,7 @@ type search struct {
 // to be kept. It starts as the caller's and follows this call's own
 // finds, not the incumbent's: a solution of equal objective found
 // elsewhere must not hide this one from the lexicographic tie-break.
-func (s *search) explore(stack []bbNode, inc float64, budget int, dive bool) []bbNode {
+func (s *search) explore(stack []bbNode, root *lpResult, inc float64, budget int, dive bool) []bbNode {
 	m, opts, pool := s.m, s.opts, &s.arena.pool
 	for used := 0; len(stack) > 0 && !(dive && len(stack) >= frontierTarget); {
 		if used >= budget || (!opts.Deadline.IsZero() && used%16 == 0 && opts.now().After(opts.Deadline)) {
@@ -376,9 +390,20 @@ func (s *search) explore(stack []bbNode, inc float64, budget int, dive bool) []b
 			pool.release(nd)
 			continue
 		}
-		res := solveLP(m, s.p, nd.lo, nd.hi, opts.Deadline, opts.Clock, &s.arena.lp)
 		used++
 		s.nodes++
+		if !m.better(nd.bound, inc) {
+			// No LP below this node can beat what this call already holds:
+			// count the node as searched and spare its LP.
+			pool.release(nd)
+			continue
+		}
+		var res lpResult
+		if root != nil {
+			res, root = *root, nil
+		} else {
+			res = solveLP(m, s.p, nd.lo, nd.hi, opts.Deadline, opts.Clock, &s.arena.lp)
+		}
 		if res.status == statusDeadline {
 			s.cut = true
 			break

@@ -63,6 +63,7 @@ func solveLP(m *Model, p *prepared, lo, hi []float64, deadline time.Time, clk fu
 	if p == nil {
 		p = buildPrepared(m)
 	}
+	sc.lps++
 	n := len(m.vars)
 	for j := 0; j < n; j++ {
 		if lo[j] > hi[j]+tolFeas {
@@ -108,59 +109,49 @@ func solveLP(m *Model, p *prepared, lo, hi []float64, deadline time.Time, clk fu
 	}
 	sc.svars, sc.ubCol, sc.ubWide = svars, ubCol, ubWide
 
-	// Assemble rows — coefficients flat in sc.rowA (stride nStructural)
-	// with relation/rhs in parallel arrays. Each row is staged in conRow
-	// and copied in whole, so sc.rowA growth can never dangle a live row.
+	// Row pre-pass over the CSR: relation, right-hand side and flip of
+	// every tableau row, so the tableau's shape is known before the first
+	// coefficient is written. A constraint yields one row (== or one-sided)
+	// or two (a range: <= hi, then >= lo); each finite-width variable adds a
+	// <= row after them. Rows with a negative right-hand side are flipped to
+	// make it non-negative.
 	nStructural := len(svars)
-	sc.rowA = sc.rowA[:0]
-	rowRel := sc.rowRel[:0]
-	rowB := sc.rowB[:0]
-	conRow := growF64(sc.conRow, nStructural)
-	sc.conRow = conRow
-	appendRow := func(rel int8, b float64) {
-		sc.rowA = append(sc.rowA, conRow...)
-		rowRel = append(rowRel, rel)
-		rowB = append(rowB, b)
+	rowSrc, rowFlip := sc.rowSrc[:0], sc.rowFlip[:0]
+	rowRel, rowB := sc.rowRel[:0], sc.rowB[:0]
+	appendRow := func(src int, rel int8, b float64) {
+		flip := b < 0
+		if flip {
+			rel, b = -rel, -b
+		}
+		rowSrc, rowFlip = append(rowSrc, src), append(rowFlip, flip)
+		rowRel, rowB = append(rowRel, rel), append(rowB, b)
 	}
 	for ci := 0; ci < len(p.conLo); ci++ {
-		clearF64(conRow)
 		shiftSum := 0.0
 		for k := p.rowStart[ci]; k < p.rowStart[ci+1]; k++ {
-			j := p.cols[k]
-			coeff := p.coefs[k]
-			if colOf[j] < 0 {
-				shiftSum += coeff * fixed[j]
-				continue
-			}
-			c0 := colOf[j]
-			sv := svars[c0]
-			shiftSum += coeff * sv.shift
-			conRow[c0] += coeff * sv.sign
-			if sv.sign == 1 && c0+1 < len(svars) && svars[c0+1].model == j && svars[c0+1].sign == -1 {
-				conRow[c0+1] += -coeff
+			if c0 := colOf[p.cols[k]]; c0 < 0 {
+				shiftSum += p.coefs[k] * fixed[p.cols[k]]
+			} else {
+				shiftSum += p.coefs[k] * svars[c0].shift
 			}
 		}
 		loC, hiC := p.conLo[ci]-shiftSum, p.conHi[ci]-shiftSum
 		switch {
 		case p.conLo[ci] == p.conHi[ci]:
-			appendRow(0, loC)
+			appendRow(ci, 0, loC)
 		default:
 			if !math.IsInf(hiC, 1) {
-				appendRow(-1, hiC)
+				appendRow(ci, -1, hiC)
 			}
 			if !math.IsInf(loC, -1) {
-				appendRow(1, loC)
+				appendRow(ci, 1, loC)
 			}
 		}
 	}
-	clearF64(conRow)
-	for i, col := range ubCol {
-		conRow[col] = 1
-		appendRow(-1, ubWide[i])
-		conRow[col] = 0
+	for i := range ubCol {
+		appendRow(-1-i, -1, ubWide[i])
 	}
-	sc.rowRel, sc.rowB = rowRel, rowB
-	rowAt := func(i int) []float64 { return sc.rowA[i*nStructural : (i+1)*nStructural] }
+	sc.rowSrc, sc.rowFlip, sc.rowRel, sc.rowB = rowSrc, rowFlip, rowRel, rowB
 
 	mRows := len(rowRel)
 	if mRows == 0 {
@@ -193,30 +184,15 @@ func solveLP(m *Model, p *prepared, lo, hi []float64, deadline time.Time, clk fu
 		return lpResult{status: Optimal, obj: obj, x: x}
 	}
 
-	// Tableau columns: structural | slacks | artificials | rhs.
-	// Count slacks (one per inequality) and artificials.
-	nSlack := 0
-	for i := 0; i < mRows; i++ {
-		if rowRel[i] != 0 {
+	// Tableau columns: structural | slacks | artificials | rhs. A row with
+	// <= and b>=0 gets a slack usable as initial basis; >= rows get a
+	// surplus plus an artificial; == rows get an artificial.
+	nSlack, nArt := 0, 0
+	for _, rel := range rowRel {
+		if rel != 0 {
 			nSlack++
 		}
-	}
-	// Normalise rhs to be >= 0 first, flipping rows.
-	for i := 0; i < mRows; i++ {
-		if rowB[i] < 0 {
-			r := rowAt(i)
-			for k := range r {
-				r[k] = -r[k]
-			}
-			rowB[i] = -rowB[i]
-			rowRel[i] = -rowRel[i]
-		}
-	}
-	// A row with <= and b>=0 gets a slack usable as initial basis; >= rows
-	// get a surplus plus an artificial; == rows get an artificial.
-	nArt := 0
-	for i := 0; i < mRows; i++ {
-		if rowRel[i] >= 0 {
+		if rel >= 0 {
 			nArt++
 		}
 	}
@@ -231,7 +207,30 @@ func solveLP(m *Model, p *prepared, lo, hi []float64, deadline time.Time, clk fu
 	slackAt, artAt := nStructural, nStructural+nSlack
 	for i := 0; i < mRows; i++ {
 		tr := tabF[i*stride : (i+1)*stride : (i+1)*stride]
-		copy(tr, rowAt(i))
+		if ci := rowSrc[i]; ci < 0 {
+			tr[ubCol[-1-ci]] = 1
+		} else {
+			for k := p.rowStart[ci]; k < p.rowStart[ci+1]; k++ {
+				j := p.cols[k]
+				c0 := colOf[j]
+				if c0 < 0 {
+					continue
+				}
+				coeff := p.coefs[k]
+				sv := svars[c0]
+				tr[c0] += coeff * sv.sign
+				if sv.sign == 1 && c0+1 < len(svars) && svars[c0+1].model == j && svars[c0+1].sign == -1 {
+					tr[c0+1] += -coeff
+				}
+			}
+		}
+		if rowFlip[i] {
+			// The whole structural part, zeros included: a flipped row holds
+			// -0 where it has no coefficient.
+			for k := 0; k < nStructural; k++ {
+				tr[k] = -tr[k]
+			}
+		}
 		tr[totalCols] = rowB[i]
 		switch rowRel[i] {
 		case -1:
@@ -255,6 +254,7 @@ func solveLP(m *Model, p *prepared, lo, hi []float64, deadline time.Time, clk fu
 
 	cost := growF64(sc.cost, stride)
 	sc.cost = cost
+	sc.col = growF64(sc.col, mRows)
 
 	// Phase 1: minimise the sum of artificials.
 	if nArt > 0 {
@@ -270,7 +270,7 @@ func solveLP(m *Model, p *prepared, lo, hi []float64, deadline time.Time, clk fu
 				}
 			}
 		}
-		switch runSimplex(tab, basis, cost, totalCols, deadline, clk) {
+		switch runSimplex(tab, basis, cost, totalCols, deadline, clk, sc) {
 		case Unbounded:
 			// Phase 1 objective is bounded below by 0; unbounded here means
 			// numerical trouble. Report infeasible conservatively.
@@ -289,7 +289,10 @@ func solveLP(m *Model, p *prepared, lo, hi []float64, deadline time.Time, clk fu
 			pivoted := false
 			for c := 0; c < nStructural+nSlack; c++ {
 				if math.Abs(tab[i][c]) > tolPivot {
-					pivot(tab, basis, i, c)
+					for r := range tab {
+						sc.col[r] = tab[r][c]
+					}
+					pivot(tab, basis, i, c, sc)
 					pivoted = true
 					break
 				}
@@ -337,7 +340,7 @@ func solveLP(m *Model, p *prepared, lo, hi []float64, deadline time.Time, clk fu
 			}
 		}
 	}
-	switch runSimplex(tab, basis, cost, totalCols, deadline, clk) {
+	switch runSimplex(tab, basis, cost, totalCols, deadline, clk, sc) {
 	case Unbounded:
 		return lpResult{status: Unbounded}
 	case statusDeadline:
@@ -378,28 +381,31 @@ func solveLP(m *Model, p *prepared, lo, hi []float64, deadline time.Time, clk fu
 // runSimplex runs primal simplex iterations on the tableau until optimal,
 // unbounded, or the deadline. cost is the current (priced-out) objective
 // row with the running negative objective value in its rhs slot. Dantzig
-// pricing with a switch to Bland's rule guards against cycling.
-func runSimplex(tab [][]float64, basis []int, cost []float64, totalCols int, deadline time.Time, clk func() time.Time) Status {
+// pricing with a switch to Bland's rule guards against cycling. sc.col,
+// one entry per row, receives the entering column for the pivot.
+func runSimplex(tab [][]float64, basis []int, cost []float64, totalCols int, deadline time.Time, clk func() time.Time, sc *lpScratch) Status {
 	mRows := len(tab)
 	maxIter := 200*(mRows+totalCols) + 2000
 	blandAfter := 20*(mRows+totalCols) + 500
+	col := sc.col
 	for iter := 0; iter < maxIter; iter++ {
 		if !deadline.IsZero() && iter%deadlineCheckEvery == 0 && clk().After(deadline) {
 			return statusDeadline
 		}
-		// Entering column.
+		// Entering column. Artificials barred from re-entering cost +Inf,
+		// which is never below the threshold.
 		enter := -1
 		if iter < blandAfter {
 			best := -tolCost
-			for c := 0; c < totalCols; c++ {
-				if !math.IsInf(cost[c], 1) && cost[c] < best {
-					best = cost[c]
+			for c, v := range cost[:totalCols] {
+				if v < best {
+					best = v
 					enter = c
 				}
 			}
 		} else {
-			for c := 0; c < totalCols; c++ {
-				if !math.IsInf(cost[c], 1) && cost[c] < -tolCost {
+			for c, v := range cost[:totalCols] {
+				if v < -tolCost {
 					enter = c
 					break
 				}
@@ -408,11 +414,13 @@ func runSimplex(tab [][]float64, basis []int, cost []float64, totalCols int, dea
 		if enter < 0 {
 			return Optimal
 		}
-		// Ratio test.
+		// Ratio test, gathering the entering column for the pivot on the way:
+		// the one strided pass over the tableau per iteration.
 		leave := -1
 		bestRatio := math.Inf(1)
 		for i := 0; i < mRows; i++ {
 			a := tab[i][enter]
+			col[i] = a
 			if a > tolPivot {
 				r := tab[i][totalCols] / a
 				if r < bestRatio-tolFeas || (r < bestRatio+tolFeas && (leave < 0 || basis[i] < basis[leave])) {
@@ -424,15 +432,12 @@ func runSimplex(tab [][]float64, basis []int, cost []float64, totalCols int, dea
 		if leave < 0 {
 			return Unbounded
 		}
-		pivot(tab, basis, leave, enter)
-		// Update the cost row.
-		ce := cost[enter]
-		if ce != 0 {
+		nz := pivot(tab, basis, leave, enter, sc)
+		// Update the cost row where the pivot row is non-zero.
+		if ce := cost[enter]; ce != 0 {
 			pr := tab[leave]
-			for k := 0; k <= totalCols; k++ {
-				if pr[k] != 0 {
-					cost[k] -= ce * pr[k]
-				}
+			for _, k := range nz {
+				cost[k] -= ce * pr[k]
 			}
 			cost[enter] = 0
 		}
@@ -442,28 +447,43 @@ func runSimplex(tab [][]float64, basis []int, cost []float64, totalCols int, dea
 	return Optimal
 }
 
-// pivot performs a full tableau pivot on (row, col).
-func pivot(tab [][]float64, basis []int, row, col int) {
+// pivot performs a tableau pivot on (row, col) and returns the columns it
+// eliminated over (valid until the next pivot on sc): those where the
+// scaled pivot row is non-zero, and the right-hand side. The caller has
+// gathered column col of the tableau into sc.col. The tableaux of
+// placement models are a few percent dense, so the elimination visits
+// only the rows whose pivot-column entry is non-zero and, in those, only
+// the returned columns. Everywhere else a full sweep would subtract a
+// zero, which changes nothing but the sign of a -0 cell; the right-hand
+// side is always swept because there that sign reaches the solution (a
+// basic variable at zero over a -0 lower bound), inside the tableau
+// nothing reads it.
+func pivot(tab [][]float64, basis []int, row, col int, sc *lpScratch) []int {
 	pr := tab[row]
-	p := pr[col]
-	inv := 1 / p
-	for k := range pr {
-		pr[k] *= inv
-	}
-	pr[col] = 1 // exact
-	for i := range tab {
-		if i == row {
-			continue
+	inv := 1 / sc.col[row]
+	rhs := len(pr) - 1
+	nz := growInt(sc.nz, len(pr))[:0]
+	for k, v := range pr[:rhs] {
+		v *= inv
+		pr[k] = v
+		if v != 0 {
+			nz = append(nz, k)
 		}
-		f := tab[i][col]
-		if f == 0 {
+	}
+	pr[rhs] *= inv
+	nz = append(nz, rhs)
+	sc.nz = nz
+	pr[col] = 1 // exact
+	for i, f := range sc.col {
+		if i == row || f == 0 {
 			continue
 		}
 		ri := tab[i]
-		for k := range ri {
+		for _, k := range nz {
 			ri[k] -= f * pr[k]
 		}
 		ri[col] = 0 // exact
 	}
 	basis[row] = col
+	return nz
 }

@@ -3,6 +3,7 @@ package lra_test
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"medea/internal/cluster"
 	"medea/internal/constraint"
@@ -27,18 +28,14 @@ func templateApp(i int) *lra.Application {
 	}
 }
 
-// twoSchedState builds the steady state of the two_sched workload: a
-// 256-node grid in racks of 8 with 80 template LRAs deployed by Medea-NC
-// and ~640 untagged task containers beside them. It returns the state,
-// the deployed LRAs' constraints and the next batch (one HBase, one TF).
-func twoSchedState(tb testing.TB) (*cluster.Cluster, []constraint.Entry, []*lra.Application) {
+// deployTemplates places templateApp(0..n-1) one at a time with alg,
+// commits each to c and returns their constraints as active entries.
+func deployTemplates(tb testing.TB, c *cluster.Cluster, alg lra.Algorithm, opts lra.Options, n int) []constraint.Entry {
 	tb.Helper()
-	c := cluster.Grid(256, 8, resource.New(16384, 8))
 	var active []constraint.Entry
-	nc := lra.NewNodeCandidates()
-	for i := 0; i < 80; i++ {
+	for i := 0; i < n; i++ {
 		app := templateApp(i)
-		res := nc.Place(c, []*lra.Application{app}, active, lra.Options{})
+		res := alg.Place(c, []*lra.Application{app}, active, opts)
 		if res.PlacedApps() != 1 {
 			tb.Fatalf("fixture: %s not placed", app.ID)
 		}
@@ -51,6 +48,17 @@ func twoSchedState(tb testing.TB) (*cluster.Cluster, []constraint.Entry, []*lra.
 			active = append(active, constraint.Entry{AppID: app.ID, Source: constraint.SourceApplication, Constraint: con})
 		}
 	}
+	return active
+}
+
+// twoSchedState builds the steady state of the two_sched workload: a
+// 256-node grid in racks of 8 with 80 template LRAs deployed by Medea-NC
+// and ~640 untagged task containers beside them. It returns the state,
+// the deployed LRAs' constraints and the next batch (one HBase, one TF).
+func twoSchedState(tb testing.TB) (*cluster.Cluster, []constraint.Entry, []*lra.Application) {
+	tb.Helper()
+	c := cluster.Grid(256, 8, resource.New(16384, 8))
+	active := deployTemplates(tb, c, lra.NewNodeCandidates(), lra.Options{}, 80)
 	for i, placed := 0, 0; placed < 640; i++ {
 		// Strided over the grid, skipping nodes the LRAs filled.
 		id := cluster.ContainerID(fmt.Sprintf("task-%d", placed))
@@ -74,3 +82,24 @@ func benchmarkGreedyPlace(b *testing.B, alg lra.Algorithm) {
 
 func BenchmarkGreedyPlaceNC256(b *testing.B) { benchmarkGreedyPlace(b, lra.NewNodeCandidates()) }
 func BenchmarkGreedyPlaceTP256(b *testing.B) { benchmarkGreedyPlace(b, lra.NewTagPopularity()) }
+
+// BenchmarkILPPlaceSteady64 is one steady-state Place of the benchmark's
+// ilp_steady workload: a 64-node grid in racks of 8 holding 26 template
+// LRAs that Medea-ILP deployed one at a time, and a batch of one HBase
+// and one TensorFlow under medea-server's 500 ms solver budget. The
+// scheduler is built once, so its arenas and cross-cycle memory are warm
+// the way they are mid-run.
+func BenchmarkILPPlaceSteady64(b *testing.B) {
+	c := cluster.Grid(64, 8, resource.New(16384, 8))
+	opts := lra.Options{SolverBudget: 500 * time.Millisecond}
+	alg := lra.NewILP()
+	active := deployTemplates(b, c, alg, opts, 26)
+	batch := []*lra.Application{templateApp(28), templateApp(27)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := alg.Place(c, batch, active, opts); res.PlacedApps() != len(batch) {
+			b.Fatalf("placed %d of %d", res.PlacedApps(), len(batch))
+		}
+	}
+}

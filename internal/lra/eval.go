@@ -99,8 +99,14 @@ func (r Report) ViolationFraction() float64 {
 // Evaluate checks every allocated container against every active
 // constraint and aggregates violations.
 func Evaluate(state *cluster.Cluster, entries []constraint.Entry) Report {
+	return evaluateResolved(state, ResolveEntries(entries))
+}
+
+// evaluateResolved is Evaluate over a list that already went through
+// ResolveEntries (or flattenConstraints): a Place resolves its constraints
+// once and scores every candidate placement against that one list.
+func evaluateResolved(state *cluster.Cluster, resolved []constraint.Entry) Report {
 	var rep Report
-	resolved := ResolveEntries(entries)
 	for _, id := range state.ContainerIDs() {
 		node, ok := state.ContainerNode(id)
 		if !ok {

@@ -130,10 +130,19 @@ func (g *greedy) filterEntries(entries []constraint.Entry) []constraint.Entry {
 
 // Place implements Algorithm.
 func (g *greedy) Place(state *cluster.Cluster, apps []*Application, active []constraint.Entry, opts Options) *Result {
+	res, _ := g.placeWork(state, apps, flattenConstraints(apps, active), opts)
+	return res
+}
+
+// placeWork is Place over the batch's already flattened constraint list.
+// It also returns the scratch cluster the placement was built on: state
+// plus every assignment of the placed applications and nothing of the
+// failed ones, which were rolled back.
+func (g *greedy) placeWork(state *cluster.Cluster, apps []*Application, flat []constraint.Entry, opts Options) (*Result, *cluster.Cluster) {
 	clk := opts.clock()
 	start := clk()
 	work := state.Clone()
-	cons := g.filterEntries(flattenConstraints(apps, active))
+	cons := g.filterEntries(flat)
 	reqs := buildRequests(apps)
 
 	var queue []containerReq
@@ -233,7 +242,7 @@ func (g *greedy) Place(state *cluster.Cluster, apps []*Application, active []con
 		}
 		res.Placements = append(res.Placements, p)
 	}
-	return res
+	return res, work
 }
 
 // firstFitNode picks randomly among the first few nodes (by ID) with room.

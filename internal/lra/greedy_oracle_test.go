@@ -279,6 +279,20 @@ func deployBatch(t *testing.T, c *cluster.Cluster, apps []*Application, placemen
 	return active
 }
 
+// fillNearlyFull leaves a core or two per node, so applications fail
+// half way.
+func fillNearlyFull(t *testing.T, rng *rand.Rand, state *cluster.Cluster) {
+	t.Helper()
+	for _, n := range state.Nodes() {
+		if free := n.Free(); free.VCores > 2 {
+			fill := resource.New(free.MemoryMB/2, free.VCores-1-int64(rng.Intn(2)))
+			if err := state.Allocate(n.ID, cluster.MakeContainerID("fill", int(n.ID)), fill, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // checkTable compares every cell, every clean count and every node
 // choice of the table with the oracle. Floats must be bit-identical: the
 // table caches scores, it never computes one differently.
@@ -401,15 +415,7 @@ func TestGreedyPlaceMatchesOracle(t *testing.T) {
 		deployed := oracleBatch(rng, "dep", 3+rng.Intn(6))
 		active := deployBatch(t, state, deployed, NewSerial().(*greedy).oraclePlace(state, deployed, nil))
 		if seed%2 == 0 {
-			// Leave a core or two per node, so applications fail half way.
-			for _, n := range state.Nodes() {
-				if free := n.Free(); free.VCores > 2 {
-					fill := resource.New(free.MemoryMB/2, free.VCores-1-int64(rng.Intn(2)))
-					if err := state.Allocate(n.ID, cluster.MakeContainerID("fill", int(n.ID)), fill, nil); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
+			fillNearlyFull(t, rng, state)
 		}
 		apps := oracleBatch(rng, "new", 2+rng.Intn(8))
 		for _, g := range scoringVariants() {

@@ -3,9 +3,9 @@ package lra
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"medea/internal/cluster"
@@ -38,8 +38,9 @@ import (
 // the free-space margin, preserving the anti-fragmentation pressure while
 // keeping the branch-and-bound tree small.
 type ilpScheduler struct {
-	// fallback handles deadline exhaustion without an incumbent.
-	fallback Algorithm
+	// fallback seeds the solver's incumbent and handles deadline
+	// exhaustion without one.
+	fallback *bestOf
 
 	// mu guards the arena free list and the cross-cycle memory map. Place
 	// runs concurrently for constraint-independent sub-batches, but their
@@ -201,13 +202,17 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	// its placement as the initial incumbent. Branch-and-bound then only
 	// ever improves on the heuristic within the time budget, combining
 	// the heuristics' latency with the ILP's placement quality (§5.3).
-	fb := s.fallback.Place(state, apps, active, opts)
+	fb, fbScore := s.fallback.placeBest(state, apps, cons, opts)
 	warmCounts := make([]map[cluster.NodeID]int, len(groups))
-	giOf := map[string]int{}
+	type groupKey struct {
+		app   int
+		group string
+	}
+	giOf := make(map[groupKey]int, len(groups))
 	warmOK := true
 	for gi := range groups {
 		warmCounts[gi] = map[cluster.NodeID]int{}
-		key := fmt.Sprintf("%d/%s", groups[gi].appIdx, groups[gi].name)
+		key := groupKey{groups[gi].appIdx, groups[gi].name}
 		if _, dup := giOf[key]; dup {
 			warmOK = false // ambiguous duplicate group names
 		}
@@ -217,7 +222,7 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	for ai, p := range fb.Placements {
 		fbPlaced[ai] = p.Placed
 		for _, asg := range p.Assignments {
-			gi, ok := giOf[fmt.Sprintf("%d/%s", ai, asg.Group)]
+			gi, ok := giOf[groupKey{ai, asg.Group}]
 			if !ok {
 				warmOK = false
 				break
@@ -231,16 +236,13 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	// solution is expressible in the model.
 	if warmOK {
 		for gi := range groups {
-			have := map[cluster.NodeID]bool{}
-			for _, n := range cands[gi] {
-				have[n] = true
-			}
+			selected := cands[gi] // sorted by selectCandidates
 			for n := range warmCounts[gi] {
-				if !have[n] {
+				if _, have := slices.BinarySearch(selected, n); !have {
 					cands[gi] = append(cands[gi], n)
 				}
 			}
-			sort.Slice(cands[gi], func(i, j int) bool { return cands[gi][i] < cands[gi][j] })
+			slices.Sort(cands[gi])
 		}
 	}
 	// Union of candidate nodes, sorted for determinism.
@@ -708,14 +710,8 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 		}
 	}
 	if debugILP {
-		warmObj := 0.0
-		if warm != nil {
-			// Recompute the warm incumbent's objective for comparison.
-			wsol := m.Solve(ilp.Options{WarmStarts: []map[ilp.Var]float64{warm}, MaxNodes: 1})
-			warmObj = wsol.Objective
-		}
-		fmt.Printf("[ilp] vars=%d cons=%d status=%v nodes=%d obj=%.4f warm=%.4f\n",
-			m.NumVars(), m.NumConstraints(), sol.Status, sol.Nodes, sol.Objective, warmObj)
+		fmt.Printf("[ilp] vars=%d cons=%d status=%v nodes=%d obj=%.4f warm=%v fallback=%.6f\n",
+			m.NumVars(), m.NumConstraints(), sol.Status, sol.Nodes, sol.Objective, sol.WarmUsed, fbScore)
 	}
 	if sol.Status != ilp.Optimal && sol.Status != ilp.Feasible {
 		// No incumbent within budget: degrade gracefully to the greedy
@@ -731,8 +727,39 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 		return fb
 	}
 
-	// Decode Y counts into concrete assignments, verifying capacities on a
-	// scratch copy.
+	res, work := decodeSolution(state, apps, sol, S, Y)
+
+	// Final selection: compare the solver's placement with the greedy
+	// warm placement under the *actual* evaluation metric (placed apps,
+	// then total violation extent on the resulting state). The model's
+	// relaxations (continuous z/h, per-set slack aggregation) can make
+	// its objective diverge slightly from the true metric; committing
+	// whichever placement evaluates better closes that gap and makes
+	// Medea-ILP never worse than its own heuristics (§5.3). The fallback's
+	// score came with it; the solver's placement is scored on the scratch
+	// copy the decode left it on, unless it is the fallback's own, which
+	// ties and keeps the fallback.
+	final := res
+	if sameNodes(res, fb) || fbScore >= placementScore(work, cons, res) {
+		final = fb
+	}
+	final.Latency = clk().Sub(start)
+	final.DeadlineHit = sol.DeadlineHit
+	recordSolve(final)
+	if !opts.DisableCycleWarm {
+		// Remember what actually committed: the chosen result's placement
+		// plus the solve's branch order, keyed by application.
+		s.recordMemory(apps, final, sol, semOf, ownerOf)
+	}
+	return final
+}
+
+// decodeSolution turns the solver's S and Y values into concrete
+// assignments, verifying capacities on a scratch copy of state: an
+// application whose containers do not all fit there is rolled back and
+// reported unplaced. It returns the result and the scratch copy, which
+// holds exactly the placed applications on top of state.
+func decodeSolution(state *cluster.Cluster, apps []*Application, sol *ilp.Solution, S []ilp.Var, Y []map[cluster.NodeID]ilp.Var) (*Result, *cluster.Cluster) {
 	work := state.Clone()
 	res := &Result{}
 	reqs := buildRequests(apps)
@@ -781,28 +808,27 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 		}
 	}
 	res.Placements = placements
+	return res, work
+}
 
-	// Final selection: compare the solver's placement with the greedy
-	// warm placement under the *actual* evaluation metric (placed apps,
-	// then total violation extent on the resulting state). The model's
-	// relaxations (continuous z/h, per-set slack aggregation) can make
-	// its objective diverge slightly from the true metric; committing
-	// whichever placement evaluates better closes that gap and makes
-	// Medea-ILP never worse than its own heuristics (§5.3).
-	picker := bestOf{}
-	final := res
-	if picker.score(state, apps, active, fb) >= picker.score(state, apps, active, res) {
-		final = fb
+// sameNodes reports whether two results for one batch place the same
+// applications and put every container on the same node, in whatever
+// order they list the assignments: such results score identically.
+func sameNodes(a, b *Result) bool {
+	for i, p := range a.Placements {
+		q := b.Placements[i]
+		if p.Placed != q.Placed || len(p.Assignments) != len(q.Assignments) {
+			return false
+		}
+		for _, asg := range p.Assignments {
+			if !slices.ContainsFunc(q.Assignments, func(o Assignment) bool {
+				return o.Container == asg.Container && o.Node == asg.Node
+			}) {
+				return false
+			}
+		}
 	}
-	final.Latency = clk().Sub(start)
-	final.DeadlineHit = sol.DeadlineHit
-	recordSolve(final)
-	if !opts.DisableCycleWarm {
-		// Remember what actually committed: the chosen result's placement
-		// plus the solve's branch order, keyed by application.
-		s.recordMemory(apps, final, sol, semOf, ownerOf)
-	}
-	return final
+	return true
 }
 
 // recordMemory refreshes the cross-cycle memory from one finished solve:
@@ -870,6 +896,7 @@ func selectCandidates(state *cluster.Cluster, cons []constraint.Entry, groups []
 	budgetPer := opts.MaxCandidates
 	out := make([][]cluster.NodeID, len(groups))
 	groupNames := state.Groups()
+	var key []byte // class key of the node being bucketed, reused
 	for gi, g := range groups {
 		budget := budgetPer
 		if budget <= 0 {
@@ -891,19 +918,26 @@ func selectCandidates(state *cluster.Cluster, cons []constraint.Entry, groups []
 				continue
 			}
 			delta := placementDelta(state, gcons, g.tags, n.ID)
-			var key strings.Builder
-			fmt.Fprintf(&key, "%d/%d|%.6f", n.Free().MemoryMB, n.Free().VCores, delta)
+			free := n.Free()
+			key = strconv.AppendInt(key[:0], free.MemoryMB, 10)
+			key = append(key, '/')
+			key = strconv.AppendInt(key, free.VCores, 10)
+			key = append(key, '|')
+			key = strconv.AppendFloat(key, delta, 'f', 6, 64)
 			for _, gn := range groupNames {
 				if gn == constraint.Node {
 					continue
 				}
-				fmt.Fprintf(&key, "|%v", state.SetsOfNode(gn, n.ID))
+				key = append(key, '|')
+				for _, sid := range state.SetsOfNode(gn, n.ID) {
+					key = strconv.AppendInt(key, int64(sid), 10)
+					key = append(key, ' ')
+				}
 			}
-			k := key.String()
-			cl := classes[k]
+			cl := classes[string(key)]
 			if cl == nil {
-				cl = &class{delta: delta, free: n.Free().Scalar()}
-				classes[k] = cl
+				cl = &class{delta: delta, free: free.Scalar()}
+				classes[string(key)] = cl
 			}
 			cl.nodes = append(cl.nodes, n.ID)
 		}

@@ -142,7 +142,7 @@ func TestILPWarmStartDominance(t *testing.T) {
 		ilpRep := Evaluate(ilpC, entries(appA.Constraints[0], appB.Constraints[0]))
 
 		gC := c.Clone()
-		gRes := newBestOfGreedy().Place(gC, apps, nil, Options{})
+		gRes, _ := newBestOfGreedy().placeBest(gC, apps, flattenConstraints(apps, nil), Options{})
 		applyResult(t, gC, gRes)
 		gRep := Evaluate(gC, entries(appA.Constraints[0], appB.Constraints[0]))
 
@@ -175,7 +175,7 @@ func TestBestOfGreedyPicksCleaner(t *testing.T) {
 		constraint.New(constraint.Affinity(constraint.E("p"), constraint.E("gpu"), constraint.Node)),
 	}
 	apps := []*Application{filler, picky}
-	res := newBestOfGreedy().Place(c, apps, nil, Options{})
+	res, _ := newBestOfGreedy().placeBest(c, apps, flattenConstraints(apps, nil), Options{})
 	applyResult(t, c, res)
 	rep := Evaluate(c, entries(picky.Constraints[0]))
 	if res.PlacedApps() != 2 || rep.ViolatedContainers != 0 {

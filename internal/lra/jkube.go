@@ -64,46 +64,32 @@ func NewYARN() Algorithm {
 // the placement with more placed applications, breaking ties on the lower
 // weighted violation extent. Medea-ILP uses it to seed the solver with
 // the strongest cheap incumbent (§5.3's heuristics as a MIP start).
-func newBestOfGreedy() Algorithm {
-	return &bestOf{algs: []Algorithm{NewTagPopularity(), NewSerial()}}
+func newBestOfGreedy() *bestOf {
+	return &bestOf{algs: []*greedy{NewTagPopularity().(*greedy), NewSerial().(*greedy)}}
 }
 
 type bestOf struct {
-	algs []Algorithm
+	algs []*greedy
 }
 
-// Name implements Algorithm.
-func (b *bestOf) Name() string { return "best-of-greedy" }
-
-// Place implements Algorithm.
-func (b *bestOf) Place(state *cluster.Cluster, apps []*Application, active []constraint.Entry, opts Options) *Result {
-	var best *Result
-	bestScore := 0.0
+// placeBest places the batch with every heuristic against its flattened
+// constraint list (flattenConstraints) and returns the result with the
+// highest placementScore, and that score.
+func (b *bestOf) placeBest(state *cluster.Cluster, apps []*Application, flat []constraint.Entry, opts Options) (best *Result, bestScore float64) {
 	for _, alg := range b.algs {
-		res := alg.Place(state, apps, active, opts)
-		score := b.score(state, apps, active, res)
+		res, work := alg.placeWork(state, apps, flat, opts)
+		score := placementScore(work, flat, res)
 		if best == nil || score > bestScore {
 			best, bestScore = res, score
 		}
 	}
-	return best
+	return best, bestScore
 }
 
-// score rates a result: more placed apps first, then fewer violations.
-func (b *bestOf) score(state *cluster.Cluster, apps []*Application, active []constraint.Entry, res *Result) float64 {
-	work := state.Clone()
-	placed := 0
-	for _, p := range res.Placements {
-		if !p.Placed {
-			continue
-		}
-		placed++
-		for _, a := range p.Assignments {
-			if err := work.Allocate(a.Node, a.Container, a.Demand, a.Tags); err != nil {
-				return -1 // inconsistent result; never pick it
-			}
-		}
-	}
-	rep := Evaluate(work, flattenConstraints(apps, active))
-	return float64(placed) - rep.TotalExtent/1e6
+// placementScore rates a result: more placed apps first, then fewer
+// violations. work is the cluster holding exactly the result's placed
+// applications on top of the state they were planned against, and flat
+// the batch's flattened constraint list.
+func placementScore(work *cluster.Cluster, flat []constraint.Entry, res *Result) float64 {
+	return float64(res.PlacedApps()) - evaluateResolved(work, flat).TotalExtent/1e6
 }
