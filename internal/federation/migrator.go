@@ -1,8 +1,6 @@
 package federation
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -14,15 +12,19 @@ import (
 )
 
 // Cross-cluster migration is a crash-safe two-phase protocol driven from
-// the balancer's control loop, with the ledger as its write-ahead log:
+// the balancer's control loop, with the ledger as its write-ahead log. A
+// moving entry is in one of three phases (the moving states of
+// ledger.go):
 //
 //	PREPARE  reserve the app's demand on the destination (server-side
 //	         reservation with TTL, fit-checked against the scout report
 //	         minus this round's debits);
-//	COMMIT   submit the app to the destination, await "deployed", then
-//	         DELETE the copy from the source;
-//	ABORT    release the reservation, mark the destination ambiguous if
-//	         a submit attempt may have landed, keep the app home.
+//	COMMIT   submit the app to the destination and await "deployed";
+//	DELETE   remove the copy from the source — past the point of no
+//	         return, forward-only;
+//	ABORT    (from PREPARE or COMMIT) release the reservation, mark the
+//	         destination ambiguous if a submit attempt may have landed,
+//	         keep the app home.
 //
 // Every wire operation is idempotent (reserve refreshes, submit answers
 // 409 for a copy that already landed, DELETE answers 404 for one already
@@ -38,35 +40,15 @@ import (
 //
 // On top of the protocol sit the planned operations: DrainMember
 // (cordon, then evacuate by priority with bounded concurrency and retry
-// budgets), Fleet.RollingRestart (drain → restart-from-journal → rejoin,
-// gated on the failure detector re-confirming health), and a periodic
-// rebalance trigger on dominant-share imbalance.
-
-// MigrateConfig tunes the migration protocol and the planned operations
-// built on it.
-type MigrateConfig struct {
-	// ReservationTTL is the TTL requested for destination reservations
-	// (0 = 5s). It only has to outlive PREPARE→COMMIT, not the whole
-	// migration: the reservation is consumed when the submission lands.
-	ReservationTTL time.Duration
-	// RebalanceEvery triggers a dominant-share imbalance check every N
-	// control rounds (0 = disabled).
-	RebalanceEvery int
-	// RebalanceSpread is the dominant-share gap between the busiest and
-	// calmest live member that triggers a rebalancing migration (0 =
-	// 0.25).
-	RebalanceSpread float64
-}
-
-func (c MigrateConfig) reservationTTL() time.Duration {
-	if c.ReservationTTL > 0 {
-		return c.ReservationTTL
-	}
-	return 5 * time.Second
-}
+// budgets) and Fleet.RollingRestart (drain → restart-from-journal →
+// rejoin, gated on the failure detector re-confirming health).
 
 // The migration protocol's and the drain's budgets.
 const (
+	// reservationTTL is the TTL requested for destination reservations. It
+	// only has to outlive PREPARE→COMMIT, not the whole migration: the
+	// reservation is consumed when the submission lands.
+	reservationTTL = 5 * time.Second
 	// migMaxAttempts bounds transient-failure retries per phase before the
 	// migration aborts. The DELETE phase is exempt: past the point of no
 	// return the protocol only moves forward.
@@ -84,51 +66,6 @@ const (
 	// destination ever has capacity.
 	drainMaxRounds = 128
 )
-
-func (c MigrateConfig) rebalanceSpread() float64 {
-	if c.RebalanceSpread > 0 {
-		return c.RebalanceSpread
-	}
-	return 0.25
-}
-
-// migPhase is a migration's position in the two-phase protocol.
-type migPhase int
-
-const (
-	migPrepare migPhase = iota // reserving capacity on the destination
-	migCommit                  // copy submitted / awaiting deployment
-	migDelete                  // deleting the source copy (forward-only)
-)
-
-func (p migPhase) String() string {
-	switch p {
-	case migPrepare:
-		return "prepare"
-	case migCommit:
-		return "commit"
-	case migDelete:
-		return "delete"
-	}
-	return "unknown"
-}
-
-// migration is the ledger's record of one in-flight move. The reserved
-// and tried flags are written *before* their wire operations (write-ahead
-// intent): after a crash they tell the resumed protocol — and ABORT —
-// what may exist on the destination even though no transition was
-// recorded.
-type migration struct {
-	src, dest string
-	phase     migPhase
-	reserved  bool // a reservation may exist on the destination
-	tried     bool // a submit attempt may have landed on the destination
-	submitted bool // the destination acknowledged the copy (202/409)
-	attempts  int  // transient failures in the current phase
-	waits     int  // rounds spent waiting for the copy to deploy
-	notBefore time.Time
-	started   time.Time
-}
 
 // MigPoint names a crash point inside the migration protocol: the instant
 // after a wire operation succeeded and before its effect is recorded in
@@ -174,61 +111,45 @@ func (b *Balancer) fireHook(point MigPoint, appID string) bool {
 	return hook(point, appID)
 }
 
-// Migrate starts a two-phase move of a homed app to dest. The move runs
+// Migrate starts a two-phase move of a placed app to dest. The move runs
 // asynchronously in the control loop; MigrationOf observes progress.
 func (b *Balancer) Migrate(appID, dest string) error {
 	if b.scout.Member(dest) == nil {
 		return fmt.Errorf("federation: unknown member %s", dest)
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	a := b.routed[appID]
+	was, ok := b.apply(appID, evMove, evArg{member: dest})
 	switch {
-	case a == nil:
+	case ok:
+		return nil
+	case !was.known:
 		return fmt.Errorf("federation: unknown app %s", appID)
-	case a.removed:
+	case was.state == tombstoned:
 		return fmt.Errorf("federation: %s is being removed", appID)
-	case a.degraded || a.home == "":
+	case was.home == "":
 		return fmt.Errorf("federation: %s has no home to migrate from", appID)
-	case a.mig != nil:
+	case was.state.moving():
 		return fmt.Errorf("federation: %s is already migrating", appID)
-	case a.home == dest:
-		return fmt.Errorf("federation: %s already lives on %s", appID, dest)
 	}
-	b.startMigrationLocked(a, dest)
-	return nil
-}
-
-// startMigrationLocked records a new migration in the ledger; must be
-// called with b.mu held, a homed and not already migrating.
-func (b *Balancer) startMigrationLocked(a *routedApp, dest string) {
-	a.mig = &migration{src: a.home, dest: dest, phase: migPrepare, started: b.now()}
-	b.Stats.AddMigrationStarted()
-	b.logf("federation: migration %s: %s -> %s started", a.id, a.home, dest)
+	return fmt.Errorf("federation: %s already lives on %s", appID, dest)
 }
 
 // MigrationOf reports an app's in-flight migration endpoints, if any.
 func (b *Balancer) MigrationOf(appID string) (src, dest string, ok bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	a := b.routed[appID]
-	if a == nil || a.mig == nil {
+	v := b.view(appID)
+	if !v.state.moving() {
 		return "", "", false
 	}
-	return a.mig.src, a.mig.dest, true
+	return v.home, v.move.dest, true
 }
 
 // Migrations returns the IDs of apps currently migrating, sorted.
 func (b *Balancer) Migrations() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	var ids []string
-	for id, a := range b.routed {
-		if a.mig != nil {
+	for _, id := range b.snapshot() {
+		if b.view(id).state.moving() {
 			ids = append(ids, id)
 		}
 	}
-	sort.Strings(ids)
 	return ids
 }
 
@@ -240,355 +161,206 @@ func (b *Balancer) MigrationDurations() []time.Duration {
 	return append([]time.Duration(nil), b.migDurations...)
 }
 
-// stepMigrations advances every in-flight migration one round, in app
-// order (determinism: the control loop must visit migrations in the same
-// order for the same ledger state).
-func (b *Balancer) stepMigrations(now time.Time, debits map[string]resource.Vector) {
-	b.mu.Lock()
-	var ids []string
-	for id, a := range b.routed {
-		if a.mig != nil {
-			ids = append(ids, id)
+// stepMoves advances every in-flight move one round, in app order
+// (determinism: the control loop must visit moves in the same order for
+// the same ledger state).
+func (b *Balancer) stepMoves(snap []string, now time.Time, debits map[string]resource.Vector) {
+	for _, id := range snap {
+		v := b.view(id)
+		if !v.state.moving() || now.Before(v.move.notBefore) {
+			continue
 		}
-	}
-	b.mu.Unlock()
-	sort.Strings(ids)
-	for _, id := range ids {
-		b.stepMigration(id, now, debits)
-	}
-}
-
-// stepMigration advances one migration: resolve takeovers first (a
-// failover or removal that re-homed the app while it was moving), then
-// dispatch on phase.
-func (b *Balancer) stepMigration(id string, now time.Time, debits map[string]resource.Vector) {
-	b.mu.Lock()
-	a := b.routed[id]
-	if a == nil || a.mig == nil {
-		b.mu.Unlock()
-		return
-	}
-	mig := a.mig
-	if a.removed {
-		b.mu.Unlock()
-		b.abortMigration(a, "app removed")
-		return
-	}
-	if a.home != mig.src {
-		home := a.home
-		b.mu.Unlock()
-		if home == mig.dest {
-			// Failover already adopted the destination copy mid-move.
-			b.completeMigration(a, now)
-		} else {
-			b.abortMigration(a, "re-homed during migration")
+		switch v.state {
+		case movingPrepare:
+			b.stepPrepare(v, now, debits)
+		case movingCommit:
+			b.stepCommit(id, now)
+		case movingDelete:
+			b.stepDelete(id, v.home, now)
 		}
-		return
-	}
-	if now.Before(mig.notBefore) {
-		b.mu.Unlock()
-		return
-	}
-	phase := mig.phase
-	b.mu.Unlock()
-	switch phase {
-	case migPrepare:
-		b.stepPrepare(a, now, debits)
-	case migCommit:
-		b.stepCommit(a, now, debits)
-	case migDelete:
-		b.stepDelete(a, now)
 	}
 }
 
 // stepPrepare reserves the app's demand on the destination.
-func (b *Balancer) stepPrepare(a *routedApp, now time.Time, debits map[string]resource.Vector) {
-	b.mu.Lock()
-	if a.mig == nil {
-		b.mu.Unlock()
-		return
-	}
-	dest := a.mig.dest
-	demand := a.demand
-	b.mu.Unlock()
+func (b *Balancer) stepPrepare(v appView, now time.Time, debits map[string]resource.Vector) {
+	id, dest := v.id, v.move.dest
 	if b.scout.State(dest, now) == Dead {
-		b.abortMigration(a, "destination died before PREPARE")
+		b.abortMove(id, "destination died before PREPARE")
 		return
 	}
 	rep, ok := b.scout.LastReport(dest)
-	if !ok || rep.Draining || !demand.Fits(rep.Free.Sub(debits[dest])) {
-		b.migRetry(a, now, "destination cannot fit the demand")
+	if !ok || rep.Draining || !v.demand.Fits(rep.Free.Sub(debits[dest])) {
+		b.retryMove(id, now, "destination cannot fit the demand")
 		return
 	}
 	// Write-ahead intent: after this point a reservation may exist on the
 	// destination even if the request below appears to fail.
-	b.mu.Lock()
-	if a.mig == nil {
-		b.mu.Unlock()
+	if _, ok := b.apply(id, evIntent, evArg{}); !ok {
 		return
 	}
-	a.mig.reserved = true
-	b.mu.Unlock()
-	code, err := b.reserve(dest, a.id, demand)
+	// A struct of strings and integers always encodes.
+	body, _ := json.Marshal(server.ReserveRequest{
+		ID:     id,
+		MemMB:  v.demand.MemoryMB,
+		VCores: v.demand.VCores,
+		TTLMs:  int64(reservationTTL / time.Millisecond),
+	})
+	code, err := b.call(dest, http.MethodPost, "/v1/reservations", body, nil)
 	switch {
 	case err != nil:
-		b.migRetry(a, now, "reserve unreachable")
+		b.retryMove(id, now, "reserve unreachable")
 	case code == http.StatusOK, code == http.StatusCreated:
-		if b.fireHook(MigPointPostPrepare, a.id) {
+		if b.fireHook(MigPointPostPrepare, id) {
 			return // crash: re-reserve (idempotent refresh) next round
 		}
-		b.mu.Lock()
-		if a.mig == nil {
-			b.mu.Unlock()
+		if _, ok := b.apply(id, evReserved, evArg{}); !ok {
 			return
 		}
-		a.mig.phase = migCommit
-		a.mig.attempts = 0
-		b.mu.Unlock()
-		debits[dest] = debits[dest].Add(demand)
-		b.logf("federation: migration %s: reserved on %s", a.id, dest)
-		b.stepCommit(a, now, debits)
+		debits[dest] = debits[dest].Add(v.demand)
+		b.stepCommit(id, now)
 	case code == http.StatusConflict:
-		b.abortMigration(a, "conflicting reservation on the destination")
+		b.abortMove(id, "conflicting reservation on the destination")
 	default: // 503: no fit after reservations, or destination draining
-		b.migRetry(a, now, fmt.Sprintf("reserve refused (%d)", code))
+		b.retryMove(id, now, fmt.Sprintf("reserve refused (%d)", code))
 	}
 }
 
 // stepCommit submits the copy to the destination, then polls until it
 // deploys; on deployment the protocol crosses the point of no return
 // into DELETE.
-func (b *Balancer) stepCommit(a *routedApp, now time.Time, debits map[string]resource.Vector) {
-	b.mu.Lock()
-	if a.mig == nil || a.mig.phase != migCommit {
-		b.mu.Unlock()
+func (b *Balancer) stepCommit(id string, now time.Time) {
+	v := b.view(id)
+	if v.state != movingCommit {
 		return
 	}
-	dest := a.mig.dest
-	submitted := a.mig.submitted
-	body := a.body
-	b.mu.Unlock()
+	dest := v.move.dest
 	if b.scout.State(dest, now) == Dead {
-		b.abortMigration(a, "destination died mid-COMMIT")
+		b.abortMove(id, "destination died mid-COMMIT")
 		return
 	}
-	if !submitted {
+	if !v.move.submitted {
 		// Write-ahead intent: the submit below may land without us seeing
-		// the ack; ABORT must know to mark the destination ambiguous.
-		b.mu.Lock()
-		if a.mig == nil {
-			b.mu.Unlock()
+		// the ack; an abort must know to mark the destination ambiguous.
+		if _, ok := b.apply(id, evIntent, evArg{}); !ok {
 			return
 		}
-		a.mig.tried = true
-		b.mu.Unlock()
-		code, err := b.trySubmit(dest, body)
+		code, err := b.call(dest, http.MethodPost, "/v1/lras", v.body, nil)
 		switch {
 		case err != nil:
-			b.migRetry(a, now, "submit unreachable")
+			b.retryMove(id, now, "submit unreachable")
 			return
 		case code == http.StatusAccepted, code == http.StatusConflict:
 			// 409: a previously unacknowledged attempt landed — adopt it.
-			if b.fireHook(MigPointMidCommit, a.id) {
+			if b.fireHook(MigPointMidCommit, id) {
 				return // crash: resubmit next round, adopt the 409
 			}
-			b.mu.Lock()
-			if a.mig == nil {
-				b.mu.Unlock()
+			if _, ok := b.apply(id, evCopyAcked, evArg{}); !ok {
 				return
 			}
-			a.mig.submitted = true
-			b.mu.Unlock()
 		case code == http.StatusTooManyRequests, code == http.StatusServiceUnavailable:
 			b.Stats.AddSpillover()
-			b.migRetry(a, now, fmt.Sprintf("destination shedding (%d)", code))
+			b.retryMove(id, now, fmt.Sprintf("destination shedding (%d)", code))
 			return
 		default:
-			b.abortMigration(a, fmt.Sprintf("destination rejected the copy (%d)", code))
+			b.abortMove(id, fmt.Sprintf("destination rejected the copy (%d)", code))
 			return
 		}
 	}
-	code, sr, err := b.getStatus(dest, a.id)
+	var sr server.StatusResponse
+	code, err := b.call(dest, http.MethodGet, "/v1/lras/"+id, nil, &sr)
 	switch {
 	case err != nil:
-		b.migRetry(a, now, "status unreachable")
+		b.retryMove(id, now, "status unreachable")
 	case code == http.StatusNotFound:
-		b.mu.Lock()
-		if a.mig != nil {
-			a.mig.submitted = false
-		}
-		b.mu.Unlock()
-		b.migRetry(a, now, "copy vanished from the destination")
+		b.apply(id, evCopyLost, evArg{})
+		b.retryMove(id, now, "copy vanished from the destination")
 	case code != http.StatusOK:
-		b.migRetry(a, now, fmt.Sprintf("status %d from the destination", code))
+		b.retryMove(id, now, fmt.Sprintf("status %d from the destination", code))
 	case sr.State == "deployed":
-		b.mu.Lock()
-		if a.mig == nil {
-			b.mu.Unlock()
+		if _, ok := b.apply(id, evCopyDeployed, evArg{}); !ok {
 			return
 		}
-		a.mig.phase = migDelete
-		a.mig.attempts = 0
-		b.mu.Unlock()
-		if b.fireHook(MigPointPreDelete, a.id) {
+		if b.fireHook(MigPointPreDelete, id) {
 			return // crash between observing the deployment and deleting
 		}
-		b.stepDelete(a, now)
-	case sr.State == "queued", sr.State == "pending":
-		b.mu.Lock()
-		waits := 0
-		if a.mig != nil {
-			a.mig.waits++
-			waits = a.mig.waits
-		}
-		b.mu.Unlock()
-		if waits > migMaxWaits {
-			b.abortMigration(a, "destination never deployed the copy")
+		b.stepDelete(id, v.home, now)
+	case live(sr.State): // queued or pending
+		if was, ok := b.apply(id, evCopyWaiting, evArg{}); ok && was.move.waits >= migMaxWaits {
+			b.abortMove(id, "destination never deployed the copy")
 		}
 	default:
 		// shed/expired/failed/removed/rejected: the copy died on the
 		// destination without holding resources; submit again.
-		b.mu.Lock()
-		if a.mig != nil {
-			a.mig.submitted = false
-		}
-		b.mu.Unlock()
-		b.migRetry(a, now, fmt.Sprintf("copy terminal on the destination (%s)", sr.State))
+		b.apply(id, evCopyLost, evArg{})
+		b.retryMove(id, now, fmt.Sprintf("copy terminal on the destination (%s)", sr.State))
 	}
 }
 
 // stepDelete removes the source copy. Past the point of no return the
 // protocol only moves forward: retries are unbounded, and a dead source
 // resolves through failover adopting the destination copy.
-func (b *Balancer) stepDelete(a *routedApp, now time.Time) {
-	b.mu.Lock()
-	if a.mig == nil || a.mig.phase != migDelete {
-		b.mu.Unlock()
-		return
-	}
-	src := a.mig.src
-	b.mu.Unlock()
-	code, err := b.removeCode(src, a.id)
+func (b *Balancer) stepDelete(id, src string, now time.Time) {
+	code, err := b.call(src, http.MethodDelete, "/v1/lras/"+id, nil, nil)
 	if err != nil {
-		b.migRetry(a, now, "source delete unreachable")
+		b.retryMove(id, now, "source delete unreachable")
 		return
 	}
 	if code != http.StatusOK && code != http.StatusNotFound {
-		b.migRetry(a, now, fmt.Sprintf("source delete refused (%d)", code))
+		b.retryMove(id, now, fmt.Sprintf("source delete refused (%d)", code))
 		return
 	}
 	// 404 is success: a crashed-and-resumed DELETE already went through.
-	if b.fireHook(MigPointPostDelete, a.id) {
+	if b.fireHook(MigPointPostDelete, id) {
 		return // crash: re-DELETE next round answers 404 and completes
 	}
-	b.completeMigration(a, now)
+	b.apply(id, evMoveDone, evArg{now: now})
 }
 
-// completeMigration re-homes the app onto the destination. The source
-// keeps an ambiguous mark: if its DELETE ack was dropped, or a crashed
-// source recovers the copy from its journal, reconciliation deletes
-// whatever reappears there — never two live copies.
-func (b *Balancer) completeMigration(a *routedApp, now time.Time) {
-	b.mu.Lock()
-	mig := a.mig
-	if mig == nil {
-		b.mu.Unlock()
-		return
-	}
-	a.mig = nil
-	a.home = mig.dest
-	a.degraded = false
-	delete(a.ambiguous, mig.dest)
-	a.ambiguous[mig.src] = true
-	b.migDurations = append(b.migDurations, now.Sub(mig.started))
-	b.mu.Unlock()
-	b.Stats.AddMigrationCompleted()
-	b.logf("federation: migration %s: %s -> %s complete", a.id, mig.src, mig.dest)
-}
-
-// abortMigration rolls a migration back: the app stays home, the
-// reservation is released (best-effort — the TTL sweep is the backstop),
-// and a destination that may hold a copy is marked ambiguous so
-// reconciliation deletes or adopts it. Never called past the point of no
-// return (the DELETE phase moves forward instead).
-func (b *Balancer) abortMigration(a *routedApp, reason string) {
-	b.mu.Lock()
-	mig := a.mig
-	if mig == nil {
-		b.mu.Unlock()
-		return
-	}
-	a.mig = nil
-	if mig.tried {
-		a.ambiguous[mig.dest] = true
-	}
-	b.mu.Unlock()
-	if mig.reserved {
-		_, _ = b.unreserve(mig.dest, a.id)
-	}
-	b.Stats.AddMigrationAborted()
-	b.logf("federation: migration %s: %s -> %s aborted: %s", a.id, mig.src, mig.dest, reason)
-}
-
-// migRetry backs a migration off after a transient failure; outside the
-// DELETE phase the retry budget converts persistent failure into ABORT.
-func (b *Balancer) migRetry(a *routedApp, now time.Time, reason string) {
-	b.mu.Lock()
-	mig := a.mig
-	if mig == nil {
-		b.mu.Unlock()
-		return
-	}
-	mig.attempts++
-	exhausted := mig.phase != migDelete && mig.attempts > migMaxAttempts
-	if !exhausted {
-		round := mig.attempts
-		if round > 6 {
-			round = 6 // keep the exponential shift bounded
-		}
-		mig.notBefore = now.Add(b.routeBackoff(a.id, round))
-	}
-	b.mu.Unlock()
-	if exhausted {
-		b.abortMigration(a, "retry budget exhausted: "+reason)
+// abortMove rolls a move back: the app stays home, and the reservation
+// is released (best-effort — the TTL sweep is the backstop).
+func (b *Balancer) abortMove(id, reason string) {
+	if was, ok := b.apply(id, evAbort, evArg{note: reason}); ok && was.move.reserved {
+		_, _ = b.call(was.move.dest, http.MethodDelete, "/v1/reservations/"+id, nil, nil)
 	}
 }
 
-// failoverViaMigration gives a refugee whose source member died a better
-// exit than re-placement: if its in-flight migration already landed a
-// copy on a live destination, adopt that copy. Otherwise the migration
-// aborts and the caller falls back to ordinary failover placement.
-func (b *Balancer) failoverViaMigration(a *routedApp, now time.Time) bool {
-	b.mu.Lock()
-	mig := a.mig
-	if mig == nil {
-		b.mu.Unlock()
-		return false
+// retryMove backs a move off after a transient failure; outside the
+// DELETE phase the retry budget converts persistent failure into an
+// abort.
+func (b *Balancer) retryMove(id string, now time.Time, reason string) {
+	was, ok := b.apply(id, evRetry, evArg{now: now})
+	if ok && was.state != movingDelete && was.move.attempts >= migMaxAttempts {
+		b.abortMove(id, "retry budget exhausted: "+reason)
 	}
-	dest := mig.dest
-	tried := mig.tried
-	b.mu.Unlock()
-	if tried && b.scout.State(dest, now) != Dead {
-		code, sr, err := b.getStatus(dest, a.id)
-		if err == nil && code == http.StatusOK &&
-			(sr.State == "queued" || sr.State == "pending" || sr.State == "deployed") {
-			b.completeMigration(a, now)
-			b.logf("federation: failover adopted the migration copy of %s on %s", a.id, dest)
+}
+
+// failoverViaMove gives a refugee whose source member died a better
+// exit than re-placement: if its in-flight move already landed a copy on
+// a live destination, adopt that copy. Otherwise the move is rolled back
+// and the caller falls back to ordinary failover placement.
+func (b *Balancer) failoverViaMove(v appView, now time.Time) bool {
+	dest := v.move.dest
+	if v.move.tried && b.scout.State(dest, now) != Dead {
+		var sr server.StatusResponse
+		code, err := b.call(dest, http.MethodGet, "/v1/lras/"+v.id, nil, &sr)
+		if err == nil && code == http.StatusOK && live(sr.State) {
+			b.apply(v.id, evMoveDone, evArg{now: now})
+			b.logf("federation: failover adopted the migration copy of %s on %s", v.id, dest)
 			return true
 		}
 	}
-	b.abortMigration(a, "source died before the copy landed")
+	b.abortMove(v.id, "source died before the copy landed")
 	return false
 }
 
 // Planned drains.
 
-// drainState tracks one member's evacuation.
+// drainState tracks one member's evacuation. The map of drains is
+// guarded by b.mu; a drain's own fields belong to the control loop.
 type drainState struct {
-	member   string
 	cordoned bool
 	rounds   int
-	retries  map[string]int // migrations started per app
+	retries  map[string]int // moves started per app
 }
 
 // DrainMember starts evacuating a member: the member is cordoned (its
@@ -601,16 +373,18 @@ func (b *Balancer) DrainMember(id string) error {
 		return fmt.Errorf("federation: unknown member %s", id)
 	}
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.drains == nil {
-		b.drains = make(map[string]*drainState)
+	started := b.drains[id] == nil
+	if started {
+		if b.drains == nil {
+			b.drains = make(map[string]*drainState)
+		}
+		b.drains[id] = &drainState{retries: make(map[string]int)}
 	}
-	if b.drains[id] != nil {
-		return nil
+	b.mu.Unlock()
+	if started {
+		b.Stats.AddDrainStarted()
+		b.logf("federation: draining member %s", id)
 	}
-	b.drains[id] = &drainState{member: id, retries: make(map[string]int)}
-	b.Stats.AddDrainStarted()
-	b.logf("federation: draining member %s", id)
 	return nil
 }
 
@@ -620,22 +394,31 @@ func (b *Balancer) CancelDrain(id string) {
 	if b.scout.Member(id) == nil {
 		return
 	}
-	b.mu.Lock()
-	active := b.drains[id] != nil
-	delete(b.drains, id)
-	b.mu.Unlock()
-	_, _ = b.uncordon(id)
+	active := b.endDrain(id)
+	_, _ = b.call(id, http.MethodDelete, "/v1/drain", nil, nil)
 	if active {
 		b.logf("federation: drain of %s cancelled", id)
 	}
 }
 
-// DrainActive reports whether a member's drain is still evacuating.
-func (b *Balancer) DrainActive(id string) bool {
+// endDrain retires a drain's state and reports whether there was one.
+func (b *Balancer) endDrain(id string) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.drains[id] != nil
+	active := b.drains[id] != nil
+	delete(b.drains, id)
+	return active
 }
+
+// drain returns a member's in-flight drain, nil when it has none.
+func (b *Balancer) drain(id string) *drainState {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.drains[id]
+}
+
+// DrainActive reports whether a member's drain is still evacuating.
+func (b *Balancer) DrainActive(id string) bool { return b.drain(id) != nil }
 
 // ActiveDrains returns the members currently draining, sorted.
 func (b *Balancer) ActiveDrains() []string {
@@ -650,75 +433,49 @@ func (b *Balancer) ActiveDrains() []string {
 }
 
 // stepDrains advances every drain one round, in member order.
-func (b *Balancer) stepDrains(now time.Time, debits map[string]resource.Vector) {
-	b.mu.Lock()
-	var ids []string
-	for id := range b.drains {
-		ids = append(ids, id)
-	}
-	b.mu.Unlock()
-	sort.Strings(ids)
-	for _, id := range ids {
-		b.stepDrain(id, now, debits)
+func (b *Balancer) stepDrains(snap []string, now time.Time, debits map[string]resource.Vector) {
+	for _, id := range b.ActiveDrains() {
+		if d := b.drain(id); d != nil {
+			b.stepDrain(snap, id, d, now, debits)
+		}
 	}
 }
 
 // stepDrain runs one evacuation round for one member: ensure the cordon,
-// account what is left, complete or give up, then start migrations up to
-// the concurrency bound in priority order.
-func (b *Balancer) stepDrain(memberID string, now time.Time, debits map[string]resource.Vector) {
-	b.mu.Lock()
-	d := b.drains[memberID]
-	if d == nil {
-		b.mu.Unlock()
-		return
-	}
+// account what is left, complete or give up, then start moves up to the
+// concurrency bound in priority order.
+func (b *Balancer) stepDrain(snap []string, memberID string, d *drainState, now time.Time, debits map[string]resource.Vector) {
 	d.rounds++
-	rounds := d.rounds
-	cordoned := d.cordoned
-	b.mu.Unlock()
-
 	dead := b.scout.State(memberID, now) == Dead
-	if !cordoned && !dead {
-		if code, err := b.cordon(memberID); err == nil && code == http.StatusOK {
-			b.mu.Lock()
-			if d := b.drains[memberID]; d != nil {
-				d.cordoned = true
-			}
-			b.mu.Unlock()
-		}
+	if !d.cordoned && !dead {
 		// An unreachable cordon is retried next round; evacuation proceeds
 		// regardless — the cordon only stops new arrivals.
+		if code, err := b.call(memberID, http.MethodPost, "/v1/drain", nil, nil); err == nil && code == http.StatusOK {
+			d.cordoned = true
+		}
 	}
 
-	b.mu.Lock()
-	d = b.drains[memberID]
-	if d == nil {
-		b.mu.Unlock()
-		return
-	}
-	var pending []*routedApp
+	var pending []appView
 	inflight, exhausted := 0, 0
-	for _, a := range b.routed {
-		if a.mig != nil && a.mig.src == memberID {
+	for _, id := range snap {
+		v := b.view(id)
+		switch {
+		case v.home != memberID:
+		case v.state.moving():
 			inflight++
-			continue
-		}
-		if a.home == memberID && !a.degraded && !a.removed && a.mig == nil {
-			if d.retries[a.id] >= drainMaxRetries {
-				exhausted++
-				continue
-			}
-			pending = append(pending, a)
+		case d.retries[id] >= drainMaxRetries:
+			exhausted++
+		default:
+			pending = append(pending, v)
 		}
 	}
-	b.mu.Unlock()
 
 	if inflight == 0 && len(pending) == 0 {
 		// Evacuated — or emptied by an organic failover racing the drain
 		// (the member died mid-drain and failover took its apps), in which
 		// case the drain converges as a no-op.
-		b.finishDrain(memberID)
+		b.endDrain(memberID)
+		b.Stats.AddDrainCompleted()
 		if exhausted > 0 {
 			b.logf("federation: drain of %s completed; %d apps left behind (retry budget exhausted)", memberID, exhausted)
 		} else {
@@ -726,9 +483,10 @@ func (b *Balancer) stepDrain(memberID string, now time.Time, debits map[string]r
 		}
 		return
 	}
-	if rounds > drainMaxRounds {
-		b.finishDrain(memberID)
-		b.logf("federation: drain of %s gave up after %d rounds; %d apps remain", memberID, rounds, len(pending)+inflight)
+	if d.rounds > drainMaxRounds {
+		b.endDrain(memberID)
+		b.Stats.AddDrainCompleted()
+		b.logf("federation: drain of %s gave up after %d rounds; %d apps remain", memberID, d.rounds, len(pending)+inflight)
 		return
 	}
 	if dead {
@@ -744,49 +502,27 @@ func (b *Balancer) stepDrain(memberID string, now time.Time, debits map[string]r
 		}
 		return pending[i].id < pending[j].id
 	})
-	for _, a := range pending {
+	for _, v := range pending {
 		if inflight >= drainConcurrency {
 			break
 		}
-		dest := b.pickDest(a, memberID, now, debits)
+		dest := b.pickDest(v.demand, memberID, now, debits)
 		if dest == "" {
 			continue
 		}
-		b.mu.Lock()
-		if a.mig == nil && a.home == memberID && !a.removed && !a.degraded {
-			if d := b.drains[memberID]; d != nil {
-				d.retries[a.id]++
-			}
-			b.startMigrationLocked(a, dest)
+		if _, ok := b.apply(v.id, evMove, evArg{member: dest}); ok {
+			d.retries[v.id]++
 			inflight++
 		}
-		b.mu.Unlock()
 	}
 }
 
-// finishDrain retires a drain's state and counts its completion.
-func (b *Balancer) finishDrain(memberID string) {
-	b.mu.Lock()
-	delete(b.drains, memberID)
-	b.mu.Unlock()
-	b.Stats.AddDrainCompleted()
-}
-
-// pickDest chooses a migration destination for an app: the balancer's
-// ranking, skipping the source, draining members, and members whose
-// reported free capacity (minus this round's debits) cannot fit.
-func (b *Balancer) pickDest(a *routedApp, src string, now time.Time, debits map[string]resource.Vector) string {
-	b.mu.Lock()
-	demand := a.demand
-	b.mu.Unlock()
+// pickDest chooses a move's destination: the balancer's ranking,
+// skipping the source, draining members, and members whose reported free
+// capacity (minus this round's debits) cannot fit.
+func (b *Balancer) pickDest(demand resource.Vector, src string, now time.Time, debits map[string]resource.Vector) string {
 	for _, id := range b.scout.Rank(demand, now) {
-		if id == src {
-			continue
-		}
-		b.mu.Lock()
-		draining := b.drains[id] != nil
-		b.mu.Unlock()
-		if draining {
+		if id == src || b.DrainActive(id) {
 			continue
 		}
 		rep, ok := b.scout.LastReport(id)
@@ -796,166 +532,4 @@ func (b *Balancer) pickDest(a *routedApp, src string, now time.Time, debits map[
 		return id
 	}
 	return ""
-}
-
-// stepRebalance periodically checks dominant-share imbalance across live
-// members and migrates one small app from the busiest to the calmest
-// when the spread crosses the threshold — continuous, gentle correction
-// rather than bulk moves.
-func (b *Balancer) stepRebalance(now time.Time, debits map[string]resource.Vector) {
-	every := b.cfg.Migrate.RebalanceEvery
-	if every <= 0 {
-		return
-	}
-	b.mu.Lock()
-	b.stepSeq++
-	seq := b.stepSeq
-	b.mu.Unlock()
-	if seq%every != 0 {
-		return
-	}
-	type memberLoad struct {
-		id    string
-		share float64
-	}
-	var loads []memberLoad
-	for _, id := range b.scout.MemberIDs() {
-		if b.scout.State(id, now) == Dead {
-			continue
-		}
-		b.mu.Lock()
-		draining := b.drains[id] != nil
-		b.mu.Unlock()
-		rep, ok := b.scout.LastReport(id)
-		if !ok || draining || rep.Draining ||
-			rep.Total.MemoryMB <= 0 || rep.Total.VCores <= 0 {
-			continue
-		}
-		memShare := float64(rep.Total.MemoryMB-rep.Free.MemoryMB) / float64(rep.Total.MemoryMB)
-		cpuShare := float64(rep.Total.VCores-rep.Free.VCores) / float64(rep.Total.VCores)
-		share := memShare
-		if cpuShare > share {
-			share = cpuShare
-		}
-		loads = append(loads, memberLoad{id: id, share: share})
-	}
-	if len(loads) < 2 {
-		return
-	}
-	sort.Slice(loads, func(i, j int) bool {
-		if loads[i].share != loads[j].share {
-			return loads[i].share > loads[j].share
-		}
-		return loads[i].id < loads[j].id
-	})
-	busiest, calmest := loads[0], loads[len(loads)-1]
-	if busiest.share-calmest.share <= b.cfg.Migrate.rebalanceSpread() {
-		return
-	}
-	rep, ok := b.scout.LastReport(calmest.id)
-	if !ok {
-		return
-	}
-	free := rep.Free.Sub(debits[calmest.id])
-	// Move the smallest fitting app (deterministic tie-break by ID): the
-	// cheapest correction that narrows the spread.
-	b.mu.Lock()
-	var cand *routedApp
-	for _, a := range b.routed {
-		if a.home != busiest.id || a.degraded || a.removed || a.mig != nil {
-			continue
-		}
-		if !a.demand.Fits(free) {
-			continue
-		}
-		if cand == nil || smallerDemand(a, cand) {
-			cand = a
-		}
-	}
-	if cand != nil {
-		b.startMigrationLocked(cand, calmest.id)
-		b.Stats.AddRebalanceMove()
-	}
-	b.mu.Unlock()
-}
-
-// smallerDemand orders apps by demand (memory, then vcores, then ID) for
-// the rebalancer's deterministic pick.
-func smallerDemand(a, b *routedApp) bool {
-	if a.demand.MemoryMB != b.demand.MemoryMB {
-		return a.demand.MemoryMB < b.demand.MemoryMB
-	}
-	if a.demand.VCores != b.demand.VCores {
-		return a.demand.VCores < b.demand.VCores
-	}
-	return a.id < b.id
-}
-
-// Wire helpers.
-
-// reserve posts a capacity reservation to a member (migration PREPARE).
-func (b *Balancer) reserve(memberID, appID string, demand resource.Vector) (int, error) {
-	m := b.scout.Member(memberID)
-	if m == nil {
-		return 0, fmt.Errorf("unknown member %s", memberID)
-	}
-	body, err := json.Marshal(server.ReserveRequest{
-		ID:     appID,
-		MemMB:  demand.MemoryMB,
-		VCores: demand.VCores,
-		TTLMs:  int64(b.cfg.Migrate.reservationTTL() / time.Millisecond),
-	})
-	if err != nil {
-		return 0, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), b.cfg.attemptTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+memberID+"/v1/reservations", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := m.Client().Do(req)
-	if err != nil {
-		return 0, err
-	}
-	resp.Body.Close()
-	return resp.StatusCode, nil
-}
-
-// unreserve releases a reservation on a member (migration ABORT);
-// idempotent server-side.
-func (b *Balancer) unreserve(memberID, appID string) (int, error) {
-	return b.bareRequest(memberID, http.MethodDelete, "/v1/reservations/"+appID)
-}
-
-// cordon flips a member into operator draining.
-func (b *Balancer) cordon(memberID string) (int, error) {
-	return b.bareRequest(memberID, http.MethodPost, "/v1/drain")
-}
-
-// uncordon lifts a member's operator draining.
-func (b *Balancer) uncordon(memberID string) (int, error) {
-	return b.bareRequest(memberID, http.MethodDelete, "/v1/drain")
-}
-
-// bareRequest issues a body-less request to a member under the attempt
-// timeout and returns the status code.
-func (b *Balancer) bareRequest(memberID, method, path string) (int, error) {
-	m := b.scout.Member(memberID)
-	if m == nil {
-		return 0, fmt.Errorf("unknown member %s", memberID)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), b.cfg.attemptTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, method, "http://"+memberID+path, nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := m.Client().Do(req)
-	if err != nil {
-		return 0, err
-	}
-	resp.Body.Close()
-	return resp.StatusCode, nil
 }

@@ -331,37 +331,6 @@ func TestRollingRestartUnderLoad(t *testing.T) {
 	}
 }
 
-// TestRebalanceMovesFromBusyToCalm: with the periodic rebalancer on, a
-// lopsided fleet migrates a small app from the loaded member toward the
-// idle one once the dominant-share spread crosses the threshold.
-func TestRebalanceMovesFromBusyToCalm(t *testing.T) {
-	f, clk := testFleet(t, FleetConfig{
-		Members:        2,
-		NodesPerMember: 4,
-		Route:          RouteConfig{Migrate: MigrateConfig{RebalanceEvery: 4, RebalanceSpread: 0.2}},
-	})
-	steps(f, clk, 2)
-
-	// Load cluster-0 heavily while cluster-1 idles: submissions land on
-	// the emptier member by ranking, so place them one at a time and let
-	// reports lag a step to pile them onto one member.
-	for i, id := range []string{"app-a", "app-b", "app-c", "app-d"} {
-		if home, err := f.Balancer.Submit(fedReq(id, 4, 4096, 2)); err != nil {
-			t.Fatalf("submit %s: %v", id, err)
-		} else if i == 0 && home != "cluster-0" {
-			t.Fatalf("first app on %s, want cluster-0", home)
-		}
-	}
-	steps(f, clk, 60)
-	if n := f.Stats.RebalanceMoves(); n == 0 {
-		t.Fatal("rebalancer never moved anything despite the imbalance")
-	}
-	rep := f.Balancer.Audit(clk.Now())
-	if len(rep.Lost) != 0 {
-		t.Fatalf("audit reports lost after rebalance: %v", rep.Lost)
-	}
-}
-
 // TestMigratorCloseNoGoroutineLeak mirrors the fleet leak test with the
 // movement machinery engaged: N concurrent drains and a rolling restart
 // started, half the drains cancelled mid-flight, members crashing, then

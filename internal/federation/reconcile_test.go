@@ -2,6 +2,7 @@ package federation
 
 import (
 	"encoding/json"
+	"net/http"
 	"testing"
 	"time"
 
@@ -102,12 +103,12 @@ func TestReconcileDropsTerminalDuplicateMark(t *testing.T) {
 	// Land an unplaceable app on cluster-0 directly; it is rejected by the
 	// scheduler after draining into the core.
 	req := fedReq("app-r", 1, 999999, 1)
-	code, routeErr := f.Balancer.trySubmit("cluster-0", mustBody(t, req))
+	code, routeErr := f.Balancer.call("cluster-0", http.MethodPost, "/v1/lras", mustBody(t, req), nil)
 	if routeErr != nil || code != 202 {
 		t.Fatalf("direct submit: code %d err %v", code, routeErr)
 	}
 	steps(f, clk, 3)
-	if st, _, err := f.Balancer.getStatus("cluster-0", "app-r"); err != nil || st != 200 {
+	if st, err := f.Balancer.call("cluster-0", http.MethodGet, "/v1/lras/app-r", nil, nil); err != nil || st != 200 {
 		t.Fatalf("status code %d err %v", st, err)
 	}
 

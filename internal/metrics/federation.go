@@ -30,7 +30,6 @@ type FedStats struct {
 	drainsStarted       atomic.Int64
 	drainsCompleted     atomic.Int64
 	rollingRestarts     atomic.Int64
-	rebalanceMoves      atomic.Int64
 }
 
 // AddRouted counts a submission accepted by some member (202).
@@ -142,10 +141,6 @@ func (s *FedStats) AddDrainCompleted() { s.drainsCompleted.Add(1) }
 // AddRollingRestart counts a completed fleet-wide rolling restart.
 func (s *FedStats) AddRollingRestart() { s.rollingRestarts.Add(1) }
 
-// AddRebalanceMove counts a migration triggered by the periodic
-// dominant-share rebalancer.
-func (s *FedStats) AddRebalanceMove() { s.rebalanceMoves.Add(1) }
-
 // MigrationsStarted returns the migrations-entered-PREPARE count.
 func (s *FedStats) MigrationsStarted() int { return int(s.migrationsStarted.Load()) }
 
@@ -163,9 +158,6 @@ func (s *FedStats) DrainsCompleted() int { return int(s.drainsCompleted.Load()) 
 
 // RollingRestarts returns the completed-rolling-restart count.
 func (s *FedStats) RollingRestarts() int { return int(s.rollingRestarts.Load()) }
-
-// RebalanceMoves returns the rebalancer-triggered migration count.
-func (s *FedStats) RebalanceMoves() int { return int(s.rebalanceMoves.Load()) }
 
 // Table renders the counters as a two-column summary table.
 func (s *FedStats) Table(title string) *Table {
@@ -189,6 +181,5 @@ func (s *FedStats) Table(title string) *Table {
 	t.AddRow("drains started", s.DrainsStarted())
 	t.AddRow("drains completed", s.DrainsCompleted())
 	t.AddRow("rolling restarts", s.RollingRestarts())
-	t.AddRow("rebalance moves", s.RebalanceMoves())
 	return t
 }
