@@ -539,10 +539,11 @@ func (b *Balancer) Remove(appID string) error {
 	if !v.known {
 		return fmt.Errorf("federation: unknown app %s", appID)
 	}
-	if v.state.moving() {
+	if v.state == movingPrepare || v.state == movingCommit {
 		// An in-flight move dies with the removal: the abort marks a
 		// possibly-landed destination copy ambiguous, and the tombstone
-		// below guarantees it gets deleted.
+		// below guarantees it gets deleted. A move in its DELETE phase is
+		// not rolled back: the tombstone marks both of its endpoints.
 		b.abortMove(appID, "app removed")
 	}
 	if v.home != "" {
@@ -550,7 +551,9 @@ func (b *Balancer) Remove(appID string) error {
 		if err != nil {
 			return err
 		}
-		if code != http.StatusOK {
+		// 404 is success for a teardown: the copy is already gone (a
+		// move's DELETE went through, or the member lost the app).
+		if code != http.StatusOK && code != http.StatusNotFound {
 			return fmt.Errorf("remove %s from %s: status %d", appID, v.home, code)
 		}
 	}

@@ -135,6 +135,11 @@ func next(s appState, ev event, marks bool) (appState, bool) {
 			// Without marks the routing is still in flight: nobody knows
 			// yet where the app will land.
 			return tombstoned, marks
+		case movingDelete:
+			// Past the point of no return there is nothing to roll back to:
+			// both endpoints are marked and reconciliation deletes whatever
+			// either still holds. Earlier phases abort first.
+			return tombstoned, true
 		}
 	case evForget:
 		return gone, s != gone
@@ -150,8 +155,10 @@ func next(s appState, ev event, marks bool) (appState, bool) {
 		return movingDelete, s == movingCommit
 	case evRetry:
 		return s, s.moving()
-	case evMoveDone, evAbort:
+	case evMoveDone:
 		return placed, s.moving()
+	case evAbort:
+		return placed, s == movingPrepare || s == movingCommit
 	}
 	return s, false
 }
@@ -378,6 +385,11 @@ func (b *Balancer) transition(a *routedApp, ev event, arg evArg) (line string, o
 		b.Stats.AddReconciled()
 		line = fmt.Sprintf("federation: removed duplicate %s from %s (home %s)", a.id, arg.member, a.home)
 	case evRemove:
+		if from == movingDelete {
+			mark(a.home)
+			mark(a.move.dest)
+			a.move = nil
+		}
 		a.home = ""
 	case evMove:
 		a.move = &move{dest: arg.member, started: b.now()}

@@ -50,6 +50,8 @@ var wantTable = map[event]map[appState]to{
 		placed:     {tombstoned, gone},
 		degraded:   {tombstoned, gone},
 		tombstoned: {tombstoned, gone},
+		// Tombstoned with a mark on each endpoint, whatever was marked before.
+		movingDelete: {tombstoned, tombstoned},
 	},
 	evForget:       all(to{gone, gone}, placing, placed, movingPrepare, movingCommit, movingDelete, degraded, tombstoned),
 	evMove:         all(to{movingPrepare, movingPrepare}, placed),
@@ -61,7 +63,7 @@ var wantTable = map[event]map[appState]to{
 	evCopyDeployed: all(to{movingDelete, movingDelete}, movingCommit),
 	evRetry:        same(movingPrepare, movingCommit, movingDelete),
 	evMoveDone:     all(to{placed, placed}, movingPrepare, movingCommit, movingDelete),
-	evAbort:        all(to{placed, placed}, movingPrepare, movingCommit, movingDelete),
+	evAbort:        all(to{placed, placed}, movingPrepare, movingCommit),
 }
 
 // TestTransitionTable checks next against the hand-written table for
@@ -115,6 +117,25 @@ func TestEveryStateReachable(t *testing.T) {
 	}
 }
 
+// TestDeletePhaseOnlyMovesForward: past the point of no return a move
+// has exactly two ways out — it completes, or the client's removal
+// tombstones the entry — plus Forget, the simulation harness's
+// deliberate hole. Nothing leads back to the source.
+func TestDeletePhaseOnlyMovesForward(t *testing.T) {
+	exits := map[event]appState{evMoveDone: placed, evRemove: tombstoned, evForget: gone}
+	for ev := event(0); ev < numEvents; ev++ {
+		for _, marks := range []bool{true, false} {
+			n, ok := next(movingDelete, ev, marks)
+			if !ok || n == movingDelete {
+				continue
+			}
+			if want, isExit := exits[ev]; !isExit || n != want {
+				t.Errorf("event %d leaves moving{delete} for %v", ev, n)
+			}
+		}
+	}
+}
+
 // TestTransitionKeepsEntriesWellFormed drives the ledger's writer itself
 // through every (state, event) pair on a real entry: it must agree with
 // the table about legality, never change a refused entry, and leave
@@ -154,6 +175,8 @@ func TestTransitionKeepsEntriesWellFormed(t *testing.T) {
 				switch ev {
 				case evMark:
 					left = true
+				case evRemove:
+					left = marked || s == movingDelete
 				case evAdopt, evMarkCleared, evDuplicateDeleted:
 					if !marked {
 						if _, ok := b.apply("app", ev, arg); ok {

@@ -98,3 +98,49 @@ func TestConcurrentSubmitLandsOneCopy(t *testing.T) {
 		f.Close()
 	}
 }
+
+// TestRemoveDuringMoveDeletePhase: the client tears an app down while
+// its move is past the point of no return — the source copy is already
+// deleted, the ledger (a balancer crash at post-delete) still says
+// DELETE. The teardown must succeed (404 from the home means gone), and
+// no copy may survive or be re-placed afterwards.
+func TestRemoveDuringMoveDeletePhase(t *testing.T) {
+	f, clk := testFleet(t, FleetConfig{Members: 3, NodesPerMember: 4})
+	steps(f, clk, 2)
+	src, err := f.Balancer.Submit(fedReq("app-a", 2, 1024, 1))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	steps(f, clk, 3)
+	dest := "cluster-1"
+	if src == dest {
+		dest = "cluster-2"
+	}
+	fired := false
+	f.Balancer.SetMigrationHook(func(p MigPoint, app string) bool {
+		if p != MigPointPostDelete || app != "app-a" {
+			return false
+		}
+		fired = true
+		return true // every DELETE ack is dropped: the ledger stays in the DELETE phase
+	})
+	if err := f.Balancer.Migrate("app-a", dest); err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	for i := 0; i < 40 && !fired; i++ {
+		steps(f, clk, 1)
+	}
+	if !fired {
+		t.Fatal("the move never reached post-delete")
+	}
+	if err := f.Balancer.Remove("app-a"); err != nil {
+		t.Fatalf("remove during the DELETE phase: %v", err)
+	}
+	steps(f, clk, 10)
+	if h := holders(f, "app-a"); len(h) != 0 {
+		t.Fatalf("app-a still live on %v ten rounds after its removal", h)
+	}
+	if home, ok := f.Balancer.Home("app-a"); ok && home != "" {
+		t.Fatalf("removed app is homed on %s again", home)
+	}
+}

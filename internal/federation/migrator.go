@@ -336,8 +336,12 @@ func (b *Balancer) retryMove(id string, now time.Time, reason string) {
 
 // failoverViaMove gives a refugee whose source member died a better
 // exit than re-placement: if its in-flight move already landed a copy on
-// a live destination, adopt that copy. Otherwise the move is rolled back
-// and the caller falls back to ordinary failover placement.
+// a live destination, adopt that copy. Otherwise a move that has not
+// reached its DELETE phase is rolled back and the caller falls back to
+// ordinary failover placement. In the DELETE phase the move completes
+// regardless — the copy was seen deployed there, and whatever happened
+// to it since is an ordinary loss at its new home, which anti-entropy or
+// the destination's own failover repairs.
 func (b *Balancer) failoverViaMove(v appView, now time.Time) bool {
 	dest := v.move.dest
 	if v.move.tried && b.scout.State(dest, now) != Dead {
@@ -348,6 +352,10 @@ func (b *Balancer) failoverViaMove(v appView, now time.Time) bool {
 			b.logf("federation: failover adopted the migration copy of %s on %s", v.id, dest)
 			return true
 		}
+	}
+	if v.state == movingDelete {
+		b.apply(v.id, evMoveDone, evArg{now: now})
+		return true
 	}
 	b.abortMove(v.id, "source died before the copy landed")
 	return false
