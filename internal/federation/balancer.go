@@ -1,13 +1,11 @@
 package federation
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -97,25 +95,13 @@ func NewBalancer(cfg RouteConfig, scout *Scout, stats *metrics.FedStats, logf fu
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Balancer{cfg: cfg, scout: scout, Stats: stats, routed: make(map[string]*routedApp), logf: logf}
-}
-
-func (b *Balancer) now() time.Time {
-	if b.cfg.Clock != nil {
-		return b.cfg.Clock()
+	if cfg.Sleep == nil {
+		cfg.Sleep = time.Sleep
 	}
-	return time.Now()
-}
-
-func (b *Balancer) sleep(d time.Duration) {
-	if d <= 0 {
-		return
+	if cfg.Clock == nil {
+		cfg.Clock = time.Now
 	}
-	if b.cfg.Sleep != nil {
-		b.cfg.Sleep(d)
-		return
-	}
-	time.Sleep(d)
+	return &Balancer{cfg: cfg, scout: scout, Stats: stats, routed: make(map[string]*routedApp), recheck: make(map[string]bool), logf: logf}
 }
 
 // routeBackoff is the jittered exponential backoff between routing
@@ -127,13 +113,9 @@ func (b *Balancer) routeBackoff(appID string, round int) time.Duration {
 	if d > routeBackoffCap {
 		d = routeBackoffCap
 	}
-	window := d / 2
-	if window <= 0 {
-		return d
-	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%d", appID, round)
-	return d + time.Duration(h.Sum64()%uint64(window))
+	return d + time.Duration(h.Sum64()%uint64(d/2))
 }
 
 // totalDemand sums a submission's container demand for capacity-aware
@@ -146,38 +128,14 @@ func totalDemand(req *server.SubmitRequest) resource.Vector {
 	return total
 }
 
-// call is the one place a member request is built and sent: member
-// lookup, the attempt timeout, the request, and the status code back.
-// body, when set, is posted as JSON; status, when set, receives the
-// decoded answer (a body that does not decode leaves it zero — the code
-// says what happened). A response nobody asked to decode is not read.
-func (b *Balancer) call(memberID, method, path string, body []byte, status *server.StatusResponse) (int, error) {
+// call sends one request to a member under the attempt timeout (see
+// Member.request, the one place a member request is built and sent).
+func (b *Balancer) call(memberID, method, path string, body []byte, out any) (int, error) {
 	m := b.scout.Member(memberID)
 	if m == nil {
 		return 0, fmt.Errorf("unknown member %s", memberID)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), b.cfg.attemptTimeout())
-	defer cancel()
-	var payload io.Reader
-	if body != nil {
-		payload = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, "http://"+memberID+path, payload)
-	if err != nil {
-		return 0, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := m.Client().Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if status != nil {
-		_ = json.NewDecoder(resp.Body).Decode(status)
-	}
-	return resp.StatusCode, nil
+	return m.request(b.cfg.attemptTimeout(), method, path, body, out)
 }
 
 // Submit routes one submission: members are tried in the scout's rank
@@ -211,7 +169,7 @@ func (b *Balancer) Submit(req *server.SubmitRequest) (home string, err error) {
 	// request may have been accepted. It stays out of the ledger until the
 	// routing ends, so reconciliation never acts on an entry whose
 	// routing is still in flight.
-	var ambiguous map[string]bool
+	var ambiguous []string
 	routed := false
 	defer func() {
 		// Routing ended without a home — or was cut short by a panic
@@ -226,17 +184,14 @@ func (b *Balancer) Submit(req *server.SubmitRequest) (home string, err error) {
 	for round := 0; round < b.cfg.maxRounds(); round++ {
 		if round > 0 {
 			b.Stats.AddRouteRetry()
-			b.sleep(b.routeBackoff(req.ID, round))
+			b.cfg.Sleep(b.routeBackoff(req.ID, round))
 		}
-		for _, id := range b.scout.Rank(demand, b.now()) {
+		for _, id := range b.scout.Rank(demand, b.cfg.Clock()) {
 			code, routeErr := b.call(id, http.MethodPost, "/v1/lras", body, nil)
 			switch {
 			case routeErr != nil:
 				if errors.Is(routeErr, context.DeadlineExceeded) {
-					if ambiguous == nil {
-						ambiguous = make(map[string]bool)
-					}
-					ambiguous[id] = true
+					ambiguous = withMark(ambiguous, id)
 				}
 			case code == http.StatusAccepted, code == http.StatusConflict:
 				// 409 means the member already holds this app (a previous
@@ -377,9 +332,6 @@ func (b *Balancer) reconcileHomes(snap []string, now time.Time, debits map[strin
 		var sr server.StatusResponse
 		code, err := b.call(v.home, http.MethodGet, "/v1/lras/"+id, nil, &sr)
 		if err != nil {
-			if b.recheck == nil {
-				b.recheck = make(map[string]bool)
-			}
 			if len(b.recheck) < homeCheckBatch || b.recheck[id] {
 				b.recheck[id] = true
 			}
@@ -401,7 +353,7 @@ func (b *Balancer) reconcileHomes(snap []string, now time.Time, debits map[strin
 // free capacity fits — a refugee handed to a full survivor would be
 // acknowledged and then sit unplaceable until the core rejects it,
 // which is worse than honest degraded mode at the balancer.
-func (b *Balancer) placeOnce(v appView, now time.Time, debits map[string]resource.Vector) bool {
+func (b *Balancer) placeOnce(v routedApp, now time.Time, debits map[string]resource.Vector) bool {
 	for _, id := range b.scout.Rank(v.demand, now) {
 		rep, ok := b.scout.LastReport(id)
 		if !ok || !v.demand.Fits(rep.Free.Sub(debits[id])) {
@@ -427,7 +379,7 @@ func (b *Balancer) placeOnce(v appView, now time.Time, debits map[string]resourc
 // retryDegraded gives each degraded app one placement pass, in the order
 // they turned degraded; successes leave the queue.
 func (b *Balancer) retryDegraded(snap []string, now time.Time, debits map[string]resource.Vector) {
-	var queue []appView
+	var queue []routedApp
 	for _, id := range snap {
 		if v := b.view(id); v.state == degraded {
 			queue = append(queue, v)
@@ -501,7 +453,7 @@ func (b *Balancer) reconcileMarks(snap []string, now time.Time) {
 // none) and whether the app is in the ledger.
 func (b *Balancer) Home(appID string) (string, bool) {
 	v := b.view(appID)
-	return v.home, v.known
+	return v.home, v.state != gone
 }
 
 // Status proxies a status query to the app's home member. An app with no
@@ -510,7 +462,7 @@ func (b *Balancer) Home(appID string) (string, bool) {
 func (b *Balancer) Status(appID string) (server.StatusResponse, error) {
 	v := b.view(appID)
 	switch {
-	case !v.known:
+	case v.state == gone:
 		return server.StatusResponse{}, fmt.Errorf("federation: unknown app %s", appID)
 	case v.state == tombstoned:
 		return server.StatusResponse{ID: appID, State: "removed"}, nil
@@ -536,7 +488,7 @@ func (b *Balancer) Status(appID string) (server.StatusResponse, error) {
 // deletes any copy the marks turn up, then garbage-collects the entry.
 func (b *Balancer) Remove(appID string) error {
 	v := b.view(appID)
-	if !v.known {
+	if v.state == gone {
 		return fmt.Errorf("federation: unknown app %s", appID)
 	}
 	if v.state == movingPrepare || v.state == movingCommit {

@@ -147,6 +147,9 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.Core.Clock == nil {
 		cfg.Core.Clock = cfg.Clock
 	}
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
+	}
 	now := cfg.Clock()
 	f := &Fleet{cfg: cfg, Stats: &metrics.FedStats{}, byID: make(map[string]*Member)}
 	for i := 0; i < cfg.members(); i++ {
@@ -241,13 +244,7 @@ func (f *Fleet) Close() {
 }
 
 // MemberIDs implements the chaos FleetTarget.
-func (f *Fleet) MemberIDs() []string {
-	ids := make([]string, len(f.Members))
-	for i, m := range f.Members {
-		ids[i] = m.ID
-	}
-	return ids
-}
+func (f *Fleet) MemberIDs() []string { return f.Scout.MemberIDs() }
 
 // CrashMember implements the chaos FleetTarget: the member's loop stops
 // and its API becomes unreachable, as if the cluster's scheduler host
@@ -273,9 +270,7 @@ func (f *Fleet) RestartMember(id string) bool {
 		return false
 	}
 	if err := m.Restart(f.cfg.Clock()); err != nil {
-		if f.cfg.Logf != nil {
-			f.cfg.Logf("federation: %v", err)
-		}
+		f.cfg.Logf("federation: %v", err)
 		return false
 	}
 	// A fleet running in real time relaunches the member's scheduling
@@ -306,9 +301,7 @@ func (f *Fleet) StartRollingRestart() bool {
 		return false
 	}
 	f.rolling = &rollingState{queue: f.MemberIDs(), phase: rollDraining}
-	if f.cfg.Logf != nil {
-		f.cfg.Logf("federation: rolling restart started (%d members)", len(f.rolling.queue))
-	}
+	f.cfg.Logf("federation: rolling restart started (%d members)", len(f.rolling.queue))
 	return true
 }
 
@@ -332,9 +325,7 @@ func (f *Fleet) stepRolling(now time.Time) {
 		f.rolling = nil
 		f.mu.Unlock()
 		f.Stats.AddRollingRestart()
-		if f.cfg.Logf != nil {
-			f.cfg.Logf("federation: rolling restart complete")
-		}
+		f.cfg.Logf("federation: rolling restart complete")
 		return
 	}
 	current := r.queue[0]
@@ -362,16 +353,12 @@ func (f *Fleet) stepRolling(now time.Time) {
 			f.mu.Lock()
 			f.rolling = nil
 			f.mu.Unlock()
-			if f.cfg.Logf != nil {
-				f.cfg.Logf("federation: rolling restart aborted: %s did not come back", current)
-			}
+			f.cfg.Logf("federation: rolling restart aborted: %s did not come back", current)
 			return
 		}
 		r.restartedAt = now
 		r.phase = rollConfirming
-		if f.cfg.Logf != nil {
-			f.cfg.Logf("federation: rolling restart: %s restarted from journal", current)
-		}
+		f.cfg.Logf("federation: rolling restart: %s restarted from journal", current)
 	case rollConfirming:
 		// Gate on the failure detector re-confirming health with a report
 		// fresher than the restart before touching the next member.
@@ -383,9 +370,7 @@ func (f *Fleet) stepRolling(now time.Time) {
 		r.queue = r.queue[1:]
 		r.phase = rollDraining
 		r.drainStarted = false
-		if f.cfg.Logf != nil {
-			f.cfg.Logf("federation: rolling restart: %s healthy again (%d to go)", current, len(r.queue))
-		}
+		f.cfg.Logf("federation: rolling restart: %s healthy again (%d to go)", current, len(r.queue))
 	}
 }
 

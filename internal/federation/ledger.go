@@ -2,6 +2,7 @@ package federation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -14,10 +15,8 @@ import (
 //	placing    no home yet: a Submit is routing it, or routing failed and
 //	           its timed-out attempts (marks) await reconciliation
 //	placed     live on its home member
-//	moving     a two-phase move to another member is in flight, in one of
-//	           three phases: prepare (reserving capacity), commit (copy
-//	           submitted, awaiting deployment), delete (removing the source
-//	           copy — past the point of no return, forward-only)
+//	moving     a two-phase move to another member is in flight, in its
+//	           prepare, commit or delete phase (migrator.go)
 //	degraded   no member can hold it; parked, FIFO, retried every round
 //	tombstoned the client removed it while marks were outstanding; kept
 //	           until reconciliation has deleted whatever those turn up
@@ -45,25 +44,9 @@ const (
 	gone
 )
 
-func (s appState) String() string {
-	switch s {
-	case placing:
-		return "placing"
-	case placed:
-		return "placed"
-	case movingPrepare:
-		return "moving{prepare}"
-	case movingCommit:
-		return "moving{commit}"
-	case movingDelete:
-		return "moving{delete}"
-	case degraded:
-		return "degraded"
-	case tombstoned:
-		return "tombstoned"
-	}
-	return "gone"
-}
+var stateNames = [...]string{"placing", "placed", "moving{prepare}", "moving{commit}", "moving{delete}", "degraded", "tombstoned", "gone"}
+
+func (s appState) String() string { return stateNames[s] }
 
 // moving reports whether a two-phase move is in flight.
 func (s appState) moving() bool { return s >= movingPrepare && s <= movingDelete }
@@ -165,7 +148,9 @@ func next(s appState, ev event, marks bool) (appState, bool) {
 
 // routedApp is the ledger entry of one submission: enough to place it
 // again elsewhere (the original body), its state, and what the state
-// needs. Only transition writes to it after it entered the ledger.
+// needs. Only transition writes to an entry in the ledger; everyone else
+// works from a copy (view), which is safe to read without the lock
+// because marks is replaced, never edited in place.
 type routedApp struct {
 	id     string
 	body   []byte
@@ -178,12 +163,12 @@ type routedApp struct {
 	// home is the member that holds the app: set in placed and moving
 	// (where it is the move's source), empty otherwise.
 	home string
-	// move is the in-flight move's record, nil unless moving.
-	move *move
+	// move is the in-flight move's record, zero unless moving.
+	move move
 	// seq orders degraded entries first-in first-out.
 	seq uint64
-	// ambiguous is the mark set (nil until the first mark).
-	ambiguous map[string]bool
+	// marks is the ambiguous mark set, sorted.
+	marks []string
 }
 
 // move is the ledger's record of one in-flight move. reserved and tried
@@ -201,47 +186,39 @@ type move struct {
 	started   time.Time
 }
 
-// appView is a value copy of a ledger entry, taken under the lock: what
-// every reader outside transition works from.
-type appView struct {
-	id       string
-	known    bool // the ledger has an entry
-	state    appState
-	home     string
-	move     move     // zero unless moving
-	marks    []string // sorted; nil when none
-	seq      uint64
-	body     []byte
-	demand   resource.Vector
-	priority int
+// withMark and withoutMark return the mark set changed, in a new slice.
+func withMark(marks []string, member string) []string {
+	if slices.Contains(marks, member) {
+		return marks
+	}
+	out := append(slices.Clone(marks), member)
+	sort.Strings(out)
+	return out
 }
 
-func viewOf(id string, a *routedApp) appView {
-	if a == nil {
-		return appView{id: id, state: gone}
-	}
-	v := appView{
-		id: id, known: true, state: a.state, home: a.home, seq: a.seq,
-		body: a.body, demand: a.demand, priority: a.priority,
-	}
-	if a.move != nil {
-		v.move = *a.move
-	}
-	if len(a.ambiguous) > 0 {
-		v.marks = make([]string, 0, len(a.ambiguous))
-		for m := range a.ambiguous {
-			v.marks = append(v.marks, m)
+func withoutMark(marks []string, member string) []string {
+	var out []string
+	for _, m := range marks {
+		if m != member {
+			out = append(out, m)
 		}
-		sort.Strings(v.marks)
 	}
-	return v
+	return out
 }
 
-// view returns the entry's current value.
-func (b *Balancer) view(id string) appView {
+// entryOf copies an entry; an ID the ledger does not hold reads as gone.
+func entryOf(id string, a *routedApp) routedApp {
+	if a == nil {
+		return routedApp{id: id, state: gone}
+	}
+	return *a
+}
+
+// view returns a copy of the entry as it is now.
+func (b *Balancer) view(id string) routedApp {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return viewOf(id, b.routed[id])
+	return entryOf(id, b.routed[id])
 }
 
 // snapshot returns the ledger's IDs, sorted: the one list a control
@@ -265,10 +242,10 @@ type evArg struct {
 	member string
 	// marks are the timed-out attempts a routing gathered (evPlace from
 	// Submit, evRouteFailed).
-	marks map[string]bool
+	marks []string
 	// entry is the new entry (evSubmit).
 	entry *routedApp
-	// now is the control round's time (evRetry, evMoveDone).
+	// now is the time of the event (evMove, evRetry, evMoveDone).
 	now time.Time
 	// note is the member-reported state (evVanish) or the reason (evAbort).
 	note string
@@ -279,10 +256,10 @@ type evArg struct {
 // log line after releasing it. It returns the entry as it was before
 // the event and whether the event was legal; a refused event changes
 // nothing.
-func (b *Balancer) apply(id string, ev event, arg evArg) (was appView, ok bool) {
+func (b *Balancer) apply(id string, ev event, arg evArg) (was routedApp, ok bool) {
 	b.mu.Lock()
 	a := b.routed[id]
-	was = viewOf(id, a)
+	was = entryOf(id, a)
 	line, ok := b.transition(a, ev, arg)
 	b.mu.Unlock()
 	if line != "" {
@@ -294,57 +271,46 @@ func (b *Balancer) apply(id string, ev event, arg evArg) (was appView, ok bool) 
 // transition is the ledger's only writer. With b.mu held it checks ev
 // against the table, performs the event's write to the entry (state,
 // home, move record, intent flags, marks, deletion from the ledger),
-// counts it, and returns the line to log. It never touches the wire:
-// callers record intent before a request and the outcome after its
-// acknowledgement, so a crash between the two leaves the ledger one
-// step behind reality and the next round re-issues an idempotent
-// operation.
+// counts it, and returns the line to log. It never touches the wire
+// (migrator.go says what callers record before and after a request).
 func (b *Balancer) transition(a *routedApp, ev event, arg evArg) (line string, ok bool) {
-	from := gone
-	marks := 0
-	if a != nil {
-		from, marks = a.state, len(a.ambiguous)
-	}
+	was := entryOf("", a)
+	marks := len(was.marks)
 	switch ev {
 	case evMark:
 		marks++
 	case evRouteFailed:
 		marks += len(arg.marks)
 	case evAdopt, evMarkCleared, evDuplicateDeleted:
-		if a == nil || !a.ambiguous[arg.member] {
+		if !slices.Contains(was.marks, arg.member) {
 			return "", false
 		}
 		marks--
 	case evMove:
-		if a != nil && a.home == arg.member {
+		if was.home == arg.member {
 			return "", false
 		}
 	case evVanish:
-		if a != nil && a.home != arg.member {
+		if was.home != arg.member {
 			return "", false
 		}
 	}
-	to, ok := next(from, ev, marks > 0)
+	to, ok := next(was.state, ev, marks > 0)
 	if !ok {
 		return "", false
 	}
 
-	mark := func(member string) {
-		if a.ambiguous == nil {
-			a.ambiguous = make(map[string]bool)
-		}
-		a.ambiguous[member] = true
-	}
-	switch ev {
-	case evSubmit:
+	if ev == evSubmit {
 		a = arg.entry
 		b.routed[a.id] = a
+	}
+	switch ev {
 	case evPlace:
-		for m := range arg.marks {
-			mark(m)
+		for _, m := range arg.marks {
+			a.marks = withMark(a.marks, m)
 		}
-		delete(a.ambiguous, arg.member)
-		switch from {
+		a.marks = withoutMark(a.marks, arg.member)
+		switch was.state {
 		case placing:
 			b.Stats.AddRouted()
 		case placed:
@@ -357,14 +323,14 @@ func (b *Balancer) transition(a *routedApp, ev event, arg evArg) (line string, o
 		a.home = arg.member
 	case evRouteFailed:
 		b.Stats.AddRouteFailure()
-		for m := range arg.marks {
-			mark(m)
+		for _, m := range arg.marks {
+			a.marks = withMark(a.marks, m)
 		}
 		if len(arg.marks) > 0 {
 			line = fmt.Sprintf("federation: routing %s failed with %d ambiguous attempts; awaiting reconciliation", a.id, len(arg.marks))
 		}
 	case evAdopt:
-		delete(a.ambiguous, arg.member)
+		a.marks = withoutMark(a.marks, arg.member)
 		a.home = arg.member
 		b.Stats.AddReconciled()
 		line = fmt.Sprintf("federation: adopted landed copy of %s on %s", a.id, arg.member)
@@ -377,26 +343,24 @@ func (b *Balancer) transition(a *routedApp, ev event, arg evArg) (line string, o
 		b.Stats.AddRerouted()
 		line = fmt.Sprintf("federation: %s vanished from %s (state %q); re-queued for placement", a.id, arg.member, arg.note)
 	case evMark:
-		mark(arg.member)
+		a.marks = withMark(a.marks, arg.member)
 	case evMarkCleared:
-		delete(a.ambiguous, arg.member)
+		a.marks = withoutMark(a.marks, arg.member)
 	case evDuplicateDeleted:
-		delete(a.ambiguous, arg.member)
+		a.marks = withoutMark(a.marks, arg.member)
 		b.Stats.AddReconciled()
 		line = fmt.Sprintf("federation: removed duplicate %s from %s (home %s)", a.id, arg.member, a.home)
 	case evRemove:
-		if from == movingDelete {
-			mark(a.home)
-			mark(a.move.dest)
-			a.move = nil
+		if was.state == movingDelete {
+			a.marks = withMark(withMark(a.marks, a.home), a.move.dest)
 		}
-		a.home = ""
+		a.home, a.move = "", move{}
 	case evMove:
-		a.move = &move{dest: arg.member, started: b.now()}
+		a.move = move{dest: arg.member, started: arg.now}
 		b.Stats.AddMigrationStarted()
 		line = fmt.Sprintf("federation: migration %s: %s -> %s started", a.id, a.home, arg.member)
 	case evIntent:
-		if from == movingPrepare {
+		if was.state == movingPrepare {
 			a.move.reserved = true
 		} else {
 			a.move.tried = true
@@ -414,34 +378,28 @@ func (b *Balancer) transition(a *routedApp, ev event, arg evArg) (line string, o
 		a.move.attempts = 0
 	case evRetry:
 		a.move.attempts++
-		round := a.move.attempts
-		if round > 6 {
-			round = 6 // keep the exponential shift bounded
-		}
-		a.move.notBefore = arg.now.Add(b.routeBackoff(a.id, round))
+		// The exponent stops growing at 6 to keep the shift bounded.
+		a.move.notBefore = arg.now.Add(b.routeBackoff(a.id, min(a.move.attempts, 6)))
 	case evMoveDone:
 		// The source keeps a mark: if its DELETE ack was dropped, or a
 		// crashed source recovers the copy from its journal,
 		// reconciliation deletes whatever reappears there.
-		mv, src := a.move, a.home
-		a.move, a.home = nil, mv.dest
-		delete(a.ambiguous, mv.dest)
-		mark(src)
-		b.migDurations = append(b.migDurations, arg.now.Sub(mv.started))
+		a.marks = withMark(withoutMark(a.marks, a.move.dest), a.home)
+		a.home, a.move = a.move.dest, move{}
+		b.migDurations = append(b.migDurations, arg.now.Sub(was.move.started))
 		b.Stats.AddMigrationCompleted()
-		line = fmt.Sprintf("federation: migration %s: %s -> %s complete", a.id, src, mv.dest)
+		line = fmt.Sprintf("federation: migration %s: %s -> %s complete", a.id, was.home, a.home)
 	case evAbort:
 		// A destination that may hold a copy is marked, so reconciliation
 		// deletes or adopts it.
-		mv := a.move
-		a.move = nil
-		if mv.tried {
-			mark(mv.dest)
+		if a.move.tried {
+			a.marks = withMark(a.marks, a.move.dest)
 		}
+		a.move = move{}
 		b.Stats.AddMigrationAborted()
-		line = fmt.Sprintf("federation: migration %s: %s -> %s aborted: %s", a.id, a.home, mv.dest, arg.note)
+		line = fmt.Sprintf("federation: migration %s: %s -> %s aborted: %s", a.id, a.home, was.move.dest, arg.note)
 	}
-	if to == degraded && from != degraded {
+	if to == degraded && was.state != degraded {
 		b.degradedSeq++
 		a.seq = b.degradedSeq
 	}

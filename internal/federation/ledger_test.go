@@ -153,10 +153,10 @@ func TestTransitionKeepsEntriesWellFormed(t *testing.T) {
 						a.home = "m0"
 					}
 					if s.moving() {
-						a.move = &move{dest: "m1"}
+						a.move = move{dest: "m1"}
 					}
 					if marked {
-						a.ambiguous = map[string]bool{"m2": true}
+						a.marks = []string{"m2"}
 					}
 					b.routed["app"] = a
 				}
@@ -215,7 +215,7 @@ func TestTransitionKeepsEntriesWellFormed(t *testing.T) {
 				if homed := want == placed || want.moving(); (a.home != "") != homed {
 					t.Errorf("%v, event %d: state %v with home %q", s, ev, want, a.home)
 				}
-				if (a.move != nil) != want.moving() {
+				if (a.move != move{}) != want.moving() {
 					t.Errorf("%v, event %d: state %v with move record %v", s, ev, want, a.move)
 				}
 			}

@@ -3,6 +3,7 @@ package federation
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -222,6 +223,39 @@ func (m *Member) Restart(now time.Time) error {
 // this member's handler, subject to its fault gate.
 func (m *Member) Client() *http.Client { return m.client }
 
+// request is the one place the federation layer builds and sends a
+// member request: the timeout, the request, and the status code back.
+// body, when set, is posted as JSON; out, when set, receives the decoded
+// answer — a 200 whose body does not decode is an error, any other
+// status speaks for itself. A response nobody asked to decode is not
+// read.
+func (m *Member) request(timeout time.Duration, method, path string, body []byte, out any) (int, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	var payload io.Reader
+	if body != nil {
+		payload = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, "http://"+m.ID+path, payload)
+	if err != nil {
+		return 0, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := m.client.Do(req)
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil && resp.StatusCode == http.StatusOK {
+			return 0, fmt.Errorf("%s %s on %s: %w", method, path, m.ID, err)
+		}
+	}
+	return resp.StatusCode, nil
+}
+
 // Start runs the member's scheduling loop until ctx is done or the
 // member is crashed.
 func (m *Member) Start(ctx context.Context) {
@@ -246,10 +280,7 @@ func (m *Member) Step() {
 // refused at the transport.
 func (m *Member) Crash() {
 	m.Gate.Crash()
-	if m.cancel != nil {
-		m.cancel()
-		<-m.done
-	}
+	m.Close()
 }
 
 // Close stops a running loop without marking the member crashed.
@@ -277,39 +308,20 @@ func (t *memberTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	if delay > 0 {
-		// Virtual-delay members never stall real time: an injected delay
-		// IS a blown deadline, reported immediately, exactly as a caller
-		// whose timeout is shorter than the stall would see it.
-		if t.m.cfg.VirtualDelay {
-			return nil, context.DeadlineExceeded
-		}
-		timer := time.NewTimer(delay)
-		defer timer.Stop()
-		select {
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
-		case <-timer.C:
-		}
+	// An injected delay stalls before the member serves the request.
+	if err := t.stall(req, delay); err != nil {
+		return nil, err
 	}
 	if err := req.Context().Err(); err != nil {
 		return nil, err
 	}
 	rec := &responseRecorder{header: make(http.Header), code: http.StatusOK}
 	t.m.Srv.Handler().ServeHTTP(rec, req)
-	if tail > 0 {
-		// The member served the request; the response is what stalls. A
-		// caller that gives up here has an ack in flight it never saw.
-		if t.m.cfg.VirtualDelay {
-			return nil, context.DeadlineExceeded
-		}
-		timer := time.NewTimer(tail)
-		defer timer.Stop()
-		select {
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
-		case <-timer.C:
-		}
+	// An injected tail stalls the response: the member served the
+	// request, and a caller that gives up here has an ack in flight it
+	// never saw.
+	if err := t.stall(req, tail); err != nil {
+		return nil, err
 	}
 	return &http.Response{
 		Status:        http.StatusText(rec.code),
@@ -322,6 +334,27 @@ func (t *memberTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		ContentLength: int64(rec.buf.Len()),
 		Request:       req,
 	}, nil
+}
+
+// stall waits out an injected delay or the caller's deadline, whichever
+// comes first. Virtual-delay members never stall real time: an injected
+// delay IS a blown deadline, reported immediately, exactly as a caller
+// whose timeout is shorter than the stall would see it.
+func (t *memberTransport) stall(req *http.Request, d time.Duration) error {
+	if d <= 0 {
+		return nil
+	}
+	if t.m.cfg.VirtualDelay {
+		return context.DeadlineExceeded
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-req.Context().Done():
+		return req.Context().Err()
+	case <-timer.C:
+		return nil
+	}
 }
 
 // responseRecorder is the minimal http.ResponseWriter the in-process

@@ -117,11 +117,11 @@ func (b *Balancer) Migrate(appID, dest string) error {
 	if b.scout.Member(dest) == nil {
 		return fmt.Errorf("federation: unknown member %s", dest)
 	}
-	was, ok := b.apply(appID, evMove, evArg{member: dest})
+	was, ok := b.apply(appID, evMove, evArg{member: dest, now: b.cfg.Clock()})
 	switch {
 	case ok:
 		return nil
-	case !was.known:
+	case was.state == gone:
 		return fmt.Errorf("federation: unknown app %s", appID)
 	case was.state == tombstoned:
 		return fmt.Errorf("federation: %s is being removed", appID)
@@ -182,7 +182,7 @@ func (b *Balancer) stepMoves(snap []string, now time.Time, debits map[string]res
 }
 
 // stepPrepare reserves the app's demand on the destination.
-func (b *Balancer) stepPrepare(v appView, now time.Time, debits map[string]resource.Vector) {
+func (b *Balancer) stepPrepare(v routedApp, now time.Time, debits map[string]resource.Vector) {
 	id, dest := v.id, v.move.dest
 	if b.scout.State(dest, now) == Dead {
 		b.abortMove(id, "destination died before PREPARE")
@@ -342,7 +342,7 @@ func (b *Balancer) retryMove(id string, now time.Time, reason string) {
 // regardless — the copy was seen deployed there, and whatever happened
 // to it since is an ordinary loss at its new home, which anti-entropy or
 // the destination's own failover repairs.
-func (b *Balancer) failoverViaMove(v appView, now time.Time) bool {
+func (b *Balancer) failoverViaMove(v routedApp, now time.Time) bool {
 	dest := v.move.dest
 	if v.move.tried && b.scout.State(dest, now) != Dead {
 		var sr server.StatusResponse
@@ -399,9 +399,6 @@ func (b *Balancer) DrainMember(id string) error {
 // CancelDrain stops an in-flight drain (in-flight migrations complete on
 // their own) and lifts the member's cordon, best-effort.
 func (b *Balancer) CancelDrain(id string) {
-	if b.scout.Member(id) == nil {
-		return
-	}
 	active := b.endDrain(id)
 	_, _ = b.call(id, http.MethodDelete, "/v1/drain", nil, nil)
 	if active {
@@ -463,7 +460,7 @@ func (b *Balancer) stepDrain(snap []string, memberID string, d *drainState, now 
 		}
 	}
 
-	var pending []appView
+	var pending []routedApp
 	inflight, exhausted := 0, 0
 	for _, id := range snap {
 		v := b.view(id)
@@ -518,7 +515,7 @@ func (b *Balancer) stepDrain(snap []string, memberID string, d *drainState, now 
 		if dest == "" {
 			continue
 		}
-		if _, ok := b.apply(v.id, evMove, evArg{member: dest}); ok {
+		if _, ok := b.apply(v.id, evMove, evArg{member: dest, now: b.cfg.Clock()}); ok {
 			d.retries[v.id]++
 			inflight++
 		}

@@ -114,7 +114,7 @@ func TestReconcileDropsTerminalDuplicateMark(t *testing.T) {
 
 	// Simulate a routing failure that left only an ambiguous mark behind.
 	f.Balancer.mu.Lock()
-	f.Balancer.routed["app-r"] = &routedApp{id: "app-r", ambiguous: map[string]bool{"cluster-0": true}}
+	f.Balancer.routed["app-r"] = &routedApp{id: "app-r", marks: []string{"cluster-0"}}
 	f.Balancer.mu.Unlock()
 
 	steps(f, clk, 2)

@@ -1,8 +1,6 @@
 package federation
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -35,18 +33,14 @@ func (c ScoutConfig) probeTimeout() time.Duration {
 // Report is the scout's last knowledge of one member: the capacity
 // self-report from GET /v1/stats plus backlog and drain signals.
 type Report struct {
-	At          time.Time
+	At time.Time
+	// Free is already debited server-side by outstanding PREPARE-phase
+	// capacity holds on the member.
 	Free        resource.Vector
 	Total       resource.Vector
-	NodesUp     int
-	NodesTotal  int
 	QueueDepth  int
 	CorePending int
 	Draining    bool
-	// Reserved is outstanding PREPARE-phase capacity holds on the member;
-	// Free above is already debited by it server-side.
-	Reserved     resource.Vector
-	Reservations int
 }
 
 // memberProbe is the scout's per-member record.
@@ -113,35 +107,20 @@ func (s *Scout) ProbeAll(now time.Time) (newlyDead []string) {
 
 // probe fetches one member's stats under the probe timeout.
 func (s *Scout) probe(m *Member) (Report, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.probeTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+m.ID+"/v1/stats", nil)
-	if err != nil {
-		return Report{}, err
-	}
-	resp, err := m.Client().Do(req)
-	if err != nil {
-		return Report{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Report{}, fmt.Errorf("stats probe: status %d", resp.StatusCode)
-	}
 	var st server.StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	code, err := m.request(s.cfg.probeTimeout(), http.MethodGet, "/v1/stats", nil, &st)
+	if err != nil {
 		return Report{}, err
+	}
+	if code != http.StatusOK {
+		return Report{}, fmt.Errorf("stats probe: status %d", code)
 	}
 	return Report{
 		Free:        resource.New(st.FreeMemMB, st.FreeVCores),
 		Total:       resource.New(st.TotalMemMB, st.TotalVCores),
-		NodesUp:     st.NodesUp,
-		NodesTotal:  st.NodesTotal,
 		QueueDepth:  st.QueueDepth,
 		CorePending: st.CorePending,
 		Draining:    st.Draining,
-
-		Reserved:     resource.New(st.ReservedMemMB, st.ReservedVCores),
-		Reservations: st.Reservations,
 	}, nil
 }
 
