@@ -300,11 +300,10 @@ func (b *Balancer) transition(a *routedApp, ev event, arg evArg) (line string, o
 		return "", false
 	}
 
-	if ev == evSubmit {
+	switch ev {
+	case evSubmit:
 		a = arg.entry
 		b.routed[a.id] = a
-	}
-	switch ev {
 	case evPlace:
 		for _, m := range arg.marks {
 			a.marks = withMark(a.marks, m)

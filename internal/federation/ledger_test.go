@@ -12,13 +12,21 @@ var allStates = []appState{placing, placed, movingPrepare, movingCommit, movingD
 // none. A pair the table does not list is refused.
 type to struct{ marked, unmarked appState }
 
-// same is an event that leaves every state it is legal in alone, except
-// that a homeless entry (placing, tombstoned) exists only for its marks.
-func same(states ...appState) map[appState]to {
+// stays is an event that leaves every state it is legal in alone.
+func stays(states ...appState) map[appState]to {
 	m := make(map[appState]to)
 	for _, s := range states {
 		m[s] = to{s, s}
-		if s == placing || s == tombstoned {
+	}
+	return m
+}
+
+// same is stays for an event that can take the last mark away: a
+// homeless entry (placing, tombstoned) exists only for its marks.
+func same(states ...appState) map[appState]to {
+	m := stays(states...)
+	for _, s := range []appState{placing, tombstoned} {
+		if _, ok := m[s]; ok {
 			m[s] = to{s, gone}
 		}
 	}
@@ -42,7 +50,7 @@ var wantTable = map[event]map[appState]to{
 	evAdopt:            all(to{placed, placed}, placing, degraded),
 	evStrand:           all(to{degraded, degraded}, placed),
 	evVanish:           all(to{degraded, degraded}, placed),
-	evMark:             {placing: {placing, placing}, placed: {placed, placed}, movingPrepare: {movingPrepare, movingPrepare}, movingCommit: {movingCommit, movingCommit}, movingDelete: {movingDelete, movingDelete}, degraded: {degraded, degraded}, tombstoned: {tombstoned, tombstoned}},
+	evMark:             stays(placing, placed, movingPrepare, movingCommit, movingDelete, degraded, tombstoned),
 	evMarkCleared:      same(placing, placed, movingPrepare, movingCommit, movingDelete, degraded, tombstoned),
 	evDuplicateDeleted: same(placing, placed, movingPrepare, movingCommit, movingDelete, degraded, tombstoned),
 	evRemove: {
@@ -55,13 +63,13 @@ var wantTable = map[event]map[appState]to{
 	},
 	evForget:       all(to{gone, gone}, placing, placed, movingPrepare, movingCommit, movingDelete, degraded, tombstoned),
 	evMove:         all(to{movingPrepare, movingPrepare}, placed),
-	evIntent:       same(movingPrepare, movingCommit),
+	evIntent:       stays(movingPrepare, movingCommit),
 	evReserved:     all(to{movingCommit, movingCommit}, movingPrepare),
-	evCopyAcked:    same(movingCommit),
-	evCopyLost:     same(movingCommit),
-	evCopyWaiting:  same(movingCommit),
+	evCopyAcked:    stays(movingCommit),
+	evCopyLost:     stays(movingCommit),
+	evCopyWaiting:  stays(movingCommit),
 	evCopyDeployed: all(to{movingDelete, movingDelete}, movingCommit),
-	evRetry:        same(movingPrepare, movingCommit, movingDelete),
+	evRetry:        stays(movingPrepare, movingCommit, movingDelete),
 	evMoveDone:     all(to{placed, placed}, movingPrepare, movingCommit, movingDelete),
 	evAbort:        all(to{placed, placed}, movingPrepare, movingCommit),
 }
