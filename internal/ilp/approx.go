@@ -172,7 +172,11 @@ func (m *Model) solveApprox(opts Options) *Solution {
 		arena = NewSolverArena()
 	}
 	p := m.preparedFor(opts, arena)
-	lo, hi, hasInt := m.rootBounds()
+	arena.pool.reset(len(m.vars))
+	bounds := bbNode{lo: arena.pool.get(), hi: arena.pool.get()}
+	defer arena.pool.release(bounds)
+	lo, hi := bounds.lo, bounds.hi
+	hasInt := m.rootBoundsInto(lo, hi)
 
 	root := solveLP(m, p, lo, hi, opts.Deadline, opts.Clock, &arena.lp)
 	if root.status == statusDeadline {

@@ -96,16 +96,10 @@ func (m *Model) worst() float64 {
 	return math.Inf(1)
 }
 
-// rootBounds returns the model's variable bounds with integer bounds
-// tightened to the nearest integers, plus whether any integer variable
-// exists.
-func (m *Model) rootBounds() (lo, hi []float64, hasInt bool) {
-	lo, hi = make([]float64, len(m.vars)), make([]float64, len(m.vars))
-	return lo, hi, m.rootBoundsInto(lo, hi)
-}
-
-// rootBoundsInto is rootBounds into caller-supplied vectors of the
-// model's variable count; every element is written.
+// rootBoundsInto writes the model's variable bounds, integer bounds
+// tightened to the nearest integers, into caller-supplied vectors of the
+// model's variable count — every element is written — and reports
+// whether any integer variable exists.
 func (m *Model) rootBoundsInto(lo, hi []float64) (hasInt bool) {
 	for j, v := range m.vars {
 		lo[j], hi[j] = v.lo, v.hi

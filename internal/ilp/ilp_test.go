@@ -497,3 +497,26 @@ func TestStatusString(t *testing.T) {
 		}
 	}
 }
+
+// TestModelString: the text form lists variables and rows in insertion
+// order, terms sorted by variable, every sense, and survives a dangling
+// variable reference.
+func TestModelString(t *testing.T) {
+	m := NewModel(Maximize)
+	x := m.Binary("x")
+	y := m.Float("y", 0, Infinity)
+	m.SetObjective(y, -0.25)
+	m.AddLE("le", 3, T(2, y), T(1, x))
+	m.AddGE("ge", -1.5, T(1, y))
+	m.AddEQ("eq", 1, T(1, x))
+	m.AddRange("rg", 0, 2, T(1, x), T(1, Var(7)))
+	want := "var x int [0,1] obj=0\n" +
+		"var y float [0,+Inf] obj=-0.25\n" +
+		"row le: 1 x + 2 y <= 3\n" +
+		"row ge: 1 y >= -1.5\n" +
+		"row eq: 1 x = 1\n" +
+		"row rg: 1 x + 1 ? in [0,2]\n"
+	if got := m.String(); got != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", got, want)
+	}
+}

@@ -10,6 +10,9 @@ package ilp
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
+	"strings"
 )
 
 // Sense is the optimisation direction.
@@ -206,6 +209,50 @@ func (m *Model) Check() error {
 	default:
 		return fmt.Errorf("%w (and %d more defects)", m.errs[0], len(m.errs)-1)
 	}
+}
+
+// String prints the model one variable and one constraint per line, in
+// the order they were added: "var <name> int|float [lo,hi] obj=<c>" and
+// "row <name>: <c> <var> + ... <=|>=|= <rhs>" ("in [lo,hi]" for a range),
+// terms sorted by variable. Floats are printed shortest-exact, so two
+// models print alike only if they are the same model: golden files of a
+// model builder compare this text.
+func (m *Model) String() string {
+	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	var b strings.Builder
+	for _, v := range m.vars {
+		kind := "float"
+		if v.integer {
+			kind = "int"
+		}
+		fmt.Fprintf(&b, "var %s %s [%s,%s] obj=%s\n", v.name, kind, f(v.lo), f(v.hi), f(v.obj))
+	}
+	for _, c := range m.cons {
+		terms := slices.Clone(c.terms)
+		slices.SortStableFunc(terms, func(x, y Term) int { return int(x.Var) - int(y.Var) })
+		fmt.Fprintf(&b, "row %s:", c.name)
+		for i, t := range terms {
+			if i > 0 {
+				b.WriteString(" +")
+			}
+			name := "?" // a defect Check reports
+			if int(t.Var) >= 0 && int(t.Var) < len(m.vars) {
+				name = m.vars[t.Var].name
+			}
+			fmt.Fprintf(&b, " %s %s", f(t.Coeff), name)
+		}
+		switch {
+		case c.lo == c.hi:
+			fmt.Fprintf(&b, " = %s\n", f(c.hi))
+		case math.IsInf(c.lo, -1):
+			fmt.Fprintf(&b, " <= %s\n", f(c.hi))
+		case math.IsInf(c.hi, 1):
+			fmt.Fprintf(&b, " >= %s\n", f(c.lo))
+		default:
+			fmt.Fprintf(&b, " in [%s,%s]\n", f(c.lo), f(c.hi))
+		}
+	}
+	return b.String()
 }
 
 // Status reports the outcome of a solve.

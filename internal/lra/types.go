@@ -159,8 +159,10 @@ type Options struct {
 	// heuristic algorithms.
 	SolverBudget time.Duration
 	// MaxCandidates caps the number of candidate nodes materialised in the
-	// ILP per scheduling round (0 = automatic). Pruning keeps the model
-	// tractable on multi-thousand-node clusters.
+	// ILP per container group (0 = automatic: twice the group's container
+	// count, at least 8); nodes the greedy warm start used are added on
+	// top. Pruning keeps the model tractable on multi-thousand-node
+	// clusters.
 	MaxCandidates int
 	// Clock is the time source for latency stamps and the ILP solver's
 	// deadline (nil = time.Now). Deterministic harnesses inject a virtual
@@ -191,9 +193,6 @@ func (o Options) weights() Weights {
 	}
 	return o.Weights
 }
-
-// balanceWeight returns W4 including the zero default.
-func (w Weights) balanceWeight() float64 { return w.W4 }
 
 func (o Options) solverBudget() time.Duration {
 	if o.SolverBudget == 0 {
