@@ -3,6 +3,7 @@ package lra
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"medea/internal/cluster"
 	"medea/internal/constraint"
@@ -342,10 +343,9 @@ func (pm *placementModel) cardinalityRows(idx int, inst atomInst, bigM float64) 
 				}
 			}
 		}
-		perSet := fmt.Sprintf("_%d_%d", idx, r.sid)
 		if selfCovered {
 			if len(r.tgt) > 0 {
-				pm.emit(&r, "s", false, perSet, 1, noVar)
+				pm.emit(&r, "s", false, -1, 1, noVar)
 			}
 			continue
 		}
@@ -360,13 +360,12 @@ func (pm *placementModel) cardinalityRows(idx int, inst atomInst, bigM float64) 
 			if !reachable {
 				continue
 			}
-			perGroup := fmt.Sprintf("_%d_%d_%d", idx, gi, r.sid)
 			selfAdj := b2f(a.Target.Matches(g.tags))
 			if a.Min > 0 {
-				pm.emit(&r, "", true, perGroup, selfAdj, act)
+				pm.emit(&r, "", true, gi, selfAdj, act)
 			}
 			if a.Max != constraint.Unbounded {
-				pm.emit(&r, "", false, perGroup, selfAdj, act)
+				pm.emit(&r, "", false, gi, selfAdj, act)
 			}
 		}
 
@@ -383,11 +382,11 @@ func (pm *placementModel) cardinalityRows(idx int, inst atomInst, bigM float64) 
 		nBoth := pm.state.GammaBoth(a.Group, r.sid, a.Subject, a.Target)
 		if a.Min > 0 {
 			// tightest: a subject that matches the target
-			pm.emit(&r, "e", true, perSet, b2f(nBoth > 0), noVar)
+			pm.emit(&r, "e", true, -1, b2f(nBoth > 0), noVar)
 		}
 		if a.Max != constraint.Unbounded {
 			// tightest: a subject not matching the target
-			pm.emit(&r, "e", false, perSet, b2f(nSubj == nBoth), noVar)
+			pm.emit(&r, "e", false, -1, b2f(nSubj == nBoth), noVar)
 		}
 	}
 }
@@ -402,13 +401,23 @@ func (pm *placementModel) cardinalityRows(idx int, inst atomInst, bigM float64) 
 // subject group is present in the set and is left out when act is noVar;
 // the M·u pair relaxes the rows of a DNF term that is not selected and is
 // left out for simple constraints. Rows are named <family>c<min|max> and
-// slacks <family>v<min|max>, both followed by where.
-func (pm *placementModel) emit(r *cardRow, family string, isMin bool, where string, selfAdj int, act ilp.Var) {
+// slacks <family>v<min|max>, both followed by _<atom>_<set>, with the
+// subject group gi in between unless it is negative.
+func (pm *placementModel) emit(r *cardRow, family string, isMin bool, gi, selfAdj int, act ilp.Var) {
 	kind, bound, sign := "max", r.inst.atom.Max, -1.0
 	if isMin {
 		kind, bound, sign = "min", r.inst.atom.Min, 1.0
 	}
-	v := pm.m.Float(family+"v"+kind+where, 0, ilp.Infinity)
+	name := func(part string) string {
+		b := append(append(append(make([]byte, 0, 32), family...), part...), kind...)
+		for _, i := range [3]int{r.idx, gi, int(r.sid)} {
+			if i >= 0 {
+				b = strconv.AppendInt(append(b, '_'), int64(i), 10)
+			}
+		}
+		return string(b)
+	}
+	v := pm.m.Float(name("v"), 0, ilp.Infinity)
 	pm.slacks = append(pm.slacks, slackRef{v: v, atomIdx: r.idx, weight: r.inst.weight, bound: bound})
 	terms := make([]ilp.Term, 0, len(r.tgt)+3)
 	terms = append(terms, ilp.T(sign, v))
@@ -423,9 +432,9 @@ func (pm *placementModel) emit(r *cardRow, family string, isMin bool, where stri
 		rhs -= sign * r.bigM
 	}
 	if isMin {
-		pm.m.AddGE(family+"c"+kind+where, rhs, terms...)
+		pm.m.AddGE(name("c"), rhs, terms...)
 	} else {
-		pm.m.AddLE(family+"c"+kind+where, rhs, terms...)
+		pm.m.AddLE(name("c"), rhs, terms...)
 	}
 }
 
