@@ -291,7 +291,7 @@ func (pm *placementModel) activation(gi int, gn constraint.GroupName, sid cluste
 		terms = append(terms, ilp.T(1, pm.Y[gi][n]))
 	}
 	if len(terms) == 0 {
-		return 0, false // group cannot reach this set
+		return noVar, false // group cannot reach this set
 	}
 	v := pm.m.Binary(fmt.Sprintf("A_%d_%s_%d", gi, gn, sid))
 	terms = append(terms, ilp.T(-float64(pm.groups[gi].count), v))
@@ -304,6 +304,7 @@ func (pm *placementModel) activation(gi int, gn constraint.GroupName, sid cluste
 // Y terms that count new target containers there and γ of the target
 // before placement.
 type cardRow struct {
+	pm       *placementModel
 	idx      int
 	inst     atomInst
 	bigM     float64
@@ -322,7 +323,7 @@ func (pm *placementModel) cardinalityRows(idx int, inst atomInst, bigM float64) 
 	if numSets == 0 {
 		return // unknown group: treat as trivially unconstrained here
 	}
-	r := cardRow{idx: idx, inst: inst, bigM: bigM, sel: noVar}
+	r := cardRow{pm: pm, idx: idx, inst: inst, bigM: bigM, sel: noVar}
 	if u, ok := pm.termSel[[2]int{inst.consIdx, inst.termIdx}]; ok {
 		r.sel = u
 	}
@@ -345,7 +346,7 @@ func (pm *placementModel) cardinalityRows(idx int, inst atomInst, bigM float64) 
 		}
 		if selfCovered {
 			if len(r.tgt) > 0 {
-				pm.emit(&r, "s", false, -1, 1, noVar)
+				r.emit("s", false, -1, 1, noVar)
 			}
 			continue
 		}
@@ -362,10 +363,10 @@ func (pm *placementModel) cardinalityRows(idx int, inst atomInst, bigM float64) 
 			}
 			selfAdj := b2f(a.Target.Matches(g.tags))
 			if a.Min > 0 {
-				pm.emit(&r, "", true, gi, selfAdj, act)
+				r.emit("", true, gi, selfAdj, act)
 			}
 			if a.Max != constraint.Unbounded {
-				pm.emit(&r, "", false, gi, selfAdj, act)
+				r.emit("", false, gi, selfAdj, act)
 			}
 		}
 
@@ -382,11 +383,11 @@ func (pm *placementModel) cardinalityRows(idx int, inst atomInst, bigM float64) 
 		nBoth := pm.state.GammaBoth(a.Group, r.sid, a.Subject, a.Target)
 		if a.Min > 0 {
 			// tightest: a subject that matches the target
-			pm.emit(&r, "e", true, -1, b2f(nBoth > 0), noVar)
+			r.emit("e", true, -1, b2f(nBoth > 0), noVar)
 		}
 		if a.Max != constraint.Unbounded {
 			// tightest: a subject not matching the target
-			pm.emit(&r, "e", false, -1, b2f(nSubj == nBoth), noVar)
+			r.emit("e", false, -1, b2f(nSubj == nBoth), noVar)
 		}
 	}
 }
@@ -403,7 +404,8 @@ func (pm *placementModel) cardinalityRows(idx int, inst atomInst, bigM float64) 
 // left out for simple constraints. Rows are named <family>c<min|max> and
 // slacks <family>v<min|max>, both followed by _<atom>_<set>, with the
 // subject group gi in between unless it is negative.
-func (pm *placementModel) emit(r *cardRow, family string, isMin bool, gi, selfAdj int, act ilp.Var) {
+func (r *cardRow) emit(family string, isMin bool, gi, selfAdj int, act ilp.Var) {
+	pm := r.pm
 	kind, bound, sign := "max", r.inst.atom.Max, -1.0
 	if isMin {
 		kind, bound, sign = "min", r.inst.atom.Min, 1.0

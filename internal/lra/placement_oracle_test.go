@@ -3,6 +3,7 @@ package lra
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -364,7 +365,7 @@ func (in *tinyInstance) accepts(pm *placementModel, p tinyPlacement) bool {
 	}
 	for k, v := range pm.acts {
 		for ni, n := range in.nodes {
-			if p.counts[k.gi][ni] > 0 && contains(in.state.SetMembers(k.group, k.set), n) {
+			if p.counts[k.gi][ni] > 0 && slices.Contains(in.state.SetMembers(k.group, k.set), n) {
 				x[v] = 1
 			}
 		}
@@ -376,15 +377,6 @@ func (in *tinyInstance) accepts(pm *placementModel, p tinyPlacement) bool {
 		x[s.v] = 1e6
 	}
 	return pm.m.CheckFeasible(x)
-}
-
-func contains(nodes []cluster.NodeID, n cluster.NodeID) bool {
-	for _, m := range nodes {
-		if m == n {
-			return true
-		}
-	}
-	return false
 }
 
 // pinned solves the model with S and Y held at the placement and the
@@ -569,7 +561,7 @@ func (in *tinyInstance) checkPlace(stats *oracleStats) (failures []string) {
 	best := false
 	if !in.uncovered && !in.staticSubject && !in.compound && !got.DeadlineHit {
 		in.enumerate(func(p tinyPlacement, wellFormed bool) {
-			if best || !wellFormed || !in.fits(p) || !allPlaced(p) {
+			if best || !wellFormed || !in.fits(p) || slices.Contains(p.placed, false) {
 				return
 			}
 			work, _ := in.apply(p)
@@ -597,15 +589,6 @@ func (in *tinyInstance) checkPlace(stats *oracleStats) (failures []string) {
 	}
 	stats.beaten += b2f(beaten)
 	return failures
-}
-
-func allPlaced(p tinyPlacement) bool {
-	for _, placed := range p.placed {
-		if !placed {
-			return false
-		}
-	}
-	return true
 }
 
 // checkInstance runs (a), (b), (d) and (e) on the instance of one seed.
