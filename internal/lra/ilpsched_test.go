@@ -182,3 +182,29 @@ func TestBestOfGreedyPicksCleaner(t *testing.T) {
 		t.Errorf("best-of picked a poor result: placed=%d violations=%d", res.PlacedApps(), rep.ViolatedContainers)
 	}
 }
+
+// TestILPDuplicateGroupNames: an application whose two groups share a
+// name cannot be told apart in a remembered placement, so replay treats
+// it as unplaced — in the greedy warm start and across cycles alike —
+// and the solver places it anyway; its neighbour keeps its warm start.
+func TestILPDuplicateGroupNames(t *testing.T) {
+	c := grid(8, 4)
+	twin := &Application{ID: "twin", Groups: []ContainerGroup{
+		{Name: "w", Count: 2, Demand: resource.New(2048, 1), Tags: []constraint.Tag{"x"}},
+		{Name: "w", Count: 1, Demand: resource.New(1024, 1), Tags: []constraint.Tag{"y"}},
+	}}
+	apps := []*Application{twin, workerApp("plain", 3, "z")}
+	s := NewILP().(*ilpScheduler)
+	for cycle := 0; cycle < 2; cycle++ {
+		s.BeginCycle()
+		res := s.Place(c, apps, nil, Options{})
+		if res.PlacedApps() != 2 || len(res.Placements[0].Assignments) != 3 {
+			t.Fatalf("cycle %d: placed %d apps, twin has %d containers", cycle, res.PlacedApps(), len(res.Placements[0].Assignments))
+		}
+	}
+	pm := buildModel(c, apps, nil, batchGroups(apps), allCandidates(c, batchGroups(apps)), DefaultWeights())
+	warm, _ := pm.replay(apps, s.memory)
+	if warm[pm.S[0]] != 0 || warm[pm.S[1]] != 1 {
+		t.Fatalf("replay: S(twin)=%v S(plain)=%v, want 0 and 1", warm[pm.S[0]], warm[pm.S[1]])
+	}
+}

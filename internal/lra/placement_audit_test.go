@@ -21,7 +21,7 @@ import (
 // it was not, a placement that leaves no hard extent must still pass.
 func TestPlacementSemanticsAudit(t *testing.T) {
 	var accepted, rejected, forgiving int
-	for seed := int64(1); seed <= 2000; seed++ {
+	for seed := int64(1); seed <= lra.OracleInstances(); seed++ {
 		lra.TinyPlacements(seed, func(state *cluster.Cluster, apps []*lra.Application, active []constraint.Entry, res *lra.Result) {
 			cur, entries := state, active
 			for i, p := range res.Placements {

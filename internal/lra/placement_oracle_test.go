@@ -632,7 +632,7 @@ func checkInstance(seed int64, stats *oracleStats) []string {
 // the deployed-subject rows left out — must each fail (a) or (b).
 func TestPlacementSemantics(t *testing.T) {
 	var stats oracleStats
-	for seed := int64(1); seed <= 2000; seed++ {
+	for seed := int64(1); seed <= OracleInstances(); seed++ {
 		if failures := checkInstance(seed, &stats); len(failures) > 0 {
 			t.Fatal(strings.Join(failures, "\n"))
 		}
@@ -669,6 +669,15 @@ func FuzzPlacementSemantics(f *testing.F) {
 			t.Fatal(strings.Join(failures, "\n"))
 		}
 	})
+}
+
+// OracleInstances is how many seeds the oracle's tests enumerate: 2,000,
+// a fifth of that under -short.
+func OracleInstances() int64 {
+	if testing.Short() {
+		return 400
+	}
+	return 2000
 }
 
 // TinyPlacements is the enumeration for tests outside the package (the
