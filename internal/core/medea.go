@@ -466,6 +466,11 @@ type CycleStats struct {
 	Requeued   int
 	Rejected   int
 	AlgLatency time.Duration
+	// PlacedIDs and RejectedIDs name the LRAs behind Placed and Rejected,
+	// in batch order: what a serving layer that mirrors the batch needs to
+	// settle its own records without asking about every app it holds.
+	PlacedIDs   []string
+	RejectedIDs []string
 	// Repaired counts containers restored by the recovery loop this
 	// cycle; RepairFailures counts repair batches that failed.
 	Repaired       int
@@ -742,6 +747,7 @@ func (m *Medea) RunCycle(now time.Time) CycleStats {
 			m.deploy(pa.app, p.Assignments)
 			m.LRALatencies = append(m.LRALatencies, now.Sub(pa.submit)+res.Latency)
 			stats.Placed++
+			stats.PlacedIDs = append(stats.PlacedIDs, pa.app.ID)
 			entries = append(entries, own...)
 		}
 	}
@@ -834,6 +840,7 @@ func (m *Medea) requeueOrReject(pa *pendingApp, now time.Time, stats *CycleStats
 	if pa.retries >= m.cfg.maxRetries() {
 		m.reject(pa.app.ID)
 		stats.Rejected++
+		stats.RejectedIDs = append(stats.RejectedIDs, pa.app.ID)
 		m.logRecord(&journal.Record{Kind: journal.KindReject, At: now, AppID: pa.app.ID})
 		return
 	}

@@ -70,7 +70,7 @@ func TestDrainRacingSubmits(t *testing.T) {
 				if st, _ := getStatus(t, ts, id); st != http.StatusOK {
 					t.Errorf("%s: acked 202 but status endpoint says %d (lost ack)", id, st)
 				}
-				if s.queue.Contains(id) {
+				if s.led.view(id).state == queued {
 					t.Errorf("%s: acked 202 but still stuck in the closed submit queue", id)
 				}
 			case http.StatusServiceUnavailable:

@@ -305,6 +305,10 @@ func TestServerLifecycleGolden(t *testing.T) {
 	}
 }
 
-// closeSubmitQueue is the first thing a shutdown does after raising its
-// flag; calling it alone is the state a racing submit sees.
-func closeSubmitQueue(s *Server) { s.queue.Close() }
+// closeSubmitQueue is what a shutdown's final hand-off leaves behind; on
+// its own it is the state a racing submit sees.
+func closeSubmitQueue(s *Server) {
+	s.led.mu.Lock()
+	defer s.led.mu.Unlock()
+	s.led.closed = true
+}

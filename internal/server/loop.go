@@ -7,103 +7,65 @@ import (
 	"medea/internal/core"
 )
 
-// Run is the scheduling loop: it wakes every PollEvery, expires and
-// drains the submit queue into the core, propagates the tightest queued
-// request deadline into the cycle's solver budget, offers the core a
-// Tick, and republishes the backpressure gauges the accept path reads.
-// It returns when ctx is done. Run must not be called concurrently with
-// itself.
+// Run is the scheduling loop: a Step every PollEvery until ctx is done.
+// Run must not be called concurrently with itself.
 func (s *Server) Run(ctx context.Context) {
-	t := time.NewTicker(s.cfg.pollEvery())
+	t := time.NewTicker(s.cfg.PollEvery)
 	defer t.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			s.step()
+			s.Step()
 		}
 	}
 }
 
-// step is one scheduling-loop iteration (exposed to tests via Step).
-func (s *Server) step() {
+// Step is one scheduling-loop iteration (tests and in-process harnesses
+// call it directly): it sweeps the ledger, hands the queue to the core,
+// propagates the tightest pending request deadline into the cycle's
+// solver budget, offers the core a Tick, settles what the cycle did and
+// republishes the backpressure gauges the accept path reads.
+func (s *Server) Step() {
 	now := s.now()
-	s.sweepReservations(now)
-	for _, e := range s.queue.DropExpired(now) {
-		s.Stats.AddExpired()
-		s.setOutcome(e.app.ID, "expired")
-		s.logf("expired queued %s (deadline %s)", e.app.ID, e.deadline.Format(time.RFC3339Nano))
-	}
+	s.led.sweep(now)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.admitQueueLocked(now, false)
+	s.handOffLocked(now, false)
 
 	// Deadline propagation: the tightest remaining deadline among the
-	// core's pending apps clamps this cycle's solver budget — a batch
-	// whose callers give up in 200ms must not sit in a 2s solve.
+	// entries pending in the core clamps this cycle's solver budget — a
+	// batch whose callers give up in 200ms must not sit in a 2s solve.
 	base := s.med.SolverBudget()
 	budget := base
-	for _, id := range s.med.PendingApps() {
-		d, ok := s.deadlines[id]
-		if !ok {
-			continue
-		}
-		rem := d.Sub(now)
-		if rem < time.Millisecond {
-			rem = time.Millisecond // expired in core: cheapest possible solve
-		}
-		if budget == 0 || rem < budget {
+	if d, ok := s.led.tightestDeadline(); ok {
+		// Expired in core: the cheapest possible solve.
+		if rem := max(d.Sub(now), time.Millisecond); budget == 0 || rem < budget {
 			budget = rem
 		}
 	}
 	s.med.SetSolverBudget(budget)
-	_, ran := s.med.Tick(now)
+	stats, ran := s.med.Tick(now)
 	s.med.SetSolverBudget(base)
 	if ran {
-		s.pruneDeadlinesLocked()
+		s.led.each(stats.PlacedIDs, evDeploy)
+		s.led.each(stats.RejectedIDs, evReject)
 	}
 	s.publishGaugesLocked()
 }
 
-// Step runs one loop iteration synchronously (tests and the in-process
-// load harness).
-func (s *Server) Step() { s.step() }
-
-// admitQueueLocked hands queued submissions to the core; must be called
+// handOffLocked hands the queued submissions to the core; must be called
 // with s.mu held. During drain, flushed entries are counted so the
 // operator can see what was journaled rather than finished.
-func (s *Server) admitQueueLocked(now time.Time, drain bool) {
-	for _, e := range s.queue.Drain() {
-		if err := s.med.SubmitLRA(e.app, now); err != nil {
-			s.Stats.AddSubmitError()
-			s.setOutcome(e.app.ID, "failed")
-			s.logf("core refused %s: %v", e.app.ID, err)
+func (s *Server) handOffLocked(now time.Time, drain bool) {
+	for _, app := range s.led.handOff(drain) {
+		if err := s.med.SubmitLRA(app, now); err != nil {
+			s.led.apply(app.ID, evRefuse, evArg{err: err})
 			continue
-		}
-		s.registerCoreApp(e.app.ID)
-		if !e.deadline.IsZero() {
-			s.deadlines[e.app.ID] = e.deadline
 		}
 		if drain {
 			s.Stats.AddDrainFlushed()
-		}
-	}
-}
-
-// pruneDeadlinesLocked drops deadline entries for apps no longer pending
-// in the core; must be called with s.mu held.
-func (s *Server) pruneDeadlinesLocked() {
-	if len(s.deadlines) == 0 {
-		return
-	}
-	pending := make(map[string]bool)
-	for _, id := range s.med.PendingApps() {
-		pending[id] = true
-	}
-	for id := range s.deadlines {
-		if !pending[id] {
-			delete(s.deadlines, id)
 		}
 	}
 }
@@ -113,7 +75,14 @@ func (s *Server) pruneDeadlinesLocked() {
 func (s *Server) publishGaugesLocked() {
 	s.corePending.Store(int64(s.med.PendingLRAs() + s.med.PendingRepairs()))
 	s.journalLag.Store(int64(s.med.JournalLag()))
-	s.refreshCoreAppsLocked()
+	if !s.seeded.Load() {
+		// A core recovered from its journal holds apps already. An ID it
+		// rejected may have come back since, and is then left as it is.
+		s.led.each(s.med.PendingApps(), evRecover)
+		s.led.each(s.med.DeployedApps(), evRecover, evDeploy)
+		s.led.each(s.med.Rejected, evRecover, evReject)
+		s.seeded.Store(true)
+	}
 }
 
 // Drain is the graceful-shutdown path (SIGTERM): stop admitting new
@@ -126,19 +95,15 @@ func (s *Server) Drain(ctx context.Context) error {
 	if !s.draining.CompareAndSwap(false, true) {
 		return nil // already draining
 	}
-	// Close the queue before the final flush: a submit that slipped past
-	// the draining gate either pushed before the close (and is flushed
-	// into the journaled core below, honoring its 202) or finds the queue
-	// closed and gets a clean 503 — an acknowledged submission is never
-	// stranded in a queue nothing will read again.
-	s.queue.Close()
 	now := s.now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.admitQueueLocked(now, true)
+	s.handOffLocked(now, true)
 	if s.med.PendingLRAs() > 0 && ctx.Err() == nil {
 		stats := s.med.RunCycle(now)
-		s.logf("drain cycle: placed %d, requeued %d, rejected %d of %d",
+		s.led.each(stats.PlacedIDs, evDeploy)
+		s.led.each(stats.RejectedIDs, evReject)
+		s.cfg.Logf("drain cycle: placed %d, requeued %d, rejected %d of %d",
 			stats.Placed, stats.Requeued, stats.Rejected, stats.Batch)
 	}
 	s.publishGaugesLocked()

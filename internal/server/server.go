@@ -19,9 +19,11 @@
 package server
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -63,20 +65,6 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-func (c Config) pollEvery() time.Duration {
-	if c.PollEvery > 0 {
-		return c.PollEvery
-	}
-	return 20 * time.Millisecond
-}
-
-func (c Config) queueCap() int {
-	if c.QueueCap > 0 {
-		return c.QueueCap
-	}
-	return 1024
-}
-
 // defaultTenant is the tenant of a request that names none.
 const defaultTenant = "default"
 
@@ -84,26 +72,30 @@ const defaultTenant = "default"
 // before jitter.
 const overloadRetryAfter = time.Second
 
-// maxOutcomes bounds the terminal-outcome memory (shed/expired/failed/
-// removed apps the core no longer knows about).
+// maxOutcomes bounds the ledger's memory of how apps left (shed, expired,
+// failed, removed, rejected).
 const maxOutcomes = 8192
 
 // Server wires a core.Medea behind HTTP handlers and a scheduling loop.
-// The core is not concurrency-safe, so every core access goes through
-// s.mu; the submit hot path deliberately never takes it — admission
-// decisions read atomically published gauges the loop refreshes.
+//
+// Two locks. The core lock mu serialises every access to med, which is
+// not concurrency-safe; the loop holds it for a whole iteration, solver
+// included. The ledger lock (led.mu) guards what the server knows about
+// each app ID. Order: core lock first, ledger lock inside it; the ledger
+// never calls out, so nothing waits on the core while holding it.
+// Invariant: under the core lock, the ledger's pending and deployed
+// entries are exactly the apps the core holds — the writers that move
+// both sides (the loop's hand-off and settle, handleRemove) do so in one
+// hold of it. The submit hot path never takes the core lock: it claims
+// and queues in the ledger, and admission reads gauges the loop publishes.
 type Server struct {
 	cfg   Config
-	mu    sync.Mutex // guards med and deadlines
+	mu    sync.Mutex // the core lock: guards med
 	med   *core.Medea
-	queue *submitQueue
+	led   *ledger
 	adm   *Admission
 	rl    *TenantLimiter
 	Stats metrics.ServerStats
-
-	// deadlines holds propagated request deadlines for apps handed to
-	// the core, keyed by app ID (guarded by mu).
-	deadlines map[string]time.Time
 
 	// Gauges published by the scheduling loop for the lock-free accept
 	// path.
@@ -118,56 +110,53 @@ type Server struct {
 	// rejoins uncordoned.
 	cordoned atomic.Bool
 
-	// resv holds capacity reservations (the PREPARE half of cross-cluster
-	// migration). In-memory only: a restart releases everything.
-	resv *reservationTable
+	// seeded is set once the first loop iteration has entered into the
+	// ledger what a core recovered from its journal already held. Until
+	// then, as before the ledger, a resubmission of such an ID is accepted,
+	// and status and removal ask the core.
+	seeded atomic.Bool
 
 	// retrySeq keys the deterministic jitter of overload Retry-After
 	// hints, so consecutive rejected clients get distinct retry horizons.
 	retrySeq atomic.Int64
 
-	outMu    sync.Mutex
-	outcomes map[string]string // appID -> terminal outcome
-	outOrder []string
-
-	// coreApps mirrors the set of app IDs the core currently holds as
-	// pending or deployed. The accept path consults it (under its own
-	// mutex, never the core lock) so a resubmission of an ID that already
-	// drained out of the submit queue still gets a 409 — federation
-	// balancers rely on that answer to reconcile timed-out attempts.
-	// Maintained by the scheduling loop: IDs are added as the queue drains
-	// into the core and the set is rebuilt from the core after each cycle.
-	coreMu   sync.Mutex
-	coreApps map[string]bool
-
 	mux *http.ServeMux
 }
 
 // New builds a server over an existing scheduler instance. The caller
-// keeps ownership of the core's journal (Close it after Drain).
+// keeps ownership of the core's journal (Close it after Drain). Every
+// default of cfg is resolved here, once.
 func New(med *core.Medea, cfg Config) *Server {
+	if cfg.PollEvery <= 0 {
+		cfg.PollEvery = 20 * time.Millisecond
+	}
+	if cfg.QueueCap <= 0 {
+		cfg.QueueCap = 1024
+	}
+	if cfg.ReservationTTL <= 0 {
+		cfg.ReservationTTL = 30 * time.Second
+	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
+	}
 	if cfg.Admission == (AdmissionConfig{}) {
 		cfg.Admission = AdmissionConfig{
-			QueueHigh: cfg.queueCap(),
-			QueueLow:  cfg.queueCap() / 2,
+			QueueHigh: cfg.QueueCap,
+			QueueLow:  cfg.QueueCap / 2,
 			LagHigh:   4096,
 			LagLow:    2048,
 		}
 	}
 	s := &Server{
-		cfg:       cfg,
-		med:       med,
-		queue:     newSubmitQueue(cfg.queueCap()),
-		adm:       NewAdmission(cfg.Admission),
-		rl:        NewTenantLimiter(cfg.RateLimit),
-		deadlines: make(map[string]time.Time),
-		outcomes:  make(map[string]string),
-		coreApps:  make(map[string]bool),
-		resv:      newReservationTable(),
+		cfg: cfg,
+		med: med,
+		adm: NewAdmission(cfg.Admission),
+		rl:  NewTenantLimiter(cfg.RateLimit),
 	}
+	s.led = newLedger(cfg.QueueCap, &s.Stats, cfg.Logf)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/lras", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/lras/{id}", s.handleStatus)
@@ -190,85 +179,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // any code path — a simulated server can never accidentally observe real
 // time.
 func (s *Server) now() time.Time { return s.cfg.Clock() }
-
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
-}
-
-// load assembles the admission controller's overload signal from the
-// published gauges — no core lock on the accept path.
-func (s *Server) load() Load {
-	return Load{
-		Queue:      s.queue.Len() + int(s.corePending.Load()),
-		JournalLag: int(s.journalLag.Load()),
-	}
-}
-
-// setOutcome records a terminal outcome for an app the core will never
-// know about (shed, expired, failed) or no longer knows about (removed),
-// bounded to the most recent maxOutcomes entries.
-func (s *Server) setOutcome(appID, outcome string) {
-	s.outMu.Lock()
-	defer s.outMu.Unlock()
-	if _, ok := s.outcomes[appID]; !ok {
-		s.outOrder = append(s.outOrder, appID)
-		if len(s.outOrder) > maxOutcomes {
-			delete(s.outcomes, s.outOrder[0])
-			s.outOrder = s.outOrder[1:]
-		}
-	}
-	s.outcomes[appID] = outcome
-}
-
-func (s *Server) getOutcome(appID string) (string, bool) {
-	s.outMu.Lock()
-	defer s.outMu.Unlock()
-	o, ok := s.outcomes[appID]
-	return o, ok
-}
-
-func (s *Server) clearOutcome(appID string) {
-	s.outMu.Lock()
-	defer s.outMu.Unlock()
-	delete(s.outcomes, appID)
-}
-
-// registerCoreApp / dropCoreApp / inCore maintain and query the coreApps
-// mirror (see the field comment).
-func (s *Server) registerCoreApp(appID string) {
-	s.coreMu.Lock()
-	defer s.coreMu.Unlock()
-	s.coreApps[appID] = true
-}
-
-func (s *Server) dropCoreApp(appID string) {
-	s.coreMu.Lock()
-	defer s.coreMu.Unlock()
-	delete(s.coreApps, appID)
-}
-
-func (s *Server) inCore(appID string) bool {
-	s.coreMu.Lock()
-	defer s.coreMu.Unlock()
-	return s.coreApps[appID]
-}
-
-// refreshCoreAppsLocked rebuilds the mirror from the core's pending and
-// deployed sets; must be called with s.mu held.
-func (s *Server) refreshCoreAppsLocked() {
-	fresh := make(map[string]bool)
-	for _, id := range s.med.PendingApps() {
-		fresh[id] = true
-	}
-	for _, id := range s.med.DeployedApps() {
-		fresh[id] = true
-	}
-	s.coreMu.Lock()
-	s.coreApps = fresh
-	s.coreMu.Unlock()
-}
 
 // Wire types.
 
@@ -391,26 +301,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request", Reason: err.Error()})
 		return
 	}
-	tenant := r.Header.Get("X-Medea-Tenant")
-	if tenant == "" {
-		tenant = req.Tenant
-	}
-	if tenant == "" {
-		tenant = defaultTenant
-	}
+	tenant := cmp.Or(r.Header.Get("X-Medea-Tenant"), req.Tenant, defaultTenant)
 	now := s.now()
 	// A submission arriving under a capacity reservation already passed
 	// admission when the reservation was granted — re-checking rate or
 	// watermark here could strand a migration mid-COMMIT behind organic
 	// traffic. It still competes for the bounded queue like everyone else.
-	if !s.resv.has(req.ID) {
+	if s.led.view(req.ID).resv == nil {
 		if ok, retry := s.rl.Allow(tenant, now); !ok {
 			s.Stats.AddThrottled()
 			writeRetryAfter(w, retry)
 			writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "throttled", Reason: "tenant rate share exhausted"})
 			return
 		}
-		if ok, reason := s.adm.Admit(s.load()); !ok {
+		// The overload signal comes from the published gauges: no core
+		// lock on the accept path.
+		depth, _, _ := s.led.gauges()
+		load := Load{Queue: depth + int(s.corePending.Load()), JournalLag: int(s.journalLag.Load())}
+		if ok, reason := s.adm.Admit(load); !ok {
 			s.Stats.AddShedOverload()
 			writeRetryAfter(w, s.retryAfterHint())
 			writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "overloaded", Reason: reason})
@@ -422,113 +330,117 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid application", Reason: err.Error()})
 		return
 	}
-	if s.queue.Contains(app.ID) {
-		writeJSON(w, http.StatusConflict, errorResponse{Error: "already queued"})
-		return
-	}
-	if s.inCore(app.ID) {
-		writeJSON(w, http.StatusConflict, errorResponse{Error: "already scheduled", Reason: "id is pending or deployed"})
-		return
-	}
-	e := &submitEntry{app: app, tenant: tenant, priority: req.Priority, enqueued: now}
+	sub := &appEntry{id: app.ID, app: app, priority: req.Priority}
 	if req.TimeoutMs > 0 {
-		e.deadline = now.Add(time.Duration(req.TimeoutMs) * time.Millisecond)
+		sub.deadline = now.Add(time.Duration(req.TimeoutMs) * time.Millisecond)
 	}
-	victim, res := s.queue.Push(e)
-	switch res {
-	case pushClosed:
-		// Lost the race with a concurrent Drain: the queue was flushed and
-		// will never be read again, so acknowledging the entry would lose
-		// it. Reject exactly like the drain gate above.
+	// Federation balancers reconcile timed-out attempts off the 409: a
+	// resubmission of a live ID must never queue a second copy.
+	switch was, res := s.led.submit(sub); {
+	case res == submitDuplicate && was == queued:
+		writeJSON(w, http.StatusConflict, errorResponse{Error: "already queued"})
+	case res == submitDuplicate:
+		writeJSON(w, http.StatusConflict, errorResponse{Error: "already scheduled", Reason: "id is pending or deployed"})
+	case res == submitClosed:
+		// Lost the race with a concurrent shutdown: the queue was handed
+		// off and will never be read again, so acknowledging the entry
+		// would lose it. Reject exactly like the drain gate above.
 		s.Stats.AddRejectedDrain()
 		writeRetryAfter(w, s.retryAfterHint())
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "draining"})
-		return
-	case pushFull:
+	case res == submitFull:
 		s.Stats.AddShedQueueFull()
 		writeRetryAfter(w, s.retryAfterHint())
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "queue full", Reason: "submission shed"})
-		return
+	default:
+		writeJSON(w, http.StatusAccepted, map[string]string{"id": app.ID, "state": "queued"})
 	}
-	if victim != nil {
-		s.Stats.AddShedQueueFull()
-		s.setOutcome(victim.app.ID, "shed")
-		s.logf("shed queued %s (priority %d) for %s (priority %d)",
-			victim.app.ID, victim.priority, app.ID, e.priority)
-	}
-	s.clearOutcome(app.ID) // resubmission after shed/expiry starts fresh
-	s.Stats.AddAdmitted()
-	writeJSON(w, http.StatusAccepted, map[string]string{"id": app.ID, "state": "queued"})
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if s.queue.Contains(id) {
-		writeJSON(w, http.StatusOK, StatusResponse{ID: id, State: "queued"})
-		return
-	}
-	s.mu.Lock()
-	if ids, ok := s.med.Deployed(id); ok {
-		resp := StatusResponse{ID: id, State: "deployed"}
-		for _, cid := range ids {
-			node, _ := s.med.Cluster.ContainerNode(cid)
-			resp.Containers = append(resp.Containers, ContainerStatus{ID: string(cid), Node: int(node)})
+	e := s.led.view(id)
+	resp := StatusResponse{ID: id}
+	if e.state.inCore() || !s.seeded.Load() && e.state != queued {
+		// The core has the details. Read the entry again under the core
+		// lock, where it cannot move.
+		s.mu.Lock()
+		if e = s.led.view(id); !s.seeded.Load() && e.state != queued {
+			e.state = s.coreStateLocked(id, e.state)
+		}
+		switch e.state {
+		case pending:
+			resp.Retries, _ = s.med.PendingRetries(id)
+		case deployed:
+			ids, _ := s.med.Deployed(id)
+			for _, cid := range ids {
+				node, _ := s.med.Cluster.ContainerNode(cid)
+				resp.Containers = append(resp.Containers, ContainerStatus{ID: string(cid), Node: int(node)})
+			}
 		}
 		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, resp)
+	}
+	if e.state == absent {
+		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown application"})
 		return
 	}
-	if retries, ok := s.med.PendingRetries(id); ok {
-		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, StatusResponse{ID: id, State: "pending", Retries: retries})
-		return
-	}
-	rejected := false
-	for _, rid := range s.med.Rejected {
-		if rid == id {
-			rejected = true
-			break
-		}
-	}
-	s.mu.Unlock()
-	if rejected {
-		writeJSON(w, http.StatusOK, StatusResponse{ID: id, State: "rejected"})
-		return
-	}
-	if o, ok := s.getOutcome(id); ok {
-		writeJSON(w, http.StatusOK, StatusResponse{ID: id, State: o})
-		return
-	}
-	writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown application"})
+	resp.State = e.state.String()
+	writeJSON(w, http.StatusOK, resp)
 }
 
+// handleRemove is one decision on the entry's state: a queued entry is
+// the ledger's alone to cancel; one in the core is withdrawn or torn
+// down there, and the ledger told, in one hold of the core lock; anything
+// else is not here to remove.
 func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if s.queue.Remove(id) {
-		s.setOutcome(id, "removed")
-		s.Stats.AddRemoved()
-		writeJSON(w, http.StatusOK, map[string]string{"id": id, "state": "removed"})
-		return
+	// What the core says of an app it does not hold.
+	err := fmt.Errorf("core: LRA %s not deployed", id)
+	if s.led.apply(id, evCancel, evArg{}) {
+		err = nil
+	} else if s.led.view(id).state.inCore() || !s.seeded.Load() {
+		s.mu.Lock()
+		if !s.seeded.Load() {
+			switch s.coreStateLocked(id, absent) {
+			case pending:
+				s.led.each([]string{id}, evRecover)
+			case deployed:
+				s.led.each([]string{id}, evRecover, evDeploy)
+			}
+		}
+		switch s.led.view(id).state {
+		case pending:
+			s.med.WithdrawLRA(id, s.now())
+			err = nil
+		case deployed:
+			err = s.med.RemoveLRA(id)
+		}
+		if err == nil {
+			s.led.apply(id, evRemove, evArg{})
+		}
+		s.mu.Unlock()
 	}
-	s.mu.Lock()
-	var err error
-	// The app may have drained into the core without deploying yet:
-	// withdraw it from the pending queue, else tear down the deployment.
-	if !s.med.WithdrawLRA(id, s.now()) {
-		err = s.med.RemoveLRA(id)
-	}
-	if err == nil {
-		delete(s.deadlines, id)
-	}
-	s.mu.Unlock()
 	if err != nil {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
 		return
 	}
-	s.dropCoreApp(id)
-	s.setOutcome(id, "removed")
-	s.Stats.AddRemoved()
 	writeJSON(w, http.StatusOK, map[string]string{"id": id, "state": "removed"})
+}
+
+// coreStateLocked is the state the core reports for id, or was when it
+// knows nothing of it: what status and removal go by until the ledger is
+// seeded. Must be called with s.mu held.
+func (s *Server) coreStateLocked(id string, was appState) appState {
+	if _, ok := s.med.Deployed(id); ok {
+		return deployed
+	}
+	if _, ok := s.med.PendingRetries(id); ok {
+		return pending
+	}
+	if slices.Contains(s.med.Rejected, id) {
+		return rejected
+	}
+	return was
 }
 
 // ConstraintRequest is the POST /v1/constraints payload: operator
@@ -622,18 +534,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	rejected := len(s.med.Rejected)
 	free, total, up, nodes := s.med.Capacity()
 	s.mu.Unlock()
-	reserved, nresv := s.resv.snapshot()
-	// Debit outstanding reservations from the self-reported free capacity
-	// (clamped at zero per dimension) so federation ranking sees promised
+	// The reported free capacity is debited by the outstanding reservations
+	// (clamped at zero per dimension), so federation ranking sees promised
 	// space as taken.
-	freeMem := free.MemoryMB - reserved.MemoryMB
-	if freeMem < 0 {
-		freeMem = 0
-	}
-	freeCores := free.VCores - reserved.VCores
-	if freeCores < 0 {
-		freeCores = 0
-	}
+	depth, reserved, nresv := s.led.gauges()
 	_, dims := s.adm.Shedding()
 	resp := StatsResponse{
 		Admitted:      s.Stats.Admitted(),
@@ -645,8 +549,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		SubmitErrors:  s.Stats.SubmitErrors(),
 		Removed:       s.Stats.Removed(),
 		DrainFlushed:  s.Stats.DrainFlushed(),
-		QueueDepth:    s.queue.Len(),
-		QueueCap:      s.cfg.queueCap(),
+		QueueDepth:    depth,
+		QueueCap:      s.cfg.QueueCap,
 		CorePending:   int(s.corePending.Load()),
 		JournalLag:    int(s.journalLag.Load()),
 		Draining:      s.refusing(),
@@ -654,8 +558,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Tenants:       s.rl.Snapshot(),
 		Deployed:      deployed,
 		Rejected:      rejected,
-		FreeMemMB:     freeMem,
-		FreeVCores:    freeCores,
+		FreeMemMB:     max(free.MemoryMB-reserved.MemoryMB, 0),
+		FreeVCores:    max(free.VCores-reserved.VCores, 0),
 		TotalMemMB:    total.MemoryMB,
 		TotalVCores:   total.VCores,
 		NodesUp:       up,
