@@ -1,7 +1,11 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -93,5 +97,52 @@ func TestRemoveWithdrawsCorePendingApp(t *testing.T) {
 	s.Step()
 	if code, sr := getStatus(t, ts, "stuck"); code != 200 || sr.State != "deployed" {
 		t.Fatalf("resubmitted app status %d %q, want deployed", code, sr.State)
+	}
+}
+
+// TestConcurrentSubmitOneAccept: of eight simultaneous submissions of one
+// ID exactly one is accepted and seven are told it is a duplicate. Before
+// the ledger claimed and queued an ID in one step, the duplicate check
+// and the push were two, and two copies could pass the check together:
+// both got a 202 and the second became a silent submit_errors count.
+func TestConcurrentSubmitOneAccept(t *testing.T) {
+	s, _, _ := testServer(t, Config{QueueCap: 4096}, core.Config{})
+	const workers, rounds = 8, 200
+	body := func(id string) string {
+		return fmt.Sprintf(`{"id":%q,"groups":[{"name":"w","count":1,"memoryMB":64,"vcores":1}]}`, id)
+	}
+	for round := 0; round < rounds; round++ {
+		id := fmt.Sprintf("dup-%d", round)
+		codes := make([]int, workers)
+		var start, done sync.WaitGroup
+		start.Add(1)
+		done.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func(w int) {
+				defer done.Done()
+				req := httptest.NewRequest("POST", "/v1/lras", strings.NewReader(body(id)))
+				rec := httptest.NewRecorder()
+				start.Wait()
+				s.Handler().ServeHTTP(rec, req)
+				codes[w] = rec.Code
+			}(w)
+		}
+		start.Done()
+		done.Wait()
+		accepted, duplicate := 0, 0
+		for _, c := range codes {
+			switch c {
+			case http.StatusAccepted:
+				accepted++
+			case http.StatusConflict:
+				duplicate++
+			}
+		}
+		if accepted != 1 || duplicate != workers-1 {
+			t.Fatalf("round %d: codes %v, want one 202 and %d 409s", round, codes, workers-1)
+		}
+	}
+	if got := s.Stats.Admitted(); got != rounds {
+		t.Fatalf("admitted %d, want %d", got, rounds)
 	}
 }
