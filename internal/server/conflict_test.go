@@ -9,7 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"medea/internal/cluster"
 	"medea/internal/core"
+	"medea/internal/journal"
+	"medea/internal/lra"
+	"medea/internal/resource"
 )
 
 // TestResubmitConflictsAfterQueueDrains: duplicate detection must not
@@ -144,5 +148,85 @@ func TestConcurrentSubmitOneAccept(t *testing.T) {
 	}
 	if got := s.Stats.Admitted(); got != rounds {
 		t.Fatalf("admitted %d, want %d", got, rounds)
+	}
+}
+
+// TestFreshServerKnowsCoreApps: a server built over a core that already
+// holds apps — what a restart does after recovering the core from its
+// journal — answers for them before its first loop iteration: 409 to a
+// resubmission of a pending or deployed ID, the right status for each,
+// "present" to a reservation. The mirror the ledger replaced started
+// empty and was filled by the first Step; until then a resubmission got a
+// 202 and became a silent submit_errors count.
+func TestFreshServerKnowsCoreApps(t *testing.T) {
+	clk := newFakeClock()
+	cl := cluster.Grid(16, 4, resource.New(16384, 16))
+	coreCfg := core.Config{Interval: 100 * time.Millisecond, MaxRetries: 1}
+	med := core.New(cl, lra.NewNodeCandidates(), coreCfg)
+	jnl := journal.NewMemory()
+	if err := med.AttachJournal(jnl, clk.Now()); err != nil {
+		t.Fatalf("attach journal: %v", err)
+	}
+	s := New(med, Config{Clock: clk.Now})
+	ts := httptest.NewServer(s.Handler())
+	tooBig := func(id string) SubmitRequest {
+		return SubmitRequest{ID: id, Groups: []GroupSpec{{Name: "w", Count: 1, MemoryMB: 99999, VCores: 1}}}
+	}
+	doSubmit(t, ts, tooBig("gone"), "")
+	for i := 0; i < 2; i++ { // one retry, then rejected
+		clk.Advance(time.Second)
+		s.Step()
+	}
+	doSubmit(t, ts, submitReq("svc", 0, 0), "")
+	doSubmit(t, ts, tooBig("stuck"), "")
+	clk.Advance(time.Second)
+	s.Step()
+	for id, want := range map[string]string{"gone": "rejected", "svc": "deployed", "stuck": "pending"} {
+		if code, sr := getStatus(t, ts, id); code != 200 || sr.State != want {
+			t.Fatalf("before the restart %s is %d %q, want 200 %q", id, code, sr.State, want)
+		}
+	}
+	ts.Close()
+
+	rec, err := core.Recover(jnl, cl, lra.NewNodeCandidates(), coreCfg, clk.Now())
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	s2 := New(rec, Config{Clock: clk.Now})
+	ts2 := httptest.NewServer(s2.Handler())
+	t.Cleanup(ts2.Close)
+
+	// No Step yet.
+	if resp := doSubmit(t, ts2, submitReq("svc", 0, 0), ""); resp.StatusCode != http.StatusConflict {
+		t.Errorf("resubmission of a deployed app: %d, want 409", resp.StatusCode)
+	}
+	if resp := doSubmit(t, ts2, tooBig("stuck"), ""); resp.StatusCode != http.StatusConflict {
+		t.Errorf("resubmission of a pending app: %d, want 409", resp.StatusCode)
+	}
+	if code, sr := getStatus(t, ts2, "svc"); code != 200 || sr.State != "deployed" || len(sr.Containers) != 2 {
+		t.Errorf("svc: %d %+v, want 200 deployed with 2 containers", code, sr)
+	}
+	if code, sr := getStatus(t, ts2, "stuck"); code != 200 || sr.State != "pending" || sr.Retries != 1 {
+		t.Errorf("stuck: %d %+v, want 200 pending with 1 retry", code, sr)
+	}
+	if code, sr := getStatus(t, ts2, "gone"); code != 200 || sr.State != "rejected" {
+		t.Errorf("gone: %d %+v, want 200 rejected", code, sr)
+	}
+	if code, rr := doReserve(t, ts2, ReserveRequest{ID: "svc", MemMB: 1024, VCores: 1}); code != 200 || rr.State != "present" {
+		t.Errorf("reservation for a deployed app: %d %q, want 200 present", code, rr.State)
+	}
+	if resp := doSubmit(t, ts2, submitReq("gone", 0, 0), ""); resp.StatusCode != http.StatusAccepted {
+		t.Errorf("resubmission of a rejected app: %d, want 202", resp.StatusCode)
+	}
+	if got := s2.Stats.Admitted(); got != 1 {
+		t.Errorf("admitted %d, want 1 (only the rejected ID is free)", got)
+	}
+	clk.Advance(time.Second)
+	s2.Step()
+	if got := s2.Stats.SubmitErrors(); got != 0 {
+		t.Errorf("submit_errors %d after the first Step, want 0", got)
+	}
+	if code, sr := getStatus(t, ts2, "gone"); code != 200 || sr.State != "deployed" {
+		t.Errorf("gone after its resubmission: %d %+v, want 200 deployed", code, sr)
 	}
 }

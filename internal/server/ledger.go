@@ -70,7 +70,7 @@ const (
 	evReject               // a cycle dropped it: retry budget spent
 	evCancel               // the client removed it before the loop took it
 	evRemove               // the core tore it down for the client
-	evRecover              // the first loop iteration found it in a core that outlived the last server
+	evRecover              // New found it in a core that outlived the last server
 	evForget               // the terminal memory is full and this outcome is the oldest
 	evReserve              // capacity is held for the ID
 	evRefresh              // the same hold again: a new expiry
@@ -105,7 +105,7 @@ func next(s appState, ev event, reserved bool) (appState, bool) {
 	case evRemove:
 		return removed, s.inCore()
 	case evRecover:
-		return pending, !s.live()
+		return pending, s == absent
 	case evForget:
 		return absent, s.terminal()
 	case evReserve:

@@ -68,7 +68,7 @@ var wantTable = map[event]map[appState]row{
 	evReject:  from(rejected, "", pending),
 	evCancel:  from(removed, "removed", queued),
 	evRemove:  from(removed, "removed", pending, deployed),
-	evRecover: from(pending, "", deadStates...),
+	evRecover: from(pending, "", absent),
 	evForget:  from(absent, "", shed, expired, failed, removed, rejected),
 	evReserve: stays("reserved", deadStates...),
 	evRefresh: stays("", deadStates...),

@@ -75,14 +75,6 @@ func (s *Server) handOffLocked(now time.Time, drain bool) {
 func (s *Server) publishGaugesLocked() {
 	s.corePending.Store(int64(s.med.PendingLRAs() + s.med.PendingRepairs()))
 	s.journalLag.Store(int64(s.med.JournalLag()))
-	if !s.seeded.Load() {
-		// A core recovered from its journal holds apps already. An ID it
-		// rejected may have come back since, and is then left as it is.
-		s.led.each(s.med.PendingApps(), evRecover)
-		s.led.each(s.med.DeployedApps(), evRecover, evDeploy)
-		s.led.each(s.med.Rejected, evRecover, evReject)
-		s.seeded.Store(true)
-	}
 }
 
 // Drain is the graceful-shutdown path (SIGTERM): stop admitting new

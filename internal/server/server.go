@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -110,12 +109,6 @@ type Server struct {
 	// rejoins uncordoned.
 	cordoned atomic.Bool
 
-	// seeded is set once the first loop iteration has entered into the
-	// ledger what a core recovered from its journal already held. Until
-	// then, as before the ledger, a resubmission of such an ID is accepted,
-	// and status and removal ask the core.
-	seeded atomic.Bool
-
 	// retrySeq keys the deterministic jitter of overload Retry-After
 	// hints, so consecutive rejected clients get distinct retry horizons.
 	retrySeq atomic.Int64
@@ -157,6 +150,11 @@ func New(med *core.Medea, cfg Config) *Server {
 		rl:  NewTenantLimiter(cfg.RateLimit),
 	}
 	s.led = newLedger(cfg.QueueCap, &s.Stats, cfg.Logf)
+	// A core recovered from its journal holds apps already. An ID it
+	// rejected may have come back since, and is then left as it is.
+	s.led.each(med.PendingApps(), evRecover)
+	s.led.each(med.DeployedApps(), evRecover, evDeploy)
+	s.led.each(med.Rejected, evRecover, evReject)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/lras", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/lras/{id}", s.handleStatus)
@@ -361,14 +359,11 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	e := s.led.view(id)
 	resp := StatusResponse{ID: id}
-	if e.state.inCore() || !s.seeded.Load() && e.state != queued {
+	if e.state.inCore() {
 		// The core has the details. Read the entry again under the core
 		// lock, where it cannot move.
 		s.mu.Lock()
-		if e = s.led.view(id); !s.seeded.Load() && e.state != queued {
-			e.state = s.coreStateLocked(id, e.state)
-		}
-		switch e.state {
+		switch e = s.led.view(id); e.state {
 		case pending:
 			resp.Retries, _ = s.med.PendingRetries(id)
 		case deployed:
@@ -398,16 +393,8 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 	err := fmt.Errorf("core: LRA %s not deployed", id)
 	if s.led.apply(id, evCancel, evArg{}) {
 		err = nil
-	} else if s.led.view(id).state.inCore() || !s.seeded.Load() {
+	} else if s.led.view(id).state.inCore() {
 		s.mu.Lock()
-		if !s.seeded.Load() {
-			switch s.coreStateLocked(id, absent) {
-			case pending:
-				s.led.each([]string{id}, evRecover)
-			case deployed:
-				s.led.each([]string{id}, evRecover, evDeploy)
-			}
-		}
 		switch s.led.view(id).state {
 		case pending:
 			s.med.WithdrawLRA(id, s.now())
@@ -425,22 +412,6 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"id": id, "state": "removed"})
-}
-
-// coreStateLocked is the state the core reports for id, or was when it
-// knows nothing of it: what status and removal go by until the ledger is
-// seeded. Must be called with s.mu held.
-func (s *Server) coreStateLocked(id string, was appState) appState {
-	if _, ok := s.med.Deployed(id); ok {
-		return deployed
-	}
-	if _, ok := s.med.PendingRetries(id); ok {
-		return pending
-	}
-	if slices.Contains(s.med.Rejected, id) {
-		return rejected
-	}
-	return was
 }
 
 // ConstraintRequest is the POST /v1/constraints payload: operator
