@@ -46,7 +46,7 @@ func main() {
 	algName := flag.String("alg", "nc", "placement algorithm: nc, tp, serial or ilp")
 	interval := flag.Duration("interval", 250*time.Millisecond, "scheduling-cycle interval (paper's batching window)")
 	budget := flag.Duration("budget", 500*time.Millisecond, "solver budget per cycle (request deadlines clamp it further)")
-	checkpointEvery := flag.Int("checkpoint-every", 4, "journal records between checkpoints")
+	checkpointEvery := flag.Int("checkpoint-every", 4, "scheduling cycles between checkpoints")
 	poll := flag.Duration("poll", 20*time.Millisecond, "scheduling-loop poll granularity")
 	queueCap := flag.Int("queue-cap", 1024, "bounded submit-queue capacity")
 	rate := flag.Float64("rate", 0, "global submit budget in req/s, fair-shared across tenants (0 = unlimited)")
@@ -127,7 +127,7 @@ func main() {
 	<-loopDone
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if err := s.Drain(drainCtx); err != nil {
+	if err := s.Shutdown(drainCtx); err != nil {
 		log.Fatalf("drain: %v", err)
 	}
 	if err := httpSrv.Shutdown(drainCtx); err != nil {

@@ -1,9 +1,6 @@
 package server
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // AdmissionConfig sets the overload watermarks of the two dimensions,
 // backlog and journal lag. Each has a high watermark (start rejecting at
@@ -108,11 +105,4 @@ func (a *Admission) Shedding() (bool, []string) {
 		}
 	}
 	return len(dims) > 0, dims
-}
-
-// String describes the configured watermarks.
-func (a *Admission) String() string {
-	return fmt.Sprintf("queue %d/%d, journal-lag %d/%d",
-		a.cfg.QueueHigh, low(a.cfg.QueueHigh, a.cfg.QueueLow),
-		a.cfg.LagHigh, low(a.cfg.LagHigh, a.cfg.LagLow))
 }

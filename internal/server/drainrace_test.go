@@ -12,16 +12,16 @@ import (
 )
 
 // TestDrainRacingSubmits hammers the accept path with concurrent submits
-// while Drain runs in the middle of the storm, and asserts the
+// while Shutdown runs in the middle of the storm, and asserts the
 // exactly-one-outcome contract: every submit gets either a 202 that is
 // honored (the app is visible in the journaled core afterwards — queued,
 // deployed, or with an explicit outcome) or a clean 503, and a 503'd app
 // never leaks into the core. Run under -race this also exercises the
-// queue-close / final-flush ordering in Drain against the lock-free
+// queue-close / final-flush ordering in Shutdown against the lock-free
 // accept gate.
 func TestDrainRacingSubmits(t *testing.T) {
 	s, ts, clk := testServer(t, Config{QueueCap: 4096}, core.Config{})
-	if err := s.Core().AttachJournal(journal.NewMemory(), clk.Now()); err != nil {
+	if err := s.med.AttachJournal(journal.NewMemory(), clk.Now()); err != nil {
 		t.Fatalf("attach journal: %v", err)
 	}
 
@@ -48,7 +48,7 @@ func TestDrainRacingSubmits(t *testing.T) {
 	drained := make(chan error, 1)
 	go func() {
 		start.Wait()
-		drained <- s.Drain(context.Background())
+		drained <- s.Shutdown(context.Background())
 	}()
 	start.Done() // release the storm and the drain together
 	done.Wait()

@@ -33,7 +33,7 @@ func TestRunDrainNoGoroutineLeak(t *testing.T) {
 		s.Run(ctx)
 	}()
 	time.Sleep(5 * time.Millisecond) // let the loop tick at least once
-	if err := s.Drain(context.Background()); err != nil {
+	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	cancel()

@@ -269,7 +269,7 @@ func TestServerLifecycleGolden(t *testing.T) {
 	sc.submit("late", 0, 0, "")
 	closeSubmitQueue(sc.s)
 	sc.submit("racing", 0, 0, "")
-	if err := sc.s.Drain(context.Background()); err != nil {
+	if err := sc.s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	fmt.Fprintf(&out, "shutdown\n")

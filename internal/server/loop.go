@@ -3,8 +3,6 @@ package server
 import (
 	"context"
 	"time"
-
-	"medea/internal/core"
 )
 
 // Run is the scheduling loop: a Step every PollEvery until ctx is done.
@@ -56,15 +54,15 @@ func (s *Server) Step() {
 }
 
 // handOffLocked hands the queued submissions to the core; must be called
-// with s.mu held. During drain, flushed entries are counted so the
-// operator can see what was journaled rather than finished.
-func (s *Server) handOffLocked(now time.Time, drain bool) {
-	for _, app := range s.led.handOff(drain) {
+// with s.mu held. The last hand-off, at shutdown, counts what it flushes
+// so the operator can see what was journaled rather than finished.
+func (s *Server) handOffLocked(now time.Time, last bool) {
+	for _, app := range s.led.handOff(last) {
 		if err := s.med.SubmitLRA(app, now); err != nil {
 			s.led.apply(app.ID, evRefuse, evArg{err: err})
 			continue
 		}
-		if drain {
+		if last {
 			s.Stats.AddDrainFlushed()
 		}
 	}
@@ -77,15 +75,16 @@ func (s *Server) publishGaugesLocked() {
 	s.journalLag.Store(int64(s.med.JournalLag()))
 }
 
-// Drain is the graceful-shutdown path (SIGTERM): stop admitting new
-// work, flush the submit queue into the (journaled) core, give the
-// pending batch one final scheduling cycle if ctx still has time, then
-// checkpoint — so everything either finished or is durably queued for
-// the next incarnation to recover. The HTTP listener and journal remain
-// the caller's to close afterwards.
-func (s *Server) Drain(ctx context.Context) error {
-	if !s.draining.CompareAndSwap(false, true) {
-		return nil // already draining
+// Shutdown is the graceful, one-way end of the process (SIGTERM): stop
+// admitting new work, flush the submit queue into the (journaled) core,
+// give the pending batch one final scheduling cycle if ctx still has
+// time, then checkpoint — so everything either finished or is durably
+// queued for the next incarnation to recover. The HTTP listener and
+// journal remain the caller's to close afterwards. The reversible
+// counterpart that keeps serving is the cordon (POST /v1/drain).
+func (s *Server) Shutdown(ctx context.Context) error {
+	if !s.shuttingDown.CompareAndSwap(false, true) {
+		return nil // already shutting down
 	}
 	now := s.now()
 	s.mu.Lock()
@@ -95,16 +94,9 @@ func (s *Server) Drain(ctx context.Context) error {
 		stats := s.med.RunCycle(now)
 		s.led.each(stats.PlacedIDs, evDeploy)
 		s.led.each(stats.RejectedIDs, evReject)
-		s.cfg.Logf("drain cycle: placed %d, requeued %d, rejected %d of %d",
+		s.cfg.Logf("shutdown cycle: placed %d, requeued %d, rejected %d of %d",
 			stats.Placed, stats.Requeued, stats.Rejected, stats.Batch)
 	}
 	s.publishGaugesLocked()
 	return s.med.Checkpoint(s.now())
 }
-
-// Draining reports whether the server has stopped admitting.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// Core exposes the underlying scheduler for in-process harnesses and
-// tests; callers must not use it concurrently with a running loop.
-func (s *Server) Core() *core.Medea { return s.med }

@@ -104,9 +104,9 @@ func (s *Server) handleUnreserve(w http.ResponseWriter, r *http.Request) {
 // refuses (503), the stats self-report flags Draining so federation
 // balancers stop ranking this member as a destination, and outstanding
 // reservations are flushed — a draining member makes no promises. This
-// is the reversible, keep-serving-existing-work counterpart of the
-// process-shutdown Drain(ctx): deployed apps keep running and their
-// status/removal endpoints keep answering.
+// is the reversible, keep-serving-existing-work counterpart of
+// Shutdown(ctx): deployed apps keep running and their status/removal
+// endpoints keep answering.
 func (s *Server) handleCordon(w http.ResponseWriter, r *http.Request) {
 	if s.cordoned.CompareAndSwap(false, true) {
 		s.led.flush()
@@ -123,8 +123,8 @@ func (s *Server) handleUncordon(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"draining": false})
 }
 
-// refusing reports whether admission is closed — by the shutdown drain
-// or by an operator cordon.
+// refusing reports whether admission is closed — by Shutdown or by an
+// operator cordon.
 func (s *Server) refusing() bool {
-	return s.draining.Load() || s.cordoned.Load()
+	return s.shuttingDown.Load() || s.cordoned.Load()
 }

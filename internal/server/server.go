@@ -13,7 +13,7 @@
 //     loop that sheds the lowest-priority work first when full (503).
 //
 // Request deadlines propagate from the submit payload through the queue
-// into the scheduling cycle's solver budget, and graceful drain stops
+// into the scheduling cycle's solver budget, and graceful shutdown stops
 // admission, flushes or journals the in-flight work, checkpoints and
 // returns — so a SIGTERM under load loses nothing that was committed.
 package server
@@ -101,12 +101,13 @@ type Server struct {
 	corePending atomic.Int64 // core pending LRAs + pending repairs
 	journalLag  atomic.Int64
 
-	draining atomic.Bool
+	// shuttingDown is set, for good, by Shutdown.
+	shuttingDown atomic.Bool
 	// cordoned is the operator drain (POST /v1/drain): admission refuses
 	// and stats report Draining, but existing work keeps being served and
 	// the state is reversible (DELETE /v1/drain) — unlike the one-way
-	// process-shutdown draining above. Both are in-memory only: a restart
-	// rejoins uncordoned.
+	// shutdown above. Both are in-memory only: a restart rejoins
+	// uncordoned.
 	cordoned atomic.Bool
 
 	// retrySeq keys the deterministic jitter of overload Retry-After
@@ -117,7 +118,7 @@ type Server struct {
 }
 
 // New builds a server over an existing scheduler instance. The caller
-// keeps ownership of the core's journal (Close it after Drain). Every
+// keeps ownership of the core's journal (Close it after Shutdown). Every
 // default of cfg is resolved here, once.
 func New(med *core.Medea, cfg Config) *Server {
 	if cfg.PollEvery <= 0 {
@@ -284,9 +285,9 @@ func (s *Server) retryAfterHint() time.Duration {
 	return overloadRetryAfter + retryJitterFor(overloadRetryAfter, s.cfg.RateLimit.retryJitter(), "overload", s.retrySeq.Add(1))
 }
 
-// handleSubmit is the guarded accept path: drain gate, rate limit,
-// admission watermarks, bounded queue — in that order, all without the
-// core lock.
+// handleSubmit is the guarded accept path: the shutdown / cordon gate,
+// rate limit, admission watermarks, bounded queue — in that order, all
+// without the core lock.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.refusing() {
 		s.Stats.AddRejectedDrain()
@@ -342,7 +343,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case res == submitClosed:
 		// Lost the race with a concurrent shutdown: the queue was handed
 		// off and will never be read again, so acknowledging the entry
-		// would lose it. Reject exactly like the drain gate above.
+		// would lose it. Reject exactly like the gate above.
 		s.Stats.AddRejectedDrain()
 		writeRetryAfter(w, s.retryAfterHint())
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "draining"})

@@ -339,11 +339,11 @@ func TestGracefulDrain(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := s.Drain(cancelled); err != nil {
-		t.Fatalf("Drain: %v", err)
+	if err := s.Shutdown(cancelled); err != nil {
+		t.Fatalf("Shutdown: %v", err)
 	}
-	if !s.Draining() {
-		t.Fatal("Draining() = false after Drain")
+	if !s.shuttingDown.Load() {
+		t.Fatal("shuttingDown = false after Shutdown")
 	}
 	if s.Stats.DrainFlushed() != 1 {
 		t.Fatalf("DrainFlushed = %d, want 1 (the queued app)", s.Stats.DrainFlushed())
