@@ -394,7 +394,7 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 	err := fmt.Errorf("core: LRA %s not deployed", id)
 	if s.led.apply(id, evCancel, evArg{}) {
 		err = nil
-	} else if s.led.view(id).state.inCore() {
+	} else {
 		s.mu.Lock()
 		switch s.led.view(id).state {
 		case pending:
