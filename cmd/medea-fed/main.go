@@ -326,7 +326,7 @@ func main() {
 		Benchmark: "federation-chaos",
 		Members:   *members, Jobs: *jobs, Overload: *overload, Seed: *seed,
 		Routed:            st.Routed(),
-		RouteFailures:     st.RouteFailures(),
+		RouteFailures:     st.Get(metrics.RouteFailures),
 		Spillovers:        st.Spillovers(),
 		P50RouteMs:        metrics.Percentile(routeMs, 50),
 		P99RouteMs:        metrics.Percentile(routeMs, 99),
@@ -334,17 +334,17 @@ func main() {
 		SlowMember:        slow,
 		DetectionSeconds:  detection.Seconds(),
 		MTTRSeconds:       mttr.Seconds(),
-		DeadConfirms:      st.DeadConfirms(),
-		FailoverReplaced:  st.FailoverReplaced(),
-		DegradedQueued:    st.DegradedQueued(),
-		DegradedRecovered: st.DegradedRecovered(),
+		DeadConfirms:      st.Get(metrics.DeadConfirms),
+		FailoverReplaced:  st.Get(metrics.FailoverReplaced),
+		DegradedQueued:    st.Get(metrics.DegradedQueued),
+		DegradedRecovered: st.Get(metrics.DegradedRecovered),
 
 		DrainedMember:       drained,
 		DrainSeconds:        drainSecs,
 		RollingSeconds:      rollSecs,
 		MembersAliveAfter:   alive,
-		MigrationsCompleted: st.MigrationsCompleted(),
-		MigrationsAborted:   st.MigrationsAborted(),
+		MigrationsCompleted: st.Get(metrics.MigrationsCompleted),
+		MigrationsAborted:   st.Get(metrics.MigrationsAborted),
 		MigrationP99Ms:      metrics.Percentile(migMs, 99),
 
 		AuditPlaced:   finalAudit.Placed,

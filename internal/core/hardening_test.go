@@ -11,6 +11,7 @@ import (
 	"medea/internal/constraint"
 	"medea/internal/ilp"
 	"medea/internal/lra"
+	"medea/internal/metrics"
 	"medea/internal/resource"
 )
 
@@ -77,25 +78,25 @@ func TestByzantineAlgorithm(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		runCycle(i)
 	}
-	if m.Pipeline.BreakerTrips() == 0 {
+	if m.Pipeline.Get(metrics.BreakerTrips) == 0 {
 		t.Fatalf("breaker never tripped: events %v", m.Pipeline.Events())
 	}
-	if !sawDegraded || m.Pipeline.DegradedCycles() == 0 {
+	if !sawDegraded || m.Pipeline.Get(metrics.DegradedCycles) == 0 {
 		t.Fatal("no cycle ran on the degradation ladder")
 	}
-	if m.Pipeline.PanicsRecovered() == 0 {
+	if m.Pipeline.Get(metrics.PanicsRecovered) == 0 {
 		t.Fatal("no panic was recovered")
 	}
-	if m.Pipeline.LastPanic() == "" {
+	if m.Pipeline.Last(metrics.PanicsRecovered) == "" {
 		t.Fatal("recovered panic left no stack in metrics")
 	}
-	if m.Pipeline.ValidationRejects() == 0 {
+	if m.Pipeline.Get(metrics.ValidationRejects) == 0 {
 		t.Fatal("no placement was rejected by commit-time validation")
 	}
-	if m.Pipeline.SolverExhaustions() == 0 {
+	if m.Pipeline.Get(metrics.SolverExhaustions) == 0 {
 		t.Fatalf("exhaustion fault never surfaced: injected %d faults", byz.Injected)
 	}
-	if m.Pipeline.BreakerReopens() == 0 {
+	if m.Pipeline.Get(metrics.BreakerReopens) == 0 {
 		t.Fatal("half-open probes never failed while the algorithm was still broken")
 	}
 	// Degraded cycles still make progress: the heuristic rungs place the
@@ -111,11 +112,11 @@ func TestByzantineAlgorithm(t *testing.T) {
 	var last CycleStats
 	for i := 20; i < 35; i++ {
 		last = runCycle(i)
-		if m.Pipeline.BreakerResets() > 0 && last.Level == 0 {
+		if m.Pipeline.Get(metrics.BreakerResets) > 0 && last.Level == 0 {
 			break
 		}
 	}
-	if m.Pipeline.BreakerResets() == 0 {
+	if m.Pipeline.Get(metrics.BreakerResets) == 0 {
 		t.Fatalf("breaker never reset after the algorithm healed: events %v", m.Pipeline.Events())
 	}
 	if last.Level != 0 {
@@ -196,8 +197,8 @@ func TestBreakerDisabled(t *testing.T) {
 			t.Fatalf("cycle %d ran %q at level %d with the breaker disabled", i, stats.Algorithm, stats.Level)
 		}
 	}
-	if m.Pipeline.BreakerTrips() != 0 {
-		t.Fatalf("disabled breaker tripped %d times", m.Pipeline.BreakerTrips())
+	if m.Pipeline.Get(metrics.BreakerTrips) != 0 {
+		t.Fatalf("disabled breaker tripped %d times", m.Pipeline.Get(metrics.BreakerTrips))
 	}
 }
 

@@ -101,9 +101,9 @@ func RunHardening(o Options) *metrics.Table {
 		}
 		p := &m.Pipeline
 		tab.AddRow(onOff(withBreaker), chaosCycles+healCycles, deployedDuringChaos,
-			m.DeployedLRAs(), p.PanicsRecovered(), p.ValidationRejects(), p.SolverExhaustions(),
-			p.BreakerTrips(), p.BreakerReopens(), p.BreakerResets(), p.DegradedCycles(),
-			last.Algorithm)
+			m.DeployedLRAs(), p.Get(metrics.PanicsRecovered), p.Get(metrics.ValidationRejects),
+			p.Get(metrics.SolverExhaustions), p.Get(metrics.BreakerTrips), p.Get(metrics.BreakerReopens),
+			p.Get(metrics.BreakerResets), p.Get(metrics.DegradedCycles), last.Algorithm)
 	}
 	return tab
 }

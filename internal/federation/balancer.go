@@ -183,7 +183,7 @@ func (b *Balancer) Submit(req *server.SubmitRequest) (home string, err error) {
 	}()
 	for round := 0; round < b.cfg.maxRounds(); round++ {
 		if round > 0 {
-			b.Stats.AddRouteRetry()
+			b.Stats.Add(metrics.RouteRetries, 1)
 			b.cfg.Sleep(b.routeBackoff(req.ID, round))
 		}
 		for _, id := range b.scout.Rank(demand, b.cfg.Clock()) {
@@ -199,7 +199,7 @@ func (b *Balancer) Submit(req *server.SubmitRequest) (home string, err error) {
 				_, routed = b.apply(req.ID, evPlace, evArg{member: id, marks: ambiguous})
 				return id, nil
 			case code == http.StatusTooManyRequests, code == http.StatusServiceUnavailable:
-				b.Stats.AddSpillover()
+				b.Stats.Add(metrics.Spillovers, 1)
 			default:
 				// 400 and kin: no member will accept this payload.
 				return "", fmt.Errorf("federation: member %s rejected %s permanently (status %d)", id, req.ID, code)
@@ -260,7 +260,7 @@ func (b *Balancer) failover(snap []string, deadID string, now time.Time, debits 
 		}
 	}
 	if confirmed {
-		b.Stats.AddFailoverEvent()
+		b.Stats.Add(metrics.FailoverEvents, 1)
 		b.logf("federation: member %s confirmed dead; failing over %d apps", deadID, len(refugees))
 	}
 	for _, id := range refugees {
@@ -272,7 +272,7 @@ func (b *Balancer) failover(snap []string, deadID string, now time.Time, debits 
 		// destination: adopt it instead of placing a third copy. If not,
 		// the move is rolled back and ordinary placement follows.
 		if v.state.moving() && b.failoverViaMove(v, now) {
-			b.Stats.AddFailoverReplaced()
+			b.Stats.Add(metrics.FailoverReplaced, 1)
 			continue
 		}
 		if !b.placeOnce(v, now, debits) {
@@ -370,7 +370,7 @@ func (b *Balancer) placeOnce(v routedApp, now time.Time, debits map[string]resou
 			debits[id] = debits[id].Add(v.demand)
 			return true
 		case code == http.StatusTooManyRequests, code == http.StatusServiceUnavailable:
-			b.Stats.AddSpillover()
+			b.Stats.Add(metrics.Spillovers, 1)
 		}
 	}
 	return false

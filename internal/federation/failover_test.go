@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"medea/internal/chaos"
+	"medea/internal/metrics"
 	"medea/internal/resource"
 )
 
@@ -67,11 +68,11 @@ func TestFailoverRehomesAppsZeroLoss(t *testing.T) {
 	}
 	t.Logf("failover recovered in %d probe rounds (%v simulated)", recovered, time.Duration(recovered)*50*time.Millisecond)
 
-	if f.Stats.FailoverEvents() != 1 {
-		t.Fatalf("failover events %d, want 1", f.Stats.FailoverEvents())
+	if f.Stats.Get(metrics.FailoverEvents) != 1 {
+		t.Fatalf("failover events %d, want 1", f.Stats.Get(metrics.FailoverEvents))
 	}
-	if f.Stats.FailoverReplaced() != onVictim {
-		t.Fatalf("failover replaced %d, want %d", f.Stats.FailoverReplaced(), onVictim)
+	if f.Stats.Get(metrics.FailoverReplaced) != onVictim {
+		t.Fatalf("failover replaced %d, want %d", f.Stats.Get(metrics.FailoverReplaced), onVictim)
 	}
 	// Every app is now homed on a survivor and reaches deployed again.
 	steps(f, clk, 6)
@@ -129,8 +130,8 @@ func TestDegradedModeQueuesAndRecovers(t *testing.T) {
 	if a.Degraded != 2 || a.Placed != 2 {
 		t.Fatalf("audit %+v, want 2 degraded + 2 placed", a)
 	}
-	if f.Stats.DegradedQueued() != 2 {
-		t.Fatalf("degraded queued %d, want 2", f.Stats.DegradedQueued())
+	if f.Stats.Get(metrics.DegradedQueued) != 2 {
+		t.Fatalf("degraded queued %d, want 2", f.Stats.Get(metrics.DegradedQueued))
 	}
 	for _, id := range victims {
 		st, err := f.Balancer.Status(id)
@@ -148,7 +149,7 @@ func TestDegradedModeQueuesAndRecovers(t *testing.T) {
 	if a.Degraded != 1 || len(a.Lost) != 0 {
 		t.Fatalf("post-free audit %+v, want exactly 1 still degraded, none lost", a)
 	}
-	if f.Stats.DegradedRecovered() != 1 {
-		t.Fatalf("degraded recovered %d, want 1", f.Stats.DegradedRecovered())
+	if f.Stats.Get(metrics.DegradedRecovered) != 1 {
+		t.Fatalf("degraded recovered %d, want 1", f.Stats.Get(metrics.DegradedRecovered))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"medea/internal/metrics"
 	"medea/internal/server"
 )
 
@@ -139,7 +140,7 @@ func TestSpilloverOnPartition(t *testing.T) {
 	if home != "cluster-1" {
 		t.Fatalf("app routed to %s, want cluster-1", home)
 	}
-	if f.Stats.RouteFailures() != 0 {
+	if f.Stats.Get(metrics.RouteFailures) != 0 {
 		t.Fatal("partition of one member must not fail routing")
 	}
 
@@ -169,10 +170,10 @@ func TestSlowMemberNeverConfirmedDead(t *testing.T) {
 			t.Fatalf("round %d: slow-but-alive member confirmed dead", i)
 		}
 	}
-	if f.Stats.DeadConfirms() != 0 {
+	if f.Stats.Get(metrics.DeadConfirms) != 0 {
 		t.Fatal("dead confirm counted for a slow member")
 	}
-	if f.Stats.ProbeMisses() == 0 {
+	if f.Stats.Get(metrics.ProbeMisses) == 0 {
 		t.Fatal("slow member produced no probe misses — fault injection inert")
 	}
 }
@@ -217,10 +218,10 @@ func TestAllMembersSheddingFailsCleanly(t *testing.T) {
 	if _, err := f.Balancer.Submit(fedReq("c", 1, 512, 1)); err == nil {
 		t.Fatal("submit succeeded with every member throttling")
 	}
-	if f.Stats.RouteFailures() != 1 {
-		t.Fatalf("route failures %d, want 1", f.Stats.RouteFailures())
+	if f.Stats.Get(metrics.RouteFailures) != 1 {
+		t.Fatalf("route failures %d, want 1", f.Stats.Get(metrics.RouteFailures))
 	}
-	if f.Stats.RouteRetries() == 0 {
+	if f.Stats.Get(metrics.RouteRetries) == 0 {
 		t.Fatal("no retry rounds counted before giving up")
 	}
 	if _, ok := f.Balancer.Home("c"); ok {

@@ -324,7 +324,7 @@ func (f *Fleet) stepRolling(now time.Time) {
 		f.mu.Lock()
 		f.rolling = nil
 		f.mu.Unlock()
-		f.Stats.AddRollingRestart()
+		f.Stats.Add(metrics.RollingRestarts, 1)
 		f.cfg.Logf("federation: rolling restart complete")
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"medea/internal/metrics"
 	"medea/internal/resource"
 )
 
@@ -311,17 +312,17 @@ func (b *Balancer) transition(a *routedApp, ev event, arg evArg) (line string, o
 		a.marks = withoutMark(a.marks, arg.member)
 		switch was.state {
 		case placing:
-			b.Stats.AddRouted()
+			b.Stats.Add(metrics.Routed, 1)
 		case placed:
-			b.Stats.AddFailoverReplaced()
+			b.Stats.Add(metrics.FailoverReplaced, 1)
 			line = fmt.Sprintf("federation: %s re-homed %s -> %s", a.id, a.home, arg.member)
 		case degraded:
-			b.Stats.AddDegradedRecovered()
+			b.Stats.Add(metrics.DegradedRecovered, 1)
 			line = fmt.Sprintf("federation: %s recovered from degraded mode -> %s", a.id, arg.member)
 		}
 		a.home = arg.member
 	case evRouteFailed:
-		b.Stats.AddRouteFailure()
+		b.Stats.Add(metrics.RouteFailures, 1)
 		for _, m := range arg.marks {
 			a.marks = withMark(a.marks, m)
 		}
@@ -331,15 +332,15 @@ func (b *Balancer) transition(a *routedApp, ev event, arg evArg) (line string, o
 	case evAdopt:
 		a.marks = withoutMark(a.marks, arg.member)
 		a.home = arg.member
-		b.Stats.AddReconciled()
+		b.Stats.Add(metrics.Reconciled, 1)
 		line = fmt.Sprintf("federation: adopted landed copy of %s on %s", a.id, arg.member)
 	case evStrand:
 		a.home = ""
-		b.Stats.AddDegradedQueued()
+		b.Stats.Add(metrics.DegradedQueued, 1)
 		line = fmt.Sprintf("federation: %s degraded: no surviving capacity", a.id)
 	case evVanish:
 		a.home = ""
-		b.Stats.AddRerouted()
+		b.Stats.Add(metrics.Rerouted, 1)
 		line = fmt.Sprintf("federation: %s vanished from %s (state %q); re-queued for placement", a.id, arg.member, arg.note)
 	case evMark:
 		a.marks = withMark(a.marks, arg.member)
@@ -347,7 +348,7 @@ func (b *Balancer) transition(a *routedApp, ev event, arg evArg) (line string, o
 		a.marks = withoutMark(a.marks, arg.member)
 	case evDuplicateDeleted:
 		a.marks = withoutMark(a.marks, arg.member)
-		b.Stats.AddReconciled()
+		b.Stats.Add(metrics.Reconciled, 1)
 		line = fmt.Sprintf("federation: removed duplicate %s from %s (home %s)", a.id, arg.member, a.home)
 	case evRemove:
 		if was.state == movingDelete {
@@ -356,7 +357,7 @@ func (b *Balancer) transition(a *routedApp, ev event, arg evArg) (line string, o
 		a.home, a.move = "", move{}
 	case evMove:
 		a.move = move{dest: arg.member, started: arg.now}
-		b.Stats.AddMigrationStarted()
+		b.Stats.Add(metrics.MigrationsStarted, 1)
 		line = fmt.Sprintf("federation: migration %s: %s -> %s started", a.id, a.home, arg.member)
 	case evIntent:
 		if was.state == movingPrepare {
@@ -386,7 +387,7 @@ func (b *Balancer) transition(a *routedApp, ev event, arg evArg) (line string, o
 		a.marks = withMark(withoutMark(a.marks, a.move.dest), a.home)
 		a.home, a.move = a.move.dest, move{}
 		b.migDurations = append(b.migDurations, arg.now.Sub(was.move.started))
-		b.Stats.AddMigrationCompleted()
+		b.Stats.Add(metrics.MigrationsCompleted, 1)
 		line = fmt.Sprintf("federation: migration %s: %s -> %s complete", a.id, was.home, a.home)
 	case evAbort:
 		// A destination that may hold a copy is marked, so reconciliation
@@ -395,7 +396,7 @@ func (b *Balancer) transition(a *routedApp, ev event, arg evArg) (line string, o
 			a.marks = withMark(a.marks, a.move.dest)
 		}
 		a.move = move{}
-		b.Stats.AddMigrationAborted()
+		b.Stats.Add(metrics.MigrationsAborted, 1)
 		line = fmt.Sprintf("federation: migration %s: %s -> %s aborted: %s", a.id, a.home, was.move.dest, arg.note)
 	}
 	if to == degraded && was.state != degraded {

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"medea/internal/metrics"
 	"medea/internal/resource"
 	"medea/internal/server"
 )
@@ -258,7 +259,7 @@ func (b *Balancer) stepCommit(id string, now time.Time) {
 				return
 			}
 		case code == http.StatusTooManyRequests, code == http.StatusServiceUnavailable:
-			b.Stats.AddSpillover()
+			b.Stats.Add(metrics.Spillovers, 1)
 			b.retryMove(id, now, fmt.Sprintf("destination shedding (%d)", code))
 			return
 		default:
@@ -390,7 +391,7 @@ func (b *Balancer) DrainMember(id string) error {
 	}
 	b.mu.Unlock()
 	if started {
-		b.Stats.AddDrainStarted()
+		b.Stats.Add(metrics.DrainsStarted, 1)
 		b.logf("federation: draining member %s", id)
 	}
 	return nil
@@ -480,7 +481,7 @@ func (b *Balancer) stepDrain(snap []string, memberID string, d *drainState, now 
 		// (the member died mid-drain and failover took its apps), in which
 		// case the drain converges as a no-op.
 		b.endDrain(memberID)
-		b.Stats.AddDrainCompleted()
+		b.Stats.Add(metrics.DrainsCompleted, 1)
 		if exhausted > 0 {
 			b.logf("federation: drain of %s completed; %d apps left behind (retry budget exhausted)", memberID, exhausted)
 		} else {
@@ -490,7 +491,7 @@ func (b *Balancer) stepDrain(snap []string, memberID string, d *drainState, now 
 	}
 	if d.rounds > drainMaxRounds {
 		b.endDrain(memberID)
-		b.Stats.AddDrainCompleted()
+		b.Stats.Add(metrics.DrainsCompleted, 1)
 		b.logf("federation: drain of %s gave up after %d rounds; %d apps remain", memberID, d.rounds, len(pending)+inflight)
 		return
 	}

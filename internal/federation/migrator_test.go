@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"medea/internal/metrics"
 )
 
 // holders returns the live (non-crashed) members whose schedulers hold
@@ -54,7 +56,7 @@ func TestMigrateHappyPath(t *testing.T) {
 	if h := holders(f, "app-a"); len(h) != 1 || h[0] != dest {
 		t.Fatalf("live copies on %v, want exactly [%s]", h, dest)
 	}
-	if n := f.Stats.MigrationsCompleted(); n != 1 {
+	if n := f.Stats.Get(metrics.MigrationsCompleted); n != 1 {
 		t.Fatalf("MigrationsCompleted = %d, want 1", n)
 	}
 	if d := f.Balancer.MigrationDurations(); len(d) != 1 {
@@ -85,7 +87,7 @@ func TestMigrateValidation(t *testing.T) {
 	if err := f.Balancer.Migrate("app-a", home); err == nil {
 		t.Fatal("migrate to current home did not fail")
 	}
-	if n := f.Stats.MigrationsStarted(); n != 0 {
+	if n := f.Stats.Get(metrics.MigrationsStarted); n != 0 {
 		t.Fatalf("MigrationsStarted = %d after rejected requests, want 0", n)
 	}
 }
@@ -246,7 +248,7 @@ func TestDrainRacesFailover(t *testing.T) {
 	if f.Balancer.DrainActive(victim) {
 		t.Fatal("drain never converged after the member died")
 	}
-	if n := f.Stats.DrainsCompleted(); n != 1 {
+	if n := f.Stats.Get(metrics.DrainsCompleted); n != 1 {
 		t.Fatalf("DrainsCompleted = %d, want 1", n)
 	}
 	steps(f, clk, 20)
@@ -303,7 +305,7 @@ func TestRollingRestartUnderLoad(t *testing.T) {
 	if f.RollingActive() {
 		t.Fatal("rolling restart never completed")
 	}
-	if n := f.Stats.RollingRestarts(); n != 1 {
+	if n := f.Stats.Get(metrics.RollingRestarts); n != 1 {
 		t.Fatalf("RollingRestarts = %d, want 1", n)
 	}
 	steps(f, clk, 30)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"medea/internal/core"
+	"medea/internal/metrics"
 	"medea/internal/server"
 )
 
@@ -44,8 +45,8 @@ func TestAmbiguousRouteFailureReconciles(t *testing.T) {
 	if !ok || home != "cluster-0" {
 		t.Fatalf("landed copy not adopted: home %q ok %v, want cluster-0", home, ok)
 	}
-	if f.Stats.Reconciled() != 1 {
-		t.Fatalf("reconciled %d, want 1", f.Stats.Reconciled())
+	if f.Stats.Get(metrics.Reconciled) != 1 {
+		t.Fatalf("reconciled %d, want 1", f.Stats.Get(metrics.Reconciled))
 	}
 	a = f.Balancer.Audit(clk.Now())
 	if a.Placed != 1 || a.Reconciling != 0 || len(a.Lost) != 0 {
@@ -76,8 +77,8 @@ func TestAckDroppedDuplicateRemoved(t *testing.T) {
 	f.HealMember("cluster-0")
 	steps(f, clk, 4)
 
-	if f.Stats.Reconciled() != 1 {
-		t.Fatalf("reconciled %d, want 1 (duplicate on cluster-0 deleted)", f.Stats.Reconciled())
+	if f.Stats.Get(metrics.Reconciled) != 1 {
+		t.Fatalf("reconciled %d, want 1 (duplicate on cluster-0 deleted)", f.Stats.Get(metrics.Reconciled))
 	}
 	if got := f.Members[0].Med.DeployedLRAs() + f.Members[0].Med.PendingLRAs(); got != 0 {
 		t.Fatalf("cluster-0 still holds %d copies of the app", got)

@@ -87,18 +87,18 @@ func (s *Scout) ProbeAll(now time.Time) (newlyDead []string) {
 		wasDead := p.det.State(now) == Dead
 		if err != nil {
 			p.det.Miss(now)
-			s.stats.AddProbeMiss()
+			s.stats.Add(metrics.ProbeMisses, 1)
 		} else {
 			rep.At = now
 			p.report = rep
 			p.hasEver = true
 			p.det.Heartbeat(now)
-			s.stats.AddProbeOK()
+			s.stats.Add(metrics.ProbeOK, 1)
 		}
 		died := !wasDead && p.det.State(now) == Dead
 		s.mu.Unlock()
 		if died {
-			s.stats.AddDeadConfirm()
+			s.stats.Add(metrics.DeadConfirms, 1)
 			newlyDead = append(newlyDead, p.m.ID)
 		}
 	}

@@ -112,6 +112,61 @@ func TestTable(t *testing.T) {
 	}
 }
 
+// TestCounterNames: every value of each enum, up to its last constant,
+// has a name of its own, so Snapshot and Table cover the whole layer.
+func TestCounterNames(t *testing.T) {
+	for _, layer := range []struct {
+		names []string
+		last  int
+	}{
+		{PipelineCounter(0).names(), int(BreakerResets)},
+		{ServerCounter(0).names(), int(ReservationConsumed)},
+		{FedCounter(0).names(), int(RollingRestarts)},
+	} {
+		if len(layer.names) != layer.last+1 {
+			t.Errorf("%d names for %d counters", len(layer.names), layer.last+1)
+		}
+		seen := make(map[string]bool)
+		for i, name := range layer.names {
+			if name == "" || seen[name] {
+				t.Errorf("counter %d: name %q empty or repeated", i, name)
+			}
+			seen[name] = true
+		}
+	}
+}
+
+func TestCounters(t *testing.T) {
+	var s FedStats
+	s.Add(Routed, 1)
+	s.Add(Routed, 2)
+	s.Add(RollingRestarts, 1)
+	if s.Routed() != 3 || s.Get(RollingRestarts) != 1 || s.Spillovers() != 0 {
+		t.Fatalf("routed=%d rolling=%d spillovers=%d, want 3/1/0", s.Routed(), s.Get(RollingRestarts), s.Spillovers())
+	}
+	snap := s.Snapshot()
+	if len(snap) != len(fedNames) || snap["routed"] != 3 || snap["rolling_restarts"] != 1 {
+		t.Fatalf("snapshot %v", snap)
+	}
+	tab := s.Table("fed")
+	if rows := tab.Rows(); len(rows) != len(fedNames) || rows[0][0] != "routed" || rows[0][1] != "3" {
+		t.Fatalf("table:\n%s", tab)
+	}
+
+	var p PipelineStats
+	p.Record(PanicsRecovered, "boom")
+	p.RecordTransition(BreakerEvent{From: "closed", To: "open"})
+	p.RecordTransition(BreakerEvent{From: "half-open", To: "open"})
+	p.RecordTransition(BreakerEvent{From: "half-open", To: "closed"})
+	if p.Get(PanicsRecovered) != 1 || p.Last(PanicsRecovered) != "boom" || p.Last(ValidationRejects) != "" {
+		t.Fatalf("panics=%d last=%q", p.Get(PanicsRecovered), p.Last(PanicsRecovered))
+	}
+	if p.Get(BreakerTrips) != 1 || p.Get(BreakerReopens) != 1 || p.Get(BreakerResets) != 1 || len(p.Events()) != 3 {
+		t.Fatalf("trips=%d reopens=%d resets=%d events=%v",
+			p.Get(BreakerTrips), p.Get(BreakerReopens), p.Get(BreakerResets), p.Events())
+	}
+}
+
 // Property: percentiles are monotone in p and bounded by min/max.
 func TestPercentileMonotone(t *testing.T) {
 	f := func(raw []float64, aRaw, bRaw uint8) bool {

@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // BreakerEvent records one circuit-breaker transition, for diagnostics
@@ -26,150 +25,71 @@ func (e BreakerEvent) String() string {
 	return fmt.Sprintf("cycle %d: %s→%s level=%d (%s)", e.Cycle, e.From, e.To, e.Level, e.Reason)
 }
 
-// PipelineStats aggregates the defense-in-depth counters of the hardened
-// placement pipeline: panics recovered from the LRA algorithm, placements
-// rejected by commit-time validation, deadline hits and budget
-// exhaustions in the solver, whole-cluster invariant violations, and
-// circuit-breaker activity over the degradation ladder.
-//
-// The counters are atomics and the string diagnostics mutex-guarded:
-// under the parallel placement pipeline, independent sub-batches solve
-// concurrently, and each may record a panic, deadline hit or rejection.
-// All access goes through the methods below. PipelineStats must not be
-// copied after first use (the atomics pin it in place); hold it by
-// pointer or embedded in a heap-allocated owner.
+// PipelineCounter names one defense-in-depth counter of the hardened
+// placement pipeline.
+type PipelineCounter int
+
+const (
+	PanicsRecovered     PipelineCounter = iota // algorithm panics recovered (Record keeps the value + stack)
+	ValidationRejects                          // placements vetoed by commit-time validation (Record keeps the reason)
+	DeadlineHits                               // cycles whose solver stopped on its time budget
+	SolverExhaustions                          // cycles whose budget expired incumbent-less
+	InvalidModels                              // cycles whose ILP model failed validation
+	InvariantViolations                        // whole-cluster invariant check failures (Record keeps the violation)
+	DegradedCycles                             // cycles served by a ladder algorithm other than the configured one
+	ExactSolves                                // ILP solves that ran exact branch and bound
+	ApproxSolves                               // ILP solves that ran the LP-rounding fast path
+	WarmStarts                                 // ILP solves seeded by an accepted warm start
+	BreakerTrips                               // closed→open breaker transitions
+	BreakerReopens                             // failed half-open probes
+	BreakerResets                              // successful probes restoring the configured algorithm
+)
+
+var pipelineNames = [...]string{
+	PanicsRecovered:     "panics recovered",
+	ValidationRejects:   "validation rejects",
+	DeadlineHits:        "solver deadline hits",
+	SolverExhaustions:   "solver exhaustions",
+	InvalidModels:       "invalid models",
+	InvariantViolations: "invariant violations",
+	DegradedCycles:      "degraded cycles",
+	ExactSolves:         "exact solves",
+	ApproxSolves:        "approx solves",
+	WarmStarts:          "warm-started solves",
+	BreakerTrips:        "breaker trips",
+	BreakerReopens:      "breaker reopens",
+	BreakerResets:       "breaker resets",
+}
+
+func (PipelineCounter) names() []string { return pipelineNames[:] }
+
+// PipelineStats holds the hardened pipeline's counters, the latest
+// diagnostic behind three of them and the circuit-breaker event log.
+// Under the parallel placement pipeline independent sub-batches solve
+// concurrently, and each may record a panic, deadline hit or rejection:
+// the counters are atomics and the rest is mutex-guarded. Like its
+// Counters, a PipelineStats must not be copied after first use.
 type PipelineStats struct {
-	panicsRecovered     atomic.Int64
-	validationRejects   atomic.Int64
-	deadlineHits        atomic.Int64
-	solverExhaustions   atomic.Int64
-	invalidModels       atomic.Int64
-	invariantViolations atomic.Int64
-	degradedCycles      atomic.Int64
-	exactSolves         atomic.Int64
-	approxSolves        atomic.Int64
-	warmStarts          atomic.Int64
-	breakerTrips        atomic.Int64
-	breakerReopens      atomic.Int64
-	breakerResets       atomic.Int64
+	Counters[PipelineCounter]
 
-	mu            sync.Mutex
-	lastPanic     string
-	lastReject    string
-	lastViolation string
-	events        []BreakerEvent
+	mu     sync.Mutex
+	last   [len(pipelineNames)]string
+	events []BreakerEvent
 }
 
-// RecordPanic counts one recovered algorithm panic and stores its
-// diagnostic (panic value + stack).
-func (p *PipelineStats) RecordPanic(detail string) {
-	p.panicsRecovered.Add(1)
+// Record counts one k and keeps detail as its latest diagnostic.
+func (p *PipelineStats) Record(k PipelineCounter, detail string) {
+	p.Add(k, 1)
 	p.mu.Lock()
-	p.lastPanic = detail
+	p.last[k] = detail
 	p.mu.Unlock()
 }
 
-// RecordValidationReject counts one commit-time validation veto and
-// stores the rejection reason.
-func (p *PipelineStats) RecordValidationReject(reason string) {
-	p.validationRejects.Add(1)
-	p.mu.Lock()
-	p.lastReject = reason
-	p.mu.Unlock()
-}
-
-// RecordInvariantViolation counts one whole-cluster invariant check
-// failure and stores the violation.
-func (p *PipelineStats) RecordInvariantViolation(detail string) {
-	p.invariantViolations.Add(1)
-	p.mu.Lock()
-	p.lastViolation = detail
-	p.mu.Unlock()
-}
-
-// AddDeadlineHit counts a cycle whose solver stopped on its time budget.
-func (p *PipelineStats) AddDeadlineHit() { p.deadlineHits.Add(1) }
-
-// AddSolverExhaustion counts a cycle whose budget expired incumbent-less.
-func (p *PipelineStats) AddSolverExhaustion() { p.solverExhaustions.Add(1) }
-
-// AddInvalidModel counts a cycle whose ILP model failed validation.
-func (p *PipelineStats) AddInvalidModel() { p.invalidModels.Add(1) }
-
-// AddDegradedCycle counts a cycle served by a ladder algorithm other
-// than the configured one.
-func (p *PipelineStats) AddDegradedCycle() { p.degradedCycles.Add(1) }
-
-// AddExactSolves counts ILP solves that ran the exact branch-and-bound
-// path.
-func (p *PipelineStats) AddExactSolves(n int) { p.exactSolves.Add(int64(n)) }
-
-// AddApproxSolves counts ILP solves that ran the LP-rounding fast path.
-func (p *PipelineStats) AddApproxSolves(n int) { p.approxSolves.Add(int64(n)) }
-
-// AddWarmStarts counts ILP solves whose incumbent was seeded by an
-// accepted warm start (greedy heuristic or cross-cycle memory).
-func (p *PipelineStats) AddWarmStarts(n int) { p.warmStarts.Add(int64(n)) }
-
-// PanicsRecovered returns the recovered-panic count.
-func (p *PipelineStats) PanicsRecovered() int { return int(p.panicsRecovered.Load()) }
-
-// ValidationRejects returns the commit-time veto count.
-func (p *PipelineStats) ValidationRejects() int { return int(p.validationRejects.Load()) }
-
-// DeadlineHits returns the solver deadline-hit count.
-func (p *PipelineStats) DeadlineHits() int { return int(p.deadlineHits.Load()) }
-
-// SolverExhaustions returns the incumbent-less budget-expiry count.
-func (p *PipelineStats) SolverExhaustions() int { return int(p.solverExhaustions.Load()) }
-
-// InvalidModels returns the failed-model-validation count.
-func (p *PipelineStats) InvalidModels() int { return int(p.invalidModels.Load()) }
-
-// InvariantViolations returns the post-commit invariant failure count.
-func (p *PipelineStats) InvariantViolations() int { return int(p.invariantViolations.Load()) }
-
-// DegradedCycles returns the count of cycles served off-ladder.
-func (p *PipelineStats) DegradedCycles() int { return int(p.degradedCycles.Load()) }
-
-// ExactSolves returns the exact-path ILP solve count.
-func (p *PipelineStats) ExactSolves() int { return int(p.exactSolves.Load()) }
-
-// ApproxSolves returns the approximate-path ILP solve count.
-func (p *PipelineStats) ApproxSolves() int { return int(p.approxSolves.Load()) }
-
-// WarmStarts returns the count of warm-started ILP solves.
-func (p *PipelineStats) WarmStarts() int { return int(p.warmStarts.Load()) }
-
-// BreakerTrips returns the closed→open transition count.
-func (p *PipelineStats) BreakerTrips() int { return int(p.breakerTrips.Load()) }
-
-// BreakerReopens returns the failed half-open probe count.
-func (p *PipelineStats) BreakerReopens() int { return int(p.breakerReopens.Load()) }
-
-// BreakerResets returns the count of successful probes restoring the
-// configured algorithm.
-func (p *PipelineStats) BreakerResets() int { return int(p.breakerResets.Load()) }
-
-// LastPanic returns the most recent recovered panic diagnostic.
-func (p *PipelineStats) LastPanic() string {
+// Last returns the latest diagnostic Record kept for k.
+func (p *PipelineStats) Last(k PipelineCounter) string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.lastPanic
-}
-
-// LastReject returns the most recent validation rejection reason.
-func (p *PipelineStats) LastReject() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lastReject
-}
-
-// LastViolation returns the most recent invariant violation.
-func (p *PipelineStats) LastViolation() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lastViolation
+	return p.last[k]
 }
 
 // Events returns a copy of the ordered breaker transition log.
@@ -187,29 +107,23 @@ func (p *PipelineStats) RecordTransition(e BreakerEvent) {
 	p.mu.Unlock()
 	switch {
 	case e.From == "closed" && e.To == "open":
-		p.breakerTrips.Add(1)
+		p.Add(BreakerTrips, 1)
 	case e.From == "half-open" && e.To == "open":
-		p.breakerReopens.Add(1)
+		p.Add(BreakerReopens, 1)
 	case e.To == "closed":
-		p.breakerResets.Add(1)
+		p.Add(BreakerResets, 1)
 	}
 }
 
-// Table renders the counters as a two-column summary table.
-func (p *PipelineStats) Table(title string) *Table {
-	t := NewTable(title, "metric", "value")
-	t.AddRow("panics recovered", p.PanicsRecovered())
-	t.AddRow("validation rejects", p.ValidationRejects())
-	t.AddRow("solver deadline hits", p.DeadlineHits())
-	t.AddRow("solver exhaustions", p.SolverExhaustions())
-	t.AddRow("invalid models", p.InvalidModels())
-	t.AddRow("invariant violations", p.InvariantViolations())
-	t.AddRow("degraded cycles", p.DegradedCycles())
-	t.AddRow("exact solves", p.ExactSolves())
-	t.AddRow("approx solves", p.ApproxSolves())
-	t.AddRow("warm-started solves", p.WarmStarts())
-	t.AddRow("breaker trips", p.BreakerTrips())
-	t.AddRow("breaker reopens", p.BreakerReopens())
-	t.AddRow("breaker resets", p.BreakerResets())
-	return t
-}
+// ExactSolves returns the ExactSolves count. It and the next three stay
+// methods because benchmark/targets.go calls them.
+func (p *PipelineStats) ExactSolves() int { return p.Get(ExactSolves) }
+
+// ApproxSolves returns the ApproxSolves count.
+func (p *PipelineStats) ApproxSolves() int { return p.Get(ApproxSolves) }
+
+// WarmStarts returns the WarmStarts count.
+func (p *PipelineStats) WarmStarts() int { return p.Get(WarmStarts) }
+
+// DeadlineHits returns the DeadlineHits count.
+func (p *PipelineStats) DeadlineHits() int { return p.Get(DeadlineHits) }

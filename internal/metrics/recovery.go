@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // RecoveryStats aggregates the failure-recovery counters the live
 // resilience experiments report: how much was lost to node churn, how
@@ -103,39 +100,4 @@ func (r *RecoveryStats) TotalDegraded() time.Duration {
 		sum += d
 	}
 	return sum
-}
-
-// Table renders the counters as a two-column summary table.
-func (r *RecoveryStats) Table(title string) *Table {
-	t := NewTable(title, "metric", "value")
-	t.AddRow("node failures", r.NodeFailures)
-	t.AddRow("node recoveries", r.NodeRecoveries)
-	t.AddRow("node drains", r.NodeDrains)
-	t.AddRow("LRA containers evicted", r.Evictions)
-	t.AddRow("task containers evicted", r.TaskEvictions)
-	t.AddRow("containers repaired", r.RepairsPlaced)
-	t.AddRow("repair attempts failed", r.RepairAttemptsFailed)
-	t.AddRow("repairs abandoned", r.RepairsAbandoned)
-	t.AddRow("fallback placements", r.FallbackPlacements)
-	if r.JournalReplayed > 0 || r.RecoveryWallTime > 0 {
-		t.AddRow("journal records replayed", r.JournalReplayed)
-		t.AddRow("containers adopted", r.ContainersAdopted)
-		t.AddRow("batches readmitted", r.BatchesReadmitted)
-		t.AddRow("zombies re-queued", r.ZombiesRequeued)
-		t.AddRow("orphans released", r.OrphansReleased)
-		t.AddRow("recovery wall time", r.RecoveryWallTime)
-	}
-	t.AddRow("repair MTTR", r.MTTR())
-	t.AddRow("repair max latency", r.MaxRepairLatency())
-	t.AddRow("total degraded time", r.TotalDegraded())
-	// Per-LRA degraded time, sorted for stable output.
-	apps := make([]string, 0, len(r.DegradedTime))
-	for app := range r.DegradedTime {
-		apps = append(apps, app)
-	}
-	sort.Strings(apps)
-	for _, app := range apps {
-		t.AddRow("degraded: "+app, r.DegradedTime[app])
-	}
-	return t
 }

@@ -13,6 +13,7 @@ import (
 	"medea/internal/core"
 	"medea/internal/journal"
 	"medea/internal/lra"
+	"medea/internal/metrics"
 	"medea/internal/resource"
 )
 
@@ -146,7 +147,7 @@ func TestConcurrentSubmitOneAccept(t *testing.T) {
 			t.Fatalf("round %d: codes %v, want one 202 and %d 409s", round, codes, workers-1)
 		}
 	}
-	if got := s.Stats.Admitted(); got != rounds {
+	if got := s.Stats.Get(metrics.Admitted); got != rounds {
 		t.Fatalf("admitted %d, want %d", got, rounds)
 	}
 }
@@ -218,12 +219,12 @@ func TestFreshServerKnowsCoreApps(t *testing.T) {
 	if resp := doSubmit(t, ts2, submitReq("gone", 0, 0), ""); resp.StatusCode != http.StatusAccepted {
 		t.Errorf("resubmission of a rejected app: %d, want 202", resp.StatusCode)
 	}
-	if got := s2.Stats.Admitted(); got != 1 {
+	if got := s2.Stats.Get(metrics.Admitted); got != 1 {
 		t.Errorf("admitted %d, want 1 (only the rejected ID is free)", got)
 	}
 	clk.Advance(time.Second)
 	s2.Step()
-	if got := s2.Stats.SubmitErrors(); got != 0 {
+	if got := s2.Stats.Get(metrics.SubmitErrors); got != 0 {
 		t.Errorf("submit_errors %d after the first Step, want 0", got)
 	}
 	if code, sr := getStatus(t, ts2, "gone"); code != 200 || sr.State != "deployed" {

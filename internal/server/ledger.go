@@ -200,32 +200,32 @@ func (l *ledger) transition(id string, ev event, arg evArg) bool {
 	switch ev {
 	case evSubmit:
 		e.app, e.priority, e.deadline = arg.sub.app, arg.sub.priority, arg.sub.deadline
-		l.stats.AddAdmitted()
+		l.stats.Add(metrics.Admitted, 1)
 	case evShed:
-		l.stats.AddShedQueueFull()
+		l.stats.Add(metrics.ShedQueueFull, 1)
 		l.notef("shed queued %s (priority %d) for %s (priority %d)", id, e.priority, arg.sub.id, arg.sub.priority)
 	case evExpire:
-		l.stats.AddExpired()
+		l.stats.Add(metrics.Expired, 1)
 		l.notef("expired queued %s (deadline %s)", id, e.deadline.Format(time.RFC3339Nano))
 	case evRefuse:
-		l.stats.AddSubmitError()
+		l.stats.Add(metrics.SubmitErrors, 1)
 		l.notef("core refused %s: %v", id, arg.err)
 	case evCancel, evRemove:
-		l.stats.AddRemoved()
+		l.stats.Add(metrics.Removed, 1)
 	case evReserve:
 		e.resv, l.reserved[id], l.held = arg.resv, e, l.held.Add(arg.resv.demand)
-		l.stats.AddReserved()
+		l.stats.Add(metrics.Reserved, 1)
 		l.notef("reserved %v for %s", arg.resv.demand, id)
 	case evRefresh:
 		e.resv = arg.resv
 	case evRelease:
-		l.stats.AddReservationReleased()
+		l.stats.Add(metrics.ReservationReleased, 1)
 		l.notef("released reservation for %s", id)
 	case evLapse:
-		l.stats.AddReservationExpired()
+		l.stats.Add(metrics.ReservationExpired, 1)
 		l.notef("reservation for %s expired", id)
 	case evConsume:
-		l.stats.AddReservationConsumed()
+		l.stats.Add(metrics.ReservationConsumed, 1)
 		l.notef("reservation for %s consumed by its submission", id)
 	}
 	switch ev {

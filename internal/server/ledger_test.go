@@ -12,17 +12,6 @@ import (
 	"medea/internal/resource"
 )
 
-// counters reads every ServerStats counter by name.
-func counters(s *metrics.ServerStats) map[string]int {
-	return map[string]int{
-		"admitted": s.Admitted(), "throttled": s.Throttled(), "shed_overload": s.ShedOverload(),
-		"shed_queue_full": s.ShedQueueFull(), "expired": s.Expired(), "rejected_drain": s.RejectedDrain(),
-		"submit_errors": s.SubmitErrors(), "removed": s.Removed(), "drain_flushed": s.DrainFlushed(),
-		"reserved": s.Reserved(), "reservation_expired": s.ReservationExpired(),
-		"reservation_released": s.ReservationReleased(), "reservation_consumed": s.ReservationConsumed(),
-	}
-}
-
 // row is one legal pair of the table: where the event leads, and the one
 // counter it bumps ("" = none).
 type row struct {
@@ -208,7 +197,7 @@ func TestAppTransitionTable(t *testing.T) {
 					continue
 				}
 				bumped := ""
-				for name, n := range counters(l.stats) {
+				for name, n := range l.stats.Snapshot() {
 					switch {
 					case n == 1 && bumped == "":
 						bumped = name

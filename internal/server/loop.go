@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"time"
+
+	"medea/internal/metrics"
 )
 
 // Run is the scheduling loop: a Step every PollEvery until ctx is done.
@@ -63,7 +65,7 @@ func (s *Server) handOffLocked(now time.Time, last bool) {
 			continue
 		}
 		if last {
-			s.Stats.AddDrainFlushed()
+			s.Stats.Add(metrics.DrainFlushed, 1)
 		}
 	}
 }

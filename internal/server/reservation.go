@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"time"
 
+	"medea/internal/metrics"
 	"medea/internal/resource"
 )
 
@@ -54,7 +55,7 @@ type ReserveResponse struct {
 // the migrator's COMMIT will find it via the usual 409-adoption path.
 func (s *Server) handleReserve(w http.ResponseWriter, r *http.Request) {
 	if s.refusing() {
-		s.Stats.AddRejectedDrain()
+		s.Stats.Add(metrics.RejectedDrain, 1)
 		writeRetryAfter(w, s.retryAfterHint())
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "draining"})
 		return

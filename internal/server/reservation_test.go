@@ -12,6 +12,7 @@ import (
 	"medea/internal/core"
 	"medea/internal/journal"
 	"medea/internal/lra"
+	"medea/internal/metrics"
 	"medea/internal/resource"
 )
 
@@ -145,8 +146,8 @@ func TestReservationExpiresOnTTL(t *testing.T) {
 	if st.FreeMemMB != base.FreeMemMB {
 		t.Fatalf("capacity not restored after expiry: %d, want %d", st.FreeMemMB, base.FreeMemMB)
 	}
-	if s.Stats.ReservationExpired() != 1 {
-		t.Fatalf("ReservationExpired = %d, want 1", s.Stats.ReservationExpired())
+	if s.Stats.Get(metrics.ReservationExpired) != 1 {
+		t.Fatalf("ReservationExpired = %d, want 1", s.Stats.Get(metrics.ReservationExpired))
 	}
 }
 
@@ -170,8 +171,8 @@ func TestReservationConsumedOnLanding(t *testing.T) {
 	if st.Reservations != 0 {
 		t.Fatalf("reservation not consumed after landing (still %d held)", st.Reservations)
 	}
-	if s.Stats.ReservationConsumed() != 1 {
-		t.Fatalf("ReservationConsumed = %d, want 1", s.Stats.ReservationConsumed())
+	if s.Stats.Get(metrics.ReservationConsumed) != 1 {
+		t.Fatalf("ReservationConsumed = %d, want 1", s.Stats.Get(metrics.ReservationConsumed))
 	}
 	// A second reserve for an app already present reports "present"
 	// without creating a hold.

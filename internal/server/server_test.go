@@ -16,6 +16,7 @@ import (
 	"medea/internal/core"
 	"medea/internal/journal"
 	"medea/internal/lra"
+	"medea/internal/metrics"
 	"medea/internal/resource"
 )
 
@@ -135,8 +136,8 @@ func TestSubmitStatusRemoveRoundTrip(t *testing.T) {
 	if code, _ := getStatus(t, ts, "nope"); code != http.StatusNotFound {
 		t.Fatalf("unknown app status %d, want 404", code)
 	}
-	if s.Stats.Admitted() != 1 || s.Stats.Removed() != 1 {
-		t.Fatalf("stats admitted=%d removed=%d, want 1/1", s.Stats.Admitted(), s.Stats.Removed())
+	if s.Stats.Get(metrics.Admitted) != 1 || s.Stats.Get(metrics.Removed) != 1 {
+		t.Fatalf("stats admitted=%d removed=%d, want 1/1", s.Stats.Get(metrics.Admitted), s.Stats.Get(metrics.Removed))
 	}
 }
 
@@ -179,8 +180,8 @@ func TestAdmissionShedsOnBacklog(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("shed response missing Retry-After")
 	}
-	if s.Stats.ShedOverload() != 1 {
-		t.Fatalf("ShedOverload = %d, want 1", s.Stats.ShedOverload())
+	if s.Stats.Get(metrics.ShedOverload) != 1 {
+		t.Fatalf("ShedOverload = %d, want 1", s.Stats.Get(metrics.ShedOverload))
 	}
 	// A cycle drains the backlog; admission recovers (2 -> 0 <= low 1).
 	clk.Advance(time.Second)
@@ -213,8 +214,8 @@ func TestQueueShedsLowestPriorityFirst(t *testing.T) {
 	if code, sr := getStatus(t, ts, "low"); code != 200 || sr.State != "shed" {
 		t.Fatalf("victim status %d %q, want 200 shed", code, sr.State)
 	}
-	if s.Stats.ShedQueueFull() != 2 {
-		t.Fatalf("ShedQueueFull = %d (reject + eviction), want 2", s.Stats.ShedQueueFull())
+	if s.Stats.Get(metrics.ShedQueueFull) != 2 {
+		t.Fatalf("ShedQueueFull = %d (reject + eviction), want 2", s.Stats.Get(metrics.ShedQueueFull))
 	}
 	for _, id := range []string{"mid", "high"} {
 		if code, sr := getStatus(t, ts, id); code != 200 || sr.State != "queued" {
@@ -233,8 +234,8 @@ func TestDeadlineExpiryInQueue(t *testing.T) {
 	if code, sr := getStatus(t, ts, "hurry"); code != 200 || sr.State != "expired" {
 		t.Fatalf("status %d %q, want 200 expired", code, sr.State)
 	}
-	if s.Stats.Expired() != 1 {
-		t.Fatalf("Expired = %d, want 1", s.Stats.Expired())
+	if s.Stats.Get(metrics.Expired) != 1 {
+		t.Fatalf("Expired = %d, want 1", s.Stats.Get(metrics.Expired))
 	}
 }
 
@@ -345,8 +346,8 @@ func TestGracefulDrain(t *testing.T) {
 	if !s.shuttingDown.Load() {
 		t.Fatal("shuttingDown = false after Shutdown")
 	}
-	if s.Stats.DrainFlushed() != 1 {
-		t.Fatalf("DrainFlushed = %d, want 1 (the queued app)", s.Stats.DrainFlushed())
+	if s.Stats.Get(metrics.DrainFlushed) != 1 {
+		t.Fatalf("DrainFlushed = %d, want 1 (the queued app)", s.Stats.Get(metrics.DrainFlushed))
 	}
 	if resp := doSubmit(t, ts, submitReq("too-late", 0, 0), ""); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit while draining %d, want 503", resp.StatusCode)

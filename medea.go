@@ -83,13 +83,14 @@ type (
 	RecoveryStats = metrics.RecoveryStats
 	// PipelineStats aggregates the hardening counters (Medea.Pipeline):
 	// recovered panics, validation rejects, solver deadline hits and
-	// circuit-breaker transitions.
+	// circuit-breaker transitions. Snapshot reads them by name, Table
+	// prints them.
 	PipelineStats = metrics.PipelineStats
 	// BreakerEvent is one circuit-breaker state transition.
 	BreakerEvent = metrics.BreakerEvent
 	// ServerStats aggregates the serving layer's overload counters
-	// (admitted, throttled, shed, expired, drain-flushed); see
-	// internal/server and cmd/medea-server.
+	// (admitted, throttled, shed, expired, drain-flushed), named as on
+	// /v1/stats; see internal/server and cmd/medea-server.
 	ServerStats = metrics.ServerStats
 	// AuditMode selects the post-commit cluster-invariant checker mode
 	// (Config.Audit).
