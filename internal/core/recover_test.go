@@ -210,11 +210,8 @@ func TestRecoverPreservesRetryBudget(t *testing.T) {
 // replayed from the journal resumes with its persisted attempt count and
 // backoff gate.
 func TestRecoverPreservesRepairBudget(t *testing.T) {
-	cfg := Config{
-		Interval: time.Second, RepairMaxRetries: 2, RepairBackoff: time.Second,
-		RepairFallbackAfter: -1,
-	}
-	m, release := drainedPair(t, cfg)
+	cfg := Config{Interval: time.Second, RepairBackoff: time.Second}
+	m, _ := drainedPair(t, cfg)
 	j := journal.NewMemory()
 	if err := m.AttachJournal(j, t0); err != nil {
 		t.Fatal(err)
@@ -243,9 +240,8 @@ func TestRecoverPreservesRepairBudget(t *testing.T) {
 	if got, _ := r.RepairBudget("a"); got != 1 {
 		t.Errorf("attempt ran inside the replayed backoff window (attempts=%d)", got)
 	}
-	// One failed attempt after the gate exhausts RepairMaxRetries=2 only
-	// if the budget carried over. With capacity back it repairs instead.
-	_ = release
+	// The attempt at the gate fails (still no capacity) and is the
+	// second: the budget carried over.
 	stats := r.RunCycle(t1.Add(cfg.repairBackoffFor("a", 1)))
 	if got, _ := r.RepairBudget("a"); got != 2 || stats.RepairFailures != 1 {
 		t.Errorf("attempts = %d, stats = %+v; want 2 attempts consumed", got, stats)
@@ -322,7 +318,7 @@ func TestRecoverOrphanSweep(t *testing.T) {
 // its repair-ok record re-adopts the restored containers from cluster
 // truth instead of repairing them twice.
 func TestRecoverRepairAckLost(t *testing.T) {
-	cfg := Config{Interval: time.Second, RepairBackoff: time.Second, RepairFallbackAfter: -1}
+	cfg := Config{Interval: time.Second, RepairBackoff: time.Second}
 	m, j := journaledMedea(t, cfg)
 	if err := m.SubmitLRA(app("a", 3), t0); err != nil {
 		t.Fatal(err)

@@ -25,20 +25,8 @@ func TestConfigSentinels(t *testing.T) {
 	if got := (Config{MaxRetries: 7}).maxRetries(); got != 7 {
 		t.Errorf("maxRetries 7 = %d", got)
 	}
-	if got := (Config{}).repairMaxRetries(); got != 5 {
-		t.Errorf("repairMaxRetries zero = %d, want 5", got)
-	}
-	if got := (Config{RepairMaxRetries: -1}).repairMaxRetries(); got != 0 {
-		t.Errorf("repairMaxRetries -1 = %d, want 0", got)
-	}
 	if got := (Config{Interval: 10 * time.Second}).repairBackoff(); got != 10*time.Second {
 		t.Errorf("repairBackoff zero = %v, want Interval", got)
-	}
-	if got := (Config{}).repairFallbackAfter(); got != 2 {
-		t.Errorf("repairFallbackAfter zero = %d, want 2", got)
-	}
-	if got := (Config{RepairFallbackAfter: -1}).repairFallbackAfter(); got != -1 {
-		t.Errorf("repairFallbackAfter -1 = %d, want -1 (never)", got)
 	}
 }
 
@@ -225,12 +213,10 @@ func drainedPair(t *testing.T, cfg Config) (*Medea, func()) {
 
 // TestRepairBackoffAndAbandon: repair attempts back off exponentially and
 // the request is dropped after the retry budget, with the degraded time
-// accounted.
+// accounted. Node 1 stays full throughout, so the Medea-NC fallback fails
+// too once it takes over.
 func TestRepairBackoffAndAbandon(t *testing.T) {
-	cfg := Config{
-		Interval: time.Second, RepairMaxRetries: 2, RepairBackoff: time.Second,
-		RepairFallbackAfter: -1,
-	}
+	cfg := Config{Interval: time.Second, RepairBackoff: time.Second}
 	m, _ := drainedPair(t, cfg)
 	t1 := t0.Add(time.Minute)
 	if evs := m.FailNode(0, t1); len(evs) != 2 {
@@ -262,11 +248,25 @@ func TestRepairBackoffAndAbandon(t *testing.T) {
 	if m.Recovery.RepairAttemptsFailed != 2 {
 		t.Error("attempt ran inside the doubled backoff window")
 	}
-	// Attempt 3 exceeds RepairMaxRetries=2: abandoned.
+	// Attempts 3 to repairMaxRetries run on the fallback, each at its gate.
 	abandonAt := t1.Add(g1 + g2)
+	for a := 3; a <= repairMaxRetries; a++ {
+		m.RunCycle(abandonAt)
+		if m.Recovery.RepairAttemptsFailed != a {
+			t.Fatalf("attempts = %d, want %d", m.Recovery.RepairAttemptsFailed, a)
+		}
+		if m.Recovery.RepairsAbandoned != 0 {
+			t.Fatalf("abandoned after %d attempts, inside the budget", a)
+		}
+		abandonAt = abandonAt.Add(cfg.repairBackoffFor("a", a))
+	}
+	// The next attempt exceeds the budget: abandoned.
 	m.RunCycle(abandonAt)
 	if m.Recovery.RepairsAbandoned != 1 {
 		t.Fatalf("RepairsAbandoned = %d", m.Recovery.RepairsAbandoned)
+	}
+	if m.Recovery.FallbackPlacements != 0 {
+		t.Errorf("FallbackPlacements = %d with no room anywhere", m.Recovery.FallbackPlacements)
 	}
 	if m.PendingRepairs() != 0 {
 		t.Error("abandoned repair still pending")
@@ -274,23 +274,25 @@ func TestRepairBackoffAndAbandon(t *testing.T) {
 	if got := m.DegradedLRAs(); len(got) != 1 || got[0] != "a" {
 		t.Errorf("DegradedLRAs = %v, abandoned LRA should stay degraded", got)
 	}
-	if d := m.Recovery.DegradedTime["a"]; d != g1+g2 {
-		t.Errorf("degraded time = %v, want %v", d, g1+g2)
+	if d, want := m.Recovery.DegradedTime["a"], abandonAt.Sub(t1); d != want {
+		t.Errorf("degraded time = %v, want %v", d, want)
 	}
 }
 
-// TestRepairFallbackToGreedy: after RepairFallbackAfter failed attempts,
+// TestRepairFallbackToGreedy: after repairFallbackAfter failed attempts,
 // the repair batch is placed by the greedy heuristic.
 func TestRepairFallbackToGreedy(t *testing.T) {
-	cfg := Config{
-		Interval: time.Second, RepairBackoff: time.Second, RepairFallbackAfter: 1,
-	}
+	cfg := Config{Interval: time.Second, RepairBackoff: time.Second}
 	m, release := drainedPair(t, cfg)
 	t1 := t0.Add(time.Minute)
 	m.FailNode(0, t1)
-	m.RunCycle(t1) // attempt 1 fails (cluster full)
-	release()      // capacity returns
-	stats := m.RunCycle(t1.Add(cfg.repairBackoffFor("a", 1)))
+	at := t1
+	for a := 1; a <= repairFallbackAfter; a++ {
+		m.RunCycle(at) // fails: the cluster is full
+		at = at.Add(cfg.repairBackoffFor("a", a))
+	}
+	release() // capacity returns
+	stats := m.RunCycle(at)
 	if stats.Repaired != 2 {
 		t.Fatalf("stats = %+v, want 2 repaired", stats)
 	}
@@ -302,9 +304,7 @@ func TestRepairFallbackToGreedy(t *testing.T) {
 // TestRecoverNodeClearsBackoff: when a node returns, pending repairs
 // become eligible immediately instead of waiting out their backoff.
 func TestRecoverNodeClearsBackoff(t *testing.T) {
-	m, _ := drainedPair(t, Config{
-		Interval: time.Second, RepairBackoff: time.Hour, RepairFallbackAfter: -1,
-	})
+	m, _ := drainedPair(t, Config{Interval: time.Second, RepairBackoff: time.Hour})
 	t1 := t0.Add(time.Minute)
 	m.FailNode(0, t1)
 	m.RunCycle(t1) // fails; backoff gate now t1+1h
@@ -441,7 +441,7 @@ func TestSimDrivenRecovery(t *testing.T) {
 	if mttr := m.Recovery.MTTR(); mttr <= 0 {
 		t.Error("MTTR should be nonzero: repairs happen at cycle boundaries")
 	}
-	budget := (Config{}).repairMaxRetries() + 1
+	budget := repairMaxRetries + 1
 	bound := time.Duration(budget)*interval + time.Minute // + alg latency slack
 	if max := m.Recovery.MaxRepairLatency(); max <= 0 || max > bound {
 		t.Errorf("max repair latency = %v, want (0, %v]", max, bound)

@@ -19,19 +19,19 @@ type RateLimitConfig struct {
 	// Burst is the per-tenant bucket capacity (0 = max(1, GlobalRate/4)):
 	// how far a tenant can briefly exceed its sustained share.
 	Burst float64
-	// IdleAfter is how long a tenant must be silent before it stops
-	// counting as active for fair-share purposes (0 = 1 minute). Idle
-	// tenants are evicted so a burst of one-off tenants does not
-	// permanently dilute everyone's share.
-	IdleAfter time.Duration
-	// RetryJitter widens each throttled client's Retry-After hint by a
-	// deterministic pseudo-random amount in [0, RetryJitter × retry):
-	// clients throttled together get distinct retry horizons, so N
-	// federated balancers backing off from the same 429 burst do not
-	// resynchronize into a retry storm. 0 = the default 0.5; negative
-	// disables jitter (exact horizons, for tests and simulations).
-	RetryJitter float64
 }
+
+// idleAfter is how long a tenant must be silent before it stops counting
+// as active for fair-share purposes. Idle tenants are evicted so a burst
+// of one-off tenants does not permanently dilute everyone's share.
+const idleAfter = time.Minute
+
+// retryJitter widens each throttled client's Retry-After hint by a
+// deterministic pseudo-random amount in [0, retryJitter × retry): clients
+// throttled together get distinct retry horizons, so N federated
+// balancers backing off from the same 429 burst do not resynchronize into
+// a retry storm.
+const retryJitter = 0.5
 
 func (c RateLimitConfig) burst() float64 {
 	if c.Burst > 0 {
@@ -43,30 +43,13 @@ func (c RateLimitConfig) burst() float64 {
 	return 1
 }
 
-func (c RateLimitConfig) idleAfter() time.Duration {
-	if c.IdleAfter > 0 {
-		return c.IdleAfter
-	}
-	return time.Minute
-}
-
-func (c RateLimitConfig) retryJitter() float64 {
-	if c.RetryJitter > 0 {
-		return c.RetryJitter
-	}
-	if c.RetryJitter < 0 {
-		return 0
-	}
-	return 0.5
-}
-
 // retryJitterFor widens a retry hint by a deterministic pseudo-random
-// amount in [0, frac × retry), keyed by (key, n). Like the repair
+// amount in [0, retryJitter × retry), keyed by (key, n). Like the repair
 // backoff's FNV jitter, the schedule is a pure function of its inputs —
 // no mutable RNG state — so two callers with distinct keys (or the same
 // caller on consecutive rejections) are de-synchronized reproducibly.
-func retryJitterFor(retry time.Duration, frac float64, key string, n int64) time.Duration {
-	window := time.Duration(frac * float64(retry))
+func retryJitterFor(retry time.Duration, key string, n int64) time.Duration {
+	window := time.Duration(retryJitter * float64(retry))
 	if window <= 0 {
 		return 0
 	}
@@ -134,16 +117,15 @@ func (l *TenantLimiter) Allow(tenant string, now time.Time) (bool, time.Duration
 	if retry < time.Millisecond {
 		retry = time.Millisecond
 	}
-	retry += retryJitterFor(retry, l.cfg.retryJitter(), tenant, b.throttled)
+	retry += retryJitterFor(retry, tenant, b.throttled)
 	return false, retry
 }
 
-// evictIdle drops tenants silent for longer than IdleAfter; must be
+// evictIdle drops tenants silent for longer than idleAfter; must be
 // called with l.mu held.
 func (l *TenantLimiter) evictIdle(now time.Time) {
-	idle := l.cfg.idleAfter()
 	for t, b := range l.buckets {
-		if !b.seen.IsZero() && now.Sub(b.seen) > idle {
+		if !b.seen.IsZero() && now.Sub(b.seen) > idleAfter {
 			delete(l.buckets, t)
 		}
 	}

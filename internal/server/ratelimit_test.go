@@ -77,15 +77,15 @@ func TestShareShrinksWithTenantCount(t *testing.T) {
 // TestIdleTenantEvicted: a tenant that goes silent stops diluting the
 // fair share, and the remaining tenant's share grows back.
 func TestIdleTenantEvicted(t *testing.T) {
-	l := NewTenantLimiter(RateLimitConfig{GlobalRate: 10, Burst: 1, IdleAfter: time.Second})
+	l := NewTenantLimiter(RateLimitConfig{GlobalRate: 10, Burst: 1})
 	now := rlT0
 	l.Allow("a", now)
 	l.Allow("b", now)
 	if got := l.ActiveTenants(); got != 2 {
 		t.Fatalf("ActiveTenants = %d, want 2", got)
 	}
-	// Only a keeps talking; b goes idle past IdleAfter.
-	now = now.Add(2 * time.Second)
+	// Only a keeps talking; b goes idle past idleAfter.
+	now = now.Add(idleAfter + time.Second)
 	l.Allow("a", now)
 	if got := l.ActiveTenants(); got != 1 {
 		t.Fatalf("ActiveTenants after idle eviction = %d, want 1", got)
@@ -173,36 +173,37 @@ func TestLimiterConcurrentAccess(t *testing.T) {
 // distinct retry horizons, so a burst of synchronized federated
 // balancers does not come back as a synchronized retry storm. Covers
 // both distinct tenants throttled together and one tenant throttled
-// repeatedly, plus the negative-sentinel opt-out.
+// repeatedly; every hint stays within retryJitter of the exact one.
 func TestRetryHintsJittered(t *testing.T) {
 	l := NewTenantLimiter(RateLimitConfig{GlobalRate: 2, Burst: 1})
 	now := rlT0
+	// Two active tenants share 1/s each; with the burst spent and no time
+	// passing, every throttle misses one whole token: the exact hint is 1s.
+	const retry = time.Second
+	inRange := func(who string, hint time.Duration) {
+		t.Helper()
+		if hint < retry || hint >= retry+retry/2 {
+			t.Errorf("%s: hint %v outside [%v, %v)", who, hint, retry, retry+retry/2)
+		}
+	}
 	// Burn both tenants' bursts, then throttle them at the same instant.
 	l.Allow("a", now)
 	l.Allow("b", now)
 	_, retryA := l.Allow("a", now)
 	_, retryB := l.Allow("b", now)
+	inRange("a", retryA)
+	inRange("b", retryB)
 	if retryA == retryB {
 		t.Errorf("tenants throttled together got identical retry horizons %v", retryA)
 	}
-	// The same tenant throttled twice in a row gets fresh jitter too.
-	_, retryA2 := l.Allow("a", now)
-	if retryA == retryA2 {
-		t.Errorf("consecutive throttles of one tenant got identical horizons %v", retryA)
-	}
-	// Jitter is bounded: at most retryJitter() x the base hint on top.
-	base := time.Duration(float64(time.Second) / 1) // share 1/s, 1 missing token
-	if retryA > base+base/2+time.Millisecond || retryB > base+base/2+time.Millisecond {
-		t.Errorf("jittered hints %v / %v exceed base %v + 50%%", retryA, retryB, base)
-	}
-
-	// Negative RetryJitter disables jitter: horizons are exact and equal.
-	exact := NewTenantLimiter(RateLimitConfig{GlobalRate: 2, Burst: 1, RetryJitter: -1})
-	exact.Allow("a", now)
-	exact.Allow("b", now)
-	_, exactA := exact.Allow("a", now)
-	_, exactB := exact.Allow("b", now)
-	if exactA != exactB {
-		t.Errorf("jitter disabled but horizons differ: %v vs %v", exactA, exactB)
+	// The same tenant throttled again and again gets fresh jitter each time.
+	prev := retryA
+	for i := 0; i < 8; i++ {
+		_, hint := l.Allow("a", now)
+		inRange("a again", hint)
+		if hint == prev {
+			t.Errorf("consecutive throttles of one tenant got identical horizons %v", hint)
+		}
+		prev = hint
 	}
 }
