@@ -11,8 +11,8 @@ import (
 // approxQualityRatio is the stated optimality bound of the approximate
 // path on the oracle corpus: the rounded objective must be within this
 // fraction of the exact optimum, measured against max(1, |optimum|).
-// cmd/medea-bench records the actually-achieved ratio on its fixtures
-// into BENCH_ilp.json.
+// BenchmarkSolvePaths reports the ratio achieved on the placement fixture
+// against a time-boxed exact solve.
 const approxQualityRatio = 0.5
 
 // approxGap returns the normalised optimality gap of an approximate
