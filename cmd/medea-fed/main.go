@@ -94,7 +94,6 @@ func main() {
 	maxP99 := flag.Duration("maxp99", 250*time.Millisecond, "gate: max p99 routing latency")
 	maxMTTR := flag.Duration("max-mttr", 5*time.Second, "gate: max kill-to-clean-audit time")
 	maxMigP99 := flag.Duration("max-mig-p99", 2*time.Second, "gate: max p99 two-phase migration duration")
-	syncEvery := flag.Int("sync-every", 0, "journal fsync policy for -journal-root members")
 	journalRoot := flag.String("journal-root", "", "file-backed member journals under this dir (default in-memory)")
 	flag.Parse()
 	log.SetPrefix("medea-fed: ")
@@ -112,7 +111,6 @@ func main() {
 			RateLimit: server.RateLimitConfig{GlobalRate: *rate, Burst: 16},
 		},
 		JournalRoot: *journalRoot,
-		SyncEvery:   *syncEvery,
 		Scout: federation.ScoutConfig{
 			ProbeInterval: probeEvery,
 			ProbeTimeout:  15 * time.Millisecond,

@@ -188,45 +188,3 @@ func TestCrashPointDeterminism(t *testing.T) {
 		t.Fatal("reference fingerprints differ across runs")
 	}
 }
-
-// TestCrashPointFileBackendSyncPolicies re-runs the file-backed spread
-// under each fsync policy, including the relaxed (checkpoint-only) mode.
-// The crash model here is a process kill — flushed-to-OS data survives —
-// so even SyncEvery=-1 must recover bit-identically to the reference:
-// relaxing fsync trades kernel-crash durability, never process-crash
-// correctness.
-func TestCrashPointFileBackendSyncPolicies(t *testing.T) {
-	h := crashHarness()
-	ref, totalOps, err := h.Reference(journal.NewMemory())
-	if err != nil {
-		t.Fatal(err)
-	}
-	refFP := Fingerprint(ref)
-
-	points := []int{1, totalOps / 2, totalOps}
-	for _, syncEvery := range []int{1, 8, -1} {
-		for _, killAt := range points {
-			j, err := journal.OpenDirWith(t.TempDir(), journal.FileConfig{SyncEvery: syncEvery})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, crashed, err := h.RunWithCrash(j, killAt)
-			if err != nil {
-				t.Fatalf("syncEvery %d killAt %d: %v", syncEvery, killAt, err)
-			}
-			if !crashed {
-				t.Fatalf("syncEvery %d killAt %d did not fire", syncEvery, killAt)
-			}
-			if got := Fingerprint(m); got != refFP {
-				t.Fatalf("syncEvery %d killAt %d: recovery diverged\n--- recovered ---\n%s--- reference ---\n%s",
-					syncEvery, killAt, got, refFP)
-			}
-			if err := CheckNoLeaks(m); err != nil {
-				t.Fatalf("syncEvery %d killAt %d: %v", syncEvery, killAt, err)
-			}
-			if err := j.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}

@@ -31,10 +31,8 @@ type FleetConfig struct {
 	// overridden by the fleet's.
 	Server server.Config
 	// JournalRoot, when set, gives each member a file-backed journal in
-	// JournalRoot/<member-id> with the given SyncEvery policy; empty uses
-	// in-memory journals.
+	// JournalRoot/<member-id>; empty uses in-memory journals.
 	JournalRoot string
-	SyncEvery   int
 	// MakeJournal, when set, supplies each member's journal directly and
 	// takes precedence over JournalRoot. The deterministic-simulation
 	// harness uses it to hand every member a crash-point-instrumented
@@ -158,7 +156,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		if cfg.MakeJournal != nil {
 			jnl = cfg.MakeJournal(id)
 		} else if cfg.JournalRoot != "" {
-			fj, err := journal.OpenDirWith(filepath.Join(cfg.JournalRoot, id), journal.FileConfig{SyncEvery: cfg.SyncEvery})
+			fj, err := journal.OpenDir(filepath.Join(cfg.JournalRoot, id))
 			if err != nil {
 				return nil, fmt.Errorf("federation: journal for %s: %w", id, err)
 			}

@@ -49,28 +49,6 @@ const (
 	checkpointName = "checkpoint.json"
 )
 
-// FileConfig tunes the durability/throughput trade of the file backend.
-type FileConfig struct {
-	// SyncEvery is the fsync policy for WAL appends:
-	//
-	//	0   — default: fsync after every record (survives kernel crash
-	//	      and power loss, the conservative choice);
-	//	N>1 — fsync after every Nth record (bounded loss window of N-1
-	//	      acknowledged records on a kernel crash);
-	//	<0  — relaxed: fsync only when a checkpoint lands. Every append
-	//	      is still flushed to the OS, so a *process* crash — the
-	//	      scheduler's own failure model — never loses an
-	//	      acknowledged record even in this mode.
-	SyncEvery int
-}
-
-func (c FileConfig) syncEvery() int {
-	if c.SyncEvery == 0 {
-		return 1
-	}
-	return c.SyncEvery
-}
-
 // File is the file-backed journal: a directory holding a line-JSON
 // write-ahead log (wal.log) and the latest checkpoint (checkpoint.json,
 // replaced atomically via rename). The log is truncated after a
@@ -79,14 +57,12 @@ func (c FileConfig) syncEvery() int {
 // never loses or duplicates records.
 type File struct {
 	dir string
-	cfg FileConfig
 	wal *os.File
 	w   *bufio.Writer
 	seq int64
-	// sinceSync counts appends since the last fsync; syncs counts fsyncs
-	// issued (appends and checkpoints), for tests and diagnostics.
-	sinceSync int
-	syncs     int64
+	// syncs counts fsyncs issued (appends and checkpoints), for tests and
+	// diagnostics.
+	syncs int64
 	// lag counts records appended since the last checkpoint (the WAL tail
 	// a recovery would replay). Resumed from disk on OpenDir.
 	lag int
@@ -101,14 +77,11 @@ type File struct {
 // Seq on disk. A torn final WAL line (a crash mid-append leaves truncated
 // partial JSON) is truncated away before the log is reopened for append,
 // so the next record starts on a clean line.
-func OpenDir(dir string) (*File, error) { return OpenDirWith(dir, FileConfig{}) }
-
-// OpenDirWith is OpenDir with an explicit durability policy.
-func OpenDirWith(dir string, cfg FileConfig) (*File, error) {
+func OpenDir(dir string) (*File, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: creating dir: %w", err)
 	}
-	f := &File{dir: dir, cfg: cfg}
+	f := &File{dir: dir}
 	cp, recs, validEnd, torn, err := f.load()
 	if err != nil {
 		return nil, err
@@ -152,10 +125,9 @@ func (f *File) RecoveredTornTail() bool { return f.tornWAL }
 // checkpoints).
 func (f *File) Syncs() int64 { return f.syncs }
 
-// Append implements Journal. Each record is flushed to the OS before
-// Append returns, so a scheduler crash never loses an acknowledged
-// record; whether it is also fsynced — surviving a kernel crash — is
-// governed by FileConfig.SyncEvery.
+// Append implements Journal. Each record is written and fsynced before
+// Append returns, so an acknowledged record survives a process crash,
+// a kernel crash and power loss.
 func (f *File) Append(r *Record) error {
 	if f.wal == nil {
 		return fmt.Errorf("journal: append on closed journal")
@@ -173,16 +145,10 @@ func (f *File) Append(r *Record) error {
 	if err := f.w.Flush(); err != nil {
 		return fmt.Errorf("journal: flushing record %d: %w", r.Seq, err)
 	}
-	if every := f.cfg.syncEvery(); every > 0 {
-		f.sinceSync++
-		if f.sinceSync >= every {
-			if err := f.wal.Sync(); err != nil {
-				return fmt.Errorf("journal: syncing record %d: %w", r.Seq, err)
-			}
-			f.syncs++
-			f.sinceSync = 0
-		}
+	if err := f.wal.Sync(); err != nil {
+		return fmt.Errorf("journal: syncing record %d: %w", r.Seq, err)
 	}
+	f.syncs++
 	f.lag++
 	return nil
 }
@@ -199,10 +165,8 @@ func (f *File) WriteCheckpoint(c *Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	// The tmp file is fsynced before the rename regardless of SyncEvery:
-	// the checkpoint is the durability floor every policy relies on, and
-	// renaming an unsynced file can publish an empty checkpoint after a
-	// kernel crash.
+	// The tmp file is fsynced before the rename: renaming an unsynced
+	// file can publish an empty checkpoint after a kernel crash.
 	tmp := filepath.Join(f.dir, checkpointName+".tmp")
 	tf, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -235,7 +199,6 @@ func (f *File) WriteCheckpoint(c *Checkpoint) error {
 	f.wal = wal
 	f.w = bufio.NewWriter(wal)
 	f.lag = 0
-	f.sinceSync = 0
 	return nil
 }
 

@@ -240,52 +240,33 @@ func TestClosedJournalRejectsWrites(t *testing.T) {
 	}
 }
 
-// TestSyncEveryPolicies pins the fsync cadence of each durability policy:
-// default (0) syncs every append, N syncs every Nth, negative syncs only
-// when a checkpoint lands — while appends in every mode still flush to
-// the OS (verified by loading through a second handle, which reads what
-// the page cache holds regardless of fsync).
-func TestSyncEveryPolicies(t *testing.T) {
+// TestFsyncEveryAppend pins the file backend's one durability policy:
+// one fsync per append plus one per checkpoint, and every appended record
+// visible to a second handle.
+func TestFsyncEveryAppend(t *testing.T) {
 	const appends = 10
-	cases := []struct {
-		name        string
-		syncEvery   int
-		wantAppends int64 // fsyncs attributable to Append
-	}{
-		{"every-record-default", 0, appends},
-		{"every-record-explicit", 1, appends},
-		{"every-4th", 4, appends / 4},
-		{"checkpoint-only", -1, 0},
+	dir := t.TempDir()
+	j, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			j, err := OpenDirWith(dir, FileConfig{SyncEvery: tc.syncEvery})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer j.Close()
-			for i := 0; i < appends; i++ {
-				if err := j.Append(&Record{Kind: KindSubmit, At: t0, AppID: "a"}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := j.Syncs(); got != tc.wantAppends {
-				t.Errorf("after %d appends: %d syncs, want %d", appends, got, tc.wantAppends)
-			}
-			// Every policy flushes to the OS per append: a second handle
-			// sees all acknowledged records even before any fsync.
-			other := &File{dir: dir}
-			if _, recs, err := other.Load(); err != nil || len(recs) != appends {
-				t.Fatalf("reload saw %d records (err %v), want %d", len(recs), err, appends)
-			}
-			// A checkpoint always syncs, in every mode.
-			if err := j.WriteCheckpoint(&Checkpoint{At: t0}); err != nil {
-				t.Fatal(err)
-			}
-			if got := j.Syncs(); got != tc.wantAppends+1 {
-				t.Errorf("after checkpoint: %d syncs, want %d", got, tc.wantAppends+1)
-			}
-		})
+	defer j.Close()
+	for i := 0; i < appends; i++ {
+		if err := j.Append(&Record{Kind: KindSubmit, At: t0, AppID: "a"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := j.Syncs(); got != appends {
+		t.Errorf("after %d appends: %d syncs, want %d", appends, got, appends)
+	}
+	other := &File{dir: dir}
+	if _, recs, err := other.Load(); err != nil || len(recs) != appends {
+		t.Fatalf("reload saw %d records (err %v), want %d", len(recs), err, appends)
+	}
+	if err := j.WriteCheckpoint(&Checkpoint{At: t0}); err != nil {
+		t.Fatal(err)
+	}
+	if got := j.Syncs(); got != appends+1 {
+		t.Errorf("after checkpoint: %d syncs, want %d", got, appends+1)
 	}
 }
