@@ -84,12 +84,16 @@ func HardEntries(entries []constraint.Entry) []constraint.Entry {
 	return out
 }
 
-// CheckPlacement verifies one proposed placement for app against the
-// current cluster state, before commit: assignment shape (known groups,
+// CheckPlacement verifies one proposed placement for app against a
+// scratch cluster state, before commit: assignment shape (known groups,
 // per-group counts, demands and tags matching the request), target nodes
 // known and healthy, capacity after each assignment, no double-assigned
-// container IDs, and no new hard-constraint violations. It returns nil
-// for unplaced proposals and the first defect found otherwise.
+// container IDs, and no new hard-constraint violations. It validates in
+// place: an accepted placement is left allocated on state, so a caller
+// validating a batch in order on one scratch sees each accepted
+// placement in the next one's state; a veto undoes every allocation it
+// made. Pass a clone, never live state. It returns nil for unplaced
+// proposals and the first defect found otherwise.
 func CheckPlacement(state *cluster.Cluster, app *lra.Application, p *lra.Placement, entries []constraint.Entry) error {
 	if p == nil || !p.Placed {
 		return nil
@@ -102,17 +106,18 @@ func CheckPlacement(state *cluster.Cluster, app *lra.Application, p *lra.Placeme
 	return CheckAssignments(state, p.AppID, p.Assignments, entries)
 }
 
-// CheckAssignments validates a raw assignment batch against the current
-// state (CheckPlacement without the application shape). The repair path
-// uses it directly on the remapped batch it actually commits.
+// CheckAssignments validates a raw assignment batch on a scratch state
+// (CheckPlacement without the application shape), in place like it. The
+// repair path uses it directly on the remapped batch it actually
+// commits.
 func CheckAssignments(state *cluster.Cluster, appID string, assigns []lra.Assignment, entries []constraint.Entry) error {
 	// Resolved once here, not per container: ViolationFor runs for every
 	// container of the cluster, twice.
 	hard := lra.ResolveEntries(HardEntries(entries))
 	// Hard-constraint semantics are final-state: the whole batch is
-	// tentatively applied to a clone, then every container that was clean
-	// before must still be clean (a batch may carry affinity constraints
-	// only its own later assignments satisfy).
+	// tentatively applied, then every container that was clean before
+	// must still be clean (a batch may carry affinity constraints only its
+	// own later assignments satisfy).
 	var violatedBefore map[cluster.ContainerID]bool
 	if len(hard) > 0 {
 		violatedBefore = make(map[cluster.ContainerID]bool)
@@ -122,36 +127,59 @@ func CheckAssignments(state *cluster.Cluster, appID string, assigns []lra.Assign
 			}
 		}
 	}
-	clone := state.Clone()
-	for _, a := range assigns {
-		if int(a.Node) < 0 || int(a.Node) >= clone.NumNodes() {
-			return fmt.Errorf("audit: %s: assignment %s targets unknown node %d", appID, a.Container, a.Node)
-		}
-		if st := clone.Node(a.Node).State(); st != cluster.NodeUp {
-			return fmt.Errorf("audit: %s: assignment %s targets %s node %s",
-				appID, a.Container, st, clone.Node(a.Node).Name)
-		}
-		if !a.Demand.IsNonNegative() {
-			return fmt.Errorf("audit: %s: assignment %s has negative demand %v", appID, a.Container, a.Demand)
-		}
-		// Allocate on the clone catches double assignment (within the
-		// batch and against live containers) and capacity overruns, with
-		// each assignment charged before the next is checked.
-		if err := clone.Allocate(a.Node, a.Container, a.Demand, a.Tags); err != nil {
-			return fmt.Errorf("audit: %s: %w", appID, err)
-		}
-	}
-	if len(hard) > 0 {
-		for _, id := range clone.ContainerIDs() {
+	err := allocateAll(state, appID, assigns)
+	if err == nil && len(hard) > 0 {
+		for _, id := range state.ContainerIDs() {
 			if violatedBefore[id] {
 				continue
 			}
-			if v := lra.ViolationFor(clone, hard, id); v > 0 {
-				return fmt.Errorf("audit: %s: hard constraint violated for container %s (extent %g)", appID, id, v)
+			if v := lra.ViolationFor(state, hard, id); v > 0 {
+				err = fmt.Errorf("audit: %s: hard constraint violated for container %s (extent %g)", appID, id, v)
+				undo(state, assigns)
+				break
 			}
 		}
 	}
+	return err
+}
+
+// allocateAll charges each assignment on state in order, checking it
+// first; on the first defect it undoes the ones before it.
+func allocateAll(state *cluster.Cluster, appID string, assigns []lra.Assignment) error {
+	for i, a := range assigns {
+		var err error
+		switch {
+		case int(a.Node) < 0 || int(a.Node) >= state.NumNodes():
+			err = fmt.Errorf("audit: %s: assignment %s targets unknown node %d", appID, a.Container, a.Node)
+		case state.Node(a.Node).State() != cluster.NodeUp:
+			err = fmt.Errorf("audit: %s: assignment %s targets %s node %s",
+				appID, a.Container, state.Node(a.Node).State(), state.Node(a.Node).Name)
+		case !a.Demand.IsNonNegative():
+			err = fmt.Errorf("audit: %s: assignment %s has negative demand %v", appID, a.Container, a.Demand)
+		default:
+			// Allocate catches double assignment (within the batch and
+			// against live containers) and capacity overruns, with each
+			// assignment charged before the next is checked.
+			if aerr := state.Allocate(a.Node, a.Container, a.Demand, a.Tags); aerr != nil {
+				err = fmt.Errorf("audit: %s: %w", appID, aerr)
+			}
+		}
+		if err != nil {
+			undo(state, assigns[:i])
+			return err
+		}
+	}
 	return nil
+}
+
+// undo releases assignments allocateAll charged; every node's resident
+// list is left as it was before them.
+func undo(state *cluster.Cluster, assigns []lra.Assignment) {
+	for i := len(assigns) - 1; i >= 0; i-- {
+		if err := state.Release(assigns[i].Container); err != nil {
+			panic(err) // unreachable: releasing an allocation made above
+		}
+	}
 }
 
 // checkShape verifies that the assignments cover exactly the requested

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -255,18 +256,51 @@ func TestCheckPlacementTable(t *testing.T) {
 	}
 }
 
-// TestCheckPlacementDoesNotMutate verifies validation happens on a clone.
-func TestCheckPlacementDoesNotMutate(t *testing.T) {
+// TestCheckPlacementUndoesVeto pins in-place validation: an accepted
+// placement stays allocated on the state it was checked on, and a veto
+// — at the first assignment, midway through, or on the final-state hard
+// check — leaves that state as it was.
+func TestCheckPlacementUndoesVeto(t *testing.T) {
 	c := cluster.Grid(2, 2, resource.New(1000, 10))
 	app := testApp("a", 1, resource.New(100, 1), "svc")
 	if err := CheckPlacement(c, app, placementFor(app, 0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.NumContainers(); got != 0 {
-		t.Fatalf("validation leaked %d containers into live state", got)
+	if got, used := c.NumContainers(), c.TotalUsed(); got != 1 || used != resource.New(100, 1) {
+		t.Fatalf("accepted placement left %d containers using %v, want 1 using 100MB/1", got, used)
 	}
-	if !c.TotalUsed().IsZero() {
-		t.Fatalf("validation charged live state: %v", c.TotalUsed())
+
+	spread := []constraint.Entry{hardEntry("b", constraint.AntiAffinity(
+		constraint.E("svc"), constraint.E("svc"), constraint.Node))}
+	big := testApp("b", 3, resource.New(400, 4), "web")
+	pair := testApp("b", 2, resource.New(100, 1), "svc")
+	dup := placementFor(pair, 1, 1)
+	dup.Assignments[1].Container = dup.Assignments[0].Container
+	for _, tc := range []struct {
+		name    string
+		app     *lra.Application
+		p       *lra.Placement
+		entries []constraint.Entry
+	}{
+		{"over capacity midway", big, placementFor(big, 1, 1, 1), nil},
+		{"duplicate ID midway", pair, dup, nil},
+		{"hard violation after every allocation", pair, placementFor(pair, 1, 1), spread},
+		{"unknown node first", pair, placementFor(pair, 5, 1), nil},
+	} {
+		before := c.TakeSnapshot()
+		ids := c.ContainerIDs()
+		if err := CheckPlacement(c, tc.app, tc.p, tc.entries); err == nil {
+			t.Fatalf("%s: accepted, want a veto", tc.name)
+		}
+		if err := c.CheckAccounting(); err != nil {
+			t.Fatalf("%s: accounting after veto: %v", tc.name, err)
+		}
+		if after := c.TakeSnapshot(); !reflect.DeepEqual(before, after) {
+			t.Fatalf("%s: veto changed the state\nbefore %+v\nafter  %+v", tc.name, before, after)
+		}
+		if got := c.ContainerIDs(); !reflect.DeepEqual(ids, got) {
+			t.Fatalf("%s: containers %v after veto, want %v", tc.name, got, ids)
+		}
 	}
 }
 
@@ -375,7 +409,7 @@ func TestHardVerdictsOn256Nodes(t *testing.T) {
 		{"three web across racks", assign("w", "web", 8, 16, 24), false},
 	}
 	for _, tc := range cases {
-		err := CheckAssignments(c, "batch", tc.assigns, entries)
+		err := CheckAssignments(c.Clone(), "batch", tc.assigns, entries)
 		if (err != nil) != tc.reject {
 			t.Errorf("%s: reject=%v, got %v", tc.name, tc.reject, err)
 		}

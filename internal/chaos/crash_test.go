@@ -95,6 +95,7 @@ func TestCrashPointMatrix(t *testing.T) {
 	if totalOps < 200 {
 		t.Fatalf("script produced %d durability ops, want >= 200 for a meaningful matrix", totalOps)
 	}
+	t.Logf("killing the script before each of its %d durability ops", totalOps)
 	refFP := Fingerprint(ref)
 	if err := ref.CheckInvariants(); err != nil {
 		t.Fatalf("reference invariants: %v", err)

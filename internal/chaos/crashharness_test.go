@@ -59,8 +59,17 @@ func (h *Harness) newRun() *core.Medea {
 	return core.New(c, lra.NewSerial(), h.Config)
 }
 
-// apply executes one scripted op against the scheduler.
+// apply executes one scripted op against the scheduler and then syncs
+// its journal, as a serving layer does before it answers: an op the
+// script moved past is durable, one a crash interrupted may not be.
 func (h *Harness) apply(m *core.Medea, op Op) error {
+	if err := h.applyOp(m, op); err != nil {
+		return err
+	}
+	return m.Sync()
+}
+
+func (h *Harness) applyOp(m *core.Medea, op Op) error {
 	now := h.Base.Add(op.At)
 	switch op.Kind {
 	case OpSubmit:

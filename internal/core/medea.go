@@ -10,6 +10,7 @@ package core
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -296,7 +297,7 @@ func (m *Medea) SetSolverMode(mode ilp.Mode, disableCycleWarm bool) {
 // SolverMode returns the currently configured ILP solving path.
 func (m *Medea) SolverMode() ilp.Mode { return m.cfg.Options.SolverMode }
 
-// logRecord appends one WAL record, fail-stop: a scheduler that cannot
+// logRecord stages one WAL record, fail-stop: a scheduler that cannot
 // persist a state transition must not keep applying it.
 func (m *Medea) logRecord(r *journal.Record) {
 	if m.jnl == nil {
@@ -304,6 +305,26 @@ func (m *Medea) logRecord(r *journal.Record) {
 	}
 	if err := m.jnl.Append(r); err != nil {
 		panic(fmt.Sprintf("medea: journal append failed: %v", err))
+	}
+}
+
+// Sync makes every journal record staged so far durable: one barrier on
+// the attached journal (no-op without one, or with nothing staged). The
+// core takes its own write-ahead barriers before the cluster mutations
+// its records announce; a serving layer calls Sync before it reveals
+// state newer than the last barrier to a client.
+func (m *Medea) Sync() error {
+	if m.jnl == nil {
+		return nil
+	}
+	return m.jnl.Barrier()
+}
+
+// barrier is the write-ahead Sync before a cluster mutation, fail-stop
+// like logRecord: the mutation must not run ahead of its record.
+func (m *Medea) barrier() {
+	if err := m.Sync(); err != nil {
+		panic(fmt.Sprintf("medea: journal barrier failed: %v", err))
 	}
 }
 
@@ -595,10 +616,12 @@ func appEntries(app *lra.Application) []constraint.Entry {
 // The cycle runs inside the hardening pipeline: the algorithm is chosen
 // by the circuit breaker (possibly a degradation-ladder heuristic),
 // invoked with panic isolation, and every proposed placement is validated
-// against the live state before commit. A panic requeues the whole batch
-// without consuming retry budget; validation rejects consume a retry like
-// placement conflicts do. Post-commit, the whole-cluster invariant
-// checker runs in the configured audit mode.
+// before commit (validateBatch). The intents of the accepted placements
+// are made durable by one write-ahead barrier before the first commit. A
+// panic requeues the whole batch without consuming retry budget;
+// validation rejects consume a retry like placement conflicts do.
+// Post-commit, the whole-cluster invariant checker runs in the
+// configured audit mode.
 func (m *Medea) RunCycle(now time.Time) CycleStats {
 	stats := CycleStats{}
 	m.cycles++
@@ -687,36 +710,40 @@ func (m *Medea) RunCycle(now time.Time) CycleStats {
 			m.Pipeline.Add(metrics.InvalidModels, 1)
 			failed, reason = true, "invalid-model"
 		}
-		// entries accumulates the constraints visible to validation:
-		// active (deployed + operator) plus batch apps as they commit.
-		entries := active
+		accepted, vetoes := m.validateBatch(batch, res.Placements, active)
+		if vetoes > 0 {
+			// The algorithm proposed an inadmissible placement: it is
+			// rejected before it corrupts cluster state.
+			failed, reason = true, "validation"
+			stats.ValidationRejects += vetoes
+		}
+		// Stage the verdicts in batch order: an intent for each accepted
+		// placement, a requeue or reject for the rest.
 		for i, p := range res.Placements {
-			pa := batch[i]
-			if !p.Placed {
-				// Unplaceable this cycle: retry within budget (resources
-				// may free up), then reject.
-				m.requeueOrReject(pa, now, &stats)
+			if !accepted[i] {
+				// Unplaceable or vetoed this cycle: retry within budget
+				// (resources may free up), then reject.
+				m.requeueOrReject(batch[i], now, &stats)
 				continue
 			}
-			own := appEntries(pa.app)
-			all := append(append(make([]constraint.Entry, 0, len(entries)+len(own)), entries...), own...)
-			if err := audit.CheckPlacement(m.Cluster, pa.app, &p, all); err != nil {
-				// The algorithm proposed an inadmissible placement:
-				// reject it before it corrupts cluster state.
-				failed, reason = true, "validation"
-				m.Pipeline.Record(metrics.ValidationRejects, err.Error())
-				stats.ValidationRejects++
-				m.requeueOrReject(pa, now, &stats)
-				continue
-			}
-			// Write-ahead: the placement intent is durable before the
-			// cluster mutation. If the process dies mid-commit, recovery
-			// compares this intent against cluster truth and either adopts
-			// the committed containers or re-queues the app; a failed
-			// commit below is compensated by the requeue/reject record.
 			m.logRecord(&journal.Record{
 				Kind: journal.KindPlace, At: now, AppID: p.AppID, Assignments: p.Assignments,
 			})
+		}
+		// Write-ahead: the intents are durable before the first cluster
+		// mutation, one barrier for the batch. If the process dies
+		// mid-commit, recovery compares each intent against cluster truth
+		// and either adopts the committed containers or re-queues the app;
+		// a failed commit below is compensated by the requeue/reject
+		// record.
+		if slices.Contains(accepted, true) {
+			m.barrier()
+		}
+		for i, p := range res.Placements {
+			if !accepted[i] {
+				continue
+			}
+			pa := batch[i]
 			if err := m.Tasks.Commit(p.Assignments); err != nil {
 				// Conflict with task allocations made since the decision:
 				// resubmit the LRA (§5.4).
@@ -727,7 +754,6 @@ func (m *Medea) RunCycle(now time.Time) CycleStats {
 			m.LRALatencies = append(m.LRALatencies, now.Sub(pa.submit)+res.Latency)
 			stats.Placed++
 			stats.PlacedIDs = append(stats.PlacedIDs, pa.app.ID)
-			entries = append(entries, own...)
 		}
 	}
 	if m.brk != nil {
@@ -736,6 +762,37 @@ func (m *Medea) RunCycle(now time.Time) CycleStats {
 	m.finishCycle(journaled, now)
 	m.auditCycle()
 	return stats
+}
+
+// validateBatch is commit-time validation of a cycle's proposals, in
+// batch order, on one scratch clone of the cluster: each placed proposal
+// is checked against the placements accepted before it and under their
+// constraints, which is what its commit meets once they have committed
+// in order. A veto leaves the scratch as it was. It reports which
+// proposals were accepted and how many were vetoed.
+func (m *Medea) validateBatch(batch []*pendingApp, placements []lra.Placement, active []constraint.Entry) (accepted []bool, vetoes int) {
+	accepted = make([]bool, len(placements))
+	var scratch *cluster.Cluster
+	entries := active
+	for i := range placements {
+		p := &placements[i]
+		if !p.Placed {
+			continue
+		}
+		if scratch == nil {
+			scratch = m.Cluster.Clone()
+		}
+		own := appEntries(batch[i].app)
+		all := append(append(make([]constraint.Entry, 0, len(entries)+len(own)), entries...), own...)
+		if err := audit.CheckPlacement(scratch, batch[i].app, p, all); err != nil {
+			m.Pipeline.Record(metrics.ValidationRejects, err.Error())
+			vetoes++
+			continue
+		}
+		accepted[i] = true
+		entries = append(entries, own...)
+	}
+	return accepted, vetoes
 }
 
 // finishCycle closes a journaled cycle: the commit-batch record resolves
@@ -836,7 +893,8 @@ func (m *Medea) requeueOrReject(pa *pendingApp, now time.Time, stats *CycleStats
 // removal is journaled (replay drops the pending entry the submit record
 // re-created). It reports whether the app was pending. The serving
 // layer's DELETE path uses it so an app that drained into the core but
-// has not deployed yet can still be removed.
+// has not deployed yet can still be removed; the record is only staged,
+// so that path Syncs before it answers.
 func (m *Medea) WithdrawLRA(appID string, now time.Time) bool {
 	if _, pending := m.PendingRetries(appID); !pending {
 		return false
@@ -848,7 +906,7 @@ func (m *Medea) WithdrawLRA(appID string, now time.Time) bool {
 
 // RemoveLRA tears an LRA down: releases its containers, drops its
 // constraints and cancels any pending repair. The teardown intent is
-// journaled before the first release, so a crash mid-teardown rolls
+// durable before the first release, so a crash mid-teardown rolls
 // forward: recovery drops the LRA and the orphan sweep releases whatever
 // containers the crashed process left behind.
 func (m *Medea) RemoveLRA(appID string) error {
@@ -856,6 +914,7 @@ func (m *Medea) RemoveLRA(appID string) error {
 		return fmt.Errorf("core: LRA %s not deployed", appID)
 	}
 	m.logRecord(&journal.Record{Kind: journal.KindRemove, AppID: appID})
+	m.barrier()
 	for _, id := range m.forget(appID) {
 		if err := m.Cluster.Release(id); err != nil {
 			return err

@@ -72,13 +72,19 @@ func (m *Medea) DrainNode(node cluster.NodeID, now time.Time) []cluster.Eviction
 	m.Recovery.NodeDrains++
 	var lraEvs []cluster.Eviction
 	for _, ev := range resident {
-		if _, owned := m.owner[ev.Container]; !owned {
-			continue
+		if _, owned := m.owner[ev.Container]; owned {
+			lraEvs = append(lraEvs, ev)
 		}
+	}
+	if len(lraEvs) > 0 {
+		// Write-ahead: the releases must not run ahead of a staged record
+		// about the containers they release.
+		m.barrier()
+	}
+	for _, ev := range lraEvs {
 		if err := m.Cluster.Release(ev.Container); err != nil {
 			panic(err) // unreachable: releasing a just-enumerated resident container
 		}
-		lraEvs = append(lraEvs, ev)
 	}
 	m.HandleEvictions(lraEvs, now)
 	return lraEvs
@@ -277,14 +283,18 @@ func (m *Medea) attemptRepair(r *repairReq, dep *deployment, now time.Time, stat
 		if restored {
 			// Commit-time validation on the batch actually committed (the
 			// remapped one): capacity, health, duplicates and hard
-			// constraints, exactly like initial placements.
-			if err := audit.CheckAssignments(m.Cluster, r.appID, remapped, m.Constraints.Active()); err != nil {
+			// constraints, exactly like initial placements, on a scratch
+			// clone of its own.
+			if err := audit.CheckAssignments(m.Cluster.Clone(), r.appID, remapped, m.Constraints.Active()); err != nil {
 				m.Pipeline.Record(metrics.ValidationRejects, err.Error())
 				stats.ValidationRejects++
 				restored = false
 			}
 		}
 		if restored {
+			// Write-ahead: what is staged (the cycle's begin-batch, the
+			// records of earlier repairs) is durable before the commit.
+			m.barrier()
 			if err := m.Tasks.Commit(remapped); err != nil {
 				restored = false // lost a race; retry with backoff
 			}

@@ -31,6 +31,14 @@ func (b *schedBox) RecoverNode(n cluster.NodeID, now time.Time) bool {
 	return b.m.RecoverNode(n, now)
 }
 
+// sync makes what the scheduler staged durable before the simulation
+// moves on, as a serving layer does before it answers.
+func (b *schedBox) sync() {
+	if err := b.m.Sync(); err != nil {
+		panic(fmt.Sprintf("experiments: journal sync: %v", err))
+	}
+}
+
 // RunCrashRestart demonstrates durable scheduler state end to end: a
 // journaled Medea schedules LRAs under random node churn, is crashed
 // mid-flight at the CrashAt-th durability operation (write-ahead record
@@ -113,6 +121,7 @@ func RunCrashRestart(o Options) *metrics.Table {
 				if err := box.m.SubmitLRA(app, now); err != nil {
 					panic(fmt.Sprintf("experiments: submit %s: %v", app.ID, err))
 				}
+				box.sync() // the submitter is told the LRA was accepted
 			})
 		}
 		horizon := eng.Now().Add(3 * time.Minute)
@@ -129,6 +138,7 @@ func RunCrashRestart(o Options) *metrics.Table {
 		armTicks := func() {
 			eng.Every(eng.Now(), time.Second, func(now time.Time) bool {
 				box.m.Tick(now)
+				box.sync()
 				return now.Before(end)
 			})
 		}

@@ -1,7 +1,6 @@
 package journal
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -51,16 +50,19 @@ const (
 
 // File is the file-backed journal: a directory holding a line-JSON
 // write-ahead log (wal.log) and the latest checkpoint (checkpoint.json,
-// replaced atomically via rename). The log is truncated after a
-// checkpoint lands; if the process dies between the two steps, Load
-// filters the stale prefix by Seq, so a torn checkpoint+truncate pair
-// never loses or duplicates records.
+// replaced atomically via rename). Appends stage encoded lines in memory;
+// a barrier writes them to the log in one write and one fsync. The log is
+// truncated after a checkpoint lands; if the process dies between the two
+// steps, Load filters the stale prefix by Seq, so a torn
+// checkpoint+truncate pair never loses or duplicates records.
 type File struct {
 	dir string
 	wal *os.File
-	w   *bufio.Writer
-	seq int64
-	// syncs counts fsyncs issued (appends and checkpoints), for tests and
+	// staged holds the newline-terminated records appended since the last
+	// barrier, in Seq order.
+	staged []byte
+	seq    int64
+	// syncs counts fsyncs issued (barriers and checkpoints), for tests and
 	// diagnostics.
 	syncs int64
 	// lag counts records appended since the last checkpoint (the WAL tail
@@ -68,13 +70,13 @@ type File struct {
 	lag int
 	// tornWAL records that the last open (or load) found and dropped a
 	// truncated partial record at the end of the WAL — the signature of a
-	// crash mid-append.
+	// crash mid-write.
 	tornWAL bool
 }
 
 // OpenDir opens (or creates) a file-backed journal in dir. An existing
 // journal is resumed: the sequence counter continues after the highest
-// Seq on disk. A torn final WAL line (a crash mid-append leaves truncated
+// Seq on disk. A torn final WAL line (a crash mid-write leaves truncated
 // partial JSON) is truncated away before the log is reopened for append,
 // so the next record starts on a clean line.
 func OpenDir(dir string) (*File, error) {
@@ -95,7 +97,7 @@ func OpenDir(dir string) (*File, error) {
 	f.lag = len(recs)
 	if torn {
 		f.tornWAL = true
-		fmt.Fprintf(os.Stderr, "journal: warning: dropping torn partial record at end of %s (crash mid-append); truncating to %d bytes\n",
+		fmt.Fprintf(os.Stderr, "journal: warning: dropping torn partial record at end of %s (crash mid-write); truncating to %d bytes\n",
 			filepath.Join(dir, walName), validEnd)
 		if err := os.Truncate(filepath.Join(dir, walName), validEnd); err != nil {
 			return nil, fmt.Errorf("journal: truncating torn wal tail: %w", err)
@@ -106,7 +108,6 @@ func OpenDir(dir string) (*File, error) {
 		return nil, fmt.Errorf("journal: opening wal: %w", err)
 	}
 	f.wal = wal
-	f.w = bufio.NewWriter(wal)
 	return f, nil
 }
 
@@ -121,13 +122,12 @@ func (f *File) Lag() int { return f.lag }
 // partial record at the end of the WAL when it was opened or loaded.
 func (f *File) RecoveredTornTail() bool { return f.tornWAL }
 
-// Syncs returns the number of fsyncs issued since open (appends plus
+// Syncs returns the number of fsyncs issued since open (barriers plus
 // checkpoints).
 func (f *File) Syncs() int64 { return f.syncs }
 
-// Append implements Journal. Each record is written and fsynced before
-// Append returns, so an acknowledged record survives a process crash,
-// a kernel crash and power loss.
+// Append implements Journal: the record is encoded and staged. It reaches
+// the log only at the next Barrier, checkpoint or Close.
 func (f *File) Append(r *Record) error {
 	if f.wal == nil {
 		return fmt.Errorf("journal: append on closed journal")
@@ -139,23 +139,36 @@ func (f *File) Append(r *Record) error {
 		f.seq--
 		return err
 	}
-	if _, err := f.w.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("journal: appending record %d: %w", r.Seq, err)
+	f.staged = append(append(f.staged, b...), '\n')
+	f.lag++
+	return nil
+}
+
+// Barrier implements Journal: everything staged goes to the log in one
+// write and is fsynced, so it survives a process crash, a kernel crash
+// and power loss. With nothing staged it issues no fsync.
+func (f *File) Barrier() error {
+	if f.wal == nil {
+		return fmt.Errorf("journal: barrier on closed journal")
 	}
-	if err := f.w.Flush(); err != nil {
-		return fmt.Errorf("journal: flushing record %d: %w", r.Seq, err)
+	if len(f.staged) == 0 {
+		return nil
+	}
+	if _, err := f.wal.Write(f.staged); err != nil {
+		return fmt.Errorf("journal: writing staged records up to %d: %w", f.seq, err)
 	}
 	if err := f.wal.Sync(); err != nil {
-		return fmt.Errorf("journal: syncing record %d: %w", r.Seq, err)
+		return fmt.Errorf("journal: syncing records up to %d: %w", f.seq, err)
 	}
 	f.syncs++
-	f.lag++
+	f.staged = f.staged[:0]
 	return nil
 }
 
 // WriteCheckpoint implements Journal: the checkpoint is written to a
 // temporary file and renamed over checkpoint.json, then the WAL is
-// truncated (its records are covered by the checkpoint).
+// truncated. The checkpoint covers the log and the staged records, so
+// the staged ones are dropped unwritten.
 func (f *File) WriteCheckpoint(c *Checkpoint) error {
 	if f.wal == nil {
 		return fmt.Errorf("journal: checkpoint on closed journal")
@@ -187,6 +200,7 @@ func (f *File) WriteCheckpoint(c *Checkpoint) error {
 	if err := os.Rename(tmp, filepath.Join(f.dir, checkpointName)); err != nil {
 		return fmt.Errorf("journal: publishing checkpoint: %w", err)
 	}
+	f.staged = f.staged[:0]
 	// Rotate the WAL. A crash before this point leaves a stale prefix
 	// that Load drops by Seq.
 	if err := f.wal.Close(); err != nil {
@@ -197,24 +211,23 @@ func (f *File) WriteCheckpoint(c *Checkpoint) error {
 		return fmt.Errorf("journal: rotating wal: %w", err)
 	}
 	f.wal = wal
-	f.w = bufio.NewWriter(wal)
 	f.lag = 0
 	return nil
 }
 
 // Load implements Journal, reading the on-disk state: the latest
 // checkpoint (if any) and the WAL records newer than it, in Seq order.
-// An unterminated final WAL line — the signature of a crash mid-append —
-// is skipped with a warning rather than failing the whole recovery; the
-// record was never acknowledged, so dropping it is the correct replay.
-// Any newline-terminated line that fails to decode (including the final
-// one) is at-rest corruption of a likely-acknowledged record and fails
-// recovery loudly.
+// Staged records are not on disk and are not returned. An unterminated
+// final WAL line — the signature of a crash mid-barrier — is skipped
+// with a warning rather than failing the whole recovery; its barrier
+// never returned, so dropping it is the correct replay. Any
+// newline-terminated line that fails to decode (including the final
+// one) is at-rest corruption and fails recovery loudly.
 func (f *File) Load() (*Checkpoint, []*Record, error) {
 	cp, recs, _, torn, err := f.load()
 	if torn {
 		f.tornWAL = true
-		fmt.Fprintf(os.Stderr, "journal: warning: ignoring torn partial record at end of %s (crash mid-append)\n",
+		fmt.Fprintf(os.Stderr, "journal: warning: ignoring torn partial record at end of %s (crash mid-write)\n",
 			filepath.Join(f.dir, walName))
 	}
 	return cp, recs, err
@@ -256,18 +269,19 @@ func (f *File) load() (cp *Checkpoint, recs []*Record, validEnd int64, torn bool
 			continue
 		}
 		if !terminated {
-			// Non-empty final line without its newline terminator. Append
-			// writes payload and terminator in one flush, so whether or
-			// not the payload happens to parse, the record was never
-			// acknowledged — drop it as a torn tail.
+			// Non-empty final line without its newline terminator: a
+			// barrier died mid-write, so whether or not the payload
+			// happens to parse, the barrier never returned — drop it as a
+			// torn tail. The whole lines before it are a prefix of that
+			// barrier's records, which replays like a crash between two
+			// appends: none of them had announced a mutation yet.
 			return cp, recs, validEnd, true, nil
 		}
 		r, derr := decodeRecord(trimmed)
 		if derr != nil {
-			// A newline-terminated line was fully written — Append flushes
-			// payload and terminator in one write — so the record was
-			// likely acknowledged. Undecodable terminated lines (final or
-			// not) are at-rest corruption: fail recovery loudly rather
+			// A newline-terminated line was fully written, so the record
+			// was likely acknowledged. Undecodable terminated lines (final
+			// or not) are at-rest corruption: fail recovery loudly rather
 			// than silently dropping acknowledged state.
 			return nil, nil, 0, false, derr
 		}
@@ -280,16 +294,15 @@ func (f *File) load() (cp *Checkpoint, recs []*Record, validEnd int64, torn bool
 	return cp, recs, validEnd, false, nil
 }
 
-// Close implements Journal.
+// Close implements Journal: what is staged is barriered first.
 func (f *File) Close() error {
 	if f.wal == nil {
 		return nil
 	}
-	if err := f.w.Flush(); err != nil {
-		return err
+	err := f.Barrier()
+	if cerr := f.wal.Close(); err == nil {
+		err = cerr
 	}
-	err := f.wal.Close()
 	f.wal = nil
-	f.w = nil
 	return err
 }

@@ -15,6 +15,12 @@
 // cluster truth and roll the half-applied work forward or back. Records
 // that only mirror scheduler bookkeeping (submit, requeue, repair-fail)
 // are appended at the transition itself.
+//
+// Staging: an append is not durable on return. Records stage in order
+// until a Barrier (or a checkpoint) makes everything staged durable at
+// once, so a writer pays one fsync per barrier point rather than one per
+// record. The writer takes a barrier before the first cluster mutation a
+// staged record announces, and before it reveals state to a client.
 package journal
 
 import (
@@ -200,25 +206,35 @@ type Lagger interface {
 
 // Journal is the durable-state backend. Implementations must assign
 // Record.Seq on Append and must return, from Load, the latest checkpoint
-// (nil if none) plus all records with Seq greater than the checkpoint's,
-// in Seq order.
+// (nil if none) plus all durable records with Seq greater than the
+// checkpoint's, in Seq order.
 type Journal interface {
-	// Append writes one record, assigning its Seq.
+	// Append stages one record, assigning its Seq. A crash before the
+	// next Barrier or checkpoint may lose it, and with it every record
+	// staged after it.
 	Append(r *Record) error
+	// Barrier makes every record staged since the last barrier durable.
+	// With nothing staged it does nothing.
+	Barrier() error
 	// WriteCheckpoint stores a checkpoint covering all records appended
-	// so far; its Seq is assigned by the journal.
+	// so far, staged or not; its Seq is assigned by the journal. It is a
+	// barrier too.
 	WriteCheckpoint(c *Checkpoint) error
-	// Load returns the latest checkpoint and the log tail after it.
+	// Load returns the latest checkpoint and the durable log tail after
+	// it.
 	Load() (*Checkpoint, []*Record, error)
-	// Close releases backend resources. The journal must not be used
-	// afterwards.
+	// Close makes what is staged durable and releases backend resources.
+	// The journal must not be used afterwards.
 	Close() error
 }
 
 // Memory is the in-memory backend: records and checkpoints round-trip
 // through JSON exactly like the file backend (so both backends accept
 // and reject the same state), but nothing leaves the process. It is the
-// backend of the simulator and the crash-point tests.
+// backend of the simulator and the crash-point tests. An append is as
+// durable as the process on return, so Barrier has nothing to do; the
+// crash-point tests model the loss of unbarriered records with a staging
+// wrapper on top.
 type Memory struct {
 	seq        int64
 	tail       [][]byte // encoded records after the last checkpoint
@@ -242,6 +258,14 @@ func (m *Memory) Append(r *Record) error {
 		return err
 	}
 	m.tail = append(m.tail, b)
+	return nil
+}
+
+// Barrier implements Journal.
+func (m *Memory) Barrier() error {
+	if m.closed {
+		return fmt.Errorf("journal: barrier on closed journal")
+	}
 	return nil
 }
 

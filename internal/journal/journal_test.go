@@ -83,6 +83,9 @@ func TestAppendLoadRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if err := j.Barrier(); err != nil {
+				t.Fatal(err)
+			}
 			cp, got, err := j.Load()
 			if err != nil {
 				t.Fatal(err)
@@ -120,6 +123,9 @@ func TestCheckpointCoversTail(t *testing.T) {
 				if err := j.Append(r); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if err := j.Barrier(); err != nil {
+				t.Fatal(err)
 			}
 			cp, tail, err := j.Load()
 			if err != nil {
@@ -161,6 +167,9 @@ func TestFileReopenContinuesSeq(t *testing.T) {
 	}
 	if r.Seq != 4 {
 		t.Fatalf("reopened journal assigned seq %d, want 4", r.Seq)
+	}
+	if err := j2.Barrier(); err != nil {
+		t.Fatal(err)
 	}
 	_, tail, err := j2.Load()
 	if err != nil {
@@ -240,33 +249,78 @@ func TestClosedJournalRejectsWrites(t *testing.T) {
 	}
 }
 
-// TestFsyncEveryAppend pins the file backend's one durability policy:
-// one fsync per append plus one per checkpoint, and every appended record
-// visible to a second handle.
-func TestFsyncEveryAppend(t *testing.T) {
-	const appends = 10
+// TestBarrierOneFsync pins the file backend's durability contract: k
+// appends cost no fsync, one barrier makes all k durable with exactly one,
+// a barrier with nothing staged issues none, and a second handle sees
+// exactly the records up to the last barrier.
+func TestBarrierOneFsync(t *testing.T) {
+	const k = 10
 	dir := t.TempDir()
 	j, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	for i := 0; i < appends; i++ {
-		if err := j.Append(&Record{Kind: KindSubmit, At: t0, AppID: "a"}); err != nil {
-			t.Fatal(err)
+	durable := func(want int) {
+		t.Helper()
+		other := &File{dir: dir}
+		if _, recs, err := other.Load(); err != nil || len(recs) != want {
+			t.Fatalf("second handle saw %d records (err %v), want %d", len(recs), err, want)
 		}
 	}
-	if got := j.Syncs(); got != appends {
-		t.Errorf("after %d appends: %d syncs, want %d", appends, got, appends)
+	appendK := func() {
+		t.Helper()
+		for i := 0; i < k; i++ {
+			if err := j.Append(&Record{Kind: KindSubmit, At: t0, AppID: "a"}); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	other := &File{dir: dir}
-	if _, recs, err := other.Load(); err != nil || len(recs) != appends {
-		t.Fatalf("reload saw %d records (err %v), want %d", len(recs), err, appends)
+	barrier := func(wantSyncs int64) {
+		t.Helper()
+		if err := j.Barrier(); err != nil {
+			t.Fatal(err)
+		}
+		if got := j.Syncs(); got != wantSyncs {
+			t.Fatalf("%d syncs, want %d", got, wantSyncs)
+		}
 	}
+
+	appendK()
+	if got := j.Syncs(); got != 0 {
+		t.Fatalf("after %d appends: %d syncs, want 0", k, got)
+	}
+	durable(0)
+	barrier(1)
+	durable(k)
+	barrier(1) // nothing staged: no fsync
+	appendK()
+	durable(k)
+	barrier(2)
+	durable(2 * k)
+
+	// A checkpoint is a barrier: it covers the staged records and issues
+	// its own one fsync, not one for them as well.
+	appendK()
 	if err := j.WriteCheckpoint(&Checkpoint{At: t0}); err != nil {
 		t.Fatal(err)
 	}
-	if got := j.Syncs(); got != appends+1 {
-		t.Errorf("after checkpoint: %d syncs, want %d", got, appends+1)
+	if got := j.Syncs(); got != 3 {
+		t.Fatalf("after checkpoint: %d syncs, want 3", got)
 	}
+	other := &File{dir: dir}
+	if cp, recs, err := other.Load(); err != nil || cp == nil || cp.Seq != 3*k || len(recs) != 0 {
+		t.Fatalf("after checkpoint a second handle saw checkpoint %+v and %d records (err %v), want seq %d and none", cp, len(recs), err, 3*k)
+	}
+	barrier(3)
+
+	// Close barriers what is staged.
+	appendK()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := j.Syncs(); got != 4 {
+		t.Fatalf("after close: %d syncs, want 4", got)
+	}
+	durable(k)
 }

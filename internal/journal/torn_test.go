@@ -8,7 +8,7 @@ import (
 )
 
 // appendRaw appends raw bytes to the WAL file, simulating the partial
-// write a crash mid-append leaves behind.
+// write a crash mid-write leaves behind.
 func appendRaw(t *testing.T, dir, raw string) {
 	t.Helper()
 	f, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -23,7 +23,7 @@ func appendRaw(t *testing.T, dir, raw string) {
 	}
 }
 
-// TestTornFinalWALLine: a crash mid-append truncates the last record to
+// TestTornFinalWALLine: a crash mid-write truncates the last record to
 // partial JSON. Recovery must skip it (it was never acknowledged) and
 // keep every intact record, and the reopened journal must accept new
 // appends on a clean line.
@@ -80,6 +80,9 @@ func TestTornFinalWALLine(t *testing.T) {
 			if extra.Seq != want[len(want)-1].Seq+1 {
 				t.Fatalf("post-recovery Seq = %d, want %d", extra.Seq, want[len(want)-1].Seq+1)
 			}
+			if err := j2.Barrier(); err != nil {
+				t.Fatalf("Barrier after torn tail: %v", err)
+			}
 			_, recs, err = j2.Load()
 			if err != nil {
 				t.Fatalf("Load after post-recovery append: %v", err)
@@ -93,11 +96,10 @@ func TestTornFinalWALLine(t *testing.T) {
 }
 
 // TestTerminatedCorruptFinalLineFails: a final WAL line that carries its
-// newline terminator was fully written — Append flushes payload and
-// terminator in one write — so it was likely acknowledged. If it fails
-// to decode, that is at-rest corruption of acknowledged state, and
-// recovery must fail loudly instead of silently dropping the record as
-// a torn tail.
+// newline terminator was fully written, so it was likely acknowledged.
+// If it fails to decode, that is at-rest corruption of acknowledged
+// state, and recovery must fail loudly instead of silently dropping the
+// record as a torn tail.
 func TestTerminatedCorruptFinalLineFails(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenDir(dir)

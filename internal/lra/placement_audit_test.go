@@ -40,7 +40,7 @@ func TestPlacementSemanticsAudit(t *testing.T) {
 					}
 				}
 				before, after := lra.Evaluate(cur, hard), lra.Evaluate(next, hard)
-				err := audit.CheckPlacement(cur, apps[i], &p, all)
+				err := audit.CheckPlacement(cur.Clone(), apps[i], &p, all)
 				switch {
 				case after.TotalExtent == 0 && err != nil:
 					t.Fatalf("seed %d %s: no hard extent after the placement, audit says: %v", seed, p.AppID, err)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"medea/internal/metrics"
@@ -26,13 +27,18 @@ func (s *Server) Run(ctx context.Context) {
 // call it directly): it sweeps the ledger, hands the queue to the core,
 // propagates the tightest pending request deadline into the cycle's
 // solver budget, offers the core a Tick, settles what the cycle did and
-// republishes the backpressure gauges the accept path reads.
+// republishes the backpressure gauges the accept path reads. It syncs
+// the journal twice: right after a non-empty hand-off, so a handed-off
+// app is durable before the cycle's solve, and at its end, so nothing a
+// client can read after it is newer than the last barrier.
 func (s *Server) Step() {
 	now := s.now()
 	s.led.sweep(now)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.handOffLocked(now, false)
+	if s.handOffLocked(now, false) {
+		s.syncLocked()
+	}
 
 	// Deadline propagation: the tightest remaining deadline among the
 	// entries pending in the core clamps this cycle's solver budget — a
@@ -52,14 +58,17 @@ func (s *Server) Step() {
 		s.led.each(stats.PlacedIDs, evDeploy)
 		s.led.each(stats.RejectedIDs, evReject)
 	}
+	s.syncLocked()
 	s.publishGaugesLocked()
 }
 
-// handOffLocked hands the queued submissions to the core; must be called
-// with s.mu held. The last hand-off, at shutdown, counts what it flushes
-// so the operator can see what was journaled rather than finished.
-func (s *Server) handOffLocked(now time.Time, last bool) {
-	for _, app := range s.led.handOff(last) {
+// handOffLocked hands the queued submissions to the core and reports
+// whether there were any; must be called with s.mu held. The last
+// hand-off, at shutdown, counts what it flushes so the operator can see
+// what was journaled rather than finished.
+func (s *Server) handOffLocked(now time.Time, last bool) bool {
+	apps := s.led.handOff(last)
+	for _, app := range apps {
 		if err := s.med.SubmitLRA(app, now); err != nil {
 			s.led.apply(app.ID, evRefuse, evArg{err: err})
 			continue
@@ -67,6 +76,17 @@ func (s *Server) handOffLocked(now time.Time, last bool) {
 		if last {
 			s.Stats.Add(metrics.DrainFlushed, 1)
 		}
+	}
+	return len(apps) > 0
+}
+
+// syncLocked makes the core's staged journal records durable; must be
+// called with s.mu held. It is fail-stop, like the core's own barriers:
+// a server that cannot persist what it is about to reveal must not
+// reveal it.
+func (s *Server) syncLocked() {
+	if err := s.med.Sync(); err != nil {
+		panic(fmt.Sprintf("server: journal sync failed: %v", err))
 	}
 }
 

@@ -399,6 +399,8 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 		switch s.led.view(id).state {
 		case pending:
 			s.med.WithdrawLRA(id, s.now())
+			// Its remove record is only staged: durable before the 200.
+			s.syncLocked()
 			err = nil
 		case deployed:
 			err = s.med.RemoveLRA(id)
