@@ -53,8 +53,8 @@ type Config struct {
 	// SolverBudget bounds the LRA solver's wall-clock time per cycle
 	// end-to-end: it is copied into Options.SolverBudget (when that is
 	// unset) and flows through the algorithm into ilp.Options.Deadline,
-	// which the simplex pivot loops and branch-and-bound both honor. Zero
-	// leaves the algorithm's own default (2s for the ILP).
+	// which the simplex pivot loops and branch-and-bound both honor. A
+	// value ≤ 0 selects lra.DefaultSolverBudget.
 	SolverBudget time.Duration
 	// Audit selects the post-commit whole-cluster invariant check mode:
 	// audit.Off (default), audit.Metrics (count violations) or
@@ -198,6 +198,9 @@ func New(c *cluster.Cluster, alg lra.Algorithm, cfg Config, queues ...taskched.Q
 	if cfg.Interval == 0 {
 		cfg.Interval = 10 * time.Second
 	}
+	if cfg.SolverBudget <= 0 {
+		cfg.SolverBudget = lra.DefaultSolverBudget
+	}
 	if cfg.Options.SolverBudget == 0 {
 		cfg.Options.SolverBudget = cfg.SolverBudget
 	}
@@ -269,18 +272,18 @@ func (m *Medea) Checkpoint(now time.Time) error {
 // runtime. The serving layer uses it for deadline propagation: when
 // queued submissions carry request deadlines, the scheduling loop clamps
 // the budget to the tightest remaining deadline before running the cycle
-// and restores it afterwards. A non-positive d restores the algorithm's
-// own default.
+// and restores it afterwards. A non-positive d selects
+// lra.DefaultSolverBudget.
 func (m *Medea) SetSolverBudget(d time.Duration) {
-	if d < 0 {
-		d = 0
+	if d <= 0 {
+		d = lra.DefaultSolverBudget
 	}
 	m.cfg.SolverBudget = d
 	m.cfg.Options.SolverBudget = d
 }
 
-// SolverBudget returns the currently configured solver budget (zero =
-// the algorithm's own default).
+// SolverBudget returns the currently configured solver budget, never
+// zero.
 func (m *Medea) SolverBudget() time.Duration { return m.cfg.Options.SolverBudget }
 
 // SetSolverMode selects the ILP solving path at runtime — exact

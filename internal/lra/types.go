@@ -155,8 +155,8 @@ func DefaultWeights() Weights { return Weights{W1: 1, W2: 0.5, W3: 0.25, W4: 0.0
 // Options configures a scheduling invocation.
 type Options struct {
 	Weights Weights
-	// SolverBudget bounds the ILP solve time (0 = 2s). Ignored by the
-	// heuristic algorithms.
+	// SolverBudget bounds the ILP solve time (≤ 0 = DefaultSolverBudget).
+	// Ignored by the heuristic algorithms.
 	SolverBudget time.Duration
 	// MaxCandidates caps the number of candidate nodes materialised in the
 	// ILP per container group (0 = automatic: twice the group's container
@@ -194,9 +194,12 @@ func (o Options) weights() Weights {
 	return o.Weights
 }
 
+// DefaultSolverBudget is the ILP solve budget when none is configured.
+const DefaultSolverBudget = 2 * time.Second
+
 func (o Options) solverBudget() time.Duration {
-	if o.SolverBudget == 0 {
-		return 2 * time.Second
+	if o.SolverBudget <= 0 {
+		return DefaultSolverBudget
 	}
 	return o.SolverBudget
 }

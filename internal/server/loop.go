@@ -47,7 +47,7 @@ func (s *Server) Step() {
 	budget := base
 	if d, ok := s.led.tightestDeadline(); ok {
 		// Expired in core: the cheapest possible solve.
-		if rem := max(d.Sub(now), time.Millisecond); budget == 0 || rem < budget {
+		if rem := max(d.Sub(now), time.Millisecond); rem < budget {
 			budget = rem
 		}
 	}

@@ -309,6 +309,33 @@ func TestDeadlinePropagationClampsSolverBudget(t *testing.T) {
 	}
 }
 
+// TestDeadlinePropagationNeverRaisesDefaultBudget: with no budget
+// configured the core runs at lra.DefaultSolverBudget, and a request
+// deadline far beyond it must not lift the cycle's budget to the
+// deadline.
+func TestDeadlinePropagationNeverRaisesDefaultBudget(t *testing.T) {
+	clk := newFakeClock()
+	alg := &captureAlg{}
+	med := core.New(cluster.Grid(16, 4, resource.New(16384, 16)), alg, core.Config{
+		Interval:         100 * time.Millisecond,
+		MaxRetries:       -1,
+		BreakerThreshold: -1,
+	})
+	s := New(med, Config{Clock: clk.Now})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	doSubmit(t, ts, submitReq("patient", 0, 10_000), "")
+	clk.Advance(10 * time.Millisecond)
+	s.Step()
+	if budgets := alg.seen(); len(budgets) != 1 || budgets[0] != lra.DefaultSolverBudget {
+		t.Fatalf("cycle solver budgets %v, want [%v]", budgets, lra.DefaultSolverBudget)
+	}
+	if got := med.SolverBudget(); got != lra.DefaultSolverBudget {
+		t.Fatalf("base solver budget %v, want %v", got, lra.DefaultSolverBudget)
+	}
+}
+
 // TestGracefulDrain: drain stops admission (503 on submit, healthz
 // degraded), flushes the queue into the journaled core, checkpoints, and
 // a recovery over the same journal loses nothing: deployed apps stay
