@@ -92,6 +92,17 @@ func (c *CrashJournal) WriteCheckpoint(cp *journal.Checkpoint) error {
 	return c.Journal.WriteCheckpoint(cp)
 }
 
+// Lag implements journal.Lagger the way journal.File counts: the wrapped
+// journal's lag plus the records staged here, which a checkpoint would
+// also cover.
+func (c *CrashJournal) Lag() int {
+	n := len(c.staged)
+	if lg, ok := c.Journal.(journal.Lagger); ok {
+		n += lg.Lag()
+	}
+	return n
+}
+
 // Load is what a restarted process reads: whatever is still staged died
 // with the process that staged it.
 func (c *CrashJournal) Load() (*journal.Checkpoint, []*journal.Record, error) {

@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"medea/internal/audit"
+	"medea/internal/cluster"
 	"medea/internal/core"
 	"medea/internal/journal"
+	"medea/internal/lra"
 	"medea/internal/resource"
 )
 
@@ -165,6 +167,41 @@ func TestCrashPointFileBackend(t *testing.T) {
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestCrashJournalReportsLag: the wrapper must not hide the journal's
+// lag. The same submits read the same JournalLag over a bare journal and
+// through a CrashJournal, both while the records are staged and after
+// the barrier that hands them over.
+func TestCrashJournalReportsLag(t *testing.T) {
+	run := func(j journal.Journal) (staged, synced int) {
+		m := core.New(cluster.Grid(4, 2, resource.New(16384, 8)), lra.NewNodeCandidates(), core.Config{})
+		now := time.Unix(5000, 0)
+		if err := m.AttachJournal(j, now); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			app := &lra.Application{ID: fmt.Sprintf("app-%d", i), Groups: []lra.ContainerGroup{
+				{Name: "w", Count: 1, Demand: resource.New(1024, 1)},
+			}}
+			if err := m.SubmitLRA(app, now); err != nil {
+				t.Fatal(err)
+			}
+		}
+		staged = m.JournalLag()
+		if err := m.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		return staged, m.JournalLag()
+	}
+	bareStaged, bareSynced := run(journal.NewMemory())
+	if bareStaged == 0 || bareSynced != bareStaged {
+		t.Fatalf("bare journal lag %d staged / %d synced, want equal and > 0", bareStaged, bareSynced)
+	}
+	staged, synced := run(&CrashJournal{Journal: journal.NewMemory()})
+	if staged != bareStaged || synced != bareSynced {
+		t.Fatalf("wrapped journal lag %d staged / %d synced, want %d / %d as bare", staged, synced, bareStaged, bareSynced)
 	}
 }
 
