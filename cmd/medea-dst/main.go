@@ -3,8 +3,8 @@
 // APIs, scout, balancer — on virtual time under seeded fault schedules
 // (member crashes with torn journal tails, partitions, slow-tail
 // networks, node failures drawn from service-unit traces, racing client
-// traffic, runtime exact/auto/approx solver-mode flips, two-phase
-// migrations with armed crash points, member drains, rolling restarts),
+// traffic, two-phase migrations with armed crash points, member drains,
+// rolling restarts),
 // with cross-layer invariants checked after every event.
 //
 // Modes:

@@ -51,8 +51,8 @@ func placementFingerprint(m *core.Medea) string {
 func determinismScenario() (string, error) {
 	c := cluster.Grid(12, 4, resource.New(1000, 16))
 	m := core.New(c, lra.NewILP(), core.Config{
-		Interval: time.Second,
-		Options:  lra.Options{SolverBudget: time.Hour},
+		Interval:     time.Second,
+		SolverBudget: time.Hour,
 	})
 	now := time.Unix(0, 0)
 

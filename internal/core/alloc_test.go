@@ -46,8 +46,8 @@ func spreadApp(i int) *lra.Application {
 func TestRunCycleAllocCap(t *testing.T) {
 	cycle := func() {
 		m := New(cluster.Grid(64, 4, resource.New(4000, 64)), lra.NewILP(), Config{
-			Interval: time.Second,
-			Options:  lra.Options{SolverBudget: 30 * time.Second},
+			Interval:     time.Second,
+			SolverBudget: 30 * time.Second,
 		})
 		for a := 0; a < 12; a++ {
 			if err := m.SubmitLRA(spreadApp(a), t0); err != nil {

@@ -18,7 +18,6 @@ import (
 	"medea/internal/audit"
 	"medea/internal/cluster"
 	"medea/internal/constraint"
-	"medea/internal/ilp"
 	"medea/internal/journal"
 	"medea/internal/lra"
 	"medea/internal/metrics"
@@ -32,8 +31,6 @@ type Config struct {
 	// batch more LRAs per cycle, improving placement quality at the cost
 	// of LRA scheduling latency. Default 10s (§7.1).
 	Interval time.Duration
-	// Options are passed to the LRA algorithm.
-	Options lra.Options
 	// MaxRetries bounds LRA resubmission after placement conflicts (§5.4).
 	// The zero value selects the default of 3; a negative value disables
 	// retries entirely (an LRA that fails its first cycle is rejected) —
@@ -51,10 +48,10 @@ type Config struct {
 	RepairBackoff time.Duration
 
 	// SolverBudget bounds the LRA solver's wall-clock time per cycle
-	// end-to-end: it is copied into Options.SolverBudget (when that is
-	// unset) and flows through the algorithm into ilp.Options.Deadline,
-	// which the simplex pivot loops and branch-and-bound both honor. A
-	// value ≤ 0 selects lra.DefaultSolverBudget.
+	// end-to-end: it flows through the algorithm's lra.Options into
+	// ilp.Options.Deadline, which the simplex pivot loops and
+	// branch-and-bound both honor. A value ≤ 0 selects
+	// lra.DefaultSolverBudget.
 	SolverBudget time.Duration
 	// Audit selects the post-commit whole-cluster invariant check mode:
 	// audit.Off (default), audit.Metrics (count violations) or
@@ -78,11 +75,11 @@ type Config struct {
 	// until a journal is attached.
 	CheckpointEvery int
 
-	// Clock is the wall-clock source for the few places core reads real
-	// time outside the caller-supplied scheduler time — today only the
-	// RecoveryWallTime stamp in Recover (nil = time.Now). Deterministic
-	// simulation injects its virtual clock so recovered state is
-	// bit-identical across runs.
+	// Clock is the wall-clock source for what core reads outside the
+	// caller-supplied scheduler time: the algorithms' latency stamps and
+	// ILP deadlines, migration plans and Recover's RecoveryWallTime stamp
+	// (nil = time.Now). Deterministic simulation injects its virtual
+	// clock so placements and recovered state are bit-identical.
 	Clock func() time.Time
 }
 
@@ -201,15 +198,6 @@ func New(c *cluster.Cluster, alg lra.Algorithm, cfg Config, queues ...taskched.Q
 	if cfg.SolverBudget <= 0 {
 		cfg.SolverBudget = lra.DefaultSolverBudget
 	}
-	if cfg.Options.SolverBudget == 0 {
-		cfg.Options.SolverBudget = cfg.SolverBudget
-	}
-	if cfg.Options.Clock == nil {
-		// The scheduler's clock drives the algorithms too: a virtual-time
-		// core must not let solver latency stamps or ILP deadlines read
-		// the wall clock.
-		cfg.Options.Clock = cfg.Clock
-	}
 	m := &Medea{
 		Cluster:     c,
 		Constraints: constraint.NewManager(),
@@ -279,26 +267,11 @@ func (m *Medea) SetSolverBudget(d time.Duration) {
 		d = lra.DefaultSolverBudget
 	}
 	m.cfg.SolverBudget = d
-	m.cfg.Options.SolverBudget = d
 }
 
 // SolverBudget returns the currently configured solver budget, never
 // zero.
-func (m *Medea) SolverBudget() time.Duration { return m.cfg.Options.SolverBudget }
-
-// SetSolverMode selects the ILP solving path at runtime — exact
-// branch-and-bound, the LP-rounding approximate path, or automatic
-// per-instance selection — and toggles the scheduler's cross-cycle
-// warm-start memory. Heuristic algorithms ignore both knobs. The DST
-// harness flips them mid-run to prove every path yields valid,
-// deterministic placements.
-func (m *Medea) SetSolverMode(mode ilp.Mode, disableCycleWarm bool) {
-	m.cfg.Options.SolverMode = mode
-	m.cfg.Options.DisableCycleWarm = disableCycleWarm
-}
-
-// SolverMode returns the currently configured ILP solving path.
-func (m *Medea) SolverMode() ilp.Mode { return m.cfg.Options.SolverMode }
+func (m *Medea) SolverBudget() time.Duration { return m.cfg.SolverBudget }
 
 // logRecord stages one WAL record, fail-stop: a scheduler that cannot
 // persist a state transition must not keep applying it.
@@ -538,7 +511,7 @@ func (m *Medea) safePlace(alg lra.Algorithm, apps []*lra.Application, active []c
 			res = nil
 		}
 	}()
-	return alg.Place(m.Cluster, apps, active, m.cfg.Options)
+	return alg.Place(m.Cluster, apps, active, lra.Options{SolverBudget: m.cfg.SolverBudget, Clock: m.cfg.Clock})
 }
 
 // placeBatch places one cycle's batch. Constraint-independent sub-batches
@@ -591,7 +564,6 @@ func (m *Medea) placeBatch(alg lra.Algorithm, apps []*lra.Application, active []
 		merged.Exhausted = merged.Exhausted || r.Exhausted
 		merged.Invalid = merged.Invalid || r.Invalid
 		merged.ExactSolves += r.ExactSolves
-		merged.ApproxSolves += r.ApproxSolves
 		merged.WarmStarts += r.WarmStarts
 	}
 	return merged
@@ -700,7 +672,6 @@ func (m *Medea) RunCycle(now time.Time) CycleStats {
 		stats.AlgLatency = res.Latency
 		stats.DeadlineHit = res.DeadlineHit
 		m.Pipeline.Add(metrics.ExactSolves, res.ExactSolves)
-		m.Pipeline.Add(metrics.ApproxSolves, res.ApproxSolves)
 		m.Pipeline.Add(metrics.WarmStarts, res.WarmStarts)
 		if res.DeadlineHit {
 			m.Pipeline.Add(metrics.DeadlineHits, 1)

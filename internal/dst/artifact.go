@@ -23,10 +23,9 @@ type Artifact struct {
 }
 
 // artifactVersion guards the schema and the harness the schedule runs
-// against; bump on incompatible changes to either. Version 1 artifacts
-// carried mixed_solver / migrations flags that chose between schedules
-// and harness shapes that no longer exist.
-const artifactVersion = 2
+// against; bump on incompatible changes to either. Version 1 carried
+// schedule- and harness-choosing flags, version 2 solvermode events.
+const artifactVersion = 3
 
 // NewArtifact packages a failing run for replay.
 func NewArtifact(cfg Config, v *Violation, minimized []Event, fullLen int) *Artifact {

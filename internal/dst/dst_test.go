@@ -2,6 +2,7 @@ package dst
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -79,14 +80,18 @@ func TestInjectedViolationCaughtMinimizedReplayable(t *testing.T) {
 		t.Fatalf("replayed artifact got %v, want %s", rr.Violation, VioAckedLost)
 	}
 
-	// An artifact from before the one-schedule harness must be refused,
-	// not replayed against a fleet it was not recorded on.
-	art.Version = 1
-	if err := WriteArtifact(path, art); err != nil {
-		t.Fatalf("writing version-1 artifact: %v", err)
-	}
-	if _, err := ReadArtifact(path); err == nil || !strings.Contains(err.Error(), "has version 1, want 2") {
-		t.Fatalf("reading version-1 artifact: err = %v, want the version error", err)
+	// An artifact from before the one-schedule harness (version 1) or
+	// from before the one solving path (version 2) must be refused, not
+	// replayed against a fleet it was not recorded on.
+	for _, old := range []int{1, 2} {
+		art.Version = old
+		if err := WriteArtifact(path, art); err != nil {
+			t.Fatalf("writing version-%d artifact: %v", old, err)
+		}
+		want := fmt.Sprintf("has version %d, want 3", old)
+		if _, err := ReadArtifact(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("reading version-%d artifact: err = %v, want the version error", old, err)
+		}
 	}
 }
 

@@ -49,9 +49,6 @@ const (
 	// first placed app is dropped from the balancer's ledger while its
 	// member keeps running it. The checker must catch this.
 	EvInject EventKind = "inject"
-	// EvSolverMode flips one member's ILP solving path (exact / auto /
-	// approx) and its cross-cycle warm-start memory at runtime.
-	EvSolverMode EventKind = "solvermode"
 	// EvMigrate starts a two-phase cross-cluster migration of App to
 	// Dest. MigPoint, when set, arms a crash at that protocol point:
 	// Victim "balancer" drops the response before the ledger transition
@@ -91,11 +88,6 @@ type Event struct {
 	Drain   []int `json:"drain,omitempty"`
 	Recover []int `json:"recover,omitempty"`
 
-	// SolverMode / DisableWarm carry an EvSolverMode flip ("exact",
-	// "auto" or "approx"; warm memory off when DisableWarm).
-	SolverMode  string `json:"solver_mode,omitempty"`
-	DisableWarm bool   `json:"disable_warm,omitempty"`
-
 	// Dest / MigPoint / Victim carry an EvMigrate: the destination
 	// member, the armed crash point ("" = clean migration) and who dies
 	// there ("balancer" or a member ID).
@@ -116,8 +108,6 @@ func (e Event) describe() string {
 		return fmt.Sprintf("%s %s delay=%dms every=%d", e.Kind, e.Member, e.DelayMs, e.Every)
 	case EvNodeFault:
 		return fmt.Sprintf("nodefault %s fail=%v drain=%v recover=%v", e.Member, e.Fail, e.Drain, e.Recover)
-	case EvSolverMode:
-		return fmt.Sprintf("solvermode %s mode=%s disable_warm=%v", e.Member, e.SolverMode, e.DisableWarm)
 	case EvMigrate:
 		if e.MigPoint != "" {
 			return fmt.Sprintf("migrate %s -> %s crash=%s victim=%s", e.App, e.Dest, e.MigPoint, e.Victim)
@@ -197,11 +187,6 @@ func Generate(cfg Config) []Event {
 			s.AdvanceMs = ev.AdvanceMs
 			ev = s
 			apps = append(apps, id)
-		case roll < 340: // solver-mode flip
-			ev.Kind = EvSolverMode
-			ev.Member = memberID(rng.Intn(members))
-			ev.SolverMode = []string{"exact", "auto", "approx"}[rng.Intn(3)]
-			ev.DisableWarm = rng.Intn(4) == 0
 		case roll < 460: // step
 			ev.Kind = EvStep
 		case roll < 520: // cross-cluster migration

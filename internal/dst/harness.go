@@ -10,7 +10,6 @@ import (
 	"medea/internal/cluster"
 	"medea/internal/core"
 	"medea/internal/federation"
-	"medea/internal/ilp"
 	"medea/internal/journal"
 	"medea/internal/lra"
 	"medea/internal/resource"
@@ -165,8 +164,7 @@ func newHarness(cfg Config) (*harness, error) {
 			return cj
 		},
 		VirtualDelay: true,
-		// The members run the ILP scheduler so the EvSolverMode flips
-		// actually steer solver paths; a restart loses the scheduler's
+		// The members run the ILP scheduler; a restart loses its
 		// in-memory solver state (arena pool, cross-cycle warm memory),
 		// exactly like a real process.
 		Algorithm: lra.NewILP,
@@ -417,13 +415,6 @@ func (h *harness) apply(i int, ev Event) *Violation {
 		}
 		h.fleet.Balancer.Forget(app)
 		h.tracef("    injected: ledger entry for %s dropped", app)
-
-	case EvSolverMode:
-		if h.crashed[ev.Member] {
-			h.tracef("    noop: member crashed")
-			break
-		}
-		h.member(ev.Member).Med.SetSolverMode(ilp.ParseMode(ev.SolverMode), ev.DisableWarm)
 
 	case EvMigrate:
 		if !h.acked[ev.App] {

@@ -8,14 +8,14 @@ import (
 
 // TestMixedSolverSchedulesFlipModes checks that generated schedules
 // actually contain what the one schedule promises beyond plain faults:
-// solver-mode flips, cross-cluster migrations and member drains.
+// cross-cluster migrations and member drains.
 func TestMixedSolverSchedulesFlipModes(t *testing.T) {
 	for _, seed := range []int64{2, 3, 9, 17} {
 		count := make(map[EventKind]int)
 		for _, ev := range Generate(Config{Seed: seed, Events: 300}) {
 			count[ev.Kind]++
 		}
-		for _, kind := range []EventKind{EvSolverMode, EvMigrate, EvDrainMember} {
+		for _, kind := range []EventKind{EvMigrate, EvDrainMember} {
 			if count[kind] == 0 {
 				t.Fatalf("seed %d: schedule has no %s events", seed, kind)
 			}
@@ -25,8 +25,9 @@ func TestMixedSolverSchedulesFlipModes(t *testing.T) {
 
 // TestMixedSolverDeterministic extends the byte-identical-trace contract
 // to the ILP members: with every member solving via the ILP scheduler —
-// arena reuse, cross-cycle warm starts, and runtime exact/auto/approx
-// flips all engaged — the same seed must still produce the same bytes.
+// arena reuse and cross-cycle warm starts both engaged, and the warm
+// memory lost on every crash — the same seed must still produce the
+// same bytes.
 // This is the strongest statement the repo makes about solver
 // determinism: pooled memory and warm-start memory may change *how* a
 // solution is reached, never *which* solution a given history yields.
@@ -48,8 +49,8 @@ func TestMixedSolverDeterministic(t *testing.T) {
 
 // TestMixedSolverSmokeSweep runs a seed range with ILP members under the
 // full fault schedule (crashes dropping warm memory, partitions,
-// mid-flight mode flips). Every invariant — capacity, ledger/member
-// agreement, journal recoverability — must hold on every path.
+// migrations, drains). Every invariant — capacity, ledger/member
+// agreement, journal recoverability — must hold on every seed.
 func TestMixedSolverSmokeSweep(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		r := RunSeed(Config{Seed: seed, Events: 120})
@@ -59,9 +60,9 @@ func TestMixedSolverSmokeSweep(t *testing.T) {
 	}
 }
 
-// TestMixedSolverArtifactRoundTrip: a schedule with solver-mode flips
-// replayed from an artifact must rebuild the fleet on the ILP scheduler,
-// or the flips degrade to meaningless no-ops against another algorithm.
+// TestMixedSolverArtifactRoundTrip: a schedule replayed from an artifact
+// must rebuild the fleet on the ILP scheduler, or its placements — and
+// so its trace — would come from another algorithm.
 func TestMixedSolverArtifactRoundTrip(t *testing.T) {
 	cfg := Config{Seed: 7, Events: 150}
 	art := NewArtifact(cfg, nil, Generate(cfg), 150)

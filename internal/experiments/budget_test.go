@@ -30,7 +30,7 @@ func TestFig7SolverBudgetAdherence(t *testing.T) {
 	preloadTasks(c, 0.5, o.Seed)
 	apps := append(tfBatch(o.scaled(45, 6), "tfb"), hbaseBatch(o.scaled(50, 7), "hbb")...)
 
-	m := core.New(c, lra.NewILP(), core.Config{Options: o.lraOptions(), MaxRetries: 1})
+	m := core.New(c, lra.NewILP(), core.Config{SolverBudget: o.SolverBudget, MaxRetries: 1})
 	now := sim.Epoch
 	for i := 0; i < len(apps); i += 2 {
 		end := i + 2

@@ -69,10 +69,6 @@ func (o Options) scaled(n, lo int) int {
 	return v
 }
 
-func (o Options) lraOptions() lra.Options {
-	return lra.Options{SolverBudget: o.SolverBudget}
-}
-
 // comparedAlgorithms is the §7.1 scheduler line-up.
 func comparedAlgorithms() []lra.Algorithm {
 	return []lra.Algorithm{
@@ -98,7 +94,7 @@ func performanceAlgorithms() []lra.Algorithm {
 // and runs scheduling cycles with `perCycle` LRAs considered per cycle
 // (the paper's periodicity), returning the Medea instance.
 func deployInBatches(c *cluster.Cluster, alg lra.Algorithm, apps []*lra.Application, perCycle int, o Options) *core.Medea {
-	m := core.New(c, alg, core.Config{Options: o.lraOptions(), MaxRetries: 1, Audit: o.Audit})
+	m := core.New(c, alg, core.Config{SolverBudget: o.SolverBudget, MaxRetries: 1, Audit: o.Audit})
 	now := sim.Epoch
 	for i := 0; i < len(apps); i += perCycle {
 		end := i + perCycle

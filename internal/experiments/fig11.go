@@ -80,7 +80,7 @@ func RunFig11b(o Options) *metrics.Table {
 		for _, ilpAll := range []bool{false, true} {
 			c := cluster.Grid(nodes, nodes/8, SimNodeCapacity)
 			m := core.New(c, lra.NewILP(), core.Config{
-				Options:             o.lraOptions(),
+				SolverBudget:        o.SolverBudget,
 				MaxRetries:          1,
 				ScheduleTasksViaLRA: ilpAll,
 			})
@@ -133,7 +133,7 @@ func RunFig11c(o Options) *metrics.Table {
 			name = "MEDEA (short tasks)"
 		}
 		c := cluster.Grid(nodes, nodes/8, SimNodeCapacity)
-		m := core.New(c, lra.NewILP(), core.Config{Options: o.lraOptions(), Interval: 5 * time.Second})
+		m := core.New(c, lra.NewILP(), core.Config{SolverBudget: o.SolverBudget, Interval: 5 * time.Second})
 		eng := sim.NewEngine(time.Time{})
 		trace := workload.GoogleTrace(sim.RNG(o.Seed, "fig11c"), cfg)
 

@@ -48,7 +48,7 @@ func RunHardening(o Options) *metrics.Table {
 			threshold = -1
 		}
 		m := core.New(c, byz, core.Config{
-			Options:          o.lraOptions(),
+			SolverBudget:     o.SolverBudget,
 			MaxRetries:       8,
 			Audit:            audit.FailFast,
 			BreakerThreshold: threshold,

@@ -5,65 +5,18 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"time"
 )
 
-// Mode selects the solving path of Model.Solve.
+// Mode selects the solving path of Model.Solve. The scheduler always
+// solves exact; ModeApprox stays for the benchmark's solver probe and
+// the package's own tests.
 type Mode int
 
 const (
-	// ModeExact (zero value) always runs branch-and-bound.
+	// ModeExact (zero value) runs branch-and-bound.
 	ModeExact Mode = iota
-	// ModeAuto picks per instance: the approximate path for models with
-	// many integer variables or a nearly-spent deadline, exact otherwise.
-	ModeAuto
-	// ModeApprox always runs LP relaxation + randomized rounding.
+	// ModeApprox runs LP relaxation + randomized rounding.
 	ModeApprox
-)
-
-// String implements fmt.Stringer.
-func (md Mode) String() string {
-	switch md {
-	case ModeExact:
-		return "exact"
-	case ModeAuto:
-		return "auto"
-	case ModeApprox:
-		return "approx"
-	default:
-		return "mode(?)"
-	}
-}
-
-// ParseMode maps the string forms ("exact", "auto", "approx") back to a
-// Mode; unknown strings default to ModeExact.
-func ParseMode(s string) Mode {
-	switch s {
-	case "auto":
-		return ModeAuto
-	case "approx":
-		return ModeApprox
-	default:
-		return ModeExact
-	}
-}
-
-// ModeAuto selection policy (see effectiveMode).
-const (
-	// defaultApproxIntVars: instances with at least this many integer
-	// variables round instead of branching.
-	// Branch-and-bound on hundreds of integers rarely proves optimality
-	// inside a scheduling budget anyway — the rounding path gets a
-	// feasible answer in a handful of LP solves.
-	defaultApproxIntVars = 256
-	// approxBudgetFloor: with less than this much deadline remaining, a
-	// non-trivial instance takes the approximate path — a branch-and-bound
-	// start that cannot finish would burn the budget for nothing.
-	approxBudgetFloor = 25 * time.Millisecond
-	// approxBudgetMinInts: the budget rule above only applies to models
-	// with more than this many integer variables; tiny models solve
-	// exactly in microseconds regardless.
-	approxBudgetMinInts = 32
 )
 
 // Rounding-dive limits.
@@ -72,42 +25,6 @@ const (
 	approxBacktracks  = 8 // repair sweeps per attempt
 	approxRepairWidth = 4 // fixes undone per repair sweep
 )
-
-// numIntVars counts integer variables.
-func (m *Model) numIntVars() int {
-	n := 0
-	for i := range m.vars {
-		if m.vars[i].integer {
-			n++
-		}
-	}
-	return n
-}
-
-// effectiveMode resolves Options.Mode for this model: ModeAuto chooses
-// the approximate path when the instance is large (>= defaultApproxIntVars
-// integer variables) or the remaining deadline is too thin for
-// branch-and-bound to be worth starting.
-func (m *Model) effectiveMode(opts Options) Mode {
-	switch opts.Mode {
-	case ModeApprox:
-		return ModeApprox
-	case ModeAuto:
-	default:
-		return ModeExact
-	}
-	ints := m.numIntVars()
-	if ints == 0 {
-		return ModeExact // pure LP: the exact path is one simplex call
-	}
-	if ints >= defaultApproxIntVars {
-		return ModeApprox
-	}
-	if ints > approxBudgetMinInts && !opts.Deadline.IsZero() && opts.Deadline.Sub(opts.now()) < approxBudgetFloor {
-		return ModeApprox
-	}
-	return ModeExact
-}
 
 // fingerprint hashes the model structure (sense, variables, constraint
 // matrix). It seeds the approximate path's rounding RNG, making the dive

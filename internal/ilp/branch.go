@@ -47,7 +47,7 @@ type Options struct {
 	Arena *SolverArena
 	// Mode selects the solving path: ModeExact (zero value) is
 	// branch-and-bound, ModeApprox the LP-relaxation + randomized-rounding
-	// fast path, ModeAuto picks per instance (see effectiveMode).
+	// fast path.
 	Mode Mode
 }
 
@@ -238,14 +238,8 @@ func (m *Model) pruneFloor(relGap, v float64) float64 {
 // Options.Mode selects it, the approximate relaxation+rounding path (see
 // solveApprox). A model that fails Check returns Invalid without solving.
 func (m *Model) Solve(opts Options) *Solution {
-	if m.effectiveMode(opts) == ModeApprox {
-		sol := m.solveApprox(opts)
-		// A strict ModeApprox keeps whatever rounding produced; ModeAuto
-		// falls back to the exact path when rounding found nothing and
-		// budget remains.
-		if sol.Status != NoSolution || sol.DeadlineHit || opts.Mode == ModeApprox {
-			return sol
-		}
+	if opts.Mode == ModeApprox {
+		return m.solveApprox(opts)
 	}
 	return m.solveExact(opts)
 }

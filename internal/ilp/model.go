@@ -309,7 +309,7 @@ type Solution struct {
 	// separately from ordinary optimal/infeasible outcomes.
 	DeadlineHit bool
 	// Approximate marks solutions produced by the relaxation+rounding
-	// path (Options.Mode Approx/Auto). An Optimal approximate solution
+	// path (ModeApprox). An Optimal approximate solution
 	// met the LP relaxation bound and is provably optimal regardless.
 	Approximate bool
 	// WarmUsed reports that a supplied warm start (Options.WarmStarts)

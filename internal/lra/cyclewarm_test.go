@@ -3,8 +3,6 @@ package lra
 import (
 	"fmt"
 	"testing"
-
-	"medea/internal/ilp"
 )
 
 // TestILPCycleMemoryRecordAndReplay: one Place records per-app memory
@@ -19,8 +17,8 @@ func TestILPCycleMemoryRecordAndReplay(t *testing.T) {
 	if first.PlacedApps() != 1 {
 		t.Fatal("unplaced")
 	}
-	if first.ExactSolves != 1 || first.ApproxSolves != 0 {
-		t.Fatalf("solve counters = %d exact / %d approx, want 1/0", first.ExactSolves, first.ApproxSolves)
+	if first.ExactSolves != 1 {
+		t.Fatalf("ExactSolves = %d, want 1", first.ExactSolves)
 	}
 
 	mem := s.memory["hb"]
@@ -84,37 +82,6 @@ func TestILPCycleMemoryAging(t *testing.T) {
 	s.BeginCycle()
 	if s.memory["a"] != nil {
 		t.Fatal("memory not pruned after max age")
-	}
-}
-
-// TestILPDisableCycleWarm: with the knob set, nothing is recorded and
-// nothing replayed.
-func TestILPDisableCycleWarm(t *testing.T) {
-	c := grid(8, 4)
-	s := NewILP().(*ilpScheduler)
-	res := s.Place(c, []*Application{workerApp("a", 2, "w")}, nil, Options{DisableCycleWarm: true})
-	if res.PlacedApps() != 1 {
-		t.Fatal("unplaced")
-	}
-	if len(s.memory) != 0 {
-		t.Fatalf("memory recorded despite DisableCycleWarm: %v", s.memory)
-	}
-}
-
-// TestILPSolverModePlumbing: the SolverMode option reaches the solver —
-// a forced approximate solve still places, and exactly one solve is
-// counted down exactly one path.
-func TestILPSolverModePlumbing(t *testing.T) {
-	c := grid(8, 4)
-	s := NewILP().(*ilpScheduler)
-	res := s.Place(c, []*Application{workerApp("a", 4, "w")}, nil, Options{SolverMode: ilp.ModeApprox})
-	if res.PlacedApps() != 1 {
-		t.Fatal("unplaced under ModeApprox")
-	}
-	applyResult(t, c, res)
-	if res.ExactSolves+res.ApproxSolves != 1 {
-		t.Fatalf("solve counters = %d exact / %d approx, want exactly one solve",
-			res.ExactSolves, res.ApproxSolves)
 	}
 }
 

@@ -151,11 +151,7 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	pm := buildModel(state, apps, cons, groups, cands, opts.weights())
 
 	warm, _ := pm.replay(apps, fbMem)
-	var cycleWarm map[ilp.Var]float64
-	var branchPrio []ilp.Var
-	if !opts.DisableCycleWarm {
-		cycleWarm, branchPrio = pm.replay(apps, s.recall(apps))
-	}
+	cycleWarm, branchPrio := pm.replay(apps, s.recall(apps))
 
 	// A defective constraint set can produce a malformed model (inverted
 	// bounds, dangling variables). Check before solving and degrade to the
@@ -175,7 +171,6 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 			BranchPriority: branchPrio,
 			Clock:          opts.Clock,
 			Arena:          arena,
-			Mode:           opts.SolverMode,
 		})
 		if debugILP {
 			fmt.Printf("[ilp] vars=%d cons=%d status=%v nodes=%d obj=%.4f warm=%v fallback=%.6f\n",
@@ -202,16 +197,16 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 		}
 	}
 	final.Latency = clk().Sub(start)
-	s.stamp(final, sol, apps, pm.semOf, !opts.DisableCycleWarm)
+	s.stamp(final, sol, apps, pm.semOf)
 	return final
 }
 
 // stamp records on the result Place returns how its solve went — budget,
-// validity, which path ran and whether a warm start seeded the incumbent
-// — and remembers what actually committed: the chosen result's placement
-// plus the solve's branch order, keyed by application. sol is nil when
-// the model failed its check and nothing was solved.
-func (s *ilpScheduler) stamp(final *Result, sol *ilp.Solution, apps []*Application, semOf map[ilp.Var]semVar, remember bool) {
+// validity and whether a warm start seeded the incumbent — and remembers
+// what actually committed: the chosen result's placement plus the solve's
+// branch order, keyed by application. sol is nil when the model failed
+// its check and nothing was solved.
+func (s *ilpScheduler) stamp(final *Result, sol *ilp.Solution, apps []*Application, semOf map[ilp.Var]semVar) {
 	if sol == nil {
 		final.Invalid = true
 		return
@@ -221,17 +216,11 @@ func (s *ilpScheduler) stamp(final *Result, sol *ilp.Solution, apps []*Applicati
 		final.Exhausted = sol.DeadlineHit
 		final.Invalid = sol.Status == ilp.Invalid
 	}
-	if sol.Approximate {
-		final.ApproxSolves++
-	} else {
-		final.ExactSolves++
-	}
+	final.ExactSolves++
 	if sol.WarmUsed {
 		final.WarmStarts++
 	}
-	if remember {
-		s.recordMemory(apps, final, sol, semOf)
-	}
+	s.recordMemory(apps, final, sol, semOf)
 }
 
 // recall snapshots the batch applications' cross-cycle memory. Entries

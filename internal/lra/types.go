@@ -11,7 +11,6 @@ import (
 
 	"medea/internal/cluster"
 	"medea/internal/constraint"
-	"medea/internal/ilp"
 	"medea/internal/resource"
 )
 
@@ -114,11 +113,9 @@ type Result struct {
 	// defective constraint set); like Exhausted, the placements come from
 	// the heuristic fallback and the breaker counts a failure.
 	Invalid bool
-	// ExactSolves and ApproxSolves count the ILP solves this invocation
-	// ran down each path (exact branch-and-bound vs. the LP-rounding fast
-	// path). Heuristic algorithms leave them zero.
-	ExactSolves  int
-	ApproxSolves int
+	// ExactSolves counts the ILP solves (branch-and-bound) this
+	// invocation ran. Heuristic algorithms leave it zero.
+	ExactSolves int
 	// WarmStarts counts solves whose initial incumbent came from an
 	// accepted warm start (the greedy heuristic's placement or the
 	// cross-cycle memory).
@@ -168,15 +165,6 @@ type Options struct {
 	// deadline (nil = time.Now). Deterministic harnesses inject a virtual
 	// clock so placement outcomes never depend on the wall clock.
 	Clock func() time.Time
-	// SolverMode selects the ILP solving path: exact branch-and-bound
-	// (the zero value), the LP-relaxation + randomized-rounding fast
-	// path, or automatic per-instance selection. Heuristic algorithms
-	// ignore it.
-	SolverMode ilp.Mode
-	// DisableCycleWarm turns off the ILP scheduler's cross-cycle memory:
-	// the previous cycle's placements and branch order are then neither
-	// recorded nor replayed as warm starts into later solves.
-	DisableCycleWarm bool
 }
 
 // clock returns the configured time source, defaulting to the wall clock.

@@ -38,7 +38,7 @@ const (
 	InvariantViolations                        // whole-cluster invariant check failures (Record keeps the violation)
 	DegradedCycles                             // cycles served by a ladder algorithm other than the configured one
 	ExactSolves                                // ILP solves that ran exact branch and bound
-	ApproxSolves                               // ILP solves that ran the LP-rounding fast path
+	ApproxSolves                               // no writer: the scheduler always solves exact; kept while benchmark/ reads it
 	WarmStarts                                 // ILP solves seeded by an accepted warm start
 	BreakerTrips                               // closed→open breaker transitions
 	BreakerReopens                             // failed half-open probes
@@ -119,7 +119,8 @@ func (p *PipelineStats) RecordTransition(e BreakerEvent) {
 // methods because benchmark/targets.go calls them.
 func (p *PipelineStats) ExactSolves() int { return p.Get(ExactSolves) }
 
-// ApproxSolves returns the ApproxSolves count.
+// ApproxSolves returns the ApproxSolves count: always 0, as the counter
+// has no writer. It stays while benchmark/targets.go reads it.
 func (p *PipelineStats) ApproxSolves() int { return p.Get(ApproxSolves) }
 
 // WarmStarts returns the WarmStarts count.
