@@ -83,23 +83,56 @@ func benchmarkGreedyPlace(b *testing.B, alg lra.Algorithm) {
 func BenchmarkGreedyPlaceNC256(b *testing.B) { benchmarkGreedyPlace(b, lra.NewNodeCandidates()) }
 func BenchmarkGreedyPlaceTP256(b *testing.B) { benchmarkGreedyPlace(b, lra.NewTagPopularity()) }
 
-// BenchmarkILPPlaceSteady64 is one steady-state Place of the benchmark's
-// ilp_steady workload: a 64-node grid in racks of 8 holding 26 template
-// LRAs that Medea-ILP deployed one at a time, and a batch of one HBase
-// and one TensorFlow under medea-server's 500 ms solver budget. The
-// scheduler is built once, so its arenas and cross-cycle memory are warm
-// the way they are mid-run.
-func BenchmarkILPPlaceSteady64(b *testing.B) {
+// ilpSteadyState builds the steady state of the benchmark's ilp_steady
+// workload: a 64-node grid in racks of 8 holding 26 template LRAs that
+// Medea-ILP deployed one at a time under medea-server's 500 ms solver
+// budget. It returns the state, the deployed LRAs' constraints, the next
+// batch (one HBase, one TensorFlow), the options and the scheduler.
+func ilpSteadyState(tb testing.TB) (*cluster.Cluster, []constraint.Entry, []*lra.Application, lra.Options, lra.Algorithm) {
+	tb.Helper()
 	c := cluster.Grid(64, 8, resource.New(16384, 8))
 	opts := lra.Options{SolverBudget: 500 * time.Millisecond}
 	alg := lra.NewILP()
-	active := deployTemplates(b, c, alg, opts, 26)
-	batch := []*lra.Application{templateApp(28), templateApp(27)}
+	active := deployTemplates(tb, c, alg, opts, 26)
+	return c, active, []*lra.Application{templateApp(28), templateApp(27)}, opts, alg
+}
+
+// BenchmarkILPPlaceSteady64 is one steady-state Place of ilp_steady. The
+// scheduler is built once, so its arenas and cross-cycle memory are warm
+// the way they are mid-run.
+func BenchmarkILPPlaceSteady64(b *testing.B) {
+	c, active, batch, opts, alg := ilpSteadyState(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if res := alg.Place(c, batch, active, opts); res.PlacedApps() != len(batch) {
 			b.Fatalf("placed %d of %d", res.PlacedApps(), len(batch))
 		}
+	}
+}
+
+var scoreSink float64
+
+// BenchmarkPlaceScore64 prices what one steady-state Place of ilp_steady
+// scores — Medea-TP's, Serial's and the decoded solver placement — two
+// ways: "sweep" evaluates every container of each placement's cluster,
+// "delta" sweeps the state once and re-prices each placement's touched
+// node sets only, as Place does.
+func BenchmarkPlaceScore64(b *testing.B) {
+	c, active, batch, opts, _ := ilpSteadyState(b)
+	f, err := lra.NewScoreFixture(c, batch, active, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bm := range []struct {
+		name  string
+		score func() float64
+	}{{"sweep", f.Sweep}, {"delta", f.Delta}} {
+		b.Run(bm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				scoreSink = bm.score()
+			}
+		})
 	}
 }

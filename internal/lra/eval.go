@@ -1,6 +1,8 @@
 package lra
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -124,7 +126,9 @@ func evaluateResolved(state *cluster.Cluster, resolved []constraint.Entry) Repor
 			if ext > 0 {
 				violated = true
 				rep.Violated++
-				rep.TotalExtent += ext * e.Constraint.EffectiveWeight()
+				// Rounded before the sum (no fused multiply-add), as
+				// scoreBase stores its addends.
+				rep.TotalExtent += float64(ext * e.Constraint.EffectiveWeight())
 			}
 		}
 		if subject {
@@ -135,6 +139,133 @@ func evaluateResolved(state *cluster.Cluster, resolved []constraint.Entry) Repor
 		}
 	}
 	return rep
+}
+
+// scoreBase is one evaluateResolved sweep of a Place's pre-placement
+// state, kept per container, that the Place prices each of its candidate
+// placements against. A container's extent reads γ of the sets containing
+// its node, in the groups its constraints name; a placement changes γ
+// only in the sets containing a node it assigns to. So score re-prices
+// the containers on those sets' members and adds every other container's
+// addends as the sweep found them.
+type scoreBase struct {
+	cons   []constraint.Entry
+	groups []constraint.GroupName // the groups an atom of cons names, "node" excepted
+	ids    []cluster.ContainerID  // sorted, as evaluateResolved walks them
+	nodes  []cluster.NodeID       // by ids index, like tags
+	tags   [][]constraint.Tag
+	// ids[i]'s addends are addends[off[i]:off[i+1]]: its non-zero
+	// weighted extents, in the order evaluateResolved adds them.
+	off     []int
+	addends []float64
+
+	// score's scratch, reused across the candidates of one Place.
+	region []bool // by node: re-price the containers here
+	placed []Assignment
+	buf    []float64
+}
+
+// newScoreBase sweeps state once against the batch's flattened constraint
+// list (flattenConstraints).
+func newScoreBase(state *cluster.Cluster, cons []constraint.Entry) *scoreBase {
+	b := &scoreBase{cons: cons, ids: state.ContainerIDs(), region: make([]bool, state.NumNodes())}
+	for _, e := range cons {
+		for _, term := range e.Constraint.Terms {
+			for _, a := range term {
+				if a.Group != constraint.Node && !slices.Contains(b.groups, a.Group) {
+					b.groups = append(b.groups, a.Group)
+				}
+			}
+		}
+	}
+	b.nodes = make([]cluster.NodeID, len(b.ids))
+	b.tags = make([][]constraint.Tag, len(b.ids))
+	b.off = make([]int, len(b.ids)+1)
+	for i, id := range b.ids {
+		b.nodes[i], _ = state.ContainerNode(id)
+		b.tags[i], _ = state.ContainerTags(id)
+		b.addends = appendExtents(b.addends, state, cons, b.nodes[i], b.tags[i])
+		b.off[i+1] = len(b.addends)
+	}
+	return b
+}
+
+// score rates a result: more placed apps first, then fewer violations.
+// work is the base's state plus exactly the result's placed applications.
+// The sum runs over the same addends in the same order as an
+// evaluateResolved sweep of work, so it equals the sweep's TotalExtent
+// bit for bit and no comparison between two scores can flip.
+func (b *scoreBase) score(work *cluster.Cluster, res *Result) float64 {
+	clear(b.region)
+	b.placed = b.placed[:0]
+	for _, p := range res.Placements {
+		if !p.Placed {
+			continue
+		}
+		for _, a := range p.Assignments {
+			b.placed = append(b.placed, a)
+			// Even when a's node is in the region already, as a member of
+			// another assigned node's set: sets of a group may overlap,
+			// and the node's other sets changed too.
+			b.mark(work, a.Node)
+		}
+	}
+	return b.sum(work, res)
+}
+
+// mark adds node, and every member of every set containing it in the
+// base's groups, to the region.
+func (b *scoreBase) mark(work *cluster.Cluster, node cluster.NodeID) {
+	b.region[node] = true
+	for _, g := range b.groups {
+		for _, sid := range work.SetsOfNode(g, node) {
+			for _, n := range work.SetMembers(g, sid) {
+				b.region[n] = true
+			}
+		}
+	}
+}
+
+// sum prices the base's containers and the placed ones, merged in ID
+// order: a container in the region re-priced on work, every other one by
+// the base's addends.
+func (b *scoreBase) sum(work *cluster.Cluster, res *Result) float64 {
+	slices.SortFunc(b.placed, func(x, y Assignment) int { return cmp.Compare(x.Container, y.Container) })
+	total := 0.0
+	for i, j := 0, 0; i < len(b.ids) || j < len(b.placed); {
+		var addends []float64
+		if j == len(b.placed) || i < len(b.ids) && b.ids[i] < b.placed[j].Container {
+			if b.region[b.nodes[i]] {
+				b.buf = appendExtents(b.buf[:0], work, b.cons, b.nodes[i], b.tags[i])
+				addends = b.buf
+			} else {
+				addends = b.addends[b.off[i]:b.off[i+1]]
+			}
+			i++
+		} else {
+			a := b.placed[j]
+			b.buf = appendExtents(b.buf[:0], work, b.cons, a.Node, a.Tags)
+			addends = b.buf
+			j++
+		}
+		for _, x := range addends {
+			total += x
+		}
+	}
+	return float64(res.PlacedApps()) - total/1e6
+}
+
+// appendExtents appends the non-zero weighted extents of the constraints
+// of cons that apply to a container with tags on node: what
+// evaluateResolved adds to TotalExtent for it, in its order.
+func appendExtents(dst []float64, state *cluster.Cluster, cons []constraint.Entry, node cluster.NodeID, tags []constraint.Tag) []float64 {
+	for i := range cons {
+		c := &cons[i].Constraint // an Entry is too large to copy per container
+		if ext, applies := constraintExtent(state, *c, node, tags); applies && ext > 0 {
+			dst = append(dst, float64(ext*c.EffectiveWeight()))
+		}
+	}
+	return dst
 }
 
 // placementDelta estimates the increase in weighted violation extent

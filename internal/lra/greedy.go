@@ -142,6 +142,14 @@ func (g *greedy) placeWork(state *cluster.Cluster, apps []*Application, flat []c
 	clk := opts.clock()
 	start := clk()
 	work := state.Clone()
+	res := g.placeOn(work, apps, flat)
+	res.Latency = clk().Sub(start)
+	return res, work
+}
+
+// placeOn places the batch on work itself, allocating every assignment of
+// the placed applications there and rolling the failed ones back.
+func (g *greedy) placeOn(work *cluster.Cluster, apps []*Application, flat []constraint.Entry) *Result {
 	cons := g.filterEntries(flat)
 	reqs := buildRequests(apps)
 
@@ -234,7 +242,7 @@ func (g *greedy) placeWork(state *cluster.Cluster, apps []*Application, flat []c
 		}
 	}
 
-	res := &Result{Latency: clk().Sub(start)}
+	res := &Result{}
 	for ai, app := range apps {
 		p := Placement{AppID: app.ID, Placed: !failed[ai] && len(placedBy[ai]) == app.NumContainers()}
 		if p.Placed {
@@ -242,7 +250,24 @@ func (g *greedy) placeWork(state *cluster.Cluster, apps []*Application, flat []c
 		}
 		res.Placements = append(res.Placements, p)
 	}
-	return res, work
+	return res
+}
+
+// releasePlaced releases from work every assignment of the result's placed
+// applications, undoing a placeOn or decodeSolution on it. Release deletes
+// a resident in place, so each node's resident order and every γ come
+// back exactly as they were before the placement.
+func releasePlaced(work *cluster.Cluster, res *Result) {
+	for _, p := range res.Placements {
+		if !p.Placed {
+			continue
+		}
+		for _, a := range p.Assignments {
+			if err := work.Release(a.Container); err != nil {
+				panic(err) // unreachable: the placement allocated it on work
+			}
+		}
+	}
 }
 
 // firstFitNode picks randomly among the first few nodes (by ID) with room.

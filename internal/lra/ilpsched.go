@@ -131,11 +131,17 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	cons := flattenConstraints(apps, active)
 	groups := batchGroups(apps)
 
+	// Every candidate placement is built on one scratch copy of state and
+	// priced against one sweep of state: the heuristics release theirs
+	// again, the solution's decode comes last.
+	work := state.Clone()
+	base := newScoreBase(state, cons)
+
 	// Warm start: run the greedy fallback first and seed the solver with
 	// its placement as the initial incumbent. Branch-and-bound then only
 	// ever improves on the heuristic within the time budget, combining
 	// the heuristics' latency with the ILP's placement quality (§5.3).
-	fb, fbScore := s.fallback.placeBest(state, apps, cons, opts)
+	fb, fbScore := s.fallback.placeBest(work, apps, cons, base, opts)
 	fbMem := memoryOf(apps, fb)
 
 	// Every node the greedy used is a candidate too, so that the warm
@@ -185,14 +191,14 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	// its objective diverge slightly from the true metric; committing
 	// whichever placement evaluates better closes that gap and makes
 	// Medea-ILP never worse than its own heuristics (§5.3). The fallback's
-	// score came with it; the solver's placement is scored on the scratch
-	// copy the decode left it on, unless it is the fallback's own, which
-	// ties and keeps the fallback. Without an incumbent within budget the
-	// batch degrades gracefully to the greedy placement.
+	// score came with it; the solver's placement is decoded onto the
+	// scratch copy and scored there, unless it is the fallback's own,
+	// which ties and keeps the fallback. Without an incumbent within
+	// budget the batch degrades gracefully to the greedy placement.
 	final := fb
 	if sol != nil && (sol.Status == ilp.Optimal || sol.Status == ilp.Feasible) {
-		res, work := decodeSolution(state, apps, sol, pm.S, pm.Y)
-		if !(sameNodes(res, fb) || fbScore >= placementScore(work, cons, res)) {
+		res := decodeSolution(work, apps, sol, pm.S, pm.Y)
+		if !(sameNodes(res, fb) || fbScore >= base.score(work, res)) {
 			final = res
 		}
 	}
@@ -293,12 +299,11 @@ func (pm *placementModel) replay(apps []*Application, mems map[string]*appMemory
 }
 
 // decodeSolution turns the solver's S and Y values into concrete
-// assignments, verifying capacities on a scratch copy of state: an
-// application whose containers do not all fit there is rolled back and
-// reported unplaced. It returns the result and the scratch copy, which
-// holds exactly the placed applications on top of state.
-func decodeSolution(state *cluster.Cluster, apps []*Application, sol *ilp.Solution, S []ilp.Var, Y []map[cluster.NodeID]ilp.Var) (*Result, *cluster.Cluster) {
-	work := state.Clone()
+// assignments, allocating them on work, a scratch copy of the state the
+// model was built from: an application whose containers do not all fit
+// there is rolled back and reported unplaced. work ends up holding
+// exactly the placed applications on top of that state.
+func decodeSolution(work *cluster.Cluster, apps []*Application, sol *ilp.Solution, S []ilp.Var, Y []map[cluster.NodeID]ilp.Var) *Result {
 	res := &Result{Placements: make([]Placement, len(apps))}
 	reqs := buildRequests(apps)
 	gi := 0
@@ -338,7 +343,7 @@ func decodeSolution(state *cluster.Cluster, apps []*Application, sol *ilp.Soluti
 			_ = work.Release(a.Container)
 		}
 	}
-	return res, work
+	return res
 }
 
 // sameNodes reports whether two results for one batch place the same

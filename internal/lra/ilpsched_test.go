@@ -142,7 +142,7 @@ func TestILPWarmStartDominance(t *testing.T) {
 		ilpRep := Evaluate(ilpC, entries(appA.Constraints[0], appB.Constraints[0]))
 
 		gC := c.Clone()
-		gRes, _ := newBestOfGreedy().placeBest(gC, apps, flattenConstraints(apps, nil), Options{})
+		gRes := placeBestOn(gC, apps)
 		applyResult(t, gC, gRes)
 		gRep := Evaluate(gC, entries(appA.Constraints[0], appB.Constraints[0]))
 
@@ -175,12 +175,20 @@ func TestBestOfGreedyPicksCleaner(t *testing.T) {
 		constraint.New(constraint.Affinity(constraint.E("p"), constraint.E("gpu"), constraint.Node)),
 	}
 	apps := []*Application{filler, picky}
-	res, _ := newBestOfGreedy().placeBest(c, apps, flattenConstraints(apps, nil), Options{})
+	res := placeBestOn(c, apps)
 	applyResult(t, c, res)
 	rep := Evaluate(c, entries(picky.Constraints[0]))
 	if res.PlacedApps() != 2 || rep.ViolatedContainers != 0 {
 		t.Errorf("best-of picked a poor result: placed=%d violations=%d", res.PlacedApps(), rep.ViolatedContainers)
 	}
+}
+
+// placeBestOn runs the greedy fallback of Medea-ILP on a scratch clone of
+// c, as Place does, and returns the placement it keeps.
+func placeBestOn(c *cluster.Cluster, apps []*Application) *Result {
+	flat := flattenConstraints(apps, nil)
+	res, _ := newBestOfGreedy().placeBest(c.Clone(), apps, flat, newScoreBase(c, flat), Options{})
+	return res
 }
 
 // TestILPDuplicateGroupNames: an application whose two groups share a

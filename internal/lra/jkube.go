@@ -73,23 +73,21 @@ type bestOf struct {
 }
 
 // placeBest places the batch with every heuristic against its flattened
-// constraint list (flattenConstraints) and returns the result with the
-// highest placementScore, and that score.
-func (b *bestOf) placeBest(state *cluster.Cluster, apps []*Application, flat []constraint.Entry, opts Options) (best *Result, bestScore float64) {
+// constraint list (flattenConstraints), one after the other on the one
+// scratch cluster work, and returns the result base scores highest, and
+// that score. Each heuristic's placement is scored on work and released
+// again, so work ends as it began: a copy of base's state.
+func (b *bestOf) placeBest(work *cluster.Cluster, apps []*Application, flat []constraint.Entry, base *scoreBase, opts Options) (best *Result, bestScore float64) {
+	clk := opts.clock()
 	for _, alg := range b.algs {
-		res, work := alg.placeWork(state, apps, flat, opts)
-		score := placementScore(work, flat, res)
+		start := clk()
+		res := alg.placeOn(work, apps, flat)
+		res.Latency = clk().Sub(start)
+		score := base.score(work, res)
+		releasePlaced(work, res)
 		if best == nil || score > bestScore {
 			best, bestScore = res, score
 		}
 	}
 	return best, bestScore
-}
-
-// placementScore rates a result: more placed apps first, then fewer
-// violations. work is the cluster holding exactly the result's placed
-// applications on top of the state they were planned against, and flat
-// the batch's flattened constraint list.
-func placementScore(work *cluster.Cluster, flat []constraint.Entry, res *Result) float64 {
-	return float64(res.PlacedApps()) - evaluateResolved(work, flat).TotalExtent/1e6
 }

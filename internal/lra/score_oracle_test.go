@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"medea/internal/cluster"
@@ -13,9 +15,9 @@ import (
 
 // oracleScore is the scorer Place ran before it scored placements on the
 // scratch cluster they were built on, kept as the oracle of
-// placementScore: clone the pre-placement state, allocate every
-// assignment of every placed application, flatten and resolve the
-// constraints again, evaluate.
+// placementScore and scoreBase.score: clone the pre-placement state,
+// allocate every assignment of every placed application, flatten and
+// resolve the constraints again, evaluate.
 func oracleScore(state *cluster.Cluster, apps []*Application, active []constraint.Entry, res *Result) float64 {
 	work := state.Clone()
 	placed := 0
@@ -32,6 +34,15 @@ func oracleScore(state *cluster.Cluster, apps []*Application, active []constrain
 	}
 	rep := Evaluate(work, flattenConstraints(apps, active))
 	return float64(placed) - rep.TotalExtent/1e6
+}
+
+// placementScore is the full-sweep scorer Place ran before it priced
+// placements by their delta (scoreBase): more placed apps first, then
+// fewer violations. work is the cluster holding exactly the result's
+// placed applications on top of the state they were planned against, and
+// flat the batch's flattened constraint list.
+func placementScore(work *cluster.Cluster, flat []constraint.Entry, res *Result) float64 {
+	return float64(res.PlacedApps()) - evaluateResolved(work, flat).TotalExtent/1e6
 }
 
 // scoredPlacement is one placement as Place holds it when it scores it:
@@ -132,27 +143,36 @@ func scoredPlacements(t *testing.T, seeds int) []scoredPlacement {
 			add(g.name, res, work)
 		}
 		sol, S, Y := pinnedSolution(rng, state, apps)
-		res, work := decodeSolution(state, apps, sol, S, Y)
-		add("decoded", res, work)
+		work := state.Clone()
+		add("decoded", decodeSolution(work, apps, sol, S, Y), work)
 	}
 	return out
 }
 
-// TestPlaceScoreMatchesOracle pins the in-place score Place commits by —
-// placementScore on the scratch cluster a heuristic or the solution
-// decode finished on — to the from-scratch oracle, bit for bit, for
-// Medea-TP, Serial and decoded solver solutions over seeded random
-// clusters and batches. Then it shows the comparison has teeth: three
-// mutants of the in-place scorer, each a bug the move could have
+// TestPlaceScoreMatchesOracle pins the score Place commits by — the delta
+// of scoreBase.score on the scratch cluster a heuristic or the solution
+// decode finished on — and the full sweep placementScore it replaced to
+// the from-scratch oracle, bit for bit, for Medea-TP, Serial and decoded
+// solver solutions over seeded random clusters and batches. Then it shows
+// the comparison has teeth: five mutants of the two scorers, each a bug
+// moving the score onto the scratch or pricing only the delta could have
 // introduced, must disagree with the oracle somewhere on the same cases.
 func TestPlaceScoreMatchesOracle(t *testing.T) {
 	cases := scoredPlacements(t, 200)
 	var rolledBack, decodeRolledBack, decodeAllPlaced, fractional, overridden, dnf int
 	oracle := make([]uint64, len(cases))
 	for i, c := range cases {
-		got, want := placementScore(c.work, c.flat, c.res), oracleScore(c.state, c.apps, c.active, c.res)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s: in-place score %v (%#x), oracle %v (%#x)", c.name, got, math.Float64bits(got), want, math.Float64bits(want))
+		want := oracleScore(c.state, c.apps, c.active, c.res)
+		for _, s := range []struct {
+			name string
+			got  float64
+		}{
+			{"delta", newScoreBase(c.state, c.flat).score(c.work, c.res)},
+			{"sweep", placementScore(c.work, c.flat, c.res)},
+		} {
+			if math.Float64bits(s.got) != math.Float64bits(want) {
+				t.Fatalf("%s: %s score %v (%#x), oracle %v (%#x)", c.name, s.name, s.got, math.Float64bits(s.got), want, math.Float64bits(want))
+			}
 		}
 		oracle[i] = math.Float64bits(want)
 		if c.res.PlacedApps() < len(c.apps) {
@@ -218,6 +238,16 @@ func TestPlaceScoreMatchesOracle(t *testing.T) {
 		{"evaluate the pre-placement state", func(c scoredPlacement) float64 {
 			return placementScore(c.state, c.flat, c.res)
 		}},
+		{"delta: an assigned node already in the region is not expanded", func(c scoredPlacement) float64 {
+			return mutantDelta(c, func(b *scoreBase, node cluster.NodeID) {
+				if !b.region[node] {
+					b.mark(c.work, node)
+				}
+			})
+		}},
+		{"delta: the region is the assigned nodes only", func(c scoredPlacement) float64 {
+			return mutantDelta(c, func(b *scoreBase, node cluster.NodeID) { b.region[node] = true })
+		}},
 	}
 	for _, m := range mutants {
 		caught := 0
@@ -231,6 +261,98 @@ func TestPlaceScoreMatchesOracle(t *testing.T) {
 		}
 		t.Logf("mutant %q caught on %d of %d placements", m.name, caught, len(cases))
 	}
+}
+
+// TestScratchRestoredAfterRelease: Place runs Medea-TP and then Serial on
+// one scratch clone, releasing each placement once it is scored, and
+// decodes the solver's solution on the same clone last. On every
+// scoredPlacements seed each heuristic must place on the shared scratch
+// what it places on a clone of its own, and after each release the
+// scratch must equal a fresh clone of the state: its snapshot, every
+// node's resident list in order, and γ of every set for every tag vector
+// in play.
+func TestScratchRestoredAfterRelease(t *testing.T) {
+	cases := scoredPlacements(t, 200)
+	released := 0
+	for i := 0; i < len(cases); i += 3 { // per seed: Medea-TP, Serial, decoded
+		state := cases[i].state
+		fresh, work := state.Clone(), state.Clone()
+		for k, g := range newBestOfGreedy().algs {
+			c := cases[i+k]
+			res := g.placeOn(work, c.apps, c.flat)
+			if !reflect.DeepEqual(res.Placements, c.res.Placements) {
+				t.Fatalf("%s: places differently on the shared scratch than on a clone of its own", c.name)
+			}
+			releasePlaced(work, res)
+			released += placedContainers(res)
+			if diff := scratchDiff(work, fresh, c.apps); diff != "" {
+				t.Fatalf("%s: after the release the scratch differs from a fresh clone: %s", c.name, diff)
+			}
+		}
+	}
+	t.Logf("%d seeds, %d containers released", len(cases)/3, released)
+}
+
+// scratchDiff names the first way got differs from want, a fresh clone of
+// the same state, or returns "".
+func scratchDiff(got, want *cluster.Cluster, apps []*Application) string {
+	if !reflect.DeepEqual(got.TakeSnapshot(), want.TakeSnapshot()) {
+		return "snapshot"
+	}
+	for _, n := range want.Nodes() {
+		if g, w := residents(got.Node(n.ID)), residents(n); !slices.Equal(g, w) {
+			return fmt.Sprintf("node %d resident order %v, fresh clone %v", n.ID, g, w)
+		}
+	}
+	var vectors []constraint.Expr
+	for _, id := range want.ContainerIDs() {
+		tags, _ := want.ContainerTags(id)
+		vectors = append(vectors, tags)
+	}
+	for _, app := range apps {
+		for _, g := range app.Groups {
+			vectors = append(vectors, app.EffectiveTags(g))
+		}
+	}
+	for _, tag := range oracleTags {
+		vectors = append(vectors, constraint.E(tag))
+	}
+	for _, name := range want.Groups() {
+		for sid := range cluster.SetID(want.NumSets(name)) {
+			for _, v := range vectors {
+				if g, w := got.Gamma(name, sid, v), want.Gamma(name, sid, v); g != w {
+					return fmt.Sprintf("γ %s/%d (%v) = %d, fresh clone %d", name, sid, v, g, w)
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// residents lists a node's resident containers in the order the node
+// keeps them. The list is not exported, so it is read by reflection.
+func residents(n *cluster.Node) []string {
+	v := reflect.ValueOf(n).Elem().FieldByName("containers")
+	out := make([]string, v.Len())
+	for i := range out {
+		out[i] = v.Index(i).String()
+	}
+	return out
+}
+
+// mutantDelta is scoreBase.score with the region of every assigned node
+// marked by mark instead of scoreBase.mark.
+func mutantDelta(c scoredPlacement, mark func(b *scoreBase, node cluster.NodeID)) float64 {
+	b := newScoreBase(c.state, c.flat)
+	for _, p := range c.res.Placements {
+		if p.Placed {
+			for _, a := range p.Assignments {
+				b.placed = append(b.placed, a)
+				mark(b, a.Node)
+			}
+		}
+	}
+	return b.sum(c.work, c.res)
 }
 
 func placedContainers(res *Result) int {
