@@ -564,6 +564,7 @@ func (m *Medea) placeBatch(alg lra.Algorithm, apps []*lra.Application, active []
 		merged.Exhausted = merged.Exhausted || r.Exhausted
 		merged.Invalid = merged.Invalid || r.Invalid
 		merged.ExactSolves += r.ExactSolves
+		merged.Nodes += r.Nodes
 		merged.WarmStarts += r.WarmStarts
 	}
 	return merged

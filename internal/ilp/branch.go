@@ -18,8 +18,9 @@ type Options struct {
 	// RelGap·max(1,|incumbent|) (see pruneFloor), so a larger gap prunes
 	// less: nodes that merely tie the incumbent, or trail it by float
 	// noise of that size, stay in the search. A completed search is
-	// therefore exactly optimal for every RelGap in [0, 1), and Optimal
-	// means proven, not "within the gap".
+	// therefore optimal for every RelGap in [0, 1) within the tie margin
+	// tolObj·max(1,|obj|) — no solution beats it by more than that — and
+	// Optimal means proven to that margin, not "within the gap".
 	RelGap float64
 	// WarmStarts optionally supplies candidate values for the integer
 	// variables of known-feasible solutions (e.g. the greedy heuristic's
@@ -59,9 +60,9 @@ func (o Options) now() time.Time {
 	return time.Now()
 }
 
-// tolObj is the bound-pruning guard: a node is cut on the incumbent only
-// when its bound is worse by more than this margin, so float noise in LP
-// bounds cannot cut a subtree holding a solution that ties the optimum.
+// tolObj is the relative tie margin of the search (see beats and
+// pruneFloor): float noise in LP objectives neither cuts a subtree holding
+// a tying solution nor keeps one alive that can only tie.
 const tolObj = 1e-9
 
 // maxBranchedRecord caps Solution.Branched: the next cycle only replays
@@ -86,6 +87,20 @@ func (m *Model) better(a, b float64) bool {
 		return a > b
 	}
 	return a < b
+}
+
+// beats reports whether objective a improves on inc by more than the tie
+// margin tolObj·max(1,|inc|). The worst() sentinel has no margin: one
+// computed on ±Inf would make every test NaN and cut everything.
+func (m *Model) beats(a, inc float64) bool {
+	return m.better(a, inc) && (math.IsInf(inc, 0) || math.Abs(a-inc) > tolObj*math.Max(1, math.Abs(inc)))
+}
+
+// takes reports whether a solution (obj, x) replaces the incumbent
+// (incObj, incX): it beats it, or ties it within the margin and precedes
+// it lexicographically.
+func (m *Model) takes(obj float64, x []float64, incObj float64, incX []float64) bool {
+	return m.beats(obj, incObj) || (!m.beats(incObj, obj) && lexLess(x, incX))
 }
 
 // worst returns the sentinel objective no feasible solution can have.
@@ -162,7 +177,7 @@ func (m *Model) warmIncumbent(opts Options, p *prepared, lo, hi []float64, sc *l
 		if !k {
 			return
 		}
-		if !ok || m.better(o, obj) || (o == obj && lexLess(cx, x)) {
+		if !ok || m.takes(o, cx, obj, x) {
 			obj, x, ok = o, cx, true
 		}
 	}
@@ -362,9 +377,10 @@ type search struct {
 // explore searches stack depth-first within budget nodes and returns the
 // subproblems it left open: none unless it was cut or, when dive is set,
 // stopped at frontierTarget. inc is the objective an LP result must beat
-// to be kept. It starts as the caller's and follows this call's own
-// finds, not the incumbent's: a solution of equal objective found
-// elsewhere must not hide this one from the lexicographic tie-break.
+// by more than the tie margin (see beats) to be kept. It starts as the
+// caller's and follows this call's own finds, not the incumbent's: a
+// solution of tying objective found elsewhere must not hide this one from
+// the lexicographic tie-break.
 func (s *search) explore(stack []bbNode, root *lpResult, inc float64, budget int, dive bool) []bbNode {
 	m, opts, pool := s.m, s.opts, &s.arena.pool
 	for used := 0; len(stack) > 0 && !(dive && len(stack) >= frontierTarget); {
@@ -380,9 +396,10 @@ func (s *search) explore(stack []bbNode, root *lpResult, inc float64, budget int
 		}
 		used++
 		s.nodes++
-		if !m.better(nd.bound, inc) {
-			// No LP below this node can beat what this call already holds:
-			// count the node as searched and spare its LP.
+		if !m.beats(nd.bound, inc) {
+			// No LP below this node can beat what this call already holds
+			// by more than the tie margin: count the node as searched and
+			// spare its LP.
 			pool.release(nd)
 			continue
 		}
@@ -397,8 +414,8 @@ func (s *search) explore(stack []bbNode, root *lpResult, inc float64, budget int
 			break
 		}
 		// Infeasible (or numerically bad) subtree, or one that cannot
-		// beat what this call already holds.
-		if res.status != Optimal || !m.better(res.obj, inc) {
+		// beat what this call already holds by more than the tie margin.
+		if res.status != Optimal || !m.beats(res.obj, inc) {
 			pool.release(nd)
 			continue
 		}
@@ -406,7 +423,7 @@ func (s *search) explore(stack []bbNode, root *lpResult, inc float64, budget int
 		if j < 0 {
 			// Integer feasible.
 			inc = res.obj
-			if x := m.snap(res.x); m.better(inc, s.obj) || (inc == s.obj && lexLess(x, s.x)) {
+			if x := m.snap(res.x); m.takes(inc, x, s.obj, s.x) {
 				s.obj, s.x = inc, x
 			}
 			pool.release(nd)

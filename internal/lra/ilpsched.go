@@ -208,10 +208,10 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 }
 
 // stamp records on the result Place returns how its solve went — budget,
-// validity and whether a warm start seeded the incumbent — and remembers
-// what actually committed: the chosen result's placement plus the solve's
-// branch order, keyed by application. sol is nil when the model failed
-// its check and nothing was solved.
+// validity, node count and whether a warm start seeded the incumbent — and
+// remembers what actually committed: the chosen result's placement plus
+// the solve's branch order, keyed by application. sol is nil when the
+// model failed its check and nothing was solved.
 func (s *ilpScheduler) stamp(final *Result, sol *ilp.Solution, apps []*Application, semOf map[ilp.Var]semVar) {
 	if sol == nil {
 		final.Invalid = true
@@ -223,6 +223,7 @@ func (s *ilpScheduler) stamp(final *Result, sol *ilp.Solution, apps []*Applicati
 		final.Invalid = sol.Status == ilp.Invalid
 	}
 	final.ExactSolves++
+	final.Nodes += sol.Nodes
 	if sol.WarmUsed {
 		final.WarmStarts++
 	}

@@ -116,6 +116,10 @@ type Result struct {
 	// ExactSolves counts the ILP solves (branch-and-bound) this
 	// invocation ran. Heuristic algorithms leave it zero.
 	ExactSolves int
+	// Nodes sums the branch-and-bound nodes of those solves
+	// (ilp.Solution.Nodes): 2 for a solve that closed at the root on a
+	// warm incumbent.
+	Nodes int
 	// WarmStarts counts solves whose initial incumbent came from an
 	// accepted warm start (the greedy heuristic's placement or the
 	// cross-cycle memory).
