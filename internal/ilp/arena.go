@@ -50,11 +50,11 @@ func (a *SolverArena) preparedFor(m *Model) *prepared {
 	for i := range m.cons {
 		nTerms += len(m.cons[i].terms)
 	}
-	p.rowStart = growInt(p.rowStart, len(m.cons)+1)
-	p.cols = growInt(p.cols, nTerms)
-	p.coefs = growF64(p.coefs, nTerms)
-	p.conLo = growF64(p.conLo, len(m.cons))
-	p.conHi = growF64(p.conHi, len(m.cons))
+	p.rowStart = grow(p.rowStart, len(m.cons)+1)
+	p.cols = grow(p.cols, nTerms)
+	p.coefs = grow(p.coefs, nTerms)
+	p.conLo = grow(p.conLo, len(m.cons))
+	p.conHi = grow(p.conHi, len(m.cons))
 	at := 0
 	for i := range m.cons {
 		c := &m.cons[i]
@@ -88,10 +88,11 @@ func (a *SolverArena) Poison() {
 }
 
 // lpScratch holds the reusable buffers of one LP relaxation solve: the
-// standard-form mapping (svars, colOf, fixed, ubCol/ubWide), the shape of
-// every tableau row (rowSrc, rowFlip, rowRel, rowB), the tableau with its
-// basis and cost row, the pivot's gathered column and non-zero index list
-// (col, nz) and the extracted solution (stdVal, x). All buffers are
+// standard-form mapping (svars, colOf, fixed), the shape of every tableau
+// row (rowSrc, rowFlip, rowRel, rowB), the tableau with its basis, cost
+// row and per-column upper bounds and complement flags (ub, flipped), the
+// pivot's gathered column and non-zero index list (col, nz) and the
+// extracted solution (stdVal, x). All buffers are
 // grow-only; every element read during a solve is written earlier in that
 // same solve (poison garbage-fills each one and the poisoned-arena tests
 // enforce this), so nothing from a previous — possibly unrelated — model
@@ -100,16 +101,16 @@ type lpScratch struct {
 	svars   []stdVar
 	colOf   []int
 	fixed   []float64
-	ubCol   []int     // std columns with a finite range width...
-	ubWide  []float64 // ...and the width itself (parallel arrays)
-	rowSrc  []int     // per tableau row: its constraint, or -1-i for ubCol[i]'s bound row
-	rowFlip []bool    // the row was negated to make its right-hand side non-negative
-	rowRel  []int8    // -1: <=, 0: ==, +1: >= (after the flip)
+	rowSrc  []int  // per tableau row: its constraint
+	rowFlip []bool // the row was negated to make its right-hand side non-negative
+	rowRel  []int8 // -1: <=, 0: ==, +1: >= (after the flip)
 	rowB    []float64
 	tabF    []float64   // flat tableau backing, stride totalCols+1
 	tab     [][]float64 // row headers into tabF
 	basis   []int
 	cost    []float64
+	ub      []float64 // per tableau column: upper bound, +Inf for none
+	flipped []bool    // per tableau column: complemented, x' = ub − x
 	col     []float64 // the pivot column, gathered for one pivot
 	nz      []int     // columns where the scaled pivot row is non-zero
 	stdVal  []float64
@@ -123,21 +124,21 @@ type lpScratch struct {
 
 func (sc *lpScratch) poison() {
 	poisonF64(sc.fixed[:cap(sc.fixed)])
-	poisonF64(sc.ubWide[:cap(sc.ubWide)])
 	poisonF64(sc.rowB[:cap(sc.rowB)])
 	poisonF64(sc.tabF[:cap(sc.tabF)])
 	poisonF64(sc.cost[:cap(sc.cost)])
+	poisonF64(sc.ub[:cap(sc.ub)])
 	poisonF64(sc.col[:cap(sc.col)])
 	poisonF64(sc.stdVal[:cap(sc.stdVal)])
 	poisonF64(sc.x[:cap(sc.x)])
 	poisonF64(sc.wlo[:cap(sc.wlo)])
 	poisonF64(sc.whi[:cap(sc.whi)])
 	poisonInt(sc.colOf[:cap(sc.colOf)])
-	poisonInt(sc.ubCol[:cap(sc.ubCol)])
 	poisonInt(sc.rowSrc[:cap(sc.rowSrc)])
 	poisonInt(sc.basis[:cap(sc.basis)])
 	poisonInt(sc.nz[:cap(sc.nz)])
 	poisonBool(sc.rowFlip[:cap(sc.rowFlip)])
+	poisonBool(sc.flipped[:cap(sc.flipped)])
 	sv := sc.svars[:cap(sc.svars)]
 	for i := range sv {
 		sv[i] = stdVar{model: math.MinInt, shift: math.NaN(), sign: math.NaN()}
@@ -203,28 +204,14 @@ func (p *boundsPool) poison() {
 	}
 }
 
-// growF64 returns a slice of length n, reusing buf's backing array when
-// it is large enough. Contents are unspecified: callers fully overwrite
-// (or explicitly clear) before reading.
-func growF64(buf []float64, n int) []float64 {
+// grow returns a slice of length n, reusing buf's backing array when it
+// is large enough. Contents are unspecified: callers fully overwrite (or
+// explicitly clear) before reading.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]float64, n, n+n/2+16)
-}
-
-// growInt is growF64 for int slices.
-func growInt(buf []int, n int) []int {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]int, n, n+n/2+16)
-}
-
-func clearF64(s []float64) {
-	for i := range s {
-		s[i] = 0
-	}
+	return make([]T, n, n+n/2+16)
 }
 
 func poisonF64(s []float64) {
@@ -240,7 +227,8 @@ func poisonInt(s []int) {
 }
 
 // poisonBool sets every flag: a stale true is the harmful value for the
-// flags kept here (a row flipped, a variable already recorded).
+// flags kept here (a row flipped, a column complemented, a variable
+// already recorded).
 func poisonBool(s []bool) {
 	for i := range s {
 		s[i] = true

@@ -154,7 +154,7 @@ func (m *Model) warmIncumbent(opts Options, p *prepared, lo, hi []float64, sc *l
 		if len(ws) == 0 {
 			return 0, nil, false
 		}
-		wlo, whi := growF64(sc.wlo, n), growF64(sc.whi, n)
+		wlo, whi := grow(sc.wlo, n), grow(sc.whi, n)
 		sc.wlo, sc.whi = wlo, whi
 		copy(wlo, lo)
 		copy(whi, hi)

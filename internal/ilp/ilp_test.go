@@ -147,6 +147,23 @@ func TestBoundOnlyProblem(t *testing.T) {
 	}
 }
 
+// TestRowLessModelReturnsPositiveZero: the root bounds of an integer
+// variable with lo = 0 are math.Ceil(0 − tolInt) = −0, and a model
+// without rows is solved from its bounds alone; the value at such a bound
+// is +0, as a model with rows returns it. Both an unbounded and a boxed
+// variable are solved this way.
+func TestRowLessModelReturnsPositiveZero(t *testing.T) {
+	for _, hi := range []float64{Infinity, 1} {
+		m := NewModel(Minimize)
+		x := m.Int("x", 0, hi)
+		m.SetObjective(x, 1)
+		s := m.Solve(Options{})
+		if got := s.Value(x); s.Status != Optimal || math.Float64bits(got) != 0 {
+			t.Errorf("x in [0,%v]: status %v, x = %v (bits %#x), want optimal at +0", hi, s.Status, got, math.Float64bits(got))
+		}
+	}
+}
+
 // TestMIPKnapsack: classic 0/1 knapsack.
 // weights 2,3,4,5 values 3,4,5,6 cap 5 -> best = items {2,3} w=5 v=7.
 func TestMIPKnapsack(t *testing.T) {

@@ -111,7 +111,7 @@ func TestSparsePivotMatchesDense(t *testing.T) {
 		densePivot(want, wantBasis, row, col)
 		got, gotBasis := copyTab(), append([]int(nil), basis...)
 		sc.poison()
-		sc.col = growF64(sc.col, rows)
+		sc.col = grow(sc.col, rows)
 		for i := range got {
 			sc.col[i] = got[i][col]
 		}

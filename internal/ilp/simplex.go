@@ -43,10 +43,12 @@ type stdVar struct {
 }
 
 // solveLP solves the LP relaxation of m with per-variable bound overrides
-// lo/hi (same length as m.vars) using a dense two-phase primal simplex.
-// Integrality is ignored. A non-zero deadline is enforced inside both
-// phases' pivot loops (not only between branch-and-bound nodes), so a
-// degenerate LP cannot blow the budget before the search even starts.
+// lo/hi (same length as m.vars) using a dense two-phase bounded-variable
+// primal simplex: a finite upper bound is a value per column, not a row
+// (see runSimplex). Integrality is ignored. A non-zero deadline is
+// enforced inside both phases' pivot loops (not only between
+// branch-and-bound nodes), so a degenerate LP cannot blow the budget
+// before the search even starts.
 //
 // p is the CSR constraint matrix (nil builds a throwaway copy) and sc the
 // reusable scratch all working memory is drawn from (nil allocates a
@@ -72,12 +74,11 @@ func solveLP(m *Model, p *prepared, lo, hi []float64, deadline time.Time, clk fu
 	}
 
 	// Standard-form variable construction. Each model variable becomes one
-	// (or, if free, two) non-negative std variables plus, when its range
-	// width is finite and positive, an upper-bound row.
+	// (or, if free, two) non-negative std variables; when its range width
+	// is finite that width is the column's upper bound.
 	svars := sc.svars[:0]
-	ubCol, ubWide := sc.ubCol[:0], sc.ubWide[:0]
-	colOf := growInt(sc.colOf, n)
-	fixed := growF64(sc.fixed, n) // value for width-0 vars, NaN otherwise
+	colOf := grow(sc.colOf, n)
+	fixed := grow(sc.fixed, n) // value for width-0 vars, NaN otherwise
 	sc.colOf, sc.fixed = colOf, fixed
 	for j := range fixed {
 		fixed[j] = math.NaN()
@@ -98,23 +99,18 @@ func solveLP(m *Model, p *prepared, lo, hi []float64, deadline time.Time, clk fu
 			colOf[j] = len(svars)
 			svars = append(svars, stdVar{model: j, shift: hjo, sign: -1})
 		default:
-			// x = lo + x', 0 <= x' (<= hi-lo when finite).
+			// x = lo + x', 0 <= x' <= hi-lo.
 			colOf[j] = len(svars)
 			svars = append(svars, stdVar{model: j, shift: ljo, sign: 1})
-			if !math.IsInf(hjo, 1) {
-				ubCol = append(ubCol, len(svars)-1)
-				ubWide = append(ubWide, hjo-ljo)
-			}
 		}
 	}
-	sc.svars, sc.ubCol, sc.ubWide = svars, ubCol, ubWide
+	sc.svars = svars
 
 	// Row pre-pass over the CSR: relation, right-hand side and flip of
 	// every tableau row, so the tableau's shape is known before the first
 	// coefficient is written. A constraint yields one row (== or one-sided)
-	// or two (a range: <= hi, then >= lo); each finite-width variable adds a
-	// <= row after them. Rows with a negative right-hand side are flipped to
-	// make it non-negative.
+	// or two (a range: <= hi, then >= lo). Rows with a negative right-hand
+	// side are flipped to make it non-negative.
 	nStructural := len(svars)
 	rowSrc, rowFlip := sc.rowSrc[:0], sc.rowFlip[:0]
 	rowRel, rowB := sc.rowRel[:0], sc.rowB[:0]
@@ -148,15 +144,12 @@ func solveLP(m *Model, p *prepared, lo, hi []float64, deadline time.Time, clk fu
 			}
 		}
 	}
-	for i := range ubCol {
-		appendRow(-1-i, -1, ubWide[i])
-	}
 	sc.rowSrc, sc.rowFlip, sc.rowRel, sc.rowB = rowSrc, rowFlip, rowRel, rowB
 
 	mRows := len(rowRel)
 	if mRows == 0 {
 		// Bound-only problem: optimum at a bound per objective sign.
-		x := growF64(sc.x, n)
+		x := grow(sc.x, n)
 		sc.x = x
 		obj := 0.0
 		for j := 0; j < n; j++ {
@@ -173,10 +166,12 @@ func solveLP(m *Model, p *prepared, lo, hi []float64, deadline time.Time, clk fu
 			default:
 				x[j] = lo[j]
 			}
-			if math.IsInf(x[j], 0) {
-				if c != 0 {
-					return lpResult{status: Unbounded}
-				}
+			switch {
+			case math.IsInf(x[j], 0) && c != 0:
+				return lpResult{status: Unbounded}
+			case math.IsInf(x[j], 0) || x[j] == 0:
+				// A free side without cost rests at 0, and rootBoundsInto's −0
+				// (math.Ceil(0 − tolInt)) is +0, as lo + x′ makes it with rows.
 				x[j] = 0
 			}
 			obj += c * x[j]
@@ -198,30 +193,37 @@ func solveLP(m *Model, p *prepared, lo, hi []float64, deadline time.Time, clk fu
 	}
 	totalCols := nStructural + nSlack + nArt
 	stride := totalCols + 1
-	tabF := growF64(sc.tabF, mRows*stride)
+	// Column upper bounds: hi - lo for x = lo + x' (+Inf when hi is, as for
+	// every other column). No column starts complemented.
+	ub, flipped := grow(sc.ub, totalCols), grow(sc.flipped, totalCols)
+	sc.ub, sc.flipped = ub, flipped
+	for c := range ub {
+		ub[c], flipped[c] = math.Inf(1), false
+		if c < nStructural && svars[c].sign == 1 {
+			ub[c] = hi[svars[c].model] - svars[c].shift
+		}
+	}
+	tabF := grow(sc.tabF, mRows*stride)
 	sc.tabF = tabF
-	clearF64(tabF)
+	clear(tabF)
 	tab := sc.tab[:0]
-	basis := growInt(sc.basis, mRows)
+	basis := grow(sc.basis, mRows)
 	sc.basis = basis
 	slackAt, artAt := nStructural, nStructural+nSlack
 	for i := 0; i < mRows; i++ {
 		tr := tabF[i*stride : (i+1)*stride : (i+1)*stride]
-		if ci := rowSrc[i]; ci < 0 {
-			tr[ubCol[-1-ci]] = 1
-		} else {
-			for k := p.rowStart[ci]; k < p.rowStart[ci+1]; k++ {
-				j := p.cols[k]
-				c0 := colOf[j]
-				if c0 < 0 {
-					continue
-				}
-				coeff := p.coefs[k]
-				sv := svars[c0]
-				tr[c0] += coeff * sv.sign
-				if sv.sign == 1 && c0+1 < len(svars) && svars[c0+1].model == j && svars[c0+1].sign == -1 {
-					tr[c0+1] += -coeff
-				}
+		ci := rowSrc[i]
+		for k := p.rowStart[ci]; k < p.rowStart[ci+1]; k++ {
+			j := p.cols[k]
+			c0 := colOf[j]
+			if c0 < 0 {
+				continue
+			}
+			coeff := p.coefs[k]
+			sv := svars[c0]
+			tr[c0] += coeff * sv.sign
+			if sv.sign == 1 && c0+1 < len(svars) && svars[c0+1].model == j && svars[c0+1].sign == -1 {
+				tr[c0+1] += -coeff
 			}
 		}
 		if rowFlip[i] {
@@ -252,13 +254,13 @@ func solveLP(m *Model, p *prepared, lo, hi []float64, deadline time.Time, clk fu
 	}
 	sc.tab = tab
 
-	cost := growF64(sc.cost, stride)
+	cost := grow(sc.cost, stride)
 	sc.cost = cost
-	sc.col = growF64(sc.col, mRows)
+	sc.col = grow(sc.col, mRows)
 
 	// Phase 1: minimise the sum of artificials.
 	if nArt > 0 {
-		clearF64(cost)
+		clear(cost)
 		for c := nStructural + nSlack; c < totalCols; c++ {
 			cost[c] = 1
 		}
@@ -270,7 +272,7 @@ func solveLP(m *Model, p *prepared, lo, hi []float64, deadline time.Time, clk fu
 				}
 			}
 		}
-		switch runSimplex(tab, basis, cost, totalCols, deadline, clk, sc) {
+		switch runSimplex(tab, basis, cost, totalCols, totalCols, deadline, clk, sc) {
 		case Unbounded:
 			// Phase 1 objective is bounded below by 0; unbounded here means
 			// numerical trouble. Report infeasible conservatively.
@@ -307,24 +309,26 @@ func solveLP(m *Model, p *prepared, lo, hi []float64, deadline time.Time, clk fu
 		}
 	}
 
-	// Phase 2: minimise the real objective over structural columns.
-	clearF64(cost)
-	objShift := 0.0
+	// Phase 2: minimise the real objective over structural columns. A
+	// column phase 1 left complemented costs the negation (the constant
+	// part of c·(u − x′) is not needed: the objective is recomputed from x).
+	clear(cost)
 	for j := 0; j < n; j++ {
 		c := m.vars[j].obj
 		if m.sense == Maximize {
 			c = -c
 		}
 		if colOf[j] < 0 {
-			objShift += c * fixed[j]
 			continue
 		}
 		c0 := colOf[j]
 		sv := svars[c0]
-		objShift += c * sv.shift
 		cost[c0] += c * sv.sign
 		if sv.sign == 1 && c0+1 < len(svars) && svars[c0+1].model == j && svars[c0+1].sign == -1 {
 			cost[c0+1] += -c
+		}
+		if flipped[c0] {
+			cost[c0] = -cost[c0]
 		}
 	}
 	// Forbid artificials from re-entering by giving them prohibitive cost.
@@ -340,23 +344,24 @@ func solveLP(m *Model, p *prepared, lo, hi []float64, deadline time.Time, clk fu
 			}
 		}
 	}
-	switch runSimplex(tab, basis, cost, totalCols, deadline, clk, sc) {
+	switch runSimplex(tab, basis, cost, totalCols, nStructural+nSlack, deadline, clk, sc) {
 	case Unbounded:
 		return lpResult{status: Unbounded}
 	case statusDeadline:
 		return lpResult{status: statusDeadline}
 	}
 
-	// Extract std values, then map back to model space.
-	stdVal := growF64(sc.stdVal, totalCols)
+	// Extract std values, then map back to model space. A complemented
+	// column's value v is u − x′, so x = lo + u − v = hi − v.
+	stdVal := grow(sc.stdVal, totalCols)
 	sc.stdVal = stdVal
-	clearF64(stdVal)
+	clear(stdVal)
 	for i, b := range basis {
 		if b >= 0 && b < totalCols {
 			stdVal[b] = tab[i][totalCols]
 		}
 	}
-	x := growF64(sc.x, n)
+	x := grow(sc.x, n)
 	sc.x = x
 	for j := 0; j < n; j++ {
 		if colOf[j] < 0 {
@@ -364,6 +369,10 @@ func solveLP(m *Model, p *prepared, lo, hi []float64, deadline time.Time, clk fu
 			continue
 		}
 		c0 := colOf[j]
+		if flipped[c0] {
+			x[j] = hi[j] - stdVal[c0]
+			continue
+		}
 		sv := svars[c0]
 		v := sv.shift + sv.sign*stdVal[c0]
 		if sv.sign == 1 && c0+1 < len(svars) && svars[c0+1].model == j && svars[c0+1].sign == -1 {
@@ -381,30 +390,38 @@ func solveLP(m *Model, p *prepared, lo, hi []float64, deadline time.Time, clk fu
 // runSimplex runs primal simplex iterations on the tableau until optimal,
 // unbounded, or the deadline. cost is the current (priced-out) objective
 // row with the running negative objective value in its rhs slot. Dantzig
-// pricing with a switch to Bland's rule guards against cycling. sc.col,
-// one entry per row, receives the entering column for the pivot.
-func runSimplex(tab [][]float64, basis []int, cost []float64, totalCols int, deadline time.Time, clk func() time.Time, sc *lpScratch) Status {
+// pricing over the first nEnter columns, with a switch to Bland's rule,
+// guards against cycling. sc.col, one entry per row, receives the
+// entering column for the pivot.
+//
+// Columns are bounded above by sc.ub. A non-basic column sits at 0 or, if
+// complemented (x' = u − x, sc.flipped: column and cost negated, rhs
+// shifted), at u. The entering column rises until a basic variable falls
+// to 0 (pivot), a basic variable reaches its bound (complemented in its
+// own row, then pivot) or it reaches its own bound (a flip, no pivot; it
+// wins ties within tolFeas).
+func runSimplex(tab [][]float64, basis []int, cost []float64, totalCols, nEnter int, deadline time.Time, clk func() time.Time, sc *lpScratch) Status {
 	mRows := len(tab)
 	maxIter := 200*(mRows+totalCols) + 2000
 	blandAfter := 20*(mRows+totalCols) + 500
-	col := sc.col
+	col, ub, flipped := sc.col, sc.ub, sc.flipped
 	for iter := 0; iter < maxIter; iter++ {
 		if !deadline.IsZero() && iter%deadlineCheckEvery == 0 && clk().After(deadline) {
 			return statusDeadline
 		}
-		// Entering column. Artificials barred from re-entering cost +Inf,
-		// which is never below the threshold.
+		// Entering column, among the first nEnter: phase 2 leaves out the
+		// artificials, which it also bars with cost +Inf.
 		enter := -1
 		if iter < blandAfter {
 			best := -tolCost
-			for c, v := range cost[:totalCols] {
+			for c, v := range cost[:nEnter] {
 				if v < best {
 					best = v
 					enter = c
 				}
 			}
 		} else {
-			for c, v := range cost[:totalCols] {
+			for c, v := range cost[:nEnter] {
 				if v < -tolCost {
 					enter = c
 					break
@@ -416,21 +433,50 @@ func runSimplex(tab [][]float64, basis []int, cost []float64, totalCols int, dea
 		}
 		// Ratio test, gathering the entering column for the pivot on the way:
 		// the one strided pass over the tableau per iteration.
-		leave := -1
+		leave, toBound := -1, false
 		bestRatio := math.Inf(1)
 		for i := 0; i < mRows; i++ {
 			a := tab[i][enter]
 			col[i] = a
-			if a > tolPivot {
-				r := tab[i][totalCols] / a
-				if r < bestRatio-tolFeas || (r < bestRatio+tolFeas && (leave < 0 || basis[i] < basis[leave])) {
-					bestRatio = r
-					leave = i
+			var r float64
+			switch {
+			case a > tolPivot:
+				r = tab[i][totalCols] / a
+			case a < -tolPivot && basis[i] >= 0 && !math.IsInf(ub[basis[i]], 1):
+				r = (ub[basis[i]] - tab[i][totalCols]) / -a
+			default:
+				continue
+			}
+			if r < bestRatio-tolFeas || (r < bestRatio+tolFeas && (leave < 0 || basis[i] < basis[leave])) {
+				bestRatio = r
+				leave, toBound = i, a < 0
+			}
+		}
+		if u := ub[enter]; u < bestRatio+tolFeas {
+			// Bound flip: complement the entering column.
+			for i, a := range col {
+				if a != 0 {
+					tab[i][totalCols] -= a * u
+					tab[i][enter] = -a
 				}
 			}
+			cost[totalCols] -= cost[enter] * u
+			cost[enter] = -cost[enter]
+			flipped[enter] = !flipped[enter]
+			continue
 		}
 		if leave < 0 {
 			return Unbounded
+		}
+		if toBound {
+			// Complement the leaving variable in its own row, the one row
+			// where its column is non-zero: x_b = u − x_b' there. The row is
+			// left un-negated (its rhs u − b negated to b − u, its basic entry
+			// −1); the pivot on the negative entry scales it back, to the
+			// same bits as negating first.
+			b, pr := basis[leave], tab[leave]
+			pr[b], pr[totalCols] = -1, -(ub[b] - pr[totalCols])
+			flipped[b] = !flipped[b]
 		}
 		nz := pivot(tab, basis, leave, enter, sc)
 		// Update the cost row where the pivot row is non-zero.
@@ -462,7 +508,7 @@ func pivot(tab [][]float64, basis []int, row, col int, sc *lpScratch) []int {
 	pr := tab[row]
 	inv := 1 / sc.col[row]
 	rhs := len(pr) - 1
-	nz := growInt(sc.nz, len(pr))[:0]
+	nz := grow(sc.nz, len(pr))[:0]
 	for k, v := range pr[:rhs] {
 		v *= inv
 		pr[k] = v
