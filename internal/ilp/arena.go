@@ -92,11 +92,11 @@ func (a *SolverArena) Poison() {
 // row (rowSrc, rowFlip, rowRel, rowB), the tableau with its basis, cost
 // row and per-column upper bounds and complement flags (ub, flipped), the
 // pivot's gathered column and non-zero index list (col, nz) and the
-// extracted solution (stdVal, x). All buffers are
-// grow-only; every element read during a solve is written earlier in that
-// same solve (poison garbage-fills each one and the poisoned-arena tests
-// enforce this), so nothing from a previous — possibly unrelated — model
-// can leak into a result.
+// extracted solution (stdVal, x). All buffers are grow-only; every
+// element read during a solve is written earlier in that same solve
+// (poison garbage-fills each one and the poisoned-arena tests enforce
+// this), so nothing from a previous — possibly unrelated — model can leak
+// into a result.
 type lpScratch struct {
 	svars   []stdVar
 	colOf   []int
