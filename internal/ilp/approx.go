@@ -226,3 +226,17 @@ attempts:
 		WarmUsed:    warmUsed,
 	}
 }
+
+// lexLess reports whether a precedes b lexicographically; it breaks ties
+// between equal-objective rounded candidates.
+func lexLess(a, b []float64) bool {
+	for i := range a {
+		if i >= len(b) {
+			return false
+		}
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return len(a) < len(b)
+}

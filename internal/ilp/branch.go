@@ -12,23 +12,17 @@ type Options struct {
 	Deadline time.Time
 	// MaxNodes bounds the number of explored nodes (0 = 200000).
 	MaxNodes int
-	// RelGap widens the tie window of bound pruning; it never stops the
-	// search early. A node is cut without solving its LP only when its
-	// bound is worse than the incumbent by more than
-	// RelGap·max(1,|incumbent|) (see pruneFloor), so a larger gap prunes
-	// less: nodes that merely tie the incumbent, or trail it by float
-	// noise of that size, stay in the search. A completed search is
-	// therefore optimal for every RelGap in [0, 1) within the tie margin
-	// tolObj·max(1,|obj|) — no solution beats it by more than that — and
-	// Optimal means proven to that margin, not "within the gap".
+	// RelGap is ignored. The search prunes only on the tie margin
+	// tolObj·max(1,|incumbent|), so Optimal means no solution beats the
+	// returned one by more than that margin.
 	RelGap float64
 	// WarmStarts optionally supplies candidate values for the integer
 	// variables of known-feasible solutions (e.g. the greedy heuristic's
 	// and the previous scheduling cycle's). For each the solver fixes
 	// them and solves one LP for the continuous remainder; the best
-	// feasible outcome (objective, then lexicographic tie-break) is the
-	// initial incumbent — branch-and-bound then only ever improves on it.
-	// Empty and infeasible candidates are ignored.
+	// feasible outcome (the one listed first on a tie) is the initial
+	// incumbent — branch-and-bound then only ever improves on it. Empty
+	// and infeasible candidates are ignored.
 	WarmStarts []map[Var]float64
 	// BranchPriority orders branching: the first fractional variable in
 	// this list is branched before the default most-fractional rule kicks
@@ -60,9 +54,9 @@ func (o Options) now() time.Time {
 	return time.Now()
 }
 
-// tolObj is the relative tie margin of the search (see beats and
-// pruneFloor): float noise in LP objectives neither cuts a subtree holding
-// a tying solution nor keeps one alive that can only tie.
+// tolObj is the relative tie margin of the search (see beats): float noise
+// in LP objectives does not keep a subtree alive that can only tie the
+// incumbent.
 const tolObj = 1e-9
 
 // maxBranchedRecord caps Solution.Branched: the next cycle only replays
@@ -94,13 +88,6 @@ func (m *Model) better(a, b float64) bool {
 // computed on ±Inf would make every test NaN and cut everything.
 func (m *Model) beats(a, inc float64) bool {
 	return m.better(a, inc) && (math.IsInf(inc, 0) || math.Abs(a-inc) > tolObj*math.Max(1, math.Abs(inc)))
-}
-
-// takes reports whether a solution (obj, x) replaces the incumbent
-// (incObj, incX): it beats it, or ties it within the margin and precedes
-// it lexicographically.
-func (m *Model) takes(obj float64, x []float64, incObj float64, incX []float64) bool {
-	return m.beats(obj, incObj) || (!m.beats(incObj, obj) && lexLess(x, incX))
 }
 
 // worst returns the sentinel objective no feasible solution can have.
@@ -145,9 +132,9 @@ func (m *Model) preparedFor(opts Options, arena *SolverArena) *prepared {
 
 // warmIncumbent evaluates every Options.WarmStarts candidate: each fixes
 // its supplied integer values, solves one LP for the remainder, and the
-// best feasible outcome (objective first, then lexicographic assignment —
-// a deterministic tie-break) becomes the initial incumbent. ok is false
-// when no candidate is feasible.
+// best feasible outcome becomes the initial incumbent: a later candidate
+// replaces an earlier one only if it beats it, so ties go to the one
+// listed first. ok is false when no candidate is feasible.
 func (m *Model) warmIncumbent(opts Options, p *prepared, lo, hi []float64, sc *lpScratch) (obj float64, x []float64, ok bool) {
 	n := len(m.vars)
 	tryOne := func(ws map[Var]float64) (float64, []float64, bool) {
@@ -177,7 +164,7 @@ func (m *Model) warmIncumbent(opts Options, p *prepared, lo, hi []float64, sc *l
 		if !k {
 			return
 		}
-		if !ok || m.takes(o, cx, obj, x) {
+		if !ok || m.beats(o, obj) {
 			obj, x, ok = o, cx, true
 		}
 	}
@@ -232,22 +219,6 @@ func branch(pl *boundsPool, nd bbNode, j int, v, bound float64) (first, second b
 	return up, down
 }
 
-// pruneFloor maps an incumbent objective v to the cut line of bound
-// pruning: a node whose bound is strictly worse than pruneFloor(v) holds
-// no solution that ties v, let alone beats it, and is dropped without
-// solving its LP. The line lies RelGap·max(1,|v|) + tolObj on the worse
-// side of v and, for RelGap < 1, only ever tightens as v improves.
-func (m *Model) pruneFloor(relGap, v float64) float64 {
-	w := tolObj
-	if relGap > 0 {
-		w += relGap * math.Max(1, math.Abs(v))
-	}
-	if m.sense == Minimize {
-		return v + w
-	}
-	return v - w
-}
-
 // Solve optimises the model. Continuous models solve with one simplex
 // call; integer models run branch-and-bound (see solveExact) or, when
 // Options.Mode selects it, the approximate relaxation+rounding path (see
@@ -270,18 +241,16 @@ func (m *Model) Solve(opts Options) *Solution {
 //  3. Each open subproblem is then searched to exhaustion on its own,
 //     deepest first (the order the dive would have continued in, so a
 //     deadline loses the least promising work), with an equal share of
-//     the remaining node budget and the dive's incumbent as its own
-//     starting point. What a subtree can contribute to the optimum is
-//     therefore the same whatever its siblings found before it; across
-//     subtrees the incumbent only cuts through pruneFloor, which keeps
-//     ties.
+//     the remaining node budget, so a binding budget still reaches every
+//     subtree.
 //
-// The incumbent orders solutions by objective, then lexicographically by
-// assignment, so which of several equal optima is returned does not
-// depend on when each was found. It does depend on the hand-over point
-// and the subtree order: every golden file and benchmark fingerprint
-// holds the optimum they select (TestSolveGolden pins it), so changing
-// either means regenerating those.
+// Every node and every LP result is tested against the one incumbent: it
+// is kept only if it beats it by more than the tie margin (see beats).
+// The first solution found therefore wins a tie — the warm start listed
+// first, then the search's own order. That order is fixed, so the
+// solution is too; every golden file and benchmark fingerprint holds the
+// optimum it selects (TestSolveGolden pins it), and changing the order
+// means regenerating those.
 func (m *Model) solveExact(opts Options) *Solution {
 	if err := m.Check(); err != nil {
 		return &Solution{Status: Invalid}
@@ -326,14 +295,13 @@ func (m *Model) solveExact(opts Options) *Solution {
 	if obj, x, ok := m.warmIncumbent(opts, p, lo, hi, &arena.lp); ok {
 		s.obj, s.x, warmUsed = obj, x, true
 	}
-	open := s.explore([]bbNode{rootNode}, &root, s.obj, maxNodes-1, true)
+	open := s.explore([]bbNode{rootNode}, &root, maxNodes-1, true)
 	if left := maxNodes - s.nodes; len(open) > 0 && !s.cut {
 		if left < len(open) {
 			s.cut = true // not even one node per subtree
 		} else {
-			inc := s.obj
 			for i := len(open) - 1; i >= 0; i-- {
-				s.explore([]bbNode{open[i]}, nil, inc, left/len(open), false)
+				s.explore([]bbNode{open[i]}, nil, left/len(open), false)
 			}
 		}
 	}
@@ -362,7 +330,7 @@ type search struct {
 	arena *SolverArena
 	// obj and x are the incumbent: the best integer-feasible solution
 	// found so far (x nil and obj the worst() sentinel while there is
-	// none), ties going to the lexicographically smaller assignment.
+	// none), ties going to the one found first.
 	obj float64
 	x   []float64
 	// nodes counts the LP relaxations solved; cut reports that the node
@@ -376,12 +344,8 @@ type search struct {
 
 // explore searches stack depth-first within budget nodes and returns the
 // subproblems it left open: none unless it was cut or, when dive is set,
-// stopped at frontierTarget. inc is the objective an LP result must beat
-// by more than the tie margin (see beats) to be kept. It starts as the
-// caller's and follows this call's own finds, not the incumbent's: a
-// solution of tying objective found elsewhere must not hide this one from
-// the lexicographic tie-break.
-func (s *search) explore(stack []bbNode, root *lpResult, inc float64, budget int, dive bool) []bbNode {
+// stopped at frontierTarget.
+func (s *search) explore(stack []bbNode, root *lpResult, budget int, dive bool) []bbNode {
 	m, opts, pool := s.m, s.opts, &s.arena.pool
 	for used := 0; len(stack) > 0 && !(dive && len(stack) >= frontierTarget); {
 		if used >= budget || (!opts.Deadline.IsZero() && used%16 == 0 && opts.now().After(opts.Deadline)) {
@@ -390,16 +354,11 @@ func (s *search) explore(stack []bbNode, root *lpResult, inc float64, budget int
 		}
 		nd := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if m.better(m.pruneFloor(opts.RelGap, s.obj), nd.bound) {
-			pool.release(nd)
-			continue
-		}
 		used++
 		s.nodes++
-		if !m.beats(nd.bound, inc) {
-			// No LP below this node can beat what this call already holds
-			// by more than the tie margin: count the node as searched and
-			// spare its LP.
+		if !m.beats(nd.bound, s.obj) {
+			// No LP below this node can beat the incumbent by more than the
+			// tie margin: count the node as searched and spare its LP.
 			pool.release(nd)
 			continue
 		}
@@ -414,18 +373,15 @@ func (s *search) explore(stack []bbNode, root *lpResult, inc float64, budget int
 			break
 		}
 		// Infeasible (or numerically bad) subtree, or one that cannot
-		// beat what this call already holds by more than the tie margin.
-		if res.status != Optimal || !m.beats(res.obj, inc) {
+		// beat the incumbent by more than the tie margin.
+		if res.status != Optimal || !m.beats(res.obj, s.obj) {
 			pool.release(nd)
 			continue
 		}
 		j := m.branchVariable(res.x, opts.BranchPriority)
 		if j < 0 {
-			// Integer feasible.
-			inc = res.obj
-			if x := m.snap(res.x); m.takes(inc, x, s.obj, s.x) {
-				s.obj, s.x = inc, x
-			}
+			// Integer feasible, and it beats the incumbent.
+			s.obj, s.x = res.obj, m.snap(res.x)
 			pool.release(nd)
 			continue
 		}
@@ -468,20 +424,6 @@ func (m *Model) snap(x []float64) []float64 {
 }
 
 func clone(x []float64) []float64 { return append([]float64(nil), x...) }
-
-// lexLess reports whether a precedes b lexicographically; it is the
-// deterministic tie-break between equal-objective solutions.
-func lexLess(a, b []float64) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
 
 // CheckFeasible verifies that an assignment satisfies all bounds,
 // integrality and constraints within tolerance; used by tests and by

@@ -172,7 +172,6 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 		defer s.returnArena(arena)
 		sol = pm.m.Solve(ilp.Options{
 			Deadline:       start.Add(opts.solverBudget()),
-			RelGap:         0.01,
 			WarmStarts:     []map[ilp.Var]float64{warm, cycleWarm},
 			BranchPriority: branchPrio,
 			Clock:          opts.Clock,
