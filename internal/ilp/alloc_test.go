@@ -63,16 +63,16 @@ func placementFixture() *Model {
 	return m
 }
 
-// warmOptions is the scheduler's steady-state re-solve of m: the 1%
-// relative gap, seeded with last cycle's placement (here the approximate
-// path's, which is how a first placement of this size lands).
+// warmOptions is the scheduler's steady-state re-solve of m, seeded with
+// last cycle's placement (here the approximate path's, which is how a
+// first placement of this size lands).
 func warmOptions(m *Model, arena *SolverArena) Options {
 	prev := m.Solve(Options{Mode: ModeApprox, Arena: arena})
 	warm := make(map[Var]float64, m.NumVars())
 	for j := 0; j < m.NumVars(); j++ {
 		warm[Var(j)] = prev.Value(Var(j))
 	}
-	return Options{MaxNodes: 200000, RelGap: 0.01, Arena: arena, WarmStarts: []map[Var]float64{warm}}
+	return Options{MaxNodes: 200000, Arena: arena, WarmStarts: []map[Var]float64{warm}}
 }
 
 // TestKnapsackArenaAllocCap holds a full exact solve of the correlated
@@ -127,7 +127,7 @@ func BenchmarkSolvePaths(b *testing.B) {
 			}
 			if p.opts.Mode == ModeApprox {
 				b.StopTimer()
-				exact := p.m.Solve(Options{RelGap: 0.01, MaxNodes: 500000, Deadline: time.Now().Add(2 * time.Second)})
+				exact := p.m.Solve(Options{MaxNodes: 500000, Deadline: time.Now().Add(2 * time.Second)})
 				b.ReportMetric(sol.Objective/exact.Objective, "approx/exact")
 			}
 		})

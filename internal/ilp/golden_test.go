@@ -62,22 +62,15 @@ func warmReplay(m *Model, opts Options, prev *Solution) Options {
 }
 
 // goldenCases lists every solve pinned in testdata/solve.golden: the
-// fuzz corpus and two seeded families of small random models at RelGap 0
-// and 0.05, the warm-replayed solves of TestWarmStartDifferential, and
-// the models that reach the subtree phase — complete, cut by the node
-// budget, and warm-replayed.
+// fuzz corpus and two seeded families of small random models, the
+// warm-replayed solves of TestWarmStartDifferential, and the models that
+// reach the subtree phase — complete, cut by the node budget, and
+// warm-replayed.
 func goldenCases() []goldenCase {
 	var cases []goldenCase
-	atGaps := func(label string, m *Model, opts Options) {
-		for _, gap := range []float64{0, 0.05} {
-			o := opts
-			o.RelGap = gap
-			cases = append(cases, goldenCase{fmt.Sprintf("%s/gap=%v", label, gap), m, o})
-		}
-	}
 	for i, data := range fuzzCorpus() {
 		m, _, _ := decodeModel(data)
-		atGaps(fmt.Sprintf("corpus[%d]", i), m, oracleOpts())
+		cases = append(cases, goldenCase{fmt.Sprintf("corpus[%d]", i), m, oracleOpts()})
 	}
 	for _, fam := range []struct {
 		seed int64
@@ -85,7 +78,7 @@ func goldenCases() []goldenCase {
 	}{{7, 60}, {99, 40}} {
 		r := rand.New(rand.NewSource(fam.seed))
 		for i := 0; i < fam.n; i++ {
-			atGaps(fmt.Sprintf("random%d[%d]", fam.seed, i), randomOracleModel(r), oracleOpts())
+			cases = append(cases, goldenCase{fmt.Sprintf("random%d[%d]", fam.seed, i), randomOracleModel(r), oracleOpts()})
 		}
 	}
 	for i, m := range warmStartModels() {
@@ -101,13 +94,13 @@ func goldenCases() []goldenCase {
 	}{{7, 4, 6, 7.5}, {7, 4, 6, 9.5}, {7, 4, 5, 9.5}, {8, 3, 8, 7.5}, {8, 3, 8, 9.5}, {9, 3, 8, 7.5}} {
 		m := gangModel(g.groups, g.nodes, g.perGroup, g.capacity)
 		label := fmt.Sprintf("gang%dx%dx%d/%v", g.groups, g.nodes, g.perGroup, g.capacity)
-		atGaps(label, m, oracleOpts())
+		cases = append(cases, goldenCase{label, m, oracleOpts()})
 		approx := m.Solve(Options{Mode: ModeApprox})
 		cases = append(cases, goldenCase{label + "/warm", m, warmReplay(m, oracleOpts(), approx)})
 	}
 	cases = append(cases,
 		goldenCase{"gang8x4x6/9.5/nodes=5000", gangModel(8, 4, 6, 9.5), Options{MaxNodes: 5000}},
-		goldenCase{"gang10x3x6/9.5/nodes=4000", gangModel(10, 3, 6, 9.5), Options{MaxNodes: 4000, RelGap: 0.01}},
+		goldenCase{"gang10x3x6/9.5/nodes=4000", gangModel(10, 3, 6, 9.5), Options{MaxNodes: 4000}},
 		goldenCase{"knapsack34/nodes=3000", correlatedKnapsack(34), Options{MaxNodes: 3000}},
 	)
 	return cases

@@ -14,14 +14,13 @@ func oracleOpts() Options {
 	return Options{MaxNodes: 50000}
 }
 
-// checkAgainstBruteForce solves the model at RelGap 0 and 0.05 and fails
-// unless both agree with exhaustive enumeration: Infeasible exactly when
-// no assignment is feasible, otherwise Optimal with the enumerated
-// optimum — the gap only widens the tie window (see Options.RelGap), it
-// never trades optimality away. The oracle models use small integer
-// coefficients over at most 10 binary variables, so the objective of the
-// returned assignment is an exact float sum and is compared without
-// tolerance; the reported objective is the LP's and may carry its noise.
+// checkAgainstBruteForce solves the model and fails unless it agrees with
+// exhaustive enumeration: Infeasible exactly when no assignment is
+// feasible, otherwise Optimal with the enumerated optimum. The oracle
+// models use small integer coefficients over at most 10 binary variables,
+// so the objective of the returned assignment is an exact float sum and
+// is compared without tolerance; the reported objective is the LP's and
+// may carry its noise.
 func checkAgainstBruteForce(t *testing.T, m *Model, label string) {
 	t.Helper()
 	obj := make([]float64, len(m.vars))
@@ -29,34 +28,30 @@ func checkAgainstBruteForce(t *testing.T, m *Model, label string) {
 		obj[j] = m.vars[j].obj
 	}
 	want := bruteForce(m, obj, len(m.vars))
-	for _, gap := range []float64{0, 0.05} {
-		opts := oracleOpts()
-		opts.RelGap = gap
-		sol := m.Solve(opts)
-		if math.IsNaN(want) {
-			if sol.Status != Infeasible {
-				t.Fatalf("%s gap %v: status %v, brute force says infeasible", label, gap, sol.Status)
-			}
-			continue
+	sol := m.Solve(oracleOpts())
+	if math.IsNaN(want) {
+		if sol.Status != Infeasible {
+			t.Fatalf("%s: status %v, brute force says infeasible", label, sol.Status)
 		}
-		if sol.Status != Optimal {
-			t.Fatalf("%s gap %v: status %v, brute force found %v", label, gap, sol.Status, want)
-		}
-		if math.Abs(sol.Objective-want) > 1e-9 {
-			t.Fatalf("%s gap %v: objective %v, brute force %v", label, gap, sol.Objective, want)
-		}
-		x := make([]float64, len(m.vars))
-		got := 0.0
-		for j := range x {
-			x[j] = sol.Value(Var(j))
-			got += obj[j] * x[j]
-		}
-		if !m.CheckFeasible(x) {
-			t.Fatalf("%s gap %v: incumbent infeasible: %v", label, gap, x)
-		}
-		if got != want {
-			t.Fatalf("%s gap %v: assignment %v scores %v, brute force %v", label, gap, x, got, want)
-		}
+		return
+	}
+	if sol.Status != Optimal {
+		t.Fatalf("%s: status %v, brute force found %v", label, sol.Status, want)
+	}
+	if math.Abs(sol.Objective-want) > 1e-9 {
+		t.Fatalf("%s: objective %v, brute force %v", label, sol.Objective, want)
+	}
+	x := make([]float64, len(m.vars))
+	got := 0.0
+	for j := range x {
+		x[j] = sol.Value(Var(j))
+		got += obj[j] * x[j]
+	}
+	if !m.CheckFeasible(x) {
+		t.Fatalf("%s: incumbent infeasible: %v", label, x)
+	}
+	if got != want {
+		t.Fatalf("%s: assignment %v scores %v, brute force %v", label, x, got, want)
 	}
 }
 
@@ -126,7 +121,7 @@ func randomOracleModel(r *rand.Rand) *Model {
 }
 
 // TestOracleRandomDifferential cross-checks the solver against exhaustive
-// enumeration on 500 randomized 0/1 models, at RelGap 0 and 0.05.
+// enumeration on 500 randomized 0/1 models.
 func TestOracleRandomDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 500; i++ {

@@ -34,7 +34,6 @@ func NewScoreFixture(state *cluster.Cluster, apps []*Application, active []const
 	warm, _ := pm.replay(apps, memoryOf(apps, f.results[0]))
 	sol := pm.m.Solve(ilp.Options{
 		Deadline:   opts.clock()().Add(opts.solverBudget()),
-		RelGap:     0.01,
 		WarmStarts: []map[ilp.Var]float64{warm},
 		Clock:      opts.Clock,
 	})
