@@ -290,12 +290,12 @@ func (m *Model) solveExact(opts Options) *Solution {
 		arena.seen = make([]bool, n)
 	}
 	clear(arena.seen[:n])
-	s := &search{m: m, opts: opts, p: p, arena: arena, obj: m.worst(), nodes: 1, seen: arena.seen[:n]}
+	s := &search{m: m, opts: opts, p: p, arena: arena, obj: m.worst(), seen: arena.seen[:n]}
 	warmUsed := false
 	if obj, x, ok := m.warmIncumbent(opts, p, lo, hi, &arena.lp); ok {
 		s.obj, s.x, warmUsed = obj, x, true
 	}
-	open := s.explore([]bbNode{rootNode}, &root, maxNodes-1, true)
+	open := s.explore([]bbNode{rootNode}, &root, maxNodes, true)
 	if left := maxNodes - s.nodes; len(open) > 0 && !s.cut {
 		if left < len(open) {
 			s.cut = true // not even one node per subtree
@@ -333,8 +333,9 @@ type search struct {
 	// none), ties going to the one found first.
 	obj float64
 	x   []float64
-	// nodes counts the LP relaxations solved; cut reports that the node
-	// budget or the deadline stopped the search with work left.
+	// nodes counts the nodes searched, the root included, each once; cut
+	// reports that the node budget or the deadline stopped the search with
+	// work left.
 	nodes int
 	cut   bool
 	// branched is the dive's branch order (Solution.Branched).

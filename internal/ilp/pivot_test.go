@@ -156,12 +156,11 @@ func TestSparsePivotMatchesDense(t *testing.T) {
 
 // TestExploreSolvesEachLPOnce counts LPs. The root relaxation is solved
 // once and handed to the search's first node, and a node whose bound
-// cannot beat what the search holds is counted without an LP: a solve
-// that ends with Nodes == 2 on one warm start solves exactly two LPs (the
-// root and the warm start's), the same model cold solves two for its four
-// nodes, and over every solve.golden case the LPs stay within the node
-// count, less the root's second count, plus the warm starts — while no
-// case's Nodes moved.
+// cannot beat the incumbent is counted without an LP: a solve that ends
+// with Nodes == 1 on one warm start solves exactly two LPs (the root and
+// the warm start's), the same model cold solves two for its three nodes,
+// and over every solve.golden case the LPs stay within the node count
+// plus the warm starts — while no case's Nodes moved.
 func TestExploreSolvesEachLPOnce(t *testing.T) {
 	// The relaxation's vertex is x = y = 0.5, objective 1; y = 1 alone is
 	// an integer optimum with the same objective.
@@ -176,18 +175,18 @@ func TestExploreSolvesEachLPOnce(t *testing.T) {
 		t.Fatalf("fixture: root relaxation %+v is not fractional", root)
 	}
 	sol := m.Solve(Options{Arena: arena, WarmStarts: []map[Var]float64{{x: 0, y: 1}}})
-	if sol.Status != Optimal || sol.Objective != 1 || sol.Nodes != 2 || !sol.WarmUsed {
-		t.Fatalf("fixture: %+v, want optimal 1 at Nodes 2 from the warm start", sol)
+	if sol.Status != Optimal || sol.Objective != 1 || sol.Nodes != 1 || !sol.WarmUsed {
+		t.Fatalf("fixture: %+v, want optimal 1 at Nodes 1 from the warm start", sol)
 	}
 	if arena.lp.lps != 2 {
-		t.Errorf("Nodes == 2 with one warm start solved %d LPs, want 2", arena.lp.lps)
+		t.Errorf("Nodes == 1 with one warm start solved %d LPs, want 2", arena.lp.lps)
 	}
 	// Cold, the search branches on x: the x = 0 child is that optimum, and
-	// the x = 1 child inherits bound 1, which no longer beats it. Four nodes
-	// (the root counts twice), two LPs: the root's and the first child's.
+	// the x = 1 child inherits bound 1, which no longer beats it. Three
+	// nodes, two LPs: the root's and the first child's.
 	arena = NewSolverArena()
-	if sol := m.Solve(Options{Arena: arena}); sol.Status != Optimal || sol.Objective != 1 || sol.Nodes != 4 || arena.lp.lps != 2 {
-		t.Errorf("cold: %+v after %d LPs, want optimal 1 at Nodes 4 after 2 LPs", sol, arena.lp.lps)
+	if sol := m.Solve(Options{Arena: arena}); sol.Status != Optimal || sol.Objective != 1 || sol.Nodes != 3 || arena.lp.lps != 2 {
+		t.Errorf("cold: %+v after %d LPs, want optimal 1 at Nodes 3 after 2 LPs", sol, arena.lp.lps)
 	}
 
 	golden, err := os.ReadFile(filepath.Join("testdata", "solve.golden"))
@@ -219,7 +218,7 @@ func TestExploreSolvesEachLPOnce(t *testing.T) {
 				warm++
 			}
 		}
-		if limit := max(1, sol.Nodes-1) + warm; arena.lp.lps > limit {
+		if limit := sol.Nodes + warm; arena.lp.lps > limit {
 			t.Errorf("%s: %d LPs for Nodes %d and %d warm starts, want at most %d", c.label, arena.lp.lps, sol.Nodes, warm, limit)
 		}
 	}

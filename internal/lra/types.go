@@ -117,7 +117,7 @@ type Result struct {
 	// invocation ran. Heuristic algorithms leave it zero.
 	ExactSolves int
 	// Nodes sums the branch-and-bound nodes of those solves
-	// (ilp.Solution.Nodes): 2 for a solve that closed at the root on a
+	// (ilp.Solution.Nodes): 1 for a solve that closed at the root on a
 	// warm incumbent.
 	Nodes int
 	// WarmStarts counts solves whose initial incumbent came from an
