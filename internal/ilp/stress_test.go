@@ -215,3 +215,19 @@ func TestMaxNodesLimit(t *testing.T) {
 		t.Errorf("claimed optimality at the node cap")
 	}
 }
+
+// TestBudgetSplitReachesEverySubtree is the regression wall of the
+// hand-over to per-subtree search: a cold solve of the placement fixture
+// whose node budget binds must still find a good incumbent. Splitting
+// the budget over the dive's open subtrees reaches 944 within 2,000
+// nodes; one plain depth-first search spends the budget in the first
+// subtree and ends at 641.
+func TestBudgetSplitReachesEverySubtree(t *testing.T) {
+	s := placementFixture().Solve(Options{MaxNodes: 2000})
+	if s.Status != Feasible || s.Nodes > 2000 {
+		t.Fatalf("solve ended %v after %d nodes, want Feasible within the budget", s.Status, s.Nodes)
+	}
+	if s.Objective < 944 {
+		t.Errorf("objective %v, want >= 944", s.Objective)
+	}
+}
