@@ -109,33 +109,24 @@ func Evaluate(state *cluster.Cluster, entries []constraint.Entry) Report {
 // once and scores every candidate placement against that one list.
 func evaluateResolved(state *cluster.Cluster, resolved []constraint.Entry) Report {
 	var rep Report
+	var buf [16]float64
 	for _, id := range state.ContainerIDs() {
 		node, ok := state.ContainerNode(id)
 		if !ok {
 			continue
 		}
 		tags, _ := state.ContainerTags(id)
-		subject, violated := false, false
-		for _, e := range resolved {
-			ext, applies := constraintExtent(state, e.Constraint, node, tags)
-			if !applies {
-				continue
-			}
-			subject = true
-			rep.Subject++
-			if ext > 0 {
-				violated = true
-				rep.Violated++
-				// Rounded before the sum (no fused multiply-add), as
-				// scoreBase stores its addends.
-				rep.TotalExtent += float64(ext * e.Constraint.EffectiveWeight())
-			}
-		}
-		if subject {
+		addends, applied := appendExtents(buf[:0], state, resolved, node, tags)
+		rep.Subject += applied
+		rep.Violated += len(addends)
+		if applied > 0 {
 			rep.SubjectContainers++
 		}
-		if violated {
+		if len(addends) > 0 {
 			rep.ViolatedContainers++
+		}
+		for _, x := range addends {
+			rep.TotalExtent += x
 		}
 	}
 	return rep
@@ -184,7 +175,7 @@ func newScoreBase(state *cluster.Cluster, cons []constraint.Entry) *scoreBase {
 	for i, id := range b.ids {
 		b.nodes[i], _ = state.ContainerNode(id)
 		b.tags[i], _ = state.ContainerTags(id)
-		b.addends = appendExtents(b.addends, state, cons, b.nodes[i], b.tags[i])
+		b.addends, _ = appendExtents(b.addends, state, cons, b.nodes[i], b.tags[i])
 		b.off[i+1] = len(b.addends)
 	}
 	return b
@@ -236,7 +227,7 @@ func (b *scoreBase) sum(work *cluster.Cluster, res *Result) float64 {
 		var addends []float64
 		if j == len(b.placed) || i < len(b.ids) && b.ids[i] < b.placed[j].Container {
 			if b.region[b.nodes[i]] {
-				b.buf = appendExtents(b.buf[:0], work, b.cons, b.nodes[i], b.tags[i])
+				b.buf, _ = appendExtents(b.buf[:0], work, b.cons, b.nodes[i], b.tags[i])
 				addends = b.buf
 			} else {
 				addends = b.addends[b.off[i]:b.off[i+1]]
@@ -244,7 +235,7 @@ func (b *scoreBase) sum(work *cluster.Cluster, res *Result) float64 {
 			i++
 		} else {
 			a := b.placed[j]
-			b.buf = appendExtents(b.buf[:0], work, b.cons, a.Node, a.Tags)
+			b.buf, _ = appendExtents(b.buf[:0], work, b.cons, a.Node, a.Tags)
 			addends = b.buf
 			j++
 		}
@@ -255,17 +246,25 @@ func (b *scoreBase) sum(work *cluster.Cluster, res *Result) float64 {
 	return float64(res.PlacedApps()) - total/1e6
 }
 
-// appendExtents appends the non-zero weighted extents of the constraints
-// of cons that apply to a container with tags on node: what
-// evaluateResolved adds to TotalExtent for it, in its order.
-func appendExtents(dst []float64, state *cluster.Cluster, cons []constraint.Entry, node cluster.NodeID, tags []constraint.Tag) []float64 {
+// appendExtents is the one weighted-extent kernel: it appends the
+// non-zero weighted extents of the constraints of cons that apply to a
+// container with tags on node, in cons order, and reports how many apply.
+// Each addend is rounded before any sum (no fused multiply-add), so every
+// caller that adds them in order gets the same bits.
+func appendExtents(dst []float64, state *cluster.Cluster, cons []constraint.Entry, node cluster.NodeID, tags []constraint.Tag) ([]float64, int) {
+	applied := 0
 	for i := range cons {
 		c := &cons[i].Constraint // an Entry is too large to copy per container
-		if ext, applies := constraintExtent(state, *c, node, tags); applies && ext > 0 {
+		ext, applies := constraintExtent(state, *c, node, tags)
+		if !applies {
+			continue
+		}
+		applied++
+		if ext > 0 {
 			dst = append(dst, float64(ext*c.EffectiveWeight()))
 		}
 	}
-	return dst
+	return dst, applied
 }
 
 // placementDelta estimates the increase in weighted violation extent
@@ -456,12 +455,11 @@ func ViolationFor(state *cluster.Cluster, resolved []constraint.Entry, id cluste
 		return 0
 	}
 	tags, _ := state.ContainerTags(id)
+	var buf [16]float64
+	addends, _ := appendExtents(buf[:0], state, resolved, node, tags)
 	total := 0.0
-	for _, e := range resolved {
-		ext, applies := constraintExtent(state, e.Constraint, node, tags)
-		if applies && ext > 0 {
-			total += ext * e.Constraint.EffectiveWeight()
-		}
+	for _, x := range addends {
+		total += x
 	}
 	return total
 }

@@ -83,8 +83,7 @@ func PlanMigration(state *cluster.Cluster, entries []constraint.Entry, opts Migr
 	start := clk()
 	work := state.Clone()
 	cons := ResolveEntries(entries)
-	plan := &MigrationPlan{BeforeExtent: totalWeightedExtent(work, cons)}
-	current := plan.BeforeExtent
+	plan := &MigrationPlan{BeforeExtent: evaluateResolved(work, cons).TotalExtent}
 
 	for len(plan.Moves) < opts.maxMoves() {
 		move, gain := bestMove(work, cons, opts)
@@ -105,9 +104,8 @@ func PlanMigration(state *cluster.Cluster, entries []constraint.Entry, opts Migr
 			break
 		}
 		plan.Moves = append(plan.Moves, move)
-		current -= gain
 	}
-	plan.AfterExtent = totalWeightedExtent(work, cons)
+	plan.AfterExtent = evaluateResolved(work, cons).TotalExtent
 	plan.Latency = clk().Sub(start)
 	return plan
 }
@@ -131,14 +129,7 @@ func bestMove(work *cluster.Cluster, cons []constraint.Entry, opts MigrationOpti
 			continue
 		}
 		tags, _ := work.ContainerTags(id)
-		ext := 0.0
-		for _, e := range cons {
-			v, applies := constraintExtent(work, e.Constraint, node, tags)
-			if applies {
-				ext += v * e.Constraint.EffectiveWeight()
-			}
-		}
-		if ext > 0 {
+		if ext := ViolationFor(work, cons, id); ext > 0 {
 			violating = append(violating, candidate{id: id, node: node, tags: tags, extent: ext})
 		}
 	}
@@ -181,20 +172,4 @@ func bestMove(work *cluster.Cluster, cons []constraint.Entry, opts MigrationOpti
 		}
 	}
 	return best, bestGain
-}
-
-// totalWeightedExtent sums weighted extents over all containers.
-func totalWeightedExtent(c *cluster.Cluster, cons []constraint.Entry) float64 {
-	total := 0.0
-	for _, id := range c.ContainerIDs() {
-		node, _ := c.ContainerNode(id)
-		tags, _ := c.ContainerTags(id)
-		for _, e := range cons {
-			v, applies := constraintExtent(c, e.Constraint, node, tags)
-			if applies {
-				total += v * e.Constraint.EffectiveWeight()
-			}
-		}
-	}
-	return total
 }
