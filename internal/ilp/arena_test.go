@@ -170,10 +170,13 @@ func TestWarmStartDifferential(t *testing.T) {
 		if math.Abs(sol.Objective-cold.Objective) > 1e-9*math.Max(1, math.Abs(cold.Objective)) {
 			t.Fatalf("%s: warm-started objective %v != cold %v", label, sol.Objective, cold.Objective)
 		}
-		// A solve that ends at the root (integral relaxation) never
-		// consults the warm start; past the root a feasible one must be
-		// marked used.
-		if len(opts.WarmStarts[0]) > 0 && sol.Nodes > 1 && !sol.WarmUsed {
+		// A solve whose root relaxation is integral returns before the
+		// warm start is consulted; any other must mark a feasible one used.
+		// The cold solve tells the two apart: it reports Nodes == 1 only
+		// for an integral root, and branches past a fractional one. The
+		// warm solve's count cannot: it also reports 1 when the root ties
+		// the warm incumbent and the search closes at its first node.
+		if len(opts.WarmStarts[0]) > 0 && cold.Nodes > 1 && !sol.WarmUsed {
 			t.Fatalf("%s: feasible warm start not marked used", label)
 		}
 		x := make([]float64, len(m.vars))

@@ -306,7 +306,9 @@ func (m *Model) solveExact(opts Options) *Solution {
 		}
 	}
 
-	sol := &Solution{Nodes: s.nodes, Branched: s.branched}
+	// The root LP is solved, so it counts even when the deadline stopped
+	// the search before popping it.
+	sol := &Solution{Nodes: max(s.nodes, 1), Branched: s.branched}
 	switch {
 	case s.x == nil && s.cut:
 		sol.Status, sol.DeadlineHit = NoSolution, true
@@ -333,7 +335,7 @@ type search struct {
 	// none), ties going to the one found first.
 	obj float64
 	x   []float64
-	// nodes counts the nodes searched, the root included, each once; cut
+	// nodes counts the nodes popped, the root included, each once; cut
 	// reports that the node budget or the deadline stopped the search with
 	// work left.
 	nodes int

@@ -301,7 +301,10 @@ type Solution struct {
 	Status    Status
 	Objective float64
 	values    []float64
-	// Nodes is the number of branch-and-bound nodes explored.
+	// Nodes is the number of branch-and-bound nodes explored, the root
+	// counted once: 1 for a solve that closes at the root. A model that
+	// passes Check reports at least 1, because its root LP is solved
+	// first; that holds when the deadline stops the search right after it.
 	Nodes int
 	// DeadlineHit reports that the solve stopped on Options.Deadline (or
 	// the node limit): with an incumbent the Status is Feasible, without

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // TestRandomGeneralIntegerMIPs cross-checks general-integer (not just 0/1)
@@ -195,24 +196,71 @@ func TestWarmStartUsedAsIncumbent(t *testing.T) {
 	}
 }
 
-// TestMaxNodesLimit: a hard node cap returns the incumbent with Feasible
-// (or NoSolution) rather than hanging.
-func TestMaxNodesLimit(t *testing.T) {
+// capKnapsack is a 25-item 0/1 knapsack whose search takes more than a
+// few nodes, with the empty knapsack as a feasible warm start.
+func capKnapsack() (*Model, map[Var]float64) {
 	rng := rand.New(rand.NewSource(5))
 	m := NewModel(Maximize)
 	var terms []Term
+	empty := map[Var]float64{}
 	for i := 0; i < 25; i++ {
 		x := m.Binary("x")
 		m.SetObjective(x, float64(1+rng.Intn(9)))
 		terms = append(terms, T(float64(1+rng.Intn(5)), x))
+		empty[x] = 0
 	}
 	m.AddLE("cap", 17, terms...)
-	s := m.Solve(Options{MaxNodes: 3})
+	return m, empty
+}
+
+// TestMaxNodesLimit: a hard node cap returns the incumbent with Feasible
+// rather than hanging or claiming optimality.
+func TestMaxNodesLimit(t *testing.T) {
+	m, empty := capKnapsack()
+	// The uncapped search needs more than 3 nodes, and a capped search
+	// walks a prefix of it, so at the cap it cannot have closed.
+	if full := m.Solve(Options{}); full.Nodes <= 3 {
+		t.Fatalf("fixture closes in %d nodes; the cap of 3 does not bind", full.Nodes)
+	}
+	s := m.Solve(Options{MaxNodes: 3, WarmStarts: []map[Var]float64{empty}})
 	if s.Nodes > 3 {
 		t.Errorf("explored %d nodes, cap 3", s.Nodes)
 	}
-	if s.Status == Optimal && s.Nodes >= 3 {
-		t.Errorf("claimed optimality at the node cap")
+	if s.Status != Feasible || !s.DeadlineHit {
+		t.Errorf("search cut at the node cap ended %v, DeadlineHit %v; want Feasible, true", s.Status, s.DeadlineHit)
+	}
+}
+
+// TestDeadlineCountsTheRoot moves a virtual clock's expiry over every
+// clock read of a warm-started solve. Wherever the deadline falls, the
+// root LP has been solved, so the solve reports at least one node; and a
+// solve the deadline did not stop is Optimal.
+func TestDeadlineCountsTheRoot(t *testing.T) {
+	m, empty := capKnapsack()
+	base := time.Unix(0, 0)
+	opts := Options{Deadline: base.Add(time.Hour), WarmStarts: []map[Var]float64{empty}}
+	reads := 0
+	opts.Clock = func() time.Time { reads++; return base }
+	if s := m.Solve(opts); s.Status != Optimal || s.DeadlineHit {
+		t.Fatalf("unexpired solve ended %v, DeadlineHit %v", s.Status, s.DeadlineHit)
+	}
+	total := reads
+	for expire := 0; expire <= total; expire++ {
+		reads = 0
+		opts.Clock = func() time.Time {
+			reads++
+			if reads > expire {
+				return base.Add(2 * time.Hour)
+			}
+			return base
+		}
+		s := m.Solve(opts)
+		if s.Nodes < 1 {
+			t.Errorf("deadline after %d of %d clock reads: Nodes %d, want >= 1", expire, total, s.Nodes)
+		}
+		if !s.DeadlineHit && s.Status != Optimal {
+			t.Errorf("deadline after %d of %d clock reads: %v without DeadlineHit", expire, total, s.Status)
+		}
 	}
 }
 
