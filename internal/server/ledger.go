@@ -48,6 +48,15 @@ var stateNames = [...]string{"absent", "queued", "pending", "deployed", "shed", 
 
 func (s appState) String() string { return stateNames[s] }
 
+// wire is the state a status read reports: the name, or "" for absent,
+// which GET /v1/lras/{id} answers with a 404.
+func (s appState) wire() string {
+	if s == absent {
+		return ""
+	}
+	return s.String()
+}
+
 // inCore reports whether the core holds the app.
 func (s appState) inCore() bool { return s == pending || s == deployed }
 
@@ -307,6 +316,18 @@ func (l *ledger) viewLocked(id string) appEntry {
 		return *e
 	}
 	return appEntry{id: id}
+}
+
+// states returns the wire state of each ID, in order, read in one hold
+// of the lock.
+func (l *ledger) states(ids []string) []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = l.viewLocked(id).state.wire()
+	}
+	return out
 }
 
 // apply runs one event against one entry, reporting whether it was

@@ -158,6 +158,7 @@ func New(med *core.Medea, cfg Config) *Server {
 	s.led.each(med.Rejected, evRecover, evReject)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/lras", s.handleSubmit)
+	s.mux.HandleFunc("GET /v1/lras", s.handleStates)
 	s.mux.HandleFunc("GET /v1/lras/{id}", s.handleStatus)
 	s.mux.HandleFunc("DELETE /v1/lras/{id}", s.handleRemove)
 	s.mux.HandleFunc("POST /v1/constraints", s.handleConstraints)
@@ -219,6 +220,13 @@ type StatusResponse struct {
 	// Containers lists live containers with their nodes (state
 	// "deployed").
 	Containers []ContainerStatus `json:"containers,omitempty"`
+}
+
+// StatesResponse is the GET /v1/lras?id=… payload: one state per ID
+// asked, in the order asked, each what GET /v1/lras/{id} reports for it,
+// or "" where that read answers 404.
+type StatesResponse struct {
+	States []string `json:"states"`
 }
 
 // ContainerStatus is one live container of a deployed LRA.
@@ -376,12 +384,17 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		}
 		s.mu.Unlock()
 	}
-	if e.state == absent {
+	if resp.State = e.state.wire(); resp.State == "" {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown application"})
 		return
 	}
-	resp.State = e.state.String()
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// handleStates is the batched status read. Like the accept path it reads
+// the ledger alone and never waits on a cycle for the core lock.
+func (s *Server) handleStates(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, StatesResponse{States: s.led.states(r.URL.Query()["id"])})
 }
 
 // handleRemove is one decision on the entry's state: a queued entry is
