@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"net/url"
 	"sort"
 	"sync"
 	"time"
@@ -288,19 +289,20 @@ const homeCheckBatch = 32
 
 // reconcileHomes is the balancer's anti-entropy sweep: each round it
 // verifies a bounded, rotating batch of placed apps against their home
-// member. A home that answers 404 — or reports the ack was not honored
-// (shed/expired/failed) or already executed a removal the balancer never
-// saw acknowledged ("removed", the ack-dropped DELETE) — lost the app:
-// typically a member crash before the queued submission became durable,
-// recovered from a journal that never saw it. The balancer still holds
-// the body, so the app goes back through the degraded path and is
-// re-placed instead of being reported lost forever. Entries whose status
-// query failed transiently go into a bounded recheck set that is retried
-// every round ahead of the rotating window — otherwise an unlucky entry
-// would wait a full ledger rotation between attempts while its app
-// stays unaccounted for. Moving apps are not swept: mid-DELETE their
-// home legitimately answers "removed", and the move protocol owns their
-// fate.
+// members, with one batched state read (GET /v1/lras?id=…) per home. A
+// home that does not know the app ("", where the single read answers
+// 404) — or reports the ack was not honored (shed/expired/failed) or
+// already executed a removal the balancer never saw acknowledged
+// ("removed", the ack-dropped DELETE) — lost the app: typically a member
+// crash before the queued submission became durable, recovered from a
+// journal that never saw it. The balancer still holds the body, so the
+// app goes back through the degraded path and is re-placed instead of
+// being reported lost forever. Entries whose home could not be read go
+// into a bounded recheck set that is retried every round ahead of the
+// rotating window — otherwise an unlucky entry would wait a full ledger
+// rotation between attempts while its app stays unaccounted for. Moving
+// apps are not swept: mid-DELETE their home legitimately answers
+// "removed", and the move protocol owns their fate.
 func (b *Balancer) reconcileHomes(snap []string, now time.Time, debits map[string]resource.Vector) {
 	var homed []string
 	for _, id := range snap {
@@ -323,26 +325,59 @@ func (b *Balancer) reconcileHomes(snap []string, now time.Time, debits map[strin
 		}
 	}
 	b.homeCursor = (lo + homeCheckBatch) % len(homed)
-	for _, id := range batch {
+	// read[i] is what batch[i]'s home answered. An empty home means it was
+	// not asked; answered false, that its home could not be read.
+	type verdict struct {
+		home, state string
+		answered    bool
+	}
+	read := make([]verdict, len(batch))
+	groups := make(map[string][]int) // batch positions per home, in batch order
+	var homes []string
+	for i, id := range batch {
 		v := b.view(id)
 		if v.state != placed || b.scout.State(v.home, now) == Dead {
-			delete(b.recheck, id) // failover's job, not anti-entropy's
 			continue
 		}
-		var sr server.StatusResponse
-		code, err := b.call(v.home, http.MethodGet, "/v1/lras/"+id, nil, &sr)
-		if err != nil {
-			if len(b.recheck) < homeCheckBatch || b.recheck[id] {
-				b.recheck[id] = true
-			}
-			continue // unreachable: retried next round
+		read[i].home = v.home
+		if groups[v.home] == nil {
+			homes = append(homes, v.home)
 		}
-		delete(b.recheck, id)
-		// A rejection is the member scheduler's verdict on the app, not a
-		// loss: it is reported (Audit's Rejected), not re-placed.
-		if code == http.StatusNotFound ||
-			(code == http.StatusOK && terminal(sr.State) && sr.State != "rejected") {
-			b.apply(id, evVanish, evArg{member: v.home, note: sr.State})
+		groups[v.home] = append(groups[v.home], i)
+	}
+	for _, home := range homes {
+		at := groups[home]
+		q := make(url.Values)
+		for _, i := range at {
+			q.Add("id", batch[i])
+		}
+		var sr server.StatesResponse
+		code, err := b.call(home, http.MethodGet, "/v1/lras?"+q.Encode(), nil, &sr)
+		// Anything short of one state per ID leaves the whole group
+		// unread. A member from before the batched read answers 405, and
+		// taking that for "unknown" would re-place every app it homes.
+		if err != nil || code != http.StatusOK || len(sr.States) != len(at) {
+			continue
+		}
+		for j, i := range at {
+			read[i].state, read[i].answered = sr.States[j], true
+		}
+	}
+	for i, id := range batch {
+		switch r := read[i]; {
+		case r.home == "":
+			delete(b.recheck, id) // failover's job, not anti-entropy's
+		case !r.answered:
+			if len(b.recheck) < homeCheckBatch || b.recheck[id] {
+				b.recheck[id] = true // unreachable: retried next round
+			}
+		default:
+			delete(b.recheck, id)
+			// A rejection is the member scheduler's verdict on the app, not a
+			// loss: it is reported (Audit's Rejected), not re-placed.
+			if r.state == "" || (terminal(r.state) && r.state != "rejected") {
+				b.apply(id, evVanish, evArg{member: r.home, note: r.state})
+			}
 		}
 	}
 }
