@@ -108,9 +108,9 @@ func determinismScenario() (string, error) {
 
 	// Warm-start phase: tear down and resubmit apps whose cross-cycle
 	// solver memory is still live (same IDs, same shapes), so the ILP
-	// scheduler replays remembered placements and branch orders as warm
-	// incumbents. Determinism must hold with that memory engaged, and the
-	// interleaved fresh app keeps the batch from being a pure replay.
+	// scheduler replays remembered placements as warm incumbents.
+	// Determinism must hold with that memory engaged, and the interleaved
+	// fresh app keeps the batch from being a pure replay.
 	if err := m.RemoveLRA("web-2"); err != nil {
 		return "", err
 	}

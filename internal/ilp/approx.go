@@ -136,7 +136,7 @@ attempts:
 				deadlineHit = true
 				break attempts
 			}
-			j := m.branchVariable(xcur, opts.BranchPriority)
+			j := m.branchVariable(xcur)
 			if j < 0 {
 				// All integers fixed or naturally integral: xcur is LP-feasible
 				// with integral integers — a feasible candidate.

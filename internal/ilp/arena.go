@@ -28,9 +28,8 @@ type SolverArena struct {
 	// start of each solve and read-only for its duration.
 	prep prepared
 	// rootX keeps the root relaxation's solution for the search's first
-	// node while the warm-start LPs reuse lp.x; seen is search.seen.
+	// node while the warm-start LPs reuse lp.x.
 	rootX []float64
-	seen  []bool
 }
 
 // NewSolverArena returns an empty arena; buffers grow on first use.
@@ -82,7 +81,6 @@ func (a *SolverArena) Poison() {
 	poisonInt(a.prep.rowStart[:cap(a.prep.rowStart)])
 	poisonInt(a.prep.cols[:cap(a.prep.cols)])
 	poisonF64(a.rootX[:cap(a.rootX)])
-	poisonBool(a.seen[:cap(a.seen)])
 	a.lp.poison()
 	a.pool.poison()
 }
@@ -227,8 +225,7 @@ func poisonInt(s []int) {
 }
 
 // poisonBool sets every flag: a stale true is the harmful value for the
-// flags kept here (a row flipped, a column complemented, a variable
-// already recorded).
+// flags kept here (a row flipped, a column complemented).
 func poisonBool(s []bool) {
 	for i := range s {
 		s[i] = true

@@ -9,8 +9,8 @@ import (
 
 // identicalSolutions compares two solutions byte for byte: status, the
 // float bits of the objective and every variable value, node counts and
-// the recorded branch order. It returns "" when identical, else a
-// description of the first difference.
+// the deadline flag. It returns "" when identical, else a description of
+// the first difference.
 func identicalSolutions(a, b *Solution) string {
 	if a.Status != b.Status {
 		return fmt.Sprintf("status %v vs %v", a.Status, b.Status)
@@ -31,14 +31,6 @@ func identicalSolutions(a, b *Solution) string {
 	}
 	if a.DeadlineHit != b.DeadlineHit {
 		return fmt.Sprintf("deadlineHit %v vs %v", a.DeadlineHit, b.DeadlineHit)
-	}
-	if len(a.Branched) != len(b.Branched) {
-		return fmt.Sprintf("branched len %d vs %d", len(a.Branched), len(b.Branched))
-	}
-	for i := range a.Branched {
-		if a.Branched[i] != b.Branched[i] {
-			return fmt.Sprintf("branched[%d] %d vs %d", i, a.Branched[i], b.Branched[i])
-		}
 	}
 	return ""
 }
@@ -143,8 +135,8 @@ func warmStartModels() []*Model {
 
 // TestWarmStartDifferential checks the warm-start contract on the corpus
 // and random models: seeding the solver with the cold solve's own
-// solution (values + branch order, as the LRA scheduler replays them
-// across cycles) must keep the objective bit-identical, mark WarmUsed,
+// solution (its integer values, as the LRA scheduler replays them across
+// cycles) must keep the objective bit-identical, mark WarmUsed,
 // and stay feasible — through a poisoned shared arena.
 func TestWarmStartDifferential(t *testing.T) {
 	arena := NewSolverArena()

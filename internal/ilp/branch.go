@@ -24,12 +24,6 @@ type Options struct {
 	// incumbent — branch-and-bound then only ever improves on it. Empty
 	// and infeasible candidates are ignored.
 	WarmStarts []map[Var]float64
-	// BranchPriority orders branching: the first fractional variable in
-	// this list is branched before the default most-fractional rule kicks
-	// in. Callers replay the previous cycle's recorded branch order
-	// (Solution.Branched) so near-identical models re-walk yesterday's
-	// tree first. Unknown or non-integer entries are ignored.
-	BranchPriority []Var
 	// Clock is the time source for deadline enforcement (nil = time.Now).
 	// Deterministic harnesses inject a virtual clock, which freezes the
 	// budget for the duration of a solve and so removes the wall clock
@@ -58,10 +52,6 @@ func (o Options) now() time.Time {
 // in LP objectives does not keep a subtree alive that can only tie the
 // incumbent.
 const tolObj = 1e-9
-
-// maxBranchedRecord caps Solution.Branched: the next cycle only replays
-// the top of the tree, so recording deep branches buys nothing.
-const maxBranchedRecord = 32
 
 // defaultMaxNodes is the node budget applied when Options.MaxNodes is 0.
 const defaultMaxNodes = 200000
@@ -174,20 +164,9 @@ func (m *Model) warmIncumbent(opts Options, p *prepared, lo, hi []float64, sc *l
 	return obj, x, ok
 }
 
-// branchVariable picks the first fractional variable of the caller's
-// priority order, falling back to the most fractional integer variable of
-// x; -1 when x is integer feasible.
-func (m *Model) branchVariable(x []float64, prio []Var) int {
-	for _, v := range prio {
-		j := int(v)
-		if j < 0 || j >= len(m.vars) || !m.vars[j].integer {
-			continue
-		}
-		f := x[j] - math.Floor(x[j])
-		if math.Min(f, 1-f) > tolInt {
-			return j
-		}
-	}
+// branchVariable picks the most fractional integer variable of x; -1 when
+// x is integer feasible.
+func (m *Model) branchVariable(x []float64) int {
 	branchVar, frac := -1, 0.0
 	for j, v := range m.vars {
 		if !v.integer {
@@ -286,11 +265,7 @@ func (m *Model) solveExact(opts Options) *Solution {
 	root.x = arena.rootX
 	rootNode.bound = root.obj
 
-	if cap(arena.seen) < n {
-		arena.seen = make([]bool, n)
-	}
-	clear(arena.seen[:n])
-	s := &search{m: m, opts: opts, p: p, arena: arena, obj: m.worst(), seen: arena.seen[:n]}
+	s := &search{m: m, opts: opts, p: p, arena: arena, obj: m.worst()}
 	warmUsed := false
 	if obj, x, ok := m.warmIncumbent(opts, p, lo, hi, &arena.lp); ok {
 		s.obj, s.x, warmUsed = obj, x, true
@@ -308,7 +283,7 @@ func (m *Model) solveExact(opts Options) *Solution {
 
 	// The root LP is solved, so it counts even when the deadline stopped
 	// the search before popping it.
-	sol := &Solution{Nodes: max(s.nodes, 1), Branched: s.branched}
+	sol := &Solution{Nodes: max(s.nodes, 1)}
 	switch {
 	case s.x == nil && s.cut:
 		sol.Status, sol.DeadlineHit = NoSolution, true
@@ -340,9 +315,6 @@ type search struct {
 	// work left.
 	nodes int
 	cut   bool
-	// branched is the dive's branch order (Solution.Branched).
-	branched []Var
-	seen     []bool
 }
 
 // explore searches stack depth-first within budget nodes and returns the
@@ -381,16 +353,12 @@ func (s *search) explore(stack []bbNode, root *lpResult, budget int, dive bool) 
 			pool.release(nd)
 			continue
 		}
-		j := m.branchVariable(res.x, opts.BranchPriority)
+		j := m.branchVariable(res.x)
 		if j < 0 {
 			// Integer feasible, and it beats the incumbent.
 			s.obj, s.x = res.obj, m.snap(res.x)
 			pool.release(nd)
 			continue
-		}
-		if dive && !s.seen[j] && len(s.branched) < maxBranchedRecord {
-			s.seen[j] = true
-			s.branched = append(s.branched, Var(j))
 		}
 		first, second := branch(pool, nd, j, res.x[j], res.obj)
 		pool.release(nd)

@@ -47,8 +47,7 @@ func gangModel(groups, nodes, perGroup int, capacity float64) *Model {
 }
 
 // warmReplay returns opts extended the way the LRA scheduler replays a
-// previous solution: its integer values as a warm start and its branch
-// order as the priority.
+// previous solution: its integer values as a warm start.
 func warmReplay(m *Model, opts Options, prev *Solution) Options {
 	warm := map[Var]float64{}
 	for j := range m.vars {
@@ -57,7 +56,6 @@ func warmReplay(m *Model, opts Options, prev *Solution) Options {
 		}
 	}
 	opts.WarmStarts = []map[Var]float64{warm}
-	opts.BranchPriority = prev.Branched
 	return opts
 }
 
@@ -118,19 +116,12 @@ func goldenLine(label string, s *Solution) string {
 		}
 		b.WriteString(f(v))
 	}
-	b.WriteString(" branched=")
-	for i, v := range s.Branched {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(int(v)))
-	}
 	return b.String()
 }
 
 // TestSolveGolden pins what Solve returns — status, objective bits, the
-// full assignment, node count and recorded branch order — for every case
-// of goldenCases. Which of several equal optima comes back is decided by
+// full assignment, node count, deadline flag and warm-start use — for
+// every case of goldenCases. Which of several equal optima comes back is decided by
 // the dive order, the subtree order, the prune line and the tie-break, so
 // any change to the search shows here first. Refresh with
 // `go test -run TestSolveGolden -update ./internal/ilp/`.

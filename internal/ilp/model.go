@@ -318,10 +318,6 @@ type Solution struct {
 	// WarmUsed reports that a supplied warm start (Options.WarmStarts)
 	// was feasible and seeded the incumbent.
 	WarmUsed bool
-	// Branched lists, in first-branch order (capped), the variables the
-	// deterministic dive branched on. Callers solving near-identical
-	// models each cycle feed it back through Options.BranchPriority.
-	Branched []Var
 }
 
 // Value returns the value of v, rounded to exact integrality for integer

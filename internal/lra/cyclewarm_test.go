@@ -6,9 +6,9 @@ import (
 )
 
 // TestILPCycleMemoryRecordAndReplay: one Place records per-app memory
-// (placement counts + branch order in semantic names), and a repeat
-// solve of the same batch — the requeue scenario — replays it without
-// changing the placement.
+// (placement counts per group and node), and a repeat solve of the same
+// batch — the requeue scenario — replays it without changing the
+// placement.
 func TestILPCycleMemoryRecordAndReplay(t *testing.T) {
 	c := grid(8, 4)
 	s := NewILP().(*ilpScheduler)

@@ -31,7 +31,7 @@ func NewScoreFixture(state *cluster.Cluster, apps []*Application, active []const
 	}
 	groups := batchGroups(apps)
 	pm := buildModel(state, apps, f.cons, groups, selectCandidates(state, f.cons, groups, opts), opts.weights())
-	warm, _ := pm.replay(apps, memoryOf(apps, f.results[0]))
+	warm := pm.replay(apps, memoryOf(apps, f.results[0]))
 	sol := pm.m.Solve(ilp.Options{
 		Deadline:   opts.clock()().Add(opts.solverBudget()),
 		WarmStarts: []map[ilp.Var]float64{warm},

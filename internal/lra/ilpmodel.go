@@ -61,27 +61,13 @@ type slackRef struct {
 	bound   int
 }
 
-// semVar names an S or Y variable independently of the cycle. Model
-// variable indices shift between cycles as batch composition changes;
-// (application, group, node) — and the application alone for its S —
-// does not, so memory recorded against one cycle's model maps onto the
-// next one's.
-type semVar struct {
-	app   string
-	group string
-	node  cluster.NodeID // -1 for S
-}
-
 // noVar stands for "no such variable" where a row takes an optional one.
 const noVar = ilp.Var(-1)
 
 // placementModel is the Figure-5 model of one batch over its candidate
 // nodes, with the handles a caller needs to seed it and to read a
 // solution back: S per application, Y per group and candidate node, the
-// activation and DNF term-selection binaries, the violation slacks, and
-// the semantic names of S and Y in both directions (varOf maps a
-// remembered name onto this model, semOf translates this model's branch
-// record into names for the next one).
+// activation and DNF term-selection binaries, and the violation slacks.
 type placementModel struct {
 	m       *ilp.Model
 	S       []ilp.Var
@@ -89,8 +75,6 @@ type placementModel struct {
 	acts    map[actKey]ilp.Var
 	termSel map[[2]int]ilp.Var // (constraint, DNF term) -> U
 	slacks  []slackRef
-	varOf   map[semVar]ilp.Var
-	semOf   map[ilp.Var]semVar
 
 	// What the row emitters read.
 	state  *cluster.Cluster
@@ -109,18 +93,14 @@ func buildModel(state *cluster.Cluster, apps []*Application, cons []constraint.E
 	pm := &placementModel{
 		m: ilp.NewModel(ilp.Maximize), state: state, groups: groups,
 		acts: map[actKey]ilp.Var{}, termSel: map[[2]int]ilp.Var{},
-		varOf: make(map[semVar]ilp.Var, len(apps)+4*len(groups)),
-		semOf: make(map[ilp.Var]semVar, len(apps)+4*len(groups)),
 	}
 	m := pm.m
-	name := func(v ilp.Var, sem semVar) { pm.varOf[sem], pm.semOf[v] = v, sem }
 
 	// S_i: all-or-nothing indicator per LRA (Table 2).
 	pm.S = make([]ilp.Var, len(apps))
-	for i, app := range apps {
+	for i := range apps {
 		pm.S[i] = m.Binary(fmt.Sprintf("S_%d", i))
 		m.SetObjective(pm.S[i], w.W1/float64(len(apps)))
-		name(pm.S[i], semVar{app: app.ID, node: -1})
 	}
 
 	// Y_gn: containers of group g on node n, at most what fits there.
@@ -142,7 +122,6 @@ func buildModel(state *cluster.Cluster, apps []*Application, cons []constraint.E
 				continue
 			}
 			pm.Y[gi][n] = m.Int(fmt.Sprintf("Y_%d_%d", gi, n), 0, float64(ub))
-			name(pm.Y[gi][n], semVar{apps[g.appIdx].ID, g.name, n})
 		}
 	}
 
@@ -444,7 +423,11 @@ func (r *cardRow) emit(family string, isMin bool, gi, selfAdj int, act ilp.Var) 
 // integer variable of the model — from the applications the candidate
 // places and the containers of each group it puts on each node.
 func (pm *placementModel) warmValues(placed []bool, counts []map[cluster.NodeID]int) map[ilp.Var]float64 {
-	warm := make(map[ilp.Var]float64, len(pm.semOf)+len(pm.acts)+len(pm.termSel))
+	size := len(pm.S) + len(pm.acts) + len(pm.termSel)
+	for _, y := range pm.Y {
+		size += len(y)
+	}
+	warm := make(map[ilp.Var]float64, size)
 	for ai, v := range pm.S {
 		warm[v] = float64(b2f(placed[ai]))
 	}

@@ -51,26 +51,20 @@ type ilpScheduler struct {
 }
 
 // appMemory is the cross-cycle solver memory of one application: the
-// last solve's placement (as per-group node counts) and the top of its
-// branch-and-bound tree, replayed into the next cycle's solve as a warm
-// start and branch priority. A requeued application re-solves a
+// last solve's placement (as per-group node counts), replayed into the
+// next cycle's solve as a warm start. A requeued application re-solves a
 // near-identical model, so the replay usually seeds the incumbent
-// immediately and re-walks yesterday's tree first.
+// immediately.
 type appMemory struct {
-	placed   bool
-	counts   map[string]map[cluster.NodeID]int // group name -> node -> count
-	branched []semVar                          // top of the tree, by semantic name
-	age      int                               // cycles since last refreshed
+	placed bool
+	counts map[string]map[cluster.NodeID]int // group name -> node -> count
+	age    int                               // cycles since last refreshed
 }
 
 // memoryMaxAge is how many cycles an unrefreshed memory entry survives
 // before BeginCycle prunes it: stale placements on a drifted cluster
 // only waste warm-start LP evaluations.
 const memoryMaxAge = 8
-
-// memoryMaxBranched caps the branch-order names remembered per
-// application; replay only needs the top of the tree.
-const memoryMaxBranched = 16
 
 // debugILP enables solver diagnostics on stdout (set via MEDEA_DEBUG_ILP).
 var debugILP = os.Getenv("MEDEA_DEBUG_ILP") != ""
@@ -156,8 +150,8 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	}
 	pm := buildModel(state, apps, cons, groups, cands, opts.weights())
 
-	warm, _ := pm.replay(apps, fbMem)
-	cycleWarm, branchPrio := pm.replay(apps, s.recall(apps))
+	warm := pm.replay(apps, fbMem)
+	cycleWarm := pm.replay(apps, s.recall(apps))
 
 	// A defective constraint set can produce a malformed model (inverted
 	// bounds, dangling variables). Check before solving and degrade to the
@@ -171,11 +165,10 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 		arena := s.checkoutArena()
 		defer s.returnArena(arena)
 		sol = pm.m.Solve(ilp.Options{
-			Deadline:       start.Add(opts.solverBudget()),
-			WarmStarts:     []map[ilp.Var]float64{warm, cycleWarm},
-			BranchPriority: branchPrio,
-			Clock:          opts.Clock,
-			Arena:          arena,
+			Deadline:   start.Add(opts.solverBudget()),
+			WarmStarts: []map[ilp.Var]float64{warm, cycleWarm},
+			Clock:      opts.Clock,
+			Arena:      arena,
 		})
 		if debugILP {
 			fmt.Printf("[ilp] vars=%d cons=%d status=%v nodes=%d obj=%.4f warm=%v fallback=%.6f\n",
@@ -202,16 +195,16 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 		}
 	}
 	final.Latency = clk().Sub(start)
-	s.stamp(final, sol, apps, pm.semOf)
+	s.stamp(final, sol, apps)
 	return final
 }
 
 // stamp records on the result Place returns how its solve went — budget,
 // validity, node count and whether a warm start seeded the incumbent — and
-// remembers what actually committed: the chosen result's placement plus
-// the solve's branch order, keyed by application. sol is nil when the
-// model failed its check and nothing was solved.
-func (s *ilpScheduler) stamp(final *Result, sol *ilp.Solution, apps []*Application, semOf map[ilp.Var]semVar) {
+// remembers what actually committed: the chosen result's placement, keyed
+// by application. sol is nil when the model failed its check and nothing
+// was solved.
+func (s *ilpScheduler) stamp(final *Result, sol *ilp.Solution, apps []*Application) {
 	if sol == nil {
 		final.Invalid = true
 		return
@@ -226,7 +219,7 @@ func (s *ilpScheduler) stamp(final *Result, sol *ilp.Solution, apps []*Applicati
 	if sol.WarmUsed {
 		final.WarmStarts++
 	}
-	s.recordMemory(apps, final, sol, semOf)
+	s.recordMemory(apps, final)
 }
 
 // recall snapshots the batch applications' cross-cycle memory. Entries
@@ -245,17 +238,16 @@ func (s *ilpScheduler) recall(apps []*Application) map[string]*appMemory {
 }
 
 // replay turns remembered placements of the batch's applications into a
-// warm-start candidate and their remembered branch orders into a
-// branching priority. The greedy fallback's placement is replayed this
+// warm-start candidate. The greedy fallback's placement is replayed this
 // way within the cycle, the cross-cycle memory as a second candidate next
 // to it. Apps whose remembered nodes are no longer candidates (or whose
 // counts no longer add up to the gang size) are marked unplaced in the
 // replay — the candidate stays well-formed and the solver simply
 // re-derives their placement. An infeasible replay (cluster drifted) is
 // rejected by the solver's warm evaluation, never committed.
-func (pm *placementModel) replay(apps []*Application, mems map[string]*appMemory) (warm map[ilp.Var]float64, prio []ilp.Var) {
+func (pm *placementModel) replay(apps []*Application, mems map[string]*appMemory) map[ilp.Var]float64 {
 	if len(mems) == 0 {
-		return nil, nil
+		return nil
 	}
 	usable := make([]bool, len(apps))
 	for ai, app := range apps {
@@ -284,18 +276,7 @@ func (pm *placementModel) replay(apps []*Application, mems map[string]*appMemory
 			counts[gi] = mems[apps[g.appIdx].ID].counts[g.name]
 		}
 	}
-	// Branch priority: the remembered branch orders, app by app in
-	// submission order. Names that no longer resolve are dropped.
-	for _, app := range apps {
-		if mem := mems[app.ID]; mem != nil {
-			for _, name := range mem.branched {
-				if v, ok := pm.varOf[name]; ok {
-					prio = append(prio, v)
-				}
-			}
-		}
-	}
-	return pm.warmValues(usable, counts), prio
+	return pm.warmValues(usable, counts)
 }
 
 // decodeSolution turns the solver's S and Y values into concrete
@@ -390,18 +371,11 @@ func memoryOf(apps []*Application, res *Result) map[string]*appMemory {
 }
 
 // recordMemory refreshes the cross-cycle memory from one finished solve:
-// each batch application's placement and its share of the recorded branch
-// order, in semantic names that survive model re-numbering. Applications
-// in concurrent sub-batches are disjoint, so entries are never written by
-// two solves at once.
-func (s *ilpScheduler) recordMemory(apps []*Application, final *Result, sol *ilp.Solution, semOf map[ilp.Var]semVar) {
+// each batch application's placement, keyed by application ID, so it
+// survives model re-numbering. Applications in concurrent sub-batches are
+// disjoint, so entries are never written by two solves at once.
+func (s *ilpScheduler) recordMemory(apps []*Application, final *Result) {
 	mems := memoryOf(apps, final)
-	for _, v := range sol.Branched {
-		// Activation/DNF binaries have no name: batch-local, not replayable.
-		if sem, ok := semOf[v]; ok && len(mems[sem.app].branched) < memoryMaxBranched {
-			mems[sem.app].branched = append(mems[sem.app].branched, sem)
-		}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for id, mem := range mems {

@@ -211,7 +211,7 @@ func TestILPDuplicateGroupNames(t *testing.T) {
 		}
 	}
 	pm := buildModel(c, apps, nil, batchGroups(apps), allCandidates(c, batchGroups(apps)), DefaultWeights())
-	warm, _ := pm.replay(apps, s.memory)
+	warm := pm.replay(apps, s.memory)
 	if warm[pm.S[0]] != 0 || warm[pm.S[1]] != 1 {
 		t.Fatalf("replay: S(twin)=%v S(plain)=%v, want 0 and 1", warm[pm.S[0]], warm[pm.S[1]])
 	}

@@ -88,12 +88,12 @@ func placeGoldenLine(label string, res *Result) string {
 // full), a batch with simple, weighted and DNF constraints, a candidate
 // cap or a weight vector without the balance term on some. Each scenario
 // is solved twice on one scheduler with a BeginCycle in between, so the
-// second solve replays the first one's placement as a warm start and its
-// branch order as the priority: on a third of the seeds against the same
-// batch and cluster (a requeue), on a third after the first application
-// was committed and left the batch (model indices shift under the
-// remembered names), on a third after a node the first solve used went
-// down (the remembered placement no longer fits the model). The clock
+// second solve replays the first one's placement as a warm start: on a
+// third of the seeds against the same batch and cluster (a requeue), on a
+// third after the first application was committed and left the batch
+// (model indices shift under the remembered placement), on a third after
+// a node the first solve used went down (the remembered placement no
+// longer fits the model). The clock
 // ticks per reading, so the deadline is part of what is pinned. Refresh
 // with `go test -run TestILPPlaceGolden -update ./internal/lra/`.
 func TestILPPlaceGolden(t *testing.T) {
