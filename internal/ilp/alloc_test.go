@@ -11,8 +11,8 @@ import (
 // depend on the host or on -race, so the caps are exact walls, not timing
 // budgets. They sit far below one allocation per explored node: the
 // knapsack explores at least knapsackMinNodes, so a solve that allocates
-// per node fails here. Measured: 13 allocs / 4,736 B for the knapsack,
-// 2 / 2,768 B for the warm re-solve. Without an arena a solve allocates
+// per node fails here. Measured: 7 allocs / 4,208 B for the knapsack,
+// 2 / 2,752 B for the warm re-solve. Without an arena a solve allocates
 // its tableau afresh: 68 KB for the knapsack, 3 MB for the warm re-solve.
 const (
 	arenaMaxAllocs   = 64

@@ -56,10 +56,6 @@ const tolObj = 1e-9
 // defaultMaxNodes is the node budget applied when Options.MaxNodes is 0.
 const defaultMaxNodes = 200000
 
-// frontierTarget is the number of open subproblems at which the dive
-// hands over to per-subtree search (see solveExact).
-const frontierTarget = 32
-
 type bbNode struct {
 	lo, hi []float64
 	bound  float64 // parent LP objective (in model sense)
@@ -210,18 +206,12 @@ func (m *Model) Solve(opts Options) *Solution {
 }
 
 // solveExact is depth-first branch-and-bound on one goroutine, a pure
-// function of (model, options) up to the deadline:
-//
-//  1. Root LP and warm starts seed the incumbent.
-//  2. The dive: depth-first from the root, promising child first, until
-//     the tree is exhausted — most models end here — or frontierTarget
-//     subproblems are open. Integral leaves found on the way down improve
-//     the incumbent, so a deadline that fires this early still returns one.
-//  3. Each open subproblem is then searched to exhaustion on its own,
-//     deepest first (the order the dive would have continued in, so a
-//     deadline loses the least promising work), with an equal share of
-//     the remaining node budget, so a binding budget still reaches every
-//     subtree.
+// function of (model, options) up to the deadline: the root LP and the
+// warm starts seed the incumbent, then one depth-first loop runs from the
+// root, more promising child first, until the tree is exhausted, the node
+// budget is spent or the deadline fires. Integral leaves found on the way
+// down improve the incumbent, so a deadline that fires early still
+// returns one.
 //
 // Every node and every LP result is tested against the one incumbent: it
 // is kept only if it beats it by more than the tie margin (see beats).
@@ -270,16 +260,7 @@ func (m *Model) solveExact(opts Options) *Solution {
 	if obj, x, ok := m.warmIncumbent(opts, p, lo, hi, &arena.lp); ok {
 		s.obj, s.x, warmUsed = obj, x, true
 	}
-	open := s.explore([]bbNode{rootNode}, &root, maxNodes, true)
-	if left := maxNodes - s.nodes; len(open) > 0 && !s.cut {
-		if left < len(open) {
-			s.cut = true // not even one node per subtree
-		} else {
-			for i := len(open) - 1; i >= 0; i-- {
-				s.explore([]bbNode{open[i]}, nil, left/len(open), false)
-			}
-		}
-	}
+	s.explore(rootNode, &root, maxNodes)
 
 	// The root LP is solved, so it counts even when the deadline stopped
 	// the search before popping it.
@@ -317,19 +298,18 @@ type search struct {
 	cut   bool
 }
 
-// explore searches stack depth-first within budget nodes and returns the
-// subproblems it left open: none unless it was cut or, when dive is set,
-// stopped at frontierTarget.
-func (s *search) explore(stack []bbNode, root *lpResult, budget int, dive bool) []bbNode {
+// explore searches depth-first from rootNode, whose LP result root is
+// already known, within budget nodes.
+func (s *search) explore(rootNode bbNode, root *lpResult, budget int) {
 	m, opts, pool := s.m, s.opts, &s.arena.pool
-	for used := 0; len(stack) > 0 && !(dive && len(stack) >= frontierTarget); {
-		if used >= budget || (!opts.Deadline.IsZero() && used%16 == 0 && opts.now().After(opts.Deadline)) {
+	stack := []bbNode{rootNode}
+	for len(stack) > 0 {
+		if s.nodes >= budget || (!opts.Deadline.IsZero() && s.nodes%16 == 0 && opts.now().After(opts.Deadline)) {
 			s.cut = true
 			break
 		}
 		nd := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		used++
 		s.nodes++
 		if !m.beats(nd.bound, s.obj) {
 			// No LP below this node can beat the incumbent by more than the
@@ -366,7 +346,6 @@ func (s *search) explore(stack []bbNode, root *lpResult, budget int, dive bool) 
 		// (closer rounding) is explored next.
 		stack = append(stack, second, first)
 	}
-	return stack
 }
 
 // integral reports whether all integer variables are integral within tol.

@@ -24,9 +24,8 @@ type goldenCase struct {
 // up to perGroup containers spread over nodes, one shared capacity row
 // per node. The fractional capacity keeps the relaxation fractional, the
 // repeating objective coefficients make many optima tie, and general
-// integers let the dive go deeper than the variable count — these are
-// the models whose search leaves frontierTarget subproblems open, which
-// no model of at most 31 binaries can.
+// integers let the search go deeper than the variable count: trees of
+// thousands of nodes, which a small node budget cuts.
 func gangModel(groups, nodes, perGroup int, capacity float64) *Model {
 	m := NewModel(Maximize)
 	nodeTerms := make([][]Term, nodes)
@@ -61,9 +60,8 @@ func warmReplay(m *Model, opts Options, prev *Solution) Options {
 
 // goldenCases lists every solve pinned in testdata/solve.golden: the
 // fuzz corpus and two seeded families of small random models, the
-// warm-replayed solves of TestWarmStartDifferential, and the models that
-// reach the subtree phase — complete, cut by the node budget, and
-// warm-replayed.
+// warm-replayed solves of TestWarmStartDifferential, and the gang models
+// — complete, warm-replayed, and cut by the node budget.
 func goldenCases() []goldenCase {
 	var cases []goldenCase
 	for i, data := range fuzzCorpus() {
@@ -121,9 +119,9 @@ func goldenLine(label string, s *Solution) string {
 
 // TestSolveGolden pins what Solve returns — status, objective bits, the
 // full assignment, node count, deadline flag and warm-start use — for
-// every case of goldenCases. Which of several equal optima comes back is decided by
-// the dive order, the subtree order, the prune line and the tie-break, so
-// any change to the search shows here first. Refresh with
+// every case of goldenCases. Which of several equal optima comes back is
+// decided by the search order, the prune line and the tie-break, so any
+// change to the search shows here first. Refresh with
 // `go test -run TestSolveGolden -update ./internal/ilp/`.
 func TestSolveGolden(t *testing.T) {
 	cases := goldenCases()

@@ -214,20 +214,30 @@ func capKnapsack() (*Model, map[Var]float64) {
 }
 
 // TestMaxNodesLimit: a hard node cap returns the incumbent with Feasible
-// rather than hanging or claiming optimality.
+// rather than hanging or claiming optimality, and the one depth-first
+// loop spends a binding cap to the node. The gang models are the
+// budget-bound cases of solve.golden.
 func TestMaxNodesLimit(t *testing.T) {
-	m, empty := capKnapsack()
-	// The uncapped search needs more than 3 nodes, and a capped search
-	// walks a prefix of it, so at the cap it cannot have closed.
-	if full := m.Solve(Options{}); full.Nodes <= 3 {
-		t.Fatalf("fixture closes in %d nodes; the cap of 3 does not bind", full.Nodes)
-	}
-	s := m.Solve(Options{MaxNodes: 3, WarmStarts: []map[Var]float64{empty}})
-	if s.Nodes > 3 {
-		t.Errorf("explored %d nodes, cap 3", s.Nodes)
-	}
-	if s.Status != Feasible || !s.DeadlineHit {
-		t.Errorf("search cut at the node cap ended %v, DeadlineHit %v; want Feasible, true", s.Status, s.DeadlineHit)
+	knapsack, empty := capKnapsack()
+	for _, c := range []struct {
+		label string
+		m     *Model
+		opts  Options
+	}{
+		{"knapsack25", knapsack, Options{MaxNodes: 3, WarmStarts: []map[Var]float64{empty}}},
+		{"gang8x4x6/9.5", gangModel(8, 4, 6, 9.5), Options{MaxNodes: 5000}},
+		{"gang10x3x6/9.5", gangModel(10, 3, 6, 9.5), Options{MaxNodes: 4000}},
+	} {
+		// The uncapped search needs more nodes than the cap, and a capped
+		// search walks a prefix of it, so at the cap it cannot have closed.
+		if full := c.m.Solve(Options{WarmStarts: c.opts.WarmStarts}); full.Nodes <= c.opts.MaxNodes {
+			t.Fatalf("%s: fixture closes in %d nodes; the cap of %d does not bind", c.label, full.Nodes, c.opts.MaxNodes)
+		}
+		s := c.m.Solve(c.opts)
+		if s.Status != Feasible || !s.DeadlineHit || s.Nodes != c.opts.MaxNodes {
+			t.Errorf("%s: search cut at the node cap ended %v, DeadlineHit %v after %d nodes; want Feasible, true, %d",
+				c.label, s.Status, s.DeadlineHit, s.Nodes, c.opts.MaxNodes)
+		}
 	}
 }
 
@@ -261,21 +271,5 @@ func TestDeadlineCountsTheRoot(t *testing.T) {
 		if !s.DeadlineHit && s.Status != Optimal {
 			t.Errorf("deadline after %d of %d clock reads: %v without DeadlineHit", expire, total, s.Status)
 		}
-	}
-}
-
-// TestBudgetSplitReachesEverySubtree is the regression wall of the
-// hand-over to per-subtree search: a cold solve of the placement fixture
-// whose node budget binds must still find a good incumbent. Splitting
-// the budget over the dive's open subtrees reaches 944 within 2,000
-// nodes; one plain depth-first search spends the budget in the first
-// subtree and ends at 641.
-func TestBudgetSplitReachesEverySubtree(t *testing.T) {
-	s := placementFixture().Solve(Options{MaxNodes: 2000})
-	if s.Status != Feasible || s.Nodes > 2000 {
-		t.Fatalf("solve ended %v after %d nodes, want Feasible within the budget", s.Status, s.Nodes)
-	}
-	if s.Objective < 944 {
-		t.Errorf("objective %v, want >= 944", s.Objective)
 	}
 }

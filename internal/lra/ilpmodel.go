@@ -85,7 +85,7 @@ type placementModel struct {
 // sorted candidate nodes of each group of groups (batchGroups(apps)),
 // under the flattened constraint list cons. It is a function of its
 // arguments alone: no heuristic runs, no clock or environment is read.
-// Variable and row order are part of the result — the solver's dive and
+// Variable and row order are part of the result — the solver's search and
 // tie-breaks follow them — and go S, Y, gang, capacity, fragmentation,
 // balance, DNF selectors, then per atom and node set the activations and
 // cardinality rows.
