@@ -106,11 +106,10 @@ func determinismScenario() (string, error) {
 	}
 	cycle()
 
-	// Warm-start phase: tear down and resubmit apps whose cross-cycle
-	// solver memory is still live (same IDs, same shapes), so the ILP
-	// scheduler replays remembered placements as warm incumbents.
-	// Determinism must hold with that memory engaged, and the interleaved
-	// fresh app keeps the batch from being a pure replay.
+	// Resubmission phase: tear down and resubmit apps under the same IDs
+	// and shapes, beside a fresh app, so the ILP scheduler re-solves
+	// batches it has solved before, on arenas pooled since. Determinism
+	// must hold there too.
 	if err := m.RemoveLRA("web-2"); err != nil {
 		return "", err
 	}

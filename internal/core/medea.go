@@ -29,7 +29,8 @@ import (
 type Config struct {
 	// Interval is the LRA scheduling interval (§5.1); longer intervals
 	// batch more LRAs per cycle, improving placement quality at the cost
-	// of LRA scheduling latency. Default 10s (§7.1).
+	// of LRA scheduling latency. Zero or negative selects the default of
+	// 10s (§7.1).
 	Interval time.Duration
 	// MaxRetries bounds LRA resubmission after placement conflicts (§5.4).
 	// The zero value selects the default of 3; a negative value disables
@@ -192,7 +193,7 @@ type Medea struct {
 // New builds a Medea instance over a cluster, with the given LRA
 // algorithm and task queues.
 func New(c *cluster.Cluster, alg lra.Algorithm, cfg Config, queues ...taskched.QueueConfig) *Medea {
-	if cfg.Interval == 0 {
+	if cfg.Interval <= 0 {
 		cfg.Interval = 10 * time.Second
 	}
 	if cfg.SolverBudget <= 0 {
@@ -601,11 +602,6 @@ func appEntries(app *lra.Application) []constraint.Entry {
 func (m *Medea) RunCycle(now time.Time) CycleStats {
 	stats := CycleStats{}
 	m.cycles++
-	if ca, ok := m.alg.(lra.CycleAware); ok {
-		// Age the algorithm's cross-cycle memory exactly once per cycle,
-		// on the cycle's main goroutine, before any placement runs.
-		ca.BeginCycle()
-	}
 	// Journal the cycle bracket only when there is work: idle cycles
 	// change no durable state. The begin-batch record marks the listed
 	// pending apps in flight; if the process dies before the matching

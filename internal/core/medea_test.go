@@ -63,18 +63,32 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestTickInterval: cycles fire once per interval, and a zero or
+// negative interval selects the 10 s default. Tick steps its deadline by
+// the interval until it passes now, so a negative step would never get
+// there; the ticks run on a goroutine so that such a hang fails the test
+// instead of the suite.
 func TestTickInterval(t *testing.T) {
-	m := newMedea(lra.NewSerial(), Config{Interval: 10 * time.Second})
-	_ = m.SubmitLRA(app("a", 2), t0)
-	if _, ran := m.Tick(t0); !ran {
-		t.Fatal("first tick should run")
-	}
-	_ = m.SubmitLRA(app("b", 2), t0.Add(time.Second))
-	if _, ran := m.Tick(t0.Add(5 * time.Second)); ran {
-		t.Error("tick before interval elapsed ran")
-	}
-	if _, ran := m.Tick(t0.Add(11 * time.Second)); !ran {
-		t.Error("tick after interval did not run")
+	for _, interval := range []time.Duration{10 * time.Second, 0, -time.Second} {
+		m := newMedea(lra.NewSerial(), Config{Interval: interval})
+		done := make(chan [3]bool, 1)
+		go func() {
+			var ran [3]bool
+			_ = m.SubmitLRA(app("a", 2), t0)
+			_, ran[0] = m.Tick(t0)
+			_ = m.SubmitLRA(app("b", 2), t0.Add(time.Second))
+			_, ran[1] = m.Tick(t0.Add(5 * time.Second))
+			_, ran[2] = m.Tick(t0.Add(11 * time.Second))
+			done <- ran
+		}()
+		select {
+		case ran := <-done:
+			if ran != [3]bool{true, false, true} {
+				t.Errorf("interval %v: ticks at 0s, 5s and 11s ran %v, want [true false true]", interval, ran)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("interval %v: Tick did not return", interval)
+		}
 	}
 }
 

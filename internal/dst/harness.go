@@ -165,8 +165,8 @@ func newHarness(cfg Config) (*harness, error) {
 		},
 		VirtualDelay: true,
 		// The members run the ILP scheduler; a restart loses its
-		// in-memory solver state (arena pool, cross-cycle warm memory),
-		// exactly like a real process.
+		// in-memory solver state (the arena pool), exactly like a real
+		// process.
 		Algorithm: lra.NewILP,
 		// Real-time budgets are set far beyond anything an in-process
 		// call can take: wall-clock never decides an outcome; injected

@@ -25,12 +25,11 @@ func TestMixedSolverSchedulesFlipModes(t *testing.T) {
 
 // TestMixedSolverDeterministic extends the byte-identical-trace contract
 // to the ILP members: with every member solving via the ILP scheduler —
-// arena reuse and cross-cycle warm starts both engaged, and the warm
-// memory lost on every crash — the same seed must still produce the
-// same bytes.
+// arena reuse engaged, and the arena pool lost on every crash — the same
+// seed must still produce the same bytes.
 // This is the strongest statement the repo makes about solver
-// determinism: pooled memory and warm-start memory may change *how* a
-// solution is reached, never *which* solution a given history yields.
+// determinism: pooled memory may change *how* a solution is reached,
+// never *which* solution a given history yields.
 func TestMixedSolverDeterministic(t *testing.T) {
 	for _, seed := range []int64{4, 21} {
 		cfg := Config{Seed: seed, Events: 200}

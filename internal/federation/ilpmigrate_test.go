@@ -33,12 +33,9 @@ func idSet(ids []cluster.ContainerID) map[cluster.ContainerID]bool {
 // two-phase cross-cluster migration; an operator constraint then makes
 // its placement violating, and the member's own Rebalance (§5.4) fixes
 // it in place. The rebalance must move containers without renaming them
-// — container identity is the migrator's and the journal's join key —
-// and the ILP's cross-cycle "S/<app>" warm memory, which now remembers
-// a placement the rebalance has invalidated, must stay a hint: a second
-// round trip re-solves the app on the same member with that stale
-// memory in play, and everything still converges to one live,
-// invariant-clean copy.
+// — container identity is the migrator's and the journal's join key. A
+// second round trip then re-solves the app on the same member, and
+// everything still converges to one live, invariant-clean copy.
 func TestMigrationThenIntraClusterRebalance(t *testing.T) {
 	f, clk := testFleet(t, FleetConfig{Members: 2, NodesPerMember: 8, Algorithm: lra.NewILP})
 	steps(f, clk, 2)

@@ -165,8 +165,8 @@ type MemberConfig struct {
 	VirtualDelay bool
 	// Algorithm builds the member's LRA placement algorithm (nil =
 	// Medea-NC). It is called once at construction and again on every
-	// Restart: a restarted process loses in-memory solver state (arena
-	// pools, cross-cycle warm memory) exactly like a real one.
+	// Restart: a restarted process loses in-memory solver state (the
+	// ILP's arena pool) exactly like a real one.
 	Algorithm func() lra.Algorithm
 }
 

@@ -101,8 +101,8 @@ func ilpSteadyState(tb testing.TB) (*cluster.Cluster, []constraint.Entry, []*lra
 }
 
 // BenchmarkILPPlaceSteady64 is one steady-state Place of ilp_steady. The
-// scheduler is built once, so its arenas and cross-cycle memory are warm
-// the way they are mid-run.
+// scheduler is built once, so its arenas are warm the way they are
+// mid-run.
 func BenchmarkILPPlaceSteady64(b *testing.B) {
 	c, active, batch, opts, alg := ilpSteadyState(b)
 	b.ReportAllocs()

@@ -3,6 +3,7 @@ package lra
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"medea/internal/cluster"
 	"medea/internal/constraint"
@@ -20,8 +21,8 @@ type ScoreFixture struct {
 }
 
 // NewScoreFixture runs the two heuristics of Place on state and solves
-// the batch's model warm-started from Medea-TP's placement, as Place
-// does. It fails when the solve finds no solution within the budget or
+// the batch's model warm-started from Medea-TP's placement, every node of
+// which is a candidate, as Place does. It fails when the solve finds no solution within the budget or
 // when the two scorers disagree on a placement.
 func NewScoreFixture(state *cluster.Cluster, apps []*Application, active []constraint.Entry, opts Options) (*ScoreFixture, error) {
 	f := &ScoreFixture{state: state, cons: flattenConstraints(apps, active)}
@@ -30,8 +31,17 @@ func NewScoreFixture(state *cluster.Cluster, apps []*Application, active []const
 		f.works, f.results = append(f.works, work), append(f.results, res)
 	}
 	groups := batchGroups(apps)
-	pm := buildModel(state, apps, f.cons, groups, selectCandidates(state, f.cons, groups, opts), opts.weights())
-	warm := pm.replay(apps, memoryOf(apps, f.results[0]))
+	tp := memoryOf(apps, f.results[0])
+	cands := selectCandidates(state, f.cons, groups, opts)
+	for gi, g := range groups {
+		for n := range tp[apps[g.appIdx].ID].counts[g.name] {
+			cands[gi] = append(cands[gi], n)
+		}
+		slices.Sort(cands[gi])
+		cands[gi] = slices.Compact(cands[gi])
+	}
+	pm := buildModel(state, apps, f.cons, groups, cands, opts.weights())
+	warm := pm.replay(apps, tp)
 	sol := pm.m.Solve(ilp.Options{
 		Deadline:   opts.clock()().Add(opts.solverBudget()),
 		WarmStarts: []map[ilp.Var]float64{warm},

@@ -41,52 +41,27 @@ type ilpScheduler struct {
 	// exhaustion without one.
 	fallback *bestOf
 
-	// mu guards the arena free list and the cross-cycle memory map. Place
-	// runs concurrently for constraint-independent sub-batches, but their
-	// application sets are disjoint, so individual appMemory entries are
-	// never contended — the lock only protects map and slice structure.
+	// mu guards the arena free list, the only state kept between Place
+	// calls: concurrent sub-batches check arenas out and back in.
 	mu     sync.Mutex
 	arenas []*ilp.SolverArena
-	memory map[string]*appMemory
 }
 
-// appMemory is the cross-cycle solver memory of one application: the
-// last solve's placement (as per-group node counts), replayed into the
-// next cycle's solve as a warm start. A requeued application re-solves a
-// near-identical model, so the replay usually seeds the incumbent
-// immediately.
+// appMemory is what one placement says of one application: whether it
+// was placed, and where, as per-group node counts. Place turns the greedy
+// fallback's placement into this form to replay it as the solver's warm
+// start.
 type appMemory struct {
 	placed bool
 	counts map[string]map[cluster.NodeID]int // group name -> node -> count
-	age    int                               // cycles since last refreshed
 }
-
-// memoryMaxAge is how many cycles an unrefreshed memory entry survives
-// before BeginCycle prunes it: stale placements on a drifted cluster
-// only waste warm-start LP evaluations.
-const memoryMaxAge = 8
 
 // debugILP enables solver diagnostics on stdout (set via MEDEA_DEBUG_ILP).
 var debugILP = os.Getenv("MEDEA_DEBUG_ILP") != ""
 
 // NewILP returns the Medea-ILP algorithm.
 func NewILP() Algorithm {
-	return &ilpScheduler{fallback: newBestOfGreedy(), memory: map[string]*appMemory{}}
-}
-
-// BeginCycle implements CycleAware: age the cross-cycle memory and prune
-// entries untouched for memoryMaxAge cycles. Core invokes it once per
-// scheduling cycle before any Place call, so the memory's evolution is a
-// deterministic function of the cycle sequence.
-func (s *ilpScheduler) BeginCycle() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for id, mem := range s.memory {
-		mem.age++
-		if mem.age > memoryMaxAge {
-			delete(s.memory, id)
-		}
-	}
+	return &ilpScheduler{fallback: newBestOfGreedy()}
 }
 
 // checkoutArena pops a reusable solver arena, growing the pool on first
@@ -115,7 +90,9 @@ func (s *ilpScheduler) returnArena(a *ilp.SolverArena) {
 func (s *ilpScheduler) Name() string { return "Medea-ILP" }
 
 // Place implements Algorithm: fallback → candidates → buildModel → warm
-// starts → solve → decodeSolution → final selection → memory.
+// start → solve → decodeSolution → final selection. It keeps nothing of
+// one call for the next but the solver arenas, whose contents never reach
+// a solution.
 func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active []constraint.Entry, opts Options) *Result {
 	clk := opts.clock()
 	start := clk()
@@ -151,7 +128,6 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	pm := buildModel(state, apps, cons, groups, cands, opts.weights())
 
 	warm := pm.replay(apps, fbMem)
-	cycleWarm := pm.replay(apps, s.recall(apps))
 
 	// A defective constraint set can produce a malformed model (inverted
 	// bounds, dangling variables). Check before solving and degrade to the
@@ -166,7 +142,7 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 		defer s.returnArena(arena)
 		sol = pm.m.Solve(ilp.Options{
 			Deadline:   start.Add(opts.solverBudget()),
-			WarmStarts: []map[ilp.Var]float64{warm, cycleWarm},
+			WarmStarts: []map[ilp.Var]float64{warm},
 			Clock:      opts.Clock,
 			Arena:      arena,
 		})
@@ -195,16 +171,14 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 		}
 	}
 	final.Latency = clk().Sub(start)
-	s.stamp(final, sol, apps)
+	stamp(final, sol)
 	return final
 }
 
-// stamp records on the result Place returns how its solve went — budget,
-// validity, node count and whether a warm start seeded the incumbent — and
-// remembers what actually committed: the chosen result's placement, keyed
-// by application. sol is nil when the model failed its check and nothing
-// was solved.
-func (s *ilpScheduler) stamp(final *Result, sol *ilp.Solution, apps []*Application) {
+// stamp records on the result Place returns how its solve went: budget,
+// validity, node count and whether the warm start seeded the incumbent.
+// sol is nil when the model failed its check and nothing was solved.
+func stamp(final *Result, sol *ilp.Solution) {
 	if sol == nil {
 		final.Invalid = true
 		return
@@ -219,51 +193,27 @@ func (s *ilpScheduler) stamp(final *Result, sol *ilp.Solution, apps []*Applicati
 	if sol.WarmUsed {
 		final.WarmStarts++
 	}
-	s.recordMemory(apps, final)
 }
 
-// recall snapshots the batch applications' cross-cycle memory. Entries
-// are only ever read and written by the sub-batch owning their
-// application, so the pointers stay safe to use outside the lock.
-func (s *ilpScheduler) recall(apps []*Application) map[string]*appMemory {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mems := make(map[string]*appMemory, len(apps))
-	for _, app := range apps {
-		if mem := s.memory[app.ID]; mem != nil {
-			mems[app.ID] = mem
-		}
-	}
-	return mems
-}
-
-// replay turns remembered placements of the batch's applications into a
-// warm-start candidate. The greedy fallback's placement is replayed this
-// way within the cycle, the cross-cycle memory as a second candidate next
-// to it. Apps whose remembered nodes are no longer candidates (or whose
-// counts no longer add up to the gang size) are marked unplaced in the
-// replay — the candidate stays well-formed and the solver simply
-// re-derives their placement. An infeasible replay (cluster drifted) is
-// rejected by the solver's warm evaluation, never committed.
+// replay turns a placement of the batch's applications, as per-group node
+// counts, into a warm-start candidate. Place replays the greedy
+// fallback's placement, every node of which is a candidate with room for
+// its containers. An application whose counts do not add up to a group's
+// size (two of its groups share a name) is marked unplaced in the replay:
+// the candidate stays well-formed and the solver simply re-derives its
+// placement.
 func (pm *placementModel) replay(apps []*Application, mems map[string]*appMemory) map[ilp.Var]float64 {
-	if len(mems) == 0 {
-		return nil
-	}
 	usable := make([]bool, len(apps))
 	for ai, app := range apps {
 		mem := mems[app.ID]
 		usable[ai] = mem != nil && mem.placed
 	}
-	for gi, g := range pm.groups {
+	for _, g := range pm.groups {
 		if !usable[g.appIdx] {
 			continue
 		}
 		total := 0
-		for n, c := range mems[apps[g.appIdx].ID].counts[g.name] {
-			if _, ok := pm.Y[gi][n]; !ok && c > 0 {
-				usable[g.appIdx] = false
-				break
-			}
+		for _, c := range mems[apps[g.appIdx].ID].counts[g.name] {
 			total += c
 		}
 		if total != g.count {
@@ -347,9 +297,8 @@ func sameNodes(a, b *Result) bool {
 	return true
 }
 
-// memoryOf is what a result leaves to remember of each batch
-// application: whether it was placed, and where, as per-group node
-// counts.
+// memoryOf is what res says of each batch application: whether it was
+// placed, and where, as per-group node counts.
 func memoryOf(apps []*Application, res *Result) map[string]*appMemory {
 	mems := make(map[string]*appMemory, len(apps))
 	for ai, p := range res.Placements {
@@ -368,19 +317,6 @@ func memoryOf(apps []*Application, res *Result) map[string]*appMemory {
 		mems[apps[ai].ID] = mem
 	}
 	return mems
-}
-
-// recordMemory refreshes the cross-cycle memory from one finished solve:
-// each batch application's placement, keyed by application ID, so it
-// survives model re-numbering. Applications in concurrent sub-batches are
-// disjoint, so entries are never written by two solves at once.
-func (s *ilpScheduler) recordMemory(apps []*Application, final *Result) {
-	mems := memoryOf(apps, final)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for id, mem := range mems {
-		s.memory[id] = mem
-	}
 }
 
 // selectCandidates picks, per group, a bounded set of candidate nodes:

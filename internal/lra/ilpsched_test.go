@@ -192,9 +192,9 @@ func placeBestOn(c *cluster.Cluster, apps []*Application) *Result {
 }
 
 // TestILPDuplicateGroupNames: an application whose two groups share a
-// name cannot be told apart in a remembered placement, so replay treats
-// it as unplaced — in the greedy warm start and across cycles alike —
-// and the solver places it anyway; its neighbour keeps its warm start.
+// name cannot be told apart in a placement's per-group counts, so replay
+// treats it as unplaced in the greedy warm start and the solver places it
+// anyway; its neighbour keeps its warm start.
 func TestILPDuplicateGroupNames(t *testing.T) {
 	c := grid(8, 4)
 	twin := &Application{ID: "twin", Groups: []ContainerGroup{
@@ -202,17 +202,28 @@ func TestILPDuplicateGroupNames(t *testing.T) {
 		{Name: "w", Count: 1, Demand: resource.New(1024, 1), Tags: []constraint.Tag{"y"}},
 	}}
 	apps := []*Application{twin, workerApp("plain", 3, "z")}
-	s := NewILP().(*ilpScheduler)
-	for cycle := 0; cycle < 2; cycle++ {
-		s.BeginCycle()
-		res := s.Place(c, apps, nil, Options{})
-		if res.PlacedApps() != 2 || len(res.Placements[0].Assignments) != 3 {
-			t.Fatalf("cycle %d: placed %d apps, twin has %d containers", cycle, res.PlacedApps(), len(res.Placements[0].Assignments))
-		}
+	res := NewILP().Place(c, apps, nil, Options{})
+	if res.PlacedApps() != 2 || len(res.Placements[0].Assignments) != 3 {
+		t.Fatalf("placed %d apps, twin has %d containers", res.PlacedApps(), len(res.Placements[0].Assignments))
 	}
 	pm := buildModel(c, apps, nil, batchGroups(apps), allCandidates(c, batchGroups(apps)), DefaultWeights())
-	warm := pm.replay(apps, s.memory)
+	warm := pm.replay(apps, memoryOf(apps, res))
 	if warm[pm.S[0]] != 0 || warm[pm.S[1]] != 1 {
 		t.Fatalf("replay: S(twin)=%v S(plain)=%v, want 0 and 1", warm[pm.S[0]], warm[pm.S[1]])
+	}
+}
+
+// TestILPArenaPoolReuse: consecutive Place calls reuse pooled arenas
+// instead of growing the pool without bound.
+func TestILPArenaPoolReuse(t *testing.T) {
+	c := grid(8, 4)
+	s := NewILP().(*ilpScheduler)
+	for i := 0; i < 4; i++ {
+		if res := s.Place(c, []*Application{workerApp("a", 2, "w")}, nil, Options{}); res.PlacedApps() != 1 {
+			t.Fatal("unplaced")
+		}
+	}
+	if n := len(s.arenas); n != 1 {
+		t.Fatalf("arena pool holds %d arenas after serial solves, want 1", n)
 	}
 }

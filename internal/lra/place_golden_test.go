@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -81,21 +82,27 @@ func placeGoldenLine(label string, res *Result) string {
 	return b.String()
 }
 
+// samePlace reports whether two Place results agree on every placement
+// and on how their solves went.
+func samePlace(a, b *Result) bool {
+	return reflect.DeepEqual(a.Placements, b.Placements) && a.Nodes == b.Nodes &&
+		a.WarmStarts == b.WarmStarts && a.DeadlineHit == b.DeadlineHit && a.Exhausted == b.Exhausted
+}
+
 // TestILPPlaceGolden pins what Medea-ILP's Place returns — per
 // application placed or not and every container's node, ExactSolves,
 // WarmStarts and DeadlineHit — over 200 seeded scenarios: a cluster with
 // deployed applications and their constraints (every other one nearly
 // full), a batch with simple, weighted and DNF constraints, a candidate
 // cap or a weight vector without the balance term on some. Each scenario
-// is solved twice on one scheduler with a BeginCycle in between, so the
-// second solve replays the first one's placement as a warm start: on a
-// third of the seeds against the same batch and cluster (a requeue), on a
-// third after the first application was committed and left the batch
-// (model indices shift under the remembered placement), on a third after
-// a node the first solve used went down (the remembered placement no
-// longer fits the model). The clock
-// ticks per reading, so the deadline is part of what is pinned. Refresh
-// with `go test -run TestILPPlaceGolden -update ./internal/lra/`.
+// is solved twice on one scheduler: on a third of the seeds the second
+// solve sees the same batch and cluster (a requeue), on a third the first
+// application was committed and left the batch, on a third a node the
+// first solve used went down. Place keeps nothing between calls but its
+// solver arenas, so the second solve must equal the same solve on a fresh
+// scheduler. The clock ticks per reading, so the deadline is part of what
+// is pinned. Refresh with
+// `go test -run TestILPPlaceGolden -update ./internal/lra/`.
 func TestILPPlaceGolden(t *testing.T) {
 	var lines []string
 	var hits, exhausted, warm, unplaced, changed int
@@ -135,10 +142,14 @@ func TestILPPlaceGolden(t *testing.T) {
 				}
 			}
 		}
-		s.BeginCycle()
 		opts.Clock = tickingClock(time.Millisecond)
 		second := s.Place(state, apps, active, opts)
 		lines = append(lines, placeGoldenLine(fmt.Sprintf("seed=%d second", seed), second))
+		opts.Clock = tickingClock(time.Millisecond)
+		if fresh := NewILP().Place(state, apps, active, opts); !samePlace(second, fresh) {
+			t.Errorf("seed %d: the second solve differs from the same solve on a fresh scheduler:\n%s\n%s",
+				seed, placeGoldenLine("reused", second), placeGoldenLine("fresh", fresh))
+		}
 
 		for _, res := range []*Result{first, second} {
 			hits += b2f(res.DeadlineHit)

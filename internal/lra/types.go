@@ -121,8 +121,7 @@ type Result struct {
 	// warm incumbent.
 	Nodes int
 	// WarmStarts counts solves whose initial incumbent came from an
-	// accepted warm start (the greedy heuristic's placement or the
-	// cross-cycle memory).
+	// accepted warm start (the greedy heuristic's placement).
 	WarmStarts int
 }
 
@@ -210,12 +209,9 @@ type Algorithm interface {
 	Place(state *cluster.Cluster, apps []*Application, active []constraint.Entry, opts Options) *Result
 }
 
-// CycleAware is optionally implemented by algorithms that keep
-// cross-cycle state — the ILP scheduler's warm-start memory. Core calls
-// BeginCycle exactly once per scheduling cycle, on the cycle's main
-// goroutine before any Place call of that cycle, so aging and pruning of
-// that state is a deterministic function of the cycle count, never of
-// wall time or goroutine interleavings.
+// CycleAware is unused: no algorithm implements it and core never calls
+// it, because no algorithm keeps state between scheduling cycles. It is
+// kept only because benchmark/trace.go still names it.
 type CycleAware interface {
 	BeginCycle()
 }
