@@ -4,8 +4,10 @@
 // LRA algorithm's *proposals*: a buggy or deadline-truncated solver can
 // emit over-capacity, constraint-violating or double-assigned placements.
 // This package verifies each proposed placement against the live state
-// before commit, and exposes a whole-cluster invariant checker the core
-// can run after every cycle (off / metrics / fail-fast).
+// before commit, in place on the live cluster (Undo rolls an accepted
+// placement back, so nothing is copied), and exposes a whole-cluster
+// invariant checker the core can run after every cycle (off / metrics /
+// fail-fast).
 package audit
 
 import (
@@ -84,16 +86,16 @@ func HardEntries(entries []constraint.Entry) []constraint.Entry {
 	return out
 }
 
-// CheckPlacement verifies one proposed placement for app against a
-// scratch cluster state, before commit: assignment shape (known groups,
+// CheckPlacement verifies one proposed placement for app against
+// cluster state, before commit: assignment shape (known groups,
 // per-group counts, demands and tags matching the request), target nodes
 // known and healthy, capacity after each assignment, no double-assigned
 // container IDs, and no new hard-constraint violations. It validates in
-// place: an accepted placement is left allocated on state, so a caller
-// validating a batch in order on one scratch sees each accepted
-// placement in the next one's state; a veto undoes every allocation it
-// made. Pass a clone, never live state. It returns nil for unplaced
-// proposals and the first defect found otherwise.
+// place: an accepted placement stays allocated on state until the
+// caller undoes it (Undo), so a caller validating a batch in order sees
+// each accepted placement in the next one's state; a veto undoes itself.
+// It returns nil for unplaced proposals and the first defect found
+// otherwise.
 func CheckPlacement(state *cluster.Cluster, app *lra.Application, p *lra.Placement, entries []constraint.Entry) error {
 	if p == nil || !p.Placed {
 		return nil
@@ -106,10 +108,11 @@ func CheckPlacement(state *cluster.Cluster, app *lra.Application, p *lra.Placeme
 	return CheckAssignments(state, p.AppID, p.Assignments, entries)
 }
 
-// CheckAssignments validates a raw assignment batch on a scratch state
-// (CheckPlacement without the application shape), in place like it. The
-// repair path uses it directly on the remapped batch it actually
-// commits.
+// CheckAssignments validates a raw assignment batch on state
+// (CheckPlacement without the application shape), in place like it: an
+// accepted batch stays allocated until the caller undoes it, a veto
+// undoes itself. The repair path uses it directly on the remapped batch
+// it actually commits.
 func CheckAssignments(state *cluster.Cluster, appID string, assigns []lra.Assignment, entries []constraint.Entry) error {
 	// Resolved once here, not per container: ViolationFor runs for every
 	// container of the cluster, twice.
@@ -135,7 +138,7 @@ func CheckAssignments(state *cluster.Cluster, appID string, assigns []lra.Assign
 			}
 			if v := lra.ViolationFor(state, hard, id); v > 0 {
 				err = fmt.Errorf("audit: %s: hard constraint violated for container %s (extent %g)", appID, id, v)
-				undo(state, assigns)
+				Undo(state, assigns)
 				break
 			}
 		}
@@ -165,19 +168,21 @@ func allocateAll(state *cluster.Cluster, appID string, assigns []lra.Assignment)
 			}
 		}
 		if err != nil {
-			undo(state, assigns[:i])
+			Undo(state, assigns[:i])
 			return err
 		}
 	}
 	return nil
 }
 
-// undo releases assignments allocateAll charged; every node's resident
-// list is left as it was before them.
-func undo(state *cluster.Cluster, assigns []lra.Assignment) {
+// Undo releases the assignments of a placement validated in place, in
+// reverse order: every node's resident list and every tag multiset is
+// left as it was before them. Undoing several accepted placements takes
+// them in reverse of the order they were validated in.
+func Undo(state *cluster.Cluster, assigns []lra.Assignment) {
 	for i := len(assigns) - 1; i >= 0; i-- {
 		if err := state.Release(assigns[i].Container); err != nil {
-			panic(err) // unreachable: releasing an allocation made above
+			panic(err) // unreachable: releasing an allocation validated in place
 		}
 	}
 }

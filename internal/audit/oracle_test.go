@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -19,9 +20,13 @@ import (
 // clone, in place, gives the verdicts — same order, same errors — of
 // validating each placement on a clone of a cluster that the accepted
 // placements before it were committed to. After every veto the scratch
-// is what it was before it. Batches mix honest placements computed app
-// by app (so they collide in capacity and in hard constraints) with
-// chaos.Byzantine over-capacity, duplicate-ID and down-node proposals.
+// is what it was before it. Validated in place on live state, the same
+// batch gives the same verdicts, and undoing the accepted placements in
+// reverse order gives back the pre-batch cluster: snapshot, containers
+// and every node's and rack's tag multiset. Batches mix honest
+// placements computed app by app (so they collide in capacity and in
+// hard constraints) with chaos.Byzantine over-capacity, duplicate-ID
+// and down-node proposals.
 func TestBatchValidationOracle(t *testing.T) {
 	vetoes := map[string]int{}
 	accepted := 0
@@ -73,6 +78,36 @@ func TestBatchValidationOracle(t *testing.T) {
 		if !reflect.DeepEqual(scratch.TakeSnapshot(), live.TakeSnapshot()) ||
 			!reflect.DeepEqual(scratch.ContainerIDs(), live.ContainerIDs()) {
 			t.Fatalf("seed %d: the scratch after the batch differs from the cluster committed in order", seed)
+		}
+
+		// Validation on live state: in place on a stand-in for the live
+		// cluster, then the accepted placements undone in reverse order.
+		inPlace, entries := state.Clone(), active
+		universe := tagUniverse(state, placements)
+		snap, ids, tags := inPlace.TakeSnapshot(), inPlace.ContainerIDs(), tagState(inPlace, universe)
+		var undo [][]lra.Assignment
+		for i, p := range placements {
+			all := withOwn(entries, apps[i])
+			err := audit.CheckPlacement(inPlace, apps[i], &p, all)
+			if got := verdict(err); got != want[i] {
+				t.Fatalf("seed %d placement %d (%s): in-place verdict %q, per-placement verdict %q", seed, i, p.AppID, got, want[i])
+			}
+			if err == nil && p.Placed {
+				undo = append(undo, p.Assignments)
+				entries = all
+			}
+		}
+		for k := len(undo) - 1; k >= 0; k-- {
+			audit.Undo(inPlace, undo[k])
+		}
+		if got := inPlace.TakeSnapshot(); !reflect.DeepEqual(got, snap) {
+			t.Fatalf("seed %d: the snapshot after undoing the batch differs from the pre-batch one", seed)
+		}
+		if got := inPlace.ContainerIDs(); !reflect.DeepEqual(got, ids) {
+			t.Fatalf("seed %d: containers after undoing the batch %v, want %v", seed, got, ids)
+		}
+		if got := tagState(inPlace, universe); !reflect.DeepEqual(got, tags) {
+			t.Fatalf("seed %d: tag multisets after undoing the batch\n got %v\nwant %v", seed, got, tags)
 		}
 	}
 	t.Logf("%d placements accepted; vetoes %v", accepted, vetoes)
@@ -142,6 +177,44 @@ func oracleBatch(seed int64) (*cluster.Cluster, []constraint.Entry, []*lra.Appli
 		}
 	}
 	return state, active, apps, placements
+}
+
+// tagUniverse is every tag on the pre-batch cluster or in a proposal.
+func tagUniverse(state *cluster.Cluster, placements []lra.Placement) []constraint.Tag {
+	seen := map[constraint.Tag]bool{}
+	for _, n := range state.Nodes() {
+		for _, t := range n.Tags().Tags() {
+			seen[t] = true
+		}
+	}
+	for _, p := range placements {
+		for _, a := range p.Assignments {
+			for _, t := range a.Tags {
+				seen[t] = true
+			}
+		}
+	}
+	out := make([]constraint.Tag, 0, len(seen))
+	for t := range seen {
+		out = append(out, t)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// tagState renders every node's tag multiset and, per rack, γ of every
+// tag of the universe.
+func tagState(state *cluster.Cluster, universe []constraint.Tag) []string {
+	var out []string
+	for _, n := range state.Nodes() {
+		out = append(out, n.Tags().String())
+	}
+	for sid := 0; sid < state.NumSets(constraint.Rack); sid++ {
+		for _, t := range universe {
+			out = append(out, fmt.Sprintf("rack %d %s:%d", sid, t, state.Gamma(constraint.Rack, cluster.SetID(sid), constraint.E(t))))
+		}
+	}
+	return out
 }
 
 // withOwn returns entries plus app's own constraints, in a new slice.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -10,16 +11,19 @@ import (
 	"medea/internal/constraint"
 	"medea/internal/lra"
 	"medea/internal/resource"
+	"medea/internal/taskched"
+	"medea/internal/workload"
 )
 
-// cycleMaxAllocs caps one 12-LRA cycle of TestRunCycleAllocCap, about 6%
-// above the most it was measured at: 13,970 at one P, 14,050 at two, and
-// up to 14,680 under -race. The cycle scores ~2,400 candidate nodes, so one
+// cycleMaxAllocs caps one 12-LRA cycle of TestRunCycleAllocCap, about 9%
+// above the most it was measured at: 13,593 at one P, 13,729 at two, and
+// 14,275 under -race. The cycle scores ~2,400 candidate nodes, so one
 // allocation per scored candidate fails here; so does validating each
-// placement on a clone of its own (the cycle validates the batch on one
-// scratch clone), and so does a Place that builds its three candidate
-// placements on three clones (20,000: it builds them on one). Allocation
-// counts do not depend on the host, so the cap is an exact wall.
+// placement on a clone of its own (the cycle validates the batch in place
+// on the live cluster and clones nothing), and so does a Place that
+// builds its three candidate placements on three clones (20,000: it
+// builds them on one). Allocation counts do not depend on the host, so
+// the cap is an exact wall.
 const cycleMaxAllocs = 15500
 
 // spreadApp is one LRA of the cycle fixture: four containers that must
@@ -72,5 +76,83 @@ func TestRunCycleAllocCap(t *testing.T) {
 		if allocs > cycleMaxAllocs {
 			t.Errorf("GOMAXPROCS %d: cycle allocated %d times, cap %d", procs, allocs, cycleMaxAllocs)
 		}
+	}
+}
+
+// validateMaxAllocs caps TestValidateBatchAllocCap, about 10% above the
+// 277 allocations measured, the same at one P, at two and under -race.
+// One Clone of the fixture's 1,290-container state costs 1,644, and
+// validating the batch on a clone measured 1,893: a clone on the commit
+// path fails here.
+const validateMaxAllocs = 305
+
+// templateApp returns the i-th LRA of the template rotation: the
+// paper's TensorFlow and HBase templates and the Storm+Memcached
+// pipeline, in turn.
+func templateApp(i int) *lra.Application {
+	id := fmt.Sprintf("lra-%03d", i)
+	switch i % 3 {
+	case 0:
+		return workload.TensorFlow(id, workload.DefaultTF())
+	case 1:
+		return workload.HBase(id, workload.HBaseConfig{Workers: 10, MaxWorkersPerNode: 4, RackAffinity: true, MasterConstraints: true})
+	default:
+		return workload.StormPipeline(id, 4, "intra-inter")
+	}
+}
+
+// TestValidateBatchAllocCap holds commit-time validation of a 2-LRA
+// batch, on a 256-node grid populated with 80 template LRAs and 512
+// tasks, to validateMaxAllocs: validation runs in place on the live
+// cluster and clones nothing. It counts the second of two validations
+// of the same proposals, from runtime.MemStats; each leaves the cluster
+// as it found it.
+func TestValidateBatchAllocCap(t *testing.T) {
+	m := New(cluster.Grid(256, 8, resource.New(16384, 8)), lra.NewNodeCandidates(), Config{Interval: time.Second})
+	now := t0
+	for i := 0; i < 80; i++ {
+		if err := m.SubmitLRA(templateApp(i), now); err != nil {
+			t.Fatal(err)
+		}
+		if i%8 == 7 {
+			now = now.Add(time.Second)
+			m.RunCycle(now)
+		}
+	}
+	for n := 0; n < 10 && m.PendingLRAs() > 0; n++ {
+		now = now.Add(time.Second)
+		m.RunCycle(now) // batch members that collided in validation
+	}
+	if got := m.DeployedLRAs(); got != 80 {
+		t.Fatalf("%d/80 LRAs deployed", got)
+	}
+	_ = m.Tasks.Submit("job", "default", now, taskched.TaskRequest{Count: 256 * 2, Demand: resource.DefaultProfile})
+	for n := 0; n < 256; n++ {
+		m.Tasks.NodeHeartbeat(cluster.NodeID(n), now)
+	}
+
+	apps := []*lra.Application{templateApp(80), templateApp(81)}
+	batch := []*pendingApp{{app: apps[0]}, {app: apps[1]}}
+	active := m.Constraints.Active()
+	res := lra.NewNodeCandidates().Place(m.Cluster, apps, active, lra.Options{})
+	before := m.Cluster.TakeSnapshot()
+	validate := func() {
+		accepted, vetoes := m.validateBatch(batch, res.Placements, active)
+		if vetoes != 0 || !accepted[0] || !accepted[1] {
+			t.Fatalf("validation: accepted %v, %d vetoes", accepted, vetoes)
+		}
+	}
+	validate()
+	var b, a runtime.MemStats
+	runtime.ReadMemStats(&b)
+	validate()
+	runtime.ReadMemStats(&a)
+	allocs := a.Mallocs - b.Mallocs
+	t.Logf("%d containers: %d allocs, %d kB", m.Cluster.NumContainers(), allocs, (a.TotalAlloc-b.TotalAlloc)>>10)
+	if allocs > validateMaxAllocs {
+		t.Errorf("validating the batch allocated %d times, cap %d", allocs, validateMaxAllocs)
+	}
+	if got := m.Cluster.TakeSnapshot(); !reflect.DeepEqual(got, before) {
+		t.Error("validation left the batch on the cluster")
 	}
 }

@@ -736,32 +736,35 @@ func (m *Medea) RunCycle(now time.Time) CycleStats {
 }
 
 // validateBatch is commit-time validation of a cycle's proposals, in
-// batch order, on one scratch clone of the cluster: each placed proposal
-// is checked against the placements accepted before it and under their
+// batch order, in place on the live cluster: each placed proposal is
+// checked against the placements accepted before it and under their
 // constraints, which is what its commit meets once they have committed
-// in order. A veto leaves the scratch as it was. It reports which
+// in order. A veto undoes itself; the accepted placements are undone in
+// reverse batch order before it returns, so the write-ahead barrier and
+// the commits that follow meet the pre-cycle cluster. It reports which
 // proposals were accepted and how many were vetoed.
 func (m *Medea) validateBatch(batch []*pendingApp, placements []lra.Placement, active []constraint.Entry) (accepted []bool, vetoes int) {
 	accepted = make([]bool, len(placements))
-	var scratch *cluster.Cluster
 	entries := active
 	for i := range placements {
 		p := &placements[i]
 		if !p.Placed {
 			continue
 		}
-		if scratch == nil {
-			scratch = m.Cluster.Clone()
-		}
 		own := appEntries(batch[i].app)
 		all := append(append(make([]constraint.Entry, 0, len(entries)+len(own)), entries...), own...)
-		if err := audit.CheckPlacement(scratch, batch[i].app, p, all); err != nil {
+		if err := audit.CheckPlacement(m.Cluster, batch[i].app, p, all); err != nil {
 			m.Pipeline.Record(metrics.ValidationRejects, err.Error())
 			vetoes++
 			continue
 		}
 		accepted[i] = true
 		entries = append(entries, own...)
+	}
+	for i := len(placements) - 1; i >= 0; i-- {
+		if accepted[i] {
+			audit.Undo(m.Cluster, placements[i].Assignments)
+		}
 	}
 	return accepted, vetoes
 }

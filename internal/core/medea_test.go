@@ -1,11 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"medea/internal/cluster"
 	"medea/internal/constraint"
+	"medea/internal/journal"
 	"medea/internal/lra"
 	"medea/internal/resource"
 	"medea/internal/taskched"
@@ -267,5 +269,75 @@ func TestRebalanceNeverMovesTasks(t *testing.T) {
 	plan := m.Rebalance(lra.MigrationOptions{})
 	if len(plan.Moves) != 0 {
 		t.Errorf("moved task containers: %v", plan.Moves)
+	}
+}
+
+// barrierProbe is a memory journal whose Barrier first runs check, when
+// set: a window onto the cluster at the write-ahead barrier.
+type barrierProbe struct {
+	*journal.Memory
+	check func()
+}
+
+func (b *barrierProbe) Barrier() error {
+	if b.check != nil {
+		b.check()
+	}
+	return b.Memory.Barrier()
+}
+
+// TestBarrierSeesPreCycleCluster: commit-time validation runs in place
+// on the live cluster, and the batch's write-ahead barrier still meets
+// the pre-cycle cluster — none of the batch's containers, the same
+// snapshot — on a batch with one accepted and one vetoed placement. The
+// mutation must not run ahead of its record.
+func TestBarrierSeesPreCycleCluster(t *testing.T) {
+	// Two nodes of two slots each; a task takes one slot, so "a" and "b"
+	// each fit alone but not together: they share no constraint, so they
+	// are solved as independent sub-batches and "b" is vetoed.
+	m := New(cluster.Grid(2, 1, resource.New(4096, 4)), lra.NewNodeCandidates(), Config{})
+	probe := &barrierProbe{Memory: journal.NewMemory()}
+	if err := m.AttachJournal(probe, t0); err != nil {
+		t.Fatal(err)
+	}
+	_ = m.Tasks.Submit("job", "default", t0, taskched.TaskRequest{Count: 1, Demand: resource.New(2048, 1)})
+	if got := m.Tasks.NodeHeartbeat(0, t0); len(got) != 1 {
+		t.Fatal("task did not land on node 0")
+	}
+	_ = m.SubmitLRA(app("a", 2, "y"), t0)
+	_ = m.SubmitLRA(app("b", 2, "z"), t0)
+	var batchIDs []cluster.ContainerID
+	for _, id := range []string{"a", "b"} {
+		for i := 0; i < 2; i++ {
+			batchIDs = append(batchIDs, cluster.MakeContainerID(id, i))
+		}
+	}
+
+	before := m.Cluster.TakeSnapshot()
+	barriers := 0
+	probe.check = func() {
+		barriers++
+		for _, id := range batchIDs {
+			if n, ok := m.Cluster.ContainerNode(id); ok {
+				t.Errorf("barrier: batch container %s already on node %d", id, n)
+			}
+		}
+		if got := m.Cluster.TakeSnapshot(); !reflect.DeepEqual(got, before) {
+			t.Errorf("barrier: cluster differs from the pre-cycle cluster:\n got %+v\nwant %+v", got, before)
+		}
+	}
+	stats := m.RunCycle(t0.Add(time.Second))
+	probe.check = nil
+	if barriers != 1 {
+		t.Fatalf("%d barriers in the cycle, want 1", barriers)
+	}
+	if stats.Placed != 1 || stats.ValidationRejects != 1 || stats.Requeued != 1 {
+		t.Fatalf("stats = %+v, want a placed and b vetoed", stats)
+	}
+	if got, _ := m.Deployed("a"); !reflect.DeepEqual(got, batchIDs[:2]) {
+		t.Fatalf("a deployed %v, want %v", got, batchIDs[:2])
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -283,12 +283,14 @@ func (m *Medea) attemptRepair(r *repairReq, dep *deployment, now time.Time, stat
 		if restored {
 			// Commit-time validation on the batch actually committed (the
 			// remapped one): capacity, health, duplicates and hard
-			// constraints, exactly like initial placements, on a scratch
-			// clone of its own.
-			if err := audit.CheckAssignments(m.Cluster.Clone(), r.appID, remapped, m.Constraints.Active()); err != nil {
+			// constraints, exactly like initial placements, in place on
+			// the live cluster and undone before the barrier.
+			if err := audit.CheckAssignments(m.Cluster, r.appID, remapped, m.Constraints.Active()); err != nil {
 				m.Pipeline.Record(metrics.ValidationRejects, err.Error())
 				stats.ValidationRejects++
 				restored = false
+			} else {
+				audit.Undo(m.Cluster, remapped)
 			}
 		}
 		if restored {

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"medea/internal/cluster"
 	"medea/internal/constraint"
 	"medea/internal/lra"
+	"medea/internal/metrics"
 	"medea/internal/resource"
 	"medea/internal/sim"
 	"medea/internal/taskched"
@@ -448,5 +451,118 @@ func TestSimDrivenRecovery(t *testing.T) {
 	}
 	if m.Recovery.NodeFailures != 4 || m.Recovery.NodeRecoveries != 4 {
 		t.Errorf("node transitions = %+v", m.Recovery)
+	}
+}
+
+// pinnedAlg proposes container j of every app of the batch on node
+// nodes[j % len(nodes)].
+type pinnedAlg struct {
+	nodes []cluster.NodeID
+}
+
+func (p *pinnedAlg) Name() string { return "pinned" }
+
+func (p *pinnedAlg) Place(state *cluster.Cluster, apps []*lra.Application, active []constraint.Entry, opts lra.Options) *lra.Result {
+	res := &lra.Result{}
+	for _, a := range apps {
+		pl := lra.Placement{AppID: a.ID, Placed: true}
+		for _, g := range a.Groups {
+			for j := 0; j < g.Count; j++ {
+				k := len(pl.Assignments)
+				pl.Assignments = append(pl.Assignments, lra.Assignment{
+					Container: cluster.MakeContainerID(a.ID, k),
+					Group:     g.Name, Node: p.nodes[k%len(p.nodes)], Demand: g.Demand, Tags: a.EffectiveTags(g),
+				})
+			}
+		}
+		res.Placements = append(res.Placements, pl)
+	}
+	return res
+}
+
+// tagStrings renders every node's tag multiset.
+func tagStrings(c *cluster.Cluster) []string {
+	out := make([]string, c.NumNodes())
+	for i, n := range c.Nodes() {
+		out[i] = n.Tags().String()
+	}
+	return out
+}
+
+// TestRepairValidatesOnLiveCluster: a repair is validated in place on
+// the live cluster. A vetoed repair leaves the cluster exactly as it
+// was; an accepted one ends holding exactly the containers it
+// committed, on the nodes it proposed — the validation's own
+// allocations are gone before the commit.
+func TestRepairValidatesOnLiveCluster(t *testing.T) {
+	alg := &pinnedAlg{nodes: []cluster.NodeID{0}}
+	m := New(cluster.Grid(4, 2, resource.New(16384, 8)), alg, Config{Interval: time.Second})
+	// Background: a task on node 3 and a second LRA on node 0, so the
+	// state is not trivial; app-000 spreads over nodes 1 and 2.
+	_ = m.Tasks.Submit("job", "default", t0, taskched.TaskRequest{Count: 1, Demand: resource.New(1024, 1)})
+	m.Tasks.NodeHeartbeat(3, t0)
+	_ = m.SubmitLRA(app("other", 2, "o"), t0)
+	if stats := m.RunCycle(t0); stats.Placed != 1 {
+		t.Fatalf("other: %+v", stats)
+	}
+	alg.nodes = []cluster.NodeID{1, 2}
+	_ = m.SubmitLRA(hardApp(0), t0)
+	if stats := m.RunCycle(t0.Add(time.Second)); stats.Placed != 1 {
+		t.Fatalf("app-000: %+v", stats)
+	}
+	lost, survivor := cluster.MakeContainerID("app-000", 0), cluster.MakeContainerID("app-000", 1)
+	t1 := t0.Add(time.Minute)
+	m.FailNode(1, t1)
+	if m.PendingRepairs() != 1 {
+		t.Fatalf("PendingRepairs = %d, want 1", m.PendingRepairs())
+	}
+
+	// Vetoed: the lost container proposed beside its survivor breaks the
+	// app's hard anti-affinity, after the batch is allocated in place.
+	snap, cids, tags := m.Cluster.TakeSnapshot(), m.Cluster.ContainerIDs(), tagStrings(m.Cluster)
+	alg.nodes = []cluster.NodeID{2}
+	stats := m.RunCycle(t1)
+	if stats.ValidationRejects != 1 || stats.RepairFailures != 1 || stats.Repaired != 0 {
+		t.Fatalf("vetoed repair: %+v", stats)
+	}
+	if msg := m.Pipeline.Last(metrics.ValidationRejects); !strings.Contains(msg, "hard constraint violated") {
+		t.Fatalf("veto %q, want a hard-constraint veto", msg)
+	}
+	if got := m.Cluster.TakeSnapshot(); !reflect.DeepEqual(got, snap) {
+		t.Errorf("vetoed repair changed the snapshot:\n got %+v\nwant %+v", got, snap)
+	}
+	if got := m.Cluster.ContainerIDs(); !reflect.DeepEqual(got, cids) {
+		t.Errorf("vetoed repair changed the containers: %v, want %v", got, cids)
+	}
+	if got := tagStrings(m.Cluster); !reflect.DeepEqual(got, tags) {
+		t.Errorf("vetoed repair changed the node tags: %v, want %v", got, tags)
+	}
+
+	// Accepted: node 3. The live cluster must equal the pre-repair
+	// cluster plus the one container committed.
+	want := m.Cluster.Clone()
+	ltags, _ := m.Cluster.ContainerTags(survivor)
+	if err := want.Allocate(3, lost, resource.New(100, 1), ltags); err != nil {
+		t.Fatal(err)
+	}
+	alg.nodes = []cluster.NodeID{3}
+	stats = m.RunCycle(t1.Add(time.Hour))
+	if stats.Repaired != 1 || stats.ValidationRejects != 0 {
+		t.Fatalf("accepted repair: %+v", stats)
+	}
+	if n, _ := m.Cluster.ContainerNode(lost); n != 3 {
+		t.Errorf("%s restored on node %d, want 3", lost, n)
+	}
+	if got := m.Cluster.TakeSnapshot(); !reflect.DeepEqual(got, want.TakeSnapshot()) {
+		t.Errorf("accepted repair: snapshot\n got %+v\nwant %+v", got, want.TakeSnapshot())
+	}
+	if got := m.Cluster.ContainerIDs(); !reflect.DeepEqual(got, want.ContainerIDs()) {
+		t.Errorf("accepted repair: containers %v, want %v", got, want.ContainerIDs())
+	}
+	if got := tagStrings(m.Cluster); !reflect.DeepEqual(got, tagStrings(want)) {
+		t.Errorf("accepted repair: node tags %v, want %v", got, tagStrings(want))
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
