@@ -84,8 +84,9 @@ type FleetEvent struct {
 
 // FleetScript applies a fixed fault schedule against a FleetTarget —
 // deterministic by construction: events fire in After order exactly
-// once, driven by whoever owns the clock (a test's fake time or a
-// harness's wall time). No goroutines, no RNG.
+// once, driven by whoever owns the clock (a test's fake time, or the
+// virtual clock medea-fed and the simulation harness step). No
+// goroutines, no RNG.
 type FleetScript struct {
 	events  []FleetEvent
 	applied []bool

@@ -163,20 +163,20 @@ func newHarness(cfg Config) (*harness, error) {
 			h.cjs[id] = cj
 			return cj
 		},
-		VirtualDelay: true,
 		// The members run the ILP scheduler; a restart loses its
 		// in-memory solver state (the arena pool), exactly like a real
 		// process.
 		Algorithm: lra.NewILP,
-		// Real-time budgets are set far beyond anything an in-process
-		// call can take: wall-clock never decides an outcome; injected
-		// faults (which surface instantly under VirtualDelay) do.
+		// Both timeouts sit below the 40 ms delay every slow event
+		// injects, so every injected stall blows its deadline. The
+		// transport decides that from the declared durations alone:
+		// wall-clock time never decides an outcome.
 		Scout: federation.ScoutConfig{
 			ProbeInterval: 25 * time.Millisecond,
-			ProbeTimeout:  30 * time.Second,
+			ProbeTimeout:  30 * time.Millisecond,
 		},
 		Route: federation.RouteConfig{
-			AttemptTimeout: 30 * time.Second,
+			AttemptTimeout: 30 * time.Millisecond,
 			MaxRounds:      2,
 			Sleep:          func(time.Duration) {},
 			Clock:          h.clock,

@@ -1,7 +1,6 @@
 package federation
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -38,10 +37,6 @@ type FleetConfig struct {
 	// harness uses it to hand every member a crash-point-instrumented
 	// in-memory journal it keeps a handle on.
 	MakeJournal func(memberID string) journal.Journal
-	// VirtualDelay puts every member's fault gate in virtual-delay mode:
-	// injected slowness surfaces as an immediate DeadlineExceeded instead
-	// of a real timer stall (see MemberConfig.VirtualDelay).
-	VirtualDelay bool
 	// Algorithm builds each member's LRA placement algorithm (nil =
 	// Medea-NC); see MemberConfig.Algorithm.
 	Algorithm func() lra.Algorithm
@@ -83,17 +78,11 @@ func (c FleetConfig) nodeCapacity() resource.Vector {
 	return resource.New(16384, 16)
 }
 
-func (c FleetConfig) probeInterval() time.Duration {
-	if c.Scout.ProbeInterval > 0 {
-		return c.Scout.ProbeInterval
-	}
-	return 50 * time.Millisecond
-}
-
-// Fleet is the running federation: the members, the scout watching
-// them, and the balancer routing over them. It implements the chaos
-// layer's FleetTarget so scripted cluster-level failures can be driven
-// against it.
+// Fleet is the federation: the members, the scout watching them, and the
+// balancer routing over them, driven one synchronous round at a time by
+// Step on the caller's clock. It implements the chaos layer's
+// FleetTarget so scripted cluster-level failures can be driven against
+// it.
 type Fleet struct {
 	cfg      FleetConfig
 	Members  []*Member
@@ -101,13 +90,8 @@ type Fleet struct {
 	Balancer *Balancer
 	Stats    *metrics.FedStats
 
-	cancel context.CancelFunc
-	done   chan struct{}
-	mu     sync.Mutex
-	byID   map[string]*Member
-	// runCtx is the context Start ran under; a member restarted while the
-	// fleet is live gets its scheduling loop relaunched on it.
-	runCtx context.Context
+	mu   sync.Mutex
+	byID map[string]*Member
 	// rolling is the in-flight rolling restart, nil when idle.
 	rolling *rollingState
 }
@@ -166,16 +150,15 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		srvCfg.Clock = cfg.Clock
 		srvCfg.Logf = nil // member chatter stays out of the fleet log
 		m, err := NewMember(MemberConfig{
-			ID:           id,
-			Nodes:        cfg.nodesPerMember(),
-			RackSize:     cfg.rackSize(),
-			NodeCap:      cfg.nodeCapacity(),
-			Core:         cfg.Core,
-			Server:       srvCfg,
-			Journal:      jnl,
-			Now:          now,
-			VirtualDelay: cfg.VirtualDelay,
-			Algorithm:    cfg.Algorithm,
+			ID:        id,
+			Nodes:     cfg.nodesPerMember(),
+			RackSize:  cfg.rackSize(),
+			NodeCap:   cfg.nodeCapacity(),
+			Core:      cfg.Core,
+			Server:    srvCfg,
+			Journal:   jnl,
+			Now:       now,
+			Algorithm: cfg.Algorithm,
 		})
 		if err != nil {
 			return nil, err
@@ -188,38 +171,10 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	return f, nil
 }
 
-// Start runs every member's scheduling loop plus the federation control
-// loop (probe + failover + degraded retry) in real time until ctx is
-// done.
-func (f *Fleet) Start(ctx context.Context) {
-	ctx, f.cancel = context.WithCancel(ctx)
-	f.done = make(chan struct{})
-	f.mu.Lock()
-	f.runCtx = ctx
-	f.mu.Unlock()
-	for _, m := range f.Members {
-		m.Start(ctx)
-	}
-	go func() {
-		defer close(f.done)
-		t := time.NewTicker(f.cfg.probeInterval())
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				now := f.cfg.Clock()
-				f.Balancer.Step(now)
-				f.stepRolling(now)
-			}
-		}
-	}()
-}
-
 // Step drives one synchronous fleet round at now: every live member's
-// scheduling loop, then the federation control loop (tests and
-// deterministic harnesses).
+// scheduling loop, then the federation control loop (probe, failover,
+// drains and moves, anti-entropy, degraded retry, rolling restart).
+// Clients may call the balancer concurrently with it.
 func (f *Fleet) Step(now time.Time) {
 	for _, m := range f.Members {
 		m.Step()
@@ -228,15 +183,9 @@ func (f *Fleet) Step(now time.Time) {
 	f.stepRolling(now)
 }
 
-// Close stops the loops and closes every member's journal.
+// Close closes every member's journal.
 func (f *Fleet) Close() {
-	if f.cancel != nil {
-		f.cancel()
-		<-f.done
-		f.cancel = nil
-	}
 	for _, m := range f.Members {
-		m.Close()
 		_ = m.Jnl.Close()
 	}
 }
@@ -244,8 +193,8 @@ func (f *Fleet) Close() {
 // MemberIDs implements the chaos FleetTarget.
 func (f *Fleet) MemberIDs() []string { return f.Scout.MemberIDs() }
 
-// CrashMember implements the chaos FleetTarget: the member's loop stops
-// and its API becomes unreachable, as if the cluster's scheduler host
+// CrashMember implements the chaos FleetTarget: the member stops
+// scheduling and its API becomes unreachable, as if the cluster's scheduler host
 // died (RestartMember revives it from its journal). Reports whether the
 // member exists.
 func (f *Fleet) CrashMember(id string) bool {
@@ -270,14 +219,6 @@ func (f *Fleet) RestartMember(id string) bool {
 	if err := m.Restart(f.cfg.Clock()); err != nil {
 		f.cfg.Logf("federation: %v", err)
 		return false
-	}
-	// A fleet running in real time relaunches the member's scheduling
-	// loop; Step-driven fleets drive the member synchronously instead.
-	f.mu.Lock()
-	runCtx := f.runCtx
-	f.mu.Unlock()
-	if runCtx != nil && runCtx.Err() == nil {
-		m.Start(runCtx)
 	}
 	return true
 }

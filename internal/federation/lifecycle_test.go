@@ -1,50 +1,45 @@
 package federation
 
 import (
-	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
-	"medea/internal/core"
 	"medea/internal/server"
 )
 
 // TestStatusRacesControlLoop: client reads of a ledger entry race the
-// control loop's writes to it. A fleet runs in real time while one
-// goroutine polls Status and another moves the app back and forth; under
-// -race any read of the entry outside the balancer's lock is reported.
+// control loop's writes to it. One goroutine steps the fleet round after
+// round while another polls Status and the test moves the app back and
+// forth; under -race any read of the entry outside the balancer's lock
+// is reported.
 func TestStatusRacesControlLoop(t *testing.T) {
-	f, err := NewFleet(FleetConfig{
-		Members:        2,
-		NodesPerMember: 4,
-		Core:           core.Config{Interval: 5 * time.Millisecond},
-		Scout:          ScoutConfig{ProbeInterval: 2 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Start(context.Background())
-	defer f.Close()
+	f, clk := testFleet(t, FleetConfig{Members: 2, NodesPerMember: 4})
+	steps(f, clk, 2)
 	if _, err := f.Balancer.Submit(fedReq("app-a", 1, 512, 1)); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				_, _ = f.Balancer.Status("app-a")
+	loop := func(body func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					body()
+				}
 			}
-		}
-	}()
-	deadline := time.Now().Add(2 * time.Second)
+		}()
+	}
+	loop(func() { steps(f, clk, 1) })
+	loop(func() { _, _ = f.Balancer.Status("app-a") })
+	deadline := time.Now().Add(5 * time.Second)
 	moves := 0
 	for moves < 4 && time.Now().Before(deadline) {
 		home, _ := f.Balancer.Home("app-a")
@@ -55,12 +50,12 @@ func TestStatusRacesControlLoop(t *testing.T) {
 		if home != "" && f.Balancer.Migrate("app-a", dest) == nil {
 			moves++
 		}
-		time.Sleep(5 * time.Millisecond)
+		runtime.Gosched()
 	}
 	close(stop)
 	wg.Wait()
-	if moves == 0 {
-		t.Fatal("no migration ever started; the race window was never opened")
+	if moves < 4 {
+		t.Fatalf("%d migrations started, want 4; the race window was barely opened", moves)
 	}
 	if err := f.Balancer.Remove("app-a"); err != nil {
 		t.Logf("remove: %v", err) // a move may be mid-DELETE; not this test's subject

@@ -142,8 +142,6 @@ type Member struct {
 
 	cfg    MemberConfig // retained so Restart can rebuild the stack
 	client *http.Client
-	cancel context.CancelFunc
-	done   chan struct{}
 }
 
 // MemberConfig sizes one member cluster.
@@ -156,13 +154,6 @@ type MemberConfig struct {
 	Server   server.Config
 	Journal  journal.Journal // nil = in-memory
 	Now      time.Time       // journal attach time
-	// VirtualDelay converts the gate's injected delays from real timer
-	// stalls into immediate context.DeadlineExceeded returns: a "slow"
-	// request fails before serving, a "slow tail" serves and then drops
-	// the ack — exactly what a caller with a deadline shorter than the
-	// stall would observe, with zero wall-clock spent. Deterministic
-	// simulation runs entirely on virtual time and needs this.
-	VirtualDelay bool
 	// Algorithm builds the member's LRA placement algorithm (nil =
 	// Medea-NC). It is called once at construction and again on every
 	// Restart: a restarted process loses in-memory solver state (the
@@ -203,8 +194,7 @@ func NewMember(cfg MemberConfig) (*Member, error) {
 // put in front of it (the old submit queue's un-drained entries are gone
 // — the federation balancer's anti-entropy sweep re-routes those), and
 // the gate's crash flag is cleared. No-op error-free if the member was
-// never crashed. Only for synchronous (Step-driven) members; a member
-// with a running loop must be Crash()ed first.
+// never crashed.
 func (m *Member) Restart(now time.Time) error {
 	if !m.Gate.Crashed() {
 		return nil
@@ -219,19 +209,18 @@ func (m *Member) Restart(now time.Time) error {
 	return nil
 }
 
-// Client returns an HTTP client whose transport dispatches in-process to
-// this member's handler, subject to its fault gate.
-func (m *Member) Client() *http.Client { return m.client }
+// timeoutKey carries a request's declared timeout from Member.request to
+// the member's transport, which decides the injected faults against it.
+type timeoutKey struct{}
 
 // request is the one place the federation layer builds and sends a
-// member request: the timeout, the request, and the status code back.
-// body, when set, is posted as JSON; out, when set, receives the decoded
-// answer — a 200 whose body does not decode is an error, any other
-// status speaks for itself. A response nobody asked to decode is not
-// read.
+// member request: the declared timeout, the request, and the status code
+// back. body, when set, is posted as JSON; out, when set, receives the
+// decoded answer — a 200 whose body does not decode is an error, any
+// other status speaks for itself. A response nobody asked to decode is
+// not read.
 func (m *Member) request(timeout time.Duration, method, path string, body []byte, out any) (int, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
+	ctx := context.WithValue(context.Background(), timeoutKey{}, timeout)
 	var payload io.Reader
 	if body != nil {
 		payload = bytes.NewReader(body)
@@ -256,19 +245,8 @@ func (m *Member) request(timeout time.Duration, method, path string, body []byte
 	return resp.StatusCode, nil
 }
 
-// Start runs the member's scheduling loop until ctx is done or the
-// member is crashed.
-func (m *Member) Start(ctx context.Context) {
-	ctx, m.cancel = context.WithCancel(ctx)
-	m.done = make(chan struct{})
-	go func() {
-		defer close(m.done)
-		m.Srv.Run(ctx)
-	}()
-}
-
-// Step runs one scheduling-loop iteration synchronously (test fleets);
-// no-op once crashed.
+// Step runs one scheduling-loop iteration synchronously; no-op once
+// crashed.
 func (m *Member) Step() {
 	if m.Gate.Crashed() {
 		return
@@ -276,27 +254,15 @@ func (m *Member) Step() {
 	m.Srv.Step()
 }
 
-// Crash kills the member: the loop stops and every subsequent request is
-// refused at the transport.
-func (m *Member) Crash() {
-	m.Gate.Crash()
-	m.Close()
-}
-
-// Close stops a running loop without marking the member crashed.
-func (m *Member) Close() {
-	if m.cancel != nil {
-		m.cancel()
-		<-m.done
-		m.cancel = nil
-	}
-}
+// Crash kills the member: Step stops scheduling and every subsequent
+// request is refused at the transport.
+func (m *Member) Crash() { m.Gate.Crash() }
 
 // memberTransport serves HTTP requests directly against the member's
-// handler — no sockets — while honoring the fault gate and the request
-// context: a crashed or partitioned member refuses immediately, a slow
-// member stalls until its injected delay or the caller's deadline,
-// whichever comes first.
+// handler — no sockets — while honoring the fault gate: a crashed or
+// partitioned member refuses immediately, and an injected delay is
+// judged against the request's declared timeout (see stall). No
+// wall-clock time passes.
 type memberTransport struct {
 	m *Member
 }
@@ -309,10 +275,7 @@ func (t *memberTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, err
 	}
 	// An injected delay stalls before the member serves the request.
-	if err := t.stall(req, delay); err != nil {
-		return nil, err
-	}
-	if err := req.Context().Err(); err != nil {
+	if err := stall(req, delay); err != nil {
 		return nil, err
 	}
 	rec := &responseRecorder{header: make(http.Header), code: http.StatusOK}
@@ -320,7 +283,7 @@ func (t *memberTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	// An injected tail stalls the response: the member served the
 	// request, and a caller that gives up here has an ack in flight it
 	// never saw.
-	if err := t.stall(req, tail); err != nil {
+	if err := stall(req, tail); err != nil {
 		return nil, err
 	}
 	return &http.Response{
@@ -336,25 +299,16 @@ func (t *memberTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}, nil
 }
 
-// stall waits out an injected delay or the caller's deadline, whichever
-// comes first. Virtual-delay members never stall real time: an injected
-// delay IS a blown deadline, reported immediately, exactly as a caller
-// whose timeout is shorter than the stall would see it.
-func (t *memberTransport) stall(req *http.Request, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	if t.m.cfg.VirtualDelay {
+// stall decides an injected delay from declared durations alone: a delay
+// at least as long as the request's declared timeout is a blown
+// deadline, reported at once as context.DeadlineExceeded (http.Client
+// wraps it in *url.Error, as it would a real one); a shorter delay, or a
+// request that declared no timeout, is served at once.
+func stall(req *http.Request, d time.Duration) error {
+	if timeout, ok := req.Context().Value(timeoutKey{}).(time.Duration); ok && d > 0 && d >= timeout {
 		return context.DeadlineExceeded
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-req.Context().Done():
-		return req.Context().Err()
-	case <-timer.C:
-		return nil
-	}
+	return nil
 }
 
 // responseRecorder is the minimal http.ResponseWriter the in-process

@@ -1,11 +1,7 @@
 package federation
 
 import (
-	"context"
-	"runtime"
-	"sync"
 	"testing"
-	"time"
 
 	"medea/internal/metrics"
 )
@@ -331,54 +327,4 @@ func TestRollingRestartUnderLoad(t *testing.T) {
 			t.Fatalf("%s live on %v, want exactly [%s]", id, h, home)
 		}
 	}
-}
-
-// TestMigratorCloseNoGoroutineLeak mirrors the fleet leak test with the
-// movement machinery engaged: N concurrent drains and a rolling restart
-// started, half the drains cancelled mid-flight, members crashing, then
-// Close — the process must return to its goroutine baseline.
-func TestMigratorCloseNoGoroutineLeak(t *testing.T) {
-	before := runtime.NumGoroutine()
-
-	f, err := NewFleet(FleetConfig{Members: 4, NodesPerMember: 4})
-	if err != nil {
-		t.Fatalf("building fleet: %v", err)
-	}
-	f.Start(context.Background())
-	for i := 0; i < 6; i++ {
-		_, _ = f.Balancer.Submit(fedReq("app-"+string(rune('a'+i)), 1, 512, 1))
-	}
-
-	var wg sync.WaitGroup
-	ids := []string{"cluster-0", "cluster-1", "cluster-2", "cluster-3"}
-	for i, id := range ids {
-		wg.Add(1)
-		go func(i int, id string) {
-			defer wg.Done()
-			_ = f.Balancer.DrainMember(id)
-			if i%2 == 0 {
-				f.Balancer.CancelDrain(id)
-			}
-		}(i, id)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		f.StartRollingRestart()
-	}()
-	wg.Wait()
-	time.Sleep(10 * time.Millisecond) // let loops tick over the new state
-	f.CrashMember("cluster-3")
-	f.Close()
-
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<16)
-	n := runtime.Stack(buf, true)
-	t.Fatalf("goroutines leaked: %d at start, %d after Close\n%s", before, runtime.NumGoroutine(), buf[:n])
 }

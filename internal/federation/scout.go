@@ -14,9 +14,10 @@ import (
 
 // ScoutConfig tunes the health/capacity prober.
 type ScoutConfig struct {
-	// ProbeInterval is the cadence between probe rounds: Fleet.Start
-	// ticks its control loop with it (0 = 50ms), and it is the
-	// inter-arrival time the detector's learned distribution converges to.
+	// ProbeInterval is read by nothing: whoever calls Fleet.Step sets
+	// the probe cadence, and the detector learns the inter-arrival times
+	// it actually sees. It remains only because the benchmark harness
+	// still sets it.
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe request (0 = 25ms). A probe slower
 	// than this counts as a miss.
