@@ -24,8 +24,8 @@ const (
 	// routing, never failed over.
 	Suspect
 	// Dead: enough consecutive misses with high phi to confirm the member
-	// is gone; failover may begin. Dead is sticky until a heartbeat
-	// actually arrives.
+	// is gone; failover may begin. A confirmed Dead is sticky until a
+	// heartbeat actually arrives.
 	Dead
 )
 
@@ -79,7 +79,7 @@ type Detector struct {
 	filled    bool
 	last      time.Time // last heartbeat arrival (zero = none yet)
 	misses    int       // consecutive missed probes since last heartbeat
-	dead      bool      // sticky Dead latch
+	dead      bool      // sticky Dead latch, set only by confirm
 }
 
 // NewDetector builds a detector.
@@ -157,12 +157,13 @@ func (d *Detector) Phi(now time.Time) float64 {
 	return -math.Log10(p)
 }
 
-// State returns the liveness verdict at now. Dead requires BOTH phi
-// beyond phiDead and ConfirmMisses consecutive misses, and then latches
-// until a heartbeat arrives; Suspect requires at least one miss plus phi
-// beyond phiSuspect. With a cold window (fewer than detectorMinSamples
-// heartbeats) phi is unavailable, so Dead falls back to pure miss
-// counting at twice the confirmation bar.
+// State returns the liveness verdict at now, and changes nothing. Dead
+// requires BOTH phi beyond phiDead and ConfirmMisses consecutive misses,
+// or a latch set by confirm that only a heartbeat clears; Suspect
+// requires at least one miss plus phi beyond phiSuspect. With a cold
+// window (fewer than detectorMinSamples heartbeats) phi is unavailable,
+// so Dead falls back to pure miss counting at twice the confirmation
+// bar.
 func (d *Detector) State(now time.Time) DetectorState {
 	if d.dead {
 		return Dead
@@ -171,7 +172,6 @@ func (d *Detector) State(now time.Time) DetectorState {
 	cold := d.last.IsZero() || len(d.intervals) < detectorMinSamples
 	if cold {
 		if d.misses >= ConfirmMisses*2 {
-			d.dead = true
 			return Dead
 		}
 		if d.misses >= ConfirmMisses {
@@ -180,11 +180,22 @@ func (d *Detector) State(now time.Time) DetectorState {
 		return Alive
 	}
 	if d.misses >= ConfirmMisses && phi >= phiDead {
-		d.dead = true
 		return Dead
 	}
 	if d.misses >= 1 && phi >= phiSuspect {
 		return Suspect
 	}
 	return Alive
+}
+
+// confirm latches Dead if the verdict at now is Dead, and reports whether
+// this call set the latch: the one moment a death is confirmed. Only the
+// probe round calls it, so a death is counted however many readers saw
+// the verdict first.
+func (d *Detector) confirm(now time.Time) bool {
+	if d.dead || d.State(now) != Dead {
+		return false
+	}
+	d.dead = true
+	return true
 }

@@ -3,6 +3,9 @@ package federation
 import (
 	"testing"
 	"time"
+
+	"medea/internal/metrics"
+	"medea/internal/resource"
 )
 
 var dT0 = time.Unix(30000, 0).UTC()
@@ -131,5 +134,43 @@ func TestDetectorColdStartFallback(t *testing.T) {
 	d.Miss(now)
 	if st := d.State(now); st != Dead {
 		t.Fatalf("cold detector state %v after 6 misses, want dead", st)
+	}
+}
+
+// TestProbeRoundConfirmsDeathRankSawFirst: a silent member's verdict
+// turns Dead between probe rounds, and the first reader is a Rank (a
+// submission). Reading the verdict must not latch it: the next probe
+// round still confirms the death, reports the member as newly dead and
+// counts it, so failover logs and counts it too.
+func TestProbeRoundConfirmsDeathRankSawFirst(t *testing.T) {
+	f, clk := testFleet(t, FleetConfig{Members: 2, NodesPerMember: 4})
+	steps(f, clk, 5) // learn a 50ms cadence
+	f.Members[1].Gate.Partition(true)
+	// Three quick misses: ConfirmMisses is met, phi is not yet.
+	for i := 0; i < ConfirmMisses; i++ {
+		clk.Advance(10 * time.Millisecond)
+		if dead := f.Scout.ProbeAll(clk.Now()); len(dead) != 0 {
+			t.Fatalf("miss %d: %v confirmed dead before phi crossed the threshold", i+1, dead)
+		}
+	}
+	if st := f.Scout.State("cluster-1", clk.Now()); st == Dead {
+		t.Fatal("dead after three quick misses, with phi still low")
+	}
+	clk.Advance(200 * time.Millisecond) // phi crosses phiDead
+	for _, id := range f.Scout.Rank(resource.Vector{}, clk.Now()) {
+		if id == "cluster-1" {
+			t.Fatal("Rank still routes to a member whose verdict is Dead")
+		}
+	}
+	clk.Advance(10 * time.Millisecond)
+	dead := f.Scout.ProbeAll(clk.Now())
+	if len(dead) != 1 || dead[0] != "cluster-1" {
+		t.Fatalf("probe round after Rank saw the death reported %v, want [cluster-1]", dead)
+	}
+	if n := f.Stats.Get(metrics.DeadConfirms); n != 1 {
+		t.Fatalf("dead confirms %d, want 1", n)
+	}
+	if dead := f.Scout.ProbeAll(clk.Now().Add(50 * time.Millisecond)); len(dead) != 0 {
+		t.Fatalf("a confirmed death was confirmed again: %v", dead)
 	}
 }

@@ -79,13 +79,14 @@ func NewScout(cfg ScoutConfig, members []*Member, stats *metrics.FedStats) *Scou
 }
 
 // ProbeAll runs one synchronous probe round at now and returns the IDs
-// of members that newly transitioned to Dead in this round, in member
-// order.
+// of members whose death this round confirmed, in member order. It is
+// the only caller of Detector.confirm: the readers between rounds (Rank,
+// State) see a Dead verdict but never latch it, so none of them can
+// swallow the confirmation.
 func (s *Scout) ProbeAll(now time.Time) (newlyDead []string) {
 	for _, p := range s.members {
 		rep, err := s.probe(p.m) // network, outside the lock
 		s.mu.Lock()
-		wasDead := p.det.State(now) == Dead
 		if err != nil {
 			p.det.Miss(now)
 			s.stats.Add(metrics.ProbeMisses, 1)
@@ -96,7 +97,7 @@ func (s *Scout) ProbeAll(now time.Time) (newlyDead []string) {
 			p.det.Heartbeat(now)
 			s.stats.Add(metrics.ProbeOK, 1)
 		}
-		died := !wasDead && p.det.State(now) == Dead
+		died := p.det.confirm(now)
 		s.mu.Unlock()
 		if died {
 			s.stats.Add(metrics.DeadConfirms, 1)
