@@ -130,8 +130,19 @@ func totalDemand(req *server.SubmitRequest) resource.Vector {
 }
 
 // call sends one request to a member under the attempt timeout (see
-// Member.request, the one place a member request is built and sent).
+// Member.request, the one place a member request is built and sent). An
+// answer, whatever its status, is piggybacked liveness for the scout.
 func (b *Balancer) call(memberID, method, path string, body []byte, out any) (int, error) {
+	code, err := b.observe(memberID, method, path, body, out)
+	if err == nil {
+		b.scout.answered(memberID)
+	}
+	return code, err
+}
+
+// observe is call without the liveness side effect, for Audit: an
+// observer must not change what it observes.
+func (b *Balancer) observe(memberID, method, path string, body []byte, out any) (int, error) {
 	m := b.scout.Member(memberID)
 	if m == nil {
 		return 0, fmt.Errorf("unknown member %s", memberID)
@@ -590,7 +601,9 @@ type AuditReport struct {
 	Lost        []string
 }
 
-// Audit verifies the ledger against the members at now.
+// Audit verifies the ledger against the members at now. It is an
+// observer: its reads go through observe, so they neither latch a
+// verdict nor feed the detector.
 func (b *Balancer) Audit(now time.Time) AuditReport {
 	snap := b.snapshot()
 	rep := AuditReport{Routed: len(snap)}
@@ -601,7 +614,7 @@ func (b *Balancer) Audit(now time.Time) AuditReport {
 			return false, false
 		}
 		var sr server.StatusResponse
-		code, err := b.call(member, http.MethodGet, "/v1/lras/"+appID, nil, &sr)
+		code, err := b.observe(member, http.MethodGet, "/v1/lras/"+appID, nil, &sr)
 		if err != nil {
 			return false, false
 		}
@@ -640,7 +653,7 @@ func (b *Balancer) Audit(now time.Time) AuditReport {
 				break
 			}
 			var sr server.StatusResponse
-			code, err := b.call(v.home, http.MethodGet, "/v1/lras/"+id, nil, &sr)
+			code, err := b.observe(v.home, http.MethodGet, "/v1/lras/"+id, nil, &sr)
 			switch {
 			case err != nil:
 				rep.OnDead++ // unreachable home: failover pending

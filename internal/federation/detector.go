@@ -110,6 +110,12 @@ func (d *Detector) Heartbeat(now time.Time) {
 // Miss records a failed or timed-out probe at now.
 func (d *Detector) Miss(now time.Time) { d.misses++ }
 
+// answered records that the member answered a request other than a
+// probe: a sign of life that clears the consecutive-miss count. It
+// feeds no inter-arrival sample (the window learns the probe cadence)
+// and lifts no Dead latch (only a probe heartbeat revives a member).
+func (d *Detector) answered() { d.misses = 0 }
+
 // meanStd fits the inter-arrival window. The standard deviation is
 // floored at a quarter of the mean: perfectly regular simulated probes
 // would otherwise collapse std to ~0 and make phi explode on the first

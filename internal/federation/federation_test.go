@@ -228,3 +228,63 @@ func TestAllMembersSheddingFailsCleanly(t *testing.T) {
 		t.Fatal("failed submission left a ledger entry")
 	}
 }
+
+// TestAnsweredRequestsKeepSlowMemberAlive: a member stalls every second
+// request, and each round sends it one request besides the probe (the
+// anti-entropy read of the app it homes). One extra read up front puts
+// every probe on a stalled request. The member still answers half its
+// requests, so it is alive: the answered reads must keep its probe
+// misses from ever being consecutive, however the requests interleave.
+func TestAnsweredRequestsKeepSlowMemberAlive(t *testing.T) {
+	f, clk := testFleet(t, FleetConfig{Members: 1, NodesPerMember: 4})
+	steps(f, clk, 5) // learn a baseline cadence
+	if _, err := f.Balancer.Submit(fedReq("app-a", 1, 512, 1)); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	steps(f, clk, 2)
+	if !f.SlowMember("cluster-0", 30*time.Millisecond, 2) {
+		t.Fatal("slow target missing")
+	}
+	if _, err := f.Balancer.Status("app-a"); err != nil {
+		t.Fatalf("status: %v", err)
+	}
+	misses := f.Stats.Get(metrics.ProbeMisses)
+	const rounds = 20
+	for i := 0; i < rounds; i++ {
+		steps(f, clk, 1)
+		if st := f.Scout.State("cluster-0", clk.Now()); st == Dead {
+			t.Fatalf("round %d: a member answering every second request confirmed dead", i)
+		}
+	}
+	if got := f.Stats.Get(metrics.ProbeMisses) - misses; got != rounds {
+		t.Fatalf("%d of %d probes stalled, want every one: the interleaving under test never formed", got, rounds)
+	}
+	if n := f.Stats.Get(metrics.DeadConfirms); n != 0 {
+		t.Fatalf("dead confirms %d, want 0", n)
+	}
+}
+
+// TestAuditIsNoSignOfLife: Audit observes and changes nothing. Its reads
+// of a member whose every probe times out (but whose longer-deadline
+// reads are answered) must not clear the probe misses, so three probe
+// rounds with an Audit between each still confirm the member dead.
+func TestAuditIsNoSignOfLife(t *testing.T) {
+	f, clk := testFleet(t, FleetConfig{Members: 1, NodesPerMember: 4})
+	steps(f, clk, 5) // learn a baseline cadence
+	if _, err := f.Balancer.Submit(fedReq("app-a", 1, 512, 1)); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	steps(f, clk, 2)
+	f.SlowMember("cluster-0", 30*time.Millisecond, 1)
+	var dead []string
+	for i := 0; i < ConfirmMisses; i++ {
+		if rep := f.Balancer.Audit(clk.Now()); rep.Placed != 1 {
+			t.Fatalf("audit %+v: the member's reads were not answered", rep)
+		}
+		clk.Advance(50 * time.Millisecond)
+		dead = f.Scout.ProbeAll(clk.Now())
+	}
+	if len(dead) != 1 || dead[0] != "cluster-0" {
+		t.Fatalf("after %d missed probes with audits between them: newly dead %v, want [cluster-0]", ConfirmMisses, dead)
+	}
+}

@@ -126,6 +126,20 @@ func (s *Scout) probe(m *Member) (Report, error) {
 	}, nil
 }
 
+// answered records piggybacked liveness: the balancer sent the member a
+// request and got an answer, so its probe misses are not consecutive.
+// However a member's traffic interleaves with the probes, one that
+// answers half its requests is never confirmed dead.
+func (s *Scout) answered(id string) {
+	p := s.byID[id]
+	if p == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p.det.answered()
+}
+
 // State returns a member's current liveness verdict.
 func (s *Scout) State(id string, now time.Time) DetectorState {
 	p := s.byID[id]
