@@ -38,33 +38,24 @@ import (
 )
 
 func main() {
-	members := flag.Int("members", 3, "member clusters in the federation")
-	nodes := flag.Int("nodes", 16, "nodes per member cluster")
-	jobs := flag.Int("jobs", 120, "trace jobs to route")
-	overload := flag.Float64("overload", 4, "overload factor: divide trace inter-arrival time by this")
-	seed := flag.Int64("seed", 42, "random seed for the arrival process")
-	rate := flag.Float64("rate", 60, "per-member global submit budget (req/s); drives spillover")
+	cfg := scenarioConfig{Logf: log.Printf}
+	flag.IntVar(&cfg.Members, "members", 3, "member clusters in the federation")
+	flag.IntVar(&cfg.Nodes, "nodes", 16, "nodes per member cluster")
+	flag.IntVar(&cfg.Jobs, "jobs", 120, "trace jobs to route")
+	flag.Float64Var(&cfg.Overload, "overload", 4, "overload factor: divide trace inter-arrival time by this")
+	flag.Int64Var(&cfg.Seed, "seed", 42, "random seed for the arrival process")
+	flag.Float64Var(&cfg.Rate, "rate", 60, "per-member global submit budget (req/s); drives spillover")
 	out := flag.String("out", "", "write the JSON report to this file")
 	gate := flag.Bool("gate", false, "fail unless zero loss, MTTR and detector guarantees held")
 	maxP99 := flag.Duration("maxp99", 250*time.Millisecond, "gate: max p99 routing latency")
-	maxMTTR := flag.Duration("max-mttr", 5*time.Second, "gate: max kill-to-clean-audit time")
+	flag.DurationVar(&cfg.MaxMTTR, "max-mttr", 5*time.Second, "gate: max kill-to-clean-audit time")
 	maxMigP99 := flag.Duration("max-mig-p99", 2*time.Second, "gate: max p99 two-phase migration duration")
-	journalRoot := flag.String("journal-root", "", "file-backed member journals under this dir (default in-memory)")
+	flag.StringVar(&cfg.JournalRoot, "journal-root", "", "file-backed member journals under this dir (default in-memory)")
 	flag.Parse()
 	log.SetPrefix("medea-fed: ")
 	log.SetFlags(0)
 
-	o, err := runScenario(scenarioConfig{
-		Members:     *members,
-		Nodes:       *nodes,
-		Jobs:        *jobs,
-		Overload:    *overload,
-		Seed:        *seed,
-		Rate:        *rate,
-		MaxMTTR:     *maxMTTR,
-		JournalRoot: *journalRoot,
-		Logf:        log.Printf,
-	})
+	o, err := runScenario(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,8 +82,8 @@ func main() {
 		}
 		check(len(rep.AuditLost) == 0,
 			"zero acknowledged submissions lost (lost %d)", len(rep.AuditLost))
-		check(o.mttr > 0 && o.mttr <= *maxMTTR,
-			"failover MTTR %.3fs <= %s", rep.MTTRSeconds, *maxMTTR)
+		check(o.mttr > 0 && o.mttr <= cfg.MaxMTTR,
+			"failover MTTR %.3fs <= %s", rep.MTTRSeconds, cfg.MaxMTTR)
 		check(rep.DeadConfirms == 1,
 			"exactly the killed member confirmed dead (confirms %d)", rep.DeadConfirms)
 		check(!o.slowDead,
@@ -103,8 +94,8 @@ func main() {
 			"planned drain of %s completed (%.2fs)", rep.DrainedMember, rep.DrainSeconds)
 		check(rep.RollingSeconds > 0,
 			"rolling restart completed (%.2fs)", rep.RollingSeconds)
-		check(rep.MembersAliveAfter == *members,
-			"all %d members alive after the roll (alive %d)", *members, rep.MembersAliveAfter)
+		check(rep.MembersAliveAfter == cfg.Members,
+			"all %d members alive after the roll (alive %d)", cfg.Members, rep.MembersAliveAfter)
 		check(rep.MigrationsCompleted > 0,
 			"two-phase migrations ran (%d completed, %d aborted)",
 			rep.MigrationsCompleted, rep.MigrationsAborted)

@@ -14,8 +14,9 @@ import (
 	"medea/internal/workload"
 )
 
-// scenarioConfig is the scenario's input: the command's flags minus the
-// gate's bounds and the output path.
+// scenarioConfig is the scenario's input: the command's flags except
+// -out, -gate, -maxp99 and -max-mig-p99. MaxMTTR also bounds how long the
+// MTTR poll waits.
 type scenarioConfig struct {
 	Members     int
 	Nodes       int
@@ -126,9 +127,6 @@ func (d *driver) submit(req *server.SubmitRequest) {
 	}
 }
 
-// since is the simulated time elapsed from t.
-func (d *driver) since(t time.Time) time.Duration { return d.now.Sub(t) }
-
 // runScenario drives a simulated federation through the overload run with
 // scripted chaos and then the planned operations, all on a virtual clock
 // stepped at probeEvery. Only the route latencies and WallSeconds read
@@ -188,7 +186,7 @@ func runScenario(cfg scenarioConfig) (outcome, error) {
 	for _, tt := range trace {
 		d.advance(time.Duration(float64(tt.Arrival-prev) / cfg.Overload))
 		prev = tt.Arrival
-		elapsed := d.since(start)
+		elapsed := d.now.Sub(start)
 		if n, err := script.ApplyDue(fleet, elapsed); err != nil {
 			return outcome{}, fmt.Errorf("chaos script: %w", err)
 		} else if n > 0 && killTime.IsZero() && elapsed >= halfway {
@@ -200,7 +198,7 @@ func runScenario(cfg scenarioConfig) (outcome, error) {
 			Groups: []server.GroupSpec{{Name: "w", Count: min(tt.Req.Count, 4), MemoryMB: 512, VCores: 1}},
 		})
 	}
-	if _, err := script.ApplyDue(fleet, d.since(start)); err != nil {
+	if _, err := script.ApplyDue(fleet, d.now.Sub(start)); err != nil {
 		return outcome{}, fmt.Errorf("chaos script: %w", err)
 	}
 	if killTime.IsZero() {
@@ -213,14 +211,14 @@ func runScenario(cfg scenarioConfig) (outcome, error) {
 	// counted but not waited for). Detection alone is the scout confirming
 	// death.
 	var detection, mttr time.Duration
-	for d.since(killTime) < cfg.MaxMTTR+5*time.Second {
+	for d.now.Sub(killTime) < cfg.MaxMTTR+5*time.Second {
 		d.advance(probeEvery)
 		if detection == 0 && fleet.Scout.State(killed, d.now) == federation.Dead {
-			detection = d.since(killTime)
+			detection = d.now.Sub(killTime)
 		}
 		a := fleet.Balancer.Audit(d.now)
 		if detection > 0 && a.OnDead == 0 && len(a.Lost) == 0 {
-			mttr = d.since(killTime)
+			mttr = d.now.Sub(killTime)
 			break
 		}
 	}
@@ -242,11 +240,11 @@ func runScenario(cfg scenarioConfig) (outcome, error) {
 	if err := fleet.Balancer.DrainMember(drained); err != nil {
 		cfg.Logf("drain %s: %v", drained, err)
 	} else {
-		for fleet.Balancer.DrainActive(drained) && d.since(drainStart) < 30*time.Second {
+		for fleet.Balancer.DrainActive(drained) && d.now.Sub(drainStart) < 30*time.Second {
 			d.advance(probeEvery)
 		}
 		if !fleet.Balancer.DrainActive(drained) {
-			drainSecs = d.since(drainStart).Seconds()
+			drainSecs = d.now.Sub(drainStart).Seconds()
 			cfg.Logf("drained %s in %.2fs", drained, drainSecs)
 		} else {
 			cfg.Logf("drain of %s did not finish in 30s", drained)
@@ -259,11 +257,11 @@ func runScenario(cfg scenarioConfig) (outcome, error) {
 	var rollSecs float64
 	rollStart := d.now
 	if fleet.StartRollingRestart() {
-		for fleet.RollingActive() && d.since(rollStart) < 150*time.Second {
+		for fleet.RollingActive() && d.now.Sub(rollStart) < 150*time.Second {
 			d.advance(probeEvery)
 		}
 		if !fleet.RollingActive() {
-			rollSecs = d.since(rollStart).Seconds()
+			rollSecs = d.now.Sub(rollStart).Seconds()
 			cfg.Logf("rolling restart of %d members in %.2fs", cfg.Members, rollSecs)
 		} else {
 			cfg.Logf("rolling restart did not finish in 150s")
@@ -287,7 +285,7 @@ func runScenario(cfg scenarioConfig) (outcome, error) {
 	// a quiesced fleet rather than a snapshot of work in flight.
 	finalAudit := fleet.Balancer.Audit(d.now)
 	settleStart := d.now
-	for d.since(settleStart) < 10*time.Second {
+	for d.now.Sub(settleStart) < 10*time.Second {
 		if finalAudit.Placed+finalAudit.Degraded+finalAudit.Rejected == finalAudit.Routed {
 			break
 		}
