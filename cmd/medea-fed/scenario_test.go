@@ -1,39 +1,89 @@
 package main
 
 import (
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/scenario.golden from this run")
+
+// deterministicReport runs the scenario and clears the report's
+// wall-clock fields; everything left is simulated time.
+func deterministicReport(t *testing.T, cfg scenarioConfig) fedReport {
+	t.Helper()
+	cfg.Logf = func(string, ...any) {}
+	o, err := runScenario(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := o.rep
+	rep.P50RouteMs, rep.P99RouteMs, rep.WallSeconds = 0, 0, 0
+	return rep
+}
 
 // TestScenarioIsAFunctionOfItsFlags runs the chaos scenario twice with
 // the same flags. With the wall-clock fields cleared, the two reports
 // must be equal: every other duration is simulated time, and every
 // round, chaos event and submission runs in order on one virtual clock.
 func TestScenarioIsAFunctionOfItsFlags(t *testing.T) {
-	run := func() fedReport {
-		o, err := runScenario(scenarioConfig{
-			Members:  3,
-			Nodes:    16,
-			Jobs:     30,
-			Overload: 4,
-			Seed:     42,
-			Rate:     60,
-			MaxMTTR:  5 * time.Second,
-			Logf:     func(string, ...any) {},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep := o.rep
-		rep.P50RouteMs, rep.P99RouteMs, rep.WallSeconds = 0, 0, 0
-		return rep
+	cfg := scenarioConfig{
+		Members:  3,
+		Nodes:    16,
+		Jobs:     30,
+		Overload: 4,
+		Seed:     42,
+		Rate:     60,
+		MaxMTTR:  5 * time.Second,
 	}
-	first, second := run(), run()
+	first, second := deterministicReport(t, cfg), deterministicReport(t, cfg)
 	if first.Routed == 0 || first.MigrationsCompleted == 0 || first.MTTRSeconds == 0 {
 		t.Fatalf("the scenario did not run its phases: %+v", first)
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("same flags, different reports:\n%+v\n%+v", first, second)
+	}
+}
+
+// TestScenarioGolden pins the report of the chaos gate's run (the
+// command's default flags, seed 42) without its wall-clock fields in
+// testdata/scenario.golden: when a fault lands, what the detector
+// confirmed, how many apps failed over, drained and migrated, and the
+// final audit. Refresh with
+// `go test -run TestScenarioGolden -update ./cmd/medea-fed`.
+func TestScenarioGolden(t *testing.T) {
+	rep := deterministicReport(t, scenarioConfig{
+		Members:  3,
+		Nodes:    16,
+		Jobs:     120,
+		Overload: 4,
+		Seed:     42,
+		Rate:     60,
+		MaxMTTR:  5 * time.Second,
+	})
+	enc, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := string(enc) + "\n"
+	golden := filepath.Join("testdata", "scenario.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create it): %v", err)
+	}
+	if string(want) != got {
+		t.Errorf("scenario.golden drifted (intentional changes: re-run with -update):\n--- golden ---\n%s--- got ---\n%s", want, got)
 	}
 }
