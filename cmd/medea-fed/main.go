@@ -1,12 +1,13 @@
 // Command medea-fed drives a simulated federation — N member clusters,
 // each a full journaled scheduler behind its serving API, fronted by the
-// scout/balancer layer — through an overload run with scripted
-// cluster-level chaos: one member is killed mid-load and another answers
-// every second request too slowly (Byzantine slow-but-alive). It records
-// routing latency percentiles, the spillover rate, and the failover MTTR
-// (kill to clean fleet-wide audit), and with -gate enforces the
-// robustness contract: zero acknowledged submissions lost, failover
-// within -max-mttr, and the slow member never confirmed dead.
+// scout/balancer layer — through an overload run with cluster-level
+// chaos applied to the members' fault Gates: one member is killed
+// mid-load and another answers every second request too slowly
+// (Byzantine slow-but-alive). It records routing latency percentiles,
+// the spillover rate, and the failover MTTR (kill to clean fleet-wide
+// audit), and with -gate enforces the robustness contract: zero
+// acknowledged submissions lost, failover within -max-mttr, and the slow
+// member never confirmed dead.
 //
 // A second phase then exercises the planned-operations path while fresh
 // submissions keep arriving: the killed member is restarted, one member
@@ -18,7 +19,7 @@
 //
 // The whole scenario runs on a virtual clock: one fleet round
 // (federation.Fleet.Step) per 25ms probe interval, with the trace
-// arrivals, the chaos script and every submission applied in order
+// arrivals, the Gate faults and every submission applied in order
 // between rounds. A run is a function of its flags. Every duration in the
 // report is simulated time except the route latencies (the wall time of
 // each in-process Submit) and wall_seconds.

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"medea/internal/chaos"
 	"medea/internal/core"
 	"medea/internal/federation"
 	"medea/internal/metrics"
@@ -128,7 +127,7 @@ func (d *driver) submit(req *server.SubmitRequest) {
 }
 
 // runScenario drives a simulated federation through the overload run with
-// scripted chaos and then the planned operations, all on a virtual clock
+// member faults and then the planned operations, all on a virtual clock
 // stepped at probeEvery. Only the route latencies and WallSeconds read
 // the wall clock; every other duration in the report is simulated.
 func runScenario(cfg scenarioConfig) (outcome, error) {
@@ -162,17 +161,14 @@ func runScenario(cfg scenarioConfig) (outcome, error) {
 	d.fleet = fleet
 	start := d.now
 
-	// Scripted chaos, driven by simulated time relative to the load start:
-	// the last member turns Byzantine-slow immediately (every 2nd request
-	// stalls past the probe timeout — the detector must only ever suspect
-	// it), and the first member is crashed halfway through the run.
-	killed := "cluster-0"
-	slow := fmt.Sprintf("cluster-%d", cfg.Members-1)
+	// Chaos, driven by simulated time relative to the load start: the
+	// last member turns Byzantine-slow at the first arrival (every 2nd
+	// request stalls past the probe timeout — the detector must only ever
+	// suspect it), and the first member is crashed at the first arrival
+	// halfway through the run.
+	killed := fleet.Scout.Member("cluster-0")
+	slow := fleet.Scout.Member(fmt.Sprintf("cluster-%d", cfg.Members-1))
 	halfway := time.Duration(float64(cfg.Jobs) / 2 * 50 / cfg.Overload * float64(time.Millisecond))
-	script := chaos.NewFleetScript(
-		chaos.FleetEvent{After: 0, Kind: chaos.FleetSlow, Member: slow, Delay: 45 * time.Millisecond, Every: 2},
-		chaos.FleetEvent{After: halfway, Kind: chaos.FleetCrash, Member: killed},
-	)
 
 	trace := workload.GoogleTrace(rand.New(rand.NewSource(cfg.Seed)), workload.GoogleTraceConfig{
 		Jobs:             cfg.Jobs,
@@ -183,27 +179,26 @@ func runScenario(cfg scenarioConfig) (outcome, error) {
 
 	var killTime time.Time
 	prev := time.Duration(0)
-	for _, tt := range trace {
+	for i, tt := range trace {
 		d.advance(time.Duration(float64(tt.Arrival-prev) / cfg.Overload))
 		prev = tt.Arrival
-		elapsed := d.now.Sub(start)
-		if n, err := script.ApplyDue(fleet, elapsed); err != nil {
-			return outcome{}, fmt.Errorf("chaos script: %w", err)
-		} else if n > 0 && killTime.IsZero() && elapsed >= halfway {
+		if i == 0 {
+			slow.Gate.Slow(45*time.Millisecond, 2)
+		}
+		if elapsed := d.now.Sub(start); killTime.IsZero() && elapsed >= halfway {
+			killed.Gate.Crash()
 			killTime = d.now
-			cfg.Logf("killed %s at %v into the run", killed, elapsed.Round(time.Millisecond))
+			cfg.Logf("killed %s at %v into the run", killed.ID, elapsed.Round(time.Millisecond))
 		}
 		d.submit(&server.SubmitRequest{
 			ID:     tt.Job,
 			Groups: []server.GroupSpec{{Name: "w", Count: min(tt.Req.Count, 4), MemoryMB: 512, VCores: 1}},
 		})
 	}
-	if _, err := script.ApplyDue(fleet, d.now.Sub(start)); err != nil {
-		return outcome{}, fmt.Errorf("chaos script: %w", err)
-	}
 	if killTime.IsZero() {
-		killTime = d.now // crash fired on the post-loop ApplyDue
-		cfg.Logf("killed %s after the arrival loop", killed)
+		killed.Gate.Crash()
+		killTime = d.now
+		cfg.Logf("killed %s after the arrival loop", killed.ID)
 	}
 
 	// MTTR: poll the fleet-wide audit every round until no app is lost or
@@ -213,7 +208,7 @@ func runScenario(cfg scenarioConfig) (outcome, error) {
 	var detection, mttr time.Duration
 	for d.now.Sub(killTime) < cfg.MaxMTTR+5*time.Second {
 		d.advance(probeEvery)
-		if detection == 0 && fleet.Scout.State(killed, d.now) == federation.Dead {
+		if detection == 0 && fleet.Scout.State(killed.ID, d.now) == federation.Dead {
 			detection = d.now.Sub(killTime)
 		}
 		a := fleet.Balancer.Audit(d.now)
@@ -228,8 +223,8 @@ func runScenario(cfg scenarioConfig) (outcome, error) {
 	// Phase 2: planned operations under load. Revive the corpse so the
 	// fleet is whole, keep a trickle of fresh submissions arriving, then
 	// drain one member (cordon + evacuate) and roll the entire fleet.
-	if !fleet.RestartMember(killed) {
-		return outcome{}, fmt.Errorf("could not restart %s from its journal", killed)
+	if err := killed.Restart(d.now); err != nil {
+		return outcome{}, err
 	}
 	d.advance(20 * probeEvery) // scout re-confirms it alive
 	d.trickle, d.nextLoad = true, d.now.Add(250*time.Millisecond)
@@ -302,8 +297,8 @@ func runScenario(cfg scenarioConfig) (outcome, error) {
 		Spillovers:        st.Spillovers(),
 		P50RouteMs:        metrics.Percentile(d.routeMs, 50),
 		P99RouteMs:        metrics.Percentile(d.routeMs, 99),
-		KilledMember:      killed,
-		SlowMember:        slow,
+		KilledMember:      killed.ID,
+		SlowMember:        slow.ID,
 		DetectionSeconds:  detection.Seconds(),
 		MTTRSeconds:       mttr.Seconds(),
 		DeadConfirms:      st.Get(metrics.DeadConfirms),
@@ -331,6 +326,6 @@ func runScenario(cfg scenarioConfig) (outcome, error) {
 	return outcome{
 		rep:      rep,
 		mttr:     mttr,
-		slowDead: fleet.Scout.State(slow, d.now) == federation.Dead,
+		slowDead: fleet.Scout.State(slow.ID, d.now) == federation.Dead,
 	}, nil
 }

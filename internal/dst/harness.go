@@ -96,14 +96,7 @@ func (h *harness) tracef(format string, args ...any) {
 	fmt.Fprintf(&h.trace, format+"\n", args...)
 }
 
-func (h *harness) member(id string) *federation.Member {
-	for _, m := range h.fleet.Members {
-		if m.ID == id {
-			return m
-		}
-	}
-	return nil
-}
+func (h *harness) member(id string) *federation.Member { return h.fleet.Scout.Member(id) }
 
 // guard runs fn and absorbs an injected crash panic: the armed member's
 // process dies at its kill point, mid-operation, exactly as a real
@@ -121,7 +114,7 @@ func (h *harness) guard(fn func()) (died bool) {
 		id := h.armed
 		h.armed = ""
 		h.cjs[id].KillAt = 0
-		h.fleet.CrashMember(id)
+		h.member(id).Gate.Crash()
 		h.crashed[id] = true
 		h.tracef("    !! %s crashed at its kill point (torn tail)", id)
 		died = true
@@ -206,7 +199,7 @@ func newHarness(cfg Config) (*harness, error) {
 			return true
 		}
 		if !h.crashed[arm.victim] {
-			h.fleet.CrashMember(arm.victim)
+			h.member(arm.victim).Gate.Crash()
 			h.crashed[arm.victim] = true
 			h.tracef("    !! %s killed at %s for %s", arm.victim, point, app)
 		}
@@ -363,7 +356,7 @@ func (h *harness) apply(i int, ev Event) *Violation {
 			h.armed = ""
 			h.cjs[id].KillAt = 0
 		}
-		h.fleet.CrashMember(id)
+		h.member(id).Gate.Crash()
 		h.crashed[id] = true
 		h.tracef("    crashed")
 
@@ -384,7 +377,7 @@ func (h *harness) apply(i int, ev Event) *Violation {
 		h.tracef("    restarted from journal")
 
 	case EvPartition:
-		h.fleet.PartitionMember(ev.Member, true)
+		h.member(ev.Member).Gate.Partition(true)
 		h.partitioned[ev.Member] = true
 
 	case EvSlow:
@@ -398,7 +391,7 @@ func (h *harness) apply(i int, ev Event) *Violation {
 		m.Gate.Slow(0, 0)
 
 	case EvHeal:
-		h.fleet.HealMember(ev.Member)
+		h.member(ev.Member).Gate.Heal()
 		h.partitioned[ev.Member] = false
 		// Heal also lifts a planned drain, so generated schedules
 		// exercise drain cancellation (and its uncordon) too.
@@ -518,7 +511,7 @@ func (h *harness) settle() *Violation {
 		cj.KillAt = 0
 	}
 	for _, m := range h.fleet.Members {
-		h.fleet.HealMember(m.ID)
+		m.Gate.Heal()
 		h.partitioned[m.ID] = false
 	}
 	for _, m := range h.fleet.Members {

@@ -71,9 +71,9 @@ func TestAntiEntropyVerdicts(t *testing.T) {
 			name: "restarted from a journal that never saw the app",
 			apps: 1,
 			lose: func(t *testing.T, f *Fleet, _ []string) {
-				f.CrashMember("cluster-0")
-				if !f.RestartMember("cluster-0") {
-					t.Fatal("cluster-0 did not restart")
+				f.Scout.Member("cluster-0").Gate.Crash()
+				if err := f.Scout.Member("cluster-0").Restart(f.cfg.Clock()); err != nil {
+					t.Fatal(err)
 				}
 			},
 			rerouted: 1,
@@ -117,7 +117,7 @@ func TestAntiEntropyVerdicts(t *testing.T) {
 			name:    "partitioned",
 			apps:    40,
 			rounds:  3,
-			lose:    func(t *testing.T, f *Fleet, _ []string) { f.PartitionMember("cluster-0", true) },
+			lose:    func(t *testing.T, f *Fleet, _ []string) { f.Scout.Member("cluster-0").Gate.Partition(true) },
 			recheck: homeCheckBatch,
 			audit:   AuditReport{Routed: 40, OnDead: 40},
 		},

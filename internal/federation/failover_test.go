@@ -4,13 +4,12 @@ import (
 	"testing"
 	"time"
 
-	"medea/internal/chaos"
 	"medea/internal/metrics"
 	"medea/internal/resource"
 )
 
 // TestFailoverRehomesAppsZeroLoss is the headline robustness scenario:
-// one of three member clusters is killed by a scripted chaos event while
+// one of three member clusters is killed at its fault Gate while
 // it is homing deployed applications. The detector must confirm the
 // death, failover must re-place every affected app on the survivors, and
 // the fleet-wide audit must account for every acknowledged submission —
@@ -42,11 +41,8 @@ func TestFailoverRehomesAppsZeroLoss(t *testing.T) {
 		t.Fatal("no apps homed on cluster-0; the crash would be vacuous")
 	}
 
-	// Scripted chaos: kill cluster-0 now.
-	script := chaos.NewFleetScript(chaos.FleetEvent{After: 0, Kind: chaos.FleetCrash, Member: "cluster-0"})
-	if n, err := script.ApplyDue(f, 0); err != nil || n != 1 {
-		t.Fatalf("chaos script fired %d events, err %v", n, err)
-	}
+	// Kill cluster-0 now.
+	f.Scout.Member("cluster-0").Gate.Crash()
 
 	// Drive the fleet until the audit is clean again, bounding the
 	// recovery time in probe rounds (detection needs 3 consecutive
@@ -120,7 +116,7 @@ func TestDegradedModeQueuesAndRecovers(t *testing.T) {
 		t.Fatalf("apps on cluster-1: %v, want 2 (routing should have spread the load)", victims)
 	}
 
-	f.CrashMember("cluster-1")
+	f.Scout.Member("cluster-1").Gate.Crash()
 	steps(f, clk, 6) // detect + failover; cluster-0 is full, so degrade
 
 	a := f.Balancer.Audit(clk.Now())

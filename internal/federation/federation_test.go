@@ -130,9 +130,7 @@ func TestSpilloverOnPartition(t *testing.T) {
 	f, clk := testFleet(t, FleetConfig{Members: 2})
 	steps(f, clk, 2)
 
-	if !f.PartitionMember("cluster-0", true) {
-		t.Fatal("partition target missing")
-	}
+	f.Scout.Member("cluster-0").Gate.Partition(true)
 	home, err := f.Balancer.Submit(fedReq("app-a", 2, 1024, 1))
 	if err != nil {
 		t.Fatalf("submit under partition: %v", err)
@@ -145,7 +143,7 @@ func TestSpilloverOnPartition(t *testing.T) {
 	}
 
 	// Healing the partition keeps the member routable again.
-	f.HealMember("cluster-0")
+	f.Scout.Member("cluster-0").Gate.Heal()
 	steps(f, clk, 2)
 	if st := f.Scout.State("cluster-0", clk.Now()); st == Dead {
 		t.Fatalf("healed member is %v, want not dead", st)
@@ -161,9 +159,7 @@ func TestSlowMemberNeverConfirmedDead(t *testing.T) {
 	steps(f, clk, 4) // learn a baseline cadence
 
 	// Stall every 2nd request for 3x the probe timeout.
-	if !f.SlowMember("cluster-1", 30*time.Millisecond, 2) {
-		t.Fatal("slow target missing")
-	}
+	f.Scout.Member("cluster-1").Gate.Slow(30*time.Millisecond, 2)
 	for i := 0; i < 20; i++ {
 		steps(f, clk, 1)
 		if st := f.Scout.State("cluster-1", clk.Now()); st == Dead {
@@ -242,9 +238,7 @@ func TestAnsweredRequestsKeepSlowMemberAlive(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 	steps(f, clk, 2)
-	if !f.SlowMember("cluster-0", 30*time.Millisecond, 2) {
-		t.Fatal("slow target missing")
-	}
+	f.Scout.Member("cluster-0").Gate.Slow(30*time.Millisecond, 2)
 	if _, err := f.Balancer.Status("app-a"); err != nil {
 		t.Fatalf("status: %v", err)
 	}
@@ -275,7 +269,7 @@ func TestAuditIsNoSignOfLife(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 	steps(f, clk, 2)
-	f.SlowMember("cluster-0", 30*time.Millisecond, 1)
+	f.Scout.Member("cluster-0").Gate.Slow(30*time.Millisecond, 1)
 	var dead []string
 	for i := 0; i < ConfirmMisses; i++ {
 		if rep := f.Balancer.Audit(clk.Now()); rep.Placed != 1 {

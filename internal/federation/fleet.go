@@ -80,9 +80,8 @@ func (c FleetConfig) nodeCapacity() resource.Vector {
 
 // Fleet is the federation: the members, the scout watching them, and the
 // balancer routing over them, driven one synchronous round at a time by
-// Step on the caller's clock. It implements the chaos layer's
-// FleetTarget so scripted cluster-level failures can be driven against
-// it.
+// Step on the caller's clock. Faults are injected on a member itself
+// (Scout.Member(id).Gate, Member.Restart), never through the Fleet.
 type Fleet struct {
 	cfg      FleetConfig
 	Members  []*Member
@@ -90,8 +89,7 @@ type Fleet struct {
 	Balancer *Balancer
 	Stats    *metrics.FedStats
 
-	mu   sync.Mutex
-	byID map[string]*Member
+	mu sync.Mutex
 	// rolling is the in-flight rolling restart, nil when idle.
 	rolling *rollingState
 }
@@ -133,7 +131,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		cfg.Logf = func(string, ...any) {}
 	}
 	now := cfg.Clock()
-	f := &Fleet{cfg: cfg, Stats: &metrics.FedStats{}, byID: make(map[string]*Member)}
+	f := &Fleet{cfg: cfg, Stats: &metrics.FedStats{}}
 	for i := 0; i < cfg.members(); i++ {
 		id := fmt.Sprintf("cluster-%d", i)
 		var jnl journal.Journal
@@ -164,7 +162,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			return nil, err
 		}
 		f.Members = append(f.Members, m)
-		f.byID[id] = m
 	}
 	f.Scout = NewScout(cfg.Scout, f.Members, f.Stats)
 	f.Balancer = NewBalancer(cfg.Route, f.Scout, f.Stats, cfg.Logf)
@@ -190,46 +187,6 @@ func (f *Fleet) Close() {
 	}
 }
 
-// MemberIDs implements the chaos FleetTarget.
-func (f *Fleet) MemberIDs() []string { return f.Scout.MemberIDs() }
-
-// CrashMember implements the chaos FleetTarget: the member stops
-// scheduling and its API becomes unreachable, as if the cluster's scheduler host
-// died (RestartMember revives it from its journal). Reports whether the
-// member exists.
-func (f *Fleet) CrashMember(id string) bool {
-	m := f.byID[id]
-	if m == nil {
-		return false
-	}
-	m.Crash()
-	return true
-}
-
-// RestartMember implements the chaos FleetTarget: a crashed member's
-// scheduler is rebuilt from its journal against live cluster truth and
-// rejoins the fleet (the failure detector revives it on its next
-// successful probe). Reports false for unknown, never-crashed, or
-// unrecoverable members.
-func (f *Fleet) RestartMember(id string) bool {
-	m := f.byID[id]
-	if m == nil || !m.Gate.Crashed() {
-		return false
-	}
-	if err := m.Restart(f.cfg.Clock()); err != nil {
-		f.cfg.Logf("federation: %v", err)
-		return false
-	}
-	return true
-}
-
-// DrainFleetMember starts a planned evacuation of one member via the
-// balancer (the chaos layer's drain hook). Reports whether the member
-// exists.
-func (f *Fleet) DrainFleetMember(id string) bool {
-	return f.Balancer.DrainMember(id) == nil
-}
-
 // StartRollingRestart begins a fleet-wide rolling restart: members are
 // drained, restarted from their journals, and re-confirmed healthy one
 // at a time. Reports false if one is already running.
@@ -239,7 +196,7 @@ func (f *Fleet) StartRollingRestart() bool {
 	if f.rolling != nil {
 		return false
 	}
-	f.rolling = &rollingState{queue: f.MemberIDs(), phase: rollDraining}
+	f.rolling = &rollingState{queue: f.Scout.MemberIDs(), phase: rollDraining}
 	f.cfg.Logf("federation: rolling restart started (%d members)", len(f.rolling.queue))
 	return true
 }
@@ -283,10 +240,10 @@ func (f *Fleet) stepRolling(now time.Time) {
 		// Drained (possibly as a no-op if the member died organically):
 		// restart it from its journal. A member already crashed by chaos
 		// is revived the same way.
-		if !f.byID[current].Gate.Crashed() {
-			f.CrashMember(current)
-		}
-		if !f.RestartMember(current) {
+		m := f.Scout.Member(current)
+		m.Gate.Crash()
+		if err := m.Restart(f.cfg.Clock()); err != nil {
+			f.cfg.Logf("federation: %v", err)
 			// Unrecoverable journal: abort the rolling restart rather than
 			// marching on and taking a second member down.
 			f.mu.Lock()
@@ -311,38 +268,4 @@ func (f *Fleet) stepRolling(now time.Time) {
 		r.drainStarted = false
 		f.cfg.Logf("federation: rolling restart: %s healthy again (%d to go)", current, len(r.queue))
 	}
-}
-
-// PartitionMember implements the chaos FleetTarget: the member keeps
-// scheduling but the balancer cannot reach it.
-func (f *Fleet) PartitionMember(id string, partitioned bool) bool {
-	m := f.byID[id]
-	if m == nil {
-		return false
-	}
-	m.Gate.Partition(partitioned)
-	return true
-}
-
-// SlowMember implements the chaos FleetTarget: every Nth request to the
-// member stalls for delay — the Byzantine slow-but-alive case the
-// failure detector must not confuse with death.
-func (f *Fleet) SlowMember(id string, delay time.Duration, every int) bool {
-	m := f.byID[id]
-	if m == nil {
-		return false
-	}
-	m.Gate.Slow(delay, every)
-	return true
-}
-
-// HealMember implements the chaos FleetTarget: partition and slowness
-// are lifted (a crash is a process fault — RestartMember undoes it).
-func (f *Fleet) HealMember(id string) bool {
-	m := f.byID[id]
-	if m == nil {
-		return false
-	}
-	m.Gate.Heal()
-	return true
 }

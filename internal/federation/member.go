@@ -19,11 +19,13 @@ import (
 )
 
 // Gate is a member's fault-injection valve, sitting between the
-// balancer/scout and the member's HTTP handler. The chaos layer flips it
-// to simulate a crashed member (process gone), a partitioned member
-// (process fine, network gone) and a Byzantine slow member (alive but
-// answering probes late). It is concurrency-safe: the balancer's submit
-// path and the chaos script race on it by design.
+// balancer/scout and the member's HTTP handler, and the only way to
+// fault a member (Member.Restart undoes a crash). Callers reach it
+// through Scout.Member(id) and flip it to simulate a crashed member
+// (process gone), a partitioned member (process fine, network gone) and
+// a Byzantine slow member (alive but answering probes late). It is
+// concurrency-safe: the balancer's submit path and the fault injector
+// race on it by design.
 type Gate struct {
 	mu          sync.Mutex
 	crashed     bool
@@ -253,10 +255,6 @@ func (m *Member) Step() {
 	}
 	m.Srv.Step()
 }
-
-// Crash kills the member: Step stops scheduling and every subsequent
-// request is refused at the transport.
-func (m *Member) Crash() { m.Gate.Crash() }
 
 // memberTransport serves HTTP requests directly against the member's
 // handler — no sockets — while honoring the fault gate: a crashed or

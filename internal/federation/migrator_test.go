@@ -126,7 +126,7 @@ func TestMigrationCrashMatrix(t *testing.T) {
 					case "dest":
 						crashed = dest
 					}
-					f.CrashMember(crashed)
+					f.Scout.Member(crashed).Gate.Crash()
 					return false
 				})
 
@@ -138,8 +138,8 @@ func TestMigrationCrashMatrix(t *testing.T) {
 					t.Fatalf("crash point %s never fired", point)
 				}
 				if crashed != "" {
-					if !f.RestartMember(crashed) {
-						t.Fatalf("restarting %s failed", crashed)
+					if err := f.Scout.Member(crashed).Restart(clk.Now()); err != nil {
+						t.Fatal(err)
 					}
 				}
 				steps(f, clk, 40)
@@ -237,7 +237,7 @@ func TestDrainRacesFailover(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 	steps(f, clk, 1) // drain underway, migrations possibly in flight
-	f.CrashMember(victim)
+	f.Scout.Member(victim).Gate.Crash()
 	for i := 0; i < 120 && f.Balancer.DrainActive(victim); i++ {
 		steps(f, clk, 1)
 	}

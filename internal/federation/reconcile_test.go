@@ -27,7 +27,7 @@ func TestAmbiguousRouteFailureReconciles(t *testing.T) {
 	// cluster-0 serves but stalls every ack past the attempt timeout;
 	// cluster-1 is unreachable. Routing must fail without a home.
 	f.Members[0].Gate.SlowTail(100*time.Millisecond, 1)
-	f.PartitionMember("cluster-1", true)
+	f.Scout.Member("cluster-1").Gate.Partition(true)
 	if _, err := f.Balancer.Submit(fedReq("app-x", 1, 512, 1)); err == nil {
 		t.Fatal("submit succeeded though every ack was dropped")
 	}
@@ -37,8 +37,8 @@ func TestAmbiguousRouteFailureReconciles(t *testing.T) {
 		t.Fatalf("post-failure audit %+v, want 1 reconciling, none lost", a)
 	}
 
-	f.HealMember("cluster-0")
-	f.HealMember("cluster-1")
+	f.Scout.Member("cluster-0").Gate.Heal()
+	f.Scout.Member("cluster-1").Gate.Heal()
 	steps(f, clk, 4)
 
 	home, ok := f.Balancer.Home("app-x")
@@ -74,7 +74,7 @@ func TestAckDroppedDuplicateRemoved(t *testing.T) {
 	if home != "cluster-1" {
 		t.Fatalf("home %q, want spillover to cluster-1", home)
 	}
-	f.HealMember("cluster-0")
+	f.Scout.Member("cluster-0").Gate.Heal()
 	steps(f, clk, 4)
 
 	if f.Stats.Get(metrics.Reconciled) != 1 {
