@@ -31,17 +31,17 @@ func NewScoreFixture(state *cluster.Cluster, apps []*Application, active []const
 		f.works, f.results = append(f.works, work), append(f.results, res)
 	}
 	groups := batchGroups(apps)
-	tp := memoryOf(apps, f.results[0])
+	tp := groupCounts(groups, f.results[0])
 	cands := selectCandidates(state, f.cons, groups, opts)
-	for gi, g := range groups {
-		for n := range tp[apps[g.appIdx].ID].counts[g.name] {
+	for gi := range groups {
+		for n := range tp[gi] {
 			cands[gi] = append(cands[gi], n)
 		}
 		slices.Sort(cands[gi])
 		cands[gi] = slices.Compact(cands[gi])
 	}
 	pm := buildModel(state, apps, f.cons, groups, cands, opts.weights())
-	warm := pm.replay(apps, tp)
+	warm := pm.warmValues(f.results[0], tp)
 	sol := pm.m.Solve(ilp.Options{
 		Deadline:   opts.clock()().Add(opts.solverBudget()),
 		WarmStarts: []map[ilp.Var]float64{warm},

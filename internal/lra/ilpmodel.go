@@ -420,9 +420,32 @@ func (r *cardRow) emit(family string, isMin bool, gi, selfAdj int, act ilp.Var) 
 }
 
 // warmValues assembles one warm-start candidate — a value for every
-// integer variable of the model — from the applications the candidate
-// places and the containers of each group it puts on each node.
-func (pm *placementModel) warmValues(placed []bool, counts []map[cluster.NodeID]int) map[ilp.Var]float64 {
+// integer variable of the model — from a placement of the batch: res
+// says which applications it places, counts (groupCounts of res) how
+// many containers of each group it puts on each node. Place passes the
+// greedy fallback's placement, every node of which is a candidate with
+// room for its containers. An application whose counts do not add up to
+// a group's size (two of its groups share a name) is marked unplaced:
+// the candidate stays well-formed and the solver re-derives its
+// placement.
+func (pm *placementModel) warmValues(res *Result, counts []map[cluster.NodeID]int) map[ilp.Var]float64 {
+	placed := make([]bool, len(pm.S))
+	for ai, p := range res.Placements {
+		placed[ai] = p.Placed
+	}
+	for gi, g := range pm.groups {
+		total := 0
+		for _, c := range counts[gi] {
+			total += c
+		}
+		placed[g.appIdx] = placed[g.appIdx] && total == g.count
+	}
+	count := func(gi int, n cluster.NodeID) int {
+		if !placed[pm.groups[gi].appIdx] {
+			return 0
+		}
+		return counts[gi][n]
+	}
 	size := len(pm.S) + len(pm.acts) + len(pm.termSel)
 	for _, y := range pm.Y {
 		size += len(y)
@@ -433,13 +456,13 @@ func (pm *placementModel) warmValues(placed []bool, counts []map[cluster.NodeID]
 	}
 	for gi, y := range pm.Y {
 		for n, v := range y {
-			warm[v] = float64(counts[gi][n])
+			warm[v] = float64(count(gi, n))
 		}
 	}
 	for k, v := range pm.acts {
 		present := false
 		for _, n := range pm.state.SetMembers(k.group, k.set) {
-			present = present || counts[k.gi][n] > 0
+			present = present || count(k.gi, n) > 0
 		}
 		warm[v] = float64(b2f(present))
 	}

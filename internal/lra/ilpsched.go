@@ -47,15 +47,6 @@ type ilpScheduler struct {
 	arenas []*ilp.SolverArena
 }
 
-// appMemory is what one placement says of one application: whether it
-// was placed, and where, as per-group node counts. Place turns the greedy
-// fallback's placement into this form to replay it as the solver's warm
-// start.
-type appMemory struct {
-	placed bool
-	counts map[string]map[cluster.NodeID]int // group name -> node -> count
-}
-
 // debugILP enables solver diagnostics on stdout (set via MEDEA_DEBUG_ILP).
 var debugILP = os.Getenv("MEDEA_DEBUG_ILP") != ""
 
@@ -113,13 +104,13 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	// ever improves on the heuristic within the time budget, combining
 	// the heuristics' latency with the ILP's placement quality (§5.3).
 	fb, fbScore := s.fallback.placeBest(work, apps, cons, base, opts)
-	fbMem := memoryOf(apps, fb)
+	fbCounts := groupCounts(groups, fb)
 
 	// Every node the greedy used is a candidate too, so that the warm
 	// solution is expressible in the model.
 	cands := selectCandidates(state, cons, groups, opts)
-	for gi, g := range groups {
-		for n := range fbMem[apps[g.appIdx].ID].counts[g.name] {
+	for gi := range groups {
+		for n := range fbCounts[gi] {
 			cands[gi] = append(cands[gi], n)
 		}
 		slices.Sort(cands[gi])
@@ -127,7 +118,7 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	}
 	pm := buildModel(state, apps, cons, groups, cands, opts.weights())
 
-	warm := pm.replay(apps, fbMem)
+	warm := pm.warmValues(fb, fbCounts)
 
 	// A defective constraint set can produce a malformed model (inverted
 	// bounds, dangling variables). Check before solving and degrade to the
@@ -193,40 +184,6 @@ func stamp(final *Result, sol *ilp.Solution) {
 	if sol.WarmUsed {
 		final.WarmStarts++
 	}
-}
-
-// replay turns a placement of the batch's applications, as per-group node
-// counts, into a warm-start candidate. Place replays the greedy
-// fallback's placement, every node of which is a candidate with room for
-// its containers. An application whose counts do not add up to a group's
-// size (two of its groups share a name) is marked unplaced in the replay:
-// the candidate stays well-formed and the solver simply re-derives its
-// placement.
-func (pm *placementModel) replay(apps []*Application, mems map[string]*appMemory) map[ilp.Var]float64 {
-	usable := make([]bool, len(apps))
-	for ai, app := range apps {
-		mem := mems[app.ID]
-		usable[ai] = mem != nil && mem.placed
-	}
-	for _, g := range pm.groups {
-		if !usable[g.appIdx] {
-			continue
-		}
-		total := 0
-		for _, c := range mems[apps[g.appIdx].ID].counts[g.name] {
-			total += c
-		}
-		if total != g.count {
-			usable[g.appIdx] = false
-		}
-	}
-	counts := make([]map[cluster.NodeID]int, len(pm.groups))
-	for gi, g := range pm.groups {
-		if usable[g.appIdx] {
-			counts[gi] = mems[apps[g.appIdx].ID].counts[g.name]
-		}
-	}
-	return pm.warmValues(usable, counts)
 }
 
 // decodeSolution turns the solver's S and Y values into concrete
@@ -297,26 +254,24 @@ func sameNodes(a, b *Result) bool {
 	return true
 }
 
-// memoryOf is what res says of each batch application: whether it was
-// placed, and where, as per-group node counts.
-func memoryOf(apps []*Application, res *Result) map[string]*appMemory {
-	mems := make(map[string]*appMemory, len(apps))
-	for ai, p := range res.Placements {
-		mem := &appMemory{placed: p.Placed}
-		if len(p.Assignments) > 0 {
-			mem.counts = make(map[string]map[cluster.NodeID]int)
-		}
-		for _, asg := range p.Assignments {
-			c := mem.counts[asg.Group]
-			if c == nil {
-				c = map[cluster.NodeID]int{}
-				mem.counts[asg.Group] = c
+// groupCounts reads res once into per-group node counts: how many of
+// each model group's containers res puts on each node. Two groups of one
+// application that share a name cannot be told apart: each gets the
+// containers of both.
+func groupCounts(groups []mgroup, res *Result) []map[cluster.NodeID]int {
+	counts := make([]map[cluster.NodeID]int, len(groups))
+	for gi, g := range groups {
+		for _, asg := range res.Placements[g.appIdx].Assignments {
+			if asg.Group != g.name {
+				continue
 			}
-			c[asg.Node]++
+			if counts[gi] == nil {
+				counts[gi] = map[cluster.NodeID]int{}
+			}
+			counts[gi][asg.Node]++
 		}
-		mems[apps[ai].ID] = mem
 	}
-	return mems
+	return counts
 }
 
 // selectCandidates picks, per group, a bounded set of candidate nodes:

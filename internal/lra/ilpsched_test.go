@@ -192,8 +192,8 @@ func placeBestOn(c *cluster.Cluster, apps []*Application) *Result {
 }
 
 // TestILPDuplicateGroupNames: an application whose two groups share a
-// name cannot be told apart in a placement's per-group counts, so replay
-// treats it as unplaced in the greedy warm start and the solver places it
+// name cannot be told apart in a placement's per-group counts, so
+// warmValues treats it as unplaced in the greedy warm start and the solver places it
 // anyway; its neighbour keeps its warm start.
 func TestILPDuplicateGroupNames(t *testing.T) {
 	c := grid(8, 4)
@@ -206,10 +206,11 @@ func TestILPDuplicateGroupNames(t *testing.T) {
 	if res.PlacedApps() != 2 || len(res.Placements[0].Assignments) != 3 {
 		t.Fatalf("placed %d apps, twin has %d containers", res.PlacedApps(), len(res.Placements[0].Assignments))
 	}
-	pm := buildModel(c, apps, nil, batchGroups(apps), allCandidates(c, batchGroups(apps)), DefaultWeights())
-	warm := pm.replay(apps, memoryOf(apps, res))
+	groups := batchGroups(apps)
+	pm := buildModel(c, apps, nil, groups, allCandidates(c, groups), DefaultWeights())
+	warm := pm.warmValues(res, groupCounts(groups, res))
 	if warm[pm.S[0]] != 0 || warm[pm.S[1]] != 1 {
-		t.Fatalf("replay: S(twin)=%v S(plain)=%v, want 0 and 1", warm[pm.S[0]], warm[pm.S[1]])
+		t.Fatalf("warm start: S(twin)=%v S(plain)=%v, want 0 and 1", warm[pm.S[0]], warm[pm.S[1]])
 	}
 }
 
