@@ -73,8 +73,7 @@ func crashHarness() *Harness {
 		Script: ops,
 		Base:   time.Unix(5000, 0),
 		Config: core.Config{
-			Interval: time.Second, RepairBackoff: time.Second,
-			CheckpointEvery: 4, Audit: audit.FailFast,
+			Interval: time.Second, CheckpointEvery: 4, Audit: audit.FailFast,
 		},
 		Nodes:   12,
 		NodeCap: resource.New(16384, 8),

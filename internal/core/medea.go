@@ -30,7 +30,8 @@ type Config struct {
 	// Interval is the LRA scheduling interval (§5.1); longer intervals
 	// batch more LRAs per cycle, improving placement quality at the cost
 	// of LRA scheduling latency. Zero or negative selects the default of
-	// 10s (§7.1).
+	// 10s (§7.1). It is also the base delay between repair attempts for
+	// one LRA; consecutive failures back off exponentially from it.
 	Interval time.Duration
 	// MaxRetries bounds LRA resubmission after placement conflicts (§5.4).
 	// The zero value selects the default of 3; a negative value disables
@@ -42,11 +43,6 @@ type Config struct {
 	// LRAs and routed through the LRA scheduler, abandoning the
 	// two-scheduler split.
 	ScheduleTasksViaLRA bool
-
-	// RepairBackoff is the base delay between repair attempts for one
-	// LRA; consecutive failures back off exponentially from it (zero =
-	// Interval).
-	RepairBackoff time.Duration
 
 	// SolverBudget bounds the LRA solver's wall-clock time per cycle
 	// end-to-end: it flows through the algorithm's lra.Options into
@@ -99,13 +95,6 @@ func (c Config) maxRetries() int {
 // repairMaxRetries bounds repair attempts per degraded LRA after node
 // failures before the repair is abandoned.
 const repairMaxRetries = 5
-
-func (c Config) repairBackoff() time.Duration {
-	if c.RepairBackoff > 0 {
-		return c.RepairBackoff
-	}
-	return c.Interval
-}
 
 // repairBackoffCap caps the exponential repair backoff, as a multiple of
 // the base delay.

@@ -210,7 +210,7 @@ func TestRecoverPreservesRetryBudget(t *testing.T) {
 // replayed from the journal resumes with its persisted attempt count and
 // backoff gate.
 func TestRecoverPreservesRepairBudget(t *testing.T) {
-	cfg := Config{Interval: time.Second, RepairBackoff: time.Second}
+	cfg := Config{Interval: time.Second}
 	m, _ := drainedPair(t, cfg)
 	j := journal.NewMemory()
 	if err := m.AttachJournal(j, t0); err != nil {
@@ -318,7 +318,7 @@ func TestRecoverOrphanSweep(t *testing.T) {
 // its repair-ok record re-adopts the restored containers from cluster
 // truth instead of repairing them twice.
 func TestRecoverRepairAckLost(t *testing.T) {
-	cfg := Config{Interval: time.Second, RepairBackoff: time.Second}
+	cfg := Config{Interval: time.Second}
 	m, j := journaledMedea(t, cfg)
 	if err := m.SubmitLRA(app("a", 3), t0); err != nil {
 		t.Fatal(err)
@@ -372,7 +372,7 @@ func TestRecoverRepairAckLost(t *testing.T) {
 // literals pin the FNV-1a-derived schedule; any change to the jitter
 // derivation breaks journal-replay equivalence and must show up here.
 func TestRepairBackoffSchedulePinned(t *testing.T) {
-	cfg := Config{RepairBackoff: time.Second} // max defaults to 8s
+	cfg := Config{Interval: time.Second} // max defaults to 8s
 	want := map[string][]time.Duration{
 		"a": {1068758675, 2205386886, 4467015097, 8478643308, 8990271519},
 		"b": {1021897598, 2010269387, 4498641176, 8580038653, 8068410442},
@@ -398,7 +398,7 @@ func TestRepairBackoffSchedulePinned(t *testing.T) {
 	}
 	// Determinism across calls and across equivalent Config values (the
 	// property replay relies on).
-	if cfg.repairBackoffFor("a", 3) != (Config{RepairBackoff: time.Second}).repairBackoffFor("a", 3) {
+	if cfg.repairBackoffFor("a", 3) != (Config{Interval: time.Second}).repairBackoffFor("a", 3) {
 		t.Error("schedule not a pure function of its inputs")
 	}
 	// Huge attempt counts neither overflow nor exceed the cap window.

@@ -144,7 +144,7 @@ func (m *Medea) PendingRepairs() int {
 }
 
 // repairBackoffFor returns the backoff gate delay after the attempts-th
-// consecutive failed repair of appID: exponential from repairBackoff(),
+// consecutive failed repair of appID: exponential from Interval,
 // capped at repairBackoffCap times it, plus a decorrelation jitter in
 // [0, backoff/8) drawn from an FNV-1a hash of (appID, attempts). The
 // jitter spreads the retries of LRAs degraded by the same node failure
@@ -159,8 +159,8 @@ func (c Config) repairBackoffFor(appID string, attempts int) time.Duration {
 	if shift > 16 {
 		shift = 16 // cap the shift; the max clamp below dominates anyway
 	}
-	backoff := c.repairBackoff() << uint(shift)
-	if max := repairBackoffCap * c.repairBackoff(); backoff > max {
+	backoff := c.Interval << uint(shift)
+	if max := repairBackoffCap * c.Interval; backoff > max {
 		backoff = max
 	}
 	if window := backoff / 8; window > 0 {

@@ -28,9 +28,6 @@ func TestConfigSentinels(t *testing.T) {
 	if got := (Config{MaxRetries: 7}).maxRetries(); got != 7 {
 		t.Errorf("maxRetries 7 = %d", got)
 	}
-	if got := (Config{Interval: 10 * time.Second}).repairBackoff(); got != 10*time.Second {
-		t.Errorf("repairBackoff zero = %v, want Interval", got)
-	}
 }
 
 // TestNoRetriesSentinel: MaxRetries < 0 really means no retries — an
@@ -219,7 +216,7 @@ func drainedPair(t *testing.T, cfg Config) (*Medea, func()) {
 // accounted. Node 1 stays full throughout, so the Medea-NC fallback fails
 // too once it takes over.
 func TestRepairBackoffAndAbandon(t *testing.T) {
-	cfg := Config{Interval: time.Second, RepairBackoff: time.Second}
+	cfg := Config{Interval: time.Second}
 	m, _ := drainedPair(t, cfg)
 	t1 := t0.Add(time.Minute)
 	if evs := m.FailNode(0, t1); len(evs) != 2 {
@@ -285,7 +282,7 @@ func TestRepairBackoffAndAbandon(t *testing.T) {
 // TestRepairFallbackToGreedy: after repairFallbackAfter failed attempts,
 // the repair batch is placed by the greedy heuristic.
 func TestRepairFallbackToGreedy(t *testing.T) {
-	cfg := Config{Interval: time.Second, RepairBackoff: time.Second}
+	cfg := Config{Interval: time.Second}
 	m, release := drainedPair(t, cfg)
 	t1 := t0.Add(time.Minute)
 	m.FailNode(0, t1)
@@ -307,7 +304,7 @@ func TestRepairFallbackToGreedy(t *testing.T) {
 // TestRecoverNodeClearsBackoff: when a node returns, pending repairs
 // become eligible immediately instead of waiting out their backoff.
 func TestRecoverNodeClearsBackoff(t *testing.T) {
-	m, _ := drainedPair(t, Config{Interval: time.Second, RepairBackoff: time.Hour})
+	m, _ := drainedPair(t, Config{Interval: time.Hour})
 	t1 := t0.Add(time.Minute)
 	m.FailNode(0, t1)
 	m.RunCycle(t1) // fails; backoff gate now t1+1h

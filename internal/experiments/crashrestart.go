@@ -84,8 +84,7 @@ func RunCrashRestart(o Options) *metrics.Table {
 
 		c := cluster.Grid(nodes, nodes/4, SimNodeCapacity)
 		cfg := core.Config{
-			Interval: time.Second, RepairBackoff: time.Second,
-			CheckpointEvery: 8, Audit: o.Audit,
+			Interval: time.Second, CheckpointEvery: 8, Audit: o.Audit,
 		}
 		box := &schedBox{m: core.New(c, lra.NewNodeCandidates(), cfg)}
 		eng := sim.NewEngine(sim.Epoch)

@@ -76,10 +76,9 @@ const (
 type Detector struct {
 	intervals []time.Duration // ring buffer of inter-arrival samples
 	next      int             // ring write cursor
-	filled    bool
-	last      time.Time // last heartbeat arrival (zero = none yet)
-	misses    int       // consecutive missed probes since last heartbeat
-	dead      bool      // sticky Dead latch, set only by confirm
+	last      time.Time       // last heartbeat arrival (zero = none yet)
+	misses    int             // consecutive missed probes since last heartbeat
+	dead      bool            // sticky Dead latch, set only by confirm
 }
 
 // NewDetector builds a detector.
@@ -97,7 +96,6 @@ func (d *Detector) Heartbeat(now time.Time) {
 				d.intervals = append(d.intervals, iv)
 			} else {
 				d.intervals[d.next] = iv
-				d.filled = true
 			}
 			d.next = (d.next + 1) % detectorWindow
 		}
