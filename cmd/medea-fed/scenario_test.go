@@ -54,7 +54,7 @@ func TestScenarioIsAFunctionOfItsFlags(t *testing.T) {
 // testdata/scenario.golden: when a fault lands, what the detector
 // confirmed, how many apps failed over, drained and migrated, and the
 // final audit. Refresh with
-// `go test -run TestScenarioGolden -update ./cmd/medea-fed`.
+// `go test -run TestScenarioGolden ./cmd/medea-fed -update`.
 func TestScenarioGolden(t *testing.T) {
 	rep := deterministicReport(t, scenarioConfig{
 		Members:  3,

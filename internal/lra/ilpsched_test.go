@@ -193,8 +193,8 @@ func placeBestOn(c *cluster.Cluster, apps []*Application) *Result {
 
 // TestILPDuplicateGroupNames: an application whose two groups share a
 // name cannot be told apart in a placement's per-group counts, so
-// warmValues treats it as unplaced in the greedy warm start and the solver places it
-// anyway; its neighbour keeps its warm start.
+// warmValues treats it as unplaced in the greedy warm start and the
+// solver places it anyway; its neighbour keeps its warm start.
 func TestILPDuplicateGroupNames(t *testing.T) {
 	c := grid(8, 4)
 	twin := &Application{ID: "twin", Groups: []ContainerGroup{
