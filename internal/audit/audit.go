@@ -12,7 +12,6 @@ package audit
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"medea/internal/cluster"
@@ -204,7 +203,7 @@ func checkShape(app *lra.Application, p *lra.Placement) error {
 			return fmt.Errorf("audit: %s: assignment %s demand %v != group %q demand %v",
 				p.AppID, a.Container, a.Demand, a.Group, g.Demand)
 		}
-		if want := tagKey(app.EffectiveTags(g)); tagKey(a.Tags) != want {
+		if !constraint.SameVector(a.Tags, app.EffectiveTags(g)) {
 			return fmt.Errorf("audit: %s: assignment %s tags %v != group %q effective tags",
 				p.AppID, a.Container, a.Tags, a.Group)
 		}
@@ -217,16 +216,6 @@ func checkShape(app *lra.Application, p *lra.Placement) error {
 		}
 	}
 	return nil
-}
-
-// tagKey canonicalises a tag vector for multiset comparison.
-func tagKey(tags []constraint.Tag) string {
-	ss := make([]string, len(tags))
-	for i, t := range tags {
-		ss[i] = string(t)
-	}
-	sort.Strings(ss)
-	return strings.Join(ss, "\x00")
 }
 
 // QueueAccounting is the slice of the task-based scheduler the invariant

@@ -218,6 +218,27 @@ func TestCheckPlacementTable(t *testing.T) {
 			wantErr: "demand",
 		},
 		{
+			name: "reject tags joined into one",
+			setup: func(t *testing.T, c *cluster.Cluster) (*lra.Application, *lra.Placement, []constraint.Entry) {
+				// Sorted and NUL-joined, {appID:a, "x\x00y"} and the group's
+				// {x, y, appID:a} read the same; as multisets they differ.
+				app := testApp("a", 1, small, "x", "y")
+				p := placementFor(app, 0)
+				p.Assignments[0].Tags = []constraint.Tag{constraint.AppIDTag("a"), "x\x00y"}
+				return app, p, nil
+			},
+			wantErr: "effective tags",
+		},
+		{
+			name: "accept effective tags in another order",
+			setup: func(t *testing.T, c *cluster.Cluster) (*lra.Application, *lra.Placement, []constraint.Entry) {
+				app := testApp("a", 1, small, "x", "y")
+				p := placementFor(app, 0)
+				p.Assignments[0].Tags = []constraint.Tag{"y", constraint.AppIDTag("a"), "x"}
+				return app, p, nil
+			},
+		},
+		{
 			name: "reject unknown group",
 			setup: func(t *testing.T, c *cluster.Cluster) (*lra.Application, *lra.Placement, []constraint.Entry) {
 				app := testApp("a", 1, small, "svc")

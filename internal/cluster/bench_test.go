@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"medea/internal/cluster"
@@ -58,5 +59,28 @@ func BenchmarkClusterClone256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cloneSink = c.Clone()
+	}
+}
+
+// cloneMaxAllocs caps one Clone of twoSchedState, about 10% above the 277
+// allocations measured, the same at one P, at two and under -race. Per
+// node, Clone allocates the resident slice and nothing else; a tag
+// multiset copied per set (1,135) or held in maps (1,909) fails here.
+const cloneMaxAllocs = 305
+
+// TestClusterCloneAllocCap holds one Clone of the two_sched-sized state
+// to cloneMaxAllocs. It counts the second of two clones, from
+// runtime.MemStats.
+func TestClusterCloneAllocCap(t *testing.T) {
+	c := twoSchedState(t)
+	cloneSink = c.Clone()
+	var b, a runtime.MemStats
+	runtime.ReadMemStats(&b)
+	cloneSink = c.Clone()
+	runtime.ReadMemStats(&a)
+	allocs := a.Mallocs - b.Mallocs
+	t.Logf("%d containers: %d allocs, %d kB", c.NumContainers(), allocs, (a.TotalAlloc-b.TotalAlloc)>>10)
+	if allocs > cloneMaxAllocs {
+		t.Errorf("Clone allocated %d times, cap %d", allocs, cloneMaxAllocs)
 	}
 }

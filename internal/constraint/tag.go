@@ -7,7 +7,7 @@ package constraint
 
 import (
 	"fmt"
-	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -96,89 +96,137 @@ func (e Expr) String() string {
 // distinct container tag-vector, how many containers carry it, so that
 // conjunction cardinalities (γ over an Expr) are exact rather than a
 // min-over-tags approximation.
+//
+// Both halves are slices searched linearly: a node or rack holds a
+// handful of distinct tags and tag vectors (at most a few dozen), where a
+// scan beats hashing on every lookup and Clone is two memmoves.
 type Set struct {
-	counts  map[Tag]int
-	vectors map[string]vecEntry // canonical tag-vector -> count
+	counts  []tagCount
+	vectors []vecEntry
 }
 
+type tagCount struct {
+	tag   Tag
+	count int
+}
+
+// vecEntry is one distinct tag vector and how many containers carry it.
+// tags is written once, when the entry is created, and never mutated
+// afterwards, so clones share it.
 type vecEntry struct {
 	tags  []Tag
 	count int
 }
 
 // NewSet returns an empty tag multiset.
-func NewSet() *Set {
-	return &Set{counts: make(map[Tag]int), vectors: make(map[string]vecEntry)}
+func NewSet() *Set { return &Set{} }
+
+// SameVector reports whether two tag vectors are equal as multisets:
+// the same tags, each the same number of times, in any order. It is the
+// identity of a container's tag vector throughout Medea.
+func SameVector(a, b []Tag) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if slices.Equal(a, b) {
+		return true
+	}
+	for i, t := range a {
+		if slices.Contains(a[:i], t) {
+			continue // this tag's multiplicity was compared at its first occurrence
+		}
+		if occurrences(a, t) != occurrences(b, t) {
+			return false
+		}
+	}
+	return true
 }
 
-func canonical(tags []Tag) string {
-	ss := make([]string, len(tags))
-	for i, t := range tags {
-		ss[i] = string(t)
+func occurrences(tags []Tag, t Tag) int {
+	n := 0
+	for _, x := range tags {
+		if x == t {
+			n++
+		}
 	}
-	sort.Strings(ss)
-	return strings.Join(ss, "\x00")
+	return n
+}
+
+// vector returns the index of tags' entry in s.vectors, or -1.
+func (s *Set) vector(tags []Tag) int {
+	for i := range s.vectors {
+		if SameVector(s.vectors[i].tags, tags) {
+			return i
+		}
+	}
+	return -1
+}
+
+// tag returns the index of t's entry in s.counts, or -1.
+func (s *Set) tag(t Tag) int {
+	for i := range s.counts {
+		if s.counts[i].tag == t {
+			return i
+		}
+	}
+	return -1
 }
 
 // AddContainer records one container carrying the given tags. Tags of a
 // container are added when it is allocated on a node (§4.1).
 func (s *Set) AddContainer(tags []Tag) {
-	if s.counts == nil {
-		s.counts = make(map[Tag]int)
-		s.vectors = make(map[string]vecEntry)
-	}
-	seen := make(map[Tag]bool, len(tags))
-	for _, t := range tags {
-		if !seen[t] {
-			// γ counts containers per tag, so duplicate tags within one
-			// container count once.
-			s.counts[t]++
-			seen[t] = true
+	s.add(tags, 1)
+}
+
+// add records n containers carrying tags.
+func (s *Set) add(tags []Tag, n int) {
+	for i, t := range tags {
+		// γ counts containers per tag, so duplicate tags within one
+		// container count once.
+		if slices.Contains(tags[:i], t) {
+			continue
+		}
+		if j := s.tag(t); j >= 0 {
+			s.counts[j].count += n
+		} else {
+			s.counts = append(s.counts, tagCount{t, n})
 		}
 	}
-	key := canonical(tags)
-	e := s.vectors[key]
-	if e.tags == nil {
-		e.tags = append([]Tag(nil), tags...)
+	if i := s.vector(tags); i >= 0 {
+		s.vectors[i].count += n
+		return
 	}
-	e.count++
-	s.vectors[key] = e
+	s.vectors = append(s.vectors, vecEntry{slices.Clone(tags), n})
 }
 
 // RemoveContainer undoes AddContainer; tags are removed when the container
 // finishes execution (§4.1). Removing a container that was never added is
 // a programming error and panics.
 func (s *Set) RemoveContainer(tags []Tag) {
-	key := canonical(tags)
-	e, ok := s.vectors[key]
-	if !ok || e.count == 0 {
+	i := s.vector(tags)
+	if i < 0 {
 		panic(fmt.Sprintf("constraint: RemoveContainer of absent container %v", tags))
 	}
-	e.count--
-	if e.count == 0 {
-		delete(s.vectors, key)
-	} else {
-		s.vectors[key] = e
+	if s.vectors[i].count--; s.vectors[i].count == 0 {
+		s.vectors = slices.Delete(s.vectors, i, i+1)
 	}
-	seen := make(map[Tag]bool, len(tags))
-	for _, t := range tags {
-		if seen[t] {
+	for k, t := range tags {
+		if slices.Contains(tags[:k], t) {
 			continue
 		}
-		seen[t] = true
-		s.counts[t]--
-		if s.counts[t] == 0 {
-			delete(s.counts, t)
+		j := s.tag(t)
+		if s.counts[j].count--; s.counts[j].count == 0 {
+			s.counts = slices.Delete(s.counts, j, j+1)
 		}
 	}
 }
 
 // Count returns γ(t): the number of containers carrying tag t.
 func (s *Set) Count(t Tag) int {
-	if s.counts == nil {
-		return 0
+	if j := s.tag(t); j >= 0 {
+		return s.counts[j].count
 	}
-	return s.counts[t]
+	return 0
 }
 
 // CountExpr returns γ(e): the number of containers whose tag vector
@@ -195,12 +243,12 @@ func (s *Set) CountExpr(e Expr) int {
 func (s *Set) CountBoth(a, b Expr) int {
 	// A tag no container carries rules out every vector without a scan.
 	for _, t := range a {
-		if s.counts[t] == 0 {
+		if s.tag(t) < 0 {
 			return 0
 		}
 	}
 	for _, t := range b {
-		if s.counts[t] == 0 {
+		if s.tag(t) < 0 {
 			return 0
 		}
 	}
@@ -224,11 +272,11 @@ func (s *Set) Containers() int {
 
 // Tags returns the distinct tags present, sorted.
 func (s *Set) Tags() []Tag {
-	out := make([]Tag, 0, len(s.counts))
-	for t := range s.counts {
-		out = append(out, t)
+	out := make([]Tag, len(s.counts))
+	for i, c := range s.counts {
+		out[i] = c.tag
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -236,17 +284,15 @@ func (s *Set) Tags() []Tag {
 // a node set as the union of its nodes' tag sets).
 func (s *Set) Merge(o *Set) {
 	for _, e := range o.vectors {
-		for i := 0; i < e.count; i++ {
-			s.AddContainer(e.tags)
-		}
+		s.add(e.tags, e.count)
 	}
 }
 
-// Clone returns a deep copy of s: both maps are copied directly. The tag
-// slices inside the vector entries are shared — they are written once, in
-// AddContainer, and never mutated afterwards.
+// Clone returns a deep copy of s: both slices are copied directly. The
+// tag slices inside the vector entries are shared — they are written
+// once, when their entry is created, and never mutated afterwards.
 func (s *Set) Clone() *Set {
-	return &Set{counts: maps.Clone(s.counts), vectors: maps.Clone(s.vectors)}
+	return &Set{counts: slices.Clone(s.counts), vectors: slices.Clone(s.vectors)}
 }
 
 // String renders the multiset as "{hb:2, hb_m:1}".
@@ -254,7 +300,31 @@ func (s *Set) String() string {
 	tags := s.Tags()
 	parts := make([]string, len(tags))
 	for i, t := range tags {
-		parts[i] = fmt.Sprintf("%s:%d", t, s.counts[t])
+		parts[i] = fmt.Sprintf("%s:%d", t, s.Count(t))
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
+}
+
+// CloneAll returns a deep copy of every set, as Clone would, with all
+// copies carved from one backing array per half. Each copy's slices are
+// capacity-clamped, so an append to one reallocates instead of writing
+// into its neighbour.
+func CloneAll(sets []*Set) []*Set {
+	nc, nv := 0, 0
+	for _, s := range sets {
+		nc += len(s.counts)
+		nv += len(s.vectors)
+	}
+	copies := make([]Set, len(sets))
+	out := make([]*Set, len(sets))
+	counts := make([]tagCount, 0, nc)
+	vectors := make([]vecEntry, 0, nv)
+	for i, s := range sets {
+		c, v := len(counts), len(vectors)
+		counts = append(counts, s.counts...)
+		vectors = append(vectors, s.vectors...)
+		copies[i] = Set{counts: counts[c:len(counts):len(counts)], vectors: vectors[v:len(vectors):len(vectors)]}
+		out[i] = &copies[i]
+	}
+	return out
 }

@@ -3,8 +3,6 @@ package lra
 import (
 	"cmp"
 	"slices"
-	"sort"
-	"strings"
 
 	"medea/internal/cluster"
 	"medea/internal/constraint"
@@ -422,16 +420,6 @@ func matchesAny(c constraint.Constraint, tags []constraint.Tag) bool {
 		}
 	}
 	return false
-}
-
-// tagKey returns a canonical string key for a tag vector.
-func tagKey(tags []constraint.Tag) string {
-	ss := make([]string, len(tags))
-	for i, t := range tags {
-		ss[i] = string(t)
-	}
-	sort.Strings(ss)
-	return strings.Join(ss, "\x00")
 }
 
 // ScoreNode exposes the greedy violation-delta scoring for external

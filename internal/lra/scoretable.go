@@ -60,18 +60,17 @@ type scoreTable struct {
 // returns the table with each queue entry's class index.
 func newScoreTable(g *greedy, work *cluster.Cluster, cons []constraint.Entry, queue []containerReq) (*scoreTable, []int) {
 	t := &scoreTable{g: g, work: work}
-	type classKey struct {
-		tags   string
-		demand resource.Vector
-	}
-	index := map[classKey]int{}
 	classOf := make([]int, len(queue))
 	for i, r := range queue {
-		k := classKey{tagKey(r.tags), r.demand}
-		ci, ok := index[k]
-		if !ok {
+		ci := -1
+		for j := range t.classes {
+			if c := &t.classes[j]; c.demand == r.demand && constraint.SameVector(c.tags, r.tags) {
+				ci = j
+				break
+			}
+		}
+		if ci < 0 {
 			ci = len(t.classes)
-			index[k] = ci
 			c := scoreClass{tags: r.tags, demand: r.demand, cons: relevantEntries(cons, r.tags)}
 			for _, e := range c.cons {
 				for _, term := range e.Constraint.Terms {
