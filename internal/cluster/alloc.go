@@ -157,10 +157,9 @@ func (c *Cluster) SetAvailable(node NodeID, up bool) {
 // Clone returns an independent copy of the cluster, used by schedulers
 // for tentative what-if placement without disturbing live state. It is a
 // structural copy: node structs, resident sets, the container map and
-// every tag multiset are copied directly — each group's multisets are
-// two slices apiece, carved from one array per half (CloneAll); the group
-// topology and the containers' tag slices are immutable once written and
-// are shared. Concurrent Clones of one cluster are safe (they only read it).
+// every tag multiset are copied directly; the group topology and the
+// containers' tag slices are immutable once written and are shared.
+// Concurrent Clones of one cluster are safe (they only read it).
 func (c *Cluster) Clone() *Cluster {
 	cc := &Cluster{
 		nodes:       make([]*Node, len(c.nodes)),
@@ -170,23 +169,30 @@ func (c *Cluster) Clone() *Cluster {
 		staticCount: c.staticCount,
 		capacity:    c.capacity,
 	}
+	nodes := make([]Node, len(c.nodes))
+	for i, n := range c.nodes {
+		nodes[i] = *n
+		nodes[i].tags = n.tags.Clone()
+		nodes[i].containers = slices.Clone(n.containers)
+		cc.nodes[i] = &nodes[i]
+	}
 	for name, g := range c.groups {
 		// Capacity-clamped: an append on either side reallocates instead
 		// of writing into an array the other side can reach.
-		cc.groups[name] = &group{
+		ng := &group{
 			sets:     g.sets[:len(g.sets):len(g.sets)],
 			ofNode:   g.ofNode[:len(g.ofNode):len(g.ofNode)],
 			setNames: g.setNames[:len(g.setNames):len(g.setNames)],
-			tagSets:  constraint.CloneAll(g.tagSets),
+			tagSets:  make([]*constraint.Set, len(g.tagSets)),
 		}
-	}
-	nodes := make([]Node, len(c.nodes))
-	nodeGroup := cc.groups[constraint.Node] // set i of the node group is node i's own tag set
-	for i, n := range c.nodes {
-		nodes[i] = *n
-		nodes[i].tags = nodeGroup.tagSets[i]
-		nodes[i].containers = slices.Clone(n.containers)
-		cc.nodes[i] = &nodes[i]
+		for i, ts := range g.tagSets {
+			if name == constraint.Node {
+				ng.tagSets[i] = cc.nodes[i].tags // set i of the node group is node i's own tag set
+			} else {
+				ng.tagSets[i] = ts.Clone()
+			}
+		}
+		cc.groups[name] = ng
 	}
 	return cc
 }

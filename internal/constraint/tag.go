@@ -97,9 +97,10 @@ func (e Expr) String() string {
 // conjunction cardinalities (γ over an Expr) are exact rather than a
 // min-over-tags approximation.
 //
-// Both halves are slices searched linearly: a node or rack holds a
-// handful of distinct tags and tag vectors (at most a few dozen), where a
-// scan beats hashing on every lookup and Clone is two memmoves.
+// Both halves are slices searched linearly. A node holds a handful of
+// distinct tags and tag vectors, a rack at most a few dozen tags and a
+// hundred-odd vectors (DESIGN §17 measures them); γ over a conjunction
+// visits every vector in either layout, and Clone is two memmoves.
 type Set struct {
 	counts  []tagCount
 	vectors []vecEntry
@@ -303,28 +304,4 @@ func (s *Set) String() string {
 		parts[i] = fmt.Sprintf("%s:%d", t, s.Count(t))
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
-}
-
-// CloneAll returns a deep copy of every set, as Clone would, with all
-// copies carved from one backing array per half. Each copy's slices are
-// capacity-clamped, so an append to one reallocates instead of writing
-// into its neighbour.
-func CloneAll(sets []*Set) []*Set {
-	nc, nv := 0, 0
-	for _, s := range sets {
-		nc += len(s.counts)
-		nv += len(s.vectors)
-	}
-	copies := make([]Set, len(sets))
-	out := make([]*Set, len(sets))
-	counts := make([]tagCount, 0, nc)
-	vectors := make([]vecEntry, 0, nv)
-	for i, s := range sets {
-		c, v := len(counts), len(vectors)
-		counts = append(counts, s.counts...)
-		vectors = append(vectors, s.vectors...)
-		copies[i] = Set{counts: counts[c:len(counts):len(counts)], vectors: vectors[v:len(vectors):len(vectors)]}
-		out[i] = &copies[i]
-	}
-	return out
 }
