@@ -154,11 +154,12 @@ func (c *Cluster) SetAvailable(node NodeID, up bool) {
 	}
 }
 
-// Clone returns an independent copy of the cluster, used by schedulers
-// for tentative what-if placement without disturbing live state. It is a
-// structural copy: node structs, resident sets, the container map and
-// every tag multiset are copied directly; the group topology and the
-// containers' tag slices are immutable once written and are shared.
+// Clone returns an independent copy of the cluster, for a caller that
+// needs the current state beside one that changes it: core gives each
+// concurrently placed batch component but the first a clone of its own.
+// It is a structural copy: node structs, resident sets, the container
+// map and every tag multiset are copied directly; the group topology and
+// the containers' tag slices are immutable once written and are shared.
 // Concurrent Clones of one cluster are safe (they only read it).
 func (c *Cluster) Clone() *Cluster {
 	cc := &Cluster{
@@ -256,4 +257,44 @@ func (c *Cluster) CheckAccounting() error {
 		}
 	}
 	return nil
+}
+
+// Diff describes the first difference between the allocation state of c
+// and o — per node its state, used resources and resident containers in
+// order, the container map, and the tag multiset (every γ) of every set
+// of every group — or returns "" when there is none. The topology, which
+// Clone shares, is not compared. Tests use it to show that a planner
+// returned the cluster it was handed as it found it.
+func (c *Cluster) Diff(o *Cluster) string {
+	if len(c.nodes) != len(o.nodes) {
+		return fmt.Sprintf("%d nodes, %d", len(c.nodes), len(o.nodes))
+	}
+	for i, n := range c.nodes {
+		m := o.nodes[i]
+		if n.state != m.state || n.used != m.used || !slices.Equal(n.containers, m.containers) {
+			return fmt.Sprintf("node %s: %s, used %v, residents %v; %s, used %v, residents %v",
+				n.Name, n.state, n.used, n.containers, m.state, m.used, m.containers)
+		}
+	}
+	same := func(a, b *containerInfo) bool {
+		return a.node == b.node && a.demand == b.demand && slices.Equal(a.tags, b.tags)
+	}
+	if !maps.EqualFunc(c.containers, o.containers, same) {
+		return fmt.Sprintf("container maps differ: %d containers, %d", len(c.containers), len(o.containers))
+	}
+	if !slices.Equal(c.Groups(), o.Groups()) {
+		return fmt.Sprintf("groups %v, %v", c.Groups(), o.Groups())
+	}
+	for _, name := range c.Groups() {
+		sets, other := c.groups[name].tagSets, o.groups[name].tagSets
+		if len(sets) != len(other) {
+			return fmt.Sprintf("group %s: %d sets, %d", name, len(sets), len(other))
+		}
+		for sid, ts := range sets {
+			if !ts.Equal(other[sid]) {
+				return fmt.Sprintf("%s set %d: γ %s, %s", name, sid, ts, other[sid])
+			}
+		}
+	}
+	return ""
 }

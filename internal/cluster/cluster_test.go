@@ -244,6 +244,49 @@ func TestClone(t *testing.T) {
 	}
 }
 
+// TestDiff: a clone, and a cluster that allocated and released again,
+// differ from their source in nothing; every other change to allocation
+// state is named.
+func TestDiff(t *testing.T) {
+	tags := []constraint.Tag{"hb"}
+	src := testCluster(t)
+	for i := 0; i < 3; i++ {
+		if err := src.Allocate(0, MakeContainerID("a", i), resource.New(512, 1), tags); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := src.Clone().Diff(src); d != "" {
+		t.Fatalf("clone differs: %s", d)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(c *Cluster)
+		want   bool // a difference
+	}{
+		{"allocate and release", func(c *Cluster) {
+			_ = c.Allocate(5, "b#0", resource.New(512, 1), []constraint.Tag{"x"})
+			_ = c.Release("b#0")
+		}, false},
+		{"allocate", func(c *Cluster) { _ = c.Allocate(5, "b#0", resource.New(512, 1), tags) }, true},
+		{"resident order", func(c *Cluster) {
+			_ = c.Release(MakeContainerID("a", 0))
+			_ = c.Allocate(0, MakeContainerID("a", 0), resource.New(512, 1), tags)
+		}, true},
+		{"tag of one container", func(c *Cluster) {
+			_ = c.Release(MakeContainerID("a", 2))
+			_ = c.Allocate(0, MakeContainerID("a", 2), resource.New(512, 1), []constraint.Tag{"hb", "x"})
+		}, true},
+		{"static tag", func(c *Cluster) { c.AddStaticTags(3, "gpu") }, true},
+		{"node state", func(c *Cluster) { c.SetAvailable(4, false) }, true},
+	} {
+		c := src.Clone()
+		tc.mutate(c)
+		if d := c.Diff(src); (d != "") != tc.want {
+			t.Errorf("%s: Diff = %q", tc.name, d)
+		}
+	}
+}
+
 func TestCloneUnavailableNodeWithContainers(t *testing.T) {
 	c := testCluster(t)
 	if err := c.Allocate(0, "a#0", resource.New(2048, 1), []constraint.Tag{"t"}); err != nil {

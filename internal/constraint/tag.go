@@ -296,6 +296,21 @@ func (s *Set) Clone() *Set {
 	return &Set{counts: slices.Clone(s.counts), vectors: slices.Clone(s.vectors)}
 }
 
+// Equal reports whether s and o hold the same multiset of tag vectors,
+// so that every γ reads the same on both, in whatever order they keep
+// the vectors.
+func (s *Set) Equal(o *Set) bool {
+	if len(s.counts) != len(o.counts) || len(s.vectors) != len(o.vectors) {
+		return false
+	}
+	for _, e := range s.vectors {
+		if i := o.vector(e.tags); i < 0 || o.vectors[i].count != e.count {
+			return false
+		}
+	}
+	return true
+}
+
 // String renders the multiset as "{hb:2, hb_m:1}".
 func (s *Set) String() string {
 	tags := s.Tags()

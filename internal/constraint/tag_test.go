@@ -152,6 +152,46 @@ func TestSetClone(t *testing.T) {
 	}
 }
 
+// TestSetEqual: Equal compares the multisets of tag vectors, not the
+// order they were added in, and tells apart sets whose per-tag counts
+// agree but whose vectors do not.
+func TestSetEqual(t *testing.T) {
+	build := func(vectors ...[]Tag) *Set {
+		s := NewSet()
+		for _, v := range vectors {
+			s.AddContainer(v)
+		}
+		return s
+	}
+	ab, c := []Tag{"a", "b"}, []Tag{"c"}
+	s := build(ab, c, ab)
+	for _, tc := range []struct {
+		name string
+		o    *Set
+		want bool
+	}{
+		{"clone", s.Clone(), true},
+		{"other order", build(c, ab, ab), true},
+		{"vector tags in other order", build([]Tag{"b", "a"}, []Tag{"b", "a"}, c), true},
+		{"one count differs", build(ab, c), false},
+		{"same tag counts, other vectors", build([]Tag{"a", "c"}, []Tag{"b"}, ab), false},
+		{"empty", NewSet(), false},
+	} {
+		if got := s.Equal(tc.o); got != tc.want {
+			t.Errorf("%s: Equal = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := tc.o.Equal(s); got != tc.want {
+			t.Errorf("%s, reversed: Equal = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	added := s.Clone()
+	added.AddContainer([]Tag{"d"})
+	added.RemoveContainer([]Tag{"d"})
+	if !added.Equal(s) {
+		t.Error("adding and removing a container changed the multiset")
+	}
+}
+
 // Property: adding then removing a random batch of containers restores the
 // empty multiset.
 func TestSetAddRemoveInverse(t *testing.T) {

@@ -491,24 +491,30 @@ func (m *Medea) activeExcluding(exclude map[string]bool) []constraint.Entry {
 	return active
 }
 
-// safePlace invokes an LRA algorithm with panic isolation: a panicking
-// algorithm yields a nil result — callers treat it as a failed cycle —
-// with the panic value and stack captured in the pipeline metrics.
-func (m *Medea) safePlace(alg lra.Algorithm, apps []*lra.Application, active []constraint.Entry) (res *lra.Result) {
+// safePlace invokes an LRA algorithm on state with panic isolation: a
+// panicking algorithm yields a nil result — callers treat it as a failed
+// cycle — with the panic value and stack captured in the pipeline
+// metrics. Place returns state as it found it, a recovered panic
+// included.
+func (m *Medea) safePlace(alg lra.Algorithm, state *cluster.Cluster, apps []*lra.Application, active []constraint.Entry) (res *lra.Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			m.Pipeline.Record(metrics.PanicsRecovered, fmt.Sprintf("%s: %v\n%s", alg.Name(), r, debug.Stack()))
 			res = nil
 		}
 	}()
-	return alg.Place(m.Cluster, apps, active, lra.Options{SolverBudget: m.cfg.SolverBudget, Clock: m.cfg.Clock})
+	return alg.Place(state, apps, active, lra.Options{SolverBudget: m.cfg.SolverBudget, Clock: m.cfg.Clock})
 }
 
 // placeBatch places one cycle's batch. Constraint-independent sub-batches
 // (disjoint tag footprints, detected by partitionBatch's union-find) are
-// solved concurrently — each solve sees the same pre-cycle cluster state —
-// and the per-component results are merged back in submission order, so
-// the outcome is identical for every GOMAXPROCS setting and interleaving.
+// solved concurrently, and the per-component results are merged back in
+// submission order, so the outcome is identical for every GOMAXPROCS
+// setting and interleaving. Each solve sees the same pre-cycle cluster
+// state: the first component plans on m.Cluster itself, which Place
+// returns as it found it, and every other one on a clone of it taken
+// before any solve starts. A one-component batch, like a sequential one,
+// is placed on m.Cluster and clones nothing.
 // Capacity conflicts the split cannot see are absorbed downstream by
 // commit-time validation and the §5.4 requeue path, in deterministic
 // submission order. A panic in ANY component fails the cycle whole
@@ -517,7 +523,12 @@ func (m *Medea) safePlace(alg lra.Algorithm, apps []*lra.Application, active []c
 func (m *Medea) placeBatch(alg lra.Algorithm, apps []*lra.Application, active []constraint.Entry) *lra.Result {
 	comps := partitionBatch(apps, active)
 	if seq, ok := alg.(lra.SequentialPlacer); len(comps) <= 1 || (ok && seq.PlaceSequentially()) {
-		return m.safePlace(alg, apps, active)
+		return m.safePlace(alg, m.Cluster, apps, active)
+	}
+	states := make([]*cluster.Cluster, len(comps))
+	states[0] = m.Cluster
+	for ci := 1; ci < len(comps); ci++ {
+		states[ci] = m.Cluster.Clone()
 	}
 	results := make([]*lra.Result, len(comps))
 	var wg sync.WaitGroup
@@ -529,7 +540,7 @@ func (m *Medea) placeBatch(alg lra.Algorithm, apps []*lra.Application, active []
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[ci] = m.safePlace(alg, sub, active)
+			results[ci] = m.safePlace(alg, states[ci], sub, active)
 		}()
 	}
 	wg.Wait()

@@ -250,7 +250,7 @@ func (m *Medea) attemptRepair(r *repairReq, dep *deployment, now time.Time, stat
 		usedFallback = true
 	}
 
-	res := m.safePlace(alg, []*lra.Application{synth}, m.activeExcluding(map[string]bool{r.appID: true}))
+	res := m.safePlace(alg, m.Cluster, []*lra.Application{synth}, m.activeExcluding(map[string]bool{r.appID: true}))
 	restored := res != nil && len(res.Placements) == 1 && res.Placements[0].Placed
 	var remapped []lra.Assignment
 	if restored {

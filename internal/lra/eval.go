@@ -202,6 +202,13 @@ func (b *scoreBase) score(work *cluster.Cluster, res *Result) float64 {
 	return b.sum(work, res)
 }
 
+// scoreAndRelease scores res on work, which holds it on top of the base's
+// state, and releases it from work again, also when scoring panics.
+func (b *scoreBase) scoreAndRelease(work *cluster.Cluster, res *Result) float64 {
+	defer releasePlaced(work, res)
+	return b.score(work, res)
+}
+
 // mark adds node, and every member of every set containing it in the
 // base's groups, to the region.
 func (b *scoreBase) mark(work *cluster.Cluster, node cluster.NodeID) {

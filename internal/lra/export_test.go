@@ -10,6 +10,14 @@ import (
 	"medea/internal/ilp"
 )
 
+// placeOnClone places the batch on a clone of state and returns the
+// result with the clone, which keeps the placement: state plus every
+// assignment of the placed applications.
+func (g *greedy) placeOnClone(state *cluster.Cluster, apps []*Application, flat []constraint.Entry) (*Result, *cluster.Cluster) {
+	work := state.Clone()
+	return g.placeOn(work, apps, flat), work
+}
+
 // ScoreFixture holds the three placements a Medea-ILP Place prices —
 // Medea-TP's, Serial's and the decoded solver solution — each on a
 // scratch clone of its own, for the external benchmarks in bench_test.go.
@@ -27,7 +35,7 @@ type ScoreFixture struct {
 func NewScoreFixture(state *cluster.Cluster, apps []*Application, active []constraint.Entry, opts Options) (*ScoreFixture, error) {
 	f := &ScoreFixture{state: state, cons: flattenConstraints(apps, active)}
 	for _, g := range newBestOfGreedy().algs {
-		res, work := g.placeWork(state, apps, f.cons, opts)
+		res, work := g.placeOnClone(state, apps, f.cons)
 		f.works, f.results = append(f.works, work), append(f.results, res)
 	}
 	groups := batchGroups(apps)

@@ -128,27 +128,20 @@ func (g *greedy) filterEntries(entries []constraint.Entry) []constraint.Entry {
 	return out
 }
 
-// Place implements Algorithm.
+// Place implements Algorithm: it places the batch on state and releases
+// the placement again before it returns.
 func (g *greedy) Place(state *cluster.Cluster, apps []*Application, active []constraint.Entry, opts Options) *Result {
-	res, _ := g.placeWork(state, apps, flattenConstraints(apps, active), opts)
+	clk := opts.clock()
+	start := clk()
+	res := g.placeOn(state, apps, flattenConstraints(apps, active))
+	releasePlaced(state, res)
+	res.Latency = clk().Sub(start)
 	return res
 }
 
-// placeWork is Place over the batch's already flattened constraint list.
-// It also returns the scratch cluster the placement was built on: state
-// plus every assignment of the placed applications and nothing of the
-// failed ones, which were rolled back.
-func (g *greedy) placeWork(state *cluster.Cluster, apps []*Application, flat []constraint.Entry, opts Options) (*Result, *cluster.Cluster) {
-	clk := opts.clock()
-	start := clk()
-	work := state.Clone()
-	res := g.placeOn(work, apps, flat)
-	res.Latency = clk().Sub(start)
-	return res, work
-}
-
 // placeOn places the batch on work itself, allocating every assignment of
-// the placed applications there and rolling the failed ones back.
+// the placed applications there and rolling the failed ones back. If it
+// panics, it releases what it allocated before the panic goes on.
 func (g *greedy) placeOn(work *cluster.Cluster, apps []*Application, flat []constraint.Entry) *Result {
 	cons := g.filterEntries(flat)
 	reqs := buildRequests(apps)
@@ -185,6 +178,14 @@ func (g *greedy) placeOn(work *cluster.Cluster, apps []*Application, flat []cons
 
 	failed := make([]bool, len(apps))
 	placedBy := make([][]Assignment, len(apps))
+	finished := false
+	defer func() {
+		if !finished {
+			for _, asg := range placedBy {
+				releaseAll(work, asg)
+			}
+		}
+	}()
 	done := make([]bool, len(queue))
 	for range queue {
 		sel := -1
@@ -215,15 +216,14 @@ func (g *greedy) placeOn(work *cluster.Cluster, apps []*Application, flat []cons
 		if !ok {
 			// All-or-nothing (Equation 4): roll the application back.
 			failed[r.appIdx] = true
-			for _, a := range placedBy[r.appIdx] {
-				if err := work.Release(a.Container); err != nil {
-					panic(err) // unreachable: releasing our own tentative allocation
-				}
+			for ai := r.appIdx; len(placedBy[ai]) > 0; {
+				a := placedBy[ai][0]
+				placedBy[ai] = placedBy[ai][1:] // off the panic path's list before it is released
+				releaseAll(work, []Assignment{a})
 				if tab != nil {
 					tab.touched(a.Node)
 				}
 			}
-			placedBy[r.appIdx] = nil
 			continue
 		}
 		if err := work.Allocate(node, r.id, r.demand, r.tags); err != nil {
@@ -250,22 +250,27 @@ func (g *greedy) placeOn(work *cluster.Cluster, apps []*Application, flat []cons
 		}
 		res.Placements = append(res.Placements, p)
 	}
+	finished = true
 	return res
 }
 
 // releasePlaced releases from work every assignment of the result's placed
-// applications, undoing a placeOn or decodeSolution on it. Release deletes
-// a resident in place, so each node's resident order and every γ come
-// back exactly as they were before the placement.
+// applications, undoing a placeOn or decodeSolution on it.
 func releasePlaced(work *cluster.Cluster, res *Result) {
 	for _, p := range res.Placements {
-		if !p.Placed {
-			continue
+		if p.Placed {
+			releaseAll(work, p.Assignments)
 		}
-		for _, a := range p.Assignments {
-			if err := work.Release(a.Container); err != nil {
-				panic(err) // unreachable: the placement allocated it on work
-			}
+	}
+}
+
+// releaseAll releases the assignments from work, which holds them. Release
+// deletes a resident in place, so each node's resident order and every γ
+// come back exactly as they were before the assignments were allocated.
+func releaseAll(work *cluster.Cluster, asgs []Assignment) {
+	for _, a := range asgs {
+		if err := work.Release(a.Container); err != nil {
+			panic(err) // unreachable: the placement allocated it on work
 		}
 	}
 }

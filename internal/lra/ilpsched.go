@@ -93,17 +93,16 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	cons := flattenConstraints(apps, active)
 	groups := batchGroups(apps)
 
-	// Every candidate placement is built on one scratch copy of state and
-	// priced against one sweep of state: the heuristics release theirs
-	// again, the solution's decode comes last.
-	work := state.Clone()
+	// Every candidate placement is built on state itself and priced
+	// against one sweep of it, then released again: the model is built on
+	// state as Place found it, and Place returns it so.
 	base := newScoreBase(state, cons)
 
 	// Warm start: run the greedy fallback first and seed the solver with
 	// its placement as the initial incumbent. Branch-and-bound then only
 	// ever improves on the heuristic within the time budget, combining
 	// the heuristics' latency with the ILP's placement quality (§5.3).
-	fb, fbScore := s.fallback.placeBest(work, apps, cons, base, opts)
+	fb, fbScore := s.fallback.placeBest(state, apps, cons, base, opts)
 	fbCounts := groupCounts(groups, fb)
 
 	// Every node the greedy used is a candidate too, so that the warm
@@ -150,14 +149,16 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	// its objective diverge slightly from the true metric; committing
 	// whichever placement evaluates better closes that gap and makes
 	// Medea-ILP never worse than its own heuristics (§5.3). The fallback's
-	// score came with it; the solver's placement is decoded onto the
-	// scratch copy and scored there, unless it is the fallback's own,
-	// which ties and keeps the fallback. Without an incumbent within
-	// budget the batch degrades gracefully to the greedy placement.
+	// score came with it; the solver's placement is decoded onto state,
+	// scored there unless it is the fallback's own, which ties and keeps
+	// the fallback, and released. Without an incumbent within budget the
+	// batch degrades gracefully to the greedy placement.
 	final := fb
 	if sol != nil && (sol.Status == ilp.Optimal || sol.Status == ilp.Feasible) {
-		res := decodeSolution(work, apps, sol, pm.S, pm.Y)
-		if !(sameNodes(res, fb) || fbScore >= base.score(work, res)) {
+		res := decodeSolution(state, apps, sol, pm.S, pm.Y)
+		if sameNodes(res, fb) {
+			releasePlaced(state, res)
+		} else if base.scoreAndRelease(state, res) > fbScore {
 			final = res
 		}
 	}
@@ -187,16 +188,24 @@ func stamp(final *Result, sol *ilp.Solution) {
 }
 
 // decodeSolution turns the solver's S and Y values into concrete
-// assignments, allocating them on work, a scratch copy of the state the
-// model was built from: an application whose containers do not all fit
-// there is rolled back and reported unplaced. work ends up holding
-// exactly the placed applications on top of that state.
+// assignments, allocating them on work, the state the model was built
+// from: an application whose containers do not all fit there is rolled
+// back and reported unplaced. work ends up holding exactly the placed
+// applications on top of that state; if decodeSolution panics, it
+// releases what it allocated before the panic goes on.
 func decodeSolution(work *cluster.Cluster, apps []*Application, sol *ilp.Solution, S []ilp.Var, Y []map[cluster.NodeID]ilp.Var) *Result {
 	res := &Result{Placements: make([]Placement, len(apps))}
 	reqs := buildRequests(apps)
+	var assigned []Assignment // the application being decoded
+	finished := false
+	defer func() {
+		if !finished {
+			releaseAll(work, assigned)
+			releasePlaced(work, res)
+		}
+	}()
 	gi := 0
 	for ai, app := range apps {
-		var assigned []Assignment
 		ok := sol.IntValue(S[ai]) == 1
 		for range app.Groups {
 			y := Y[gi]
@@ -224,13 +233,13 @@ func decodeSolution(work *cluster.Cluster, apps []*Application, sol *ilp.Solutio
 		}
 		if ok && len(assigned) == app.NumContainers() {
 			res.Placements[ai] = Placement{AppID: app.ID, Placed: true, Assignments: assigned}
-			continue
+		} else {
+			res.Placements[ai] = Placement{AppID: app.ID}
+			releaseAll(work, assigned)
 		}
-		res.Placements[ai] = Placement{AppID: app.ID}
-		for _, a := range assigned {
-			_ = work.Release(a.Container)
-		}
+		assigned = nil
 	}
+	finished = true
 	return res
 }
 

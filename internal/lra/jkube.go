@@ -73,18 +73,17 @@ type bestOf struct {
 }
 
 // placeBest places the batch with every heuristic against its flattened
-// constraint list (flattenConstraints), one after the other on the one
-// scratch cluster work, and returns the result base scores highest, and
-// that score. Each heuristic's placement is scored on work and released
-// again, so work ends as it began: a copy of base's state.
+// constraint list (flattenConstraints), one after the other on work,
+// base's state, and returns the result base scores highest, and that
+// score. Each heuristic's placement is scored on work and released again,
+// so work ends as it began.
 func (b *bestOf) placeBest(work *cluster.Cluster, apps []*Application, flat []constraint.Entry, base *scoreBase, opts Options) (best *Result, bestScore float64) {
 	clk := opts.clock()
 	for _, alg := range b.algs {
 		start := clk()
 		res := alg.placeOn(work, apps, flat)
 		res.Latency = clk().Sub(start)
-		score := base.score(work, res)
-		releasePlaced(work, res)
+		score := base.scoreAndRelease(work, res)
 		if best == nil || score > bestScore {
 			best, bestScore = res, score
 		}

@@ -201,7 +201,7 @@ func divergencePerSetSlack(t *testing.T) {
 	got := NewILP().Place(c, apps, nil, opts)
 	place := oracleScore(c, apps, nil, got)
 	flat := flattenConstraints(apps, nil)
-	res, work := NewNodeCandidates().(*greedy).placeWork(c, apps, flat, opts)
+	res, work := NewNodeCandidates().(*greedy).placeOnClone(c, apps, flat)
 	if nc := placementScore(work, flat, res); got.DeadlineHit || !(nc > place) {
 		t.Fatalf("Medea-NC scores %v, Place %v (deadline %v); want Medea-NC above a finished Place", nc, place, got.DeadlineHit)
 	}

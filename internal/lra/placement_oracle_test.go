@@ -579,7 +579,7 @@ func (in *tinyInstance) checkPlace(stats *oracleStats) (failures []string) {
 	// cannot where (d) has just shown Place at the highest score.
 	beaten := false
 	for _, g := range scoringVariants() {
-		res, work := g.placeWork(in.state, in.apps, in.cons, opts)
+		res, work := g.placeOnClone(in.state, in.apps, in.cons)
 		if h := placementScore(work, in.cons, res); h > score {
 			if best || g.order != orderNC && g.loadBalanceWeight == 0 {
 				failures = append(failures, fmt.Sprintf("(e): %s scores %v, Place %v", g.name, h, score))

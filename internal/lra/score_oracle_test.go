@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"medea/internal/cluster"
@@ -96,41 +95,49 @@ func pinnedSolution(rng *rand.Rand, state *cluster.Cluster, apps []*Application)
 	return m.Solve(ilp.Options{}), S, Y
 }
 
-// scoredPlacements draws, per seed, a cluster with deployed applications
-// (every other seed nearly full, so applications fail half way), operator
+// oracleInstance draws from rng a cluster with deployed applications
+// (nearly full if full is set, so applications fail half way), operator
 // constraints that override some of the applications' own, and a batch
-// with weighted and DNF constraints; it returns what Medea-TP, Serial and
-// a decoded solver solution make of each.
+// with weighted and DNF constraints.
+func oracleInstance(t *testing.T, rng *rand.Rand, full bool) (state *cluster.Cluster, apps []*Application, active []constraint.Entry) {
+	t.Helper()
+	state = oracleCluster(rng)
+	deployed := oracleBatch(rng, "dep", 3+rng.Intn(6))
+	active = deployBatch(t, state, deployed, NewSerial().(*greedy).oraclePlace(state, deployed, nil))
+	if full {
+		fillNearlyFull(t, rng, state)
+	}
+	apps = oracleBatch(rng, "new", 2+rng.Intn(6))
+	// The operator tightens every third simple constraint it finds.
+	for _, app := range append(append([]*Application(nil), deployed...), apps...) {
+		for _, c := range app.Constraints {
+			a, simple := c.Simple()
+			if !simple || rng.Intn(3) != 0 {
+				continue
+			}
+			switch {
+			case a.Max == constraint.Unbounded:
+				a.Max = a.Min + 2
+			case a.Max > a.Min:
+				a.Max--
+			default:
+				continue
+			}
+			active = append(active, constraint.Entry{Source: constraint.SourceOperator, Constraint: constraint.New(a)})
+		}
+	}
+	return state, apps, active
+}
+
+// scoredPlacements draws an oracleInstance per seed, nearly full on every
+// other one, and returns what Medea-TP, Serial and a decoded solver
+// solution make of each.
 func scoredPlacements(t *testing.T, seeds int) []scoredPlacement {
 	t.Helper()
 	var out []scoredPlacement
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		state := oracleCluster(rng)
-		deployed := oracleBatch(rng, "dep", 3+rng.Intn(6))
-		active := deployBatch(t, state, deployed, NewSerial().(*greedy).oraclePlace(state, deployed, nil))
-		if seed%2 == 0 {
-			fillNearlyFull(t, rng, state)
-		}
-		apps := oracleBatch(rng, "new", 2+rng.Intn(6))
-		// The operator tightens every third simple constraint it finds.
-		for _, app := range append(append([]*Application(nil), deployed...), apps...) {
-			for _, c := range app.Constraints {
-				a, simple := c.Simple()
-				if !simple || rng.Intn(3) != 0 {
-					continue
-				}
-				switch {
-				case a.Max == constraint.Unbounded:
-					a.Max = a.Min + 2
-				case a.Max > a.Min:
-					a.Max--
-				default:
-					continue
-				}
-				active = append(active, constraint.Entry{Source: constraint.SourceOperator, Constraint: constraint.New(a)})
-			}
-		}
+		state, apps, active := oracleInstance(t, rng, seed%2 == 0)
 		flat := flattenConstraints(apps, active)
 		add := func(name string, res *Result, work *cluster.Cluster) {
 			out = append(out, scoredPlacement{
@@ -139,7 +146,7 @@ func scoredPlacements(t *testing.T, seeds int) []scoredPlacement {
 			})
 		}
 		for _, g := range newBestOfGreedy().algs {
-			res, work := g.placeWork(state, apps, flat, Options{})
+			res, work := g.placeOnClone(state, apps, flat)
 			add(g.name, res, work)
 		}
 		sol, S, Y := pinnedSolution(rng, state, apps)
@@ -264,13 +271,13 @@ func TestPlaceScoreMatchesOracle(t *testing.T) {
 }
 
 // TestScratchRestoredAfterRelease: Place runs Medea-TP and then Serial on
-// one scratch clone, releasing each placement once it is scored, and
-// decodes the solver's solution on the same clone last. On every
-// scoredPlacements seed each heuristic must place on the shared scratch
+// the state it is handed, releasing each placement once it is scored, and
+// decodes the solver's solution on the same state last. On every
+// scoredPlacements seed each heuristic must place on the shared state
 // what it places on a clone of its own, and after each release the
-// scratch must equal a fresh clone of the state: its snapshot, every
-// node's resident list in order, and γ of every set for every tag vector
-// in play.
+// state must equal a fresh clone of it (cluster.Diff): every node's
+// resident list in order, the container map and every set's tag
+// multiset.
 func TestScratchRestoredAfterRelease(t *testing.T) {
 	cases := scoredPlacements(t, 200)
 	released := 0
@@ -285,59 +292,12 @@ func TestScratchRestoredAfterRelease(t *testing.T) {
 			}
 			releasePlaced(work, res)
 			released += placedContainers(res)
-			if diff := scratchDiff(work, fresh, c.apps); diff != "" {
+			if diff := work.Diff(fresh); diff != "" {
 				t.Fatalf("%s: after the release the scratch differs from a fresh clone: %s", c.name, diff)
 			}
 		}
 	}
 	t.Logf("%d seeds, %d containers released", len(cases)/3, released)
-}
-
-// scratchDiff names the first way got differs from want, a fresh clone of
-// the same state, or returns "".
-func scratchDiff(got, want *cluster.Cluster, apps []*Application) string {
-	if !reflect.DeepEqual(got.TakeSnapshot(), want.TakeSnapshot()) {
-		return "snapshot"
-	}
-	for _, n := range want.Nodes() {
-		if g, w := residents(got.Node(n.ID)), residents(n); !slices.Equal(g, w) {
-			return fmt.Sprintf("node %d resident order %v, fresh clone %v", n.ID, g, w)
-		}
-	}
-	var vectors []constraint.Expr
-	for _, id := range want.ContainerIDs() {
-		tags, _ := want.ContainerTags(id)
-		vectors = append(vectors, tags)
-	}
-	for _, app := range apps {
-		for _, g := range app.Groups {
-			vectors = append(vectors, app.EffectiveTags(g))
-		}
-	}
-	for _, tag := range oracleTags {
-		vectors = append(vectors, constraint.E(tag))
-	}
-	for _, name := range want.Groups() {
-		for sid := range cluster.SetID(want.NumSets(name)) {
-			for _, v := range vectors {
-				if g, w := got.Gamma(name, sid, v), want.Gamma(name, sid, v); g != w {
-					return fmt.Sprintf("γ %s/%d (%v) = %d, fresh clone %d", name, sid, v, g, w)
-				}
-			}
-		}
-	}
-	return ""
-}
-
-// residents lists a node's resident containers in the order the node
-// keeps them. The list is not exported, so it is read by reflection.
-func residents(n *cluster.Node) []string {
-	v := reflect.ValueOf(n).Elem().FieldByName("containers")
-	out := make([]string, v.Len())
-	for i := range out {
-		out[i] = v.Index(i).String()
-	}
-	return out
 }
 
 // mutantDelta is scoreBase.score with the region of every assigned node

@@ -195,15 +195,22 @@ func (o Options) solverBudget() time.Duration {
 	return o.SolverBudget
 }
 
-// Algorithm is an LRA placement algorithm. Place must not mutate state; it
-// returns the proposed assignments, which Medea's core hands to the
-// task-based scheduler for the actual allocation (§3, steps 1–3).
+// Algorithm is an LRA placement algorithm. Place returns the proposed
+// assignments, which Medea's core hands to the task-based scheduler for
+// the actual allocation (§3, steps 1–3).
 //
 // state is the current cluster condition including already-running LRAs
 // and task-based containers; apps are the LRAs submitted in the latest
 // scheduling interval; active are the constraints of already deployed LRAs
 // plus the cluster operator's (from the constraint manager). The
 // constraints of the new apps themselves travel inside apps.
+//
+// Place plans on state itself: it may allocate and release containers
+// there while it works, and returns state exactly as it found it —
+// resident order and every γ included — on every path, a panic too. It
+// copies nothing, so a caller that needs the pre-Place state beside a
+// running Place owns that copy, and two concurrent Places never share one
+// cluster.
 type Algorithm interface {
 	Name() string
 	Place(state *cluster.Cluster, apps []*Application, active []constraint.Entry, opts Options) *Result
