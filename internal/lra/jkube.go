@@ -82,8 +82,8 @@ func (b *bestOf) placeBest(work *cluster.Cluster, apps []*Application, flat []co
 	for _, alg := range b.algs {
 		start := clk()
 		res := alg.placeOn(work, apps, flat)
-		res.Latency = clk().Sub(start)
 		score := base.scoreAndRelease(work, res)
+		res.Latency = clk().Sub(start)
 		if best == nil || score > bestScore {
 			best, bestScore = res, score
 		}
