@@ -67,7 +67,8 @@ type (
 	Application = lra.Application
 	// ContainerGroup is a homogeneous container group within an LRA.
 	ContainerGroup = lra.ContainerGroup
-	// Algorithm is an LRA placement algorithm.
+	// Algorithm is an LRA placement algorithm. Its Place plans on the
+	// cluster it is handed and returns it as it found it (lra.Algorithm).
 	Algorithm = lra.Algorithm
 	// Options tunes an LRA scheduling invocation.
 	Options = lra.Options
