@@ -212,15 +212,6 @@ func (c *Cluster) ContainerIDs() []ContainerID {
 	return out
 }
 
-// ContainerDemand returns the resource demand of an allocated container
-// (zero for unknown IDs and static-attribute pseudo-containers).
-func (c *Cluster) ContainerDemand(id ContainerID) resource.Vector {
-	if info, ok := c.containers[id]; ok {
-		return info.demand
-	}
-	return resource.Vector{}
-}
-
 // CheckAccounting verifies the cluster's internal bookkeeping invariants:
 // every container references a known node and appears in that node's
 // resident set (and vice versa), per-node used resources equal the sum of

@@ -211,6 +211,18 @@ func TestMemoryUtilizationCV(t *testing.T) {
 	if got := c.MemoryUtilizationCV(); got <= 0 {
 		t.Errorf("imbalanced CV = %v, want > 0", got)
 	}
+	// Exact value: utilisations 0.25 and 0.75 have mean 0.5 and
+	// population stddev 0.25.
+	two := Grid(2, 2, resource.New(4096, 4))
+	if err := two.Allocate(0, "b#0", resource.New(1024, 1), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := two.Allocate(1, "b#1", resource.New(3072, 1), nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := two.MemoryUtilizationCV(); got != 0.5 {
+		t.Errorf("CV of utilisations 0.25/0.75 = %v, want 0.5", got)
+	}
 }
 
 func TestClone(t *testing.T) {

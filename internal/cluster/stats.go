@@ -1,8 +1,7 @@
 package cluster
 
 import (
-	"math"
-
+	"medea/internal/metrics"
 	"medea/internal/resource"
 )
 
@@ -34,9 +33,6 @@ func (c *Cluster) FragmentedNodeFraction() float64 {
 // MemoryUtilizationCV returns the coefficient of variation of per-node
 // memory utilisation, the paper's proxy for load imbalance (§7.4).
 func (c *Cluster) MemoryUtilizationCV() float64 {
-	if len(c.nodes) == 0 {
-		return 0
-	}
 	utils := make([]float64, 0, len(c.nodes))
 	for _, n := range c.nodes {
 		if n.Capacity.MemoryMB == 0 {
@@ -44,23 +40,7 @@ func (c *Cluster) MemoryUtilizationCV() float64 {
 		}
 		utils = append(utils, float64(n.used.MemoryMB)/float64(n.Capacity.MemoryMB))
 	}
-	if len(utils) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, u := range utils {
-		sum += u
-	}
-	mean := sum / float64(len(utils))
-	if mean == 0 {
-		return 0
-	}
-	var ss float64
-	for _, u := range utils {
-		d := u - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss/float64(len(utils))) / mean
+	return metrics.CV(utils)
 }
 
 // MemoryUtilization returns total memory used / total memory capacity.

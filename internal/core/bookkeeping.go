@@ -91,12 +91,12 @@ func (m *Medea) deploy(app *lra.Application, placed []lra.Assignment) {
 
 // lose takes a container the cluster no longer runs away from its LRA and
 // queues it as a repair piece; the first loss opens the LRA's degradation
-// window and its repair request at the given time. It reports the owning
-// LRA, or false for a container no LRA owns (a task container).
-func (m *Medea) lose(id cluster.ContainerID, at time.Time) (appID string, owned bool) {
-	appID, owned = m.owner[id]
+// window and its repair request at the given time. It reports false for
+// a container no LRA owns (a task container).
+func (m *Medea) lose(id cluster.ContainerID, at time.Time) bool {
+	appID, owned := m.owner[id]
 	if !owned {
-		return "", false
+		return false
 	}
 	dep := m.deployed[appID]
 	c := dep.containers[id]
@@ -117,7 +117,7 @@ func (m *Medea) lose(id cluster.ContainerID, at time.Time) (appID string, owned 
 		m.repairs[appID] = r
 	}
 	r.lost = append(r.lost, c)
-	return appID, true
+	return true
 }
 
 // restore moves the lost pieces of appID with the given container IDs

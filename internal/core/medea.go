@@ -74,9 +74,9 @@ type Config struct {
 
 	// Clock is the wall-clock source for what core reads outside the
 	// caller-supplied scheduler time: the algorithms' latency stamps and
-	// ILP deadlines, migration plans and Recover's RecoveryWallTime stamp
-	// (nil = time.Now). Deterministic simulation injects its virtual
-	// clock so placements and recovered state are bit-identical.
+	// ILP deadlines, and Recover's RecoveryWallTime stamp (nil =
+	// time.Now). Deterministic simulation injects its virtual clock so
+	// placements and recovered state are bit-identical.
 	Clock func() time.Time
 }
 
@@ -955,39 +955,3 @@ func (m *Medea) RepairBudget(appID string) (int, bool) {
 // ActiveEntries returns all currently registered constraints (deployed
 // LRAs + operator), for violation evaluation.
 func (m *Medea) ActiveEntries() []constraint.Entry { return m.Constraints.Active() }
-
-// Rebalance runs the reactive container-migration planner (§5.4) over the
-// deployed LRAs and applies the resulting moves. Task containers never
-// move — only LRA containers Medea itself placed. It returns the applied
-// plan; moves that fail to re-commit (lost races with task allocations)
-// roll back to their original node and are dropped from the plan.
-func (m *Medea) Rebalance(opts lra.MigrationOptions) *lra.MigrationPlan {
-	if opts.Clock == nil {
-		opts.Clock = m.cfg.Clock
-	}
-	prev := opts.Movable
-	opts.Movable = func(id cluster.ContainerID) bool {
-		if _, lraOwned := m.owner[id]; !lraOwned {
-			return false
-		}
-		return prev == nil || prev(id)
-	}
-	plan := lra.PlanMigration(m.Cluster, m.Constraints.Active(), opts)
-	applied := plan.Moves[:0]
-	for _, mv := range plan.Moves {
-		tags, _ := m.Cluster.ContainerTags(mv.Container)
-		demand := m.Cluster.ContainerDemand(mv.Container)
-		if err := m.Cluster.Release(mv.Container); err != nil {
-			continue
-		}
-		if err := m.Cluster.Allocate(mv.To, mv.Container, demand, tags); err != nil {
-			if rerr := m.Cluster.Allocate(mv.From, mv.Container, demand, tags); rerr != nil {
-				panic(rerr) // unreachable: restoring the just-released container
-			}
-			continue
-		}
-		applied = append(applied, mv)
-	}
-	plan.Moves = applied
-	return plan
-}

@@ -226,52 +226,6 @@ func TestBatchingImprovesPlacement(t *testing.T) {
 	}
 }
 
-// TestRebalance: force a violating placement (J-Kube fails a split
-// affinity pair), then Rebalance fixes it without touching task
-// containers.
-func TestRebalance(t *testing.T) {
-	c := cluster.Grid(8, 4, resource.New(16384, 8))
-	m := New(c, lra.NewJKube(), Config{})
-	a := app("A", 2, "ta")
-	a.Constraints = []constraint.Constraint{
-		constraint.New(constraint.Affinity(constraint.E("ta"), constraint.E("tb"), constraint.Node)),
-	}
-	b := app("B", 2, "tb")
-	_ = m.SubmitLRA(a, t0)
-	m.RunCycle(t0)
-	_ = m.SubmitLRA(b, t0.Add(10*time.Second))
-	m.RunCycle(t0.Add(10 * time.Second))
-	before := lra.Evaluate(m.Cluster, m.ActiveEntries())
-	if before.ViolatedContainers == 0 {
-		t.Skip("J-Kube repaired by coincidence; scenario not violating")
-	}
-	plan := m.Rebalance(lra.MigrationOptions{MaxMoves: 4, MoveCost: 0.01})
-	after := lra.Evaluate(m.Cluster, m.ActiveEntries())
-	if after.ViolatedContainers >= before.ViolatedContainers {
-		t.Errorf("rebalance did not help: %d -> %d (moves %v)",
-			before.ViolatedContainers, after.ViolatedContainers, plan.Moves)
-	}
-	if len(plan.Moves) == 0 {
-		t.Error("no moves applied")
-	}
-}
-
-// TestRebalanceNeverMovesTasks: task containers are not migration
-// candidates.
-func TestRebalanceNeverMovesTasks(t *testing.T) {
-	c := cluster.Grid(4, 2, resource.New(16384, 8))
-	m := New(c, lra.NewSerial(), Config{})
-	_ = m.Tasks.Submit("job", "default", t0, taskched.TaskRequest{Count: 4, Demand: resource.New(1024, 1)})
-	m.Tasks.NodeHeartbeat(0, t0)
-	// Operator constraint that the task containers (untagged) can't even
-	// match; rebalance should be a no-op with no panics.
-	_ = m.Constraints.AddOperator(constraint.New(constraint.AntiAffinity(constraint.E("x"), constraint.E("x"), constraint.Node)))
-	plan := m.Rebalance(lra.MigrationOptions{})
-	if len(plan.Moves) != 0 {
-		t.Errorf("moved task containers: %v", plan.Moves)
-	}
-}
-
 // barrierProbe is a memory journal whose Barrier first runs check, when
 // set: a window onto the cluster at the write-ahead barrier.
 type barrierProbe struct {

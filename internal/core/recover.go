@@ -226,7 +226,7 @@ func (m *Medea) replayRecord(r *journal.Record, rp *replayState) error {
 	case journal.KindEvict:
 		for _, ev := range r.Evictions {
 			// Task evictions are skipped: queue accounting is not persisted.
-			if _, owned := m.lose(ev.Container, r.At); owned {
+			if m.lose(ev.Container, r.At) {
 				rp.lraSeen[ev.Container] = true
 			}
 		}

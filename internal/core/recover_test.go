@@ -24,7 +24,8 @@ func journaledMedea(t *testing.T, cfg Config) (*Medea, *journal.Memory) {
 }
 
 // assignmentsOf reconstructs the placement intent for a deployed LRA from
-// cluster truth, as a journal place record would have carried it.
+// cluster truth, as a journal place record would have carried it. The
+// demand is the app() fixture's group demand.
 func assignmentsOf(t *testing.T, m *Medea, appID string) []lra.Assignment {
 	t.Helper()
 	ids, ok := m.Deployed(appID)
@@ -40,7 +41,7 @@ func assignmentsOf(t *testing.T, m *Medea, appID string) []lra.Assignment {
 		tags, _ := m.Cluster.ContainerTags(id)
 		out = append(out, lra.Assignment{
 			Container: id, Group: "w", Node: node,
-			Demand: m.Cluster.ContainerDemand(id), Tags: tags,
+			Demand: resource.New(2048, 1), Tags: tags,
 		})
 	}
 	return out

@@ -42,7 +42,7 @@ func (m *Medea) FailNode(node cluster.NodeID, now time.Time) []cluster.Eviction 
 	}
 	evs := m.Cluster.FailNode(node)
 	m.Recovery.NodeFailures++
-	m.HandleEvictions(evs, now)
+	m.handleEvictions(evs, now)
 	return evs
 }
 
@@ -86,16 +86,14 @@ func (m *Medea) DrainNode(node cluster.NodeID, now time.Time) []cluster.Eviction
 			panic(err) // unreachable: releasing a just-enumerated resident container
 		}
 	}
-	m.HandleEvictions(lraEvs, now)
+	m.handleEvictions(lraEvs, now)
 	return lraEvs
 }
 
-// HandleEvictions ingests container evictions produced by cluster-level
-// state transitions (e.g. a caller driving Cluster.FailNode directly):
-// lost LRA containers are queued for repair, displaced task containers
-// are reported to the task scheduler for queue accounting. It returns the
-// number of degraded LRAs.
-func (m *Medea) HandleEvictions(evs []cluster.Eviction, now time.Time) int {
+// handleEvictions ingests container evictions produced by a node failure
+// or drain: lost LRA containers are queued for repair, displaced task
+// containers are reported to the task scheduler for queue accounting.
+func (m *Medea) handleEvictions(evs []cluster.Eviction, now time.Time) {
 	if len(evs) > 0 {
 		// The eviction record precedes the scheduler-state mutations: a
 		// crash right here leaves the journal behind cluster truth, which
@@ -103,22 +101,18 @@ func (m *Medea) HandleEvictions(evs []cluster.Eviction, now time.Time) int {
 		// gone from the cluster either way).
 		m.logRecord(&journal.Record{Kind: journal.KindEvict, At: now, Evictions: evs})
 	}
-	degraded := map[string]bool{}
 	var taskEvs []cluster.Eviction
 	for _, ev := range evs {
-		appID, owned := m.lose(ev.Container, now)
-		if !owned {
-			m.Recovery.TaskEvictions++
-			taskEvs = append(taskEvs, ev)
+		if m.lose(ev.Container, now) {
+			m.Recovery.Evictions++
 			continue
 		}
-		m.Recovery.Evictions++
-		degraded[appID] = true
+		m.Recovery.TaskEvictions++
+		taskEvs = append(taskEvs, ev)
 	}
 	if len(taskEvs) > 0 {
 		m.Tasks.HandleEvictions(taskEvs)
 	}
-	return len(degraded)
 }
 
 // DegradedLRAs returns the IDs of deployed LRAs currently below their

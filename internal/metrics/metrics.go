@@ -1,5 +1,5 @@
 // Package metrics provides the summary statistics the paper's evaluation
-// reports: percentiles and CDFs, box-plot five-number summaries (5th/25th/
+// reports: percentiles, box-plot five-number summaries (5th/25th/
 // median/75th/99th, as in Figure 7), coefficients of variation (Figure
 // 10b) and fixed-width result tables.
 package metrics
@@ -92,38 +92,6 @@ func Box(xs []float64) BoxStats {
 // String renders "p5/p25/med/p75/p99".
 func (b BoxStats) String() string {
 	return fmt.Sprintf("%.1f/%.1f/%.1f/%.1f/%.1f", b.P5, b.P25, b.Median, b.P75, b.P99)
-}
-
-// CDFPoint is one (x, F(x)) sample of an empirical CDF.
-type CDFPoint struct {
-	X float64
-	F float64
-}
-
-// CDF returns the empirical CDF evaluated at every sample.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	out := make([]CDFPoint, len(s))
-	for i, x := range s {
-		out[i] = CDFPoint{X: x, F: float64(i+1) / float64(len(s))}
-	}
-	return out
-}
-
-// CDFAt samples an empirical CDF at the given x values.
-func CDFAt(xs []float64, at []float64) []CDFPoint {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	out := make([]CDFPoint, len(at))
-	for i, x := range at {
-		n := sort.SearchFloat64s(s, x+1e-12)
-		out[i] = CDFPoint{X: x, F: float64(n) / float64(max(1, len(s)))}
-	}
-	return out
 }
 
 // Durations converts a duration slice to float64 seconds.

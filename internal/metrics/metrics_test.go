@@ -68,29 +68,6 @@ func TestBox(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	pts := CDF([]float64{3, 1, 2})
-	if len(pts) != 3 || pts[0].X != 1 || pts[2].F != 1 {
-		t.Errorf("CDF = %+v", pts)
-	}
-	if pts[0].F <= 0 || pts[1].F != 2.0/3 {
-		t.Errorf("CDF fractions = %+v", pts)
-	}
-	if CDF(nil) != nil {
-		t.Error("empty CDF should be nil")
-	}
-}
-
-func TestCDFAt(t *testing.T) {
-	pts := CDFAt([]float64{1, 2, 3, 4}, []float64{0, 2, 5})
-	want := []float64{0, 0.5, 1}
-	for i, p := range pts {
-		if p.F != want[i] {
-			t.Errorf("CDFAt[%d] = %v, want %v", i, p.F, want[i])
-		}
-	}
-}
-
 func TestDurations(t *testing.T) {
 	out := Durations([]time.Duration{time.Second, 500 * time.Millisecond})
 	if out[0] != 1 || out[1] != 0.5 {
@@ -189,33 +166,6 @@ func TestPercentileMonotone(t *testing.T) {
 		pa, pb := Percentile(xs, a), Percentile(xs, b)
 		lo, hi := Percentile(xs, 0), Percentile(xs, 100)
 		return pa <= pb+1e-9 && pa >= lo-1e-9 && pb <= hi+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: CDF is non-decreasing and ends at 1.
-func TestCDFMonotone(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) {
-				xs = append(xs, x)
-			}
-		}
-		pts := CDF(xs)
-		if len(xs) == 0 {
-			return pts == nil
-		}
-		prev := 0.0
-		for _, p := range pts {
-			if p.F < prev {
-				return false
-			}
-			prev = p.F
-		}
-		return math.Abs(pts[len(pts)-1].F-1) < 1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -68,26 +68,6 @@ func MemcachedLatency(dist int, rng *rand.Rand) float64 {
 	return mean*0.4 + rng.ExpFloat64()*mean*0.6
 }
 
-// EndToEndLatency models the Storm topology's end-to-end tuple latency in
-// milliseconds given the supervisors' pairwise distances and the mean
-// Memcached lookup latency (Figure 2a discussion: intra-only improves
-// end-to-end by 31% over no-constraints; intra-inter by 7.6×).
-func EndToEndLatency(supervisorDists []int, memcachedMean float64, rng *rand.Rand) float64 {
-	hop := 0.0
-	for _, d := range supervisorDists {
-		switch d {
-		case 0:
-			hop += 2
-		case 1:
-			hop += 18
-		default:
-			hop += 30
-		}
-	}
-	base := 40 + hop + memcachedMean
-	return base * (0.85 + rng.Float64()*0.3)
-}
-
 // YCSB workload base throughputs in Kops/s for an ideally placed instance
 // (Figure 2b's axis; read-heavy workloads are faster, scan-heavy slower).
 var ycsbBase = map[byte]float64{
@@ -116,17 +96,6 @@ func YCSBThroughput(workload byte, avgCollocatedOthers float64, cgroups bool, rn
 	}
 	thr := base / (1 + beta*avgCollocatedOthers)
 	return thr * (0.95 + rng.Float64()*0.1)
-}
-
-// YCSBTailLatency models the 99th-percentile request latency (ms): the
-// paper reports up to 3.9× higher tails without anti-affinity.
-func YCSBTailLatency(workload byte, avgCollocatedOthers float64, rng *rand.Rand) float64 {
-	base := 18.0
-	if workload == 'E' {
-		base = 60
-	}
-	lat := base * (1 + 1.45*avgCollocatedOthers)
-	return lat * (0.9 + rng.Float64()*0.2)
 }
 
 // responseSurface is a piecewise-linear response of relative runtime to
@@ -203,8 +172,6 @@ type PlacementFeatures struct {
 	MaxCollocated int
 	// RackSpan is the number of racks the workers span.
 	RackSpan int
-	// ViolatedConstraints counts the instance's violated constraints.
-	ViolatedConstraints int
 	// ExternalCollocated is the max count of *other* instances' same-type
 	// workers sharing a node with this instance's workers.
 	ExternalCollocated int

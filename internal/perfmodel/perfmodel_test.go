@@ -44,35 +44,6 @@ func TestMemcachedLatencyShape(t *testing.T) {
 	}
 }
 
-// TestEndToEndOrdering: intra-inter < intra-only < no-constraints, with
-// intra-only ≈ 31% better than no-constraints and intra-inter ≈ 7.6×
-// better (loose bands).
-func TestEndToEndOrdering(t *testing.T) {
-	rng := sim.RNG(2, "e2e")
-	mean := func(dists []int, mcMean float64) float64 {
-		xs := make([]float64, 2000)
-		for i := range xs {
-			xs[i] = EndToEndLatency(dists, mcMean, rng)
-		}
-		return metrics.Mean(xs)
-	}
-	// 5 supervisors: pairwise distances approximated by 4 hops.
-	spread := []int{2, 2, 2, 2}
-	samenode := []int{0, 0, 0, 0}
-	noCon := mean(spread, 230)
-	intra := mean(samenode, 230)
-	both := mean(samenode, 35)
-	if !(both < intra && intra < noCon) {
-		t.Fatalf("ordering broken: %v %v %v", both, intra, noCon)
-	}
-	if imp := (noCon - intra) / noCon; imp < 0.15 || imp > 0.5 {
-		t.Errorf("intra-only improvement = %.2f, want ≈0.31", imp)
-	}
-	if ratio := noCon / both; ratio < 2 {
-		t.Errorf("intra-inter speedup = %.2f, want large (paper: 7.6×)", ratio)
-	}
-}
-
 // TestYCSBAntiAffinityGap reproduces Figure 2b's bands: no-constraints ≈
 // 34% below anti-affinity; cgroups close part of the gap but not all.
 func TestYCSBAntiAffinityGap(t *testing.T) {
@@ -92,15 +63,6 @@ func TestYCSBAntiAffinityGap(t *testing.T) {
 	// Unknown workload falls back to a sane base.
 	if got := YCSBThroughput('Z', 0, false, rng); got <= 0 {
 		t.Errorf("unknown workload throughput = %v", got)
-	}
-}
-
-func TestYCSBTailLatency(t *testing.T) {
-	rng := sim.RNG(4, "tail")
-	iso := YCSBTailLatency('A', 0, rng)
-	packed := YCSBTailLatency('A', 2, rng)
-	if ratio := packed / iso; ratio < 2.5 || ratio > 5.5 {
-		t.Errorf("tail ratio = %.2f, want ≈3.9", ratio)
 	}
 }
 

@@ -234,9 +234,3 @@ const Unbounded = constraint.Unbounded
 func Evaluate(c *Cluster, m *Medea) lra.Report {
 	return lra.Evaluate(c, m.ActiveEntries())
 }
-
-// MigrationOptions bounds a Rebalance run (§5.4 container migration).
-type MigrationOptions = lra.MigrationOptions
-
-// MigrationPlan reports the moves a Rebalance applied.
-type MigrationPlan = lra.MigrationPlan

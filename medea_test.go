@@ -43,11 +43,6 @@ func TestFacadeQuickstart(t *testing.T) {
 	if got := len(m.Tasks.NodeHeartbeat(0, now)); got != 3 {
 		t.Errorf("task allocs = %d", got)
 	}
-	// Migration path (no violations -> no moves).
-	plan := m.Rebalance(medea.MigrationOptions{})
-	if len(plan.Moves) != 0 {
-		t.Errorf("moves on clean cluster: %v", plan.Moves)
-	}
 }
 
 // TestFacadeConstructors smoke-tests every exported algorithm constructor.
