@@ -163,8 +163,8 @@ func runScenario(cfg scenarioConfig) (outcome, error) {
 
 	// Chaos, driven by simulated time relative to the load start: the
 	// last member turns Byzantine-slow at the first arrival (every 2nd
-	// request stalls past the probe timeout — the detector must only ever
-	// suspect it), and the first member is crashed at the first arrival
+	// request stalls past the probe timeout — the detector must never
+	// confirm it dead), and the first member is crashed at the first arrival
 	// halfway through the run.
 	killed := fleet.Scout.Member("cluster-0")
 	slow := fleet.Scout.Member(fmt.Sprintf("cluster-%d", cfg.Members-1))

@@ -1,124 +1,12 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 
 	"medea/internal/constraint"
 	"medea/internal/resource"
 )
-
-// Spec is a declarative cluster topology, loadable from JSON. It is how a
-// deployment describes real machines, racks, fault/upgrade domains and
-// static attributes to Medea, rather than constructing the cluster
-// programmatically.
-//
-// Example:
-//
-//	{
-//	  "nodes": [
-//	    {"name": "n0", "memoryMB": 131072, "vcores": 32, "tags": ["gpu"]},
-//	    {"name": "n1", "memoryMB": 131072, "vcores": 32}
-//	  ],
-//	  "groups": {
-//	    "rack":           [["n0", "n1"]],
-//	    "upgrade_domain": [["n0"], ["n1"]]
-//	  }
-//	}
-type Spec struct {
-	Nodes  []NodeSpec            `json:"nodes"`
-	Groups map[string][][]string `json:"groups,omitempty"`
-}
-
-// NodeSpec declares one machine.
-type NodeSpec struct {
-	Name     string `json:"name"`
-	MemoryMB int64  `json:"memoryMB"`
-	VCores   int64  `json:"vcores"`
-	// Tags are static machine attributes (e.g. "gpu", "ssd"), attached as
-	// permanent tags (§4.1).
-	Tags []constraint.Tag `json:"tags,omitempty"`
-	// Unavailable marks the node down from the start.
-	Unavailable bool `json:"unavailable,omitempty"`
-}
-
-// Validate checks the spec for structural problems.
-func (s *Spec) Validate() error {
-	if len(s.Nodes) == 0 {
-		return fmt.Errorf("cluster: spec has no nodes")
-	}
-	seen := make(map[string]bool, len(s.Nodes))
-	for i, n := range s.Nodes {
-		if n.Name == "" {
-			return fmt.Errorf("cluster: node %d has no name", i)
-		}
-		if seen[n.Name] {
-			return fmt.Errorf("cluster: duplicate node name %q", n.Name)
-		}
-		seen[n.Name] = true
-		if n.MemoryMB <= 0 || n.VCores <= 0 {
-			return fmt.Errorf("cluster: node %q has non-positive capacity <%dMB,%dc>", n.Name, n.MemoryMB, n.VCores)
-		}
-	}
-	for group, sets := range s.Groups {
-		if group == string(constraint.Node) {
-			return fmt.Errorf("cluster: group %q is predefined and managed automatically", group)
-		}
-		for _, set := range sets {
-			for _, name := range set {
-				if !seen[name] {
-					return fmt.Errorf("cluster: group %q references unknown node %q", group, name)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// FromSpec builds a cluster from a validated spec.
-func FromSpec(s *Spec) (*Cluster, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	c := New()
-	idOf := make(map[string]NodeID, len(s.Nodes))
-	for _, n := range s.Nodes {
-		id := c.AddNode(n.Name, resource.New(n.MemoryMB, n.VCores))
-		idOf[n.Name] = id
-		if len(n.Tags) > 0 {
-			c.AddStaticTags(id, n.Tags...)
-		}
-		if n.Unavailable {
-			c.SetAvailable(id, false)
-		}
-	}
-	for group, sets := range s.Groups {
-		nodeSets := make([][]NodeID, len(sets))
-		for i, set := range sets {
-			nodeSets[i] = make([]NodeID, len(set))
-			for j, name := range set {
-				nodeSets[i][j] = idOf[name]
-			}
-		}
-		if err := c.RegisterGroup(constraint.GroupName(group), nodeSets); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-// LoadSpec decodes a JSON spec and builds the cluster.
-func LoadSpec(r io.Reader) (*Cluster, error) {
-	var s Spec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("cluster: decoding spec: %w", err)
-	}
-	return FromSpec(&s)
-}
 
 // Snapshot is a point-in-time, JSON-serialisable view of cluster state.
 // It is full-fidelity: FromSnapshot rebuilds an equivalent cluster —
@@ -130,8 +18,8 @@ type Snapshot struct {
 	Containers int            `json:"containers"`
 	// MemoryUtilization is used/capacity over memory.
 	MemoryUtilization float64 `json:"memoryUtilization"`
-	// Groups is the registered topology in Spec form (group name → node
-	// sets by node name), minus the automatic "node" group.
+	// Groups is the registered topology (group name → node sets by node
+	// name), minus the automatic "node" group.
 	Groups map[string][][]string `json:"groups,omitempty"`
 	// Allocations lists every container — real and static-attribute
 	// pseudo-containers — sorted by ID.

@@ -2,97 +2,44 @@ package cluster
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"medea/internal/constraint"
 	"medea/internal/resource"
 )
 
-const specJSON = `{
-  "nodes": [
-    {"name": "n0", "memoryMB": 16384, "vcores": 8, "tags": ["gpu"]},
-    {"name": "n1", "memoryMB": 16384, "vcores": 8},
-    {"name": "n2", "memoryMB": 8192,  "vcores": 4, "unavailable": true}
-  ],
-  "groups": {
-    "rack":           [["n0", "n1"], ["n2"]],
-    "upgrade_domain": [["n0", "n2"], ["n1"]]
-  }
-}`
-
-func TestLoadSpec(t *testing.T) {
-	c, err := LoadSpec(strings.NewReader(specJSON))
-	if err != nil {
+// fixture builds three nodes: n0 carries the static tag "gpu", n2 is
+// smaller and starts unavailable, and two racks and two upgrade domains
+// cut across them.
+func fixture(t *testing.T) *Cluster {
+	t.Helper()
+	c := New()
+	n0 := c.AddNode("n0", resource.New(16384, 8))
+	n1 := c.AddNode("n1", resource.New(16384, 8))
+	n2 := c.AddNode("n2", resource.New(8192, 4))
+	c.AddStaticTags(n0, "gpu")
+	c.SetAvailable(n2, false)
+	if err := c.RegisterGroup(constraint.Rack, [][]NodeID{{n0, n1}, {n2}}); err != nil {
 		t.Fatal(err)
 	}
-	if c.NumNodes() != 3 {
-		t.Fatalf("nodes = %d", c.NumNodes())
+	if err := c.RegisterGroup(constraint.UpgradeDomain, [][]NodeID{{n0, n2}, {n1}}); err != nil {
+		t.Fatal(err)
 	}
-	if got := c.NumSets(constraint.Rack); got != 2 {
-		t.Errorf("racks = %d", got)
-	}
-	if got := c.NumSets(constraint.UpgradeDomain); got != 2 {
-		t.Errorf("upgrade domains = %d", got)
-	}
-	if got := c.GammaNode(0, constraint.E("gpu")); got != 1 {
-		t.Errorf("static tag γ(gpu) = %d", got)
-	}
-	if c.Node(2).Available() {
-		t.Error("n2 should start unavailable")
-	}
-	if c.Node(2).Capacity != resource.New(8192, 4) {
-		t.Errorf("n2 capacity = %v", c.Node(2).Capacity)
-	}
-	// Cross-group membership from the spec.
-	ud := c.SetsOfNode(constraint.UpgradeDomain, 0)
-	if len(ud) != 1 || ud[0] != 0 {
-		t.Errorf("n0 upgrade domain = %v", ud)
-	}
-}
-
-func TestSpecValidation(t *testing.T) {
-	bad := []Spec{
-		{}, // no nodes
-		{Nodes: []NodeSpec{{Name: "", MemoryMB: 1, VCores: 1}}},
-		{Nodes: []NodeSpec{{Name: "a", MemoryMB: 1, VCores: 1}, {Name: "a", MemoryMB: 1, VCores: 1}}},
-		{Nodes: []NodeSpec{{Name: "a", MemoryMB: 0, VCores: 1}}},
-		{Nodes: []NodeSpec{{Name: "a", MemoryMB: 1, VCores: 1}},
-			Groups: map[string][][]string{"rack": {{"ghost"}}}},
-		{Nodes: []NodeSpec{{Name: "a", MemoryMB: 1, VCores: 1}},
-			Groups: map[string][][]string{"node": {{"a"}}}}, // predefined
-	}
-	for i, s := range bad {
-		if err := s.Validate(); err == nil {
-			t.Errorf("bad spec %d accepted", i)
-		}
-	}
-}
-
-func TestLoadSpecErrors(t *testing.T) {
-	if _, err := LoadSpec(strings.NewReader("not json")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := LoadSpec(strings.NewReader(`{"nodes": [], "bogusField": 1}`)); err == nil {
-		t.Error("unknown field accepted")
-	}
+	return c
 }
 
 func TestSpecRoundTripThroughScheduling(t *testing.T) {
-	c, err := LoadSpec(strings.NewReader(specJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Allocation works on spec-built clusters, including group bookkeeping.
+	c := fixture(t)
+	// Allocation works on the fixture, including group bookkeeping.
 	if err := c.Allocate(0, "a#0", resource.New(1024, 1), []constraint.Tag{"t"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Gamma(constraint.UpgradeDomain, 0, constraint.E("t")); got != 1 {
 		t.Errorf("γ(t) in upgrade domain = %d", got)
 	}
-	// Unavailable node from the spec rejects allocations.
+	// The unavailable fixture node rejects allocations.
 	if err := c.Allocate(2, "a#1", resource.New(1024, 1), nil); err == nil {
-		t.Error("allocation on unavailable spec node accepted")
+		t.Error("allocation on unavailable node accepted")
 	}
 }
 
@@ -101,10 +48,7 @@ func TestSpecRoundTripThroughScheduling(t *testing.T) {
 // and the static pseudo-container bookkeeping — encode → decode →
 // FromSnapshot → CheckAccounting, then behavioral spot checks.
 func TestSnapshotRoundTrip(t *testing.T) {
-	c, err := LoadSpec(strings.NewReader(specJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := fixture(t)
 	if err := c.Allocate(0, "a#0", resource.New(2048, 2), []constraint.Tag{"svc", "app:a"}); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +59,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Exercise the runtime state machine: n1 drains (containers stay),
-	// n2 recovers from its spec-declared down state.
+	// n2 recovers from its initial down state.
 	if evs := c.DrainNode(1); len(evs) != 2 {
 		t.Fatalf("drain evictions = %d, want 2", len(evs))
 	}
@@ -202,8 +146,11 @@ func TestFromSnapshotRejectsMalformed(t *testing.T) {
 		return s
 	}
 	cases := map[string]func(*Snapshot){
-		"no nodes":      func(s *Snapshot) { s.Nodes = nil },
-		"unnamed node":  func(s *Snapshot) { s.Nodes[0].Name = "" },
+		"no nodes":     func(s *Snapshot) { s.Nodes = nil },
+		"unnamed node": func(s *Snapshot) { s.Nodes[0].Name = "" },
+		"duplicate node": func(s *Snapshot) {
+			s.Nodes = append(s.Nodes, s.Nodes[0])
+		},
 		"zero capacity": func(s *Snapshot) { s.Nodes[0].CapacityMB = 0 },
 		"bad state":     func(s *Snapshot) { s.Nodes[0].State = "sideways" },
 		"predefined group": func(s *Snapshot) {
@@ -229,10 +176,7 @@ func TestFromSnapshotRejectsMalformed(t *testing.T) {
 }
 
 func TestTakeSnapshot(t *testing.T) {
-	c, err := LoadSpec(strings.NewReader(specJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := fixture(t)
 	if err := c.Allocate(0, "a#0", resource.New(2048, 2), nil); err != nil {
 		t.Fatal(err)
 	}

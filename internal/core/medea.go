@@ -38,11 +38,6 @@ type Config struct {
 	// retries entirely (an LRA that fails its first cycle is rejected) —
 	// without the sentinel, "no retries" would be unexpressible.
 	MaxRetries int
-	// ScheduleTasksViaLRA turns the instance into the ILP-ALL strawman of
-	// §7.5 (Figure 11b): task requests are converted into single-group
-	// LRAs and routed through the LRA scheduler, abandoning the
-	// two-scheduler split.
-	ScheduleTasksViaLRA bool
 
 	// SolverBudget bounds the LRA solver's wall-clock time per cycle
 	// end-to-end: it flows through the algorithm's lra.Options into
@@ -172,8 +167,6 @@ type Medea struct {
 	// Rejected lists LRAs dropped after exhausting conflict retries or
 	// found unplaceable.
 	Rejected []string
-	// taskSeq names synthetic task LRAs in ILP-ALL mode.
-	taskSeq int
 
 	// jnl is the attached write-ahead journal (nil = volatile scheduler).
 	jnl journal.Journal
@@ -301,7 +294,6 @@ func (m *Medea) buildCheckpoint(now time.Time) *journal.Checkpoint {
 		At:        now,
 		Cycles:    m.cycles,
 		RepairSeq: m.repairSeq,
-		TaskSeq:   m.taskSeq,
 		NextRun:   m.nextRun,
 		Rejected:  append([]string(nil), m.Rejected...),
 		Operator:  m.Constraints.Operator(),
@@ -368,27 +360,9 @@ func (m *Medea) SubmitLRA(app *lra.Application, now time.Time) error {
 	return nil
 }
 
-// SubmitTasks submits a task-based job. In the default two-scheduler
-// configuration it goes directly to the task-based scheduler; in ILP-ALL
-// mode it is wrapped as constraint-free LRAs and competes inside the LRA
-// scheduler (Figure 11b's strawman).
+// SubmitTasks submits a task-based job to the task-based scheduler.
 func (m *Medea) SubmitTasks(appID, queue string, now time.Time, reqs ...taskched.TaskRequest) error {
-	if !m.cfg.ScheduleTasksViaLRA {
-		return m.Tasks.Submit(appID, queue, now, reqs...)
-	}
-	for _, r := range reqs {
-		m.taskSeq++
-		app := &lra.Application{
-			ID: fmt.Sprintf("%s-task%d", appID, m.taskSeq),
-			Groups: []lra.ContainerGroup{{
-				Name: "task", Count: r.Count, Demand: r.Demand, Tags: r.Tags,
-			}},
-		}
-		if err := m.SubmitLRA(app, now); err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.Tasks.Submit(appID, queue, now, reqs...)
 }
 
 // PendingLRAs returns the number of LRAs awaiting a scheduling cycle.

@@ -158,24 +158,6 @@ func TestTaskPathUnaffected(t *testing.T) {
 	}
 }
 
-// TestILPAllMode: tasks become LRAs in the single-scheduler strawman.
-func TestILPAllMode(t *testing.T) {
-	m := newMedea(lra.NewILP(), Config{ScheduleTasksViaLRA: true})
-	if err := m.SubmitTasks("job", "default", t0, taskched.TaskRequest{Count: 2, Demand: resource.New(1024, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	if m.PendingLRAs() != 1 {
-		t.Fatalf("pending LRAs = %d, want 1", m.PendingLRAs())
-	}
-	stats := m.RunCycle(t0)
-	if stats.Placed != 1 {
-		t.Errorf("stats = %+v", stats)
-	}
-	if got := m.Cluster.NumContainers(); got != 2 {
-		t.Errorf("containers = %d", got)
-	}
-}
-
 // TestConflictResubmission: occupy the cluster between decision and
 // commit by letting two identical Medeas share a cluster, forcing the
 // second commit to conflict. Simpler: commit directly to fill the cluster

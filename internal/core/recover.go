@@ -106,7 +106,6 @@ func Recover(j journal.Journal, c *cluster.Cluster, alg lra.Algorithm, cfg Confi
 func (m *Medea) restoreCheckpoint(cp *journal.Checkpoint) error {
 	m.cycles = cp.Cycles
 	m.repairSeq = cp.RepairSeq
-	m.taskSeq = cp.TaskSeq
 	m.nextRun = cp.NextRun
 	m.Rejected = append([]string(nil), cp.Rejected...)
 	if len(cp.Operator) > 0 {

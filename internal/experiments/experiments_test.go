@@ -5,6 +5,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"medea/internal/cluster"
+	"medea/internal/core"
+	"medea/internal/lra"
+	"medea/internal/sim"
 )
 
 // tiny returns options small enough that each experiment runs in well
@@ -209,6 +214,45 @@ func TestRunFig11b(t *testing.T) {
 	}
 	if allTotal <= mdTotal {
 		t.Errorf("ILP-ALL total %.2f not slower than MEDEA total %.2f", allTotal, mdTotal)
+	}
+}
+
+// TestSubmitTaskJob: Figure 11b's task load reaches the task-based
+// scheduler under MEDEA, and under ILP-ALL becomes one constraint-free
+// LRA per job, named by the run's counter, that the solver places.
+func TestSubmitTaskJob(t *testing.T) {
+	const per = 3
+	for _, ilpAll := range []bool{false, true} {
+		m := core.New(cluster.Grid(4, 2, SimNodeCapacity), lra.NewILP(), core.Config{})
+		seq := 0
+		if err := submitTaskJob(m, ilpAll, &seq, "job0", per, sim.Epoch); err != nil {
+			t.Fatal(err)
+		}
+		if err := submitTaskJob(m, ilpAll, &seq, "job2", per, sim.Epoch); err != nil {
+			t.Fatal(err)
+		}
+		wantLRAs, wantTasks := 0, 2*per
+		if ilpAll {
+			wantLRAs, wantTasks = 2, 0
+		}
+		if got := m.PendingLRAs(); got != wantLRAs {
+			t.Errorf("ilpAll=%v: pending LRAs = %d, want %d", ilpAll, got, wantLRAs)
+		}
+		if got := m.Tasks.Pending(); got != wantTasks {
+			t.Errorf("ilpAll=%v: pending tasks = %d, want %d", ilpAll, got, wantTasks)
+		}
+		if !ilpAll {
+			continue
+		}
+		if seq != 2 {
+			t.Errorf("seq = %d, want 2", seq)
+		}
+		m.RunCycle(sim.Epoch)
+		for _, id := range []string{"job0-task1", "job2-task2"} {
+			if ids, ok := m.Deployed(id); !ok || len(ids) != per {
+				t.Errorf("%s deployed = %v (ok=%v), want %d containers", id, ids, ok, per)
+			}
+		}
 	}
 }
 

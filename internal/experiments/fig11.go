@@ -58,8 +58,9 @@ func RunFig11a(o Options) *metrics.Table {
 // RunFig11b reproduces Figure 11b: the two-scheduler benefit. On a fully
 // utilised 256-machine cluster, the fraction of resources used by LRAs
 // (services) sweeps 0→100%; Medea schedules tasks through the task-based
-// scheduler while ILP-ALL pushes everything through the solver. The total
-// LRA scheduling latency degrades sharply for ILP-ALL.
+// scheduler while ILP-ALL pushes everything through the solver (see
+// submitTaskJob). The total LRA scheduling latency degrades sharply for
+// ILP-ALL.
 func RunFig11b(o Options) *metrics.Table {
 	o = o.withDefaults()
 	// This experiment measures the schedulers' *inherent* latency, so the
@@ -80,11 +81,12 @@ func RunFig11b(o Options) *metrics.Table {
 		for _, ilpAll := range []bool{false, true} {
 			c := cluster.Grid(nodes, nodes/8, SimNodeCapacity)
 			m := core.New(c, lra.NewILP(), core.Config{
-				SolverBudget:        o.SolverBudget,
-				MaxRetries:          1,
-				ScheduleTasksViaLRA: ilpAll,
+				SolverBudget: o.SolverBudget,
+				MaxRetries:   1,
+				Audit:        o.Audit,
 			})
 			now := sim.Epoch
+			taskSeq := 0
 			apps := appsForUtilization(c, 0.5*frac, fmt.Sprintf("f11b%.0f%v", frac*100, ilpAll))
 			// Task jobs fill the rest of the cluster to full utilisation.
 			taskMB := float64(c.TotalCapacity().MemoryMB) * (1 - 0.5*frac)
@@ -100,8 +102,7 @@ func RunFig11b(o Options) *metrics.Table {
 				// A slice of the task load arrives alongside each batch.
 				per := taskCount / max(len(apps)/2, 1)
 				if per > 0 {
-					_ = m.SubmitTasks(fmt.Sprintf("job%d", i), "default", now,
-						taskched.TaskRequest{Count: per, Demand: taskDemand()})
+					_ = submitTaskJob(m, ilpAll, &taskSeq, fmt.Sprintf("job%d", i), per, now)
 				}
 				stats := m.RunCycle(now)
 				total += stats.AlgLatency.Seconds()
@@ -112,6 +113,21 @@ func RunFig11b(o Options) *metrics.Table {
 		tab.AddRow(row...)
 	}
 	return tab
+}
+
+// submitTaskJob submits one job of per tasks for Figure 11b. MEDEA hands
+// it to the task-based scheduler. ILP-ALL, §7.5's strawman, wraps it as a
+// constraint-free single-group LRA named "<job>-task<n>" so it competes
+// inside the LRA scheduler; seq counts the run's task LRAs.
+func submitTaskJob(m *core.Medea, ilpAll bool, seq *int, job string, per int, now time.Time) error {
+	if !ilpAll {
+		return m.SubmitTasks(job, "default", now, taskched.TaskRequest{Count: per, Demand: taskDemand()})
+	}
+	*seq++
+	return m.SubmitLRA(&lra.Application{
+		ID:     fmt.Sprintf("%s-task%d", job, *seq),
+		Groups: []lra.ContainerGroup{{Name: "task", Count: per, Demand: taskDemand()}},
+	}, now)
 }
 
 // RunFig11c reproduces Figure 11c: task scheduling latency under the
@@ -133,7 +149,7 @@ func RunFig11c(o Options) *metrics.Table {
 			name = "MEDEA (short tasks)"
 		}
 		c := cluster.Grid(nodes, nodes/8, SimNodeCapacity)
-		m := core.New(c, lra.NewILP(), core.Config{SolverBudget: o.SolverBudget, Interval: 5 * time.Second})
+		m := core.New(c, lra.NewILP(), core.Config{SolverBudget: o.SolverBudget, Interval: 5 * time.Second, Audit: o.Audit})
 		eng := sim.NewEngine(time.Time{})
 		trace := workload.GoogleTrace(sim.RNG(o.Seed, "fig11c"), cfg)
 

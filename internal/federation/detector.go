@@ -17,12 +17,9 @@ import (
 type DetectorState int
 
 const (
-	// Alive: heartbeats arriving as expected.
+	// Alive: heartbeats arriving as expected, or silence not yet long
+	// enough to confirm death; the member stays routable.
 	Alive DetectorState = iota
-	// Suspect: recent misses push phi past the suspicion threshold, but
-	// death is not yet confirmed — the member is deprioritised for
-	// routing, never failed over.
-	Suspect
 	// Dead: enough consecutive misses with high phi to confirm the member
 	// is gone; failover may begin. A confirmed Dead is sticky until a
 	// heartbeat actually arrives.
@@ -33,8 +30,6 @@ func (s DetectorState) String() string {
 	switch s {
 	case Alive:
 		return "alive"
-	case Suspect:
-		return "suspect"
 	case Dead:
 		return "dead"
 	}
@@ -43,10 +38,6 @@ func (s DetectorState) String() string {
 
 // The phi-accrual failure detector's thresholds.
 const (
-	// phiSuspect is the phi threshold for Suspect: odds of a false
-	// suspicion about 1 in 10^3 per window under the learned arrival
-	// distribution.
-	phiSuspect = 3
 	// phiDead is the phi threshold for Dead.
 	phiDead = 12
 	// ConfirmMisses is the number of *consecutive* missed probes also
@@ -71,8 +62,8 @@ const (
 // thresholds express *confidence* the member is gone, not a guess at a
 // good timeout. Death additionally requires ConfirmMisses consecutive
 // probe misses, so a single slow response — phi briefly high, then a
-// heartbeat — can suspect a member but never kill it. The detector is
-// not concurrency-safe; the scout serialises access.
+// heartbeat — never kills a member. The detector is not
+// concurrency-safe; the scout serialises access.
 type Detector struct {
 	intervals []time.Duration // ring buffer of inter-arrival samples
 	next      int             // ring write cursor
@@ -163,31 +154,23 @@ func (d *Detector) Phi(now time.Time) float64 {
 
 // State returns the liveness verdict at now, and changes nothing. Dead
 // requires BOTH phi beyond phiDead and ConfirmMisses consecutive misses,
-// or a latch set by confirm that only a heartbeat clears; Suspect
-// requires at least one miss plus phi beyond phiSuspect. With a cold
-// window (fewer than detectorMinSamples heartbeats) phi is unavailable,
-// so Dead falls back to pure miss counting at twice the confirmation
-// bar.
+// or a latch set by confirm that only a heartbeat clears; anything short
+// of that is Alive. With a cold window (fewer than detectorMinSamples
+// heartbeats) phi is unavailable, so Dead falls back to pure miss
+// counting at twice the confirmation bar.
 func (d *Detector) State(now time.Time) DetectorState {
 	if d.dead {
 		return Dead
 	}
-	phi := d.Phi(now)
 	cold := d.last.IsZero() || len(d.intervals) < detectorMinSamples
 	if cold {
 		if d.misses >= ConfirmMisses*2 {
 			return Dead
 		}
-		if d.misses >= ConfirmMisses {
-			return Suspect
-		}
 		return Alive
 	}
-	if d.misses >= ConfirmMisses && phi >= phiDead {
+	if d.misses >= ConfirmMisses && d.Phi(now) >= phiDead {
 		return Dead
-	}
-	if d.misses >= 1 && phi >= phiSuspect {
-		return Suspect
 	}
 	return Alive
 }

@@ -188,9 +188,8 @@ func (s *Scout) MemberIDs() []string {
 // members are excluded; among the rest, members whose last-reported free
 // capacity fits the demand come first, ordered by dominant free share
 // (most headroom first) then backlog (lightest first) then ID; draining
-// members always sort last. Suspect members stay routable — suspicion
-// deprioritises in spirit by the staleness of their report, but only
-// confirmed death removes a member.
+// members always sort last. A silent member stays routable until its
+// death is confirmed; only confirmed death removes a member.
 func (s *Scout) Rank(demand resource.Vector, now time.Time) []string {
 	type cand struct {
 		id       string

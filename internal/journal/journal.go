@@ -141,7 +141,6 @@ type Checkpoint struct {
 
 	Cycles    int       `json:"cycles"`
 	RepairSeq int       `json:"repairSeq"`
-	TaskSeq   int       `json:"taskSeq"`
 	NextRun   time.Time `json:"nextRun"`
 
 	Pending  []PendingApp  `json:"pending,omitempty"`

@@ -142,6 +142,34 @@ func TestCheckpointCoversTail(t *testing.T) {
 	}
 }
 
+// TestRetiredCheckpointKeyLoads: checkpoints written before the
+// "taskSeq" field was retired still load from both backends; the unknown
+// key is ignored and the fields that remain are restored.
+func TestRetiredCheckpointKeyLoads(t *testing.T) {
+	const old = `{"seq":3,"at":"1970-01-01T01:23:20Z","cycles":2,"repairSeq":1,"taskSeq":7,"nextRun":"1970-01-01T01:23:30Z"}`
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, checkpointName), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for name, j := range map[string]Journal{"memory": &Memory{seq: 3, checkpoint: []byte(old)}, "file": f} {
+		cp, tail, err := j.Load()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if cp == nil || cp.Seq != 3 || cp.Cycles != 2 || cp.RepairSeq != 1 || !cp.At.Equal(t0) || !cp.NextRun.Equal(t0.Add(10*time.Second)) {
+			t.Errorf("%s: checkpoint = %+v", name, cp)
+		}
+		if len(tail) != 0 {
+			t.Errorf("%s: tail = %d records, want 0", name, len(tail))
+		}
+	}
+}
+
 func TestFileReopenContinuesSeq(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenDir(dir)

@@ -280,18 +280,12 @@ func appendExtents(dst []float64, state *cluster.Cluster, cons []constraint.Entr
 //  2. the candidate container as a *target* that changes γ for containers
 //     already placed (including tentatively placed ones of this round).
 //
-// Greedy algorithms minimise this quantity when choosing nodes.
-func placementDelta(state *cluster.Cluster, cons []constraint.Entry, tags []constraint.Tag, node cluster.NodeID) float64 {
-	return placementDeltaMode(state, cons, tags, node, false)
-}
-
-// placementDeltaMode is placementDelta with an optional subject-only mode:
-// when subjectOnly is set, only the candidate container's own constraints
-// are scored and its impact as a *target* of already-placed subjects is
-// ignored. This mirrors Kubernetes' semantics, where a deployed pod's
-// affinity never constrains future pods (J-Kube, §7.1); Medea's
-// algorithms score both directions.
-func placementDeltaMode(state *cluster.Cluster, cons []constraint.Entry, tags []constraint.Tag, node cluster.NodeID, subjectOnly bool) float64 {
+// Greedy algorithms minimise this quantity when choosing nodes. When
+// subjectOnly is set, only direction 1 is scored: the candidate's impact
+// as a *target* of already-placed subjects is ignored. This mirrors
+// Kubernetes' semantics, where a deployed pod's affinity never constrains
+// future pods (J-Kube, §7.1); Medea's algorithms score both directions.
+func placementDelta(state *cluster.Cluster, cons []constraint.Entry, tags []constraint.Tag, node cluster.NodeID, subjectOnly bool) float64 {
 	total := 0.0
 	for _, e := range cons {
 		w := e.Constraint.EffectiveWeight()
@@ -427,15 +421,6 @@ func matchesAny(c constraint.Constraint, tags []constraint.Tag) bool {
 		}
 	}
 	return false
-}
-
-// ScoreNode exposes the greedy violation-delta scoring for external
-// callers: it returns the increase in weighted violation extent caused by
-// placing a container with the given tags on the node. The task-based
-// scheduler uses it to support constraints for task containers in a
-// heuristic fashion (§5.4) without involving the LRA scheduler.
-func ScoreNode(state *cluster.Cluster, entries []constraint.Entry, tags []constraint.Tag, node cluster.NodeID) float64 {
-	return placementDelta(state, ResolveEntries(entries), tags, node)
 }
 
 // ViolationFor returns the summed weighted violation extent of the

@@ -179,7 +179,7 @@ func TestPlacementDeltaMatchesEvaluate(t *testing.T) {
 		node := cluster.NodeID(rng.Intn(6))
 
 		before := totalExtent(c, ent)
-		delta := placementDelta(c, ent, newTags, node)
+		delta := placementDelta(c, ent, newTags, node, false)
 		if err := c.Allocate(node, "new#0", resource.New(512, 0), newTags); err != nil {
 			t.Fatal(err)
 		}

@@ -65,7 +65,7 @@ type greedy struct {
 	loadBalanceWeight float64
 	// subjectOnly scores only the candidate's own constraints, ignoring
 	// its impact on deployed subjects (Kubernetes semantics; see
-	// placementDeltaMode).
+	// placementDelta).
 	subjectOnly bool
 	// firstFit ignores scores entirely and picks randomly among the
 	// first few nodes (by ID) with room — the YARN Capacity Scheduler's

@@ -14,7 +14,7 @@ import (
 
 // The from-scratch scorers the score table replaced, kept as its oracle:
 // they rescan every node on every call and share nothing with the table
-// but placementDeltaMode itself.
+// but placementDelta itself.
 
 // countCandidates returns Nc: the number of fitting nodes on which the
 // container creates no new violation.
@@ -24,7 +24,7 @@ func countCandidates(work *cluster.Cluster, cons []constraint.Entry, r container
 		if !n.Available() || !r.demand.Fits(n.Free()) {
 			continue
 		}
-		if placementDelta(work, cons, r.tags, n.ID) <= 1e-12 {
+		if placementDelta(work, cons, r.tags, n.ID, false) <= 1e-12 {
 			clean++
 		}
 	}
@@ -38,7 +38,7 @@ func (g *greedy) oracleScores(work *cluster.Cluster, cons []constraint.Entry, r 
 		if !n.Available() || !r.demand.Fits(n.Free()) {
 			continue
 		}
-		delta := placementDeltaMode(work, cons, r.tags, n.ID, g.subjectOnly)
+		delta := placementDelta(work, cons, r.tags, n.ID, g.subjectOnly)
 		if g.affinityPull > 0 {
 			delta -= g.affinityPull * affinityPopulation(work, cons, r.tags, n.ID)
 		}

@@ -312,7 +312,7 @@ func selectCandidates(state *cluster.Cluster, cons []constraint.Entry, groups []
 			if !n.Available() || !g.demand.Fits(n.Free()) {
 				continue
 			}
-			delta := placementDelta(state, gcons, g.tags, n.ID)
+			delta := placementDelta(state, gcons, g.tags, n.ID, false)
 			free := n.Free()
 			key = strconv.AppendInt(key[:0], free.MemoryMB, 10)
 			key = append(key, '/')

@@ -119,7 +119,7 @@ func (t *scoreTable) score(c *scoreClass, n *cluster.Node) nodeScore {
 	if !n.Available() || !c.demand.Fits(n.Free()) {
 		return nodeScore{}
 	}
-	delta := placementDeltaMode(t.work, c.cons, c.tags, n.ID, t.g.subjectOnly)
+	delta := placementDelta(t.work, c.cons, c.tags, n.ID, t.g.subjectOnly)
 	if t.g.affinityPull > 0 {
 		delta -= t.g.affinityPull * affinityPopulation(t.work, c.cons, c.tags, n.ID)
 	}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"medea/internal/cluster"
-	"medea/internal/constraint"
 	"medea/internal/lra"
 	"medea/internal/resource"
 )
@@ -36,21 +35,7 @@ type TaskRequest struct {
 	// Duration is the task runtime used by the simulator to schedule the
 	// container's release; the scheduler itself only records it.
 	Duration time.Duration
-	// Tags optionally label the containers (task containers normally have
-	// none; LRA containers are committed via Commit instead).
-	Tags []constraint.Tag
-	// Constraints optionally restrict task placement. They are honoured
-	// heuristically at heartbeat time — a node that would violate them is
-	// skipped — without involving the LRA scheduler, the §5.4 extension
-	// for task-based jobs. After MaxConstraintSkips skipped opportunities
-	// the task places anyway (constraints stay soft).
-	Constraints []constraint.Constraint
 }
-
-// MaxConstraintSkips bounds how many heartbeat opportunities a
-// constrained task may decline before placing regardless; this keeps
-// task scheduling latency bounded (requirement R4).
-const MaxConstraintSkips = 64
 
 // Allocation reports one allocated container.
 type Allocation struct {
@@ -66,15 +51,12 @@ type Allocation struct {
 }
 
 type pendingTask struct {
-	app         string
-	queue       string
-	seq         int
-	demand      resource.Vector
-	duration    time.Duration
-	tags        []constraint.Tag
-	constraints []constraint.Constraint
-	skips       int
-	submit      time.Time
+	app      string
+	queue    string
+	seq      int
+	demand   resource.Vector
+	duration time.Duration
+	submit   time.Time
 }
 
 type queue struct {
@@ -136,17 +118,11 @@ func (s *Scheduler) Submit(appID, queueName string, now time.Time, reqs ...TaskR
 		if r.Count <= 0 || !r.Demand.IsPositive() {
 			return fmt.Errorf("taskched: bad request %+v", r)
 		}
-		for _, c := range r.Constraints {
-			if err := c.Validate(); err != nil {
-				return fmt.Errorf("taskched: %w", err)
-			}
-		}
 		for i := 0; i < r.Count; i++ {
 			s.seq++
 			q.fifo = append(q.fifo, &pendingTask{
 				app: appID, queue: queueName, seq: s.seq,
-				demand: r.Demand, duration: r.Duration, tags: r.Tags,
-				constraints: r.Constraints, submit: now,
+				demand: r.Demand, duration: r.Duration, submit: now,
 			})
 		}
 	}
@@ -186,11 +162,6 @@ func (s *Scheduler) NodeHeartbeat(node cluster.NodeID, now time.Time) []Allocati
 			if !head.demand.Fits(n.Free()) {
 				continue
 			}
-			if len(head.constraints) > 0 && head.skips < MaxConstraintSkips &&
-				s.wouldViolate(head, node) {
-				head.skips++
-				continue
-			}
 			usedAfter := float64(q.used.Add(head.demand).Scalar())
 			if total > 0 && usedAfter/float64(total) > q.cfg.MaxCapacity {
 				continue
@@ -209,7 +180,7 @@ func (s *Scheduler) NodeHeartbeat(node cluster.NodeID, now time.Time) []Allocati
 		task := best.fifo[0]
 		best.fifo = best.fifo[1:]
 		id := cluster.ContainerID(fmt.Sprintf("%s#t%d", task.app, task.seq))
-		if err := s.cluster.Allocate(node, id, task.demand, task.tags); err != nil {
+		if err := s.cluster.Allocate(node, id, task.demand, nil); err != nil {
 			// Lost a race with external state change; requeue at the front.
 			best.fifo = append([]*pendingTask{task}, best.fifo...)
 			return allocs
@@ -295,14 +266,4 @@ func (s *Scheduler) QueueUsed(name string) resource.Vector {
 // iterate it to verify queue accounting stays non-negative.
 func (s *Scheduler) Queues() []string {
 	return append([]string(nil), s.order...)
-}
-
-// wouldViolate reports whether placing the task on the node would create
-// a new violation of its own constraints (heuristic, subject-side check).
-func (s *Scheduler) wouldViolate(t *pendingTask, node cluster.NodeID) bool {
-	entries := make([]constraint.Entry, len(t.constraints))
-	for i, c := range t.constraints {
-		entries[i] = constraint.Entry{AppID: t.app, Source: constraint.SourceApplication, Constraint: c}
-	}
-	return lra.ScoreNode(s.cluster, entries, t.tags, node) > 1e-12
 }

@@ -220,95 +220,3 @@ func abs(x int) int {
 	}
 	return x
 }
-
-// TestTaskConstraintsAvoidViolatingNode: a task anti-affine to "db" skips
-// the node hosting the db container and lands on a clean one.
-func TestTaskConstraintsAvoidViolatingNode(t *testing.T) {
-	c := newCluster()
-	if err := c.Allocate(0, "db#0", resource.New(1024, 1), []constraint.Tag{"db"}); err != nil {
-		t.Fatal(err)
-	}
-	s := New(c)
-	req := TaskRequest{
-		Count: 1, Demand: resource.New(1024, 1),
-		Tags:        []constraint.Tag{"etl"},
-		Constraints: []constraint.Constraint{constraint.New(constraint.AntiAffinity(constraint.E("etl"), constraint.E("db"), constraint.Node))},
-	}
-	if err := s.Submit("job", "default", t0, req); err != nil {
-		t.Fatal(err)
-	}
-	// Heartbeat from the db node: the task must decline.
-	if allocs := s.NodeHeartbeat(0, t0); len(allocs) != 0 {
-		t.Fatalf("task placed on violating node: %v", allocs)
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d", s.Pending())
-	}
-	// A clean node takes it.
-	allocs := s.NodeHeartbeat(1, t0)
-	if len(allocs) != 1 || allocs[0].Node != 1 {
-		t.Fatalf("allocs = %v", allocs)
-	}
-}
-
-// TestTaskConstraintsSoftOverride: when every node violates, the task
-// eventually places anyway (constraints stay soft; R4 latency bound).
-func TestTaskConstraintsSoftOverride(t *testing.T) {
-	c := cluster.Grid(2, 2, resource.New(8192, 8))
-	for n := 0; n < 2; n++ {
-		id := cluster.MakeContainerID("db", n)
-		if err := c.Allocate(cluster.NodeID(n), id, resource.New(1024, 1), []constraint.Tag{"db"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := New(c)
-	req := TaskRequest{
-		Count: 1, Demand: resource.New(1024, 1),
-		Tags:        []constraint.Tag{"etl"},
-		Constraints: []constraint.Constraint{constraint.New(constraint.AntiAffinity(constraint.E("etl"), constraint.E("db"), constraint.Node))},
-	}
-	if err := s.Submit("job", "default", t0, req); err != nil {
-		t.Fatal(err)
-	}
-	placed := 0
-	for round := 0; round <= MaxConstraintSkips && placed == 0; round++ {
-		for n := 0; n < 2 && placed == 0; n++ {
-			placed += len(s.NodeHeartbeat(cluster.NodeID(n), t0))
-		}
-	}
-	if placed != 1 {
-		t.Fatalf("constrained task never placed (placed=%d)", placed)
-	}
-}
-
-// TestTaskConstraintValidation: malformed constraints are rejected at
-// submission.
-func TestTaskConstraintValidation(t *testing.T) {
-	s := New(newCluster())
-	req := TaskRequest{Count: 1, Demand: resource.New(1024, 1),
-		Constraints: []constraint.Constraint{{}}}
-	if err := s.Submit("job", "default", t0, req); err == nil {
-		t.Error("invalid constraint accepted")
-	}
-}
-
-// TestTaskConstraintsDoNotBlockOtherQueues: a blocked constrained head in
-// one queue must not starve another queue on the same heartbeat.
-func TestTaskConstraintsDoNotBlockOtherQueues(t *testing.T) {
-	c := newCluster()
-	if err := c.Allocate(0, "db#0", resource.New(1024, 1), []constraint.Tag{"db"}); err != nil {
-		t.Fatal(err)
-	}
-	s := New(c, QueueConfig{Name: "a", Capacity: 0.5}, QueueConfig{Name: "b", Capacity: 0.5})
-	blocked := TaskRequest{
-		Count: 1, Demand: resource.New(1024, 1), Tags: []constraint.Tag{"etl"},
-		Constraints: []constraint.Constraint{constraint.New(constraint.AntiAffinity(constraint.E("etl"), constraint.E("db"), constraint.Node))},
-	}
-	free := TaskRequest{Count: 1, Demand: resource.New(1024, 1)}
-	_ = s.Submit("j1", "a", t0, blocked)
-	_ = s.Submit("j2", "b", t0, free)
-	allocs := s.NodeHeartbeat(0, t0)
-	if len(allocs) != 1 || allocs[0].Queue != "b" {
-		t.Fatalf("allocs = %v, want the unconstrained task from queue b", allocs)
-	}
-}
