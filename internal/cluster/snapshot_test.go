@@ -140,17 +140,38 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// FromSnapshot is the one validator of a cluster description's node
+// list and topology: every description below names an impossible
+// cluster and must be refused.
+func TestSpecValidation(t *testing.T) {
+	node := func(name string, mb int64) NodeSnapshot {
+		return NodeSnapshot{Name: name, CapacityMB: mb, CapacityCores: 1, State: "up"}
+	}
+	bad := []Snapshot{
+		{}, // no nodes
+		{Nodes: []NodeSnapshot{node("", 1)}},
+		{Nodes: []NodeSnapshot{node("a", 1), node("a", 1)}},
+		{Nodes: []NodeSnapshot{node("a", 0)}},
+		{Nodes: []NodeSnapshot{node("a", 1)},
+			Groups: map[string][][]string{"rack": {{"ghost"}}}},
+		{Nodes: []NodeSnapshot{node("a", 1)},
+			Groups: map[string][][]string{"node": {{"a"}}}}, // predefined
+	}
+	for i := range bad {
+		if _, err := FromSnapshot(&bad[i]); err == nil {
+			t.Errorf("bad description %d accepted", i)
+		}
+	}
+}
+
 func TestFromSnapshotRejectsMalformed(t *testing.T) {
 	base := func() *Snapshot {
 		s := &Snapshot{Nodes: []NodeSnapshot{{Name: "n0", CapacityMB: 1024, CapacityCores: 2, State: "up"}}}
 		return s
 	}
 	cases := map[string]func(*Snapshot){
-		"no nodes":     func(s *Snapshot) { s.Nodes = nil },
-		"unnamed node": func(s *Snapshot) { s.Nodes[0].Name = "" },
-		"duplicate node": func(s *Snapshot) {
-			s.Nodes = append(s.Nodes, s.Nodes[0])
-		},
+		"no nodes":      func(s *Snapshot) { s.Nodes = nil },
+		"unnamed node":  func(s *Snapshot) { s.Nodes[0].Name = "" },
 		"zero capacity": func(s *Snapshot) { s.Nodes[0].CapacityMB = 0 },
 		"bad state":     func(s *Snapshot) { s.Nodes[0].State = "sideways" },
 		"predefined group": func(s *Snapshot) {
