@@ -156,12 +156,11 @@ func allocateAll(state *cluster.Cluster, appID string, assigns []lra.Assignment)
 		case state.Node(a.Node).State() != cluster.NodeUp:
 			err = fmt.Errorf("audit: %s: assignment %s targets %s node %s",
 				appID, a.Container, state.Node(a.Node).State(), state.Node(a.Node).Name)
-		case !a.Demand.IsNonNegative():
-			err = fmt.Errorf("audit: %s: assignment %s has negative demand %v", appID, a.Container, a.Demand)
 		default:
 			// Allocate catches double assignment (within the batch and
-			// against live containers) and capacity overruns, with each
-			// assignment charged before the next is checked.
+			// against live containers), negative demands and capacity
+			// overruns, with each assignment charged before the next is
+			// checked.
 			if aerr := state.Allocate(a.Node, a.Container, a.Demand, a.Tags); aerr != nil {
 				err = fmt.Errorf("audit: %s: %w", appID, aerr)
 			}

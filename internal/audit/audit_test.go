@@ -98,7 +98,7 @@ func TestCheckPlacementTable(t *testing.T) {
 		{
 			name: "reject unhealthy target node",
 			setup: func(t *testing.T, c *cluster.Cluster) (*lra.Application, *lra.Placement, []constraint.Entry) {
-				c.SetAvailable(1, false)
+				c.FailNode(1)
 				app := testApp("a", 2, small, "svc")
 				return app, placementFor(app, 0, 1), nil
 			},
@@ -322,6 +322,37 @@ func TestCheckPlacementUndoesVeto(t *testing.T) {
 		if got := c.ContainerIDs(); !reflect.DeepEqual(ids, got) {
 			t.Fatalf("%s: containers %v after veto, want %v", tc.name, got, ids)
 		}
+	}
+}
+
+// TestCheckAssignmentsRejectsNegativeDemand: a raw batch whose second
+// assignment carries a negative demand, which CheckPlacement's shape
+// check would have refused first, is vetoed by Allocate and leaves the
+// state as it was.
+func TestCheckAssignmentsRejectsNegativeDemand(t *testing.T) {
+	c := cluster.Grid(2, 2, resource.New(1000, 10))
+	if err := c.Allocate(1, "bg#0", resource.New(100, 1), []constraint.Tag{"bg"}); err != nil {
+		t.Fatal(err)
+	}
+	assigns := []lra.Assignment{
+		{Container: "a#0", Group: "g", Node: 0, Demand: resource.New(100, 1)},
+		{Container: "a#1", Group: "g", Node: 0, Demand: resource.New(-4096, 1)},
+	}
+	before, ids := c.TakeSnapshot(), c.ContainerIDs()
+	if err := CheckAssignments(c, "a", assigns, nil); err == nil || !strings.Contains(err.Error(), "negative demand") {
+		t.Fatalf("CheckAssignments() = %v, want a negative-demand veto", err)
+	}
+	if err := c.CheckAccounting(); err != nil {
+		t.Fatalf("accounting after veto: %v", err)
+	}
+	if after := c.TakeSnapshot(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("veto changed the state\nbefore %+v\nafter  %+v", before, after)
+	}
+	if got := c.ContainerIDs(); !reflect.DeepEqual(ids, got) {
+		t.Fatalf("containers %v after veto, want %v", got, ids)
+	}
+	if got := c.Node(0).Free(); got != resource.New(1000, 10) {
+		t.Fatalf("node 0 free %v after veto, want its capacity", got)
 	}
 }
 

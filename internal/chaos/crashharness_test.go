@@ -227,9 +227,9 @@ func Fingerprint(m *core.Medea) string {
 }
 
 // CheckNoLeaks verifies cluster-level conservation: every container the
-// cluster runs is owned by a deployed LRA (the script places no tasks and
-// the grid has no static tags), so a double-allocation or a leaked
-// release shows up as a count mismatch.
+// cluster runs is owned by a deployed LRA (the script places no tasks),
+// so a double-allocation or a leaked release shows up as a count
+// mismatch.
 func CheckNoLeaks(m *core.Medea) error {
 	owned := 0
 	for _, appID := range m.DeployedApps() {

@@ -12,8 +12,9 @@ import (
 
 // Allocate places a container on a node, charging its resource demand and
 // adding its tags to the node's tag set and to the tag set of every node
-// set (in every group) containing the node. It fails when the node lacks
-// free resources, is unavailable, or the container ID is already in use.
+// set (in every group) containing the node. It fails when the demand is
+// negative, the node lacks free resources or is unavailable, or the
+// container ID is already in use.
 func (c *Cluster) Allocate(node NodeID, id ContainerID, demand resource.Vector, tags []constraint.Tag) error {
 	if int(node) < 0 || int(node) >= len(c.nodes) {
 		return fmt.Errorf("cluster: allocate on unknown node %d", node)
@@ -24,6 +25,9 @@ func (c *Cluster) Allocate(node NodeID, id ContainerID, demand resource.Vector, 
 	n := c.nodes[node]
 	if n.state != NodeUp {
 		return fmt.Errorf("cluster: node %s is %s", n.Name, n.state)
+	}
+	if !demand.IsNonNegative() {
+		return fmt.Errorf("cluster: container %s has negative demand %v", id, demand)
 	}
 	if !demand.Fits(n.Free()) {
 		return fmt.Errorf("cluster: container %s %v does not fit on %s (free %v)",
@@ -82,19 +86,6 @@ func (c *Cluster) removeTags(node NodeID, tags []constraint.Tag) {
 	}
 }
 
-// AddStaticTags attaches permanent machine attributes (e.g. "gpu") to a
-// node, expressed as a synthetic never-released container so the tag model
-// subsumes static attributes (§4.1 "a subset of a node tag set can also be
-// defined statically").
-func (c *Cluster) AddStaticTags(node NodeID, tags ...constraint.Tag) {
-	c.staticSeq++
-	c.staticCount++
-	id := ContainerID(fmt.Sprintf("static:%d#%d", node, c.staticSeq))
-	c.containers[id] = &containerInfo{node: node, tags: append([]constraint.Tag(nil), tags...)}
-	c.nodes[node].containers = append(c.nodes[node].containers, id)
-	c.addTags(node, tags)
-}
-
 // ContainerNode returns the node hosting a container.
 func (c *Cluster) ContainerNode(id ContainerID) (NodeID, bool) {
 	info, ok := c.containers[id]
@@ -113,9 +104,8 @@ func (c *Cluster) ContainerTags(id ContainerID) ([]constraint.Tag, bool) {
 	return info.tags, true
 }
 
-// NumContainers returns the number of allocated containers cluster-wide,
-// excluding static-attribute pseudo-containers.
-func (c *Cluster) NumContainers() int { return len(c.containers) - c.staticCount }
+// NumContainers returns the number of allocated containers cluster-wide.
+func (c *Cluster) NumContainers() int { return len(c.containers) }
 
 // Gamma returns γ𝒮(expr): the number of containers in set sid of the
 // group whose tag vectors match the whole conjunction expr (§4.1).
@@ -142,18 +132,6 @@ func (c *Cluster) GammaNode(node NodeID, expr constraint.Expr) int {
 	return c.nodes[node].tags.CountExpr(expr)
 }
 
-// SetAvailable marks a node up or down WITHOUT evicting its containers
-// (their fate is the application's concern, as in the offline resilience
-// replay of §7.3); it only gates new allocations. Live failure handling —
-// eviction plus recovery — goes through FailNode/RecoverNode instead.
-func (c *Cluster) SetAvailable(node NodeID, up bool) {
-	if up {
-		c.nodes[node].state = NodeUp
-	} else {
-		c.nodes[node].state = NodeDown
-	}
-}
-
 // Clone returns an independent copy of the cluster, for a caller that
 // needs the current state beside one that changes it: core gives each
 // concurrently placed batch component but the first a clone of its own.
@@ -163,12 +141,10 @@ func (c *Cluster) SetAvailable(node NodeID, up bool) {
 // Concurrent Clones of one cluster are safe (they only read it).
 func (c *Cluster) Clone() *Cluster {
 	cc := &Cluster{
-		nodes:       make([]*Node, len(c.nodes)),
-		groups:      make(map[constraint.GroupName]*group, len(c.groups)),
-		containers:  maps.Clone(c.containers),
-		staticSeq:   c.staticSeq,
-		staticCount: c.staticCount,
-		capacity:    c.capacity,
+		nodes:      make([]*Node, len(c.nodes)),
+		groups:     make(map[constraint.GroupName]*group, len(c.groups)),
+		containers: maps.Clone(c.containers),
+		capacity:   c.capacity,
 	}
 	nodes := make([]Node, len(c.nodes))
 	for i, n := range c.nodes {
@@ -198,14 +174,10 @@ func (c *Cluster) Clone() *Cluster {
 	return cc
 }
 
-// ContainerIDs returns all allocated container IDs, sorted, excluding
-// static-attribute pseudo-containers.
+// ContainerIDs returns all allocated container IDs, sorted.
 func (c *Cluster) ContainerIDs() []ContainerID {
 	out := make([]ContainerID, 0, len(c.containers))
 	for id := range c.containers {
-		if isStaticID(id) {
-			continue
-		}
 		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

@@ -32,15 +32,15 @@ func stateDigest(t *testing.T, c *Cluster) string {
 	return out
 }
 
-// aliasingCluster is a populated state with overlapping groups, static
-// tags and every node state.
+// aliasingCluster is a populated state with overlapping groups, a
+// zero-demand attribute container and every node state.
 func aliasingCluster(t *testing.T) *Cluster {
 	t.Helper()
 	c := Grid(16, 4, resource.New(8192, 8))
 	if err := c.RegisterGroup(constraint.UpgradeDomain, [][]NodeID{{0, 1, 2, 3, 4, 5}, {4, 5, 6, 7, 8}, {12}}); err != nil {
 		t.Fatal(err)
 	}
-	c.AddStaticTags(3, "gpu")
+	addAttribute(t, c, 3, "gpu")
 	for i := 0; i < 40; i++ {
 		tags := []constraint.Tag{"svc", constraint.Tag(fmt.Sprintf("app:%d", i%5))}
 		if err := c.Allocate(NodeID(i%12), MakeContainerID("dep", i), resource.New(512, 1), tags); err != nil {
@@ -74,7 +74,9 @@ func mutate(t *testing.T, c *Cluster, k int) {
 	if err := c.RegisterGroup("zone", [][]NodeID{{0, node}, {13}}); err != nil {
 		t.Error(err)
 	}
-	c.AddStaticTags(node, "ssd")
+	if err := c.Allocate(node, MakeContainerID("attr", k), resource.Vector{}, []constraint.Tag{"ssd"}); err != nil {
+		t.Error(err)
+	}
 	c.FailNode(NodeID((k + 1) % 12))
 	c.RecoverNode(15)
 	extra := c.AddNode(fmt.Sprintf("extra-%d", k), resource.New(4096, 4))

@@ -126,11 +126,9 @@ func (g *group) setsOf(node NodeID) []SetID {
 // mutation; Medea serialises all allocations through the task-based
 // scheduler (§3), so a single-writer discipline holds by design.
 type Cluster struct {
-	nodes       []*Node
-	groups      map[constraint.GroupName]*group
-	containers  map[ContainerID]*containerInfo
-	staticSeq   int
-	staticCount int
+	nodes      []*Node
+	groups     map[constraint.GroupName]*group
+	containers map[ContainerID]*containerInfo
 	// capacity is the sum of the nodes' capacities, fixed per node at
 	// AddNode: every idle task-scheduler heartbeat asks for it.
 	capacity resource.Vector

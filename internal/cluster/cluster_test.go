@@ -13,6 +13,15 @@ func testCluster(t *testing.T) *Cluster {
 	return Grid(8, 4, resource.New(16384, 8))
 }
 
+// addAttribute gives a node a zero-demand container carrying tags: a
+// machine attribute such as "gpu", as the tag model sees it.
+func addAttribute(t *testing.T, c *Cluster, node NodeID, tags ...constraint.Tag) {
+	t.Helper()
+	if err := c.Allocate(node, MakeContainerID("attr", c.NumContainers()), resource.Vector{}, tags); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestGridTopology(t *testing.T) {
 	c := testCluster(t)
 	if c.NumNodes() != 8 {
@@ -92,9 +101,15 @@ func TestAllocateErrors(t *testing.T) {
 	if err := c.Allocate(1, "x#0", d, nil); err == nil {
 		t.Error("duplicate container ID accepted")
 	}
-	c.SetAvailable(2, false)
+	c.FailNode(2)
 	if err := c.Allocate(2, "y#0", d, nil); err == nil {
 		t.Error("allocation on unavailable node accepted")
+	}
+	if err := c.Allocate(3, "z#0", resource.New(-4096, 1), nil); err == nil {
+		t.Error("negative demand accepted")
+	}
+	if got := c.Node(3).Free(); got != resource.New(16384, 8) {
+		t.Errorf("Free after a refused negative demand = %v", got)
 	}
 	if err := c.Release("ghost"); err == nil {
 		t.Error("release of unknown container accepted")
@@ -115,17 +130,6 @@ func TestCapacityExhaustion(t *testing.T) {
 	}
 	if got := c.Node(0).Free(); got.MemoryMB != 0 || got.VCores != 2 {
 		t.Errorf("Free = %v, want <0MB,2c>", got)
-	}
-}
-
-func TestStaticTags(t *testing.T) {
-	c := testCluster(t)
-	c.AddStaticTags(3, "gpu")
-	if got := c.GammaNode(3, constraint.E("gpu")); got != 1 {
-		t.Errorf("γ(gpu) = %d", got)
-	}
-	if got := c.Gamma(constraint.Rack, 0, constraint.E("gpu")); got != 1 {
-		t.Errorf("rack γ(gpu) = %d", got)
 	}
 }
 
@@ -228,11 +232,11 @@ func TestMemoryUtilizationCV(t *testing.T) {
 func TestClone(t *testing.T) {
 	c := testCluster(t)
 	_ = c.RegisterGroup(constraint.UpgradeDomain, [][]NodeID{{0, 1, 2, 3}, {4, 5, 6, 7}})
-	c.AddStaticTags(1, "gpu")
+	addAttribute(t, c, 1, "gpu")
 	if err := c.Allocate(0, "a#0", resource.New(2048, 1), []constraint.Tag{"hb"}); err != nil {
 		t.Fatal(err)
 	}
-	c.SetAvailable(7, false)
+	c.DrainNode(7)
 	cc := c.Clone()
 	// Copy is faithful.
 	if cc.NumNodes() != c.NumNodes() || cc.NumContainers() != c.NumContainers() {
@@ -242,7 +246,7 @@ func TestClone(t *testing.T) {
 		t.Errorf("clone rack γ(hb) = %d", got)
 	}
 	if got := cc.GammaNode(1, constraint.E("gpu")); got != 1 {
-		t.Errorf("clone static γ(gpu) = %d", got)
+		t.Errorf("clone γ(gpu) = %d", got)
 	}
 	if cc.Node(7).Available() {
 		t.Error("clone lost availability flag")
@@ -288,8 +292,8 @@ func TestDiff(t *testing.T) {
 			_ = c.Release(MakeContainerID("a", 2))
 			_ = c.Allocate(0, MakeContainerID("a", 2), resource.New(512, 1), []constraint.Tag{"hb", "x"})
 		}, true},
-		{"static tag", func(c *Cluster) { c.AddStaticTags(3, "gpu") }, true},
-		{"node state", func(c *Cluster) { c.SetAvailable(4, false) }, true},
+		{"zero-demand container", func(c *Cluster) { addAttribute(t, c, 3, "gpu") }, true},
+		{"node state", func(c *Cluster) { c.DrainNode(4) }, true},
 	} {
 		c := src.Clone()
 		tc.mutate(c)
@@ -304,7 +308,7 @@ func TestCloneUnavailableNodeWithContainers(t *testing.T) {
 	if err := c.Allocate(0, "a#0", resource.New(2048, 1), []constraint.Tag{"t"}); err != nil {
 		t.Fatal(err)
 	}
-	c.SetAvailable(0, false)
+	c.DrainNode(0)
 	cc := c.Clone()
 	if cc.Node(0).Available() {
 		t.Error("availability not copied")

@@ -11,9 +11,7 @@ import (
 // scores static placements against an unavailability trace after the
 // fact; these transitions instead let failures happen *while the system
 // runs*: a failing node evicts its containers, the scheduler learns which
-// ones were lost, and the recovery loop in core re-places them. Static
-// machine attributes (AddStaticTags) survive every transition — they
-// describe the hardware, not the workload.
+// ones were lost, and the recovery loop in core re-places them.
 
 // Eviction describes one container displaced by a node state transition,
 // carrying everything needed to re-request an equivalent container.
@@ -24,12 +22,6 @@ type Eviction struct {
 	Tags      []constraint.Tag
 }
 
-// isStaticID reports whether a container ID names a static-attribute
-// pseudo-container (see AddStaticTags).
-func isStaticID(id ContainerID) bool {
-	return len(id) > 7 && id[:7] == "static:"
-}
-
 // knownNode reports whether the ID names a node of this cluster. State
 // transitions on unknown IDs are no-ops, not panics: failure reports come
 // from outside the scheduler and may be stale or malformed.
@@ -37,15 +29,12 @@ func (c *Cluster) knownNode(node NodeID) bool {
 	return node >= 0 && int(node) < len(c.nodes)
 }
 
-// residentEvictions snapshots the node's non-static containers as
-// Eviction records, sorted by container ID for determinism.
+// residentEvictions snapshots the node's containers as Eviction
+// records, sorted by container ID for determinism.
 func (c *Cluster) residentEvictions(node NodeID) []Eviction {
 	n := c.nodes[node]
 	out := make([]Eviction, 0, len(n.containers))
 	for _, id := range n.containers {
-		if isStaticID(id) {
-			continue
-		}
 		info := c.containers[id]
 		out = append(out, Eviction{Container: id, Node: node, Demand: info.demand, Tags: info.tags})
 	}
@@ -55,10 +44,10 @@ func (c *Cluster) residentEvictions(node NodeID) []Eviction {
 
 // FailNode takes a node down at runtime: the node stops accepting
 // allocations and every resident container is evicted (released exactly
-// once) and reported, so the caller can re-queue the lost work. Static
-// attribute tags survive the failure. Failing a node that is already
-// down is a no-op returning nil, as is failing an unknown node ID;
-// failing a draining node evicts whatever was still resident.
+// once) and reported, so the caller can re-queue the lost work. Failing
+// a node that is already down is a no-op returning nil, as is failing an
+// unknown node ID; failing a draining node evicts whatever was still
+// resident.
 func (c *Cluster) FailNode(node NodeID) []Eviction {
 	if !c.knownNode(node) {
 		return nil

@@ -7,12 +7,11 @@ import (
 	"medea/internal/resource"
 )
 
-// failoverCluster builds an 8-node grid with two containers and a static
-// GPU tag on node 0, plus one container on node 1.
+// failoverCluster builds an 8-node grid with two containers on node 0
+// and one on node 1.
 func failoverCluster(t *testing.T) *Cluster {
 	t.Helper()
 	c := Grid(8, 4, resource.New(16384, 8))
-	c.AddStaticTags(0, "gpu")
 	if err := c.Allocate(0, "a#0", resource.New(2048, 1), []constraint.Tag{"hb"}); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +144,7 @@ func TestNodeStateTransitions(t *testing.T) {
 			if s := c.Node(0).State(); s != tt.wantState {
 				t.Errorf("state = %v, want %v", s, tt.wantState)
 			}
-			// Resident count on node 0, excluding the static pseudo-container.
+			// Resident count on node 0.
 			resident := 0
 			for _, id := range c.ContainerIDs() {
 				if n, ok := c.ContainerNode(id); ok && n == 0 {
@@ -188,23 +187,6 @@ func TestFailNodeReleasesExactlyOnce(t *testing.T) {
 	// Eviction records carry the demand and tags needed to re-request.
 	if evs[0].Demand != resource.New(2048, 1) || len(evs[0].Tags) != 1 {
 		t.Errorf("eviction record = %+v", evs[0])
-	}
-}
-
-// TestStaticTagsSurviveFailure: machine attributes persist across
-// fail/recover, and the node is usable again after recovery.
-func TestStaticTagsSurviveFailure(t *testing.T) {
-	c := failoverCluster(t)
-	c.FailNode(0)
-	if got := c.GammaNode(0, constraint.E("gpu")); got != 1 {
-		t.Errorf("γ(gpu) while down = %d, want 1", got)
-	}
-	c.RecoverNode(0)
-	if got := c.GammaNode(0, constraint.E("gpu")); got != 1 {
-		t.Errorf("γ(gpu) after recover = %d, want 1", got)
-	}
-	if err := c.Allocate(0, "c#0", resource.New(1024, 1), nil); err != nil {
-		t.Fatalf("allocate after recover: %v", err)
 	}
 }
 

@@ -9,20 +9,17 @@ import (
 )
 
 // Snapshot is a point-in-time, JSON-serialisable view of cluster state.
-// It is full-fidelity: FromSnapshot rebuilds an equivalent cluster —
-// topology, every allocation (including static-attribute
-// pseudo-containers) and the runtime node state machine (up / draining /
-// down) all round-trip, so a restart-recovery checkpoint loses nothing.
+// It is full-fidelity and stores each fact once: FromSnapshot rebuilds
+// an equivalent cluster — topology, every allocation and the runtime
+// node state machine (up / draining / down) — and re-derives usage and
+// free capacity from them, so a restart-recovery checkpoint loses
+// nothing.
 type Snapshot struct {
-	Nodes      []NodeSnapshot `json:"nodes"`
-	Containers int            `json:"containers"`
-	// MemoryUtilization is used/capacity over memory.
-	MemoryUtilization float64 `json:"memoryUtilization"`
+	Nodes []NodeSnapshot `json:"nodes"`
 	// Groups is the registered topology (group name → node sets by node
 	// name), minus the automatic "node" group.
 	Groups map[string][][]string `json:"groups,omitempty"`
-	// Allocations lists every container — real and static-attribute
-	// pseudo-containers — sorted by ID.
+	// Allocations lists every container, sorted by ID.
 	Allocations []ContainerSnapshot `json:"allocations,omitempty"`
 }
 
@@ -31,16 +28,10 @@ type NodeSnapshot struct {
 	Name          string `json:"name"`
 	CapacityMB    int64  `json:"capacityMB"`
 	CapacityCores int64  `json:"capacityCores"`
-	UsedMB        int64  `json:"usedMB"`
-	FreeMB        int64  `json:"freeMB"`
-	UsedCores     int64  `json:"usedCores"`
-	Containers    int    `json:"containers"`
-	Available     bool   `json:"available"`
 	State         string `json:"state"`
 }
 
-// ContainerSnapshot is one allocation in a Snapshot. Static-attribute
-// pseudo-containers carry zero demand and their "static:" ID.
+// ContainerSnapshot is one allocation in a Snapshot.
 type ContainerSnapshot struct {
 	ID       string           `json:"id"`
 	Node     string           `json:"node"`
@@ -51,20 +42,12 @@ type ContainerSnapshot struct {
 
 // TakeSnapshot captures the current state.
 func (c *Cluster) TakeSnapshot() Snapshot {
-	snap := Snapshot{
-		Containers:        c.NumContainers(),
-		MemoryUtilization: c.MemoryUtilization(),
-	}
+	var snap Snapshot
 	for _, n := range c.nodes {
 		snap.Nodes = append(snap.Nodes, NodeSnapshot{
 			Name:          n.Name,
 			CapacityMB:    n.Capacity.MemoryMB,
 			CapacityCores: n.Capacity.VCores,
-			UsedMB:        n.used.MemoryMB,
-			FreeMB:        n.Free().MemoryMB,
-			UsedCores:     n.used.VCores,
-			Containers:    len(n.containers),
-			Available:     n.Available(),
 			State:         n.state.String(),
 		})
 	}
@@ -111,21 +94,10 @@ func ParseNodeState(s string) (NodeState, error) {
 	}
 }
 
-// staticSeqOf extracts the sequence number from a static-attribute
-// pseudo-container ID ("static:<node>#<seq>"); 0 when malformed.
-func staticSeqOf(id ContainerID) int {
-	var node, seq int
-	if _, err := fmt.Sscanf(string(id), "static:%d#%d", &node, &seq); err != nil {
-		return 0
-	}
-	return seq
-}
-
 // FromSnapshot rebuilds a cluster from a full-fidelity snapshot:
-// topology first, then every allocation while all nodes are still up
-// (static pseudo-containers are inserted directly, real containers
-// through Allocate so bookkeeping is re-derived and re-validated), and
-// the node state machine last, so containers resident on draining nodes
+// topology first, then every allocation through Allocate while all nodes
+// are still up, so bookkeeping is re-derived and re-validated, and the
+// node state machine last, so containers resident on draining nodes
 // re-allocate cleanly.
 func FromSnapshot(s *Snapshot) (*Cluster, error) {
 	if len(s.Nodes) == 0 {
@@ -176,22 +148,7 @@ func FromSnapshot(s *Snapshot) (*Cluster, error) {
 		if !ok {
 			return nil, fmt.Errorf("cluster: snapshot allocation %s on unknown node %q", a.ID, a.Node)
 		}
-		id := ContainerID(a.ID)
-		tags := append([]constraint.Tag(nil), a.Tags...)
-		if isStaticID(id) {
-			if _, exists := c.containers[id]; exists {
-				return nil, fmt.Errorf("cluster: snapshot has duplicate container %s", id)
-			}
-			c.containers[id] = &containerInfo{node: nid, tags: tags}
-			c.nodes[nid].containers = append(c.nodes[nid].containers, id)
-			c.addTags(nid, tags)
-			c.staticCount++
-			if seq := staticSeqOf(id); seq > c.staticSeq {
-				c.staticSeq = seq
-			}
-			continue
-		}
-		if err := c.Allocate(nid, id, resource.New(a.MemoryMB, a.VCores), tags); err != nil {
+		if err := c.Allocate(nid, ContainerID(a.ID), resource.New(a.MemoryMB, a.VCores), a.Tags); err != nil {
 			return nil, fmt.Errorf("cluster: restoring snapshot: %w", err)
 		}
 	}

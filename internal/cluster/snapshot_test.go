@@ -2,23 +2,22 @@ package cluster
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"medea/internal/constraint"
 	"medea/internal/resource"
 )
 
-// fixture builds three nodes: n0 carries the static tag "gpu", n2 is
-// smaller and starts unavailable, and two racks and two upgrade domains
-// cut across them.
+// fixture builds three nodes: n2 is smaller and starts down, and two
+// racks and two upgrade domains cut across them.
 func fixture(t *testing.T) *Cluster {
 	t.Helper()
 	c := New()
 	n0 := c.AddNode("n0", resource.New(16384, 8))
 	n1 := c.AddNode("n1", resource.New(16384, 8))
 	n2 := c.AddNode("n2", resource.New(8192, 4))
-	c.AddStaticTags(n0, "gpu")
-	c.SetAvailable(n2, false)
+	c.FailNode(n2)
 	if err := c.RegisterGroup(constraint.Rack, [][]NodeID{{n0, n1}, {n2}}); err != nil {
 		t.Fatal(err)
 	}
@@ -44,9 +43,8 @@ func TestSpecRoundTripThroughScheduling(t *testing.T) {
 }
 
 // The snapshot must round-trip everything the node state machine added
-// in the failover work: drain/failed states, static tags, allocations
-// and the static pseudo-container bookkeeping — encode → decode →
-// FromSnapshot → CheckAccounting, then behavioral spot checks.
+// in the failover work: drain/failed states and allocations — encode →
+// decode → FromSnapshot → CheckAccounting, then behavioral spot checks.
 func TestSnapshotRoundTrip(t *testing.T) {
 	c := fixture(t)
 	if err := c.Allocate(0, "a#0", resource.New(2048, 2), []constraint.Tag{"svc", "app:a"}); err != nil {
@@ -101,18 +99,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if node, ok := rc.ContainerNode("a#0"); !ok || node != 0 {
 		t.Errorf("a#0 on node %d (ok=%v), want 0", node, ok)
 	}
-	// Static tags survived as pseudo-containers and still answer γ.
-	if got := rc.GammaNode(0, constraint.E("gpu")); got != 1 {
-		t.Errorf("restored γ(gpu) on n0 = %d", got)
-	}
-	if rc.staticCount != 1 {
-		t.Errorf("staticCount = %d, want 1", rc.staticCount)
-	}
-	// New static tags must not collide with restored pseudo-containers.
-	rc.AddStaticTags(1, "ssd")
-	if err := rc.CheckAccounting(); err != nil {
-		t.Errorf("accounting after AddStaticTags: %v", err)
-	}
 	// Group topology round-tripped: tag counting per upgrade domain.
 	if got := rc.Gamma(constraint.UpgradeDomain, 1, constraint.E("db")); got != 1 {
 		t.Errorf("restored γ(db) in upgrade domain 1 = %d", got)
@@ -125,14 +111,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// the snapshot is a fixed point.
 	b2, err := json.Marshal(rc.TakeSnapshot())
 	if err != nil {
-		t.Fatal(err)
-	}
-	// rc gained one static tag above; re-take from a fresh restore.
-	rc2, err := FromSnapshot(&snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b2, err = json.Marshal(rc2.TakeSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if string(b) != string(b2) {
@@ -156,6 +134,8 @@ func TestSpecValidation(t *testing.T) {
 			Groups: map[string][][]string{"rack": {{"ghost"}}}},
 		{Nodes: []NodeSnapshot{node("a", 1)},
 			Groups: map[string][][]string{"node": {{"a"}}}}, // predefined
+		{Nodes: []NodeSnapshot{node("a", 1024)}, // negative allocation demand
+			Allocations: []ContainerSnapshot{{ID: "x#0", Node: "a", MemoryMB: -4096}}},
 	}
 	for i := range bad {
 		if _, err := FromSnapshot(&bad[i]); err == nil {
@@ -198,26 +178,24 @@ func TestFromSnapshotRejectsMalformed(t *testing.T) {
 
 func TestTakeSnapshot(t *testing.T) {
 	c := fixture(t)
-	if err := c.Allocate(0, "a#0", resource.New(2048, 2), nil); err != nil {
+	if err := c.Allocate(0, "a#0", resource.New(2048, 2), []constraint.Tag{"t"}); err != nil {
 		t.Fatal(err)
 	}
 	snap := c.TakeSnapshot()
-	if len(snap.Nodes) != 3 || snap.Containers != 1 {
+	if len(snap.Nodes) != 3 || len(snap.Allocations) != 1 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
-	n0 := snap.Nodes[0]
-	// n0 hosts one real container plus the static-tag pseudo-container.
-	if n0.UsedMB != 2048 || n0.FreeMB != 14336 || n0.Containers != 2 { // real + static pseudo-container
-		t.Errorf("n0 snapshot = %+v", n0)
+	if got, want := snap.Allocations[0], (ContainerSnapshot{ID: "a#0", Node: "n0", MemoryMB: 2048, VCores: 2, Tags: []constraint.Tag{"t"}}); !reflect.DeepEqual(got, want) {
+		t.Errorf("allocation = %+v, want %+v", got, want)
 	}
-	if snap.Nodes[2].Available {
-		t.Error("snapshot lost availability")
+	if got := snap.Nodes[2]; got != (NodeSnapshot{Name: "n2", CapacityMB: 8192, CapacityCores: 4, State: "down"}) {
+		t.Errorf("n2 snapshot = %+v", got)
+	}
+	if got := snap.Groups[string(constraint.UpgradeDomain)]; !reflect.DeepEqual(got, [][]string{{"n0", "n2"}, {"n1"}}) {
+		t.Errorf("upgrade domains = %v", got)
 	}
 	// Snapshot must serialise cleanly.
 	if _, err := json.Marshal(snap); err != nil {
 		t.Errorf("snapshot marshal: %v", err)
-	}
-	if snap.MemoryUtilization <= 0 {
-		t.Errorf("utilization = %v", snap.MemoryUtilization)
 	}
 }

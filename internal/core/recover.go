@@ -37,8 +37,9 @@ import (
 // Deliberately NOT persisted: metrics (counters restart at zero), the
 // task-based scheduler's queue accounting (tasks are short-lived and
 // re-submitted by their owners; unknown-container evictions are no-ops),
-// and solver-internal state. Cluster truth is authoritative over the
-// checkpoint's informational cluster snapshot.
+// and solver-internal state. The cluster Recover is handed is
+// authoritative; a caller without one rebuilds it from the checkpoint's
+// cluster snapshot (cluster.FromSnapshot), as medea-server does.
 
 // replayState tracks the open batch window while replaying the WAL tail.
 type replayState struct {

@@ -151,9 +151,10 @@ type Checkpoint struct {
 	// constraints travel with their Pending/Deployed entries).
 	Operator []constraint.Constraint `json:"operator,omitempty"`
 	Breaker  *BreakerState           `json:"breaker,omitempty"`
-	// Cluster is an informational snapshot of cluster truth at
-	// checkpoint time. Recovery reconciles against the LIVE cluster, not
-	// this snapshot; it is kept for dashboards and post-mortems.
+	// Cluster is the cluster state at checkpoint time. A process that
+	// restarts without its cluster (medea-server, the benchmark's
+	// svc_durable recovery) rebuilds it from this with FromSnapshot; core's
+	// Recover then reconciles against whichever cluster it is handed.
 	Cluster *cluster.Snapshot `json:"cluster,omitempty"`
 }
 

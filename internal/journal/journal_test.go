@@ -143,10 +143,33 @@ func TestCheckpointCoversTail(t *testing.T) {
 }
 
 // TestRetiredCheckpointKeyLoads: checkpoints written before the
-// "taskSeq" field was retired still load from both backends; the unknown
-// key is ignored and the fields that remain are restored.
+// "taskSeq" field and the cluster snapshot's derived keys (containers,
+// memoryUtilization; per node usedMB, freeMB, usedCores, containers,
+// available) were retired still load from both backends; the unknown
+// keys are ignored, the fields that remain are restored, and the
+// cluster rebuilt from the snapshot is the one it describes.
 func TestRetiredCheckpointKeyLoads(t *testing.T) {
-	const old = `{"seq":3,"at":"1970-01-01T01:23:20Z","cycles":2,"repairSeq":1,"taskSeq":7,"nextRun":"1970-01-01T01:23:30Z"}`
+	const old = `{"seq":3,"at":"1970-01-01T01:23:20Z","cycles":2,"repairSeq":1,"taskSeq":7,"nextRun":"1970-01-01T01:23:30Z",` +
+		`"cluster":{"nodes":[` +
+		`{"name":"n0","capacityMB":4096,"capacityCores":4,"usedMB":1024,"freeMB":3072,"usedCores":1,"containers":1,"available":true,"state":"up"},` +
+		`{"name":"n1","capacityMB":4096,"capacityCores":4,"usedMB":512,"freeMB":0,"usedCores":1,"containers":1,"available":false,"state":"draining"}],` +
+		`"containers":2,"memoryUtilization":0.1875,"groups":{"rack":[["n0","n1"]]},` +
+		`"allocations":[{"id":"a#0","node":"n0","memoryMB":1024,"vcores":1,"tags":["svc"]},{"id":"b#0","node":"n1","memoryMB":512,"vcores":1,"tags":["db"]}]}}`
+	want := cluster.New()
+	for _, name := range []string{"n0", "n1"} {
+		want.AddNode(name, resource.New(4096, 4))
+	}
+	if err := want.RegisterGroup(constraint.Rack, [][]cluster.NodeID{{0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Allocate(0, "a#0", resource.New(1024, 1), []constraint.Tag{"svc"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Allocate(1, "b#0", resource.New(512, 1), []constraint.Tag{"db"}); err != nil {
+		t.Fatal(err)
+	}
+	want.DrainNode(1)
+
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, checkpointName), []byte(old), 0o644); err != nil {
 		t.Fatal(err)
@@ -166,6 +189,16 @@ func TestRetiredCheckpointKeyLoads(t *testing.T) {
 		}
 		if len(tail) != 0 {
 			t.Errorf("%s: tail = %d records, want 0", name, len(tail))
+		}
+		if cp == nil || cp.Cluster == nil {
+			t.Fatalf("%s: checkpoint lost its cluster snapshot", name)
+		}
+		got, err := cluster.FromSnapshot(cp.Cluster)
+		if err != nil {
+			t.Fatalf("%s: FromSnapshot: %v", name, err)
+		}
+		if d := got.Diff(want); d != "" {
+			t.Errorf("%s: restored cluster differs from the one described: %s", name, d)
 		}
 	}
 }

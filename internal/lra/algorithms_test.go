@@ -312,14 +312,14 @@ func TestILPEmptyBatch(t *testing.T) {
 }
 
 // TestNCOrderingHelps constructs the classic case: container X can only go
-// on node 0 (affinity to a static tag), fillers can go anywhere. Serial
-// places fillers first (submission order) and may fill node 0; NC places X
-// first. With node capacity 2 and X submitted last, Serial violates or
-// fails; NC succeeds cleanly.
+// on node 0 (affinity to its "gpu" attribute container), fillers can go
+// anywhere. Serial places fillers first (submission order) and may fill
+// node 0; NC places X first. With node capacity 2 and X submitted last,
+// Serial violates or fails; NC succeeds cleanly.
 func TestNCOrderingHelps(t *testing.T) {
 	build := func() *cluster.Cluster {
 		c := cluster.Grid(3, 3, resource.New(4096, 4))
-		c.AddStaticTags(0, "gpu")
+		addAttribute(c, 0, "gpu")
 		return c
 	}
 	filler := workerApp("fill", 4, "f")

@@ -21,6 +21,14 @@ func mustAlloc(t *testing.T, c *cluster.Cluster, node cluster.NodeID, id string,
 	}
 }
 
+// addAttribute gives a node a zero-demand container carrying tags: a
+// machine attribute such as "gpu", as the tag model sees it.
+func addAttribute(c *cluster.Cluster, node cluster.NodeID, tags ...constraint.Tag) {
+	if err := c.Allocate(node, cluster.MakeContainerID("attr", c.NumContainers()), resource.Vector{}, tags); err != nil {
+		panic(err) // unreachable: fixtures add attributes to up nodes
+	}
+}
+
 func entries(cs ...constraint.Constraint) []constraint.Entry {
 	out := make([]constraint.Entry, len(cs))
 	for i, c := range cs {

@@ -163,7 +163,7 @@ func scoringVariants() []*greedy {
 // oracleCluster builds a small cluster whose groups exercise every shape
 // the invalidation rule has to get right: racks that partition the nodes,
 // overlapping zones, a fault-domain group that leaves some nodes in no
-// set, static tags, and nodes that are down or draining.
+// set, "gpu" attribute containers, and draining nodes.
 func oracleCluster(rng *rand.Rand) *cluster.Cluster {
 	const n = 24
 	c := cluster.Grid(n, 4, resource.New(8192, 8))
@@ -181,9 +181,9 @@ func oracleCluster(rng *rand.Rand) *cluster.Cluster {
 	if err := c.RegisterGroup(constraint.FaultDomain, [][]cluster.NodeID{{0, 1, 2, 3, 4}, {10, 11, 12}}); err != nil {
 		panic(err)
 	}
-	c.AddStaticTags(cluster.NodeID(rng.Intn(n)), "gpu")
-	c.AddStaticTags(cluster.NodeID(rng.Intn(n)), "gpu")
-	c.SetAvailable(cluster.NodeID(rng.Intn(n)), false)
+	addAttribute(c, cluster.NodeID(rng.Intn(n)), "gpu")
+	addAttribute(c, cluster.NodeID(rng.Intn(n)), "gpu")
+	c.DrainNode(cluster.NodeID(rng.Intn(n)))
 	c.DrainNode(cluster.NodeID(rng.Intn(n)))
 	return c
 }

@@ -168,7 +168,7 @@ func TestILPLatencyRecorded(t *testing.T) {
 // differ and the combinator picks the cleaner result.
 func TestBestOfGreedyPicksCleaner(t *testing.T) {
 	c := cluster.Grid(3, 3, resource.New(4096, 4))
-	c.AddStaticTags(0, "gpu")
+	addAttribute(c, 0, "gpu")
 	filler := workerApp("fill", 4, "f")
 	picky := workerApp("picky", 2, "p")
 	picky.Constraints = []constraint.Constraint{

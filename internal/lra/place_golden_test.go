@@ -98,7 +98,7 @@ func samePlace(a, b *Result) bool {
 // is solved twice on one scheduler: on a third of the seeds the second
 // solve sees the same batch and cluster (a requeue), on a third the first
 // application was committed and left the batch, on a third a node the
-// first solve used went down. Place keeps nothing between calls but its
+// first solve used is drained. Place keeps nothing between calls but its
 // solver arenas, so the second solve must equal the same solve on a fresh
 // scheduler. The clock ticks per reading, so the deadline is part of what
 // is pinned. Refresh with
@@ -134,10 +134,10 @@ func TestILPPlaceGolden(t *testing.T) {
 		case 1: // the first application commits; the rest come back
 			active = append(active, deployBatch(t, state, apps[:1], first.Placements[:1])...)
 			apps = apps[1:]
-		case 2: // a node the first solve used goes down
+		case 2: // a node the first solve used is drained
 			for _, p := range first.Placements {
 				if p.Placed {
-					state.SetAvailable(p.Assignments[0].Node, false)
+					state.DrainNode(p.Assignments[0].Node)
 					break
 				}
 			}

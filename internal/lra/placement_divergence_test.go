@@ -23,7 +23,6 @@ func TestPlacementSemanticsDivergences(t *testing.T) {
 		{"one slack for a set of deployed subjects", divergenceOneSlack},
 		{"node in no set of the group", divergenceNoSet},
 		{"group without sets", divergenceNoSets},
-		{"static tag as subject", divergenceStaticSubject},
 		{"DNF: one term per constraint, not per container", divergenceDNFPerContainer},
 		{"DNF: a term that does not apply still binds", divergenceDNFIdleTerm},
 		{"per-set slack, per-container score", divergencePerSetSlack},
@@ -125,22 +124,6 @@ func divergenceNoSets(t *testing.T) {
 		if free, clean, _ := verdicts(t, in, onNode(in, n)); !free || clean {
 			t.Fatalf("node %d: slack-free=%v clean=%v, want true and false", n, free, clean)
 		}
-	}
-}
-
-// The operator wants no a next to a gpu. γ counts the static tag
-// as a deployed subject, so the model has an ecmax row for it; the
-// evaluator only walks containers and finds no subject.
-func divergenceStaticSubject(t *testing.T) {
-	c := twoNodes()
-	c.AddStaticTags(0, "gpu")
-	active := entries(constraint.New(constraint.AntiAffinity(constraint.E("gpu"), constraint.E("a"), constraint.Node)))
-	in := tinyInstanceOf(c, []*Application{oneContainer("new", "a")}, active)
-	if free, clean, _ := verdicts(t, in, onNode(in, 0)); free || !clean {
-		t.Fatalf("a on the gpu node: slack-free=%v clean=%v, want false and true", free, clean)
-	}
-	if free, clean, _ := verdicts(t, in, onNode(in, 1)); !free || !clean {
-		t.Fatalf("a elsewhere: slack-free=%v clean=%v, want both", free, clean)
 	}
 }
 

@@ -32,9 +32,8 @@ type tinyInstance struct {
 	nodes  []cluster.NodeID // the up nodes: every group's candidates
 
 	// Where the model and the evaluator are known to differ (DESIGN §15):
-	uncovered     bool // an atom's group has no sets, or leaves an up node in none
-	compound      bool // a DNF constraint with more than one term
-	staticSubject bool // an atom's subject matches a static node tag
+	uncovered bool // an atom's group has no sets, or leaves an up node in none
+	compound  bool // a DNF constraint with more than one term
 }
 
 var (
@@ -88,10 +87,10 @@ func tinyConstraint(rng *rand.Rand, groups []constraint.GroupName, subjTags []co
 
 // newTinyInstance draws, from the seed alone: two to four nodes in racks
 // of two, overlapping zones, a fault domain that leaves nodes out, maybe
-// a static tag, a nearly full node and a down one; up to three deployed
-// containers with constraints of their own, now and then an operator
-// constraint whose subject is the static tag; and a batch of one or two
-// applications, at most three groups and six containers.
+// a "gpu" attribute container, a nearly full node and a drained one; up
+// to three deployed containers with constraints of their own, now and
+// then an operator constraint whose subject is the gpu tag; and a batch
+// of one or two applications, at most three groups and six containers.
 func newTinyInstance(seed int64) *tinyInstance {
 	rng := rand.New(rand.NewSource(seed))
 	groups := tinyGroups[:3]
@@ -111,7 +110,7 @@ func newTinyInstance(seed int64) *tinyInstance {
 		panic(err)
 	}
 	if rng.Intn(3) == 0 {
-		state.AddStaticTags(cluster.NodeID(rng.Intn(n)), "gpu")
+		addAttribute(state, cluster.NodeID(rng.Intn(n)), "gpu")
 	}
 	if rng.Intn(3) == 0 {
 		if err := state.Allocate(cluster.NodeID(rng.Intn(n)), "fill#0", resource.New(3072, 2), nil); err != nil {
@@ -119,7 +118,7 @@ func newTinyInstance(seed int64) *tinyInstance {
 		}
 	}
 	if n > 2 && rng.Intn(6) == 0 {
-		state.SetAvailable(cluster.NodeID(rng.Intn(n)), false)
+		state.DrainNode(cluster.NodeID(rng.Intn(n)))
 	}
 
 	// Deployed containers, each its own application, wherever they fit.
@@ -182,11 +181,9 @@ func tinyInstanceOf(state *cluster.Cluster, apps []*Application, active []constr
 			in.nodes = append(in.nodes, node.ID)
 		}
 	}
-	static := []constraint.Tag{"gpu"}
 	for _, e := range in.cons {
 		in.compound = in.compound || len(e.Constraint.Terms) > 1
 		for _, a := range e.Constraint.Atoms() {
-			in.staticSubject = in.staticSubject || a.Subject.Matches(static)
 			for _, node := range in.nodes {
 				in.uncovered = in.uncovered || len(state.SetsOfNode(a.Group, node)) == 0
 			}
@@ -483,11 +480,11 @@ func (in *tinyInstance) evaluatorClean(pm *placementModel, work *cluster.Cluster
 
 // oracleStats counts what the enumeration covered.
 type oracleStats struct {
-	instances, agreeing, uncovered, compound, staticSubject int // instances by class, first match
-	points, accepted, rejected                              int // (a)
-	pinned, clean, dirty                                    int // (b)
-	cleanExists, cut                                        int // (d)
-	beaten                                                  int // (e): instances where NC or J-Kube(++) outscores Place
+	instances, agreeing, uncovered, compound int // instances by class, first match
+	points, accepted, rejected               int // (a)
+	pinned, clean, dirty                     int // (b)
+	cleanExists, cut                         int // (d)
+	beaten                                   int // (e): instances where NC or J-Kube(++) outscores Place
 }
 
 // slackFreeBudget caps the placements per instance whose minimal slack is
@@ -530,14 +527,12 @@ func (in *tinyInstance) checkModel(build modelBuilder, stats *oracleStats) (fail
 		stats.clean += b2f(evaluator)
 		stats.dirty += b2f(!evaluator)
 		// Where a node is in no set of an atom's group the model has no
-		// row and the evaluator charges an empty set; where a subject is a
-		// static tag the model has a row and the evaluator no container.
-		// One direction of (b) survives each (TestPlacementSemanticsDivergences).
+		// row and the evaluator charges an empty set: one direction of (b)
+		// survives (TestPlacementSemanticsDivergences).
 		switch {
 		case !ok:
 			fail("(b)", "the model cannot hold an accepted placement: %v", p)
-		case in.uncovered && in.staticSubject:
-		case in.uncovered && (model || !evaluator), in.staticSubject && (evaluator || !model):
+		case in.uncovered && (model || !evaluator):
 		case model != evaluator:
 			fail("(b)", "model slack-free=%v, evaluator clean=%v: %v", model, evaluator, p)
 		}
@@ -559,7 +554,7 @@ func (in *tinyInstance) checkPlace(stats *oracleStats) (failures []string) {
 	// for a solve that ran to its end. A result that places everything
 	// without a violation has the highest score there is.
 	best := false
-	if !in.uncovered && !in.staticSubject && !in.compound && !got.DeadlineHit {
+	if !in.uncovered && !in.compound && !got.DeadlineHit {
 		in.enumerate(func(p tinyPlacement, wellFormed bool) {
 			if best || !wellFormed || !in.fits(p) || slices.Contains(p.placed, false) {
 				return
@@ -598,8 +593,6 @@ func checkInstance(seed int64, stats *oracleStats) []string {
 	switch {
 	case in.uncovered:
 		stats.uncovered++
-	case in.staticSubject:
-		stats.staticSubject++
 	case in.compound:
 		stats.compound++
 	default:
@@ -639,7 +632,7 @@ func TestPlacementSemantics(t *testing.T) {
 	}
 	t.Logf("%+v", stats)
 	if stats.rejected == 0 || stats.clean == 0 || stats.dirty == 0 || stats.cleanExists == 0 || stats.beaten == 0 ||
-		stats.agreeing < stats.instances/5 || stats.uncovered == 0 || stats.compound == 0 || stats.staticSubject == 0 {
+		stats.agreeing < stats.instances/5 || stats.uncovered == 0 || stats.compound == 0 {
 		t.Fatal("coverage: one of the counts above is zero or too small")
 	}
 

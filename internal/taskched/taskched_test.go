@@ -206,7 +206,7 @@ func TestReleaseTask(t *testing.T) {
 
 func TestHeartbeatUnavailableNode(t *testing.T) {
 	c := newCluster()
-	c.SetAvailable(0, false)
+	c.FailNode(0)
 	s := New(c)
 	_ = s.Submit("j", "default", t0, TaskRequest{Count: 1, Demand: resource.New(1024, 1)})
 	if allocs := s.NodeHeartbeat(0, t0); len(allocs) != 0 {

@@ -108,7 +108,7 @@ type (
 	// JournalCheckpoint is a full durable-state snapshot.
 	JournalCheckpoint = journal.Checkpoint
 	// ClusterSnapshot is a serialisable image of cluster state (nodes,
-	// groups, allocations, static tags), rebuildable via FromSnapshot.
+	// groups, allocations), rebuildable via FromSnapshot.
 	ClusterSnapshot = cluster.Snapshot
 )
 
