@@ -141,9 +141,10 @@ func TestValidateBatchAllocCap(t *testing.T) {
 	res := lra.NewNodeCandidates().Place(m.Cluster, apps, active, lra.Options{})
 	before := m.Cluster.TakeSnapshot()
 	validate := func() {
-		accepted, vetoes := m.validateBatch(batch, res.Placements, active)
-		if vetoes != 0 || !accepted[0] || !accepted[1] {
-			t.Fatalf("validation: accepted %v, %d vetoes", accepted, vetoes)
+		var stats CycleStats
+		accepted := m.validateBatch(batch, res.Placements, active, &stats)
+		if stats.ValidationRejects != 0 || !accepted[0] || !accepted[1] {
+			t.Fatalf("validation: accepted %v, %d vetoes", accepted, stats.ValidationRejects)
 		}
 	}
 	validate()

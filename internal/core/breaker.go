@@ -7,9 +7,11 @@ import (
 )
 
 // The circuit breaker guards the scheduling pipeline against a
-// misbehaving configured algorithm (typically the ILP): consecutive
-// failed cycles — panics, solver-budget exhaustion with no incumbent,
-// invalid models, or commit-time validation rejections — trip the
+// misbehaving configured algorithm (typically the ILP). It picks the
+// algorithm of every cycle with work, for the batch and the repairs
+// alike. Consecutive failed cycles — panics, solver-budget exhaustion
+// with no incumbent, invalid models, or commit-time validation
+// rejections, of a batch or a repair — trip the
 // breaker, which steps down a degradation ladder of cheaper algorithms
 // (configured → Medea-TP → Medea-NC, the §5.3 heuristics). After a
 // cooldown the breaker half-opens and probes the configured algorithm

@@ -9,6 +9,7 @@ import (
 	"medea/internal/chaos"
 	"medea/internal/cluster"
 	"medea/internal/constraint"
+	"medea/internal/journal"
 	"medea/internal/lra"
 	"medea/internal/metrics"
 	"medea/internal/resource"
@@ -217,5 +218,191 @@ func TestSolveCountersReachPipeline(t *testing.T) {
 	}
 	if got := m.Pipeline.ApproxSolves(); got != 0 {
 		t.Fatalf("approx solves = %d, want 0", got)
+	}
+}
+
+// panicky wraps Medea-NC in an injector that panics on every call once
+// Every is set to 1, and builds a scheduler over it.
+func panicky(cfg Config) (*Medea, *chaos.Byzantine) {
+	byz := &chaos.Byzantine{Inner: lra.NewNodeCandidates(), Faults: []chaos.Fault{chaos.FaultPanic}}
+	return New(cluster.Grid(8, 4, resource.New(16384, 8)), byz, cfg), byz
+}
+
+// TestRepairRunsOnBreakerRung: once panics have tripped the breaker onto
+// Medea-TP, a repair runs on that rung too and is restored at its first
+// attempt, instead of calling the algorithm the breaker has benched.
+func TestRepairRunsOnBreakerRung(t *testing.T) {
+	m, byz := panicky(Config{Interval: time.Second})
+	now := t0
+	_ = m.SubmitLRA(app("a", 4), now)
+	if stats := m.RunCycle(now); stats.Placed != 1 {
+		t.Fatalf("setup: %+v", stats)
+	}
+	byz.Every = 1
+	// Three panicking batch cycles trip the breaker (threshold 3). The
+	// shared tag keeps the batch one component: the injector counts its
+	// calls and is not safe for concurrent sub-batch solves.
+	for i := 0; i < 3; i++ {
+		now = now.Add(time.Second)
+		_ = m.SubmitLRA(app(fmt.Sprintf("b%d", i), 1, "b"), now)
+		if stats := m.RunCycle(now); !stats.PanicRecovered {
+			t.Fatalf("cycle %d did not panic: %+v", i, stats)
+		}
+	}
+	if got := m.Pipeline.Get(metrics.BreakerTrips); got != 1 {
+		t.Fatalf("breaker trips = %d, want 1: %v", got, m.Pipeline.Events())
+	}
+	ids, _ := m.Deployed("a")
+	node, _ := m.Cluster.ContainerNode(ids[0])
+	now = now.Add(time.Second)
+	evs := m.FailNode(node, now)
+	stats := m.RunCycle(now)
+	if stats.Level != 1 || stats.Algorithm != lra.NewTagPopularity().Name() {
+		t.Fatalf("cycle after the trip ran %q at level %d, want Medea-TP at 1", stats.Algorithm, stats.Level)
+	}
+	if stats.Repaired != len(evs) || stats.RepairFailures != 0 || stats.PanicRecovered {
+		t.Fatalf("repair on the breaker's rung: %+v, want %d restored at the first attempt", stats, len(evs))
+	}
+	if got := m.DegradedLRAs(); len(got) != 0 {
+		t.Errorf("still degraded: %v", got)
+	}
+}
+
+// TestRepairFaultsTripBreaker: repair-only cycles answer to the breaker.
+// A panicking repair consumes no attempt, keeps its gate and writes no
+// repair-fail record; three in a row trip the breaker and the fourth
+// cycle restores the LRA on Medea-TP. A recovery from the journal taken
+// after the trip resumes on the same rung.
+func TestRepairFaultsTripBreaker(t *testing.T) {
+	cfg := Config{Interval: time.Second}
+	m, byz := panicky(cfg)
+	j := journal.NewMemory()
+	if err := m.AttachJournal(j, t0); err != nil {
+		t.Fatal(err)
+	}
+	_ = m.SubmitLRA(app("a", 4), t0)
+	if stats, ran := m.Tick(t0); !ran || stats.Placed != 1 {
+		t.Fatalf("setup: %+v", stats)
+	}
+	ids, _ := m.Deployed("a")
+	node, _ := m.Cluster.ContainerNode(ids[0])
+	byz.Every = 1
+	t1 := t0.Add(10 * time.Second)
+	evs := m.FailNode(node, t1)
+	for i := 0; i < 3; i++ {
+		stats, ran := m.Tick(t1.Add(time.Duration(i) * time.Second))
+		if !ran || !stats.PanicRecovered || stats.Repaired != 0 || stats.RepairFailures != 0 || stats.Level != 0 {
+			t.Fatalf("cycle %d: ran %v, %+v, want a panicking repair on the configured algorithm", i, ran, stats)
+		}
+		if attempts, ok := m.RepairBudget("a"); !ok || attempts != 0 {
+			t.Fatalf("cycle %d: repair budget %d (pending %v), want 0", i, attempts, ok)
+		}
+	}
+	if got := m.Pipeline.Get(metrics.BreakerTrips); got != 1 {
+		t.Fatalf("breaker trips = %d, want 1: %v", got, m.Pipeline.Events())
+	}
+
+	if err := m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := j.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if r.Kind == journal.KindRepairFail {
+			t.Fatalf("panicking repair journaled %+v", r)
+		}
+	}
+	_, rbyz := panicky(cfg)
+	rbyz.Every = 1
+	rec, err := Recover(j.Clone(), m.Cluster.Clone(), rbyz, cfg, t1.Add(3*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats, ran := rec.Tick(t1.Add(3 * time.Second)); !ran || stats.Level != 1 || stats.Repaired != len(evs) {
+		t.Fatalf("recovered scheduler: ran %v, %+v, want %d restored at level 1", ran, stats, len(evs))
+	}
+
+	stats, ran := m.Tick(t1.Add(3 * time.Second))
+	if !ran || stats.Level != 1 || stats.Algorithm != lra.NewTagPopularity().Name() || stats.Repaired != len(evs) {
+		t.Fatalf("fourth cycle: ran %v, %+v, want %d restored on Medea-TP", ran, stats, len(evs))
+	}
+	if got := m.Recovery.MTTR(); got != 3*time.Second {
+		t.Errorf("MTTR = %v, want 3s", got)
+	}
+	if got := m.Recovery.RepairAttemptsFailed; got != 0 {
+		t.Errorf("RepairAttemptsFailed = %d, want 0", got)
+	}
+}
+
+// scriptedAlg places with Medea-NC, then lets edit rewrite the result (a
+// nil edit leaves it as it is).
+type scriptedAlg struct {
+	edit func(*lra.Result) *lra.Result
+}
+
+func (s *scriptedAlg) Name() string { return "scripted" }
+
+func (s *scriptedAlg) Place(state *cluster.Cluster, apps []*lra.Application, active []constraint.Entry, opts lra.Options) *lra.Result {
+	res := lra.NewNodeCandidates().Place(state, apps, active, opts)
+	if s.edit == nil {
+		return res
+	}
+	return s.edit(res)
+}
+
+// TestRepairFaultRule: a repair answers to the batch's fault rule. A
+// panic or a malformed result fails the cycle and spends no attempt; a
+// placement that does not cover the lost containers is vetoed and spends
+// one; an exhausted solve fails the cycle but its placement is used.
+func TestRepairFaultRule(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		edit     func(*lra.Result) *lra.Result
+		fault    string
+		attempts int // consumed after the cycle
+		vetoes   int
+		restored bool
+	}{
+		{"panic", func(*lra.Result) *lra.Result { panic("boom") }, "panic", 0, 0, false},
+		{"malformed", func(*lra.Result) *lra.Result { return &lra.Result{} }, "validation", 0, 1, false},
+		{"unknown group", func(r *lra.Result) *lra.Result {
+			r.Placements[0].Assignments[0].Group = "nope"
+			return r
+		}, "validation", 1, 1, false},
+		{"partial", func(r *lra.Result) *lra.Result {
+			p := &r.Placements[0]
+			p.Assignments = p.Assignments[:len(p.Assignments)-1]
+			return r
+		}, "validation", 1, 1, false},
+		{"exhausted", func(r *lra.Result) *lra.Result {
+			r.Exhausted = true
+			return r
+		}, "exhausted", 0, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			alg := &scriptedAlg{}
+			m := New(cluster.Grid(8, 4, resource.New(16384, 8)), alg, Config{Interval: time.Second})
+			_ = m.SubmitLRA(app("a", 4), t0)
+			m.RunCycle(t0)
+			ids, _ := m.Deployed("a")
+			node, _ := m.Cluster.ContainerNode(ids[0])
+			evs := m.FailNode(node, t0.Add(time.Minute))
+			alg.edit = tc.edit
+			stats := m.RunCycle(t0.Add(time.Minute))
+			if stats.fault != tc.fault || stats.ValidationRejects != tc.vetoes {
+				t.Errorf("fault %q with %d vetoes, want %q with %d", stats.fault, stats.ValidationRejects, tc.fault, tc.vetoes)
+			}
+			if restored := stats.Repaired == len(evs); restored != tc.restored {
+				t.Errorf("repaired %d of %d, want restored %v", stats.Repaired, len(evs), tc.restored)
+			}
+			if attempts, _ := m.RepairBudget("a"); attempts != tc.attempts {
+				t.Errorf("repair budget %d, want %d", attempts, tc.attempts)
+			}
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -95,12 +95,6 @@ const repairMaxRetries = 5
 // the base delay.
 const repairBackoffCap = 8
 
-// repairFallbackAfter is the number of consecutive failed repair attempts
-// for one LRA after which its repair batch is placed with the greedy
-// Medea-NC heuristic instead of the configured algorithm — graceful
-// degradation when the ILP repeatedly times out or conflicts.
-const repairFallbackAfter = 2
-
 func (c Config) breakerThreshold() int {
 	if c.BreakerThreshold == 0 {
 		return 3
@@ -144,11 +138,9 @@ type Medea struct {
 	// repairs holds at most one pending repair request per degraded LRA.
 	repairs   map[string]*repairReq
 	repairSeq int
-	// repairFallback is the degraded-mode heuristic (lazily built).
-	repairFallback lra.Algorithm
 
 	// Recovery aggregates failure-recovery counters (evictions, repairs,
-	// MTTR, degraded time per LRA).
+	// MTTR, degraded time).
 	Recovery metrics.RecoveryStats
 
 	// Pipeline aggregates the defense-in-depth counters: recovered
@@ -162,8 +154,6 @@ type Medea struct {
 	// fail-fast diagnostics).
 	cycles int
 
-	// LRALatencies records submission-to-commit latency per placed LRA.
-	LRALatencies []time.Duration
 	// Rejected lists LRAs dropped after exhausting conflict retries or
 	// found unplaceable.
 	Rejected []string
@@ -412,12 +402,14 @@ type CycleStats struct {
 	PlacedIDs   []string
 	RejectedIDs []string
 	// Repaired counts containers restored by the recovery loop this
-	// cycle; RepairFailures counts repair batches that failed.
+	// cycle; RepairFailures counts repair attempts that failed and
+	// consumed budget.
 	Repaired       int
 	RepairFailures int
 	// ValidationRejects counts placements vetoed by commit-time
 	// validation this cycle; PanicRecovered reports that the algorithm
-	// panicked (the batch was requeued without consuming retries);
+	// panicked (the batch was requeued, the repair kept its gate, neither
+	// consuming budget);
 	// DeadlineHit reports the solver stopped on its time budget.
 	ValidationRejects int
 	PanicRecovered    bool
@@ -426,6 +418,10 @@ type CycleStats struct {
 	// Level its degradation-ladder level (0 = the configured algorithm).
 	Algorithm string
 	Level     int
+
+	// fault is the reason the cycle failed under the fault rule, for the
+	// breaker ("" = clean).
+	fault string
 }
 
 // Tick runs a scheduling cycle if the interval has elapsed. The simulator
@@ -564,24 +560,27 @@ func appEntries(app *lra.Application) []constraint.Entry {
 // LRAs run first, so restored containers are visible to the batch's
 // constraint evaluation.
 //
-// The cycle runs inside the hardening pipeline: the algorithm is chosen
-// by the circuit breaker (possibly a degradation-ladder heuristic),
-// invoked with panic isolation, and every proposed placement is validated
-// before commit (validateBatch). The intents of the accepted placements
-// are made durable by one write-ahead barrier before the first commit. A
-// panic requeues the whole batch without consuming retry budget;
-// validation rejects consume a retry like placement conflicts do.
-// Post-commit, the whole-cluster invariant checker runs in the
-// configured audit mode.
+// The cycle runs inside the hardening pipeline. A cycle with work (a
+// batch or a due repair) takes its algorithm from the circuit breaker
+// once, possibly a degradation-ladder heuristic, and places its repairs
+// and its batch with it, each call with panic isolation. Every result
+// answers to the one fault rule (judge, veto), and the breaker hears one
+// report for the cycle. Every proposed placement is validated before
+// commit. The intents of the accepted placements are made durable by
+// one write-ahead barrier before the first commit. Post-commit, the
+// whole-cluster invariant checker runs in the configured audit mode.
 func (m *Medea) RunCycle(now time.Time) CycleStats {
 	stats := CycleStats{}
 	m.cycles++
-	// Journal the cycle bracket only when there is work: idle cycles
-	// change no durable state. The begin-batch record marks the listed
-	// pending apps in flight; if the process dies before the matching
-	// commit-batch, recovery re-admits them through the pending path.
-	journaled := m.jnl != nil && (len(m.pending) > 0 || m.repairsDue(now))
-	if journaled {
+	// Idle cycles change no durable state and leave the breaker alone.
+	if len(m.pending) == 0 && !m.repairsDue(now) {
+		m.auditCycle()
+		return stats
+	}
+	// The begin-batch record marks the listed pending apps in flight; if
+	// the process dies before the matching commit-batch, recovery
+	// re-admits them through the pending path.
+	if m.jnl != nil {
 		ids := make([]string, len(m.pending))
 		for i, p := range m.pending {
 			ids[i] = p.app.ID
@@ -590,28 +589,6 @@ func (m *Medea) RunCycle(now time.Time) CycleStats {
 			Kind: journal.KindBeginBatch, At: now, Cycle: m.cycles, NextRun: m.nextRun, Batch: ids,
 		})
 	}
-	m.runRepairs(now, &stats)
-
-	batch := m.pending
-	m.pending = nil
-	apps := make([]*lra.Application, len(batch))
-	inBatch := make(map[string]bool, len(batch))
-	for i, p := range batch {
-		apps[i] = p.app
-		inBatch[p.app.ID] = true
-	}
-	stats.Batch = len(batch)
-	if len(batch) == 0 {
-		m.finishCycle(journaled, now)
-		m.auditCycle()
-		return stats
-	}
-	// The batch's own constraints travel with the apps; Active() holds
-	// deployed LRAs' and operator constraints. Deployed-app constraints
-	// include those of the batch (registered at submit), so exclude the
-	// batch apps from the active set to avoid double counting.
-	active := m.activeExcluding(inBatch)
-
 	alg, level := m.alg, 0
 	if m.brk != nil {
 		alg, level = m.brk.algorithm(m.cycles)
@@ -621,92 +598,123 @@ func (m *Medea) RunCycle(now time.Time) CycleStats {
 	if level > 0 {
 		m.Pipeline.Add(metrics.DegradedCycles, 1)
 	}
-
-	failed, reason := false, ""
-	res := m.placeBatch(alg, apps, active)
-	switch {
-	case res == nil:
-		// Panic: not the batch's fault — requeue it whole, retries
-		// untouched; the breaker (not the retry budget) handles a
-		// persistently panicking algorithm.
-		failed, reason = true, "panic"
-		stats.PanicRecovered = true
-		m.requeueWhole(batch, now, &stats)
-	case len(res.Placements) != len(batch):
-		// Malformed result shape; indexing it would corrupt accounting.
-		failed, reason = true, "validation"
-		m.Pipeline.Record(metrics.ValidationRejects, fmt.Sprintf("%s returned %d placements for a batch of %d",
-			alg.Name(), len(res.Placements), len(batch)))
-		stats.ValidationRejects++
-		m.requeueWhole(batch, now, &stats)
-	default:
-		stats.AlgLatency = res.Latency
-		stats.DeadlineHit = res.DeadlineHit
-		m.Pipeline.Add(metrics.ExactSolves, res.ExactSolves)
-		m.Pipeline.Add(metrics.WarmStarts, res.WarmStarts)
-		if res.DeadlineHit {
-			m.Pipeline.Add(metrics.DeadlineHits, 1)
-		}
-		if res.Exhausted {
-			m.Pipeline.Add(metrics.SolverExhaustions, 1)
-			failed, reason = true, "exhausted"
-		}
-		if res.Invalid {
-			m.Pipeline.Add(metrics.InvalidModels, 1)
-			failed, reason = true, "invalid-model"
-		}
-		accepted, vetoes := m.validateBatch(batch, res.Placements, active)
-		if vetoes > 0 {
-			// The algorithm proposed an inadmissible placement: it is
-			// rejected before it corrupts cluster state.
-			failed, reason = true, "validation"
-			stats.ValidationRejects += vetoes
-		}
-		// Stage the verdicts in batch order: an intent for each accepted
-		// placement, a requeue or reject for the rest.
-		for i, p := range res.Placements {
-			if !accepted[i] {
-				// Unplaceable or vetoed this cycle: retry within budget
-				// (resources may free up), then reject.
-				m.requeueOrReject(batch[i], now, &stats)
-				continue
-			}
-			m.logRecord(&journal.Record{
-				Kind: journal.KindPlace, At: now, AppID: p.AppID, Assignments: p.Assignments,
-			})
-		}
-		// Write-ahead: the intents are durable before the first cluster
-		// mutation, one barrier for the batch. If the process dies
-		// mid-commit, recovery compares each intent against cluster truth
-		// and either adopts the committed containers or re-queues the app;
-		// a failed commit below is compensated by the requeue/reject
-		// record.
-		if slices.Contains(accepted, true) {
-			m.barrier()
-		}
-		for i, p := range res.Placements {
-			if !accepted[i] {
-				continue
-			}
-			pa := batch[i]
-			if err := m.Tasks.Commit(p.Assignments); err != nil {
-				// Conflict with task allocations made since the decision:
-				// resubmit the LRA (§5.4).
-				m.requeueOrReject(pa, now, &stats)
-				continue
-			}
-			m.deploy(pa.app, p.Assignments)
-			m.LRALatencies = append(m.LRALatencies, now.Sub(pa.submit)+res.Latency)
-			stats.Placed++
-			stats.PlacedIDs = append(stats.PlacedIDs, pa.app.ID)
-		}
-	}
+	m.runRepairs(alg, now, &stats)
+	m.runBatch(alg, now, &stats)
 	if m.brk != nil {
-		m.brk.report(m.cycles, failed, reason)
+		m.brk.report(m.cycles, stats.fault != "", stats.fault)
 	}
-	m.finishCycle(journaled, now)
+	m.finishCycle(now)
 	m.auditCycle()
 	return stats
+}
+
+// judge is the fault rule, applied to every algorithm call of a cycle,
+// the batch's and each repair's: res is alg's result for n apps. A panic
+// (nil result) or a malformed result (not one placement per app) fails
+// the cycle and is unusable; it costs the apps nothing, since a crashing
+// algorithm is the scheduler's fault: a batch is requeued whole with its
+// retries, a repair keeps its attempt count and backoff gate. Solver
+// exhaustion and an invalid model fail the cycle, but the placements are
+// still used. judge reports whether they are.
+func (m *Medea) judge(alg lra.Algorithm, res *lra.Result, n int, stats *CycleStats) bool {
+	switch {
+	case res == nil:
+		stats.PanicRecovered = true
+		stats.fault = "panic"
+		return false
+	case len(res.Placements) != n:
+		m.veto(fmt.Sprintf("%s returned %d placements for a batch of %d", alg.Name(), len(res.Placements), n), stats)
+		return false
+	}
+	if res.Exhausted {
+		m.Pipeline.Add(metrics.SolverExhaustions, 1)
+		stats.fault = "exhausted"
+	}
+	if res.Invalid {
+		m.Pipeline.Add(metrics.InvalidModels, 1)
+		stats.fault = "invalid-model"
+	}
+	return true
+}
+
+// veto is the fault rule's verdict on an inadmissible placement, rejected
+// before it corrupts cluster state: it fails the cycle, and the caller
+// consumes the app's retry or the repair's attempt.
+func (m *Medea) veto(reason string, stats *CycleStats) {
+	m.Pipeline.Record(metrics.ValidationRejects, reason)
+	stats.ValidationRejects++
+	stats.fault = "validation"
+}
+
+// runBatch places the pending batch with alg and commits what validates.
+func (m *Medea) runBatch(alg lra.Algorithm, now time.Time, stats *CycleStats) {
+	batch := m.pending
+	m.pending = nil
+	stats.Batch = len(batch)
+	if len(batch) == 0 {
+		return
+	}
+	apps := make([]*lra.Application, len(batch))
+	inBatch := make(map[string]bool, len(batch))
+	for i, p := range batch {
+		apps[i] = p.app
+		inBatch[p.app.ID] = true
+	}
+	// The batch's own constraints travel with the apps; Active() holds
+	// deployed LRAs' and operator constraints. Deployed-app constraints
+	// include those of the batch (registered at submit), so exclude the
+	// batch apps from the active set to avoid double counting.
+	active := m.activeExcluding(inBatch)
+	res := m.placeBatch(alg, apps, active)
+	if !m.judge(alg, res, len(batch), stats) {
+		m.requeueWhole(batch, now, stats)
+		return
+	}
+	stats.AlgLatency = res.Latency
+	stats.DeadlineHit = res.DeadlineHit
+	m.Pipeline.Add(metrics.ExactSolves, res.ExactSolves)
+	m.Pipeline.Add(metrics.WarmStarts, res.WarmStarts)
+	if res.DeadlineHit {
+		m.Pipeline.Add(metrics.DeadlineHits, 1)
+	}
+	accepted := m.validateBatch(batch, res.Placements, active, stats)
+	// Stage the verdicts in batch order: an intent for each accepted
+	// placement, a requeue or reject for the rest.
+	for i, p := range res.Placements {
+		if !accepted[i] {
+			// Unplaceable or vetoed this cycle: retry within budget
+			// (resources may free up), then reject.
+			m.requeueOrReject(batch[i], now, stats)
+			continue
+		}
+		m.logRecord(&journal.Record{
+			Kind: journal.KindPlace, At: now, AppID: p.AppID, Assignments: p.Assignments,
+		})
+	}
+	// Write-ahead: the intents are durable before the first cluster
+	// mutation, one barrier for the batch. If the process dies
+	// mid-commit, recovery compares each intent against cluster truth
+	// and either adopts the committed containers or re-queues the app;
+	// a failed commit below is compensated by the requeue/reject
+	// record.
+	if slices.Contains(accepted, true) {
+		m.barrier()
+	}
+	for i, p := range res.Placements {
+		if !accepted[i] {
+			continue
+		}
+		pa := batch[i]
+		if err := m.Tasks.Commit(p.Assignments); err != nil {
+			// Conflict with task allocations made since the decision:
+			// resubmit the LRA (§5.4).
+			m.requeueOrReject(pa, now, stats)
+			continue
+		}
+		m.deploy(pa.app, p.Assignments)
+		stats.Placed++
+		stats.PlacedIDs = append(stats.PlacedIDs, pa.app.ID)
+	}
 }
 
 // validateBatch is commit-time validation of a cycle's proposals, in
@@ -716,9 +724,9 @@ func (m *Medea) RunCycle(now time.Time) CycleStats {
 // in order. A veto undoes itself; the accepted placements are undone in
 // reverse batch order before it returns, so the write-ahead barrier and
 // the commits that follow meet the pre-cycle cluster. It reports which
-// proposals were accepted and how many were vetoed.
-func (m *Medea) validateBatch(batch []*pendingApp, placements []lra.Placement, active []constraint.Entry) (accepted []bool, vetoes int) {
-	accepted = make([]bool, len(placements))
+// proposals were accepted.
+func (m *Medea) validateBatch(batch []*pendingApp, placements []lra.Placement, active []constraint.Entry, stats *CycleStats) []bool {
+	accepted := make([]bool, len(placements))
 	entries := active
 	for i := range placements {
 		p := &placements[i]
@@ -728,8 +736,7 @@ func (m *Medea) validateBatch(batch []*pendingApp, placements []lra.Placement, a
 		own := appEntries(batch[i].app)
 		all := append(append(make([]constraint.Entry, 0, len(entries)+len(own)), entries...), own...)
 		if err := audit.CheckPlacement(m.Cluster, batch[i].app, p, all); err != nil {
-			m.Pipeline.Record(metrics.ValidationRejects, err.Error())
-			vetoes++
+			m.veto(err.Error(), stats)
 			continue
 		}
 		accepted[i] = true
@@ -740,14 +747,14 @@ func (m *Medea) validateBatch(batch []*pendingApp, placements []lra.Placement, a
 			audit.Undo(m.Cluster, placements[i].Assignments)
 		}
 	}
-	return accepted, vetoes
+	return accepted
 }
 
 // finishCycle closes a journaled cycle: the commit-batch record resolves
 // every in-flight placement intent into deployed state (and carries the
 // breaker position), then the periodic checkpoint runs on its cadence.
-func (m *Medea) finishCycle(journaled bool, now time.Time) {
-	if !journaled {
+func (m *Medea) finishCycle(now time.Time) {
+	if m.jnl == nil {
 		return
 	}
 	m.logRecord(&journal.Record{

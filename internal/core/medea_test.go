@@ -46,8 +46,8 @@ func TestSubmitAndCycle(t *testing.T) {
 	if got := m.Cluster.NumContainers(); got != 4 {
 		t.Errorf("cluster containers = %d", got)
 	}
-	if len(m.LRALatencies) != 1 || m.LRALatencies[0] < time.Second {
-		t.Errorf("latencies = %v", m.LRALatencies)
+	if stats.AlgLatency <= 0 || !reflect.DeepEqual(stats.PlacedIDs, []string{"a1"}) {
+		t.Errorf("stats = %+v, want a1 placed and the algorithm's latency", stats)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"medea/internal/cluster"
 	"medea/internal/journal"
 	"medea/internal/lra"
-	"medea/internal/metrics"
 )
 
 // Failure recovery (the live counterpart of §7.3): when a node goes down,
@@ -18,13 +17,15 @@ import (
 // deployed LRAs were degraded and re-queues ONLY the lost container
 // groups as repair requests. Repairs run at the start of every scheduling
 // cycle, with a per-LRA retry budget and exponential backoff between
-// attempts, and fall back from the configured algorithm (typically the
-// ILP) to the greedy Medea-NC heuristic when a repair batch keeps
-// failing — graceful degradation in the spirit of §5.3's heuristics.
-// Repair placements respect the LRA's original constraints and are
-// committed through the task-based scheduler like any other placement
-// (§5.4's single-writer discipline), so repairs can lose races with task
-// allocations and retry just like initial placements.
+// attempts. They are placed by the algorithm the circuit breaker chose
+// for the cycle and answer to the same fault rule as the batch (judge,
+// veto): a crashing algorithm costs a repair no attempt, and the breaker,
+// not the repair loop, steps down to the §5.3 heuristics when the
+// configured algorithm keeps failing. Repair placements respect the
+// LRA's original constraints and are committed through the task-based
+// scheduler like any other placement (§5.4's single-writer discipline),
+// so repairs can lose races with task allocations and retry just like
+// initial placements.
 
 // knownNode reports whether the ID names a node of the cluster; state
 // transitions on unknown IDs are no-ops (failure reports come from
@@ -175,11 +176,11 @@ func (m *Medea) repairsDue(now time.Time) bool {
 	return false
 }
 
-// runRepairs attempts every due repair request, one batch per degraded
-// LRA. Each batch is all-or-nothing (Equation 4 applies to repairs too):
-// either every lost container of the LRA is restored or the attempt
-// fails and backs off.
-func (m *Medea) runRepairs(now time.Time, stats *CycleStats) {
+// runRepairs attempts every due repair request with alg, the cycle's
+// algorithm, one batch per degraded LRA. Each batch is all-or-nothing
+// (Equation 4 applies to repairs too): either every lost container of
+// the LRA is restored or the attempt fails and backs off.
+func (m *Medea) runRepairs(alg lra.Algorithm, now time.Time, stats *CycleStats) {
 	if len(m.repairs) == 0 {
 		return
 	}
@@ -197,12 +198,12 @@ func (m *Medea) runRepairs(now time.Time, stats *CycleStats) {
 			delete(m.repairs, appID) // LRA removed while degraded
 			continue
 		}
-		m.attemptRepair(r, dep, now, stats)
+		m.attemptRepair(alg, r, dep, now, stats)
 	}
 }
 
-// attemptRepair tries to place and commit one repair batch.
-func (m *Medea) attemptRepair(r *repairReq, dep *deployment, now time.Time, stats *CycleStats) {
+// attemptRepair tries to place one repair batch with alg and commit it.
+func (m *Medea) attemptRepair(alg lra.Algorithm, r *repairReq, dep *deployment, now time.Time, stats *CycleStats) {
 	// Rebuild the lost container groups as a synthetic application. The
 	// synthetic ID must differ from the original so generated container
 	// IDs cannot collide with surviving containers; the group tags are
@@ -216,7 +217,6 @@ func (m *Medea) attemptRepair(r *repairReq, dep *deployment, now time.Time, stat
 		lostByGroup[p.Group] = append(lostByGroup[p.Group], p)
 	}
 	var groups []lra.ContainerGroup
-	var pieceOrder [][]journal.DeployedContainer // parallel to groups
 	for _, g := range dep.app.Groups {
 		pieces := lostByGroup[g.Name]
 		if len(pieces) == 0 {
@@ -228,95 +228,37 @@ func (m *Medea) attemptRepair(r *repairReq, dep *deployment, now time.Time, stat
 			Demand: g.Demand,
 			Tags:   pieces[0].Tags,
 		})
-		pieceOrder = append(pieceOrder, pieces)
 	}
 	synth := &lra.Application{ID: synthID, Groups: groups, Constraints: dep.app.Constraints}
 
-	// Graceful degradation: after repeated failures, place with the
-	// greedy heuristic instead of the configured algorithm.
-	alg := m.alg
-	usedFallback := false
-	if r.attempts >= repairFallbackAfter {
-		if m.repairFallback == nil {
-			m.repairFallback = lra.NewNodeCandidates()
-		}
-		alg = m.repairFallback
-		usedFallback = true
-	}
-
 	res := m.safePlace(alg, m.Cluster, []*lra.Application{synth}, m.activeExcluding(map[string]bool{r.appID: true}))
-	restored := res != nil && len(res.Placements) == 1 && res.Placements[0].Placed
-	var remapped []lra.Assignment
-	if restored {
-		p := res.Placements[0]
-		// Remap the synthetic assignments back to the original container
-		// IDs and tags, group by group. A malformed result (unknown
-		// group, wrong per-group count) fails the attempt instead of
-		// panicking on the remap indexing.
-		next := make(map[string]int, len(groups))
-		gIdx := make(map[string]int, len(groups))
-		for i, g := range groups {
-			gIdx[g.Name] = i
-		}
-		for _, a := range p.Assignments {
-			gi, ok := gIdx[a.Group]
-			if !ok || next[a.Group] >= len(pieceOrder[gi]) {
-				restored = false
-				break
-			}
-			piece := pieceOrder[gi][next[a.Group]]
-			next[a.Group]++
-			remapped = append(remapped, lra.Assignment{
-				Container: piece.ID, Group: piece.Group, Node: a.Node,
-				Demand: piece.Demand, Tags: piece.Tags,
-			})
-		}
-		if restored && len(remapped) != len(r.lost) {
-			restored = false // partial batch: repairs are all-or-nothing
-		}
-		if restored {
-			// Commit-time validation on the batch actually committed (the
-			// remapped one): capacity, health, duplicates and hard
-			// constraints, exactly like initial placements, in place on
-			// the live cluster and undone before the barrier.
-			if err := audit.CheckAssignments(m.Cluster, r.appID, remapped, m.Constraints.Active()); err != nil {
-				m.Pipeline.Record(metrics.ValidationRejects, err.Error())
-				stats.ValidationRejects++
-				restored = false
-			} else {
-				audit.Undo(m.Cluster, remapped)
-			}
-		}
-		if restored {
-			// Write-ahead: what is staged (the cycle's begin-batch, the
-			// records of earlier repairs) is durable before the commit.
-			m.barrier()
-			if err := m.Tasks.Commit(remapped); err != nil {
-				restored = false // lost a race; retry with backoff
-			}
-		}
+	if !m.judge(alg, res, 1, stats) {
+		return // the algorithm's fault: attempt count and gate stay as they were
 	}
-
-	if !restored {
-		r.attempts++
-		m.Recovery.RepairAttemptsFailed++
-		stats.RepairFailures++
-		if r.attempts > repairMaxRetries {
-			// Budget exhausted: the LRA stays degraded. Close the
-			// accounting window here — degraded time measures the repair
-			// loop's responsiveness, not the (unbounded) aftermath.
-			m.Recovery.RepairsAbandoned++
-			m.Recovery.AddDegraded(r.appID, now.Sub(m.abandon(r.appID)))
-			m.logRecord(&journal.Record{Kind: journal.KindRepairAbandon, At: now, AppID: r.appID})
-			return
-		}
-		r.notBefore = now.Add(m.cfg.repairBackoffFor(r.appID, r.attempts))
-		// The persisted attempt count and gate are the consumed budget: a
-		// recovery-replayed repair resumes with r.attempts already spent.
-		m.logRecord(&journal.Record{
-			Kind: journal.KindRepairFail, At: now, AppID: r.appID,
-			Attempts: r.attempts, NotBefore: r.notBefore,
-		})
+	p := res.Placements[0]
+	if !p.Placed {
+		m.failRepair(r, now, stats)
+		return
+	}
+	remapped, err := remapRepair(r, p, lostByGroup)
+	if err == nil {
+		// Commit-time validation on the batch actually committed (the
+		// remapped one): capacity, health, duplicates and hard
+		// constraints, exactly like initial placements, in place on the
+		// live cluster and undone before the barrier.
+		err = audit.CheckAssignments(m.Cluster, r.appID, remapped, m.Constraints.Active())
+	}
+	if err != nil {
+		m.veto(err.Error(), stats)
+		m.failRepair(r, now, stats)
+		return
+	}
+	audit.Undo(m.Cluster, remapped)
+	// Write-ahead: what is staged (the cycle's begin-batch, the records of
+	// earlier repairs) is durable before the commit.
+	m.barrier()
+	if err := m.Tasks.Commit(remapped); err != nil {
+		m.failRepair(r, now, stats) // lost a race; retry with backoff
 		return
 	}
 
@@ -335,11 +277,61 @@ func (m *Medea) attemptRepair(r *repairReq, dep *deployment, now time.Time, stat
 	// wall-clock solve latency is tracked separately (res.Latency) so the
 	// metric stays deterministic under simulation.
 	m.Recovery.ObserveRepair(now.Sub(r.since))
-	if usedFallback {
-		m.Recovery.FallbackPlacements++
-	}
 	stats.Repaired += n
 	if !healedSince.IsZero() {
-		m.Recovery.AddDegraded(r.appID, now.Sub(healedSince))
+		m.Recovery.AddDegraded(now.Sub(healedSince))
 	}
+}
+
+// remapRepair maps a repair placement's synthetic assignments back onto
+// the lost containers, group by group: the original IDs, demands and
+// tags, on the proposed nodes. A placement that does not cover the lost
+// containers exactly (an unknown group, too many or too few
+// assignments) is a defect, vetoed like a wrong-shaped batch placement.
+func remapRepair(r *repairReq, p lra.Placement, lostByGroup map[string][]journal.DeployedContainer) ([]lra.Assignment, error) {
+	next := make(map[string]int, len(lostByGroup))
+	remapped := make([]lra.Assignment, 0, len(r.lost))
+	for _, a := range p.Assignments {
+		pieces := lostByGroup[a.Group]
+		if next[a.Group] >= len(pieces) {
+			return nil, fmt.Errorf("core: %s: repair assignment %s exceeds group %q's %d lost containers",
+				r.appID, a.Container, a.Group, len(pieces))
+		}
+		piece := pieces[next[a.Group]]
+		next[a.Group]++
+		remapped = append(remapped, lra.Assignment{
+			Container: piece.ID, Group: piece.Group, Node: a.Node,
+			Demand: piece.Demand, Tags: piece.Tags,
+		})
+	}
+	if len(remapped) != len(r.lost) {
+		// Repairs are all-or-nothing.
+		return nil, fmt.Errorf("core: %s: repair placed %d of %d lost containers", r.appID, len(remapped), len(r.lost))
+	}
+	return remapped, nil
+}
+
+// failRepair consumes one attempt of a repair that could not be placed,
+// was vetoed or lost its commit race: it backs off, or is abandoned once
+// the budget is spent.
+func (m *Medea) failRepair(r *repairReq, now time.Time, stats *CycleStats) {
+	r.attempts++
+	m.Recovery.RepairAttemptsFailed++
+	stats.RepairFailures++
+	if r.attempts > repairMaxRetries {
+		// Budget exhausted: the LRA stays degraded. Close the accounting
+		// window here — degraded time measures the repair loop's
+		// responsiveness, not the (unbounded) aftermath.
+		m.Recovery.RepairsAbandoned++
+		m.Recovery.AddDegraded(now.Sub(m.abandon(r.appID)))
+		m.logRecord(&journal.Record{Kind: journal.KindRepairAbandon, At: now, AppID: r.appID})
+		return
+	}
+	r.notBefore = now.Add(m.cfg.repairBackoffFor(r.appID, r.attempts))
+	// The persisted attempt count and gate are the consumed budget: a
+	// recovery-replayed repair resumes with r.attempts already spent.
+	m.logRecord(&journal.Record{
+		Kind: journal.KindRepairFail, At: now, AppID: r.appID,
+		Attempts: r.attempts, NotBefore: r.notBefore,
+	})
 }

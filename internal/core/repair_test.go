@@ -139,7 +139,7 @@ func TestFailNodeTriggersRepair(t *testing.T) {
 	if mttr := m.Recovery.MTTR(); mttr < 2*time.Second {
 		t.Errorf("MTTR = %v, want >= eviction-to-repair gap of 2s", mttr)
 	}
-	if d := m.Recovery.DegradedTime["a1"]; d < 2*time.Second {
+	if d := m.Recovery.TotalDegraded(); d < 2*time.Second {
 		t.Errorf("degraded time = %v", d)
 	}
 }
@@ -213,8 +213,7 @@ func drainedPair(t *testing.T, cfg Config) (*Medea, func()) {
 
 // TestRepairBackoffAndAbandon: repair attempts back off exponentially and
 // the request is dropped after the retry budget, with the degraded time
-// accounted. Node 1 stays full throughout, so the Medea-NC fallback fails
-// too once it takes over.
+// accounted. Node 1 stays full throughout.
 func TestRepairBackoffAndAbandon(t *testing.T) {
 	cfg := Config{Interval: time.Second}
 	m, _ := drainedPair(t, cfg)
@@ -248,7 +247,7 @@ func TestRepairBackoffAndAbandon(t *testing.T) {
 	if m.Recovery.RepairAttemptsFailed != 2 {
 		t.Error("attempt ran inside the doubled backoff window")
 	}
-	// Attempts 3 to repairMaxRetries run on the fallback, each at its gate.
+	// Attempts 3 to repairMaxRetries, each at its gate.
 	abandonAt := t1.Add(g1 + g2)
 	for a := 3; a <= repairMaxRetries; a++ {
 		m.RunCycle(abandonAt)
@@ -265,39 +264,14 @@ func TestRepairBackoffAndAbandon(t *testing.T) {
 	if m.Recovery.RepairsAbandoned != 1 {
 		t.Fatalf("RepairsAbandoned = %d", m.Recovery.RepairsAbandoned)
 	}
-	if m.Recovery.FallbackPlacements != 0 {
-		t.Errorf("FallbackPlacements = %d with no room anywhere", m.Recovery.FallbackPlacements)
-	}
 	if m.PendingRepairs() != 0 {
 		t.Error("abandoned repair still pending")
 	}
 	if got := m.DegradedLRAs(); len(got) != 1 || got[0] != "a" {
 		t.Errorf("DegradedLRAs = %v, abandoned LRA should stay degraded", got)
 	}
-	if d, want := m.Recovery.DegradedTime["a"], abandonAt.Sub(t1); d != want {
+	if d, want := m.Recovery.TotalDegraded(), abandonAt.Sub(t1); d != want {
 		t.Errorf("degraded time = %v, want %v", d, want)
-	}
-}
-
-// TestRepairFallbackToGreedy: after repairFallbackAfter failed attempts,
-// the repair batch is placed by the greedy heuristic.
-func TestRepairFallbackToGreedy(t *testing.T) {
-	cfg := Config{Interval: time.Second}
-	m, release := drainedPair(t, cfg)
-	t1 := t0.Add(time.Minute)
-	m.FailNode(0, t1)
-	at := t1
-	for a := 1; a <= repairFallbackAfter; a++ {
-		m.RunCycle(at) // fails: the cluster is full
-		at = at.Add(cfg.repairBackoffFor("a", a))
-	}
-	release() // capacity returns
-	stats := m.RunCycle(at)
-	if stats.Repaired != 2 {
-		t.Fatalf("stats = %+v, want 2 repaired", stats)
-	}
-	if m.Recovery.FallbackPlacements != 1 {
-		t.Errorf("FallbackPlacements = %d, want 1", m.Recovery.FallbackPlacements)
 	}
 }
 

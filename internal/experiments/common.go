@@ -92,9 +92,17 @@ func performanceAlgorithms() []lra.Algorithm {
 
 // deployInBatches submits apps to a fresh Medea instance over the cluster
 // and runs scheduling cycles with `perCycle` LRAs considered per cycle
-// (the paper's periodicity), returning the Medea instance.
-func deployInBatches(c *cluster.Cluster, alg lra.Algorithm, apps []*lra.Application, perCycle int, o Options) *core.Medea {
+// (the paper's periodicity). It returns the Medea instance and, per
+// placed LRA, the algorithm latency of the cycle that placed it.
+func deployInBatches(c *cluster.Cluster, alg lra.Algorithm, apps []*lra.Application, perCycle int, o Options) (*core.Medea, []time.Duration) {
 	m := core.New(c, alg, core.Config{SolverBudget: o.SolverBudget, MaxRetries: 1, Audit: o.Audit})
+	var lat []time.Duration
+	run := func(now time.Time) {
+		stats := m.RunCycle(now)
+		for range stats.Placed {
+			lat = append(lat, stats.AlgLatency)
+		}
+	}
 	now := sim.Epoch
 	for i := 0; i < len(apps); i += perCycle {
 		end := i + perCycle
@@ -106,14 +114,14 @@ func deployInBatches(c *cluster.Cluster, alg lra.Algorithm, apps []*lra.Applicat
 				panic(fmt.Sprintf("experiments: submit %s: %v", app.ID, err))
 			}
 		}
-		m.RunCycle(now)
+		run(now)
 		now = now.Add(10 * time.Second)
 	}
 	// One drain cycle for requeued apps.
 	if m.PendingLRAs() > 0 {
-		m.RunCycle(now)
+		run(now)
 	}
-	return m
+	return m, lat
 }
 
 // preloadTasks fills approximately the given fraction of cluster memory

@@ -39,15 +39,12 @@ func RunFig11a(o Options) *metrics.Table {
 			if len(apps) > 24 {
 				apps = apps[:24]
 			}
-			m := deployInBatches(c, alg, apps, 2, o)
-			lat := metrics.Durations(m.LRALatencies)
+			_, perLRA := deployInBatches(c, alg, apps, 2, o)
+			lat := metrics.Durations(perLRA)
 			if len(lat) == 0 {
 				row = append(row, "-")
 				continue
 			}
-			// LRALatencies include the (virtual) queueing offset of zero
-			// here because each batch is submitted right before its cycle;
-			// the dominant term is algorithm time.
 			row = append(row, 1000*metrics.Mean(lat))
 		}
 		tab.AddRow(row...)

@@ -31,7 +31,7 @@ func RunFig1(o Options) *metrics.Table {
 		for j := 0; float64(j)*23*1024 < frac*float64(c.TotalCapacity().MemoryMB); j++ {
 			apps = append(apps, workload.HBase(fmt.Sprintf("c%d-%03d", i+1, j), workload.HBaseConfig{Workers: 10}))
 		}
-		m := deployInBatches(c, lra.NewYARN(), apps, 2, o)
+		m, _ := deployInBatches(c, lra.NewYARN(), apps, 2, o)
 		used := 0
 		for _, n := range m.Cluster.Nodes() {
 			if n.NumContainers() > 0 {
@@ -67,7 +67,7 @@ func RunFig2a(o Options) *metrics.Table {
 		// Background batch load so the "random" YARN spread lands far.
 		preloadTasks(c, 0.3, o.Seed)
 		app := workload.StormPipeline("storm", 5, r.mode)
-		m := deployInBatches(c, r.alg, []*lra.Application{app}, 1, o)
+		m, _ := deployInBatches(c, r.alg, []*lra.Application{app}, 1, o)
 		ids, ok := m.Deployed("storm")
 		if !ok {
 			tab.AddRow(r.name, "unplaced", "-", "-", "-")
@@ -126,7 +126,7 @@ func RunFig2b(o Options) *metrics.Table {
 		if useConstraint {
 			alg = lra.NewILP()
 		}
-		m := deployInBatches(c, alg, apps, 2, o)
+		m, _ := deployInBatches(c, alg, apps, 2, o)
 		// Average number of other region servers collocated with each RS.
 		totalOthers, totalRS := 0, 0
 		for _, app := range apps {
@@ -205,7 +205,7 @@ func runCardinalitySweep(o Options, title string, caps []int, workers int, hbase
 				cfg := workload.TFConfig{Workers: workers, ParameterServers: 2, MaxWorkersPerNode: k}
 				app = workload.TensorFlow("sweep", cfg)
 			}
-			m := deployInBatches(c, lra.NewILP(), []*lra.Application{app}, 1, o)
+			m, _ := deployInBatches(c, lra.NewILP(), []*lra.Application{app}, 1, o)
 			if _, ok := m.Deployed("sweep"); !ok {
 				row = append(row, "unplaced")
 				continue

@@ -69,7 +69,7 @@ func RunFig7(o Options) Fig7Result {
 				apps = append(apps, hb[i])
 			}
 		}
-		m := deployInBatches(c, alg, apps, 2, o)
+		m, _ := deployInBatches(c, alg, apps, 2, o)
 
 		var tfRuns, hbIns, hbA []float64
 		placed := 0
@@ -174,7 +174,7 @@ func RunFig8(o Options) *metrics.Table {
 			a.Max = containersPerLRA/sus + 1
 			apps[i].Constraints[0] = lraConstraint(a)
 		}
-		m := deployInBatches(c, alg, apps, 2, o)
+		m, _ := deployInBatches(c, alg, apps, 2, o)
 		placedContainers := map[string][]cluster.ContainerID{}
 		for _, app := range apps {
 			if ids, ok := m.Deployed(app.ID); ok {

@@ -58,7 +58,7 @@ func RunFig8Live(o Options) *metrics.Table {
 			a.Max = containersPerLRA/sus + 1
 			apps[i].Constraints[0] = lraConstraint(a)
 		}
-		m := deployInBatches(c, alg, apps, 2, o)
+		m, _ := deployInBatches(c, alg, apps, 2, o)
 
 		eng := sim.NewEngine(sim.Epoch.Add(time.Hour))   // churn starts after deployment
 		end := eng.Now().Add(span).Add(10 * time.Minute) // + drain window for last repairs

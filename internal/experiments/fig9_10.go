@@ -28,7 +28,7 @@ func RunFig9a(o Options) *metrics.Table {
 		for _, alg := range comparedAlgorithms() {
 			c := fig9Cluster(o)
 			apps := appsForUtilization(c, util, fmt.Sprintf("f9a%.0f", util*100))
-			m := deployInBatches(c, alg, apps, 2, o)
+			m, _ := deployInBatches(c, alg, apps, 2, o)
 			row = append(row, violationPct(m))
 		}
 		tab.AddRow(row...)
@@ -48,7 +48,7 @@ func RunFig9b(o Options) *metrics.Table {
 			c := fig9Cluster(o)
 			preloadTasks(c, taskUtil, o.Seed)
 			apps := appsForUtilization(c, 0.10, fmt.Sprintf("f9b%.0f", taskUtil*100))
-			m := deployInBatches(c, alg, apps, 2, o)
+			m, _ := deployInBatches(c, alg, apps, 2, o)
 			row = append(row, violationPct(m))
 		}
 		tab.AddRow(row...)
@@ -72,7 +72,7 @@ func RunFig9c(o Options) *metrics.Table {
 			// Inter-application collocation chains make periodicity matter.
 			apps := workload.InterAppBatch(sim.RNG(o.Seed, "f9c"), o.scaled(24, 8), 6, 3,
 				fmt.Sprintf("f9c%d", per))
-			m := deployInBatches(c, alg, apps, per, o)
+			m, _ := deployInBatches(c, alg, apps, per, o)
 			row = append(row, violationPct(m))
 		}
 		tab.AddRow(row...)
@@ -95,7 +95,7 @@ func RunFig9d(o Options) *metrics.Table {
 				fmt.Sprintf("f9d%d", cx))
 			// The paper schedules with enough batching that interacting
 			// LRAs can meet; keep periodicity 2 as in Fig 9a.
-			m := deployInBatches(c, alg, apps, 2, o)
+			m, _ := deployInBatches(c, alg, apps, 2, o)
 			row = append(row, violationPct(m))
 		}
 		tab.AddRow(row...)
@@ -128,7 +128,7 @@ func RunFig10(o Options) Fig10Result {
 		for _, alg := range comparedAlgorithms() {
 			c := fig9Cluster(o)
 			apps := appsForUtilization(c, util, fmt.Sprintf("f10%.0f", util*100))
-			m := deployInBatches(c, alg, apps, 2, o)
+			m, _ := deployInBatches(c, alg, apps, 2, o)
 			fragRow = append(fragRow, 100*m.Cluster.FragmentedNodeFraction())
 			cvRow = append(cvRow, 100*m.Cluster.MemoryUtilizationCV())
 		}

@@ -4,8 +4,8 @@ import "time"
 
 // RecoveryStats aggregates the failure-recovery counters the live
 // resilience experiments report: how much was lost to node churn, how
-// much of it the repair loop restored, how fast, and how long each LRA
-// spent degraded. core.Medea owns one instance and updates it as nodes
+// much of it the repair loop restored, how fast, and how long LRAs spent
+// degraded. core.Medea owns one instance and updates it as nodes
 // fail and repairs commit.
 type RecoveryStats struct {
 	// NodeFailures / NodeRecoveries / NodeDrains count state transitions.
@@ -20,24 +20,21 @@ type RecoveryStats struct {
 	TaskEvictions int
 
 	// RepairsPlaced counts containers restored by the recovery loop.
-	// RepairAttemptsFailed counts repair cycles that could not place or
+	// RepairAttemptsFailed counts repair attempts that could not place or
 	// commit a repair batch; RepairsAbandoned counts repair requests
 	// dropped after exhausting their retry budget (their containers stay
-	// lost). FallbackPlacements counts repair batches placed by the
-	// degraded-mode greedy heuristic instead of the configured algorithm.
+	// lost).
 	RepairsPlaced        int
 	RepairAttemptsFailed int
 	RepairsAbandoned     int
-	FallbackPlacements   int
 
-	// RepairLatencies holds one sample per restored repair batch: the
-	// time from eviction to the commit of the replacement containers —
-	// the per-LRA MTTR distribution.
-	RepairLatencies []time.Duration
-
-	// DegradedTime accumulates, per LRA, the total time the application
-	// ran below its declared container count.
-	DegradedTime map[string]time.Duration
+	// repairs, repairTime and maxRepair summarise the restored repair
+	// batches (ObserveRepair); degraded sums the time LRAs ran below their
+	// declared container count (AddDegraded).
+	repairs    int
+	repairTime time.Duration
+	maxRepair  time.Duration
+	degraded   time.Duration
 
 	// Restart-recovery counters, populated by core.Recover: WAL records
 	// replayed over the checkpoint, containers adopted from in-flight
@@ -54,50 +51,31 @@ type RecoveryStats struct {
 	RecoveryWallTime  time.Duration
 }
 
-// ObserveRepair records one restored repair batch.
+// ObserveRepair records one restored repair batch: latency is the time
+// from eviction to the commit of the replacement containers.
 func (r *RecoveryStats) ObserveRepair(latency time.Duration) {
-	r.RepairLatencies = append(r.RepairLatencies, latency)
+	r.repairs++
+	r.repairTime += latency
+	r.maxRepair = max(r.maxRepair, latency)
 }
 
-// AddDegraded accumulates degraded time for an LRA.
-func (r *RecoveryStats) AddDegraded(appID string, d time.Duration) {
-	if d <= 0 {
-		return
+// AddDegraded accumulates degraded time.
+func (r *RecoveryStats) AddDegraded(d time.Duration) {
+	if d > 0 {
+		r.degraded += d
 	}
-	if r.DegradedTime == nil {
-		r.DegradedTime = make(map[string]time.Duration)
-	}
-	r.DegradedTime[appID] += d
 }
 
 // MTTR returns the mean repair latency (0 with no samples).
 func (r *RecoveryStats) MTTR() time.Duration {
-	if len(r.RepairLatencies) == 0 {
+	if r.repairs == 0 {
 		return 0
 	}
-	var sum time.Duration
-	for _, d := range r.RepairLatencies {
-		sum += d
-	}
-	return sum / time.Duration(len(r.RepairLatencies))
+	return r.repairTime / time.Duration(r.repairs)
 }
 
 // MaxRepairLatency returns the slowest observed repair (0 with none).
-func (r *RecoveryStats) MaxRepairLatency() time.Duration {
-	var m time.Duration
-	for _, d := range r.RepairLatencies {
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
+func (r *RecoveryStats) MaxRepairLatency() time.Duration { return r.maxRepair }
 
 // TotalDegraded sums degraded time across LRAs.
-func (r *RecoveryStats) TotalDegraded() time.Duration {
-	var sum time.Duration
-	for _, d := range r.DegradedTime {
-		sum += d
-	}
-	return sum
-}
+func (r *RecoveryStats) TotalDegraded() time.Duration { return r.degraded }
