@@ -138,7 +138,7 @@ func runScenario(cfg scenarioConfig) (outcome, error) {
 		Members:        cfg.Members,
 		NodesPerMember: cfg.Nodes,
 		NodeCapacity:   resource.New(16384, 16),
-		Core:           core.Config{Interval: 25 * time.Millisecond, CheckpointEvery: 64},
+		Core:           core.Config{Interval: 25 * time.Millisecond},
 		Server: server.Config{
 			QueueCap:  512,
 			RateLimit: server.RateLimitConfig{GlobalRate: cfg.Rate, Burst: 16},

@@ -96,7 +96,7 @@ func main() {
 	// stack on a loopback listener, scheduling loop running for real.
 	med := core.New(cluster.Grid(*nodes, 8, resource.New(16384, 8)),
 		lra.NewNodeCandidates(),
-		core.Config{Interval: 50 * time.Millisecond, CheckpointEvery: 64})
+		core.Config{Interval: 50 * time.Millisecond})
 	if err := med.AttachJournal(journal.NewMemory(), time.Now()); err != nil {
 		log.Fatalf("attach journal: %v", err)
 	}

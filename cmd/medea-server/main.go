@@ -46,15 +46,12 @@ func main() {
 	algName := flag.String("alg", "nc", "placement algorithm: nc, tp, serial or ilp")
 	interval := flag.Duration("interval", 250*time.Millisecond, "scheduling-cycle interval (paper's batching window)")
 	budget := flag.Duration("budget", 500*time.Millisecond, "solver budget per cycle (request deadlines clamp it further)")
-	checkpointEvery := flag.Int("checkpoint-every", 4, "scheduling cycles between checkpoints")
 	poll := flag.Duration("poll", 20*time.Millisecond, "scheduling-loop poll granularity")
 	queueCap := flag.Int("queue-cap", 1024, "bounded submit-queue capacity")
 	rate := flag.Float64("rate", 0, "global submit budget in req/s, fair-shared across tenants (0 = unlimited)")
 	burst := flag.Float64("burst", 0, "per-tenant burst allowance (0 = rate/4)")
 	queueHigh := flag.Int("queue-high", 0, "backlog high watermark: shed submits at or above it (0 = queue-cap)")
 	queueLow := flag.Int("queue-low", 0, "backlog low watermark: resume admitting at or below it (0 = high/2)")
-	lagHigh := flag.Int("lag-high", 4096, "journal-lag high watermark (records since last checkpoint)")
-	lagLow := flag.Int("lag-low", 0, "journal-lag low watermark (0 = high/2)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "budget for the final scheduling cycle during drain")
 	flag.Parse()
 	log.SetPrefix("medea-server: ")
@@ -73,11 +70,7 @@ func main() {
 	default:
 		log.Fatalf("unknown algorithm %q (want nc, tp, serial or ilp)", *algName)
 	}
-	coreCfg := core.Config{
-		Interval:        *interval,
-		SolverBudget:    *budget,
-		CheckpointEvery: *checkpointEvery,
-	}
+	coreCfg := core.Config{Interval: *interval, SolverBudget: *budget}
 
 	med, jnl, err := buildScheduler(*journalDir, *nodes, *rackSize,
 		resource.New(*nodeMemMB, *nodeCores), alg, coreCfg)
@@ -91,8 +84,6 @@ func main() {
 		Admission: server.AdmissionConfig{
 			QueueHigh: pick(*queueHigh, *queueCap),
 			QueueLow:  *queueLow,
-			LagHigh:   *lagHigh,
-			LagLow:    *lagLow,
 		},
 		RateLimit: server.RateLimitConfig{GlobalRate: *rate, Burst: *burst},
 		Logf:      log.Printf,

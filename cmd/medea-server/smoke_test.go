@@ -46,7 +46,6 @@ func startServer(t *testing.T, bin, journalDir string, extra ...string) *proc {
 		"-nodes", "32", "-rack-size", "8",
 		"-interval", "50ms",
 		"-poll", "10ms",
-		"-checkpoint-every", "4",
 	}, extra...)
 	cmd := exec.Command(bin, args...)
 	cmd.Stderr = os.Stderr

@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"encoding/json"
+
 	"medea/internal/journal"
 )
 
@@ -39,6 +41,7 @@ type CrashJournal struct {
 	Checkpoints int // how many of them were checkpoints
 
 	staged []*journal.Record
+	seq    int64 // the last Seq the wrapped journal assigned
 }
 
 func (c *CrashJournal) maybeCrash() {
@@ -55,6 +58,7 @@ func (c *CrashJournal) handOver() error {
 		if err := c.Journal.Append(r); err != nil {
 			return err
 		}
+		c.seq = r.Seq
 	}
 	c.staged = c.staged[:0]
 	return nil
@@ -89,7 +93,25 @@ func (c *CrashJournal) WriteCheckpoint(cp *journal.Checkpoint) error {
 	if err := c.handOver(); err != nil {
 		return err
 	}
-	return c.Journal.WriteCheckpoint(cp)
+	err := c.Journal.WriteCheckpoint(cp)
+	c.seq = cp.Seq
+	return err
+}
+
+// UntilCheckpoint implements journal.Journal the way journal.File
+// counts: the wrapped journal's answer less the records staged here,
+// JSON-encoded with the Seq the wrapped journal will give them. A record
+// that does not encode is skipped: its hand-over fails instead.
+func (c *CrashJournal) UntilCheckpoint() int {
+	n := c.Journal.UntilCheckpoint()
+	for i, r := range c.staged {
+		sized := *r
+		sized.Seq = c.seq + int64(i) + 1
+		if b, err := json.Marshal(&sized); err == nil {
+			n -= len(b)
+		}
+	}
+	return n
 }
 
 // Lag implements journal.Lagger the way journal.File counts: the wrapped

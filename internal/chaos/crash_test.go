@@ -70,11 +70,9 @@ func crashHarness() *Harness {
 	ops = append(ops, events...)
 	sort.SliceStable(ops, func(i, j int) bool { return ops[i].At < ops[j].At })
 	return &Harness{
-		Script: ops,
-		Base:   time.Unix(5000, 0),
-		Config: core.Config{
-			Interval: time.Second, CheckpointEvery: 4, Audit: audit.FailFast,
-		},
+		Script:  ops,
+		Base:    time.Unix(5000, 0),
+		Config:  core.Config{Interval: time.Second, Audit: audit.FailFast},
 		Nodes:   12,
 		NodeCap: resource.New(16384, 8),
 		Demand:  resource.New(2048, 1),
@@ -89,13 +87,20 @@ func crashHarness() *Harness {
 // no duplicated or leaked containers, invariants intact.
 func TestCrashPointMatrix(t *testing.T) {
 	h := crashHarness()
-	ref, totalOps, err := h.Reference(journal.NewMemory())
+	ref, cj, err := h.Reference(journal.NewMemory())
 	if err != nil {
 		t.Fatal(err)
 	}
+	totalOps := cj.Ops
 	if totalOps < 200 {
 		t.Fatalf("script produced %d durability ops, want >= 200 for a meaningful matrix", totalOps)
 	}
+	// A kill during a checkpoint is covered only if the run writes one
+	// after the attach-time checkpoint.
+	if cj.Checkpoints < 2 {
+		t.Fatalf("script wrote %d checkpoints, want >= 2 so the matrix kills one after attach", cj.Checkpoints)
+	}
+	t.Logf("%d of the ops are checkpoints", cj.Checkpoints)
 	t.Logf("killing the script before each of its %d durability ops", totalOps)
 	refFP := Fingerprint(ref)
 	if err := ref.CheckInvariants(); err != nil {
@@ -137,9 +142,13 @@ func TestCrashPointMatrix(t *testing.T) {
 // real encode/flush/rotate/reopen cycles, not just the in-memory model.
 func TestCrashPointFileBackend(t *testing.T) {
 	h := crashHarness()
-	ref, totalOps, err := h.Reference(journal.NewMemory())
+	ref, cj, err := h.Reference(journal.NewMemory())
 	if err != nil {
 		t.Fatal(err)
+	}
+	totalOps := cj.Ops
+	if cj.Checkpoints < 2 {
+		t.Fatalf("script wrote %d checkpoints, want >= 2 so a kill point falls after attach", cj.Checkpoints)
 	}
 	refFP := Fingerprint(ref)
 
@@ -204,22 +213,78 @@ func TestCrashJournalReportsLag(t *testing.T) {
 	}
 }
 
+// TestCrashJournalCheckpointsLikeJournal: the wrapper must not hide the
+// records it stages from the checkpoint rule. One script checkpoints
+// after the same cycles over a bare journal and through a CrashJournal,
+// though the records a cycle appends after its write-ahead barrier (the
+// commit-batch that closes it, and all of them when it places nothing)
+// are still staged in the wrapper when the core asks whether a
+// checkpoint is due.
+func TestCrashJournalCheckpointsLikeJournal(t *testing.T) {
+	run := func(j journal.Journal) []int {
+		m := core.New(cluster.Grid(8, 4, resource.New(16384, 8)), lra.NewNodeCandidates(), core.Config{MaxRetries: 1000})
+		now := time.Unix(5000, 0)
+		if err := m.AttachJournal(j, now); err != nil {
+			t.Fatal(err)
+		}
+		// An app no node can hold keeps every cycle busy requeueing it.
+		stuck := &lra.Application{ID: "stuck", Groups: []lra.ContainerGroup{
+			{Name: "w", Count: 1, Demand: resource.New(32768, 1)},
+		}}
+		if err := m.SubmitLRA(stuck, now); err != nil {
+			t.Fatal(err)
+		}
+		var cycles []int
+		for i := 0; i < 120; i++ {
+			now = now.Add(time.Second)
+			if i%3 == 0 {
+				app := &lra.Application{ID: fmt.Sprintf("app-%03d", i), Groups: []lra.ContainerGroup{
+					{Name: "w", Count: 1 + i%4, Demand: resource.New(1024, 1)},
+				}}
+				if err := m.SubmitLRA(app, now); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if i%3 == 1 && i > 12 {
+				if err := m.RemoveLRA(fmt.Sprintf("app-%03d", i-13)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m.RunCycle(now)
+			if m.JournalLag() == 0 { // the cycle ended with a checkpoint
+				cycles = append(cycles, i)
+			}
+			if err := m.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return cycles
+	}
+	bare := run(journal.NewMemory())
+	if len(bare) < 2 {
+		t.Fatalf("bare journal checkpointed after cycles %v, want at least two", bare)
+	}
+	if wrapped := run(&CrashJournal{Journal: journal.NewMemory()}); fmt.Sprint(wrapped) != fmt.Sprint(bare) {
+		t.Fatalf("wrapped journal checkpointed after cycles %v, bare after %v", wrapped, bare)
+	}
+}
+
 // TestCrashPointDeterminism: the reference run is bit-stable — same op
 // count, same fingerprint — across executions, the property the whole
 // matrix rests on (ops 1..k-1 of a crashed run must equal the
 // reference's prefix for kill point k to mean anything).
 func TestCrashPointDeterminism(t *testing.T) {
 	h := crashHarness()
-	m1, ops1, err := h.Reference(journal.NewMemory())
+	m1, cj1, err := h.Reference(journal.NewMemory())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, ops2, err := h.Reference(journal.NewMemory())
+	m2, cj2, err := h.Reference(journal.NewMemory())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ops1 != ops2 {
-		t.Fatalf("op counts differ across runs: %d vs %d", ops1, ops2)
+	if cj1.Ops != cj2.Ops {
+		t.Fatalf("op counts differ across runs: %d vs %d", cj1.Ops, cj2.Ops)
 	}
 	if Fingerprint(m1) != Fingerprint(m2) {
 		t.Fatal("reference fingerprints differ across runs")

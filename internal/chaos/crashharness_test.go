@@ -97,20 +97,21 @@ func (h *Harness) applyOp(m *core.Medea, op Op) error {
 }
 
 // Reference drives the full script with no crash against the given
-// journal backend and returns the finished scheduler plus the total
-// number of durability operations — the size of the kill matrix.
-func (h *Harness) Reference(base journal.Journal) (*core.Medea, int, error) {
+// journal backend and returns the finished scheduler plus the wrapper
+// that counted its durability operations: cj.Ops is the size of the kill
+// matrix, cj.Checkpoints how many of them were checkpoints.
+func (h *Harness) Reference(base journal.Journal) (*core.Medea, *CrashJournal, error) {
 	m := h.newRun()
 	cj := &CrashJournal{Journal: base}
 	if err := m.AttachJournal(cj, h.Base); err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	for i, op := range h.Script {
 		if err := h.apply(m, op); err != nil {
-			return nil, 0, fmt.Errorf("chaos: reference op %d: %w", i, err)
+			return nil, nil, fmt.Errorf("chaos: reference op %d: %w", i, err)
 		}
 	}
-	return m, cj.Ops, nil
+	return m, cj, nil
 }
 
 // RunWithCrash drives the script, crashing the scheduler before its

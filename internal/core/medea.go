@@ -60,11 +60,9 @@ type Config struct {
 	// algorithm again (0 = 2).
 	BreakerCooldown int
 
-	// CheckpointEvery is the journal checkpoint cadence in scheduling
-	// cycles: every Nth journaled cycle also writes a full state
-	// checkpoint, bounding the log tail a recovery has to replay (zero =
-	// 16, negative = never checkpoint after the initial one). Ignored
-	// until a journal is attached.
+	// CheckpointEvery is ignored: the journal decides when a checkpoint
+	// is due (journal.Journal.UntilCheckpoint). The field remains until
+	// its last setters go.
 	CheckpointEvery int
 
 	// Clock is the wall-clock source for what core reads outside the
@@ -107,18 +105,6 @@ func (c Config) breakerCooldown() int {
 		return 2
 	}
 	return c.BreakerCooldown
-}
-
-// checkpointEvery resolves the CheckpointEvery sentinel: 0 → every 16
-// cycles, negative → never.
-func (c Config) checkpointEvery() int {
-	if c.CheckpointEvery == 0 {
-		return 16
-	}
-	if c.CheckpointEvery < 0 {
-		return 0
-	}
-	return c.CheckpointEvery
 }
 
 // Medea is the cluster scheduler.
@@ -191,8 +177,8 @@ func New(c *cluster.Cluster, alg lra.Algorithm, cfg Config, queues ...taskched.Q
 func (m *Medea) Algorithm() lra.Algorithm { return m.alg }
 
 // AttachJournal makes the scheduler's state durable: every subsequent
-// state transition appends a write-ahead record to j, and a full
-// checkpoint is written every Config.CheckpointEvery journaled cycles.
+// state transition appends a write-ahead record to j, and a cycle that
+// ends with a checkpoint due (journal.Journal.UntilCheckpoint) writes one.
 // An initial checkpoint of the current state is written immediately, so
 // Recover always has a base to replay onto. now stamps that checkpoint.
 func (m *Medea) AttachJournal(j journal.Journal, now time.Time) error {
@@ -205,11 +191,8 @@ func (m *Medea) AttachJournal(j journal.Journal, now time.Time) error {
 func (m *Medea) Journal() journal.Journal { return m.jnl }
 
 // JournalLag returns the number of WAL records appended since the last
-// checkpoint — the replay tail a recovery would face. It is a
-// backpressure signal for admission control: a scheduler whose
-// checkpoint cadence cannot keep up should shed load before the replay
-// window grows unboundedly. Zero when no journal is attached or the
-// backend does not expose lag.
+// checkpoint — the replay tail a recovery would face. Zero when no
+// journal is attached or the backend does not expose lag.
 func (m *Medea) JournalLag() int {
 	if lg, ok := m.jnl.(journal.Lagger); ok {
 		return lg.Lag()
@@ -217,11 +200,10 @@ func (m *Medea) JournalLag() int {
 	return 0
 }
 
-// Checkpoint forces a full durable-state checkpoint now, independent of
-// the CheckpointEvery cadence. The serving layer uses it on graceful
-// drain (persist everything before exit) and after operator-constraint
-// changes (which have no WAL record of their own). No-op without an
-// attached journal.
+// Checkpoint forces a full durable-state checkpoint now, due or not.
+// The serving layer uses it on graceful drain (persist everything before
+// exit) and after operator-constraint changes (which have no WAL record
+// of their own). No-op without an attached journal.
 func (m *Medea) Checkpoint(now time.Time) error {
 	if m.jnl == nil {
 		return nil
@@ -752,7 +734,8 @@ func (m *Medea) validateBatch(batch []*pendingApp, placements []lra.Placement, a
 
 // finishCycle closes a journaled cycle: the commit-batch record resolves
 // every in-flight placement intent into deployed state (and carries the
-// breaker position), then the periodic checkpoint runs on its cadence.
+// breaker position), then a checkpoint is written if the log has grown
+// enough to be due one.
 func (m *Medea) finishCycle(now time.Time) {
 	if m.jnl == nil {
 		return
@@ -760,7 +743,7 @@ func (m *Medea) finishCycle(now time.Time) {
 	m.logRecord(&journal.Record{
 		Kind: journal.KindCommitBatch, At: now, Cycle: m.cycles, Breaker: m.breakerSnapshot(),
 	})
-	if every := m.cfg.checkpointEvery(); every > 0 && m.cycles%every == 0 {
+	if m.jnl.UntilCheckpoint() <= 0 {
 		m.writeCheckpoint(now)
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
@@ -425,5 +427,64 @@ func TestRecoverEmptyJournal(t *testing.T) {
 	}
 	if stats := r.RunCycle(t0); stats.Placed != 1 {
 		t.Errorf("stats = %+v", stats)
+	}
+}
+
+// TestReplayTailBoundedBySize: the checkpoint rule bounds what a
+// recovery replays. After every cycle with work in a long run of
+// arrivals, teardowns and node churn, no checkpoint is due, and the tail
+// Load returns re-encodes to less than four times (the journal's
+// factor) the checkpoint it replays onto.
+func TestReplayTailBoundedBySize(t *testing.T) {
+	m := New(cluster.Grid(8, 4, resource.New(16384, 8)), lra.NewNodeCandidates(), Config{Interval: time.Second})
+	j := journal.NewMemory()
+	if err := m.AttachJournal(j, t0); err != nil {
+		t.Fatal(err)
+	}
+	size := func(v any) int {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(b)
+	}
+	checkpoints := map[int64]bool{}
+	for i := 0; i < 150; i++ {
+		now := t0.Add(time.Duration(i) * time.Second)
+		if err := m.SubmitLRA(app(fmt.Sprintf("a%03d", i), 1+i%3, "svc"), now); err != nil {
+			t.Fatal(err)
+		}
+		if i >= 6 {
+			if err := m.RemoveLRA(fmt.Sprintf("a%03d", i-6)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		switch node := cluster.NodeID(i / 20 % 8); i % 20 {
+		case 10:
+			m.FailNode(node, now)
+		case 15:
+			m.RecoverNode(node, now)
+		}
+		if stats := m.RunCycle(now); stats.Algorithm == "" {
+			t.Fatalf("cycle %d had no work", i)
+		}
+		if got := j.UntilCheckpoint(); got <= 0 {
+			t.Fatalf("cycle %d ended with a checkpoint due (%d bytes until one)", i, got)
+		}
+		cp, tail, err := j.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes := 0
+		for _, r := range tail {
+			bytes += size(r)
+		}
+		if limit := 4 * size(cp); bytes >= limit {
+			t.Fatalf("cycle %d: a recovery replays %d tail records of %d bytes, want < %d", i, len(tail), bytes, limit)
+		}
+		checkpoints[cp.Seq] = true
+	}
+	if len(checkpoints) < 5 {
+		t.Fatalf("the run checkpointed %d times, want the rule to fire repeatedly", len(checkpoints))
 	}
 }

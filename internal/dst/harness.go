@@ -138,9 +138,8 @@ func newHarness(cfg Config) (*harness, error) {
 		lostSince:    make(map[string]int),
 	}
 	h.coreCfg = core.Config{
-		Interval:        25 * time.Millisecond,
-		CheckpointEvery: 8,
-		Clock:           h.clock,
+		Interval: 25 * time.Millisecond,
+		Clock:    h.clock,
 	}
 	fc := federation.FleetConfig{
 		Members:        cfg.members(),

@@ -83,9 +83,7 @@ func RunCrashRestart(o Options) *metrics.Table {
 		cj := &chaos.CrashJournal{Journal: base, KillAt: variant.killAt}
 
 		c := cluster.Grid(nodes, nodes/4, SimNodeCapacity)
-		cfg := core.Config{
-			Interval: time.Second, CheckpointEvery: 8, Audit: o.Audit,
-		}
+		cfg := core.Config{Interval: time.Second, Audit: o.Audit}
 		box := &schedBox{m: core.New(c, lra.NewNodeCandidates(), cfg)}
 		eng := sim.NewEngine(sim.Epoch)
 		crashes := 0

@@ -65,9 +65,12 @@ type File struct {
 	// syncs counts fsyncs issued (barriers and checkpoints), for tests and
 	// diagnostics.
 	syncs int64
-	// lag counts records appended since the last checkpoint (the WAL tail
-	// a recovery would replay). Resumed from disk on OpenDir.
-	lag int
+	// lag and tailBytes count the records appended since the last
+	// checkpoint (the WAL tail a recovery would replay) and their encoded
+	// length; checkpointBytes is the last checkpoint's encoded length.
+	// All three are resumed from disk on OpenDir.
+	lag                        int
+	tailBytes, checkpointBytes int
 	// tornWAL records that the last open (or load) found and dropped a
 	// truncated partial record at the end of the WAL — the signature of a
 	// crash mid-write.
@@ -84,7 +87,7 @@ func OpenDir(dir string) (*File, error) {
 		return nil, fmt.Errorf("journal: creating dir: %w", err)
 	}
 	f := &File{dir: dir}
-	cp, recs, validEnd, torn, err := f.load()
+	cp, recs, d, err := f.load()
 	if err != nil {
 		return nil, err
 	}
@@ -95,11 +98,12 @@ func OpenDir(dir string) (*File, error) {
 		f.seq = recs[n-1].Seq
 	}
 	f.lag = len(recs)
-	if torn {
+	f.tailBytes, f.checkpointBytes = d.tailBytes, d.checkpointBytes
+	if d.torn {
 		f.tornWAL = true
 		fmt.Fprintf(os.Stderr, "journal: warning: dropping torn partial record at end of %s (crash mid-write); truncating to %d bytes\n",
-			filepath.Join(dir, walName), validEnd)
-		if err := os.Truncate(filepath.Join(dir, walName), validEnd); err != nil {
+			filepath.Join(dir, walName), d.validEnd)
+		if err := os.Truncate(filepath.Join(dir, walName), d.validEnd); err != nil {
 			return nil, fmt.Errorf("journal: truncating torn wal tail: %w", err)
 		}
 	}
@@ -117,6 +121,9 @@ func (f *File) Dir() string { return f.dir }
 // Lag implements Lagger: the number of WAL records since the last
 // checkpoint.
 func (f *File) Lag() int { return f.lag }
+
+// UntilCheckpoint implements Journal.
+func (f *File) UntilCheckpoint() int { return untilCheckpoint(f.tailBytes, f.checkpointBytes) }
 
 // RecoveredTornTail reports whether the journal dropped a truncated
 // partial record at the end of the WAL when it was opened or loaded.
@@ -141,6 +148,7 @@ func (f *File) Append(r *Record) error {
 	}
 	f.staged = append(append(f.staged, b...), '\n')
 	f.lag++
+	f.tailBytes += len(b)
 	return nil
 }
 
@@ -212,6 +220,7 @@ func (f *File) WriteCheckpoint(c *Checkpoint) error {
 	}
 	f.wal = wal
 	f.lag = 0
+	f.tailBytes, f.checkpointBytes = 0, len(b)
 	return nil
 }
 
@@ -224,8 +233,8 @@ func (f *File) WriteCheckpoint(c *Checkpoint) error {
 // newline-terminated line that fails to decode (including the final
 // one) is at-rest corruption and fails recovery loudly.
 func (f *File) Load() (*Checkpoint, []*Record, error) {
-	cp, recs, _, torn, err := f.load()
-	if torn {
+	cp, recs, d, err := f.load()
+	if d.torn {
 		f.tornWAL = true
 		fmt.Fprintf(os.Stderr, "journal: warning: ignoring torn partial record at end of %s (crash mid-write)\n",
 			filepath.Join(f.dir, walName))
@@ -233,24 +242,33 @@ func (f *File) Load() (*Checkpoint, []*Record, error) {
 	return cp, recs, err
 }
 
-// load reads the on-disk state and additionally reports the byte offset
-// of the end of the last intact record (for truncating a torn tail) and
-// whether a torn tail was found.
-func (f *File) load() (cp *Checkpoint, recs []*Record, validEnd int64, torn bool, err error) {
+// diskState is what load learns besides the content: the offset where
+// the intact WAL lines end (for truncating a torn tail), whether a torn
+// line follows, and the encoded sizes of the records after the
+// checkpoint and of the checkpoint.
+type diskState struct {
+	validEnd                   int64
+	torn                       bool
+	tailBytes, checkpointBytes int
+}
+
+// load reads the on-disk state.
+func (f *File) load() (cp *Checkpoint, recs []*Record, d diskState, err error) {
 	if b, err := os.ReadFile(filepath.Join(f.dir, checkpointName)); err == nil {
 		cp, err = decodeCheckpoint(b)
 		if err != nil {
-			return nil, nil, 0, false, err
+			return nil, nil, d, err
 		}
+		d.checkpointBytes = len(b)
 	} else if !os.IsNotExist(err) {
-		return nil, nil, 0, false, fmt.Errorf("journal: reading checkpoint: %w", err)
+		return nil, nil, d, fmt.Errorf("journal: reading checkpoint: %w", err)
 	}
 	content, err := os.ReadFile(filepath.Join(f.dir, walName))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return cp, nil, 0, false, nil
+			return cp, nil, d, nil
 		}
-		return nil, nil, 0, false, fmt.Errorf("journal: opening wal: %w", err)
+		return nil, nil, d, fmt.Errorf("journal: opening wal: %w", err)
 	}
 	offset := 0
 	for offset < len(content) {
@@ -265,7 +283,7 @@ func (f *File) load() (cp *Checkpoint, recs []*Record, validEnd int64, torn bool
 		trimmed := bytes.TrimSpace(line)
 		if len(trimmed) == 0 {
 			offset = next
-			validEnd = int64(next)
+			d.validEnd = int64(next)
 			continue
 		}
 		if !terminated {
@@ -275,7 +293,8 @@ func (f *File) load() (cp *Checkpoint, recs []*Record, validEnd int64, torn bool
 			// torn tail. The whole lines before it are a prefix of that
 			// barrier's records, which replays like a crash between two
 			// appends: none of them had announced a mutation yet.
-			return cp, recs, validEnd, true, nil
+			d.torn = true
+			return cp, recs, d, nil
 		}
 		r, derr := decodeRecord(trimmed)
 		if derr != nil {
@@ -283,15 +302,16 @@ func (f *File) load() (cp *Checkpoint, recs []*Record, validEnd int64, torn bool
 			// was likely acknowledged. Undecodable terminated lines (final
 			// or not) are at-rest corruption: fail recovery loudly rather
 			// than silently dropping acknowledged state.
-			return nil, nil, 0, false, derr
+			return nil, nil, d, derr
 		}
 		if cp == nil || r.Seq > cp.Seq {
 			recs = append(recs, r)
+			d.tailBytes += len(trimmed)
 		}
 		offset = next
-		validEnd = int64(next)
+		d.validEnd = int64(next)
 	}
-	return cp, recs, validEnd, false, nil
+	return cp, recs, d, nil
 }
 
 // Close implements Journal: what is staged is barriered first.

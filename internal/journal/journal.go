@@ -5,7 +5,7 @@
 // budgets, the deployed LRA → container maps, the constraint registry,
 // the repair queue with backoff deadlines, and the circuit-breaker
 // ladder position. This package provides a write-ahead log of those
-// state transitions plus periodic checkpoints, behind one interface with
+// state transitions plus checkpoints, behind one interface with
 // an in-memory backend (deterministic, fast — the simulator and the
 // crash-point tests) and a file backend (real restarts).
 //
@@ -192,12 +192,20 @@ type RepairItem struct {
 	Since     time.Time           `json:"since,omitempty"`
 }
 
+// checkpointFactor is the checkpoint rule of log-structured stores and
+// Raft snapshotting: a checkpoint is due once the records appended since
+// the last one encode to this multiple of its encoded size. Checkpoint
+// work is then at most 1/checkpointFactor byte per byte of log, and a
+// recovery replays at most checkpointFactor times the state it loads.
+const checkpointFactor = 4
+
+// untilCheckpoint applies the rule to tail bytes after a checkpoint of
+// checkpoint bytes.
+func untilCheckpoint(tail, checkpoint int) int { return checkpointFactor*checkpoint - tail }
+
 // Lagger is optionally implemented by backends that can report how many
 // WAL records have accumulated since the last checkpoint — the tail a
-// recovery would have to replay. Overload control uses it as a
-// backpressure signal: a scheduler whose checkpoint cadence cannot keep
-// up with its write rate should stop admitting before the replay window
-// grows unboundedly.
+// recovery would have to replay.
 type Lagger interface {
 	// Lag returns the number of records appended since the last
 	// checkpoint.
@@ -220,6 +228,10 @@ type Journal interface {
 	// so far, staged or not; its Seq is assigned by the journal. It is a
 	// barrier too.
 	WriteCheckpoint(c *Checkpoint) error
+	// UntilCheckpoint returns how many more encoded record bytes may be
+	// appended, staged or not, before a checkpoint is due (four times the
+	// last checkpoint's size, less the bytes since); zero or less: due.
+	UntilCheckpoint() int
 	// Load returns the latest checkpoint and the durable log tail after
 	// it.
 	Load() (*Checkpoint, []*Record, error)
@@ -284,6 +296,15 @@ func (m *Memory) WriteCheckpoint(c *Checkpoint) error {
 	m.checkpoint = b
 	m.tail = nil
 	return nil
+}
+
+// UntilCheckpoint implements Journal.
+func (m *Memory) UntilCheckpoint() int {
+	tail := 0
+	for _, b := range m.tail {
+		tail += len(b)
+	}
+	return untilCheckpoint(tail, len(m.checkpoint))
 }
 
 // Lag implements Lagger: the number of records since the last checkpoint.

@@ -142,6 +142,76 @@ func TestCheckpointCoversTail(t *testing.T) {
 	}
 }
 
+// TestCheckpointDueBySize: a checkpoint is not due right after one is
+// written, and is due exactly once the records appended since encode to
+// checkpointFactor times its encoded size. The answer is the same after
+// the file backend is reopened and in every prefix clone of the
+// in-memory one.
+func TestCheckpointDueBySize(t *testing.T) {
+	dir := t.TempDir()
+	file, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, j := range map[string]Journal{"memory": NewMemory(), "file": file} {
+		t.Run(name, func(t *testing.T) {
+			cp := &Checkpoint{At: t0, Cycles: 7, Rejected: []string{"x", "y"}}
+			if err := j.WriteCheckpoint(cp); err != nil {
+				t.Fatal(err)
+			}
+			b, err := encodeCheckpoint(cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			limit := checkpointFactor * len(b)
+			// until[k] is the answer after k appends.
+			until := []int{j.UntilCheckpoint()}
+			if until[0] != limit {
+				t.Fatalf("right after a %d-byte checkpoint: %d bytes until the next, want %d", len(b), until[0], limit)
+			}
+			appended := 0
+			for i := 0; appended < limit; i++ {
+				r := sampleRecords()[i%6]
+				if err := j.Append(r); err != nil {
+					t.Fatal(err)
+				}
+				rb, err := encodeRecord(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				appended += len(rb)
+				until = append(until, j.UntilCheckpoint())
+				if got := until[len(until)-1]; got != limit-appended {
+					t.Fatalf("after %d appends (%d bytes): %d bytes until a checkpoint, want %d", i+1, appended, got, limit-appended)
+				}
+			}
+			if until[len(until)-2] <= 0 || until[len(until)-1] > 0 {
+				t.Fatalf("due before the tail reached %d bytes, or not once it did: %v", limit, until)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			switch j := j.(type) {
+			case *Memory:
+				for k, want := range until {
+					if got := j.ClonePrefix(k).UntilCheckpoint(); got != want {
+						t.Fatalf("ClonePrefix(%d): %d bytes until a checkpoint, want %d", k, got, want)
+					}
+				}
+			case *File:
+				re, err := OpenDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer re.Close()
+				if got, want := re.UntilCheckpoint(), until[len(until)-1]; got != want {
+					t.Fatalf("reopened: %d bytes until a checkpoint, want %d", got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestRetiredCheckpointKeyLoads: checkpoints written before the
 // "taskSeq" field and the cluster snapshot's derived keys (containers,
 // memoryUtilization; per node usedMB, freeMB, usedCores, containers,

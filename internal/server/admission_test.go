@@ -40,37 +40,25 @@ func TestWatermarkHysteresisNoFlapping(t *testing.T) {
 	}
 }
 
-// TestWatermarkDimensionsIndependent: each dimension keeps its own
-// hysteresis state; one dimension recovering does not mask another still
-// in the red, and the reported reason names a dimension actually
-// shedding.
+// TestWatermarkDimensionsIndependent: the reported reason names the
+// dimension shedding, and the backlog recovering to its low watermark
+// resumes admission.
 func TestWatermarkDimensionsIndependent(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{QueueHigh: 10, QueueLow: 5, LagHigh: 100, LagLow: 50})
+	a := NewAdmission(AdmissionConfig{QueueHigh: 10, QueueLow: 5})
 
-	// Trip both dimensions.
-	if ok, _ := a.Admit(Load{Queue: 10, JournalLag: 100}); ok {
-		t.Fatal("both dimensions at high: must shed")
+	if ok, reason := a.Admit(Load{Queue: 10}); ok || reason != "queue" {
+		t.Fatalf("queue at high: must shed on queue, got ok=%v reason=%q", ok, reason)
 	}
-	// Queue recovers to its low watermark; lag stays in the boundary
-	// band. Still shedding — on lag.
-	ok, reason := a.Admit(Load{Queue: 5, JournalLag: 70})
-	if ok {
-		t.Fatal("lag still above its low watermark: must shed")
-	}
-	if reason != "journal-lag" {
-		t.Fatalf("reason = %q, want journal-lag (queue recovered)", reason)
-	}
-	// Both recovered.
-	if ok, _ := a.Admit(Load{Queue: 5, JournalLag: 50}); !ok {
-		t.Fatal("both dimensions at low: must admit")
+	if ok, _ := a.Admit(Load{Queue: 5}); !ok {
+		t.Fatal("queue at low: must admit")
 	}
 }
 
 // TestZeroHighWatermarkDisablesDimension: an unset dimension never
 // sheds.
 func TestZeroHighWatermarkDisablesDimension(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{QueueHigh: 10, QueueLow: 5})
-	if ok, _ := a.Admit(Load{Queue: 0, JournalLag: 1 << 30}); !ok {
+	a := NewAdmission(AdmissionConfig{})
+	if ok, _ := a.Admit(Load{Queue: 1 << 30}); !ok {
 		t.Fatal("disabled dimensions must not shed")
 	}
 }

@@ -6,9 +6,8 @@
 //  1. per-tenant token-bucket rate limiting with a fair-share global
 //     budget — one tenant cannot starve the others (429 + Retry-After);
 //  2. watermark admission control with hysteresis over the submission
-//     backlog, in-flight batches and the journal replay tail — the
-//     server rejects fast instead of letting latency collapse (429 +
-//     Retry-After);
+//     backlog (queued, pending and in-repair work) — the server rejects
+//     fast instead of letting latency collapse (429 + Retry-After);
 //  3. a bounded submit queue between the accept path and the scheduling
 //     loop that sheds the lowest-priority work first when full (503).
 //
@@ -46,8 +45,7 @@ type Config struct {
 	// scheduling loop (0 = 1024).
 	QueueCap int
 	// Admission sets the overload watermarks. A zero value enables queue
-	// protection at QueueCap (high) / QueueCap/2 (low) and journal-lag
-	// protection at 4096/2048.
+	// protection at QueueCap (high) / QueueCap/2 (low).
 	Admission AdmissionConfig
 	// RateLimit sets the per-tenant fair-share budget (zero GlobalRate =
 	// unlimited).
@@ -97,9 +95,9 @@ type Server struct {
 	Stats metrics.ServerStats
 
 	// Gauges published by the scheduling loop for the lock-free accept
-	// path.
+	// path and /v1/stats.
 	corePending atomic.Int64 // core pending LRAs + pending repairs
-	journalLag  atomic.Int64
+	journalLag  atomic.Int64 // records a recovery would replay
 
 	// shuttingDown is set, for good, by Shutdown.
 	shuttingDown atomic.Bool
@@ -140,8 +138,6 @@ func New(med *core.Medea, cfg Config) *Server {
 		cfg.Admission = AdmissionConfig{
 			QueueHigh: cfg.QueueCap,
 			QueueLow:  cfg.QueueCap / 2,
-			LagHigh:   4096,
-			LagLow:    2048,
 		}
 	}
 	s := &Server{
@@ -324,7 +320,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// The overload signal comes from the published gauges: no core
 		// lock on the accept path.
 		depth, _, _ := s.led.gauges()
-		load := Load{Queue: depth + int(s.corePending.Load()), JournalLag: int(s.journalLag.Load())}
+		load := Load{Queue: depth + int(s.corePending.Load())}
 		if ok, reason := s.adm.Admit(load); !ok {
 			s.Stats.Add(metrics.ShedOverload, 1)
 			writeRetryAfter(w, s.retryAfterHint())
