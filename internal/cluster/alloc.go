@@ -134,7 +134,8 @@ func (c *Cluster) GammaNode(node NodeID, expr constraint.Expr) int {
 
 // Clone returns an independent copy of the cluster, for a caller that
 // needs the current state beside one that changes it: core gives each
-// concurrently placed batch component but the first a clone of its own.
+// Medea-ILP batch component but the first, placed concurrently, a clone
+// of its own.
 // It is a structural copy: node structs, resident sets, the container
 // map and every tag multiset are copied directly; the group topology and
 // the containers' tag slices are immutable once written and are shared.

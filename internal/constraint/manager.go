@@ -2,6 +2,7 @@ package constraint
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -147,39 +148,35 @@ func (m *Manager) Len() int {
 // which minimises violations (§5.2). The returned entries have, for each
 // conflicting triple, the application atom's bounds tightened to the
 // operator's when the operator interval is contained in the application
-// interval.
+// interval. Expressions of one triple are the same tag multisets
+// (SameVector).
 func ResolveConflicts(entries []Entry) []Entry {
-	type key struct {
-		subj, tgt string
-		group     GroupName
-	}
-	// Collect the tightest operator bounds per triple.
-	opBounds := make(map[key][2]int)
+	// The tightest operator bounds per triple: operator constraints are
+	// few, so a list searched linearly.
+	var ops []Atom
 	for _, e := range entries {
 		if e.Source != SourceOperator {
 			continue
 		}
 		if a, ok := e.Constraint.Simple(); ok {
-			k := key{a.Subject.String(), a.Target.String(), a.Group}
-			if b, seen := opBounds[k]; seen {
-				opBounds[k] = [2]int{max(b[0], a.Min), min(b[1], a.Max)}
+			if i := sameTriple(ops, a); i >= 0 {
+				ops[i].Min, ops[i].Max = max(ops[i].Min, a.Min), min(ops[i].Max, a.Max)
 			} else {
-				opBounds[k] = [2]int{a.Min, a.Max}
+				ops = append(ops, a)
 			}
 		}
 	}
 	out := make([]Entry, 0, len(entries))
-	if len(opBounds) == 0 {
+	if len(ops) == 0 {
 		return append(out, entries...) // nothing to override with
 	}
 	for _, e := range entries {
 		if e.Source == SourceApplication {
 			if a, ok := e.Constraint.Simple(); ok {
-				k := key{a.Subject.String(), a.Target.String(), a.Group}
-				if b, seen := opBounds[k]; seen && b[0] >= a.Min && b[1] <= a.Max && b[0] <= b[1] {
+				if i := sameTriple(ops, a); i >= 0 && ops[i].Min >= a.Min && ops[i].Max <= a.Max && ops[i].Min <= ops[i].Max {
 					// Operator interval is more restrictive and contained:
 					// it overrides.
-					a.Min, a.Max = b[0], b[1]
+					a.Min, a.Max = ops[i].Min, ops[i].Max
 					e.Constraint = Weighted(a, e.Constraint.EffectiveWeight())
 				}
 			}
@@ -187,4 +184,12 @@ func ResolveConflicts(entries []Entry) []Entry {
 		out = append(out, e)
 	}
 	return out
+}
+
+// sameTriple returns the index of the atom of ops with a's subject,
+// target and group, or -1.
+func sameTriple(ops []Atom, a Atom) int {
+	return slices.IndexFunc(ops, func(o Atom) bool {
+		return o.Group == a.Group && SameVector(o.Subject, a.Subject) && SameVector(o.Target, a.Target)
+	})
 }

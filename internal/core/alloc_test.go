@@ -16,9 +16,10 @@ import (
 )
 
 // cycleMaxAllocs caps one 12-LRA cycle of TestRunCycleAllocCap, about 9%
-// above the most it was measured at: 9,487 at one P, 9,620 at two, and
-// 10,202 under -race (9,596 / 9,664 / 10,305 while each Place cloned the
-// cluster, 13,593 / 13,729 / 14,275 while tag multisets were maps). The
+// above the most it was measured at: 9,395–9,407 at one P and at two,
+// and 10,013–10,042 under -race (9,487 / 9,620 / 10,202 while constraints were
+// deduplicated by their text, 9,596 / 9,664 / 10,305 while each Place
+// cloned the cluster, 13,593 / 13,729 / 14,275 while tag multisets were maps). The
 // cycle scores ~2,400 candidate nodes, so one allocation per scored
 // candidate fails here; so does validating each placement on a clone of
 // its own (the cycle validates the batch in place on the live cluster and
@@ -32,7 +33,7 @@ const cycleMaxAllocs = 11100
 
 // spreadApp is one LRA of the cycle fixture: four containers that must
 // spread across nodes, tagged per app, so the partition sees twelve
-// independent components and places them concurrently.
+// independent components.
 func spreadApp(i int) *lra.Application {
 	id := fmt.Sprintf("svc-%02d", i)
 	self := constraint.E(constraint.AppIDTag(id))
@@ -50,11 +51,34 @@ func spreadApp(i int) *lra.Application {
 
 // TestRunCycleAllocCap holds one scheduling cycle — a 64-node grid built,
 // twelve spreadApps submitted, one RunCycle on the ILP — to
-// cycleMaxAllocs, at GOMAXPROCS 1 and at the host's CPU count. It counts
-// the second of two runs, from runtime.MemStats.
+// cycleMaxAllocs, at GOMAXPROCS 1 and at the host's CPU count.
 func TestRunCycleAllocCap(t *testing.T) {
+	checkCycleAllocs(t, lra.NewILP(), cycleMaxAllocs)
+}
+
+// ncCycleMaxAllocs caps one 12-LRA Medea-NC cycle of
+// TestNCCycleAllocCap, about 9% above the most it was measured at:
+// 2,050–2,069 at one P and at two, 2,120–2,152 under -race. Medea-NC
+// places the twelve components one after the other on the live cluster;
+// a cycle that clones it for each component but the first (~110
+// allocations a clone) measured 3,260 and fails here, and so did the
+// concurrent fan-out with its clones and goroutines (3,303).
+const ncCycleMaxAllocs = 2350
+
+// TestNCCycleAllocCap holds the cycle of TestRunCycleAllocCap, placed by
+// Medea-NC, to ncCycleMaxAllocs.
+func TestNCCycleAllocCap(t *testing.T) {
+	checkCycleAllocs(t, lra.NewNodeCandidates(), ncCycleMaxAllocs)
+}
+
+// checkCycleAllocs builds a 64-node grid, submits twelve spreadApps —
+// twelve independent components — and runs one cycle with alg, which
+// must place all twelve. It counts the second of two such runs, from
+// runtime.MemStats, at GOMAXPROCS 1 and at the host's CPU count, and
+// fails a count above limit.
+func checkCycleAllocs(t *testing.T, alg lra.Algorithm, limit uint64) {
 	cycle := func() {
-		m := New(cluster.Grid(64, 4, resource.New(4000, 64)), lra.NewILP(), Config{
+		m := New(cluster.Grid(64, 4, resource.New(4000, 64)), alg, Config{
 			Interval:     time.Second,
 			SolverBudget: 30 * time.Second,
 		})
@@ -76,9 +100,9 @@ func TestRunCycleAllocCap(t *testing.T) {
 		cycle()
 		runtime.ReadMemStats(&after)
 		allocs := after.Mallocs - before.Mallocs
-		t.Logf("GOMAXPROCS %d: %d allocs, %d kB", procs, allocs, (after.TotalAlloc-before.TotalAlloc)>>10)
-		if allocs > cycleMaxAllocs {
-			t.Errorf("GOMAXPROCS %d: cycle allocated %d times, cap %d", procs, allocs, cycleMaxAllocs)
+		t.Logf("%s, GOMAXPROCS %d: %d allocs, %d kB", alg.Name(), procs, allocs, (after.TotalAlloc-before.TotalAlloc)>>10)
+		if allocs > limit {
+			t.Errorf("%s, GOMAXPROCS %d: cycle allocated %d times, cap %d", alg.Name(), procs, allocs, limit)
 		}
 	}
 }

@@ -173,9 +173,6 @@ func New(c *cluster.Cluster, alg lra.Algorithm, cfg Config, queues ...taskched.Q
 	return m
 }
 
-// Algorithm returns the configured LRA placement algorithm.
-func (m *Medea) Algorithm() lra.Algorithm { return m.alg }
-
 // AttachJournal makes the scheduler's state durable: every subsequent
 // state transition appends a write-ahead record to j, and a cycle that
 // ends with a checkpoint due (journal.Journal.UntilCheckpoint) writes one.
@@ -185,10 +182,6 @@ func (m *Medea) AttachJournal(j journal.Journal, now time.Time) error {
 	m.jnl = j
 	return j.WriteCheckpoint(m.buildCheckpoint(now))
 }
-
-// Journal returns the attached journal (nil when the scheduler is
-// volatile).
-func (m *Medea) Journal() journal.Journal { return m.jnl }
 
 // JournalLag returns the number of WAL records appended since the last
 // checkpoint — the replay tail a recovery would face. Zero when no
@@ -458,44 +451,55 @@ func (m *Medea) safePlace(alg lra.Algorithm, state *cluster.Cluster, apps []*lra
 	return alg.Place(state, apps, active, lra.Options{SolverBudget: m.cfg.SolverBudget, Clock: m.cfg.Clock})
 }
 
-// placeBatch places one cycle's batch. Constraint-independent sub-batches
-// (disjoint tag footprints, detected by partitionBatch's union-find) are
-// solved concurrently, and the per-component results are merged back in
-// submission order, so the outcome is identical for every GOMAXPROCS
-// setting and interleaving. Each solve sees the same pre-cycle cluster
-// state: the first component plans on m.Cluster itself, which Place
-// returns as it found it, and every other one on a clone of it taken
-// before any solve starts. A one-component batch, like a sequential one,
-// is placed on m.Cluster and clones nothing.
-// Capacity conflicts the split cannot see are absorbed downstream by
-// commit-time validation and the §5.4 requeue path, in deterministic
-// submission order. A panic in ANY component fails the cycle whole
-// (matching the single-call contract), and algorithms that declare
-// themselves SequentialPlacer place the whole batch in one call.
+// placeBatch places one cycle's batch, one constraint-independent
+// component (partitionBatch's union-find over tag footprints) after the
+// other on m.Cluster, and merges the per-component results back in
+// submission order. Every component plans on the pre-cycle state: Place
+// returns m.Cluster as it found it, so each component sees what the
+// first one saw. An algorithm that is a SequentialPlacer places the whole
+// batch in one call.
+//
+// Medea-ILP alone, recognised by its Name (which survives a wrapper that
+// embeds lra.Algorithm), solves its components concurrently: the first
+// on m.Cluster and every other on a clone taken before any starts. Its
+// solves are long enough to pay for the clones and goroutines; a
+// heuristic's are not (DESIGN §10). Either way the outcome is identical
+// for every GOMAXPROCS setting and interleaving. Capacity conflicts the
+// split cannot see are absorbed downstream by commit-time validation and
+// the §5.4 requeue path, in deterministic submission order. A panic in
+// ANY component fails the cycle whole (matching the single-call
+// contract).
 func (m *Medea) placeBatch(alg lra.Algorithm, apps []*lra.Application, active []constraint.Entry) *lra.Result {
-	comps := partitionBatch(apps, active)
-	if seq, ok := alg.(lra.SequentialPlacer); len(comps) <= 1 || (ok && seq.PlaceSequentially()) {
-		return m.safePlace(alg, m.Cluster, apps, active)
-	}
-	states := make([]*cluster.Cluster, len(comps))
-	states[0] = m.Cluster
-	for ci := 1; ci < len(comps); ci++ {
-		states[ci] = m.Cluster.Clone()
+	comps := [][]int{nil} // nil: the whole batch
+	if seq, ok := alg.(lra.SequentialPlacer); !ok || !seq.PlaceSequentially() {
+		comps = partitionBatch(apps, active)
 	}
 	results := make([]*lra.Result, len(comps))
-	var wg sync.WaitGroup
-	for ci, comp := range comps {
-		sub := make([]*lra.Application, len(comp))
-		for k, i := range comp {
-			sub[k] = apps[i]
+	fanOut := len(comps) > 1 && alg.Name() == lra.ILPName
+	if fanOut {
+		states := make([]*cluster.Cluster, len(comps))
+		states[0] = m.Cluster
+		for ci := 1; ci < len(comps); ci++ {
+			states[ci] = m.Cluster.Clone()
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[ci] = m.safePlace(alg, states[ci], sub, active)
-		}()
+		var wg sync.WaitGroup
+		for ci, comp := range comps {
+			sub := subBatch(apps, comp)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[ci] = m.safePlace(alg, states[ci], sub, active)
+			}()
+		}
+		wg.Wait()
+	} else {
+		for ci, comp := range comps {
+			results[ci] = m.safePlace(alg, m.Cluster, subBatch(apps, comp), active)
+		}
 	}
-	wg.Wait()
+	if len(comps) == 1 {
+		return results[0]
+	}
 	merged := &lra.Result{Placements: make([]lra.Placement, len(apps))}
 	for ci, comp := range comps {
 		r := results[ci]
@@ -510,7 +514,9 @@ func (m *Medea) placeBatch(alg lra.Algorithm, apps []*lra.Application, active []
 		for k, i := range comp {
 			merged.Placements[i] = r.Placements[k]
 		}
-		if r.Latency > merged.Latency {
+		if !fanOut {
+			merged.Latency += r.Latency
+		} else if r.Latency > merged.Latency {
 			merged.Latency = r.Latency // components ran concurrently: wall-clock is the max
 		}
 		merged.DeadlineHit = merged.DeadlineHit || r.DeadlineHit
@@ -521,6 +527,19 @@ func (m *Medea) placeBatch(alg lra.Algorithm, apps []*lra.Application, active []
 		merged.WarmStarts += r.WarmStarts
 	}
 	return merged
+}
+
+// subBatch returns the apps of one component: the batch itself when the
+// component is all of it (nil, or every index in order).
+func subBatch(apps []*lra.Application, comp []int) []*lra.Application {
+	if comp == nil || len(comp) == len(apps) {
+		return apps
+	}
+	sub := make([]*lra.Application, len(comp))
+	for k, i := range comp {
+		sub[k] = apps[i]
+	}
+	return sub
 }
 
 // appEntries wraps an application's own constraints as entries, for

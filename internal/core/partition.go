@@ -5,16 +5,16 @@ import (
 	"medea/internal/lra"
 )
 
-// Batch partitioning for parallel sub-batch placement: two LRAs of one
-// scheduling cycle interact through constraints only when their tag
-// footprints meet — directly (a shared tag, which any constraint
-// expression could couple) or through an active constraint of a deployed
-// LRA or the operator whose expressions touch both. A union-find over
-// those footprints splits the batch into independent components that can
-// be solved concurrently; node capacity is the one channel the split
-// ignores, and conflicts there are absorbed by the commit-time
-// validation + requeue machinery (§5.4) exactly like races with task
-// allocations.
+// Batch partitioning for sub-batch placement: two LRAs of one scheduling
+// cycle interact through constraints only when their tag footprints meet
+// — directly (a shared tag, which any constraint expression could couple)
+// or through an active constraint of a deployed LRA or the operator whose
+// expressions touch both. A union-find over those footprints splits the
+// batch into independent components, each placed on the pre-cycle state
+// on its own (concurrently, for the ILP; see placeBatch). Node capacity
+// is the one channel the split ignores, and conflicts there are absorbed
+// by the commit-time validation + requeue machinery (§5.4) exactly like
+// races with task allocations.
 
 type unionFind struct {
 	parent []int
@@ -75,21 +75,11 @@ func appFootprint(app *lra.Application) []constraint.Tag {
 	return tags
 }
 
-// entryFootprint is the tag set of an active (deployed-LRA or operator)
-// constraint entry.
-func entryFootprint(e constraint.Entry) []constraint.Tag {
-	tags := constraintTags(e.Constraint, nil)
-	if e.AppID != "" {
-		tags = append(tags, constraint.AppIDTag(e.AppID))
-	}
-	return tags
-}
-
 // partitionBatch splits a batch into constraint-independent components,
 // each a sorted list of batch indices, returned in submission order of
 // their first member. The partition depends only on the batch and the
-// active constraint set, never on timing, so the concurrent sub-batch
-// solve stays deterministic.
+// active constraint set, never on timing or on the order placeBatch runs
+// the components in.
 func partitionBatch(apps []*lra.Application, active []constraint.Entry) [][]int {
 	uf := newUnionFind(len(apps))
 	owner := make(map[constraint.Tag]int)
@@ -102,11 +92,15 @@ func partitionBatch(apps []*lra.Application, active []constraint.Entry) [][]int 
 			}
 		}
 	}
-	// An active entry couples every batch app its expressions can touch:
-	// its violation extent depends jointly on their placements.
+	// An active entry couples every batch app its expressions, or its
+	// LRA's own tag, can touch: its violation extent depends jointly on
+	// their placements. tags and appTag are reused from entry to entry.
+	var tags []constraint.Tag
+	var appTag []byte
 	for _, e := range active {
+		tags = constraintTags(e.Constraint, tags[:0])
 		first := -1
-		for _, t := range entryFootprint(e) {
+		for _, t := range tags {
 			j, ok := owner[t]
 			if !ok {
 				continue
@@ -114,6 +108,14 @@ func partitionBatch(apps []*lra.Application, active []constraint.Entry) [][]int 
 			if first < 0 {
 				first = j
 			} else {
+				uf.union(first, j)
+			}
+		}
+		if e.AppID != "" {
+			// AppIDTag(e.AppID), spelled in a reused buffer: the lookup
+			// allocates nothing.
+			appTag = append(append(appTag[:0], constraint.AppIDTag("")...), e.AppID...)
+			if j, ok := owner[constraint.Tag(appTag)]; ok && first >= 0 {
 				uf.union(first, j)
 			}
 		}

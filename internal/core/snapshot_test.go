@@ -84,54 +84,71 @@ func wideApp(i int) *lra.Application {
 }
 
 // TestComponentsPlanOnPreCycleState: a cycle of two constraint components
-// hands exactly one Place m.Cluster and the other a clone of its own, and
 // places as if each component had a fresh clone of the pre-cycle state:
 // both pick the same four nodes, which hold one container each, so the
 // second application meets the first at validation and is requeued. A
 // component that saw the other's placement would spread to the free
-// nodes instead. The outcome is the same at GOMAXPROCS 1 and 2.
+// nodes instead. Medea-NC hands both Places m.Cluster itself, one after
+// the other, and clones nothing; Medea-ILP, behind the same embedding
+// recorder, hands one m.Cluster and the other a clone of its own. The
+// outcome is the same at GOMAXPROCS 1 and 2.
 func TestComponentsPlanOnPreCycleState(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 2} {
-		runtime.GOMAXPROCS(procs)
-		rec := &stateRecorder{Algorithm: lra.NewNodeCandidates()}
-		m := New(cluster.Grid(8, 4, resource.New(8192, 8)), rec, Config{Interval: time.Second})
-		apps := []*lra.Application{wideApp(0), wideApp(1)}
-		var want []lra.Placement
-		for _, a := range apps {
-			res := lra.NewNodeCandidates().Place(m.Cluster.Clone(), []*lra.Application{a}, nil, lra.Options{})
-			want = append(want, res.Placements...)
-		}
-		if !slices.EqualFunc(want[0].Assignments, want[1].Assignments, func(a, b lra.Assignment) bool { return a.Node == b.Node }) {
-			t.Fatalf("fixture: the components pick different nodes on the pre-cycle state: %+v", want)
-		}
-		pre := m.Cluster.Clone()
-		got := m.placeBatch(rec, apps, nil)
-		if !reflect.DeepEqual(got.Placements, want) {
-			t.Fatalf("GOMAXPROCS %d: placed %+v, want each component on the pre-cycle state %+v", procs, got.Placements, want)
-		}
-		if d := m.Cluster.Diff(pre); d != "" {
-			t.Fatalf("GOMAXPROCS %d: placing the batch changed the cluster: %s", procs, d)
-		}
-		states := rec.handed()
-		if len(states) != 2 || (states[0] == m.Cluster) == (states[1] == m.Cluster) || states[0] == states[1] {
-			t.Fatalf("GOMAXPROCS %d: Place was handed %p, want m.Cluster %p and one clone", procs, states, m.Cluster)
-		}
-
-		for _, a := range apps {
-			_ = m.SubmitLRA(a, t0)
-		}
-		stats := m.RunCycle(t0)
-		if stats.Placed != 1 || m.PendingLRAs() != 1 {
-			t.Fatalf("GOMAXPROCS %d: cycle %+v, %d pending; want one placed, one requeued", procs, stats, m.PendingLRAs())
-		}
-		for _, asg := range want[0].Assignments {
-			if n, _ := m.Cluster.ContainerNode(asg.Container); n != asg.Node {
-				t.Errorf("GOMAXPROCS %d: %s on node %d, want %d", procs, asg.Container, n, asg.Node)
+	for _, tc := range []struct {
+		alg    func() lra.Algorithm
+		clones int
+	}{
+		{lra.NewNodeCandidates, 0},
+		{lra.NewILP, 1},
+	} {
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			name := fmt.Sprintf("%s, GOMAXPROCS %d", tc.alg().Name(), procs)
+			rec := &stateRecorder{Algorithm: tc.alg()}
+			m := New(cluster.Grid(8, 4, resource.New(8192, 8)), rec, Config{Interval: time.Second})
+			apps := []*lra.Application{wideApp(0), wideApp(1)}
+			var want []lra.Placement
+			for _, a := range apps {
+				res := tc.alg().Place(m.Cluster.Clone(), []*lra.Application{a}, nil, lra.Options{})
+				want = append(want, res.Placements...)
 			}
-		}
-		if got := rec.handed(); len(got) != 2 {
-			t.Fatalf("GOMAXPROCS %d: the cycle called Place %d times, want 2", procs, len(got))
+			if !slices.EqualFunc(want[0].Assignments, want[1].Assignments, func(a, b lra.Assignment) bool { return a.Node == b.Node }) {
+				t.Fatalf("%s: fixture: the components pick different nodes on the pre-cycle state: %+v", name, want)
+			}
+			pre := m.Cluster.Clone()
+			got := m.placeBatch(rec, apps, nil)
+			if !reflect.DeepEqual(got.Placements, want) {
+				t.Fatalf("%s: placed %+v, want each component on the pre-cycle state %+v", name, got.Placements, want)
+			}
+			if d := m.Cluster.Diff(pre); d != "" {
+				t.Fatalf("%s: placing the batch changed the cluster: %s", name, d)
+			}
+			states := rec.handed()
+			live := 0
+			for _, st := range states {
+				if st == m.Cluster {
+					live++
+				}
+			}
+			if len(states) != 2 || live != 2-tc.clones {
+				t.Fatalf("%s: Place was handed %p, want m.Cluster %p and %d clones", name, states, m.Cluster, tc.clones)
+			}
+
+			for _, a := range apps {
+				_ = m.SubmitLRA(a, t0)
+			}
+			stats := m.RunCycle(t0)
+			if stats.Placed != 1 || m.PendingLRAs() != 1 {
+				t.Fatalf("%s: cycle %+v, %d pending; want one placed, one requeued", name, stats, m.PendingLRAs())
+			}
+			for _, asg := range want[0].Assignments {
+				if n, _ := m.Cluster.ContainerNode(asg.Container); n != asg.Node {
+					t.Errorf("%s: %s on node %d, want %d", name, asg.Container, n, asg.Node)
+				}
+			}
+			if got := rec.handed(); len(got) != 2 {
+				t.Fatalf("%s: the cycle called Place %d times, want 2", name, len(got))
+			}
 		}
 	}
 }

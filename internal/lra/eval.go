@@ -2,6 +2,8 @@ package lra
 
 import (
 	"cmp"
+	"hash/maphash"
+	"math"
 	"slices"
 
 	"medea/internal/cluster"
@@ -366,28 +368,96 @@ func flattenConstraints(apps []*Application, active []constraint.Entry) []constr
 
 // ResolveEntries returns the entries in the form the evaluator scores
 // against: operator overrides applied (constraint.ResolveConflicts) and
-// textually identical constraints dropped.
+// duplicate constraints dropped (dedupEntries).
 func ResolveEntries(entries []constraint.Entry) []constraint.Entry {
 	return dedupEntries(constraint.ResolveConflicts(entries))
 }
 
-// dedupEntries drops textually identical constraints. Application
-// templates (e.g. "no more than 2 hb_rs per node") repeat verbatim across
-// every instance of an application type; evaluating one copy is
-// semantically equivalent and keeps scheduling cost independent of the
-// number of deployed instances.
+// dedupEntries drops every constraint equal to an earlier one
+// (sameConstraint). Application templates (e.g. "no more than 2 hb_rs per
+// node") repeat verbatim across every instance of an application type;
+// evaluating one copy is semantically equivalent and keeps scheduling
+// cost independent of the number of deployed instances. A hash of each
+// constraint finds the earlier ones it may equal, so no constraint is
+// rendered as text.
 func dedupEntries(entries []constraint.Entry) []constraint.Entry {
-	seen := make(map[string]bool, len(entries))
+	first := make(map[uint64]int) // hash → index in out of the first entry kept with it
 	out := entries[:0:0]
 	for _, e := range entries {
-		k := e.Constraint.String()
-		if seen[k] {
-			continue
+		h := hashConstraint(e.Constraint)
+		if i, ok := first[h]; ok {
+			same := func(o constraint.Entry) bool { return sameConstraint(o.Constraint, e.Constraint) }
+			if same(out[i]) || slices.ContainsFunc(out, same) { // the scan only on a hash collision
+				continue
+			}
+		} else {
+			first[h] = len(out)
 		}
-		seen[k] = true
 		out = append(out, e)
 	}
 	return out
+}
+
+// sameConstraint reports whether a and b are the same constraint: equal
+// effective weights, and the same terms in the same order, whose atoms
+// have equal bounds and groups and the same subject and target tag
+// multisets. Every pair that Constraint.String renders alike is equal
+// here, except where the text aliases: Expr{"a&b"} against
+// Expr{"a", "b"}, or a NaN weight, which equals nothing.
+func sameConstraint(a, b constraint.Constraint) bool {
+	if a.EffectiveWeight() != b.EffectiveWeight() || len(a.Terms) != len(b.Terms) {
+		return false
+	}
+	for t, term := range a.Terms {
+		if len(term) != len(b.Terms[t]) {
+			return false
+		}
+		for k, x := range term {
+			y := b.Terms[t][k]
+			if x.Min != y.Min || x.Max != y.Max || x.Group != y.Group ||
+				!constraint.SameVector(x.Subject, y.Subject) || !constraint.SameVector(x.Target, y.Target) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// dedupSeed keys hashConstraint. The seed changes between processes,
+// which moves no output: a hash only nominates the earlier entries
+// dedupEntries compares with sameConstraint.
+var dedupSeed = maphash.MakeSeed()
+
+// hashConstraint hashes what sameConstraint compares, so equal
+// constraints hash alike. An expression's tags are summed, so their order
+// does not count and their multiplicity does.
+func hashConstraint(c constraint.Constraint) uint64 {
+	h := mix(0, math.Float64bits(c.EffectiveWeight()))
+	for _, term := range c.Terms {
+		h = mix(h, uint64(len(term)))
+		for _, a := range term {
+			h = mix(h, uint64(a.Min))
+			h = mix(h, uint64(a.Max))
+			h = mix(h, maphash.String(dedupSeed, string(a.Group)))
+			h = mix(h, hashTags(a.Subject))
+			h = mix(h, hashTags(a.Target))
+		}
+	}
+	return h
+}
+
+func hashTags(e constraint.Expr) uint64 {
+	var sum uint64
+	for _, t := range e {
+		sum += maphash.String(dedupSeed, string(t))
+	}
+	return sum
+}
+
+// mix folds x into h (a multiply-xorshift step).
+func mix(h, x uint64) uint64 {
+	h = (h ^ x) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
 }
 
 // relevantEntries filters entries to those that can interact with a

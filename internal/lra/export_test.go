@@ -91,3 +91,20 @@ func (f *ScoreFixture) Delta() float64 {
 	}
 	return total
 }
+
+// DedupEntries is dedupEntries, for TestDedupMatchesText.
+var DedupEntries = dedupEntries
+
+// OracleEntries returns the constraint entries of the placement oracle's
+// instance of seed as a Place receives them, unresolved: the deployed and
+// operator entries, then the batch's own.
+func OracleEntries(seed int64) []constraint.Entry {
+	in := newTinyInstance(seed)
+	entries := slices.Clone(in.active)
+	for _, a := range in.apps {
+		for _, c := range a.Constraints {
+			entries = append(entries, constraint.Entry{AppID: a.ID, Source: constraint.SourceApplication, Constraint: c})
+		}
+	}
+	return entries
+}

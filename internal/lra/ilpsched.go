@@ -77,8 +77,13 @@ func (s *ilpScheduler) returnArena(a *ilp.SolverArena) {
 	s.mu.Unlock()
 }
 
+// ILPName is Medea-ILP's Name. Core keys its component fan-out on it:
+// unlike an optional interface, Name survives a wrapper that embeds
+// Algorithm.
+const ILPName = "Medea-ILP"
+
 // Name implements Algorithm.
-func (s *ilpScheduler) Name() string { return "Medea-ILP" }
+func (s *ilpScheduler) Name() string { return ILPName }
 
 // Place implements Algorithm: fallback → candidates → buildModel → warm
 // start → solve → decodeSolution → final selection. It keeps nothing of

@@ -223,12 +223,11 @@ type CycleAware interface {
 	BeginCycle()
 }
 
-// SequentialPlacer is optionally implemented by algorithms whose Place
-// must not run concurrently with itself — typically because placement
-// draws from internal mutable state (a seeded RNG, like the YARN
-// baseline's first-fit frontier). Core's parallel sub-batch fan-out
-// checks it and falls back to one whole-batch call when
-// PlaceSequentially reports true.
+// SequentialPlacer is optionally implemented by algorithms whose
+// placement draws from internal mutable state — a seeded RNG, like the
+// YARN baseline's first-fit frontier — so that one Place per constraint
+// component would draw differently from one Place per batch. Core places
+// the whole batch in one call when PlaceSequentially reports true.
 type SequentialPlacer interface {
 	PlaceSequentially() bool
 }

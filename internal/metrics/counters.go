@@ -11,8 +11,8 @@ type Counter interface {
 }
 
 // Counters is one layer's counts: an atomic slot per value of K. Every
-// layer records from several goroutines at once (parallel sub-batch
-// solves; HTTP handlers beside the scheduling loop; the balancer's submit
+// layer records from several goroutines at once (Medea-ILP's parallel
+// sub-batch solves; HTTP handlers beside the scheduling loop; the balancer's submit
 // path beside its probe loop). The zero value is ready. A Counters must
 // not be copied after first use (the atomics pin it in place); hold it by
 // pointer or inside a heap-allocated owner.

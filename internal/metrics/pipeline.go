@@ -65,8 +65,8 @@ func (PipelineCounter) names() []string { return pipelineNames[:] }
 
 // PipelineStats holds the hardened pipeline's counters, the latest
 // diagnostic behind three of them and the circuit-breaker event log.
-// Under the parallel placement pipeline independent sub-batches solve
-// concurrently, and each may record a panic, deadline hit or rejection:
+// Medea-ILP solves a cycle's independent sub-batches concurrently, and
+// each may record a panic, deadline hit or rejection:
 // the counters are atomics and the rest is mutex-guarded. Like its
 // Counters, a PipelineStats must not be copied after first use.
 type PipelineStats struct {
