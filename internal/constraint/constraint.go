@@ -223,8 +223,9 @@ func (c Constraint) EffectiveWeight() float64 {
 
 // String renders terms joined by " | " with atoms joined by " & ", in
 // the syntax Parse reads. It is for people and logs: the schedulers
-// compare constraints by structure, not by this text, which can render
-// two different constraints alike (Expr{"a&b"} and Expr{"a", "b"}).
+// deduplicate constraints by structure, not by this text, which can
+// render two different constraints alike (Expr{"a&b"} and
+// Expr{"a", "b"}).
 func (c Constraint) String() string {
 	var b strings.Builder
 	if c.Weight > 0 && c.Weight != 1 {

@@ -2,7 +2,6 @@ package constraint
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 )
@@ -148,35 +147,39 @@ func (m *Manager) Len() int {
 // which minimises violations (§5.2). The returned entries have, for each
 // conflicting triple, the application atom's bounds tightened to the
 // operator's when the operator interval is contained in the application
-// interval. Expressions of one triple are the same tag multisets
-// (SameVector).
+// interval.
 func ResolveConflicts(entries []Entry) []Entry {
-	// The tightest operator bounds per triple: operator constraints are
-	// few, so a list searched linearly.
-	var ops []Atom
+	type key struct {
+		subj, tgt string
+		group     GroupName
+	}
+	// Collect the tightest operator bounds per triple.
+	opBounds := make(map[key][2]int)
 	for _, e := range entries {
 		if e.Source != SourceOperator {
 			continue
 		}
 		if a, ok := e.Constraint.Simple(); ok {
-			if i := sameTriple(ops, a); i >= 0 {
-				ops[i].Min, ops[i].Max = max(ops[i].Min, a.Min), min(ops[i].Max, a.Max)
+			k := key{a.Subject.String(), a.Target.String(), a.Group}
+			if b, seen := opBounds[k]; seen {
+				opBounds[k] = [2]int{max(b[0], a.Min), min(b[1], a.Max)}
 			} else {
-				ops = append(ops, a)
+				opBounds[k] = [2]int{a.Min, a.Max}
 			}
 		}
 	}
 	out := make([]Entry, 0, len(entries))
-	if len(ops) == 0 {
+	if len(opBounds) == 0 {
 		return append(out, entries...) // nothing to override with
 	}
 	for _, e := range entries {
 		if e.Source == SourceApplication {
 			if a, ok := e.Constraint.Simple(); ok {
-				if i := sameTriple(ops, a); i >= 0 && ops[i].Min >= a.Min && ops[i].Max <= a.Max && ops[i].Min <= ops[i].Max {
+				k := key{a.Subject.String(), a.Target.String(), a.Group}
+				if b, seen := opBounds[k]; seen && b[0] >= a.Min && b[1] <= a.Max && b[0] <= b[1] {
 					// Operator interval is more restrictive and contained:
 					// it overrides.
-					a.Min, a.Max = ops[i].Min, ops[i].Max
+					a.Min, a.Max = b[0], b[1]
 					e.Constraint = Weighted(a, e.Constraint.EffectiveWeight())
 				}
 			}
@@ -184,12 +187,4 @@ func ResolveConflicts(entries []Entry) []Entry {
 		out = append(out, e)
 	}
 	return out
-}
-
-// sameTriple returns the index of the atom of ops with a's subject,
-// target and group, or -1.
-func sameTriple(ops []Atom, a Atom) int {
-	return slices.IndexFunc(ops, func(o Atom) bool {
-		return o.Group == a.Group && SameVector(o.Subject, a.Subject) && SameVector(o.Target, a.Target)
-	})
 }

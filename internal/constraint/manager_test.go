@@ -93,35 +93,6 @@ func TestResolveConflicts(t *testing.T) {
 	}
 }
 
-// TestResolveConflictsMatchesTagMultisets: an operator constraint
-// overrides an application's whose expressions hold the same tags in
-// another order, and two operator constraints on one triple tighten to
-// the intersection of their intervals; an expression whose one tag reads
-// "hb&mem" is not the conjunction of hb and mem, although both render as
-// "hb&mem".
-func TestResolveConflictsMatchesTagMultisets(t *testing.T) {
-	app := Entry{AppID: "a", Source: SourceApplication,
-		Constraint: New(CardinalityRange(E("mem", "hb"), E("spark"), 0, 5, Rack))}
-	ops := []Entry{
-		{Source: SourceOperator, Constraint: New(CardinalityRange(E("hb", "mem"), E("spark"), 0, 4, Rack))},
-		{Source: SourceOperator, Constraint: New(CardinalityRange(E("hb", "mem"), E("spark"), 1, 9, Rack))},
-	}
-	a, _ := ResolveConflicts(append([]Entry{app}, ops...))[0].Constraint.Simple()
-	if a.Min != 1 || a.Max != 4 {
-		t.Errorf("application bounds [%d, %d] after resolve, want the operators' [1, 4]", a.Min, a.Max)
-	}
-
-	aliased := Entry{AppID: "b", Source: SourceApplication,
-		Constraint: New(CardinalityRange(E("hb&mem"), E("spark"), 0, 5, Rack))}
-	if aliased.Constraint.String() != app.Constraint.String() {
-		t.Fatalf("fixture: %q and %q no longer render alike", aliased.Constraint, app.Constraint)
-	}
-	a, _ = ResolveConflicts(append([]Entry{aliased}, ops...))[0].Constraint.Simple()
-	if a.Min != 0 || a.Max != 5 {
-		t.Errorf("the one-tag expression %q took the operators' bounds [%d, %d]", a.Subject, a.Min, a.Max)
-	}
-}
-
 // TestManagerConcurrency hammers every Manager method from concurrent
 // goroutines. It asserts nothing beyond internal consistency of the
 // final state — its real job is to run under `go test -race` and prove

@@ -20,7 +20,15 @@ type Tag string
 
 // AppIDTag returns the predefined namespaced tag identifying an LRA, as
 // automatically attached to every container (footnote 5 of the paper).
-func AppIDTag(appID string) Tag { return Tag("appID:" + appID) }
+func AppIDTag(appID string) Tag { return Tag(appIDPrefix + appID) }
+
+// AppendAppIDTag appends the text of AppIDTag(appID) to dst, for lookups
+// that spell the tag in a reused buffer.
+func AppendAppIDTag(dst []byte, appID string) []byte {
+	return append(append(dst, appIDPrefix...), appID...)
+}
+
+const appIDPrefix = "appID:"
 
 // Expr is a conjunction of tags: a container matches an Expr when its tag
 // set contains every tag in the Expr. The paper writes these as

@@ -16,10 +16,12 @@ import (
 )
 
 // cycleMaxAllocs caps one 12-LRA cycle of TestRunCycleAllocCap, about 9%
-// above the most it was measured at: 9,395–9,407 at one P and at two,
-// and 10,013–10,042 under -race (9,487 / 9,620 / 10,202 while constraints were
-// deduplicated by their text, 9,596 / 9,664 / 10,305 while each Place
-// cloned the cluster, 13,593 / 13,729 / 14,275 while tag multisets were maps). The
+// above the most it was measured at: 9,458 at one P, 9,531–9,534 at
+// two, and 10,097 / 10,170 under -race (9,485 / 9,559 / 10,100–10,200
+// while constraints were deduplicated by their text, 9,596 / 9,664 /
+// 10,305 while each Place cloned the cluster, 13,593 / 13,729 / 14,275
+// while tag multisets were maps). Each run builds its own ILP, so the
+// count includes the solver arenas it allocates. The
 // cycle scores ~2,400 candidate nodes, so one allocation per scored
 // candidate fails here; so does validating each placement on a clone of
 // its own (the cycle validates the batch in place on the live cluster and
@@ -53,31 +55,36 @@ func spreadApp(i int) *lra.Application {
 // twelve spreadApps submitted, one RunCycle on the ILP — to
 // cycleMaxAllocs, at GOMAXPROCS 1 and at the host's CPU count.
 func TestRunCycleAllocCap(t *testing.T) {
-	checkCycleAllocs(t, lra.NewILP(), cycleMaxAllocs)
+	checkCycleAllocs(t, lra.NewILP, cycleMaxAllocs)
 }
 
 // ncCycleMaxAllocs caps one 12-LRA Medea-NC cycle of
 // TestNCCycleAllocCap, about 9% above the most it was measured at:
-// 2,050–2,069 at one P and at two, 2,120–2,152 under -race. Medea-NC
+// 2,051–2,053 at one P and at two, 2,111–2,131 under -race. Medea-NC
 // places the twelve components one after the other on the live cluster;
 // a cycle that clones it for each component but the first (~110
-// allocations a clone) measured 3,260 and fails here, and so did the
-// concurrent fan-out with its clones and goroutines (3,303).
+// allocations a clone) measured 3,261 and fails here, and so did the
+// concurrent fan-out with its clones and goroutines (3,299–3,305).
 const ncCycleMaxAllocs = 2350
 
 // TestNCCycleAllocCap holds the cycle of TestRunCycleAllocCap, placed by
 // Medea-NC, to ncCycleMaxAllocs.
 func TestNCCycleAllocCap(t *testing.T) {
-	checkCycleAllocs(t, lra.NewNodeCandidates(), ncCycleMaxAllocs)
+	checkCycleAllocs(t, lra.NewNodeCandidates, ncCycleMaxAllocs)
 }
 
 // checkCycleAllocs builds a 64-node grid, submits twelve spreadApps —
-// twelve independent components — and runs one cycle with alg, which
-// must place all twelve. It counts the second of two such runs, from
-// runtime.MemStats, at GOMAXPROCS 1 and at the host's CPU count, and
-// fails a count above limit.
-func checkCycleAllocs(t *testing.T, alg lra.Algorithm, limit uint64) {
+// twelve independent components — and runs one cycle with a fresh
+// newAlg(), which must place all twelve. It counts the second of two such
+// runs, from runtime.MemStats, at GOMAXPROCS 1 and at the host's CPU
+// count, and fails a count above limit. Each run builds its own
+// algorithm, so the count includes whatever state it keeps between
+// Place calls (the ILP's solver arenas).
+func checkCycleAllocs(t *testing.T, newAlg func() lra.Algorithm, limit uint64) {
+	var name string
 	cycle := func() {
+		alg := newAlg()
+		name = alg.Name()
 		m := New(cluster.Grid(64, 4, resource.New(4000, 64)), alg, Config{
 			Interval:     time.Second,
 			SolverBudget: 30 * time.Second,
@@ -100,9 +107,9 @@ func checkCycleAllocs(t *testing.T, alg lra.Algorithm, limit uint64) {
 		cycle()
 		runtime.ReadMemStats(&after)
 		allocs := after.Mallocs - before.Mallocs
-		t.Logf("%s, GOMAXPROCS %d: %d allocs, %d kB", alg.Name(), procs, allocs, (after.TotalAlloc-before.TotalAlloc)>>10)
+		t.Logf("%s, GOMAXPROCS %d: %d allocs, %d kB", name, procs, allocs, (after.TotalAlloc-before.TotalAlloc)>>10)
 		if allocs > limit {
-			t.Errorf("%s, GOMAXPROCS %d: cycle allocated %d times, cap %d", alg.Name(), procs, allocs, limit)
+			t.Errorf("%s, GOMAXPROCS %d: cycle allocated %d times, cap %d", name, procs, allocs, limit)
 		}
 	}
 }

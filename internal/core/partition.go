@@ -114,7 +114,7 @@ func partitionBatch(apps []*lra.Application, active []constraint.Entry) [][]int 
 		if e.AppID != "" {
 			// AppIDTag(e.AppID), spelled in a reused buffer: the lookup
 			// allocates nothing.
-			appTag = append(append(appTag[:0], constraint.AppIDTag("")...), e.AppID...)
+			appTag = constraint.AppendAppIDTag(appTag[:0], e.AppID)
 			if j, ok := owner[constraint.Tag(appTag)]; ok && first >= 0 {
 				uf.union(first, j)
 			}
