@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -83,8 +82,7 @@ func TestBatchValidationOracle(t *testing.T) {
 		// Validation on live state: in place on a stand-in for the live
 		// cluster, then the accepted placements undone in reverse order.
 		inPlace, entries := state.Clone(), active
-		universe := tagUniverse(state, placements)
-		snap, ids, tags := inPlace.TakeSnapshot(), inPlace.ContainerIDs(), tagState(inPlace, universe)
+		snap, ids, before := inPlace.TakeSnapshot(), inPlace.ContainerIDs(), inPlace.Clone()
 		var undo [][]lra.Assignment
 		for i, p := range placements {
 			all := withOwn(entries, apps[i])
@@ -106,8 +104,8 @@ func TestBatchValidationOracle(t *testing.T) {
 		if got := inPlace.ContainerIDs(); !reflect.DeepEqual(got, ids) {
 			t.Fatalf("seed %d: containers after undoing the batch %v, want %v", seed, got, ids)
 		}
-		if got := tagState(inPlace, universe); !reflect.DeepEqual(got, tags) {
-			t.Fatalf("seed %d: tag multisets after undoing the batch\n got %v\nwant %v", seed, got, tags)
+		if diff := inPlace.Diff(before); diff != "" {
+			t.Fatalf("seed %d: tag multisets after undoing the batch: %s", seed, diff)
 		}
 	}
 	t.Logf("%d placements accepted; vetoes %v", accepted, vetoes)
@@ -177,44 +175,6 @@ func oracleBatch(seed int64) (*cluster.Cluster, []constraint.Entry, []*lra.Appli
 		}
 	}
 	return state, active, apps, placements
-}
-
-// tagUniverse is every tag on the pre-batch cluster or in a proposal.
-func tagUniverse(state *cluster.Cluster, placements []lra.Placement) []constraint.Tag {
-	seen := map[constraint.Tag]bool{}
-	for _, n := range state.Nodes() {
-		for _, t := range n.Tags().Tags() {
-			seen[t] = true
-		}
-	}
-	for _, p := range placements {
-		for _, a := range p.Assignments {
-			for _, t := range a.Tags {
-				seen[t] = true
-			}
-		}
-	}
-	out := make([]constraint.Tag, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// tagState renders every node's tag multiset and, per rack, γ of every
-// tag of the universe.
-func tagState(state *cluster.Cluster, universe []constraint.Tag) []string {
-	var out []string
-	for _, n := range state.Nodes() {
-		out = append(out, n.Tags().String())
-	}
-	for sid := 0; sid < state.NumSets(constraint.Rack); sid++ {
-		for _, t := range universe {
-			out = append(out, fmt.Sprintf("rack %d %s:%d", sid, t, state.Gamma(constraint.Rack, cluster.SetID(sid), constraint.E(t))))
-		}
-	}
-	return out
 }
 
 // withOwn returns entries plus app's own constraints, in a new slice.

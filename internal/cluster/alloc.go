@@ -64,8 +64,8 @@ func (c *Cluster) Release(id ContainerID) error {
 // counting.
 func (c *Cluster) addTags(node NodeID, tags []constraint.Tag) {
 	c.nodes[node].tags.AddContainer(tags)
-	for name, g := range c.groups {
-		if name == constraint.Node {
+	for _, g := range c.groups {
+		if g.name == constraint.Node {
 			continue
 		}
 		for _, sid := range g.setsOf(node) {
@@ -76,8 +76,8 @@ func (c *Cluster) addTags(node NodeID, tags []constraint.Tag) {
 
 func (c *Cluster) removeTags(node NodeID, tags []constraint.Tag) {
 	c.nodes[node].tags.RemoveContainer(tags)
-	for name, g := range c.groups {
-		if name == constraint.Node {
+	for _, g := range c.groups {
+		if g.name == constraint.Node {
 			continue
 		}
 		for _, sid := range g.setsOf(node) {
@@ -110,21 +110,23 @@ func (c *Cluster) NumContainers() int { return len(c.containers) }
 // Gamma returns γ𝒮(expr): the number of containers in set sid of the
 // group whose tag vectors match the whole conjunction expr (§4.1).
 func (c *Cluster) Gamma(name constraint.GroupName, sid SetID, expr constraint.Expr) int {
-	g := c.groups[name]
+	g := c.group(name)
 	if g == nil {
 		return 0
 	}
 	return g.tagSets[sid].CountExpr(expr)
 }
 
-// GammaBoth is Gamma over the conjunction a ∧ b, without the caller
-// having to build the joined expression.
-func (c *Cluster) GammaBoth(name constraint.GroupName, sid SetID, a, b constraint.Expr) int {
-	g := c.groups[name]
+// GammaAtom returns the three γ of set sid of the group that an atom
+// with the given subject and target reads there — γ(target),
+// γ(subject) and γ(subject ∧ target) — in one scan of the set
+// (constraint.Set.CountAtom).
+func (c *Cluster) GammaAtom(name constraint.GroupName, sid SetID, subject, target constraint.Expr) (nTarget, nSubject, nBoth int) {
+	g := c.group(name)
 	if g == nil {
-		return 0
+		return 0, 0, 0
 	}
-	return g.tagSets[sid].CountBoth(a, b)
+	return g.tagSets[sid].CountAtom(subject, target)
 }
 
 // GammaNode is Gamma over the singleton set of the "node" group.
@@ -143,7 +145,7 @@ func (c *Cluster) GammaNode(node NodeID, expr constraint.Expr) int {
 func (c *Cluster) Clone() *Cluster {
 	cc := &Cluster{
 		nodes:      make([]*Node, len(c.nodes)),
-		groups:     make(map[constraint.GroupName]*group, len(c.groups)),
+		groups:     make([]*group, len(c.groups)),
 		containers: maps.Clone(c.containers),
 		capacity:   c.capacity,
 	}
@@ -154,23 +156,24 @@ func (c *Cluster) Clone() *Cluster {
 		nodes[i].containers = slices.Clone(n.containers)
 		cc.nodes[i] = &nodes[i]
 	}
-	for name, g := range c.groups {
+	for gi, g := range c.groups {
 		// Capacity-clamped: an append on either side reallocates instead
 		// of writing into an array the other side can reach.
 		ng := &group{
+			name:     g.name,
 			sets:     g.sets[:len(g.sets):len(g.sets)],
 			ofNode:   g.ofNode[:len(g.ofNode):len(g.ofNode)],
 			setNames: g.setNames[:len(g.setNames):len(g.setNames)],
 			tagSets:  make([]*constraint.Set, len(g.tagSets)),
 		}
 		for i, ts := range g.tagSets {
-			if name == constraint.Node {
+			if g.name == constraint.Node {
 				ng.tagSets[i] = cc.nodes[i].tags // set i of the node group is node i's own tag set
 			} else {
 				ng.tagSets[i] = ts.Clone()
 			}
 		}
-		cc.groups[name] = ng
+		cc.groups[gi] = ng
 	}
 	return cc
 }
@@ -250,7 +253,7 @@ func (c *Cluster) Diff(o *Cluster) string {
 		return fmt.Sprintf("groups %v, %v", c.Groups(), o.Groups())
 	}
 	for _, name := range c.Groups() {
-		sets, other := c.groups[name].tagSets, o.groups[name].tagSets
+		sets, other := c.group(name).tagSets, o.group(name).tagSets
 		if len(sets) != len(other) {
 			return fmt.Sprintf("group %s: %d sets, %d", name, len(sets), len(other))
 		}

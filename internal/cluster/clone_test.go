@@ -21,9 +21,9 @@ func stateDigest(t *testing.T, c *Cluster) string {
 	}
 	out := string(snap) + c.TotalCapacity().String()
 	for _, name := range c.Groups() {
-		g := c.groups[name]
+		g := c.group(name)
 		for sid, ts := range g.tagSets {
-			out += fmt.Sprintf("\n%s/%d %s %v %s n=%d", name, sid, g.setNames[sid], g.sets[sid], ts, ts.Containers())
+			out += fmt.Sprintf("\n%s/%d %s %v %s n=%d", name, sid, g.setNames[sid], g.sets[sid], ts, ts.CountExpr(nil))
 		}
 		for n := range c.nodes {
 			out += fmt.Sprintf(" %v", c.SetsOfNode(name, NodeID(n)))

@@ -89,9 +89,6 @@ func (n *Node) Available() bool { return n.state == NodeUp }
 // State returns the node's runtime availability state.
 func (n *Node) State() NodeState { return n.state }
 
-// Tags returns the node tag set 𝒯n (live view; do not mutate).
-func (n *Node) Tags() *constraint.Set { return n.tags }
-
 // NumContainers returns the number of containers on the node.
 func (n *Node) NumContainers() int { return len(n.containers) }
 
@@ -107,6 +104,7 @@ type containerInfo struct {
 // which Clone shares between clusters: it is never written in place,
 // only extended (AddNode, RegisterGroup). tagSets is per-cluster state.
 type group struct {
+	name     constraint.GroupName
 	sets     [][]NodeID        // members of each set
 	ofNode   [][]SetID         // node -> sets containing it; may be shorter than the node list
 	tagSets  []*constraint.Set // γ per set, maintained incrementally
@@ -126,8 +124,12 @@ func (g *group) setsOf(node NodeID) []SetID {
 // mutation; Medea serialises all allocations through the task-based
 // scheduler (§3), so a single-writer discipline holds by design.
 type Cluster struct {
-	nodes      []*Node
-	groups     map[constraint.GroupName]*group
+	nodes []*Node
+	// groups is searched by name: a cluster registers a handful of
+	// groups, and every γ query names one, so a scan of a few string
+	// compares (equal names mostly share their bytes) beats hashing the
+	// name on every query.
+	groups     []*group
 	containers map[ContainerID]*containerInfo
 	// capacity is the sum of the nodes' capacities, fixed per node at
 	// AddNode: every idle task-scheduler heartbeat asks for it.
@@ -136,10 +138,28 @@ type Cluster struct {
 
 // New returns an empty cluster.
 func New() *Cluster {
-	return &Cluster{
-		groups:     make(map[constraint.GroupName]*group),
-		containers: make(map[ContainerID]*containerInfo),
+	return &Cluster{containers: make(map[ContainerID]*containerInfo)}
+}
+
+// group returns the registered group called name, or nil.
+func (c *Cluster) group(name constraint.GroupName) *group {
+	for _, g := range c.groups {
+		if g.name == name {
+			return g
+		}
 	}
+	return nil
+}
+
+// addGroup returns the group called name, registering an empty one
+// first if there is none.
+func (c *Cluster) addGroup(name constraint.GroupName) *group {
+	g := c.group(name)
+	if g == nil {
+		g = &group{name: name}
+		c.groups = append(c.groups, g)
+	}
+	return g
 }
 
 // AddNode appends a node with the given capacity and returns its ID. The
@@ -156,11 +176,7 @@ func (c *Cluster) AddNode(name string, capacity resource.Vector) NodeID {
 	}
 	c.nodes = append(c.nodes, n)
 	c.capacity = c.capacity.Add(capacity)
-	g := c.groups[constraint.Node]
-	if g == nil {
-		g = &group{}
-		c.groups[constraint.Node] = g
-	}
+	g := c.addGroup(constraint.Node)
 	// The node group's set i is {node i} and shares the node's own tag
 	// set; its topology only ever grows by whole entries, so plain appends
 	// are safe next to clones.
@@ -180,11 +196,7 @@ func (c *Cluster) RegisterGroup(name constraint.GroupName, sets [][]NodeID) erro
 	if name == constraint.Node {
 		return fmt.Errorf("cluster: group %q is predefined", name)
 	}
-	g := c.groups[name]
-	if g == nil {
-		g = &group{}
-		c.groups[name] = g
-	}
+	g := c.addGroup(name)
 	for _, set := range sets {
 		for _, nid := range set {
 			if int(nid) < 0 || int(nid) >= len(c.nodes) {
@@ -250,8 +262,8 @@ func (c *Cluster) Node(id NodeID) *Node { return c.nodes[id] }
 // Groups returns the registered group names, sorted.
 func (c *Cluster) Groups() []constraint.GroupName {
 	out := make([]constraint.GroupName, 0, len(c.groups))
-	for g := range c.groups {
-		out = append(out, g)
+	for _, g := range c.groups {
+		out = append(out, g.name)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -259,7 +271,7 @@ func (c *Cluster) Groups() []constraint.GroupName {
 
 // NumSets returns the number of node sets in a group (0 if unknown).
 func (c *Cluster) NumSets(name constraint.GroupName) int {
-	g := c.groups[name]
+	g := c.group(name)
 	if g == nil {
 		return 0
 	}
@@ -269,7 +281,7 @@ func (c *Cluster) NumSets(name constraint.GroupName) int {
 // SetMembers returns the node IDs of one set of a group (nil when the
 // group is unknown, like SetsOfNode).
 func (c *Cluster) SetMembers(name constraint.GroupName, sid SetID) []NodeID {
-	g := c.groups[name]
+	g := c.group(name)
 	if g == nil {
 		return nil
 	}
@@ -280,7 +292,7 @@ func (c *Cluster) SetMembers(name constraint.GroupName, sid SetID) []NodeID {
 // (usually exactly one for partitioned groups like racks; nil when the
 // group is unknown or the node belongs to no set).
 func (c *Cluster) SetsOfNode(name constraint.GroupName, node NodeID) []SetID {
-	g := c.groups[name]
+	g := c.group(name)
 	if g == nil {
 		return nil
 	}
@@ -297,13 +309,4 @@ func (c *Cluster) TotalUsed() resource.Vector {
 		t = t.Add(n.used)
 	}
 	return t
-}
-
-// Utilization returns used/capacity for the scalar-collapsed resource.
-func (c *Cluster) Utilization() float64 {
-	cap := c.TotalCapacity().Scalar()
-	if cap == 0 {
-		return 0
-	}
-	return float64(c.TotalUsed().Scalar()) / float64(cap)
 }

@@ -167,14 +167,11 @@ func TestRegisterGroupErrors(t *testing.T) {
 
 func TestUtilization(t *testing.T) {
 	c := Grid(2, 2, resource.New(1024, 1))
-	if got := c.Utilization(); got != 0 {
-		t.Errorf("empty utilization = %v", got)
+	if got := c.MemoryUtilization(); got != 0 {
+		t.Errorf("empty mem utilization = %v", got)
 	}
 	if err := c.Allocate(0, "a#0", resource.New(1024, 1), nil); err != nil {
 		t.Fatal(err)
-	}
-	if got := c.Utilization(); got != 0.5 {
-		t.Errorf("utilization = %v, want 0.5", got)
 	}
 	if got := c.MemoryUtilization(); got != 0.5 {
 		t.Errorf("mem utilization = %v, want 0.5", got)

@@ -97,15 +97,3 @@ func (c *Cluster) RecoverNode(node NodeID) bool {
 	n.state = NodeUp
 	return true
 }
-
-// AvailableNodes returns the number of nodes currently accepting
-// allocations.
-func (c *Cluster) AvailableNodes() int {
-	n := 0
-	for _, nd := range c.nodes {
-		if nd.state == NodeUp {
-			n++
-		}
-	}
-	return n
-}

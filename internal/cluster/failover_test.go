@@ -221,8 +221,14 @@ func TestDrainGatesAllocations(t *testing.T) {
 	if !c.Node(0).Free().IsZero() {
 		t.Errorf("Free on draining node = %v, want zero", c.Node(0).Free())
 	}
-	if got := c.AvailableNodes(); got != 7 {
-		t.Errorf("available nodes = %d, want 7", got)
+	available := 0
+	for _, n := range c.Nodes() {
+		if n.Available() {
+			available++
+		}
+	}
+	if available != 7 {
+		t.Errorf("available nodes = %d, want 7", available)
 	}
 }
 

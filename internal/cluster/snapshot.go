@@ -51,8 +51,8 @@ func (c *Cluster) TakeSnapshot() Snapshot {
 			State:         n.state.String(),
 		})
 	}
-	for name, g := range c.groups {
-		if name == constraint.Node {
+	for _, g := range c.groups {
+		if g.name == constraint.Node {
 			continue
 		}
 		if snap.Groups == nil {
@@ -65,7 +65,7 @@ func (c *Cluster) TakeSnapshot() Snapshot {
 				sets[i][j] = c.nodes[nid].Name
 			}
 		}
-		snap.Groups[string(name)] = sets
+		snap.Groups[string(g.name)] = sets
 	}
 	for id, info := range c.containers {
 		snap.Allocations = append(snap.Allocations, ContainerSnapshot{

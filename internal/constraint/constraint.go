@@ -112,9 +112,6 @@ func (a Atom) IsAntiAffinity() bool { return a.Min == 0 && a.Max == 0 }
 // (e.g. {spark, {spark, 3, 10}, rack}).
 func (a Atom) SelfTargeting() bool { return a.Subject.Equal(a.Target) }
 
-// Satisfied evaluates the cardinality test for an observed γ value.
-func (a Atom) Satisfied(gamma int) bool { return gamma >= a.Min && gamma <= a.Max }
-
 // ViolationExtent quantifies how far an observed γ is from the allowed
 // interval, normalised per Equation 8 of the paper:
 //
@@ -165,31 +162,12 @@ func Weighted(a Atom, w float64) Constraint {
 	return Constraint{Terms: [][]Atom{{a}}, Weight: w}
 }
 
-// And returns the conjunction of atoms as a one-term constraint.
-func And(atoms ...Atom) Constraint {
-	return Constraint{Terms: [][]Atom{atoms}, Weight: 1}
-}
-
-// Or returns the disjunction of the given conjunctive terms.
-func Or(terms ...[]Atom) Constraint {
-	return Constraint{Terms: terms, Weight: 1}
-}
-
 // Simple reports whether c consists of exactly one atom, and returns it.
 func (c Constraint) Simple() (Atom, bool) {
 	if len(c.Terms) == 1 && len(c.Terms[0]) == 1 {
 		return c.Terms[0][0], true
 	}
 	return Atom{}, false
-}
-
-// Atoms returns all atoms across all terms, in order.
-func (c Constraint) Atoms() []Atom {
-	var out []Atom
-	for _, t := range c.Terms {
-		out = append(out, t...)
-	}
-	return out
 }
 
 // Validate checks the whole DNF.

@@ -2,7 +2,6 @@ package constraint
 
 import (
 	"fmt"
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -22,22 +21,6 @@ func TestSugarForms(t *testing.T) {
 	}
 	if ca.Min != 0 || ca.Max != 5 {
 		t.Errorf("MaxCardinality bounds = (%d,%d)", ca.Min, ca.Max)
-	}
-}
-
-func TestAtomSatisfied(t *testing.T) {
-	a := CardinalityRange(E("s"), E("t"), 3, 10, Rack)
-	for gamma, want := range map[int]bool{2: false, 3: true, 10: true, 11: false} {
-		if got := a.Satisfied(gamma); got != want {
-			t.Errorf("Satisfied(%d) = %v, want %v", gamma, got, want)
-		}
-	}
-	inf := Affinity(E("s"), E("t"), Node)
-	if !inf.Satisfied(math.MaxInt32) {
-		t.Error("affinity should accept any positive gamma")
-	}
-	if inf.Satisfied(0) {
-		t.Error("affinity requires at least one target")
 	}
 }
 
@@ -95,18 +78,15 @@ func TestSelfTargeting(t *testing.T) {
 }
 
 func TestCompoundValidate(t *testing.T) {
-	c := Or(
-		[]Atom{Affinity(E("a"), E("b"), Node)},
-		[]Atom{AntiAffinity(E("a"), E("b"), Rack), Affinity(E("a"), E("c"), Rack)},
-	)
+	c := Constraint{Terms: [][]Atom{
+		{Affinity(E("a"), E("b"), Node)},
+		{AntiAffinity(E("a"), E("b"), Rack), Affinity(E("a"), E("c"), Rack)},
+	}, Weight: 1}
 	if err := c.Validate(); err != nil {
 		t.Errorf("valid compound rejected: %v", err)
 	}
 	if _, ok := c.Simple(); ok {
 		t.Error("compound misreported as simple")
-	}
-	if got := len(c.Atoms()); got != 3 {
-		t.Errorf("Atoms count = %d, want 3", got)
 	}
 	if err := (Constraint{}).Validate(); err == nil {
 		t.Error("empty constraint accepted")
@@ -132,7 +112,7 @@ func TestExtentSatisfiedDuality(t *testing.T) {
 		hi := lo + int(maxRaw%20)
 		gamma := int(gammaRaw % 40)
 		a := CardinalityRange(E("s"), E("t"), lo, hi, Node)
-		return (a.ViolationExtent(gamma) == 0) == a.Satisfied(gamma)
+		return (a.ViolationExtent(gamma) == 0) == (gamma >= lo && gamma <= hi)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -80,13 +80,6 @@ func (m *Manager) AddOperator(cs ...Constraint) error {
 	return nil
 }
 
-// Application returns the constraints registered for appID.
-func (m *Manager) Application(appID string) []Constraint {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return append([]Constraint(nil), m.byApp[appID]...)
-}
-
 // Operator returns all cluster-operator constraints.
 func (m *Manager) Operator() []Constraint {
 	m.mu.RLock()
@@ -148,39 +141,67 @@ func (m *Manager) Len() int {
 // conflicting triple, the application atom's bounds tightened to the
 // operator's when the operator interval is contained in the application
 // interval.
+//
+// Two atoms share a triple when their groups are equal and their subject
+// and target expressions hold the same tag multisets (SameVector). A
+// map keyed by the expressions' VectorHash finds the candidates, so the
+// cost stays linear in the entries however many operator constraints
+// there are.
 func ResolveConflicts(entries []Entry) []Entry {
 	type key struct {
-		subj, tgt string
+		subj, tgt uint64
 		group     GroupName
 	}
-	// Collect the tightest operator bounds per triple.
-	opBounds := make(map[key][2]int)
+	keyOf := func(a Atom) key { return key{VectorHash(a.Subject), VectorHash(a.Target), a.Group} }
+	// The tightest operator bounds per triple: ops[i] carries them in
+	// its Min and Max; next[i] is the next triple with ops[i]'s key, or -1.
+	var ops []Atom
+	var next []int
+	first := make(map[key]int)
+	find := func(a Atom, k key) int {
+		i, ok := first[k]
+		if !ok {
+			return -1
+		}
+		for ; i >= 0; i = next[i] {
+			if SameVector(ops[i].Subject, a.Subject) && SameVector(ops[i].Target, a.Target) {
+				return i
+			}
+		}
+		return -1
+	}
 	for _, e := range entries {
 		if e.Source != SourceOperator {
 			continue
 		}
 		if a, ok := e.Constraint.Simple(); ok {
-			k := key{a.Subject.String(), a.Target.String(), a.Group}
-			if b, seen := opBounds[k]; seen {
-				opBounds[k] = [2]int{max(b[0], a.Min), min(b[1], a.Max)}
-			} else {
-				opBounds[k] = [2]int{a.Min, a.Max}
+			k := keyOf(a)
+			if i := find(a, k); i >= 0 {
+				ops[i].Min, ops[i].Max = max(ops[i].Min, a.Min), min(ops[i].Max, a.Max)
+				continue
 			}
+			head, seen := first[k]
+			if !seen {
+				head = -1
+			}
+			first[k] = len(ops)
+			ops, next = append(ops, a), append(next, head)
 		}
 	}
 	out := make([]Entry, 0, len(entries))
-	if len(opBounds) == 0 {
+	if len(ops) == 0 {
 		return append(out, entries...) // nothing to override with
 	}
 	for _, e := range entries {
 		if e.Source == SourceApplication {
 			if a, ok := e.Constraint.Simple(); ok {
-				k := key{a.Subject.String(), a.Target.String(), a.Group}
-				if b, seen := opBounds[k]; seen && b[0] >= a.Min && b[1] <= a.Max && b[0] <= b[1] {
-					// Operator interval is more restrictive and contained:
-					// it overrides.
-					a.Min, a.Max = b[0], b[1]
-					e.Constraint = Weighted(a, e.Constraint.EffectiveWeight())
+				if i := find(a, keyOf(a)); i >= 0 {
+					if b := ops[i]; b.Min >= a.Min && b.Max <= a.Max && b.Min <= b.Max {
+						// Operator interval is more restrictive and contained:
+						// it overrides.
+						a.Min, a.Max = b.Min, b.Max
+						e.Constraint = Weighted(a, e.Constraint.EffectiveWeight())
+					}
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package constraint
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -29,8 +30,10 @@ func TestManagerAddRemove(t *testing.T) {
 	if got := m.Len(); got != 2 {
 		t.Errorf("Len after remove = %d, want 2", got)
 	}
-	if got := len(m.Application("app1")); got != 0 {
-		t.Errorf("removed app still has %d constraints", got)
+	for _, e := range m.Active() {
+		if e.AppID == "app1" {
+			t.Errorf("removed app still has constraint %v", e.Constraint)
+		}
 	}
 	if got := len(m.Operator()); got != 1 {
 		t.Errorf("Operator = %d, want 1", got)
@@ -93,6 +96,56 @@ func TestResolveConflicts(t *testing.T) {
 	}
 }
 
+// TestResolveConflictsKeysByStructure: an operator bound applies to the
+// application atoms whose subject and target hold the same tag
+// multisets, in any order, and to no other — not to an expression whose
+// text renders alike (Expr{"a&b"} and Expr{"a", "b"} both print a&b).
+func TestResolveConflictsKeysByStructure(t *testing.T) {
+	app := func(subj, tgt Expr) Entry {
+		return Entry{AppID: "app", Source: SourceApplication, Constraint: New(MaxCardinality(subj, tgt, 5, Rack))}
+	}
+	op := func(subj, tgt Expr, max int) Entry {
+		return Entry{Source: SourceOperator, Constraint: New(MaxCardinality(subj, tgt, max, Rack))}
+	}
+	cases := []struct {
+		name    string
+		entries []Entry
+		want    int // the application's cmax after resolution
+	}{
+		{"same tags, other order", []Entry{app(E("a", "b"), E("c")), op(E("b", "a"), E("c"), 3)}, 3},
+		{"text alias in the subject", []Entry{app(E("a", "b"), E("c")), op(E("a&b"), E("c"), 3)}, 5},
+		{"text alias in the target", []Entry{app(E("c"), E("a&b")), op(E("c"), E("b", "a"), 3)}, 5},
+		{"repeated tag", []Entry{app(E("a", "a"), E("c")), op(E("a"), E("c"), 3)}, 5},
+		{"tightest of two", []Entry{op(E("a", "b"), E("c"), 4), app(E("b", "a"), E("c")), op(E("b", "a"), E("c"), 2)}, 2},
+	}
+	for _, c := range cases {
+		out := ResolveConflicts(c.entries)
+		for _, e := range out {
+			if e.Source != SourceApplication {
+				continue
+			}
+			if a, _ := e.Constraint.Simple(); a.Max != c.want {
+				t.Errorf("%s: application cmax = %d, want %d", c.name, a.Max, c.want)
+			}
+		}
+	}
+
+	// Many operator triples: each application atom meets only its own.
+	var entries []Entry
+	for i := 0; i < 300; i++ {
+		tag := Tag(fmt.Sprint("t", i))
+		entries = append(entries, op(E(tag, "x"), E(tag), i%4), app(E("x", tag), E(tag)))
+	}
+	for i, e := range ResolveConflicts(entries) {
+		if e.Source != SourceApplication {
+			continue
+		}
+		if a, _ := e.Constraint.Simple(); a.Max != (i/2)%4 {
+			t.Fatalf("entry %d: cmax = %d, want %d", i, a.Max, (i/2)%4)
+		}
+	}
+}
+
 // TestManagerConcurrency hammers every Manager method from concurrent
 // goroutines. It asserts nothing beyond internal consistency of the
 // final state — its real job is to run under `go test -race` and prove
@@ -138,7 +191,6 @@ func TestManagerConcurrency(t *testing.T) {
 				_ = m.Apps()
 				_ = m.Len()
 				_ = m.Operator()
-				_ = m.Application(appID(0, i%perWriter))
 			}
 		}()
 	}

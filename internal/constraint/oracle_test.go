@@ -123,14 +123,13 @@ func checkAgainst(t *testing.T, s *Set, r refSet, exprs []Expr, rng *rand.Rand) 
 			t.Fatalf("CountExpr(%q) = %d, want %d; set %v", e, got, want, s)
 		}
 	}
-	for i := 0; i < 10; i++ {
-		a, b := exprs[rng.Intn(len(exprs))], exprs[rng.Intn(len(exprs))]
-		if got, want := s.CountBoth(a, b), r.countBoth(a, b); got != want {
-			t.Fatalf("CountBoth(%q, %q) = %d, want %d; set %v", a, b, got, want, s)
+	// The one-scan triple against three separate reference counts.
+	for i := 0; i < 20; i++ {
+		subj, tgt := exprs[rng.Intn(len(exprs))], exprs[rng.Intn(len(exprs))]
+		nTgt, nSubj, nBoth := s.CountAtom(subj, tgt)
+		if want := [3]int{r.countBoth(tgt, nil), r.countBoth(subj, nil), r.countBoth(subj, tgt)}; [3]int{nTgt, nSubj, nBoth} != want {
+			t.Fatalf("CountAtom(%q, %q) = %d, %d, %d, want %d; set %v", subj, tgt, nTgt, nSubj, nBoth, want, s)
 		}
-	}
-	if got, want := s.Containers(), len(r); got != want {
-		t.Fatalf("Containers() = %d, want %d", got, want)
 	}
 	if got, want := s.Tags(), r.tags(); !slices.Equal(got, want) && len(got)+len(want) > 0 {
 		t.Fatalf("Tags() = %q, want %q", got, want)

@@ -7,6 +7,7 @@ package constraint
 
 import (
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"sort"
 	"strings"
@@ -109,6 +110,12 @@ func (e Expr) String() string {
 // distinct tags and tag vectors, a rack at most a few dozen tags and a
 // hundred-odd vectors (DESIGN §17 measures them); γ over a conjunction
 // visits every vector in either layout, and Clone is two memmoves.
+//
+// A Set answers γ queries only; it keeps no per-query index and hashes
+// no tag. What stays fixed while a scheduler prices a batch — which
+// atoms each container tag vector is the subject or a target of — is
+// compiled once per Place on the scheduler's side (lra's plan), and an
+// atom's three γ in one set come from one scan (CountAtom).
 type Set struct {
 	counts  []tagCount
 	vectors []vecEntry
@@ -159,6 +166,22 @@ func occurrences(tags []Tag, t Tag) int {
 		}
 	}
 	return n
+}
+
+// vectorSeed keys VectorHash. It changes between processes, which moves
+// no output: a hash only nominates the vectors a caller then compares
+// with SameVector.
+var vectorSeed = maphash.MakeSeed()
+
+// VectorHash hashes a tag vector as a multiset, so vectors SameVector
+// calls equal hash alike: the tags' hashes are summed, and their order
+// does not count while their multiplicity does.
+func VectorHash(tags []Tag) uint64 {
+	var sum uint64
+	for _, t := range tags {
+		sum += maphash.String(vectorSeed, string(t))
+	}
+	return sum
 }
 
 // vector returns the index of tags' entry in s.vectors, or -1.
@@ -244,39 +267,39 @@ func (s *Set) CountExpr(e Expr) int {
 	if len(e) == 1 {
 		return s.Count(e[0])
 	}
-	return s.CountBoth(e, nil)
-}
-
-// CountBoth returns γ(a ∧ b): the number of containers whose tag vector
-// matches both conjunctions, without materialising the joined Expr.
-func (s *Set) CountBoth(a, b Expr) int {
 	// A tag no container carries rules out every vector without a scan.
-	for _, t := range a {
-		if s.tag(t) < 0 {
-			return 0
-		}
-	}
-	for _, t := range b {
+	for _, t := range e {
 		if s.tag(t) < 0 {
 			return 0
 		}
 	}
 	n := 0
 	for _, entry := range s.vectors {
-		if a.Matches(entry.tags) && b.Matches(entry.tags) {
+		if e.Matches(entry.tags) {
 			n += entry.count
 		}
 	}
 	return n
 }
 
-// Containers returns the total number of containers recorded.
-func (s *Set) Containers() int {
-	n := 0
-	for _, e := range s.vectors {
-		n += e.count
+// CountAtom returns the three γ an atom with the given subject and
+// target reads in this set — γ(target), γ(subject) and
+// γ(subject ∧ target) — in one scan of the vectors.
+func (s *Set) CountAtom(subject, target Expr) (nTarget, nSubject, nBoth int) {
+	for _, entry := range s.vectors {
+		inSubj := subject.Matches(entry.tags)
+		inTgt := target.Matches(entry.tags)
+		if inTgt {
+			nTarget += entry.count
+		}
+		if inSubj {
+			nSubject += entry.count
+			if inTgt {
+				nBoth += entry.count
+			}
+		}
 	}
-	return n
+	return nTarget, nSubject, nBoth
 }
 
 // Tags returns the distinct tags present, sorted.

@@ -59,7 +59,7 @@ func TestSetPaperExample(t *testing.T) {
 	if got := s.Count("hb_rs"); got != 1 {
 		t.Errorf("γ(hb_rs) = %d, want 1", got)
 	}
-	if got := s.Containers(); got != 2 {
+	if got := s.CountExpr(nil); got != 2 {
 		t.Errorf("Containers = %d, want 2", got)
 	}
 }
@@ -98,7 +98,7 @@ func TestSetRemove(t *testing.T) {
 		t.Errorf("γ(b) = %d after remove, want 0", got)
 	}
 	s.RemoveContainer([]Tag{"a"})
-	if got := s.Containers(); got != 0 {
+	if got := s.CountExpr(nil); got != 0 {
 		t.Errorf("Containers = %d after all removes, want 0", got)
 	}
 }
@@ -210,7 +210,7 @@ func TestSetAddRemoveInverse(t *testing.T) {
 		for _, tags := range batch {
 			s.RemoveContainer(tags)
 		}
-		return s.Containers() == 0 && len(s.Tags()) == 0
+		return s.CountExpr(nil) == 0 && len(s.Tags()) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

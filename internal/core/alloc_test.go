@@ -16,8 +16,10 @@ import (
 )
 
 // cycleMaxAllocs caps one 12-LRA cycle of TestRunCycleAllocCap, about 9%
-// above the most it was measured at: 9,458 at one P, 9,531–9,534 at
-// two, and 10,097 / 10,170 under -race (9,485 / 9,559 / 10,100–10,200
+// above the most it was measured at: 9,533 at one P, 9,546 at two, and
+// 10,101 / 10,221 under -race (9,458 / 9,531–9,534 / 10,097–10,170
+// before a Place compiled its constraint list once per tag vector,
+// 9,485 / 9,559 / 10,100–10,200
 // while constraints were deduplicated by their text, 9,596 / 9,664 /
 // 10,305 while each Place cloned the cluster, 13,593 / 13,729 / 14,275
 // while tag multisets were maps). Each run builds its own ILP, so the
@@ -60,7 +62,7 @@ func TestRunCycleAllocCap(t *testing.T) {
 
 // ncCycleMaxAllocs caps one 12-LRA Medea-NC cycle of
 // TestNCCycleAllocCap, about 9% above the most it was measured at:
-// 2,051–2,053 at one P and at two, 2,111–2,131 under -race. Medea-NC
+// 2,051–2,053 at one P and at two, 2,111–2,136 under -race. Medea-NC
 // places the twelve components one after the other on the live cluster;
 // a cycle that clones it for each component but the first (~110
 // allocations a clone) measured 3,261 and fails here, and so did the

@@ -451,15 +451,6 @@ func (p *pinnedAlg) Place(state *cluster.Cluster, apps []*lra.Application, activ
 	return res
 }
 
-// tagStrings renders every node's tag multiset.
-func tagStrings(c *cluster.Cluster) []string {
-	out := make([]string, c.NumNodes())
-	for i, n := range c.Nodes() {
-		out[i] = n.Tags().String()
-	}
-	return out
-}
-
 // TestRepairValidatesOnLiveCluster: a repair is validated in place on
 // the live cluster. A vetoed repair leaves the cluster exactly as it
 // was; an accepted one ends holding exactly the containers it
@@ -490,7 +481,7 @@ func TestRepairValidatesOnLiveCluster(t *testing.T) {
 
 	// Vetoed: the lost container proposed beside its survivor breaks the
 	// app's hard anti-affinity, after the batch is allocated in place.
-	snap, cids, tags := m.Cluster.TakeSnapshot(), m.Cluster.ContainerIDs(), tagStrings(m.Cluster)
+	snap, cids, before := m.Cluster.TakeSnapshot(), m.Cluster.ContainerIDs(), m.Cluster.Clone()
 	alg.nodes = []cluster.NodeID{2}
 	stats := m.RunCycle(t1)
 	if stats.ValidationRejects != 1 || stats.RepairFailures != 1 || stats.Repaired != 0 {
@@ -505,8 +496,8 @@ func TestRepairValidatesOnLiveCluster(t *testing.T) {
 	if got := m.Cluster.ContainerIDs(); !reflect.DeepEqual(got, cids) {
 		t.Errorf("vetoed repair changed the containers: %v, want %v", got, cids)
 	}
-	if got := tagStrings(m.Cluster); !reflect.DeepEqual(got, tags) {
-		t.Errorf("vetoed repair changed the node tags: %v, want %v", got, tags)
+	if diff := m.Cluster.Diff(before); diff != "" {
+		t.Errorf("vetoed repair changed the tag multisets: %s", diff)
 	}
 
 	// Accepted: node 3. The live cluster must equal the pre-repair
@@ -530,8 +521,8 @@ func TestRepairValidatesOnLiveCluster(t *testing.T) {
 	if got := m.Cluster.ContainerIDs(); !reflect.DeepEqual(got, want.ContainerIDs()) {
 		t.Errorf("accepted repair: containers %v, want %v", got, want.ContainerIDs())
 	}
-	if got := tagStrings(m.Cluster); !reflect.DeepEqual(got, tagStrings(want)) {
-		t.Errorf("accepted repair: node tags %v, want %v", got, tagStrings(want))
+	if diff := m.Cluster.Diff(want); diff != "" {
+		t.Errorf("accepted repair: tag multisets differ: %s", diff)
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -34,7 +34,7 @@ func TestSubmitRejectsPendingDuplicate(t *testing.T) {
 	if got := m.PendingLRAs(); got != 1 {
 		t.Fatalf("pending = %d, want 1", got)
 	}
-	if got := len(m.Constraints.Application("dup")); got != 1 {
+	if got := appConstraints(m.Constraints, "dup"); got != 1 {
 		t.Fatalf("registered constraints = %d, want 1 (no double registration)", got)
 	}
 	if err := m.CheckInvariants(); err != nil {
@@ -62,7 +62,7 @@ func TestWithdrawPendingLRA(t *testing.T) {
 	if got := m.PendingLRAs(); got != 0 {
 		t.Fatalf("pending = %d after withdraw", got)
 	}
-	if got := len(m.Constraints.Application("w")); got != 0 {
+	if got := appConstraints(m.Constraints, "w"); got != 0 {
 		t.Fatalf("constraints survive withdraw: %d entries", got)
 	}
 	if m.WithdrawLRA("w", t0) {
@@ -114,7 +114,18 @@ func TestWithdrawSurvivesRecovery(t *testing.T) {
 	if got := r.PendingApps(); len(got) != 1 || got[0] != "keep" {
 		t.Fatalf("recovered pending = %v, want [keep]", got)
 	}
-	if got := len(r.Constraints.Application("drop")); got != 0 {
+	if got := appConstraints(r.Constraints, "drop"); got != 0 {
 		t.Fatalf("withdrawn app's constraints recovered: %d entries", got)
 	}
+}
+
+// appConstraints counts the constraints m holds for appID.
+func appConstraints(m *constraint.Manager, appID string) int {
+	n := 0
+	for _, e := range m.Active() {
+		if e.AppID == appID {
+			n++
+		}
+	}
+	return n
 }

@@ -17,7 +17,7 @@ import (
 // in γ (the ILP's Equations 6–7 exclude the subject container itself from
 // the count). When the node belongs to no set of the group, γ is 0, so
 // affinity constraints are reported violated and anti-affinity satisfied.
-func subjectExtent(state *cluster.Cluster, a constraint.Atom, node cluster.NodeID, selfMatches bool) float64 {
+func subjectExtent(state *cluster.Cluster, a *constraint.Atom, node cluster.NodeID, selfMatches bool) float64 {
 	sets := state.SetsOfNode(a.Group, node)
 	if len(sets) == 0 {
 		return a.ViolationExtent(0)
@@ -34,40 +34,6 @@ func subjectExtent(state *cluster.Cluster, a constraint.Atom, node cluster.NodeI
 		ext += a.ViolationExtent(g)
 	}
 	return ext
-}
-
-// constraintExtent evaluates a (possibly compound, DNF) constraint for a
-// subject container with the given tags on node. A term applies to the
-// container when the container matches the subject of at least one of its
-// atoms; non-matching atoms within a term are skipped. The constraint's
-// extent is the minimum over applicable terms of the summed atom extents
-// (the DNF is satisfied when any term is). The second result reports
-// whether the constraint applies to this container at all.
-func constraintExtent(state *cluster.Cluster, c constraint.Constraint, node cluster.NodeID, tags []constraint.Tag) (float64, bool) {
-	applies := false
-	best := -1.0
-	for _, term := range c.Terms {
-		termApplies := false
-		sum := 0.0
-		for _, a := range term {
-			if !a.Subject.Matches(tags) {
-				continue
-			}
-			termApplies = true
-			sum += subjectExtent(state, a, node, a.Target.Matches(tags))
-		}
-		if !termApplies {
-			continue
-		}
-		applies = true
-		if best < 0 || sum < best {
-			best = sum
-		}
-	}
-	if !applies {
-		return 0, false
-	}
-	return best, true
 }
 
 // Report aggregates constraint-violation statistics over a cluster state,
@@ -110,13 +76,14 @@ func Evaluate(state *cluster.Cluster, entries []constraint.Entry) Report {
 func evaluateResolved(state *cluster.Cluster, resolved []constraint.Entry) Report {
 	var rep Report
 	var buf [16]float64
+	p, ring := newPlan(resolved), vecRing{}
 	for _, id := range state.ContainerIDs() {
 		node, ok := state.ContainerNode(id)
 		if !ok {
 			continue
 		}
 		tags, _ := state.ContainerTags(id)
-		addends, applied := appendExtents(buf[:0], state, resolved, node, tags)
+		addends, applied := p.atoms(ring.vector(p, tags)).appendExtents(buf[:0], state, node)
 		rep.Subject += applied
 		rep.Violated += len(addends)
 		if applied > 0 {
@@ -139,12 +106,18 @@ func evaluateResolved(state *cluster.Cluster, resolved []constraint.Entry) Repor
 // only in the sets containing a node it assigns to. So score re-prices
 // the containers on those sets' members and adds every other container's
 // addends as the sweep found them.
+//
+// What stays fixed for the whole Place is compiled once: plan holds, per
+// distinct tag vector of the base's containers and of the placed ones,
+// the atoms that vector is the subject of, and a container names its
+// vector by index.
 type scoreBase struct {
-	cons   []constraint.Entry
+	plan   *plan
+	batch  []seenVec              // the placed containers' vectors met so far
 	groups []constraint.GroupName // the groups an atom of cons names, "node" excepted
 	ids    []cluster.ContainerID  // sorted, as evaluateResolved walks them
-	nodes  []cluster.NodeID       // by ids index, like tags
-	tags   [][]constraint.Tag
+	nodes  []cluster.NodeID       // by ids index, like vec
+	vec    []int32                // by ids index: the container's vector in plan
 	// ids[i]'s addends are addends[off[i]:off[i+1]]: its non-zero
 	// weighted extents, in the order evaluateResolved adds them.
 	off     []int
@@ -159,7 +132,7 @@ type scoreBase struct {
 // newScoreBase sweeps state once against the batch's flattened constraint
 // list (flattenConstraints).
 func newScoreBase(state *cluster.Cluster, cons []constraint.Entry) *scoreBase {
-	b := &scoreBase{cons: cons, ids: state.ContainerIDs(), region: make([]bool, state.NumNodes())}
+	b := &scoreBase{plan: newPlan(cons), ids: state.ContainerIDs(), region: make([]bool, state.NumNodes())}
 	for _, e := range cons {
 		for _, term := range e.Constraint.Terms {
 			for _, a := range term {
@@ -170,15 +143,31 @@ func newScoreBase(state *cluster.Cluster, cons []constraint.Entry) *scoreBase {
 		}
 	}
 	b.nodes = make([]cluster.NodeID, len(b.ids))
-	b.tags = make([][]constraint.Tag, len(b.ids))
+	b.vec = make([]int32, len(b.ids))
 	b.off = make([]int, len(b.ids)+1)
+	var ring vecRing
 	for i, id := range b.ids {
 		b.nodes[i], _ = state.ContainerNode(id)
-		b.tags[i], _ = state.ContainerTags(id)
-		b.addends, _ = appendExtents(b.addends, state, cons, b.nodes[i], b.tags[i])
+		tags, _ := state.ContainerTags(id)
+		b.vec[i] = ring.vector(b.plan, tags)
+		b.addends, _ = b.plan.atoms(b.vec[i]).appendExtents(b.addends, state, b.nodes[i])
 		b.off[i+1] = len(b.addends)
 	}
 	return b
+}
+
+// placedVector returns the plan vector of a placed container's tags,
+// compiling it on first sight: a Place meets its batch's few container
+// groups again in every placement it prices.
+func (b *scoreBase) placedVector(tags []constraint.Tag) int32 {
+	for _, s := range b.batch {
+		if constraint.SameVector(s.tags, tags) {
+			return s.v
+		}
+	}
+	v := b.plan.add(tags)
+	b.batch = append(b.batch, seenVec{tags, v})
+	return v
 }
 
 // score rates a result: more placed apps first, then fewer violations.
@@ -234,7 +223,7 @@ func (b *scoreBase) sum(work *cluster.Cluster, res *Result) float64 {
 		var addends []float64
 		if j == len(b.placed) || i < len(b.ids) && b.ids[i] < b.placed[j].Container {
 			if b.region[b.nodes[i]] {
-				b.buf, _ = appendExtents(b.buf[:0], work, b.cons, b.nodes[i], b.tags[i])
+				b.buf, _ = b.plan.atoms(b.vec[i]).appendExtents(b.buf[:0], work, b.nodes[i])
 				addends = b.buf
 			} else {
 				addends = b.addends[b.off[i]:b.off[i+1]]
@@ -242,7 +231,7 @@ func (b *scoreBase) sum(work *cluster.Cluster, res *Result) float64 {
 			i++
 		} else {
 			a := b.placed[j]
-			b.buf, _ = appendExtents(b.buf[:0], work, b.cons, a.Node, a.Tags)
+			b.buf, _ = b.plan.atoms(b.placedVector(a.Tags)).appendExtents(b.buf[:0], work, a.Node)
 			addends = b.buf
 			j++
 		}
@@ -251,103 +240,6 @@ func (b *scoreBase) sum(work *cluster.Cluster, res *Result) float64 {
 		}
 	}
 	return float64(res.PlacedApps()) - total/1e6
-}
-
-// appendExtents is the one weighted-extent kernel: it appends the
-// non-zero weighted extents of the constraints of cons that apply to a
-// container with tags on node, in cons order, and reports how many apply.
-// Each addend is rounded before any sum (no fused multiply-add), so every
-// caller that adds them in order gets the same bits.
-func appendExtents(dst []float64, state *cluster.Cluster, cons []constraint.Entry, node cluster.NodeID, tags []constraint.Tag) ([]float64, int) {
-	applied := 0
-	for i := range cons {
-		c := &cons[i].Constraint // an Entry is too large to copy per container
-		ext, applies := constraintExtent(state, *c, node, tags)
-		if !applies {
-			continue
-		}
-		applied++
-		if ext > 0 {
-			dst = append(dst, float64(ext*c.EffectiveWeight()))
-		}
-	}
-	return dst, applied
-}
-
-// placementDelta estimates the increase in weighted violation extent
-// caused by tentatively placing a container with the given tags on node,
-// under the current state. It accounts for both directions of impact:
-//
-//  1. the candidate container as a *subject* of constraints, and
-//  2. the candidate container as a *target* that changes γ for containers
-//     already placed (including tentatively placed ones of this round).
-//
-// Greedy algorithms minimise this quantity when choosing nodes. When
-// subjectOnly is set, only direction 1 is scored: the candidate's impact
-// as a *target* of already-placed subjects is ignored. This mirrors
-// Kubernetes' semantics, where a deployed pod's affinity never constrains
-// future pods (J-Kube, §7.1); Medea's algorithms score both directions.
-func placementDelta(state *cluster.Cluster, cons []constraint.Entry, tags []constraint.Tag, node cluster.NodeID, subjectOnly bool) float64 {
-	total := 0.0
-	for _, e := range cons {
-		w := e.Constraint.EffectiveWeight()
-		bestTerm, found := 0.0, false
-		for _, term := range e.Constraint.Terms {
-			applies := false
-			sum := 0.0
-			for _, a := range term {
-				sum += atomDelta(state, a, tags, node, subjectOnly)
-				if a.Subject.Matches(tags) || (!subjectOnly && a.Target.Matches(tags)) {
-					applies = true
-				}
-			}
-			if !applies {
-				continue
-			}
-			if !found || sum < bestTerm {
-				bestTerm, found = sum, true
-			}
-		}
-		if found {
-			total += w * bestTerm
-		}
-	}
-	return total
-}
-
-// atomDelta computes the exact extent change of one atom caused by the
-// tentative placement.
-func atomDelta(state *cluster.Cluster, a constraint.Atom, tags []constraint.Tag, node cluster.NodeID, subjectOnly bool) float64 {
-	delta := 0.0
-	isSubject := a.Subject.Matches(tags)
-	isTarget := a.Target.Matches(tags) && !subjectOnly
-	if isSubject {
-		// The new container's own cardinality test at this node. Self is
-		// excluded, and the container is not yet in γ, so γ is used as-is.
-		delta += subjectExtent(state, a, node, false)
-	}
-	if !isTarget {
-		return delta
-	}
-	// Impact on already-placed subjects sharing a set with the node.
-	for _, sid := range state.SetsOfNode(a.Group, node) {
-		gTotal := state.Gamma(a.Group, sid, a.Target)
-		nSubj := state.Gamma(a.Group, sid, a.Subject)
-		nBoth := state.GammaBoth(a.Group, sid, a.Subject, a.Target)
-		// Subjects that match the target see γ go from gTotal-1 to gTotal;
-		// others from gTotal to gTotal+1.
-		if nBoth > 0 {
-			before, after := gTotal-1, gTotal
-			if before < 0 {
-				before = 0
-			}
-			delta += float64(nBoth) * (a.ViolationExtent(after) - a.ViolationExtent(before))
-		}
-		if n := nSubj - nBoth; n > 0 {
-			delta += float64(n) * (a.ViolationExtent(gTotal+1) - a.ViolationExtent(gTotal))
-		}
-	}
-	return delta
 }
 
 // flattenConstraints combines the active entries (deployed LRAs +
@@ -423,14 +315,14 @@ func sameConstraint(a, b constraint.Constraint) bool {
 	return true
 }
 
-// dedupSeed keys hashConstraint. The seed changes between processes,
-// which moves no output: a hash only nominates the earlier entries
-// dedupEntries compares with sameConstraint.
+// dedupSeed keys hashConstraint's group names. The seed changes between
+// processes, which moves no output: a hash only nominates the earlier
+// entries dedupEntries compares with sameConstraint.
 var dedupSeed = maphash.MakeSeed()
 
 // hashConstraint hashes what sameConstraint compares, so equal
-// constraints hash alike. An expression's tags are summed, so their order
-// does not count and their multiplicity does.
+// constraints hash alike; an expression is hashed as a tag multiset
+// (constraint.VectorHash).
 func hashConstraint(c constraint.Constraint) uint64 {
 	h := mix(0, math.Float64bits(c.EffectiveWeight()))
 	for _, term := range c.Terms {
@@ -439,58 +331,17 @@ func hashConstraint(c constraint.Constraint) uint64 {
 			h = mix(h, uint64(a.Min))
 			h = mix(h, uint64(a.Max))
 			h = mix(h, maphash.String(dedupSeed, string(a.Group)))
-			h = mix(h, hashTags(a.Subject))
-			h = mix(h, hashTags(a.Target))
+			h = mix(h, constraint.VectorHash(a.Subject))
+			h = mix(h, constraint.VectorHash(a.Target))
 		}
 	}
 	return h
-}
-
-func hashTags(e constraint.Expr) uint64 {
-	var sum uint64
-	for _, t := range e {
-		sum += maphash.String(dedupSeed, string(t))
-	}
-	return sum
 }
 
 // mix folds x into h (a multiply-xorshift step).
 func mix(h, x uint64) uint64 {
 	h = (h ^ x) * 0x9e3779b97f4a7c15
 	return h ^ h>>32
-}
-
-// relevantEntries filters entries to those that can interact with a
-// container carrying the given tags: some atom's subject or target
-// matches it. Greedy node scoring calls this once per container instead
-// of re-testing every constraint on every node.
-func relevantEntries(entries []constraint.Entry, tags []constraint.Tag) []constraint.Entry {
-	var out []constraint.Entry
-	for _, e := range entries {
-		if matchesAny(e.Constraint, tags) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// matchesAtom reports whether a container with the given tags can interact
-// with the atom, as its subject or as a target it counts.
-func matchesAtom(a constraint.Atom, tags []constraint.Tag) bool {
-	return a.Subject.Matches(tags) || a.Target.Matches(tags)
-}
-
-// matchesAny reports whether some atom of c can interact with a container
-// carrying the given tags.
-func matchesAny(c constraint.Constraint, tags []constraint.Tag) bool {
-	for _, term := range c.Terms {
-		for _, a := range term {
-			if matchesAtom(a, tags) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // ViolationFor returns the summed weighted violation extent of the
@@ -506,7 +357,7 @@ func ViolationFor(state *cluster.Cluster, resolved []constraint.Entry, id cluste
 	}
 	tags, _ := state.ContainerTags(id)
 	var buf [16]float64
-	addends, _ := appendExtents(buf[:0], state, resolved, node, tags)
+	addends, _ := compileAtoms(nil, resolved, tags, false).appendExtents(buf[:0], state, node)
 	total := 0.0
 	for _, x := range addends {
 		total += x

@@ -115,7 +115,7 @@ func TestEvaluateCardinality(t *testing.T) {
 func TestEvaluateDNF(t *testing.T) {
 	c := grid(8, 4)
 	// storm needs hb on same node OR same rack.
-	con := constraint.Or(
+	con := or(
 		[]constraint.Atom{constraint.Affinity(constraint.E("storm"), constraint.E("hb"), constraint.Node)},
 		[]constraint.Atom{constraint.Affinity(constraint.E("storm"), constraint.E("hb"), constraint.Rack)},
 	)

@@ -65,7 +65,7 @@ type greedy struct {
 	loadBalanceWeight float64
 	// subjectOnly scores only the candidate's own constraints, ignoring
 	// its impact on deployed subjects (Kubernetes semantics; see
-	// placementDelta).
+	// vecAtoms.delta).
 	subjectOnly bool
 	// firstFit ignores scores entirely and picks randomly among the
 	// first few nodes (by ID) with room — the YARN Capacity Scheduler's
@@ -150,30 +150,29 @@ func (g *greedy) placeOn(work *cluster.Cluster, apps []*Application, flat []cons
 	for _, rs := range reqs {
 		queue = append(queue, rs...)
 	}
-	if g.order == orderTP {
-		pop := make([]int, len(queue))
-		for i, r := range queue {
-			pop[i] = tagPopularity(cons, r.tags)
-		}
-		idx := make([]int, len(queue))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool { return pop[idx[a]] > pop[idx[b]] })
-		nq := make([]containerReq, len(queue))
-		for i, j := range idx {
-			nq[i] = queue[j]
-		}
-		queue = nq
-	}
 
 	// Every node score of this call lives in one table, kept current
 	// across the tentative allocations and rollbacks below. The first-fit
-	// baseline ignores scores and has none.
+	// baseline ignores scores and has none; it places in submission order.
 	var tab *scoreTable
 	var classOf []int
 	if !g.firstFit {
 		tab, classOf = newScoreTable(g, work, cons, queue)
+	}
+	if g.order == orderTP {
+		// A container's tag popularity is the number of constraint atoms
+		// it is the subject or a target of: its class's compiled atoms.
+		idx := make([]int, len(queue))
+		for i := range idx {
+			idx[i] = i
+		}
+		pop := func(i int) int { return len(tab.classes[classOf[i]].atoms) }
+		sort.SliceStable(idx, func(a, b int) bool { return pop(idx[a]) > pop(idx[b]) })
+		nq, nc := make([]containerReq, len(queue)), make([]int, len(queue))
+		for i, j := range idx {
+			nq[i], nc[i] = queue[j], classOf[j]
+		}
+		queue, classOf = nq, nc
 	}
 
 	failed := make([]bool, len(apps))
@@ -293,34 +292,15 @@ func (g *greedy) firstFitNode(work *cluster.Cluster, r containerReq) (cluster.No
 	return fits[g.rng.Intn(len(fits))], true
 }
 
-// tagPopularity counts constraint atoms whose subject or target matches
-// the container's tags.
-func tagPopularity(cons []constraint.Entry, tags []constraint.Tag) int {
-	n := 0
-	for _, e := range cons {
-		for _, term := range e.Constraint.Terms {
-			for _, a := range term {
-				if matchesAtom(a, tags) {
-					n++
-				}
-			}
-		}
-	}
-	return n
-}
-
-// sharesConstraintScope reports whether placing a container with tags a
-// can change the candidate count of a container with tags b: some atom
-// relates them (a matches its target while b matches its subject, or both
-// compete as subjects of the same atom).
-func sharesConstraintScope(cons []constraint.Entry, a, b []constraint.Tag) bool {
-	for _, e := range cons {
-		for _, term := range e.Constraint.Terms {
-			for _, atom := range term {
-				if atom.Subject.Matches(b) && (atom.Target.Matches(a) || atom.Subject.Matches(a)) {
-					return true
-				}
-			}
+// sharesConstraintScope reports whether placing a container whose
+// compiled atoms are a (compileAtoms with targets) can change the
+// candidate count of a container with tags b: some atom relates them (a
+// matches its target while b matches its subject, or both compete as
+// subjects of the same atom).
+func sharesConstraintScope(a vecAtoms, b []constraint.Tag) bool {
+	for _, r := range a {
+		if r.atom.Subject.Matches(b) {
+			return true
 		}
 	}
 	return false
@@ -329,18 +309,14 @@ func sharesConstraintScope(cons []constraint.Entry, a, b []constraint.Tag) bool 
 // affinityPopulation returns the total target population the candidate's
 // affinity constraints see at this node's sets — Kubernetes' affinity
 // priority sums matching pods per topology, so more populated sets score
-// higher (and keep attracting more containers).
-func affinityPopulation(work *cluster.Cluster, cons []constraint.Entry, tags []constraint.Tag, node cluster.NodeID) float64 {
+// higher (and keep attracting more containers). atoms is the candidate's
+// compiled form.
+func affinityPopulation(work *cluster.Cluster, atoms vecAtoms, node cluster.NodeID) float64 {
 	total := 0.0
-	for _, e := range cons {
-		for _, term := range e.Constraint.Terms {
-			for _, a := range term {
-				if !a.IsAffinity() || !a.Subject.Matches(tags) {
-					continue
-				}
-				for _, sid := range work.SetsOfNode(a.Group, node) {
-					total += float64(work.Gamma(a.Group, sid, a.Target))
-				}
+	for _, r := range atoms {
+		if a := r.atom; r.subject && a.IsAffinity() {
+			for _, sid := range work.SetsOfNode(a.Group, node) {
+				total += float64(work.Gamma(a.Group, sid, a.Target))
 			}
 		}
 	}

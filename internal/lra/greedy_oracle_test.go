@@ -40,7 +40,7 @@ func (g *greedy) oracleScores(work *cluster.Cluster, cons []constraint.Entry, r 
 		}
 		delta := placementDelta(work, cons, r.tags, n.ID, g.subjectOnly)
 		if g.affinityPull > 0 {
-			delta -= g.affinityPull * affinityPopulation(work, cons, r.tags, n.ID)
+			delta -= g.affinityPull * scanAffinityPopulation(work, cons, r.tags, n.ID)
 		}
 		util := n.Used().Add(r.demand).DominantShare(n.Capacity)
 		if g.loadBalanceWeight > 0 {
@@ -131,7 +131,7 @@ func (g *greedy) oraclePlace(state *cluster.Cluster, apps []*Application, active
 		})
 		if g.order == orderNC {
 			for i := range queue {
-				if !done[i] && !failed[queue[i].appIdx] && sharesConstraintScope(cons, r.tags, queue[i].tags) {
+				if !done[i] && !failed[queue[i].appIdx] && scanSharesScope(cons, r.tags, queue[i].tags) {
 					nc[i] = countCandidates(work, rel(queue[i]), queue[i])
 				}
 			}
@@ -247,7 +247,7 @@ func oracleBatch(rng *rand.Rand, prefix string, n int) []*Application {
 			case 1:
 				c = constraint.Weighted(randomAtom(rng, appTags), float64(1+rng.Intn(5))/2)
 			default:
-				c = constraint.Or(
+				c = or(
 					[]constraint.Atom{randomAtom(rng, appTags), randomAtom(rng, appTags)},
 					[]constraint.Atom{randomAtom(rng, appTags)})
 			}
@@ -294,9 +294,10 @@ func fillNearlyFull(t *testing.T, rng *rand.Rand, state *cluster.Cluster) {
 }
 
 // checkTable compares every cell, every clean count and every node
-// choice of the table with the oracle. Floats must be bit-identical: the
-// table caches scores, it never computes one differently.
-func checkTable(t *testing.T, step string, g *greedy, tab *scoreTable, queue []containerReq, classOf []int) {
+// choice of the table with the oracle, which scans the whole constraint
+// list cons. Floats must be bit-identical: the table caches scores, it
+// never computes one differently.
+func checkTable(t *testing.T, step string, g *greedy, tab *scoreTable, cons []constraint.Entry, queue []containerReq, classOf []int) {
 	t.Helper()
 	seen := map[int]bool{}
 	for qi, r := range queue {
@@ -306,7 +307,7 @@ func checkTable(t *testing.T, step string, g *greedy, tab *scoreTable, queue []c
 		}
 		seen[ci] = true
 		c := &tab.classes[ci]
-		want := g.oracleScores(tab.work, c.cons, r)
+		want := g.oracleScores(tab.work, cons, r)
 		clean := 0
 		for ni, w := range want {
 			if got := c.scores[ni]; got != w {
@@ -320,12 +321,12 @@ func checkTable(t *testing.T, step string, g *greedy, tab *scoreTable, queue []c
 			t.Fatalf("%s: %s class %d: clean %d, oracle %d", step, g.name, ci, c.clean, clean)
 		}
 		if g.order == orderNC {
-			if nc := countCandidates(tab.work, c.cons, r); c.clean != nc {
+			if nc := countCandidates(tab.work, cons, r); c.clean != nc {
 				t.Fatalf("%s: class %d: clean %d, countCandidates %d", step, ci, c.clean, nc)
 			}
 		}
 		gotNode, gotOK := tab.best(ci)
-		wantNode, wantOK := g.oracleBestNode(tab.work, c.cons, r)
+		wantNode, wantOK := g.oracleBestNode(tab.work, cons, r)
 		if gotNode != wantNode || gotOK != wantOK {
 			t.Fatalf("%s: %s class %d: best %d/%v, oracle %d/%v", step, g.name, ci, gotNode, gotOK, wantNode, wantOK)
 		}
@@ -350,7 +351,7 @@ func TestScoreTableMatchesOracle(t *testing.T) {
 				queue = append(queue, rs...)
 			}
 			tab, classOf := newScoreTable(g, work, cons, queue)
-			checkTable(t, fmt.Sprintf("seed %d fill", seed), g, tab, queue, classOf)
+			checkTable(t, fmt.Sprintf("seed %d fill", seed), g, tab, cons, queue, classOf)
 
 			placed := map[int]cluster.NodeID{} // queue index -> node
 			for step := 0; step < 60; step++ {
@@ -397,7 +398,7 @@ func TestScoreTableMatchesOracle(t *testing.T) {
 						delete(placed, qi)
 					}
 				}
-				checkTable(t, name, g, tab, queue, classOf)
+				checkTable(t, name, g, tab, cons, queue, classOf)
 			}
 		}
 	}

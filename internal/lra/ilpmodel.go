@@ -79,6 +79,10 @@ type placementModel struct {
 	// What the row emitters read.
 	state  *cluster.Cluster
 	groups []mgroup
+
+	// cardinalityRows' scratch: by group, whether the atom being emitted
+	// has it as subject and as target.
+	subjOf, tgtOf []bool
 }
 
 // buildModel formulates the Figure-5 program for apps over cands, the
@@ -280,17 +284,29 @@ func (pm *placementModel) activation(gi int, gn constraint.GroupName, sid cluste
 }
 
 // cardRow is where one cardinality row goes: the atom, the node set, the
-// Y terms that count new target containers there and γ of the target
-// before placement.
+// Y terms that count new target containers there and, once a row of the
+// set needs them (gammas), the three γ of the atom in the set before
+// placement.
 type cardRow struct {
-	pm       *placementModel
-	idx      int
-	inst     atomInst
-	bigM     float64
-	sel      ilp.Var // the DNF selector of the atom's term, or noVar
-	sid      cluster.SetID
-	tgt      []ilp.Term
-	existing int
+	pm   *placementModel
+	idx  int
+	inst atomInst
+	bigM float64
+	sel  ilp.Var // the DNF selector of the atom's term, or noVar
+	sid  cluster.SetID
+	tgt  []ilp.Term
+
+	loaded                 bool
+	existing, nSubj, nBoth int // γ of the target, the subject and both
+}
+
+// gammas reads the atom's three γ in the row's set, once per set.
+func (r *cardRow) gammas() {
+	if !r.loaded {
+		a := &r.inst.atom
+		r.existing, r.nSubj, r.nBoth = r.pm.state.GammaAtom(a.Group, r.sid, a.Subject, a.Target)
+		r.loaded = true
+	}
 }
 
 // cardinalityRows emits Equations 6–8 for one atom: per node set of its
@@ -312,12 +328,17 @@ func (pm *placementModel) cardinalityRows(idx int, inst atomInst, bigM float64) 
 	// no subject is present, so the row can bind unconditionally. This
 	// removes the largest binary family from the model.
 	selfCovered := a.SelfTargeting() && a.Min == 0 && a.Max != constraint.Unbounded
+	pm.subjOf, pm.tgtOf = pm.subjOf[:0], pm.tgtOf[:0]
+	for _, g := range pm.groups {
+		pm.subjOf = append(pm.subjOf, a.Subject.Matches(g.tags))
+		pm.tgtOf = append(pm.tgtOf, a.Target.Matches(g.tags))
+	}
 
 	for r.sid = 0; int(r.sid) < numSets; r.sid++ {
-		r.existing = pm.state.Gamma(a.Group, r.sid, a.Target)
+		r.loaded = false
 		r.tgt = nil
-		for gi, g := range pm.groups {
-			if a.Target.Matches(g.tags) {
+		for gi := range pm.groups {
+			if pm.tgtOf[gi] {
 				for _, n := range pm.candidatesIn(gi, a.Group, r.sid) {
 					r.tgt = append(r.tgt, ilp.T(1, pm.Y[gi][n]))
 				}
@@ -332,15 +353,15 @@ func (pm *placementModel) cardinalityRows(idx int, inst atomInst, bigM float64) 
 
 		// (a) Newly submitted subjects: per subject-matching group with
 		// candidates in this set, conditional on its activation.
-		for gi, g := range pm.groups {
-			if !a.Subject.Matches(g.tags) {
+		for gi := range pm.groups {
+			if !pm.subjOf[gi] {
 				continue
 			}
 			act, reachable := pm.activation(gi, a.Group, r.sid)
 			if !reachable {
 				continue
 			}
-			selfAdj := b2f(a.Target.Matches(g.tags))
+			selfAdj := b2f(pm.tgtOf[gi])
 			if a.Min > 0 {
 				r.emit("", true, gi, selfAdj, act)
 			}
@@ -355,18 +376,16 @@ func (pm *placementModel) cardinalityRows(idx int, inst atomInst, bigM float64) 
 		if len(r.tgt) == 0 {
 			continue // placements cannot change γ here
 		}
-		nSubj := pm.state.Gamma(a.Group, r.sid, a.Subject)
-		if nSubj == 0 {
+		if r.gammas(); r.nSubj == 0 {
 			continue
 		}
-		nBoth := pm.state.GammaBoth(a.Group, r.sid, a.Subject, a.Target)
 		if a.Min > 0 {
 			// tightest: a subject that matches the target
-			r.emit("e", true, -1, b2f(nBoth > 0), noVar)
+			r.emit("e", true, -1, b2f(r.nBoth > 0), noVar)
 		}
 		if a.Max != constraint.Unbounded {
 			// tightest: a subject not matching the target
-			r.emit("e", false, -1, b2f(nSubj == nBoth), noVar)
+			r.emit("e", false, -1, b2f(r.nSubj == r.nBoth), noVar)
 		}
 	}
 }
@@ -402,6 +421,7 @@ func (r *cardRow) emit(family string, isMin bool, gi, selfAdj int, act ilp.Var) 
 	pm.slacks = append(pm.slacks, slackRef{v: v, atomIdx: r.idx, weight: r.inst.weight, bound: bound})
 	terms := make([]ilp.Term, 0, len(r.tgt)+3)
 	terms = append(terms, ilp.T(sign, v))
+	r.gammas()
 	rhs := float64(bound - r.existing + selfAdj)
 	if act != noVar {
 		terms = append(terms, ilp.T(-sign*r.bigM, act))

@@ -65,7 +65,7 @@ func TestBuildModelGolden(t *testing.T) {
 	c = cluster.Grid(4, 2, resource.New(8192, 4))
 	mustAlloc(t, c, 1, "m#0", "mem")
 	app = workerApp("storm", 2, "s")
-	app.Constraints = []constraint.Constraint{constraint.Or(
+	app.Constraints = []constraint.Constraint{or(
 		[]constraint.Atom{constraint.Affinity(constraint.E("s"), constraint.E("mem"), constraint.Node)},
 		[]constraint.Atom{constraint.Affinity(constraint.E("s"), constraint.E("mem"), constraint.Rack)},
 	)}

@@ -296,7 +296,8 @@ func groupCounts(groups []mgroup, res *Result) []map[cluster.NodeID]int {
 func selectCandidates(state *cluster.Cluster, cons []constraint.Entry, groups []mgroup, opts Options) [][]cluster.NodeID {
 	out := make([][]cluster.NodeID, len(groups))
 	groupNames := state.Groups()
-	var key []byte // class key of the node being bucketed, reused
+	var key []byte     // class key of the node being bucketed, reused
+	var atoms vecAtoms // the group's compiled atoms, reused
 	for gi, g := range groups {
 		budget := opts.MaxCandidates
 		if budget <= 0 {
@@ -306,7 +307,7 @@ func selectCandidates(state *cluster.Cluster, cons []constraint.Entry, groups []
 			// starving under constraint pressure.
 			budget = max(2*g.count, 8)
 		}
-		gcons := relevantEntries(cons, g.tags)
+		atoms = compileAtoms(atoms[:0], cons, g.tags, true)
 		type class struct {
 			nodes []cluster.NodeID
 			delta float64
@@ -317,7 +318,7 @@ func selectCandidates(state *cluster.Cluster, cons []constraint.Entry, groups []
 			if !n.Available() || !g.demand.Fits(n.Free()) {
 				continue
 			}
-			delta := placementDelta(state, gcons, g.tags, n.ID, false)
+			delta := atoms.delta(state, n.ID, false)
 			free := n.Free()
 			key = strconv.AppendInt(key[:0], free.MemoryMB, 10)
 			key = append(key, '/')

@@ -20,7 +20,7 @@ func TestILPDNFConstraint(t *testing.T) {
 	if err := c.Allocate(3, "fill#0", resource.New(14336, 6), nil); err != nil {
 		t.Fatal(err)
 	}
-	dnf := constraint.Or(
+	dnf := or(
 		[]constraint.Atom{constraint.Affinity(constraint.E("s"), constraint.E("mem"), constraint.Node)},
 		[]constraint.Atom{constraint.Affinity(constraint.E("s"), constraint.E("mem"), constraint.Rack)},
 	)

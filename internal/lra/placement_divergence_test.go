@@ -135,7 +135,7 @@ func divergenceDNFPerContainer(t *testing.T) {
 	deployOn(t, c, 0, "d#0", "x")
 	deployOn(t, c, 1, "d#1", "y")
 	app := &Application{ID: "new", Groups: []ContainerGroup{{Name: "g", Count: 2, Demand: resource.New(1024, 1), Tags: []constraint.Tag{"a"}}}}
-	app.Constraints = []constraint.Constraint{constraint.Or(
+	app.Constraints = []constraint.Constraint{or(
 		[]constraint.Atom{constraint.Affinity(constraint.E("a"), constraint.E("x"), constraint.Node)},
 		[]constraint.Atom{constraint.Affinity(constraint.E("a"), constraint.E("y"), constraint.Node)})}
 	in := tinyInstanceOf(c, []*Application{app}, nil)
@@ -152,7 +152,7 @@ func divergenceDNFIdleTerm(t *testing.T) {
 	c := twoNodes()
 	deployOn(t, c, 0, "d#0", "x")
 	app := oneContainer("new", "a")
-	app.Constraints = []constraint.Constraint{constraint.Or(
+	app.Constraints = []constraint.Constraint{or(
 		[]constraint.Atom{constraint.Affinity(constraint.E("a"), constraint.E("x"), constraint.Node)},
 		[]constraint.Atom{constraint.MaxCardinality(constraint.E("b"), constraint.E("x"), 5, constraint.Node)})}
 	in := tinyInstanceOf(c, []*Application{app}, nil)

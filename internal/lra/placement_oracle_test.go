@@ -73,9 +73,9 @@ func tinyConstraint(rng *rand.Rand, groups []constraint.GroupName, subjTags []co
 	atom := func() constraint.Atom { return tinyAtom(rng, groups, subjTags, appTag) }
 	switch rng.Intn(8) {
 	case 0:
-		return constraint.Or([]constraint.Atom{atom()}, []constraint.Atom{atom()})
+		return or([]constraint.Atom{atom()}, []constraint.Atom{atom()})
 	case 1:
-		c := constraint.Or([]constraint.Atom{atom(), atom()}, []constraint.Atom{atom()})
+		c := or([]constraint.Atom{atom(), atom()}, []constraint.Atom{atom()})
 		c.Weight = 2.5
 		return c
 	case 2, 3:
@@ -183,7 +183,7 @@ func tinyInstanceOf(state *cluster.Cluster, apps []*Application, active []constr
 	}
 	for _, e := range in.cons {
 		in.compound = in.compound || len(e.Constraint.Terms) > 1
-		for _, a := range e.Constraint.Atoms() {
+		for _, a := range atomsOf(e.Constraint) {
 			for _, node := range in.nodes {
 				in.uncovered = in.uncovered || len(state.SetsOfNode(a.Group, node)) == 0
 			}
@@ -446,7 +446,7 @@ func (in *tinyInstance) evaluatorClean(pm *placementModel, work *cluster.Cluster
 				sum, byBatch := 0.0, false
 				for _, a := range e.Constraint.Terms[0] {
 					if a.Subject.Matches(tags) {
-						ext := subjectExtent(work, a, node, a.Target.Matches(tags))
+						ext := subjectExtent(work, &a, node, a.Target.Matches(tags))
 						sum += ext
 						byBatch = byBatch || ext > 0 && in.influences(pm, id, node, a)
 					}
@@ -701,7 +701,7 @@ func modelMutants() []modelMutant {
 			pm := buildModel(state, apps, cons, groups, cands, w)
 			var atoms []constraint.Atom
 			for _, e := range cons {
-				atoms = append(atoms, e.Constraint.Atoms()...)
+				atoms = append(atoms, atomsOf(e.Constraint)...)
 			}
 			mutated := *pm
 			mutated.m = rebuildModel(pm.m, nil, func(row *textRow) bool { return edit(pm, atoms, row) })

@@ -1,0 +1,215 @@
+package lra
+
+import (
+	"medea/internal/cluster"
+	"medea/internal/constraint"
+)
+
+// atomRef is one atom of a constraint list that a container tag vector
+// meets, with the two matches evaluated once, when the vector is
+// compiled: whether the vector is the atom's subject and whether it is
+// one of the atom's targets.
+type atomRef struct {
+	atom    *constraint.Atom
+	weight  float64 // the owning constraint's EffectiveWeight
+	entry   int32   // the owning entry's index in the list
+	term    int32   // the DNF term within that entry
+	subject bool
+	target  bool
+}
+
+// vecAtoms is one tag vector's compiled form of a constraint list: the
+// atoms it meets, in list order — entry by entry, term by term. The
+// kernels below walk it in place of the whole list, so a Place matches
+// each atom against a tag vector once, not once per node it prices.
+type vecAtoms []atomRef
+
+// compileAtoms appends to dst the atoms of cons that a container with
+// tags is the subject of and, when targets is set, also those it is only
+// a target of: the form a placement's delta needs, where the extent
+// sweep needs the subject atoms alone.
+func compileAtoms(dst vecAtoms, cons []constraint.Entry, tags []constraint.Tag, targets bool) vecAtoms {
+	for ei := range cons {
+		c := &cons[ei].Constraint // an Entry is too large to copy per atom
+		w := c.EffectiveWeight()
+		for ti, term := range c.Terms {
+			for k := range term {
+				a := &term[k]
+				subject := a.Subject.Matches(tags)
+				if !subject && !targets {
+					continue
+				}
+				target := a.Target.Matches(tags)
+				if subject || target {
+					dst = append(dst, atomRef{atom: a, weight: w, entry: int32(ei), term: int32(ti), subject: subject, target: target})
+				}
+			}
+		}
+	}
+	return dst
+}
+
+// appendExtents is the one weighted-extent kernel: it appends the
+// non-zero weighted extents of the constraints that apply to a container
+// of v on node — those with an atom v is the subject of — in list order,
+// and reports how many apply. A DNF constraint's extent is the least,
+// over its terms with such an atom, of those atoms' summed extents: the
+// constraint holds when any term does. Each addend is rounded before any
+// sum (no fused multiply-add), so every caller that adds them in order
+// gets the same bits.
+func (v vecAtoms) appendExtents(dst []float64, state *cluster.Cluster, node cluster.NodeID) ([]float64, int) {
+	applied := 0
+	for i := 0; i < len(v); {
+		entry, best := v[i].entry, -1.0
+		for i < len(v) && v[i].entry == entry {
+			term, applies, sum := v[i].term, false, 0.0
+			for ; i < len(v) && v[i].entry == entry && v[i].term == term; i++ {
+				if r := &v[i]; r.subject {
+					applies = true
+					sum += subjectExtent(state, r.atom, node, r.target)
+				}
+			}
+			if applies && (best < 0 || sum < best) {
+				best = sum
+			}
+		}
+		if best < 0 {
+			continue // v is only a target of this constraint
+		}
+		applied++
+		if best > 0 {
+			dst = append(dst, float64(best*v[i-1].weight))
+		}
+	}
+	return dst, applied
+}
+
+// delta is the increase in weighted violation extent caused by
+// tentatively placing a container of v on node, under the current
+// state. It accounts for both directions of impact:
+//
+//  1. the candidate container as a *subject* of constraints, and
+//  2. the candidate container as a *target* that changes γ for containers
+//     already placed (including tentatively placed ones of this round).
+//
+// Greedy algorithms minimise this quantity when choosing nodes. When
+// subjectOnly is set, only direction 1 is scored: the candidate's impact
+// as a *target* of already-placed subjects is ignored. This mirrors
+// Kubernetes' semantics, where a deployed pod's affinity never constrains
+// future pods (J-Kube, §7.1); Medea's algorithms score both directions.
+// v must be compiled with targets.
+func (v vecAtoms) delta(state *cluster.Cluster, node cluster.NodeID, subjectOnly bool) float64 {
+	total := 0.0
+	for i := 0; i < len(v); {
+		entry, w := v[i].entry, v[i].weight
+		bestTerm, found := 0.0, false
+		for i < len(v) && v[i].entry == entry {
+			term, applies, sum := v[i].term, false, 0.0
+			for ; i < len(v) && v[i].entry == entry && v[i].term == term; i++ {
+				r := &v[i]
+				target := r.target && !subjectOnly
+				if r.subject || target {
+					applies = true
+					sum += r.delta(state, node, target)
+				}
+			}
+			if applies && (!found || sum < bestTerm) {
+				bestTerm, found = sum, true
+			}
+		}
+		if found {
+			total += w * bestTerm
+		}
+	}
+	return total
+}
+
+// delta is one atom's exact extent change caused by the tentative
+// placement; target says whether to count the container as one of the
+// atom's targets.
+func (r *atomRef) delta(state *cluster.Cluster, node cluster.NodeID, target bool) float64 {
+	a := r.atom
+	delta := 0.0
+	if r.subject {
+		// The new container's own cardinality test at this node. Self is
+		// excluded, and the container is not yet in γ, so γ is used as-is.
+		delta += subjectExtent(state, a, node, false)
+	}
+	if !target {
+		return delta
+	}
+	// Impact on already-placed subjects sharing a set with the node.
+	for _, sid := range state.SetsOfNode(a.Group, node) {
+		gTotal, nSubj, nBoth := state.GammaAtom(a.Group, sid, a.Subject, a.Target)
+		// Subjects that match the target see γ go from gTotal-1 to gTotal;
+		// others from gTotal to gTotal+1.
+		if nBoth > 0 {
+			before, after := gTotal-1, gTotal
+			if before < 0 {
+				before = 0
+			}
+			delta += float64(nBoth) * (a.ViolationExtent(after) - a.ViolationExtent(before))
+		}
+		if n := nSubj - nBoth; n > 0 {
+			delta += float64(n) * (a.ViolationExtent(gTotal+1) - a.ViolationExtent(gTotal))
+		}
+	}
+	return delta
+}
+
+// plan is a constraint list compiled, once per sweep or Place, for the
+// tag vectors of the containers it prices: per distinct vector, the
+// atoms the vector is the subject of (compileAtoms without targets). A
+// container names its vector by index, so pricing it again on a changed
+// state walks that vector's atoms only.
+type plan struct {
+	cons []constraint.Entry
+	off  []int32 // vector v's atoms are refs[off[v]:off[v+1]]
+	refs vecAtoms
+}
+
+func newPlan(cons []constraint.Entry) *plan {
+	return &plan{cons: cons, off: []int32{0}}
+}
+
+// add compiles tags as a new vector and returns its index.
+func (p *plan) add(tags []constraint.Tag) int32 {
+	p.refs = compileAtoms(p.refs, p.cons, tags, false)
+	p.off = append(p.off, int32(len(p.refs)))
+	return int32(len(p.off) - 2)
+}
+
+// atoms returns vector v's compiled atoms.
+func (p *plan) atoms(v int32) vecAtoms { return p.refs[p.off[v]:p.off[v+1]] }
+
+// seenVec is a tag vector and its index in a plan.
+type seenVec struct {
+	tags []constraint.Tag
+	v    int32
+}
+
+// sweepWindow is how many distinct tag vectors a sweep remembers. It
+// meets the containers of a cluster in ID order, so those of one
+// application are adjacent, and its container groups interleave only as
+// "#10" sorts before "#2".
+const sweepWindow = 8
+
+// vecRing names the plan vector of each container of a sweep: the last
+// sweepWindow distinct vectors it met are searched, and a vector not
+// among them is compiled anew.
+type vecRing struct {
+	seen [sweepWindow]seenVec
+	n    int
+}
+
+func (r *vecRing) vector(p *plan, tags []constraint.Tag) int32 {
+	for k := 1; k <= min(r.n, sweepWindow); k++ {
+		if s := &r.seen[(r.n-k)%sweepWindow]; constraint.SameVector(s.tags, tags) {
+			return s.v
+		}
+	}
+	s := &r.seen[r.n%sweepWindow]
+	*s = seenVec{tags, p.add(tags)}
+	r.n++
+	return s.v
+}

@@ -1,0 +1,367 @@
+package lra
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"medea/internal/cluster"
+	"medea/internal/constraint"
+	"medea/internal/resource"
+)
+
+// The per-call forms the compiled kernels of plan.go replaced, kept as
+// their oracles: they match every atom of the whole constraint list
+// against the container's tags on every call, and read each γ with a
+// query of its own.
+
+// or returns the disjunction of the given conjunctive terms, weight 1.
+func or(terms ...[]constraint.Atom) constraint.Constraint {
+	return constraint.Constraint{Terms: terms, Weight: 1}
+}
+
+// atomsOf returns every atom of c, term by term.
+func atomsOf(c constraint.Constraint) []constraint.Atom {
+	var out []constraint.Atom
+	for _, t := range c.Terms {
+		out = append(out, t...)
+	}
+	return out
+}
+
+// constraintExtent evaluates a (possibly compound, DNF) constraint for a
+// subject container with the given tags on node. A term applies to the
+// container when the container matches the subject of at least one of its
+// atoms; non-matching atoms within a term are skipped. The constraint's
+// extent is the minimum over applicable terms of the summed atom extents
+// (the DNF is satisfied when any term is). The second result reports
+// whether the constraint applies to this container at all.
+func constraintExtent(state *cluster.Cluster, c constraint.Constraint, node cluster.NodeID, tags []constraint.Tag) (float64, bool) {
+	applies := false
+	best := -1.0
+	for _, term := range c.Terms {
+		termApplies := false
+		sum := 0.0
+		for _, a := range term {
+			if !a.Subject.Matches(tags) {
+				continue
+			}
+			termApplies = true
+			sum += subjectExtent(state, &a, node, a.Target.Matches(tags))
+		}
+		if !termApplies {
+			continue
+		}
+		applies = true
+		if best < 0 || sum < best {
+			best = sum
+		}
+	}
+	if !applies {
+		return 0, false
+	}
+	return best, true
+}
+
+// scanExtents is vecAtoms.appendExtents by a scan of every entry.
+func scanExtents(dst []float64, state *cluster.Cluster, cons []constraint.Entry, node cluster.NodeID, tags []constraint.Tag) ([]float64, int) {
+	applied := 0
+	for _, e := range cons {
+		ext, applies := constraintExtent(state, e.Constraint, node, tags)
+		if !applies {
+			continue
+		}
+		applied++
+		if ext > 0 {
+			dst = append(dst, float64(ext*e.Constraint.EffectiveWeight()))
+		}
+	}
+	return dst, applied
+}
+
+// scanReport is evaluateResolved by scanExtents.
+func scanReport(state *cluster.Cluster, cons []constraint.Entry) Report {
+	var rep Report
+	for _, id := range state.ContainerIDs() {
+		node, _ := state.ContainerNode(id)
+		tags, _ := state.ContainerTags(id)
+		addends, applied := scanExtents(nil, state, cons, node, tags)
+		rep.Subject += applied
+		rep.Violated += len(addends)
+		if applied > 0 {
+			rep.SubjectContainers++
+		}
+		if len(addends) > 0 {
+			rep.ViolatedContainers++
+		}
+		for _, x := range addends {
+			rep.TotalExtent += x
+		}
+	}
+	return rep
+}
+
+// placementDelta is vecAtoms.delta by a scan of every entry.
+func placementDelta(state *cluster.Cluster, cons []constraint.Entry, tags []constraint.Tag, node cluster.NodeID, subjectOnly bool) float64 {
+	total := 0.0
+	for _, e := range cons {
+		w := e.Constraint.EffectiveWeight()
+		bestTerm, found := 0.0, false
+		for _, term := range e.Constraint.Terms {
+			applies := false
+			sum := 0.0
+			for _, a := range term {
+				sum += atomDelta(state, a, tags, node, subjectOnly)
+				if a.Subject.Matches(tags) || (!subjectOnly && a.Target.Matches(tags)) {
+					applies = true
+				}
+			}
+			if !applies {
+				continue
+			}
+			if !found || sum < bestTerm {
+				bestTerm, found = sum, true
+			}
+		}
+		if found {
+			total += w * bestTerm
+		}
+	}
+	return total
+}
+
+// atomDelta is atomRef.delta with its matches made on every call and
+// each of the three γ read by a query of its own: γ(subject ∧ target) as
+// γ of the joined expression.
+func atomDelta(state *cluster.Cluster, a constraint.Atom, tags []constraint.Tag, node cluster.NodeID, subjectOnly bool) float64 {
+	delta := 0.0
+	isSubject := a.Subject.Matches(tags)
+	isTarget := a.Target.Matches(tags) && !subjectOnly
+	if isSubject {
+		delta += subjectExtent(state, &a, node, false)
+	}
+	if !isTarget {
+		return delta
+	}
+	both := append(slices.Clip(a.Subject), a.Target...)
+	for _, sid := range state.SetsOfNode(a.Group, node) {
+		gTotal := state.Gamma(a.Group, sid, a.Target)
+		nSubj := state.Gamma(a.Group, sid, a.Subject)
+		nBoth := state.Gamma(a.Group, sid, both)
+		if nBoth > 0 {
+			before, after := gTotal-1, gTotal
+			if before < 0 {
+				before = 0
+			}
+			delta += float64(nBoth) * (a.ViolationExtent(after) - a.ViolationExtent(before))
+		}
+		if n := nSubj - nBoth; n > 0 {
+			delta += float64(n) * (a.ViolationExtent(gTotal+1) - a.ViolationExtent(gTotal))
+		}
+	}
+	return delta
+}
+
+// relevantEntries filters entries to those with an atom whose subject or
+// target a container with the given tags matches.
+func relevantEntries(entries []constraint.Entry, tags []constraint.Tag) []constraint.Entry {
+	var out []constraint.Entry
+	for _, e := range entries {
+		if slices.ContainsFunc(atomsOf(e.Constraint), func(a constraint.Atom) bool { return matchesAtom(a, tags) }) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+func matchesAtom(a constraint.Atom, tags []constraint.Tag) bool {
+	return a.Subject.Matches(tags) || a.Target.Matches(tags)
+}
+
+// tagPopularity counts constraint atoms whose subject or target matches
+// the container's tags.
+func tagPopularity(cons []constraint.Entry, tags []constraint.Tag) int {
+	n := 0
+	for _, e := range cons {
+		for _, a := range atomsOf(e.Constraint) {
+			if matchesAtom(a, tags) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// scanSharesScope is sharesConstraintScope by a scan of every entry.
+func scanSharesScope(cons []constraint.Entry, a, b []constraint.Tag) bool {
+	for _, e := range cons {
+		for _, atom := range atomsOf(e.Constraint) {
+			if atom.Subject.Matches(b) && (atom.Target.Matches(a) || atom.Subject.Matches(a)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// scanAffinityPopulation is affinityPopulation by a scan of every entry.
+func scanAffinityPopulation(work *cluster.Cluster, cons []constraint.Entry, tags []constraint.Tag, node cluster.NodeID) float64 {
+	total := 0.0
+	for _, e := range cons {
+		for _, a := range atomsOf(e.Constraint) {
+			if !a.IsAffinity() || !a.Subject.Matches(tags) {
+				continue
+			}
+			for _, sid := range work.SetsOfNode(a.Group, node) {
+				total += float64(work.Gamma(a.Group, sid, a.Target))
+			}
+		}
+	}
+	return total
+}
+
+// planWeights are the weights planInstance draws: zero (which counts as
+// one), fractions, and audit.DefaultHardWeight (100) and above.
+var planWeights = []float64{0, 0.5, 1, 2.5, 100, 250}
+
+// planInstance draws an oracle cluster with containers of random tag
+// vectors on it, and a resolved constraint list of simple and DNF
+// constraints over those tags with weights from planWeights. It returns
+// the tag vectors it drew, for a caller to place more containers of.
+func planInstance(rng *rand.Rand) (*cluster.Cluster, []constraint.Entry, [][]constraint.Tag) {
+	state := oracleCluster(rng)
+	appTags := []constraint.Tag{constraint.AppIDTag("p0"), constraint.AppIDTag("p1"), constraint.AppIDTag("p2")}
+	var vectors [][]constraint.Tag
+	for i := 0; i < 6; i++ {
+		v := []constraint.Tag{oracleTags[rng.Intn(3)], appTags[rng.Intn(len(appTags))]}
+		if rng.Intn(2) == 0 {
+			v = append(v, oracleTags[rng.Intn(3)])
+		}
+		vectors = append(vectors, v)
+	}
+	for i := 0; i < 10+rng.Intn(30); i++ {
+		node := cluster.NodeID(rng.Intn(state.NumNodes()))
+		// Containers of one vector in a row, as one application's are.
+		_ = state.Allocate(node, cluster.MakeContainerID(fmt.Sprint("c", i/3), i), resource.New(256, 0), vectors[(i/3)%len(vectors)])
+	}
+	var entries []constraint.Entry
+	for i := 0; i < 2+rng.Intn(6); i++ {
+		var c constraint.Constraint
+		if rng.Intn(3) == 0 {
+			c = or([]constraint.Atom{randomAtom(rng, appTags), randomAtom(rng, appTags)}, []constraint.Atom{randomAtom(rng, appTags)})
+		} else {
+			c = constraint.New(randomAtom(rng, appTags))
+		}
+		c.Weight = planWeights[rng.Intn(len(planWeights))]
+		entries = append(entries, constraint.Entry{AppID: "p", Source: constraint.SourceApplication, Constraint: c})
+	}
+	return state, ResolveEntries(entries), vectors
+}
+
+// planStep allocates a container of a random drawn vector on a random
+// node or releases a random container.
+func planStep(rng *rand.Rand, state *cluster.Cluster, vectors [][]constraint.Tag, step int) {
+	if ids := state.ContainerIDs(); len(ids) > 0 && rng.Intn(3) == 0 {
+		if err := state.Release(ids[rng.Intn(len(ids))]); err != nil {
+			panic(err)
+		}
+		return
+	}
+	node := cluster.NodeID(rng.Intn(state.NumNodes()))
+	_ = state.Allocate(node, cluster.MakeContainerID("step", step), resource.New(256, 0), vectors[rng.Intn(len(vectors))])
+}
+
+// TestCompiledDeltaMatchesReference: the compiled delta of every drawn
+// tag vector, and of vectors no container carries, on every node, with
+// and without subjectOnly, equals placementDelta over the whole list bit
+// for bit, on random clusters after each of a run of random allocate and
+// release steps. A compile that drops the atoms a vector is only a
+// target of must be caught.
+func TestCompiledDeltaMatchesReference(t *testing.T) {
+	compared, caught := 0, 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		state, cons, vectors := planInstance(rng)
+		queued := append(slices.Clone(vectors), []constraint.Tag{"b"}, []constraint.Tag{"c", "gpu"}, nil)
+		for step := 0; step < 8; step++ {
+			for _, tags := range queued {
+				atoms := compileAtoms(nil, cons, tags, true)
+				var subjectOnly vecAtoms // the mutant
+				for _, r := range atoms {
+					if r.subject {
+						subjectOnly = append(subjectOnly, r)
+					}
+				}
+				for _, n := range state.Nodes() {
+					for _, so := range []bool{false, true} {
+						got, want := atoms.delta(state, n.ID, so), placementDelta(state, cons, tags, n.ID, so)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("seed %d step %d: delta(%q, node %d, subjectOnly %v) = %v, reference %v", seed, step, tags, n.ID, so, got, want)
+						}
+						compared++
+						if math.Float64bits(subjectOnly.delta(state, n.ID, so)) != math.Float64bits(want) {
+							caught++
+						}
+					}
+				}
+			}
+			planStep(rng, state, vectors, step)
+		}
+	}
+	t.Logf("%d deltas compared; the mutant without target-only atoms differs on %d", compared, caught)
+	if caught == 0 {
+		t.Error("a compile that drops target-only atoms is not caught")
+	}
+}
+
+// TestExtentSweepMatchesScan: evaluateResolved's indexed sweep returns
+// the Report of a scan of every entry for every container, and the
+// score base keeps, per container, exactly the scan's addends — on
+// random clusters, after each of a run of random allocate and release
+// steps. A sweep that hands a container the previous container's atoms
+// without comparing tag vectors must be caught.
+func TestExtentSweepMatchesScan(t *testing.T) {
+	swept, caught := 0, 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		state, cons, vectors := planInstance(rng)
+		for step := 0; step < 8; step++ {
+			want := scanReport(state, cons)
+			if got := evaluateResolved(state, cons); got != want || math.Float64bits(got.TotalExtent) != math.Float64bits(want.TotalExtent) {
+				t.Fatalf("seed %d step %d: evaluateResolved = %+v, scan %+v", seed, step, got, want)
+			}
+			b := newScoreBase(state, cons)
+			mutant := newPlan(cons)
+			differs := false
+			for i, id := range b.ids {
+				node, _ := state.ContainerNode(id)
+				tags, _ := state.ContainerTags(id)
+				scan, _ := scanExtents(nil, state, cons, node, tags)
+				if got := b.addends[b.off[i]:b.off[i+1]]; !sameBits(got, scan) {
+					t.Fatalf("seed %d step %d: container %s: base addends %v, scan %v", seed, step, id, got, scan)
+				}
+				// The mutant compiles the first container's vector only.
+				if len(mutant.off) == 1 {
+					mutant.add(tags)
+				}
+				addends, _ := mutant.atoms(int32(len(mutant.off)-2)).appendExtents(nil, state, node)
+				differs = differs || !sameBits(addends, scan)
+			}
+			swept++
+			if differs {
+				caught++
+			}
+			planStep(rng, state, vectors, step)
+		}
+	}
+	t.Logf("%d sweeps compared; the mutant reusing the previous vector's atoms differs on %d", swept, caught)
+	if caught == 0 {
+		t.Error("a sweep that reuses the previous vector's atoms is not caught")
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}

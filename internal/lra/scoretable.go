@@ -23,10 +23,11 @@ func (s nodeScore) clean() bool { return s.ok && s.delta <= 1e-12 }
 type scoreClass struct {
 	tags   []constraint.Tag
 	demand resource.Vector
-	// cons are the entries with an atom the class matches; groups are the
-	// node groups those atoms count over ("node" excepted: a node's own
-	// cell is always re-scored).
-	cons   []constraint.Entry
+	// atoms are the atoms of the Place's constraints the class is the
+	// subject or a target of, compiled once; groups are the node groups
+	// they count over ("node" excepted: a node's own cell is always
+	// re-scored).
+	atoms  vecAtoms
 	groups []constraint.GroupName
 	scores []nodeScore // by node index
 	// clean is the live number of clean cells. nc is Nc as the Medea-NC
@@ -40,6 +41,11 @@ type scoreClass struct {
 // scoreTable caches, for one Place call, the score of every node for
 // every container class, and keeps it equal to a from-scratch rescoring
 // while the working cluster changes underneath it.
+//
+// What stays fixed for the Place is compiled once per class: which atoms
+// of the constraint list its tag vector is the subject or a target of
+// (compileAtoms). A cell walks those atoms only and reads γ; it matches
+// no tag against an expression.
 //
 // A cell reads the cluster through three things only: the node's own
 // availability and usage, and γ of the sets containing the node in the
@@ -71,14 +77,10 @@ func newScoreTable(g *greedy, work *cluster.Cluster, cons []constraint.Entry, qu
 		}
 		if ci < 0 {
 			ci = len(t.classes)
-			c := scoreClass{tags: r.tags, demand: r.demand, cons: relevantEntries(cons, r.tags)}
-			for _, e := range c.cons {
-				for _, term := range e.Constraint.Terms {
-					for _, a := range term {
-						if a.Group != constraint.Node && matchesAtom(a, c.tags) && !slices.Contains(c.groups, a.Group) {
-							c.groups = append(c.groups, a.Group)
-						}
-					}
+			c := scoreClass{tags: r.tags, demand: r.demand, atoms: compileAtoms(nil, cons, r.tags, true)}
+			for _, ref := range c.atoms {
+				if g := ref.atom.Group; g != constraint.Node && !slices.Contains(c.groups, g) {
+					c.groups = append(c.groups, g)
 				}
 			}
 			t.classes = append(t.classes, c)
@@ -104,8 +106,7 @@ func newScoreTable(g *greedy, work *cluster.Cluster, cons []constraint.Entry, qu
 		for a := range t.classes {
 			t.scope[a] = make([]bool, len(t.classes))
 			for b := range t.classes {
-				// Any atom relating a to b sits in an entry relevant to a.
-				t.scope[a][b] = sharesConstraintScope(t.classes[a].cons, t.classes[a].tags, t.classes[b].tags)
+				t.scope[a][b] = sharesConstraintScope(t.classes[a].atoms, t.classes[b].tags)
 			}
 		}
 	}
@@ -119,9 +120,9 @@ func (t *scoreTable) score(c *scoreClass, n *cluster.Node) nodeScore {
 	if !n.Available() || !c.demand.Fits(n.Free()) {
 		return nodeScore{}
 	}
-	delta := placementDelta(t.work, c.cons, c.tags, n.ID, t.g.subjectOnly)
+	delta := c.atoms.delta(t.work, n.ID, t.g.subjectOnly)
 	if t.g.affinityPull > 0 {
-		delta -= t.g.affinityPull * affinityPopulation(t.work, c.cons, c.tags, n.ID)
+		delta -= t.g.affinityPull * affinityPopulation(t.work, c.atoms, n.ID)
 	}
 	util := n.Used().Add(c.demand).DominantShare(n.Capacity)
 	if t.g.loadBalanceWeight > 0 {
