@@ -25,9 +25,11 @@ func main() {
 	eng := sim.NewEngine(time.Time{})
 
 	// Node heartbeats every 500 ms; completed tasks release.
+	var latencies []time.Duration // of every task allocation
 	eng.Every(sim.Epoch, 500*time.Millisecond, func(now time.Time) bool {
 		for n := 0; n < c.NumNodes(); n++ {
 			for _, a := range m.Tasks.NodeHeartbeat(cluster.NodeID(n), now) {
+				latencies = append(latencies, a.Latency)
 				alloc := a
 				eng.After(alloc.Duration, func(time.Time) {
 					_ = m.Tasks.ReleaseTask(alloc.Container, alloc.Queue, alloc.Demand)
@@ -71,7 +73,7 @@ func main() {
 		}
 	}
 	rep := medea.Evaluate(c, m)
-	lat := metrics.Durations(m.Tasks.Latencies)
+	lat := metrics.Durations(latencies)
 	for i := range lat {
 		lat[i] *= 1000
 	}

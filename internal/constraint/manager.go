@@ -2,7 +2,7 @@ package constraint
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -35,7 +35,9 @@ type Entry struct {
 type Manager struct {
 	mu       sync.RWMutex
 	byApp    map[string][]Constraint
+	apps     []string // byApp's keys, sorted
 	operator []Constraint
+	n        int // constraints stored, byApp's and the operator's
 }
 
 // NewManager returns an empty constraint manager.
@@ -56,7 +58,11 @@ func (m *Manager) AddApplication(appID string, cs ...Constraint) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if i, found := slices.BinarySearch(m.apps, appID); !found {
+		m.apps = slices.Insert(m.apps, i, appID)
+	}
 	m.byApp[appID] = append(m.byApp[appID], cs...)
+	m.n += len(cs)
 	return nil
 }
 
@@ -64,7 +70,11 @@ func (m *Manager) AddApplication(appID string, cs ...Constraint) error {
 func (m *Manager) RemoveApplication(appID string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.byApp, appID)
+	if i, found := slices.BinarySearch(m.apps, appID); found {
+		m.apps = slices.Delete(m.apps, i, i+1)
+		m.n -= len(m.byApp[appID])
+		delete(m.byApp, appID)
+	}
 }
 
 // AddOperator validates and stores a cluster-operator constraint.
@@ -77,6 +87,7 @@ func (m *Manager) AddOperator(cs ...Constraint) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.operator = append(m.operator, cs...)
+	m.n += len(cs)
 	return nil
 }
 
@@ -89,17 +100,14 @@ func (m *Manager) Operator() []Constraint {
 
 // Active returns every stored constraint: those of all registered LRAs
 // (already deployed and newly submitted) plus the operator's, which is the
-// set the LRA scheduler considers at each invocation (§5.1).
+// set the LRA scheduler considers at each invocation (§5.1). The list is
+// fresh, sized exactly, applications' entries in app ID order first: the
+// caller may change it.
 func (m *Manager) Active() []Entry {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	var out []Entry
-	apps := make([]string, 0, len(m.byApp))
-	for id := range m.byApp {
-		apps = append(apps, id)
-	}
-	sort.Strings(apps)
-	for _, id := range apps {
+	out := make([]Entry, 0, m.n)
+	for _, id := range m.apps {
 		for _, c := range m.byApp[id] {
 			out = append(out, Entry{AppID: id, Source: SourceApplication, Constraint: c})
 		}
@@ -114,23 +122,14 @@ func (m *Manager) Active() []Entry {
 func (m *Manager) Apps() []string {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.byApp))
-	for id := range m.byApp {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(m.apps)
 }
 
 // Len returns the total number of stored constraints.
 func (m *Manager) Len() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	n := len(m.operator)
-	for _, cs := range m.byApp {
-		n += len(cs)
-	}
-	return n
+	return m.n
 }
 
 // ResolveConflicts merges constraint atoms that target the same
@@ -147,6 +146,10 @@ func (m *Manager) Len() int {
 // map keyed by the expressions' VectorHash finds the candidates, so the
 // cost stays linear in the entries however many operator constraints
 // there are.
+//
+// ResolveConflicts never writes to entries. With no simple operator
+// constraint there is nothing to override, and it returns entries itself,
+// not a copy; otherwise it returns a new list.
 func ResolveConflicts(entries []Entry) []Entry {
 	type key struct {
 		subj, tgt uint64
@@ -188,10 +191,10 @@ func ResolveConflicts(entries []Entry) []Entry {
 			ops, next = append(ops, a), append(next, head)
 		}
 	}
-	out := make([]Entry, 0, len(entries))
 	if len(ops) == 0 {
-		return append(out, entries...) // nothing to override with
+		return entries // nothing to override with
 	}
+	out := make([]Entry, 0, len(entries))
 	for _, e := range entries {
 		if e.Source == SourceApplication {
 			if a, ok := e.Constraint.Simple(); ok {

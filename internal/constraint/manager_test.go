@@ -2,6 +2,9 @@ package constraint
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -60,6 +63,131 @@ func TestManagerActiveOrderDeterministic(t *testing.T) {
 	act := m.Active()
 	if act[0].AppID != "a" || act[1].AppID != "b" {
 		t.Errorf("Active not sorted by app: %v, %v", act[0].AppID, act[1].AppID)
+	}
+}
+
+// TestManagerActiveMatchesSorted: after every step of random
+// interleavings of AddApplication (new and known IDs, with zero, one or
+// two constraints), RemoveApplication (known and unknown IDs) and
+// AddOperator, Active equals a reference built by sorting the stored app
+// IDs and listing their constraints, then the operator's; it is sized
+// exactly, and Len and Apps agree with the reference.
+func TestManagerActiveMatchesSorted(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := NewManager()
+		byApp := map[string][]Constraint{}
+		var operator []Constraint
+		draw := func() []Constraint {
+			cs := make([]Constraint, rng.Intn(3))
+			for k := range cs {
+				cs[k] = New(MaxCardinality(E(Tag(fmt.Sprint("t", rng.Intn(5)))), E("x"), rng.Intn(4), Rack))
+			}
+			return cs
+		}
+		for step := 0; step < 300; step++ {
+			id := fmt.Sprint("app-", rng.Intn(12))
+			switch r := rng.Intn(10); {
+			case r < 5:
+				cs := draw()
+				if err := m.AddApplication(id, cs...); err != nil {
+					t.Fatal(err)
+				}
+				byApp[id] = append(byApp[id], cs...)
+			case r < 8:
+				m.RemoveApplication(id)
+				delete(byApp, id)
+			default:
+				cs := draw()
+				if err := m.AddOperator(cs...); err != nil {
+					t.Fatal(err)
+				}
+				operator = append(operator, cs...)
+			}
+
+			ids := make([]string, 0, len(byApp))
+			for id := range byApp {
+				ids = append(ids, id)
+			}
+			slices.Sort(ids)
+			var want []Entry
+			for _, id := range ids {
+				for _, c := range byApp[id] {
+					want = append(want, Entry{AppID: id, Source: SourceApplication, Constraint: c})
+				}
+			}
+			for _, c := range operator {
+				want = append(want, Entry{Source: SourceOperator, Constraint: c})
+			}
+			got := m.Active()
+			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("seed %d step %d: Active = %v, want %v", seed, step, got, want)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("seed %d step %d: Active has cap %d for %d entries", seed, step, cap(got), len(got))
+			}
+			if m.Len() != len(want) {
+				t.Fatalf("seed %d step %d: Len = %d, want %d", seed, step, m.Len(), len(want))
+			}
+			if apps := m.Apps(); !slices.Equal(apps, ids) {
+				t.Fatalf("seed %d step %d: Apps = %v, want %v", seed, step, apps, ids)
+			}
+		}
+	}
+}
+
+// cloneEntries copies entries down to their atoms' expressions, so a
+// write to any part of the original shows against the copy.
+func cloneEntries(entries []Entry) []Entry {
+	out := slices.Clone(entries)
+	for i := range out {
+		terms := slices.Clone(out[i].Constraint.Terms)
+		for k, term := range terms {
+			term = slices.Clone(term)
+			for j := range term {
+				term[j].Subject = slices.Clone(term[j].Subject)
+				term[j].Target = slices.Clone(term[j].Target)
+			}
+			terms[k] = term
+		}
+		out[i].Constraint.Terms = terms
+	}
+	return out
+}
+
+// TestResolveConflictsLeavesInput: ResolveConflicts writes to none of the
+// entries it is given — not with operator constraints that override an
+// application's bounds, nor without any — and with no operator
+// constraint it returns its input itself.
+func TestResolveConflictsLeavesInput(t *testing.T) {
+	app := func(id string, max int) Entry {
+		return Entry{AppID: id, Source: SourceApplication, Constraint: New(MaxCardinality(E("spark"), E("spark"), max, Rack))}
+	}
+	dnf := Entry{AppID: "d", Source: SourceApplication, Constraint: Constraint{
+		Terms: [][]Atom{{MaxCardinality(E("spark"), E("spark"), 5, Rack)}, {Affinity(E("spark"), E("hdfs"), Node)}},
+	}}
+	op := Entry{Source: SourceOperator, Constraint: New(MaxCardinality(E("spark"), E("spark"), 2, Rack))}
+
+	plain := []Entry{app("a", 5), dnf, app("b", 4)}
+	before := cloneEntries(plain)
+	if out := ResolveConflicts(plain); &out[0] != &plain[0] || len(out) != len(plain) {
+		t.Error("without operator constraints, ResolveConflicts did not return its input")
+	}
+	if !reflect.DeepEqual(plain, before) {
+		t.Errorf("without operator constraints, the input changed: %v, was %v", plain, before)
+	}
+
+	withOp := []Entry{app("a", 5), op, dnf, app("b", 4)}
+	before = cloneEntries(withOp)
+	out := ResolveConflicts(withOp)
+	if a, _ := out[0].Constraint.Simple(); a.Max != 2 {
+		t.Fatalf("the operator did not override: cmax %d, want 2", a.Max)
+	}
+	if &out[0] == &withOp[0] {
+		t.Error("with an override, ResolveConflicts returned its input")
+	}
+	if !reflect.DeepEqual(withOp, before) {
+		t.Errorf("with operator constraints, the input changed: %v, was %v", withOp, before)
 	}
 }
 

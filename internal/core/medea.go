@@ -424,16 +424,12 @@ func (m *Medea) Tick(now time.Time) (CycleStats, bool) {
 
 // activeExcluding returns the active constraint entries minus the
 // application-sourced entries of the given apps (whose constraints travel
-// with the batch itself, to avoid double counting).
+// with the batch itself, to avoid double counting). It filters Active's
+// fresh list in place.
 func (m *Medea) activeExcluding(exclude map[string]bool) []constraint.Entry {
-	var active []constraint.Entry
-	for _, e := range m.Constraints.Active() {
-		if e.Source == constraint.SourceApplication && exclude[e.AppID] {
-			continue
-		}
-		active = append(active, e)
-	}
-	return active
+	return slices.DeleteFunc(m.Constraints.Active(), func(e constraint.Entry) bool {
+		return e.Source == constraint.SourceApplication && exclude[e.AppID]
+	})
 }
 
 // safePlace invokes an LRA algorithm on state with panic isolation: a
@@ -542,16 +538,16 @@ func subBatch(apps []*lra.Application, comp []int) []*lra.Application {
 	return sub
 }
 
-// appEntries wraps an application's own constraints as entries, for
-// commit-time validation (the active set excludes batch apps).
-func appEntries(app *lra.Application) []constraint.Entry {
-	out := make([]constraint.Entry, 0, len(app.Constraints))
+// appendAppEntries appends an application's own constraints to dst as
+// entries, for commit-time validation (the active set excludes batch
+// apps).
+func appendAppEntries(dst []constraint.Entry, app *lra.Application) []constraint.Entry {
 	for _, c := range app.Constraints {
-		out = append(out, constraint.Entry{
+		dst = append(dst, constraint.Entry{
 			AppID: app.ID, Source: constraint.SourceApplication, Constraint: c,
 		})
 	}
-	return out
+	return dst
 }
 
 // RunCycle invokes the LRA scheduler on the current batch and commits the
@@ -726,22 +722,34 @@ func (m *Medea) runBatch(alg lra.Algorithm, now time.Time, stats *CycleStats) {
 // reverse batch order before it returns, so the write-ahead barrier and
 // the commits that follow meet the pre-cycle cluster. It reports which
 // proposals were accepted.
+//
+// The constraints of each check are one list: active, then the own
+// entries of the accepted proposals before it and of the proposal itself,
+// whose entries are truncated off again on a veto. The list grows in
+// active's spare capacity: the caller owns active and reads nothing past
+// its length.
 func (m *Medea) validateBatch(batch []*pendingApp, placements []lra.Placement, active []constraint.Entry, stats *CycleStats) []bool {
 	accepted := make([]bool, len(placements))
-	entries := active
+	own := 0
+	for i := range placements {
+		if placements[i].Placed {
+			own += len(batch[i].app.Constraints)
+		}
+	}
+	entries := slices.Grow(active, own)
 	for i := range placements {
 		p := &placements[i]
 		if !p.Placed {
 			continue
 		}
-		own := appEntries(batch[i].app)
-		all := append(append(make([]constraint.Entry, 0, len(entries)+len(own)), entries...), own...)
-		if err := audit.CheckPlacement(m.Cluster, batch[i].app, p, all); err != nil {
+		n := len(entries)
+		entries = appendAppEntries(entries, batch[i].app)
+		if err := audit.CheckPlacement(m.Cluster, batch[i].app, p, entries); err != nil {
 			m.veto(err.Error(), stats)
+			entries = entries[:n]
 			continue
 		}
 		accepted[i] = true
-		entries = append(entries, own...)
 	}
 	for i := len(placements) - 1; i >= 0; i-- {
 		if accepted[i] {

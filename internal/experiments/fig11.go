@@ -149,12 +149,14 @@ func RunFig11c(o Options) *metrics.Table {
 		m := core.New(c, lra.NewILP(), core.Config{SolverBudget: o.SolverBudget, Interval: 5 * time.Second, Audit: o.Audit})
 		eng := sim.NewEngine(time.Time{})
 		trace := workload.GoogleTrace(sim.RNG(o.Seed, "fig11c"), cfg)
+		var latencies []time.Duration // of every task allocation
 
 		// Node heartbeats: one round every 500 ms (YARN's default 1s
 		// halved by node staggering), allocating queued tasks.
 		eng.Every(sim.Epoch, 500*time.Millisecond, func(now time.Time) bool {
 			for n := 0; n < c.NumNodes(); n++ {
 				for _, a := range m.Tasks.NodeHeartbeat(cluster.NodeID(n), now) {
+					latencies = append(latencies, a.Latency)
 					alloc := a
 					eng.After(alloc.Duration, func(time.Time) {
 						_ = m.Tasks.ReleaseTask(alloc.Container, alloc.Queue, alloc.Demand)
@@ -186,7 +188,7 @@ func RunFig11c(o Options) *metrics.Table {
 			})
 		}
 		eng.Run(2_000_000)
-		lat := metrics.Durations(m.Tasks.Latencies)
+		lat := metrics.Durations(latencies)
 		for i := range lat {
 			lat[i] *= 1000 // ms
 		}

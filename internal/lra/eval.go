@@ -11,14 +11,13 @@ import (
 )
 
 // subjectExtent returns the summed violation extent of an atom for a
-// subject container on node: one γ per node set of the atom's group
-// containing the node. selfMatches indicates whether the subject
+// subject container on a node in sets, the node's sets of the atom's
+// group: one γ per set. selfMatches indicates whether the subject
 // container's own tags match the atom's target and it is already counted
 // in γ (the ILP's Equations 6–7 exclude the subject container itself from
 // the count). When the node belongs to no set of the group, γ is 0, so
 // affinity constraints are reported violated and anti-affinity satisfied.
-func subjectExtent(state *cluster.Cluster, a *constraint.Atom, node cluster.NodeID, selfMatches bool) float64 {
-	sets := state.SetsOfNode(a.Group, node)
+func subjectExtent(state *cluster.Cluster, a *constraint.Atom, sets []cluster.SetID, selfMatches bool) float64 {
 	if len(sets) == 0 {
 		return a.ViolationExtent(0)
 	}
@@ -246,8 +245,11 @@ func (b *scoreBase) sum(work *cluster.Cluster, res *Result) float64 {
 // operator) with the constraints of the newly submitted applications into
 // one resolved, deduplicated list.
 func flattenConstraints(apps []*Application, active []constraint.Entry) []constraint.Entry {
-	entries := make([]constraint.Entry, 0, len(active)+len(apps))
-	entries = append(entries, active...)
+	n := len(active)
+	for _, a := range apps {
+		n += len(a.Constraints)
+	}
+	entries := append(make([]constraint.Entry, 0, n), active...)
 	for _, a := range apps {
 		for _, c := range a.Constraints {
 			entries = append(entries, constraint.Entry{
@@ -273,8 +275,8 @@ func ResolveEntries(entries []constraint.Entry) []constraint.Entry {
 // constraint finds the earlier ones it may equal, so no constraint is
 // rendered as text.
 func dedupEntries(entries []constraint.Entry) []constraint.Entry {
-	first := make(map[uint64]int) // hash → index in out of the first entry kept with it
-	out := entries[:0:0]
+	first := make(map[uint64]int, len(entries)) // hash → index in out of the first entry kept with it
+	out := make([]constraint.Entry, 0, len(entries))
 	for _, e := range entries {
 		h := hashConstraint(e.Constraint)
 		if i, ok := first[h]; ok {

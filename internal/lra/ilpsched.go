@@ -292,12 +292,15 @@ func groupCounts(groups []mgroup, res *Result) []map[cluster.NodeID]int {
 // feasible nodes are bucketed into equivalence classes (identical free
 // resources, group memberships and violation score), classes are ranked by
 // (violation delta, free space), and representatives are drawn round-robin
-// across classes so rack/domain diversity is preserved.
+// across classes so rack/domain diversity is preserved. A group's sweep
+// prices its atoms through one setMemo, so the nodes of a rack share one
+// reading of it per atom.
 func selectCandidates(state *cluster.Cluster, cons []constraint.Entry, groups []mgroup, opts Options) [][]cluster.NodeID {
 	out := make([][]cluster.NodeID, len(groups))
 	groupNames := state.Groups()
 	var key []byte     // class key of the node being bucketed, reused
 	var atoms vecAtoms // the group's compiled atoms, reused
+	var memo setMemo   // their deltas per set, for one group's sweep
 	for gi, g := range groups {
 		budget := opts.MaxCandidates
 		if budget <= 0 {
@@ -308,6 +311,7 @@ func selectCandidates(state *cluster.Cluster, cons []constraint.Entry, groups []
 			budget = max(2*g.count, 8)
 		}
 		atoms = compileAtoms(atoms[:0], cons, g.tags, true)
+		memo.reset(state, atoms)
 		type class struct {
 			nodes []cluster.NodeID
 			delta float64
@@ -318,7 +322,7 @@ func selectCandidates(state *cluster.Cluster, cons []constraint.Entry, groups []
 			if !n.Available() || !g.demand.Fits(n.Free()) {
 				continue
 			}
-			delta := atoms.delta(state, n.ID, false)
+			delta := atoms.delta(state, n.ID, false, &memo)
 			free := n.Free()
 			key = strconv.AppendInt(key[:0], free.MemoryMB, 10)
 			key = append(key, '/')

@@ -446,7 +446,7 @@ func (in *tinyInstance) evaluatorClean(pm *placementModel, work *cluster.Cluster
 				sum, byBatch := 0.0, false
 				for _, a := range e.Constraint.Terms[0] {
 					if a.Subject.Matches(tags) {
-						ext := subjectExtent(work, &a, node, a.Target.Matches(tags))
+						ext := subjectExtent(work, &a, work.SetsOfNode(a.Group, node), a.Target.Matches(tags))
 						sum += ext
 						byBatch = byBatch || ext > 0 && in.influences(pm, id, node, a)
 					}

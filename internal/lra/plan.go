@@ -66,7 +66,7 @@ func (v vecAtoms) appendExtents(dst []float64, state *cluster.Cluster, node clus
 			for ; i < len(v) && v[i].entry == entry && v[i].term == term; i++ {
 				if r := &v[i]; r.subject {
 					applies = true
-					sum += subjectExtent(state, r.atom, node, r.target)
+					sum += subjectExtent(state, r.atom, state.SetsOfNode(r.atom.Group, node), r.target)
 				}
 			}
 			if applies && (best < 0 || sum < best) {
@@ -98,7 +98,17 @@ func (v vecAtoms) appendExtents(dst []float64, state *cluster.Cluster, node clus
 // Kubernetes' semantics, where a deployed pod's affinity never constrains
 // future pods (J-Kube, §7.1); Medea's algorithms score both directions.
 // v must be compiled with targets.
-func (v vecAtoms) delta(state *cluster.Cluster, node cluster.NodeID, subjectOnly bool) float64 {
+//
+// An atom's delta at a node reads γ of the node's sets in the atom's
+// group and nothing else of the node. So at a node in exactly one set of
+// a group other than "node", an atom's delta is its delta at that set,
+// and memo, when not nil, keeps it: every node of a rack is priced by
+// one reading of the rack per atom and state epoch (setMemo). The "node"
+// group's sets are single nodes, so a memo would never hit there; those
+// atoms, and nodes in no or several sets of a group, are priced directly.
+// A memo serves one v and one subjectOnly setting; a nil memo prices
+// every atom directly.
+func (v vecAtoms) delta(state *cluster.Cluster, node cluster.NodeID, subjectOnly bool, memo *setMemo) float64 {
 	total := 0.0
 	for i := 0; i < len(v); {
 		entry, w := v[i].entry, v[i].weight
@@ -108,9 +118,18 @@ func (v vecAtoms) delta(state *cluster.Cluster, node cluster.NodeID, subjectOnly
 			for ; i < len(v) && v[i].entry == entry && v[i].term == term; i++ {
 				r := &v[i]
 				target := r.target && !subjectOnly
-				if r.subject || target {
-					applies = true
-					sum += r.delta(state, node, target)
+				if !r.subject && !target {
+					continue
+				}
+				applies = true
+				sets := state.SetsOfNode(r.atom.Group, node)
+				if c := memo.cell(i, sets); c != nil {
+					if c.stamp != memo.epoch {
+						c.val, c.stamp = r.delta(state, sets, target), memo.epoch
+					}
+					sum += c.val
+				} else {
+					sum += r.delta(state, sets, target)
 				}
 			}
 			if applies && (!found || sum < bestTerm) {
@@ -124,37 +143,105 @@ func (v vecAtoms) delta(state *cluster.Cluster, node cluster.NodeID, subjectOnly
 	return total
 }
 
+// gammaAtom is the three γ an atom reads in one set (Cluster.GammaAtom).
+type gammaAtom struct{ target, subject, both int }
+
 // delta is one atom's exact extent change caused by the tentative
-// placement; target says whether to count the container as one of the
-// atom's targets.
-func (r *atomRef) delta(state *cluster.Cluster, node cluster.NodeID, target bool) float64 {
+// placement on a node in sets, the node's sets of the atom's group;
+// target says whether to count the container as one of the atom's
+// targets. Each set is read once: its γ(target) serves the subject
+// extent, and its three γ the target part. The subject extent is summed
+// over all sets before any target part is added, as subjectExtent and
+// the target loop did it when each read the sets on its own.
+func (r *atomRef) delta(state *cluster.Cluster, sets []cluster.SetID, target bool) float64 {
 	a := r.atom
-	delta := 0.0
-	if r.subject {
+	if !target {
 		// The new container's own cardinality test at this node. Self is
 		// excluded, and the container is not yet in γ, so γ is used as-is.
-		delta += subjectExtent(state, a, node, false)
+		return subjectExtent(state, a, sets, false)
 	}
-	if !target {
-		return delta
+	var buf [8]gammaAtom
+	gs := buf[:0]
+	if len(sets) > len(buf) {
+		gs = make([]gammaAtom, 0, len(sets))
+	}
+	for _, sid := range sets {
+		t, s, b := state.GammaAtom(a.Group, sid, a.Subject, a.Target)
+		gs = append(gs, gammaAtom{t, s, b})
+	}
+	delta := 0.0
+	if r.subject {
+		ext := a.ViolationExtent(0) // the node is in no set: γ is 0
+		if len(gs) > 0 {
+			ext = 0
+			for _, g := range gs {
+				ext += a.ViolationExtent(g.target)
+			}
+		}
+		delta += ext
 	}
 	// Impact on already-placed subjects sharing a set with the node.
-	for _, sid := range state.SetsOfNode(a.Group, node) {
-		gTotal, nSubj, nBoth := state.GammaAtom(a.Group, sid, a.Subject, a.Target)
-		// Subjects that match the target see γ go from gTotal-1 to gTotal;
-		// others from gTotal to gTotal+1.
-		if nBoth > 0 {
-			before, after := gTotal-1, gTotal
+	for _, g := range gs {
+		// Subjects that match the target see γ go from γ-1 to γ; others
+		// from γ to γ+1.
+		if g.both > 0 {
+			before, after := g.target-1, g.target
 			if before < 0 {
 				before = 0
 			}
-			delta += float64(nBoth) * (a.ViolationExtent(after) - a.ViolationExtent(before))
+			delta += float64(g.both) * (a.ViolationExtent(after) - a.ViolationExtent(before))
 		}
-		if n := nSubj - nBoth; n > 0 {
-			delta += float64(n) * (a.ViolationExtent(gTotal+1) - a.ViolationExtent(gTotal))
+		if n := g.subject - g.both; n > 0 {
+			delta += float64(n) * (a.ViolationExtent(g.target+1) - a.ViolationExtent(g.target))
 		}
 	}
 	return delta
+}
+
+// setMemo keeps, for one compiled vecAtoms, each atom's delta at each
+// set of its group, valid for one state epoch: an entry counts only
+// while its stamp equals the epoch, so bumping the epoch, after the
+// state changed, drops every entry at once. It is a slice indexed by
+// atom offset plus SetID, sized with Cluster.NumSets; nothing is hashed.
+type setMemo struct {
+	epoch uint32
+	off   []int32 // atom i's entries are cells[off[i]:], by SetID; -1 for "node" atoms
+	cells []memoCell
+}
+
+type memoCell struct {
+	stamp uint32
+	val   float64
+}
+
+// reset lays the memo out for v on state, reusing its buffers, and
+// starts a new epoch.
+func (m *setMemo) reset(state *cluster.Cluster, v vecAtoms) {
+	m.off = m.off[:0]
+	n := 0
+	for _, r := range v {
+		if r.atom.Group == constraint.Node {
+			m.off = append(m.off, -1)
+			continue
+		}
+		m.off = append(m.off, int32(n))
+		n += state.NumSets(r.atom.Group)
+	}
+	if cap(m.cells) < n {
+		m.cells = make([]memoCell, n)
+	}
+	m.cells = m.cells[:n]
+	m.epoch++ // every stamp left in cells is older
+}
+
+// cell returns atom i's entry for a node in sets, or nil when the atom
+// is priced directly there: no memo, a "node" atom, or a node in no or
+// several sets of the atom's group.
+func (m *setMemo) cell(i int, sets []cluster.SetID) *memoCell {
+	if m == nil || len(sets) != 1 || m.off[i] < 0 {
+		return nil
+	}
+	return &m.cells[int(m.off[i])+int(sets[0])]
 }
 
 // plan is a constraint list compiled, once per sweep or Place, for the

@@ -49,7 +49,7 @@ func constraintExtent(state *cluster.Cluster, c constraint.Constraint, node clus
 				continue
 			}
 			termApplies = true
-			sum += subjectExtent(state, &a, node, a.Target.Matches(tags))
+			sum += subjectExtent(state, &a, state.SetsOfNode(a.Group, node), a.Target.Matches(tags))
 		}
 		if !termApplies {
 			continue
@@ -140,7 +140,7 @@ func atomDelta(state *cluster.Cluster, a constraint.Atom, tags []constraint.Tag,
 	isSubject := a.Subject.Matches(tags)
 	isTarget := a.Target.Matches(tags) && !subjectOnly
 	if isSubject {
-		delta += subjectExtent(state, &a, node, false)
+		delta += subjectExtent(state, &a, state.SetsOfNode(a.Group, node), false)
 	}
 	if !isTarget {
 		return delta
@@ -296,12 +296,12 @@ func TestCompiledDeltaMatchesReference(t *testing.T) {
 				}
 				for _, n := range state.Nodes() {
 					for _, so := range []bool{false, true} {
-						got, want := atoms.delta(state, n.ID, so), placementDelta(state, cons, tags, n.ID, so)
+						got, want := atoms.delta(state, n.ID, so, nil), placementDelta(state, cons, tags, n.ID, so)
 						if math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("seed %d step %d: delta(%q, node %d, subjectOnly %v) = %v, reference %v", seed, step, tags, n.ID, so, got, want)
 						}
 						compared++
-						if math.Float64bits(subjectOnly.delta(state, n.ID, so)) != math.Float64bits(want) {
+						if math.Float64bits(subjectOnly.delta(state, n.ID, so, nil)) != math.Float64bits(want) {
 							caught++
 						}
 					}
@@ -313,6 +313,74 @@ func TestCompiledDeltaMatchesReference(t *testing.T) {
 	t.Logf("%d deltas compared; the mutant without target-only atoms differs on %d", compared, caught)
 	if caught == 0 {
 		t.Error("a compile that drops target-only atoms is not caught")
+	}
+}
+
+// TestSetMemoMatchesDirect: a sweep of every node priced through a set
+// memo, as the score table and selectCandidates price them, equals
+// direct pricing (a nil memo) bit for bit, for every drawn tag vector and
+// a few no container carries, with and without subjectOnly, on the
+// oracle clusters (racks, overlapping zones, a fault-domain group some
+// nodes are in no set of, draining nodes), after each of a run of random
+// allocate and release steps followed by an epoch bump. A memo whose
+// epoch is never bumped must be caught.
+func TestSetMemoMatchesDirect(t *testing.T) {
+	type class struct {
+		atoms       vecAtoms
+		memo, stale [2]setMemo // by subjectOnly; stale is the mutant
+	}
+	swept, filled, caught := 0, 0, 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		state, cons, vectors := planInstance(rng)
+		queued := append(slices.Clone(vectors), []constraint.Tag{"b"}, []constraint.Tag{"c", "gpu"}, nil)
+		classes := make([]class, len(queued))
+		for k, tags := range queued {
+			c := &classes[k]
+			c.atoms = compileAtoms(nil, cons, tags, true)
+			for so := range c.memo {
+				c.memo[so].reset(state, c.atoms)
+				c.stale[so].reset(state, c.atoms)
+			}
+		}
+		for step := 0; step < 8; step++ {
+			differs := false
+			for k := range classes {
+				c := &classes[k]
+				for so, subjectOnly := range []bool{false, true} {
+					m := &c.memo[so]
+					if step > 0 {
+						m.epoch++
+					}
+					for _, n := range state.Nodes() {
+						want := c.atoms.delta(state, n.ID, subjectOnly, nil)
+						if got := c.atoms.delta(state, n.ID, subjectOnly, m); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("seed %d step %d: memoised delta(%q, node %d, subjectOnly %v) = %v, direct %v", seed, step, queued[k], n.ID, subjectOnly, got, want)
+						}
+						if got := c.atoms.delta(state, n.ID, subjectOnly, &c.stale[so]); math.Float64bits(got) != math.Float64bits(want) {
+							differs = true
+						}
+					}
+					for _, cell := range m.cells {
+						if cell.stamp == m.epoch {
+							filled++
+						}
+					}
+				}
+			}
+			swept++
+			if differs {
+				caught++
+			}
+			planStep(rng, state, vectors, step)
+		}
+	}
+	t.Logf("%d states swept, %d memo entries filled; the memo never bumped differs on %d", swept, filled, caught)
+	if filled == 0 {
+		t.Error("no delta was memoised")
+	}
+	if caught == 0 {
+		t.Error("a memo whose epoch is never bumped is not caught")
 	}
 }
 

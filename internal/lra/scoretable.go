@@ -29,6 +29,9 @@ type scoreClass struct {
 	// re-scored).
 	atoms  vecAtoms
 	groups []constraint.GroupName
+	// memo keeps the atoms' deltas per set of their groups for the
+	// current state (setMemo).
+	memo   setMemo
 	scores []nodeScore // by node index
 	// clean is the live number of clean cells. nc is Nc as the Medea-NC
 	// ordering sees it: a copy of clean taken at the initial fill and
@@ -53,6 +56,14 @@ type scoreClass struct {
 // n changes n itself and γ of exactly the sets containing n, so the
 // cells to recompute are n and the members of those sets (touched); every
 // other cell would come out bit-identical.
+//
+// The members of one set read the same γ there, so each class keeps a
+// setMemo: an atom's delta at a set is computed for the first member a
+// fill or a touched rescores and read back for the others, and touched
+// bumps the memo's epoch before it rescores, since the state changed.
+// Every node of a rack is priced by one reading of the rack per atom. A
+// "node" atom is priced at every cell: its sets are single nodes, which a
+// memo could never serve twice.
 type scoreTable struct {
 	g       *greedy
 	work    *cluster.Cluster
@@ -83,6 +94,7 @@ func newScoreTable(g *greedy, work *cluster.Cluster, cons []constraint.Entry, qu
 					c.groups = append(c.groups, g)
 				}
 			}
+			c.memo.reset(work, c.atoms)
 			t.classes = append(t.classes, c)
 		}
 		classOf[i] = ci
@@ -120,7 +132,7 @@ func (t *scoreTable) score(c *scoreClass, n *cluster.Node) nodeScore {
 	if !n.Available() || !c.demand.Fits(n.Free()) {
 		return nodeScore{}
 	}
-	delta := c.atoms.delta(t.work, n.ID, t.g.subjectOnly)
+	delta := c.atoms.delta(t.work, n.ID, t.g.subjectOnly, &c.memo)
 	if t.g.affinityPull > 0 {
 		delta -= t.g.affinityPull * affinityPopulation(t.work, c.atoms, n.ID)
 	}
@@ -147,10 +159,12 @@ func (t *scoreTable) rescore(c *scoreClass, node cluster.NodeID) {
 
 // touched brings the table up to date after an Allocate or Release on
 // node: per class, the node's own cell and the cells of every node
-// sharing a set with it in one of the class's groups.
+// sharing a set with it in one of the class's groups, priced under a new
+// memo epoch.
 func (t *scoreTable) touched(node cluster.NodeID) {
 	for ci := range t.classes {
 		c := &t.classes[ci]
+		c.memo.epoch++ // the state changed
 		t.rescore(c, node)
 		for _, grp := range c.groups {
 			for _, sid := range t.work.SetsOfNode(grp, node) {

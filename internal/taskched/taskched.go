@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"medea/internal/cluster"
@@ -76,9 +77,6 @@ type Scheduler struct {
 	// evictions (node failures) can refund the right queue. LRA containers
 	// committed via Commit are not charged to queues and are absent here.
 	owners map[cluster.ContainerID]taskOwner
-
-	// Latencies accumulates task allocation latencies.
-	Latencies []time.Duration
 }
 
 type taskOwner struct {
@@ -179,7 +177,7 @@ func (s *Scheduler) NodeHeartbeat(node cluster.NodeID, now time.Time) []Allocati
 		}
 		task := best.fifo[0]
 		best.fifo = best.fifo[1:]
-		id := cluster.ContainerID(fmt.Sprintf("%s#t%d", task.app, task.seq))
+		id := cluster.ContainerID(task.app + "#t" + strconv.Itoa(task.seq))
 		if err := s.cluster.Allocate(node, id, task.demand, nil); err != nil {
 			// Lost a race with external state change; requeue at the front.
 			best.fifo = append([]*pendingTask{task}, best.fifo...)
@@ -187,11 +185,9 @@ func (s *Scheduler) NodeHeartbeat(node cluster.NodeID, now time.Time) []Allocati
 		}
 		best.used = best.used.Add(task.demand)
 		s.owners[id] = taskOwner{queue: task.queue, demand: task.demand}
-		lat := now.Sub(task.submit)
-		s.Latencies = append(s.Latencies, lat)
 		allocs = append(allocs, Allocation{
 			Container: id, App: task.app, Queue: task.queue, Node: node,
-			Demand: task.demand, Duration: task.duration, Latency: lat,
+			Demand: task.demand, Duration: task.duration, Latency: now.Sub(task.submit),
 		})
 	}
 }
