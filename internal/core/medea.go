@@ -146,6 +146,11 @@ type Medea struct {
 
 	// jnl is the attached write-ahead journal (nil = volatile scheduler).
 	jnl journal.Journal
+
+	// epoch numbers this incarnation of the journal's state: 1 for a
+	// scheduler built by New, one more than the checkpoint's for one built
+	// by Recover, which writes it durably before anything is served.
+	epoch uint64
 }
 
 // New builds a Medea instance over a cluster, with the given LRA
@@ -166,6 +171,7 @@ func New(c *cluster.Cluster, alg lra.Algorithm, cfg Config, queues ...taskched.Q
 		deployed:    make(map[string]*deployment),
 		owner:       make(map[cluster.ContainerID]string),
 		repairs:     make(map[string]*repairReq),
+		epoch:       1,
 	}
 	if cfg.BreakerThreshold >= 0 {
 		m.brk = newBreaker(alg, cfg.breakerThreshold(), cfg.breakerCooldown(), &m.Pipeline)
@@ -203,6 +209,14 @@ func (m *Medea) Checkpoint(now time.Time) error {
 	}
 	return m.jnl.WriteCheckpoint(m.buildCheckpoint(now))
 }
+
+// Epoch returns the incarnation number of the scheduler's durable state.
+// No two incarnations over one journal share it: Recover takes the
+// checkpoint's and adds one, and the checkpoint it writes before
+// returning makes the new number durable. It is read from the journal,
+// not from a clock or a random source, so a simulated restart numbers
+// its incarnations the same way every run.
+func (m *Medea) Epoch() uint64 { return m.epoch }
 
 // SetSolverBudget adjusts the per-cycle solver wall-clock budget at
 // runtime. The serving layer uses it for deadline propagation: when
@@ -263,6 +277,7 @@ func (m *Medea) buildCheckpoint(now time.Time) *journal.Checkpoint {
 		Rejected:  append([]string(nil), m.Rejected...),
 		Operator:  m.Constraints.Operator(),
 		Breaker:   m.breakerSnapshot(),
+		Epoch:     m.epoch,
 	}
 	for _, pa := range m.pending {
 		cp.Pending = append(cp.Pending, journal.PendingApp{App: pa.app, Submit: pa.submit, Retries: pa.retries})

@@ -105,6 +105,7 @@ func Recover(j journal.Journal, c *cluster.Cluster, alg lra.Algorithm, cfg Confi
 
 // restoreCheckpoint loads a checkpoint into a fresh instance.
 func (m *Medea) restoreCheckpoint(cp *journal.Checkpoint) error {
+	m.epoch = cp.Epoch + 1
 	m.cycles = cp.Cycles
 	m.repairSeq = cp.RepairSeq
 	m.nextRun = cp.NextRun

@@ -23,10 +23,12 @@ const shadowEvery = 25
 // maxLostRounds bounds how many federation rounds one app may stay in
 // the balancer's audit as Lost before the harness calls it a violation.
 // Repair only happens on steps, so rounds — not events — are the right
-// unit: anti-entropy verifies homeCheckBatch ledger entries per round
-// (plus its transient-error recheck set), so a full ledger rotation is a
-// handful of rounds and a genuine crash-swallowed ack is re-queued well
-// inside this window even when intermittent slowness eats some sweeps.
+// unit: anti-entropy reads a home's outcome feed the round after its
+// probe shows a new outcome, and re-lists a restarted home's apps,
+// reading homeCheckBatch of them per round, so a genuine
+// crash-swallowed ack is re-queued within a handful of rounds, well
+// inside this window even when intermittent slowness eats some probes
+// and reads.
 const maxLostRounds = 25
 
 // minSilentRounds is the fewest federation rounds of probe silence that

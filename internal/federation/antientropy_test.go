@@ -16,13 +16,14 @@ import (
 )
 
 // readTap sits in front of a member's transport. It counts the status
-// reads the member is sent (GET /v1/lras and GET /v1/lras/{id}) and, with
-// old set, answers the batched one 405, as a member from before that
-// route does. Step-driven fleets only: the count is not synchronised.
+// reads the member is sent (GET /v1/lras and GET /v1/lras/{id}) and its
+// outcome-feed reads, and, with old set, answers the batched status read
+// 405, as a member from before that route does. Step-driven fleets only:
+// the counts are not synchronised.
 type readTap struct {
-	next  http.RoundTripper
-	old   bool
-	reads int
+	next         http.RoundTripper
+	old          bool
+	reads, feeds int
 }
 
 func tapReads(m *Member, old bool) *readTap {
@@ -32,6 +33,9 @@ func tapReads(m *Member, old bool) *readTap {
 }
 
 func (t *readTap) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method == http.MethodGet && req.URL.Path == "/v1/outcomes" {
+		t.feeds++
+	}
 	if req.Method == http.MethodGet && strings.HasPrefix(req.URL.Path, "/v1/lras") {
 		t.reads++
 		if t.old && req.URL.Path == "/v1/lras" {
@@ -46,13 +50,15 @@ func (t *readTap) RoundTrip(req *http.Request) (*http.Response, error) {
 	return t.next.RoundTrip(req)
 }
 
-// TestAntiEntropyVerdicts runs the anti-entropy sweep end to end on a
-// one-member fleet: something happens to cluster-0, which homes every
-// app, and two control rounds later its answer has decided whether each
-// app went back through placement. It fails a sweep that takes "" for a
-// known state (the restarted member's app stays lost) and one that takes
-// a non-200 answer for "every ID unknown" (the old member's apps are
-// re-placed).
+// TestAntiEntropyVerdicts runs anti-entropy end to end on a one-member
+// fleet: something happens to cluster-0, which homes every app, and two
+// control rounds later its outcome feed or its answer to a re-list has
+// decided whether each app went back through placement. It fails a sweep
+// that takes "" for a known state, or a restart that keeps its epoch (the
+// restarted member's app stays lost), and one that takes a non-200 answer
+// for "every ID unknown" (the re-listed old member's apps are re-placed).
+// A partition and a member that would answer the batched read 405 change
+// no outcome number, so nothing is queued for a read.
 func TestAntiEntropyVerdicts(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -114,19 +120,30 @@ func TestAntiEntropyVerdicts(t *testing.T) {
 			audit:  AuditReport{Routed: 1, Rejected: 1},
 		},
 		{
-			name:    "partitioned",
-			apps:    40,
-			rounds:  3,
-			lose:    func(t *testing.T, f *Fleet, _ []string) { f.Scout.Member("cluster-0").Gate.Partition(true) },
-			recheck: homeCheckBatch,
-			audit:   AuditReport{Routed: 40, OnDead: 40},
+			name:   "partitioned",
+			apps:   40,
+			rounds: 3,
+			lose:   func(t *testing.T, f *Fleet, _ []string) { f.Scout.Member("cluster-0").Gate.Partition(true) },
+			audit:  AuditReport{Routed: 40, OnDead: 40},
 		},
 		{
-			name:    "answering the batched read 405",
-			apps:    40,
-			rounds:  3,
-			lose:    func(t *testing.T, f *Fleet, _ []string) { tapReads(f.Members[0], true) },
-			recheck: homeCheckBatch,
+			name:   "answering the batched read 405",
+			apps:   40,
+			rounds: 3,
+			lose:   func(t *testing.T, f *Fleet, _ []string) { tapReads(f.Members[0], true) },
+			audit:  AuditReport{Routed: 40, Placed: 40},
+		},
+		{
+			// A rebuilt balancer has no cursor and re-lists the member: every
+			// app is queued, 32 a round are asked for and none is answered.
+			name:   "re-listed while answering the batched read 405",
+			apps:   40,
+			rounds: 3,
+			lose: func(t *testing.T, f *Fleet, _ []string) {
+				tapReads(f.Members[0], true)
+				clear(f.Balancer.cursors)
+			},
+			recheck: 40,
 			audit:   AuditReport{Routed: 40, Placed: 40},
 		},
 	} {
@@ -162,39 +179,158 @@ func TestAntiEntropyVerdicts(t *testing.T) {
 	}
 }
 
-// TestAntiEntropyOneReadPerHome is the wall on the sweep's request count:
-// with 66 apps placed over three members, one control round sends each
-// live home at most one status read, however many of its apps the round
-// verifies. Reading each app on its own sends 32.
-func TestAntiEntropyOneReadPerHome(t *testing.T) {
+// TestAntiEntropyReadsFollowOutcomes is the wall on anti-entropy's
+// request count: with 66 apps placed over three members, a round in
+// which nothing left any member sends no status or feed read at all, and
+// a round after one removal sends exactly one feed read, to the member
+// the app was removed from. The rotating window it replaced read 32 apps
+// a round whatever happened.
+func TestAntiEntropyReadsFollowOutcomes(t *testing.T) {
 	f, clk := testFleet(t, FleetConfig{Members: 3})
 	steps(f, clk, 2)
-	homed := make(map[string]int)
+	homes := make(map[string]string)
 	for i := 0; i < 66; i++ {
-		home, err := f.Balancer.Submit(fedReq(fmt.Sprintf("app-%02d", i), 1, 512, 1))
+		id := fmt.Sprintf("app-%02d", i)
+		home, err := f.Balancer.Submit(fedReq(id, 1, 512, 1))
 		if err != nil {
 			t.Fatalf("submit: %v", err)
 		}
-		homed[home]++
+		homes[id] = home
 		steps(f, clk, 1) // fresh reports, so routing spreads the apps
 	}
-	if len(homed) != 3 {
-		t.Fatalf("apps homed %v, want on all three members", homed)
+	taps := make(map[string]*readTap)
+	for _, m := range f.Members {
+		taps[m.ID] = tapReads(m, false)
 	}
-	taps := make([]*readTap, len(f.Members))
-	for i, m := range f.Members {
-		taps[i] = tapReads(m, false)
+	if len(taps) != 3 || len(homes) != 66 {
+		t.Fatalf("%d members, %d apps", len(taps), len(homes))
 	}
-	clk.Advance(50 * time.Millisecond)
-	f.Balancer.Step(clk.Now())
-	total := 0
-	for i, tap := range taps {
-		if tap.reads > 1 {
-			t.Errorf("%s got %d status reads in one round, want at most 1", f.Members[i].ID, tap.reads)
+	steps(f, clk, 1)
+	for id, tap := range taps {
+		if tap.reads != 0 || tap.feeds != 0 {
+			t.Errorf("quiet round: %s got %d status and %d feed reads, want none", id, tap.reads, tap.feeds)
 		}
-		total += tap.reads
 	}
-	if total == 0 {
-		t.Fatal("no status read in the round: the sweep did not run")
+	if err := f.Balancer.Remove("app-07"); err != nil {
+		t.Fatalf("remove: %v", err)
 	}
+	steps(f, clk, 1)
+	for id, tap := range taps {
+		want := 0
+		if id == homes["app-07"] {
+			want = 1
+		}
+		if tap.reads != 0 || tap.feeds != want {
+			t.Errorf("round after a removal from %s: %s got %d status and %d feed reads, want 0 and %d", homes["app-07"], id, tap.reads, tap.feeds, want)
+		}
+	}
+}
+
+// TestAntiEntropyShedBeforePlace: a member acknowledges an app and sheds
+// it for a higher priority before the balancer has recorded its home,
+// and a control round reads that outcome while the entry is still being
+// routed. The entry waits in the recheck list until it is placed, is
+// read at its home then, and goes back through placement. A feed reader
+// that drops outcomes of entries it cannot act on yet loses the app.
+func TestAntiEntropyShedBeforePlace(t *testing.T) {
+	f, clk := testFleet(t, FleetConfig{Members: 1, Server: server.Config{QueueCap: 1, Admission: server.AdmissionConfig{QueueHigh: 1000, QueueLow: 999}}})
+	steps(f, clk, 2)
+	m := f.Members[0]
+	fired := false
+	m.client.Transport = &afterTap{next: m.client.Transport, after: func(req *http.Request) {
+		if fired || req.Method != http.MethodPost || req.URL.Path != "/v1/lras" {
+			return
+		}
+		fired = true
+		vip := fedReq("vip", 1, 512, 1)
+		vip.Priority = 9
+		if code, err := f.Balancer.call(m.ID, http.MethodPost, "/v1/lras", mustBody(t, vip), nil); err != nil || code != http.StatusAccepted {
+			t.Errorf("vip: status %d, err %v", code, err)
+		}
+		clk.Advance(50 * time.Millisecond)
+		f.Balancer.Step(clk.Now())
+	}}
+	if _, err := f.Balancer.Submit(fedReq("app-a", 1, 512, 1)); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if !fired {
+		t.Fatal("the submission never reached the member")
+	}
+	steps(f, clk, 2)
+	wantReplaced(t, f, clk.Now(), 1, AuditReport{Routed: 1, Placed: 1})
+}
+
+// TestAntiEntropyMoveAbortsToRestartedSource: an app is moving when its
+// source restarts from a journal that never saw it, and the move then
+// aborts back to that source. The re-list at the source's new epoch
+// queued the moving entry; once the abort has placed it again it is read
+// there, found unknown, and re-placed. A re-list of placed entries alone
+// loses the app.
+func TestAntiEntropyMoveAbortsToRestartedSource(t *testing.T) {
+	f, clk := testFleet(t, FleetConfig{Members: 2})
+	steps(f, clk, 2)
+	// No member steps between the submission and the restart: the app is
+	// still in its home's in-memory queue, which the restart drops.
+	home, err := f.Balancer.Submit(fedReq("app-a", 1, 512, 1))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	dest := "cluster-0"
+	if home == dest {
+		dest = "cluster-1"
+	}
+	if err := f.Balancer.Migrate("app-a", dest); err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	// A cordoned destination keeps the move in PREPARE until its retry
+	// budget runs out and it aborts.
+	if code, err := f.Balancer.call(dest, http.MethodPost, "/v1/drain", nil, nil); err != nil || code != http.StatusOK {
+		t.Fatalf("cordon: status %d, err %v", code, err)
+	}
+	f.Scout.Member(home).Gate.Crash()
+	if err := f.Scout.Member(home).Restart(clk.Now()); err != nil {
+		t.Fatal(err)
+	}
+	steps(f, clk, 1)
+	if _, _, moving := f.Balancer.MigrationOf("app-a"); !moving {
+		t.Fatal("the move ended in the round that re-listed its source")
+	}
+	for i := 0; i < 20 && f.Stats.Get(metrics.MigrationsAborted) == 0; i++ {
+		steps(f, clk, 1)
+	}
+	if got := f.Stats.Get(metrics.MigrationsAborted); got != 1 {
+		t.Fatalf("moves aborted %d, want 1", got)
+	}
+	steps(f, clk, 2)
+	wantReplaced(t, f, clk.Now(), 1, AuditReport{Routed: 1, Placed: 1})
+}
+
+// wantReplaced checks that n apps went back through the degraded path
+// and were re-placed from it, and the audit at now.
+func wantReplaced(t *testing.T, f *Fleet, now time.Time, n int, audit AuditReport) {
+	t.Helper()
+	if got := f.Stats.Get(metrics.Rerouted); got != n {
+		t.Errorf("rerouted %d, want %d", got, n)
+	}
+	if got := f.Stats.Get(metrics.DegradedRecovered); got != n {
+		t.Errorf("recovered from degraded %d, want %d", got, n)
+	}
+	if got := f.Balancer.Audit(now); !reflect.DeepEqual(got, audit) {
+		t.Errorf("audit %+v, want %+v", got, audit)
+	}
+}
+
+// afterTap runs after on every request a member serves, once it has
+// answered and before the answer reaches the caller.
+type afterTap struct {
+	next  http.RoundTripper
+	after func(*http.Request)
+}
+
+func (t *afterTap) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := t.next.RoundTrip(req)
+	if err == nil {
+		t.after(req)
+	}
+	return resp, err
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -68,6 +69,8 @@ type Balancer struct {
 
 	mu     sync.Mutex
 	routed map[string]*routedApp
+	// ids is routed's keys, sorted (snapshot).
+	ids []string
 	// degradedSeq numbers entries as they turn degraded (FIFO recovery).
 	degradedSeq uint64
 	// drains tracks in-flight member evacuations by member ID.
@@ -80,13 +83,13 @@ type Balancer struct {
 
 	// The control loop's own state, touched only by Step.
 	//
-	// homeCursor rotates the anti-entropy sweep through the placed apps so
-	// every entry is verified within len(ledger)/homeCheckBatch rounds.
-	homeCursor int
-	// recheck holds apps whose last home verification failed transiently;
-	// they are retried every round ahead of the rotating window instead of
-	// waiting out a full ledger rotation. Bounded to homeCheckBatch.
-	recheck map[string]bool
+	// cursors is how far each member's outcome feed has been read. It is
+	// soft state: a balancer without a cursor re-lists the member.
+	cursors map[string]feedCursor
+	// recheck lists, first in first out, the entries anti-entropy must
+	// read at their homes (reconcileHomes); queued holds its members.
+	recheck []string
+	queued  map[string]bool
 
 	logf func(format string, args ...any)
 }
@@ -102,7 +105,8 @@ func NewBalancer(cfg RouteConfig, scout *Scout, stats *metrics.FedStats, logf fu
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	return &Balancer{cfg: cfg, scout: scout, Stats: stats, routed: make(map[string]*routedApp), recheck: make(map[string]bool), logf: logf}
+	return &Balancer{cfg: cfg, scout: scout, Stats: stats, routed: make(map[string]*routedApp),
+		cursors: make(map[string]feedCursor), queued: make(map[string]bool), logf: logf}
 }
 
 // routeBackoff is the jittered exponential backoff between routing
@@ -252,7 +256,7 @@ func (b *Balancer) Step(now time.Time) {
 	}
 	b.stepDrains(snap, now, debits)
 	b.stepMoves(snap, now, debits)
-	b.reconcileHomes(snap, now, debits)
+	b.reconcileHomes(snap, now)
 	b.retryDegraded(snap, now, debits)
 	b.reconcileMarks(snap, now)
 }
@@ -293,51 +297,134 @@ func (b *Balancer) failover(snap []string, deadID string, now time.Time, debits 
 	}
 }
 
-// homeCheckBatch bounds how many placed apps one reconcileHomes round
-// verifies: anti-entropy is a background repair, not a per-round audit
-// of the whole ledger.
+// homeCheckBatch bounds how many entries of the recheck list one
+// reconcileHomes round reads: anti-entropy is a background repair, not a
+// per-round audit of the whole ledger.
 const homeCheckBatch = 32
 
-// reconcileHomes is the balancer's anti-entropy sweep: each round it
-// verifies a bounded, rotating batch of placed apps against their home
-// members, with one batched state read (GET /v1/lras?id=…) per home. A
-// home that does not know the app ("", where the single read answers
-// 404) — or reports the ack was not honored (shed/expired/failed) or
-// already executed a removal the balancer never saw acknowledged
-// ("removed", the ack-dropped DELETE) — lost the app: typically a member
-// crash before the queued submission became durable, recovered from a
-// journal that never saw it. The balancer still holds the body, so the
-// app goes back through the degraded path and is re-placed instead of
-// being reported lost forever. Entries whose home could not be read go
-// into a bounded recheck set that is retried every round ahead of the
-// rotating window — otherwise an unlucky entry would wait a full ledger
-// rotation between attempts while its app stays unaccounted for. Moving
-// apps are not swept: mid-DELETE their home legitimately answers
-// "removed", and the move protocol owns their fate.
-func (b *Balancer) reconcileHomes(snap []string, now time.Time, debits map[string]resource.Vector) {
-	var homed []string
-	for _, id := range snap {
-		if b.view(id).state == placed {
-			homed = append(homed, id)
+// feedCursor is how far the balancer has followed one member's outcome
+// feed (GET /v1/outcomes): the member's epoch and the last outcome
+// number read under it.
+type feedCursor struct{ epoch, seq uint64 }
+
+// reconcileHomes is the balancer's anti-entropy. It finds the apps a
+// home lost — shed or expired in its queue, failed, removed by someone
+// else (the ack-dropped DELETE), or forgotten by a restart from a
+// journal that never saw them — and sends them back through the degraded
+// path to be re-placed, instead of reporting them lost forever: the
+// balancer still holds the body. Its cost follows what changed, not the
+// size of the ledger. A member numbers its apps' moves into a terminal
+// state and the scout's probe reports the latest number, so a member
+// whose number has not moved since the last round is not read at all;
+// one whose number moved is asked for its outcomes since the cursor
+// (followOutcomes). A restarted member (new epoch), a lost place in its
+// feed (gap) or a member that serves no feed is re-listed instead: its
+// apps go into the recheck list, read at their homes homeCheckBatch a
+// round (readRecheck).
+func (b *Balancer) reconcileHomes(snap []string, now time.Time) {
+	for _, id := range b.scout.MemberIDs() {
+		if b.scout.State(id, now) == Dead {
+			continue // failover's job, not anti-entropy's
+		}
+		if rep, ok := b.scout.LastReport(id); ok {
+			b.followOutcomes(snap, id, rep)
 		}
 	}
-	if len(homed) == 0 {
+	b.readRecheck(now)
+}
+
+// followOutcomes brings one member's feed cursor up to its last report.
+// An outcome other than a rejection for an app placed on the member is a
+// loss. An outcome for an app that is not settled — still being routed,
+// where the 202 may have landed before the entry records its home, or
+// being moved — is queued in the recheck list, to be read once the app
+// is placed again. A rejection is the member scheduler's verdict on the
+// app, not a loss: it is reported (Audit's Rejected), not re-placed.
+func (b *Balancer) followOutcomes(snap []string, member string, rep Report) {
+	cur, ok := b.cursors[member]
+	switch {
+	case rep.Epoch == 0:
+		// A member from before the feed: re-listed every round. What is
+		// already queued keeps its place, so the list rotates through it.
+		b.relist(snap, member)
+		return
+	case !ok || rep.Epoch != cur.epoch || rep.OutcomeSeq < cur.seq:
+		b.relist(snap, member)
+		b.cursors[member] = feedCursor{rep.Epoch, rep.OutcomeSeq}
+		return
+	case rep.OutcomeSeq == cur.seq:
 		return
 	}
-	batch := make([]string, 0, len(b.recheck)+homeCheckBatch)
-	for id := range b.recheck {
-		batch = append(batch, id)
+	var fr server.OutcomesResponse
+	code, err := b.call(member, http.MethodGet, "/v1/outcomes?after="+strconv.FormatUint(cur.seq, 10), nil, &fr)
+	if err != nil || code != http.StatusOK {
+		return // the next report still shows the number moved
 	}
-	sort.Strings(batch)
-	lo := b.homeCursor % len(homed)
-	for i := 0; i < homeCheckBatch && i < len(homed); i++ {
-		if id := homed[(lo+i)%len(homed)]; !b.recheck[id] {
-			batch = append(batch, id)
+	b.cursors[member] = feedCursor{fr.Epoch, fr.Seq}
+	if fr.Epoch != cur.epoch || fr.Gap {
+		b.relist(snap, member)
+		return
+	}
+	for _, o := range fr.Outcomes {
+		switch v := b.view(o.ID); {
+		case v.state == placed && v.home == member:
+			if o.State != "rejected" {
+				b.apply(o.ID, evVanish, evArg{member: member, note: o.State})
+			}
+		case v.state == placing || v.state.moving():
+			b.queueRecheck(o.ID)
 		}
 	}
-	b.homeCursor = (lo + homeCheckBatch) % len(homed)
-	// read[i] is what batch[i]'s home answered. An empty home means it was
-	// not asked; answered false, that its home could not be read.
+}
+
+// relist queues every entry the member may have lost without an outcome
+// the balancer can read: each one homed there, placed or moving (a move
+// can abort back to its source), and each one still being routed.
+func (b *Balancer) relist(snap []string, member string) {
+	for _, id := range snap {
+		v := b.view(id)
+		if v.state == placing || (v.home == member && (v.state == placed || v.state.moving())) {
+			b.queueRecheck(id)
+		}
+	}
+}
+
+// queueRecheck appends an entry to the recheck list unless it is queued.
+func (b *Balancer) queueRecheck(id string) {
+	if !b.queued[id] {
+		b.queued[id] = true
+		b.recheck = append(b.recheck, id)
+	}
+}
+
+// readRecheck reads the first homeCheckBatch placed entries of the
+// recheck list at their homes, with one batched state read (GET
+// /v1/lras?id=…) per home. A home that does not know the app ("", where
+// the single read answers 404), or reports it terminal other than
+// rejected, lost it. An entry still being routed or moved keeps its
+// place until it is placed again; one that is gone, degraded or
+// tombstoned, or whose home is dead, leaves the list unread. An entry
+// whose home could not be read goes to the back of the list.
+func (b *Balancer) readRecheck(now time.Time) {
+	if len(b.recheck) == 0 {
+		return
+	}
+	keep := b.recheck[:0]
+	var batch []string
+	for _, id := range b.recheck {
+		switch v := b.view(id); {
+		case v.state == placing || v.state.moving():
+			keep = append(keep, id)
+		case v.state != placed || b.scout.State(v.home, now) == Dead:
+			delete(b.queued, id)
+		case len(batch) < homeCheckBatch:
+			batch = append(batch, id)
+		default:
+			keep = append(keep, id)
+		}
+	}
+	// read[i] is what batch[i]'s home answered; answered false, that its
+	// home could not be read.
 	type verdict struct {
 		home, state string
 		answered    bool
@@ -346,15 +433,12 @@ func (b *Balancer) reconcileHomes(snap []string, now time.Time, debits map[strin
 	groups := make(map[string][]int) // batch positions per home, in batch order
 	var homes []string
 	for i, id := range batch {
-		v := b.view(id)
-		if v.state != placed || b.scout.State(v.home, now) == Dead {
-			continue
+		home := b.view(id).home
+		read[i].home = home
+		if groups[home] == nil {
+			homes = append(homes, home)
 		}
-		read[i].home = v.home
-		if groups[v.home] == nil {
-			homes = append(homes, v.home)
-		}
-		groups[v.home] = append(groups[v.home], i)
+		groups[home] = append(groups[home], i)
 	}
 	for _, home := range homes {
 		at := groups[home]
@@ -375,22 +459,17 @@ func (b *Balancer) reconcileHomes(snap []string, now time.Time, debits map[strin
 		}
 	}
 	for i, id := range batch {
-		switch r := read[i]; {
-		case r.home == "":
-			delete(b.recheck, id) // failover's job, not anti-entropy's
-		case !r.answered:
-			if len(b.recheck) < homeCheckBatch || b.recheck[id] {
-				b.recheck[id] = true // unreachable: retried next round
-			}
-		default:
-			delete(b.recheck, id)
-			// A rejection is the member scheduler's verdict on the app, not a
-			// loss: it is reported (Audit's Rejected), not re-placed.
-			if r.state == "" || (terminal(r.state) && r.state != "rejected") {
-				b.apply(id, evVanish, evArg{member: r.home, note: r.state})
-			}
+		r := read[i]
+		if !r.answered {
+			keep = append(keep, id)
+			continue
+		}
+		delete(b.queued, id)
+		if r.state == "" || (terminal(r.state) && r.state != "rejected") {
+			b.apply(id, evVanish, evArg{member: r.home, note: r.state})
 		}
 	}
+	b.recheck = keep
 }
 
 // placeOnce tries ranked members once for an app being re-placed (no

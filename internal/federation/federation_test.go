@@ -226,11 +226,12 @@ func TestAllMembersSheddingFailsCleanly(t *testing.T) {
 }
 
 // TestAnsweredRequestsKeepSlowMemberAlive: a member stalls every second
-// request, and each round sends it one request besides the probe (the
-// anti-entropy read of the app it homes). One extra read up front puts
-// every probe on a stalled request. The member still answers half its
-// requests, so it is alive: the answered reads must keep its probe
-// misses from ever being consecutive, however the requests interleave.
+// request, and each round sends it one request besides the probe (a
+// client's status read of the app it homes, after the round). One extra
+// read up front puts every probe on a stalled request. The member still
+// answers half its requests, so it is alive: the answered reads must keep
+// its probe misses from ever being consecutive, however the requests
+// interleave.
 func TestAnsweredRequestsKeepSlowMemberAlive(t *testing.T) {
 	f, clk := testFleet(t, FleetConfig{Members: 1, NodesPerMember: 4})
 	steps(f, clk, 5) // learn a baseline cadence
@@ -248,6 +249,9 @@ func TestAnsweredRequestsKeepSlowMemberAlive(t *testing.T) {
 		steps(f, clk, 1)
 		if st := f.Scout.State("cluster-0", clk.Now()); st == Dead {
 			t.Fatalf("round %d: a member answering every second request confirmed dead", i)
+		}
+		if _, err := f.Balancer.Status("app-a"); err != nil {
+			t.Fatalf("round %d: status: %v", i, err)
 		}
 	}
 	if got := f.Stats.Get(metrics.ProbeMisses) - misses; got != rounds {

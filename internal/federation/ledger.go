@@ -224,16 +224,12 @@ func (b *Balancer) view(id string) routedApp {
 
 // snapshot returns the ledger's IDs, sorted: the one list a control
 // round works through. Phases read each entry's current state from it,
-// so a later phase sees what an earlier one did to an entry.
+// so a later phase sees what an earlier one did to an entry. It is a
+// copy of b.ids, which transition keeps sorted as entries come and go.
 func (b *Balancer) snapshot() []string {
 	b.mu.Lock()
-	ids := make([]string, 0, len(b.routed))
-	for id := range b.routed {
-		ids = append(ids, id)
-	}
-	b.mu.Unlock()
-	sort.Strings(ids)
-	return ids
+	defer b.mu.Unlock()
+	return slices.Clone(b.ids)
 }
 
 // evArg carries what an event needs beyond the entry itself.
@@ -305,6 +301,8 @@ func (b *Balancer) transition(a *routedApp, ev event, arg evArg) (line string, o
 	case evSubmit:
 		a = arg.entry
 		b.routed[a.id] = a
+		i, _ := slices.BinarySearch(b.ids, a.id)
+		b.ids = slices.Insert(b.ids, i, a.id)
 	case evPlace:
 		for _, m := range arg.marks {
 			a.marks = withMark(a.marks, m)
@@ -406,6 +404,9 @@ func (b *Balancer) transition(a *routedApp, ev event, arg evArg) (line string, o
 	a.state = to
 	if to == gone {
 		delete(b.routed, a.id)
+		if i, ok := slices.BinarySearch(b.ids, a.id); ok {
+			b.ids = slices.Delete(b.ids, i, i+1)
+		}
 	}
 	return line, true
 }

@@ -1,6 +1,10 @@
 package federation
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"medea/internal/metrics"
@@ -167,6 +171,7 @@ func TestTransitionKeepsEntriesWellFormed(t *testing.T) {
 						a.marks = []string{"m2"}
 					}
 					b.routed["app"] = a
+					b.ids = []string{"app"}
 				}
 				arg := evArg{member: "m1", entry: &routedApp{id: "app"}}
 				switch ev {
@@ -228,5 +233,38 @@ func TestTransitionKeepsEntriesWellFormed(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSnapshotMatchesSortedKeys holds the sorted ID list transition keeps
+// to the ledger it indexes: after every event of random sequences over a
+// small ID pool, legal or refused, snapshot equals the ledger's keys
+// sorted.
+func TestSnapshotMatchesSortedKeys(t *testing.T) {
+	members := []string{"m0", "m1", "m2", "m3"}
+	most := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b := NewBalancer(RouteConfig{}, nil, &metrics.FedStats{}, nil)
+		for step := 0; step < 400; step++ {
+			id := fmt.Sprintf("app-%d", rng.Intn(12))
+			arg := evArg{member: members[rng.Intn(len(members))], entry: &routedApp{id: id}}
+			if rng.Intn(2) == 0 {
+				arg.marks = []string{members[rng.Intn(len(members))]}
+			}
+			b.apply(id, event(rng.Intn(int(numEvents))), arg)
+			var keys []string
+			for id := range b.routed {
+				keys = append(keys, id)
+			}
+			sort.Strings(keys)
+			if got := b.snapshot(); !slices.Equal(got, keys) {
+				t.Fatalf("seed %d, step %d: snapshot %v, ledger keys %v", seed, step, got, keys)
+			}
+			most = max(most, len(keys))
+		}
+	}
+	if most < 6 {
+		t.Fatalf("the ledger never held more than %d entries: the sequences test little", most)
 	}
 }

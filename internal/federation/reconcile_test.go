@@ -114,9 +114,8 @@ func TestReconcileDropsTerminalDuplicateMark(t *testing.T) {
 	}
 
 	// Simulate a routing failure that left only an ambiguous mark behind.
-	f.Balancer.mu.Lock()
-	f.Balancer.routed["app-r"] = &routedApp{id: "app-r", marks: []string{"cluster-0"}}
-	f.Balancer.mu.Unlock()
+	f.Balancer.apply("app-r", evSubmit, evArg{entry: &routedApp{id: "app-r"}})
+	f.Balancer.apply("app-r", evRouteFailed, evArg{marks: []string{"cluster-0"}})
 
 	steps(f, clk, 2)
 	if _, ok := f.Balancer.Home("app-r"); ok {

@@ -42,6 +42,9 @@ type Report struct {
 	QueueDepth  int
 	CorePending int
 	Draining    bool
+	// Epoch and OutcomeSeq are the member's position in its outcome feed
+	// (server.StatsResponse); Epoch is 0 for a member that serves none.
+	Epoch, OutcomeSeq uint64
 }
 
 // memberProbe is the scout's per-member record.
@@ -123,6 +126,8 @@ func (s *Scout) probe(m *Member) (Report, error) {
 		QueueDepth:  st.QueueDepth,
 		CorePending: st.CorePending,
 		Draining:    st.Draining,
+		Epoch:       st.Epoch,
+		OutcomeSeq:  st.OutcomeSeq,
 	}, nil
 }
 

@@ -156,6 +156,9 @@ type Checkpoint struct {
 	// svc_durable recovery) rebuilds it from this with FromSnapshot; core's
 	// Recover then reconciles against whichever cluster it is handed.
 	Cluster *cluster.Snapshot `json:"cluster,omitempty"`
+	// Epoch numbers the incarnation of the scheduler that wrote this
+	// checkpoint (core.Medea.Epoch); 0 in checkpoints from before it.
+	Epoch uint64 `json:"epoch,omitempty"`
 }
 
 // PendingApp is one pending-queue entry, in queue order.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -27,6 +28,11 @@ import (
 // at a time; next is the table of which event is legal where (DESIGN
 // §11). The ledger never calls the core or writes to the wire: its lock
 // nests inside any other and is held only for map and slice work.
+//
+// Every move into a terminal state is numbered, 1, 2, 3, … for the life
+// of the ledger, and the terminal list keeps its entries in that order:
+// it is the outcome feed (outcomes), which tells a reader what left
+// since the last number it saw without re-reading every app.
 
 // appState is a ledger entry's lifecycle state; the names are the state
 // strings of the wire.
@@ -147,6 +153,8 @@ type appEntry struct {
 	deadline time.Time
 	// resv is the reservation mark, nil when nothing is held.
 	resv *reservation
+	// seq numbers the entry's move into its terminal state (0 otherwise).
+	seq uint64
 }
 
 // reservation is one held slice of capacity.
@@ -174,6 +182,9 @@ type ledger struct {
 	reserved map[string]*appEntry // carrying a reservation
 	held     resource.Vector      // the sum of their demands
 	lines    []string             // what this hold of mu has to log
+	// outcomeSeq is the number of the latest move into a terminal state;
+	// forgotten, that of the latest outcome evForget dropped.
+	outcomeSeq, forgotten uint64
 }
 
 func newLedger(capacity int, stats *metrics.ServerStats, logf func(string, ...any)) *ledger {
@@ -236,6 +247,8 @@ func (l *ledger) transition(id string, ev event, arg evArg) bool {
 	case evConsume:
 		l.stats.Add(metrics.ReservationConsumed, 1)
 		l.notef("reservation for %s consumed by its submission", id)
+	case evForget:
+		l.forgotten = max(l.forgotten, e.seq)
 	}
 	switch ev {
 	case evRelease, evLapse, evConsume, evFlush:
@@ -259,6 +272,8 @@ func (l *ledger) transition(id string, ev event, arg evArg) bool {
 		case to == pending:
 			l.pending[id] = e
 		case to.terminal():
+			l.outcomeSeq++
+			e.seq = l.outcomeSeq
 			l.terminal = append(l.terminal, e)
 		}
 		if to != queued && to != pending {
@@ -328,6 +343,34 @@ func (l *ledger) states(ids []string) []string {
 		out[i] = l.viewLocked(id).state.wire()
 	}
 	return out
+}
+
+// Outcome is one entry of the outcome feed: an ID's move into a
+// terminal state, and its number.
+type Outcome struct {
+	Seq   uint64 `json:"seq"`
+	ID    string `json:"id"`
+	State string `json:"state"`
+}
+
+// outcomes returns the terminal entries numbered after after, in order,
+// and the latest number. gap reports that an outcome numbered after after
+// has been forgotten past maxOutcomes, and then no entry is returned: the
+// reader has lost its place and must read the apps themselves. An ID
+// resubmitted since its outcome is live again and no longer in the feed.
+func (l *ledger) outcomes(after uint64) (out []Outcome, latest uint64, gap bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.forgotten > after {
+		return nil, l.outcomeSeq, true
+	}
+	i, _ := slices.BinarySearchFunc(l.terminal, after+1, func(e *appEntry, seq uint64) int {
+		return cmp.Compare(e.seq, seq)
+	})
+	for _, e := range l.terminal[i:] {
+		out = append(out, Outcome{Seq: e.seq, ID: e.id, State: e.state.String()})
+	}
+	return out, l.outcomeSeq, false
 }
 
 // apply runs one event against one entry, reporting whether it was
@@ -427,11 +470,12 @@ func (l *ledger) reserve(id string, r *reservation, free resource.Vector) reserv
 	return reserveCreated
 }
 
-// gauges returns the queue depth, the demand held and the hold count.
-func (l *ledger) gauges() (depth int, held resource.Vector, holds int) {
+// gauges returns the queue depth, the demand held, the hold count and
+// the latest outcome number.
+func (l *ledger) gauges() (depth int, held resource.Vector, holds int, outcome uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.queue), l.held, len(l.reserved)
+	return len(l.queue), l.held, len(l.reserved), l.outcomeSeq
 }
 
 // sweep opens a loop iteration: holds past their TTL lapse, holds whose

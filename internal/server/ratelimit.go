@@ -153,14 +153,3 @@ func (l *TenantLimiter) Snapshot() []TenantCounts {
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
 }
-
-// ActiveTenants returns the number of tenants currently counted in the
-// fair share.
-func (l *TenantLimiter) ActiveTenants() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buckets)
-}

@@ -81,14 +81,14 @@ func TestIdleTenantEvicted(t *testing.T) {
 	now := rlT0
 	l.Allow("a", now)
 	l.Allow("b", now)
-	if got := l.ActiveTenants(); got != 2 {
-		t.Fatalf("ActiveTenants = %d, want 2", got)
+	if got := len(l.Snapshot()); got != 2 {
+		t.Fatalf("%d tenants counted, want 2", got)
 	}
 	// Only a keeps talking; b goes idle past idleAfter.
 	now = now.Add(idleAfter + time.Second)
 	l.Allow("a", now)
-	if got := l.ActiveTenants(); got != 1 {
-		t.Fatalf("ActiveTenants after idle eviction = %d, want 1", got)
+	if got := len(l.Snapshot()); got != 1 {
+		t.Fatalf("%d tenants counted after idle eviction, want 1", got)
 	}
 	// a now refills at the full global rate.
 	start := now

@@ -108,6 +108,11 @@ type Server struct {
 	// uncordoned.
 	cordoned atomic.Bool
 
+	// epoch is the core's incarnation number (core.Medea.Epoch), read once:
+	// a server is built once per incarnation, so its outcome numbers
+	// restart with a new epoch and never repeat under an old one.
+	epoch uint64
+
 	// retrySeq keys the deterministic jitter of overload Retry-After
 	// hints, so consecutive rejected clients get distinct retry horizons.
 	retrySeq atomic.Int64
@@ -145,6 +150,8 @@ func New(med *core.Medea, cfg Config) *Server {
 		med: med,
 		adm: NewAdmission(cfg.Admission),
 		rl:  NewTenantLimiter(cfg.RateLimit),
+
+		epoch: med.Epoch(),
 	}
 	s.led = newLedger(cfg.QueueCap, &s.Stats, cfg.Logf)
 	// A core recovered from its journal holds apps already. An ID it
@@ -156,6 +163,7 @@ func New(med *core.Medea, cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/lras", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/lras", s.handleStates)
 	s.mux.HandleFunc("GET /v1/lras/{id}", s.handleStatus)
+	s.mux.HandleFunc("GET /v1/outcomes", s.handleOutcomes)
 	s.mux.HandleFunc("DELETE /v1/lras/{id}", s.handleRemove)
 	s.mux.HandleFunc("POST /v1/constraints", s.handleConstraints)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
@@ -223,6 +231,19 @@ type StatusResponse struct {
 // or "" where that read answers 404.
 type StatesResponse struct {
 	States []string `json:"states"`
+}
+
+// OutcomesResponse is the GET /v1/outcomes?after=K payload: the apps
+// that reached a terminal state after outcome K, in order, under the
+// member's epoch. Gap reports that one of them has been forgotten
+// (Outcomes is then empty): the reader lost its place in the feed and
+// must read the apps it cares about instead. Seq is the latest outcome
+// number, the cursor for the next read.
+type OutcomesResponse struct {
+	Epoch    uint64    `json:"epoch"`
+	Seq      uint64    `json:"seq"`
+	Gap      bool      `json:"gap,omitempty"`
+	Outcomes []Outcome `json:"outcomes,omitempty"`
 }
 
 // ContainerStatus is one live container of a deployed LRA.
@@ -319,7 +340,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		// The overload signal comes from the published gauges: no core
 		// lock on the accept path.
-		depth, _, _ := s.led.gauges()
+		depth, _, _, _ := s.led.gauges()
 		load := Load{Queue: depth + int(s.corePending.Load())}
 		if ok, reason := s.adm.Admit(load); !ok {
 			s.Stats.Add(metrics.ShedOverload, 1)
@@ -391,6 +412,19 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // the ledger alone and never waits on a cycle for the core lock.
 func (s *Server) handleStates(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, StatesResponse{States: s.led.states(r.URL.Query()["id"])})
+}
+
+// handleOutcomes serves the outcome feed; like handleStates it reads the
+// ledger alone.
+func (s *Server) handleOutcomes(w http.ResponseWriter, r *http.Request) {
+	after, err := strconv.ParseUint(cmp.Or(r.URL.Query().Get("after"), "0"), 10, 64)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request", Reason: err.Error()})
+		return
+	}
+	resp := OutcomesResponse{Epoch: s.epoch}
+	resp.Outcomes, resp.Seq, resp.Gap = s.led.outcomes(after)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleRemove is one decision on the entry's state: a queued entry is
@@ -509,6 +543,12 @@ type StatsResponse struct {
 	ReservedMemMB  int64 `json:"reserved_mem_mb"`
 	ReservedVCores int64 `json:"reserved_vcores"`
 	Reservations   int   `json:"reservations"`
+
+	// Outcome-feed position: the core's incarnation number and the latest
+	// outcome number (GET /v1/outcomes). A reader that saw both before
+	// has nothing new to read when neither moved.
+	Epoch      uint64 `json:"epoch"`
+	OutcomeSeq uint64 `json:"outcome_seq"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -520,7 +560,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// The reported free capacity is debited by the outstanding reservations
 	// (clamped at zero per dimension), so federation ranking sees promised
 	// space as taken.
-	depth, reserved, nresv := s.led.gauges()
+	depth, reserved, nresv, outcome := s.led.gauges()
 	_, dims := s.adm.Shedding()
 	resp := StatsResponse{
 		Admitted:      s.Stats.Get(metrics.Admitted),
@@ -551,6 +591,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ReservedMemMB:  reserved.MemoryMB,
 		ReservedVCores: reserved.VCores,
 		Reservations:   nresv,
+
+		Epoch:      s.epoch,
+		OutcomeSeq: outcome,
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
