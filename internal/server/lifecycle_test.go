@@ -279,6 +279,11 @@ func TestServerLifecycleGolden(t *testing.T) {
 	sc.do("GET", "/healthz", nil, "")
 	sc.remove("late")
 	sc.status("late")
+	// The outcome feed: from the start, past the first outcome, and a
+	// cursor that is not a number.
+	sc.do("GET", "/v1/outcomes?after=0", nil, "")
+	sc.do("GET", "/v1/outcomes?after=1", nil, "")
+	sc.do("GET", "/v1/outcomes?after=x", nil, "")
 
 	const golden = "testdata/lifecycle.golden"
 	if *update {
