@@ -226,38 +226,64 @@ func TestAntiEntropyReadsFollowOutcomes(t *testing.T) {
 	}
 }
 
-// TestAntiEntropyShedBeforePlace: a member acknowledges an app and sheds
-// it for a higher priority before the balancer has recorded its home,
-// and a control round reads that outcome while the entry is still being
-// routed. The entry waits in the recheck list until it is placed, is
-// read at its home then, and goes back through placement. A feed reader
-// that drops outcomes of entries it cannot act on yet loses the app.
-func TestAntiEntropyShedBeforePlace(t *testing.T) {
-	f, clk := testFleet(t, FleetConfig{Members: 1, Server: server.Config{QueueCap: 1, Admission: server.AdmissionConfig{QueueHigh: 1000, QueueLow: 999}}})
-	steps(f, clk, 2)
-	m := f.Members[0]
-	fired := false
-	m.client.Transport = &afterTap{next: m.client.Transport, after: func(req *http.Request) {
-		if fired || req.Method != http.MethodPost || req.URL.Path != "/v1/lras" {
-			return
-		}
-		fired = true
-		vip := fedReq("vip", 1, 512, 1)
-		vip.Priority = 9
-		if code, err := f.Balancer.call(m.ID, http.MethodPost, "/v1/lras", mustBody(t, vip), nil); err != nil || code != http.StatusAccepted {
-			t.Errorf("vip: status %d, err %v", code, err)
-		}
-		clk.Advance(50 * time.Millisecond)
-		f.Balancer.Step(clk.Now())
-	}}
-	if _, err := f.Balancer.Submit(fedReq("app-a", 1, 512, 1)); err != nil {
-		t.Fatalf("submit: %v", err)
+// TestAntiEntropyLostBeforePlace: a member acknowledges an app and loses
+// it before the balancer has recorded its home, and a control round
+// runs in between. Shed for a higher priority, the loss is an outcome of
+// an entry still being routed: the entry waits in the recheck list until
+// it is placed. Restarted from a journal that never saw the app, the
+// member has a new epoch and is re-listed while the entry is still being
+// routed. Either way the entry is read at its home once placed, and goes
+// back through placement. A feed reader that drops outcomes of entries
+// it cannot act on yet, or a re-list that skips them, loses the app.
+func TestAntiEntropyLostBeforePlace(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		lose func(t *testing.T, f *Fleet, m *Member, now time.Time)
+	}{
+		{
+			name: "shed for a higher priority",
+			lose: func(t *testing.T, f *Fleet, m *Member, _ time.Time) {
+				vip := fedReq("vip", 1, 512, 1)
+				vip.Priority = 9
+				if code, err := f.Balancer.call(m.ID, http.MethodPost, "/v1/lras", mustBody(t, vip), nil); err != nil || code != http.StatusAccepted {
+					t.Errorf("vip: status %d, err %v", code, err)
+				}
+			},
+		},
+		{
+			name: "restarted from a journal that never saw the app",
+			lose: func(t *testing.T, _ *Fleet, m *Member, now time.Time) {
+				m.Gate.Crash()
+				if err := m.Restart(now); err != nil {
+					t.Error(err)
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, clk := testFleet(t, FleetConfig{Members: 1, Server: server.Config{QueueCap: 1, Admission: server.AdmissionConfig{QueueHigh: 1000, QueueLow: 999}}})
+			steps(f, clk, 2)
+			m := f.Members[0]
+			fired := false
+			m.client.Transport = &afterTap{next: m.client.Transport, after: func(req *http.Request) {
+				if fired || req.Method != http.MethodPost || req.URL.Path != "/v1/lras" {
+					return
+				}
+				fired = true
+				tc.lose(t, f, m, clk.Now())
+				clk.Advance(50 * time.Millisecond)
+				f.Balancer.Step(clk.Now())
+			}}
+			if _, err := f.Balancer.Submit(fedReq("app-a", 1, 512, 1)); err != nil {
+				t.Fatalf("submit: %v", err)
+			}
+			if !fired {
+				t.Fatal("the submission never reached the member")
+			}
+			steps(f, clk, 2)
+			wantReplaced(t, f, clk.Now(), 1, AuditReport{Routed: 1, Placed: 1})
+		})
 	}
-	if !fired {
-		t.Fatal("the submission never reached the member")
-	}
-	steps(f, clk, 2)
-	wantReplaced(t, f, clk.Now(), 1, AuditReport{Routed: 1, Placed: 1})
 }
 
 // TestAntiEntropyMoveAbortsToRestartedSource: an app is moving when its

@@ -409,8 +409,14 @@ func (b *Balancer) readRecheck(now time.Time) {
 	if len(b.recheck) == 0 {
 		return
 	}
+	// batch holds the entries read this round, with what their homes
+	// answered; answered false, that the home could not be read.
+	type verdict struct {
+		id, home, state string
+		answered        bool
+	}
+	var batch []verdict
 	keep := b.recheck[:0]
-	var batch []string
 	for _, id := range b.recheck {
 		switch v := b.view(id); {
 		case v.state == placing || v.state.moving():
@@ -418,33 +424,24 @@ func (b *Balancer) readRecheck(now time.Time) {
 		case v.state != placed || b.scout.State(v.home, now) == Dead:
 			delete(b.queued, id)
 		case len(batch) < homeCheckBatch:
-			batch = append(batch, id)
+			batch = append(batch, verdict{id: id, home: v.home})
 		default:
 			keep = append(keep, id)
 		}
 	}
-	// read[i] is what batch[i]'s home answered; answered false, that its
-	// home could not be read.
-	type verdict struct {
-		home, state string
-		answered    bool
-	}
-	read := make([]verdict, len(batch))
 	groups := make(map[string][]int) // batch positions per home, in batch order
 	var homes []string
-	for i, id := range batch {
-		home := b.view(id).home
-		read[i].home = home
-		if groups[home] == nil {
-			homes = append(homes, home)
+	for i, r := range batch {
+		if groups[r.home] == nil {
+			homes = append(homes, r.home)
 		}
-		groups[home] = append(groups[home], i)
+		groups[r.home] = append(groups[r.home], i)
 	}
 	for _, home := range homes {
 		at := groups[home]
 		q := make(url.Values)
 		for _, i := range at {
-			q.Add("id", batch[i])
+			q.Add("id", batch[i].id)
 		}
 		var sr server.StatesResponse
 		code, err := b.call(home, http.MethodGet, "/v1/lras?"+q.Encode(), nil, &sr)
@@ -455,18 +452,17 @@ func (b *Balancer) readRecheck(now time.Time) {
 			continue
 		}
 		for j, i := range at {
-			read[i].state, read[i].answered = sr.States[j], true
+			batch[i].state, batch[i].answered = sr.States[j], true
 		}
 	}
-	for i, id := range batch {
-		r := read[i]
+	for _, r := range batch {
 		if !r.answered {
-			keep = append(keep, id)
+			keep = append(keep, r.id)
 			continue
 		}
-		delete(b.queued, id)
+		delete(b.queued, r.id)
 		if r.state == "" || (terminal(r.state) && r.state != "rejected") {
-			b.apply(id, evVanish, evArg{member: r.home, note: r.state})
+			b.apply(r.id, evVanish, evArg{member: r.home, note: r.state})
 		}
 	}
 	b.recheck = keep

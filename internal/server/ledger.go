@@ -1,7 +1,6 @@
 package server
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -345,14 +344,6 @@ func (l *ledger) states(ids []string) []string {
 	return out
 }
 
-// Outcome is one entry of the outcome feed: an ID's move into a
-// terminal state, and its number.
-type Outcome struct {
-	Seq   uint64 `json:"seq"`
-	ID    string `json:"id"`
-	State string `json:"state"`
-}
-
 // outcomes returns the terminal entries numbered after after, in order,
 // and the latest number. gap reports that an outcome numbered after after
 // has been forgotten past maxOutcomes, and then no entry is returned: the
@@ -364,8 +355,11 @@ func (l *ledger) outcomes(after uint64) (out []Outcome, latest uint64, gap bool)
 	if l.forgotten > after {
 		return nil, l.outcomeSeq, true
 	}
-	i, _ := slices.BinarySearchFunc(l.terminal, after+1, func(e *appEntry, seq uint64) int {
-		return cmp.Compare(e.seq, seq)
+	i, _ := slices.BinarySearchFunc(l.terminal, after, func(e *appEntry, after uint64) int {
+		if e.seq <= after {
+			return -1
+		}
+		return 1
 	})
 	for _, e := range l.terminal[i:] {
 		out = append(out, Outcome{Seq: e.seq, ID: e.id, State: e.state.String()})

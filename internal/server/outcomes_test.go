@@ -3,6 +3,7 @@ package server
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -97,7 +98,7 @@ func TestOutcomeFeedMatchesLedger(t *testing.T) {
 				}
 			}
 			if step%2500 == 0 || step == steps-1 {
-				for _, after := range []uint64{0, forgotten - min(forgotten, 1), forgotten, forgotten + 1, uint64(rng.Int63n(int64(seq) + 1)), seq} {
+				for _, after := range []uint64{0, forgotten - min(forgotten, 1), forgotten, forgotten + 1, uint64(rng.Int63n(int64(seq) + 1)), seq, math.MaxUint64} {
 					check(step, after)
 				}
 			}

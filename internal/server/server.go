@@ -246,6 +246,14 @@ type OutcomesResponse struct {
 	Outcomes []Outcome `json:"outcomes,omitempty"`
 }
 
+// Outcome is one entry of the outcome feed: an ID's move into a
+// terminal state, and its number.
+type Outcome struct {
+	Seq   uint64 `json:"seq"`
+	ID    string `json:"id"`
+	State string `json:"state"`
+}
+
 // ContainerStatus is one live container of a deployed LRA.
 type ContainerStatus struct {
 	ID   string `json:"id"`
