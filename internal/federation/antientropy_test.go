@@ -16,14 +16,15 @@ import (
 )
 
 // readTap sits in front of a member's transport. It counts the status
-// reads the member is sent (GET /v1/lras and GET /v1/lras/{id}) and its
-// outcome-feed reads, and, with old set, answers the batched status read
-// 405, as a member from before that route does. Step-driven fleets only:
-// the counts are not synchronised.
+// reads the member is sent (GET /v1/lras and GET /v1/lras/{id}), its
+// outcome-feed reads and its capacity-report and stats reads, and, with
+// old set, answers the batched status read 405, as a member from before
+// that route does. Step-driven fleets only: the counts are not
+// synchronised.
 type readTap struct {
-	next         http.RoundTripper
-	old          bool
-	reads, feeds int
+	next                         http.RoundTripper
+	old                          bool
+	reads, feeds, reports, stats int
 }
 
 func tapReads(m *Member, old bool) *readTap {
@@ -33,8 +34,15 @@ func tapReads(m *Member, old bool) *readTap {
 }
 
 func (t *readTap) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.Method == http.MethodGet && req.URL.Path == "/v1/outcomes" {
-		t.feeds++
+	if req.Method == http.MethodGet {
+		switch req.URL.Path {
+		case "/v1/outcomes":
+			t.feeds++
+		case "/v1/report":
+			t.reports++
+		case "/v1/stats":
+			t.stats++
+		}
 	}
 	if req.Method == http.MethodGet && strings.HasPrefix(req.URL.Path, "/v1/lras") {
 		t.reads++
@@ -184,7 +192,9 @@ func TestAntiEntropyVerdicts(t *testing.T) {
 // which nothing left any member sends no status or feed read at all, and
 // a round after one removal sends exactly one feed read, to the member
 // the app was removed from. The rotating window it replaced read 32 apps
-// a round whatever happened.
+// a round whatever happened. It caps the scout's probe too: a quiet round
+// sends each member one GET /v1/report and no GET /v1/stats, whose body
+// carries three times the fields the scout keeps.
 func TestAntiEntropyReadsFollowOutcomes(t *testing.T) {
 	f, clk := testFleet(t, FleetConfig{Members: 3})
 	steps(f, clk, 2)
@@ -209,6 +219,9 @@ func TestAntiEntropyReadsFollowOutcomes(t *testing.T) {
 	for id, tap := range taps {
 		if tap.reads != 0 || tap.feeds != 0 {
 			t.Errorf("quiet round: %s got %d status and %d feed reads, want none", id, tap.reads, tap.feeds)
+		}
+		if tap.reports != 1 || tap.stats != 0 {
+			t.Errorf("quiet round: %s got %d report and %d stats reads, want 1 and 0", id, tap.reports, tap.stats)
 		}
 	}
 	if err := f.Balancer.Remove("app-07"); err != nil {

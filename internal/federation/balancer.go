@@ -317,10 +317,9 @@ type feedCursor struct{ epoch, seq uint64 }
 // state and the scout's probe reports the latest number, so a member
 // whose number has not moved since the last round is not read at all;
 // one whose number moved is asked for its outcomes since the cursor
-// (followOutcomes). A restarted member (new epoch), a lost place in its
-// feed (gap) or a member that serves no feed is re-listed instead: its
-// apps go into the recheck list, read at their homes homeCheckBatch a
-// round (readRecheck).
+// (followOutcomes). A restarted member (new epoch) or a lost place in its
+// feed (gap) is re-listed instead: its apps go into the recheck list,
+// read at their homes homeCheckBatch a round (readRecheck).
 func (b *Balancer) reconcileHomes(snap []string, now time.Time) {
 	for _, id := range b.scout.MemberIDs() {
 		if b.scout.State(id, now) == Dead {
@@ -343,11 +342,6 @@ func (b *Balancer) reconcileHomes(snap []string, now time.Time) {
 func (b *Balancer) followOutcomes(snap []string, member string, rep Report) {
 	cur, ok := b.cursors[member]
 	switch {
-	case rep.Epoch == 0:
-		// A member from before the feed: re-listed every round. What is
-		// already queued keeps its place, so the list rotates through it.
-		b.relist(snap, member)
-		return
 	case !ok || rep.Epoch != cur.epoch || rep.OutcomeSeq < cur.seq:
 		b.relist(snap, member)
 		b.cursors[member] = feedCursor{rep.Epoch, rep.OutcomeSeq}

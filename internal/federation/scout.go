@@ -31,8 +31,8 @@ func (c ScoutConfig) probeTimeout() time.Duration {
 	return 25 * time.Millisecond
 }
 
-// Report is the scout's last knowledge of one member: the capacity
-// self-report from GET /v1/stats plus backlog and drain signals.
+// Report is the scout's last knowledge of one member: its capacity
+// self-report (GET /v1/report) with backlog and drain signals.
 type Report struct {
 	At time.Time
 	// Free is already debited server-side by outstanding PREPARE-phase
@@ -43,7 +43,7 @@ type Report struct {
 	CorePending int
 	Draining    bool
 	// Epoch and OutcomeSeq are the member's position in its outcome feed
-	// (server.StatsResponse); Epoch is 0 for a member that serves none.
+	// (GET /v1/outcomes).
 	Epoch, OutcomeSeq uint64
 }
 
@@ -56,7 +56,7 @@ type memberProbe struct {
 }
 
 // Scout maintains per-member health and capacity knowledge: each probe
-// round hits every member's stats endpoint; a response feeds the failure
+// round hits every member's report endpoint; a response feeds the failure
 // detector as a heartbeat and refreshes the capacity report, a timeout
 // or refusal counts as a miss. Rank turns that knowledge into a routing
 // order. Detector and report state is mutex-guarded: the balancer's
@@ -110,15 +110,15 @@ func (s *Scout) ProbeAll(now time.Time) (newlyDead []string) {
 	return newlyDead
 }
 
-// probe fetches one member's stats under the probe timeout.
+// probe fetches one member's capacity report under the probe timeout.
 func (s *Scout) probe(m *Member) (Report, error) {
-	var st server.StatsResponse
-	code, err := m.request(s.cfg.probeTimeout(), http.MethodGet, "/v1/stats", nil, &st)
+	var st server.ReportResponse
+	code, err := m.request(s.cfg.probeTimeout(), http.MethodGet, "/v1/report", nil, &st)
 	if err != nil {
 		return Report{}, err
 	}
 	if code != http.StatusOK {
-		return Report{}, fmt.Errorf("stats probe: status %d", code)
+		return Report{}, fmt.Errorf("report probe: status %d", code)
 	}
 	return Report{
 		Free:        resource.New(st.FreeMemMB, st.FreeVCores),

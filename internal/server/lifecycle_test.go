@@ -109,10 +109,10 @@ func (sc *script) step(advance time.Duration) {
 
 // TestServerLifecycleGolden pins what the serving layer tells its
 // clients over an app's whole life: every status code, body and
-// Retry-After of a scripted request sequence, and /v1/stats after every
-// loop iteration. The script is sequential and runs on the manual clock,
-// so the record is the same under the default build, GOMAXPROCS=1 and
-// -race.
+// Retry-After of a scripted request sequence, /v1/stats after every
+// loop iteration, and /v1/report once at the end. The script is
+// sequential and runs on the manual clock, so the record is the same
+// under the default build, GOMAXPROCS=1 and -race.
 func TestServerLifecycleGolden(t *testing.T) {
 	var out bytes.Buffer
 	stuck := SubmitRequest{ID: "stuck", Groups: []GroupSpec{{Name: "w", Count: 1, MemoryMB: 99999, VCores: 1}}}
@@ -284,6 +284,8 @@ func TestServerLifecycleGolden(t *testing.T) {
 	sc.do("GET", "/v1/outcomes?after=0", nil, "")
 	sc.do("GET", "/v1/outcomes?after=1", nil, "")
 	sc.do("GET", "/v1/outcomes?after=x", nil, "")
+	// The scout's capacity report.
+	sc.do("GET", "/v1/report", nil, "")
 
 	const golden = "testdata/lifecycle.golden"
 	if *update {

@@ -167,6 +167,7 @@ func New(med *core.Medea, cfg Config) *Server {
 	s.mux.HandleFunc("DELETE /v1/lras/{id}", s.handleRemove)
 	s.mux.HandleFunc("POST /v1/constraints", s.handleConstraints)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
+	s.mux.HandleFunc("GET /v1/report", s.handleReport)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("POST /v1/reservations", s.handleReserve)
 	s.mux.HandleFunc("DELETE /v1/reservations/{id}", s.handleUnreserve)
@@ -536,8 +537,9 @@ type StatsResponse struct {
 	Rejected int `json:"rejected"`
 
 	// Capacity self-report: resources free and total on up nodes, and the
-	// node availability split. A federation scout scores member clusters
-	// by these.
+	// node availability split. The four capacity figures are the ones
+	// GET /v1/report serves, which a federation scout scores member
+	// clusters by.
 	FreeMemMB   int64 `json:"free_mem_mb"`
 	FreeVCores  int64 `json:"free_vcores"`
 	TotalMemMB  int64 `json:"total_mem_mb"`
@@ -559,16 +561,62 @@ type StatsResponse struct {
 	OutcomeSeq uint64 `json:"outcome_seq"`
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+// ReportResponse is the GET /v1/report payload: the capacity self-report
+// a federation scout ranks members by, and nothing else. Every field
+// equals the /v1/stats field of the same name.
+type ReportResponse struct {
+	FreeMemMB   int64  `json:"free_mem_mb"`
+	FreeVCores  int64  `json:"free_vcores"`
+	TotalMemMB  int64  `json:"total_mem_mb"`
+	TotalVCores int64  `json:"total_vcores"`
+	QueueDepth  int    `json:"queue_depth"`
+	CorePending int    `json:"core_pending"`
+	Draining    bool   `json:"draining"`
+	Epoch       uint64 `json:"epoch"`
+	OutcomeSeq  uint64 `json:"outcome_seq"`
+}
+
+// statsReads are the figures /v1/stats shows beside the report, read in
+// the same holds of the core and ledger locks.
+type statsReads struct {
+	deployed, rejected, up, nodes, holds int
+	reserved                             resource.Vector
+}
+
+// report computes the capacity self-report for both /v1/report and
+// /v1/stats. The free capacity is debited by the outstanding reservations
+// (clamped at zero per dimension), so federation ranking sees promised
+// space as taken.
+func (s *Server) report() (ReportResponse, statsReads) {
+	var x statsReads
 	s.mu.Lock()
-	deployed := s.med.DeployedLRAs()
-	rejected := len(s.med.Rejected)
+	x.deployed = s.med.DeployedLRAs()
+	x.rejected = len(s.med.Rejected)
 	free, total, up, nodes := s.med.Capacity()
 	s.mu.Unlock()
-	// The reported free capacity is debited by the outstanding reservations
-	// (clamped at zero per dimension), so federation ranking sees promised
-	// space as taken.
-	depth, reserved, nresv, outcome := s.led.gauges()
+	x.up, x.nodes = up, nodes
+	depth, reserved, holds, outcome := s.led.gauges()
+	x.reserved, x.holds = reserved, holds
+	return ReportResponse{
+		FreeMemMB:   max(free.MemoryMB-reserved.MemoryMB, 0),
+		FreeVCores:  max(free.VCores-reserved.VCores, 0),
+		TotalMemMB:  total.MemoryMB,
+		TotalVCores: total.VCores,
+		QueueDepth:  depth,
+		CorePending: int(s.corePending.Load()),
+		Draining:    s.refusing(),
+		Epoch:       s.epoch,
+		OutcomeSeq:  outcome,
+	}, x
+}
+
+func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
+	rep, _ := s.report()
+	writeJSON(w, http.StatusOK, rep)
+}
+
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	rep, x := s.report()
 	_, dims := s.adm.Shedding()
 	resp := StatsResponse{
 		Admitted:      s.Stats.Get(metrics.Admitted),
@@ -580,28 +628,28 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		SubmitErrors:  s.Stats.Get(metrics.SubmitErrors),
 		Removed:       s.Stats.Get(metrics.Removed),
 		DrainFlushed:  s.Stats.Get(metrics.DrainFlushed),
-		QueueDepth:    depth,
+		QueueDepth:    rep.QueueDepth,
 		QueueCap:      s.cfg.QueueCap,
-		CorePending:   int(s.corePending.Load()),
+		CorePending:   rep.CorePending,
 		JournalLag:    int(s.journalLag.Load()),
-		Draining:      s.refusing(),
+		Draining:      rep.Draining,
 		Shedding:      dims,
 		Tenants:       s.rl.Snapshot(),
-		Deployed:      deployed,
-		Rejected:      rejected,
-		FreeMemMB:     max(free.MemoryMB-reserved.MemoryMB, 0),
-		FreeVCores:    max(free.VCores-reserved.VCores, 0),
-		TotalMemMB:    total.MemoryMB,
-		TotalVCores:   total.VCores,
-		NodesUp:       up,
-		NodesTotal:    nodes,
+		Deployed:      x.deployed,
+		Rejected:      x.rejected,
+		FreeMemMB:     rep.FreeMemMB,
+		FreeVCores:    rep.FreeVCores,
+		TotalMemMB:    rep.TotalMemMB,
+		TotalVCores:   rep.TotalVCores,
+		NodesUp:       x.up,
+		NodesTotal:    x.nodes,
 
-		ReservedMemMB:  reserved.MemoryMB,
-		ReservedVCores: reserved.VCores,
-		Reservations:   nresv,
+		ReservedMemMB:  x.reserved.MemoryMB,
+		ReservedVCores: x.reserved.VCores,
+		Reservations:   x.holds,
 
-		Epoch:      s.epoch,
-		OutcomeSeq: outcome,
+		Epoch:      rep.Epoch,
+		OutcomeSeq: rep.OutcomeSeq,
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
