@@ -17,14 +17,14 @@ import (
 
 // readTap sits in front of a member's transport. It counts the status
 // reads the member is sent (GET /v1/lras and GET /v1/lras/{id}), its
-// outcome-feed reads and its capacity-report and stats reads, and, with
-// old set, answers the batched status read 405, as a member from before
-// that route does. Step-driven fleets only: the counts are not
-// synchronised.
+// outcome-feed reads, its capacity-report and stats reads and the
+// submissions it is sent (POST /v1/lras), and, with old set, answers the
+// batched status read 405, as a member from before that route does.
+// Step-driven fleets only: the counts are not synchronised.
 type readTap struct {
-	next                         http.RoundTripper
-	old                          bool
-	reads, feeds, reports, stats int
+	next                                  http.RoundTripper
+	old                                   bool
+	reads, feeds, reports, stats, submits int
 }
 
 func tapReads(m *Member, old bool) *readTap {
@@ -34,6 +34,9 @@ func tapReads(m *Member, old bool) *readTap {
 }
 
 func (t *readTap) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method == http.MethodPost && req.URL.Path == "/v1/lras" {
+		t.submits++
+	}
 	if req.Method == http.MethodGet {
 		switch req.URL.Path {
 		case "/v1/outcomes":

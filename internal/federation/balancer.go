@@ -464,14 +464,15 @@ func (b *Balancer) readRecheck(now time.Time) {
 
 // placeOnce tries ranked members once for an app being re-placed (no
 // backoff rounds: the caller's control loop is the retry). Unlike the
-// client submit path it only offers the app to members whose reported
-// free capacity fits — a refugee handed to a full survivor would be
-// acknowledged and then sit unplaceable until the core rejects it,
-// which is worse than honest degraded mode at the balancer.
+// client submit path it only offers the app to members whose last report
+// is not draining and whose free capacity fits. A cordoned member
+// answers 503 whatever its room, every round; a refugee handed to a full
+// survivor would be acknowledged and then sit unplaceable until the core
+// rejects it, which is worse than honest degraded mode at the balancer.
 func (b *Balancer) placeOnce(v routedApp, now time.Time, debits map[string]resource.Vector) bool {
 	for _, id := range b.scout.Rank(v.demand, now) {
 		rep, ok := b.scout.LastReport(id)
-		if !ok || !v.demand.Fits(rep.Free.Sub(debits[id])) {
+		if !ok || rep.Draining || !v.demand.Fits(rep.Free.Sub(debits[id])) {
 			continue
 		}
 		code, err := b.call(id, http.MethodPost, "/v1/lras", v.body, nil)

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"net/http"
 	"testing"
 	"time"
 
@@ -147,5 +148,47 @@ func TestDegradedModeQueuesAndRecovers(t *testing.T) {
 	}
 	if f.Stats.Get(metrics.DegradedRecovered) != 1 {
 		t.Fatalf("degraded recovered %d, want 1", f.Stats.Get(metrics.DegradedRecovered))
+	}
+}
+
+// TestFailoverSkipsCordonedSurvivor: the only survivor of a member's
+// death is cordoned and has room. Failover and the degraded retry offer
+// it nothing, round after round — no submission reaches it and no
+// spillover is counted, although its reported free capacity fits — and
+// the round after it is uncordoned places the refugee there.
+func TestFailoverSkipsCordonedSurvivor(t *testing.T) {
+	f, clk := testFleet(t, FleetConfig{Members: 2, NodesPerMember: 4})
+	steps(f, clk, 2)
+	if home, err := f.Balancer.Submit(fedReq("app-a", 1, 1024, 1)); err != nil || home != "cluster-0" {
+		t.Fatalf("submit: home %q, err %v; want cluster-0", home, err)
+	}
+	steps(f, clk, 2)
+	survivor := f.Scout.Member("cluster-1")
+	drain := func(method string) {
+		t.Helper()
+		if code, err := survivor.request(time.Second, method, "/v1/drain", nil, nil); err != nil || code != http.StatusOK {
+			t.Fatalf("%s /v1/drain: %d %v", method, code, err)
+		}
+	}
+	drain(http.MethodPost)
+	tap := tapReads(survivor, false)
+	f.Scout.Member("cluster-0").Gate.Crash()
+	for round := 0; f.Stats.Get(metrics.FailoverEvents) == 0; round++ {
+		if round == 12 {
+			t.Fatal("cluster-0's death was not confirmed within 12 rounds")
+		}
+		steps(f, clk, 1)
+	}
+	steps(f, clk, 4) // the degraded retry runs every round
+	if tap.submits != 0 || f.Stats.Get(metrics.Spillovers) != 0 {
+		t.Fatalf("cordoned survivor got %d submissions, %d spillovers counted; want none", tap.submits, f.Stats.Get(metrics.Spillovers))
+	}
+	if a := f.Balancer.Audit(clk.Now()); a.Degraded != 1 || len(a.Lost) != 0 {
+		t.Fatalf("audit %+v, want app-a degraded", a)
+	}
+	drain(http.MethodDelete)
+	steps(f, clk, 1)
+	if home, _ := f.Balancer.Home("app-a"); home != "cluster-1" || tap.submits != 1 {
+		t.Fatalf("round after uncordon: app-a homed on %q after %d submissions; want cluster-1 after 1", home, tap.submits)
 	}
 }
