@@ -301,7 +301,8 @@ func (in *tinyInstance) fits(p tinyPlacement) bool {
 	for ni, n := range in.nodes {
 		var need resource.Vector
 		for gi, g := range in.groups {
-			need = need.Add(g.demand.Scale(int64(p.counts[gi][ni])))
+			k := int64(p.counts[gi][ni])
+			need = need.Add(resource.New(g.demand.MemoryMB*k, g.demand.VCores*k))
 		}
 		if !need.Fits(in.state.Node(n).Free()) {
 			return false

@@ -7,11 +7,7 @@
 // the paper ("our model can be extended to use a vector of resources").
 package resource
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // Vector is an immutable-by-convention resource amount. The zero value is
 // an empty (zero) resource, ready to use.
@@ -38,11 +34,6 @@ func (v Vector) Sub(o Vector) Vector {
 	return Vector{MemoryMB: v.MemoryMB - o.MemoryMB, VCores: v.VCores - o.VCores}
 }
 
-// Scale returns v with every component multiplied by k.
-func (v Vector) Scale(k int64) Vector {
-	return Vector{MemoryMB: v.MemoryMB * k, VCores: v.VCores * k}
-}
-
 // Fits reports whether a demand v can be satisfied from capacity c,
 // i.e. v <= c in every dimension.
 func (v Vector) Fits(c Vector) bool {
@@ -57,21 +48,6 @@ func (v Vector) IsNonNegative() bool { return v.MemoryMB >= 0 && v.VCores >= 0 }
 
 // IsPositive reports whether every component is > 0.
 func (v Vector) IsPositive() bool { return v.MemoryMB > 0 && v.VCores > 0 }
-
-// Min returns the component-wise minimum of v and o.
-func (v Vector) Min(o Vector) Vector {
-	return Vector{MemoryMB: min(v.MemoryMB, o.MemoryMB), VCores: min(v.VCores, o.VCores)}
-}
-
-// Max returns the component-wise maximum of v and o.
-func (v Vector) Max(o Vector) Vector {
-	return Vector{MemoryMB: max(v.MemoryMB, o.MemoryMB), VCores: max(v.VCores, o.VCores)}
-}
-
-// Dominates reports whether v >= o in every dimension.
-func (v Vector) Dominates(o Vector) bool {
-	return v.MemoryMB >= o.MemoryMB && v.VCores >= o.VCores
-}
 
 // DominantShare returns the dominant resource share of v relative to
 // capacity c, following DRF semantics: max over dimensions of v_d / c_d.
@@ -101,30 +77,6 @@ func (v Vector) Scalar() int64 {
 // String renders like "<2048MB,1c>".
 func (v Vector) String() string {
 	return fmt.Sprintf("<%dMB,%dc>", v.MemoryMB, v.VCores)
-}
-
-// Parse parses the String form "<2048MB,1c>" (whitespace tolerated).
-func Parse(s string) (Vector, error) {
-	t := strings.TrimSpace(s)
-	if !strings.HasPrefix(t, "<") || !strings.HasSuffix(t, ">") {
-		return Vector{}, fmt.Errorf("resource: %q is not of the form <NMB,Mc>", s)
-	}
-	t = t[1 : len(t)-1]
-	parts := strings.Split(t, ",")
-	if len(parts) != 2 {
-		return Vector{}, fmt.Errorf("resource: %q must have two components", s)
-	}
-	memStr := strings.TrimSuffix(strings.TrimSpace(parts[0]), "MB")
-	coreStr := strings.TrimSuffix(strings.TrimSpace(parts[1]), "c")
-	mem, err := strconv.ParseInt(memStr, 10, 64)
-	if err != nil {
-		return Vector{}, fmt.Errorf("resource: bad memory in %q: %v", s, err)
-	}
-	cores, err := strconv.ParseInt(coreStr, 10, 64)
-	if err != nil {
-		return Vector{}, fmt.Errorf("resource: bad vcores in %q: %v", s, err)
-	}
-	return Vector{MemoryMB: mem, VCores: cores}, nil
 }
 
 // Standard container profiles from §7.1 of the paper.
