@@ -12,12 +12,13 @@ import (
 // Capacity reservations are the server half of the federation's
 // two-phase cross-cluster migration: before a migrator submits an app
 // here (COMMIT), it reserves the app's demand (PREPARE). A reservation
-// debits the capacity this member self-reports on /v1/stats, so the
-// federation scout — and every balancer ranking members off its reports
-// — sees the promised space as taken before the submission arrives.
+// debits the capacity this member self-reports on /v1/report (and
+// /v1/stats), so the federation scout — and every balancer ranking
+// members off its reports — sees the promised space as taken before the
+// submission arrives.
 //
 // A reservation is a mark on the app's ledger entry, deliberately apart
-// from the core: it gates the *stats self-report* and the reserve
+// from the core: it gates the *capacity self-report* and the reserve
 // endpoint's own fit check, never the scheduler's placement math — a
 // submission that lands consumes real capacity through the core as
 // usual, and the sweep retires its reservation.
@@ -102,7 +103,7 @@ func (s *Server) handleUnreserve(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCordon puts the member in operator-driven draining: admission
-// refuses (503), the stats self-report flags Draining so federation
+// refuses (503), the capacity self-report flags Draining so federation
 // balancers stop ranking this member as a destination, and outstanding
 // reservations are flushed — a draining member makes no promises. This
 // is the reversible, keep-serving-existing-work counterpart of

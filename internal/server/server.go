@@ -95,7 +95,7 @@ type Server struct {
 	Stats metrics.ServerStats
 
 	// Gauges published by the scheduling loop for the lock-free accept
-	// path and /v1/stats.
+	// path and the self-reports (/v1/report, /v1/stats).
 	corePending atomic.Int64 // core pending LRAs + pending repairs
 	journalLag  atomic.Int64 // records a recovery would replay
 
