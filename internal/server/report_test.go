@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -11,37 +12,44 @@ import (
 	"medea/internal/core"
 )
 
-// getFields reads one endpoint's body as its top-level JSON fields.
-func getFields(t *testing.T, ts *httptest.Server, path string) map[string]json.RawMessage {
+// getBody reads one endpoint's 200 body.
+func getBody(t *testing.T, ts *httptest.Server, path string) []byte {
 	t.Helper()
 	resp, err := http.Get(ts.URL + path)
 	if err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("%s: status %d", path, resp.StatusCode)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: status %d, %v", path, resp.StatusCode, err)
 	}
-	var fields map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&fields); err != nil {
-		t.Fatalf("decode %s: %v", path, err)
-	}
-	return fields
+	return body
 }
 
 // TestReportMatchesStats: in every state a scout can find a member in —
 // holds larger than free capacity, a queue, apps pending in the core,
 // outcomes recorded, draining — each GET /v1/report field equals the
 // GET /v1/stats field of the same name. The report serves exactly nine
-// fields, and the state with a hold larger than
-// the free memory pins the debit and the per-dimension clamp by value, so
-// a rule dropped from both handlers fails too.
+// fields, and the states with a hold pin the debit and the per-dimension
+// clamp by value, so a rule dropped from both handlers fails too.
 func TestReportMatchesStats(t *testing.T) {
 	s, ts, clk := testServer(t, Config{}, core.Config{})
 	var rep ReportResponse
 	check := func(state string) {
 		t.Helper()
-		report, stats := getFields(t, ts, "/v1/report"), getFields(t, ts, "/v1/stats")
+		body := getBody(t, ts, "/v1/report")
+		var report, stats map[string]json.RawMessage
+		rep = ReportResponse{}
+		for _, err := range []error{
+			json.Unmarshal(body, &report),
+			json.Unmarshal(getBody(t, ts, "/v1/stats"), &stats),
+			json.Unmarshal(body, &rep),
+		} {
+			if err != nil {
+				t.Fatalf("%s: %v", state, err)
+			}
+		}
 		if len(report) != 9 {
 			t.Fatalf("%s: /v1/report has %d fields, want 9", state, len(report))
 		}
@@ -49,11 +57,6 @@ func TestReportMatchesStats(t *testing.T) {
 			if w, ok := stats[name]; !ok || !bytes.Equal(v, w) {
 				t.Errorf("%s: /v1/report %s = %s, /v1/stats %s = %s", state, name, v, name, w)
 			}
-		}
-		rep = ReportResponse{}
-		b, _ := json.Marshal(report)
-		if err := json.Unmarshal(b, &rep); err != nil {
-			t.Fatalf("%s: %v", state, err)
 		}
 	}
 	step := func() { clk.Advance(time.Second); s.Step() }

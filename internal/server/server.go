@@ -589,12 +589,12 @@ type statsReads struct {
 // space as taken.
 func (s *Server) report() (ReportResponse, statsReads) {
 	var x statsReads
+	var free, total resource.Vector
 	s.mu.Lock()
 	x.deployed = s.med.DeployedLRAs()
 	x.rejected = len(s.med.Rejected)
-	free, total, up, nodes := s.med.Capacity()
+	free, total, x.up, x.nodes = s.med.Capacity()
 	s.mu.Unlock()
-	x.up, x.nodes = up, nodes
 	depth, reserved, holds, outcome := s.led.gauges()
 	x.reserved, x.holds = reserved, holds
 	return ReportResponse{
