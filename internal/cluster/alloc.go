@@ -12,7 +12,9 @@ import (
 
 // Allocate places a container on a node, charging its resource demand and
 // adding its tags to the node's tag set and to the tag set of every node
-// set (in every group) containing the node. It fails when the demand is
+// set (in every group) containing the node. An untagged container (a
+// task's) is kept out of the tag sets: no valid constraint expression is
+// empty, so no γ could count it. It fails when the demand is
 // negative, the node lacks free resources or is unavailable, or the
 // container ID is already in use.
 func (c *Cluster) Allocate(node NodeID, id ContainerID, demand resource.Vector, tags []constraint.Tag) error {
@@ -35,7 +37,9 @@ func (c *Cluster) Allocate(node NodeID, id ContainerID, demand resource.Vector, 
 	}
 	n.used = n.used.Add(demand)
 	n.containers = append(n.containers, id)
-	c.addTags(node, tags)
+	if len(tags) > 0 {
+		c.addTags(node, tags)
+	}
 	c.containers[id] = &containerInfo{node: node, demand: demand, tags: append([]constraint.Tag(nil), tags...)}
 	return nil
 }
@@ -53,7 +57,9 @@ func (c *Cluster) Release(id ContainerID) error {
 	if i := slices.Index(n.containers, id); i >= 0 {
 		n.containers = slices.Delete(n.containers, i, i+1)
 	}
-	c.removeTags(info.node, info.tags)
+	if len(info.tags) > 0 {
+		c.removeTags(info.node, info.tags)
+	}
 	delete(c.containers, id)
 	return nil
 }

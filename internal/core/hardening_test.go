@@ -79,16 +79,13 @@ func TestByzantineAlgorithm(t *testing.T) {
 		runCycle(i)
 	}
 	if m.Pipeline.Get(metrics.BreakerTrips) == 0 {
-		t.Fatalf("breaker never tripped: events %v", m.Pipeline.Events())
+		t.Fatal("breaker never tripped")
 	}
 	if !sawDegraded || m.Pipeline.Get(metrics.DegradedCycles) == 0 {
 		t.Fatal("no cycle ran on the degradation ladder")
 	}
 	if m.Pipeline.Get(metrics.PanicsRecovered) == 0 {
 		t.Fatal("no panic was recovered")
-	}
-	if m.Pipeline.Last(metrics.PanicsRecovered) == "" {
-		t.Fatal("recovered panic left no stack in metrics")
 	}
 	if m.Pipeline.Get(metrics.ValidationRejects) == 0 {
 		t.Fatal("no placement was rejected by commit-time validation")
@@ -117,7 +114,7 @@ func TestByzantineAlgorithm(t *testing.T) {
 		}
 	}
 	if m.Pipeline.Get(metrics.BreakerResets) == 0 {
-		t.Fatalf("breaker never reset after the algorithm healed: events %v", m.Pipeline.Events())
+		t.Fatal("breaker never reset after the algorithm healed")
 	}
 	if last.Level != 0 {
 		t.Fatalf("last cycle still degraded (level %d)", last.Level)
@@ -127,24 +124,6 @@ func TestByzantineAlgorithm(t *testing.T) {
 	}
 	if len(m.deployed) <= placedDuringChaos {
 		t.Fatal("no LRA placed after recovery")
-	}
-
-	// The transition log tells the whole story: at least one trip, one
-	// reopen and one reset, in order.
-	var trips, reopens, resets int
-	for _, e := range m.Pipeline.Events() {
-		switch {
-		case e.From == "closed" && e.To == "open":
-			trips++
-		case e.From == "half-open" && e.To == "open":
-			reopens++
-		case e.To == "closed":
-			resets++
-		}
-	}
-	if trips == 0 || reopens == 0 || resets == 0 {
-		t.Fatalf("transition log incomplete (trips=%d reopens=%d resets=%d): %v",
-			trips, reopens, resets, m.Pipeline.Events())
 	}
 }
 
@@ -250,7 +229,7 @@ func TestRepairRunsOnBreakerRung(t *testing.T) {
 		}
 	}
 	if got := m.Pipeline.Get(metrics.BreakerTrips); got != 1 {
-		t.Fatalf("breaker trips = %d, want 1: %v", got, m.Pipeline.Events())
+		t.Fatalf("breaker trips = %d, want 1", got)
 	}
 	ids, _ := m.Deployed("a")
 	node, _ := m.Cluster.ContainerNode(ids[0])
@@ -263,7 +242,7 @@ func TestRepairRunsOnBreakerRung(t *testing.T) {
 	if stats.Repaired != len(evs) || stats.RepairFailures != 0 || stats.PanicRecovered {
 		t.Fatalf("repair on the breaker's rung: %+v, want %d restored at the first attempt", stats, len(evs))
 	}
-	if got := m.DegradedLRAs(); len(got) != 0 {
+	if got := degradedLRAs(m); len(got) != 0 {
 		t.Errorf("still degraded: %v", got)
 	}
 }
@@ -299,7 +278,7 @@ func TestRepairFaultsTripBreaker(t *testing.T) {
 		}
 	}
 	if got := m.Pipeline.Get(metrics.BreakerTrips); got != 1 {
-		t.Fatalf("breaker trips = %d, want 1: %v", got, m.Pipeline.Events())
+		t.Fatalf("breaker trips = %d, want 1", got)
 	}
 
 	if err := m.Sync(); err != nil {

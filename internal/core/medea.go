@@ -9,7 +9,6 @@ package core
 
 import (
 	"fmt"
-	"runtime/debug"
 	"slices"
 	"sort"
 	"sync"
@@ -449,13 +448,12 @@ func (m *Medea) activeExcluding(exclude map[string]bool) []constraint.Entry {
 
 // safePlace invokes an LRA algorithm on state with panic isolation: a
 // panicking algorithm yields a nil result — callers treat it as a failed
-// cycle — with the panic value and stack captured in the pipeline
-// metrics. Place returns state as it found it, a recovered panic
-// included.
+// cycle — and is counted in the pipeline metrics. Place returns state
+// as it found it, a recovered panic included.
 func (m *Medea) safePlace(alg lra.Algorithm, state *cluster.Cluster, apps []*lra.Application, active []constraint.Entry) (res *lra.Result) {
 	defer func() {
 		if r := recover(); r != nil {
-			m.Pipeline.Record(metrics.PanicsRecovered, fmt.Sprintf("%s: %v\n%s", alg.Name(), r, debug.Stack()))
+			m.Pipeline.Add(metrics.PanicsRecovered, 1)
 			res = nil
 		}
 	}()
@@ -621,21 +619,21 @@ func (m *Medea) RunCycle(now time.Time) CycleStats {
 }
 
 // judge is the fault rule, applied to every algorithm call of a cycle,
-// the batch's and each repair's: res is alg's result for n apps. A panic
-// (nil result) or a malformed result (not one placement per app) fails
-// the cycle and is unusable; it costs the apps nothing, since a crashing
-// algorithm is the scheduler's fault: a batch is requeued whole with its
-// retries, a repair keeps its attempt count and backoff gate. Solver
-// exhaustion and an invalid model fail the cycle, but the placements are
-// still used. judge reports whether they are.
-func (m *Medea) judge(alg lra.Algorithm, res *lra.Result, n int, stats *CycleStats) bool {
+// the batch's and each repair's: res is the algorithm's result for n
+// apps. A panic (nil result) or a malformed result (not one placement
+// per app) fails the cycle and is unusable; it costs the apps nothing,
+// since a crashing algorithm is the scheduler's fault: a batch is
+// requeued whole with its retries, a repair keeps its attempt count and
+// backoff gate. Solver exhaustion and an invalid model fail the cycle,
+// but the placements are still used. judge reports whether they are.
+func (m *Medea) judge(res *lra.Result, n int, stats *CycleStats) bool {
 	switch {
 	case res == nil:
 		stats.PanicRecovered = true
 		stats.fault = "panic"
 		return false
 	case len(res.Placements) != n:
-		m.veto(fmt.Sprintf("%s returned %d placements for a batch of %d", alg.Name(), len(res.Placements), n), stats)
+		m.veto(stats)
 		return false
 	}
 	if res.Exhausted {
@@ -652,8 +650,8 @@ func (m *Medea) judge(alg lra.Algorithm, res *lra.Result, n int, stats *CycleSta
 // veto is the fault rule's verdict on an inadmissible placement, rejected
 // before it corrupts cluster state: it fails the cycle, and the caller
 // consumes the app's retry or the repair's attempt.
-func (m *Medea) veto(reason string, stats *CycleStats) {
-	m.Pipeline.Record(metrics.ValidationRejects, reason)
+func (m *Medea) veto(stats *CycleStats) {
+	m.Pipeline.Add(metrics.ValidationRejects, 1)
 	stats.ValidationRejects++
 	stats.fault = "validation"
 }
@@ -678,7 +676,7 @@ func (m *Medea) runBatch(alg lra.Algorithm, now time.Time, stats *CycleStats) {
 	// batch apps from the active set to avoid double counting.
 	active := m.activeExcluding(inBatch)
 	res := m.placeBatch(alg, apps, active)
-	if !m.judge(alg, res, len(batch), stats) {
+	if !m.judge(res, len(batch), stats) {
 		m.requeueWhole(batch, now, stats)
 		return
 	}
@@ -759,8 +757,8 @@ func (m *Medea) validateBatch(batch []*pendingApp, placements []lra.Placement, a
 		}
 		n := len(entries)
 		entries = appendAppEntries(entries, batch[i].app)
-		if err := audit.CheckPlacement(m.Cluster, batch[i].app, p, entries); err != nil {
-			m.veto(err.Error(), stats)
+		if audit.CheckPlacement(m.Cluster, batch[i].app, p, entries) != nil {
+			m.veto(stats)
 			entries = entries[:n]
 			continue
 		}
@@ -809,7 +807,7 @@ func (m *Medea) auditCycle() {
 		return
 	}
 	if err := m.CheckInvariants(); err != nil {
-		m.Pipeline.Record(metrics.InvariantViolations, err.Error())
+		m.Pipeline.Add(metrics.InvariantViolations, 1)
 		if m.cfg.Audit == audit.FailFast {
 			panic(fmt.Sprintf("medea: invariant violation after cycle %d: %v", m.cycles, err))
 		}

@@ -116,19 +116,6 @@ func (m *Medea) handleEvictions(evs []cluster.Eviction, now time.Time) {
 	}
 }
 
-// DegradedLRAs returns the IDs of deployed LRAs currently below their
-// declared container count, sorted.
-func (m *Medea) DegradedLRAs() []string {
-	var out []string
-	for appID, dep := range m.deployed {
-		if len(dep.containers) < dep.app.NumContainers() {
-			out = append(out, appID)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // PendingRepairs returns the number of containers awaiting repair.
 func (m *Medea) PendingRepairs() int {
 	n := 0
@@ -232,7 +219,7 @@ func (m *Medea) attemptRepair(alg lra.Algorithm, r *repairReq, dep *deployment, 
 	synth := &lra.Application{ID: synthID, Groups: groups, Constraints: dep.app.Constraints}
 
 	res := m.safePlace(alg, m.Cluster, []*lra.Application{synth}, m.activeExcluding(map[string]bool{r.appID: true}))
-	if !m.judge(alg, res, 1, stats) {
+	if !m.judge(res, 1, stats) {
 		return // the algorithm's fault: attempt count and gate stay as they were
 	}
 	p := res.Placements[0]
@@ -249,7 +236,7 @@ func (m *Medea) attemptRepair(alg lra.Algorithm, r *repairReq, dep *deployment, 
 		err = audit.CheckAssignments(m.Cluster, r.appID, remapped, m.Constraints.Active())
 	}
 	if err != nil {
-		m.veto(err.Error(), stats)
+		m.veto(stats)
 		m.failRepair(r, now, stats)
 		return
 	}

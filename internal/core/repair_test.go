@@ -2,18 +2,30 @@ package core
 
 import (
 	"reflect"
-	"strings"
+	"slices"
 	"testing"
 	"time"
 
 	"medea/internal/cluster"
 	"medea/internal/constraint"
 	"medea/internal/lra"
-	"medea/internal/metrics"
 	"medea/internal/resource"
 	"medea/internal/sim"
 	"medea/internal/taskched"
 )
+
+// degradedLRAs returns the IDs of m's deployed LRAs below their declared
+// container count, sorted.
+func degradedLRAs(m *Medea) []string {
+	var out []string
+	for appID, dep := range m.deployed {
+		if len(dep.containers) < dep.app.NumContainers() {
+			out = append(out, appID)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
 
 // TestConfigSentinels: the zero value of every knob selects its documented
 // default; negative values disable the feature instead of silently
@@ -104,8 +116,8 @@ func TestFailNodeTriggersRepair(t *testing.T) {
 	if m.FailNode(node, t1) != nil {
 		t.Error("double fail evicted again")
 	}
-	if got := m.DegradedLRAs(); len(got) != 1 || got[0] != "a1" {
-		t.Fatalf("DegradedLRAs = %v", got)
+	if got := degradedLRAs(m); len(got) != 1 || got[0] != "a1" {
+		t.Fatalf("degraded LRAs = %v", got)
 	}
 	if got := m.PendingRepairs(); got != lost {
 		t.Fatalf("PendingRepairs = %d, want %d", got, lost)
@@ -130,7 +142,7 @@ func TestFailNodeTriggersRepair(t *testing.T) {
 			t.Errorf("container %s lost its identity across repair", id)
 		}
 	}
-	if len(m.DegradedLRAs()) != 0 || m.PendingRepairs() != 0 {
+	if len(degradedLRAs(m)) != 0 || m.PendingRepairs() != 0 {
 		t.Error("still degraded after repair")
 	}
 	if m.Recovery.NodeFailures != 1 || m.Recovery.Evictions != lost || m.Recovery.RepairsPlaced != lost {
@@ -267,8 +279,8 @@ func TestRepairBackoffAndAbandon(t *testing.T) {
 	if m.PendingRepairs() != 0 {
 		t.Error("abandoned repair still pending")
 	}
-	if got := m.DegradedLRAs(); len(got) != 1 || got[0] != "a" {
-		t.Errorf("DegradedLRAs = %v, abandoned LRA should stay degraded", got)
+	if got := degradedLRAs(m); len(got) != 1 || got[0] != "a" {
+		t.Errorf("degraded LRAs = %v, abandoned LRA should stay degraded", got)
 	}
 	if d, want := m.Recovery.TotalDegraded(), abandonAt.Sub(t1); d != want {
 		t.Errorf("degraded time = %v, want %v", d, want)
@@ -403,7 +415,7 @@ func TestSimDrivenRecovery(t *testing.T) {
 			t.Errorf("%s: %d/4 containers after recovery window", id, len(ids))
 		}
 	}
-	if got := m.DegradedLRAs(); len(got) != 0 {
+	if got := degradedLRAs(m); len(got) != 0 {
 		t.Errorf("still degraded at end: %v", got)
 	}
 	if m.Recovery.Evictions == 0 {
@@ -486,9 +498,6 @@ func TestRepairValidatesOnLiveCluster(t *testing.T) {
 	stats := m.RunCycle(t1)
 	if stats.ValidationRejects != 1 || stats.RepairFailures != 1 || stats.Repaired != 0 {
 		t.Fatalf("vetoed repair: %+v", stats)
-	}
-	if msg := m.Pipeline.Last(metrics.ValidationRejects); !strings.Contains(msg, "hard constraint violated") {
-		t.Fatalf("veto %q, want a hard-constraint veto", msg)
 	}
 	if got := m.Cluster.TakeSnapshot(); !reflect.DeepEqual(got, snap) {
 		t.Errorf("vetoed repair changed the snapshot:\n got %+v\nwant %+v", got, snap)

@@ -39,11 +39,6 @@ type Config struct {
 	SpikeMeanHours float64
 }
 
-// DefaultConfig matches the Figure-3/Figure-8 setting.
-func DefaultConfig() Config {
-	return Config{ServiceUnits: 25, Hours: 360, BaselineMean: 0.01, SpikeStartProb: 0.01, SpikeMeanHours: 4}
-}
-
 func (c Config) withDefaults() Config {
 	if c.BaselineMean == 0 {
 		c.BaselineMean = 0.01
@@ -115,19 +110,6 @@ func (t *Trace) Total(hour int) float64 {
 		sum += f
 	}
 	return sum / float64(t.SUs)
-}
-
-// MaxSpike returns the largest per-SU fraction in the trace.
-func (t *Trace) MaxSpike() float64 {
-	m := 0.0
-	for h := range t.frac {
-		for _, f := range t.frac[h] {
-			if f > m {
-				m = f
-			}
-		}
-	}
-	return m
 }
 
 // RegisterServiceUnits partitions a cluster's nodes into n equal service

@@ -107,7 +107,7 @@ func TestLPRangeConstraint(t *testing.T) {
 	m := NewModel(Maximize)
 	x := m.Float("x", 0, Infinity)
 	m.SetObjective(x, 1)
-	m.AddRange("r", 2, 5, T(1, x))
+	m.addCon("r", 2, 5, []Term{T(1, x)})
 	s := m.Solve(Options{})
 	if s.Status != Optimal || !almostEq(s.Value(x), 5) {
 		t.Fatalf("x=%v, want 5", s.Value(x))
@@ -115,7 +115,7 @@ func TestLPRangeConstraint(t *testing.T) {
 	m2 := NewModel(Minimize)
 	y := m2.Float("y", 0, Infinity)
 	m2.SetObjective(y, 1)
-	m2.AddRange("r", 2, 5, T(1, y))
+	m2.addCon("r", 2, 5, []Term{T(1, y)})
 	s2 := m2.Solve(Options{})
 	if s2.Status != Optimal || !almostEq(s2.Value(y), 2) {
 		t.Fatalf("y=%v, want 2", s2.Value(y))
@@ -207,7 +207,7 @@ func TestMIPInfeasible(t *testing.T) {
 	x := m.Int("x", 0, 10)
 	m.SetObjective(x, 1)
 	// 0.4 <= x <= 0.6 has no integer point.
-	m.AddRange("r", 0.4, 0.6, T(1, x))
+	m.addCon("r", 0.4, 0.6, []Term{T(1, x)})
 	if s := m.Solve(Options{}); s.Status != Infeasible {
 		t.Errorf("status = %v, want infeasible", s.Status)
 	}
@@ -455,7 +455,7 @@ func TestCheckRejectsMalformedModels(t *testing.T) {
 		{"var NaN bound", func(m *Model) { m.Float("bad", math.NaN(), 1) }},
 		{"con lo>hi", func(m *Model) {
 			v := m.Binary("x")
-			m.AddRange("bad", 3, 1, T(1, v))
+			m.addCon("bad", 3, 1, []Term{T(1, v)})
 		}},
 		{"unknown variable", func(m *Model) {
 			m.Binary("x")
@@ -526,7 +526,7 @@ func TestModelString(t *testing.T) {
 	m.AddLE("le", 3, T(2, y), T(1, x))
 	m.AddGE("ge", -1.5, T(1, y))
 	m.AddEQ("eq", 1, T(1, x))
-	m.AddRange("rg", 0, 2, T(1, x), T(1, Var(7)))
+	m.addCon("rg", 0, 2, []Term{T(1, x), T(1, Var(7))})
 	want := "var x int [0,1] obj=0\n" +
 		"var y float [0,+Inf] obj=-0.25\n" +
 		"row le: 1 x + 2 y <= 3\n" +

@@ -170,11 +170,6 @@ func (m *Model) AddEQ(name string, rhs float64, terms ...Term) {
 	m.addCon(name, rhs, rhs, terms)
 }
 
-// AddRange adds lo <= terms <= hi.
-func (m *Model) AddRange(name string, lo, hi float64, terms ...Term) {
-	m.addCon(name, lo, hi, terms)
-}
-
 func (m *Model) addCon(name string, lo, hi float64, terms []Term) {
 	if lo > hi {
 		m.errs = append(m.errs, fmt.Errorf("ilp: constraint %s has lo %v > hi %v", name, lo, hi))

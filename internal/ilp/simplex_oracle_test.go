@@ -159,7 +159,7 @@ func randomBoundedLP(r *rand.Rand) *Model {
 		case 2:
 			m.AddEQ("eq", rhs, terms...)
 		default:
-			m.AddRange("range", rhs, rhs+float64(r.Intn(5)), terms...)
+			m.addCon("range", rhs, rhs+float64(r.Intn(5)), terms)
 		}
 		prev = terms
 	}

@@ -1,12 +1,9 @@
 package metrics
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
-// BreakerEvent records one circuit-breaker transition, for diagnostics
-// and the byzantine-algorithm tests.
+// BreakerEvent describes one circuit-breaker transition; PipelineStats
+// counts it by its From and To states.
 type BreakerEvent struct {
 	// Cycle is the scheduling cycle (1-based) the transition happened in.
 	Cycle int
@@ -30,12 +27,12 @@ func (e BreakerEvent) String() string {
 type PipelineCounter int
 
 const (
-	PanicsRecovered     PipelineCounter = iota // algorithm panics recovered (Record keeps the value + stack)
-	ValidationRejects                          // placements vetoed by commit-time validation (Record keeps the reason)
+	PanicsRecovered     PipelineCounter = iota // algorithm panics recovered
+	ValidationRejects                          // placements vetoed by commit-time validation
 	DeadlineHits                               // cycles whose solver stopped on its time budget
 	SolverExhaustions                          // cycles whose budget expired incumbent-less
 	InvalidModels                              // cycles whose ILP model failed validation
-	InvariantViolations                        // whole-cluster invariant check failures (Record keeps the violation)
+	InvariantViolations                        // whole-cluster invariant check failures
 	DegradedCycles                             // cycles served by a ladder algorithm other than the configured one
 	ExactSolves                                // ILP solves that ran exact branch and bound
 	ApproxSolves                               // no writer: the scheduler always solves exact; kept while benchmark/ reads it
@@ -63,48 +60,16 @@ var pipelineNames = [...]string{
 
 func (PipelineCounter) names() []string { return pipelineNames[:] }
 
-// PipelineStats holds the hardened pipeline's counters, the latest
-// diagnostic behind three of them and the circuit-breaker event log.
-// Medea-ILP solves a cycle's independent sub-batches concurrently, and
-// each may record a panic, deadline hit or rejection:
-// the counters are atomics and the rest is mutex-guarded. Like its
-// Counters, a PipelineStats must not be copied after first use.
+// PipelineStats holds the hardened pipeline's counters. Medea-ILP solves
+// a cycle's independent sub-batches concurrently, and each may count a
+// panic, deadline hit or rejection, so the counters are atomics. Like
+// its Counters, a PipelineStats must not be copied after first use.
 type PipelineStats struct {
 	Counters[PipelineCounter]
-
-	mu     sync.Mutex
-	last   [len(pipelineNames)]string
-	events []BreakerEvent
 }
 
-// Record counts one k and keeps detail as its latest diagnostic.
-func (p *PipelineStats) Record(k PipelineCounter, detail string) {
-	p.Add(k, 1)
-	p.mu.Lock()
-	p.last[k] = detail
-	p.mu.Unlock()
-}
-
-// Last returns the latest diagnostic Record kept for k.
-func (p *PipelineStats) Last(k PipelineCounter) string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.last[k]
-}
-
-// Events returns a copy of the ordered breaker transition log.
-func (p *PipelineStats) Events() []BreakerEvent {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]BreakerEvent(nil), p.events...)
-}
-
-// RecordTransition appends a breaker event and bumps the matching
-// counter.
+// RecordTransition bumps the counter a breaker transition falls under.
 func (p *PipelineStats) RecordTransition(e BreakerEvent) {
-	p.mu.Lock()
-	p.events = append(p.events, e)
-	p.mu.Unlock()
 	switch {
 	case e.From == "closed" && e.To == "open":
 		p.Add(BreakerTrips, 1)

@@ -23,7 +23,6 @@
 package perfmodel
 
 import (
-	"math"
 	"math/rand"
 
 	"medea/internal/cluster"
@@ -284,10 +283,4 @@ func InstanceRuntime(cfg InstanceRuntimeConfig, f PlacementFeatures, rng *rand.R
 // runtimes are consistently similar across schedulers).
 func GridMixRuntime(taskSeconds, queueDelaySeconds float64, rng *rand.Rand) float64 {
 	return (taskSeconds + queueDelaySeconds) * (0.95 + rng.Float64()*0.1)
-}
-
-// LogNormal draws a log-normal sample with the given median and sigma,
-// used by tests to build synthetic distributions.
-func LogNormal(median, sigma float64, rng *rand.Rand) float64 {
-	return median * math.Exp(sigma*rng.NormFloat64())
 }

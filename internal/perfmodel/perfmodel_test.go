@@ -189,15 +189,3 @@ func TestGridMixRuntime(t *testing.T) {
 		t.Errorf("runtime = %v", r)
 	}
 }
-
-func TestLogNormal(t *testing.T) {
-	rng := sim.RNG(9, "ln")
-	xs := make([]float64, 5000)
-	for i := range xs {
-		xs[i] = LogNormal(100, 0.25, rng)
-	}
-	med := metrics.Percentile(xs, 50)
-	if med < 90 || med > 110 {
-		t.Errorf("median = %v, want ≈100", med)
-	}
-}

@@ -51,19 +51,37 @@ type Allocation struct {
 	Latency time.Duration
 }
 
-type pendingTask struct {
+// run is one TaskRequest still (partly) waiting in its queue: left
+// identical tasks, the next of which takes seq. A queue holds one run
+// per request, not one entry per task.
+type run struct {
 	app      string
-	queue    string
-	seq      int
 	demand   resource.Vector
 	duration time.Duration
 	submit   time.Time
+	seq      int
+	left     int
 }
 
+// queue is a FIFO of runs consumed from runs[head]; a failed allocation
+// leaves the head where it is.
 type queue struct {
 	cfg  QueueConfig
-	fifo []*pendingTask
+	runs []run
+	head int
 	used resource.Vector
+}
+
+// push appends a run, first sliding the waiting runs to the front of the
+// array once at least half of it is consumed, so the array stays within
+// twice the waiting runs.
+func (q *queue) push(r run) {
+	if q.head > 0 && 2*q.head >= len(q.runs) {
+		n := copy(q.runs, q.runs[q.head:])
+		clear(q.runs[n:])
+		q.runs, q.head = q.runs[:n], 0
+	}
+	q.runs = append(q.runs, r)
 }
 
 // Scheduler is the task-based scheduler. It is the single writer of
@@ -71,8 +89,10 @@ type queue struct {
 type Scheduler struct {
 	cluster *cluster.Cluster
 	queues  map[string]*queue
-	order   []string
+	// order holds the queues sorted by name: the heartbeat's scan order.
+	order   []*queue
 	seq     int
+	pending int
 	// owners maps live task containers to their queue accounting, so
 	// evictions (node failures) can refund the right queue. LRA containers
 	// committed via Commit are not charged to queues and are absent here.
@@ -95,18 +115,23 @@ func New(c *cluster.Cluster, cfgs ...QueueConfig) *Scheduler {
 	if len(cfgs) == 0 {
 		cfgs = []QueueConfig{{Name: "default", Capacity: 1}}
 	}
+	names := make([]string, 0, len(cfgs))
 	for _, cfg := range cfgs {
 		if cfg.MaxCapacity == 0 {
 			cfg.MaxCapacity = 1
 		}
 		s.queues[cfg.Name] = &queue{cfg: cfg}
-		s.order = append(s.order, cfg.Name)
+		names = append(names, cfg.Name)
 	}
-	sort.Strings(s.order)
+	sort.Strings(names)
+	for _, name := range names {
+		s.order = append(s.order, s.queues[name])
+	}
 	return s
 }
 
-// Submit enqueues task requests of an application on a queue.
+// Submit enqueues task requests of an application on a queue. It is
+// atomic: when any request is bad, none is enqueued.
 func (s *Scheduler) Submit(appID, queueName string, now time.Time, reqs ...TaskRequest) error {
 	q, ok := s.queues[queueName]
 	if !ok {
@@ -116,24 +141,29 @@ func (s *Scheduler) Submit(appID, queueName string, now time.Time, reqs ...TaskR
 		if r.Count <= 0 || !r.Demand.IsPositive() {
 			return fmt.Errorf("taskched: bad request %+v", r)
 		}
-		for i := 0; i < r.Count; i++ {
-			s.seq++
-			q.fifo = append(q.fifo, &pendingTask{
-				app: appID, queue: queueName, seq: s.seq,
-				demand: r.Demand, duration: r.Duration, submit: now,
-			})
-		}
+	}
+	for _, r := range reqs {
+		q.push(run{app: appID, demand: r.Demand, duration: r.Duration, submit: now, seq: s.seq + 1, left: r.Count})
+		s.seq += r.Count
+		s.pending += r.Count
 	}
 	return nil
 }
 
 // Pending returns the number of queued (unallocated) tasks.
-func (s *Scheduler) Pending() int {
-	n := 0
-	for _, q := range s.queues {
-		n += len(q.fifo)
-	}
-	return n
+func (s *Scheduler) Pending() int { return s.pending }
+
+// taskID names the container of an application's task seq: app#t<seq>,
+// built in a stack buffer so the string is the only allocation.
+func taskID(app string, seq int) cluster.ContainerID {
+	var buf [64]byte
+	b := append(append(buf[:0], app...), "#t"...)
+	return cluster.ContainerID(strconv.AppendInt(b, int64(seq), 10))
+}
+
+// room returns how many containers of the positive demand d fit in free.
+func room(free, d resource.Vector) int {
+	return int(min(free.MemoryMB/d.MemoryMB, free.VCores/d.VCores))
 }
 
 // NodeHeartbeat processes one node heartbeat: the scheduler assigns as
@@ -151,12 +181,11 @@ func (s *Scheduler) NodeHeartbeat(node cluster.NodeID, now time.Time) []Allocati
 		// pending task fitting this node and headroom under MaxCapacity.
 		var best *queue
 		bestRatio := 0.0
-		for _, name := range s.order {
-			q := s.queues[name]
-			if len(q.fifo) == 0 {
+		for _, q := range s.order {
+			if q.head == len(q.runs) {
 				continue
 			}
-			head := q.fifo[0]
+			head := &q.runs[q.head]
 			if !head.demand.Fits(n.Free()) {
 				continue
 			}
@@ -175,20 +204,32 @@ func (s *Scheduler) NodeHeartbeat(node cluster.NodeID, now time.Time) []Allocati
 		if best == nil {
 			return allocs
 		}
-		task := best.fifo[0]
-		best.fifo = best.fifo[1:]
-		id := cluster.ContainerID(task.app + "#t" + strconv.Itoa(task.seq))
+		task := &best.runs[best.head]
+		id := taskID(task.app, task.seq)
 		if err := s.cluster.Allocate(node, id, task.demand, nil); err != nil {
-			// Lost a race with external state change; requeue at the front.
-			best.fifo = append([]*pendingTask{task}, best.fifo...)
+			// Lost a race with external state change; the task stays at
+			// the head of its queue.
 			return allocs
 		}
 		best.used = best.used.Add(task.demand)
-		s.owners[id] = taskOwner{queue: task.queue, demand: task.demand}
+		s.owners[id] = taskOwner{queue: best.cfg.Name, demand: task.demand}
+		if allocs == nil {
+			// Sized for the tasks like this one that the node still has
+			// room for, so a node of equal tasks fills one array.
+			allocs = make([]Allocation, 0, 1+min(s.pending-1, room(n.Free(), task.demand)))
+		}
 		allocs = append(allocs, Allocation{
-			Container: id, App: task.app, Queue: task.queue, Node: node,
+			Container: id, App: task.app, Queue: best.cfg.Name, Node: node,
 			Demand: task.demand, Duration: task.duration, Latency: now.Sub(task.submit),
 		})
+		s.pending--
+		task.seq++
+		if task.left--; task.left == 0 {
+			*task = run{}
+			if best.head++; best.head == len(best.runs) {
+				best.runs, best.head = best.runs[:0], 0
+			}
+		}
 	}
 }
 
@@ -261,5 +302,9 @@ func (s *Scheduler) QueueUsed(name string) resource.Vector {
 // Queues returns the configured queue names, sorted. Invariant checkers
 // iterate it to verify queue accounting stays non-negative.
 func (s *Scheduler) Queues() []string {
-	return append([]string(nil), s.order...)
+	names := make([]string, len(s.order))
+	for i, q := range s.order {
+		names[i] = q.cfg.Name
+	}
+	return names
 }

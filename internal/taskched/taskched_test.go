@@ -69,6 +69,30 @@ func TestSubmitErrors(t *testing.T) {
 	}
 }
 
+// TestSubmitIsAtomic: a bad request after a good one in the same Submit
+// enqueues neither and takes no sequence numbers.
+func TestSubmitIsAtomic(t *testing.T) {
+	s := New(newCluster())
+	good := TaskRequest{Count: 3, Demand: resource.New(1024, 1)}
+	for _, bad := range []TaskRequest{{Count: 0, Demand: resource.New(1, 1)}, {Count: 1, Demand: resource.New(0, 1)}} {
+		if err := s.Submit("j", "default", t0, good, bad); err == nil {
+			t.Fatalf("bad request %+v accepted", bad)
+		}
+		if got := s.Pending(); got != 0 {
+			t.Fatalf("Pending = %d after a rejected Submit", got)
+		}
+		if allocs := s.NodeHeartbeat(0, t0); len(allocs) != 0 {
+			t.Fatalf("rejected Submit allocated %v", allocs)
+		}
+	}
+	if err := s.Submit("j", "default", t0, good); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := s.NodeHeartbeat(0, t0); len(allocs) != 3 || allocs[0].Container != "j#t1" {
+		t.Fatalf("allocations after a rejected Submit: %+v", allocs)
+	}
+}
+
 // TestCapacityQueueFairness: two queues with 50/50 capacity; the
 // under-served queue gets the next allocation.
 func TestCapacityQueueFairness(t *testing.T) {
