@@ -291,6 +291,7 @@ func TestRunFig8Live(t *testing.T) {
 	if tab.NumRows() != 2 {
 		t.Fatalf("rows = %d", tab.NumRows())
 	}
+	var depthMax []float64
 	for _, row := range tab.Rows() {
 		var evicted, repaired, abandoned float64
 		if _, err := fmtSscan(row[1], &evicted); err != nil {
@@ -311,6 +312,21 @@ func TestRunFig8Live(t *testing.T) {
 		if row[4] == "0s" {
 			t.Errorf("%s: zero MTTR — churn aligned with cycle boundaries?", row[0])
 		}
+		var p50, p90, worst float64
+		for i, dst := range []*float64{&p50, &p90, &worst} {
+			if _, err := fmtSscan(row[8+i], dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !(0 <= p50 && p50 <= p90 && p90 <= worst && worst <= 100) || worst == 0 {
+			t.Errorf("%s: depth p50/p90/max = %v/%v/%v, want ordered in (0, 100]", row[0], p50, p90, worst)
+		}
+		depthMax = append(depthMax, worst)
+	}
+	// Figure 8's ordering, read live: the per-SU cardinality cap keeps
+	// Medea's deepest outage shallower than J-Kube's.
+	if depthMax[0] >= depthMax[1] {
+		t.Errorf("depth max: %s %v%%, %s %v%%; want Medea shallower", tab.Rows()[0][0], depthMax[0], tab.Rows()[1][0], depthMax[1])
 	}
 	// The live replay must be deterministic too. Only the J-Kube row is
 	// compared: the ILP row depends on a wall-clock solver budget, which
