@@ -69,21 +69,19 @@ func newBreaker(alg lra.Algorithm, threshold, cooldown int, stats *metrics.Pipel
 // open→half-open clock. It returns the algorithm and its ladder level
 // (0 = configured; a half-open probe runs the configured algorithm, so
 // its level is 0).
-func (b *breaker) algorithm(cycle int) (lra.Algorithm, int) {
+func (b *breaker) algorithm() (lra.Algorithm, int) {
 	if b.state == bkOpen {
 		if b.wait > 0 {
 			b.wait--
 			return b.ladder[b.level], b.level
 		}
-		b.transition(cycle, bkHalfOpen, b.level, "cooldown")
+		b.transition(bkHalfOpen)
 	}
 	return b.ladder[0], 0
 }
 
 // report feeds the outcome of the cycle back into the state machine.
-// reason is the dominant failure signal ("panic", "exhausted",
-// "invalid-model", "validation"); ignored when failed is false.
-func (b *breaker) report(cycle int, failed bool, reason string) {
+func (b *breaker) report(failed bool) {
 	switch b.state {
 	case bkClosed:
 		if !failed {
@@ -95,7 +93,7 @@ func (b *breaker) report(cycle int, failed bool, reason string) {
 			b.level = b.deeper(0)
 			b.wait = b.cooldown
 			b.failures = 0
-			b.transition(cycle, bkOpen, b.level, reason)
+			b.transition(bkOpen)
 		}
 	case bkHalfOpen:
 		if failed {
@@ -103,12 +101,12 @@ func (b *breaker) report(cycle int, failed bool, reason string) {
 			// ladder level deeper than before.
 			b.level = b.deeper(b.level)
 			b.wait = b.cooldown
-			b.transition(cycle, bkOpen, b.level, "probe-failed")
+			b.transition(bkOpen)
 			return
 		}
 		b.level = 0
 		b.failures = 0
-		b.transition(cycle, bkClosed, 0, "probe-ok")
+		b.transition(bkClosed)
 	case bkOpen:
 		// A failure of the degraded algorithm itself (it panicked or its
 		// placements were rejected): escalate immediately.
@@ -158,10 +156,7 @@ func (b *breaker) restore(s *journal.BreakerState) {
 	b.wait = s.Wait
 }
 
-func (b *breaker) transition(cycle int, to breakerState, level int, reason string) {
-	from := b.state
+func (b *breaker) transition(to breakerState) {
+	b.stats.RecordTransition(b.state.String(), to.String())
 	b.state = to
-	b.stats.RecordTransition(metrics.BreakerEvent{
-		Cycle: cycle, From: from.String(), To: to.String(), Level: level, Reason: reason,
-	})
 }

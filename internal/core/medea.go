@@ -408,8 +408,8 @@ type CycleStats struct {
 	Algorithm string
 	Level     int
 
-	// fault is the reason the cycle failed under the fault rule, for the
-	// breaker ("" = clean).
+	// fault is the reason the cycle failed under the fault rule ("" =
+	// clean); the breaker hears whether it is set.
 	fault string
 }
 
@@ -601,7 +601,7 @@ func (m *Medea) RunCycle(now time.Time) CycleStats {
 	}
 	alg, level := m.alg, 0
 	if m.brk != nil {
-		alg, level = m.brk.algorithm(m.cycles)
+		alg, level = m.brk.algorithm()
 	}
 	stats.Algorithm = alg.Name()
 	stats.Level = level
@@ -611,7 +611,7 @@ func (m *Medea) RunCycle(now time.Time) CycleStats {
 	m.runRepairs(alg, now, &stats)
 	m.runBatch(alg, now, &stats)
 	if m.brk != nil {
-		m.brk.report(m.cycles, stats.fault != "", stats.fault)
+		m.brk.report(stats.fault != "")
 	}
 	m.finishCycle(now)
 	m.auditCycle()

@@ -132,9 +132,9 @@ func TestCounters(t *testing.T) {
 
 	var p PipelineStats
 	p.Add(PanicsRecovered, 1)
-	p.RecordTransition(BreakerEvent{From: "closed", To: "open"})
-	p.RecordTransition(BreakerEvent{From: "half-open", To: "open"})
-	p.RecordTransition(BreakerEvent{From: "half-open", To: "closed"})
+	p.RecordTransition("closed", "open")
+	p.RecordTransition("half-open", "open")
+	p.RecordTransition("half-open", "closed")
 	if p.Get(PanicsRecovered) != 1 || p.Get(ValidationRejects) != 0 {
 		t.Fatalf("panics=%d rejects=%d", p.Get(PanicsRecovered), p.Get(ValidationRejects))
 	}

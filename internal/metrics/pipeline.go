@@ -1,27 +1,5 @@
 package metrics
 
-import "fmt"
-
-// BreakerEvent describes one circuit-breaker transition; PipelineStats
-// counts it by its From and To states.
-type BreakerEvent struct {
-	// Cycle is the scheduling cycle (1-based) the transition happened in.
-	Cycle int
-	// From and To are breaker state names ("closed", "open", "half-open").
-	From, To string
-	// Level is the degradation-ladder level after the transition (0 = the
-	// configured algorithm).
-	Level int
-	// Reason is a short human-readable cause ("panic", "exhausted",
-	// "validation", "probe-ok", "probe-failed", "cooldown").
-	Reason string
-}
-
-// String renders the event for logs.
-func (e BreakerEvent) String() string {
-	return fmt.Sprintf("cycle %d: %s→%s level=%d (%s)", e.Cycle, e.From, e.To, e.Level, e.Reason)
-}
-
 // PipelineCounter names one defense-in-depth counter of the hardened
 // placement pipeline.
 type PipelineCounter int
@@ -68,14 +46,15 @@ type PipelineStats struct {
 	Counters[PipelineCounter]
 }
 
-// RecordTransition bumps the counter a breaker transition falls under.
-func (p *PipelineStats) RecordTransition(e BreakerEvent) {
+// RecordTransition bumps the counter a breaker transition between the
+// named states ("closed", "open", "half-open") falls under.
+func (p *PipelineStats) RecordTransition(from, to string) {
 	switch {
-	case e.From == "closed" && e.To == "open":
+	case from == "closed" && to == "open":
 		p.Add(BreakerTrips, 1)
-	case e.From == "half-open" && e.To == "open":
+	case from == "half-open" && to == "open":
 		p.Add(BreakerReopens, 1)
-	case e.To == "closed":
+	case to == "closed":
 		p.Add(BreakerResets, 1)
 	}
 }

@@ -87,8 +87,6 @@ type (
 	// circuit-breaker transitions. Snapshot reads them by name, Table
 	// prints them.
 	PipelineStats = metrics.PipelineStats
-	// BreakerEvent is one circuit-breaker state transition.
-	BreakerEvent = metrics.BreakerEvent
 	// ServerStats aggregates the serving layer's overload counters
 	// (admitted, throttled, shed, expired, drain-flushed), named as on
 	// /v1/stats; see internal/server and cmd/medea-server.
