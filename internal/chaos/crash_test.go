@@ -60,8 +60,11 @@ func crashHarness() *Harness {
 		{Kind: OpFail, At: sec(40.5), Node: 2},
 		{Kind: OpRecover, At: sec(43.5), Node: 1},
 		{Kind: OpRecover, At: sec(44.5), Node: 2},
-		// Wave 5: deeper into the grid, then a final teardown.
+		// Wave 5: deeper into the grid, with an arrival right behind the
+		// first failure, so one cycle carries repairs and a new LRA; then
+		// a final teardown.
 		{Kind: OpFail, At: sec(46.5), Node: 6},
+		{Kind: OpSubmit, At: sec(46.7), App: "app-26", Containers: 3},
 		{Kind: OpFail, At: sec(48.5), Node: 7},
 		{Kind: OpRecover, At: sec(51.5), Node: 6},
 		{Kind: OpRecover, At: sec(52.5), Node: 7},
@@ -112,9 +115,11 @@ func TestCrashPointMatrix(t *testing.T) {
 	if len(ref.Rejected) != 0 {
 		t.Fatalf("reference rejected %v; the script must keep placements conflict-free", ref.Rejected)
 	}
-	if got := len(ref.DeployedApps()); got != 22 { // 26 submitted - 4 removed
-		t.Fatalf("reference deployed %d LRAs, want 22", got)
+	if got := len(ref.DeployedApps()); got != 23 { // 27 submitted - 4 removed
+		t.Fatalf("reference deployed %d LRAs, want 23", got)
 	}
+	_, first, last := mergedCycle(t, h)
+	t.Logf("ops %d..%d run the cycle that carries repairs and a new LRA", first+1, last)
 
 	for killAt := 1; killAt <= totalOps; killAt++ {
 		m, crashed, err := h.RunWithCrash(journal.NewMemory(), killAt)
@@ -153,6 +158,13 @@ func TestCrashPointFileBackend(t *testing.T) {
 	refFP := Fingerprint(ref)
 
 	points := []int{1, 2, totalOps / 4, totalOps / 2, 3 * totalOps / 4, totalOps}
+	// Every kill point inside the cycle that carries repairs and a new
+	// LRA: before its begin-batch, before each intent, before its
+	// write-ahead barrier and before its commit-batch.
+	_, first, last := mergedCycle(t, h)
+	for killAt := first + 1; killAt <= last; killAt++ {
+		points = append(points, killAt)
+	}
 	for _, killAt := range points {
 		j, err := journal.OpenDir(t.TempDir())
 		if err != nil {
@@ -175,6 +187,128 @@ func TestCrashPointFileBackend(t *testing.T) {
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// mergedCycle finds the scripted tick whose cycle carries due repairs of
+// several LRAs and a new LRA (the 47 s tick: node 6 fails at 46.5 s,
+// app-26 arrives at 46.7 s), checks on a reference run that it does,
+// and returns its script index k and the durability ops it runs: those
+// numbered first+1 to last, its trailing Sync included.
+func mergedCycle(t *testing.T, h *Harness) (k, first, last int) {
+	t.Helper()
+	k = -1
+	for i, op := range h.Script {
+		if op.Kind == OpTick && op.At == 47*time.Second {
+			k = i
+		}
+	}
+	if k < 0 {
+		t.Fatal("script has no tick at 47s")
+	}
+	pre := *h
+	pre.Script = h.Script[:k]
+	m, cj, err := pre.Reference(journal.NewMemory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repairs, pending := len(m.PendingRepairPieces()), m.PendingLRAs(); repairs < 2 || pending < 1 {
+		t.Fatalf("the 47s cycle carries %d repairs and %d new LRAs, want at least 2 and 1", repairs, pending)
+	}
+	first = cj.Ops
+	pre.Script = h.Script[:k+1]
+	if _, cj, err = pre.Reference(journal.NewMemory()); err != nil {
+		t.Fatal(err)
+	}
+	return k, first, cj.Ops
+}
+
+// recorder keeps every record handed to the journal it wraps.
+type recorder struct {
+	journal.Journal
+	recs []*journal.Record
+}
+
+func (r *recorder) Append(rec *journal.Record) error {
+	r.recs = append(r.recs, rec)
+	return r.Journal.Append(rec)
+}
+
+// TestCrashPointBetweenMergedCommits kills the scheduler between two
+// commits of the cycle that carries repairs and a new LRA. No durability
+// operation separates two commits, so no kill point of the matrix lands
+// there; the test builds what such a crash leaves instead: the journal
+// as the cycle's write-ahead barrier made it durable (every intent, no
+// commit-batch) and the cluster holding the first commit only. Recovery
+// must adopt the first entry, put every other entry back in line, and
+// the rest of the script must converge on the reference.
+func TestCrashPointBetweenMergedCommits(t *testing.T) {
+	h := crashHarness()
+	ref, _, err := h.Reference(journal.NewMemory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, _, _ := mergedCycle(t, h)
+
+	rec := &recorder{Journal: journal.NewMemory()}
+	pre := *h
+	pre.Script = h.Script[:k]
+	m, _, err := pre.Reference(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	durable := rec.Journal.(*journal.Memory).Clone()
+	c := m.Cluster.Clone()
+	n := len(rec.recs)
+	if err := h.apply(m, h.Script[k]); err != nil {
+		t.Fatal(err)
+	}
+	var intents []*journal.Record
+	for _, r := range rec.recs[n:] {
+		if r.Kind == journal.KindCommitBatch {
+			break
+		}
+		cp := *r
+		if err := durable.Append(&cp); err != nil {
+			t.Fatal(err)
+		}
+		if r.Kind == journal.KindPlace {
+			intents = append(intents, r)
+		}
+	}
+	if len(intents) < 3 {
+		t.Fatalf("the cycle staged %d intents, want at least 3", len(intents))
+	}
+	for _, a := range intents[0].Assignments {
+		if err := c.Allocate(a.Node, a.Container, a.Demand, a.Tags); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	now := h.Base.Add(h.Script[k].At)
+	r, err := core.Recover(durable, c, lra.NewSerial(), h.Config, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.Recovery.ContainersAdopted, len(intents[0].Assignments); got != want {
+		t.Errorf("adopted %d containers, want the first commit's %d", got, want)
+	}
+	if got := r.Recovery.BatchesReadmitted; got < len(intents)-1 {
+		t.Errorf("%d entries back in line, want at least the %d uncommitted intents", got, len(intents)-1)
+	}
+	for i := k; i < len(h.Script); i++ {
+		if err := h.apply(r, h.Script[i]); err != nil {
+			t.Fatalf("resumed op %d: %v", i, err)
+		}
+	}
+	if got, want := Fingerprint(r), Fingerprint(ref); got != want {
+		t.Fatalf("recovered state diverged from reference\n--- recovered ---\n%s--- reference ---\n%s", got, want)
+	}
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckNoLeaks(r); err != nil {
+		t.Fatal(err)
 	}
 }
 

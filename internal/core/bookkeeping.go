@@ -17,10 +17,18 @@ import (
 // the same function with the record's fields, so a recovered scheduler
 // agrees with the one that wrote the journal by construction.
 
+// pendingApp is one entry of a cycle's batch: an LRA awaiting its first
+// placement or, when lost is set, a deployed LRA's lost containers
+// awaiting repair. The kinds differ in these fields, not in their path.
 type pendingApp struct {
-	app     *lra.Application
-	submit  time.Time
-	retries int
+	app     *lra.Application // for a repair, the deployed LRA's
+	submit  time.Time        // for a repair, its degradation window's first eviction
+	retries int              // consumed budget
+	budget  int              // retries allowed before the entry is given up
+	// lost holds a repair's lost containers (never empty while queued);
+	// their replacements keep their IDs. notBefore is its backoff gate.
+	lost      []journal.DeployedContainer
+	notBefore time.Time
 }
 
 // deployment is the live state of one placed LRA. What core remembers
@@ -36,38 +44,52 @@ type deployment struct {
 	degradedSince time.Time
 }
 
-// repairReq collects the lost containers of one degraded LRA. A
-// replacement reuses the lost container's ID, so an LRA's container
-// identity is stable across failures.
-type repairReq struct {
-	appID     string
-	lost      []journal.DeployedContainer
-	attempts  int
-	notBefore time.Time // backoff gate
-	since     time.Time // first eviction of this degradation window
-}
-
 // enqueue registers an LRA's constraints and appends it to the pending
 // queue with the given consumed retry budget.
 func (m *Medea) enqueue(app *lra.Application, submit time.Time, retries int) error {
 	if err := m.Constraints.AddApplication(app.ID, app.Constraints...); err != nil {
 		return err
 	}
-	m.pending = append(m.pending, &pendingApp{app: app, submit: submit, retries: retries})
+	m.pending = append(m.pending, &pendingApp{app: app, submit: submit, retries: retries, budget: m.cfg.maxRetries()})
 	return nil
 }
 
-// requeue sends an LRA a cycle took in flight back to the pending queue
-// with the given consumed retry budget.
-func (m *Medea) requeue(pa *pendingApp, retries int) {
+// requeue puts an in-flight entry back in line with the given consumed
+// budget: a new LRA at the back of the pending queue, a repair in the
+// repair queue it never left, gated at repairBackoffFor's pure schedule
+// from at if the cycle consumed an attempt.
+func (m *Medea) requeue(pa *pendingApp, retries int, at time.Time) {
+	if pa.lost == nil {
+		m.pending = append(m.pending, pa)
+	} else if retries > pa.retries {
+		pa.notBefore = at.Add(m.cfg.repairBackoffFor(pa.app.ID, retries))
+	}
 	pa.retries = retries
-	m.pending = append(m.pending, pa)
 }
 
-// reject drops an in-flight LRA for good.
-func (m *Medea) reject(appID string) {
-	m.Constraints.RemoveApplication(appID)
-	m.Rejected = append(m.Rejected, appID)
+// reject gives an in-flight entry up: a new LRA for good, a repair by
+// abandon, whose result it returns.
+func (m *Medea) reject(pa *pendingApp) (since time.Time) {
+	if pa.lost != nil {
+		return m.abandon(pa.app.ID)
+	}
+	m.Constraints.RemoveApplication(pa.app.ID)
+	m.Rejected = append(m.Rejected, pa.app.ID)
+	return time.Time{}
+}
+
+// commit turns an entry's committed placement into deployed state: a
+// new LRA's by deploy, a repair's by restore, whose results it returns.
+func (m *Medea) commit(pa *pendingApp, placed []lra.Assignment) (restored int, healedSince time.Time) {
+	if pa.lost == nil {
+		m.deploy(pa.app, placed)
+		return 0, time.Time{}
+	}
+	ids := make([]cluster.ContainerID, len(placed))
+	for i, a := range placed {
+		ids[i] = a.Container
+	}
+	return m.restore(pa.app.ID, ids)
 }
 
 // adopt makes c a live container of dep, last in placement order.
@@ -113,7 +135,7 @@ func (m *Medea) lose(id cluster.ContainerID, at time.Time) bool {
 	}
 	r := m.repairs[appID]
 	if r == nil {
-		r = &repairReq{appID: appID, since: at, notBefore: at}
+		r = &pendingApp{app: dep.app, submit: at, budget: repairMaxRetries, notBefore: at}
 		m.repairs[appID] = r
 	}
 	r.lost = append(r.lost, c)
@@ -122,7 +144,7 @@ func (m *Medea) lose(id cluster.ContainerID, at time.Time) bool {
 
 // restore moves the lost pieces of appID with the given container IDs
 // back into its deployment; pieces not named stay queued with their
-// attempt budget, and the repair request goes once none remain. It
+// attempt budget, and the repair goes once none remain. It
 // returns the number of pieces restored and, when that brought the LRA
 // back to full strength, the start of the degradation window it closed.
 func (m *Medea) restore(appID string, ids []cluster.ContainerID) (restored int, healedSince time.Time) {
@@ -159,7 +181,7 @@ func (m *Medea) restore(appID string, ids []cluster.ContainerID) (restored int, 
 	return restored, healedSince
 }
 
-// abandon gives up on repairing appID: the request goes, the LRA stays
+// abandon gives up on repairing appID: the repair goes, the LRA stays
 // degraded and its degradation window is closed. It returns the start of
 // that window.
 func (m *Medea) abandon(appID string) (since time.Time) {
@@ -171,7 +193,7 @@ func (m *Medea) abandon(appID string) (since time.Time) {
 }
 
 // forget drops everything the scheduler knows about appID — deployment,
-// pending entry, repair request, constraints — and returns the containers
+// pending entry, repair, constraints — and returns the containers
 // it owned, in placement order, for the caller to release.
 func (m *Medea) forget(appID string) []cluster.ContainerID {
 	var owned []cluster.ContainerID

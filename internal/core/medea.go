@@ -84,8 +84,8 @@ func (c Config) maxRetries() int {
 	return c.MaxRetries
 }
 
-// repairMaxRetries bounds repair attempts per degraded LRA after node
-// failures before the repair is abandoned.
+// repairMaxRetries is a repair's retry budget, beside MaxRetries for a
+// new LRA (DESIGN §7 says why repairs keep their own).
 const repairMaxRetries = 5
 
 // repairBackoffCap caps the exponential repair backoff, as a multiple of
@@ -120,9 +120,8 @@ type Medea struct {
 	deployed map[string]*deployment
 	owner    map[cluster.ContainerID]string // live LRA container -> appID
 
-	// repairs holds at most one pending repair request per degraded LRA.
-	repairs   map[string]*repairReq
-	repairSeq int
+	// repairs holds at most one repair per degraded LRA, keyed by appID.
+	repairs map[string]*pendingApp
 
 	// Recovery aggregates failure-recovery counters (evictions, repairs,
 	// MTTR, degraded time).
@@ -169,7 +168,7 @@ func New(c *cluster.Cluster, alg lra.Algorithm, cfg Config, queues ...taskched.Q
 		cfg:         cfg,
 		deployed:    make(map[string]*deployment),
 		owner:       make(map[cluster.ContainerID]string),
-		repairs:     make(map[string]*repairReq),
+		repairs:     make(map[string]*pendingApp),
 		epoch:       1,
 	}
 	if cfg.BreakerThreshold >= 0 {
@@ -269,14 +268,13 @@ func (m *Medea) barrier() {
 // iterations are sorted so identical states produce identical bytes.
 func (m *Medea) buildCheckpoint(now time.Time) *journal.Checkpoint {
 	cp := &journal.Checkpoint{
-		At:        now,
-		Cycles:    m.cycles,
-		RepairSeq: m.repairSeq,
-		NextRun:   m.nextRun,
-		Rejected:  append([]string(nil), m.Rejected...),
-		Operator:  m.Constraints.Operator(),
-		Breaker:   m.breakerSnapshot(),
-		Epoch:     m.epoch,
+		At:       now,
+		Cycles:   m.cycles,
+		NextRun:  m.nextRun,
+		Rejected: append([]string(nil), m.Rejected...),
+		Operator: m.Constraints.Operator(),
+		Breaker:  m.breakerSnapshot(),
+		Epoch:    m.epoch,
 	}
 	for _, pa := range m.pending {
 		cp.Pending = append(cp.Pending, journal.PendingApp{App: pa.app, Submit: pa.submit, Retries: pa.retries})
@@ -290,10 +288,10 @@ func (m *Medea) buildCheckpoint(now time.Time) *journal.Checkpoint {
 		cp.Deployed = append(cp.Deployed, da)
 	}
 	for _, appID := range sortedRepairIDs(m.repairs) {
-		r := m.repairs[appID]
+		pa := m.repairs[appID]
 		cp.Repairs = append(cp.Repairs, journal.RepairItem{
-			AppID: appID, Lost: append([]journal.DeployedContainer(nil), r.lost...),
-			Attempts: r.attempts, NotBefore: r.notBefore, Since: r.since,
+			AppID: appID, Lost: append([]journal.DeployedContainer(nil), pa.lost...),
+			Attempts: pa.retries, NotBefore: pa.notBefore, Since: pa.submit,
 		})
 	}
 	snap := m.Cluster.TakeSnapshot()
@@ -380,6 +378,8 @@ func (m *Medea) Deployed(appID string) ([]cluster.ContainerID, bool) {
 
 // CycleStats summarises one LRA scheduling cycle.
 type CycleStats struct {
+	// Batch counts the batch's new LRAs, whose verdicts are the next
+	// three; Repaired and RepairFailures count its repairs.
 	Batch      int
 	Placed     int
 	Requeued   int
@@ -390,9 +390,9 @@ type CycleStats struct {
 	// settle its own records without asking about every app it holds.
 	PlacedIDs   []string
 	RejectedIDs []string
-	// Repaired counts containers restored by the recovery loop this
-	// cycle; RepairFailures counts repair attempts that failed and
-	// consumed budget.
+	// Repaired counts containers restored by the cycle's repairs;
+	// RepairFailures counts repair attempts that failed and consumed
+	// budget.
 	Repaired       int
 	RepairFailures int
 	// ValidationRejects counts placements vetoed by commit-time
@@ -563,37 +563,35 @@ func appendAppEntries(dst []constraint.Entry, app *lra.Application) []constraint
 	return dst
 }
 
-// RunCycle invokes the LRA scheduler on the current batch and commits the
-// resulting placements through the task-based scheduler (Figure 4 steps
-// 1–3). Placements that conflict with the evolved cluster state are
-// resubmitted for the next cycle (§5.4). Pending repairs of degraded
-// LRAs run first, so restored containers are visible to the batch's
-// constraint evaluation.
+// RunCycle invokes the LRA scheduler on the current batch (takeBatch)
+// and commits the resulting placements through the task-based scheduler
+// (Figure 4 steps 1–3). Placements that conflict with the evolved
+// cluster state are resubmitted for the next cycle (§5.4).
 //
-// The cycle runs inside the hardening pipeline. A cycle with work (a
-// batch or a due repair) takes its algorithm from the circuit breaker
-// once, possibly a degradation-ladder heuristic, and places its repairs
-// and its batch with it, each call with panic isolation. Every result
-// answers to the one fault rule (judge, veto), and the breaker hears one
-// report for the cycle. Every proposed placement is validated before
-// commit. The intents of the accepted placements are made durable by
-// one write-ahead barrier before the first commit. Post-commit, the
+// The cycle runs inside the hardening pipeline. A cycle with work takes
+// its algorithm from the circuit breaker once, possibly a
+// degradation-ladder heuristic, and places its batch with it, one call
+// per component, each with panic isolation. The result answers to the
+// one fault rule (judge, veto), and the breaker hears one report. Every proposed placement is validated
+// before commit. The intents of the accepted placements are made durable
+// by one write-ahead barrier before the first commit. Post-commit, the
 // whole-cluster invariant checker runs in the configured audit mode.
 func (m *Medea) RunCycle(now time.Time) CycleStats {
 	stats := CycleStats{}
 	m.cycles++
+	batch := m.takeBatch(now)
 	// Idle cycles change no durable state and leave the breaker alone.
-	if len(m.pending) == 0 && !m.repairsDue(now) {
+	if len(batch) == 0 {
 		m.auditCycle()
 		return stats
 	}
-	// The begin-batch record marks the listed pending apps in flight; if
-	// the process dies before the matching commit-batch, recovery
-	// re-admits them through the pending path.
+	// The begin-batch record marks the listed entries in flight; if the
+	// process dies before the matching commit-batch, recovery puts those
+	// that did not commit back in line.
 	if m.jnl != nil {
-		ids := make([]string, len(m.pending))
-		for i, p := range m.pending {
-			ids[i] = p.app.ID
+		ids := make([]string, len(batch))
+		for i, pa := range batch {
+			ids[i] = pa.app.ID
 		}
 		m.logRecord(&journal.Record{
 			Kind: journal.KindBeginBatch, At: now, Cycle: m.cycles, NextRun: m.nextRun, Batch: ids,
@@ -608,8 +606,7 @@ func (m *Medea) RunCycle(now time.Time) CycleStats {
 	if level > 0 {
 		m.Pipeline.Add(metrics.DegradedCycles, 1)
 	}
-	m.runRepairs(alg, now, &stats)
-	m.runBatch(alg, now, &stats)
+	m.runBatch(alg, batch, now, &stats)
 	if m.brk != nil {
 		m.brk.report(stats.fault != "")
 	}
@@ -618,14 +615,31 @@ func (m *Medea) RunCycle(now time.Time) CycleStats {
 	return stats
 }
 
-// judge is the fault rule, applied to every algorithm call of a cycle,
-// the batch's and each repair's: res is the algorithm's result for n
-// apps. A panic (nil result) or a malformed result (not one placement
-// per app) fails the cycle and is unusable; it costs the apps nothing,
-// since a crashing algorithm is the scheduler's fault: a batch is
-// requeued whole with its retries, a repair keeps its attempt count and
-// backoff gate. Solver exhaustion and an invalid model fail the cycle,
-// but the placements are still used. judge reports whether they are.
+// takeBatch takes the cycle's batch in flight: every repair past its
+// backoff gate, in appID order, so its replacements commit before a new
+// LRA can take their room, then the pending queue, which it empties.
+func (m *Medea) takeBatch(now time.Time) []*pendingApp {
+	batch := m.pending
+	m.pending = nil
+	if len(m.repairs) == 0 {
+		return batch
+	}
+	var due []*pendingApp
+	for _, appID := range sortedRepairIDs(m.repairs) {
+		if pa := m.repairs[appID]; !pa.notBefore.After(now) {
+			due = append(due, pa)
+		}
+	}
+	return append(due, batch...)
+}
+
+// judge is the fault rule, applied to the cycle's algorithm result for
+// n entries. A panic (nil result) or a malformed result (not one
+// placement per entry) fails the cycle and is unusable; it costs the
+// entries nothing (requeueWhole), since a crashing algorithm is the
+// scheduler's fault. Solver exhaustion and an invalid model fail the
+// cycle, but the placements are still used. judge reports whether they
+// are.
 func (m *Medea) judge(res *lra.Result, n int, stats *CycleStats) bool {
 	switch {
 	case res == nil:
@@ -649,31 +663,30 @@ func (m *Medea) judge(res *lra.Result, n int, stats *CycleStats) bool {
 
 // veto is the fault rule's verdict on an inadmissible placement, rejected
 // before it corrupts cluster state: it fails the cycle, and the caller
-// consumes the app's retry or the repair's attempt.
+// consumes the entry's retry.
 func (m *Medea) veto(stats *CycleStats) {
 	m.Pipeline.Add(metrics.ValidationRejects, 1)
 	stats.ValidationRejects++
 	stats.fault = "validation"
 }
 
-// runBatch places the pending batch with alg and commits what validates.
-func (m *Medea) runBatch(alg lra.Algorithm, now time.Time, stats *CycleStats) {
-	batch := m.pending
-	m.pending = nil
-	stats.Batch = len(batch)
-	if len(batch) == 0 {
-		return
-	}
+// runBatch places the batch with alg and commits what validates.
+func (m *Medea) runBatch(alg lra.Algorithm, batch []*pendingApp, now time.Time, stats *CycleStats) {
 	apps := make([]*lra.Application, len(batch))
 	inBatch := make(map[string]bool, len(batch))
-	for i, p := range batch {
-		apps[i] = p.app
-		inBatch[p.app.ID] = true
+	for i, pa := range batch {
+		apps[i] = pa.app
+		if pa.lost != nil {
+			apps[i] = repairApp(pa)
+		} else {
+			stats.Batch++
+		}
+		inBatch[pa.app.ID] = true
 	}
 	// The batch's own constraints travel with the apps; Active() holds
-	// deployed LRAs' and operator constraints. Deployed-app constraints
-	// include those of the batch (registered at submit), so exclude the
-	// batch apps from the active set to avoid double counting.
+	// deployed LRAs' and operator constraints, the batch's among them
+	// (registered at submit, or deployed), so exclude the batch apps
+	// from the active set to avoid double counting.
 	active := m.activeExcluding(inBatch)
 	res := m.placeBatch(alg, apps, active)
 	if !m.judge(res, len(batch), stats) {
@@ -693,19 +706,19 @@ func (m *Medea) runBatch(alg lra.Algorithm, now time.Time, stats *CycleStats) {
 	for i, p := range res.Placements {
 		if !accepted[i] {
 			// Unplaceable or vetoed this cycle: retry within budget
-			// (resources may free up), then reject.
+			// (resources may free up), then give up.
 			m.requeueOrReject(batch[i], now, stats)
 			continue
 		}
 		m.logRecord(&journal.Record{
-			Kind: journal.KindPlace, At: now, AppID: p.AppID, Assignments: p.Assignments,
+			Kind: journal.KindPlace, At: now, AppID: batch[i].app.ID, Assignments: p.Assignments,
 		})
 	}
 	// Write-ahead: the intents are durable before the first cluster
 	// mutation, one barrier for the batch. If the process dies
 	// mid-commit, recovery compares each intent against cluster truth
-	// and either adopts the committed containers or re-queues the app;
-	// a failed commit below is compensated by the requeue/reject
+	// and either adopts the committed containers or puts the entry back
+	// in line; a failed commit below is compensated by the requeue/reject
 	// record.
 	if slices.Contains(accepted, true) {
 		m.barrier()
@@ -717,13 +730,26 @@ func (m *Medea) runBatch(alg lra.Algorithm, now time.Time, stats *CycleStats) {
 		pa := batch[i]
 		if err := m.Tasks.Commit(p.Assignments); err != nil {
 			// Conflict with task allocations made since the decision:
-			// resubmit the LRA (§5.4).
+			// resubmit the entry (§5.4).
 			m.requeueOrReject(pa, now, stats)
 			continue
 		}
-		m.deploy(pa.app, p.Assignments)
-		stats.Placed++
-		stats.PlacedIDs = append(stats.PlacedIDs, pa.app.ID)
+		n, healedSince := m.commit(pa, p.Assignments)
+		if pa.lost == nil {
+			stats.Placed++
+			stats.PlacedIDs = append(stats.PlacedIDs, pa.app.ID)
+			continue
+		}
+		m.Recovery.RepairsPlaced += n
+		stats.Repaired += n
+		// Repair latency is eviction→commit in scheduler time; the
+		// algorithm's wall-clock solve latency is tracked separately
+		// (res.Latency) so the metric stays deterministic under
+		// simulation.
+		m.Recovery.ObserveRepair(now.Sub(pa.submit))
+		if !healedSince.IsZero() {
+			m.Recovery.AddDegraded(now.Sub(healedSince))
+		}
 	}
 }
 
@@ -731,33 +757,49 @@ func (m *Medea) runBatch(alg lra.Algorithm, now time.Time, stats *CycleStats) {
 // batch order, in place on the live cluster: each placed proposal is
 // checked against the placements accepted before it and under their
 // constraints, which is what its commit meets once they have committed
-// in order. A veto undoes itself; the accepted placements are undone in
-// reverse batch order before it returns, so the write-ahead barrier and
-// the commits that follow meet the pre-cycle cluster. It reports which
-// proposals were accepted.
+// in order. A repair's proposal is checked, and committed, as
+// remapRepair maps it onto the lost containers. A veto undoes itself;
+// the accepted placements are undone in reverse batch order before it
+// returns, so the write-ahead barrier and the commits that follow meet
+// the pre-cycle cluster. It reports which proposals were accepted.
 //
 // The constraints of each check are one list: active, then the own
-// entries of the accepted proposals before it and of the proposal itself,
-// whose entries are truncated off again on a veto. The list grows in
+// entries of every repaired LRA (deployed, so binding whether or not its
+// repair is accepted), then those of the accepted new LRAs before the
+// proposal and of the proposal itself, truncated off again on a veto. The list grows in
 // active's spare capacity: the caller owns active and reads nothing past
 // its length.
 func (m *Medea) validateBatch(batch []*pendingApp, placements []lra.Placement, active []constraint.Entry, stats *CycleStats) []bool {
 	accepted := make([]bool, len(placements))
 	own := 0
 	for i := range placements {
-		if placements[i].Placed {
+		if placements[i].Placed || batch[i].lost != nil {
 			own += len(batch[i].app.Constraints)
 		}
 	}
 	entries := slices.Grow(active, own)
+	for _, pa := range batch {
+		if pa.lost != nil {
+			entries = appendAppEntries(entries, pa.app)
+		}
+	}
 	for i := range placements {
 		p := &placements[i]
 		if !p.Placed {
 			continue
 		}
-		n := len(entries)
-		entries = appendAppEntries(entries, batch[i].app)
-		if audit.CheckPlacement(m.Cluster, batch[i].app, p, entries) != nil {
+		n, app := len(entries), batch[i].app
+		if pa := batch[i]; pa.lost != nil {
+			remapped, ok := remapRepair(pa, p)
+			if !ok {
+				m.veto(stats)
+				continue
+			}
+			p.Assignments, app = remapped, nil
+		} else {
+			entries = appendAppEntries(entries, app)
+		}
+		if audit.CheckPlacement(m.Cluster, app, p, entries) != nil {
 			m.veto(stats)
 			entries = entries[:n]
 			continue
@@ -788,16 +830,20 @@ func (m *Medea) finishCycle(now time.Time) {
 	}
 }
 
-// requeueWhole sends a whole batch back to the pending queue (panic or
-// malformed result) with each app's retry count unchanged.
+// requeueWhole sends a batch's new LRAs back to the pending queue (panic
+// or malformed result) with each app's retry count unchanged; its
+// repairs keep their place, attempt count and gate, and write nothing.
 func (m *Medea) requeueWhole(batch []*pendingApp, now time.Time, stats *CycleStats) {
 	for _, pa := range batch {
-		m.requeue(pa, pa.retries)
+		if pa.lost != nil {
+			continue
+		}
+		m.requeue(pa, pa.retries, now)
 		m.logRecord(&journal.Record{
 			Kind: journal.KindRequeue, At: now, AppID: pa.app.ID, Retries: pa.retries,
 		})
+		stats.Requeued++
 	}
-	stats.Requeued += len(batch)
 }
 
 // auditCycle runs the post-commit whole-cluster invariant checker in the
@@ -850,20 +896,39 @@ func (m *Medea) CheckInvariants() error {
 	return nil
 }
 
+// requeueOrReject is the one retry rule, for both kinds of entry: an
+// entry the cycle could not place, that was vetoed or that lost its
+// commit race consumes one retry and goes back in line, or is given up
+// once its budget is spent.
 func (m *Medea) requeueOrReject(pa *pendingApp, now time.Time, stats *CycleStats) {
-	if pa.retries >= m.cfg.maxRetries() {
-		m.reject(pa.app.ID)
+	repair := pa.lost != nil
+	if repair {
+		m.Recovery.RepairAttemptsFailed++
+		stats.RepairFailures++
+	}
+	if pa.retries >= pa.budget {
+		since := m.reject(pa)
+		m.logRecord(&journal.Record{Kind: journal.KindReject, At: now, AppID: pa.app.ID})
+		if repair {
+			// The LRA stays degraded. Close the accounting window here:
+			// degraded time measures the repair loop's responsiveness,
+			// not the (unbounded) aftermath.
+			m.Recovery.RepairsAbandoned++
+			m.Recovery.AddDegraded(now.Sub(since))
+			return
+		}
 		stats.Rejected++
 		stats.RejectedIDs = append(stats.RejectedIDs, pa.app.ID)
-		m.logRecord(&journal.Record{Kind: journal.KindReject, At: now, AppID: pa.app.ID})
 		return
 	}
-	m.requeue(pa, pa.retries+1)
-	stats.Requeued++
+	m.requeue(pa, pa.retries+1, now)
 	// The persisted retry count is the consumed budget: a recovery
 	// replaying this record resumes with pa.retries already spent rather
 	// than granting a fresh budget.
 	m.logRecord(&journal.Record{Kind: journal.KindRequeue, At: now, AppID: pa.app.ID, Retries: pa.retries})
+	if !repair {
+		stats.Requeued++
+	}
 }
 
 // WithdrawLRA withdraws a queued LRA before any cycle places it: the app
@@ -935,9 +1000,9 @@ func (m *Medea) PendingRetries(appID string) (int, bool) {
 // awaiting repair (IDs sorted per app).
 func (m *Medea) PendingRepairPieces() map[string][]cluster.ContainerID {
 	out := make(map[string][]cluster.ContainerID, len(m.repairs))
-	for appID, r := range m.repairs {
-		ids := make([]cluster.ContainerID, 0, len(r.lost))
-		for _, c := range r.lost {
+	for appID, pa := range m.repairs {
+		ids := make([]cluster.ContainerID, 0, len(pa.lost))
+		for _, c := range pa.lost {
 			ids = append(ids, c.ID)
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -949,11 +1014,11 @@ func (m *Medea) PendingRepairPieces() map[string][]cluster.ContainerID {
 // RepairBudget returns the consumed attempt count of a pending repair
 // (0, false when the app has none).
 func (m *Medea) RepairBudget(appID string) (int, bool) {
-	r, ok := m.repairs[appID]
+	pa, ok := m.repairs[appID]
 	if !ok {
 		return 0, false
 	}
-	return r.attempts, true
+	return pa.retries, true
 }
 
 // ActiveEntries returns all currently registered constraints (deployed

@@ -24,12 +24,12 @@ import (
 //  3. reconcile against live cluster truth — the journal can be at most
 //     one operation behind the cluster, in either direction:
 //     - placement intents whose containers the cluster runs are adopted
-//       as deployments (roll-forward); intents that never committed send
-//       their app back through the normal pending path;
-//     - repair pieces the cluster already runs (commit landed, the
-//       repair-ok record did not) are re-adopted;
+//       (roll-forward): a new LRA's as its deployment, a repair's as the
+//       pieces it restores; an intent that never committed puts its
+//       entry back in line, a new LRA through the normal pending path, a
+//       repair in the repair queue with its persisted attempt budget;
 //     - deployed containers the cluster lost (eviction before its record
-//       landed) are re-queued as zombies through the repair pipeline,
+//       landed) are re-queued as zombies through the repair queue,
 //       keeping any persisted attempt budget;
 //     - containers the cluster runs for an LRA nothing owns any more
 //       (crash mid-RemoveLRA) are released as orphans.
@@ -82,8 +82,8 @@ func Recover(j journal.Journal, c *cluster.Cluster, alg lra.Algorithm, cfg Confi
 			rp.lraSeen[id] = true
 		}
 	}
-	for _, r := range m.repairs {
-		for _, c := range r.lost {
+	for _, pa := range m.repairs {
+		for _, c := range pa.lost {
 			rp.lraSeen[c.ID] = true
 		}
 	}
@@ -107,7 +107,6 @@ func Recover(j journal.Journal, c *cluster.Cluster, alg lra.Algorithm, cfg Confi
 func (m *Medea) restoreCheckpoint(cp *journal.Checkpoint) error {
 	m.epoch = cp.Epoch + 1
 	m.cycles = cp.Cycles
-	m.repairSeq = cp.RepairSeq
 	m.nextRun = cp.NextRun
 	m.Rejected = append([]string(nil), cp.Rejected...)
 	if len(cp.Operator) > 0 {
@@ -141,8 +140,13 @@ func (m *Medea) restoreCheckpoint(cp *journal.Checkpoint) error {
 		m.deployed[da.App.ID] = dep
 	}
 	for _, it := range cp.Repairs {
-		m.repairs[it.AppID] = &repairReq{
-			appID: it.AppID, lost: it.Lost, attempts: it.Attempts, notBefore: it.NotBefore, since: it.Since,
+		dep := m.deployed[it.AppID]
+		if dep == nil {
+			return fmt.Errorf("checkpoint repair of undeployed application %s", it.AppID)
+		}
+		m.repairs[it.AppID] = &pendingApp{
+			app: dep.app, submit: it.Since, retries: it.Attempts, budget: repairMaxRetries,
+			lost: it.Lost, notBefore: it.NotBefore,
 		}
 	}
 	if m.brk != nil && cp.Breaker != nil {
@@ -155,8 +159,8 @@ func (m *Medea) restoreCheckpoint(cp *journal.Checkpoint) error {
 // it hands the record's fields to the transition the live path ran beside
 // it. Three kinds have no live counterpart and stay replay-specific —
 // begin-batch, place and commit-batch — because only replay has to hold a
-// cycle's apps and placement intents aside until it learns whether they
-// committed. Replay touches scheduler bookkeeping only — never the
+// cycle's entries and placement intents aside until it learns whether
+// they committed. Replay touches scheduler bookkeeping only — never the
 // cluster, whose live state is truth the reconciliation sweep compares
 // against.
 func (m *Medea) replayRecord(r *journal.Record, rp *replayState) error {
@@ -174,6 +178,10 @@ func (m *Medea) replayRecord(r *journal.Record, rp *replayState) error {
 		taken := make(map[string]bool, len(r.Batch))
 		for _, appID := range r.Batch {
 			taken[appID] = true
+			// A repair in flight stays in the repair queue.
+			if pa := m.repairs[appID]; pa != nil {
+				rp.inFlight[appID] = pa
+			}
 		}
 		var rest []*pendingApp
 		for _, pa := range m.pending {
@@ -193,28 +201,31 @@ func (m *Medea) replayRecord(r *journal.Record, rp *replayState) error {
 
 	case journal.KindRequeue:
 		if pa := rp.resolve(r.AppID); pa != nil {
-			m.requeue(pa, r.Retries)
+			m.requeue(pa, r.Retries, r.At)
 		}
 
 	case journal.KindReject:
-		rp.resolve(r.AppID)
-		m.reject(r.AppID)
+		if pa := rp.resolve(r.AppID); pa != nil {
+			m.reject(pa)
+		}
 
 	case journal.KindCommitBatch:
 		m.cycles = r.Cycle
-		// Every in-flight app with an intent committed before this record
-		// was written; resolve them into deployments.
+		// Every in-flight entry with an intent committed before this
+		// record was written; resolve them into deployed state.
 		for _, appID := range rp.batchOrder {
 			pa := rp.inFlight[appID]
 			if pa == nil {
 				continue
 			}
 			if intent := rp.intents[appID]; len(intent) > 0 {
-				m.deploy(pa.app, intent)
+				m.commit(pa, intent)
 			} else {
-				// Defensive: a batch member with neither intent nor
-				// requeue/reject should not exist; re-queue it unchanged.
-				m.requeue(pa, pa.retries)
+				// A repair the fault rule spared (the algorithm panicked)
+				// has neither intent nor requeue/reject; a new LRA without
+				// either should not exist. Either goes back in line
+				// unchanged.
+				m.requeue(pa, pa.retries, r.At)
 			}
 		}
 		rp.inFlight = make(map[string]*pendingApp)
@@ -232,13 +243,16 @@ func (m *Medea) replayRecord(r *journal.Record, rp *replayState) error {
 			}
 		}
 
+	// The retired repair kinds, which journals written before repairs
+	// joined the cycle's batch carry, replay through the same
+	// transitions: a repair-fail's gate was At plus the backoff of its
+	// attempt count, which requeue recomputes.
 	case journal.KindRepairOK:
 		m.restore(r.AppID, r.Restored)
 
 	case journal.KindRepairFail:
-		if req := m.repairs[r.AppID]; req != nil {
-			req.attempts = r.Attempts
-			req.notBefore = r.NotBefore
+		if pa := m.repairs[r.AppID]; pa != nil {
+			m.requeue(pa, r.Attempts, r.At)
 		}
 
 	case journal.KindRepairAbandon:
@@ -276,10 +290,10 @@ func (rp *replayState) resolve(appID string) *pendingApp {
 // reconcile aligns the replayed scheduler state with live cluster truth.
 func (m *Medea) reconcile(rp *replayState, now time.Time) {
 	// 1. Half-applied batch: a begin-batch without its commit-batch left
-	// apps in flight. An app whose intent the cluster honors is adopted;
-	// one whose commit never landed (or that never reached placement)
-	// goes back through the normal pending path with its persisted retry
-	// budget.
+	// entries in flight. An entry whose intent the cluster honors is
+	// adopted; one whose commit never landed (or that never reached
+	// placement) goes back in line with its persisted budget: a new LRA
+	// through the pending path, a repair in the repair queue.
 	for _, appID := range rp.batchOrder {
 		pa := rp.inFlight[appID]
 		if pa == nil {
@@ -294,31 +308,17 @@ func (m *Medea) reconcile(rp *replayState, now time.Time) {
 			}
 		}
 		if !committed {
-			m.requeue(pa, pa.retries)
+			m.requeue(pa, pa.retries, now)
 			m.Recovery.BatchesReadmitted++
 			continue
 		}
-		m.deploy(pa.app, intent)
+		m.commit(pa, intent)
 		m.Recovery.ContainersAdopted += len(intent)
 	}
 
-	// 2. Repair pieces the cluster already runs: the repair committed but
-	// the crash beat its repair-ok record. Re-adopt them; what remains
-	// lost keeps its persisted attempt budget.
-	for _, appID := range sortedRepairIDs(m.repairs) {
-		var running []cluster.ContainerID
-		for _, c := range m.repairs[appID].lost {
-			if m.running(c.ID) {
-				running = append(running, c.ID)
-			}
-		}
-		n, _ := m.restore(appID, running)
-		m.Recovery.ContainersAdopted += n
-	}
-
-	// 3. Zombie sweep: deployed containers the cluster no longer runs
+	// 2. Zombie sweep: deployed containers the cluster no longer runs
 	// (an eviction whose record never landed, or state the checkpoint
-	// believed in). Re-queue them through the repair pipeline.
+	// believed in). Re-queue them through the repair queue.
 	for _, appID := range m.DeployedApps() {
 		ids, _ := m.Deployed(appID)
 		for _, id := range ids {
@@ -329,9 +329,12 @@ func (m *Medea) reconcile(rp *replayState, now time.Time) {
 		}
 	}
 
-	// 4. Orphan sweep: containers the cluster runs for an LRA that no
-	// longer owns them (crash mid-RemoveLRA, or an adoption the journal
-	// later walked back). Release them — nothing will ever reclaim them.
+	// 3. Orphan sweep: containers the cluster runs for an LRA that no
+	// longer owns them (crash mid-RemoveLRA, an adoption the journal
+	// later walked back, or, in a journal written before repairs joined
+	// the batch, a repair whose repair-ok record the crash beat). Release
+	// them — nothing will ever reclaim them; a repair piece among them is
+	// placed again by its repair.
 	orphans := make([]cluster.ContainerID, 0, len(rp.lraSeen))
 	for id := range rp.lraSeen {
 		orphans = append(orphans, id)
@@ -354,7 +357,7 @@ func (m *Medea) running(id cluster.ContainerID) bool {
 	return ok
 }
 
-func sortedRepairIDs(repairs map[string]*repairReq) []string {
+func sortedRepairIDs(repairs map[string]*pendingApp) []string {
 	out := make([]string, 0, len(repairs))
 	for appID := range repairs {
 		out = append(out, appID)

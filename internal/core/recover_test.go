@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -318,8 +320,8 @@ func TestRecoverOrphanSweep(t *testing.T) {
 }
 
 // TestRecoverRepairAckLost: a crash after the repair committed but before
-// its repair-ok record re-adopts the restored containers from cluster
-// truth instead of repairing them twice.
+// its cycle's commit-batch record re-adopts the restored containers from
+// cluster truth instead of repairing them twice.
 func TestRecoverRepairAckLost(t *testing.T) {
 	cfg := Config{Interval: time.Second}
 	m, j := journaledMedea(t, cfg)
@@ -335,8 +337,9 @@ func TestRecoverRepairAckLost(t *testing.T) {
 	if stats := m.RunCycle(t1); stats.Repaired != len(evs) {
 		t.Fatalf("repair did not restore: %+v", stats)
 	}
-	// Simulate the lost ack: rebuild the journal without the repair-ok
-	// record by dropping the live journal's tail after the evict record.
+	// Simulate the lost ack: rebuild the journal without the repair
+	// cycle's commit-batch record by dropping the live journal's tail from
+	// the first commit-batch after the evict record.
 	cp, tail, err := j.Load()
 	if err != nil {
 		t.Fatal(err)
@@ -345,8 +348,10 @@ func TestRecoverRepairAckLost(t *testing.T) {
 	if err := j2.WriteCheckpoint(cp); err != nil {
 		t.Fatal(err)
 	}
+	evicted := false
 	for _, rec := range tail {
-		if rec.Kind == journal.KindRepairOK {
+		evicted = evicted || rec.Kind == journal.KindEvict
+		if evicted && rec.Kind == journal.KindCommitBatch {
 			break // the crash ate this record and everything after
 		}
 		if err := j2.Append(rec); err != nil {
@@ -367,6 +372,82 @@ func TestRecoverRepairAckLost(t *testing.T) {
 	}
 	if r.Recovery.ContainersAdopted != len(evs) {
 		t.Errorf("ContainersAdopted = %d, want %d", r.Recovery.ContainersAdopted, len(evs))
+	}
+}
+
+// TestRetiredRepairKindsReplay: a journal written in the format of the
+// schedulers that journaled repairs with kinds of their own still
+// replays. testdata/retired-repair-kinds holds one such file journal (a
+// checkpoint with a "repairSeq" key, and a tail with a repair-ok, five
+// repair-fail records and a repair-abandon for one LRA, and a repair-fail
+// for a third) and the cluster it left: three one-container LRAs on a
+// 4-node grid, a's node failed and a repaired, then b's and c's nodes
+// failed with no room left. The expected state is what those schedulers
+// recovered from the same files: a whole, b abandoned (degraded, window
+// closed, no repair), c queued for repair after one attempt with the gate
+// its repair-fail record carries.
+func TestRetiredRepairKindsReplay(t *testing.T) {
+	src := filepath.Join("testdata", "retired-repair-kinds")
+	dir := t.TempDir()
+	for _, name := range []string{"checkpoint.json", "wal.log"} {
+		b, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(filepath.Join(src, "cluster.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap cluster.Snapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	c, err := cluster.FromSnapshot(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := journal.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	cfg := Config{Interval: time.Second}
+	r, err := Recover(j, c, lra.NewSerial(), cfg, t0.Add(141*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Recovery.JournalReplayed != 27 || r.Recovery.ContainersAdopted != 0 || r.Recovery.ZombiesRequeued != 0 || r.Recovery.OrphansReleased != 0 {
+		t.Errorf("recovery = %+v, want 27 records replayed and nothing reconciled", r.Recovery)
+	}
+	for _, want := range []struct {
+		app      string
+		live     int
+		degraded time.Duration // since t0; -1 = not degraded
+	}{{"a", 1, -1}, {"b", 0, -1}, {"c", 0, 140 * time.Second}} {
+		ids, ok := r.Deployed(want.app)
+		if !ok || len(ids) != want.live {
+			t.Errorf("%s: deployed %v (ok=%v), want %d containers", want.app, ids, ok, want.live)
+			continue
+		}
+		since := r.deployed[want.app].degradedSince
+		if want.degraded < 0 && !since.IsZero() || want.degraded >= 0 && !since.Equal(t0.Add(want.degraded)) {
+			t.Errorf("%s: degraded since %v, want %v after t0", want.app, since, want.degraded)
+		}
+	}
+	pieces := r.PendingRepairPieces()
+	if len(pieces) != 1 || len(pieces["c"]) != 1 || pieces["c"][0] != "c#0" {
+		t.Fatalf("repair pieces = %v, want only c's c#0", pieces)
+	}
+	pa := r.repairs["c"]
+	if pa.retries != 1 || !pa.submit.Equal(t0.Add(140*time.Second)) {
+		t.Errorf("c: %d attempts since %v, want 1 since t0+140s", pa.retries, pa.submit)
+	}
+	if want := t0.Add(140*time.Second + 1055099777); !pa.notBefore.Equal(want) {
+		t.Errorf("c: gate %v, want %v", pa.notBefore, want)
 	}
 }
 

@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"time"
 
-	"medea/internal/audit"
 	"medea/internal/cluster"
 	"medea/internal/journal"
 	"medea/internal/lra"
@@ -14,18 +12,14 @@ import (
 
 // Failure recovery (the live counterpart of §7.3): when a node goes down,
 // its containers are evicted by the cluster layer; Medea detects which
-// deployed LRAs were degraded and re-queues ONLY the lost container
-// groups as repair requests. Repairs run at the start of every scheduling
-// cycle, with a per-LRA retry budget and exponential backoff between
-// attempts. They are placed by the algorithm the circuit breaker chose
-// for the cycle and answer to the same fault rule as the batch (judge,
-// veto): a crashing algorithm costs a repair no attempt, and the breaker,
-// not the repair loop, steps down to the §5.3 heuristics when the
-// configured algorithm keeps failing. Repair placements respect the
-// LRA's original constraints and are committed through the task-based
-// scheduler like any other placement (§5.4's single-writer discipline),
-// so repairs can lose races with task allocations and retry just like
-// initial placements.
+// deployed LRAs were degraded and queues ONLY the lost container groups
+// as a repair of each. A due repair is one more entry of the next
+// cycle's batch (RunCycle): partitioned, placed, validated, made durable
+// and committed through the task-based scheduler with the new LRAs
+// (§5.4's single-writer discipline), under one fault rule. It differs in
+// data, not path: it is placed as the lost groups with the LRA's tags and
+// constraints (repairApp), committed under the lost container IDs
+// (remapRepair), and has its own retry budget and backoff gate (DESIGN §7).
 
 // knownNode reports whether the ID names a node of the cluster; state
 // transitions on unknown IDs are no-ops (failure reports come from
@@ -119,8 +113,8 @@ func (m *Medea) handleEvictions(evs []cluster.Eviction, now time.Time) {
 // PendingRepairs returns the number of containers awaiting repair.
 func (m *Medea) PendingRepairs() int {
 	n := 0
-	for _, r := range m.repairs {
-		n += len(r.lost)
+	for _, pa := range m.repairs {
+		n += len(pa.lost)
 	}
 	return n
 }
@@ -155,57 +149,27 @@ func (c Config) repairBackoffFor(appID string, attempts int) time.Duration {
 
 // repairsDue reports whether any repair is past its backoff gate.
 func (m *Medea) repairsDue(now time.Time) bool {
-	for _, r := range m.repairs {
-		if !r.notBefore.After(now) {
+	for _, pa := range m.repairs {
+		if !pa.notBefore.After(now) {
 			return true
 		}
 	}
 	return false
 }
 
-// runRepairs attempts every due repair request with alg, the cycle's
-// algorithm, one batch per degraded LRA. Each batch is all-or-nothing
-// (Equation 4 applies to repairs too): either every lost container of
-// the LRA is restored or the attempt fails and backs off.
-func (m *Medea) runRepairs(alg lra.Algorithm, now time.Time, stats *CycleStats) {
-	if len(m.repairs) == 0 {
-		return
-	}
-	var due []string
-	for appID, r := range m.repairs {
-		if !r.notBefore.After(now) {
-			due = append(due, appID)
-		}
-	}
-	sort.Strings(due)
-	for _, appID := range due {
-		r := m.repairs[appID]
-		dep := m.deployed[appID]
-		if dep == nil {
-			delete(m.repairs, appID) // LRA removed while degraded
-			continue
-		}
-		m.attemptRepair(alg, r, dep, now, stats)
-	}
-}
-
-// attemptRepair tries to place one repair batch with alg and commit it.
-func (m *Medea) attemptRepair(alg lra.Algorithm, r *repairReq, dep *deployment, now time.Time, stats *CycleStats) {
-	// Rebuild the lost container groups as a synthetic application. The
-	// synthetic ID must differ from the original so generated container
-	// IDs cannot collide with surviving containers; the group tags are
-	// the ORIGINAL effective tags (incl. the original appID tag), so
-	// constraint evaluation sees the repair containers exactly as it saw
-	// the lost ones.
-	m.repairSeq++
-	synthID := fmt.Sprintf("%s~repair%d", r.appID, m.repairSeq)
-	lostByGroup := map[string][]journal.DeployedContainer{}
-	for _, p := range r.lost {
-		lostByGroup[p.Group] = append(lostByGroup[p.Group], p)
-	}
+// repairApp builds the application a repair is placed as: the lost
+// containers' groups, in the LRA's group order, each with the tags the
+// lost containers carried (the LRA's appID tag among them, so constraint
+// evaluation sees the replacements as it saw the lost ones), and the
+// LRA's constraints. Its ID is the LRA's with a "~repair" suffix, so the
+// container IDs an algorithm derives from it cannot collide with the
+// LRA's survivors; remapRepair drops them, and the tag EffectiveTags
+// adds for that ID.
+func repairApp(pa *pendingApp) *lra.Application {
+	byGroup := lostByGroup(pa.lost)
 	var groups []lra.ContainerGroup
-	for _, g := range dep.app.Groups {
-		pieces := lostByGroup[g.Name]
+	for _, g := range pa.app.Groups {
+		pieces := byGroup[g.Name]
 		if len(pieces) == 0 {
 			continue
 		}
@@ -216,109 +180,38 @@ func (m *Medea) attemptRepair(alg lra.Algorithm, r *repairReq, dep *deployment, 
 			Tags:   pieces[0].Tags,
 		})
 	}
-	synth := &lra.Application{ID: synthID, Groups: groups, Constraints: dep.app.Constraints}
+	return &lra.Application{ID: pa.app.ID + "~repair", Groups: groups, Constraints: pa.app.Constraints}
+}
 
-	res := m.safePlace(alg, m.Cluster, []*lra.Application{synth}, m.activeExcluding(map[string]bool{r.appID: true}))
-	if !m.judge(res, 1, stats) {
-		return // the algorithm's fault: attempt count and gate stay as they were
+// lostByGroup indexes lost containers by group, in loss order.
+func lostByGroup(lost []journal.DeployedContainer) map[string][]journal.DeployedContainer {
+	byGroup := make(map[string][]journal.DeployedContainer)
+	for _, c := range lost {
+		byGroup[c.Group] = append(byGroup[c.Group], c)
 	}
-	p := res.Placements[0]
-	if !p.Placed {
-		m.failRepair(r, now, stats)
-		return
-	}
-	remapped, err := remapRepair(r, p, lostByGroup)
-	if err == nil {
-		// Commit-time validation on the batch actually committed (the
-		// remapped one): capacity, health, duplicates and hard
-		// constraints, exactly like initial placements, in place on the
-		// live cluster and undone before the barrier.
-		err = audit.CheckAssignments(m.Cluster, r.appID, remapped, m.Constraints.Active())
-	}
-	if err != nil {
-		m.veto(stats)
-		m.failRepair(r, now, stats)
-		return
-	}
-	audit.Undo(m.Cluster, remapped)
-	// Write-ahead: what is staged (the cycle's begin-batch, the records of
-	// earlier repairs) is durable before the commit.
-	m.barrier()
-	if err := m.Tasks.Commit(remapped); err != nil {
-		m.failRepair(r, now, stats) // lost a race; retry with backoff
-		return
-	}
-
-	restoredIDs := make([]cluster.ContainerID, len(remapped))
-	for i, a := range remapped {
-		restoredIDs[i] = a.Container
-	}
-	// Post-commit record: if the process dies between the commit above
-	// and this append, recovery finds the pieces alive in the cluster and
-	// re-adopts them (the repair-piece reconciliation rule).
-	m.logRecord(&journal.Record{Kind: journal.KindRepairOK, At: now, AppID: r.appID, Restored: restoredIDs})
-
-	n, healedSince := m.restore(r.appID, restoredIDs)
-	m.Recovery.RepairsPlaced += n
-	// Repair latency is eviction→commit in scheduler time; the algorithm's
-	// wall-clock solve latency is tracked separately (res.Latency) so the
-	// metric stays deterministic under simulation.
-	m.Recovery.ObserveRepair(now.Sub(r.since))
-	stats.Repaired += n
-	if !healedSince.IsZero() {
-		m.Recovery.AddDegraded(now.Sub(healedSince))
-	}
+	return byGroup
 }
 
 // remapRepair maps a repair placement's synthetic assignments back onto
 // the lost containers, group by group: the original IDs, demands and
-// tags, on the proposed nodes. A placement that does not cover the lost
-// containers exactly (an unknown group, too many or too few
-// assignments) is a defect, vetoed like a wrong-shaped batch placement.
-func remapRepair(r *repairReq, p lra.Placement, lostByGroup map[string][]journal.DeployedContainer) ([]lra.Assignment, error) {
-	next := make(map[string]int, len(lostByGroup))
-	remapped := make([]lra.Assignment, 0, len(r.lost))
-	for _, a := range p.Assignments {
-		pieces := lostByGroup[a.Group]
-		if next[a.Group] >= len(pieces) {
-			return nil, fmt.Errorf("core: %s: repair assignment %s exceeds group %q's %d lost containers",
-				r.appID, a.Container, a.Group, len(pieces))
+// tags, on the proposed nodes. It reports false for a placement that does
+// not cover the lost containers exactly (an unknown group, too many or
+// too few assignments), which is vetoed like a wrong-shaped one.
+func remapRepair(pa *pendingApp, p *lra.Placement) ([]lra.Assignment, bool) {
+	if len(p.Assignments) != len(pa.lost) {
+		return nil, false // repairs are all-or-nothing (Equation 4)
+	}
+	byGroup := lostByGroup(pa.lost)
+	remapped := make([]lra.Assignment, len(p.Assignments))
+	for i, a := range p.Assignments {
+		pieces := byGroup[a.Group]
+		if len(pieces) == 0 {
+			return nil, false
 		}
-		piece := pieces[next[a.Group]]
-		next[a.Group]++
-		remapped = append(remapped, lra.Assignment{
-			Container: piece.ID, Group: piece.Group, Node: a.Node,
-			Demand: piece.Demand, Tags: piece.Tags,
-		})
+		remapped[i] = lra.Assignment{
+			Container: pieces[0].ID, Group: a.Group, Node: a.Node, Demand: pieces[0].Demand, Tags: pieces[0].Tags,
+		}
+		byGroup[a.Group] = pieces[1:]
 	}
-	if len(remapped) != len(r.lost) {
-		// Repairs are all-or-nothing.
-		return nil, fmt.Errorf("core: %s: repair placed %d of %d lost containers", r.appID, len(remapped), len(r.lost))
-	}
-	return remapped, nil
-}
-
-// failRepair consumes one attempt of a repair that could not be placed,
-// was vetoed or lost its commit race: it backs off, or is abandoned once
-// the budget is spent.
-func (m *Medea) failRepair(r *repairReq, now time.Time, stats *CycleStats) {
-	r.attempts++
-	m.Recovery.RepairAttemptsFailed++
-	stats.RepairFailures++
-	if r.attempts > repairMaxRetries {
-		// Budget exhausted: the LRA stays degraded. Close the accounting
-		// window here — degraded time measures the repair loop's
-		// responsiveness, not the (unbounded) aftermath.
-		m.Recovery.RepairsAbandoned++
-		m.Recovery.AddDegraded(now.Sub(m.abandon(r.appID)))
-		m.logRecord(&journal.Record{Kind: journal.KindRepairAbandon, At: now, AppID: r.appID})
-		return
-	}
-	r.notBefore = now.Add(m.cfg.repairBackoffFor(r.appID, r.attempts))
-	// The persisted attempt count and gate are the consumed budget: a
-	// recovery-replayed repair resumes with r.attempts already spent.
-	m.logRecord(&journal.Record{
-		Kind: journal.KindRepairFail, At: now, AppID: r.appID,
-		Attempts: r.attempts, NotBefore: r.notBefore,
-	})
+	return remapped, true
 }

@@ -8,6 +8,7 @@ import (
 
 	"medea/internal/cluster"
 	"medea/internal/constraint"
+	"medea/internal/journal"
 	"medea/internal/lra"
 	"medea/internal/resource"
 	"medea/internal/sim"
@@ -532,6 +533,95 @@ func TestRepairValidatesOnLiveCluster(t *testing.T) {
 	}
 	if diff := m.Cluster.Diff(want); diff != "" {
 		t.Errorf("accepted repair: tag multisets differ: %s", diff)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// placeCounter counts the Place calls of the algorithm it wraps.
+type placeCounter struct {
+	lra.Algorithm
+	calls int
+}
+
+func (p *placeCounter) Place(state *cluster.Cluster, apps []*lra.Application, active []constraint.Entry, opts lra.Options) *lra.Result {
+	p.calls++
+	return p.Algorithm.Place(state, apps, active, opts)
+}
+
+// barrierCounter counts the barriers taken on the journal it wraps.
+type barrierCounter struct {
+	journal.Journal
+	barriers int
+}
+
+func (b *barrierCounter) Barrier() error {
+	b.barriers++
+	return b.Journal.Barrier()
+}
+
+// TestCyclePlacesRepairsWithBatch: a cycle whose batch holds the repairs
+// of three LRAs one node failure degraded and a new LRA makes one Place
+// call per constraint-independent component of that batch and takes one
+// write-ahead barrier, and restores and places them all. The degraded
+// LRAs share a tag, so their repairs are one component; the new LRA is
+// another.
+func TestCyclePlacesRepairsWithBatch(t *testing.T) {
+	alg := &placeCounter{Algorithm: lra.NewNodeCandidates()}
+	m := New(cluster.Grid(4, 2, resource.New(16384, 8)), alg, Config{Interval: time.Second})
+	jnl := &barrierCounter{Journal: journal.NewMemory()}
+	if err := m.AttachJournal(jnl, t0); err != nil {
+		t.Fatal(err)
+	}
+	// One container per node for each LRA: a soft anti-affinity between
+	// the LRA's own containers per node.
+	for _, id := range []string{"a", "b", "c"} {
+		a := app(id, 4, "svc")
+		self := constraint.E(constraint.AppIDTag(id))
+		a.Constraints = []constraint.Constraint{constraint.New(constraint.AntiAffinity(self, self, constraint.Node))}
+		if err := m.SubmitLRA(a, t0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if stats := m.RunCycle(t0); stats.Placed != 3 {
+		t.Fatalf("setup: %+v", stats)
+	}
+	t1 := t0.Add(time.Minute)
+	evs := m.FailNode(0, t1)
+	if got := degradedLRAs(m); len(evs) != 3 || !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
+		t.Fatalf("node 0 failure evicted %d containers and degraded %v, want one of each of a, b, c", len(evs), got)
+	}
+	if err := m.SubmitLRA(app("new", 2, "web"), t1); err != nil {
+		t.Fatal(err)
+	}
+
+	// The components of the cycle's batch, computed as RunCycle will.
+	var apps []*lra.Application
+	ids := map[string]bool{}
+	for _, appID := range sortedRepairIDs(m.repairs) {
+		apps = append(apps, repairApp(m.repairs[appID]))
+		ids[appID] = true
+	}
+	for _, pa := range m.pending {
+		apps = append(apps, pa.app)
+		ids[pa.app.ID] = true
+	}
+	comps := len(partitionBatch(apps, m.activeExcluding(ids)))
+	if comps != 2 {
+		t.Fatalf("batch of %d entries has %d components, want 2", len(apps), comps)
+	}
+
+	alg.calls, jnl.barriers = 0, 0
+	stats := m.RunCycle(t1)
+	if alg.calls != comps || jnl.barriers > 1 {
+		t.Errorf("cycle made %d Place calls and %d barriers, want %d (one per component) and at most 1", alg.calls, jnl.barriers, comps)
+	}
+	if stats.Repaired != 3 || stats.Placed != 1 || stats.RepairFailures != 0 {
+		t.Errorf("stats = %+v, want 3 restored and the new LRA placed", stats)
+	}
+	if got := degradedLRAs(m); len(got) != 0 {
+		t.Errorf("still degraded: %v", got)
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)

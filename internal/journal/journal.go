@@ -13,8 +13,8 @@
 // (place, remove) are appended BEFORE the mutation is applied, so after
 // a crash the recovery path can compare the journal's intent against
 // cluster truth and roll the half-applied work forward or back. Records
-// that only mirror scheduler bookkeeping (submit, requeue, repair-fail)
-// are appended at the transition itself.
+// that only mirror scheduler bookkeeping (submit, requeue, reject) are
+// appended at the transition itself.
 //
 // Staging: an append is not durable on return. Records stage in order
 // until a Barrier (or a checkpoint) makes everything staged durable at
@@ -42,17 +42,20 @@ const (
 	// KindSubmit: an LRA entered the pending queue (carries the full
 	// application, so replay can re-register its constraints).
 	KindSubmit Kind = "submit"
-	// KindBeginBatch opens a scheduling cycle: the listed pending apps
-	// are in flight until a matching KindCommitBatch. A begin-batch with
-	// no commit-batch marks a half-applied cycle for reconciliation.
+	// KindBeginBatch opens a scheduling cycle: the listed entries (due
+	// repairs, then pending apps) are in flight until a matching
+	// KindCommitBatch. A begin-batch with no commit-batch marks a
+	// half-applied cycle for reconciliation.
 	KindBeginBatch Kind = "begin-batch"
-	// KindPlace is the placement intent for one app, appended after
-	// commit-time validation and BEFORE the task-scheduler commit.
+	// KindPlace is the placement intent for one entry (a new app or a
+	// repair), appended after commit-time validation and BEFORE the
+	// task-scheduler commit.
 	KindPlace Kind = "place"
-	// KindRequeue: an in-flight app went back to the pending queue with
-	// the recorded retry count.
+	// KindRequeue: an in-flight entry went back in line with the
+	// recorded retry count (a repair behind the gate At and it determine).
 	KindRequeue Kind = "requeue"
-	// KindReject: an app exhausted its retry budget and was dropped.
+	// KindReject: an entry exhausted its retry budget and was given up
+	// (a repair's LRA stays degraded).
 	KindReject Kind = "reject"
 	// KindCommitBatch closes a scheduling cycle; every KindPlace since
 	// the begin-batch is now deployed state. Carries the breaker state.
@@ -60,14 +63,16 @@ const (
 	// KindEvict: containers were lost to a node failure or drain, before
 	// the scheduler updated its deployments and repair queue.
 	KindEvict Kind = "evict"
-	// KindRepairOK: a repair batch committed, restoring the listed
-	// container IDs to their LRA.
+	// The repair kinds are retired: nothing writes them since a repair is
+	// an entry of the cycle's batch, but replay still reads them.
+	// KindRepairOK: a repair committed, restoring the listed container
+	// IDs to their LRA.
 	KindRepairOK Kind = "repair-ok"
 	// KindRepairFail: a repair attempt failed; carries the persisted
 	// attempt count and the next backoff gate.
 	KindRepairFail Kind = "repair-fail"
-	// KindRepairAbandon: a repair request exhausted its retry budget and
-	// was dropped (the LRA stays degraded).
+	// KindRepairAbandon: a repair exhausted its retry budget and was
+	// dropped (the LRA stays degraded).
 	KindRepairAbandon Kind = "repair-abandon"
 	// KindRemove is the teardown intent for a deployed LRA, appended
 	// BEFORE its containers are released.
@@ -95,14 +100,14 @@ type Record struct {
 	Cycle int `json:"cycle,omitempty"`
 	// NextRun is the anchored next cycle deadline (begin-batch).
 	NextRun time.Time `json:"nextRun,omitempty"`
-	// Batch lists the pending app IDs taken in flight (begin-batch).
+	// Batch lists the entries taken in flight (begin-batch).
 	Batch []string `json:"batch,omitempty"`
 	// Assignments is the placement intent (KindPlace).
 	Assignments []lra.Assignment `json:"assignments,omitempty"`
-	// Retries is the pending app's consumed retry count (KindRequeue).
+	// Retries is the entry's consumed retry count (KindRequeue).
 	Retries int `json:"retries,omitempty"`
-	// Attempts is the repair request's consumed attempt count and
-	// NotBefore its next backoff gate (KindRepairFail).
+	// Attempts is the repair's consumed attempt count and NotBefore its
+	// next backoff gate (KindRepairFail).
 	Attempts  int       `json:"attempts,omitempty"`
 	NotBefore time.Time `json:"notBefore,omitempty"`
 	// Evictions is the lost container set (KindEvict).
@@ -139,9 +144,8 @@ type Checkpoint struct {
 	// At is the scheduler time the checkpoint was taken.
 	At time.Time `json:"at"`
 
-	Cycles    int       `json:"cycles"`
-	RepairSeq int       `json:"repairSeq"`
-	NextRun   time.Time `json:"nextRun"`
+	Cycles  int       `json:"cycles"`
+	NextRun time.Time `json:"nextRun"`
 
 	Pending  []PendingApp  `json:"pending,omitempty"`
 	Deployed []DeployedApp `json:"deployed,omitempty"`
