@@ -18,17 +18,30 @@ import (
 // agrees with the one that wrote the journal by construction.
 
 // pendingApp is one entry of a cycle's batch: an LRA awaiting its first
-// placement or, when lost is set, a deployed LRA's lost containers
+// placement or, when repair is set, a deployed LRA's lost containers
 // awaiting repair. The kinds differ in these fields, not in their path.
 type pendingApp struct {
 	app     *lra.Application // for a repair, the deployed LRA's
 	submit  time.Time        // for a repair, its degradation window's first eviction
-	retries int              // consumed budget
-	budget  int              // retries allowed before the entry is given up
-	// lost holds a repair's lost containers (never empty while queued);
-	// their replacements keep their IDs. notBefore is its backoff gate.
+	retries int              // consumed retries, of Medea.budget's
+	repair  *repairFields
+}
+
+// repairFields are what a repair entry adds: the lost containers (never
+// empty while queued), whose replacements keep their IDs, and the backoff
+// gate of the next attempt.
+type repairFields struct {
 	lost      []journal.DeployedContainer
 	notBefore time.Time
+}
+
+// budget returns the retries an entry may consume before it is given up:
+// MaxRetries for a new LRA, repairMaxRetries for a repair.
+func (m *Medea) budget(pa *pendingApp) int {
+	if pa.repair != nil {
+		return repairMaxRetries
+	}
+	return m.cfg.maxRetries()
 }
 
 // deployment is the live state of one placed LRA. What core remembers
@@ -50,7 +63,7 @@ func (m *Medea) enqueue(app *lra.Application, submit time.Time, retries int) err
 	if err := m.Constraints.AddApplication(app.ID, app.Constraints...); err != nil {
 		return err
 	}
-	m.pending = append(m.pending, &pendingApp{app: app, submit: submit, retries: retries, budget: m.cfg.maxRetries()})
+	m.pending = append(m.pending, &pendingApp{app: app, submit: submit, retries: retries})
 	return nil
 }
 
@@ -59,10 +72,10 @@ func (m *Medea) enqueue(app *lra.Application, submit time.Time, retries int) err
 // repair queue it never left, gated at repairBackoffFor's pure schedule
 // from at if the cycle consumed an attempt.
 func (m *Medea) requeue(pa *pendingApp, retries int, at time.Time) {
-	if pa.lost == nil {
+	if pa.repair == nil {
 		m.pending = append(m.pending, pa)
 	} else if retries > pa.retries {
-		pa.notBefore = at.Add(m.cfg.repairBackoffFor(pa.app.ID, retries))
+		pa.repair.notBefore = at.Add(m.cfg.repairBackoffFor(pa.app.ID, retries))
 	}
 	pa.retries = retries
 }
@@ -70,7 +83,7 @@ func (m *Medea) requeue(pa *pendingApp, retries int, at time.Time) {
 // reject gives an in-flight entry up: a new LRA for good, a repair by
 // abandon, whose result it returns.
 func (m *Medea) reject(pa *pendingApp) (since time.Time) {
-	if pa.lost != nil {
+	if pa.repair != nil {
 		return m.abandon(pa.app.ID)
 	}
 	m.Constraints.RemoveApplication(pa.app.ID)
@@ -81,7 +94,7 @@ func (m *Medea) reject(pa *pendingApp) (since time.Time) {
 // commit turns an entry's committed placement into deployed state: a
 // new LRA's by deploy, a repair's by restore, whose results it returns.
 func (m *Medea) commit(pa *pendingApp, placed []lra.Assignment) (restored int, healedSince time.Time) {
-	if pa.lost == nil {
+	if pa.repair == nil {
 		m.deploy(pa.app, placed)
 		return 0, time.Time{}
 	}
@@ -135,10 +148,10 @@ func (m *Medea) lose(id cluster.ContainerID, at time.Time) bool {
 	}
 	r := m.repairs[appID]
 	if r == nil {
-		r = &pendingApp{app: dep.app, submit: at, budget: repairMaxRetries, notBefore: at}
+		r = &pendingApp{app: dep.app, submit: at, repair: &repairFields{notBefore: at}}
 		m.repairs[appID] = r
 	}
-	r.lost = append(r.lost, c)
+	r.repair.lost = append(r.repair.lost, c)
 	return true
 }
 
@@ -153,8 +166,8 @@ func (m *Medea) restore(appID string, ids []cluster.ContainerID) (restored int, 
 		delete(m.repairs, appID) // LRA removed while degraded
 		return 0, time.Time{}
 	}
-	lost := make(map[cluster.ContainerID]journal.DeployedContainer, len(r.lost))
-	for _, c := range r.lost {
+	lost := make(map[cluster.ContainerID]journal.DeployedContainer, len(r.repair.lost))
+	for _, c := range r.repair.lost {
 		lost[c.ID] = c
 	}
 	for _, id := range ids {
@@ -164,13 +177,13 @@ func (m *Medea) restore(appID string, ids []cluster.ContainerID) (restored int, 
 			restored++
 		}
 	}
-	remaining := r.lost[:0]
-	for _, c := range r.lost {
+	remaining := r.repair.lost[:0]
+	for _, c := range r.repair.lost {
 		if _, still := lost[c.ID]; still {
 			remaining = append(remaining, c)
 		}
 	}
-	r.lost = remaining
+	r.repair.lost = remaining
 	if len(remaining) > 0 {
 		return restored, time.Time{}
 	}
@@ -219,8 +232,8 @@ func (m *Medea) forget(appID string) []cluster.ContainerID {
 // returned, so every degraded LRA is repair-eligible at the next cycle.
 func (m *Medea) clearBackoffs(at time.Time) {
 	for _, r := range m.repairs {
-		if r.notBefore.After(at) {
-			r.notBefore = at
+		if r.repair.notBefore.After(at) {
+			r.repair.notBefore = at
 		}
 	}
 }

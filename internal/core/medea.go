@@ -290,8 +290,8 @@ func (m *Medea) buildCheckpoint(now time.Time) *journal.Checkpoint {
 	for _, appID := range sortedRepairIDs(m.repairs) {
 		pa := m.repairs[appID]
 		cp.Repairs = append(cp.Repairs, journal.RepairItem{
-			AppID: appID, Lost: append([]journal.DeployedContainer(nil), pa.lost...),
-			Attempts: pa.retries, NotBefore: pa.notBefore, Since: pa.submit,
+			AppID: appID, Lost: append([]journal.DeployedContainer(nil), pa.repair.lost...),
+			Attempts: pa.retries, NotBefore: pa.repair.notBefore, Since: pa.submit,
 		})
 	}
 	snap := m.Cluster.TakeSnapshot()
@@ -626,7 +626,7 @@ func (m *Medea) takeBatch(now time.Time) []*pendingApp {
 	}
 	var due []*pendingApp
 	for _, appID := range sortedRepairIDs(m.repairs) {
-		if pa := m.repairs[appID]; !pa.notBefore.After(now) {
+		if pa := m.repairs[appID]; !pa.repair.notBefore.After(now) {
 			due = append(due, pa)
 		}
 	}
@@ -676,7 +676,7 @@ func (m *Medea) runBatch(alg lra.Algorithm, batch []*pendingApp, now time.Time, 
 	inBatch := make(map[string]bool, len(batch))
 	for i, pa := range batch {
 		apps[i] = pa.app
-		if pa.lost != nil {
+		if pa.repair != nil {
 			apps[i] = repairApp(pa)
 		} else {
 			stats.Batch++
@@ -735,7 +735,7 @@ func (m *Medea) runBatch(alg lra.Algorithm, batch []*pendingApp, now time.Time, 
 			continue
 		}
 		n, healedSince := m.commit(pa, p.Assignments)
-		if pa.lost == nil {
+		if pa.repair == nil {
 			stats.Placed++
 			stats.PlacedIDs = append(stats.PlacedIDs, pa.app.ID)
 			continue
@@ -773,13 +773,13 @@ func (m *Medea) validateBatch(batch []*pendingApp, placements []lra.Placement, a
 	accepted := make([]bool, len(placements))
 	own := 0
 	for i := range placements {
-		if placements[i].Placed || batch[i].lost != nil {
+		if placements[i].Placed || batch[i].repair != nil {
 			own += len(batch[i].app.Constraints)
 		}
 	}
 	entries := slices.Grow(active, own)
 	for _, pa := range batch {
-		if pa.lost != nil {
+		if pa.repair != nil {
 			entries = appendAppEntries(entries, pa.app)
 		}
 	}
@@ -789,7 +789,7 @@ func (m *Medea) validateBatch(batch []*pendingApp, placements []lra.Placement, a
 			continue
 		}
 		n, app := len(entries), batch[i].app
-		if pa := batch[i]; pa.lost != nil {
+		if pa := batch[i]; pa.repair != nil {
 			remapped, ok := remapRepair(pa, p)
 			if !ok {
 				m.veto(stats)
@@ -835,7 +835,7 @@ func (m *Medea) finishCycle(now time.Time) {
 // repairs keep their place, attempt count and gate, and write nothing.
 func (m *Medea) requeueWhole(batch []*pendingApp, now time.Time, stats *CycleStats) {
 	for _, pa := range batch {
-		if pa.lost != nil {
+		if pa.repair != nil {
 			continue
 		}
 		m.requeue(pa, pa.retries, now)
@@ -901,12 +901,12 @@ func (m *Medea) CheckInvariants() error {
 // commit race consumes one retry and goes back in line, or is given up
 // once its budget is spent.
 func (m *Medea) requeueOrReject(pa *pendingApp, now time.Time, stats *CycleStats) {
-	repair := pa.lost != nil
+	repair := pa.repair != nil
 	if repair {
 		m.Recovery.RepairAttemptsFailed++
 		stats.RepairFailures++
 	}
-	if pa.retries >= pa.budget {
+	if pa.retries >= m.budget(pa) {
 		since := m.reject(pa)
 		m.logRecord(&journal.Record{Kind: journal.KindReject, At: now, AppID: pa.app.ID})
 		if repair {
@@ -1001,8 +1001,8 @@ func (m *Medea) PendingRetries(appID string) (int, bool) {
 func (m *Medea) PendingRepairPieces() map[string][]cluster.ContainerID {
 	out := make(map[string][]cluster.ContainerID, len(m.repairs))
 	for appID, pa := range m.repairs {
-		ids := make([]cluster.ContainerID, 0, len(pa.lost))
-		for _, c := range pa.lost {
+		ids := make([]cluster.ContainerID, 0, len(pa.repair.lost))
+		for _, c := range pa.repair.lost {
 			ids = append(ids, c.ID)
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })

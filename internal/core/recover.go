@@ -83,7 +83,7 @@ func Recover(j journal.Journal, c *cluster.Cluster, alg lra.Algorithm, cfg Confi
 		}
 	}
 	for _, pa := range m.repairs {
-		for _, c := range pa.lost {
+		for _, c := range pa.repair.lost {
 			rp.lraSeen[c.ID] = true
 		}
 	}
@@ -145,8 +145,8 @@ func (m *Medea) restoreCheckpoint(cp *journal.Checkpoint) error {
 			return fmt.Errorf("checkpoint repair of undeployed application %s", it.AppID)
 		}
 		m.repairs[it.AppID] = &pendingApp{
-			app: dep.app, submit: it.Since, retries: it.Attempts, budget: repairMaxRetries,
-			lost: it.Lost, notBefore: it.NotBefore,
+			app: dep.app, submit: it.Since, retries: it.Attempts,
+			repair: &repairFields{lost: it.Lost, notBefore: it.NotBefore},
 		}
 	}
 	if m.brk != nil && cp.Breaker != nil {

@@ -446,8 +446,8 @@ func TestRetiredRepairKindsReplay(t *testing.T) {
 	if pa.retries != 1 || !pa.submit.Equal(t0.Add(140*time.Second)) {
 		t.Errorf("c: %d attempts since %v, want 1 since t0+140s", pa.retries, pa.submit)
 	}
-	if want := t0.Add(140*time.Second + 1055099777); !pa.notBefore.Equal(want) {
-		t.Errorf("c: gate %v, want %v", pa.notBefore, want)
+	if want := t0.Add(140*time.Second + 1055099777); !pa.repair.notBefore.Equal(want) {
+		t.Errorf("c: gate %v, want %v", pa.repair.notBefore, want)
 	}
 }
 

@@ -114,7 +114,7 @@ func (m *Medea) handleEvictions(evs []cluster.Eviction, now time.Time) {
 func (m *Medea) PendingRepairs() int {
 	n := 0
 	for _, pa := range m.repairs {
-		n += len(pa.lost)
+		n += len(pa.repair.lost)
 	}
 	return n
 }
@@ -150,7 +150,7 @@ func (c Config) repairBackoffFor(appID string, attempts int) time.Duration {
 // repairsDue reports whether any repair is past its backoff gate.
 func (m *Medea) repairsDue(now time.Time) bool {
 	for _, pa := range m.repairs {
-		if !pa.notBefore.After(now) {
+		if !pa.repair.notBefore.After(now) {
 			return true
 		}
 	}
@@ -166,7 +166,7 @@ func (m *Medea) repairsDue(now time.Time) bool {
 // LRA's survivors; remapRepair drops them, and the tag EffectiveTags
 // adds for that ID.
 func repairApp(pa *pendingApp) *lra.Application {
-	byGroup := lostByGroup(pa.lost)
+	byGroup := lostByGroup(pa.repair.lost)
 	var groups []lra.ContainerGroup
 	for _, g := range pa.app.Groups {
 		pieces := byGroup[g.Name]
@@ -198,10 +198,10 @@ func lostByGroup(lost []journal.DeployedContainer) map[string][]journal.Deployed
 // not cover the lost containers exactly (an unknown group, too many or
 // too few assignments), which is vetoed like a wrong-shaped one.
 func remapRepair(pa *pendingApp, p *lra.Placement) ([]lra.Assignment, bool) {
-	if len(p.Assignments) != len(pa.lost) {
+	if len(p.Assignments) != len(pa.repair.lost) {
 		return nil, false // repairs are all-or-nothing (Equation 4)
 	}
-	byGroup := lostByGroup(pa.lost)
+	byGroup := lostByGroup(pa.repair.lost)
 	remapped := make([]lra.Assignment, len(p.Assignments))
 	for i, a := range p.Assignments {
 		pieces := byGroup[a.Group]
