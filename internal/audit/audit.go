@@ -94,7 +94,8 @@ func HardEntries(entries []constraint.Entry) []constraint.Entry {
 // caller undoes it (Undo), so a caller validating a batch in order sees
 // each accepted placement in the next one's state; a veto undoes itself.
 // It returns nil for unplaced proposals and the first defect found
-// otherwise.
+// otherwise. A nil app skips the shape check, for a caller that checked
+// the shape itself (core maps a repair onto the lost containers first).
 func CheckPlacement(state *cluster.Cluster, app *lra.Application, p *lra.Placement, entries []constraint.Entry) error {
 	if p == nil || !p.Placed {
 		return nil
@@ -110,8 +111,7 @@ func CheckPlacement(state *cluster.Cluster, app *lra.Application, p *lra.Placeme
 // CheckAssignments validates a raw assignment batch on state
 // (CheckPlacement without the application shape), in place like it: an
 // accepted batch stays allocated until the caller undoes it, a veto
-// undoes itself. The repair path uses it directly on the remapped batch
-// it actually commits.
+// undoes itself.
 func CheckAssignments(state *cluster.Cluster, appID string, assigns []lra.Assignment, entries []constraint.Entry) error {
 	// Resolved once here, not per container: ViolationFor runs for every
 	// container of the cluster, twice.

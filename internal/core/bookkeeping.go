@@ -23,7 +23,7 @@ import (
 type pendingApp struct {
 	app     *lra.Application // for a repair, the deployed LRA's
 	submit  time.Time        // for a repair, its degradation window's first eviction
-	retries int              // consumed retries, of Medea.budget's
+	retries int              // consumed retries
 	repair  *repairFields
 }
 
@@ -33,15 +33,6 @@ type pendingApp struct {
 type repairFields struct {
 	lost      []journal.DeployedContainer
 	notBefore time.Time
-}
-
-// budget returns the retries an entry may consume before it is given up:
-// MaxRetries for a new LRA, repairMaxRetries for a repair.
-func (m *Medea) budget(pa *pendingApp) int {
-	if pa.repair != nil {
-		return repairMaxRetries
-	}
-	return m.cfg.maxRetries()
 }
 
 // deployment is the live state of one placed LRA. What core remembers
@@ -126,7 +117,7 @@ func (m *Medea) deploy(app *lra.Application, placed []lra.Assignment) {
 
 // lose takes a container the cluster no longer runs away from its LRA and
 // queues it as a repair piece; the first loss opens the LRA's degradation
-// window and its repair request at the given time. It reports false for
+// window and its repair at the given time. It reports false for
 // a container no LRA owns (a task container).
 func (m *Medea) lose(id cluster.ContainerID, at time.Time) bool {
 	appID, owned := m.owner[id]

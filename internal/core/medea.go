@@ -899,14 +899,16 @@ func (m *Medea) CheckInvariants() error {
 // requeueOrReject is the one retry rule, for both kinds of entry: an
 // entry the cycle could not place, that was vetoed or that lost its
 // commit race consumes one retry and goes back in line, or is given up
-// once its budget is spent.
+// once its budget is spent: MaxRetries for a new LRA, repairMaxRetries
+// for a repair.
 func (m *Medea) requeueOrReject(pa *pendingApp, now time.Time, stats *CycleStats) {
-	repair := pa.repair != nil
+	repair, budget := pa.repair != nil, m.cfg.maxRetries()
 	if repair {
+		budget = repairMaxRetries
 		m.Recovery.RepairAttemptsFailed++
 		stats.RepairFailures++
 	}
-	if pa.retries >= m.budget(pa) {
+	if pa.retries >= budget {
 		since := m.reject(pa)
 		m.logRecord(&journal.Record{Kind: journal.KindReject, At: now, AppID: pa.app.ID})
 		if repair {

@@ -21,9 +21,8 @@ type RecoveryStats struct {
 
 	// RepairsPlaced counts containers restored by the recovery loop.
 	// RepairAttemptsFailed counts repair attempts that could not place or
-	// commit a repair batch; RepairsAbandoned counts repair requests
-	// dropped after exhausting their retry budget (their containers stay
-	// lost).
+	// commit a repair; RepairsAbandoned counts repairs dropped after
+	// exhausting their retry budget (their containers stay lost).
 	RepairsPlaced        int
 	RepairAttemptsFailed int
 	RepairsAbandoned     int
