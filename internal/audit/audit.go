@@ -174,8 +174,8 @@ func allocateAll(state *cluster.Cluster, appID string, assigns []lra.Assignment)
 }
 
 // Undo releases the assignments of a placement validated in place, in
-// reverse order: every node's resident list and every tag multiset is
-// left as it was before them. Undoing several accepted placements takes
+// reverse order: every node's usage and count, the container map and
+// every tag multiset are left as they were before them. Undoing several accepted placements takes
 // them in reverse of the order they were validated in.
 func Undo(state *cluster.Cluster, assigns []lra.Assignment) {
 	for i := len(assigns) - 1; i >= 0; i-- {

@@ -18,6 +18,12 @@ import (
 // negative, the node lacks free resources or is unavailable, or the
 // container ID is already in use.
 func (c *Cluster) Allocate(node NodeID, id ContainerID, demand resource.Vector, tags []constraint.Tag) error {
+	return c.AllocateOwned(node, id, demand, tags, 0)
+}
+
+// AllocateOwned is Allocate charging the container to owner, which
+// ReleaseOwned must then name.
+func (c *Cluster) AllocateOwned(node NodeID, id ContainerID, demand resource.Vector, tags []constraint.Tag, owner Owner) error {
 	if int(node) < 0 || int(node) >= len(c.nodes) {
 		return fmt.Errorf("cluster: allocate on unknown node %d", node)
 	}
@@ -36,11 +42,11 @@ func (c *Cluster) Allocate(node NodeID, id ContainerID, demand resource.Vector, 
 			id, demand, n.Name, n.Free())
 	}
 	n.used = n.used.Add(demand)
-	n.containers = append(n.containers, id)
+	n.count++
 	if len(tags) > 0 {
-		c.addTags(node, tags)
+		c.moveTags(node, tags, true)
 	}
-	c.containers[id] = &containerInfo{node: node, demand: demand, tags: append([]constraint.Tag(nil), tags...)}
+	c.containers[id] = containerInfo{node: node, demand: demand, tags: append([]constraint.Tag(nil), tags...), owner: owner}
 	return nil
 }
 
@@ -52,42 +58,42 @@ func (c *Cluster) Release(id ContainerID) error {
 	if !ok {
 		return fmt.Errorf("cluster: release of unknown container %s", id)
 	}
-	n := c.nodes[info.node]
-	n.used = n.used.Sub(info.demand)
-	if i := slices.Index(n.containers, id); i >= 0 {
-		n.containers = slices.Delete(n.containers, i, i+1)
-	}
-	if len(info.tags) > 0 {
-		c.removeTags(info.node, info.tags)
-	}
-	delete(c.containers, id)
+	c.release(id, info)
 	return nil
 }
 
-// addTags inserts one container's tags into the node tag set and into
-// every containing node-set tag set of every registered group. The "node"
-// group shares the node's own tag set, so it is skipped to avoid double
-// counting.
-func (c *Cluster) addTags(node NodeID, tags []constraint.Tag) {
-	c.nodes[node].tags.AddContainer(tags)
-	for _, g := range c.groups {
-		if g.name == constraint.Node {
-			continue
-		}
-		for _, sid := range g.setsOf(node) {
-			g.tagSets[sid].AddContainer(tags)
-		}
+// ReleaseOwned frees a container AllocateOwned charged to owner and
+// returns its demand. It refuses, changing nothing, any other container.
+func (c *Cluster) ReleaseOwned(id ContainerID, owner Owner) (resource.Vector, error) {
+	info, ok := c.containers[id]
+	if !ok || owner == 0 || info.owner != owner {
+		return resource.Vector{}, fmt.Errorf("cluster: release of %s, not a container of owner %d", id, owner)
 	}
+	c.release(id, info)
+	return info.demand, nil
 }
 
-func (c *Cluster) removeTags(node NodeID, tags []constraint.Tag) {
-	c.nodes[node].tags.RemoveContainer(tags)
+func (c *Cluster) release(id ContainerID, info containerInfo) {
+	n := c.nodes[info.node]
+	n.used = n.used.Sub(info.demand)
+	n.count--
+	if len(info.tags) > 0 {
+		c.moveTags(info.node, info.tags, false)
+	}
+	delete(c.containers, id)
+}
+
+// moveTags adds one container's tags to, or removes them from, the tag
+// set of every node set (in every group, the node's own singleton set
+// of the "node" group included) containing the node.
+func (c *Cluster) moveTags(node NodeID, tags []constraint.Tag, add bool) {
 	for _, g := range c.groups {
-		if g.name == constraint.Node {
-			continue
-		}
 		for _, sid := range g.setsOf(node) {
-			g.tagSets[sid].RemoveContainer(tags)
+			if add {
+				g.tagSets[sid].AddContainer(tags)
+			} else {
+				g.tagSets[sid].RemoveContainer(tags)
+			}
 		}
 	}
 }
@@ -144,22 +150,22 @@ func (c *Cluster) GammaNode(node NodeID, expr constraint.Expr) int {
 // needs the current state beside one that changes it: core gives each
 // Medea-ILP batch component but the first, placed concurrently, a clone
 // of its own.
-// It is a structural copy: node structs, resident sets, the container
-// map and every tag multiset are copied directly; the group topology and
-// the containers' tag slices are immutable once written and are shared.
+// It is a structural copy: node structs, the container map and every tag
+// multiset are copied directly; the group topology and the containers'
+// tag slices are immutable once written and are shared.
 // Concurrent Clones of one cluster are safe (they only read it).
 func (c *Cluster) Clone() *Cluster {
 	cc := &Cluster{
 		nodes:      make([]*Node, len(c.nodes)),
 		groups:     make([]*group, len(c.groups)),
 		containers: maps.Clone(c.containers),
+		owners:     c.owners,
 		capacity:   c.capacity,
 	}
 	nodes := make([]Node, len(c.nodes))
 	for i, n := range c.nodes {
 		nodes[i] = *n
 		nodes[i].tags = n.tags.Clone()
-		nodes[i].containers = slices.Clone(n.containers)
 		cc.nodes[i] = &nodes[i]
 	}
 	for gi, g := range c.groups {
@@ -195,27 +201,24 @@ func (c *Cluster) ContainerIDs() []ContainerID {
 }
 
 // CheckAccounting verifies the cluster's internal bookkeeping invariants:
-// every container references a known node and appears in that node's
-// resident set (and vice versa), per-node used resources equal the sum of
-// resident container demands, and no node's usage is negative or above
-// capacity. It returns the first violation found, or nil. The audit layer
-// runs it post-commit to catch state corruption before it spreads.
+// every container references a known node, per-node used resources and
+// container counts equal the sums over the container map, and no node's
+// usage is negative or above capacity. It returns the first violation
+// found, or nil. The audit layer runs it post-commit to catch state
+// corruption before it spreads.
 func (c *Cluster) CheckAccounting() error {
 	perNode := make([]resource.Vector, len(c.nodes))
+	count := make([]int, len(c.nodes))
 	for id, info := range c.containers {
 		if int(info.node) < 0 || int(info.node) >= len(c.nodes) {
 			return fmt.Errorf("cluster: container %s on unknown node %d", id, info.node)
 		}
-		if !slices.Contains(c.nodes[info.node].containers, id) {
-			return fmt.Errorf("cluster: container %s missing from node %s resident set", id, c.nodes[info.node].Name)
-		}
 		perNode[info.node] = perNode[info.node].Add(info.demand)
+		count[info.node]++
 	}
 	for _, n := range c.nodes {
-		for i, id := range n.containers {
-			if info, ok := c.containers[id]; !ok || info.node != n.ID || slices.Contains(n.containers[:i], id) {
-				return fmt.Errorf("cluster: node %s lists unknown container %s", n.Name, id)
-			}
+		if n.count != count[n.ID] {
+			return fmt.Errorf("cluster: node %s counts %d containers, the container map %d", n.Name, n.count, count[n.ID])
 		}
 		if !n.used.IsNonNegative() {
 			return fmt.Errorf("cluster: node %s has negative usage %v", n.Name, n.used)
@@ -233,24 +236,25 @@ func (c *Cluster) CheckAccounting() error {
 }
 
 // Diff describes the first difference between the allocation state of c
-// and o — per node its state, used resources and resident containers in
-// order, the container map, and the tag multiset (every γ) of every set
-// of every group — or returns "" when there is none. The topology, which
-// Clone shares, is not compared. Tests use it to show that a planner
-// returned the cluster it was handed as it found it.
+// and o — per node its state, used resources and container count, the
+// container map (node, demand, tags and owner of each container), and
+// the tag multiset (every γ) of every set of every group — or returns ""
+// when there is none. The topology, which Clone shares, is not compared.
+// Tests use it to show that a planner returned the cluster it was handed
+// as it found it.
 func (c *Cluster) Diff(o *Cluster) string {
 	if len(c.nodes) != len(o.nodes) {
 		return fmt.Sprintf("%d nodes, %d", len(c.nodes), len(o.nodes))
 	}
 	for i, n := range c.nodes {
 		m := o.nodes[i]
-		if n.state != m.state || n.used != m.used || !slices.Equal(n.containers, m.containers) {
-			return fmt.Sprintf("node %s: %s, used %v, residents %v; %s, used %v, residents %v",
-				n.Name, n.state, n.used, n.containers, m.state, m.used, m.containers)
+		if n.state != m.state || n.used != m.used || n.count != m.count {
+			return fmt.Sprintf("node %s: %s, used %v, %d containers; %s, used %v, %d containers",
+				n.Name, n.state, n.used, n.count, m.state, m.used, m.count)
 		}
 	}
-	same := func(a, b *containerInfo) bool {
-		return a.node == b.node && a.demand == b.demand && slices.Equal(a.tags, b.tags)
+	same := func(a, b containerInfo) bool {
+		return a.node == b.node && a.demand == b.demand && a.owner == b.owner && slices.Equal(a.tags, b.tags)
 	}
 	if !maps.EqualFunc(c.containers, o.containers, same) {
 		return fmt.Sprintf("container maps differ: %d containers, %d", len(c.containers), len(o.containers))

@@ -64,10 +64,9 @@ type Node struct {
 	used  resource.Vector
 	tags  *constraint.Set
 	state NodeState
-	// containers is the resident set, unordered. A node holds a handful
-	// of containers, so a slice beats a map on every operation that
-	// matters — above all on Clone, which copies it with one memmove.
-	containers []ContainerID
+	// count is the number of resident containers; the container map
+	// alone records which they are.
+	count int
 }
 
 // Used returns the resources currently allocated on the node.
@@ -90,14 +89,19 @@ func (n *Node) Available() bool { return n.state == NodeUp }
 func (n *Node) State() NodeState { return n.state }
 
 // NumContainers returns the number of containers on the node.
-func (n *Node) NumContainers() int { return len(n.containers) }
+func (n *Node) NumContainers() int { return n.count }
 
-// containerInfo is written once, at allocation; clusters share it by
-// pointer after a Clone.
+// Owner is what a container is charged to, opaque to the cluster: 0 for
+// an LRA container, otherwise a value NewOwners handed out.
+type Owner int
+
+// containerInfo is the one record of a container, held by value in the
+// container map and written once, at allocation.
 type containerInfo struct {
 	node   NodeID
 	demand resource.Vector
 	tags   []constraint.Tag
+	owner  Owner
 }
 
 // group is one node group. sets, ofNode and setNames are the topology,
@@ -130,7 +134,9 @@ type Cluster struct {
 	// compares (equal names mostly share their bytes) beats hashing the
 	// name on every query.
 	groups     []*group
-	containers map[ContainerID]*containerInfo
+	containers map[ContainerID]containerInfo
+	// owners is the last owner value NewOwners handed out.
+	owners Owner
 	// capacity is the sum of the nodes' capacities, fixed per node at
 	// AddNode: every idle task-scheduler heartbeat asks for it.
 	capacity resource.Vector
@@ -138,7 +144,14 @@ type Cluster struct {
 
 // New returns an empty cluster.
 func New() *Cluster {
-	return &Cluster{containers: make(map[ContainerID]*containerInfo)}
+	return &Cluster{containers: make(map[ContainerID]containerInfo)}
+}
+
+// NewOwners hands out n consecutive owner values that this cluster (or
+// the one it was cloned from) never handed out, and returns the first.
+func (c *Cluster) NewOwners(n int) Owner {
+	c.owners += Owner(n)
+	return c.owners - Owner(n) + 1
 }
 
 // group returns the registered group called name, or nil.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -259,7 +260,8 @@ func TestClone(t *testing.T) {
 
 // TestDiff: a clone, and a cluster that allocated and released again,
 // differ from their source in nothing; every other change to allocation
-// state is named.
+// state is named. A node keeps a count of its containers, not a list, so
+// the count is compared and the container map alone says which they are.
 func TestDiff(t *testing.T) {
 	tags := []constraint.Tag{"hb"}
 	src := testCluster(t)
@@ -267,6 +269,10 @@ func TestDiff(t *testing.T) {
 		if err := src.Allocate(0, MakeContainerID("a", i), resource.New(512, 1), tags); err != nil {
 			t.Fatal(err)
 		}
+	}
+	owner := src.NewOwners(2)
+	if err := src.AllocateOwned(1, "t#0", resource.New(512, 1), nil, owner); err != nil {
+		t.Fatal(err)
 	}
 	if d := src.Clone().Diff(src); d != "" {
 		t.Fatalf("clone differs: %s", d)
@@ -281,9 +287,14 @@ func TestDiff(t *testing.T) {
 			_ = c.Release("b#0")
 		}, false},
 		{"allocate", func(c *Cluster) { _ = c.Allocate(5, "b#0", resource.New(512, 1), tags) }, true},
-		{"resident order", func(c *Cluster) {
+		{"release and allocate again", func(c *Cluster) {
 			_ = c.Release(MakeContainerID("a", 0))
 			_ = c.Allocate(0, MakeContainerID("a", 0), resource.New(512, 1), tags)
+		}, false},
+		{"resident count", func(c *Cluster) { c.nodes[0].count++ }, true},
+		{"owner of one container", func(c *Cluster) {
+			_, _ = c.ReleaseOwned("t#0", owner)
+			_ = c.AllocateOwned(1, "t#0", resource.New(512, 1), nil, owner+1)
 		}, true},
 		{"tag of one container", func(c *Cluster) {
 			_ = c.Release(MakeContainerID("a", 2))
@@ -297,6 +308,43 @@ func TestDiff(t *testing.T) {
 		if d := c.Diff(src); (d != "") != tc.want {
 			t.Errorf("%s: Diff = %q", tc.name, d)
 		}
+	}
+}
+
+// TestCheckAccountingCountsResidents: after allocations and releases on
+// every path — Release, ReleaseOwned, FailNode — each node counts the
+// containers the map puts on it and CheckAccounting holds; a count that
+// drifts from the map is named.
+func TestCheckAccountingCountsResidents(t *testing.T) {
+	c := testCluster(t)
+	owner := c.NewOwners(1)
+	for i := 0; i < 6; i++ {
+		node := NodeID(i % 3)
+		if err := c.Allocate(node, MakeContainerID("a", i), resource.New(512, 1), []constraint.Tag{"a"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.AllocateOwned(node, MakeContainerID("t", i), resource.New(256, 1), nil, owner); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Release(MakeContainerID("a", 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ReleaseOwned(MakeContainerID("t", 1), owner); err != nil {
+		t.Fatal(err)
+	}
+	c.FailNode(2)
+	for n, want := range []int{3, 3, 0, 0} {
+		if got := c.Node(NodeID(n)).NumContainers(); got != want {
+			t.Errorf("node %d counts %d containers, want %d", n, got, want)
+		}
+	}
+	if err := c.CheckAccounting(); err != nil {
+		t.Fatal(err)
+	}
+	c.nodes[1].count--
+	if err := c.CheckAccounting(); err == nil || !strings.Contains(err.Error(), "node n1 counts 2 containers") {
+		t.Errorf("CheckAccounting() = %v, want the drifted count of n1 named", err)
 	}
 }
 

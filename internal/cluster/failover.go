@@ -14,12 +14,14 @@ import (
 // ones were lost, and the recovery loop in core re-places them.
 
 // Eviction describes one container displaced by a node state transition,
-// carrying everything needed to re-request an equivalent container.
+// carrying everything needed to re-request an equivalent container and,
+// unjournaled, what it was charged to.
 type Eviction struct {
 	Container ContainerID
 	Node      NodeID
 	Demand    resource.Vector
 	Tags      []constraint.Tag
+	Owner     Owner `json:"-"`
 }
 
 // knownNode reports whether the ID names a node of this cluster. State
@@ -30,13 +32,17 @@ func (c *Cluster) knownNode(node NodeID) bool {
 }
 
 // residentEvictions snapshots the node's containers as Eviction
-// records, sorted by container ID for determinism.
-func (c *Cluster) residentEvictions(node NodeID) []Eviction {
-	n := c.nodes[node]
-	out := make([]Eviction, 0, len(n.containers))
-	for _, id := range n.containers {
-		info := c.containers[id]
-		out = append(out, Eviction{Container: id, Node: node, Demand: info.demand, Tags: info.tags})
+// records, sorted by container ID for determinism, releasing each when
+// release is set.
+func (c *Cluster) residentEvictions(node NodeID, release bool) []Eviction {
+	out := make([]Eviction, 0, c.nodes[node].count)
+	for id, info := range c.containers {
+		if info.node == node {
+			out = append(out, Eviction{Container: id, Node: node, Demand: info.demand, Tags: info.tags, Owner: info.owner})
+			if release {
+				c.release(id, info)
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Container < out[j].Container })
 	return out
@@ -49,21 +55,11 @@ func (c *Cluster) residentEvictions(node NodeID) []Eviction {
 // unknown node ID; failing a draining node evicts whatever was still
 // resident.
 func (c *Cluster) FailNode(node NodeID) []Eviction {
-	if !c.knownNode(node) {
+	if !c.knownNode(node) || c.nodes[node].state == NodeDown {
 		return nil
 	}
-	n := c.nodes[node]
-	if n.state == NodeDown {
-		return nil
-	}
-	evs := c.residentEvictions(node)
-	for _, ev := range evs {
-		if err := c.Release(ev.Container); err != nil {
-			panic(err) // unreachable: releasing a just-enumerated resident container
-		}
-	}
-	n.state = NodeDown
-	return evs
+	c.nodes[node].state = NodeDown
+	return c.residentEvictions(node, true)
 }
 
 // DrainNode starts planned maintenance: the node stops accepting new
@@ -72,15 +68,11 @@ func (c *Cluster) FailNode(node NodeID) []Eviction {
 // uses, is what still needs a new home). Draining a node that is already
 // draining or down — or an unknown node ID — is a no-op returning nil.
 func (c *Cluster) DrainNode(node NodeID) []Eviction {
-	if !c.knownNode(node) {
+	if !c.knownNode(node) || c.nodes[node].state != NodeUp {
 		return nil
 	}
-	n := c.nodes[node]
-	if n.state != NodeUp {
-		return nil
-	}
-	n.state = NodeDraining
-	return c.residentEvictions(node)
+	c.nodes[node].state = NodeDraining
+	return c.residentEvictions(node, false)
 }
 
 // RecoverNode brings a failed or draining node back into service. It

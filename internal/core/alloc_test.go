@@ -17,7 +17,9 @@ import (
 
 // cycleMaxAllocs caps one 12-LRA cycle of TestRunCycleAllocCap, about 9%
 // above the most it was measured at: 9,526 at one P, 9,598 at two, and
-// 10,112–10,248 under -race (9,531–9,533 / 9,546–9,600 /
+// 10,112–10,248 under -race, while each container's record was a heap
+// object (9,187 / 9,256 / 9,718–9,875 since the container map holds
+// records by value; 9,531–9,533 / 9,546–9,600 /
 // 10,087–10,256 while a cycle copied its constraint list at every step,
 // 9,458 / 9,531–9,534 / 10,097–10,170 before a Place compiled its
 // constraint list once per tag vector, 9,485 / 9,559 / 10,100–10,200
@@ -62,9 +64,10 @@ func TestRunCycleAllocCap(t *testing.T) {
 
 // ncCycleMaxAllocs caps one 12-LRA Medea-NC cycle of
 // TestNCCycleAllocCap, about 9% above the most it was measured at:
-// 2,022 at one P and at two, 2,082–2,122 under -race (2,051–2,053
-// and 2,111–2,137 while a cycle copied its constraint list at every
-// step). Medea-NC
+// 2,022 at one P and at two, 2,082–2,122 under -race, while each
+// container's record was a heap object (1,822 / 1,900–1,912 since the
+// container map holds records by value; 2,051–2,053 and 2,111–2,137
+// while a cycle copied its constraint list at every step). Medea-NC
 // places the twelve components one after the other on the live cluster;
 // a cycle that clones it for each component but the first (~110
 // allocations a clone) measured 3,261 and fails here, and so did the
@@ -120,10 +123,11 @@ func checkCycleAllocs(t *testing.T, newAlg func() lra.Algorithm, limit uint64) {
 
 // validateMaxAllocs caps TestValidateBatchAllocCap, about 10% above the
 // 82–83 allocations and 27 kB measured, the same at one P, at two and
-// under -race (85–87 and 27 kB while each check copied the list, 277
-// while tag multisets were maps). One Clone of the fixture's
-// 1,290-container state costs 860, so a clone on the commit path fails
-// here.
+// under -race, while each container's record was a heap object (66–67
+// since the container map holds records by value; 85–87 and 27 kB
+// while each check copied the list, 277 while tag multisets were
+// maps). One Clone of the fixture's 1,290-container state costs 688
+// (860 with heap records), so a clone on the commit path fails here.
 const validateMaxAllocs = 96
 
 // templateApp returns the i-th LRA of the template rotation: the

@@ -12,6 +12,7 @@ import (
 	"medea/internal/journal"
 	"medea/internal/lra"
 	"medea/internal/resource"
+	"medea/internal/taskched"
 )
 
 // journaledMedea builds a scheduler over a small grid with an attached
@@ -567,5 +568,47 @@ func TestReplayTailBoundedBySize(t *testing.T) {
 	}
 	if len(checkpoints) < 5 {
 		t.Fatalf("the run checkpointed %d times, want the rule to fire repeatedly", len(checkpoints))
+	}
+}
+
+// TestRecoveredSchedulerIgnoresPredecessorTasks: a scheduler recovered
+// over the live cluster finds the task containers its predecessor
+// allocated still running. It charged none of them to its queues, so
+// losing them to a node failure refunds nothing, while a task it
+// allocated itself is refunded when its node fails.
+func TestRecoveredSchedulerIgnoresPredecessorTasks(t *testing.T) {
+	m, j := journaledMedea(t, Config{Interval: time.Second})
+	demand := resource.New(2048, 1)
+	if err := m.SubmitTasks("old", "default", t0, taskched.TaskRequest{Count: 2, Demand: demand}); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(m.Tasks.NodeHeartbeat(0, t0)); got != 2 {
+		t.Fatalf("predecessor allocated %d tasks, want 2", got)
+	}
+	r, err := Recover(j, m.Cluster, lra.NewSerial(), Config{Interval: time.Second}, t0.Add(time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.SubmitTasks("new", "default", t0.Add(time.Second), taskched.TaskRequest{Count: 1, Demand: demand}); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(r.Tasks.NodeHeartbeat(1, t0.Add(time.Second))); got != 1 {
+		t.Fatalf("recovered scheduler allocated %d tasks, want 1", got)
+	}
+	if evs := r.FailNode(0, t0.Add(2*time.Second)); len(evs) != 2 {
+		t.Fatalf("failing node 0 evicted %v, want the predecessor's two tasks", evs)
+	}
+	if r.Recovery.TaskEvictions != 2 || r.Recovery.Evictions != 0 {
+		t.Errorf("task evictions %d, LRA evictions %d; want 2 and 0", r.Recovery.TaskEvictions, r.Recovery.Evictions)
+	}
+	if got := r.Tasks.QueueUsed("default"); got != demand {
+		t.Errorf("after the predecessor's tasks were lost the queue uses %v, want %v", got, demand)
+	}
+	r.FailNode(1, t0.Add(3*time.Second))
+	if got := r.Tasks.QueueUsed("default"); !got.IsZero() {
+		t.Errorf("after its own task was lost the queue uses %v, want zero", got)
+	}
+	if err := r.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }

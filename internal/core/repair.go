@@ -86,8 +86,8 @@ func (m *Medea) DrainNode(node cluster.NodeID, now time.Time) []cluster.Eviction
 }
 
 // handleEvictions ingests container evictions produced by a node failure
-// or drain: lost LRA containers are queued for repair, displaced task
-// containers are reported to the task scheduler for queue accounting.
+// or drain: lost LRA containers are queued for repair, and the task
+// scheduler refunds the queues its own task containers were charged to.
 func (m *Medea) handleEvictions(evs []cluster.Eviction, now time.Time) {
 	if len(evs) > 0 {
 		// The eviction record precedes the scheduler-state mutations: a
@@ -96,18 +96,14 @@ func (m *Medea) handleEvictions(evs []cluster.Eviction, now time.Time) {
 		// gone from the cluster either way).
 		m.logRecord(&journal.Record{Kind: journal.KindEvict, At: now, Evictions: evs})
 	}
-	var taskEvs []cluster.Eviction
 	for _, ev := range evs {
 		if m.lose(ev.Container, now) {
 			m.Recovery.Evictions++
-			continue
+		} else {
+			m.Recovery.TaskEvictions++
 		}
-		m.Recovery.TaskEvictions++
-		taskEvs = append(taskEvs, ev)
 	}
-	if len(taskEvs) > 0 {
-		m.Tasks.HandleEvictions(taskEvs)
-	}
+	m.Tasks.HandleEvictions(evs)
 }
 
 // PendingRepairs returns the number of containers awaiting repair.

@@ -264,8 +264,9 @@ func releasePlaced(work *cluster.Cluster, res *Result) {
 }
 
 // releaseAll releases the assignments from work, which holds them. Release
-// deletes a resident in place, so each node's resident order and every γ
-// come back exactly as they were before the assignments were allocated.
+// undoes Allocate exactly, so each node's usage and count, the container
+// map and every γ come back as they were before the assignments were
+// allocated.
 func releaseAll(work *cluster.Cluster, asgs []Assignment) {
 	for _, a := range asgs {
 		if err := work.Release(a.Container); err != nil {

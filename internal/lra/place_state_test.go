@@ -35,8 +35,8 @@ func panicking(seed int64, left int) *greedy {
 
 // TestPlaceLeavesStateUntouched: every algorithm plans on the cluster it
 // is handed and returns it as it found it (cluster.Diff against a clone
-// taken before Place: resident order, used resources, the container map
-// and every set's tag multiset). On every seed's oracleInstance, half of
+// taken before Place: used resources and container counts, the container
+// map and every set's tag multiset). On every seed's oracleInstance, half of
 // them nearly full, each algorithm places the batch; then the YARN
 // baseline, alone and as Medea-ILP's fallback beside Medea-TP, panics on
 // a first-fit draw after it has allocated, and the cluster must be as it

@@ -276,8 +276,8 @@ func TestPlaceScoreMatchesOracle(t *testing.T) {
 // scoredPlacements seed each heuristic must place on the shared state
 // what it places on a clone of its own, and after each release the
 // state must equal a fresh clone of it (cluster.Diff): every node's
-// resident list in order, the container map and every set's tag
-// multiset.
+// used resources and container count, the container map and every set's
+// tag multiset.
 func TestScratchRestoredAfterRelease(t *testing.T) {
 	cases := scoredPlacements(t, 200)
 	released := 0

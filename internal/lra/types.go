@@ -207,7 +207,7 @@ func (o Options) solverBudget() time.Duration {
 //
 // Place plans on state itself: it may allocate and release containers
 // there while it works, and returns state exactly as it found it —
-// resident order and every γ included — on every path, a panic too. It
+// container map and every γ included — on every path, a panic too. It
 // copies nothing, so a caller that needs the pre-Place state beside a
 // running Place owns that copy, and two concurrent Places never share one
 // cluster.

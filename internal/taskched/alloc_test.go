@@ -11,15 +11,15 @@ import (
 // Caps of TestTaskPathAllocCap. A Submit of one request allocates
 // nothing once its queue's array has room (0 measured): the queue holds
 // one run per request, not one entry per task. A heartbeat that places k
-// tasks allocates 2k+1 to 2k+5 times: per task the container ID (one
-// string, built in a stack buffer) and the cluster's record of the
-// container, once the result, sized from the node's free room, and up
-// to four more when the cluster's container map and the owner map
-// rehash to reclaim deleted slots, at a point that moves with each map's
-// random hash seed. One heap entry per task at Submit (46 for the
-// 45-task request) fails the first cap; an ID built from two strings
-// with a result grown by append (3k+5) fails the second. The counts do
-// not depend on the host or on -race.
+// tasks allocates k+1 times: per task the container ID (one string,
+// built in a stack buffer), and once the result, sized from the node's
+// free room; the cluster's record of the container is a value in its
+// container map, and the scheduler keeps no map of its own. The fixed
+// part leaves room for the container map to rehash to reclaim deleted
+// slots, at a point that moves with its random hash seed. One heap entry
+// per task at Submit (46 for the 45-task request) fails the first cap; a
+// heap record or an owner-map entry per task (2k+1 to 2k+5) fails the
+// second. The counts do not depend on the host or on -race.
 const (
 	submitMaxAllocs        = 1
 	heartbeatFixedMaxAlloc = 8
@@ -52,7 +52,7 @@ func TestTaskPathAllocCap(t *testing.T) {
 			allocs := s.NodeHeartbeat(cluster.NodeID(node), t0)
 			runtime.ReadMemStats(&a)
 			k := len(allocs)
-			if n, limit := a.Mallocs-b.Mallocs, uint64(2*k+heartbeatFixedMaxAlloc); round == 3 {
+			if n, limit := a.Mallocs-b.Mallocs, uint64(k+heartbeatFixedMaxAlloc); round == 3 {
 				t.Logf("heartbeat placing %d tasks: %d allocs", k, n)
 				if n > limit {
 					t.Errorf("heartbeat placing %d tasks allocated %d times, cap %d", k, n, limit)

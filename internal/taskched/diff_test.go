@@ -15,13 +15,20 @@ import (
 
 // refScheduler is the reference model of the run-length queues: the
 // per-task queue the scheduler had before, one heap entry per task and
-// a failed allocation put back at the front of its FIFO.
+// a failed allocation put back at the front of its FIFO. It keeps its
+// own owner map, from which it refunds queues, rather than reading the
+// cluster's records.
 type refScheduler struct {
 	cluster *cluster.Cluster
 	queues  map[string]*refQueue
 	order   []string
 	seq     int
-	owners  map[cluster.ContainerID]taskOwner
+	owners  map[cluster.ContainerID]refOwner
+}
+
+type refOwner struct {
+	queue  string
+	demand resource.Vector
 }
 
 type refTask struct {
@@ -34,13 +41,14 @@ type refTask struct {
 }
 
 type refQueue struct {
-	cfg  QueueConfig
-	fifo []*refTask
-	used resource.Vector
+	cfg   QueueConfig
+	fifo  []*refTask
+	used  resource.Vector
+	owner cluster.Owner
 }
 
 func newRef(c *cluster.Cluster, cfgs ...QueueConfig) *refScheduler {
-	s := &refScheduler{cluster: c, queues: make(map[string]*refQueue), owners: make(map[cluster.ContainerID]taskOwner)}
+	s := &refScheduler{cluster: c, queues: make(map[string]*refQueue), owners: make(map[cluster.ContainerID]refOwner)}
 	for _, cfg := range cfgs {
 		if cfg.MaxCapacity == 0 {
 			cfg.MaxCapacity = 1
@@ -49,6 +57,12 @@ func newRef(c *cluster.Cluster, cfgs ...QueueConfig) *refScheduler {
 		s.order = append(s.order, cfg.Name)
 	}
 	sort.Strings(s.order)
+	// The same owners the Scheduler takes, so the two clusters' records
+	// compare equal.
+	first := c.NewOwners(len(s.order))
+	for i, name := range s.order {
+		s.queues[name].owner = first + cluster.Owner(i)
+	}
 	return s
 }
 
@@ -110,12 +124,12 @@ func (s *refScheduler) nodeHeartbeat(node cluster.NodeID, now time.Time) []Alloc
 		task := best.fifo[0]
 		best.fifo = best.fifo[1:]
 		id := cluster.ContainerID(task.app + "#t" + strconv.Itoa(task.seq))
-		if err := s.cluster.Allocate(node, id, task.demand, nil); err != nil {
+		if err := s.cluster.AllocateOwned(node, id, task.demand, nil, best.owner); err != nil {
 			best.fifo = append([]*refTask{task}, best.fifo...)
 			return allocs
 		}
 		best.used = best.used.Add(task.demand)
-		s.owners[id] = taskOwner{queue: task.queue, demand: task.demand}
+		s.owners[id] = refOwner{queue: task.queue, demand: task.demand}
 		allocs = append(allocs, Allocation{
 			Container: id, App: task.app, Queue: task.queue, Node: node,
 			Demand: task.demand, Duration: task.duration, Latency: now.Sub(task.submit),
@@ -123,13 +137,15 @@ func (s *refScheduler) nodeHeartbeat(node cluster.NodeID, now time.Time) []Alloc
 	}
 }
 
-func (s *refScheduler) releaseTask(id cluster.ContainerID, queueName string, demand resource.Vector) error {
+func (s *refScheduler) releaseTask(id cluster.ContainerID, queueName string) error {
+	o, ok := s.owners[id]
+	if !ok || o.queue != queueName {
+		return fmt.Errorf("reference: %s is no task of queue %q", id, queueName)
+	}
 	if err := s.cluster.Release(id); err != nil {
 		return err
 	}
-	if q, ok := s.queues[queueName]; ok {
-		q.used = q.used.Sub(demand)
-	}
+	s.queues[queueName].used = s.queues[queueName].used.Sub(o.demand)
 	delete(s.owners, id)
 	return nil
 }
@@ -220,7 +236,7 @@ func TestRunLengthQueueMatchesReference(t *testing.T) {
 				if err := got.ReleaseTask(a.Container, a.Queue, a.Demand); err != nil {
 					t.Fatal(err)
 				}
-				if err := want.releaseTask(a.Container, a.Queue, a.Demand); err != nil {
+				if err := want.releaseTask(a.Container, a.Queue); err != nil {
 					t.Fatal(err)
 				}
 				check(step, "release")
@@ -297,7 +313,7 @@ func TestRunLengthQueueMatchesReference(t *testing.T) {
 			if err := got.ReleaseTask(a.Container, a.Queue, a.Demand); err != nil {
 				t.Fatal(err)
 			}
-			if err := want.releaseTask(a.Container, a.Queue, a.Demand); err != nil {
+			if err := want.releaseTask(a.Container, a.Queue); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -312,7 +328,7 @@ func TestRunLengthQueueMatchesReference(t *testing.T) {
 					if err := got.ReleaseTask(a.Container, a.Queue, a.Demand); err != nil {
 						t.Fatal(err)
 					}
-					if err := want.releaseTask(a.Container, a.Queue, a.Demand); err != nil {
+					if err := want.releaseTask(a.Container, a.Queue); err != nil {
 						t.Fatal(err)
 					}
 				}

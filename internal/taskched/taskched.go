@@ -66,10 +66,11 @@ type run struct {
 // queue is a FIFO of runs consumed from runs[head]; a failed allocation
 // leaves the head where it is.
 type queue struct {
-	cfg  QueueConfig
-	runs []run
-	head int
-	used resource.Vector
+	cfg   QueueConfig
+	runs  []run
+	head  int
+	used  resource.Vector
+	owner cluster.Owner
 }
 
 // push appends a run, first sliding the waiting runs to the front of the
@@ -93,24 +94,16 @@ type Scheduler struct {
 	order   []*queue
 	seq     int
 	pending int
-	// owners maps live task containers to their queue accounting, so
-	// evictions (node failures) can refund the right queue. LRA containers
-	// committed via Commit are not charged to queues and are absent here.
-	owners map[cluster.ContainerID]taskOwner
-}
-
-type taskOwner struct {
-	queue  string
-	demand resource.Vector
 }
 
 // New creates a scheduler over the cluster with the given queues. With no
-// queues, a single "default" queue with full capacity is created.
+// queues, a single "default" queue with full capacity is created. Each
+// queue charges its tasks to a fresh cluster owner, so no other scheduler
+// (a predecessor before core.Recover) can charge or free them.
 func New(c *cluster.Cluster, cfgs ...QueueConfig) *Scheduler {
 	s := &Scheduler{
 		cluster: c,
 		queues:  make(map[string]*queue),
-		owners:  make(map[cluster.ContainerID]taskOwner),
 	}
 	if len(cfgs) == 0 {
 		cfgs = []QueueConfig{{Name: "default", Capacity: 1}}
@@ -124,7 +117,9 @@ func New(c *cluster.Cluster, cfgs ...QueueConfig) *Scheduler {
 		names = append(names, cfg.Name)
 	}
 	sort.Strings(names)
-	for _, name := range names {
+	first := c.NewOwners(len(names))
+	for i, name := range names {
+		s.queues[name].owner = first + cluster.Owner(i)
 		s.order = append(s.order, s.queues[name])
 	}
 	return s
@@ -206,13 +201,12 @@ func (s *Scheduler) NodeHeartbeat(node cluster.NodeID, now time.Time) []Allocati
 		}
 		task := &best.runs[best.head]
 		id := taskID(task.app, task.seq)
-		if err := s.cluster.Allocate(node, id, task.demand, nil); err != nil {
+		if err := s.cluster.AllocateOwned(node, id, task.demand, nil, best.owner); err != nil {
 			// Lost a race with external state change; the task stays at
 			// the head of its queue.
 			return allocs
 		}
 		best.used = best.used.Add(task.demand)
-		s.owners[id] = taskOwner{queue: best.cfg.Name, demand: task.demand}
 		if allocs == nil {
 			// Sized for the tasks like this one that the node still has
 			// room for, so a node of equal tasks fills one array.
@@ -242,32 +236,32 @@ var ErrConflict = errors.New("taskched: placement conflicts with current cluster
 // scheduler (Figure 4, step 2→3). If any container no longer fits, the
 // whole placement is rolled back and ErrConflict returned.
 func (s *Scheduler) Commit(assignments []lra.Assignment) error {
-	var donePrefix []cluster.ContainerID
-	for _, a := range assignments {
+	for i, a := range assignments {
 		if err := s.cluster.Allocate(a.Node, a.Container, a.Demand, a.Tags); err != nil {
-			for _, id := range donePrefix {
-				if rerr := s.cluster.Release(id); rerr != nil {
+			for _, done := range assignments[:i] {
+				if rerr := s.cluster.Release(done.Container); rerr != nil {
 					panic(rerr) // unreachable: releasing our own allocation
 				}
 			}
 			return fmt.Errorf("%w: %v", ErrConflict, err)
 		}
-		donePrefix = append(donePrefix, a.Container)
 	}
 	return nil
 }
 
-// ReleaseTask frees a finished task container and returns its resources
-// to the owning queue's accounting.
-func (s *Scheduler) ReleaseTask(id cluster.ContainerID, queueName string, demand resource.Vector) error {
-	if err := s.cluster.Release(id); err != nil {
-		return err
+// ReleaseTask frees a finished task container of queueName and refunds
+// the queue the demand recorded at allocation, not the one passed. It
+// refuses, changing nothing, any container not allocated as such a task.
+func (s *Scheduler) ReleaseTask(id cluster.ContainerID, queueName string, _ resource.Vector) error {
+	q, ok := s.queues[queueName]
+	if !ok {
+		return fmt.Errorf("taskched: unknown queue %q", queueName)
 	}
-	if q, ok := s.queues[queueName]; ok {
-		q.used = q.used.Sub(demand)
+	d, err := s.cluster.ReleaseOwned(id, q.owner)
+	if err == nil {
+		q.used = q.used.Sub(d)
 	}
-	delete(s.owners, id)
-	return nil
+	return err
 }
 
 // HandleEvictions refunds queue accounting for task containers the
@@ -278,15 +272,11 @@ func (s *Scheduler) ReleaseTask(id cluster.ContainerID, queueName string, demand
 func (s *Scheduler) HandleEvictions(evs []cluster.Eviction) int {
 	n := 0
 	for _, ev := range evs {
-		o, ok := s.owners[ev.Container]
-		if !ok {
-			continue
+		// The queues' owners are consecutive, in s.order.
+		if i := int(ev.Owner - s.order[0].owner); i >= 0 && i < len(s.order) {
+			s.order[i].used = s.order[i].used.Sub(ev.Demand)
+			n++
 		}
-		if q, qok := s.queues[o.queue]; qok {
-			q.used = q.used.Sub(o.demand)
-		}
-		delete(s.owners, ev.Container)
-		n++
 	}
 	return n
 }

@@ -2,6 +2,7 @@ package taskched
 
 import (
 	"errors"
+	"sort"
 	"testing"
 	"time"
 
@@ -240,4 +241,139 @@ func abs(x int) int {
 		return -x
 	}
 	return x
+}
+
+// TestReleaseTaskRefusesOtherContainers: ReleaseTask frees only a task
+// container the scheduler allocated, under the queue it was charged to,
+// and refunds the demand recorded at allocation. An LRA container, a
+// task named under another or an unknown queue and an unknown ID are
+// refused, and the refusal changes nothing.
+func TestReleaseTaskRefusesOtherContainers(t *testing.T) {
+	c := newCluster()
+	s := New(c, QueueConfig{Name: "prod", Capacity: 0.5}, QueueConfig{Name: "batch", Capacity: 0.5})
+	lraDemand := resource.New(2048, 1)
+	if err := s.Commit([]lra.Assignment{{Container: "a1#0", Node: 0, Demand: lraDemand, Tags: []constraint.Tag{"a1"}}}); err != nil {
+		t.Fatal(err)
+	}
+	_ = s.Submit("j", "prod", t0, TaskRequest{Count: 1, Demand: resource.New(1024, 1)})
+	allocs := s.NodeHeartbeat(1, t0)
+	if len(allocs) != 1 {
+		t.Fatalf("allocated %d tasks, want 1", len(allocs))
+	}
+	task := allocs[0]
+	before := c.Clone()
+	for _, tc := range []struct {
+		name  string
+		id    cluster.ContainerID
+		queue string
+	}{
+		{"LRA container", "a1#0", "prod"},
+		{"LRA container, unknown queue", "a1#0", "nosuch"},
+		{"task under another queue", task.Container, "batch"},
+		{"task under an unknown queue", task.Container, "nosuch"},
+		{"unknown container", "ghost", "prod"},
+	} {
+		if err := s.ReleaseTask(tc.id, tc.queue, lraDemand); err == nil {
+			t.Errorf("%s: ReleaseTask(%s, %s) accepted", tc.name, tc.id, tc.queue)
+		}
+		if d := c.Diff(before); d != "" {
+			t.Errorf("%s: the refused release changed the cluster: %s", tc.name, d)
+		}
+		if got, want := s.QueueUsed("prod"), task.Demand; got != want {
+			t.Errorf("%s: prod used %v, want %v", tc.name, got, want)
+		}
+		if got := s.QueueUsed("batch"); !got.IsZero() {
+			t.Errorf("%s: batch used %v, want zero", tc.name, got)
+		}
+	}
+	// The demand argument is not what is refunded: the record's is.
+	if err := s.ReleaseTask(task.Container, "prod", resource.New(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.QueueUsed("prod"); !got.IsZero() {
+		t.Errorf("prod used %v after the release, want zero", got)
+	}
+	if _, ok := c.ContainerNode("a1#0"); !ok {
+		t.Error("the LRA container is gone")
+	}
+}
+
+// TestEvictionsReportNodeContainers: DrainNode and FailNode on a node
+// holding LRA containers and tasks of two queues report exactly that
+// node's containers, sorted by ID, each with its owner: 0 for an LRA
+// container, one value per queue for a task. HandleEvictions refunds each
+// task's queue and passes over the LRA containers.
+func TestEvictionsReportNodeContainers(t *testing.T) {
+	c := newCluster()
+	s := New(c, QueueConfig{Name: "prod", Capacity: 0.5}, QueueConfig{Name: "batch", Capacity: 0.5})
+	lraDemand := resource.New(2048, 1)
+	if err := s.Commit([]lra.Assignment{
+		{Container: "b#0", Node: 0, Demand: lraDemand, Tags: []constraint.Tag{"b"}},
+		{Container: "a#0", Node: 1, Demand: lraDemand, Tags: []constraint.Tag{"a"}},
+		{Container: "a#1", Node: 0, Demand: lraDemand, Tags: []constraint.Tag{"a"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	owner := map[cluster.ContainerID]string{"b#0": "", "a#1": ""}
+	heartbeat := func(node cluster.NodeID, reqs map[string]TaskRequest) []Allocation {
+		for _, q := range []string{"prod", "batch"} {
+			if err := s.Submit(q+"-job", q, t0, reqs[q]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := s.NodeHeartbeat(node, t0)
+		if len(allocs) != reqs["prod"].Count+reqs["batch"].Count {
+			t.Fatalf("node %d: allocated %d tasks, want all %d", node, len(allocs), reqs["prod"].Count+reqs["batch"].Count)
+		}
+		return allocs
+	}
+	for _, a := range heartbeat(0, map[string]TaskRequest{
+		"prod":  {Count: 2, Demand: resource.New(1024, 1)},
+		"batch": {Count: 2, Demand: resource.New(512, 1)},
+	}) {
+		owner[a.Container] = a.Queue
+	}
+	kept := heartbeat(1, map[string]TaskRequest{
+		"prod":  {Count: 1, Demand: resource.New(1024, 1)},
+		"batch": {Count: 1, Demand: resource.New(512, 1)},
+	})
+	var want []cluster.ContainerID
+	for id := range owner {
+		want = append(want, id)
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	check := func(op string, evs []cluster.Eviction) {
+		t.Helper()
+		if len(evs) != len(want) {
+			t.Fatalf("%s reported %d containers, want %v", op, len(evs), want)
+		}
+		byQueue := map[string]cluster.Owner{}
+		for i, ev := range evs {
+			if ev.Container != want[i] || ev.Node != 0 {
+				t.Fatalf("%s: eviction %d is %s on node %d, want %s on node 0", op, i, ev.Container, ev.Node, want[i])
+			}
+			q := owner[ev.Container]
+			if o, seen := byQueue[q]; (ev.Owner == 0) != (q == "") || seen && o != ev.Owner {
+				t.Errorf("%s: %s of queue %q has owner %d", op, ev.Container, q, ev.Owner)
+			}
+			byQueue[q] = ev.Owner
+		}
+		if byQueue["prod"] == byQueue["batch"] {
+			t.Errorf("%s: both queues report owner %d", op, byQueue["prod"])
+		}
+	}
+	check("DrainNode", c.DrainNode(0))
+	evs := c.FailNode(0)
+	check("FailNode", evs)
+	if n := s.HandleEvictions(evs); n != 4 {
+		t.Errorf("HandleEvictions refunded %d tasks, want 4", n)
+	}
+	for _, a := range kept {
+		if got := s.QueueUsed(a.Queue); got != a.Demand {
+			t.Errorf("queue %s uses %v after the failure, want its task on node 1, %v", a.Queue, got, a.Demand)
+		}
+	}
+	if err := c.CheckAccounting(); err != nil {
+		t.Error(err)
+	}
 }
