@@ -471,8 +471,7 @@ func (b *Balancer) readRecheck(now time.Time) {
 // rejects it, which is worse than honest degraded mode at the balancer.
 func (b *Balancer) placeOnce(v routedApp, now time.Time, debits map[string]resource.Vector) bool {
 	for _, id := range b.scout.Rank(v.demand, now) {
-		rep, ok := b.scout.LastReport(id)
-		if !ok || rep.Draining || !v.demand.Fits(rep.Free.Sub(debits[id])) {
+		if !b.hasRoom(id, v.demand, debits) {
 			continue
 		}
 		code, err := b.call(id, http.MethodPost, "/v1/lras", v.body, nil)
@@ -490,6 +489,14 @@ func (b *Balancer) placeOnce(v routedApp, now time.Time, debits map[string]resou
 		}
 	}
 	return false
+}
+
+// hasRoom reports whether a member can take demand this round: its last
+// report is in, it is not draining, and its reported free capacity,
+// less what this round has already sent it (debits), fits the demand.
+func (b *Balancer) hasRoom(id string, demand resource.Vector, debits map[string]resource.Vector) bool {
+	rep, ok := b.scout.LastReport(id)
+	return ok && !rep.Draining && demand.Fits(rep.Free.Sub(debits[id]))
 }
 
 // retryDegraded gives each degraded app one placement pass, in the order

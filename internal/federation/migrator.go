@@ -189,8 +189,7 @@ func (b *Balancer) stepPrepare(v routedApp, now time.Time, debits map[string]res
 		b.abortMove(id, "destination died before PREPARE")
 		return
 	}
-	rep, ok := b.scout.LastReport(dest)
-	if !ok || rep.Draining || !v.demand.Fits(rep.Free.Sub(debits[dest])) {
+	if !b.hasRoom(dest, v.demand, debits) {
 		b.retryMove(id, now, "destination cannot fit the demand")
 		return
 	}
@@ -528,14 +527,9 @@ func (b *Balancer) stepDrain(snap []string, memberID string, d *drainState, now 
 // capacity (minus this round's debits) cannot fit.
 func (b *Balancer) pickDest(demand resource.Vector, src string, now time.Time, debits map[string]resource.Vector) string {
 	for _, id := range b.scout.Rank(demand, now) {
-		if id == src || b.DrainActive(id) {
-			continue
+		if id != src && !b.DrainActive(id) && b.hasRoom(id, demand, debits) {
+			return id
 		}
-		rep, ok := b.scout.LastReport(id)
-		if !ok || rep.Draining || !demand.Fits(rep.Free.Sub(debits[id])) {
-			continue
-		}
-		return id
 	}
 	return ""
 }
