@@ -3,7 +3,6 @@ package federation
 import (
 	"cmp"
 	"fmt"
-	"io"
 	"net/http"
 	"reflect"
 	"strings"
@@ -15,30 +14,40 @@ import (
 	"medea/internal/server"
 )
 
-// readTap sits in front of a member's transport. It counts the status
+// readTap sits in front of a member's handler. It counts the status
 // reads the member is sent (GET /v1/lras and GET /v1/lras/{id}), its
 // outcome-feed reads, its capacity-report and stats reads and the
 // submissions it is sent (POST /v1/lras), and, with old set, answers the
 // batched status read 405, as a member from before that route does.
 // Step-driven fleets only: the counts are not synchronised.
 type readTap struct {
-	next                                  http.RoundTripper
 	old                                   bool
 	reads, feeds, reports, stats, submits int
 }
 
 func tapReads(m *Member, old bool) *readTap {
-	t := &readTap{next: m.client.Transport, old: old}
-	m.client.Transport = t
+	t := &readTap{old: old}
+	m.wrap = func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if t.count(r) {
+				w.Header().Set("Allow", http.MethodPost)
+				http.Error(w, "Method Not Allowed", http.StatusMethodNotAllowed)
+				return
+			}
+			next.ServeHTTP(w, r)
+		})
+	}
 	return t
 }
 
-func (t *readTap) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.Method == http.MethodPost && req.URL.Path == "/v1/lras" {
+// count tallies one request and reports whether it is a batched status
+// read an old member answers 405.
+func (t *readTap) count(r *http.Request) bool {
+	if r.Method == http.MethodPost && r.URL.Path == "/v1/lras" {
 		t.submits++
 	}
-	if req.Method == http.MethodGet {
-		switch req.URL.Path {
+	if r.Method == http.MethodGet {
+		switch r.URL.Path {
 		case "/v1/outcomes":
 			t.feeds++
 		case "/v1/report":
@@ -47,18 +56,11 @@ func (t *readTap) RoundTrip(req *http.Request) (*http.Response, error) {
 			t.stats++
 		}
 	}
-	if req.Method == http.MethodGet && strings.HasPrefix(req.URL.Path, "/v1/lras") {
+	if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/lras") {
 		t.reads++
-		if t.old && req.URL.Path == "/v1/lras" {
-			return &http.Response{
-				StatusCode: http.StatusMethodNotAllowed,
-				Header:     http.Header{"Allow": {"POST"}},
-				Body:       io.NopCloser(strings.NewReader("Method Not Allowed\n")),
-				Request:    req,
-			}, nil
-		}
+		return t.old && r.URL.Path == "/v1/lras"
 	}
-	return t.next.RoundTrip(req)
+	return false
 }
 
 // TestAntiEntropyVerdicts runs anti-entropy end to end on a one-member
@@ -281,7 +283,7 @@ func TestAntiEntropyLostBeforePlace(t *testing.T) {
 			steps(f, clk, 2)
 			m := f.Members[0]
 			fired := false
-			m.client.Transport = &afterTap{next: m.client.Transport, after: func(req *http.Request) {
+			tapAfter(m, func(req *http.Request) {
 				if fired || req.Method != http.MethodPost || req.URL.Path != "/v1/lras" {
 					return
 				}
@@ -289,7 +291,7 @@ func TestAntiEntropyLostBeforePlace(t *testing.T) {
 				tc.lose(t, f, m, clk.Now())
 				clk.Advance(50 * time.Millisecond)
 				f.Balancer.Step(clk.Now())
-			}}
+			})
 			if _, err := f.Balancer.Submit(fedReq("app-a", 1, 512, 1)); err != nil {
 				t.Fatalf("submit: %v", err)
 			}
@@ -362,17 +364,13 @@ func wantReplaced(t *testing.T, f *Fleet, now time.Time, n int, audit AuditRepor
 	}
 }
 
-// afterTap runs after on every request a member serves, once it has
+// tapAfter runs after on every request a member serves, once it has
 // answered and before the answer reaches the caller.
-type afterTap struct {
-	next  http.RoundTripper
-	after func(*http.Request)
-}
-
-func (t *afterTap) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := t.next.RoundTrip(req)
-	if err == nil {
-		t.after(req)
+func tapAfter(m *Member, after func(*http.Request)) {
+	m.wrap = func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			next.ServeHTTP(w, r)
+			after(r)
+		})
 	}
-	return resp, err
 }

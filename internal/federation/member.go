@@ -131,10 +131,10 @@ func (g *Gate) admit() (delay, tail time.Duration, err error) {
 }
 
 // Member is one simulated cluster of the federation: a full journaled
-// scheduler core behind the serving layer, reachable only through an
-// in-process HTTP transport guarded by its fault Gate — the balancer and
-// scout cannot cheat past the member's own overload control or the
-// injected faults.
+// scheduler core behind the serving layer, reachable only through
+// Member.request, which serves its HTTP handler behind its fault Gate —
+// the balancer and scout cannot cheat past the member's own overload
+// control or the injected faults.
 type Member struct {
 	ID   string
 	Srv  *server.Server
@@ -142,8 +142,11 @@ type Member struct {
 	Jnl  journal.Journal
 	Gate *Gate
 
-	cfg    MemberConfig // retained so Restart can rebuild the stack
-	client *http.Client
+	cfg MemberConfig // retained so Restart can rebuild the stack
+	// wrap, when set, sees every request the member serves, in front of
+	// whichever serving layer is current: tests count and fake traffic
+	// through it, and it survives Restart.
+	wrap func(http.Handler) http.Handler
 }
 
 // MemberConfig sizes one member cluster.
@@ -184,9 +187,7 @@ func NewMember(cfg MemberConfig) (*Member, error) {
 		return nil, fmt.Errorf("federation: member %s journal: %w", cfg.ID, err)
 	}
 	srv := server.New(med, cfg.Server)
-	m := &Member{ID: cfg.ID, Srv: srv, Med: med, Jnl: jnl, Gate: &Gate{}, cfg: cfg}
-	m.client = &http.Client{Transport: &memberTransport{m: m}}
-	return m, nil
+	return &Member{ID: cfg.ID, Srv: srv, Med: med, Jnl: jnl, Gate: &Gate{}, cfg: cfg}, nil
 }
 
 // Restart revives a crashed member the way a real scheduler host comes
@@ -211,40 +212,57 @@ func (m *Member) Restart(now time.Time) error {
 	return nil
 }
 
-// timeoutKey carries a request's declared timeout from Member.request to
-// the member's transport, which decides the injected faults against it.
-type timeoutKey struct{}
-
-// request is the one place the federation layer builds and sends a
-// member request: the declared timeout, the request, and the status code
-// back. body, when set, is posted as JSON; out, when set, receives the
-// decoded answer — a 200 whose body does not decode is an error, any
-// other status speaks for itself. A response nobody asked to decode is
-// not read.
+// request is the one place the federation layer sends a member a
+// request, and the whole of the in-process transport: no socket, no
+// client, no wall-clock time. The gate admits the request or refuses it
+// (crashed, partitioned). An injected delay at or past timeout blows the
+// deadline before the member serves the request; an injected tail at or
+// past it blows the deadline after the member has served it, the
+// ack-dropped case. Either answers context.DeadlineExceeded itself,
+// which callers read as "the request may have landed". Otherwise the
+// status code comes back. body, when set, is posted as JSON; out, when
+// set, receives the decoded answer: a 200 whose body does not decode is
+// an error, any other status speaks for itself.
 func (m *Member) request(timeout time.Duration, method, path string, body []byte, out any) (int, error) {
-	ctx := context.WithValue(context.Background(), timeoutKey{}, timeout)
+	delay, tail, err := m.Gate.admit()
+	if err != nil {
+		return 0, err
+	}
+	if blown(delay, timeout) {
+		return 0, context.DeadlineExceeded
+	}
 	var payload io.Reader
 	if body != nil {
 		payload = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, "http://"+m.ID+path, payload)
+	req, err := http.NewRequest(method, "http://"+m.ID+path, payload)
 	if err != nil {
 		return 0, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := m.client.Do(req)
-	if err != nil {
-		return 0, err
+	rec := &responseRecorder{header: make(http.Header), code: http.StatusOK}
+	h := m.Srv.Handler()
+	if m.wrap != nil {
+		h = m.wrap(h)
 	}
-	defer resp.Body.Close()
+	h.ServeHTTP(rec, req)
+	if blown(tail, timeout) {
+		return 0, context.DeadlineExceeded
+	}
 	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil && resp.StatusCode == http.StatusOK {
+		if err := json.Unmarshal(rec.buf.Bytes(), out); err != nil && rec.code == http.StatusOK {
 			return 0, fmt.Errorf("%s %s on %s: %w", method, path, m.ID, err)
 		}
 	}
-	return resp.StatusCode, nil
+	return rec.code, nil
+}
+
+// blown decides an injected stall from declared durations alone: one at
+// least as long as the request's timeout is a missed deadline.
+func blown(stall, timeout time.Duration) bool {
+	return stall > 0 && stall >= timeout
 }
 
 // Step runs one scheduling-loop iteration synchronously; no-op once
@@ -256,61 +274,8 @@ func (m *Member) Step() {
 	m.Srv.Step()
 }
 
-// memberTransport serves HTTP requests directly against the member's
-// handler — no sockets — while honoring the fault gate: a crashed or
-// partitioned member refuses immediately, and an injected delay is
-// judged against the request's declared timeout (see stall). No
-// wall-clock time passes.
-type memberTransport struct {
-	m *Member
-}
-
-func (t *memberTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	// http.Client wraps any error returned here in *url.Error, exactly as
-	// a real network transport's failures are surfaced.
-	delay, tail, err := t.m.Gate.admit()
-	if err != nil {
-		return nil, err
-	}
-	// An injected delay stalls before the member serves the request.
-	if err := stall(req, delay); err != nil {
-		return nil, err
-	}
-	rec := &responseRecorder{header: make(http.Header), code: http.StatusOK}
-	t.m.Srv.Handler().ServeHTTP(rec, req)
-	// An injected tail stalls the response: the member served the
-	// request, and a caller that gives up here has an ack in flight it
-	// never saw.
-	if err := stall(req, tail); err != nil {
-		return nil, err
-	}
-	return &http.Response{
-		Status:        http.StatusText(rec.code),
-		StatusCode:    rec.code,
-		Proto:         "HTTP/1.1",
-		ProtoMajor:    1,
-		ProtoMinor:    1,
-		Header:        rec.header,
-		Body:          io.NopCloser(bytes.NewReader(rec.buf.Bytes())),
-		ContentLength: int64(rec.buf.Len()),
-		Request:       req,
-	}, nil
-}
-
-// stall decides an injected delay from declared durations alone: a delay
-// at least as long as the request's declared timeout is a blown
-// deadline, reported at once as context.DeadlineExceeded (http.Client
-// wraps it in *url.Error, as it would a real one); a shorter delay, or a
-// request that declared no timeout, is served at once.
-func stall(req *http.Request, d time.Duration) error {
-	if timeout, ok := req.Context().Value(timeoutKey{}).(time.Duration); ok && d > 0 && d >= timeout {
-		return context.DeadlineExceeded
-	}
-	return nil
-}
-
-// responseRecorder is the minimal http.ResponseWriter the in-process
-// transport needs (httptest is off-limits outside _test files).
+// responseRecorder is the minimal http.ResponseWriter Member.request
+// needs (httptest is off-limits outside _test files).
 type responseRecorder struct {
 	header      http.Header
 	buf         bytes.Buffer
