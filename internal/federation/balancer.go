@@ -154,6 +154,14 @@ func (b *Balancer) observe(memberID, method, path string, body []byte, out any) 
 	return m.request(b.cfg.attemptTimeout(), method, path, body, out)
 }
 
+// appPath names one app under a member's collection ("/v1/lras",
+// "/v1/reservations"). The ID is escaped into one path segment, so an ID
+// holding '/', '?', '#' or '%' names that app and no other; the member's
+// mux hands the segment back unescaped.
+func appPath(collection, id string) string {
+	return collection + "/" + url.PathEscape(id)
+}
+
 // Submit routes one submission: members are tried in the scout's rank
 // order; a 202 homes the app, overload answers (429/503) spill over to
 // the next member, timeouts are remembered as possible duplicates, and
@@ -545,7 +553,7 @@ func (b *Balancer) reconcileMarks(snap []string, now time.Time) {
 				continue
 			}
 			var sr server.StatusResponse
-			code, err := b.call(member, http.MethodGet, "/v1/lras/"+id, nil, &sr)
+			code, err := b.call(member, http.MethodGet, appPath("/v1/lras", id), nil, &sr)
 			if err != nil {
 				continue // unreachable: try again next Step
 			}
@@ -564,7 +572,7 @@ func (b *Balancer) reconcileMarks(snap []string, now time.Time) {
 			default:
 				// A live copy beside the home — or any live copy of a
 				// removed app: delete it.
-				if code, err := b.call(member, http.MethodDelete, "/v1/lras/"+id, nil, nil); err == nil && code == http.StatusOK {
+				if code, err := b.call(member, http.MethodDelete, appPath("/v1/lras", id), nil, nil); err == nil && code == http.StatusOK {
 					b.apply(id, evDuplicateDeleted, evArg{member: member})
 				}
 			}
@@ -593,7 +601,7 @@ func (b *Balancer) Status(appID string) (server.StatusResponse, error) {
 		return server.StatusResponse{ID: appID, State: v.state.String()}, nil
 	}
 	var sr server.StatusResponse
-	code, err := b.call(v.home, http.MethodGet, "/v1/lras/"+appID, nil, &sr)
+	code, err := b.call(v.home, http.MethodGet, appPath("/v1/lras", appID), nil, &sr)
 	if err != nil {
 		return server.StatusResponse{}, err
 	}
@@ -622,7 +630,7 @@ func (b *Balancer) Remove(appID string) error {
 		b.abortMove(appID, "app removed")
 	}
 	if v.home != "" {
-		code, err := b.call(v.home, http.MethodDelete, "/v1/lras/"+appID, nil, nil)
+		code, err := b.call(v.home, http.MethodDelete, appPath("/v1/lras", appID), nil, nil)
 		if err != nil {
 			return err
 		}
@@ -691,7 +699,7 @@ func (b *Balancer) Audit(now time.Time) AuditReport {
 			return false, false
 		}
 		var sr server.StatusResponse
-		code, err := b.observe(member, http.MethodGet, "/v1/lras/"+appID, nil, &sr)
+		code, err := b.observe(member, http.MethodGet, appPath("/v1/lras", appID), nil, &sr)
 		if err != nil {
 			return false, false
 		}
@@ -730,7 +738,7 @@ func (b *Balancer) Audit(now time.Time) AuditReport {
 				break
 			}
 			var sr server.StatusResponse
-			code, err := b.observe(v.home, http.MethodGet, "/v1/lras/"+id, nil, &sr)
+			code, err := b.observe(v.home, http.MethodGet, appPath("/v1/lras", id), nil, &sr)
 			switch {
 			case err != nil:
 				rep.OnDead++ // unreachable home: failover pending

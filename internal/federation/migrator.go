@@ -267,7 +267,7 @@ func (b *Balancer) stepCommit(id string, now time.Time) {
 		}
 	}
 	var sr server.StatusResponse
-	code, err := b.call(dest, http.MethodGet, "/v1/lras/"+id, nil, &sr)
+	code, err := b.call(dest, http.MethodGet, appPath("/v1/lras", id), nil, &sr)
 	switch {
 	case err != nil:
 		b.retryMove(id, now, "status unreachable")
@@ -300,7 +300,7 @@ func (b *Balancer) stepCommit(id string, now time.Time) {
 // protocol only moves forward: retries are unbounded, and a dead source
 // resolves through failover adopting the destination copy.
 func (b *Balancer) stepDelete(id, src string, now time.Time) {
-	code, err := b.call(src, http.MethodDelete, "/v1/lras/"+id, nil, nil)
+	code, err := b.call(src, http.MethodDelete, appPath("/v1/lras", id), nil, nil)
 	if err != nil {
 		b.retryMove(id, now, "source delete unreachable")
 		return
@@ -320,7 +320,7 @@ func (b *Balancer) stepDelete(id, src string, now time.Time) {
 // is released (best-effort — the TTL sweep is the backstop).
 func (b *Balancer) abortMove(id, reason string) {
 	if was, ok := b.apply(id, evAbort, evArg{note: reason}); ok && was.move.reserved {
-		_, _ = b.call(was.move.dest, http.MethodDelete, "/v1/reservations/"+id, nil, nil)
+		_, _ = b.call(was.move.dest, http.MethodDelete, appPath("/v1/reservations", id), nil, nil)
 	}
 }
 
@@ -346,7 +346,7 @@ func (b *Balancer) failoverViaMove(v routedApp, now time.Time) bool {
 	dest := v.move.dest
 	if v.move.tried && b.scout.State(dest, now) != Dead {
 		var sr server.StatusResponse
-		code, err := b.call(dest, http.MethodGet, "/v1/lras/"+v.id, nil, &sr)
+		code, err := b.call(dest, http.MethodGet, appPath("/v1/lras", v.id), nil, &sr)
 		if err == nil && code == http.StatusOK && live(sr.State) {
 			b.apply(v.id, evMoveDone, evArg{now: now})
 			b.logf("federation: failover adopted the migration copy of %s on %s", v.id, dest)

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"reflect"
 	"testing"
 
 	"medea/internal/metrics"
@@ -326,5 +327,52 @@ func TestRollingRestartUnderLoad(t *testing.T) {
 		if h := holders(f, id); len(h) != 1 || h[0] != home {
 			t.Fatalf("%s live on %v, want exactly [%s]", id, h, home)
 		}
+	}
+}
+
+// TestOddAppIDsRoundTrip: an app whose ID holds '/', '?', '#' or '%'
+// goes through submit, a read of its deployment, a migration and a
+// removal, and afterwards no member holds it. Put raw into a member
+// path, such an ID names another route or another app: the status read
+// answers 404, the move never sees its copy deploy, and the removal
+// forgets the entry while the home member still runs the app.
+func TestOddAppIDsRoundTrip(t *testing.T) {
+	for _, id := range []string{"a/b", "a?x=1", "a#b", "a%2Fb"} {
+		t.Run(id, func(t *testing.T) {
+			f, clk := testFleet(t, FleetConfig{Members: 2, NodesPerMember: 4})
+			steps(f, clk, 2)
+			home, err := f.Balancer.Submit(fedReq(id, 1, 512, 1))
+			if err != nil {
+				t.Fatalf("submit: %v", err)
+			}
+			steps(f, clk, 3)
+			if st, err := f.Balancer.Status(id); err != nil || st.ID != id || st.State != "deployed" {
+				t.Fatalf("status %+v, err %v; want %q deployed", st, err, id)
+			}
+			dest := "cluster-1"
+			if home == dest {
+				dest = "cluster-0"
+			}
+			if err := f.Balancer.Migrate(id, dest); err != nil {
+				t.Fatalf("migrate: %v", err)
+			}
+			steps(f, clk, 20)
+			if got, _ := f.Balancer.Home(id); got != dest {
+				t.Fatalf("home %q after the move, want %s", got, dest)
+			}
+			if h := holders(f, id); len(h) != 1 || h[0] != dest {
+				t.Fatalf("live copies on %v, want exactly [%s]", h, dest)
+			}
+			if err := f.Balancer.Remove(id); err != nil {
+				t.Fatalf("remove: %v", err)
+			}
+			steps(f, clk, 2)
+			if h := holders(f, id); len(h) != 0 {
+				t.Fatalf("removed app still held by %v", h)
+			}
+			if got := f.Balancer.Audit(clk.Now()); !reflect.DeepEqual(got, AuditReport{}) {
+				t.Fatalf("audit %+v, want an empty fleet", got)
+			}
+		})
 	}
 }

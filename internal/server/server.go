@@ -284,7 +284,13 @@ func writeRetryAfter(w http.ResponseWriter, d time.Duration) {
 }
 
 // buildApplication converts the wire request into an lra.Application.
+// It refuses the IDs "." and "..": no path can name them, because the
+// mux cleans /v1/lras/.. away, so such an app could never be read or
+// removed.
 func buildApplication(req *SubmitRequest) (*lra.Application, error) {
+	if req.ID == "." || req.ID == ".." {
+		return nil, fmt.Errorf("application ID %q names no path", req.ID)
+	}
 	app := &lra.Application{ID: req.ID}
 	for _, g := range req.Groups {
 		tags := make([]constraint.Tag, len(g.Tags))

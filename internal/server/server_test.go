@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync"
 	"testing"
 	"time"
@@ -138,6 +139,27 @@ func TestSubmitStatusRemoveRoundTrip(t *testing.T) {
 	}
 	if s.Stats.Get(metrics.Admitted) != 1 || s.Stats.Get(metrics.Removed) != 1 {
 		t.Fatalf("stats admitted=%d removed=%d, want 1/1", s.Stats.Get(metrics.Admitted), s.Stats.Get(metrics.Removed))
+	}
+}
+
+// TestAppIDsInPaths: an ID holding '/', '?', '#' or '%' is named by its
+// escaped path segment, which the mux hands back unescaped. The IDs "."
+// and ".." are refused at accept (400): the mux cleans them out of any
+// path, so no status read or removal could ever reach them.
+func TestAppIDsInPaths(t *testing.T) {
+	_, ts, _ := testServer(t, Config{}, core.Config{})
+	for _, id := range []string{".", ".."} {
+		if resp := doSubmit(t, ts, submitReq(id, 0, 0), ""); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("submit %q: status %d, want 400", id, resp.StatusCode)
+		}
+	}
+	for _, id := range []string{"a/b", "a?x=1", "a#b", "a%2Fb"} {
+		if resp := doSubmit(t, ts, submitReq(id, 0, 0), ""); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %q: status %d, want 202", id, resp.StatusCode)
+		}
+		if code, sr := getStatus(t, ts, url.PathEscape(id)); code != http.StatusOK || sr.ID != id {
+			t.Errorf("status of %q: %d for %q, want 200 for it", id, code, sr.ID)
+		}
 	}
 }
 
