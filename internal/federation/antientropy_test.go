@@ -29,7 +29,8 @@ func tapReads(m *Member, old bool) *readTap {
 	t := &readTap{old: old}
 	m.wrap = func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if t.count(r) {
+			t.count(r)
+			if t.old && r.Method == http.MethodGet && r.URL.Path == "/v1/lras" {
 				w.Header().Set("Allow", http.MethodPost)
 				http.Error(w, "Method Not Allowed", http.StatusMethodNotAllowed)
 				return
@@ -40,9 +41,8 @@ func tapReads(m *Member, old bool) *readTap {
 	return t
 }
 
-// count tallies one request and reports whether it is a batched status
-// read an old member answers 405.
-func (t *readTap) count(r *http.Request) bool {
+// count tallies one request.
+func (t *readTap) count(r *http.Request) {
 	if r.Method == http.MethodPost && r.URL.Path == "/v1/lras" {
 		t.submits++
 	}
@@ -58,9 +58,7 @@ func (t *readTap) count(r *http.Request) bool {
 	}
 	if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/lras") {
 		t.reads++
-		return t.old && r.URL.Path == "/v1/lras"
 	}
-	return false
 }
 
 // TestAntiEntropyVerdicts runs anti-entropy end to end on a one-member
