@@ -1,10 +1,6 @@
 package chaos
 
-import (
-	"encoding/json"
-
-	"medea/internal/journal"
-)
+import "medea/internal/journal"
 
 // Crash-point injection for the durable-scheduler work: where the rest of
 // this package kills nodes under a live scheduler, CrashJournal kills the
@@ -41,7 +37,8 @@ type CrashJournal struct {
 	Checkpoints int // how many of them were checkpoints
 
 	staged []*journal.Record
-	seq    int64 // the last Seq the wrapped journal assigned
+	seq    int64  // the last Seq the wrapped journal assigned
+	sizing []byte // UntilCheckpoint's reused encoding buffer
 }
 
 func (c *CrashJournal) maybeCrash() {
@@ -100,14 +97,16 @@ func (c *CrashJournal) WriteCheckpoint(cp *journal.Checkpoint) error {
 
 // UntilCheckpoint implements journal.Journal the way journal.File
 // counts: the wrapped journal's answer less the records staged here,
-// JSON-encoded with the Seq the wrapped journal will give them. A record
-// that does not encode is skipped: its hand-over fails instead.
+// encoded by journal.AppendRecord with the Seq the wrapped journal will
+// give them. A record that does not encode is skipped: its hand-over
+// fails instead.
 func (c *CrashJournal) UntilCheckpoint() int {
 	n := c.Journal.UntilCheckpoint()
 	for i, r := range c.staged {
 		sized := *r
 		sized.Seq = c.seq + int64(i) + 1
-		if b, err := json.Marshal(&sized); err == nil {
+		if b, err := journal.AppendRecord(c.sizing[:0], &sized); err == nil {
+			c.sizing = b
 			n -= len(b)
 		}
 	}

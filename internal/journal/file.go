@@ -8,17 +8,9 @@ import (
 	"path/filepath"
 )
 
-// encodeRecord / decodeRecord and the checkpoint pair are the single
+// AppendRecord / decodeRecord and the checkpoint pair are the single
 // codec both backends share, so a state that cannot round-trip through
 // the file backend fails in the in-memory one too.
-func encodeRecord(r *Record) ([]byte, error) {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return nil, fmt.Errorf("journal: encoding record %d (%s): %w", r.Seq, r.Kind, err)
-	}
-	return b, nil
-}
-
 func decodeRecord(b []byte) (*Record, error) {
 	var r Record
 	if err := json.Unmarshal(b, &r); err != nil {
@@ -133,22 +125,23 @@ func (f *File) RecoveredTornTail() bool { return f.tornWAL }
 // checkpoints).
 func (f *File) Syncs() int64 { return f.syncs }
 
-// Append implements Journal: the record is encoded and staged. It reaches
-// the log only at the next Barrier, checkpoint or Close.
+// Append implements Journal: the record is encoded straight into the
+// staging buffer. It reaches the log only at the next Barrier, checkpoint
+// or Close.
 func (f *File) Append(r *Record) error {
 	if f.wal == nil {
 		return fmt.Errorf("journal: append on closed journal")
 	}
 	f.seq++
 	r.Seq = f.seq
-	b, err := encodeRecord(r)
+	b, err := AppendRecord(f.staged, r)
 	if err != nil {
 		f.seq--
 		return err
 	}
-	f.staged = append(append(f.staged, b...), '\n')
+	f.tailBytes += len(b) - len(f.staged)
+	f.staged = append(b, '\n')
 	f.lag++
-	f.tailBytes += len(b)
 	return nil
 }
 

@@ -259,6 +259,9 @@ type Memory struct {
 	tail       [][]byte // encoded records after the last checkpoint
 	checkpoint []byte   // encoded latest checkpoint (nil if none)
 	closed     bool
+	// scratch is the reused buffer Append encodes into; tail keeps an
+	// exact-size copy of each record.
+	scratch []byte
 }
 
 // NewMemory returns an empty in-memory journal.
@@ -271,12 +274,13 @@ func (m *Memory) Append(r *Record) error {
 	}
 	m.seq++
 	r.Seq = m.seq
-	b, err := encodeRecord(r)
+	b, err := AppendRecord(m.scratch[:0], r)
 	if err != nil {
 		m.seq--
 		return err
 	}
-	m.tail = append(m.tail, b)
+	m.scratch = b
+	m.tail = append(m.tail, append(make([]byte, 0, len(b)), b...))
 	return nil
 }
 

@@ -175,7 +175,7 @@ func TestCheckpointDueBySize(t *testing.T) {
 				if err := j.Append(r); err != nil {
 					t.Fatal(err)
 				}
-				rb, err := encodeRecord(r)
+				rb, err := AppendRecord(nil, r)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -470,7 +470,7 @@ func TestEvictRecordEncoding(t *testing.T) {
 	const want = `{"seq":7,"kind":"evict","at":"1970-01-01T00:16:40Z","nextRun":"0001-01-01T00:00:00Z","notBefore":"0001-01-01T00:00:00Z",` +
 		`"evictions":[{"Container":"j#t3","Node":2,"Demand":{"MemoryMB":1024,"VCores":1},"Tags":null},` +
 		`{"Container":"a#0","Node":2,"Demand":{"MemoryMB":2048,"VCores":1},"Tags":["svc","app:a"]}]}`
-	b, err := encodeRecord(r)
+	b, err := AppendRecord(nil, r)
 	if err != nil {
 		t.Fatal(err)
 	}
