@@ -175,6 +175,11 @@ func (c Constraint) Validate() error {
 	if len(c.Terms) == 0 {
 		return errors.New("constraint: no terms")
 	}
+	// A non-finite weight has no order against the others, and the
+	// journal cannot encode it.
+	if math.IsNaN(c.Weight) || math.IsInf(c.Weight, 0) {
+		return fmt.Errorf("constraint: weight %v is not finite", c.Weight)
+	}
 	if c.Weight < 0 {
 		return fmt.Errorf("constraint: negative weight %v", c.Weight)
 	}

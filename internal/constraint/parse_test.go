@@ -1,6 +1,9 @@
 package constraint
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestParsePaperExamples parses the four constraints spelled out in §4.2.
 func TestParsePaperExamples(t *testing.T) {
@@ -96,6 +99,9 @@ func TestParseErrors(t *testing.T) {
 		"{storm, {hb, 1, inf}, node",         // unbalanced
 		"abc: {storm, {hb, 1, inf}, node}",   // bad weight
 		"-1: {storm, {hb, 1, inf}, node}",    // negative weight
+		"NaN: {storm, {hb, 1, inf}, node}",   // non-finite weight
+		"Inf: {storm, {hb, 1, inf}, node}",   // non-finite weight
+		"-Inf: {storm, {hb, 1, inf}, node}",  // non-finite weight
 		"{, {hb, 1, inf}, node}",             // empty subject
 		"{storm, {hb, 1, inf}, node} | ",     // empty term
 		"{storm, {hb, 1, inf}, node, extra}", // 4 fields
@@ -104,6 +110,21 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", s)
 		}
+	}
+}
+
+// TestValidateRefusesNonFiniteWeight: a constraint built without Parse
+// goes through Validate too, which AddOperator and Application.Validate
+// call.
+func TestValidateRefusesNonFiniteWeight(t *testing.T) {
+	a := AntiAffinity(E("a"), E("b"), Node)
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := Weighted(a, w).Validate(); err == nil {
+			t.Errorf("weight %v validated, want an error", w)
+		}
+	}
+	if err := Weighted(a, math.MaxFloat64).Validate(); err != nil {
+		t.Errorf("weight %v: %v", math.MaxFloat64, err)
 	}
 }
 
