@@ -81,6 +81,10 @@ func appFootprint(app *lra.Application) []constraint.Tag {
 // active constraint set, never on timing or on the order placeBatch runs
 // the components in.
 func partitionBatch(apps []*lra.Application, active []constraint.Entry) [][]int {
+	if len(apps) == 1 {
+		// One app is one component, whatever the active set holds.
+		return [][]int{{0}}
+	}
 	uf := newUnionFind(len(apps))
 	owner := make(map[constraint.Tag]int)
 	for i, app := range apps {

@@ -31,3 +31,25 @@ func TestPartitionCouplesThroughActiveEntries(t *testing.T) {
 		t.Errorf("without them: components %v, want %v", got, want)
 	}
 }
+
+// TestPartitionOneApp: a batch of one app is one component, with or
+// without active entries that reach it, and partitioning it allocates
+// only the answer.
+func TestPartitionOneApp(t *testing.T) {
+	x := app("x", 2, "tx")
+	x.Constraints = []constraint.Constraint{constraint.New(constraint.AntiAffinity(
+		constraint.E("tx"), constraint.E("tx"), constraint.Node))}
+	active := []constraint.Entry{
+		{AppID: "dep", Source: constraint.SourceApplication, Constraint: constraint.New(constraint.AntiAffinity(
+			constraint.E("tx"), constraint.E("td"), constraint.Node))},
+	}
+	apps := []*lra.Application{x}
+	for _, act := range [][]constraint.Entry{nil, active} {
+		if got, want := partitionBatch(apps, act), [][]int{{0}}; !reflect.DeepEqual(got, want) {
+			t.Errorf("components %v, want %v", got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { partitionBatch(apps, active) }); n > 2 {
+		t.Errorf("partitioning one app allocated %v times, want at most 2", n)
+	}
+}
