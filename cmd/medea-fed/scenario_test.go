@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"os"
@@ -85,5 +86,32 @@ func TestScenarioGolden(t *testing.T) {
 	}
 	if string(want) != got {
 		t.Errorf("scenario.golden drifted (intentional changes: re-run with -update):\n--- golden ---\n%s--- got ---\n%s", want, got)
+	}
+}
+
+// TestScenarioBenchMatchesGolden holds the committed BENCH_fed.json,
+// which `medea-fed -seed 42 -gate -out BENCH_fed.json` writes, to
+// scenario.golden: every field but the wall-clock ones must agree, so a
+// change that moves the scenario's counts re-records the file with the
+// golden.
+func TestScenarioBenchMatchesGolden(t *testing.T) {
+	read := func(name string) fedReport {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := json.NewDecoder(bytes.NewReader(b))
+		dec.DisallowUnknownFields()
+		var rep fedReport
+		if err := dec.Decode(&rep); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rep.P50RouteMs, rep.P99RouteMs, rep.WallSeconds = 0, 0, 0
+		return rep
+	}
+	bench := read(filepath.Join("..", "..", "BENCH_fed.json"))
+	golden := read(filepath.Join("testdata", "scenario.golden"))
+	if !reflect.DeepEqual(bench, golden) {
+		t.Errorf("BENCH_fed.json and scenario.golden disagree (re-record the file with `go run ./cmd/medea-fed -seed 42 -gate -out BENCH_fed.json`):\n--- BENCH_fed.json ---\n%+v\n--- scenario.golden ---\n%+v", bench, golden)
 	}
 }
