@@ -243,8 +243,9 @@ func badZone(s []byte) bool {
 	return 10*(h[0]-'0')+(h[1]-'0') >= 24
 }
 
-// float writes f in encoding/json's format: 'f' notation, and 'e' with a
-// one-digit negative exponent below 1e-6 or from 1e21 on.
+// float writes f in encoding/json's format: 'f' notation, and below 1e-6
+// or from 1e21 on 'e' notation without a leading zero in a negative
+// exponent.
 func (e *recordEncoder) float(f float64) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		e.fail(&json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)})
