@@ -52,7 +52,7 @@ type Event struct {
 type Injector struct {
 	// Failures and Recoveries count transitions actually applied (a
 	// scheduled failure of an already-down node applies but is a no-op at
-	// the target and is still counted as scheduled in Timeline).
+	// the target and is still counted as scheduled in the timeline).
 	Failures   int
 	Recoveries int
 	// Evicted counts containers evicted by injected failures.
@@ -88,11 +88,6 @@ func Inject(eng *sim.Engine, target Target, nodes []cluster.NodeID, p Profile, h
 		}
 	}
 	return in, nil
-}
-
-// Timeline returns the scheduled transitions in scheduling order.
-func (in *Injector) Timeline() []Event {
-	return append([]Event(nil), in.timeline...)
 }
 
 func (in *Injector) schedule(eng *sim.Engine, target Target, ev Event) {
@@ -197,9 +192,6 @@ func (r *Replay) apply(target Target, want map[cluster.NodeID]bool, now time.Tim
 		r.down[n] = true
 	}
 }
-
-// Down reports how many nodes the replay currently holds down.
-func (r *Replay) Down() int { return len(r.down) }
 
 // ClusterTarget adapts a bare *cluster.Cluster as a Target for
 // scheduler-less experiments (no repair loop; evictions are just lost).

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 
 	"medea/internal/constraint"
 	"medea/internal/resource"
@@ -196,7 +195,7 @@ func (c *Cluster) ContainerIDs() []ContainerID {
 	for id := range c.containers {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

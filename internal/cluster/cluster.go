@@ -8,6 +8,7 @@ package cluster
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"medea/internal/constraint"
 	"medea/internal/resource"
@@ -26,7 +27,7 @@ type ContainerID string
 
 // MakeContainerID builds the conventional container ID.
 func MakeContainerID(appID string, index int) ContainerID {
-	return ContainerID(fmt.Sprintf("%s#%d", appID, index))
+	return ContainerID(appID + "#" + strconv.Itoa(index))
 }
 
 // NodeState is the runtime availability state of a node.

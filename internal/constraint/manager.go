@@ -91,6 +91,16 @@ func (m *Manager) AddOperator(cs ...Constraint) error {
 	return nil
 }
 
+// DropOperator removes the n operator constraints added last: it undoes
+// an AddOperator of n constraints that could not be made durable.
+func (m *Manager) DropOperator(n int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n = min(n, len(m.operator))
+	m.operator = m.operator[:len(m.operator)-n]
+	m.n -= n
+}
+
 // Operator returns all cluster-operator constraints.
 func (m *Manager) Operator() []Constraint {
 	m.mu.RLock()

@@ -68,8 +68,9 @@ func TestManagerActiveOrderDeterministic(t *testing.T) {
 
 // TestManagerActiveMatchesSorted: after every step of random
 // interleavings of AddApplication (new and known IDs, with zero, one or
-// two constraints), RemoveApplication (known and unknown IDs) and
-// AddOperator, Active equals a reference built by sorting the stored app
+// two constraints), RemoveApplication (known and unknown IDs),
+// AddOperator and DropOperator (of none up to all of the operator's
+// constraints), Active equals a reference built by sorting the stored app
 // IDs and listing their constraints, then the operator's; it is sized
 // exactly, and Len and Apps agree with the reference.
 func TestManagerActiveMatchesSorted(t *testing.T) {
@@ -94,15 +95,19 @@ func TestManagerActiveMatchesSorted(t *testing.T) {
 					t.Fatal(err)
 				}
 				byApp[id] = append(byApp[id], cs...)
-			case r < 8:
+			case r < 7:
 				m.RemoveApplication(id)
 				delete(byApp, id)
-			default:
+			case r < 9:
 				cs := draw()
 				if err := m.AddOperator(cs...); err != nil {
 					t.Fatal(err)
 				}
 				operator = append(operator, cs...)
+			default:
+				k := rng.Intn(len(operator) + 1)
+				m.DropOperator(k)
+				operator = operator[:len(operator)-k]
 			}
 
 			ids := make([]string, 0, len(byApp))

@@ -15,12 +15,13 @@ import (
 	"medea/internal/workload"
 )
 
-// cycleMaxAllocs caps one 12-LRA cycle of TestRunCycleAllocCap, about 9%
-// above the most it was measured at: 9,526 at one P, 9,598 at two, and
-// 10,112–10,248 under -race, while each container's record was a heap
-// object (9,187 / 9,256 / 9,718–9,875 since the container map holds
-// records by value; 9,531–9,533 / 9,546–9,600 /
-// 10,087–10,256 while a cycle copied its constraint list at every step,
+// cycleMaxAllocs caps one 12-LRA cycle of TestRunCycleAllocCap, about
+// 12% above the most it was measured at: 7,237 at one P, 7,245–7,304 at
+// two and 7,271–7,347 under -race since a Place fills one score table,
+// builds its requests once and the model keeps one copy of each row
+// (9,186 / 9,256 / 9,770–9,875 before; 9,526 / 9,598 / 10,112–10,248
+// while each container's record was a heap object; 9,531–9,533 /
+// 9,546–9,600 / 10,087–10,256 while a cycle copied its constraint list at every step,
 // 9,458 / 9,531–9,534 / 10,097–10,170 before a Place compiled its
 // constraint list once per tag vector, 9,485 / 9,559 / 10,100–10,200
 // while constraints were deduplicated by their text, 9,596 / 9,664 /
@@ -35,7 +36,7 @@ import (
 // cap: TestOneComponentPlacesOnLiveCluster and
 // TestComponentsPlanOnPreCycleState check the clones directly. Allocation
 // counts do not depend on the host, so the cap is an exact wall.
-const cycleMaxAllocs = 11100
+const cycleMaxAllocs = 8250
 
 // spreadApp is one LRA of the cycle fixture: four containers that must
 // spread across nodes, tagged per app, so the partition sees twelve
@@ -63,16 +64,16 @@ func TestRunCycleAllocCap(t *testing.T) {
 }
 
 // ncCycleMaxAllocs caps one 12-LRA Medea-NC cycle of
-// TestNCCycleAllocCap, about 9% above the most it was measured at:
-// 2,022 at one P and at two, 2,082–2,122 under -race, while each
-// container's record was a heap object (1,822 / 1,900–1,912 since the
-// container map holds records by value; 2,051–2,053 and 2,111–2,137
-// while a cycle copied its constraint list at every step). Medea-NC
-// places the twelve components one after the other on the live cluster;
+// TestNCCycleAllocCap, about 23% above the most it was measured at:
+// 1,786 at one P and at two, 1,830–1,842 under -race since a container
+// ID is built without fmt (1,822 / 1,888–1,912 before; 2,022 /
+// 2,082–2,122 while each container's record was a heap object;
+// 2,051–2,053 and 2,111–2,137 while a cycle copied its constraint list
+// at every step). Medea-NC places the twelve components one after the other on the live cluster;
 // a cycle that clones it for each component but the first (~110
 // allocations a clone) measured 3,261 and fails here, and so did the
 // concurrent fan-out with its clones and goroutines (3,299–3,305).
-const ncCycleMaxAllocs = 2350
+const ncCycleMaxAllocs = 2270
 
 // TestNCCycleAllocCap holds the cycle of TestRunCycleAllocCap, placed by
 // Medea-NC, to ncCycleMaxAllocs.

@@ -40,7 +40,7 @@ func (m *Model) fingerprint() uint64 {
 	wf := func(f float64) { w64(math.Float64bits(f)) }
 	w64(uint64(m.sense))
 	w64(uint64(len(m.vars)))
-	w64(uint64(len(m.cons)))
+	w64(uint64(len(m.rows.lo)))
 	for i := range m.vars {
 		v := &m.vars[i]
 		wf(v.lo)
@@ -52,14 +52,14 @@ func (m *Model) fingerprint() uint64 {
 			w64(0)
 		}
 	}
-	for i := range m.cons {
-		c := &m.cons[i]
-		wf(c.lo)
-		wf(c.hi)
-		w64(uint64(len(c.terms)))
-		for _, t := range c.terms {
-			w64(uint64(t.Var))
-			wf(t.Coeff)
+	r := &m.rows
+	for i := range r.lo {
+		wf(r.lo[i])
+		wf(r.hi[i])
+		w64(uint64(r.start[i+1] - r.start[i]))
+		for k := r.start[i]; k < r.start[i+1]; k++ {
+			w64(uint64(r.cols[k]))
+			wf(r.coefs[k])
 		}
 	}
 	return h.Sum64()
@@ -88,14 +88,13 @@ func (m *Model) solveApprox(opts Options) *Solution {
 	if arena == nil {
 		arena = NewSolverArena()
 	}
-	p := m.preparedFor(opts, arena)
 	arena.pool.reset(len(m.vars))
 	bounds := bbNode{lo: arena.pool.get(), hi: arena.pool.get()}
 	defer arena.pool.release(bounds)
 	lo, hi := bounds.lo, bounds.hi
 	hasInt := m.rootBoundsInto(lo, hi)
 
-	root := solveLP(m, p, lo, hi, opts.Deadline, opts.Clock, &arena.lp)
+	root := solveLP(m, lo, hi, opts.Deadline, opts.Clock, &arena.lp)
 	if root.status == statusDeadline {
 		return &Solution{Status: NoSolution, Nodes: 1, DeadlineHit: true}
 	}
@@ -112,7 +111,7 @@ func (m *Model) solveApprox(opts Options) *Solution {
 	best := m.worst()
 	var bestX []float64
 	warmUsed := false
-	if obj, x, ok := m.warmIncumbent(opts, p, lo, hi, &arena.lp); ok {
+	if obj, x, ok := m.warmIncumbent(opts, lo, hi, &arena.lp); ok {
 		best, bestX, warmUsed = obj, x, true
 	}
 
@@ -156,7 +155,7 @@ attempts:
 				v1, v2 = v2, v1
 			}
 			wlo[j], whi[j] = v1, v1
-			res := solveLP(m, p, wlo, whi, opts.Deadline, opts.Clock, &arena.lp)
+			res := solveLP(m, wlo, whi, opts.Deadline, opts.Clock, &arena.lp)
 			nodes++
 			if res.status == statusDeadline {
 				deadlineHit = true
@@ -165,7 +164,7 @@ attempts:
 			if res.status != Optimal {
 				// Flip the rounding.
 				wlo[j], whi[j] = v2, v2
-				res = solveLP(m, p, wlo, whi, opts.Deadline, opts.Clock, &arena.lp)
+				res = solveLP(m, wlo, whi, opts.Deadline, opts.Clock, &arena.lp)
 				nodes++
 				if res.status == statusDeadline {
 					deadlineHit = true
@@ -189,7 +188,7 @@ attempts:
 					wlo[fj], whi[fj] = lo[fj], hi[fj]
 				}
 				wlo[j], whi[j] = lo[j], hi[j]
-				res = solveLP(m, p, wlo, whi, opts.Deadline, opts.Clock, &arena.lp)
+				res = solveLP(m, wlo, whi, opts.Deadline, opts.Clock, &arena.lp)
 				nodes++
 				if res.status == statusDeadline {
 					deadlineHit = true

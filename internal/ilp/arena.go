@@ -4,8 +4,8 @@ import "math"
 
 // SolverArena owns every piece of reusable solver memory: the simplex
 // scratch (standard-form mapping, row shapes, tableau, cost row, pivot
-// buffers, solution extraction), the branch-and-bound bound-vector free
-// list and a reusable CSR build area. Threading one arena through
+// buffers, solution extraction) and the branch-and-bound bound-vector
+// free list. Threading one arena through
 // ilp.Options across solves removes nearly all per-solve allocations —
 // consecutive scheduling cycles solve near-identical models, so the grown
 // buffers fit immediately.
@@ -13,7 +13,7 @@ import "math"
 // Determinism contract: an arena is plain grow-only memory, not a
 // sync.Pool, so reuse can never reorder or perturb results. Every buffer
 // handed out is fully (re)initialised by its consumer before any element
-// is read; Poison exists so tests can prove that (fill the arena with
+// is read; poison exists so tests can prove that (fill the arena with
 // garbage between solves and demand byte-identical solutions).
 //
 // Concurrency contract: one arena serves ONE solve at a time, and a solve
@@ -23,10 +23,6 @@ import "math"
 type SolverArena struct {
 	lp   lpScratch  // the LP relaxation being solved
 	pool boundsPool // bound vectors of open branch-and-bound nodes, the root's included
-	// prep is the reusable CSR build area for models that were not
-	// prepare()d: rebuilt (cheaply, into the same backing arrays) at the
-	// start of each solve and read-only for its duration.
-	prep prepared
 	// rootX keeps the root relaxation's solution for the search's first
 	// node while the warm-start LPs reuse lp.x.
 	rootX []float64
@@ -35,51 +31,12 @@ type SolverArena struct {
 // NewSolverArena returns an empty arena; buffers grow on first use.
 func NewSolverArena() *SolverArena { return &SolverArena{} }
 
-// preparedFor returns the CSR constraint matrix for m, reusing the
-// arena's build area when the model was not already prepare()d. The
-// result is valid until the arena's next preparedFor call, which is fine:
-// one arena serves one solve at a time and the matrix is immutable for
-// that solve's duration.
-func (a *SolverArena) preparedFor(m *Model) *prepared {
-	if m.prep != nil {
-		return m.prep
-	}
-	p := &a.prep
-	nTerms := 0
-	for i := range m.cons {
-		nTerms += len(m.cons[i].terms)
-	}
-	p.rowStart = grow(p.rowStart, len(m.cons)+1)
-	p.cols = grow(p.cols, nTerms)
-	p.coefs = grow(p.coefs, nTerms)
-	p.conLo = grow(p.conLo, len(m.cons))
-	p.conHi = grow(p.conHi, len(m.cons))
-	at := 0
-	for i := range m.cons {
-		c := &m.cons[i]
-		p.rowStart[i] = at
-		for _, t := range c.terms {
-			p.cols[at] = int(t.Var)
-			p.coefs[at] = t.Coeff
-			at++
-		}
-		p.conLo[i], p.conHi[i] = c.lo, c.hi
-	}
-	p.rowStart[len(m.cons)] = at
-	return p
-}
-
-// Poison overwrites every byte of reusable arena memory with garbage
-// (NaN / minimum ints). It is a test hook: a solve after Poison must
+// poison overwrites every byte of reusable arena memory with garbage
+// (NaN / minimum ints). It is a test hook: a solve after poison must
 // still produce byte-identical results, proving no stale value survives
 // into a solution. Calling it between solves in production would be
 // harmless but pointless.
-func (a *SolverArena) Poison() {
-	poisonF64(a.prep.coefs[:cap(a.prep.coefs)])
-	poisonF64(a.prep.conLo[:cap(a.prep.conLo)])
-	poisonF64(a.prep.conHi[:cap(a.prep.conHi)])
-	poisonInt(a.prep.rowStart[:cap(a.prep.rowStart)])
-	poisonInt(a.prep.cols[:cap(a.prep.cols)])
+func (a *SolverArena) poison() {
 	poisonF64(a.rootX[:cap(a.rootX)])
 	a.lp.poison()
 	a.pool.poison()

@@ -45,7 +45,7 @@ func poisonedReuseCheck(t *testing.T, m *Model, arena *SolverArena, opts Options
 	withArena := opts
 	withArena.Arena = arena
 	first := m.Solve(withArena)
-	arena.Poison()
+	arena.poison()
 	second := m.Solve(withArena)
 	fresh := m.Solve(opts)
 	if diff := identicalSolutions(first, second); diff != "" {
@@ -105,7 +105,7 @@ func TestArenaPoisonedApproxPath(t *testing.T) {
 		withArena := opts
 		withArena.Arena = arena
 		first := m.Solve(withArena)
-		arena.Poison()
+		arena.poison()
 		second := m.Solve(withArena)
 		fresh := m.Solve(opts)
 		if diff := identicalSolutions(first, second); diff != "" {
@@ -151,7 +151,7 @@ func TestWarmStartDifferential(t *testing.T) {
 		}
 		opts := warmReplay(m, oracleOpts(), cold)
 		opts.Arena = arena
-		arena.Poison()
+		arena.poison()
 		sol := m.Solve(opts)
 		if sol.Status != Optimal {
 			t.Fatalf("%s: warm-started solve status %v, cold %v", label, sol.Status, cold.Status)

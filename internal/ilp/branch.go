@@ -104,24 +104,12 @@ func (m *Model) rootBoundsInto(lo, hi []float64) (hasInt bool) {
 	return hasInt
 }
 
-// preparedFor resolves the CSR constraint matrix for one solve: a model
-// already prepare()d (or solving without a caller arena, where the model
-// itself is the natural cache) keeps the per-model copy; with a caller
-// arena the matrix is rebuilt into the arena's reused buffers, so solving
-// a fresh structurally-identical model every cycle costs no allocation.
-func (m *Model) preparedFor(opts Options, arena *SolverArena) *prepared {
-	if opts.Arena == nil {
-		return m.prepare()
-	}
-	return arena.preparedFor(m)
-}
-
 // warmIncumbent evaluates every Options.WarmStarts candidate: each fixes
 // its supplied integer values, solves one LP for the remainder, and the
 // best feasible outcome becomes the initial incumbent: a later candidate
 // replaces an earlier one only if it beats it, so ties go to the one
 // listed first. ok is false when no candidate is feasible.
-func (m *Model) warmIncumbent(opts Options, p *prepared, lo, hi []float64, sc *lpScratch) (obj float64, x []float64, ok bool) {
+func (m *Model) warmIncumbent(opts Options, lo, hi []float64, sc *lpScratch) (obj float64, x []float64, ok bool) {
 	n := len(m.vars)
 	tryOne := func(ws map[Var]float64) (float64, []float64, bool) {
 		if len(ws) == 0 {
@@ -141,7 +129,7 @@ func (m *Model) warmIncumbent(opts Options, p *prepared, lo, hi []float64, sc *l
 			}
 			wlo[j], whi[j] = val, val
 		}
-		if res := solveLP(m, p, wlo, whi, opts.Deadline, opts.Clock, sc); res.status == Optimal && m.integral(res.x) {
+		if res := solveLP(m, wlo, whi, opts.Deadline, opts.Clock, sc); res.status == Optimal && m.integral(res.x) {
 			return res.obj, m.snap(res.x), true
 		}
 		return 0, nil, false
@@ -228,7 +216,6 @@ func (m *Model) solveExact(opts Options) *Solution {
 	if arena == nil {
 		arena = NewSolverArena()
 	}
-	p := m.preparedFor(opts, arena)
 	maxNodes := opts.MaxNodes
 	if maxNodes == 0 {
 		maxNodes = defaultMaxNodes
@@ -239,7 +226,7 @@ func (m *Model) solveExact(opts Options) *Solution {
 	lo, hi := rootNode.lo, rootNode.hi
 	hasInt := m.rootBoundsInto(lo, hi)
 
-	root := solveLP(m, p, lo, hi, opts.Deadline, opts.Clock, &arena.lp)
+	root := solveLP(m, lo, hi, opts.Deadline, opts.Clock, &arena.lp)
 	if root.status != Optimal || !hasInt || m.integral(root.x) {
 		arena.pool.release(rootNode)
 		switch {
@@ -255,9 +242,9 @@ func (m *Model) solveExact(opts Options) *Solution {
 	root.x = arena.rootX
 	rootNode.bound = root.obj
 
-	s := &search{m: m, opts: opts, p: p, arena: arena, obj: m.worst()}
+	s := &search{m: m, opts: opts, arena: arena, obj: m.worst()}
 	warmUsed := false
-	if obj, x, ok := m.warmIncumbent(opts, p, lo, hi, &arena.lp); ok {
+	if obj, x, ok := m.warmIncumbent(opts, lo, hi, &arena.lp); ok {
 		s.obj, s.x, warmUsed = obj, x, true
 	}
 	s.explore(rootNode, &root, maxNodes)
@@ -284,7 +271,6 @@ func (m *Model) solveExact(opts Options) *Solution {
 type search struct {
 	m     *Model
 	opts  Options
-	p     *prepared
 	arena *SolverArena
 	// obj and x are the incumbent: the best integer-feasible solution
 	// found so far (x nil and obj the worst() sentinel while there is
@@ -321,7 +307,7 @@ func (s *search) explore(rootNode bbNode, root *lpResult, budget int) {
 		if root != nil {
 			res, root = *root, nil
 		} else {
-			res = solveLP(m, s.p, nd.lo, nd.hi, opts.Deadline, opts.Clock, &s.arena.lp)
+			res = solveLP(m, nd.lo, nd.hi, opts.Deadline, opts.Clock, &s.arena.lp)
 		}
 		if res.status == statusDeadline {
 			s.cut = true
@@ -393,15 +379,16 @@ func (m *Model) CheckFeasible(x []float64) bool {
 			}
 		}
 	}
-	for _, c := range m.cons {
+	r := &m.rows
+	for i := range r.lo {
 		s := 0.0
-		for _, t := range c.terms {
-			if int(t.Var) < 0 || int(t.Var) >= len(x) {
+		for k := r.start[i]; k < r.start[i+1]; k++ {
+			if r.cols[k] < 0 || r.cols[k] >= len(x) {
 				return false // malformed model (see Model.Check)
 			}
-			s += t.Coeff * x[t.Var]
+			s += r.coefs[k] * x[r.cols[k]]
 		}
-		if s < c.lo-tolFeas || s > c.hi+tolFeas {
+		if s < r.lo[i]-tolFeas || s > r.hi[i]+tolFeas {
 			return false
 		}
 	}

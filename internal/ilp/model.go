@@ -46,12 +46,6 @@ type Term struct {
 // T builds a Term.
 func T(c float64, v Var) Term { return Term{Var: v, Coeff: c} }
 
-type conDef struct {
-	name   string
-	terms  []Term
-	lo, hi float64 // lo <= terms <= hi; use ±Infinity
-}
-
 // Model is a mutable MIP model. Build it, then call Solve. Malformed
 // additions (inverted bounds, unknown variables) do not panic: they are
 // recorded and surfaced by Check, and Solve returns Invalid — schedulers
@@ -60,63 +54,32 @@ type conDef struct {
 type Model struct {
 	sense Sense
 	vars  []varDef
-	cons  []conDef
+	rows  rows
 	errs  []error
-	// prep is the cached CSR constraint matrix, built by prepare() and
-	// read-only afterwards. Mutating the model (addVar/addCon)
-	// invalidates it.
-	prep *prepared
 }
 
-// prepared is the constraint matrix in compressed sparse row form: the
-// terms of constraint i occupy cols/coefs[rowStart[i]:rowStart[i+1]].
-// Branch-and-bound solves thousands of LP relaxations of the SAME
-// constraint rows with different variable bounds; flattening the per-
-// constraint term slices into three contiguous arrays removes the
-// pointer-chasing from every row-assembly pass.
-type prepared struct {
-	rowStart []int
-	cols     []int
-	coefs    []float64
-	conLo    []float64
-	conHi    []float64
+// rows is the constraint matrix in compressed sparse row form, written
+// once as the constraints are added: the terms of row i occupy
+// cols/coefs[start[i]:start[i+1]], and lo <= terms <= hi (±Infinity for
+// an open side). Branch-and-bound solves thousands of LP relaxations of
+// the same rows with different variable bounds; three contiguous arrays
+// keep the pointer-chasing out of every row-assembly pass. Adding a row
+// copies its terms here, so a caller may reuse its term slice.
+type rows struct {
+	names  []string
+	start  []int // len(names)+1 offsets once a row exists
+	cols   []int
+	coefs  []float64
+	lo, hi []float64
 }
 
-// prepare builds (or reuses) the CSR constraint matrix.
-func (m *Model) prepare() *prepared {
-	if m.prep != nil {
-		return m.prep
+// terms returns row i's terms in the order they were added.
+func (r *rows) terms(i int) []Term {
+	out := make([]Term, 0, r.start[i+1]-r.start[i])
+	for k := r.start[i]; k < r.start[i+1]; k++ {
+		out = append(out, T(r.coefs[k], Var(r.cols[k])))
 	}
-	m.prep = buildPrepared(m)
-	return m.prep
-}
-
-// buildPrepared flattens m.cons into CSR form without touching m.prep,
-// so callers that reach solveLP without a prior prepare() (direct LP
-// tests) can build a local copy race-free.
-func buildPrepared(m *Model) *prepared {
-	nTerms := 0
-	for i := range m.cons {
-		nTerms += len(m.cons[i].terms)
-	}
-	p := &prepared{
-		rowStart: make([]int, len(m.cons)+1),
-		cols:     make([]int, 0, nTerms),
-		coefs:    make([]float64, 0, nTerms),
-		conLo:    make([]float64, len(m.cons)),
-		conHi:    make([]float64, len(m.cons)),
-	}
-	for i := range m.cons {
-		c := &m.cons[i]
-		p.rowStart[i] = len(p.cols)
-		for _, t := range c.terms {
-			p.cols = append(p.cols, int(t.Var))
-			p.coefs = append(p.coefs, t.Coeff)
-		}
-		p.conLo[i], p.conHi[i] = c.lo, c.hi
-	}
-	p.rowStart[len(m.cons)] = len(p.cols)
-	return p
+	return out
 }
 
 // NewModel returns an empty model with the given objective sense.
@@ -126,7 +89,7 @@ func NewModel(sense Sense) *Model { return &Model{sense: sense} }
 func (m *Model) NumVars() int { return len(m.vars) }
 
 // NumConstraints returns the number of constraints.
-func (m *Model) NumConstraints() int { return len(m.cons) }
+func (m *Model) NumConstraints() int { return len(m.rows.lo) }
 
 // Binary adds a {0,1} variable.
 func (m *Model) Binary(name string) Var { return m.addVar(name, 0, 1, true) }
@@ -145,7 +108,6 @@ func (m *Model) addVar(name string, lo, hi float64, integer bool) Var {
 		m.errs = append(m.errs, fmt.Errorf("ilp: variable %s has NaN bound [%v,%v]", name, lo, hi))
 	}
 	m.vars = append(m.vars, varDef{name: name, lo: lo, hi: hi, integer: integer})
-	m.prep = nil
 	return Var(len(m.vars) - 1)
 }
 
@@ -185,8 +147,17 @@ func (m *Model) addCon(name string, lo, hi float64, terms []Term) {
 			m.errs = append(m.errs, fmt.Errorf("ilp: constraint %s has non-finite coefficient %v", name, t.Coeff))
 		}
 	}
-	m.cons = append(m.cons, conDef{name: name, terms: append([]Term(nil), terms...), lo: lo, hi: hi})
-	m.prep = nil
+	r := &m.rows
+	if len(r.start) == 0 {
+		r.start = append(r.start, 0)
+	}
+	for _, t := range terms {
+		r.cols = append(r.cols, int(t.Var))
+		r.coefs = append(r.coefs, t.Coeff)
+	}
+	r.names = append(r.names, name)
+	r.start = append(r.start, len(r.cols))
+	r.lo, r.hi = append(r.lo, lo), append(r.hi, hi)
 }
 
 // Check reports the defects accumulated while building the model: inverted
@@ -222,10 +193,10 @@ func (m *Model) String() string {
 		}
 		fmt.Fprintf(&b, "var %s %s [%s,%s] obj=%s\n", v.name, kind, f(v.lo), f(v.hi), f(v.obj))
 	}
-	for _, c := range m.cons {
-		terms := slices.Clone(c.terms)
+	for i, rowName := range m.rows.names {
+		terms := m.rows.terms(i)
 		slices.SortStableFunc(terms, func(x, y Term) int { return int(x.Var) - int(y.Var) })
-		fmt.Fprintf(&b, "row %s:", c.name)
+		fmt.Fprintf(&b, "row %s:", rowName)
 		for i, t := range terms {
 			if i > 0 {
 				b.WriteString(" +")
@@ -236,15 +207,16 @@ func (m *Model) String() string {
 			}
 			fmt.Fprintf(&b, " %s %s", f(t.Coeff), name)
 		}
+		lo, hi := m.rows.lo[i], m.rows.hi[i]
 		switch {
-		case c.lo == c.hi:
-			fmt.Fprintf(&b, " = %s\n", f(c.hi))
-		case math.IsInf(c.lo, -1):
-			fmt.Fprintf(&b, " <= %s\n", f(c.hi))
-		case math.IsInf(c.hi, 1):
-			fmt.Fprintf(&b, " >= %s\n", f(c.lo))
+		case lo == hi:
+			fmt.Fprintf(&b, " = %s\n", f(hi))
+		case math.IsInf(lo, -1):
+			fmt.Fprintf(&b, " <= %s\n", f(hi))
+		case math.IsInf(hi, 1):
+			fmt.Fprintf(&b, " >= %s\n", f(lo))
 		default:
-			fmt.Fprintf(&b, " in [%s,%s]\n", f(c.lo), f(c.hi))
+			fmt.Fprintf(&b, " in [%s,%s]\n", f(lo), f(hi))
 		}
 	}
 	return b.String()

@@ -171,7 +171,7 @@ func TestExploreSolvesEachLPOnce(t *testing.T) {
 	m.AddLE("pair", 1, T(1, x), T(1, y))
 	m.AddLE("half", 1, T(2, x))
 	arena := NewSolverArena()
-	if root := solveLP(m, nil, []float64{0, 0}, []float64{1, 1}, time.Time{}, nil, nil); root.status != Optimal || m.integral(root.x) {
+	if root := solveLP(m, []float64{0, 0}, []float64{1, 1}, time.Time{}, nil, nil); root.status != Optimal || m.integral(root.x) {
 		t.Fatalf("fixture: root relaxation %+v is not fractional", root)
 	}
 	sol := m.Solve(Options{Arena: arena, WarmStarts: []map[Var]float64{{x: 0, y: 1}}})

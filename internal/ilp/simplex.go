@@ -50,21 +50,18 @@ type stdVar struct {
 // branch-and-bound nodes), so a degenerate LP cannot blow the budget
 // before the search even starts.
 //
-// p is the CSR constraint matrix (nil builds a throwaway copy) and sc the
-// reusable scratch all working memory is drawn from (nil allocates a
-// private one). Every scratch element read is written first within this
-// call, so a scratch full of garbage — see SolverArena.Poison — cannot
+// sc is the reusable scratch all working memory is drawn from (nil
+// allocates a private one). Every scratch element read is written first within this
+// call, so a scratch full of garbage — see SolverArena.poison — cannot
 // perturb the result.
-func solveLP(m *Model, p *prepared, lo, hi []float64, deadline time.Time, clk func() time.Time, sc *lpScratch) lpResult {
+func solveLP(m *Model, lo, hi []float64, deadline time.Time, clk func() time.Time, sc *lpScratch) lpResult {
 	if clk == nil {
 		clk = time.Now
 	}
 	if sc == nil {
 		sc = &lpScratch{}
 	}
-	if p == nil {
-		p = buildPrepared(m)
-	}
+	p := &m.rows
 	sc.lps++
 	n := len(m.vars)
 	for j := 0; j < n; j++ {
@@ -122,18 +119,18 @@ func solveLP(m *Model, p *prepared, lo, hi []float64, deadline time.Time, clk fu
 		rowSrc, rowFlip = append(rowSrc, src), append(rowFlip, flip)
 		rowRel, rowB = append(rowRel, rel), append(rowB, b)
 	}
-	for ci := 0; ci < len(p.conLo); ci++ {
+	for ci := 0; ci < len(p.lo); ci++ {
 		shiftSum := 0.0
-		for k := p.rowStart[ci]; k < p.rowStart[ci+1]; k++ {
+		for k := p.start[ci]; k < p.start[ci+1]; k++ {
 			if c0 := colOf[p.cols[k]]; c0 < 0 {
 				shiftSum += p.coefs[k] * fixed[p.cols[k]]
 			} else {
 				shiftSum += p.coefs[k] * svars[c0].shift
 			}
 		}
-		loC, hiC := p.conLo[ci]-shiftSum, p.conHi[ci]-shiftSum
+		loC, hiC := p.lo[ci]-shiftSum, p.hi[ci]-shiftSum
 		switch {
-		case p.conLo[ci] == p.conHi[ci]:
+		case p.lo[ci] == p.hi[ci]:
 			appendRow(ci, 0, loC)
 		default:
 			if !math.IsInf(hiC, 1) {
@@ -213,7 +210,7 @@ func solveLP(m *Model, p *prepared, lo, hi []float64, deadline time.Time, clk fu
 	for i := 0; i < mRows; i++ {
 		tr := tabF[i*stride : (i+1)*stride : (i+1)*stride]
 		ci := rowSrc[i]
-		for k := p.rowStart[ci]; k < p.rowStart[ci+1]; k++ {
+		for k := p.start[ci]; k < p.start[ci+1]; k++ {
 			j := p.cols[k]
 			c0 := colOf[j]
 			if c0 < 0 {

@@ -23,7 +23,7 @@ func TestBoundedKernelMatchesRows(t *testing.T) {
 		t.Helper()
 		want := solveLPRows(m, lo, hi)
 		sc.poison()
-		got := solveLP(m, nil, lo, hi, time.Time{}, nil, sc)
+		got := solveLP(m, lo, hi, time.Time{}, nil, sc)
 		statuses[got.status]++
 		if got.status != want.status {
 			t.Fatalf("%s: status %v, row kernel %v", label, got.status, want.status)
@@ -86,13 +86,14 @@ func lpInfeasibility(m *Model, lo, hi, x []float64) string {
 			return fmt.Sprintf("x[%d] = %v outside [%v, %v]", j, x[j], lo[j], hi[j])
 		}
 	}
-	for i, c := range m.cons {
+	r := &m.rows
+	for i := range r.lo {
 		s := 0.0
-		for _, t := range c.terms {
+		for _, t := range r.terms(i) {
 			s += t.Coeff * x[t.Var]
 		}
-		if s < c.lo-tolFeas || s > c.hi+tolFeas {
-			return fmt.Sprintf("row %d = %v outside [%v, %v]", i, s, c.lo, c.hi)
+		if s < r.lo[i]-tolFeas || s > r.hi[i]+tolFeas {
+			return fmt.Sprintf("row %d = %v outside [%v, %v]", i, s, r.lo[i], r.hi[i])
 		}
 	}
 	return ""
@@ -171,7 +172,7 @@ func randomBoundedLP(r *rand.Rand) *Model {
 // with its own slack, and the simplex knows only the lower bound 0. It is
 // kept, allocating and unhurried, as the oracle of the bounded kernel.
 func solveLPRows(m *Model, lo, hi []float64) lpResult {
-	p := buildPrepared(m)
+	p := &m.rows
 	n := len(m.vars)
 	for j := 0; j < n; j++ {
 		if lo[j] > hi[j]+tolFeas {
@@ -223,18 +224,18 @@ func solveLPRows(m *Model, lo, hi []float64) lpResult {
 		}
 		rows = append(rows, row{src, flip, rel, b})
 	}
-	for ci := range p.conLo {
+	for ci := range p.lo {
 		shift := 0.0
-		for k := p.rowStart[ci]; k < p.rowStart[ci+1]; k++ {
+		for k := p.start[ci]; k < p.start[ci+1]; k++ {
 			if c0 := colOf[p.cols[k]]; c0 < 0 {
 				shift += p.coefs[k] * fixed[p.cols[k]]
 			} else {
 				shift += p.coefs[k] * svars[c0].shift
 			}
 		}
-		loC, hiC := p.conLo[ci]-shift, p.conHi[ci]-shift
+		loC, hiC := p.lo[ci]-shift, p.hi[ci]-shift
 		switch {
-		case p.conLo[ci] == p.conHi[ci]:
+		case p.lo[ci] == p.hi[ci]:
 			add(ci, 0, loC)
 		default:
 			if !math.IsInf(hiC, 1) {
@@ -290,7 +291,7 @@ func solveLPRows(m *Model, lo, hi []float64) lpResult {
 		if r.src < 0 {
 			tr[ubCol[-1-r.src]] = 1
 		} else {
-			for k := p.rowStart[r.src]; k < p.rowStart[r.src+1]; k++ {
+			for k := p.start[r.src]; k < p.start[r.src+1]; k++ {
 				j := p.cols[k]
 				c0 := colOf[j]
 				if c0 < 0 {

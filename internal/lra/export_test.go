@@ -40,7 +40,8 @@ func NewScoreFixture(state *cluster.Cluster, apps []*Application, active []const
 	}
 	groups := batchGroups(apps)
 	tp := groupCounts(groups, f.results[0])
-	cands := selectCandidates(state, f.cons, groups, opts)
+	tab, _ := newScoreTable(&greedy{}, state, f.cons, queueOf(buildRequests(apps)))
+	cands := selectCandidates(state, tab, f.cons, groups, opts)
 	for gi := range groups {
 		for n := range tp[gi] {
 			cands[gi] = append(cands[gi], n)
@@ -59,7 +60,7 @@ func NewScoreFixture(state *cluster.Cluster, apps []*Application, active []const
 		return nil, fmt.Errorf("solve ended %v", sol.Status)
 	}
 	work := state.Clone()
-	f.works, f.results = append(f.works, work), append(f.results, decodeSolution(work, apps, sol, pm.S, pm.Y))
+	f.works, f.results = append(f.works, work), append(f.results, decodeSolution(work, apps, buildRequests(apps), sol, pm.S, pm.Y))
 
 	base := newScoreBase(state, f.cons)
 	for i, work := range f.works {

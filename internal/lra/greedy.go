@@ -139,26 +139,48 @@ func (g *greedy) Place(state *cluster.Cluster, apps []*Application, active []con
 	return res
 }
 
-// placeOn places the batch on work itself, allocating every assignment of
-// the placed applications there and rolling the failed ones back. If it
-// panics, it releases what it allocated before the panic goes on.
-func (g *greedy) placeOn(work *cluster.Cluster, apps []*Application, flat []constraint.Entry) *Result {
-	cons := g.filterEntries(flat)
-	reqs := buildRequests(apps)
+// scoresLike reports whether g prices every cell exactly as o does, so
+// that a score table filled for o serves g: neither is first-fit or
+// filters atoms, and both score with the same terms.
+func (g *greedy) scoresLike(o *greedy) bool {
+	return !g.firstFit && !o.firstFit && g.atomFilter == nil && o.atomFilter == nil &&
+		g.subjectOnly == o.subjectOnly && g.affinityPull == o.affinityPull && g.loadBalanceWeight == o.loadBalanceWeight
+}
 
+// queueOf lists the batch's container requests in submission order.
+func queueOf(reqs [][]containerReq) []containerReq {
 	var queue []containerReq
 	for _, rs := range reqs {
 		queue = append(queue, rs...)
 	}
+	return queue
+}
 
-	// Every node score of this call lives in one table, kept current
-	// across the tentative allocations and rollbacks below. The first-fit
-	// baseline ignores scores and has none; it places in submission order.
-	var tab *scoreTable
-	var classOf []int
-	if !g.firstFit {
-		tab, classOf = newScoreTable(g, work, cons, queue)
+// placeOn places the batch on work itself, allocating every assignment of
+// the placed applications there and rolling the failed ones back. If it
+// panics, it releases what it allocated before the panic goes on.
+func (g *greedy) placeOn(work *cluster.Cluster, apps []*Application, flat []constraint.Entry) *Result {
+	queue := queueOf(buildRequests(apps))
+	tab, classOf := g.ownTable(work, flat, queue)
+	return g.placeQueue(work, apps, queue, tab, classOf)
+}
+
+// ownTable fills g's score table of queue on work: every node score of a
+// placement lives in one table, kept current across its tentative
+// allocations and rollbacks. The first-fit baseline ignores scores and
+// has none.
+func (g *greedy) ownTable(work *cluster.Cluster, flat []constraint.Entry, queue []containerReq) (*scoreTable, []int) {
+	if g.firstFit {
+		return nil, nil
 	}
+	return newScoreTable(g, work, g.filterEntries(flat), queue)
+}
+
+// placeQueue is placeOn for queue, the batch's requests in submission
+// order, starting from tab, g's score table of work with each request's
+// class (nil for first-fit, which places in submission order). It reads
+// queue and classOf and leaves them as they were.
+func (g *greedy) placeQueue(work *cluster.Cluster, apps []*Application, queue []containerReq, tab *scoreTable, classOf []int) *Result {
 	if g.order == orderTP {
 		// A container's tag popularity is the number of constraint atoms
 		// it is the subject or a target of: its class's compiled atoms.

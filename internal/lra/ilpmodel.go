@@ -1,7 +1,6 @@
 package lra
 
 import (
-	"fmt"
 	"slices"
 	"strconv"
 
@@ -83,6 +82,30 @@ type placementModel struct {
 	// cardinalityRows' scratch: by group, whether the atom being emitted
 	// has it as subject and as target.
 	subjOf, tgtOf []bool
+	// Every row's terms, every name and every candidatesIn list are
+	// built in these buffers, reused: ilp.Model copies what it keeps.
+	terms   []ilp.Term
+	nameBuf []byte
+	inSet   []cluster.NodeID
+}
+
+// name returns prefix followed by "_<id>" for each id.
+func (pm *placementModel) name(prefix string, ids ...int) string {
+	b := append(pm.nameBuf[:0], prefix...)
+	for _, id := range ids {
+		b = strconv.AppendInt(append(b, '_'), int64(id), 10)
+	}
+	pm.nameBuf = b
+	return string(b)
+}
+
+// actName returns an activation's variable or row name:
+// <prefix>_<group index>_<node group>_<set>.
+func (pm *placementModel) actName(prefix string, k actKey) string {
+	b := strconv.AppendInt(append(append(pm.nameBuf[:0], prefix...), '_'), int64(k.gi), 10)
+	b = strconv.AppendInt(append(append(append(b, '_'), k.group...), '_'), int64(k.set), 10)
+	pm.nameBuf = b
+	return string(b)
 }
 
 // buildModel formulates the Figure-5 program for apps over cands, the
@@ -103,7 +126,7 @@ func buildModel(state *cluster.Cluster, apps []*Application, cons []constraint.E
 	// S_i: all-or-nothing indicator per LRA (Table 2).
 	pm.S = make([]ilp.Var, len(apps))
 	for i := range apps {
-		pm.S[i] = m.Binary(fmt.Sprintf("S_%d", i))
+		pm.S[i] = m.Binary(pm.name("S", i))
 		m.SetObjective(pm.S[i], w.W1/float64(len(apps)))
 	}
 
@@ -125,19 +148,20 @@ func buildModel(state *cluster.Cluster, apps []*Application, cons []constraint.E
 			if ub <= 0 {
 				continue
 			}
-			pm.Y[gi][n] = m.Int(fmt.Sprintf("Y_%d_%d", gi, n), 0, float64(ub))
+			pm.Y[gi][n] = m.Int(pm.name("Y", gi, int(n)), 0, float64(ub))
 		}
 	}
 
 	// Equations 2+4 (symmetry-reduced): Σ_n Y_gn = T_g · S_i.
 	for gi, g := range groups {
-		terms := []ilp.Term{ilp.T(-float64(g.count), pm.S[g.appIdx])}
+		terms := append(pm.terms[:0], ilp.T(-float64(g.count), pm.S[g.appIdx]))
 		for _, n := range cands[gi] {
 			if v, ok := pm.Y[gi][n]; ok {
 				terms = append(terms, ilp.T(1, v))
 			}
 		}
-		m.AddEQ(fmt.Sprintf("gang_%d", gi), 0, terms...)
+		m.AddEQ(pm.name("gang", gi), 0, terms...)
+		pm.terms = terms
 	}
 
 	// Union of candidate nodes, sorted for determinism.
@@ -151,10 +175,10 @@ func buildModel(state *cluster.Cluster, apps []*Application, cons []constraint.E
 	// Equation 3: node capacities, one row per resource dimension.
 	for _, n := range union {
 		free := state.Node(n).Free()
-		if memT := pm.demandTerms(n, nil, func(d resource.Vector) int64 { return d.MemoryMB }); len(memT) > 0 {
-			m.AddLE(fmt.Sprintf("mem_%d", n), float64(free.MemoryMB), memT...)
-			m.AddLE(fmt.Sprintf("cpu_%d", n), float64(free.VCores),
-				pm.demandTerms(n, nil, func(d resource.Vector) int64 { return d.VCores })...)
+		if pm.terms = pm.demandTerms(n, pm.terms[:0], func(d resource.Vector) int64 { return d.MemoryMB }); len(pm.terms) > 0 {
+			m.AddLE(pm.name("mem", int(n)), float64(free.MemoryMB), pm.terms...)
+			pm.terms = pm.demandTerms(n, pm.terms[:0], func(d resource.Vector) int64 { return d.VCores })
+			m.AddLE(pm.name("cpu", int(n)), float64(free.VCores), pm.terms...)
 		}
 	}
 
@@ -186,13 +210,13 @@ func buildModel(state *cluster.Cluster, apps []*Application, cons []constraint.E
 				atoms = append(atoms, atomInst{atom: a, weight: e.Constraint.EffectiveWeight(), consIdx: ci, termIdx: ti})
 			}
 			if len(e.Constraint.Terms) > 1 {
-				u := m.Binary(fmt.Sprintf("U_%d_%d", ci, ti))
+				u := m.Binary(pm.name("U", ci, ti))
 				pm.termSel[[2]int{ci, ti}] = u
 				sel = append(sel, ilp.T(1, u))
 			}
 		}
 		if len(sel) > 0 {
-			m.AddEQ(fmt.Sprintf("dnf_%d", ci), 1, sel...)
+			m.AddEQ(pm.name("dnf", ci), 1, sel...)
 		}
 	}
 
@@ -241,23 +265,24 @@ func (pm *placementModel) headroomRows(union []cluster.NodeID, varPrefix, rowPre
 		if free <= 0 || per <= 0 {
 			continue
 		}
-		credit := pm.m.Float(fmt.Sprintf("%s_%d", varPrefix, n), 0, 1)
+		credit := pm.m.Float(pm.name(varPrefix, int(n)), 0, 1)
 		pm.m.SetObjective(credit, weight/float64(len(union)))
-		pm.m.AddLE(fmt.Sprintf("%s_%d", rowPrefix, n), free,
-			pm.demandTerms(n, []ilp.Term{ilp.T(per, credit)}, resource.Vector.Scalar)...)
+		pm.terms = pm.demandTerms(n, append(pm.terms[:0], ilp.T(per, credit)), resource.Vector.Scalar)
+		pm.m.AddLE(pm.name(rowPrefix, int(n)), free, pm.terms...)
 	}
 }
 
 // candidatesIn returns the nodes of a set on which group gi has a Y
-// variable, sorted.
+// variable, sorted, in a buffer the next call reuses.
 func (pm *placementModel) candidatesIn(gi int, gn constraint.GroupName, sid cluster.SetID) []cluster.NodeID {
-	var out []cluster.NodeID
+	out := pm.inSet[:0]
 	for _, n := range pm.state.SetMembers(gn, sid) {
 		if _, ok := pm.Y[gi][n]; ok {
 			out = append(out, n)
 		}
 	}
 	slices.Sort(out)
+	pm.inSet = out
 	return out
 }
 
@@ -269,16 +294,17 @@ func (pm *placementModel) activation(gi int, gn constraint.GroupName, sid cluste
 	if v, ok := pm.acts[k]; ok {
 		return v, true
 	}
-	var terms []ilp.Term
+	terms := pm.terms[:0]
 	for _, n := range pm.candidatesIn(gi, gn, sid) {
 		terms = append(terms, ilp.T(1, pm.Y[gi][n]))
 	}
+	pm.terms = terms
 	if len(terms) == 0 {
 		return noVar, false // group cannot reach this set
 	}
-	v := pm.m.Binary(fmt.Sprintf("A_%d_%s_%d", gi, gn, sid))
-	terms = append(terms, ilp.T(-float64(pm.groups[gi].count), v))
-	pm.m.AddLE(fmt.Sprintf("act_%d_%s_%d", gi, gn, sid), 0, terms...)
+	v := pm.m.Binary(pm.actName("A", k))
+	pm.terms = append(terms, ilp.T(-float64(pm.groups[gi].count), v))
+	pm.m.AddLE(pm.actName("act", k), 0, pm.terms...)
 	pm.acts[k] = v
 	return v, true
 }
@@ -336,7 +362,7 @@ func (pm *placementModel) cardinalityRows(idx int, inst atomInst, bigM float64) 
 
 	for r.sid = 0; int(r.sid) < numSets; r.sid++ {
 		r.loaded = false
-		r.tgt = nil
+		r.tgt = r.tgt[:0]
 		for gi := range pm.groups {
 			if pm.tgtOf[gi] {
 				for _, n := range pm.candidatesIn(gi, a.Group, r.sid) {
@@ -409,18 +435,18 @@ func (r *cardRow) emit(family string, isMin bool, gi, selfAdj int, act ilp.Var) 
 		kind, bound, sign = "min", r.inst.atom.Min, 1.0
 	}
 	name := func(part string) string {
-		b := append(append(append(make([]byte, 0, 32), family...), part...), kind...)
+		b := append(append(append(pm.nameBuf[:0], family...), part...), kind...)
 		for _, i := range [3]int{r.idx, gi, int(r.sid)} {
 			if i >= 0 {
 				b = strconv.AppendInt(append(b, '_'), int64(i), 10)
 			}
 		}
+		pm.nameBuf = b
 		return string(b)
 	}
 	v := pm.m.Float(name("v"), 0, ilp.Infinity)
 	pm.slacks = append(pm.slacks, slackRef{v: v, atomIdx: r.idx, weight: r.inst.weight, bound: bound})
-	terms := make([]ilp.Term, 0, len(r.tgt)+3)
-	terms = append(terms, ilp.T(sign, v))
+	terms := append(pm.terms[:0], ilp.T(sign, v))
 	r.gammas()
 	rhs := float64(bound - r.existing + selfAdj)
 	if act != noVar {
@@ -437,6 +463,7 @@ func (r *cardRow) emit(family string, isMin bool, gi, selfAdj int, act ilp.Var) 
 	} else {
 		pm.m.AddLE(name("c"), rhs, terms...)
 	}
+	pm.terms = terms
 }
 
 // warmValues assembles one warm-start candidate — a value for every

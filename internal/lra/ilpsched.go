@@ -3,6 +3,7 @@ package lra
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"strconv"
@@ -97,22 +98,30 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	}
 	cons := flattenConstraints(apps, active)
 	groups := batchGroups(apps)
+	reqs := buildRequests(apps)
+	queue := queueOf(reqs)
 
 	// Every candidate placement is built on state itself and priced
 	// against one sweep of it, then released again: the model is built on
 	// state as Place found it, and Place returns it so.
 	base := newScoreBase(state, cons)
 
+	// The score of every node for every container class on state as Place
+	// found it, filled once: the heuristics start from copies of it and
+	// candidate selection reads it. Its owner scores the plain violation
+	// delta, as Medea-TP and Serial do.
+	tab, classOf := newScoreTable(&greedy{}, state, cons, queue)
+
 	// Warm start: run the greedy fallback first and seed the solver with
 	// its placement as the initial incumbent. Branch-and-bound then only
 	// ever improves on the heuristic within the time budget, combining
 	// the heuristics' latency with the ILP's placement quality (§5.3).
-	fb, fbScore := s.fallback.placeBest(state, apps, cons, base, opts)
+	fb, fbScore := s.fallback.placeBest(state, apps, cons, queue, tab, classOf, base, opts)
 	fbCounts := groupCounts(groups, fb)
 
 	// Every node the greedy used is a candidate too, so that the warm
 	// solution is expressible in the model.
-	cands := selectCandidates(state, cons, groups, opts)
+	cands := selectCandidates(state, tab, cons, groups, opts)
 	for gi := range groups {
 		for n := range fbCounts[gi] {
 			cands[gi] = append(cands[gi], n)
@@ -160,7 +169,7 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	// batch degrades gracefully to the greedy placement.
 	final := fb
 	if sol != nil && (sol.Status == ilp.Optimal || sol.Status == ilp.Feasible) {
-		res := decodeSolution(state, apps, sol, pm.S, pm.Y)
+		res := decodeSolution(state, apps, reqs, sol, pm.S, pm.Y)
 		if sameNodes(res, fb) {
 			releasePlaced(state, res)
 		} else if base.scoreAndRelease(state, res) > fbScore {
@@ -193,14 +202,14 @@ func stamp(final *Result, sol *ilp.Solution) {
 }
 
 // decodeSolution turns the solver's S and Y values into concrete
-// assignments, allocating them on work, the state the model was built
-// from: an application whose containers do not all fit there is rolled
-// back and reported unplaced. work ends up holding exactly the placed
-// applications on top of that state; if decodeSolution panics, it
-// releases what it allocated before the panic goes on.
-func decodeSolution(work *cluster.Cluster, apps []*Application, sol *ilp.Solution, S []ilp.Var, Y []map[cluster.NodeID]ilp.Var) *Result {
+// assignments of reqs, the batch's requests (buildRequests), allocating
+// them on work, the state the model was built from: an application whose
+// containers do not all fit there is rolled back and reported unplaced.
+// work ends up holding exactly the placed applications on top of that
+// state; if decodeSolution panics, it releases what it allocated before
+// the panic goes on.
+func decodeSolution(work *cluster.Cluster, apps []*Application, reqs [][]containerReq, sol *ilp.Solution, S []ilp.Var, Y []map[cluster.NodeID]ilp.Var) *Result {
 	res := &Result{Placements: make([]Placement, len(apps))}
-	reqs := buildRequests(apps)
 	var assigned []Assignment // the application being decoded
 	finished := false
 	defer func() {
@@ -292,15 +301,27 @@ func groupCounts(groups []mgroup, res *Result) []map[cluster.NodeID]int {
 // feasible nodes are bucketed into equivalence classes (identical free
 // resources, group memberships and violation score), classes are ranked by
 // (violation delta, free space), and representatives are drawn round-robin
-// across classes so rack/domain diversity is preserved. A group's sweep
-// prices its atoms through one setMemo, so the nodes of a rack share one
-// reading of it per atom.
-func selectCandidates(state *cluster.Cluster, cons []constraint.Entry, groups []mgroup, opts Options) [][]cluster.NodeID {
+// across classes so rack/domain diversity is preserved. A group's
+// violation delta at a node is tab's cell of its class there: tab is a
+// table of state, filled for an owner that scores the plain delta, and
+// cons the constraint list it was filled against. Two deltas are the
+// same score when they print alike rounded to six decimals, so 1e-9 and
+// 0 share a class; the class ranks by the delta of its first node.
+func selectCandidates(state *cluster.Cluster, tab *scoreTable, cons []constraint.Entry, groups []mgroup, opts Options) [][]cluster.NodeID {
 	out := make([][]cluster.NodeID, len(groups))
-	groupNames := state.Groups()
-	var key []byte     // class key of the node being bucketed, reused
-	var atoms vecAtoms // the group's compiled atoms, reused
-	var memo setMemo   // their deltas per set, for one group's sweep
+	nodes := state.Nodes()
+	sig := nodeSignatures(state)
+	var (
+		text    []byte      // a delta, rounded, as its class key holds it
+		bits    uint64      // the delta text was made of
+		did     = int32(-1) // text's index in deltaID
+		deltaID = map[string]int32{}
+		classID = map[[2]int32]int32{} // by node signature and delta index
+		classes []candClass
+		classOf = make([]int32, len(nodes)) // by node, -1 for a node that does not fit
+		members = make([]cluster.NodeID, len(nodes))
+		order   []int32
+	)
 	for gi, g := range groups {
 		budget := opts.MaxCandidates
 		if budget <= 0 {
@@ -310,55 +331,60 @@ func selectCandidates(state *cluster.Cluster, cons []constraint.Entry, groups []
 			// starving under constraint pressure.
 			budget = max(2*g.count, 8)
 		}
-		atoms = compileAtoms(atoms[:0], cons, g.tags, true)
-		memo.reset(state, atoms)
-		type class struct {
-			nodes []cluster.NodeID
-			delta float64
-			free  int64
-		}
-		classes := map[string]*class{}
-		for _, n := range state.Nodes() {
-			if !n.Available() || !g.demand.Fits(n.Free()) {
+		clear(deltaID)
+		clear(classID)
+		classes, did = classes[:0], -1
+		for i, s := range tab.groupScores(cons, g.tags, g.demand) {
+			classOf[i] = -1
+			if !s.ok { // unavailable, or the group's demand does not fit
 				continue
 			}
-			delta := atoms.delta(state, n.ID, false, &memo)
-			free := n.Free()
-			key = strconv.AppendInt(key[:0], free.MemoryMB, 10)
-			key = append(key, '/')
-			key = strconv.AppendInt(key, free.VCores, 10)
-			key = append(key, '|')
-			key = strconv.AppendFloat(key, delta, 'f', 6, 64)
-			for _, gn := range groupNames {
-				if gn == constraint.Node {
-					continue
+			if b := math.Float64bits(s.delta); did < 0 || b != bits {
+				text = strconv.AppendFloat(text[:0], s.delta, 'f', 6, 64)
+				id, ok := deltaID[string(text)]
+				if !ok {
+					id = int32(len(deltaID))
+					deltaID[string(text)] = id
 				}
-				key = append(key, '|')
-				for _, sid := range state.SetsOfNode(gn, n.ID) {
-					key = strconv.AppendInt(key, int64(sid), 10)
-					key = append(key, ' ')
-				}
+				did, bits = id, b
 			}
-			cl := classes[string(key)]
-			if cl == nil {
-				cl = &class{delta: delta, free: free.Scalar()}
-				classes[string(key)] = cl
+			c, ok := classID[[2]int32{sig[i], did}]
+			if !ok {
+				c = int32(len(classes))
+				classID[[2]int32{sig[i], did}] = c
+				classes = append(classes, candClass{delta: s.delta, free: nodes[i].Free().Scalar(), first: nodes[i].ID})
 			}
-			cl.nodes = append(cl.nodes, n.ID)
+			classes[c].n++
+			classOf[i] = c
 		}
-		ordered := make([]*class, 0, len(classes))
-		for _, cl := range classes {
-			ordered = append(ordered, cl) // cl.nodes ascends: state.Nodes() is in ID order
+		// Lay the classes' nodes out one class after the other, each in
+		// node ID order.
+		at := 0
+		for c := range classes {
+			classes[c].off, at = at, at+classes[c].n
+			classes[c].n = 0
 		}
-		slices.SortFunc(ordered, func(a, b *class) int {
-			return cmp.Or(cmp.Compare(a.delta, b.delta), cmp.Compare(b.free, a.free), cmp.Compare(a.nodes[0], b.nodes[0]))
+		for i, c := range classOf {
+			if c >= 0 {
+				cl := &classes[c]
+				members[cl.off+cl.n] = nodes[i].ID
+				cl.n++
+			}
+		}
+		order = order[:0]
+		for c := range classes {
+			order = append(order, int32(c))
+		}
+		slices.SortFunc(order, func(a, b int32) int {
+			x, y := &classes[a], &classes[b]
+			return cmp.Or(cmp.Compare(x.delta, y.delta), cmp.Compare(y.free, x.free), cmp.Compare(x.first, y.first))
 		})
 		var sel []cluster.NodeID
 		for round := 0; len(sel) < budget; round++ {
 			advanced := false
-			for _, cl := range ordered {
-				if round < len(cl.nodes) && len(sel) < budget {
-					sel = append(sel, cl.nodes[round])
+			for _, c := range order {
+				if cl := &classes[c]; round < cl.n && len(sel) < budget {
+					sel = append(sel, members[cl.off+round])
 					advanced = true
 				}
 			}
@@ -370,6 +396,48 @@ func selectCandidates(state *cluster.Cluster, cons []constraint.Entry, groups []
 		out[gi] = sel
 	}
 	return out
+}
+
+// candClass is one equivalence class of selectCandidates: its rank keys
+// and where its n nodes lie in the members buffer.
+type candClass struct {
+	delta  float64
+	free   int64
+	first  cluster.NodeID
+	n, off int
+}
+
+// nodeSignatures numbers the nodes of state by their free resources and
+// their sets in every group but "node": two nodes share a number exactly
+// when they agree on both.
+func nodeSignatures(state *cluster.Cluster) []int32 {
+	groupNames := state.Groups()
+	ids := map[string]int32{}
+	sig := make([]int32, state.NumNodes())
+	var key []byte
+	for i, n := range state.Nodes() {
+		free := n.Free()
+		key = strconv.AppendInt(key[:0], free.MemoryMB, 10)
+		key = append(key, '/')
+		key = strconv.AppendInt(key, free.VCores, 10)
+		for _, gn := range groupNames {
+			if gn == constraint.Node {
+				continue
+			}
+			key = append(key, '|')
+			for _, sid := range state.SetsOfNode(gn, n.ID) {
+				key = strconv.AppendInt(key, int64(sid), 10)
+				key = append(key, ' ')
+			}
+		}
+		id, ok := ids[string(key)]
+		if !ok {
+			id = int32(len(ids))
+			ids[string(key)] = id
+		}
+		sig[i] = id
+	}
+	return sig
 }
 
 func b2f(b bool) int {

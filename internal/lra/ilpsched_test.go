@@ -187,7 +187,9 @@ func TestBestOfGreedyPicksCleaner(t *testing.T) {
 // c, as Place does, and returns the placement it keeps.
 func placeBestOn(c *cluster.Cluster, apps []*Application) *Result {
 	flat := flattenConstraints(apps, nil)
-	res, _ := newBestOfGreedy().placeBest(c.Clone(), apps, flat, newScoreBase(c, flat), Options{})
+	work, queue := c.Clone(), queueOf(buildRequests(apps))
+	tab, classOf := newScoreTable(&greedy{}, work, flat, queue)
+	res, _ := newBestOfGreedy().placeBest(work, apps, flat, queue, tab, classOf, newScoreBase(c, flat), Options{})
 	return res
 }
 

@@ -76,12 +76,23 @@ type bestOf struct {
 // constraint list (flattenConstraints), one after the other on work,
 // base's state, and returns the result base scores highest, and that
 // score. Each heuristic's placement is scored on work and released again,
-// so work ends as it began.
-func (b *bestOf) placeBest(work *cluster.Cluster, apps []*Application, flat []constraint.Entry, base *scoreBase, opts Options) (best *Result, bestScore float64) {
+// so work ends as it began. queue is the batch's requests in submission
+// order, and init a score table of them on work as it begins, with each
+// request's class: a heuristic that scores like init's owner starts from
+// a copy of its cells, any other fills a table of its own.
+func (b *bestOf) placeBest(work *cluster.Cluster, apps []*Application, flat []constraint.Entry, queue []containerReq, init *scoreTable, classOf []int, base *scoreBase, opts Options) (best *Result, bestScore float64) {
 	clk := opts.clock()
+	var spare *scoreTable // the last copy, done with: the next one reuses its cells
 	for _, alg := range b.algs {
 		start := clk()
-		res := alg.placeOn(work, apps, flat)
+		var res *Result
+		if alg.scoresLike(init.g) {
+			spare = init.copyFor(alg, spare)
+			res = alg.placeQueue(work, apps, queue, spare, classOf)
+		} else {
+			tab, own := alg.ownTable(work, flat, queue)
+			res = alg.placeQueue(work, apps, queue, tab, own)
+		}
 		score := base.scoreAndRelease(work, res)
 		res.Latency = clk().Sub(start)
 		if best == nil || score > bestScore {

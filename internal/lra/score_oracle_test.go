@@ -151,7 +151,7 @@ func scoredPlacements(t *testing.T, seeds int) []scoredPlacement {
 		}
 		sol, S, Y := pinnedSolution(rng, state, apps)
 		work := state.Clone()
-		add("decoded", decodeSolution(work, apps, sol, S, Y), work)
+		add("decoded", decodeSolution(work, apps, buildRequests(apps), sol, S, Y), work)
 	}
 	return out
 }

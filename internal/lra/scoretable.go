@@ -30,8 +30,9 @@ type scoreClass struct {
 	atoms  vecAtoms
 	groups []constraint.GroupName
 	// memo keeps the atoms' deltas per set of their groups for the
-	// current state (setMemo).
-	memo   setMemo
+	// current state (setMemo). Every copy of a table shares its class's
+	// memo, so the memo's epoch only rises, whichever copy bumps it.
+	memo   *setMemo
 	scores []nodeScore // by node index
 	// clean is the live number of clean cells. nc is Nc as the Medea-NC
 	// ordering sees it: a copy of clean taken at the initial fill and
@@ -64,10 +65,15 @@ type scoreClass struct {
 // Every node of a rack is priced by one reading of the rack per atom. A
 // "node" atom is priced at every cell: its sets are single nodes, which a
 // memo could never serve twice.
+//
+// One Medea-ILP Place fills one table on the state as it found it and
+// lets every heuristic that scores alike start from a copy of its cells
+// (copyFor); candidate selection reads the original.
 type scoreTable struct {
 	g       *greedy
 	work    *cluster.Cluster
 	classes []scoreClass
+	cells   []nodeScore // every class's scores, class by class
 	// scope[a][b] is sharesConstraintScope(a's tags, b's tags): placing a
 	// class-a container refreshes class b's nc. Medea-NC only.
 	scope [][]bool
@@ -79,50 +85,114 @@ func newScoreTable(g *greedy, work *cluster.Cluster, cons []constraint.Entry, qu
 	t := &scoreTable{g: g, work: work}
 	classOf := make([]int, len(queue))
 	for i, r := range queue {
-		ci := -1
-		for j := range t.classes {
-			if c := &t.classes[j]; c.demand == r.demand && constraint.SameVector(c.tags, r.tags) {
-				ci = j
-				break
-			}
-		}
+		ci := t.find(r.tags, r.demand)
 		if ci < 0 {
 			ci = len(t.classes)
-			c := scoreClass{tags: r.tags, demand: r.demand, atoms: compileAtoms(nil, cons, r.tags, true)}
-			for _, ref := range c.atoms {
-				if g := ref.atom.Group; g != constraint.Node && !slices.Contains(c.groups, g) {
-					c.groups = append(c.groups, g)
-				}
-			}
-			c.memo.reset(work, c.atoms)
-			t.classes = append(t.classes, c)
+			t.classes = append(t.classes, scoreClass{tags: r.tags, demand: r.demand})
 		}
 		classOf[i] = ci
 	}
+	memos := make([]setMemo, len(t.classes))
+	for ci := range t.classes {
+		t.classes[ci].compile(work, cons, &memos[ci])
+	}
 
-	nodes := work.Nodes()
-	cells := make([]nodeScore, len(t.classes)*len(nodes))
+	n := work.NumNodes()
+	t.cells = make([]nodeScore, len(t.classes)*n)
 	for ci := range t.classes {
 		c := &t.classes[ci]
-		c.scores = cells[ci*len(nodes) : (ci+1)*len(nodes)]
-		for i, n := range nodes {
-			c.scores[i] = t.score(c, n)
-			if c.scores[i].clean() {
-				c.clean++
-			}
-		}
-		c.nc = c.clean
+		c.scores = t.cells[ci*n : (ci+1)*n]
+		t.fill(c)
 	}
-	if g.order == orderNC {
-		t.scope = make([][]bool, len(t.classes))
-		for a := range t.classes {
-			t.scope[a] = make([]bool, len(t.classes))
-			for b := range t.classes {
-				t.scope[a][b] = sharesConstraintScope(t.classes[a].atoms, t.classes[b].tags)
-			}
-		}
-	}
+	t.scopeFor(g)
 	return t, classOf
+}
+
+// find returns the index of the class of tags and demand, or -1.
+func (t *scoreTable) find(tags []constraint.Tag, demand resource.Vector) int {
+	for j := range t.classes {
+		if c := &t.classes[j]; c.demand == demand && constraint.SameVector(c.tags, tags) {
+			return j
+		}
+	}
+	return -1
+}
+
+// compile compiles the class's atoms of cons, lists the node groups they
+// count over and lays memo out for them.
+func (c *scoreClass) compile(work *cluster.Cluster, cons []constraint.Entry, memo *setMemo) {
+	c.atoms = compileAtoms(nil, cons, c.tags, true)
+	for _, ref := range c.atoms {
+		if g := ref.atom.Group; g != constraint.Node && !slices.Contains(c.groups, g) {
+			c.groups = append(c.groups, g)
+		}
+	}
+	memo.reset(work, c.atoms)
+	c.memo = memo
+}
+
+// fill scores every node for the class from scratch and takes its clean
+// count as Nc.
+func (t *scoreTable) fill(c *scoreClass) {
+	c.clean = 0
+	for i, n := range t.work.Nodes() {
+		c.scores[i] = t.score(c, n)
+		if c.scores[i].clean() {
+			c.clean++
+		}
+	}
+	c.nc = c.clean
+}
+
+// scopeFor builds the scope matrix when g orders by Nc, and drops it
+// otherwise.
+func (t *scoreTable) scopeFor(g *greedy) {
+	t.scope = nil
+	if g.order != orderNC {
+		return
+	}
+	t.scope = make([][]bool, len(t.classes))
+	for a := range t.classes {
+		t.scope[a] = make([]bool, len(t.classes))
+		for b := range t.classes {
+			t.scope[a][b] = sharesConstraintScope(t.classes[a].atoms, t.classes[b].tags)
+		}
+	}
+}
+
+// copyFor returns a table for g, which must score like t's owner
+// (scoresLike), holding t's cells: what a fresh newScoreTable of g on the
+// same state and queue would hold. spare, when not nil, is a copy done
+// with; the new copy takes over its buffers, so a Place's heuristics
+// share one cell array between them besides t's. The classes' memos stay
+// shared with t.
+func (t *scoreTable) copyFor(g *greedy, spare *scoreTable) *scoreTable {
+	c := spare
+	if c == nil {
+		c = &scoreTable{}
+	}
+	c.g, c.work = g, t.work
+	c.classes = append(c.classes[:0], t.classes...)
+	c.cells = append(c.cells[:0], t.cells...)
+	n := t.work.NumNodes()
+	for ci := range c.classes {
+		c.classes[ci].scores = c.cells[ci*n : (ci+1)*n]
+	}
+	c.scopeFor(g)
+	return c
+}
+
+// groupScores returns the cells of the class of tags and demand. A
+// container group without containers has none; its cells are scored on
+// their own, against cons.
+func (t *scoreTable) groupScores(cons []constraint.Entry, tags []constraint.Tag, demand resource.Vector) []nodeScore {
+	if ci := t.find(tags, demand); ci >= 0 {
+		return t.classes[ci].scores
+	}
+	c := scoreClass{tags: tags, demand: demand, scores: make([]nodeScore, t.work.NumNodes())}
+	c.compile(t.work, cons, &setMemo{})
+	t.fill(&c)
+	return c.scores
 }
 
 // score computes one cell from scratch: the weighted violation delta of
@@ -132,7 +202,7 @@ func (t *scoreTable) score(c *scoreClass, n *cluster.Node) nodeScore {
 	if !n.Available() || !c.demand.Fits(n.Free()) {
 		return nodeScore{}
 	}
-	delta := c.atoms.delta(t.work, n.ID, t.g.subjectOnly, &c.memo)
+	delta := c.atoms.delta(t.work, n.ID, t.g.subjectOnly, c.memo)
 	if t.g.affinityPull > 0 {
 		delta -= t.g.affinityPull * affinityPopulation(t.work, c.atoms, n.ID)
 	}

@@ -505,15 +505,20 @@ func (s *Server) handleConstraints(w http.ResponseWriter, r *http.Request) {
 		parsed = append(parsed, c)
 	}
 	s.mu.Lock()
-	err := s.med.Constraints.AddOperator(parsed...)
+	status, err := http.StatusBadRequest, s.med.Constraints.AddOperator(parsed...)
 	if err == nil {
 		// Operator constraints have no WAL record of their own: make them
-		// durable immediately via a checkpoint.
-		err = s.med.Checkpoint(s.now())
+		// durable immediately via a checkpoint. If that fails, the server
+		// is at fault, and constraints it could not make durable come off
+		// again rather than bind placements a restart would forget.
+		if err = s.med.Checkpoint(s.now()); err != nil {
+			s.med.Constraints.DropOperator(len(parsed))
+			status = http.StatusInternalServerError
+		}
 	}
 	s.mu.Unlock()
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		writeJSON(w, status, errorResponse{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]int{"added": len(parsed)})
