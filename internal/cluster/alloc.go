@@ -115,6 +115,22 @@ func (c *Cluster) ContainerTags(id ContainerID) ([]constraint.Tag, bool) {
 	return info.tags, true
 }
 
+// EachContainer calls fn with every allocated container, its node and its
+// tags, in no particular order. The tag slices are the container map's
+// own: fn must not modify them, nor change the cluster.
+func (c *Cluster) EachContainer(fn func(id ContainerID, node NodeID, tags []constraint.Tag)) {
+	for id, info := range c.containers {
+		fn(id, info.node, info.tags)
+	}
+}
+
+// EachNodeVector calls fn with each distinct tag vector of the containers
+// on node (its tag multiset's, constraint.Set.EachVector), once, in no
+// particular order. Untagged containers have no vector there.
+func (c *Cluster) EachNodeVector(node NodeID, fn func(tags []constraint.Tag)) {
+	c.nodes[node].tags.EachVector(fn)
+}
+
 // NumContainers returns the number of allocated containers cluster-wide.
 func (c *Cluster) NumContainers() int { return len(c.containers) }
 

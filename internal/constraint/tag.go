@@ -111,11 +111,15 @@ func (e Expr) String() string {
 // hundred-odd vectors (DESIGN §17 measures them); γ over a conjunction
 // visits every vector in either layout, and Clone is two memmoves.
 //
-// A Set answers γ queries only; it keeps no per-query index and hashes
-// no tag. What stays fixed while a scheduler prices a batch — which
-// atoms each container tag vector is the subject or a target of — is
-// compiled once per Place on the scheduler's side (lra's plan), and an
-// atom's three γ in one set come from one scan (CountAtom).
+// A Set answers γ queries and lists its distinct vectors (EachVector);
+// it keeps no per-query index and hashes no tag. What stays fixed while
+// a scheduler prices a batch — which atoms each container tag vector is
+// the subject or a target of — is compiled on the scheduler's side (lra's
+// plan, through an index of the constraint list built once per Place),
+// and an atom's three γ in one set come from one scan (CountAtom). A
+// node's Set is also how a Place finds the violators of a state: a
+// container's violation depends on its node and its vector alone, so
+// each (node, vector) pair is priced once, not each container.
 type Set struct {
 	counts  []tagCount
 	vectors []vecEntry
@@ -300,6 +304,15 @@ func (s *Set) CountAtom(subject, target Expr) (nTarget, nSubject, nBoth int) {
 		}
 	}
 	return nTarget, nSubject, nBoth
+}
+
+// EachVector calls fn with each distinct tag vector of the set, once, in
+// no particular order. The slices are the set's own (written once, never
+// mutated): fn must not modify them.
+func (s *Set) EachVector(fn func(tags []Tag)) {
+	for _, e := range s.vectors {
+		fn(e.tags)
+	}
 }
 
 // Tags returns the distinct tags present, sorted.

@@ -16,10 +16,13 @@ import (
 )
 
 // cycleMaxAllocs caps one 12-LRA cycle of TestRunCycleAllocCap, about
-// 12% above the most it was measured at: 7,237 at one P, 7,245–7,304 at
-// two and 7,271–7,347 under -race since a Place fills one score table,
-// builds its requests once and the model keeps one copy of each row
-// (9,186 / 9,256 / 9,770–9,875 before; 9,526 / 9,598 / 10,112–10,248
+// 24% above the most it is measured at on go1.24.0: 6,541 at one P,
+// 6,544–6,606 at two and 6,591–6,671 under -race since a Place prices
+// the (node, tag vector) pairs of its state, not each container (6,553 /
+// 6,614–6,622 / 6,583–6,670 before, where 7,237 / 7,245–7,304 /
+// 7,271–7,347 had been recorded when a Place came to fill one score
+// table, build its requests once and keep one copy of each model row;
+// 9,186 / 9,256 / 9,770–9,875 before that; 9,526 / 9,598 / 10,112–10,248
 // while each container's record was a heap object; 9,531–9,533 /
 // 9,546–9,600 / 10,087–10,256 while a cycle copied its constraint list at every step,
 // 9,458 / 9,531–9,534 / 10,097–10,170 before a Place compiled its

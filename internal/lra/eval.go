@@ -98,40 +98,28 @@ func evaluateResolved(state *cluster.Cluster, resolved []constraint.Entry) Repor
 	return rep
 }
 
-// scoreBase is one evaluateResolved sweep of a Place's pre-placement
-// state, kept per container, that the Place prices each of its candidate
-// placements against. A container's extent reads γ of the sets containing
-// its node, in the groups its constraints name; a placement changes γ
-// only in the sets containing a node it assigns to. So score re-prices
-// the containers on those sets' members and adds every other container's
-// addends as the sweep found them.
-//
-// What stays fixed for the whole Place is compiled once: plan holds, per
-// distinct tag vector of the base's containers and of the placed ones,
-// the atoms that vector is the subject of, and a container names its
-// vector by index.
+// scoreBase is what a Place prices each of its candidate placements
+// against: the containers of its pre-placement state that violate, with
+// their addends. A container's extent reads γ of the sets containing its
+// node, in the groups its constraints name; a placement changes γ only in
+// the sets containing a node it assigns to. So score lists the violators
+// of work on those sets' members and adds every violator of the base
+// elsewhere as the base found it. The other containers add nothing, to
+// a sweep or here.
 type scoreBase struct {
 	plan   *plan
-	batch  []seenVec              // the placed containers' vectors met so far
 	groups []constraint.GroupName // the groups an atom of cons names, "node" excepted
-	ids    []cluster.ContainerID  // sorted, as evaluateResolved walks them
-	nodes  []cluster.NodeID       // by ids index, like vec
-	vec    []int32                // by ids index: the container's vector in plan
-	// ids[i]'s addends are addends[off[i]:off[i+1]]: its non-zero
-	// weighted extents, in the order evaluateResolved adds them.
-	off     []int
-	addends []float64
+	base   violators              // of the pre-placement state, on every node
 
 	// score's scratch, reused across the candidates of one Place.
-	region []bool // by node: re-price the containers here
-	placed []Assignment
-	buf    []float64
+	region []bool    // by node: re-price the containers here
+	work   violators // of work, on the region's nodes
 }
 
-// newScoreBase sweeps state once against the batch's flattened constraint
-// list (flattenConstraints).
+// newScoreBase prices state once against the batch's flattened
+// constraint list (flattenConstraints).
 func newScoreBase(state *cluster.Cluster, cons []constraint.Entry) *scoreBase {
-	b := &scoreBase{plan: newPlan(cons), ids: state.ContainerIDs(), region: make([]bool, state.NumNodes())}
+	b := &scoreBase{plan: newPlan(cons), region: make([]bool, state.NumNodes())}
 	for _, e := range cons {
 		for _, term := range e.Constraint.Terms {
 			for _, a := range term {
@@ -141,32 +129,81 @@ func newScoreBase(state *cluster.Cluster, cons []constraint.Entry) *scoreBase {
 			}
 		}
 	}
-	b.nodes = make([]cluster.NodeID, len(b.ids))
-	b.vec = make([]int32, len(b.ids))
-	b.off = make([]int, len(b.ids)+1)
-	var ring vecRing
-	for i, id := range b.ids {
-		b.nodes[i], _ = state.ContainerNode(id)
-		tags, _ := state.ContainerTags(id)
-		b.vec[i] = ring.vector(b.plan, tags)
-		b.addends, _ = b.plan.atoms(b.vec[i]).appendExtents(b.addends, state, b.nodes[i])
-		b.off[i+1] = len(b.addends)
+	for n := range b.region {
+		b.base.price(b.plan, state, cluster.NodeID(n))
 	}
+	b.base.collect(state)
 	return b
 }
 
-// placedVector returns the plan vector of a placed container's tags,
-// compiling it on first sight: a Place meets its batch's few container
-// groups again in every placement it prices.
-func (b *scoreBase) placedVector(tags []constraint.Tag) int32 {
-	for _, s := range b.batch {
-		if constraint.SameVector(s.tags, tags) {
-			return s.v
-		}
+// violators lists the containers of a state that violate, on some of its
+// nodes, by ID, with their addends. A container's addends depend on its
+// node and its tag vector alone, and a node's tag multiset lists its
+// distinct vectors, so each (node, vector) pair is priced once and the
+// container map is walked only when a pair violates. Every atom of a
+// valid list names a subject tag (Atom.Validate), so an untagged
+// container, which no multiset lists, violates nothing.
+type violators struct {
+	pairs   []violPair // the violating pairs, by node
+	addends []float64  // pair p's are addends[pairs[p].lo:pairs[p].hi]
+	list    []violator // sorted by ID
+}
+
+// violPair is a node and a tag vector whose containers violate there.
+type violPair struct {
+	node   cluster.NodeID
+	tags   []constraint.Tag
+	lo, hi int32
+}
+
+// violator is a violating container and the index of its pair.
+type violator struct {
+	id   cluster.ContainerID
+	node cluster.NodeID
+	pair int32
+}
+
+func (v *violators) reset() {
+	v.pairs, v.addends, v.list = v.pairs[:0], v.addends[:0], v.list[:0]
+}
+
+// price prices each tag vector on node. Nodes must come in ascending
+// order, so pairs stays by node.
+func (v *violators) price(p *plan, state *cluster.Cluster, node cluster.NodeID) {
+	state.EachNodeVector(node, func(tags []constraint.Tag) { v.pricePair(p, state, node, tags) })
+}
+
+// pricePair prices the containers of tags on node against p, with the
+// addends in the order evaluateResolved adds them, and keeps the pair
+// when they violate.
+func (v *violators) pricePair(p *plan, state *cluster.Cluster, node cluster.NodeID, tags []constraint.Tag) {
+	lo := len(v.addends)
+	if v.addends, _ = p.scratch(tags).appendExtents(v.addends, state, node); len(v.addends) > lo {
+		v.pairs = append(v.pairs, violPair{node, tags, int32(lo), int32(len(v.addends))})
 	}
-	v := b.plan.add(tags)
-	b.batch = append(b.batch, seenVec{tags, v})
-	return v
+}
+
+// collect lists the containers of the violating pairs.
+func (v *violators) collect(state *cluster.Cluster) {
+	if len(v.pairs) == 0 {
+		return
+	}
+	state.EachContainer(func(id cluster.ContainerID, node cluster.NodeID, tags []constraint.Tag) {
+		k, _ := slices.BinarySearchFunc(v.pairs, node, func(p violPair, n cluster.NodeID) int { return cmp.Compare(p.node, n) })
+		for ; k < len(v.pairs) && v.pairs[k].node == node; k++ {
+			if constraint.SameVector(v.pairs[k].tags, tags) {
+				v.list = append(v.list, violator{id, node, int32(k)})
+				return
+			}
+		}
+	})
+	slices.SortFunc(v.list, func(x, y violator) int { return cmp.Compare(x.id, y.id) })
+}
+
+// of returns the addends of violator i.
+func (v *violators) of(i int) []float64 {
+	p := &v.pairs[v.list[i].pair]
+	return v.addends[p.lo:p.hi]
 }
 
 // score rates a result: more placed apps first, then fewer violations.
@@ -176,13 +213,11 @@ func (b *scoreBase) placedVector(tags []constraint.Tag) int32 {
 // bit for bit and no comparison between two scores can flip.
 func (b *scoreBase) score(work *cluster.Cluster, res *Result) float64 {
 	clear(b.region)
-	b.placed = b.placed[:0]
 	for _, p := range res.Placements {
 		if !p.Placed {
 			continue
 		}
 		for _, a := range p.Assignments {
-			b.placed = append(b.placed, a)
 			// Even when a's node is in the region already, as a member of
 			// another assigned node's set: sets of a group may overlap,
 			// and the node's other sets changed too.
@@ -212,26 +247,27 @@ func (b *scoreBase) mark(work *cluster.Cluster, node cluster.NodeID) {
 	}
 }
 
-// sum prices the base's containers and the placed ones, merged in ID
-// order: a container in the region re-priced on work, every other one by
-// the base's addends.
+// sum lists the violators of work on the region's nodes, where the
+// placed containers are, and merges them in ID order with the base's
+// violators outside the region, which add the base's addends.
 func (b *scoreBase) sum(work *cluster.Cluster, res *Result) float64 {
-	slices.SortFunc(b.placed, func(x, y Assignment) int { return cmp.Compare(x.Container, y.Container) })
+	b.work.reset()
+	for n, in := range b.region {
+		if in {
+			b.work.price(b.plan, work, cluster.NodeID(n))
+		}
+	}
+	b.work.collect(work)
 	total := 0.0
-	for i, j := 0, 0; i < len(b.ids) || j < len(b.placed); {
+	for i, j := 0, 0; i < len(b.base.list) || j < len(b.work.list); {
 		var addends []float64
-		if j == len(b.placed) || i < len(b.ids) && b.ids[i] < b.placed[j].Container {
-			if b.region[b.nodes[i]] {
-				b.buf, _ = b.plan.atoms(b.vec[i]).appendExtents(b.buf[:0], work, b.nodes[i])
-				addends = b.buf
-			} else {
-				addends = b.addends[b.off[i]:b.off[i+1]]
+		if j == len(b.work.list) || i < len(b.base.list) && b.base.list[i].id < b.work.list[j].id {
+			if !b.region[b.base.list[i].node] {
+				addends = b.base.of(i)
 			}
-			i++
+			i++ // a violator in the region was re-priced on work
 		} else {
-			a := b.placed[j]
-			b.buf, _ = b.plan.atoms(b.placedVector(a.Tags)).appendExtents(b.buf[:0], work, a.Node)
-			addends = b.buf
+			addends = b.work.of(j)
 			j++
 		}
 		for _, x := range addends {

@@ -359,6 +359,9 @@ func (pm *placementModel) cardinalityRows(idx int, inst atomInst, bigM float64) 
 		pm.subjOf = append(pm.subjOf, a.Subject.Matches(g.tags))
 		pm.tgtOf = append(pm.tgtOf, a.Target.Matches(g.tags))
 	}
+	if !slices.Contains(pm.subjOf, true) && !slices.Contains(pm.tgtOf, true) {
+		return // no new subject and no new target: no set gets a row
+	}
 
 	for r.sid = 0; int(r.sid) < numSets; r.sid++ {
 		r.loaded = false

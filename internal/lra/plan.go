@@ -1,6 +1,9 @@
 package lra
 
 import (
+	"cmp"
+	"slices"
+
 	"medea/internal/cluster"
 	"medea/internal/constraint"
 )
@@ -245,23 +248,114 @@ func (m *setMemo) cell(i int, sets []cluster.SetID) *memoCell {
 }
 
 // plan is a constraint list compiled, once per sweep or Place, for the
-// tag vectors of the containers it prices: per distinct vector, the
-// atoms the vector is the subject of (compileAtoms without targets). A
-// container names its vector by index, so pricing it again on a changed
-// state walks that vector's atoms only.
+// tag vectors of the containers it prices: the atoms a vector is the
+// subject of (compileAtoms without targets). A sweep adds each vector it
+// meets and names a container's by index (vecRing); a Place's score base
+// compiles each (node, vector) pair it prices into scratch.
+//
+// A vector is compiled through an index of the list, built with the
+// plan: every atom is listed under one tag of its subject, and since a
+// vector the atom's subject matches carries every tag of the subject, a
+// vector looks up its own tags and tests only the atoms listed there.
 type plan struct {
 	cons []constraint.Entry
+	all  []atomRef // the list's atoms in list order, subject and target unset
+	// The index: tag k of the sorted tags lists the atoms at
+	// all[at[start[k]:start[k+1]]]. always holds the atoms with an empty
+	// subject, which every vector matches (Atom.Validate refuses them).
+	tags   []constraint.Tag
+	start  []int32
+	at     []int32
+	always []int32
+	found  []int32  // compile's scratch
+	tmp    vecAtoms // scratch's
+
 	off  []int32 // vector v's atoms are refs[off[v]:off[v+1]]
 	refs vecAtoms
 }
 
 func newPlan(cons []constraint.Entry) *plan {
-	return &plan{cons: cons, off: []int32{0}}
+	n := 0
+	for _, e := range cons {
+		for _, term := range e.Constraint.Terms {
+			n += len(term)
+		}
+	}
+	p := &plan{cons: cons, all: make([]atomRef, 0, n), at: make([]int32, 0, n), off: []int32{0}}
+	for ei := range cons {
+		c := &cons[ei].Constraint
+		w := c.EffectiveWeight()
+		for ti, term := range c.Terms {
+			for k := range term {
+				p.all = append(p.all, atomRef{atom: &term[k], weight: w, entry: int32(ei), term: int32(ti)})
+			}
+		}
+	}
+	for pos, r := range p.all {
+		if len(r.atom.Subject) == 0 {
+			p.always = append(p.always, int32(pos))
+		} else {
+			p.at = append(p.at, int32(pos))
+		}
+	}
+	// Stable: each tag's atoms stay in list order.
+	slices.SortStableFunc(p.at, func(x, y int32) int { return cmp.Compare(p.listedUnder(x), p.listedUnder(y)) })
+	p.tags, p.start = make([]constraint.Tag, 0, len(p.at)), make([]int32, 0, len(p.at)+1)
+	for i, pos := range p.at {
+		if t := p.listedUnder(pos); i == 0 || t != p.tags[len(p.tags)-1] {
+			p.tags = append(p.tags, t)
+			p.start = append(p.start, int32(i))
+		}
+	}
+	p.start = append(p.start, int32(len(p.at)))
+	return p
+}
+
+// listedUnder is the tag the index lists atom pos under: the first of its
+// subject. (The tag the fewest subjects carry would test fewer atoms per
+// vector, but it costs a count per Place and a longer tag list to search,
+// and measured no faster.)
+func (p *plan) listedUnder(pos int32) constraint.Tag { return p.all[pos].atom.Subject[0] }
+
+// compile appends to dst the atoms tags is the subject of, exactly as
+// compileAtoms(dst, p.cons, tags, false) appends them: the atoms listed
+// under each distinct tag of tags that its subject matches, visited in
+// list order.
+func (p *plan) compile(dst vecAtoms, tags []constraint.Tag) vecAtoms {
+	found := append(p.found[:0], p.always...)
+	for i, t := range tags {
+		if slices.Contains(tags[:i], t) {
+			continue // its atoms were found at its first occurrence
+		}
+		k, ok := slices.BinarySearch(p.tags, t)
+		if !ok {
+			continue
+		}
+		for _, pos := range p.at[p.start[k]:p.start[k+1]] {
+			if p.all[pos].atom.Subject.Matches(tags) {
+				found = append(found, pos)
+			}
+		}
+	}
+	slices.Sort(found)
+	for _, pos := range found {
+		r := p.all[pos]
+		r.subject, r.target = true, r.atom.Target.Matches(tags)
+		dst = append(dst, r)
+	}
+	p.found = found
+	return dst
+}
+
+// scratch compiles tags into a buffer the next call reuses.
+func (p *plan) scratch(tags []constraint.Tag) vecAtoms {
+	p.tmp = p.compile(p.tmp[:0], tags)
+	return p.tmp
 }
 
 // add compiles tags as a new vector and returns its index.
 func (p *plan) add(tags []constraint.Tag) int32 {
-	p.refs = compileAtoms(p.refs, p.cons, tags, false)
+	p.refs = p.compile(p.refs, tags)
 	p.off = append(p.off, int32(len(p.refs)))
 	return int32(len(p.off) - 2)
 }
@@ -275,10 +369,10 @@ type seenVec struct {
 	v    int32
 }
 
-// sweepWindow is how many distinct tag vectors a sweep remembers. It
-// meets the containers of a cluster in ID order, so those of one
-// application are adjacent, and its container groups interleave only as
-// "#10" sorts before "#2".
+// sweepWindow is how many distinct tag vectors an evaluateResolved sweep
+// remembers. It meets the containers of a cluster in ID order, so those
+// of one application are adjacent, and its container groups interleave
+// only as "#10" sorts before "#2".
 const sweepWindow = 8
 
 // vecRing names the plan vector of each container of a sweep: the last

@@ -384,14 +384,117 @@ func TestSetMemoMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestPlanIndexMatchesCompileAtoms: a plan compiles a tag vector
+// through its index exactly as compileAtoms(nil, cons, tags, false)
+// compiles it over the whole list, atomRef for atomRef, and add keeps
+// that compile. The lists are planInstance's (simple and DNF
+// constraints, subjects of one and two tags) and, every other seed,
+// lists whose DNF constraints have subjects of up to three tags,
+// repeats among them. The vectors are planInstance's, each again with
+// one of its tags repeated, and random ones over the lists' tags and
+// others, empty and with repeats. A compile that looks up only a
+// vector's first tag must be caught.
+func TestPlanIndexMatchesCompileAtoms(t *testing.T) {
+	appTags := []constraint.Tag{constraint.AppIDTag("p0"), constraint.AppIDTag("p1"), constraint.AppIDTag("p2")}
+	pool := append(slices.Clone(oracleTags), appTags...)
+	pool = append(pool, "unused")
+	draw := func(rng *rand.Rand, n int) []constraint.Tag {
+		v := make([]constraint.Tag, n)
+		for i := range v {
+			v[i] = pool[rng.Intn(len(pool))]
+		}
+		return v
+	}
+	compared, nonEmpty, repeats, caught := 0, 0, 0, 0
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		_, cons, vectors := planInstance(rng)
+		if seed%2 == 0 {
+			var entries []constraint.Entry
+			for i := 0; i < 3+rng.Intn(8); i++ {
+				var terms [][]constraint.Atom
+				for k := 0; k < 1+rng.Intn(3); k++ {
+					var term []constraint.Atom
+					for m := 0; m < 1+rng.Intn(2); m++ {
+						a := randomAtom(rng, appTags)
+						a.Subject = draw(rng, 1+rng.Intn(3))
+						term = append(term, a)
+					}
+					terms = append(terms, term)
+				}
+				c := or(terms...)
+				c.Weight = planWeights[rng.Intn(len(planWeights))]
+				entries = append(entries, constraint.Entry{AppID: "r", Source: constraint.SourceApplication, Constraint: c})
+			}
+			cons = ResolveEntries(entries)
+		}
+		for _, v := range slices.Clone(vectors) {
+			vectors = append(vectors, append(slices.Clone(v), v[rng.Intn(len(v))]))
+		}
+		for k := 0; k < 12; k++ {
+			vectors = append(vectors, draw(rng, rng.Intn(5)))
+		}
+		p := newPlan(cons)
+		for _, tags := range vectors {
+			want := compileAtoms(nil, cons, tags, false)
+			if got := p.compile(nil, tags); !slices.Equal(got, want) {
+				t.Fatalf("seed %d: compile(%q) = %v, compileAtoms %v", seed, tags, got, want)
+			}
+			if got := p.atoms(p.add(tags)); !slices.Equal(got, want) {
+				t.Fatalf("seed %d: add(%q) keeps %v, compileAtoms %v", seed, tags, got, want)
+			}
+			compared++
+			if len(want) > 0 {
+				nonEmpty++
+			}
+			for i, tag := range tags {
+				if slices.Contains(tags[:i], tag) {
+					repeats++
+					break
+				}
+			}
+			if !slices.Equal(firstTagCompile(p, tags), want) {
+				caught++
+			}
+		}
+	}
+	t.Logf("%d vectors compared, %d of them the subject of an atom, %d with a repeated tag; the compile looking up the first tag only differs on %d",
+		compared, nonEmpty, repeats, caught)
+	if nonEmpty == 0 || repeats == 0 {
+		t.Error("coverage: one of the counts above is zero")
+	}
+	if caught == 0 {
+		t.Error("a compile that looks up only a vector's first tag is not caught")
+	}
+}
+
+// firstTagCompile is plan.compile looking up only the first tag of tags.
+func firstTagCompile(p *plan, tags []constraint.Tag) vecAtoms {
+	if len(tags) == 0 {
+		return p.compile(nil, nil)
+	}
+	var out vecAtoms
+	if k, ok := slices.BinarySearch(p.tags, tags[0]); ok {
+		for _, pos := range p.at[p.start[k]:p.start[k+1]] {
+			if r := p.all[pos]; r.atom.Subject.Matches(tags) {
+				r.subject, r.target = true, r.atom.Target.Matches(tags)
+				out = append(out, r)
+			}
+		}
+	}
+	return out
+}
+
 // TestExtentSweepMatchesScan: evaluateResolved's indexed sweep returns
 // the Report of a scan of every entry for every container, and the
-// score base keeps, per container, exactly the scan's addends — on
-// random clusters, after each of a run of random allocate and release
-// steps. A sweep that hands a container the previous container's atoms
-// without comparing tag vectors must be caught.
+// score base lists exactly the containers the scan finds violating, in
+// ID order, each with the scan's addends — on random clusters, after
+// each of a run of random allocate and release steps. Two mutants must
+// be caught: a sweep that hands a container the previous container's
+// atoms without comparing tag vectors, and a base that prices only the
+// first tag vector of each node.
 func TestExtentSweepMatchesScan(t *testing.T) {
-	swept, caught := 0, 0
+	swept, violating, caughtSweep, caughtBase := 0, 0, 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		state, cons, vectors := planInstance(rng)
@@ -400,34 +503,82 @@ func TestExtentSweepMatchesScan(t *testing.T) {
 			if got := evaluateResolved(state, cons); got != want || math.Float64bits(got.TotalExtent) != math.Float64bits(want.TotalExtent) {
 				t.Fatalf("seed %d step %d: evaluateResolved = %+v, scan %+v", seed, step, got, want)
 			}
-			b := newScoreBase(state, cons)
+			var scan []violation
 			mutant := newPlan(cons)
-			differs := false
-			for i, id := range b.ids {
+			sweepDiffers := false
+			for _, id := range state.ContainerIDs() {
 				node, _ := state.ContainerNode(id)
 				tags, _ := state.ContainerTags(id)
-				scan, _ := scanExtents(nil, state, cons, node, tags)
-				if got := b.addends[b.off[i]:b.off[i+1]]; !sameBits(got, scan) {
-					t.Fatalf("seed %d step %d: container %s: base addends %v, scan %v", seed, step, id, got, scan)
+				addends, _ := scanExtents(nil, state, cons, node, tags)
+				if len(addends) > 0 {
+					scan = append(scan, violation{id, addends})
 				}
 				// The mutant compiles the first container's vector only.
 				if len(mutant.off) == 1 {
 					mutant.add(tags)
 				}
-				addends, _ := mutant.atoms(int32(len(mutant.off)-2)).appendExtents(nil, state, node)
-				differs = differs || !sameBits(addends, scan)
+				got, _ := mutant.atoms(int32(len(mutant.off)-2)).appendExtents(nil, state, node)
+				sweepDiffers = sweepDiffers || !sameBits(got, addends)
 			}
+			if got := listed(&newScoreBase(state, cons).base); !sameViolations(got, scan) {
+				t.Fatalf("seed %d step %d: base violators %v, scan %v", seed, step, got, scan)
+			}
+			// The mutant prices the first vector each node lists only.
+			var m violators
+			p := newPlan(cons)
+			for _, n := range state.Nodes() {
+				first := true
+				state.EachNodeVector(n.ID, func(tags []constraint.Tag) {
+					if first {
+						m.pricePair(p, state, n.ID, tags)
+						first = false
+					}
+				})
+			}
+			m.collect(state)
 			swept++
-			if differs {
-				caught++
+			if len(scan) > 0 {
+				violating++
+			}
+			if sweepDiffers {
+				caughtSweep++
+			}
+			if !sameViolations(listed(&m), scan) {
+				caughtBase++
 			}
 			planStep(rng, state, vectors, step)
 		}
 	}
-	t.Logf("%d sweeps compared; the mutant reusing the previous vector's atoms differs on %d", swept, caught)
-	if caught == 0 {
+	t.Logf("%d states compared, %d of them violating; the sweep reusing the previous vector's atoms differs on %d, the base pricing each node's first vector only on %d",
+		swept, violating, caughtSweep, caughtBase)
+	if violating == 0 {
+		t.Error("coverage: no state violates")
+	}
+	if caughtSweep == 0 {
 		t.Error("a sweep that reuses the previous vector's atoms is not caught")
 	}
+	if caughtBase == 0 {
+		t.Error("a base that prices each node's first vector only is not caught")
+	}
+}
+
+// violation is a violating container and its addends.
+type violation struct {
+	id      cluster.ContainerID
+	addends []float64
+}
+
+// listed returns v's violators with their addends.
+func listed(v *violators) []violation {
+	var out []violation
+	for i, x := range v.list {
+		out = append(out, violation{x.id, v.of(i)})
+	}
+	return out
+}
+
+func sameViolations(a, b []violation) bool {
+	return slices.EqualFunc(a, b, func(x, y violation) bool { return x.id == y.id && sameBits(x.addends, y.addends) })
 }
 
 func sameBits(a, b []float64) bool {

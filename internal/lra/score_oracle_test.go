@@ -307,7 +307,6 @@ func mutantDelta(c scoredPlacement, mark func(b *scoreBase, node cluster.NodeID)
 	for _, p := range c.res.Placements {
 		if p.Placed {
 			for _, a := range p.Assignments {
-				b.placed = append(b.placed, a)
 				mark(b, a.Node)
 			}
 		}
