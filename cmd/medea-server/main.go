@@ -4,7 +4,10 @@
 //
 // Usage:
 //
-//	medea-server [-addr HOST:PORT] [-journal DIR] [flags]
+//	medea-server [-addr HOST:PORT] [-journal DIR] [-pprof HOST:PORT] [flags]
+//
+// With -pprof, net/http/pprof's endpoints are served under /debug/pprof/
+// on a listener of their own; the API listener never serves them.
 //
 // With -journal, the scheduler state is durable: the server recovers
 // from the journal on startup (rebuilding the simulated cluster from the
@@ -23,6 +26,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -53,6 +57,7 @@ func main() {
 	queueHigh := flag.Int("queue-high", 0, "backlog high watermark: shed submits at or above it (0 = queue-cap)")
 	queueLow := flag.Int("queue-low", 0, "backlog low watermark: resume admitting at or below it (0 = high/2)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "budget for the final scheduling cycle during drain")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, apart from the API (empty = off)")
 	flag.Parse()
 	log.SetPrefix("medea-server: ")
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
@@ -89,11 +94,20 @@ func main() {
 		Logf:      log.Printf,
 	})
 
+	// The listen lines go to stdout so harnesses can scrape the ports.
+	if *pprofAddr != "" {
+		pln, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			log.Fatalf("pprof listen: %v", err)
+		}
+		fmt.Printf("medea-server pprof on http://%s\n", pln.Addr())
+		// Profiles are served until the process exits, drain included.
+		go func() { log.Printf("pprof: %v", http.Serve(pln, pprofHandler())) }()
+	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}
-	// The listen line goes to stdout so harnesses can scrape the port.
 	fmt.Printf("medea-server listening on http://%s\n", ln.Addr())
 	os.Stdout.Sync()
 
@@ -182,6 +196,19 @@ func buildScheduler(dir string, nodes, rackSize int, capacity resource.Vector,
 		log.Printf("journal had a torn final WAL line (crash mid-write); dropped, state is consistent")
 	}
 	return med, jnl, nil
+}
+
+// pprofHandler serves net/http/pprof's endpoints under /debug/pprof/ from
+// a mux of its own: the package also registers them on
+// http.DefaultServeMux, which nothing here serves.
+func pprofHandler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 // pick returns v if set, else def.

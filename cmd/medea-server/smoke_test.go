@@ -32,11 +32,12 @@ func buildServer(t *testing.T) string {
 }
 
 type proc struct {
-	cmd  *exec.Cmd
-	base string // http://host:port
+	cmd   *exec.Cmd
+	base  string // http://host:port
+	pprof string // the -pprof listener's http://host:port, if one was asked for
 }
 
-// startServer launches the binary and scrapes the listen address off
+// startServer launches the binary and scrapes the listen addresses off
 // stdout.
 func startServer(t *testing.T, bin, journalDir string, extra ...string) *proc {
 	t.Helper()
@@ -57,23 +58,28 @@ func startServer(t *testing.T, bin, journalDir string, extra ...string) *proc {
 		t.Fatalf("start: %v", err)
 	}
 	lines := bufio.NewScanner(stdout)
-	addrCh := make(chan string, 1)
+	addrCh := make(chan *proc, 1)
 	go func() {
+		p := &proc{cmd: cmd}
 		for lines.Scan() {
+			if rest, ok := strings.CutPrefix(lines.Text(), "medea-server pprof on "); ok {
+				p.pprof = rest
+			}
 			if rest, ok := strings.CutPrefix(lines.Text(), "medea-server listening on "); ok {
-				addrCh <- rest
+				p.base = rest
+				addrCh <- p
 				return
 			}
 		}
 		close(addrCh)
 	}()
 	select {
-	case base, ok := <-addrCh:
+	case p, ok := <-addrCh:
 		if !ok {
 			cmd.Process.Kill()
 			t.Fatal("server exited before announcing its address")
 		}
-		return &proc{cmd: cmd, base: base}
+		return p
 	case <-time.After(10 * time.Second):
 		cmd.Process.Kill()
 		t.Fatal("timed out waiting for the server to listen")
@@ -190,4 +196,47 @@ func TestSmokeKillRecoverDrain(t *testing.T) {
 		p3.cmd.Wait()
 	}()
 	p3.waitDeployed(t, append(committed, "post-recovery"), 15*time.Second)
+}
+
+// TestPprofOnItsOwnListener checks that -pprof serves the profiles on
+// its own listener and that the API listener serves none of them, with
+// the flag set or not.
+func TestPprofOnItsOwnListener(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	bin := buildServer(t)
+	get := func(url string) int {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, withFlag := range []bool{false, true} {
+		var extra []string
+		if withFlag {
+			extra = []string{"-pprof", "127.0.0.1:0"}
+		}
+		p := startServer(t, bin, filepath.Join(t.TempDir(), "journal"), extra...)
+		if code := get(p.base + "/debug/pprof/"); code != http.StatusNotFound {
+			t.Errorf("-pprof set %v: the API listener answers /debug/pprof/ with %d, want 404", withFlag, code)
+		}
+		switch {
+		case !withFlag && p.pprof != "":
+			t.Errorf("without -pprof the server announced a pprof listener at %s", p.pprof)
+		case withFlag && p.pprof == "":
+			t.Error("with -pprof the server announced no pprof listener")
+		case withFlag:
+			for _, path := range []string{"/debug/pprof/", "/debug/pprof/heap", "/debug/pprof/cmdline"} {
+				if code := get(p.pprof + path); code != http.StatusOK {
+					t.Errorf("the pprof listener answers %s with %d, want 200", path, code)
+				}
+			}
+		}
+		p.cmd.Process.Signal(syscall.SIGTERM)
+		p.cmd.Wait()
+	}
 }

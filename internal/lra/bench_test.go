@@ -134,13 +134,37 @@ func TestSteadyPlaceClosesAtRoot(t *testing.T) {
 	}
 }
 
+// TestSteadyPlaceSkipsDecidedComparison guards the short-circuit of the
+// final selection: on ilp_steady's steady state Medea-TP places the
+// batch without a violation, a score nothing can beat, so neither a
+// first nor a repeated Place runs Serial or decodes the solver's
+// placement.
+func TestSteadyPlaceSkipsDecidedComparison(t *testing.T) {
+	c, active, batch, opts, alg := ilpSteadyState(t)
+	for _, label := range []string{"first", "repeated"} {
+		var res *lra.Result
+		heuristics, decodes := lra.CountRuns(alg, func() { res = alg.Place(c, batch, active, opts) })
+		if res.PlacedApps() != len(batch) || res.ExactSolves != 1 {
+			t.Fatalf("%s Place: placed %d of %d in %d solves; want all placed by one solve",
+				label, res.PlacedApps(), len(batch), res.ExactSolves)
+		}
+		if heuristics != 1 || decodes != 0 {
+			t.Errorf("%s Place ran %d heuristics and decoded %d solver placements; want Medea-TP alone and no decode",
+				label, heuristics, decodes)
+		}
+	}
+}
+
 var scoreSink float64
 
-// BenchmarkPlaceScore64 prices what one steady-state Place of ilp_steady
-// scores — Medea-TP's, Serial's and the decoded solver placement — two
-// ways: "sweep" evaluates every container of each placement's cluster,
-// "delta" sweeps the state once and re-prices each placement's touched
-// node sets only, as Place does.
+// BenchmarkPlaceScore64 prices three placements of one steady-state
+// Place of ilp_steady — Medea-TP's, Serial's and the decoded solver
+// placement — two ways: "sweep" evaluates every container of each
+// placement's cluster, "delta" sweeps the state once and re-prices each
+// placement's touched node sets only, as Place does. A steady Place
+// scores Medea-TP's placement alone: it scores without a violation, so
+// Serial does not run and the solver's placement is not decoded
+// (TestSteadyPlaceSkipsDecidedComparison).
 func BenchmarkPlaceScore64(b *testing.B) {
 	c, active, batch, opts, _ := ilpSteadyState(b)
 	f, err := lra.NewScoreFixture(c, batch, active, opts)

@@ -18,9 +18,10 @@ func (g *greedy) placeOnClone(state *cluster.Cluster, apps []*Application, flat 
 	return g.placeOn(work, apps, flat), work
 }
 
-// ScoreFixture holds the three placements a Medea-ILP Place prices —
-// Medea-TP's, Serial's and the decoded solver solution — each on a
-// scratch clone of its own, for the external benchmarks in bench_test.go.
+// ScoreFixture holds the three placements a Medea-ILP Place prices when
+// no comparison is decided — Medea-TP's, Serial's and the decoded solver
+// solution — each on a scratch clone of its own, for the external
+// benchmarks in bench_test.go.
 type ScoreFixture struct {
 	state   *cluster.Cluster
 	cons    []constraint.Entry
@@ -108,4 +109,15 @@ func OracleEntries(seed int64) []constraint.Entry {
 		}
 	}
 	return entries
+}
+
+// CountRuns returns how many heuristics alg, a Medea-ILP, ran in its
+// fallback and how many solver placements it decoded while f ran.
+func CountRuns(alg Algorithm, f func()) (heuristics, decodes int) {
+	c := &runCounts{}
+	fb := alg.(*ilpScheduler).fallback
+	fb.runs = c
+	defer func() { fb.runs = nil }()
+	f()
+	return int(c.heuristics.Load()), int(c.decodes.Load())
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"medea/internal/cluster"
 	"medea/internal/constraint"
@@ -87,9 +88,10 @@ const ILPName = "Medea-ILP"
 func (s *ilpScheduler) Name() string { return ILPName }
 
 // Place implements Algorithm: fallback → candidates → buildModel → warm
-// start → solve → decodeSolution → final selection. It keeps nothing of
-// one call for the next but the solver arenas, whose contents never reach
-// a solution.
+// start → solve → decodeSolution → final selection, where the decode and
+// the selection are skipped when the fallback's score is decided. It
+// keeps nothing of one call for the next but the solver arenas, whose
+// contents never reach a solution.
 func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active []constraint.Entry, opts Options) *Result {
 	clk := opts.clock()
 	start := clk()
@@ -165,10 +167,15 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	// Medea-ILP never worse than its own heuristics (§5.3). The fallback's
 	// score came with it; the solver's placement is decoded onto state,
 	// scored there unless it is the fallback's own, which ties and keeps
-	// the fallback, and released. Without an incumbent within budget the
-	// batch degrades gracefully to the greedy placement.
+	// the fallback, and released. A decided fallback wins the comparison
+	// whatever the solver found, so the solver's placement is not decoded.
+	// Without an incumbent within budget the batch degrades gracefully to
+	// the greedy placement.
 	final := fb
-	if sol != nil && (sol.Status == ilp.Optimal || sol.Status == ilp.Feasible) {
+	if sol != nil && (sol.Status == ilp.Optimal || sol.Status == ilp.Feasible) && !decided(fb, fbScore) {
+		if c := s.fallback.runs; c != nil {
+			c.decodes.Add(1)
+		}
 		res := decodeSolution(state, apps, reqs, sol, pm.S, pm.Y)
 		if sameNodes(res, fb) {
 			releasePlaced(state, res)
@@ -180,6 +187,18 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	stamp(final, sol)
 	return final
 }
+
+// decided reports whether score, res's, wins every comparison it enters:
+// a score is the placed applications less a non-negative violation
+// extent, so none exceeds the batch's size, and a placement replaces
+// another only when it scores strictly higher.
+func decided(res *Result, score float64) bool {
+	return score >= float64(len(res.Placements))
+}
+
+// runCounts counts the heuristics a bestOf runs and the solver
+// placements the Medea-ILP it serves decodes.
+type runCounts struct{ heuristics, decodes atomic.Int64 }
 
 // stamp records on the result Place returns how its solve went: budget,
 // validity, node count and whether the warm start seeded the incumbent.

@@ -60,16 +60,19 @@ func NewYARN() Algorithm {
 	}
 }
 
-// newBestOfGreedy runs the Serial and tag-popularity heuristics and keeps
+// newBestOfGreedy runs the tag-popularity and Serial heuristics and keeps
 // the placement with more placed applications, breaking ties on the lower
-// weighted violation extent. Medea-ILP uses it to seed the solver with
-// the strongest cheap incumbent (§5.3's heuristics as a MIP start).
+// weighted violation extent; Serial does not run when tag popularity
+// places every application without a violation. Medea-ILP uses it to
+// seed the solver with the strongest cheap incumbent (§5.3's heuristics
+// as a MIP start).
 func newBestOfGreedy() *bestOf {
 	return &bestOf{algs: []*greedy{NewTagPopularity().(*greedy), NewSerial().(*greedy)}}
 }
 
 type bestOf struct {
 	algs []*greedy
+	runs *runCounts // nil unless a test counts what runs
 }
 
 // placeBest places the batch with every heuristic against its flattened
@@ -77,7 +80,8 @@ type bestOf struct {
 // base's state, and returns the result base scores highest, and that
 // score. Each heuristic's placement is scored on work and released again,
 // so work ends as it began; one that puts every container where the best
-// so far does is released unscored. queue is the batch's requests in
+// so far does is released unscored, and once the best so far is decided
+// no further heuristic runs. queue is the batch's requests in
 // submission order, and init a score table of them on work as it begins,
 // with each request's class: a heuristic that scores like init's owner
 // starts from a copy of its cells, any other fills a table of its own.
@@ -85,6 +89,12 @@ func (b *bestOf) placeBest(work *cluster.Cluster, apps []*Application, flat []co
 	clk := opts.clock()
 	var spare *scoreTable // the last copy, done with: the next one reuses its cells
 	for _, alg := range b.algs {
+		if best != nil && decided(best, bestScore) {
+			break
+		}
+		if b.runs != nil {
+			b.runs.heuristics.Add(1)
+		}
 		start := clk()
 		var res *Result
 		if alg.scoresLike(init.g) {

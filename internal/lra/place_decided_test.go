@@ -1,0 +1,177 @@
+package lra
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	"medea/internal/cluster"
+	"medea/internal/constraint"
+	"medea/internal/ilp"
+)
+
+// referencePlace is Place as it was before it stopped at a decided
+// comparison, kept as the reference of the short-circuit: both
+// heuristics run, and a solver solution is always decoded and, unless it
+// puts every container where the fallback does, scored. It returns the
+// result, the fallback and its score, and every score it priced. It
+// reads the clock where Place does, before each heuristic Place runs and
+// after each one it scores, so that on a ticking clock its solve has the
+// same deadline.
+func referencePlace(s *ilpScheduler, state *cluster.Cluster, apps []*Application, active []constraint.Entry, opts Options) (final, fb *Result, fbScore float64, scores []float64) {
+	clk := opts.clock()
+	start := clk()
+	cons := flattenConstraints(apps, active)
+	groups := batchGroups(apps)
+	reqs := buildRequests(apps)
+	queue := queueOf(reqs)
+	base := newScoreBase(state, cons)
+	tab, classOf := newScoreTable(&greedy{}, state, cons, queue)
+
+	var spare *scoreTable
+	for _, alg := range s.fallback.algs {
+		ran := fb == nil || fbScore < float64(len(apps))
+		if ran {
+			clk()
+		}
+		var res *Result
+		if alg.scoresLike(tab.g) {
+			spare = tab.copyFor(alg, spare)
+			res = alg.placeQueue(state, apps, queue, spare, classOf)
+		} else {
+			own, ownClass := alg.ownTable(state, cons, queue)
+			res = alg.placeQueue(state, apps, queue, own, ownClass)
+		}
+		if fb != nil && sameNodes(res, fb) {
+			releasePlaced(state, res)
+			continue
+		}
+		score := base.scoreAndRelease(state, res)
+		if ran {
+			clk()
+		}
+		scores = append(scores, score)
+		if fb == nil || score > fbScore {
+			fb, fbScore = res, score
+		}
+	}
+	fbCounts := groupCounts(groups, fb)
+	cands := selectCandidates(state, tab, cons, groups, opts)
+	for gi := range groups {
+		for n := range fbCounts[gi] {
+			cands[gi] = append(cands[gi], n)
+		}
+		slices.Sort(cands[gi])
+		cands[gi] = slices.Compact(cands[gi])
+	}
+	pm := buildModel(state, apps, cons, groups, cands, opts.weights())
+	var sol *ilp.Solution
+	if pm.m.Check() == nil {
+		sol = pm.m.Solve(ilp.Options{
+			Deadline:   start.Add(opts.solverBudget()),
+			WarmStarts: []map[ilp.Var]float64{pm.warmValues(fb, fbCounts)},
+			Clock:      opts.Clock,
+		})
+	}
+	final = fb
+	if sol != nil && (sol.Status == ilp.Optimal || sol.Status == ilp.Feasible) {
+		res := decodeSolution(state, apps, reqs, sol, pm.S, pm.Y)
+		if sameNodes(res, fb) {
+			releasePlaced(state, res)
+		} else {
+			score := base.scoreAndRelease(state, res)
+			scores = append(scores, score)
+			if score > fbScore {
+				final = res
+			}
+		}
+	}
+	stamp(final, sol)
+	return final, fb, fbScore, scores
+}
+
+// TestPlaceMatchesReference holds Place, which skips Serial and the
+// decode of the solver's placement once the fallback's score is decided,
+// to referencePlace, which never skips: the same Result, and from
+// placeBest the same fallback and the same score bits. Every score the
+// reference prices must sit at or below the batch's size, the bound the
+// short-circuit relies on. The cases are the 200 scenarios of
+// TestILPPlaceGolden, each placed, then placed again without its first
+// application once that one is committed, and the placement oracle's
+// instances of seeds 1–200; the random constraints of the first leave a
+// violation in nearly every placement, the second's are often met. The
+// clock ticks per reading with TestILPPlaceGolden's budgets, so
+// budget-bound solves are compared too.
+func TestPlaceMatchesReference(t *testing.T) {
+	var places, skippedSerial, skippedDecode, undecided int
+	check := func(label string, s *ilpScheduler, state *cluster.Cluster, apps []*Application, active []constraint.Entry, opts Options) *Result {
+		t.Helper()
+		opts.Clock = tickingClock(time.Millisecond)
+		want, wantFB, wantScore, scores := referencePlace(s, state, apps, active, opts)
+		for _, sc := range scores {
+			if bound := float64(len(apps)); !(sc <= bound) {
+				t.Fatalf("%s: a placement scores %v (%#x), above the bound %v", label, sc, math.Float64bits(sc), bound)
+			}
+		}
+
+		cons := flattenConstraints(apps, active)
+		queue := queueOf(buildRequests(apps))
+		tab, classOf := newScoreTable(&greedy{}, state, cons, queue)
+		fb, fbScore := s.fallback.placeBest(state, apps, cons, queue, tab, classOf, newScoreBase(state, cons), opts)
+		if !reflect.DeepEqual(fb.Placements, wantFB.Placements) || math.Float64bits(fbScore) != math.Float64bits(wantScore) {
+			t.Fatalf("%s: placeBest returns %s scoring %v (%#x), the reference %s scoring %v (%#x)", label,
+				placeGoldenLine("got", fb), fbScore, math.Float64bits(fbScore),
+				placeGoldenLine("want", wantFB), wantScore, math.Float64bits(wantScore))
+		}
+
+		opts.Clock = tickingClock(time.Millisecond)
+		var got *Result
+		heuristics, decodes := CountRuns(s, func() { got = s.Place(state, apps, active, opts) })
+		if !samePlace(got, want) {
+			t.Fatalf("%s: Place and the reference differ:\n%s nodes=%d\n%s nodes=%d", label,
+				placeGoldenLine("got", got), got.Nodes, placeGoldenLine("want", want), want.Nodes)
+		}
+		places++
+		skippedSerial += b2f(heuristics < len(s.fallback.algs))
+		skippedDecode += b2f(decodes == 0 && got.ExactSolves == 1 && !got.Exhausted && !got.Invalid)
+		undecided += b2f(!decided(wantFB, wantScore))
+		return got
+	}
+	budget := func(seed int64) time.Duration { return []time.Duration{6, 40, 120}[(seed/3)%3] * time.Millisecond }
+
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		state := oracleCluster(rng)
+		deployed := oracleBatch(rng, "dep", 3+rng.Intn(6))
+		active := deployBatch(t, state, deployed, NewSerial().(*greedy).oraclePlace(state, deployed, nil))
+		if seed%2 == 0 {
+			fillNearlyFull(t, rng, state)
+		}
+		apps := oracleBatch(rng, "new", 1+rng.Intn(4))
+		opts := Options{SolverBudget: budget(seed)}
+		if seed%5 == 0 {
+			opts.MaxCandidates = 4
+		}
+		if seed%7 == 0 {
+			opts.Weights = Weights{W1: 1, W2: 0.75, W3: 0.25}
+		}
+		s := NewILP().(*ilpScheduler)
+		first := check(fmt.Sprintf("scenario %d", seed), s, state, apps, active, opts)
+		if len(apps) > 1 && first.Placements[0].Placed {
+			active = append(active, deployBatch(t, state, apps[:1], first.Placements[:1])...)
+			check(fmt.Sprintf("scenario %d requeued", seed), s, state, apps[1:], active, opts)
+		}
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		in := newTinyInstance(seed)
+		check(fmt.Sprintf("instance %d", seed), NewILP().(*ilpScheduler), in.state, in.apps, in.active, Options{SolverBudget: budget(seed)})
+	}
+	t.Logf("%d Places: %d skipped Serial, %d skipped the decode, %d had an undecided fallback", places, skippedSerial, skippedDecode, undecided)
+	if skippedSerial == 0 || skippedDecode == 0 || undecided == 0 {
+		t.Fatal("coverage: the short-circuit fires on every Place or on none")
+	}
+}

@@ -116,7 +116,9 @@ func TestILPPlaceGolden(t *testing.T) {
 		}
 		apps := oracleBatch(rng, "new", 1+rng.Intn(4))
 		// In clock readings: 6 end most solves before an incumbent (the
-		// two heuristics take four), 120 let the models that can finish do so.
+		// two heuristics take up to four: Serial's two are skipped when
+		// Medea-TP's score is decided), 120 let the models that can
+		// finish do so.
 		budget := []time.Duration{6, 40, 120}[(seed/3)%3] * time.Millisecond
 		opts := Options{SolverBudget: budget, Clock: tickingClock(time.Millisecond)}
 		if seed%5 == 0 {
