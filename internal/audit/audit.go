@@ -113,36 +113,45 @@ func CheckPlacement(state *cluster.Cluster, app *lra.Application, p *lra.Placeme
 // accepted batch stays allocated until the caller undoes it, a veto
 // undoes itself.
 func CheckAssignments(state *cluster.Cluster, appID string, assigns []lra.Assignment, entries []constraint.Entry) error {
-	// Resolved once here, not per container: ViolationFor runs for every
-	// container of the cluster, twice.
-	hard := lra.ResolveEntries(HardEntries(entries))
+	// Resolution keeps every weight, so a list without hard entries
+	// resolves to none. One with them is resolved whole before it is
+	// filtered again: an operator override tightens the hard constraint
+	// it overrides whatever its own weight, as Evaluate prices it.
+	hard := HardEntries(entries)
+	if len(hard) > 0 {
+		hard = HardEntries(lra.ResolveEntries(entries))
+	}
 	// Hard-constraint semantics are final-state: the whole batch is
 	// tentatively applied, then every container that was clean before
 	// must still be clean (a batch may carry affinity constraints only its
 	// own later assignments satisfy).
-	var violatedBefore map[cluster.ContainerID]bool
+	var before []lra.Violation
 	if len(hard) > 0 {
-		violatedBefore = make(map[cluster.ContainerID]bool)
-		for _, id := range state.ContainerIDs() {
-			if lra.ViolationFor(state, hard, id) > 0 {
-				violatedBefore[id] = true
-			}
-		}
+		before = lra.Violations(state, hard)
 	}
 	err := allocateAll(state, appID, assigns)
 	if err == nil && len(hard) > 0 {
-		for _, id := range state.ContainerIDs() {
-			if violatedBefore[id] {
-				continue
-			}
-			if v := lra.ViolationFor(state, hard, id); v > 0 {
-				err = fmt.Errorf("audit: %s: hard constraint violated for container %s (extent %g)", appID, id, v)
-				Undo(state, assigns)
-				break
-			}
+		if v, ok := firstNew(before, lra.Violations(state, hard)); ok {
+			err = fmt.Errorf("audit: %s: hard constraint violated for container %s (extent %g)", appID, v.Container, v.Extent)
+			Undo(state, assigns)
 		}
 	}
 	return err
+}
+
+// firstNew returns the first violator of after, in ID order, that before
+// does not list. Both lists are sorted by ID (lra.Violations).
+func firstNew(before, after []lra.Violation) (lra.Violation, bool) {
+	i := 0
+	for _, v := range after {
+		for i < len(before) && before[i].Container < v.Container {
+			i++
+		}
+		if i == len(before) || before[i].Container != v.Container {
+			return v, true
+		}
+	}
+	return lra.Violation{}, false
 }
 
 // allocateAll charges each assignment on state in order, checking it

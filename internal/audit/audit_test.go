@@ -2,6 +2,7 @@ package audit
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,6 +44,14 @@ func hardEntry(appID string, a constraint.Atom) constraint.Entry {
 		Source:     constraint.SourceApplication,
 		Constraint: constraint.Weighted(a, DefaultHardWeight),
 	}
+}
+
+// containerIDs lists the containers of c, sorted.
+func containerIDs(c *cluster.Cluster) []cluster.ContainerID {
+	var ids []cluster.ContainerID
+	c.EachContainer(func(id cluster.ContainerID, _ cluster.NodeID, _ []constraint.Tag) { ids = append(ids, id) })
+	slices.Sort(ids)
+	return ids
 }
 
 func TestCheckPlacementTable(t *testing.T) {
@@ -309,7 +318,7 @@ func TestCheckPlacementUndoesVeto(t *testing.T) {
 		{"unknown node first", pair, placementFor(pair, 5, 1), nil},
 	} {
 		before := c.TakeSnapshot()
-		ids := c.ContainerIDs()
+		ids := containerIDs(c)
 		if err := CheckPlacement(c, tc.app, tc.p, tc.entries); err == nil {
 			t.Fatalf("%s: accepted, want a veto", tc.name)
 		}
@@ -319,7 +328,7 @@ func TestCheckPlacementUndoesVeto(t *testing.T) {
 		if after := c.TakeSnapshot(); !reflect.DeepEqual(before, after) {
 			t.Fatalf("%s: veto changed the state\nbefore %+v\nafter  %+v", tc.name, before, after)
 		}
-		if got := c.ContainerIDs(); !reflect.DeepEqual(ids, got) {
+		if got := containerIDs(c); !reflect.DeepEqual(ids, got) {
 			t.Fatalf("%s: containers %v after veto, want %v", tc.name, got, ids)
 		}
 	}
@@ -338,7 +347,7 @@ func TestCheckAssignmentsRejectsNegativeDemand(t *testing.T) {
 		{Container: "a#0", Group: "g", Node: 0, Demand: resource.New(100, 1)},
 		{Container: "a#1", Group: "g", Node: 0, Demand: resource.New(-4096, 1)},
 	}
-	before, ids := c.TakeSnapshot(), c.ContainerIDs()
+	before, ids := c.TakeSnapshot(), containerIDs(c)
 	if err := CheckAssignments(c, "a", assigns, nil); err == nil || !strings.Contains(err.Error(), "negative demand") {
 		t.Fatalf("CheckAssignments() = %v, want a negative-demand veto", err)
 	}
@@ -348,7 +357,7 @@ func TestCheckAssignmentsRejectsNegativeDemand(t *testing.T) {
 	if after := c.TakeSnapshot(); !reflect.DeepEqual(before, after) {
 		t.Fatalf("veto changed the state\nbefore %+v\nafter  %+v", before, after)
 	}
-	if got := c.ContainerIDs(); !reflect.DeepEqual(ids, got) {
+	if got := containerIDs(c); !reflect.DeepEqual(ids, got) {
 		t.Fatalf("containers %v after veto, want %v", got, ids)
 	}
 	if got := c.Node(0).Free(); got != resource.New(1000, 10) {
@@ -413,11 +422,12 @@ func TestHardEntries(t *testing.T) {
 }
 
 // TestHardVerdictsOn256Nodes pins the hard-constraint verdicts of
-// CheckAssignments on a populated 256-node state: a weight-100 node
-// anti-affinity, an operator override that only conflict resolution
-// makes binding, and a violation that predates the batch. The hard
-// entries are resolved once per call; the verdicts must be those of
-// resolving them per container.
+// CheckAssignments on a populated 256-node state, veto text included: a
+// weight-100 node anti-affinity, an operator override that only conflict
+// resolution makes binding, the same override at a soft weight, which
+// still tightens the hard application constraint it overrides, and a
+// violation that predates the batch. A veto names the first container,
+// in ID order, that the batch turns violating, with its extent.
 func TestHardVerdictsOn256Nodes(t *testing.T) {
 	small := resource.New(100, 1)
 	c := cluster.Grid(256, 8, resource.New(16384, 8))
@@ -435,11 +445,15 @@ func TestHardVerdictsOn256Nodes(t *testing.T) {
 	}
 	spread := hardEntry("db", constraint.AntiAffinity(constraint.E("db"), constraint.E("db"), constraint.Node))
 	// The application allows up to 3 "web" per rack; the operator's
-	// tighter (0,1) replaces those bounds when conflicts are resolved.
+	// tighter (0,1) replaces those bounds when conflicts are resolved,
+	// and the resolved constraint keeps the application's weight.
 	appWeb := hardEntry("web", constraint.MaxCardinality(constraint.E("web"), constraint.E("web"), 3, constraint.Rack))
-	opWeb := constraint.Entry{Source: constraint.SourceOperator,
-		Constraint: constraint.Weighted(constraint.MaxCardinality(constraint.E("web"), constraint.E("web"), 1, constraint.Rack), DefaultHardWeight)}
-	entries := []constraint.Entry{spread, spread, appWeb, opWeb} // the duplicate is deduplicated
+	opWeb := func(weight float64) constraint.Entry {
+		return constraint.Entry{Source: constraint.SourceOperator,
+			Constraint: constraint.Weighted(constraint.MaxCardinality(constraint.E("web"), constraint.E("web"), 1, constraint.Rack), weight)}
+	}
+	entries := []constraint.Entry{spread, spread, appWeb, opWeb(DefaultHardWeight)} // the duplicate is deduplicated
+	softOverride := []constraint.Entry{spread, appWeb, opWeb(1)}
 
 	assign := func(app string, tag constraint.Tag, nodes ...cluster.NodeID) []lra.Assignment {
 		var out []lra.Assignment
@@ -448,25 +462,34 @@ func TestHardVerdictsOn256Nodes(t *testing.T) {
 		}
 		return out
 	}
+	const veto = "audit: batch: hard constraint violated for container "
 	cases := []struct {
 		name    string
+		entries []constraint.Entry
 		assigns []lra.Assignment
-		reject  bool
+		want    string // the veto, or empty to accept
 	}{
-		{"db on distinct free nodes", assign("d2", "db", 20, 21, 22), false},
-		{"db twice on one node", assign("d2", "db", 20, 20), true},
-		{"db next to a deployed db on a clean node", assign("d2", "db", 7), true}, // db#0/db#1 were violating already, the newcomer was not
-		{"two web in one rack", assign("w", "web", 8, 9), false},
-		{"three web in one rack: the operator's bound binds", assign("w", "web", 8, 9, 10), true},
-		{"three web across racks", assign("w", "web", 8, 16, 24), false},
+		{"db on distinct free nodes", entries, assign("d2", "db", 20, 21, 22), ""},
+		{"db twice on one node", entries, assign("d2", "db", 20, 20), veto + "d2#0 (extent 100)"},
+		// db#0/db#1 were violating already, the newcomer was not.
+		{"db next to a deployed db on a clean node", entries, assign("d2", "db", 7), veto + "d2#0 (extent 200)"},
+		{"two web in one rack", entries, assign("w", "web", 8, 9), ""},
+		{"three web in one rack: the operator's bound binds", entries, assign("w", "web", 8, 9, 10), veto + "w#0 (extent 100)"},
+		{"three web across racks", entries, assign("w", "web", 8, 16, 24), ""},
+		{"three web in one rack: a soft operator bound binds the hard constraint", softOverride, assign("w", "web", 8, 9, 10), veto + "w#0 (extent 100)"},
+		{"two web in one rack under the soft operator bound", softOverride, assign("w", "web", 8, 9), ""},
 	}
 	for _, tc := range cases {
-		err := CheckAssignments(c.Clone(), "batch", tc.assigns, entries)
-		if (err != nil) != tc.reject {
-			t.Errorf("%s: reject=%v, got %v", tc.name, tc.reject, err)
-		}
-		if err != nil && !strings.Contains(err.Error(), "hard constraint violated") {
-			t.Errorf("%s: unexpected error %v", tc.name, err)
+		if got := errText(CheckAssignments(c.Clone(), "batch", tc.assigns, tc.entries)); got != tc.want {
+			t.Errorf("%s: got %q, want %q", tc.name, got, tc.want)
 		}
 	}
+}
+
+// errText is err's text, or empty for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }

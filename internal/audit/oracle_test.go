@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestBatchValidationOracle(t *testing.T) {
 		scratch, entries := state.Clone(), active
 		for i, p := range placements {
 			all := withOwn(entries, apps[i])
-			before, ids := scratch.TakeSnapshot(), scratch.ContainerIDs()
+			before, ids := scratch.TakeSnapshot(), containerIDs(scratch)
 			err := audit.CheckPlacement(scratch, apps[i], &p, all)
 			if got := verdict(err); got != want[i] {
 				t.Fatalf("seed %d placement %d (%s): scratch verdict %q, per-placement verdict %q", seed, i, p.AppID, got, want[i])
@@ -70,19 +71,19 @@ func TestBatchValidationOracle(t *testing.T) {
 			if after := scratch.TakeSnapshot(); !reflect.DeepEqual(before, after) {
 				t.Fatalf("seed %d placement %d: veto %q changed the scratch", seed, i, err)
 			}
-			if got := scratch.ContainerIDs(); !reflect.DeepEqual(ids, got) {
+			if got := containerIDs(scratch); !reflect.DeepEqual(ids, got) {
 				t.Fatalf("seed %d placement %d: veto %q changed the containers", seed, i, err)
 			}
 		}
 		if !reflect.DeepEqual(scratch.TakeSnapshot(), live.TakeSnapshot()) ||
-			!reflect.DeepEqual(scratch.ContainerIDs(), live.ContainerIDs()) {
+			!reflect.DeepEqual(containerIDs(scratch), containerIDs(live)) {
 			t.Fatalf("seed %d: the scratch after the batch differs from the cluster committed in order", seed)
 		}
 
 		// Validation on live state: in place on a stand-in for the live
 		// cluster, then the accepted placements undone in reverse order.
 		inPlace, entries := state.Clone(), active
-		snap, ids, before := inPlace.TakeSnapshot(), inPlace.ContainerIDs(), inPlace.Clone()
+		snap, ids, before := inPlace.TakeSnapshot(), containerIDs(inPlace), inPlace.Clone()
 		var undo [][]lra.Assignment
 		for i, p := range placements {
 			all := withOwn(entries, apps[i])
@@ -101,7 +102,7 @@ func TestBatchValidationOracle(t *testing.T) {
 		if got := inPlace.TakeSnapshot(); !reflect.DeepEqual(got, snap) {
 			t.Fatalf("seed %d: the snapshot after undoing the batch differs from the pre-batch one", seed)
 		}
-		if got := inPlace.ContainerIDs(); !reflect.DeepEqual(got, ids) {
+		if got := containerIDs(inPlace); !reflect.DeepEqual(got, ids) {
 			t.Fatalf("seed %d: containers after undoing the batch %v, want %v", seed, got, ids)
 		}
 		if diff := inPlace.Diff(before); diff != "" {
@@ -184,6 +185,14 @@ func withOwn(entries []constraint.Entry, app *lra.Application) []constraint.Entr
 		all = append(all, constraint.Entry{AppID: app.ID, Source: constraint.SourceApplication, Constraint: c})
 	}
 	return all
+}
+
+// containerIDs lists the containers of c, sorted.
+func containerIDs(c *cluster.Cluster) []cluster.ContainerID {
+	var ids []cluster.ContainerID
+	c.EachContainer(func(id cluster.ContainerID, _ cluster.NodeID, _ []constraint.Tag) { ids = append(ids, id) })
+	slices.Sort(ids)
+	return ids
 }
 
 func verdict(err error) string {

@@ -125,9 +125,10 @@ func (c *Cluster) EachContainer(fn func(id ContainerID, node NodeID, tags []cons
 }
 
 // EachNodeVector calls fn with each distinct tag vector of the containers
-// on node (its tag multiset's, constraint.Set.EachVector), once, in no
-// particular order. Untagged containers have no vector there.
-func (c *Cluster) EachNodeVector(node NodeID, fn func(tags []constraint.Tag)) {
+// on node and how many of them carry it (its tag multiset's,
+// constraint.Set.EachVector), once, in no particular order. Untagged
+// containers have no vector there.
+func (c *Cluster) EachNodeVector(node NodeID, fn func(tags []constraint.Tag, count int)) {
 	c.nodes[node].tags.EachVector(fn)
 }
 
@@ -203,16 +204,6 @@ func (c *Cluster) Clone() *Cluster {
 		cc.groups[gi] = ng
 	}
 	return cc
-}
-
-// ContainerIDs returns all allocated container IDs, sorted.
-func (c *Cluster) ContainerIDs() []ContainerID {
-	out := make([]ContainerID, 0, len(c.containers))
-	for id := range c.containers {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // CheckAccounting verifies the cluster's internal bookkeeping invariants:

@@ -146,11 +146,11 @@ func TestNodeStateTransitions(t *testing.T) {
 			}
 			// Resident count on node 0.
 			resident := 0
-			for _, id := range c.ContainerIDs() {
-				if n, ok := c.ContainerNode(id); ok && n == 0 {
+			c.EachContainer(func(_ ContainerID, n NodeID, _ []constraint.Tag) {
+				if n == 0 {
 					resident++
 				}
-			}
+			})
 			if resident != tt.wantResident {
 				t.Errorf("resident = %d, want %d", resident, tt.wantResident)
 			}

@@ -117,9 +117,10 @@ func (e Expr) String() string {
 // the subject or a target of — is compiled on the scheduler's side (lra's
 // plan, through an index of the constraint list built once per Place),
 // and an atom's three γ in one set come from one scan (CountAtom). A
-// node's Set is also how a Place finds the violators of a state: a
-// container's violation depends on its node and its vector alone, so
-// each (node, vector) pair is priced once, not each container.
+// node's Set is also how the violators of a state are found (a Place's
+// score base, lra.Evaluate, the audit's hard check): a container's
+// violation depends on its node and its vector alone, so each (node,
+// vector) pair is priced once, with the count of containers carrying it.
 type Set struct {
 	counts  []tagCount
 	vectors []vecEntry
@@ -306,12 +307,12 @@ func (s *Set) CountAtom(subject, target Expr) (nTarget, nSubject, nBoth int) {
 	return nTarget, nSubject, nBoth
 }
 
-// EachVector calls fn with each distinct tag vector of the set, once, in
-// no particular order. The slices are the set's own (written once, never
-// mutated): fn must not modify them.
-func (s *Set) EachVector(fn func(tags []Tag)) {
+// EachVector calls fn with each distinct tag vector of the set and how
+// many containers carry it, once, in no particular order. The slices are
+// the set's own (written once, never mutated): fn must not modify them.
+func (s *Set) EachVector(fn func(tags []Tag, count int)) {
 	for _, e := range s.vectors {
-		fn(e.tags)
+		fn(e.tags, e.count)
 	}
 }
 

@@ -28,6 +28,14 @@ func degradedLRAs(m *Medea) []string {
 	return out
 }
 
+// containerIDs lists the containers of c, sorted.
+func containerIDs(c *cluster.Cluster) []cluster.ContainerID {
+	var ids []cluster.ContainerID
+	c.EachContainer(func(id cluster.ContainerID, _ cluster.NodeID, _ []constraint.Tag) { ids = append(ids, id) })
+	slices.Sort(ids)
+	return ids
+}
+
 // TestConfigSentinels: the zero value of every knob selects its documented
 // default; negative values disable the feature instead of silently
 // becoming the default (the MaxRetries: 0 ambiguity).
@@ -494,7 +502,7 @@ func TestRepairValidatesOnLiveCluster(t *testing.T) {
 
 	// Vetoed: the lost container proposed beside its survivor breaks the
 	// app's hard anti-affinity, after the batch is allocated in place.
-	snap, cids, before := m.Cluster.TakeSnapshot(), m.Cluster.ContainerIDs(), m.Cluster.Clone()
+	snap, cids, before := m.Cluster.TakeSnapshot(), containerIDs(m.Cluster), m.Cluster.Clone()
 	alg.nodes = []cluster.NodeID{2}
 	stats := m.RunCycle(t1)
 	if stats.ValidationRejects != 1 || stats.RepairFailures != 1 || stats.Repaired != 0 {
@@ -503,7 +511,7 @@ func TestRepairValidatesOnLiveCluster(t *testing.T) {
 	if got := m.Cluster.TakeSnapshot(); !reflect.DeepEqual(got, snap) {
 		t.Errorf("vetoed repair changed the snapshot:\n got %+v\nwant %+v", got, snap)
 	}
-	if got := m.Cluster.ContainerIDs(); !reflect.DeepEqual(got, cids) {
+	if got := containerIDs(m.Cluster); !reflect.DeepEqual(got, cids) {
 		t.Errorf("vetoed repair changed the containers: %v, want %v", got, cids)
 	}
 	if diff := m.Cluster.Diff(before); diff != "" {
@@ -528,8 +536,8 @@ func TestRepairValidatesOnLiveCluster(t *testing.T) {
 	if got := m.Cluster.TakeSnapshot(); !reflect.DeepEqual(got, want.TakeSnapshot()) {
 		t.Errorf("accepted repair: snapshot\n got %+v\nwant %+v", got, want.TakeSnapshot())
 	}
-	if got := m.Cluster.ContainerIDs(); !reflect.DeepEqual(got, want.ContainerIDs()) {
-		t.Errorf("accepted repair: containers %v, want %v", got, want.ContainerIDs())
+	if got := containerIDs(m.Cluster); !reflect.DeepEqual(got, containerIDs(want)) {
+		t.Errorf("accepted repair: containers %v, want %v", got, containerIDs(want))
 	}
 	if diff := m.Cluster.Diff(want); diff != "" {
 		t.Errorf("accepted repair: tag multisets differ: %s", diff)

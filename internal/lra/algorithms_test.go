@@ -356,8 +356,8 @@ func TestTagPopularityOrdering(t *testing.T) {
 		constraint.New(constraint.Affinity(constraint.E("hot"), constraint.E("x"), constraint.Node)),
 		constraint.New(constraint.AntiAffinity(constraint.E("hot"), constraint.E("y"), constraint.Rack)),
 	)
-	hot := len(compileAtoms(nil, cons, []constraint.Tag{"hot"}, true))
-	cold := len(compileAtoms(nil, cons, []constraint.Tag{"cold"}, true))
+	hot := len(compileAtoms(nil, cons, []constraint.Tag{"hot"}))
+	cold := len(compileAtoms(nil, cons, []constraint.Tag{"cold"}))
 	if hot <= cold {
 		t.Errorf("popularity hot=%d cold=%d", hot, cold)
 	}

@@ -71,31 +71,40 @@ func Evaluate(state *cluster.Cluster, entries []constraint.Entry) Report {
 
 // evaluateResolved is Evaluate over a list that already went through
 // ResolveEntries (or flattenConstraints): a Place resolves its constraints
-// once and scores every candidate placement against that one list.
+// once and scores every candidate placement against that one list. It
+// prices each (node, tag vector) pair of state once (violators): a pair's
+// constraints apply to every container carrying the vector there, and
+// the violators' addends are summed in container-ID order, as a score
+// sums them.
 func evaluateResolved(state *cluster.Cluster, resolved []constraint.Entry) Report {
-	var rep Report
-	var buf [16]float64
-	p, ring := newPlan(resolved), vecRing{}
-	for _, id := range state.ContainerIDs() {
-		node, ok := state.ContainerNode(id)
-		if !ok {
-			continue
-		}
-		tags, _ := state.ContainerTags(id)
-		addends, applied := p.atoms(ring.vector(p, tags)).appendExtents(buf[:0], state, node)
-		rep.Subject += applied
-		rep.Violated += len(addends)
-		if applied > 0 {
-			rep.SubjectContainers++
-		}
-		if len(addends) > 0 {
-			rep.ViolatedContainers++
-		}
-		for _, x := range addends {
-			rep.TotalExtent += x
+	var v violators
+	v.priceAll(newPlan(resolved), state)
+	return v.report()
+}
+
+// Violation is a container that violates a constraint list and its
+// summed weighted violation extent.
+type Violation struct {
+	Container cluster.ContainerID
+	Extent    float64
+}
+
+// Violations returns the containers of state that violate resolved, by
+// ID, each with its summed weighted extent: the violating containers
+// Evaluate counts. resolved must come from ResolveEntries. The audit
+// layer diffs the violators before and after a proposed placement to
+// find the new hard-constraint violations it introduces.
+func Violations(state *cluster.Cluster, resolved []constraint.Entry) []Violation {
+	var v violators
+	v.priceAll(newPlan(resolved), state)
+	out := make([]Violation, len(v.list))
+	for i, x := range v.list {
+		out[i].Container = x.id
+		for _, a := range v.of(i) {
+			out[i].Extent += a
 		}
 	}
-	return rep
+	return out
 }
 
 // scoreBase is what a Place prices each of its candidate placements
@@ -105,7 +114,7 @@ func evaluateResolved(state *cluster.Cluster, resolved []constraint.Entry) Repor
 // the sets containing a node it assigns to. So score lists the violators
 // of work on those sets' members and adds every violator of the base
 // elsewhere as the base found it. The other containers add nothing, to
-// a sweep or here.
+// evaluateResolved or here.
 type scoreBase struct {
 	plan   *plan
 	groups []constraint.GroupName // the groups an atom of cons names, "node" excepted
@@ -129,10 +138,7 @@ func newScoreBase(state *cluster.Cluster, cons []constraint.Entry) *scoreBase {
 			}
 		}
 	}
-	for n := range b.region {
-		b.base.price(b.plan, state, cluster.NodeID(n))
-	}
-	b.base.collect(state)
+	b.base.priceAll(b.plan, state)
 	return b
 }
 
@@ -147,6 +153,9 @@ type violators struct {
 	pairs   []violPair // the violating pairs, by node
 	addends []float64  // pair p's are addends[pairs[p].lo:pairs[p].hi]
 	list    []violator // sorted by ID
+
+	// Report's Subject and SubjectContainers over the priced pairs.
+	subject, subjectContainers int
 }
 
 // violPair is a node and a tag vector whose containers violate there.
@@ -165,20 +174,34 @@ type violator struct {
 
 func (v *violators) reset() {
 	v.pairs, v.addends, v.list = v.pairs[:0], v.addends[:0], v.list[:0]
+	v.subject, v.subjectContainers = 0, 0
+}
+
+// priceAll prices every node of state and lists the violators.
+func (v *violators) priceAll(p *plan, state *cluster.Cluster) {
+	for n := range state.NumNodes() {
+		v.price(p, state, cluster.NodeID(n))
+	}
+	v.collect(state)
 }
 
 // price prices each tag vector on node. Nodes must come in ascending
 // order, so pairs stays by node.
 func (v *violators) price(p *plan, state *cluster.Cluster, node cluster.NodeID) {
-	state.EachNodeVector(node, func(tags []constraint.Tag) { v.pricePair(p, state, node, tags) })
+	state.EachNodeVector(node, func(tags []constraint.Tag, count int) { v.pricePair(p, state, node, tags, count) })
 }
 
-// pricePair prices the containers of tags on node against p, with the
-// addends in the order evaluateResolved adds them, and keeps the pair
-// when they violate.
-func (v *violators) pricePair(p *plan, state *cluster.Cluster, node cluster.NodeID, tags []constraint.Tag) {
+// pricePair prices the count containers of tags on node against p, in
+// list order, and keeps the pair when they violate.
+func (v *violators) pricePair(p *plan, state *cluster.Cluster, node cluster.NodeID, tags []constraint.Tag, count int) {
 	lo := len(v.addends)
-	if v.addends, _ = p.scratch(tags).appendExtents(v.addends, state, node); len(v.addends) > lo {
+	var applied int
+	v.addends, applied = p.scratch(tags).appendExtents(v.addends, state, node)
+	if applied > 0 {
+		v.subject += applied * count
+		v.subjectContainers += count
+	}
+	if len(v.addends) > lo {
 		v.pairs = append(v.pairs, violPair{node, tags, int32(lo), int32(len(v.addends))})
 	}
 }
@@ -200,6 +223,19 @@ func (v *violators) collect(state *cluster.Cluster) {
 	slices.SortFunc(v.list, func(x, y violator) int { return cmp.Compare(x.id, y.id) })
 }
 
+// report is the Report of the priced nodes.
+func (v *violators) report() Report {
+	rep := Report{Subject: v.subject, SubjectContainers: v.subjectContainers, ViolatedContainers: len(v.list)}
+	for i := range v.list {
+		addends := v.of(i)
+		rep.Violated += len(addends)
+		for _, x := range addends {
+			rep.TotalExtent += x
+		}
+	}
+	return rep
+}
+
 // of returns the addends of violator i.
 func (v *violators) of(i int) []float64 {
 	p := &v.pairs[v.list[i].pair]
@@ -208,9 +244,9 @@ func (v *violators) of(i int) []float64 {
 
 // score rates a result: more placed apps first, then fewer violations.
 // work is the base's state plus exactly the result's placed applications.
-// The sum runs over the same addends in the same order as an
-// evaluateResolved sweep of work, so it equals the sweep's TotalExtent
-// bit for bit and no comparison between two scores can flip.
+// The sum runs over the same addends in the same order as
+// evaluateResolved on work, so it equals that TotalExtent bit for bit
+// and no comparison between two scores can flip.
 func (b *scoreBase) score(work *cluster.Cluster, res *Result) float64 {
 	clear(b.region)
 	for _, p := range res.Placements {
@@ -380,25 +416,4 @@ func hashConstraint(c constraint.Constraint) uint64 {
 func mix(h, x uint64) uint64 {
 	h = (h ^ x) * 0x9e3779b97f4a7c15
 	return h ^ h>>32
-}
-
-// ViolationFor returns the summed weighted violation extent of the
-// constraints applicable to one allocated container (0 for unknown IDs or
-// when all applicable constraints are satisfied). resolved must come from
-// ResolveEntries: callers sweep whole clusters with one constraint list,
-// so resolving it is theirs to do once. The audit layer uses it to decide
-// whether a proposed placement introduces new hard-constraint violations.
-func ViolationFor(state *cluster.Cluster, resolved []constraint.Entry, id cluster.ContainerID) float64 {
-	node, ok := state.ContainerNode(id)
-	if !ok {
-		return 0
-	}
-	tags, _ := state.ContainerTags(id)
-	var buf [16]float64
-	addends, _ := compileAtoms(nil, resolved, tags, false).appendExtents(buf[:0], state, node)
-	total := 0.0
-	for _, x := range addends {
-		total += x
-	}
-	return total
 }

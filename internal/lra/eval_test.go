@@ -203,7 +203,7 @@ func TestPlacementDeltaMatchesEvaluate(t *testing.T) {
 // including satisfied ones (0), i.e. the quantity placementDelta tracks.
 func totalExtent(c *cluster.Cluster, ent []constraint.Entry) float64 {
 	total := 0.0
-	for _, id := range c.ContainerIDs() {
+	for _, id := range containerIDs(c) {
 		node, _ := c.ContainerNode(id)
 		tags, _ := c.ContainerTags(id)
 		for _, e := range ent {

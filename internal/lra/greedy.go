@@ -316,10 +316,10 @@ func (g *greedy) firstFitNode(work *cluster.Cluster, r containerReq) (cluster.No
 }
 
 // sharesConstraintScope reports whether placing a container whose
-// compiled atoms are a (compileAtoms with targets) can change the
-// candidate count of a container with tags b: some atom relates them (a
-// matches its target while b matches its subject, or both compete as
-// subjects of the same atom).
+// compiled atoms are a (compileAtoms) can change the candidate count of a
+// container with tags b: some atom relates them (a matches its target
+// while b matches its subject, or both compete as subjects of the same
+// atom).
 func sharesConstraintScope(a vecAtoms, b []constraint.Tag) bool {
 	for _, r := range a {
 		if r.atom.Subject.Matches(b) {

@@ -104,7 +104,7 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	queue := queueOf(reqs)
 
 	// Every candidate placement is built on state itself and priced
-	// against one sweep of it, then released again: the model is built on
+	// against one pricing pass over it, then released again: the model is built on
 	// state as Place found it, and Place returns it so.
 	base := newScoreBase(state, cons)
 
@@ -166,20 +166,16 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	// whichever placement evaluates better closes that gap and makes
 	// Medea-ILP never worse than its own heuristics (§5.3). The fallback's
 	// score came with it; the solver's placement is decoded onto state,
-	// scored there unless it is the fallback's own, which ties and keeps
-	// the fallback, and released. A decided fallback wins the comparison
-	// whatever the solver found, so the solver's placement is not decoded.
-	// Without an incumbent within budget the batch degrades gracefully to
-	// the greedy placement.
+	// scored there and released, and a tie keeps the fallback. A decided
+	// fallback wins the comparison whatever the solver found, so the
+	// solver's placement is not decoded. Without an incumbent within
+	// budget the batch degrades gracefully to the greedy placement.
 	final := fb
 	if sol != nil && (sol.Status == ilp.Optimal || sol.Status == ilp.Feasible) && !decided(fb, fbScore) {
 		if c := s.fallback.runs; c != nil {
 			c.decodes.Add(1)
 		}
-		res := decodeSolution(state, apps, reqs, sol, pm.S, pm.Y)
-		if sameNodes(res, fb) {
-			releasePlaced(state, res)
-		} else if base.scoreAndRelease(state, res) > fbScore {
+		if res := decodeSolution(state, apps, reqs, sol, pm.S, pm.Y); base.scoreAndRelease(state, res) > fbScore {
 			final = res
 		}
 	}
@@ -274,26 +270,6 @@ func decodeSolution(work *cluster.Cluster, apps []*Application, reqs [][]contain
 	}
 	finished = true
 	return res
-}
-
-// sameNodes reports whether two results for one batch place the same
-// applications and put every container on the same node, in whatever
-// order they list the assignments: such results score identically.
-func sameNodes(a, b *Result) bool {
-	for i, p := range a.Placements {
-		q := b.Placements[i]
-		if p.Placed != q.Placed || len(p.Assignments) != len(q.Assignments) {
-			return false
-		}
-		for _, asg := range p.Assignments {
-			if !slices.ContainsFunc(q.Assignments, func(o Assignment) bool {
-				return o.Container == asg.Container && o.Node == asg.Node
-			}) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // groupCounts reads res once into per-group node counts: how many of

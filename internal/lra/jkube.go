@@ -79,12 +79,12 @@ type bestOf struct {
 // constraint list (flattenConstraints), one after the other on work,
 // base's state, and returns the result base scores highest, and that
 // score. Each heuristic's placement is scored on work and released again,
-// so work ends as it began; one that puts every container where the best
-// so far does is released unscored, and once the best so far is decided
-// no further heuristic runs. queue is the batch's requests in
-// submission order, and init a score table of them on work as it begins,
-// with each request's class: a heuristic that scores like init's owner
-// starts from a copy of its cells, any other fills a table of its own.
+// so work ends as it began, and a tie keeps the best so far; once the
+// best so far is decided no further heuristic runs. queue is the batch's
+// requests in submission order, and init a score table of them on work
+// as it begins, with each request's class: a heuristic that scores like
+// init's owner starts from a copy of its cells, any other fills a table
+// of its own.
 func (b *bestOf) placeBest(work *cluster.Cluster, apps []*Application, flat []constraint.Entry, queue []containerReq, init *scoreTable, classOf []int, base *scoreBase, opts Options) (best *Result, bestScore float64) {
 	clk := opts.clock()
 	var spare *scoreTable // the last copy, done with: the next one reuses its cells
@@ -103,10 +103,6 @@ func (b *bestOf) placeBest(work *cluster.Cluster, apps []*Application, flat []co
 		} else {
 			tab, own := alg.ownTable(work, flat, queue)
 			res = alg.placeQueue(work, apps, queue, tab, own)
-		}
-		if best != nil && sameNodes(res, best) {
-			releasePlaced(work, res) // equal nodes score equal, and a tie keeps best
-			continue
 		}
 		score := base.scoreAndRelease(work, res)
 		res.Latency = clk().Sub(start)

@@ -16,11 +16,11 @@ import (
 
 // referencePlace is Place as it was before it stopped at a decided
 // comparison, kept as the reference of the short-circuit: both
-// heuristics run, and a solver solution is always decoded and, unless it
-// puts every container where the fallback does, scored. It returns the
-// result, the fallback and its score, and every score it priced. It
-// reads the clock where Place does, before each heuristic Place runs and
-// after each one it scores, so that on a ticking clock its solve has the
+// heuristics run and are scored, and a solver solution is always decoded
+// and, unless it puts every container where the fallback does, scored.
+// It returns the result, the fallback and its score, and every score it
+// priced. It reads the clock where Place does, before and after each
+// heuristic Place runs, so that on a ticking clock its solve has the
 // same deadline.
 func referencePlace(s *ilpScheduler, state *cluster.Cluster, apps []*Application, active []constraint.Entry, opts Options) (final, fb *Result, fbScore float64, scores []float64) {
 	clk := opts.clock()
@@ -45,10 +45,6 @@ func referencePlace(s *ilpScheduler, state *cluster.Cluster, apps []*Application
 		} else {
 			own, ownClass := alg.ownTable(state, cons, queue)
 			res = alg.placeQueue(state, apps, queue, own, ownClass)
-		}
-		if fb != nil && sameNodes(res, fb) {
-			releasePlaced(state, res)
-			continue
 		}
 		score := base.scoreAndRelease(state, res)
 		if ran {
@@ -92,6 +88,29 @@ func referencePlace(s *ilpScheduler, state *cluster.Cluster, apps []*Application
 	}
 	stamp(final, sol)
 	return final, fb, fbScore, scores
+}
+
+// sameNodes reports whether two results for one batch place the same
+// applications and put every container on the same node, in whatever
+// order they list the assignments: such results score identically.
+// Place scores such a result anyway (a tie keeps the fallback, so a skip
+// changes no outcome); referencePlace skips the decoded one, and
+// TestILPPlaceGolden counts the requeues that move a placement.
+func sameNodes(a, b *Result) bool {
+	for i, p := range a.Placements {
+		q := b.Placements[i]
+		if p.Placed != q.Placed || len(p.Assignments) != len(q.Assignments) {
+			return false
+		}
+		for _, asg := range p.Assignments {
+			if !slices.ContainsFunc(q.Assignments, func(o Assignment) bool {
+				return o.Container == asg.Container && o.Node == asg.Node
+			}) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestPlaceMatchesReference holds Place, which skips Serial and the

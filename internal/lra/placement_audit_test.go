@@ -32,7 +32,7 @@ func TestPlacementSemanticsAudit(t *testing.T) {
 				for _, c := range apps[i].Constraints {
 					all = append(all, constraint.Entry{AppID: apps[i].ID, Source: constraint.SourceApplication, Constraint: c})
 				}
-				hard := audit.HardEntries(all)
+				hard := audit.HardEntries(lra.ResolveEntries(all)) // as the audit resolves and filters
 				next := cur.Clone()
 				for _, a := range p.Assignments {
 					if err := next.Allocate(a.Node, a.Container, a.Demand, a.Tags); err != nil {

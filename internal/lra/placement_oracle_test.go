@@ -195,7 +195,7 @@ func tinyInstanceOf(state *cluster.Cluster, apps []*Application, active []constr
 func (in *tinyInstance) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seed %d: %d nodes (up %v)", in.seed, in.state.NumNodes(), in.nodes)
-	for _, id := range in.state.ContainerIDs() {
+	for _, id := range containerIDs(in.state) {
 		node, _ := in.state.ContainerNode(id)
 		tags, _ := in.state.ContainerTags(id)
 		fmt.Fprintf(&b, "\n  deployed %s@%d %v", id, node, tags)
@@ -440,7 +440,7 @@ func (in *tinyInstance) evaluatorClean(pm *placementModel, work *cluster.Cluster
 			chosen[ci].Constraint.Terms = e.Constraint.Terms[choice[ci] : choice[ci]+1]
 		}
 		violated, influenced := 0, 0
-		for _, id := range work.ContainerIDs() {
+		for _, id := range containerIDs(work) {
 			node, _ := work.ContainerNode(id)
 			tags, _ := work.ContainerTags(id)
 			for _, e := range chosen {

@@ -28,21 +28,16 @@ type atomRef struct {
 type vecAtoms []atomRef
 
 // compileAtoms appends to dst the atoms of cons that a container with
-// tags is the subject of and, when targets is set, also those it is only
-// a target of: the form a placement's delta needs, where the extent
-// sweep needs the subject atoms alone.
-func compileAtoms(dst vecAtoms, cons []constraint.Entry, tags []constraint.Tag, targets bool) vecAtoms {
+// tags is the subject or a target of: the form a placement's delta
+// needs. Pricing violations needs the subject atoms alone (plan.compile).
+func compileAtoms(dst vecAtoms, cons []constraint.Entry, tags []constraint.Tag) vecAtoms {
 	for ei := range cons {
 		c := &cons[ei].Constraint // an Entry is too large to copy per atom
 		w := c.EffectiveWeight()
 		for ti, term := range c.Terms {
 			for k := range term {
 				a := &term[k]
-				subject := a.Subject.Matches(tags)
-				if !subject && !targets {
-					continue
-				}
-				target := a.Target.Matches(tags)
+				subject, target := a.Subject.Matches(tags), a.Target.Matches(tags)
 				if subject || target {
 					dst = append(dst, atomRef{atom: a, weight: w, entry: int32(ei), term: int32(ti), subject: subject, target: target})
 				}
@@ -100,7 +95,7 @@ func (v vecAtoms) appendExtents(dst []float64, state *cluster.Cluster, node clus
 // as a *target* of already-placed subjects is ignored. This mirrors
 // Kubernetes' semantics, where a deployed pod's affinity never constrains
 // future pods (J-Kube, §7.1); Medea's algorithms score both directions.
-// v must be compiled with targets.
+// v must come from compileAtoms.
 //
 // An atom's delta at a node reads γ of the node's sets in the atom's
 // group and nothing else of the node. So at a node in exactly one set of
@@ -247,11 +242,10 @@ func (m *setMemo) cell(i int, sets []cluster.SetID) *memoCell {
 	return &m.cells[int(m.off[i])+int(sets[0])]
 }
 
-// plan is a constraint list compiled, once per sweep or Place, for the
-// tag vectors of the containers it prices: the atoms a vector is the
-// subject of (compileAtoms without targets). A sweep adds each vector it
-// meets and names a container's by index (vecRing); a Place's score base
-// compiles each (node, vector) pair it prices into scratch.
+// plan is a constraint list compiled, once per pricing pass or Place,
+// for the tag vectors of the containers it prices: the atoms a vector is
+// the subject of. Each (node, vector) pair a pass prices (violators) is
+// compiled into scratch.
 //
 // A vector is compiled through an index of the list, built with the
 // plan: every atom is listed under one tag of its subject, and since a
@@ -269,9 +263,6 @@ type plan struct {
 	always []int32
 	found  []int32  // compile's scratch
 	tmp    vecAtoms // scratch's
-
-	off  []int32 // vector v's atoms are refs[off[v]:off[v+1]]
-	refs vecAtoms
 }
 
 func newPlan(cons []constraint.Entry) *plan {
@@ -281,7 +272,7 @@ func newPlan(cons []constraint.Entry) *plan {
 			n += len(term)
 		}
 	}
-	p := &plan{cons: cons, all: make([]atomRef, 0, n), at: make([]int32, 0, n), off: []int32{0}}
+	p := &plan{cons: cons, all: make([]atomRef, 0, n), at: make([]int32, 0, n)}
 	for ei := range cons {
 		c := &cons[ei].Constraint
 		w := c.EffectiveWeight()
@@ -318,7 +309,7 @@ func newPlan(cons []constraint.Entry) *plan {
 func (p *plan) listedUnder(pos int32) constraint.Tag { return p.all[pos].atom.Subject[0] }
 
 // compile appends to dst the atoms tags is the subject of, exactly as
-// compileAtoms(dst, p.cons, tags, false) appends them: the atoms listed
+// compileAtoms(dst, p.cons, tags) appends them: the atoms listed
 // under each distinct tag of tags that its subject matches, visited in
 // list order.
 func (p *plan) compile(dst vecAtoms, tags []constraint.Tag) vecAtoms {
@@ -351,46 +342,4 @@ func (p *plan) compile(dst vecAtoms, tags []constraint.Tag) vecAtoms {
 func (p *plan) scratch(tags []constraint.Tag) vecAtoms {
 	p.tmp = p.compile(p.tmp[:0], tags)
 	return p.tmp
-}
-
-// add compiles tags as a new vector and returns its index.
-func (p *plan) add(tags []constraint.Tag) int32 {
-	p.refs = p.compile(p.refs, tags)
-	p.off = append(p.off, int32(len(p.refs)))
-	return int32(len(p.off) - 2)
-}
-
-// atoms returns vector v's compiled atoms.
-func (p *plan) atoms(v int32) vecAtoms { return p.refs[p.off[v]:p.off[v+1]] }
-
-// seenVec is a tag vector and its index in a plan.
-type seenVec struct {
-	tags []constraint.Tag
-	v    int32
-}
-
-// sweepWindow is how many distinct tag vectors an evaluateResolved sweep
-// remembers. It meets the containers of a cluster in ID order, so those
-// of one application are adjacent, and its container groups interleave
-// only as "#10" sorts before "#2".
-const sweepWindow = 8
-
-// vecRing names the plan vector of each container of a sweep: the last
-// sweepWindow distinct vectors it met are searched, and a vector not
-// among them is compiled anew.
-type vecRing struct {
-	seen [sweepWindow]seenVec
-	n    int
-}
-
-func (r *vecRing) vector(p *plan, tags []constraint.Tag) int32 {
-	for k := 1; k <= min(r.n, sweepWindow); k++ {
-		if s := &r.seen[(r.n-k)%sweepWindow]; constraint.SameVector(s.tags, tags) {
-			return s.v
-		}
-	}
-	s := &r.seen[r.n%sweepWindow]
-	*s = seenVec{tags, p.add(tags)}
-	r.n++
-	return s.v
 }

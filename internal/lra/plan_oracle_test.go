@@ -84,7 +84,7 @@ func scanExtents(dst []float64, state *cluster.Cluster, cons []constraint.Entry,
 // scanReport is evaluateResolved by scanExtents.
 func scanReport(state *cluster.Cluster, cons []constraint.Entry) Report {
 	var rep Report
-	for _, id := range state.ContainerIDs() {
+	for _, id := range containerIDs(state) {
 		node, _ := state.ContainerNode(id)
 		tags, _ := state.ContainerTags(id)
 		addends, applied := scanExtents(nil, state, cons, node, tags)
@@ -101,6 +101,14 @@ func scanReport(state *cluster.Cluster, cons []constraint.Entry) Report {
 		}
 	}
 	return rep
+}
+
+// containerIDs lists the containers of c, sorted.
+func containerIDs(c *cluster.Cluster) []cluster.ContainerID {
+	var ids []cluster.ContainerID
+	c.EachContainer(func(id cluster.ContainerID, _ cluster.NodeID, _ []constraint.Tag) { ids = append(ids, id) })
+	slices.Sort(ids)
+	return ids
 }
 
 // placementDelta is vecAtoms.delta by a scan of every entry.
@@ -263,7 +271,7 @@ func planInstance(rng *rand.Rand) (*cluster.Cluster, []constraint.Entry, [][]con
 // planStep allocates a container of a random drawn vector on a random
 // node or releases a random container.
 func planStep(rng *rand.Rand, state *cluster.Cluster, vectors [][]constraint.Tag, step int) {
-	if ids := state.ContainerIDs(); len(ids) > 0 && rng.Intn(3) == 0 {
+	if ids := containerIDs(state); len(ids) > 0 && rng.Intn(3) == 0 {
 		if err := state.Release(ids[rng.Intn(len(ids))]); err != nil {
 			panic(err)
 		}
@@ -287,7 +295,7 @@ func TestCompiledDeltaMatchesReference(t *testing.T) {
 		queued := append(slices.Clone(vectors), []constraint.Tag{"b"}, []constraint.Tag{"c", "gpu"}, nil)
 		for step := 0; step < 8; step++ {
 			for _, tags := range queued {
-				atoms := compileAtoms(nil, cons, tags, true)
+				atoms := compileAtoms(nil, cons, tags)
 				var subjectOnly vecAtoms // the mutant
 				for _, r := range atoms {
 					if r.subject {
@@ -337,7 +345,7 @@ func TestSetMemoMatchesDirect(t *testing.T) {
 		classes := make([]class, len(queued))
 		for k, tags := range queued {
 			c := &classes[k]
-			c.atoms = compileAtoms(nil, cons, tags, true)
+			c.atoms = compileAtoms(nil, cons, tags)
 			for so := range c.memo {
 				c.memo[so].reset(state, c.atoms)
 				c.stale[so].reset(state, c.atoms)
@@ -385,9 +393,9 @@ func TestSetMemoMatchesDirect(t *testing.T) {
 }
 
 // TestPlanIndexMatchesCompileAtoms: a plan compiles a tag vector
-// through its index exactly as compileAtoms(nil, cons, tags, false)
-// compiles it over the whole list, atomRef for atomRef, and add keeps
-// that compile. The lists are planInstance's (simple and DNF
+// through its index exactly as compileAtoms(nil, cons, tags) compiles it
+// over the whole list, filtered to the atoms the vector is the subject
+// of, atomRef for atomRef. The lists are planInstance's (simple and DNF
 // constraints, subjects of one and two tags) and, every other seed,
 // lists whose DNF constraints have subjects of up to three tags,
 // repeats among them. The vectors are planInstance's, each again with
@@ -436,12 +444,9 @@ func TestPlanIndexMatchesCompileAtoms(t *testing.T) {
 		}
 		p := newPlan(cons)
 		for _, tags := range vectors {
-			want := compileAtoms(nil, cons, tags, false)
+			want := slices.DeleteFunc(compileAtoms(nil, cons, tags), func(r atomRef) bool { return !r.subject })
 			if got := p.compile(nil, tags); !slices.Equal(got, want) {
 				t.Fatalf("seed %d: compile(%q) = %v, compileAtoms %v", seed, tags, got, want)
-			}
-			if got := p.atoms(p.add(tags)); !slices.Equal(got, want) {
-				t.Fatalf("seed %d: add(%q) keeps %v, compileAtoms %v", seed, tags, got, want)
 			}
 			compared++
 			if len(want) > 0 {
@@ -485,16 +490,18 @@ func firstTagCompile(p *plan, tags []constraint.Tag) vecAtoms {
 	return out
 }
 
-// TestExtentSweepMatchesScan: evaluateResolved's indexed sweep returns
-// the Report of a scan of every entry for every container, and the
-// score base lists exactly the containers the scan finds violating, in
-// ID order, each with the scan's addends — on random clusters, after
-// each of a run of random allocate and release steps. Two mutants must
-// be caught: a sweep that hands a container the previous container's
-// atoms without comparing tag vectors, and a base that prices only the
-// first tag vector of each node.
+// TestExtentSweepMatchesScan: evaluateResolved's pricing of (node, tag
+// vector) pairs returns the Report of a scan of every entry for every
+// container; Violations lists exactly the containers the scan finds
+// violating, in ID order, each with the scan's summed extent; and the
+// score base lists the same containers, each with the scan's addends —
+// all bit for bit, on random clusters, after each of a run of random
+// allocate and release steps. Two mutants must be caught: a pass that
+// counts a pair's applicable constraints once instead of once per
+// container carrying the vector, and a base that prices only the first
+// tag vector of each node.
 func TestExtentSweepMatchesScan(t *testing.T) {
-	swept, violating, caughtSweep, caughtBase := 0, 0, 0, 0
+	swept, violating, caughtCount, caughtBase := 0, 0, 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		state, cons, vectors := planInstance(rng)
@@ -504,58 +511,64 @@ func TestExtentSweepMatchesScan(t *testing.T) {
 				t.Fatalf("seed %d step %d: evaluateResolved = %+v, scan %+v", seed, step, got, want)
 			}
 			var scan []violation
-			mutant := newPlan(cons)
-			sweepDiffers := false
-			for _, id := range state.ContainerIDs() {
+			var scanExt []Violation
+			for _, id := range containerIDs(state) {
 				node, _ := state.ContainerNode(id)
 				tags, _ := state.ContainerTags(id)
 				addends, _ := scanExtents(nil, state, cons, node, tags)
 				if len(addends) > 0 {
 					scan = append(scan, violation{id, addends})
+					ext := 0.0
+					for _, x := range addends {
+						ext += x
+					}
+					scanExt = append(scanExt, Violation{id, ext})
 				}
-				// The mutant compiles the first container's vector only.
-				if len(mutant.off) == 1 {
-					mutant.add(tags)
-				}
-				got, _ := mutant.atoms(int32(len(mutant.off)-2)).appendExtents(nil, state, node)
-				sweepDiffers = sweepDiffers || !sameBits(got, addends)
+			}
+			if got := Violations(state, cons); !slices.EqualFunc(got, scanExt, func(x, y Violation) bool {
+				return x.Container == y.Container && math.Float64bits(x.Extent) == math.Float64bits(y.Extent)
+			}) {
+				t.Fatalf("seed %d step %d: Violations %v, scan %v", seed, step, got, scanExt)
 			}
 			if got := listed(&newScoreBase(state, cons).base); !sameViolations(got, scan) {
 				t.Fatalf("seed %d step %d: base violators %v, scan %v", seed, step, got, scan)
 			}
-			// The mutant prices the first vector each node lists only.
-			var m violators
+			// The mutants: once counts each pair as one container, first
+			// prices the first vector each node lists only.
+			var once, first violators
 			p := newPlan(cons)
 			for _, n := range state.Nodes() {
-				first := true
-				state.EachNodeVector(n.ID, func(tags []constraint.Tag) {
-					if first {
-						m.pricePair(p, state, n.ID, tags)
-						first = false
+				k := 0
+				state.EachNodeVector(n.ID, func(tags []constraint.Tag, count int) {
+					once.pricePair(p, state, n.ID, tags, 1)
+					if k == 0 {
+						first.pricePair(p, state, n.ID, tags, count)
 					}
+					k++
 				})
 			}
-			m.collect(state)
+			once.collect(state)
+			first.collect(state)
 			swept++
 			if len(scan) > 0 {
 				violating++
 			}
-			if sweepDiffers {
-				caughtSweep++
+			if got := once.report(); got != want {
+				caughtCount++
 			}
-			if !sameViolations(listed(&m), scan) {
+			if !sameViolations(listed(&first), scan) {
 				caughtBase++
 			}
 			planStep(rng, state, vectors, step)
 		}
 	}
-	t.Logf("%d states compared, %d of them violating; the sweep reusing the previous vector's atoms differs on %d, the base pricing each node's first vector only on %d",
-		swept, violating, caughtSweep, caughtBase)
+	t.Logf("%d states compared, %d of them violating; the pass counting each pair once differs on %d, the base pricing each node's first vector only on %d",
+		swept, violating, caughtCount, caughtBase)
 	if violating == 0 {
 		t.Error("coverage: no state violates")
 	}
-	if caughtSweep == 0 {
-		t.Error("a sweep that reuses the previous vector's atoms is not caught")
+	if caughtCount == 0 {
+		t.Error("a pass that counts each (node, vector) pair once is not caught")
 	}
 	if caughtBase == 0 {
 		t.Error("a base that prices each node's first vector only is not caught")

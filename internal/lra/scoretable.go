@@ -121,7 +121,7 @@ func (t *scoreTable) find(tags []constraint.Tag, demand resource.Vector) int {
 // compile compiles the class's atoms of cons, lists the node groups they
 // count over and lays memo out for them.
 func (c *scoreClass) compile(work *cluster.Cluster, cons []constraint.Entry, memo *setMemo) {
-	c.atoms = compileAtoms(nil, cons, c.tags, true)
+	c.atoms = compileAtoms(nil, cons, c.tags)
 	for _, ref := range c.atoms {
 		if g := ref.atom.Group; g != constraint.Node && !slices.Contains(c.groups, g) {
 			c.groups = append(c.groups, g)

@@ -164,7 +164,7 @@ func refSelectCandidates(state *cluster.Cluster, cons []constraint.Entry, groups
 		if budget <= 0 {
 			budget = max(2*g.count, 8)
 		}
-		atoms := compileAtoms(nil, cons, g.tags, true)
+		atoms := compileAtoms(nil, cons, g.tags)
 		var memo setMemo
 		memo.reset(state, atoms)
 		type class struct {
