@@ -182,21 +182,35 @@ func TestBreakerDisabled(t *testing.T) {
 }
 
 // TestSolveCountersReachPipeline: the solve counters flow from the ILP
-// scheduler through placeBatch into PipelineStats. Every ILP solve is
-// exact, so ApproxSolves stays 0.
+// scheduler through placeBatch, which sums a batch's components, into
+// PipelineStats. The batch has two components. Medea-TP places the first
+// without a violation, a decided fallback: its Place solves nothing. The
+// second has an affinity to a tag no container carries, which no
+// placement meets: its Place runs one warm-started solve and decodes the
+// solver's placement, which does no better. Every ILP solve is exact, so
+// ApproxSolves stays 0.
 func TestSolveCountersReachPipeline(t *testing.T) {
 	m := newMedea(lra.NewILP(), Config{Interval: time.Second})
-	if err := m.SubmitLRA(app("a1", 4, "hb"), t0); err != nil {
-		t.Fatal(err)
+	unmet := app("a2", 2, "st")
+	unmet.Constraints = []constraint.Constraint{
+		constraint.New(constraint.Affinity(constraint.E("st"), constraint.E("no-such-tag"), constraint.Node)),
 	}
-	if stats := m.RunCycle(t0.Add(time.Second)); stats.Placed != 1 {
+	for _, a := range []*lra.Application{app("a1", 4, "hb"), unmet} {
+		if err := m.SubmitLRA(a, t0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if stats := m.RunCycle(t0.Add(time.Second)); stats.Placed != 2 {
 		t.Fatalf("placed = %d", stats.Placed)
 	}
-	if got := m.Pipeline.ExactSolves(); got != 1 {
-		t.Fatalf("exact solves = %d, want 1", got)
-	}
-	if got := m.Pipeline.ApproxSolves(); got != 0 {
-		t.Fatalf("approx solves = %d, want 0", got)
+	snap := m.Pipeline.Snapshot()
+	for name, want := range map[string]int{
+		"decided places": 1, "exact solves": 1, "warm-started solves": 1, "solver decodes": 1,
+		"solver commits": 0, "approx solves": 0, "solver deadline hits": 0,
+	} {
+		if snap[name] != want {
+			t.Errorf("%s = %d, want %d", name, snap[name], want)
+		}
 	}
 }
 

@@ -534,6 +534,9 @@ func (m *Medea) placeBatch(alg lra.Algorithm, apps []*lra.Application, active []
 		merged.ExactSolves += r.ExactSolves
 		merged.Nodes += r.Nodes
 		merged.WarmStarts += r.WarmStarts
+		merged.DecidedPlaces += r.DecidedPlaces
+		merged.SolverDecodes += r.SolverDecodes
+		merged.SolverCommits += r.SolverCommits
 	}
 	return merged
 }
@@ -697,6 +700,9 @@ func (m *Medea) runBatch(alg lra.Algorithm, batch []*pendingApp, now time.Time, 
 	stats.DeadlineHit = res.DeadlineHit
 	m.Pipeline.Add(metrics.ExactSolves, res.ExactSolves)
 	m.Pipeline.Add(metrics.WarmStarts, res.WarmStarts)
+	m.Pipeline.Add(metrics.DecidedPlaces, res.DecidedPlaces)
+	m.Pipeline.Add(metrics.SolverDecodes, res.SolverDecodes)
+	m.Pipeline.Add(metrics.SolverCommits, res.SolverCommits)
 	if res.DeadlineHit {
 		m.Pipeline.Add(metrics.DeadlineHits, 1)
 	}

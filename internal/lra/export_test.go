@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"medea/internal/cluster"
 	"medea/internal/constraint"
@@ -21,45 +22,35 @@ func (g *greedy) placeOnClone(state *cluster.Cluster, apps []*Application, flat 
 // ScoreFixture holds the three placements a Medea-ILP Place prices when
 // no comparison is decided — Medea-TP's, Serial's and the decoded solver
 // solution — each on a scratch clone of its own, for the external
-// benchmarks in bench_test.go.
+// benchmarks in bench_test.go, and the solve that found the third.
 type ScoreFixture struct {
 	state   *cluster.Cluster
 	cons    []constraint.Entry
 	works   []*cluster.Cluster
 	results []*Result
+	sol     *ilp.Solution
 }
 
 // NewScoreFixture runs the two heuristics of Place on state and solves
-// the batch's model warm-started from Medea-TP's placement, every node of
-// which is a candidate, as Place does. It fails when the solve finds no solution within the budget or
-// when the two scorers disagree on a placement.
+// the batch's model warm-started from Medea-TP's placement, as an
+// undecided Place solves it from its fallback. It fails when the solve
+// finds no solution within the budget or when the two scorers disagree
+// on a placement.
 func NewScoreFixture(state *cluster.Cluster, apps []*Application, active []constraint.Entry, opts Options) (*ScoreFixture, error) {
 	f := &ScoreFixture{state: state, cons: flattenConstraints(apps, active)}
 	for _, g := range newBestOfGreedy().algs {
 		res, work := g.placeOnClone(state, apps, f.cons)
 		f.works, f.results = append(f.works, work), append(f.results, res)
 	}
-	groups := batchGroups(apps)
-	tp := groupCounts(groups, f.results[0])
 	tab, _ := newScoreTable(&greedy{}, state, f.cons, queueOf(buildRequests(apps)))
-	cands := selectCandidates(state, tab, f.cons, groups, opts)
-	for gi := range groups {
-		for n := range tp[gi] {
-			cands[gi] = append(cands[gi], n)
-		}
-		slices.Sort(cands[gi])
-		cands[gi] = slices.Compact(cands[gi])
+	sol, pm := NewILP().(*ilpScheduler).solve(state, apps, f.cons, tab, f.results[0], opts.clock()(), opts)
+	if sol == nil {
+		return nil, fmt.Errorf("the model fails its check")
 	}
-	pm := buildModel(state, apps, f.cons, groups, cands, opts.weights())
-	warm := pm.warmValues(f.results[0], tp)
-	sol := pm.m.Solve(ilp.Options{
-		Deadline:   opts.clock()().Add(opts.solverBudget()),
-		WarmStarts: []map[ilp.Var]float64{warm},
-		Clock:      opts.Clock,
-	})
 	if sol.Status != ilp.Optimal && sol.Status != ilp.Feasible {
 		return nil, fmt.Errorf("solve ended %v", sol.Status)
 	}
+	f.sol = sol
 	work := state.Clone()
 	f.works, f.results = append(f.works, work), append(f.results, decodeSolution(work, apps, buildRequests(apps), sol, pm.S, pm.Y))
 
@@ -72,6 +63,9 @@ func NewScoreFixture(state *cluster.Cluster, apps []*Application, active []const
 	}
 	return f, nil
 }
+
+// Solution returns the solve of the fixture's model.
+func (f *ScoreFixture) Solution() *ilp.Solution { return f.sol }
 
 // Sweep prices the three placements with a full evaluateResolved sweep
 // each, as Place did before it priced them by their delta.
@@ -112,12 +106,20 @@ func OracleEntries(seed int64) []constraint.Entry {
 }
 
 // CountRuns returns how many heuristics alg, a Medea-ILP, ran in its
-// fallback and how many solver placements it decoded while f ran.
-func CountRuns(alg Algorithm, f func()) (heuristics, decodes int) {
-	c := &runCounts{}
-	fb := alg.(*ilpScheduler).fallback
-	fb.runs = c
-	defer func() { fb.runs = nil }()
+// fallback and how many solver arenas it checked out while f ran. The
+// arenas are counted on an empty pool, as the arenas f leaves there: a
+// checkout that finds the pool empty makes one, and every arena checked
+// out is returned. The pool alg held before is kept.
+func CountRuns(alg Algorithm, f func()) (heuristics, arenas int) {
+	s := alg.(*ilpScheduler)
+	var c atomic.Int64
+	s.fallback.runs = &c
+	pool := s.arenas
+	s.arenas = nil
+	defer func() {
+		s.fallback.runs = nil
+		s.arenas = append(pool, s.arenas...)
+	}()
 	f()
-	return int(c.heuristics.Load()), int(c.decodes.Load())
+	return int(c.Load()), len(s.arenas)
 }

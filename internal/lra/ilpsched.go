@@ -8,7 +8,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
+	"time"
 
 	"medea/internal/cluster"
 	"medea/internal/constraint"
@@ -17,7 +17,8 @@ import (
 
 // ilpScheduler is Medea-ILP (§5.2): it formulates the batch placement of
 // the interval's LRAs as the Figure-5 integer linear program and solves it
-// with the in-repo branch-and-bound solver, substituting for CPLEX.
+// with the in-repo branch-and-bound solver, substituting for CPLEX, when
+// its heuristic fallback leaves the batch undecided (see Place).
 //
 // The formulation is the paper's, with two documented engineering
 // adaptations that preserve its semantics:
@@ -39,8 +40,9 @@ import (
 // the free-space margin, preserving the anti-fragmentation pressure while
 // keeping the branch-and-bound tree small.
 type ilpScheduler struct {
-	// fallback seeds the solver's incumbent and handles deadline
-	// exhaustion without one.
+	// fallback is the answer when its score is decided; otherwise it
+	// seeds the solver's incumbent and handles deadline exhaustion
+	// without one.
 	fallback *bestOf
 
 	// mu guards the arena free list, the only state kept between Place
@@ -87,9 +89,9 @@ const ILPName = "Medea-ILP"
 // Name implements Algorithm.
 func (s *ilpScheduler) Name() string { return ILPName }
 
-// Place implements Algorithm: fallback → candidates → buildModel → warm
-// start → solve → decodeSolution → final selection, where the decode and
-// the selection are skipped when the fallback's score is decided. It
+// Place implements Algorithm: fallback, returned as it is when its score
+// is decided (it wins every comparison it enters), else candidates →
+// buildModel → warm start → solve → decodeSolution → final selection. It
 // keeps nothing of one call for the next but the solver arenas, whose
 // contents never reach a solution.
 func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active []constraint.Entry, opts Options) *Result {
@@ -99,7 +101,6 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 		return &Result{Latency: clk().Sub(start)}
 	}
 	cons := flattenConstraints(apps, active)
-	groups := batchGroups(apps)
 	reqs := buildRequests(apps)
 	queue := queueOf(reqs)
 
@@ -114,49 +115,18 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	// delta, as Medea-TP and Serial do.
 	tab, classOf := newScoreTable(&greedy{}, state, cons, queue)
 
-	// Warm start: run the greedy fallback first and seed the solver with
-	// its placement as the initial incumbent. Branch-and-bound then only
-	// ever improves on the heuristic within the time budget, combining
-	// the heuristics' latency with the ILP's placement quality (§5.3).
+	// Run the greedy fallback first. A decided one is the answer, as
+	// nothing can score above it. Any other seeds the solver as its
+	// initial incumbent (warm start): branch-and-bound then only ever
+	// improves on the heuristic within the time budget, combining the
+	// heuristics' latency with the ILP's placement quality (§5.3).
 	fb, fbScore := s.fallback.placeBest(state, apps, cons, queue, tab, classOf, base, opts)
-	fbCounts := groupCounts(groups, fb)
-
-	// Every node the greedy used is a candidate too, so that the warm
-	// solution is expressible in the model.
-	cands := selectCandidates(state, tab, cons, groups, opts)
-	for gi := range groups {
-		for n := range fbCounts[gi] {
-			cands[gi] = append(cands[gi], n)
-		}
-		slices.Sort(cands[gi])
-		cands[gi] = slices.Compact(cands[gi])
+	if decided(fb, fbScore) {
+		fb.Latency = clk().Sub(start)
+		fb.DecidedPlaces = 1
+		return fb
 	}
-	pm := buildModel(state, apps, cons, groups, cands, opts.weights())
-
-	warm := pm.warmValues(fb, fbCounts)
-
-	// A defective constraint set can produce a malformed model (inverted
-	// bounds, dangling variables). Check before solving and degrade to the
-	// greedy placement instead of crashing the scheduler.
-	var sol *ilp.Solution
-	if err := pm.m.Check(); err != nil {
-		if debugILP {
-			fmt.Printf("[ilp] model check failed: %v\n", err)
-		}
-	} else {
-		arena := s.checkoutArena()
-		defer s.returnArena(arena)
-		sol = pm.m.Solve(ilp.Options{
-			Deadline:   start.Add(opts.solverBudget()),
-			WarmStarts: []map[ilp.Var]float64{warm},
-			Clock:      opts.Clock,
-			Arena:      arena,
-		})
-		if debugILP {
-			fmt.Printf("[ilp] vars=%d cons=%d status=%v nodes=%d obj=%.4f warm=%v fallback=%.6f\n",
-				pm.m.NumVars(), pm.m.NumConstraints(), sol.Status, sol.Nodes, sol.Objective, sol.WarmUsed, fbScore)
-		}
-	}
+	sol, pm := s.solve(state, apps, cons, tab, fb, start, opts)
 
 	// Final selection: compare the solver's placement with the greedy
 	// warm placement under the *actual* evaluation metric (placed apps,
@@ -166,22 +136,65 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	// whichever placement evaluates better closes that gap and makes
 	// Medea-ILP never worse than its own heuristics (§5.3). The fallback's
 	// score came with it; the solver's placement is decoded onto state,
-	// scored there and released, and a tie keeps the fallback. A decided
-	// fallback wins the comparison whatever the solver found, so the
-	// solver's placement is not decoded. Without an incumbent within
-	// budget the batch degrades gracefully to the greedy placement.
+	// scored there and released, and a tie keeps the fallback. Without
+	// an incumbent within budget the batch degrades gracefully to the
+	// greedy placement. Either way the result records how the solve
+	// went: budget, validity (a model that failed its check has no
+	// solution), node count and whether the warm start was taken.
 	final := fb
-	if sol != nil && (sol.Status == ilp.Optimal || sol.Status == ilp.Feasible) && !decided(fb, fbScore) {
-		if c := s.fallback.runs; c != nil {
-			c.decodes.Add(1)
-		}
+	solved := sol != nil && (sol.Status == ilp.Optimal || sol.Status == ilp.Feasible)
+	if solved {
 		if res := decodeSolution(state, apps, reqs, sol, pm.S, pm.Y); base.scoreAndRelease(state, res) > fbScore {
-			final = res
+			final, res.SolverCommits = res, 1
 		}
+		final.SolverDecodes = 1
+	}
+	final.Invalid = sol == nil || sol.Status == ilp.Invalid
+	if sol != nil {
+		final.DeadlineHit, final.Exhausted = sol.DeadlineHit, sol.DeadlineHit && !solved
+		final.ExactSolves, final.Nodes, final.WarmStarts = 1, sol.Nodes, b2f(sol.WarmUsed)
 	}
 	final.Latency = clk().Sub(start)
-	stamp(final, sol)
 	return final
+}
+
+// solve builds the batch's model on state from Place's score table tab,
+// every node of fb a candidate so that the warm start is expressible,
+// and solves it once on a pooled arena, seeded with fb, by start plus the
+// budget. A defective constraint set can produce a malformed model
+// (inverted bounds, dangling variables): solve returns no solution for a
+// model that fails its check, and the batch degrades to the fallback.
+func (s *ilpScheduler) solve(state *cluster.Cluster, apps []*Application, cons []constraint.Entry, tab *scoreTable, fb *Result, start time.Time, opts Options) (*ilp.Solution, *placementModel) {
+	groups := batchGroups(apps)
+	fbCounts := groupCounts(groups, fb)
+	cands := selectCandidates(state, tab, cons, groups, opts)
+	for gi := range groups {
+		for n := range fbCounts[gi] {
+			cands[gi] = append(cands[gi], n)
+		}
+		slices.Sort(cands[gi])
+		cands[gi] = slices.Compact(cands[gi])
+	}
+	pm := buildModel(state, apps, cons, groups, cands, opts.weights())
+	if err := pm.m.Check(); err != nil {
+		if debugILP {
+			fmt.Printf("[ilp] model check failed: %v\n", err)
+		}
+		return nil, pm
+	}
+	arena := s.checkoutArena()
+	defer s.returnArena(arena)
+	sol := pm.m.Solve(ilp.Options{
+		Deadline:   start.Add(opts.solverBudget()),
+		WarmStarts: []map[ilp.Var]float64{pm.warmValues(fb, fbCounts)},
+		Clock:      opts.Clock,
+		Arena:      arena,
+	})
+	if debugILP {
+		fmt.Printf("[ilp] vars=%d cons=%d status=%v nodes=%d obj=%.4f warm=%v\n",
+			pm.m.NumVars(), pm.m.NumConstraints(), sol.Status, sol.Nodes, sol.Objective, sol.WarmUsed)
+	}
+	return sol, pm
 }
 
 // decided reports whether score, res's, wins every comparison it enters:
@@ -190,30 +203,6 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 // another only when it scores strictly higher.
 func decided(res *Result, score float64) bool {
 	return score >= float64(len(res.Placements))
-}
-
-// runCounts counts the heuristics a bestOf runs and the solver
-// placements the Medea-ILP it serves decodes.
-type runCounts struct{ heuristics, decodes atomic.Int64 }
-
-// stamp records on the result Place returns how its solve went: budget,
-// validity, node count and whether the warm start seeded the incumbent.
-// sol is nil when the model failed its check and nothing was solved.
-func stamp(final *Result, sol *ilp.Solution) {
-	if sol == nil {
-		final.Invalid = true
-		return
-	}
-	final.DeadlineHit = sol.DeadlineHit
-	if sol.Status != ilp.Optimal && sol.Status != ilp.Feasible {
-		final.Exhausted = sol.DeadlineHit
-		final.Invalid = sol.Status == ilp.Invalid
-	}
-	final.ExactSolves++
-	final.Nodes += sol.Nodes
-	if sol.WarmUsed {
-		final.WarmStarts++
-	}
 }
 
 // decodeSolution turns the solver's S and Y values into concrete

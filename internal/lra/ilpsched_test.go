@@ -216,17 +216,57 @@ func TestILPDuplicateGroupNames(t *testing.T) {
 	}
 }
 
-// TestILPArenaPoolReuse: consecutive Place calls reuse pooled arenas
-// instead of growing the pool without bound.
+// unmetApp is workerApp with an affinity to a tag no container carries:
+// every placement of it violates, so no fallback of a batch holding it
+// is decided and Place solves the batch's model.
+func unmetApp(id string, count int, tag constraint.Tag) *Application {
+	app := workerApp(id, count, tag)
+	app.Constraints = []constraint.Constraint{
+		constraint.New(constraint.Affinity(constraint.E(tag), constraint.E("no-such-tag"), constraint.Node)),
+	}
+	return app
+}
+
+// TestILPArenaPoolReuse: consecutive undecided Place calls, each one
+// warm-started solve, reuse pooled arenas instead of growing the pool
+// without bound; a decided Place checks none out.
 func TestILPArenaPoolReuse(t *testing.T) {
 	c := grid(8, 4)
 	s := NewILP().(*ilpScheduler)
+	opts := Options{Clock: tickingClock(time.Millisecond)}
 	for i := 0; i < 4; i++ {
-		if res := s.Place(c, []*Application{workerApp("a", 2, "w")}, nil, Options{}); res.PlacedApps() != 1 {
-			t.Fatal("unplaced")
+		res := s.Place(c, []*Application{unmetApp("a", 2, "w")}, nil, opts)
+		if res.PlacedApps() != 1 || res.DecidedPlaces != 0 || res.ExactSolves != 1 || res.WarmStarts != 1 {
+			t.Fatalf("undecided Place %d: placed %d, %d decided, %d solves, %d warm-started; want one warm-started solve",
+				i, res.PlacedApps(), res.DecidedPlaces, res.ExactSolves, res.WarmStarts)
 		}
 	}
 	if n := len(s.arenas); n != 1 {
 		t.Fatalf("arena pool holds %d arenas after serial solves, want 1", n)
+	}
+	var res *Result
+	if _, arenas := CountRuns(s, func() { res = s.Place(c, []*Application{workerApp("b", 2, "w")}, nil, opts) }); arenas != 0 || res.DecidedPlaces != 1 || res.ExactSolves != 0 {
+		t.Fatalf("decided Place checked out %d arenas and ran %d solves (%d decided), want none", arenas, res.ExactSolves, res.DecidedPlaces)
+	}
+}
+
+// TestDecidedPlaceReportsNoSolverFault: a decided Place solves nothing,
+// so it reports none of the solver's faults, which core counts as a
+// failed cycle, even under a budget the ticking clock exhausts before
+// the solve could start. The same budget does stop the solve of an
+// undecided batch.
+func TestDecidedPlaceReportsNoSolverFault(t *testing.T) {
+	c := grid(8, 4)
+	opts := Options{SolverBudget: time.Nanosecond, Clock: tickingClock(time.Millisecond)}
+	res := NewILP().Place(c, []*Application{workerApp("a", 2, "w")}, nil, opts)
+	if res.PlacedApps() != 1 || res.DecidedPlaces != 1 {
+		t.Fatalf("placed %d, %d decided; want a decided placement", res.PlacedApps(), res.DecidedPlaces)
+	}
+	if res.DeadlineHit || res.Exhausted || res.Invalid {
+		t.Errorf("decided Place reports deadline hit %v, exhausted %v, invalid %v; want none", res.DeadlineHit, res.Exhausted, res.Invalid)
+	}
+	opts.Clock = tickingClock(time.Millisecond)
+	if res := NewILP().Place(c, []*Application{unmetApp("b", 2, "w")}, nil, opts); res.ExactSolves != 1 || !res.DeadlineHit {
+		t.Errorf("undecided Place: %d solves, deadline hit %v; want one solve stopped on the budget", res.ExactSolves, res.DeadlineHit)
 	}
 }

@@ -2,6 +2,7 @@ package lra
 
 import (
 	"math/rand"
+	"sync/atomic"
 
 	"medea/internal/cluster"
 	"medea/internal/constraint"
@@ -72,7 +73,7 @@ func newBestOfGreedy() *bestOf {
 
 type bestOf struct {
 	algs []*greedy
-	runs *runCounts // nil unless a test counts what runs
+	runs *atomic.Int64 // nil unless a test counts the heuristics that run
 }
 
 // placeBest places the batch with every heuristic against its flattened
@@ -93,7 +94,7 @@ func (b *bestOf) placeBest(work *cluster.Cluster, apps []*Application, flat []co
 			break
 		}
 		if b.runs != nil {
-			b.runs.heuristics.Add(1)
+			b.runs.Add(1)
 		}
 		start := clk()
 		var res *Result

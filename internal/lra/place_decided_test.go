@@ -14,19 +14,18 @@ import (
 	"medea/internal/ilp"
 )
 
-// referencePlace is Place as it was before it stopped at a decided
-// comparison, kept as the reference of the short-circuit: both
-// heuristics run and are scored, and a solver solution is always decoded
-// and, unless it puts every container where the fallback does, scored.
-// It returns the result, the fallback and its score, and every score it
-// priced. It reads the clock where Place does, before and after each
-// heuristic Place runs, so that on a ticking clock its solve has the
-// same deadline.
+// referencePlace is Place as it was before it returned a decided
+// fallback, kept as the reference of both short-circuits: both
+// heuristics run and are scored, the model is always built and solved,
+// and a solver solution is always decoded and, unless it puts every
+// container where the fallback does, scored. It returns the result, the
+// fallback and its score, and every score it priced. It reads the clock
+// where Place does, before and after each heuristic Place runs, so that
+// on a ticking clock its solve has the same deadline.
 func referencePlace(s *ilpScheduler, state *cluster.Cluster, apps []*Application, active []constraint.Entry, opts Options) (final, fb *Result, fbScore float64, scores []float64) {
 	clk := opts.clock()
 	start := clk()
 	cons := flattenConstraints(apps, active)
-	groups := batchGroups(apps)
 	reqs := buildRequests(apps)
 	queue := queueOf(reqs)
 	base := newScoreBase(state, cons)
@@ -55,26 +54,10 @@ func referencePlace(s *ilpScheduler, state *cluster.Cluster, apps []*Application
 			fb, fbScore = res, score
 		}
 	}
-	fbCounts := groupCounts(groups, fb)
-	cands := selectCandidates(state, tab, cons, groups, opts)
-	for gi := range groups {
-		for n := range fbCounts[gi] {
-			cands[gi] = append(cands[gi], n)
-		}
-		slices.Sort(cands[gi])
-		cands[gi] = slices.Compact(cands[gi])
-	}
-	pm := buildModel(state, apps, cons, groups, cands, opts.weights())
-	var sol *ilp.Solution
-	if pm.m.Check() == nil {
-		sol = pm.m.Solve(ilp.Options{
-			Deadline:   start.Add(opts.solverBudget()),
-			WarmStarts: []map[ilp.Var]float64{pm.warmValues(fb, fbCounts)},
-			Clock:      opts.Clock,
-		})
-	}
+	sol, pm := s.solve(state, apps, cons, tab, fb, start, opts)
 	final = fb
-	if sol != nil && (sol.Status == ilp.Optimal || sol.Status == ilp.Feasible) {
+	decoded := sol != nil && (sol.Status == ilp.Optimal || sol.Status == ilp.Feasible)
+	if decoded {
 		res := decodeSolution(state, apps, reqs, sol, pm.S, pm.Y)
 		if sameNodes(res, fb) {
 			releasePlaced(state, res)
@@ -87,7 +70,29 @@ func referencePlace(s *ilpScheduler, state *cluster.Cluster, apps []*Application
 		}
 	}
 	stamp(final, sol)
+	final.SolverDecodes, final.SolverCommits = b2f(decoded), b2f(final != fb)
 	return final, fb, fbScore, scores
+}
+
+// stamp records on the reference's result how its solve went, as Place
+// did before it returned a decided fallback: budget, validity, node count
+// and whether the warm start seeded the incumbent. sol is nil when the
+// model failed its check.
+func stamp(final *Result, sol *ilp.Solution) {
+	if sol == nil {
+		final.Invalid = true
+		return
+	}
+	final.DeadlineHit = sol.DeadlineHit
+	if sol.Status != ilp.Optimal && sol.Status != ilp.Feasible {
+		final.Exhausted = sol.DeadlineHit
+		final.Invalid = sol.Status == ilp.Invalid
+	}
+	final.ExactSolves++
+	final.Nodes += sol.Nodes
+	if sol.WarmUsed {
+		final.WarmStarts++
+	}
 }
 
 // sameNodes reports whether two results for one batch place the same
@@ -113,12 +118,15 @@ func sameNodes(a, b *Result) bool {
 	return true
 }
 
-// TestPlaceMatchesReference holds Place, which skips Serial and the
-// decode of the solver's placement once the fallback's score is decided,
-// to referencePlace, which never skips: the same Result, and from
-// placeBest the same fallback and the same score bits. Every score the
-// reference prices must sit at or below the batch's size, the bound the
-// short-circuit relies on. The cases are the 200 scenarios of
+// TestPlaceMatchesReference holds Place, which skips Serial once the
+// fallback's score is decided and then returns the fallback before it
+// builds the model, to referencePlace, which never skips: from placeBest
+// the same fallback and the same score bits; from a decided Place the
+// reference's placements, with no solve run, no arena checked out and
+// no solver fault reported; from an undecided one the same Result, its
+// one solve and its decode and commit counts. Every score the reference
+// prices must sit at or below the batch's size, the bound both
+// short-circuits rely on. The cases are the 200 scenarios of
 // TestILPPlaceGolden, each placed, then placed again without its first
 // application once that one is committed, and the placement oracle's
 // instances of seeds 1–200; the random constraints of the first leave a
@@ -126,7 +134,7 @@ func sameNodes(a, b *Result) bool {
 // clock ticks per reading with TestILPPlaceGolden's budgets, so
 // budget-bound solves are compared too.
 func TestPlaceMatchesReference(t *testing.T) {
-	var places, skippedSerial, skippedDecode, undecided int
+	var places, skippedSerial, skippedSolve, undecided, commits int
 	check := func(label string, s *ilpScheduler, state *cluster.Cluster, apps []*Application, active []constraint.Entry, opts Options) *Result {
 		t.Helper()
 		opts.Clock = tickingClock(time.Millisecond)
@@ -149,15 +157,27 @@ func TestPlaceMatchesReference(t *testing.T) {
 
 		opts.Clock = tickingClock(time.Millisecond)
 		var got *Result
-		heuristics, decodes := CountRuns(s, func() { got = s.Place(state, apps, active, opts) })
-		if !samePlace(got, want) {
-			t.Fatalf("%s: Place and the reference differ:\n%s nodes=%d\n%s nodes=%d", label,
-				placeGoldenLine("got", got), got.Nodes, placeGoldenLine("want", want), want.Nodes)
-		}
+		heuristics, arenas := CountRuns(s, func() { got = s.Place(state, apps, active, opts) })
 		places++
 		skippedSerial += b2f(heuristics < len(s.fallback.algs))
-		skippedDecode += b2f(decodes == 0 && got.ExactSolves == 1 && !got.Exhausted && !got.Invalid)
-		undecided += b2f(!decided(wantFB, wantScore))
+		if decided(wantFB, wantScore) {
+			if !reflect.DeepEqual(got.Placements, want.Placements) || got.DecidedPlaces != 1 || arenas != 0 ||
+				got.ExactSolves != 0 || got.WarmStarts != 0 || got.Nodes != 0 || got.SolverDecodes != 0 ||
+				got.DeadlineHit || got.Exhausted || got.Invalid {
+				t.Fatalf("%s: the decided Place and the reference differ, or it solved: %d arenas, %d decided, %d decodes\n%s nodes=%d invalid=%v\n%s",
+					label, arenas, got.DecidedPlaces, got.SolverDecodes, placeGoldenLine("got", got), got.Nodes, got.Invalid, placeGoldenLine("want", want))
+			}
+			skippedSolve++
+			return got
+		}
+		if !samePlace(got, want) || got.ExactSolves != want.ExactSolves || got.Invalid != want.Invalid || got.DecidedPlaces != 0 ||
+			arenas != want.ExactSolves || got.SolverDecodes != want.SolverDecodes || got.SolverCommits != want.SolverCommits {
+			t.Fatalf("%s: Place and the reference differ, or Place checked out %d arenas:\n%s nodes=%d decided=%d decodes=%d commits=%d\n%s nodes=%d decodes=%d commits=%d",
+				label, arenas, placeGoldenLine("got", got), got.Nodes, got.DecidedPlaces, got.SolverDecodes, got.SolverCommits,
+				placeGoldenLine("want", want), want.Nodes, want.SolverDecodes, want.SolverCommits)
+		}
+		undecided++
+		commits += got.SolverCommits
 		return got
 	}
 	budget := func(seed int64) time.Duration { return []time.Duration{6, 40, 120}[(seed/3)%3] * time.Millisecond }
@@ -189,8 +209,9 @@ func TestPlaceMatchesReference(t *testing.T) {
 		in := newTinyInstance(seed)
 		check(fmt.Sprintf("instance %d", seed), NewILP().(*ilpScheduler), in.state, in.apps, in.active, Options{SolverBudget: budget(seed)})
 	}
-	t.Logf("%d Places: %d skipped Serial, %d skipped the decode, %d had an undecided fallback", places, skippedSerial, skippedDecode, undecided)
-	if skippedSerial == 0 || skippedDecode == 0 || undecided == 0 {
-		t.Fatal("coverage: the short-circuit fires on every Place or on none")
+	t.Logf("%d Places: %d skipped Serial, %d returned a decided fallback unsolved, %d solved an undecided one (%d committed the solver's placement)",
+		places, skippedSerial, skippedSolve, undecided, commits)
+	if skippedSerial == 0 || skippedSolve == 0 || undecided == 0 || commits == 0 {
+		t.Fatal("coverage: a short-circuit fires on every Place or on none, or no Place commits the solver's placement")
 	}
 }

@@ -123,6 +123,10 @@ type Result struct {
 	// WarmStarts counts solves whose initial incumbent came from an
 	// accepted warm start (the greedy heuristic's placement).
 	WarmStarts int
+	// DecidedPlaces counts Places that returned a decided fallback with
+	// no model built, SolverDecodes the solver placements decoded, and
+	// SolverCommits those returned over the fallback.
+	DecidedPlaces, SolverDecodes, SolverCommits int
 }
 
 // PlacedApps returns the number of fully placed applications.

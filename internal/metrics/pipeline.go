@@ -15,6 +15,9 @@ const (
 	ExactSolves                                // ILP solves that ran exact branch and bound
 	ApproxSolves                               // no writer: the scheduler always solves exact; kept while benchmark/ reads it
 	WarmStarts                                 // ILP solves seeded by an accepted warm start
+	DecidedPlaces                              // ILP Places whose heuristic fallback was decided: no model, no solve
+	SolverDecodes                              // solver placements decoded for the final selection
+	SolverCommits                              // solver placements chosen over the heuristic fallback
 	BreakerTrips                               // closed→open breaker transitions
 	BreakerReopens                             // failed half-open probes
 	BreakerResets                              // successful probes restoring the configured algorithm
@@ -31,6 +34,9 @@ var pipelineNames = [...]string{
 	ExactSolves:         "exact solves",
 	ApproxSolves:        "approx solves",
 	WarmStarts:          "warm-started solves",
+	DecidedPlaces:       "decided places",
+	SolverDecodes:       "solver decodes",
+	SolverCommits:       "solver commits",
 	BreakerTrips:        "breaker trips",
 	BreakerReopens:      "breaker reopens",
 	BreakerResets:       "breaker resets",
