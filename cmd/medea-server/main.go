@@ -49,7 +49,7 @@ func main() {
 	nodeCores := flag.Int64("node-cores", 8, "cores per node")
 	algName := flag.String("alg", "nc", "placement algorithm: nc, tp, serial or ilp")
 	interval := flag.Duration("interval", 250*time.Millisecond, "scheduling-cycle interval (paper's batching window)")
-	budget := flag.Duration("budget", 500*time.Millisecond, "solver budget per cycle (request deadlines clamp it further)")
+	budget := flag.Duration("budget", 500*time.Millisecond, "solver budget per component solve (request deadlines clamp it further)")
 	poll := flag.Duration("poll", 20*time.Millisecond, "scheduling-loop poll granularity")
 	queueCap := flag.Int("queue-cap", 1024, "bounded submit-queue capacity")
 	rate := flag.Float64("rate", 0, "global submit budget in req/s, fair-shared across tenants (0 = unlimited)")

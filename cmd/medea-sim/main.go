@@ -26,7 +26,7 @@ import (
 func main() {
 	seed := flag.Int64("seed", 42, "random seed")
 	scale := flag.Float64("scale", 0.25, "scale factor (1.0 = paper dimensions)")
-	budget := flag.Duration("budget", 500*time.Millisecond, "ILP solver budget per cycle")
+	budget := flag.Duration("budget", 500*time.Millisecond, "ILP solver budget per component solve")
 	auditMode := flag.String("audit", "off", "cluster-invariant auditor: off, metrics or fail-fast")
 	journalDir := flag.String("journal", "", "directory for file-backed scheduler journals (crashrestart; default in-memory)")
 	crashAt := flag.Int("crash-at", 0, "durability op to crash the scheduler before (crashrestart; 0 = mid-run default)")

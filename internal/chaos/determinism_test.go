@@ -23,8 +23,9 @@ var updateGolden = flag.Bool("update", false, "rewrite the determinism golden fi
 // placementFingerprint extends the durable-state Fingerprint with the
 // exact node of every deployed container. The crash tests deliberately
 // exclude node assignments (a crash may shift WHERE a repair lands);
-// the determinism regression demands them — concurrent sub-batches must
-// reproduce placements bit for bit, or PR 3's journal replay diverges.
+// the determinism regression demands them — a cycle of several
+// components must reproduce its placements bit for bit, under any
+// GOMAXPROCS, or journal replay diverges.
 func placementFingerprint(m *core.Medea) string {
 	var b strings.Builder
 	b.WriteString(Fingerprint(m))
@@ -44,7 +45,7 @@ func placementFingerprint(m *core.Medea) string {
 
 // determinismScenario drives a fixed ILP-scheduled workload — batches
 // mixing constraint-coupled and independent apps (so the union-find
-// partition solves several sub-batches concurrently), a node failure
+// partition places several components per cycle), a node failure
 // with automatic repair, and an app teardown — and returns the final
 // placement fingerprint. SolverBudget is effectively unbounded so no
 // wall-clock deadline can leak nondeterminism into the search.
@@ -70,7 +71,7 @@ func determinismScenario() (string, error) {
 	// Three cycles of mixed batches. Within each batch: two apps coupled
 	// through the shared "db" tag, one coupled pair via "web"/"cache",
 	// and one unconstrained singleton — at least three independent
-	// components per cycle for the sub-batch fan-out.
+	// components per cycle, placed one after the other.
 	for i := 0; i < 3; i++ {
 		sfx := fmt.Sprintf("-%d", i)
 		db := constraint.E(constraint.Tag("db"))
@@ -140,7 +141,8 @@ func determinismScenario() (string, error) {
 }
 
 // TestPlacementDeterminism is the end-to-end determinism regression of
-// the sub-batch fan-out: the scenario fingerprint must be identical
+// multi-component ILP cycles, replay and the solver arenas pooled across
+// them: the scenario fingerprint must be identical
 // across GOMAXPROCS 1, 4 and 8 and across 20 repeated runs at
 // GOMAXPROCS 8, and must match the golden fingerprint pinned in testdata
 // (refresh with `go test -run PlacementDeterminism -update

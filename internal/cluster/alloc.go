@@ -163,9 +163,8 @@ func (c *Cluster) GammaNode(node NodeID, expr constraint.Expr) int {
 }
 
 // Clone returns an independent copy of the cluster, for a caller that
-// needs the current state beside one that changes it: core gives each
-// Medea-ILP batch component but the first, placed concurrently, a clone
-// of its own.
+// needs the current state beside one that changes it: a recovery check
+// or a benchmark probe that must not touch the live cluster.
 // It is a structural copy: node structs, the container map and every tag
 // multiset are copied directly; the group topology and the containers'
 // tag slices are immutable once written and are shared.

@@ -16,12 +16,16 @@ import (
 )
 
 // cycleMaxAllocs caps one 12-LRA cycle of TestRunCycleAllocCap, about
-// 24% above the most it is measured at on go1.24.0: 3,152–3,154 at one
-// P, 3,162–3,165 at two and 3,204–3,212 under -race since a Place whose
-// Medea-TP placement is decided returns it before it builds the model
-// (6,157–6,160 / 6,210–6,221 / 6,197–6,283, under a cap of 7,800,
-// while it still solved and skipped only Serial and the decode of the
-// solver's placement; 6,541 / 6,544–6,606 / 6,591–6,671 while a Place priced the
+// 23% above the most it is measured at on go1.24.0: 1,983 at one P and
+// at two and 2,031–2,047 under -race since the twelve components are
+// placed one after the other on the live cluster (3,152–3,154 /
+// 3,162–3,165 / 3,204–3,212, under a cap of 3,980, while Medea-ILP
+// solved them concurrently, the first on the live cluster and each other
+// on a clone of its own, and a Place whose Medea-TP placement is decided
+// already returned it before it built the model; 6,157–6,160 /
+// 6,210–6,221 / 6,197–6,283, under a cap of 7,800, while it still
+// solved and skipped only Serial and the decode of the solver's
+// placement; 6,541 / 6,544–6,606 / 6,591–6,671 while a Place priced the
 // (node, tag vector) pairs of its state and ran both; 6,553 /
 // 6,614–6,622 / 6,583–6,670 before that, where 7,237 / 7,245–7,304 /
 // 7,271–7,347 had been recorded when a Place came to fill one score
@@ -39,12 +43,13 @@ import (
 // its own (the cycle validates the batch in place on the live cluster and
 // clones nothing), and so does a Place that builds its three candidate
 // placements on three clones (13,228: it builds them on the cluster it is
-// handed), and so does one clone per Place (~110 allocations each here,
-// which stayed under the 7,800 cap; TestOneComponentPlacesOnLiveCluster
-// and TestComponentsPlanOnPreCycleState check the clones directly).
-// Allocation counts do not depend on the host, so the cap is an exact
-// wall.
-const cycleMaxAllocs = 3980
+// handed), and so does one clone per component but the first (~110
+// allocations each here, about 1,200 for the cycle) or per Place;
+// TestOneComponentPlacesOnLiveCluster and
+// TestComponentsPlanOnPreCycleState check the cluster each Place is
+// handed directly. Allocation counts do not depend on the host, so the
+// cap is an exact wall.
+const cycleMaxAllocs = 2440
 
 // spreadApp is one LRA of the cycle fixture: four containers that must
 // spread across nodes, tagged per app, so the partition sees twelve

@@ -233,8 +233,8 @@ func TestRepairRunsOnBreakerRung(t *testing.T) {
 	}
 	byz.Every = 1
 	// Three panicking batch cycles trip the breaker (threshold 3). The
-	// shared tag keeps the batch one component: the injector counts its
-	// calls and is not safe for concurrent sub-batch solves.
+	// shared tag keeps the batch one component, so the injector sees one
+	// Place per cycle.
 	for i := 0; i < 3; i++ {
 		now = now.Add(time.Second)
 		_ = m.SubmitLRA(app(fmt.Sprintf("b%d", i), 1, "b"), now)

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"medea/internal/audit"
@@ -38,11 +37,13 @@ type Config struct {
 	// without the sentinel, "no retries" would be unexpressible.
 	MaxRetries int
 
-	// SolverBudget bounds the LRA solver's wall-clock time per cycle
-	// end-to-end: it flows through the algorithm's lra.Options into
+	// SolverBudget bounds the wall-clock time of each component's solve:
+	// it flows through the algorithm's lra.Options into
 	// ilp.Options.Deadline, which the simplex pivot loops and
-	// branch-and-bound both honor. A value ≤ 0 selects
-	// lra.DefaultSolverBudget.
+	// branch-and-bound both honor. A cycle places its constraint
+	// components one after the other and hands each the whole budget, so
+	// a cycle with k components that solve may take up to k budgets. A
+	// value ≤ 0 selects lra.DefaultSolverBudget.
 	SolverBudget time.Duration
 	// Audit selects the post-commit whole-cluster invariant check mode:
 	// audit.Off (default), audit.Metrics (count violations) or
@@ -216,11 +217,12 @@ func (m *Medea) Checkpoint(now time.Time) error {
 // its incarnations the same way every run.
 func (m *Medea) Epoch() uint64 { return m.epoch }
 
-// SetSolverBudget adjusts the per-cycle solver wall-clock budget at
-// runtime. The serving layer uses it for deadline propagation: when
-// queued submissions carry request deadlines, the scheduling loop clamps
-// the budget to the tightest remaining deadline before running the cycle
-// and restores it afterwards. A non-positive d selects
+// SetSolverBudget adjusts the solver wall-clock budget at runtime; like
+// Config.SolverBudget it bounds each component's solve, not the cycle.
+// The serving layer uses it for deadline propagation: when queued
+// submissions carry request deadlines, the scheduling loop clamps the
+// budget to the tightest remaining deadline before running the cycle and
+// restores it afterwards. A non-positive d selects
 // lra.DefaultSolverBudget.
 func (m *Medea) SetSolverBudget(d time.Duration) {
 	if d <= 0 {
@@ -446,18 +448,18 @@ func (m *Medea) activeExcluding(exclude map[string]bool) []constraint.Entry {
 	})
 }
 
-// safePlace invokes an LRA algorithm on state with panic isolation: a
-// panicking algorithm yields a nil result — callers treat it as a failed
-// cycle — and is counted in the pipeline metrics. Place returns state
-// as it found it, a recovered panic included.
-func (m *Medea) safePlace(alg lra.Algorithm, state *cluster.Cluster, apps []*lra.Application, active []constraint.Entry) (res *lra.Result) {
+// safePlace invokes an LRA algorithm on m.Cluster with panic isolation:
+// a panicking algorithm yields a nil result — callers treat it as a
+// failed cycle — and is counted in the pipeline metrics. Place returns
+// m.Cluster as it found it, a recovered panic included.
+func (m *Medea) safePlace(alg lra.Algorithm, apps []*lra.Application, active []constraint.Entry) (res *lra.Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			m.Pipeline.Add(metrics.PanicsRecovered, 1)
 			res = nil
 		}
 	}()
-	return alg.Place(state, apps, active, lra.Options{SolverBudget: m.cfg.SolverBudget, Clock: m.cfg.Clock})
+	return alg.Place(m.Cluster, apps, active, lra.Options{SolverBudget: m.cfg.SolverBudget, Clock: m.cfg.Clock})
 }
 
 // placeBatch places one cycle's batch, one constraint-independent
@@ -465,46 +467,20 @@ func (m *Medea) safePlace(alg lra.Algorithm, state *cluster.Cluster, apps []*lra
 // other on m.Cluster, and merges the per-component results back in
 // submission order. Every component plans on the pre-cycle state: Place
 // returns m.Cluster as it found it, so each component sees what the
-// first one saw. An algorithm that is a SequentialPlacer places the whole
-// batch in one call.
-//
-// Medea-ILP alone, recognised by its Name (which survives a wrapper that
-// embeds lra.Algorithm), solves its components concurrently: the first
-// on m.Cluster and every other on a clone taken before any starts. Its
-// solves are long enough to pay for the clones and goroutines; a
-// heuristic's are not (DESIGN §10). Either way the outcome is identical
-// for every GOMAXPROCS setting and interleaving. Capacity conflicts the
-// split cannot see are absorbed downstream by commit-time validation and
-// the §5.4 requeue path, in deterministic submission order. A panic in
-// ANY component fails the cycle whole (matching the single-call
-// contract).
+// first one saw, and each gets the cycle's full SolverBudget. An
+// algorithm that is a SequentialPlacer places the whole batch in one
+// call. Capacity conflicts the split cannot see are absorbed downstream
+// by commit-time validation and the §5.4 requeue path, in deterministic
+// submission order. A panic in ANY component fails the cycle whole
+// (matching the single-call contract).
 func (m *Medea) placeBatch(alg lra.Algorithm, apps []*lra.Application, active []constraint.Entry) *lra.Result {
 	comps := [][]int{nil} // nil: the whole batch
 	if seq, ok := alg.(lra.SequentialPlacer); !ok || !seq.PlaceSequentially() {
 		comps = partitionBatch(apps, active)
 	}
 	results := make([]*lra.Result, len(comps))
-	fanOut := len(comps) > 1 && alg.Name() == lra.ILPName
-	if fanOut {
-		states := make([]*cluster.Cluster, len(comps))
-		states[0] = m.Cluster
-		for ci := 1; ci < len(comps); ci++ {
-			states[ci] = m.Cluster.Clone()
-		}
-		var wg sync.WaitGroup
-		for ci, comp := range comps {
-			sub := subBatch(apps, comp)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				results[ci] = m.safePlace(alg, states[ci], sub, active)
-			}()
-		}
-		wg.Wait()
-	} else {
-		for ci, comp := range comps {
-			results[ci] = m.safePlace(alg, m.Cluster, subBatch(apps, comp), active)
-		}
+	for ci, comp := range comps {
+		results[ci] = m.safePlace(alg, subBatch(apps, comp), active)
 	}
 	if len(comps) == 1 {
 		return results[0]
@@ -523,11 +499,7 @@ func (m *Medea) placeBatch(alg lra.Algorithm, apps []*lra.Application, active []
 		for k, i := range comp {
 			merged.Placements[i] = r.Placements[k]
 		}
-		if !fanOut {
-			merged.Latency += r.Latency
-		} else if r.Latency > merged.Latency {
-			merged.Latency = r.Latency // components ran concurrently: wall-clock is the max
-		}
+		merged.Latency += r.Latency
 		merged.DeadlineHit = merged.DeadlineHit || r.DeadlineHit
 		merged.Exhausted = merged.Exhausted || r.Exhausted
 		merged.Invalid = merged.Invalid || r.Invalid

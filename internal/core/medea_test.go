@@ -230,7 +230,7 @@ func (b *barrierProbe) Barrier() error {
 func TestBarrierSeesPreCycleCluster(t *testing.T) {
 	// Two nodes of two slots each; a task takes one slot, so "a" and "b"
 	// each fit alone but not together: they share no constraint, so they
-	// are solved as independent sub-batches and "b" is vetoed.
+	// are placed as independent components and "b" is vetoed.
 	m := New(cluster.Grid(2, 1, resource.New(4096, 4)), lra.NewNodeCandidates(), Config{})
 	probe := &barrierProbe{Memory: journal.NewMemory()}
 	if err := m.AttachJournal(probe, t0); err != nil {

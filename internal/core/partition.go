@@ -5,16 +5,16 @@ import (
 	"medea/internal/lra"
 )
 
-// Batch partitioning for sub-batch placement: two LRAs of one scheduling
-// cycle interact through constraints only when their tag footprints meet
-// — directly (a shared tag, which any constraint expression could couple)
-// or through an active constraint of a deployed LRA or the operator whose
-// expressions touch both. A union-find over those footprints splits the
-// batch into independent components, each placed on the pre-cycle state
-// on its own (concurrently, for the ILP; see placeBatch). Node capacity
-// is the one channel the split ignores, and conflicts there are absorbed
-// by the commit-time validation + requeue machinery (§5.4) exactly like
-// races with task allocations.
+// Batch partitioning for per-component placement: two LRAs of one
+// scheduling cycle interact through constraints only when their tag
+// footprints meet — directly (a shared tag, which any constraint
+// expression could couple) or through an active constraint of a deployed
+// LRA or the operator whose expressions touch both. A union-find over
+// those footprints splits the batch into independent components, each
+// placed on the pre-cycle state on its own, one after the other (see
+// placeBatch). Node capacity is the one channel the split ignores, and
+// conflicts there are absorbed by the commit-time validation + requeue
+// machinery (§5.4) exactly like races with task allocations.
 
 type unionFind struct {
 	parent []int

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -16,18 +15,20 @@ import (
 )
 
 // stateRecorder wraps an algorithm and records the cluster each Place is
-// handed.
+// handed, the solver budget it is given and the latency it reports.
 type stateRecorder struct {
 	lra.Algorithm
-	mu     sync.Mutex
-	states []*cluster.Cluster
+	states    []*cluster.Cluster
+	budgets   []time.Duration
+	latencies []time.Duration
 }
 
 func (r *stateRecorder) Place(state *cluster.Cluster, apps []*lra.Application, active []constraint.Entry, opts lra.Options) *lra.Result {
-	r.mu.Lock()
 	r.states = append(r.states, state)
-	r.mu.Unlock()
-	return r.Algorithm.Place(state, apps, active, opts)
+	r.budgets = append(r.budgets, opts.SolverBudget)
+	res := r.Algorithm.Place(state, apps, active, opts)
+	r.latencies = append(r.latencies, res.Latency)
+	return res
 }
 
 // handed returns the clusters recorded since the last call and forgets
@@ -88,28 +89,21 @@ func wideApp(i int) *lra.Application {
 // both pick the same four nodes, which hold one container each, so the
 // second application meets the first at validation and is requeued. A
 // component that saw the other's placement would spread to the free
-// nodes instead. Medea-NC hands both Places m.Cluster itself, one after
-// the other, and clones nothing; Medea-ILP, behind the same embedding
-// recorder, hands one m.Cluster and the other a clone of its own. The
-// outcome is the same at GOMAXPROCS 1 and 2.
+// nodes instead. Medea-NC and Medea-ILP alike hand both Places
+// m.Cluster itself, one after the other, and clone nothing. The outcome
+// is the same at GOMAXPROCS 1 and 2.
 func TestComponentsPlanOnPreCycleState(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, tc := range []struct {
-		alg    func() lra.Algorithm
-		clones int
-	}{
-		{lra.NewNodeCandidates, 0},
-		{lra.NewILP, 1},
-	} {
+	for _, newAlg := range []func() lra.Algorithm{lra.NewNodeCandidates, lra.NewILP} {
 		for _, procs := range []int{1, 2} {
 			runtime.GOMAXPROCS(procs)
-			name := fmt.Sprintf("%s, GOMAXPROCS %d", tc.alg().Name(), procs)
-			rec := &stateRecorder{Algorithm: tc.alg()}
+			name := fmt.Sprintf("%s, GOMAXPROCS %d", newAlg().Name(), procs)
+			rec := &stateRecorder{Algorithm: newAlg()}
 			m := New(cluster.Grid(8, 4, resource.New(8192, 8)), rec, Config{Interval: time.Second})
 			apps := []*lra.Application{wideApp(0), wideApp(1)}
 			var want []lra.Placement
 			for _, a := range apps {
-				res := tc.alg().Place(m.Cluster.Clone(), []*lra.Application{a}, nil, lra.Options{})
+				res := newAlg().Place(m.Cluster.Clone(), []*lra.Application{a}, nil, lra.Options{})
 				want = append(want, res.Placements...)
 			}
 			if !slices.EqualFunc(want[0].Assignments, want[1].Assignments, func(a, b lra.Assignment) bool { return a.Node == b.Node }) {
@@ -123,15 +117,8 @@ func TestComponentsPlanOnPreCycleState(t *testing.T) {
 			if d := m.Cluster.Diff(pre); d != "" {
 				t.Fatalf("%s: placing the batch changed the cluster: %s", name, d)
 			}
-			states := rec.handed()
-			live := 0
-			for _, st := range states {
-				if st == m.Cluster {
-					live++
-				}
-			}
-			if len(states) != 2 || live != 2-tc.clones {
-				t.Fatalf("%s: Place was handed %p, want m.Cluster %p and %d clones", name, states, m.Cluster, tc.clones)
+			if states := rec.handed(); len(states) != 2 || states[0] != m.Cluster || states[1] != m.Cluster {
+				t.Fatalf("%s: Place was handed %p, want m.Cluster %p twice", name, states, m.Cluster)
 			}
 
 			for _, a := range apps {
@@ -150,5 +137,46 @@ func TestComponentsPlanOnPreCycleState(t *testing.T) {
 				t.Fatalf("%s: the cycle called Place %d times, want 2", name, len(got))
 			}
 		}
+	}
+}
+
+// TestComponentsGetFullBudgetAndSumLatency: each component of a
+// two-component Medea-ILP cycle is handed the configured SolverBudget
+// whole, and since the components run one after the other, the cycle's
+// algorithm latency is the sum of theirs. The injected clock advances a
+// millisecond at every read, so every Place reports a latency of its
+// own.
+func TestComponentsGetFullBudgetAndSumLatency(t *testing.T) {
+	const budget = 250 * time.Millisecond
+	now := t0
+	clock := func() time.Time {
+		now = now.Add(time.Millisecond)
+		return now
+	}
+	rec := &stateRecorder{Algorithm: lra.NewILP()}
+	m := New(cluster.Grid(8, 4, resource.New(8192, 8)), rec, Config{
+		Interval: time.Second, SolverBudget: budget, Clock: clock,
+	})
+	for _, a := range []*lra.Application{spreadApp(0), spreadApp(1)} {
+		if err := m.SubmitLRA(a, t0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats := m.RunCycle(t0)
+	if stats.Placed != 2 {
+		t.Fatalf("cycle: %+v", stats)
+	}
+	if len(rec.budgets) != 2 || rec.budgets[0] != budget || rec.budgets[1] != budget {
+		t.Fatalf("the components were handed budgets %v, want %v each", rec.budgets, budget)
+	}
+	var sum time.Duration
+	for _, l := range rec.latencies {
+		if l <= 0 {
+			t.Fatalf("component latencies %v: the clock did not advance", rec.latencies)
+		}
+		sum += l
+	}
+	if stats.AlgLatency != sum {
+		t.Fatalf("cycle latency %v, want the sum of the components' %v = %v", stats.AlgLatency, rec.latencies, sum)
 	}
 }

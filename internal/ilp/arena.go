@@ -17,9 +17,9 @@ import "math"
 // garbage between solves and demand byte-identical solutions).
 //
 // Concurrency contract: one arena serves ONE solve at a time, and a solve
-// runs on one goroutine. Callers that solve concurrently — the LRA
-// scheduler's sub-batches — keep a free list of whole arenas and check
-// one out per solve.
+// runs on one goroutine. A caller that may solve concurrently — Medea-ILP,
+// whose Places a library caller may run side by side — keeps a free list
+// of whole arenas and checks one out per solve.
 type SolverArena struct {
 	lp   lpScratch  // the LP relaxation being solved
 	pool boundsPool // bound vectors of open branch-and-bound nodes, the root's included

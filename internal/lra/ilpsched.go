@@ -46,7 +46,9 @@ type ilpScheduler struct {
 	fallback *bestOf
 
 	// mu guards the arena free list, the only state kept between Place
-	// calls: concurrent sub-batches check arenas out and back in.
+	// calls. Core runs one Place at a time, but the Algorithm contract
+	// lets a library caller run two on one value at once, each on its
+	// own cluster; each checks an arena out and back in.
 	mu     sync.Mutex
 	arenas []*ilp.SolverArena
 }
@@ -81,13 +83,8 @@ func (s *ilpScheduler) returnArena(a *ilp.SolverArena) {
 	s.mu.Unlock()
 }
 
-// ILPName is Medea-ILP's Name. Core keys its component fan-out on it:
-// unlike an optional interface, Name survives a wrapper that embeds
-// Algorithm.
-const ILPName = "Medea-ILP"
-
 // Name implements Algorithm.
-func (s *ilpScheduler) Name() string { return ILPName }
+func (s *ilpScheduler) Name() string { return "Medea-ILP" }
 
 // Place implements Algorithm: fallback, returned as it is when its score
 // is decided (it wins every comparison it enters), else candidates →

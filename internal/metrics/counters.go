@@ -10,10 +10,10 @@ type Counter interface {
 	names() []string
 }
 
-// Counters is one layer's counts: an atomic slot per value of K. Every
-// layer records from several goroutines at once (Medea-ILP's parallel
-// sub-batch solves; HTTP handlers beside the scheduling loop; the balancer's submit
-// path beside its probe loop). The zero value is ready. A Counters must
+// Counters is one layer's counts: an atomic slot per value of K. A
+// layer is read and written from several goroutines at once (HTTP
+// handlers beside the scheduling loop; the balancer's submit path beside
+// its probe loop). The zero value is ready. A Counters must
 // not be copied after first use (the atomics pin it in place); hold it by
 // pointer or inside a heap-allocated owner.
 type Counters[K Counter] struct {

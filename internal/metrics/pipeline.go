@@ -44,10 +44,11 @@ var pipelineNames = [...]string{
 
 func (PipelineCounter) names() []string { return pipelineNames[:] }
 
-// PipelineStats holds the hardened pipeline's counters. Medea-ILP solves
-// a cycle's independent sub-batches concurrently, and each may count a
-// panic, deadline hit or rejection, so the counters are atomics. Like
-// its Counters, a PipelineStats must not be copied after first use.
+// PipelineStats holds the hardened pipeline's counters. The scheduling
+// loop is their one writer; they are atomics, like every layer's
+// Counters, so a caller may read them from another goroutine while the
+// loop runs. Like its Counters, a PipelineStats must not be copied after
+// first use.
 type PipelineStats struct {
 	Counters[PipelineCounter]
 }

@@ -41,8 +41,9 @@ func (s *Server) Step() {
 	}
 
 	// Deadline propagation: the tightest remaining deadline among the
-	// entries pending in the core clamps this cycle's solver budget — a
-	// batch whose callers give up in 200ms must not sit in a 2s solve.
+	// entries pending in the core clamps the solver budget each of this
+	// cycle's components gets — a batch whose callers give up in 200ms
+	// must not sit in a 2s solve.
 	base := s.med.SolverBudget()
 	budget := base
 	if d, ok := s.led.tightestDeadline(); ok {
