@@ -124,14 +124,21 @@ func CheckAssignments(state *cluster.Cluster, appID string, assigns []lra.Assign
 	// Hard-constraint semantics are final-state: the whole batch is
 	// tentatively applied, then every container that was clean before
 	// must still be clean (a batch may carry affinity constraints only its
-	// own later assignments satisfy).
+	// own later assignments satisfy). Only the containers in the batch's
+	// region can change (lra.ViolationRegion), so only they are priced.
+	var region *lra.ViolationRegion
 	var before []lra.Violation
 	if len(hard) > 0 {
-		before = lra.Violations(state, hard)
+		nodes := make([]cluster.NodeID, len(assigns))
+		for i, a := range assigns {
+			nodes[i] = a.Node
+		}
+		region = lra.NewViolationRegion(state, hard, nodes)
+		before = region.Violations(state)
 	}
 	err := allocateAll(state, appID, assigns)
 	if err == nil && len(hard) > 0 {
-		if v, ok := firstNew(before, lra.Violations(state, hard)); ok {
+		if v, ok := firstNew(before, region.Violations(state)); ok {
 			err = fmt.Errorf("audit: %s: hard constraint violated for container %s (extent %g)", appID, v.Container, v.Extent)
 			Undo(state, assigns)
 		}
@@ -140,7 +147,7 @@ func CheckAssignments(state *cluster.Cluster, appID string, assigns []lra.Assign
 }
 
 // firstNew returns the first violator of after, in ID order, that before
-// does not list. Both lists are sorted by ID (lra.Violations).
+// does not list. Both lists are sorted by ID (ViolationRegion.Violations).
 func firstNew(before, after []lra.Violation) (lra.Violation, bool) {
 	i := 0
 	for _, v := range after {

@@ -125,10 +125,10 @@ func (c *Cluster) EachContainer(fn func(id ContainerID, node NodeID, tags []cons
 }
 
 // EachNodeVector calls fn with each distinct tag vector of the containers
-// on node and how many of them carry it (its tag multiset's,
-// constraint.Set.EachVector), once, in no particular order. Untagged
-// containers have no vector there.
-func (c *Cluster) EachNodeVector(node NodeID, fn func(tags []constraint.Tag, count int)) {
+// on node, its constraint.VectorHash and how many of them carry it (its
+// tag multiset's, constraint.Set.EachVector), once, in no particular
+// order. Untagged containers have no vector there.
+func (c *Cluster) EachNodeVector(node NodeID, fn func(tags []constraint.Tag, hash uint64, count int)) {
 	c.nodes[node].tags.EachVector(fn)
 }
 

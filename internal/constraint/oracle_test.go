@@ -144,6 +144,33 @@ func checkAgainst(t *testing.T, s *Set, r refSet, exprs []Expr, rng *rand.Rand) 
 // partners were mutated, so a write through shared storage shows.
 func TestSetMatchesOracle(t *testing.T) {
 	exprs := oracleExprs()
+	runSetSequences(t, func(t *testing.T, s *Set, r refSet, rng *rand.Rand) { checkAgainst(t, s, r, exprs, rng) })
+}
+
+// TestSetVectorHashes: every vector a set lists (EachVector) comes with
+// its VectorHash, computed when its entry was made, after every step of
+// TestSetMatchesOracle's random sequences of AddContainer,
+// RemoveContainer, Clone and Merge: a scheduler finds a vector's compiled
+// form by that hash.
+func TestSetVectorHashes(t *testing.T) {
+	vectors := 0
+	runSetSequences(t, func(t *testing.T, s *Set, _ refSet, _ *rand.Rand) {
+		s.EachVector(func(tags []Tag, hash uint64, _ int) {
+			if want := VectorHash(tags); hash != want {
+				t.Fatalf("vector %q listed with hash %#x, VectorHash %#x; set %v", tags, hash, want, s)
+			}
+			vectors++
+		})
+	})
+	t.Logf("%d vectors checked", vectors)
+}
+
+// runSetSequences runs twenty seeded random sequences of 200 steps of
+// AddContainer, RemoveContainer (of present vectors, permuted, and of
+// near misses that must panic), Clone and Merge over a pool of live
+// sets, and calls check with every live set and its brute-force
+// reference after every step.
+func runSetSequences(t *testing.T, check func(t *testing.T, s *Set, r refSet, rng *rand.Rand)) {
 	for seed := int64(1); seed <= 20; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
@@ -191,7 +218,7 @@ func TestSetMatchesOracle(t *testing.T) {
 					sets, refs = sets[len(sets)-3:], refs[len(refs)-3:]
 				}
 				for k := range sets {
-					checkAgainst(t, sets[k], refs[k], exprs, rng)
+					check(t, sets[k], refs[k], rng)
 				}
 			}
 		})

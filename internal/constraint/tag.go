@@ -112,15 +112,17 @@ func (e Expr) String() string {
 // visits every vector in either layout, and Clone is two memmoves.
 //
 // A Set answers γ queries and lists its distinct vectors (EachVector);
-// it keeps no per-query index and hashes no tag. What stays fixed while
-// a scheduler prices a batch — which atoms each container tag vector is
-// the subject or a target of — is compiled on the scheduler's side (lra's
-// plan, through an index of the constraint list built once per Place),
-// and an atom's three γ in one set come from one scan (CountAtom). A
-// node's Set is also how the violators of a state are found (a Place's
-// score base, lra.Evaluate, the audit's hard check): a container's
-// violation depends on its node and its vector alone, so each (node,
-// vector) pair is priced once, with the count of containers carrying it.
+// it keeps no per-query index. It hashes each vector once, when its entry
+// is created (VectorHash), and hands the hash out with the vector. What
+// stays fixed while a scheduler prices a batch — which atoms each
+// container tag vector is the subject or a target of — is compiled on
+// the scheduler's side (lra's plan, through an index of the constraint
+// list, once per distinct vector, found by that hash), and an atom's
+// three γ in one set come from one scan (CountAtom). A node's Set is
+// also how the violators of a state are found (a Place's score pass,
+// lra.Evaluate, the audit's hard check): a container's violation depends
+// on its node and its vector alone, so each (node, vector) pair is
+// priced once, with the count of containers carrying it.
 type Set struct {
 	counts  []tagCount
 	vectors []vecEntry
@@ -131,11 +133,12 @@ type tagCount struct {
 	count int
 }
 
-// vecEntry is one distinct tag vector and how many containers carry it.
-// tags is written once, when the entry is created, and never mutated
-// afterwards, so clones share it.
+// vecEntry is one distinct tag vector, its VectorHash and how many
+// containers carry it. tags and hash are written once, when the entry is
+// created, and never mutated afterwards, so clones share them.
 type vecEntry struct {
 	tags  []Tag
+	hash  uint64
 	count int
 }
 
@@ -212,11 +215,13 @@ func (s *Set) tag(t Tag) int {
 // AddContainer records one container carrying the given tags. Tags of a
 // container are added when it is allocated on a node (§4.1).
 func (s *Set) AddContainer(tags []Tag) {
-	s.add(tags, 1)
+	s.add(tags, 0, 1)
 }
 
-// add records n containers carrying tags.
-func (s *Set) add(tags []Tag, n int) {
+// add records n containers carrying tags. h is their VectorHash, or 0
+// when the caller has not computed it: a new entry then hashes tags,
+// which gives the same value whenever the hash is 0 itself.
+func (s *Set) add(tags []Tag, h uint64, n int) {
 	for i, t := range tags {
 		// γ counts containers per tag, so duplicate tags within one
 		// container count once.
@@ -233,7 +238,10 @@ func (s *Set) add(tags []Tag, n int) {
 		s.vectors[i].count += n
 		return
 	}
-	s.vectors = append(s.vectors, vecEntry{slices.Clone(tags), n})
+	if h == 0 {
+		h = VectorHash(tags)
+	}
+	s.vectors = append(s.vectors, vecEntry{slices.Clone(tags), h, n})
 }
 
 // RemoveContainer undoes AddContainer; tags are removed when the container
@@ -307,12 +315,13 @@ func (s *Set) CountAtom(subject, target Expr) (nTarget, nSubject, nBoth int) {
 	return nTarget, nSubject, nBoth
 }
 
-// EachVector calls fn with each distinct tag vector of the set and how
-// many containers carry it, once, in no particular order. The slices are
-// the set's own (written once, never mutated): fn must not modify them.
-func (s *Set) EachVector(fn func(tags []Tag, count int)) {
+// EachVector calls fn with each distinct tag vector of the set, its
+// VectorHash and how many containers carry it, once, in no particular
+// order. The slices are the set's own (written once, never mutated): fn
+// must not modify them.
+func (s *Set) EachVector(fn func(tags []Tag, hash uint64, count int)) {
 	for _, e := range s.vectors {
-		fn(e.tags, e.count)
+		fn(e.tags, e.hash, e.count)
 	}
 }
 
@@ -330,7 +339,7 @@ func (s *Set) Tags() []Tag {
 // a node set as the union of its nodes' tag sets).
 func (s *Set) Merge(o *Set) {
 	for _, e := range o.vectors {
-		s.add(e.tags, e.count)
+		s.add(e.tags, e.hash, e.count)
 	}
 }
 

@@ -23,16 +23,21 @@ func subjectExtent(state *cluster.Cluster, a *constraint.Atom, sets []cluster.Se
 	}
 	ext := 0.0
 	for _, sid := range sets {
-		g := state.Gamma(a.Group, sid, a.Target)
-		if selfMatches {
-			g--
-		}
-		if g < 0 {
-			g = 0
-		}
-		ext += a.ViolationExtent(g)
+		ext += setExtent(a, state.Gamma(a.Group, sid, a.Target), selfMatches)
 	}
 	return ext
+}
+
+// setExtent is an atom's violation extent in one set whose γ(target) is
+// g, the subject container excluded when selfMatches.
+func setExtent(a *constraint.Atom, g int, selfMatches bool) float64 {
+	if selfMatches {
+		g--
+	}
+	if g < 0 {
+		g = 0
+	}
+	return a.ViolationExtent(g)
 }
 
 // Report aggregates constraint-violation statistics over a cluster state,
@@ -78,7 +83,7 @@ func Evaluate(state *cluster.Cluster, entries []constraint.Entry) Report {
 // sums them.
 func evaluateResolved(state *cluster.Cluster, resolved []constraint.Entry) Report {
 	var v violators
-	v.priceAll(newPlan(resolved), state)
+	v.priceAll(newPlan(state, resolved), state)
 	return v.report()
 }
 
@@ -89,46 +94,71 @@ type Violation struct {
 	Extent    float64
 }
 
-// Violations returns the containers of state that violate resolved, by
-// ID, each with its summed weighted extent: the violating containers
-// Evaluate counts. resolved must come from ResolveEntries. The audit
-// layer diffs the violators before and after a proposed placement to
-// find the new hard-constraint violations it introduces.
-func Violations(state *cluster.Cluster, resolved []constraint.Entry) []Violation {
-	var v violators
-	v.priceAll(newPlan(resolved), state)
-	out := make([]Violation, len(v.list))
-	for i, x := range v.list {
-		out[i].Container = x.id
-		for _, a := range v.of(i) {
-			out[i].Extent += a
+// ViolationRegion prices the violators of a constraint list on one region
+// of a state: the given nodes, and every member of every set containing
+// one of them in a group an atom of the list names, "node" excepted
+// (scoreBase.mark). The audit's hard check prices a batch's region
+// before and after it allocates the batch, with one plan: a placement
+// changes γ only in the sets containing its nodes, so no container
+// outside the region starts or stops violating, and none changes its
+// extent.
+type ViolationRegion struct{ b scoreBase }
+
+// NewViolationRegion returns the region of nodes on state for resolved,
+// which must come from ResolveEntries. IDs that are no node of state are
+// skipped.
+func NewViolationRegion(state *cluster.Cluster, resolved []constraint.Entry, nodes []cluster.NodeID) *ViolationRegion {
+	r := &ViolationRegion{}
+	r.b.reset(state, resolved)
+	for _, n := range nodes {
+		if int(n) >= 0 && int(n) < state.NumNodes() {
+			r.b.mark(r.b.region, state, n)
 		}
 	}
-	return out
+	return r
 }
 
-// scoreBase is what a Place prices each of its candidate placements
-// against: the containers of its pre-placement state that violate, with
-// their addends. A container's extent reads γ of the sets containing its
-// node, in the groups its constraints name; a placement changes γ only in
-// the sets containing a node it assigns to. So score lists the violators
-// of work on those sets' members and adds every violator of the base
-// elsewhere as the base found it. The other containers add nothing, to
-// evaluateResolved or here.
+// Violations returns the containers on the region's nodes of state, the
+// region's state or one with its nodes and sets, that violate the list,
+// by ID, each with its summed weighted extent.
+func (r *ViolationRegion) Violations(state *cluster.Cluster) []Violation {
+	r.b.work.reset()
+	r.b.work.priceRegion(r.b.plan, state, r.b.region)
+	return r.b.work.violations()
+}
+
+// scoreBase prices the candidate placements of one Place on its
+// pre-placement state. A container's extent reads γ of the sets
+// containing its node, in the groups its constraints name; a placement
+// changes γ only in the sets containing a node it assigns to, its region
+// (mark). The first candidate scored is priced by one pass over every
+// node of its state, which then serves as the base of every later
+// candidate: outside the first candidate's region (dirty) the pass saw
+// the pre-placement state. A later candidate re-prices its own region and
+// the first one's, and adds every violator of the base elsewhere as the
+// base found it. The other containers add nothing, to evaluateResolved or
+// here. A decided Place scores one candidate, so it prices its state
+// once.
 type scoreBase struct {
 	plan   *plan
 	groups []constraint.GroupName // the groups an atom of cons names, "node" excepted
-	base   violators              // of the pre-placement state, on every node
+	primed bool                   // a candidate was scored: base and dirty hold its pass
+	base   violators              // of the first candidate's state, on every node
+	dirty  []bool                 // by node: the first candidate's region, once primed
 
 	// score's scratch, reused across the candidates of one Place.
 	region []bool    // by node: re-price the containers here
-	work   violators // of work, on the region's nodes
+	work   violators // of the candidate's state, on the region's nodes
 }
 
-// newScoreBase prices state once against the batch's flattened
-// constraint list (flattenConstraints).
-func newScoreBase(state *cluster.Cluster, cons []constraint.Entry) *scoreBase {
-	b := &scoreBase{plan: newPlan(cons), region: make([]bool, state.NumNodes())}
+// reset makes b a score base of state against cons that has scored no
+// candidate, reusing b's buffers.
+func (b *scoreBase) reset(state *cluster.Cluster, cons []constraint.Entry) *scoreBase {
+	if b.plan == nil {
+		b.plan = new(plan)
+	}
+	b.plan.reset(state, cons)
+	b.groups = b.groups[:0]
 	for _, e := range cons {
 		for _, term := range e.Constraint.Terms {
 			for _, a := range term {
@@ -138,7 +168,12 @@ func newScoreBase(state *cluster.Cluster, cons []constraint.Entry) *scoreBase {
 			}
 		}
 	}
-	b.base.priceAll(b.plan, state)
+	n := state.NumNodes()
+	b.region = slices.Grow(b.region[:0], n)[:n]
+	clear(b.region)
+	b.base.reset()
+	b.work.reset()
+	b.primed = false
 	return b
 }
 
@@ -177,10 +212,24 @@ func (v *violators) reset() {
 	v.subject, v.subjectContainers = 0, 0
 }
 
-// priceAll prices every node of state and lists the violators.
+// priceAll prices every node of state in one pass and lists the
+// violators.
 func (v *violators) priceAll(p *plan, state *cluster.Cluster) {
+	p.begin()
 	for n := range state.NumNodes() {
 		v.price(p, state, cluster.NodeID(n))
+	}
+	v.collect(state)
+}
+
+// priceRegion prices the nodes of state that in marks in one pass and
+// lists their violators.
+func (v *violators) priceRegion(p *plan, state *cluster.Cluster, in []bool) {
+	p.begin()
+	for n, ok := range in {
+		if ok {
+			v.price(p, state, cluster.NodeID(n))
+		}
 	}
 	v.collect(state)
 }
@@ -188,15 +237,18 @@ func (v *violators) priceAll(p *plan, state *cluster.Cluster) {
 // price prices each tag vector on node. Nodes must come in ascending
 // order, so pairs stays by node.
 func (v *violators) price(p *plan, state *cluster.Cluster, node cluster.NodeID) {
-	state.EachNodeVector(node, func(tags []constraint.Tag, count int) { v.pricePair(p, state, node, tags, count) })
+	state.EachNodeVector(node, func(tags []constraint.Tag, hash uint64, count int) {
+		v.pricePair(p, state, node, tags, p.compiled(tags, hash), count)
+	})
 }
 
 // pricePair prices the count containers of tags on node against p, in
-// list order, and keeps the pair when they violate.
-func (v *violators) pricePair(p *plan, state *cluster.Cluster, node cluster.NodeID, tags []constraint.Tag, count int) {
+// list order, and keeps the pair when they violate. atoms is tags'
+// compile by p.
+func (v *violators) pricePair(p *plan, state *cluster.Cluster, node cluster.NodeID, tags []constraint.Tag, atoms vecAtoms, count int) {
 	lo := len(v.addends)
 	var applied int
-	v.addends, applied = p.scratch(tags).appendExtents(v.addends, state, node)
+	v.addends, applied = p.appendExtents(v.addends, atoms, state, node)
 	if applied > 0 {
 		v.subject += applied * count
 		v.subjectContainers += count
@@ -236,6 +288,18 @@ func (v *violators) report() Report {
 	return rep
 }
 
+// violations returns the violators with their summed addends.
+func (v *violators) violations() []Violation {
+	out := make([]Violation, len(v.list))
+	for i, x := range v.list {
+		out[i].Container = x.id
+		for _, a := range v.of(i) {
+			out[i].Extent += a
+		}
+	}
+	return out
+}
+
 // of returns the addends of violator i.
 func (v *violators) of(i int) []float64 {
 	p := &v.pairs[v.list[i].pair]
@@ -248,19 +312,20 @@ func (v *violators) of(i int) []float64 {
 // evaluateResolved on work, so it equals that TotalExtent bit for bit
 // and no comparison between two scores can flip.
 func (b *scoreBase) score(work *cluster.Cluster, res *Result) float64 {
-	clear(b.region)
-	for _, p := range res.Placements {
-		if !p.Placed {
-			continue
-		}
-		for _, a := range p.Assignments {
-			// Even when a's node is in the region already, as a member of
-			// another assigned node's set: sets of a group may overlap,
-			// and the node's other sets changed too.
-			b.mark(work, a.Node)
-		}
+	if b.primed {
+		copy(b.region, b.dirty)
+		b.markPlaced(b.region, work, res)
+		return b.sum(work, res)
 	}
-	return b.sum(work, res)
+	for n := range b.region {
+		b.region[n] = true
+	}
+	s := b.sum(work, res)
+	b.base, b.work, b.primed = b.work, b.base, true
+	b.dirty = slices.Grow(b.dirty[:0], len(b.region))[:len(b.region)]
+	clear(b.dirty)
+	b.markPlaced(b.dirty, work, res)
+	return s
 }
 
 // scoreAndRelease scores res on work, which holds it on top of the base's
@@ -270,14 +335,30 @@ func (b *scoreBase) scoreAndRelease(work *cluster.Cluster, res *Result) float64 
 	return b.score(work, res)
 }
 
+// markPlaced adds the region of every node res assigns a placed
+// application's container to in.
+func (b *scoreBase) markPlaced(in []bool, work *cluster.Cluster, res *Result) {
+	for _, p := range res.Placements {
+		if !p.Placed {
+			continue
+		}
+		for _, a := range p.Assignments {
+			// Even when a's node is in the region already, as a member of
+			// another assigned node's set: sets of a group may overlap,
+			// and the node's other sets changed too.
+			b.mark(in, work, a.Node)
+		}
+	}
+}
+
 // mark adds node, and every member of every set containing it in the
-// base's groups, to the region.
-func (b *scoreBase) mark(work *cluster.Cluster, node cluster.NodeID) {
-	b.region[node] = true
+// base's groups, to in.
+func (b *scoreBase) mark(in []bool, work *cluster.Cluster, node cluster.NodeID) {
+	in[node] = true
 	for _, g := range b.groups {
 		for _, sid := range work.SetsOfNode(g, node) {
 			for _, n := range work.SetMembers(g, sid) {
-				b.region[n] = true
+				in[n] = true
 			}
 		}
 	}
@@ -288,12 +369,7 @@ func (b *scoreBase) mark(work *cluster.Cluster, node cluster.NodeID) {
 // violators outside the region, which add the base's addends.
 func (b *scoreBase) sum(work *cluster.Cluster, res *Result) float64 {
 	b.work.reset()
-	for n, in := range b.region {
-		if in {
-			b.work.price(b.plan, work, cluster.NodeID(n))
-		}
-	}
-	b.work.collect(work)
+	b.work.priceRegion(b.plan, work, b.region)
 	total := 0.0
 	for i, j := 0, 0; i < len(b.base.list) || j < len(b.work.list); {
 		var addends []float64

@@ -43,7 +43,7 @@ func NewScoreFixture(state *cluster.Cluster, apps []*Application, active []const
 		f.works, f.results = append(f.works, work), append(f.results, res)
 	}
 	tab, _ := newScoreTable(&greedy{}, state, f.cons, queueOf(buildRequests(apps)))
-	sol, pm := NewILP().(*ilpScheduler).solve(state, apps, f.cons, tab, f.results[0], opts.clock()(), opts)
+	sol, pm := solve(state, apps, f.cons, tab, f.results[0], opts.clock()(), opts, ilp.NewSolverArena())
 	if sol == nil {
 		return nil, fmt.Errorf("the model fails its check")
 	}
@@ -77,8 +77,8 @@ func (f *ScoreFixture) Sweep() float64 {
 	return total
 }
 
-// Delta prices the three placements as Place does: one base sweep of the
-// state, then the delta of each.
+// Delta prices the three placements as Place does: one pass over the
+// first placement's cluster, then the delta of each other.
 func (f *ScoreFixture) Delta() float64 {
 	base := newScoreBase(f.state, f.cons)
 	total := 0.0
@@ -86,6 +86,12 @@ func (f *ScoreFixture) Delta() float64 {
 		total += base.score(work, f.results[i])
 	}
 	return total
+}
+
+// newScoreBase returns a fresh score base of state against cons, as a
+// Place resets its pooled one.
+func newScoreBase(state *cluster.Cluster, cons []constraint.Entry) *scoreBase {
+	return new(scoreBase).reset(state, cons)
 }
 
 // DedupEntries is dedupEntries, for TestDedupMatchesText.
@@ -106,20 +112,35 @@ func OracleEntries(seed int64) []constraint.Entry {
 }
 
 // CountRuns returns how many heuristics alg, a Medea-ILP, ran in its
-// fallback and how many solver arenas it checked out while f ran. The
-// arenas are counted on an empty pool, as the arenas f leaves there: a
-// checkout that finds the pool empty makes one, and every arena checked
-// out is returned. The pool alg held before is kept.
+// fallback and how many solver arenas it made while f ran. The arenas
+// are counted on an empty scratch pool, as the scratch f leaves there
+// with an arena: a checkout that finds the pool empty makes a scratch,
+// its first solve an arena, and every scratch checked out is returned.
+// The pool alg held before is kept.
 func CountRuns(alg Algorithm, f func()) (heuristics, arenas int) {
 	s := alg.(*ilpScheduler)
 	var c atomic.Int64
 	s.fallback.runs = &c
-	pool := s.arenas
-	s.arenas = nil
+	pool := s.scratch
+	s.scratch = nil
 	defer func() {
 		s.fallback.runs = nil
-		s.arenas = append(pool, s.arenas...)
+		s.scratch = append(pool, s.scratch...)
 	}()
 	f()
-	return int(c.Load()), len(s.arenas)
+	for _, sc := range s.scratch {
+		if sc.arena != nil {
+			arenas++
+		}
+	}
+	return int(c.Load()), arenas
+}
+
+// PooledPlans returns the plans of alg's scratch pool, alg a Medea-ILP.
+func PooledPlans(alg Algorithm) []any {
+	var out []any
+	for _, sc := range alg.(*ilpScheduler).scratch {
+		out = append(out, sc.base.plan)
+	}
+	return out
 }

@@ -45,12 +45,24 @@ type ilpScheduler struct {
 	// without one.
 	fallback *bestOf
 
-	// mu guards the arena free list, the only state kept between Place
-	// calls. Core runs one Place at a time, but the Algorithm contract
-	// lets a library caller run two on one value at once, each on its
-	// own cluster; each checks an arena out and back in.
-	mu     sync.Mutex
-	arenas []*ilp.SolverArena
+	// mu guards the free list of per-Place scratch, the only state kept
+	// between Place calls. Core runs one Place at a time, but the
+	// Algorithm contract lets a library caller run two on one value at
+	// once, each on its own cluster; each checks a scratch out and back
+	// in.
+	mu      sync.Mutex
+	scratch []*placeScratch
+}
+
+// placeScratch is the memory one Place works in: its score base, with the
+// plan of its constraint list, and its solver arena. It holds buffers and
+// no information: the base is reset for each Place (scoreBase.reset), and
+// every arena buffer is re-initialised before it is read. Which scratch
+// serves which Place therefore never perturbs a result (the
+// poisoned-arena and poisoned-scratch differentials prove it).
+type placeScratch struct {
+	base  scoreBase
+	arena *ilp.SolverArena // made by the scratch's first solve
 }
 
 // debugILP enables solver diagnostics on stdout (set via MEDEA_DEBUG_ILP).
@@ -61,25 +73,21 @@ func NewILP() Algorithm {
 	return &ilpScheduler{fallback: newBestOfGreedy()}
 }
 
-// checkoutArena pops a reusable solver arena, growing the pool on first
-// use. Which physical arena serves which solve is irrelevant: every
-// buffer handed out is fully re-initialised before it is read (the
-// poisoned-arena differential suite proves it), so arena identity can
-// never perturb a solution.
-func (s *ilpScheduler) checkoutArena() *ilp.SolverArena {
+// checkout pops a per-Place scratch, growing the pool on first use.
+func (s *ilpScheduler) checkout() *placeScratch {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n := len(s.arenas); n > 0 {
-		a := s.arenas[n-1]
-		s.arenas = s.arenas[:n-1]
-		return a
+	if n := len(s.scratch); n > 0 {
+		sc := s.scratch[n-1]
+		s.scratch = s.scratch[:n-1]
+		return sc
 	}
-	return ilp.NewSolverArena()
+	return new(placeScratch)
 }
 
-func (s *ilpScheduler) returnArena(a *ilp.SolverArena) {
+func (s *ilpScheduler) release(sc *placeScratch) {
 	s.mu.Lock()
-	s.arenas = append(s.arenas, a)
+	s.scratch = append(s.scratch, sc)
 	s.mu.Unlock()
 }
 
@@ -89,8 +97,8 @@ func (s *ilpScheduler) Name() string { return "Medea-ILP" }
 // Place implements Algorithm: fallback, returned as it is when its score
 // is decided (it wins every comparison it enters), else candidates →
 // buildModel → warm start → solve → decodeSolution → final selection. It
-// keeps nothing of one call for the next but the solver arenas, whose
-// contents never reach a solution.
+// keeps nothing of one call for the next but its scratch (placeScratch),
+// whose contents never reach a result.
 func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active []constraint.Entry, opts Options) *Result {
 	clk := opts.clock()
 	start := clk()
@@ -101,10 +109,12 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	reqs := buildRequests(apps)
 	queue := queueOf(reqs)
 
-	// Every candidate placement is built on state itself and priced
-	// against one pricing pass over it, then released again: the model is built on
-	// state as Place found it, and Place returns it so.
-	base := newScoreBase(state, cons)
+	// Every candidate placement is built on state itself, scored there
+	// (scoreBase) and released again: the model is built on state as
+	// Place found it, and Place returns it so.
+	sc := s.checkout()
+	defer s.release(sc)
+	base := sc.base.reset(state, cons)
 
 	// The score of every node for every container class on state as Place
 	// found it, filled once: the heuristics start from copies of it and
@@ -123,7 +133,10 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 		fb.DecidedPlaces = 1
 		return fb
 	}
-	sol, pm := s.solve(state, apps, cons, tab, fb, start, opts)
+	if sc.arena == nil {
+		sc.arena = ilp.NewSolverArena()
+	}
+	sol, pm := solve(state, apps, cons, tab, fb, start, opts, sc.arena)
 
 	// Final selection: compare the solver's placement with the greedy
 	// warm placement under the *actual* evaluation metric (placed apps,
@@ -157,11 +170,11 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 
 // solve builds the batch's model on state from Place's score table tab,
 // every node of fb a candidate so that the warm start is expressible,
-// and solves it once on a pooled arena, seeded with fb, by start plus the
-// budget. A defective constraint set can produce a malformed model
-// (inverted bounds, dangling variables): solve returns no solution for a
-// model that fails its check, and the batch degrades to the fallback.
-func (s *ilpScheduler) solve(state *cluster.Cluster, apps []*Application, cons []constraint.Entry, tab *scoreTable, fb *Result, start time.Time, opts Options) (*ilp.Solution, *placementModel) {
+// and solves it once on arena, seeded with fb, by start plus the budget.
+// A defective constraint set can produce a malformed model (inverted
+// bounds, dangling variables): solve returns no solution for a model
+// that fails its check, and the batch degrades to the fallback.
+func solve(state *cluster.Cluster, apps []*Application, cons []constraint.Entry, tab *scoreTable, fb *Result, start time.Time, opts Options, arena *ilp.SolverArena) (*ilp.Solution, *placementModel) {
 	groups := batchGroups(apps)
 	fbCounts := groupCounts(groups, fb)
 	cands := selectCandidates(state, tab, cons, groups, opts)
@@ -179,8 +192,6 @@ func (s *ilpScheduler) solve(state *cluster.Cluster, apps []*Application, cons [
 		}
 		return nil, pm
 	}
-	arena := s.checkoutArena()
-	defer s.returnArena(arena)
 	sol := pm.m.Solve(ilp.Options{
 		Deadline:   start.Add(opts.solverBudget()),
 		WarmStarts: []map[ilp.Var]float64{pm.warmValues(fb, fbCounts)},

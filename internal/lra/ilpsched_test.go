@@ -228,8 +228,8 @@ func unmetApp(id string, count int, tag constraint.Tag) *Application {
 }
 
 // TestILPArenaPoolReuse: consecutive undecided Place calls, each one
-// warm-started solve, reuse pooled arenas instead of growing the pool
-// without bound; a decided Place checks none out.
+// warm-started solve, reuse one pooled scratch and its arena instead of
+// growing the pool without bound; a decided Place makes no arena.
 func TestILPArenaPoolReuse(t *testing.T) {
 	c := grid(8, 4)
 	s := NewILP().(*ilpScheduler)
@@ -241,12 +241,12 @@ func TestILPArenaPoolReuse(t *testing.T) {
 				i, res.PlacedApps(), res.DecidedPlaces, res.ExactSolves, res.WarmStarts)
 		}
 	}
-	if n := len(s.arenas); n != 1 {
-		t.Fatalf("arena pool holds %d arenas after serial solves, want 1", n)
+	if n := len(s.scratch); n != 1 || s.scratch[0].arena == nil {
+		t.Fatalf("scratch pool holds %d scratches after serial solves, want 1 with an arena", n)
 	}
 	var res *Result
 	if _, arenas := CountRuns(s, func() { res = s.Place(c, []*Application{workerApp("b", 2, "w")}, nil, opts) }); arenas != 0 || res.DecidedPlaces != 1 || res.ExactSolves != 0 {
-		t.Fatalf("decided Place checked out %d arenas and ran %d solves (%d decided), want none", arenas, res.ExactSolves, res.DecidedPlaces)
+		t.Fatalf("decided Place made %d arenas and ran %d solves (%d decided), want none", arenas, res.ExactSolves, res.DecidedPlaces)
 	}
 }
 

@@ -54,7 +54,7 @@ func referencePlace(s *ilpScheduler, state *cluster.Cluster, apps []*Application
 			fb, fbScore = res, score
 		}
 	}
-	sol, pm := s.solve(state, apps, cons, tab, fb, start, opts)
+	sol, pm := solve(state, apps, cons, tab, fb, start, opts, ilp.NewSolverArena())
 	final = fb
 	decoded := sol != nil && (sol.Status == ilp.Optimal || sol.Status == ilp.Feasible)
 	if decoded {

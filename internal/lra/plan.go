@@ -17,6 +17,7 @@ type atomRef struct {
 	weight  float64 // the owning constraint's EffectiveWeight
 	entry   int32   // the owning entry's index in the list
 	term    int32   // the DNF term within that entry
+	pos     int32   // the atom's index among the list's atoms, in list order
 	subject bool
 	target  bool
 }
@@ -31,6 +32,7 @@ type vecAtoms []atomRef
 // tags is the subject or a target of: the form a placement's delta
 // needs. Pricing violations needs the subject atoms alone (plan.compile).
 func compileAtoms(dst vecAtoms, cons []constraint.Entry, tags []constraint.Tag) vecAtoms {
+	pos := int32(0)
 	for ei := range cons {
 		c := &cons[ei].Constraint // an Entry is too large to copy per atom
 		w := c.EffectiveWeight()
@@ -39,8 +41,9 @@ func compileAtoms(dst vecAtoms, cons []constraint.Entry, tags []constraint.Tag) 
 				a := &term[k]
 				subject, target := a.Subject.Matches(tags), a.Target.Matches(tags)
 				if subject || target {
-					dst = append(dst, atomRef{atom: a, weight: w, entry: int32(ei), term: int32(ti), subject: subject, target: target})
+					dst = append(dst, atomRef{atom: a, weight: w, entry: int32(ei), term: int32(ti), pos: pos, subject: subject, target: target})
 				}
+				pos++
 			}
 		}
 	}
@@ -54,8 +57,9 @@ func compileAtoms(dst vecAtoms, cons []constraint.Entry, tags []constraint.Tag) 
 // over its terms with such an atom, of those atoms' summed extents: the
 // constraint holds when any term does. Each addend is rounded before any
 // sum (no fused multiply-add), so every caller that adds them in order
-// gets the same bits.
-func (v vecAtoms) appendExtents(dst []float64, state *cluster.Cluster, node cluster.NodeID) ([]float64, int) {
+// gets the same bits. v must come from p, which reads each γ through its
+// pass memo (gamma).
+func (p *plan) appendExtents(dst []float64, v vecAtoms, state *cluster.Cluster, node cluster.NodeID) ([]float64, int) {
 	applied := 0
 	for i := 0; i < len(v); {
 		entry, best := v[i].entry, -1.0
@@ -64,7 +68,7 @@ func (v vecAtoms) appendExtents(dst []float64, state *cluster.Cluster, node clus
 			for ; i < len(v) && v[i].entry == entry && v[i].term == term; i++ {
 				if r := &v[i]; r.subject {
 					applies = true
-					sum += subjectExtent(state, r.atom, state.SetsOfNode(r.atom.Group, node), r.target)
+					sum += p.subjectExtent(state, r, state.SetsOfNode(r.atom.Group, node))
 				}
 			}
 			if applies && (best < 0 || sum < best) {
@@ -80,6 +84,33 @@ func (v vecAtoms) appendExtents(dst []float64, state *cluster.Cluster, node clus
 		}
 	}
 	return dst, applied
+}
+
+// subjectExtent is subjectExtent(state, r.atom, sets, r.target), each γ
+// read through the pass memo.
+func (p *plan) subjectExtent(state *cluster.Cluster, r *atomRef, sets []cluster.SetID) float64 {
+	if len(sets) == 0 {
+		return r.atom.ViolationExtent(0)
+	}
+	ext := 0.0
+	for _, sid := range sets {
+		ext += setExtent(r.atom, p.gamma(state, r, sid), r.target)
+	}
+	return ext
+}
+
+// gamma is γ(target) of r's atom in set sid of its group. A pass reads it
+// once per atom and set outside the "node" group, whose sets are single
+// nodes: later reads in the pass take it from the memo.
+func (p *plan) gamma(state *cluster.Cluster, r *atomRef, sid cluster.SetID) int {
+	c := p.memo.at(int(r.pos), sid)
+	if c == nil {
+		return state.Gamma(r.atom.Group, sid, r.atom.Target)
+	}
+	if c.stamp != p.memo.epoch {
+		c.val, c.stamp = state.Gamma(r.atom.Group, sid, r.atom.Target), p.memo.epoch
+	}
+	return c.val
 }
 
 // delta is the increase in weighted violation extent caused by
@@ -106,7 +137,7 @@ func (v vecAtoms) appendExtents(dst []float64, state *cluster.Cluster, node clus
 // atoms, and nodes in no or several sets of a group, are priced directly.
 // A memo serves one v and one subjectOnly setting; a nil memo prices
 // every atom directly.
-func (v vecAtoms) delta(state *cluster.Cluster, node cluster.NodeID, subjectOnly bool, memo *setMemo) float64 {
+func (v vecAtoms) delta(state *cluster.Cluster, node cluster.NodeID, subjectOnly bool, memo *setMemo[float64]) float64 {
 	total := 0.0
 	for i := 0; i < len(v); {
 		entry, w := v[i].entry, v[i].weight
@@ -196,25 +227,26 @@ func (r *atomRef) delta(state *cluster.Cluster, sets []cluster.SetID, target boo
 	return delta
 }
 
-// setMemo keeps, for one compiled vecAtoms, each atom's delta at each
-// set of its group, valid for one state epoch: an entry counts only
-// while its stamp equals the epoch, so bumping the epoch, after the
-// state changed, drops every entry at once. It is a slice indexed by
-// atom offset plus SetID, sized with Cluster.NumSets; nothing is hashed.
-type setMemo struct {
+// setMemo keeps, for one compiled vecAtoms, a value of each atom at each
+// set of its group, valid for one state epoch: an entry counts only while
+// its stamp equals the epoch, so bumping the epoch, after the state
+// changed, drops every entry at once. It is a slice indexed by atom
+// offset plus SetID, sized with Cluster.NumSets; nothing is hashed. The
+// score table keeps deltas in it (vecAtoms.delta), a plan γ (plan.gamma).
+type setMemo[V any] struct {
 	epoch uint32
 	off   []int32 // atom i's entries are cells[off[i]:], by SetID; -1 for "node" atoms
-	cells []memoCell
+	cells []memoCell[V]
 }
 
-type memoCell struct {
+type memoCell[V any] struct {
 	stamp uint32
-	val   float64
+	val   V
 }
 
 // reset lays the memo out for v on state, reusing its buffers, and
 // starts a new epoch.
-func (m *setMemo) reset(state *cluster.Cluster, v vecAtoms) {
+func (m *setMemo[V]) reset(state *cluster.Cluster, v vecAtoms) {
 	m.off = m.off[:0]
 	n := 0
 	for _, r := range v {
@@ -226,7 +258,7 @@ func (m *setMemo) reset(state *cluster.Cluster, v vecAtoms) {
 		n += state.NumSets(r.atom.Group)
 	}
 	if cap(m.cells) < n {
-		m.cells = make([]memoCell, n)
+		m.cells = make([]memoCell[V], n)
 	}
 	m.cells = m.cells[:n]
 	m.epoch++ // every stamp left in cells is older
@@ -235,17 +267,29 @@ func (m *setMemo) reset(state *cluster.Cluster, v vecAtoms) {
 // cell returns atom i's entry for a node in sets, or nil when the atom
 // is priced directly there: no memo, a "node" atom, or a node in no or
 // several sets of the atom's group.
-func (m *setMemo) cell(i int, sets []cluster.SetID) *memoCell {
-	if m == nil || len(sets) != 1 || m.off[i] < 0 {
+func (m *setMemo[V]) cell(i int, sets []cluster.SetID) *memoCell[V] {
+	if m == nil || len(sets) != 1 {
 		return nil
 	}
-	return &m.cells[int(m.off[i])+int(sets[0])]
+	return m.at(i, sets[0])
 }
 
-// plan is a constraint list compiled, once per pricing pass or Place,
-// for the tag vectors of the containers it prices: the atoms a vector is
-// the subject of. Each (node, vector) pair a pass prices (violators) is
-// compiled into scratch.
+// at returns atom i's entry for set sid, or nil for a "node" atom.
+func (m *setMemo[V]) at(i int, sid cluster.SetID) *memoCell[V] {
+	if m.off[i] < 0 {
+		return nil
+	}
+	return &m.cells[int(m.off[i])+int(sid)]
+}
+
+// plan is a constraint list compiled for the tag vectors of the
+// containers a pricing pass prices (violators): the atoms a vector is the
+// subject of. A plan compiles each distinct vector once: its cache finds
+// an earlier compile by the vector's VectorHash, which the vector's tag
+// multiset stores, and SameVector confirms it. A pass reads each γ of a
+// non-"node" atom once (gamma). A scheduler reuses a plan for the lists
+// of its Places (reset): every buffer it keeps is rewritten before it is
+// read, and its cache and memo start empty for each list.
 //
 // A vector is compiled through an index of the list, built with the
 // plan: every atom is listed under one tag of its subject, and since a
@@ -261,24 +305,46 @@ type plan struct {
 	start  []int32
 	at     []int32
 	always []int32
-	found  []int32  // compile's scratch
-	tmp    vecAtoms // scratch's
+	found  []int32 // compile's scratch
+
+	// The compile cache: vecs[byHash[h]] is the first vector of hash h
+	// compiled, and its atoms are atoms[lo:hi].
+	byHash map[uint64]int32
+	vecs   []compiledVec
+	atoms  vecAtoms
+
+	// The pass memo: γ(target) by atom position in all and SetID.
+	memo setMemo[int]
 }
 
-func newPlan(cons []constraint.Entry) *plan {
+// compiledVec is a vector of a plan's compile cache.
+type compiledVec struct {
+	tags   []constraint.Tag
+	lo, hi int32
+}
+
+// newPlan compiles cons for passes over state or clones of it.
+func newPlan(state *cluster.Cluster, cons []constraint.Entry) *plan {
+	return new(plan).reset(state, cons)
+}
+
+// reset compiles the plan's index of cons, reusing its buffers, empties
+// its cache and lays its memo out for state's sets, every stamp cleared.
+func (p *plan) reset(state *cluster.Cluster, cons []constraint.Entry) *plan {
 	n := 0
 	for _, e := range cons {
 		for _, term := range e.Constraint.Terms {
 			n += len(term)
 		}
 	}
-	p := &plan{cons: cons, all: make([]atomRef, 0, n), at: make([]int32, 0, n)}
+	p.cons = cons
+	p.all, p.at, p.always = slices.Grow(p.all[:0], n), slices.Grow(p.at[:0], n), p.always[:0]
 	for ei := range cons {
 		c := &cons[ei].Constraint
 		w := c.EffectiveWeight()
 		for ti, term := range c.Terms {
 			for k := range term {
-				p.all = append(p.all, atomRef{atom: &term[k], weight: w, entry: int32(ei), term: int32(ti)})
+				p.all = append(p.all, atomRef{atom: &term[k], weight: w, entry: int32(ei), term: int32(ti), pos: int32(len(p.all))})
 			}
 		}
 	}
@@ -291,7 +357,7 @@ func newPlan(cons []constraint.Entry) *plan {
 	}
 	// Stable: each tag's atoms stay in list order.
 	slices.SortStableFunc(p.at, func(x, y int32) int { return cmp.Compare(p.listedUnder(x), p.listedUnder(y)) })
-	p.tags, p.start = make([]constraint.Tag, 0, len(p.at)), make([]int32, 0, len(p.at)+1)
+	p.tags, p.start = slices.Grow(p.tags[:0], len(p.at)), slices.Grow(p.start[:0], len(p.at)+1)
 	for i, pos := range p.at {
 		if t := p.listedUnder(pos); i == 0 || t != p.tags[len(p.tags)-1] {
 			p.tags = append(p.tags, t)
@@ -299,6 +365,18 @@ func newPlan(cons []constraint.Entry) *plan {
 		}
 	}
 	p.start = append(p.start, int32(len(p.at)))
+
+	// A fresh cache has room for the vectors of a few racks, an audit
+	// region's; a pass over ilp_steady's 64 nodes meets 79 (of 193
+	// pairs) and grows it once.
+	if p.byHash == nil {
+		p.byHash = make(map[uint64]int32, 64)
+	}
+	clear(p.byHash)
+	clear(p.vecs) // lets go of the last list's tag vectors
+	p.vecs, p.atoms = slices.Grow(p.vecs[:0], 64), p.atoms[:0]
+	p.memo.reset(state, p.all)
+	clear(p.memo.cells) // the stamps of a reused plan's earlier lists
 	return p
 }
 
@@ -338,8 +416,27 @@ func (p *plan) compile(dst vecAtoms, tags []constraint.Tag) vecAtoms {
 	return dst
 }
 
-// scratch compiles tags into a buffer the next call reuses.
-func (p *plan) scratch(tags []constraint.Tag) vecAtoms {
-	p.tmp = p.compile(p.tmp[:0], tags)
-	return p.tmp
+// compiled returns compile(nil, tags), compiling each distinct vector
+// once per plan. hash is tags' VectorHash: it finds the vector's earlier
+// compile, which SameVector confirms. A vector whose hash another vector
+// took first is compiled anew on every call.
+func (p *plan) compiled(tags []constraint.Tag, hash uint64) vecAtoms {
+	i, ok := p.byHash[hash]
+	if ok {
+		if v := &p.vecs[i]; constraint.SameVector(v.tags, tags) {
+			return p.atoms[v.lo:v.hi:v.hi]
+		}
+	}
+	lo := len(p.atoms)
+	p.atoms = p.compile(p.atoms, tags)
+	hi := len(p.atoms)
+	if !ok {
+		p.byHash[hash] = int32(len(p.vecs))
+		p.vecs = append(p.vecs, compiledVec{tags, int32(lo), int32(hi)})
+	}
+	return p.atoms[lo:hi:hi]
 }
+
+// begin starts a pricing pass: the γ the memo holds were read on a state
+// that may differ from the pass's, so they are dropped.
+func (p *plan) begin() { p.memo.epoch++ }

@@ -335,7 +335,7 @@ func TestCompiledDeltaMatchesReference(t *testing.T) {
 func TestSetMemoMatchesDirect(t *testing.T) {
 	type class struct {
 		atoms       vecAtoms
-		memo, stale [2]setMemo // by subjectOnly; stale is the mutant
+		memo, stale [2]setMemo[float64] // by subjectOnly; stale is the mutant
 	}
 	swept, filled, caught := 0, 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
@@ -416,7 +416,7 @@ func TestPlanIndexMatchesCompileAtoms(t *testing.T) {
 	compared, nonEmpty, repeats, caught := 0, 0, 0, 0
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		_, cons, vectors := planInstance(rng)
+		state, cons, vectors := planInstance(rng)
 		if seed%2 == 0 {
 			var entries []constraint.Entry
 			for i := 0; i < 3+rng.Intn(8); i++ {
@@ -442,7 +442,7 @@ func TestPlanIndexMatchesCompileAtoms(t *testing.T) {
 		for k := 0; k < 12; k++ {
 			vectors = append(vectors, draw(rng, rng.Intn(5)))
 		}
-		p := newPlan(cons)
+		p := newPlan(state, cons)
 		for _, tags := range vectors {
 			want := slices.DeleteFunc(compileAtoms(nil, cons, tags), func(r atomRef) bool { return !r.subject })
 			if got := p.compile(nil, tags); !slices.Equal(got, want) {
@@ -492,16 +492,22 @@ func firstTagCompile(p *plan, tags []constraint.Tag) vecAtoms {
 
 // TestExtentSweepMatchesScan: evaluateResolved's pricing of (node, tag
 // vector) pairs returns the Report of a scan of every entry for every
-// container; Violations lists exactly the containers the scan finds
-// violating, in ID order, each with the scan's summed extent; and the
-// score base lists the same containers, each with the scan's addends —
-// all bit for bit, on random clusters, after each of a run of random
-// allocate and release steps. Two mutants must be caught: a pass that
-// counts a pair's applicable constraints once instead of once per
-// container carrying the vector, and a base that prices only the first
-// tag vector of each node.
+// container; Violations over every node lists exactly the containers the
+// scan finds violating, in ID order, each with the scan's summed extent;
+// a plan handed colliding vector hashes prices like the scan; and a score
+// base's first candidate pass lists the scan's violators with their
+// addends, and both its first and a later candidate's score equal the
+// scan's score of that candidate's state — all bit for bit, on random
+// clusters, after each of a run of random allocate and release steps.
+// Five mutants must be caught: a pass that counts a pair's applicable
+// constraints once instead of once per container carrying the vector, a
+// pass that prices only the first tag vector of each node, a compile
+// cache that trusts a vector's hash without SameVector, a first score
+// that prices only its candidate's region, and a later score whose pass
+// reads γ through the memo epoch of the first candidate's.
 func TestExtentSweepMatchesScan(t *testing.T) {
-	swept, violating, caughtCount, caughtBase := 0, 0, 0, 0
+	swept, violating := 0, 0
+	var caughtCount, caughtFirstVector, caughtHash, caughtRegion, caughtEpoch int
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		state, cons, vectors := planInstance(rng)
@@ -510,69 +516,172 @@ func TestExtentSweepMatchesScan(t *testing.T) {
 			if got := evaluateResolved(state, cons); got != want || math.Float64bits(got.TotalExtent) != math.Float64bits(want.TotalExtent) {
 				t.Fatalf("seed %d step %d: evaluateResolved = %+v, scan %+v", seed, step, got, want)
 			}
-			var scan []violation
+			scan := scanViolations(state, cons)
 			var scanExt []Violation
-			for _, id := range containerIDs(state) {
-				node, _ := state.ContainerNode(id)
-				tags, _ := state.ContainerTags(id)
-				addends, _ := scanExtents(nil, state, cons, node, tags)
-				if len(addends) > 0 {
-					scan = append(scan, violation{id, addends})
-					ext := 0.0
-					for _, x := range addends {
-						ext += x
-					}
-					scanExt = append(scanExt, Violation{id, ext})
+			for _, v := range scan {
+				ext := 0.0
+				for _, x := range v.addends {
+					ext += x
 				}
+				scanExt = append(scanExt, Violation{v.id, ext})
 			}
-			if got := Violations(state, cons); !slices.EqualFunc(got, scanExt, func(x, y Violation) bool {
+			var all []cluster.NodeID
+			for _, n := range state.Nodes() {
+				all = append(all, n.ID)
+			}
+			if got := NewViolationRegion(state, cons, all).Violations(state); !slices.EqualFunc(got, scanExt, func(x, y Violation) bool {
 				return x.Container == y.Container && math.Float64bits(x.Extent) == math.Float64bits(y.Extent)
 			}) {
 				t.Fatalf("seed %d step %d: Violations %v, scan %v", seed, step, got, scanExt)
 			}
-			if got := listed(&newScoreBase(state, cons).base); !sameViolations(got, scan) {
-				t.Fatalf("seed %d step %d: base violators %v, scan %v", seed, step, got, scan)
+			// Every vector's hash collides: the cache must tell them apart.
+			collided := pricedWith(state, cons, func(p *plan, tags []constraint.Tag, _ uint64) vecAtoms { return p.compiled(tags, 1) }, 0)
+			if !sameViolations(collided, scan) {
+				t.Fatalf("seed %d step %d: violators under colliding hashes %v, scan %v", seed, step, collided, scan)
 			}
 			// The mutants: once counts each pair as one container, first
-			// prices the first vector each node lists only.
-			var once, first violators
-			p := newPlan(cons)
+			// prices the first vector each node lists only, and the cache
+			// that trusts the hash serves a colliding vector another's
+			// atoms.
+			p := newPlan(state, cons)
+			var once violators
+			p.begin()
 			for _, n := range state.Nodes() {
-				k := 0
-				state.EachNodeVector(n.ID, func(tags []constraint.Tag, count int) {
-					once.pricePair(p, state, n.ID, tags, 1)
-					if k == 0 {
-						first.pricePair(p, state, n.ID, tags, count)
-					}
-					k++
+				state.EachNodeVector(n.ID, func(tags []constraint.Tag, hash uint64, _ int) {
+					once.pricePair(p, state, n.ID, tags, p.compiled(tags, hash), 1)
 				})
 			}
 			once.collect(state)
-			first.collect(state)
+			if got := once.report(); got != want {
+				caughtCount++
+			}
+			if !sameViolations(pricedWith(state, cons, (*plan).compiled, 1), scan) {
+				caughtFirstVector++
+			}
+			if !sameViolations(pricedWith(state, cons, hashOnlyCompiled, 0), scan) {
+				caughtHash++
+			}
+
+			// Two candidates scored in turn, as a Place scores Medea-TP's
+			// placement and then Serial's; mb is the base whose later pass
+			// keeps the first one's memo epoch.
+			b, mb := newScoreBase(state, cons), newScoreBase(state, cons)
+			res := planCandidate(rng, state, vectors, "first")
+			wantFirst := scanScore(state, cons, res)
+			if got := b.score(state, res); math.Float64bits(got) != math.Float64bits(wantFirst) {
+				t.Fatalf("seed %d step %d: first score %v, scan %v", seed, step, got, wantFirst)
+			}
+			if got, scanned := listed(&b.base), scanViolations(state, cons); !sameViolations(got, scanned) {
+				t.Fatalf("seed %d step %d: the first candidate's pass lists %v, scan %v", seed, step, got, scanned)
+			}
+			mb.score(state, res)
+			region := newScoreBase(state, cons)
+			region.markPlaced(region.region, state, res)
+			if math.Float64bits(region.sum(state, res)) != math.Float64bits(wantFirst) {
+				caughtRegion++
+			}
+			releasePlaced(state, res)
+			res = planCandidate(rng, state, vectors, "later")
+			wantLater := scanScore(state, cons, res)
+			if got := b.score(state, res); math.Float64bits(got) != math.Float64bits(wantLater) {
+				t.Fatalf("seed %d step %d: later score %v, scan %v", seed, step, got, wantLater)
+			}
+			mb.plan.memo.epoch-- // begin bumps it back to the first pass's
+			if math.Float64bits(mb.score(state, res)) != math.Float64bits(wantLater) {
+				caughtEpoch++
+			}
+			releasePlaced(state, res)
+
 			swept++
 			if len(scan) > 0 {
 				violating++
 			}
-			if got := once.report(); got != want {
-				caughtCount++
-			}
-			if !sameViolations(listed(&first), scan) {
-				caughtBase++
-			}
 			planStep(rng, state, vectors, step)
 		}
 	}
-	t.Logf("%d states compared, %d of them violating; the pass counting each pair once differs on %d, the base pricing each node's first vector only on %d",
-		swept, violating, caughtCount, caughtBase)
+	t.Logf("%d states compared, %d of them violating; caught: the pass counting each pair once on %d, the pass pricing each node's first vector only on %d, the cache trusting hashes on %d, the first score pricing its region only on %d, the later pass on the first's memo epoch on %d",
+		swept, violating, caughtCount, caughtFirstVector, caughtHash, caughtRegion, caughtEpoch)
 	if violating == 0 {
 		t.Error("coverage: no state violates")
 	}
-	if caughtCount == 0 {
-		t.Error("a pass that counts each (node, vector) pair once is not caught")
+	for _, m := range []struct {
+		name   string
+		caught int
+	}{
+		{"a pass that counts each (node, vector) pair once", caughtCount},
+		{"a pass that prices each node's first vector only", caughtFirstVector},
+		{"a compile cache that trusts the vector hash", caughtHash},
+		{"a first score that prices its region only", caughtRegion},
+		{"a later pass that keeps the first pass's memo epoch", caughtEpoch},
+	} {
+		if m.caught == 0 {
+			t.Errorf("%s is not caught", m.name)
+		}
 	}
-	if caughtBase == 0 {
-		t.Error("a base that prices each node's first vector only is not caught")
+}
+
+// scanViolations lists the containers of state the scan finds violating
+// cons, by ID, with their addends.
+func scanViolations(state *cluster.Cluster, cons []constraint.Entry) []violation {
+	var out []violation
+	for _, id := range containerIDs(state) {
+		node, _ := state.ContainerNode(id)
+		tags, _ := state.ContainerTags(id)
+		if addends, _ := scanExtents(nil, state, cons, node, tags); len(addends) > 0 {
+			out = append(out, violation{id, addends})
+		}
 	}
+	return out
+}
+
+// scanScore is the score of res, placed on state, by scanReport.
+func scanScore(state *cluster.Cluster, cons []constraint.Entry, res *Result) float64 {
+	return float64(res.PlacedApps()) - scanReport(state, cons).TotalExtent/1e6
+}
+
+// pricedWith lists the violators of one pass over state, each vector
+// compiled by compile; a vectors > 0 prices only the first that many
+// vectors each node lists.
+func pricedWith(state *cluster.Cluster, cons []constraint.Entry, compile func(p *plan, tags []constraint.Tag, hash uint64) vecAtoms, vectors int) []violation {
+	p := newPlan(state, cons)
+	var v violators
+	p.begin()
+	for _, n := range state.Nodes() {
+		k := 0
+		state.EachNodeVector(n.ID, func(tags []constraint.Tag, hash uint64, count int) {
+			if vectors == 0 || k < vectors {
+				v.pricePair(p, state, n.ID, tags, compile(p, tags, hash), count)
+			}
+			k++
+		})
+	}
+	v.collect(state)
+	return listed(&v)
+}
+
+// hashOnlyCompiled is plan.compiled taking a cache hit on the hash alone,
+// every vector's hash replaced by one.
+func hashOnlyCompiled(p *plan, tags []constraint.Tag, _ uint64) vecAtoms {
+	if i, ok := p.byHash[1]; ok {
+		v := p.vecs[i]
+		return p.atoms[v.lo:v.hi]
+	}
+	return p.compiled(tags, 1)
+}
+
+// planCandidate allocates on state a placed application of one to three
+// containers of drawn vectors on random nodes, as far as they fit, and
+// returns it as the result a heuristic would.
+func planCandidate(rng *rand.Rand, state *cluster.Cluster, vectors [][]constraint.Tag, app string) *Result {
+	p := Placement{AppID: app, Placed: true}
+	for k := 0; k < 1+rng.Intn(3); k++ {
+		a := Assignment{Container: cluster.MakeContainerID(app, k), Node: cluster.NodeID(rng.Intn(state.NumNodes())),
+			Demand: resource.New(256, 0), Tags: vectors[rng.Intn(len(vectors))]}
+		if state.Allocate(a.Node, a.Container, a.Demand, a.Tags) == nil {
+			p.Assignments = append(p.Assignments, a)
+		}
+	}
+	return &Result{Placements: []Placement{p}}
 }
 
 // violation is a violating container and its addends.
@@ -596,4 +705,110 @@ func sameViolations(a, b []violation) bool {
 
 func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// TestRegionViolationsMatchWholeState: the audit's hard check diffs
+// Violations on a batch's region before and after the batch is
+// allocated. The violators that diff finds new, with their extents,
+// are the ones a diff of every node's violators finds (evaluateResolved's
+// pass), in the same order, bit for bit, on random clusters with
+// overlapping zones and batches of one to four containers, lists with
+// hard weights included; and outside the region no violator appears,
+// leaves or changes its extent. A region of the assigned nodes alone
+// must be caught.
+func TestRegionViolationsMatchWholeState(t *testing.T) {
+	batches, withNew, caught := 0, 0, 0
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		state, cons, vectors := planInstance(rng)
+		for step := 0; step < 8; step++ {
+			var nodes []cluster.NodeID
+			for k := 0; k < 1+rng.Intn(4); k++ {
+				nodes = append(nodes, cluster.NodeID(rng.Intn(state.NumNodes())))
+			}
+			region := NewViolationRegion(state, cons, nodes)
+			before, wholeBefore, nodesBefore := region.Violations(state), wholeViolations(state, cons), nodesOnlyViolations(state, cons, nodes)
+			var ids []cluster.ContainerID
+			for k, n := range nodes {
+				id := cluster.MakeContainerID(fmt.Sprint("batch", step), k)
+				if state.Allocate(n, id, resource.New(256, 0), vectors[rng.Intn(len(vectors))]) == nil {
+					ids = append(ids, id)
+				}
+			}
+			after, wholeAfter := region.Violations(state), wholeViolations(state, cons)
+			got, want := newViolations(before, after), newViolations(wholeBefore, wholeAfter)
+			if !sameViolationList(got, want) {
+				t.Fatalf("seed %d step %d: the region diff finds %v new, the whole-state diff %v", seed, step, got, want)
+			}
+			in := newScoreBase(state, cons)
+			for _, n := range nodes {
+				in.mark(in.region, state, n)
+			}
+			outside := func(vs []Violation) []Violation {
+				return slices.DeleteFunc(slices.Clone(vs), func(v Violation) bool {
+					n, ok := state.ContainerNode(v.Container)
+					return !ok || in.region[n]
+				})
+			}
+			if !sameViolationList(outside(wholeBefore), outside(wholeAfter)) {
+				t.Fatalf("seed %d step %d: outside the region the violators moved from %v to %v", seed, step, outside(wholeBefore), outside(wholeAfter))
+			}
+			batches++
+			if len(want) > 0 {
+				withNew++
+			}
+			if !sameViolationList(newViolations(nodesBefore, nodesOnlyViolations(state, cons, nodes)), want) {
+				caught++
+			}
+			for _, id := range ids {
+				if err := state.Release(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			planStep(rng, state, vectors, step)
+		}
+	}
+	t.Logf("%d batches, %d of them with a new violator; the region of the assigned nodes alone differs on %d", batches, withNew, caught)
+	if withNew == 0 {
+		t.Error("coverage: no batch adds a violator")
+	}
+	if caught == 0 {
+		t.Error("a region of the assigned nodes alone is not caught")
+	}
+}
+
+// wholeViolations is Violations over every node, by evaluateResolved's
+// pass.
+func wholeViolations(state *cluster.Cluster, cons []constraint.Entry) []Violation {
+	var v violators
+	v.priceAll(newPlan(state, cons), state)
+	return v.violations()
+}
+
+// nodesOnlyViolations is Violations with a region of nodes alone.
+func nodesOnlyViolations(state *cluster.Cluster, cons []constraint.Entry, nodes []cluster.NodeID) []Violation {
+	b := newScoreBase(state, cons)
+	for _, n := range nodes {
+		b.region[n] = true
+	}
+	b.work.priceRegion(b.plan, state, b.region)
+	return b.work.violations()
+}
+
+// newViolations returns the violators of after, in ID order, that
+// before does not list, as the audit's firstNew finds the first of them.
+func newViolations(before, after []Violation) []Violation {
+	var out []Violation
+	for _, v := range after {
+		if !slices.ContainsFunc(before, func(b Violation) bool { return b.Container == v.Container }) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+func sameViolationList(a, b []Violation) bool {
+	return slices.EqualFunc(a, b, func(x, y Violation) bool {
+		return x.Container == y.Container && math.Float64bits(x.Extent) == math.Float64bits(y.Extent)
+	})
 }

@@ -158,7 +158,9 @@ func scoredPlacements(t *testing.T, seeds int) []scoredPlacement {
 
 // TestPlaceScoreMatchesOracle pins the score Place commits by — the delta
 // of scoreBase.score on the scratch cluster a heuristic or the solution
-// decode finished on — and the full sweep placementScore it replaced to
+// decode finished on, scored first (one pass over the scratch) and after
+// another candidate of the seed (a region pass on that candidate's
+// pass) — and the full sweep placementScore it replaced to
 // the from-scratch oracle, bit for bit, for Medea-TP, Serial and decoded
 // solver solutions over seeded random clusters and batches. Then it shows
 // the comparison has teeth: five mutants of the two scorers, each a bug
@@ -170,11 +172,20 @@ func TestPlaceScoreMatchesOracle(t *testing.T) {
 	oracle := make([]uint64, len(cases))
 	for i, c := range cases {
 		want := oracleScore(c.state, c.apps, c.active, c.res)
+		// A later candidate: the seed's previous placement is scored first,
+		// or, for its first, an empty result on the pre-placement state.
+		later := newScoreBase(c.state, c.flat)
+		if i%3 > 0 {
+			later.score(cases[i-1].work, cases[i-1].res)
+		} else {
+			later.score(c.state, &Result{})
+		}
 		for _, s := range []struct {
 			name string
 			got  float64
 		}{
 			{"delta", newScoreBase(c.state, c.flat).score(c.work, c.res)},
+			{"delta after another candidate", later.score(c.work, c.res)},
 			{"sweep", placementScore(c.work, c.flat, c.res)},
 		} {
 			if math.Float64bits(s.got) != math.Float64bits(want) {
@@ -248,7 +259,7 @@ func TestPlaceScoreMatchesOracle(t *testing.T) {
 		{"delta: an assigned node already in the region is not expanded", func(c scoredPlacement) float64 {
 			return mutantDelta(c, func(b *scoreBase, node cluster.NodeID) {
 				if !b.region[node] {
-					b.mark(c.work, node)
+					b.mark(b.region, c.work, node)
 				}
 			})
 		}},
@@ -300,10 +311,14 @@ func TestScratchRestoredAfterRelease(t *testing.T) {
 	t.Logf("%d seeds, %d containers released", len(cases)/3, released)
 }
 
-// mutantDelta is scoreBase.score with the region of every assigned node
-// marked by mark instead of scoreBase.mark.
+// mutantDelta is a later candidate's scoreBase.score with the region of
+// every assigned node marked by mark instead of scoreBase.mark. The base
+// is a first pass over the pre-placement state, which an empty result
+// dirties nowhere.
 func mutantDelta(c scoredPlacement, mark func(b *scoreBase, node cluster.NodeID)) float64 {
 	b := newScoreBase(c.state, c.flat)
+	b.score(c.state, &Result{})
+	clear(b.region)
 	for _, p := range c.res.Placements {
 		if p.Placed {
 			for _, a := range p.Assignments {

@@ -32,7 +32,7 @@ type scoreClass struct {
 	// memo keeps the atoms' deltas per set of their groups for the
 	// current state (setMemo). Every copy of a table shares its class's
 	// memo, so the memo's epoch only rises, whichever copy bumps it.
-	memo   *setMemo
+	memo   *setMemo[float64]
 	scores []nodeScore // by node index
 	// clean is the live number of clean cells. nc is Nc as the Medea-NC
 	// ordering sees it: a copy of clean taken at the initial fill and
@@ -92,7 +92,7 @@ func newScoreTable(g *greedy, work *cluster.Cluster, cons []constraint.Entry, qu
 		}
 		classOf[i] = ci
 	}
-	memos := make([]setMemo, len(t.classes))
+	memos := make([]setMemo[float64], len(t.classes))
 	for ci := range t.classes {
 		t.classes[ci].compile(work, cons, &memos[ci])
 	}
@@ -120,7 +120,7 @@ func (t *scoreTable) find(tags []constraint.Tag, demand resource.Vector) int {
 
 // compile compiles the class's atoms of cons, lists the node groups they
 // count over and lays memo out for them.
-func (c *scoreClass) compile(work *cluster.Cluster, cons []constraint.Entry, memo *setMemo) {
+func (c *scoreClass) compile(work *cluster.Cluster, cons []constraint.Entry, memo *setMemo[float64]) {
 	c.atoms = compileAtoms(nil, cons, c.tags)
 	for _, ref := range c.atoms {
 		if g := ref.atom.Group; g != constraint.Node && !slices.Contains(c.groups, g) {
@@ -190,7 +190,7 @@ func (t *scoreTable) groupScores(cons []constraint.Entry, tags []constraint.Tag,
 		return t.classes[ci].scores
 	}
 	c := scoreClass{tags: tags, demand: demand, scores: make([]nodeScore, t.work.NumNodes())}
-	c.compile(t.work, cons, &setMemo{})
+	c.compile(t.work, cons, &setMemo[float64]{})
 	t.fill(&c)
 	return c.scores
 }

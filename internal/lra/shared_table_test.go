@@ -165,7 +165,7 @@ func refSelectCandidates(state *cluster.Cluster, cons []constraint.Entry, groups
 			budget = max(2*g.count, 8)
 		}
 		atoms := compileAtoms(nil, cons, g.tags)
-		var memo setMemo
+		var memo setMemo[float64]
 		memo.reset(state, atoms)
 		type class struct {
 			nodes []cluster.NodeID
