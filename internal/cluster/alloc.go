@@ -84,14 +84,16 @@ func (c *Cluster) release(id ContainerID, info containerInfo) {
 
 // moveTags adds one container's tags to, or removes them from, the tag
 // set of every node set (in every group, the node's own singleton set
-// of the "node" group included) containing the node.
+// of the "node" group included) containing the node. The tags are
+// hashed once for all those sets.
 func (c *Cluster) moveTags(node NodeID, tags []constraint.Tag, add bool) {
+	h := constraint.VectorHash(tags)
 	for _, g := range c.groups {
 		for _, sid := range g.setsOf(node) {
 			if add {
-				g.tagSets[sid].AddContainer(tags)
+				g.tagSets[sid].AddContainer(tags, h)
 			} else {
-				g.tagSets[sid].RemoveContainer(tags)
+				g.tagSets[sid].RemoveContainer(tags, h)
 			}
 		}
 	}

@@ -103,10 +103,10 @@ func permuted(rng *rand.Rand, v []Tag) []Tag {
 	return w
 }
 
-// removePanics reports whether s.RemoveContainer(tags) panicked.
+// removePanics reports whether s.removeContainer(tags) panicked.
 func removePanics(s *Set, tags []Tag) (panicked bool) {
 	defer func() { panicked = recover() != nil }()
-	s.RemoveContainer(tags)
+	s.removeContainer(tags)
 	return false
 }
 
@@ -186,19 +186,19 @@ func runSetSequences(t *testing.T, check func(t *testing.T, s *Set, r refSet, rn
 				switch {
 				case op < 4 || len(r) == 0:
 					v := randomVector(rng)
-					s.AddContainer(v)
+					s.addContainer(v)
 					refs[i] = append(r, slices.Clone(v))
 					for k := range v {
 						v[k] = "reused" // the caller may reuse its slice
 					}
 				case op < 6:
 					k := rng.Intn(len(r))
-					s.RemoveContainer(permuted(rng, r[k]))
+					s.removeContainer(permuted(rng, r[k]))
 					refs[i] = slices.Delete(slices.Clone(r), k, k+1)
 				case op < 7:
 					miss := nearMiss(rng, r[rng.Intn(len(r))])
 					if k := r.indexOf(miss); k >= 0 {
-						s.RemoveContainer(miss)
+						s.removeContainer(miss)
 						refs[i] = slices.Delete(slices.Clone(r), k, k+1)
 					} else if !removePanics(s, miss) {
 						t.Fatalf("step %d: RemoveContainer(%q) of an absent vector did not panic", step, miss)
@@ -231,7 +231,7 @@ func TestSetNULTagsDoNotAlias(t *testing.T) {
 	for _, order := range [][][]Tag{{{"a\x00b"}, {"a", "b"}}, {{"a", "b"}, {"a\x00b"}}} {
 		s := NewSet()
 		for _, v := range order {
-			s.AddContainer(v)
+			s.addContainer(v)
 		}
 		if got := s.CountExpr(E("a", "b")); got != 1 {
 			t.Errorf("adding %q: γ(a∧b) = %d, want 1", order, got)
@@ -239,7 +239,7 @@ func TestSetNULTagsDoNotAlias(t *testing.T) {
 		if got := s.Count("a\x00b"); got != 1 {
 			t.Errorf("adding %q: γ(a\\x00b) = %d, want 1", order, got)
 		}
-		s.RemoveContainer(order[0])
+		s.removeContainer(order[0])
 		if got, want := s.CountExpr(E("a", "b")), len(order[1])-1; got != want {
 			t.Errorf("after removing %q: γ(a∧b) = %d, want %d", order[0], got, want)
 		}

@@ -112,12 +112,14 @@ func (e Expr) String() string {
 // visits every vector in either layout, and Clone is two memmoves.
 //
 // A Set answers γ queries and lists its distinct vectors (EachVector);
-// it keeps no per-query index. It hashes each vector once, when its entry
-// is created (VectorHash), and hands the hash out with the vector. What
-// stays fixed while a scheduler prices a batch — which atoms each
-// container tag vector is the subject or a target of — is compiled on
-// the scheduler's side (lra's plan, through an index of the constraint
-// list, once per distinct vector, found by that hash), and an atom's
+// it keeps no per-query index. Each vector's entry keeps its VectorHash,
+// which the caller that adds or removes the vector hands in: a lookup
+// compares hashes before it compares vectors, and EachVector hands the
+// hash out with the vector. What stays fixed while a scheduler prices a
+// batch — which atoms each container tag vector is the subject or a
+// target of — is compiled on the scheduler's side (lra's plan, through
+// an index of the constraint list, once per distinct vector, found by
+// that hash), and an atom's
 // three γ in one set come from one scan (CountAtom). A node's Set is
 // also how the violators of a state are found (a Place's score pass,
 // lra.Evaluate, the audit's hard check): a container's violation depends
@@ -192,10 +194,12 @@ func VectorHash(tags []Tag) uint64 {
 	return sum
 }
 
-// vector returns the index of tags' entry in s.vectors, or -1.
-func (s *Set) vector(tags []Tag) int {
+// vector returns the index of the entry of tags, whose VectorHash is h,
+// in s.vectors, or -1. Only an entry with the same hash can hold the
+// vector, so SameVector runs on those alone.
+func (s *Set) vector(tags []Tag, h uint64) int {
 	for i := range s.vectors {
-		if SameVector(s.vectors[i].tags, tags) {
+		if s.vectors[i].hash == h && SameVector(s.vectors[i].tags, tags) {
 			return i
 		}
 	}
@@ -212,15 +216,15 @@ func (s *Set) tag(t Tag) int {
 	return -1
 }
 
-// AddContainer records one container carrying the given tags. Tags of a
-// container are added when it is allocated on a node (§4.1).
-func (s *Set) AddContainer(tags []Tag) {
-	s.add(tags, 0, 1)
+// AddContainer records one container carrying the given tags, whose
+// VectorHash is hash: a caller adding one container to several sets
+// hashes its tags once. Tags of a container are added when it is
+// allocated on a node (§4.1).
+func (s *Set) AddContainer(tags []Tag, hash uint64) {
+	s.add(tags, hash, 1)
 }
 
-// add records n containers carrying tags. h is their VectorHash, or 0
-// when the caller has not computed it: a new entry then hashes tags,
-// which gives the same value whenever the hash is 0 itself.
+// add records n containers carrying tags, whose VectorHash is h.
 func (s *Set) add(tags []Tag, h uint64, n int) {
 	for i, t := range tags {
 		// γ counts containers per tag, so duplicate tags within one
@@ -234,21 +238,18 @@ func (s *Set) add(tags []Tag, h uint64, n int) {
 			s.counts = append(s.counts, tagCount{t, n})
 		}
 	}
-	if i := s.vector(tags); i >= 0 {
+	if i := s.vector(tags, h); i >= 0 {
 		s.vectors[i].count += n
 		return
-	}
-	if h == 0 {
-		h = VectorHash(tags)
 	}
 	s.vectors = append(s.vectors, vecEntry{slices.Clone(tags), h, n})
 }
 
 // RemoveContainer undoes AddContainer; tags are removed when the container
-// finishes execution (§4.1). Removing a container that was never added is
-// a programming error and panics.
-func (s *Set) RemoveContainer(tags []Tag) {
-	i := s.vector(tags)
+// finishes execution (§4.1). hash is VectorHash(tags). Removing a
+// container that was never added is a programming error and panics.
+func (s *Set) RemoveContainer(tags []Tag, hash uint64) {
+	i := s.vector(tags, hash)
 	if i < 0 {
 		panic(fmt.Sprintf("constraint: RemoveContainer of absent container %v", tags))
 	}
@@ -358,7 +359,7 @@ func (s *Set) Equal(o *Set) bool {
 		return false
 	}
 	for _, e := range s.vectors {
-		if i := o.vector(e.tags); i < 0 || o.vectors[i].count != e.count {
+		if i := o.vector(e.tags, e.hash); i < 0 || o.vectors[i].count != e.count {
 			return false
 		}
 	}

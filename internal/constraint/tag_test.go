@@ -48,8 +48,8 @@ func TestExprString(t *testing.T) {
 // 𝒯n1={hb, hb_m, hb_rs} with γ(hb)=2 and γ(hb_m)=γ(hb_rs)=1.
 func TestSetPaperExample(t *testing.T) {
 	s := NewSet()
-	s.AddContainer([]Tag{"hb", "hb_m"})
-	s.AddContainer([]Tag{"hb", "hb_rs"})
+	s.addContainer([]Tag{"hb", "hb_m"})
+	s.addContainer([]Tag{"hb", "hb_rs"})
 	if got := s.Count("hb"); got != 2 {
 		t.Errorf("γ(hb) = %d, want 2", got)
 	}
@@ -68,10 +68,10 @@ func TestSetPaperExample(t *testing.T) {
 // region server gives γr1(hb)=3, γr1(hb_m)=1, γr1(hb_rs)=2.
 func TestSetRackMerge(t *testing.T) {
 	n1 := NewSet()
-	n1.AddContainer([]Tag{"hb", "hb_m"})
-	n1.AddContainer([]Tag{"hb", "hb_rs"})
+	n1.addContainer([]Tag{"hb", "hb_m"})
+	n1.addContainer([]Tag{"hb", "hb_rs"})
 	n2 := NewSet()
-	n2.AddContainer([]Tag{"hb", "hb_rs"})
+	n2.addContainer([]Tag{"hb", "hb_rs"})
 	rack := NewSet()
 	rack.Merge(n1)
 	rack.Merge(n2)
@@ -88,16 +88,16 @@ func TestSetRackMerge(t *testing.T) {
 
 func TestSetRemove(t *testing.T) {
 	s := NewSet()
-	s.AddContainer([]Tag{"a", "b"})
-	s.AddContainer([]Tag{"a"})
-	s.RemoveContainer([]Tag{"a", "b"})
+	s.addContainer([]Tag{"a", "b"})
+	s.addContainer([]Tag{"a"})
+	s.removeContainer([]Tag{"a", "b"})
 	if got := s.Count("a"); got != 1 {
 		t.Errorf("γ(a) = %d after remove, want 1", got)
 	}
 	if got := s.Count("b"); got != 0 {
 		t.Errorf("γ(b) = %d after remove, want 0", got)
 	}
-	s.RemoveContainer([]Tag{"a"})
+	s.removeContainer([]Tag{"a"})
 	if got := s.CountExpr(nil); got != 0 {
 		t.Errorf("Containers = %d after all removes, want 0", got)
 	}
@@ -109,16 +109,16 @@ func TestSetRemoveAbsentPanics(t *testing.T) {
 			t.Error("RemoveContainer of absent container should panic")
 		}
 	}()
-	NewSet().RemoveContainer([]Tag{"ghost"})
+	NewSet().removeContainer([]Tag{"ghost"})
 }
 
 func TestSetDuplicateTagsCountOnce(t *testing.T) {
 	s := NewSet()
-	s.AddContainer([]Tag{"x", "x", "x"})
+	s.addContainer([]Tag{"x", "x", "x"})
 	if got := s.Count("x"); got != 1 {
 		t.Errorf("γ(x) = %d, want 1 (duplicates within a container count once)", got)
 	}
-	s.RemoveContainer([]Tag{"x", "x", "x"})
+	s.removeContainer([]Tag{"x", "x", "x"})
 	if got := s.Count("x"); got != 0 {
 		t.Errorf("γ(x) = %d after remove, want 0", got)
 	}
@@ -128,9 +128,9 @@ func TestSetDuplicateTagsCountOnce(t *testing.T) {
 // containers matching all tags, not the min over single-tag counts.
 func TestCountExprConjunction(t *testing.T) {
 	s := NewSet()
-	s.AddContainer([]Tag{"hb", "mem"})
-	s.AddContainer([]Tag{"hb"})
-	s.AddContainer([]Tag{"mem"})
+	s.addContainer([]Tag{"hb", "mem"})
+	s.addContainer([]Tag{"hb"})
+	s.addContainer([]Tag{"mem"})
 	if got := s.CountExpr(E("hb", "mem")); got != 1 {
 		t.Errorf("γ(hb&mem) = %d, want 1", got)
 	}
@@ -144,9 +144,9 @@ func TestCountExprConjunction(t *testing.T) {
 
 func TestSetClone(t *testing.T) {
 	s := NewSet()
-	s.AddContainer([]Tag{"a"})
+	s.addContainer([]Tag{"a"})
 	c := s.Clone()
-	c.AddContainer([]Tag{"a"})
+	c.addContainer([]Tag{"a"})
 	if s.Count("a") != 1 || c.Count("a") != 2 {
 		t.Errorf("clone not independent: orig=%d clone=%d", s.Count("a"), c.Count("a"))
 	}
@@ -159,7 +159,7 @@ func TestSetEqual(t *testing.T) {
 	build := func(vectors ...[]Tag) *Set {
 		s := NewSet()
 		for _, v := range vectors {
-			s.AddContainer(v)
+			s.addContainer(v)
 		}
 		return s
 	}
@@ -185,8 +185,8 @@ func TestSetEqual(t *testing.T) {
 		}
 	}
 	added := s.Clone()
-	added.AddContainer([]Tag{"d"})
-	added.RemoveContainer([]Tag{"d"})
+	added.addContainer([]Tag{"d"})
+	added.removeContainer([]Tag{"d"})
 	if !added.Equal(s) {
 		t.Error("adding and removing a container changed the multiset")
 	}
@@ -205,10 +205,10 @@ func TestSetAddRemoveInverse(t *testing.T) {
 				tags = append(tags, Tag([]byte{'f' + byte(rng.Intn(5))}))
 			}
 			batch = append(batch, tags)
-			s.AddContainer(tags)
+			s.addContainer(tags)
 		}
 		for _, tags := range batch {
-			s.RemoveContainer(tags)
+			s.removeContainer(tags)
 		}
 		return s.CountExpr(nil) == 0 && len(s.Tags()) == 0
 	}

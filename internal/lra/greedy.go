@@ -1,8 +1,9 @@
 package lra
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"medea/internal/cluster"
 	"medea/internal/constraint"
@@ -165,10 +166,10 @@ func (g *greedy) placeOn(work *cluster.Cluster, apps []*Application, flat []cons
 	return g.placeQueue(work, apps, queue, tab, classOf)
 }
 
-// ownTable fills g's score table of queue on work: every node score of a
-// placement lives in one table, kept current across its tentative
-// allocations and rollbacks. The first-fit baseline ignores scores and
-// has none.
+// ownTable makes g's score table of queue on work: every node score of
+// a placement lives in one table, brought up to date across its
+// tentative allocations and rollbacks as it is read. The first-fit
+// baseline ignores scores and has none.
 func (g *greedy) ownTable(work *cluster.Cluster, flat []constraint.Entry, queue []containerReq) (*scoreTable, []int) {
 	if g.firstFit {
 		return nil, nil
@@ -189,12 +190,18 @@ func (g *greedy) placeQueue(work *cluster.Cluster, apps []*Application, queue []
 			idx[i] = i
 		}
 		pop := func(i int) int { return len(tab.classes[classOf[i]].atoms) }
-		sort.SliceStable(idx, func(a, b int) bool { return pop(idx[a]) > pop(idx[b]) })
+		slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(pop(b), pop(a)) })
 		nq, nc := make([]containerReq, len(queue)), make([]int, len(queue))
 		for i, j := range idx {
 			nq[i], nc[i] = queue[j], classOf[j]
 		}
 		queue, classOf = nq, nc
+	}
+	if g.order == orderNC {
+		// Medea-NC compares every class's Nc before its first pick.
+		for ci := range tab.classes {
+			tab.ensure(ci)
+		}
 	}
 
 	failed := make([]bool, len(apps))

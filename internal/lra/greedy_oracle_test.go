@@ -2,6 +2,7 @@ package lra
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -293,50 +294,102 @@ func fillNearlyFull(t *testing.T, rng *rand.Rand, state *cluster.Cluster) {
 	}
 }
 
-// checkTable compares every cell, every clean count and every node
-// choice of the table with the oracle, which scans the whole constraint
-// list cons. Floats must be bit-identical: the table caches scores, it
-// never computes one differently.
-func checkTable(t *testing.T, step string, g *greedy, tab *scoreTable, cons []constraint.Entry, queue []containerReq, classOf []int) {
-	t.Helper()
-	seen := map[int]bool{}
-	for qi, r := range queue {
-		ci := classOf[qi]
-		if seen[ci] {
-			continue
-		}
-		seen[ci] = true
-		c := &tab.classes[ci]
+// catchUp brings a class's row up to date before it is read: the
+// table's ensure, or a mutant of it.
+type catchUp func(t *scoreTable, ci int) *scoreClass
+
+// tableMismatch reads the rows of classes through ensure and compares
+// every cell, the clean count and the node choice of each with the
+// oracle, which scans the whole constraint list cons; rep holds a queue
+// index of each class. Floats must be bit-identical: the table caches
+// scores, it never computes one differently. It returns the first
+// difference, or "".
+func tableMismatch(g *greedy, tab *scoreTable, ensure catchUp, cons []constraint.Entry, queue []containerReq, rep, classes []int) string {
+	for _, ci := range classes {
+		r := queue[rep[ci]]
+		c := ensure(tab, ci)
 		want := g.oracleScores(tab.work, cons, r)
 		clean := 0
 		for ni, w := range want {
-			if got := c.scores[ni]; got != w {
-				t.Fatalf("%s: %s class %d (%v %v) node %d: table %+v, oracle %+v", step, g.name, ci, c.tags, c.demand, ni, got, w)
+			got := c.scores[ni]
+			if got.ok != w.ok || math.Float64bits(got.delta) != math.Float64bits(w.delta) || math.Float64bits(got.util) != math.Float64bits(w.util) {
+				return fmt.Sprintf("%s class %d (%v %v) node %d: table %+v, oracle %+v", g.name, ci, c.tags, c.demand, ni, got, w)
 			}
 			if w.clean() {
 				clean++
 			}
 		}
 		if c.clean != clean {
-			t.Fatalf("%s: %s class %d: clean %d, oracle %d", step, g.name, ci, c.clean, clean)
+			return fmt.Sprintf("%s class %d: clean %d, oracle %d", g.name, ci, c.clean, clean)
 		}
 		if g.order == orderNC {
 			if nc := countCandidates(tab.work, cons, r); c.clean != nc {
-				t.Fatalf("%s: class %d: clean %d, countCandidates %d", step, ci, c.clean, nc)
+				return fmt.Sprintf("class %d: clean %d, countCandidates %d", ci, c.clean, nc)
 			}
 		}
 		gotNode, gotOK := tab.best(ci)
 		wantNode, wantOK := g.oracleBestNode(tab.work, cons, r)
 		if gotNode != wantNode || gotOK != wantOK {
-			t.Fatalf("%s: %s class %d: best %d/%v, oracle %d/%v", step, g.name, ci, gotNode, gotOK, wantNode, wantOK)
+			return fmt.Sprintf("%s class %d: best %d/%v, oracle %d/%v", g.name, ci, gotNode, gotOK, wantNode, wantOK)
 		}
 	}
+	return ""
+}
+
+// touchedNodeOnly is a mutant of ensure whose catch-up re-scores the
+// touched nodes' own cells and none of their set members'.
+func touchedNodeOnly(t *scoreTable, ci int) *scoreClass {
+	c := &t.classes[ci]
+	if c.cursor < 0 {
+		t.fill(c)
+	} else if c.cursor < len(t.log) {
+		c.memo.epoch++
+		for _, node := range t.log[c.cursor:] {
+			t.rescore(c, node)
+		}
+	}
+	c.cursor = len(t.log)
+	return c
+}
+
+// sameEpoch is a mutant of ensure whose catch-up re-scores on the memo
+// epoch of the row's fill or last catch-up.
+func sameEpoch(t *scoreTable, ci int) *scoreClass {
+	c := &t.classes[ci]
+	if c.cursor < 0 {
+		t.fill(c)
+	} else if c.cursor < len(t.log) {
+		for _, node := range t.log[c.cursor:] {
+			t.rescore(c, node)
+			for _, grp := range c.groups {
+				for _, sid := range t.work.SetsOfNode(grp, node) {
+					for _, m := range t.work.SetMembers(grp, sid) {
+						t.rescore(c, m)
+					}
+				}
+			}
+		}
+	}
+	c.cursor = len(t.log)
+	return c
 }
 
 // TestScoreTableMatchesOracle drives the table through seeded random
-// allocate / release / whole-application rollback sequences and checks it
-// against a from-scratch rescoring after every single step.
+// allocate / release / whole-application rollback sequences. After every
+// step it reads a random subset of the classes, so a row stays stale
+// across several touches before it catches up and some rows are first
+// filled on a changed state, and checks every cell read against a
+// from-scratch rescoring, bit for bit. Two mutants of the
+// catch-up, each run on a table of its own beside the real one, must be
+// caught: re-scoring only the touched node, and re-scoring without a new
+// memo epoch.
 func TestScoreTableMatchesOracle(t *testing.T) {
+	mutants := []struct {
+		name   string
+		ensure catchUp
+	}{{"a catch-up of the touched node only", touchedNodeOnly}, {"a catch-up on the last memo epoch", sameEpoch}}
+	caught := make([]int, len(mutants))
+	reads, maxBehind, lateFills := 0, 0, 0
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		state := oracleCluster(rng)
@@ -346,24 +399,55 @@ func TestScoreTableMatchesOracle(t *testing.T) {
 		for _, g := range scoringVariants() {
 			work := state.Clone()
 			cons := g.filterEntries(flattenConstraints(apps, active))
-			var queue []containerReq
-			for _, rs := range buildRequests(apps) {
-				queue = append(queue, rs...)
-			}
+			queue := queueOf(buildRequests(apps))
 			tab, classOf := newScoreTable(g, work, cons, queue)
-			checkTable(t, fmt.Sprintf("seed %d fill", seed), g, tab, cons, queue, classOf)
+			mutTabs := make([]*scoreTable, len(mutants))
+			for k := range mutants {
+				mutTabs[k], _ = newScoreTable(g, work, cons, queue)
+			}
+			rep, all := make([]int, len(tab.classes)), make([]int, len(tab.classes))
+			for qi := len(queue) - 1; qi >= 0; qi-- {
+				rep[classOf[qi]] = qi
+			}
+			for ci := range all {
+				all[ci] = ci
+			}
+			touched := func(node cluster.NodeID) {
+				tab.touched(node)
+				for _, m := range mutTabs {
+					m.touched(node)
+				}
+			}
+			read := func(step string, classes []int) {
+				for _, ci := range classes {
+					switch c := tab.classes[ci]; {
+					case c.cursor >= 0:
+						maxBehind = max(maxBehind, len(tab.log)-c.cursor)
+					case len(tab.log) > 0:
+						lateFills++
+					}
+				}
+				reads += len(classes)
+				if diff := tableMismatch(g, tab, (*scoreTable).ensure, cons, queue, rep, classes); diff != "" {
+					t.Fatalf("seed %d %s: %s", seed, step, diff)
+				}
+				for k, m := range mutants {
+					if tableMismatch(g, mutTabs[k], m.ensure, cons, queue, rep, classes) != "" {
+						caught[k]++
+					}
+				}
+			}
 
 			placed := map[int]cluster.NodeID{} // queue index -> node
 			for step := 0; step < 60; step++ {
-				name := fmt.Sprintf("seed %d step %d", seed, step)
 				switch op := rng.Intn(5); {
-				case op <= 2: // allocate an unplaced container where the table says it fits
+				case op <= 2: // allocate an unplaced container where it fits
 					qi := rng.Intn(len(queue))
 					if _, dup := placed[qi]; dup {
 						continue
 					}
 					var fits []cluster.NodeID
-					for ni, s := range tab.classes[classOf[qi]].scores {
+					for ni, s := range g.oracleScores(work, cons, queue[qi]) {
 						if s.ok {
 							fits = append(fits, cluster.NodeID(ni))
 						}
@@ -373,10 +457,10 @@ func TestScoreTableMatchesOracle(t *testing.T) {
 					}
 					node := fits[rng.Intn(len(fits))]
 					if err := work.Allocate(node, queue[qi].id, queue[qi].demand, queue[qi].tags); err != nil {
-						t.Fatalf("%s: table says %d fits: %v", name, node, err)
+						t.Fatalf("seed %d step %d: the oracle says %d fits: %v", seed, step, node, err)
 					}
 					placed[qi] = node
-					tab.touched(node)
+					touched(node)
 				default: // release one container, or roll a whole application back
 					if len(placed) == 0 {
 						continue
@@ -394,12 +478,29 @@ func TestScoreTableMatchesOracle(t *testing.T) {
 						if err := work.Release(queue[qi].id); err != nil {
 							t.Fatal(err)
 						}
-						tab.touched(placed[qi])
+						touched(placed[qi])
 						delete(placed, qi)
 					}
 				}
-				checkTable(t, name, g, tab, cons, queue, classOf)
+				var some []int
+				for ci := range tab.classes {
+					if rng.Intn(3) == 0 {
+						some = append(some, ci)
+					}
+				}
+				read(fmt.Sprintf("step %d", step), some)
 			}
+			read("end", all)
+		}
+	}
+	t.Logf("%d row reads, up to %d touches behind, %d first fills after a touch; caught: %s on %d, %s on %d",
+		reads, maxBehind, lateFills, mutants[0].name, caught[0], mutants[1].name, caught[1])
+	if maxBehind < 3 || lateFills == 0 {
+		t.Errorf("coverage: no read caught a row up on more than %d touches, or no row was first filled after a touch (%d)", maxBehind, lateFills)
+	}
+	for k, m := range mutants {
+		if caught[k] == 0 {
+			t.Errorf("mutant %q is not caught", m.name)
 		}
 	}
 }

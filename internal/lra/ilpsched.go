@@ -116,10 +116,10 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	defer s.release(sc)
 	base := sc.base.reset(state, cons)
 
-	// The score of every node for every container class on state as Place
-	// found it, filled once: the heuristics start from copies of it and
-	// candidate selection reads it. Its owner scores the plain violation
-	// delta, as Medea-TP and Serial do.
+	// The score of every node for every container class, one table for
+	// the Place: the heuristics place from it in turn and candidate
+	// selection reads it. Its owner scores the plain violation delta, as
+	// Medea-TP and Serial do.
 	tab, classOf := newScoreTable(&greedy{}, state, cons, queue)
 
 	// Run the greedy fallback first. A decided one is the answer, as
@@ -136,6 +136,8 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	if sc.arena == nil {
 		sc.arena = ilp.NewSolverArena()
 	}
+	// The heuristics' placements were released behind the table's back.
+	tab.restart(tab.g)
 	sol, pm := solve(state, apps, cons, tab, fb, start, opts, sc.arena)
 
 	// Final selection: compare the solver's placement with the greedy
@@ -295,10 +297,11 @@ func groupCounts(groups []mgroup, res *Result) []map[cluster.NodeID]int {
 // (violation delta, free space), and representatives are drawn round-robin
 // across classes so rack/domain diversity is preserved. A group's
 // violation delta at a node is tab's cell of its class there: tab is a
-// table of state, filled for an owner that scores the plain delta, and
-// cons the constraint list it was filled against. Two deltas are the
-// same score when they print alike rounded to six decimals, so 1e-9 and
-// 0 share a class; the class ranks by the delta of its first node.
+// table of state, made or restarted on it for an owner that scores the
+// plain delta, and cons the constraint list it was made against. Two
+// deltas are the same score when they print alike rounded to six
+// decimals, so 1e-9 and 0 share a class; the class ranks by the delta
+// of its first node.
 func selectCandidates(state *cluster.Cluster, tab *scoreTable, cons []constraint.Entry, groups []mgroup, opts Options) [][]cluster.NodeID {
 	out := make([][]cluster.NodeID, len(groups))
 	nodes := state.Nodes()

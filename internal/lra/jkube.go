@@ -82,13 +82,11 @@ type bestOf struct {
 // score. Each heuristic's placement is scored on work and released again,
 // so work ends as it began, and a tie keeps the best so far; once the
 // best so far is decided no further heuristic runs. queue is the batch's
-// requests in submission order, and init a score table of them on work
-// as it begins, with each request's class: a heuristic that scores like
-// init's owner starts from a copy of its cells, any other fills a table
-// of its own.
-func (b *bestOf) placeBest(work *cluster.Cluster, apps []*Application, flat []constraint.Entry, queue []containerReq, init *scoreTable, classOf []int, base *scoreBase, opts Options) (best *Result, bestScore float64) {
+// requests in submission order, and tab a score table of them on work,
+// with each request's class: a heuristic that scores like tab's owner
+// restarts tab and places from it, any other makes a table of its own.
+func (b *bestOf) placeBest(work *cluster.Cluster, apps []*Application, flat []constraint.Entry, queue []containerReq, tab *scoreTable, classOf []int, base *scoreBase, opts Options) (best *Result, bestScore float64) {
 	clk := opts.clock()
-	var spare *scoreTable // the last copy, done with: the next one reuses its cells
 	for _, alg := range b.algs {
 		if best != nil && decided(best, bestScore) {
 			break
@@ -98,12 +96,12 @@ func (b *bestOf) placeBest(work *cluster.Cluster, apps []*Application, flat []co
 		}
 		start := clk()
 		var res *Result
-		if alg.scoresLike(init.g) {
-			spare = init.copyFor(alg, spare)
-			res = alg.placeQueue(work, apps, queue, spare, classOf)
+		if alg.scoresLike(tab.g) {
+			tab.restart(alg)
+			res = alg.placeQueue(work, apps, queue, tab, classOf)
 		} else {
-			tab, own := alg.ownTable(work, flat, queue)
-			res = alg.placeQueue(work, apps, queue, tab, own)
+			own, ownClassOf := alg.ownTable(work, flat, queue)
+			res = alg.placeQueue(work, apps, queue, own, ownClassOf)
 		}
 		score := base.scoreAndRelease(work, res)
 		res.Latency = clk().Sub(start)

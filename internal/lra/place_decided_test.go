@@ -31,7 +31,6 @@ func referencePlace(s *ilpScheduler, state *cluster.Cluster, apps []*Application
 	base := newScoreBase(state, cons)
 	tab, classOf := newScoreTable(&greedy{}, state, cons, queue)
 
-	var spare *scoreTable
 	for _, alg := range s.fallback.algs {
 		ran := fb == nil || fbScore < float64(len(apps))
 		if ran {
@@ -39,8 +38,8 @@ func referencePlace(s *ilpScheduler, state *cluster.Cluster, apps []*Application
 		}
 		var res *Result
 		if alg.scoresLike(tab.g) {
-			spare = tab.copyFor(alg, spare)
-			res = alg.placeQueue(state, apps, queue, spare, classOf)
+			tab.restart(alg)
+			res = alg.placeQueue(state, apps, queue, tab, classOf)
 		} else {
 			own, ownClass := alg.ownTable(state, cons, queue)
 			res = alg.placeQueue(state, apps, queue, own, ownClass)
@@ -54,6 +53,7 @@ func referencePlace(s *ilpScheduler, state *cluster.Cluster, apps []*Application
 			fb, fbScore = res, score
 		}
 	}
+	tab.restart(tab.g)
 	sol, pm := solve(state, apps, cons, tab, fb, start, opts, ilp.NewSolverArena())
 	final = fb
 	decoded := sol != nil && (sol.Status == ilp.Optimal || sol.Status == ilp.Feasible)

@@ -10,7 +10,11 @@ import (
 
 // nodeScore is one (class, node) cell of the score table.
 type nodeScore struct {
-	ok          bool // the node is available and the demand fits
+	ok bool // the node is available and the demand fits
+	// stamp is the class memo's epoch of the catch-up that last
+	// re-scored the cell (0 for a fill), so that a catch-up re-scores a
+	// cell that several touches reach once. It sits in ok's padding.
+	stamp       uint32
 	delta, util float64
 }
 
@@ -29,22 +33,26 @@ type scoreClass struct {
 	// re-scored).
 	atoms  vecAtoms
 	groups []constraint.GroupName
-	// memo keeps the atoms' deltas per set of their groups for the
-	// current state (setMemo). Every copy of a table shares its class's
-	// memo, so the memo's epoch only rises, whichever copy bumps it.
-	memo   *setMemo[float64]
+	// memo keeps the atoms' deltas per set of their groups for the state
+	// the row was last brought up to (setMemo). Its epoch only rises: a
+	// restart and every catch-up bump it.
+	memo   setMemo[float64]
 	scores []nodeScore // by node index
-	// clean is the live number of clean cells. nc is Nc as the Medea-NC
-	// ordering sees it: a copy of clean taken at the initial fill and
-	// after placements of a scope-sharing class only (§5.3), so it can be
-	// stale in between — exactly as stale as a per-container recount
-	// would be.
+	// cursor is the length of the table's touch log the row reflects,
+	// or -1 while the row has not been filled since the table was made or
+	// restarted.
+	cursor int
+	// clean is the number of clean cells as of the row's last fill or
+	// catch-up. nc is Nc as the Medea-NC ordering sees it: a copy of
+	// clean taken at the fill and after placements of a scope-sharing
+	// class only (§5.3), so it can be stale in between — exactly as stale
+	// as a per-container recount would be.
 	clean, nc int
 }
 
 // scoreTable caches, for one Place call, the score of every node for
-// every container class, and keeps it equal to a from-scratch rescoring
-// while the working cluster changes underneath it.
+// every container class, and gives out a row equal to a from-scratch
+// rescoring of the working cluster as it is when the row is read.
 //
 // What stays fixed for the Place is compiled once per class: which atoms
 // of the constraint list its tag vector is the subject or a target of
@@ -55,54 +63,73 @@ type scoreClass struct {
 // availability and usage, and γ of the sets containing the node in the
 // groups the class's matching atoms name. An Allocate or Release on node
 // n changes n itself and γ of exactly the sets containing n, so the
-// cells to recompute are n and the members of those sets (touched); every
-// other cell would come out bit-identical.
+// cells it makes stale are n and the members of those sets; every other
+// cell would come out bit-identical. The table re-scores them when they
+// are read, not when they go stale: touched only logs n, and ensure,
+// which every reader calls before it reads a row, fills a row never
+// filled on the state as it is then, or re-scores the cells the touches
+// logged since the row's cursor reach. A class whose containers are
+// placed, or that is not read again before the next change, costs
+// nothing.
 //
 // The members of one set read the same γ there, so each class keeps a
 // setMemo: an atom's delta at a set is computed for the first member a
-// fill or a touched rescores and read back for the others, and touched
-// bumps the memo's epoch before it rescores, since the state changed.
-// Every node of a rack is priced by one reading of the rack per atom. A
-// "node" atom is priced at every cell: its sets are single nodes, which a
-// memo could never serve twice.
+// fill or a catch-up rescores and read back for the others. A catch-up
+// bumps the memo's epoch before it rescores, since the state changed,
+// and stamps each cell it rescores with that epoch, so a cell several
+// touches reach is rescored once. Every node of a rack is priced by one
+// reading of the rack per atom. A "node" atom is priced at every cell:
+// its sets are single nodes, which a memo could never serve twice.
 //
-// One Medea-ILP Place fills one table on the state as it found it and
-// lets every heuristic that scores alike start from a copy of its cells
-// (copyFor); candidate selection reads the original.
+// One Medea-ILP Place makes one table and its heuristics share it: each
+// that scores like the table's owner restarts it (restart), and so does
+// candidate selection after them. Between two readers the state goes
+// back to where it was, through releases the table is not told of, so a
+// restart forgets every row.
 type scoreTable struct {
 	g       *greedy
 	work    *cluster.Cluster
 	classes []scoreClass
 	cells   []nodeScore // every class's scores, class by class
-	// scope[a][b] is sharesConstraintScope(a's tags, b's tags): placing a
-	// class-a container refreshes class b's nc. Medea-NC only.
-	scope [][]bool
+	// log lists the nodes of every Allocate and Release since the table
+	// was made or restarted, in order (touched).
+	log []cluster.NodeID
+	// scope[a*len(classes)+b] is sharesConstraintScope(a's tags, b's
+	// tags): placing a class-a container refreshes class b's nc. Medea-NC
+	// only.
+	scope []bool
 }
 
-// newScoreTable groups the queue into classes, fills every cell and
-// returns the table with each queue entry's class index.
+// newScoreTable groups the queue into classes and returns the table, no
+// row filled yet, with each queue entry's class index.
 func newScoreTable(g *greedy, work *cluster.Cluster, cons []constraint.Entry, queue []containerReq) (*scoreTable, []int) {
-	t := &scoreTable{g: g, work: work}
+	t := &scoreTable{g: g, work: work, log: make([]cluster.NodeID, 0, len(queue))}
+	// A group's requests are consecutive, so each run of equal requests
+	// starts at most one class.
+	runs := 0
+	for i, r := range queue {
+		if i == 0 || r.demand != queue[i-1].demand || !constraint.SameVector(r.tags, queue[i-1].tags) {
+			runs++
+		}
+	}
+	t.classes = make([]scoreClass, 0, runs)
 	classOf := make([]int, len(queue))
 	for i, r := range queue {
 		ci := t.find(r.tags, r.demand)
 		if ci < 0 {
 			ci = len(t.classes)
-			t.classes = append(t.classes, scoreClass{tags: r.tags, demand: r.demand})
+			t.classes = append(t.classes, scoreClass{tags: r.tags, demand: r.demand, cursor: -1})
 		}
 		classOf[i] = ci
 	}
-	memos := make([]setMemo[float64], len(t.classes))
 	for ci := range t.classes {
-		t.classes[ci].compile(work, cons, &memos[ci])
+		t.classes[ci].compile(work, cons)
 	}
 
 	n := work.NumNodes()
 	t.cells = make([]nodeScore, len(t.classes)*n)
 	for ci := range t.classes {
-		c := &t.classes[ci]
-		c.scores = t.cells[ci*n : (ci+1)*n]
-		t.fill(c)
+		t.classes[ci].scores = t.cells[ci*n : (ci+1)*n]
 	}
 	t.scopeFor(g)
 	return t, classOf
@@ -119,16 +146,15 @@ func (t *scoreTable) find(tags []constraint.Tag, demand resource.Vector) int {
 }
 
 // compile compiles the class's atoms of cons, lists the node groups they
-// count over and lays memo out for them.
-func (c *scoreClass) compile(work *cluster.Cluster, cons []constraint.Entry, memo *setMemo[float64]) {
+// count over and lays its memo out for them.
+func (c *scoreClass) compile(work *cluster.Cluster, cons []constraint.Entry) {
 	c.atoms = compileAtoms(nil, cons, c.tags)
 	for _, ref := range c.atoms {
 		if g := ref.atom.Group; g != constraint.Node && !slices.Contains(c.groups, g) {
 			c.groups = append(c.groups, g)
 		}
 	}
-	memo.reset(work, c.atoms)
-	c.memo = memo
+	c.memo.reset(work, c.atoms)
 }
 
 // fill scores every node for the class from scratch and takes its clean
@@ -151,35 +177,28 @@ func (t *scoreTable) scopeFor(g *greedy) {
 	if g.order != orderNC {
 		return
 	}
-	t.scope = make([][]bool, len(t.classes))
+	k := len(t.classes)
+	t.scope = make([]bool, k*k)
 	for a := range t.classes {
-		t.scope[a] = make([]bool, len(t.classes))
 		for b := range t.classes {
-			t.scope[a][b] = sharesConstraintScope(t.classes[a].atoms, t.classes[b].tags)
+			t.scope[a*k+b] = sharesConstraintScope(t.classes[a].atoms, t.classes[b].tags)
 		}
 	}
 }
 
-// copyFor returns a table for g, which must score like t's owner
-// (scoresLike), holding t's cells: what a fresh newScoreTable of g on the
-// same state and queue would hold. spare, when not nil, is a copy done
-// with; the new copy takes over its buffers, so a Place's heuristics
-// share one cell array between them besides t's. The classes' memos stay
-// shared with t.
-func (t *scoreTable) copyFor(g *greedy, spare *scoreTable) *scoreTable {
-	c := spare
-	if c == nil {
-		c = &scoreTable{}
+// restart readies the table for g, which must score like its owner
+// (scoresLike), on the state as it is now: every row counts as never
+// filled, and each class's memo moves to a new epoch, above every stamp
+// its entries hold.
+func (t *scoreTable) restart(g *greedy) {
+	t.g = g
+	t.log = t.log[:0]
+	for ci := range t.classes {
+		c := &t.classes[ci]
+		c.cursor = -1
+		c.memo.epoch++
 	}
-	c.g, c.work = g, t.work
-	c.classes = append(c.classes[:0], t.classes...)
-	c.cells = append(c.cells[:0], t.cells...)
-	n := t.work.NumNodes()
-	for ci := range c.classes {
-		c.classes[ci].scores = c.cells[ci*n : (ci+1)*n]
-	}
-	c.scopeFor(g)
-	return c
+	t.scopeFor(g)
 }
 
 // groupScores returns the cells of the class of tags and demand. A
@@ -187,10 +206,10 @@ func (t *scoreTable) copyFor(g *greedy, spare *scoreTable) *scoreTable {
 // their own, against cons.
 func (t *scoreTable) groupScores(cons []constraint.Entry, tags []constraint.Tag, demand resource.Vector) []nodeScore {
 	if ci := t.find(tags, demand); ci >= 0 {
-		return t.classes[ci].scores
+		return t.ensure(ci).scores
 	}
 	c := scoreClass{tags: tags, demand: demand, scores: make([]nodeScore, t.work.NumNodes())}
-	c.compile(t.work, cons, &setMemo[float64]{})
+	c.compile(t.work, cons)
 	t.fill(&c)
 	return c.scores
 }
@@ -202,7 +221,7 @@ func (t *scoreTable) score(c *scoreClass, n *cluster.Node) nodeScore {
 	if !n.Available() || !c.demand.Fits(n.Free()) {
 		return nodeScore{}
 	}
-	delta := c.atoms.delta(t.work, n.ID, t.g.subjectOnly, c.memo)
+	delta := c.atoms.delta(t.work, n.ID, t.g.subjectOnly, &c.memo)
 	if t.g.affinityPull > 0 {
 		delta -= t.g.affinityPull * affinityPopulation(t.work, c.atoms, n.ID)
 	}
@@ -215,45 +234,64 @@ func (t *scoreTable) score(c *scoreClass, n *cluster.Node) nodeScore {
 	return nodeScore{ok: true, delta: delta, util: util}
 }
 
-// rescore recomputes one cell and keeps the class's clean count in step.
+// rescore recomputes one cell, unless the catch-up under way did so
+// already, and keeps the class's clean count in step.
 func (t *scoreTable) rescore(c *scoreClass, node cluster.NodeID) {
+	cell := &c.scores[node]
+	if cell.stamp == c.memo.epoch {
+		return
+	}
 	s := t.score(c, t.work.Node(node))
-	if c.scores[node].clean() {
+	s.stamp = c.memo.epoch
+	if cell.clean() {
 		c.clean--
 	}
 	if s.clean() {
 		c.clean++
 	}
-	c.scores[node] = s
+	*cell = s
 }
 
-// touched brings the table up to date after an Allocate or Release on
-// node: per class, the node's own cell and the cells of every node
-// sharing a set with it in one of the class's groups, priced under a new
-// memo epoch.
+// touched logs an Allocate or Release on node for the rows to catch up
+// on when they are read (ensure).
 func (t *scoreTable) touched(node cluster.NodeID) {
-	for ci := range t.classes {
-		c := &t.classes[ci]
+	t.log = append(t.log, node)
+}
+
+// ensure brings class ci's row up to the state as it is now and returns
+// the class. A row never filled is filled. Otherwise the row catches up
+// on the touches logged since its cursor, under a new memo epoch: per
+// touch on node n, n's own cell and the cells of every node sharing a set
+// with n in one of the class's groups.
+func (t *scoreTable) ensure(ci int) *scoreClass {
+	c := &t.classes[ci]
+	if c.cursor < 0 {
+		t.fill(c)
+	} else if c.cursor < len(t.log) {
 		c.memo.epoch++ // the state changed
-		t.rescore(c, node)
-		for _, grp := range c.groups {
-			for _, sid := range t.work.SetsOfNode(grp, node) {
-				for _, m := range t.work.SetMembers(grp, sid) {
-					if m != node {
+		for _, node := range t.log[c.cursor:] {
+			t.rescore(c, node)
+			for _, grp := range c.groups {
+				for _, sid := range t.work.SetsOfNode(grp, node) {
+					for _, m := range t.work.SetMembers(grp, sid) {
 						t.rescore(c, m)
 					}
 				}
 			}
 		}
 	}
+	c.cursor = len(t.log)
+	return c
 }
 
-// refreshNc republishes the live clean count as Nc for every class that
-// shares a constraint scope with the class just placed.
+// refreshNc brings every class that shares a constraint scope with the
+// class just placed up to date and republishes its clean count as Nc.
 func (t *scoreTable) refreshNc(placed int) {
-	for b, shares := range t.scope[placed] {
+	k := len(t.classes)
+	for b, shares := range t.scope[placed*k : (placed+1)*k] {
 		if shares {
-			t.classes[b].nc = t.classes[b].clean
+			c := t.ensure(b)
+			c.nc = c.clean
 		}
 	}
 }
@@ -264,7 +302,7 @@ func (t *scoreTable) refreshNc(placed int) {
 func (t *scoreTable) best(class int) (cluster.NodeID, bool) {
 	bestID := cluster.NodeID(-1)
 	bestDelta, bestUtil := 0.0, 0.0
-	for i, s := range t.classes[class].scores {
+	for i, s := range t.ensure(class).scores {
 		if !s.ok {
 			continue
 		}

@@ -12,24 +12,24 @@ import (
 	"medea/internal/constraint"
 )
 
-// TestSharedScoreTableMatchesFresh: Medea-ILP's Place fills one score
-// table on the state it is handed, lets Medea-TP and Serial start from
-// copies of it, and selects candidates from it afterwards. On every
-// seed's oracleInstance, half of them nearly full:
-//   - each heuristic started from a copy (copyFor, the second reusing the
-//     first one's buffers) places exactly what it places from a
-//     newScoreTable of its own, and placeBest keeps the placement the
-//     heuristics keep from their own tables;
-//   - selectCandidates, reading the table after the heuristics ran,
-//     selects exactly what refSelectCandidates, which prices each group
-//     on its own, selects, at the default budget and at budgets of one to
-//     three nodes, which force a choice between classes.
+// TestSharedScoreTableMatchesFresh: Medea-ILP's Place makes one score
+// table on the state it is handed, restarts it for Medea-TP and again for
+// Serial, each placing from it in turn, and restarts it once more before
+// candidate selection reads it. On every seed's oracleInstance, half of
+// them nearly full:
+//   - each heuristic placing from the restarted table places exactly
+//     what it places from a newScoreTable of its own, and placeBest keeps
+//     the placement the heuristics keep from their own tables;
+//   - selectCandidates, reading the table restarted after the heuristics
+//     ran, selects exactly what refSelectCandidates, which prices each
+//     group on its own, selects, at the default budget and at budgets of
+//     one to three nodes, which force a choice between classes.
 //
-// Every copy's memos must count at or above every stamp their entries
-// hold (memoAhead). Three mutants must each be caught on some seed:
-// Serial starting from Medea-TP's cells instead of a fresh copy; a copy
-// whose memos fall back to the epoch the fill left; and a class key
-// without the delta.
+// After every restart the table's memos must count above every stamp
+// their entries hold (memoAhead). Three mutants must each be caught on
+// some seed: a restart that keeps the rows filled, so that Serial reads
+// Medea-TP's rows; a restart whose memos fall back to the epoch the
+// table was made with; and a class key without the delta.
 func TestSharedScoreTableMatchesFresh(t *testing.T) {
 	const seeds = 120
 	placed, selections := 0, 0
@@ -39,62 +39,59 @@ func TestSharedScoreTableMatchesFresh(t *testing.T) {
 		flat := flattenConstraints(apps, active)
 		queue := queueOf(buildRequests(apps))
 		tab, classOf := newScoreTable(&greedy{}, state, flat, queue)
-		fillEpoch := make([]uint32, len(tab.classes))
-		for ci, c := range tab.classes {
-			fillEpoch[ci] = c.memo.epoch
-		}
-		// place runs g from the table from and returns its placement and
-		// the table's cells as the placement leaves them.
-		type outcome struct {
-			placements []Placement
-			cells      []nodeScore
-		}
-		place := func(g *greedy, from *scoreTable, classOf []int) outcome {
+		// place runs g from the table from and returns its placement.
+		place := func(g *greedy, from *scoreTable, classOf []int) []Placement {
 			res := g.placeQueue(state, apps, queue, from, classOf)
-			out := outcome{res.Placements, slices.Clone(from.cells)}
 			releasePlaced(state, res)
-			return out
+			return res.Placements
+		}
+		// afterTP is a table Medea-TP has placed from, with the epoch each
+		// class's memo was made with.
+		afterTP := func() (*scoreTable, []uint32) {
+			m, _ := newScoreTable(&greedy{}, state, flat, queue)
+			made := make([]uint32, len(m.classes))
+			for ci, c := range m.classes {
+				made[ci] = c.memo.epoch
+			}
+			tp := newBestOfGreedy().algs[0]
+			m.restart(tp)
+			place(tp, m, classOf)
+			return m, made
 		}
 
-		var spare, tpTable *scoreTable
 		for k, g := range newBestOfGreedy().algs {
 			own, ownClassOf := g.ownTable(state, flat, queue)
 			want := place(g, own, ownClassOf)
 			if k == 1 {
-				// Mutant: Serial from Medea-TP's cells, which still hold
-				// Medea-TP's placement.
-				tpTable.g = g
-				if !reflect.DeepEqual(place(g, tpTable, classOf), want) {
+				// Mutant: a restart that keeps Medea-TP's rows filled.
+				kept, _ := afterTP()
+				kept.g, kept.log = g, kept.log[:0]
+				for ci := range kept.classes {
+					kept.classes[ci].memo.epoch++
+					kept.classes[ci].cursor = 0
+				}
+				if !reflect.DeepEqual(place(g, kept, classOf), want) {
 					staleCells++
 				}
-				// Mutant: a fresh copy whose memos count on from the
-				// fill's epoch, below the stamps the runs before it left.
-				fallen := tab.copyFor(g, nil)
+				// Mutant: a restart whose memos count on from the epoch
+				// the table was made with, below the stamps Medea-TP left.
+				fallen, made := afterTP()
+				fallen.restart(g)
 				for ci := range fallen.classes {
-					m := *fallen.classes[ci].memo
-					m.epoch = fillEpoch[ci]
-					fallen.classes[ci].memo = &m
+					fallen.classes[ci].memo.epoch = made[ci]
 				}
 				if !memoAhead(fallen) || !reflect.DeepEqual(place(g, fallen, classOf), want) {
 					fallenEpoch++
 				}
 			}
-			spare = tab.copyFor(g, spare)
-			if !memoAhead(spare) {
-				t.Fatalf("seed %d %s: a memo of the copy counts below a stamp an earlier run left", seed, g.name)
+			tab.restart(g)
+			if !memoAhead(tab) {
+				t.Fatalf("seed %d %s: a memo of the restarted table counts at or below a stamp an earlier run left", seed, g.name)
 			}
-			if got := place(g, spare, classOf); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d %s: from the shared table it places %+v, from its own %+v (cells equal: %v)",
-					seed, g.name, got.placements, want.placements, slices.Equal(got.cells, want.cells))
+			if got := place(g, tab, classOf); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d %s: from the shared table it places %+v, from its own %+v", seed, g.name, got, want)
 			}
-			if k == 0 {
-				tpTable = &scoreTable{classes: slices.Clone(spare.classes), cells: slices.Clone(spare.cells), work: state}
-				n := state.NumNodes()
-				for ci := range tpTable.classes {
-					tpTable.classes[ci].scores = tpTable.cells[ci*n : (ci+1)*n]
-				}
-			}
-			placed += placedContainers(&Result{Placements: want.placements})
+			placed += placedContainers(&Result{Placements: want})
 		}
 
 		base := newScoreBase(state, flat)
@@ -104,6 +101,7 @@ func TestSharedScoreTableMatchesFresh(t *testing.T) {
 			t.Fatalf("seed %d: placeBest keeps %+v (score %v) from the shared table, %+v (score %v) from fresh ones", seed, got.Placements, gotScore, want.Placements, wantScore)
 		}
 
+		tab.restart(tab.g)
 		groups := batchGroups(apps)
 		for budget := 0; budget <= 3; budget++ {
 			opts := Options{MaxCandidates: budget}
@@ -126,13 +124,18 @@ func TestSharedScoreTableMatchesFresh(t *testing.T) {
 	}
 }
 
-// memoAhead reports whether no class memo of tab counts below a stamp
-// its entries hold, so that no entry an earlier run wrote can pass for
-// one of the current state.
+// memoAhead reports whether every class memo of tab counts above every
+// stamp its entries and its row's cells hold, so that nothing an earlier
+// run wrote can pass for a value of the current state.
 func memoAhead(tab *scoreTable) bool {
 	for _, c := range tab.classes {
 		for _, cell := range c.memo.cells {
-			if cell.stamp > c.memo.epoch {
+			if cell.stamp >= c.memo.epoch {
+				return false
+			}
+		}
+		for _, s := range c.scores {
+			if s.stamp >= c.memo.epoch {
 				return false
 			}
 		}
