@@ -84,8 +84,8 @@ func (c *Cluster) release(id ContainerID, info containerInfo) {
 
 // moveTags adds one container's tags to, or removes them from, the tag
 // set of every node set (in every group, the node's own singleton set
-// of the "node" group included) containing the node. The tags are
-// hashed once for all those sets.
+// of the "node" group included) containing the node, and the cluster's
+// count of each tag. The tags are hashed once for all those sets.
 func (c *Cluster) moveTags(node NodeID, tags []constraint.Tag, add bool) {
 	h := constraint.VectorHash(tags)
 	for _, g := range c.groups {
@@ -97,6 +97,35 @@ func (c *Cluster) moveTags(node NodeID, tags []constraint.Tag, add bool) {
 			}
 		}
 	}
+	for i, t := range tags {
+		if slices.Contains(tags[:i], t) {
+			continue // counted at its first occurrence
+		}
+		if add {
+			c.carried[t]++
+		} else if n := c.carried[t] - 1; n > 0 {
+			c.carried[t] = n
+		} else {
+			delete(c.carried, t)
+		}
+	}
+}
+
+// Carries reports whether every tag of e is carried by some allocated
+// container. When it is false, γ(e) is 0 in every set of every group;
+// when it is true, some γ(e) may still be 0 everywhere, as the tags of
+// e may sit on different containers. An empty e matches every tagged
+// container.
+func (c *Cluster) Carries(e constraint.Expr) bool {
+	if len(e) == 0 {
+		return len(c.carried) > 0
+	}
+	for _, t := range e {
+		if c.carried[t] == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ContainerNode returns the node hosting a container.
@@ -167,9 +196,10 @@ func (c *Cluster) GammaNode(node NodeID, expr constraint.Expr) int {
 // Clone returns an independent copy of the cluster, for a caller that
 // needs the current state beside one that changes it: a recovery check
 // or a benchmark probe that must not touch the live cluster.
-// It is a structural copy: node structs, the container map and every tag
-// multiset are copied directly; the group topology and the containers'
-// tag slices are immutable once written and are shared.
+// It is a structural copy: node structs, the container map, the tag
+// counts and every tag multiset are copied directly; the group topology
+// and the containers' tag slices are immutable once written and are
+// shared.
 // Concurrent Clones of one cluster are safe (they only read it).
 func (c *Cluster) Clone() *Cluster {
 	cc := &Cluster{
@@ -178,6 +208,7 @@ func (c *Cluster) Clone() *Cluster {
 		containers: maps.Clone(c.containers),
 		owners:     c.owners,
 		capacity:   c.capacity,
+		carried:    maps.Clone(c.carried),
 	}
 	nodes := make([]Node, len(c.nodes))
 	for i, n := range c.nodes {
@@ -209,19 +240,29 @@ func (c *Cluster) Clone() *Cluster {
 
 // CheckAccounting verifies the cluster's internal bookkeeping invariants:
 // every container references a known node, per-node used resources and
-// container counts equal the sums over the container map, and no node's
-// usage is negative or above capacity. It returns the first violation
-// found, or nil. The audit layer runs it post-commit to catch state
-// corruption before it spreads.
+// container counts equal the sums over the container map, so do the
+// cluster's per-tag counts (Carries), and no node's usage is negative
+// or above capacity. It returns the first violation found, or nil. The
+// audit layer runs it post-commit to catch state corruption before it
+// spreads.
 func (c *Cluster) CheckAccounting() error {
 	perNode := make([]resource.Vector, len(c.nodes))
 	count := make([]int, len(c.nodes))
+	carried := make(map[constraint.Tag]int, len(c.carried))
 	for id, info := range c.containers {
 		if int(info.node) < 0 || int(info.node) >= len(c.nodes) {
 			return fmt.Errorf("cluster: container %s on unknown node %d", id, info.node)
 		}
 		perNode[info.node] = perNode[info.node].Add(info.demand)
 		count[info.node]++
+		for i, t := range info.tags {
+			if !slices.Contains(info.tags[:i], t) {
+				carried[t]++
+			}
+		}
+	}
+	if !maps.Equal(c.carried, carried) {
+		return fmt.Errorf("cluster: per-tag counts %v, the container map %v", c.carried, carried)
 	}
 	for _, n := range c.nodes {
 		if n.count != count[n.ID] {

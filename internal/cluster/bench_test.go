@@ -63,9 +63,10 @@ func BenchmarkClusterClone256(b *testing.B) {
 }
 
 // cloneMaxAllocs caps one Clone of twoSchedState, about 10% above the
-// 878 allocations measured, the same at one P, at two and under -race.
-// Per node, Clone allocates the two slices of the tag multiset; the
-// container map is copied whole, its records by value. A resident slice
+// 882 allocations measured, the same at one P, at two and under -race
+// (878 before the cluster counted its carried tags). Per node, Clone
+// allocates the two slices of the tag multiset; the container map is
+// copied whole, its records by value, and so is the per-tag count map. A resident slice
 // per node and a heap record per container (1,134) fail here, as does a
 // multiset held in maps (1,909).
 const cloneMaxAllocs = 970

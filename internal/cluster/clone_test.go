@@ -12,14 +12,15 @@ import (
 
 // stateDigest renders everything a Clone must reproduce and must not
 // share: the full-fidelity snapshot plus the γ multiset of every node set
-// of every group (which the snapshot only implies).
+// of every group and the per-tag counts (which the snapshot only
+// implies).
 func stateDigest(t *testing.T, c *Cluster) string {
 	t.Helper()
 	snap, err := json.Marshal(c.TakeSnapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := string(snap) + c.TotalCapacity().String()
+	out := string(snap) + c.TotalCapacity().String() + fmt.Sprint(c.carried)
 	for _, name := range c.Groups() {
 		g := c.group(name)
 		for sid, ts := range g.tagSets {
@@ -91,7 +92,9 @@ func mutate(t *testing.T, c *Cluster, k int) {
 // TestCloneAliasing: clones are taken concurrently from one source (as
 // core's placeBatch does) and mutated while others are still being
 // taken; the source must not change, and mutating the source afterwards
-// must not change a clone. Run under -race it also proves the shared
+// must not change a clone. The clones allocate containers of tags the
+// source carries on no container, and the source must still answer that
+// it carries none of them. Run under -race it also proves the shared
 // topology is never written.
 func TestCloneAliasing(t *testing.T) {
 	src := aliasingCluster(t)
@@ -118,6 +121,12 @@ func TestCloneAliasing(t *testing.T) {
 
 	if got := stateDigest(t, src); got != before {
 		t.Errorf("mutating clones changed the source:\n before %s\n after  %s", before, got)
+	}
+	for _, tag := range []constraint.Tag{"fresh", "ssd"} {
+		if src.Carries(constraint.E(tag)) || !clones[1].Carries(constraint.E(tag)) {
+			t.Errorf("after allocations of %q on clones: source carries it %v, a clone %v; want false, true",
+				tag, src.Carries(constraint.E(tag)), clones[1].Carries(constraint.E(tag)))
+		}
 	}
 	if err := src.CheckAccounting(); err != nil {
 		t.Error(err)

@@ -141,11 +141,15 @@ type Cluster struct {
 	// capacity is the sum of the nodes' capacities, fixed per node at
 	// AddNode: every idle task-scheduler heartbeat asks for it.
 	capacity resource.Vector
+	// carried counts, per tag, the allocated containers that carry it
+	// (a tag repeated in one container's vector counts once); a tag no
+	// container carries has no entry. moveTags keeps it.
+	carried map[constraint.Tag]int
 }
 
 // New returns an empty cluster.
 func New() *Cluster {
-	return &Cluster{containers: make(map[ContainerID]containerInfo)}
+	return &Cluster{containers: make(map[ContainerID]containerInfo), carried: make(map[constraint.Tag]int)}
 }
 
 // NewOwners hands out n consecutive owner values that this cluster (or

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -345,6 +347,87 @@ func TestCheckAccountingCountsResidents(t *testing.T) {
 	c.nodes[1].count--
 	if err := c.CheckAccounting(); err == nil || !strings.Contains(err.Error(), "node n1 counts 2 containers") {
 		t.Errorf("CheckAccounting() = %v, want the drifted count of n1 named", err)
+	}
+}
+
+// TestCarriesMatchesContainerMap drives a cluster through random
+// allocations (tag vectors with repeated tags and untagged containers
+// among them), releases, FailNode evictions, drains whose containers are
+// then released, recoveries and clones. After every step Carries must
+// answer, for every tag, every pair of tags and the empty expression,
+// what a recount over the container map answers, and CheckAccounting
+// must hold. A Carries that checks only an expression's first tag fails
+// the pairs; per-tag counts that drift from the map fail
+// CheckAccounting.
+func TestCarriesMatchesContainerMap(t *testing.T) {
+	pool := []constraint.Tag{"a", "b", "c", "appID:x"}
+	vectors := [][]constraint.Tag{{"a"}, {"a", "a"}, {"b", "appID:x"}, {"c", "a", "b"}, nil}
+	exprs := []constraint.Expr{nil}
+	for _, x := range pool {
+		exprs = append(exprs, constraint.E(x))
+		for _, y := range pool {
+			exprs = append(exprs, constraint.E(x, y))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	c := testCluster(t)
+	firstOnly := 0 // expressions whose first tag alone is carried
+	for step := 0; step < 400; step++ {
+		var ids []ContainerID
+		c.EachContainer(func(id ContainerID, _ NodeID, _ []constraint.Tag) { ids = append(ids, id) })
+		slices.Sort(ids)
+		node := NodeID(rng.Intn(c.NumNodes()))
+		switch op := rng.Intn(10); {
+		case op < 5:
+			_ = c.Allocate(node, MakeContainerID("s", step), resource.New(512, 1), vectors[rng.Intn(len(vectors))])
+		case op < 8 && len(ids) > 0:
+			if err := c.Release(ids[rng.Intn(len(ids))]); err != nil {
+				t.Fatal(err)
+			}
+		case op == 8:
+			if rng.Intn(2) == 0 {
+				c.FailNode(node)
+			} else {
+				for _, ev := range c.DrainNode(node) {
+					if err := c.Release(ev.Container); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		default:
+			c.RecoverNode(node)
+			if rng.Intn(4) == 0 {
+				c = c.Clone()
+			}
+		}
+		if err := c.CheckAccounting(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		carried := map[constraint.Tag]bool{}
+		c.EachContainer(func(_ ContainerID, _ NodeID, tags []constraint.Tag) {
+			for _, x := range tags {
+				carried[x] = true
+			}
+		})
+		for _, e := range exprs {
+			want := len(e) > 0 || len(carried) > 0
+			for _, x := range e {
+				want = want && carried[x]
+			}
+			if got := c.Carries(e); got != want {
+				t.Fatalf("step %d: Carries(%v) = %v, the container map says %v", step, e, got, want)
+			}
+			if len(e) == 2 && carried[e[0]] && !want {
+				firstOnly++
+			}
+		}
+	}
+	if firstOnly == 0 {
+		t.Error("coverage: no expression had only its first tag carried")
+	}
+	c.carried["a"]++
+	if err := c.CheckAccounting(); err == nil || !strings.Contains(err.Error(), "per-tag counts") {
+		t.Errorf("CheckAccounting() = %v, want the drifted per-tag count named", err)
 	}
 }
 

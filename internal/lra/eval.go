@@ -75,7 +75,7 @@ func Evaluate(state *cluster.Cluster, entries []constraint.Entry) Report {
 }
 
 // evaluateResolved is Evaluate over a list that already went through
-// ResolveEntries (or flattenConstraints): a Place resolves its constraints
+// ResolveEntries (or resolver.resolve): a Place resolves its constraints
 // once and scores every candidate placement against that one list. It
 // prices each (node, tag vector) pair of state once (violators): a pair's
 // constraints apply to every container carrying the vector there, and
@@ -389,25 +389,6 @@ func (b *scoreBase) sum(work *cluster.Cluster, res *Result) float64 {
 	return float64(res.PlacedApps()) - total/1e6
 }
 
-// flattenConstraints combines the active entries (deployed LRAs +
-// operator) with the constraints of the newly submitted applications into
-// one resolved, deduplicated list.
-func flattenConstraints(apps []*Application, active []constraint.Entry) []constraint.Entry {
-	n := len(active)
-	for _, a := range apps {
-		n += len(a.Constraints)
-	}
-	entries := append(make([]constraint.Entry, 0, n), active...)
-	for _, a := range apps {
-		for _, c := range a.Constraints {
-			entries = append(entries, constraint.Entry{
-				AppID: a.ID, Source: constraint.SourceApplication, Constraint: c,
-			})
-		}
-	}
-	return ResolveEntries(entries)
-}
-
 // ResolveEntries returns the entries in the form the evaluator scores
 // against: operator overrides applied (constraint.ResolveConflicts) and
 // duplicate constraints dropped (dedupEntries).
@@ -416,27 +397,68 @@ func ResolveEntries(entries []constraint.Entry) []constraint.Entry {
 }
 
 // dedupEntries drops every constraint equal to an earlier one
-// (sameConstraint). Application templates (e.g. "no more than 2 hb_rs per
-// node") repeat verbatim across every instance of an application type;
-// evaluating one copy is semantically equivalent and keeps scheduling
-// cost independent of the number of deployed instances. A hash of each
-// constraint finds the earlier ones it may equal, so no constraint is
-// rendered as text.
+// (sameConstraint), into a new list.
 func dedupEntries(entries []constraint.Entry) []constraint.Entry {
-	first := make(map[uint64]int, len(entries)) // hash → index in out of the first entry kept with it
-	out := make([]constraint.Entry, 0, len(entries))
+	return new(resolver).dedup(entries)
+}
+
+// resolver holds the buffers a scheduler flattens and resolves a Place's
+// constraint list in, reused from Place to Place: the list before
+// resolution (ResolveConflicts' input), dedup's hash index and the
+// resolved list. The list resolve returns is the resolver's until its
+// next resolve.
+type resolver struct {
+	flat  []constraint.Entry
+	first map[uint64]int // hash → index in out of the first entry kept with it
+	out   []constraint.Entry
+}
+
+// resolve combines the active entries (deployed LRAs + operator) with
+// the constraints of the newly submitted applications into one resolved,
+// deduplicated list, in r's buffers.
+func (r *resolver) resolve(apps []*Application, active []constraint.Entry) []constraint.Entry {
+	n := len(active)
+	for _, a := range apps {
+		n += len(a.Constraints)
+	}
+	r.flat = append(slices.Grow(r.flat[:0], n), active...)
+	for _, a := range apps {
+		for _, c := range a.Constraints {
+			r.flat = append(r.flat, constraint.Entry{
+				AppID: a.ID, Source: constraint.SourceApplication, Constraint: c,
+			})
+		}
+	}
+	return r.dedup(constraint.ResolveConflicts(r.flat))
+}
+
+// dedup drops every constraint equal to an earlier one (sameConstraint)
+// into r's resolved list. Application templates (e.g. "no more than 2
+// hb_rs per node") repeat verbatim across every instance of an
+// application type; evaluating one copy is semantically equivalent and
+// keeps scheduling cost independent of the number of deployed instances.
+// A hash of each constraint finds the earlier ones it may equal, so no
+// constraint is rendered as text.
+func (r *resolver) dedup(entries []constraint.Entry) []constraint.Entry {
+	if r.first == nil {
+		r.first = make(map[uint64]int, len(entries))
+	} else {
+		clear(r.first)
+	}
+	out := slices.Grow(r.out[:0], len(entries))
 	for _, e := range entries {
 		h := hashConstraint(e.Constraint)
-		if i, ok := first[h]; ok {
+		if i, ok := r.first[h]; ok {
 			same := func(o constraint.Entry) bool { return sameConstraint(o.Constraint, e.Constraint) }
 			if same(out[i]) || slices.ContainsFunc(out, same) { // the scan only on a hash collision
 				continue
 			}
 		} else {
-			first[h] = len(out)
+			r.first[h] = len(out)
 		}
 		out = append(out, e)
 	}
+	r.out = out
 	return out
 }
 

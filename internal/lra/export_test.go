@@ -16,7 +16,20 @@ import (
 // assignment of the placed applications.
 func (g *greedy) placeOnClone(state *cluster.Cluster, apps []*Application, flat []constraint.Entry) (*Result, *cluster.Cluster) {
 	work := state.Clone()
-	return g.placeOn(work, apps, flat), work
+	return g.placeOn(work, apps, flat, new(scoreTable)), work
+}
+
+// flattenConstraints is the resolved list a Place scores against, in a
+// fresh resolver.
+func flattenConstraints(apps []*Application, active []constraint.Entry) []constraint.Entry {
+	return new(resolver).resolve(apps, active)
+}
+
+// newScoreTable returns a fresh score table of queue on work against
+// cons, as a Place resets its pooled one, with each entry's class.
+func newScoreTable(g *greedy, work *cluster.Cluster, cons []constraint.Entry, queue []containerReq) (*scoreTable, []int) {
+	t := new(scoreTable)
+	return t, t.reset(g, work, cons, queue)
 }
 
 // ScoreFixture holds the three placements a Medea-ILP Place prices when
@@ -121,14 +134,14 @@ func CountRuns(alg Algorithm, f func()) (heuristics, arenas int) {
 	s := alg.(*ilpScheduler)
 	var c atomic.Int64
 	s.fallback.runs = &c
-	pool := s.scratch
-	s.scratch = nil
+	pool := s.scratch.free
+	s.scratch.free = nil
 	defer func() {
 		s.fallback.runs = nil
-		s.scratch = append(pool, s.scratch...)
+		s.scratch.free = append(pool, s.scratch.free...)
 	}()
 	f()
-	for _, sc := range s.scratch {
+	for _, sc := range s.scratch.free {
 		if sc.arena != nil {
 			arenas++
 		}
@@ -139,7 +152,7 @@ func CountRuns(alg Algorithm, f func()) (heuristics, arenas int) {
 // PooledPlans returns the plans of alg's scratch pool, alg a Medea-ILP.
 func PooledPlans(alg Algorithm) []any {
 	var out []any
-	for _, sc := range alg.(*ilpScheduler).scratch {
+	for _, sc := range alg.(*ilpScheduler).scratch.free {
 		out = append(out, sc.base.plan)
 	}
 	return out

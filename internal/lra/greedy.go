@@ -81,6 +81,15 @@ type greedy struct {
 	// topology, pulling new containers toward the most-populated set
 	// rather than merely a satisfying one. Zero disables.
 	affinityPull float64
+
+	scratch pool[greedyScratch]
+}
+
+// greedyScratch is the memory one greedy Place works in: the buffers it
+// resolves its constraint list in and its score table.
+type greedyScratch struct {
+	res resolver
+	tab scoreTable
 }
 
 // Name implements Algorithm.
@@ -130,11 +139,15 @@ func (g *greedy) filterEntries(entries []constraint.Entry) []constraint.Entry {
 }
 
 // Place implements Algorithm: it places the batch on state and releases
-// the placement again before it returns.
+// the placement again before it returns. It keeps nothing of one call
+// for the next but its scratch (greedyScratch), whose contents never
+// reach a result.
 func (g *greedy) Place(state *cluster.Cluster, apps []*Application, active []constraint.Entry, opts Options) *Result {
 	clk := opts.clock()
 	start := clk()
-	res := g.placeOn(state, apps, flattenConstraints(apps, active))
+	sc := g.scratch.get()
+	defer g.scratch.put(sc)
+	res := g.placeOn(state, apps, sc.res.resolve(apps, active), &sc.tab)
 	releasePlaced(state, res)
 	res.Latency = clk().Sub(start)
 	return res
@@ -158,23 +171,25 @@ func queueOf(reqs [][]containerReq) []containerReq {
 }
 
 // placeOn places the batch on work itself, allocating every assignment of
-// the placed applications there and rolling the failed ones back. If it
-// panics, it releases what it allocated before the panic goes on.
-func (g *greedy) placeOn(work *cluster.Cluster, apps []*Application, flat []constraint.Entry) *Result {
+// the placed applications there and rolling the failed ones back, with
+// tab as its score table. If it panics, it releases what it allocated
+// before the panic goes on.
+func (g *greedy) placeOn(work *cluster.Cluster, apps []*Application, flat []constraint.Entry, tab *scoreTable) *Result {
 	queue := queueOf(buildRequests(apps))
-	tab, classOf := g.ownTable(work, flat, queue)
+	tab, classOf := g.ownTable(work, flat, queue, tab)
 	return g.placeQueue(work, apps, queue, tab, classOf)
 }
 
-// ownTable makes g's score table of queue on work: every node score of
-// a placement lives in one table, brought up to date across its
-// tentative allocations and rollbacks as it is read. The first-fit
-// baseline ignores scores and has none.
-func (g *greedy) ownTable(work *cluster.Cluster, flat []constraint.Entry, queue []containerReq) (*scoreTable, []int) {
+// ownTable resets tab to g's score table of queue on work, and returns
+// it with each request's class: every node score of a placement lives in
+// one table, brought up to date across its tentative allocations and
+// rollbacks as it is read. The first-fit baseline ignores scores and has
+// none.
+func (g *greedy) ownTable(work *cluster.Cluster, flat []constraint.Entry, queue []containerReq, tab *scoreTable) (*scoreTable, []int) {
 	if g.firstFit {
 		return nil, nil
 	}
-	return newScoreTable(g, work, g.filterEntries(flat), queue)
+	return tab, tab.reset(g, work, g.filterEntries(flat), queue)
 }
 
 // placeQueue is placeOn for queue, the batch's requests in submission

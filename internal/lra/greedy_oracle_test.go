@@ -352,6 +352,74 @@ func touchedNodeOnly(t *scoreTable, ci int) *scoreClass {
 	return c
 }
 
+// keptDormancy is a mutant of ensure whose catch-up prices on the
+// dormant flags of the row's fill: it does not wake the memo again.
+func keptDormancy(t *scoreTable, ci int) *scoreClass {
+	c := &t.classes[ci]
+	if c.cursor < 0 {
+		t.fill(c)
+	} else if c.cursor < len(t.log) {
+		c.memo.epoch++
+		for _, node := range t.log[c.cursor:] {
+			t.rescore(c, node)
+			for _, grp := range c.groups {
+				for _, sid := range t.work.SetsOfNode(grp, node) {
+					for _, m := range t.work.SetMembers(grp, sid) {
+						t.rescore(c, m)
+					}
+				}
+			}
+		}
+	}
+	c.cursor = len(t.log)
+	return c
+}
+
+// firstTagDormancy is a mutant of ensure whose dormant flags come from a
+// Carries that checks only an expression's first tag.
+func firstTagDormancy(t *scoreTable, ci int) *scoreClass {
+	c := t.ensure(ci)
+	for i, r := range c.atoms {
+		c.memo.dormant[i] = !t.work.Carries(r.atom.Subject[:1]) && !t.work.Carries(r.atom.Target[:1])
+	}
+	return c
+}
+
+// dormancyMismatch compares the dormant flags of each class of classes,
+// as the last catch-up left them, with a recount over the container map:
+// an atom is dormant when, for its subject and for its target, some tag
+// no container carries. It returns the first difference, or "", and
+// counts the dormant atoms it saw.
+func dormancyMismatch(tab *scoreTable, classes []int, dormant *int) string {
+	carried := map[constraint.Tag]bool{}
+	tab.work.EachContainer(func(_ cluster.ContainerID, _ cluster.NodeID, tags []constraint.Tag) {
+		for _, tg := range tags {
+			carried[tg] = true
+		}
+	})
+	carries := func(e constraint.Expr) bool {
+		for _, tg := range e {
+			if !carried[tg] {
+				return false
+			}
+		}
+		return len(e) > 0 || len(carried) > 0
+	}
+	for _, ci := range classes {
+		c := &tab.classes[ci]
+		for i, r := range c.atoms {
+			want := !carries(r.atom.Subject) && !carries(r.atom.Target)
+			if c.memo.dormant[i] != want {
+				return fmt.Sprintf("class %d atom %v: dormant %v, recount %v", ci, *r.atom, c.memo.dormant[i], want)
+			}
+			if want {
+				*dormant++
+			}
+		}
+	}
+	return ""
+}
+
 // sameEpoch is a mutant of ensure whose catch-up re-scores on the memo
 // epoch of the row's fill or last catch-up.
 func sameEpoch(t *scoreTable, ci int) *scoreClass {
@@ -379,17 +447,28 @@ func sameEpoch(t *scoreTable, ci int) *scoreClass {
 // step it reads a random subset of the classes, so a row stays stale
 // across several touches before it catches up and some rows are first
 // filled on a changed state, and checks every cell read against a
-// from-scratch rescoring, bit for bit. Two mutants of the
-// catch-up, each run on a table of its own beside the real one, must be
-// caught: re-scoring only the touched node, and re-scoring without a new
-// memo epoch.
+// from-scratch rescoring, bit for bit, and every dormant flag against a
+// recount of the carried tags. The batch's own appID tags go from carried
+// by no container to carried, as its containers are tentatively
+// allocated, and back, as they are rolled back, so atoms over them sleep
+// and wake. Four mutants of the catch-up, each run on a table of its own
+// beside the real one, must be caught: re-scoring only the touched node,
+// re-scoring without a new memo epoch, and pricing on the fill's dormant
+// flags, each by a cell, and dormant flags from a Carries that checks
+// only an expression's first tag, by a flag.
 func TestScoreTableMatchesOracle(t *testing.T) {
 	mutants := []struct {
 		name   string
 		ensure catchUp
-	}{{"a catch-up of the touched node only", touchedNodeOnly}, {"a catch-up on the last memo epoch", sameEpoch}}
+		flags  bool // judged by its dormant flags, not its cells
+	}{
+		{"a catch-up of the touched node only", touchedNodeOnly, false},
+		{"a catch-up on the last memo epoch", sameEpoch, false},
+		{"a catch-up on the fill's dormant flags", keptDormancy, false},
+		{"a Carries of the first tag only", firstTagDormancy, true},
+	}
 	caught := make([]int, len(mutants))
-	reads, maxBehind, lateFills := 0, 0, 0
+	reads, maxBehind, lateFills, dormant, woken := 0, 0, 0, 0, 0
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		state := oracleCluster(rng)
@@ -428,11 +507,34 @@ func TestScoreTableMatchesOracle(t *testing.T) {
 					}
 				}
 				reads += len(classes)
+				asleep := 0
+				for _, ci := range classes {
+					for _, d := range tab.classes[ci].memo.dormant {
+						if d && tab.classes[ci].cursor >= 0 {
+							asleep++
+						}
+					}
+				}
 				if diff := tableMismatch(g, tab, (*scoreTable).ensure, cons, queue, rep, classes); diff != "" {
 					t.Fatalf("seed %d %s: %s", seed, step, diff)
 				}
+				awake := dormant
+				if diff := dormancyMismatch(tab, classes, &dormant); diff != "" {
+					t.Fatalf("seed %d %s: %s", seed, step, diff)
+				}
+				if asleep > dormant-awake {
+					woken++ // a catch-up woke an atom its row's last read found dormant
+				}
 				for k, m := range mutants {
-					if tableMismatch(g, mutTabs[k], m.ensure, cons, queue, rep, classes) != "" {
+					var n int
+					if m.flags {
+						for _, ci := range classes {
+							m.ensure(mutTabs[k], ci)
+						}
+						if dormancyMismatch(mutTabs[k], classes, &n) != "" {
+							caught[k]++
+						}
+					} else if tableMismatch(g, mutTabs[k], m.ensure, cons, queue, rep, classes) != "" {
 						caught[k]++
 					}
 				}
@@ -493,10 +595,12 @@ func TestScoreTableMatchesOracle(t *testing.T) {
 			read("end", all)
 		}
 	}
-	t.Logf("%d row reads, up to %d touches behind, %d first fills after a touch; caught: %s on %d, %s on %d",
-		reads, maxBehind, lateFills, mutants[0].name, caught[0], mutants[1].name, caught[1])
-	if maxBehind < 3 || lateFills == 0 {
-		t.Errorf("coverage: no read caught a row up on more than %d touches, or no row was first filled after a touch (%d)", maxBehind, lateFills)
+	t.Logf("%d row reads, up to %d touches behind, %d first fills after a touch, %d dormant atoms read, %d reads woke one", reads, maxBehind, lateFills, dormant, woken)
+	for k, m := range mutants {
+		t.Logf("caught %s on %d reads", m.name, caught[k])
+	}
+	if maxBehind < 3 || lateFills == 0 || dormant == 0 || woken == 0 {
+		t.Errorf("coverage: no read caught a row up on more than %d touches, no row was first filled after a touch (%d), no atom was dormant (%d) or none woke (%d)", maxBehind, lateFills, dormant, woken)
 	}
 	for k, m := range mutants {
 		if caught[k] == 0 {

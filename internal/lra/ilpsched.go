@@ -7,7 +7,6 @@ import (
 	"os"
 	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"medea/internal/cluster"
@@ -45,22 +44,17 @@ type ilpScheduler struct {
 	// without one.
 	fallback *bestOf
 
-	// mu guards the free list of per-Place scratch, the only state kept
-	// between Place calls. Core runs one Place at a time, but the
-	// Algorithm contract lets a library caller run two on one value at
-	// once, each on its own cluster; each checks a scratch out and back
-	// in.
-	mu      sync.Mutex
-	scratch []*placeScratch
+	scratch pool[placeScratch]
 }
 
-// placeScratch is the memory one Place works in: its score base, with the
-// plan of its constraint list, and its solver arena. It holds buffers and
-// no information: the base is reset for each Place (scoreBase.reset), and
-// every arena buffer is re-initialised before it is read. Which scratch
-// serves which Place therefore never perturbs a result (the
-// poisoned-arena and poisoned-scratch differentials prove it).
+// placeScratch is the memory one Place works in: the buffers it resolves
+// its constraint list in, its score table, its score base, with the plan
+// of its constraint list, and its solver arena. The table and the base
+// are reset for each Place, and every arena buffer is re-initialised
+// before it is read (the poisoned-arena differential proves it).
 type placeScratch struct {
+	res   resolver
+	tab   scoreTable
 	base  scoreBase
 	arena *ilp.SolverArena // made by the scratch's first solve
 }
@@ -71,24 +65,6 @@ var debugILP = os.Getenv("MEDEA_DEBUG_ILP") != ""
 // NewILP returns the Medea-ILP algorithm.
 func NewILP() Algorithm {
 	return &ilpScheduler{fallback: newBestOfGreedy()}
-}
-
-// checkout pops a per-Place scratch, growing the pool on first use.
-func (s *ilpScheduler) checkout() *placeScratch {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := len(s.scratch); n > 0 {
-		sc := s.scratch[n-1]
-		s.scratch = s.scratch[:n-1]
-		return sc
-	}
-	return new(placeScratch)
-}
-
-func (s *ilpScheduler) release(sc *placeScratch) {
-	s.mu.Lock()
-	s.scratch = append(s.scratch, sc)
-	s.mu.Unlock()
 }
 
 // Name implements Algorithm.
@@ -105,22 +81,23 @@ func (s *ilpScheduler) Place(state *cluster.Cluster, apps []*Application, active
 	if len(apps) == 0 {
 		return &Result{Latency: clk().Sub(start)}
 	}
-	cons := flattenConstraints(apps, active)
+	sc := s.scratch.get()
+	defer s.scratch.put(sc)
+	cons := sc.res.resolve(apps, active)
 	reqs := buildRequests(apps)
 	queue := queueOf(reqs)
 
 	// Every candidate placement is built on state itself, scored there
 	// (scoreBase) and released again: the model is built on state as
 	// Place found it, and Place returns it so.
-	sc := s.checkout()
-	defer s.release(sc)
 	base := sc.base.reset(state, cons)
 
 	// The score of every node for every container class, one table for
 	// the Place: the heuristics place from it in turn and candidate
 	// selection reads it. Its owner scores the plain violation delta, as
 	// Medea-TP and Serial do.
-	tab, classOf := newScoreTable(&greedy{}, state, cons, queue)
+	tab := &sc.tab
+	classOf := tab.reset(&greedy{}, state, cons, queue)
 
 	// Run the greedy fallback first. A decided one is the answer, as
 	// nothing can score above it. Any other seeds the solver as its

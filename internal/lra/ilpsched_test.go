@@ -241,7 +241,7 @@ func TestILPArenaPoolReuse(t *testing.T) {
 				i, res.PlacedApps(), res.DecidedPlaces, res.ExactSolves, res.WarmStarts)
 		}
 	}
-	if n := len(s.scratch); n != 1 || s.scratch[0].arena == nil {
+	if n := len(s.scratch.free); n != 1 || s.scratch.free[0].arena == nil {
 		t.Fatalf("scratch pool holds %d scratches after serial solves, want 1 with an arena", n)
 	}
 	var res *Result

@@ -77,7 +77,7 @@ type bestOf struct {
 }
 
 // placeBest places the batch with every heuristic against its flattened
-// constraint list (flattenConstraints), one after the other on work,
+// constraint list (resolver.resolve), one after the other on work,
 // base's state, and returns the result base scores highest, and that
 // score. Each heuristic's placement is scored on work and released again,
 // so work ends as it began, and a tie keeps the best so far; once the
@@ -100,7 +100,7 @@ func (b *bestOf) placeBest(work *cluster.Cluster, apps []*Application, flat []co
 			tab.restart(alg)
 			res = alg.placeQueue(work, apps, queue, tab, classOf)
 		} else {
-			own, ownClassOf := alg.ownTable(work, flat, queue)
+			own, ownClassOf := alg.ownTable(work, flat, queue, new(scoreTable))
 			res = alg.placeQueue(work, apps, queue, own, ownClassOf)
 		}
 		score := base.scoreAndRelease(work, res)

@@ -41,7 +41,7 @@ func referencePlace(s *ilpScheduler, state *cluster.Cluster, apps []*Application
 			tab.restart(alg)
 			res = alg.placeQueue(state, apps, queue, tab, classOf)
 		} else {
-			own, ownClass := alg.ownTable(state, cons, queue)
+			own, ownClass := alg.ownTable(state, cons, queue, new(scoreTable))
 			res = alg.placeQueue(state, apps, queue, own, ownClass)
 		}
 		score := base.scoreAndRelease(state, res)

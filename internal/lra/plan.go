@@ -134,9 +134,9 @@ func (p *plan) gamma(state *cluster.Cluster, r *atomRef, sid cluster.SetID) int 
 // and memo, when not nil, keeps it: every node of a rack is priced by
 // one reading of the rack per atom and state epoch (setMemo). The "node"
 // group's sets are single nodes, so a memo would never hit there; those
-// atoms, and nodes in no or several sets of a group, are priced directly.
-// A memo serves one v and one subjectOnly setting; a nil memo prices
-// every atom directly.
+// atoms, unless dormant (setMemo.wake), and nodes in no or several sets
+// of a group, are priced directly. A memo serves one v and one
+// subjectOnly setting; a nil memo prices every atom directly.
 func (v vecAtoms) delta(state *cluster.Cluster, node cluster.NodeID, subjectOnly bool, memo *setMemo[float64]) float64 {
 	total := 0.0
 	for i := 0; i < len(v); {
@@ -233,10 +233,20 @@ func (r *atomRef) delta(state *cluster.Cluster, sets []cluster.SetID, target boo
 // changed, drops every entry at once. It is a slice indexed by atom
 // offset plus SetID, sized with Cluster.NumSets; nothing is hashed. The
 // score table keeps deltas in it (vecAtoms.delta), a plan γ (plan.gamma).
+//
+// An atom whose subject and target no container carries (Cluster.Carries)
+// reads γ 0 in every set: it is dormant, and its value is the same at
+// every node in exactly one set of its group, the "node" group's
+// included. wake marks the dormant atoms for the state of the epoch, and
+// each keeps one entry (one) that serves all those nodes.
 type setMemo[V any] struct {
 	epoch uint32
 	off   []int32 // atom i's entries are cells[off[i]:], by SetID; -1 for "node" atoms
 	cells []memoCell[V]
+	// dormant[i] marks atom i dormant as of the last wake; one[i] is its
+	// entry then. Both are indexed like the vecAtoms.
+	dormant []bool
+	one     []memoCell[V]
 }
 
 type memoCell[V any] struct {
@@ -244,8 +254,8 @@ type memoCell[V any] struct {
 	val   V
 }
 
-// reset lays the memo out for v on state, reusing its buffers, and
-// starts a new epoch.
+// reset lays the memo out for v on state, reusing its buffers, with no
+// atom dormant and every entry cleared, and starts its first epoch.
 func (m *setMemo[V]) reset(state *cluster.Cluster, v vecAtoms) {
 	m.off = m.off[:0]
 	n := 0
@@ -257,19 +267,36 @@ func (m *setMemo[V]) reset(state *cluster.Cluster, v vecAtoms) {
 		m.off = append(m.off, int32(n))
 		n += state.NumSets(r.atom.Group)
 	}
-	if cap(m.cells) < n {
-		m.cells = make([]memoCell[V], n)
+	m.cells = slices.Grow(m.cells[:0], n)[:n]
+	m.dormant = slices.Grow(m.dormant[:0], len(v))[:len(v)]
+	m.one = slices.Grow(m.one[:0], len(v))[:len(v)]
+	clear(m.cells)
+	clear(m.dormant)
+	clear(m.one)
+	m.epoch = 1 // above every cleared stamp
+}
+
+// wake marks the atoms of v, the memo's vecAtoms, dormant whose subject
+// and target state carries neither of. A memo that prices deltas is
+// woken on the state of each epoch, before the epoch's first entry is
+// computed: a tentative allocation can wake an atom, and its rollback
+// put it to sleep again. A memo never woken has no dormant atom.
+func (m *setMemo[V]) wake(state *cluster.Cluster, v vecAtoms) {
+	for i := range v {
+		a := v[i].atom
+		m.dormant[i] = !state.Carries(a.Subject) && !state.Carries(a.Target)
 	}
-	m.cells = m.cells[:n]
-	m.epoch++ // every stamp left in cells is older
 }
 
 // cell returns atom i's entry for a node in sets, or nil when the atom
-// is priced directly there: no memo, a "node" atom, or a node in no or
-// several sets of the atom's group.
+// is priced directly there: no memo, a node in no or several sets of the
+// atom's group, or a "node" atom that is not dormant.
 func (m *setMemo[V]) cell(i int, sets []cluster.SetID) *memoCell[V] {
 	if m == nil || len(sets) != 1 {
 		return nil
+	}
+	if m.dormant[i] {
+		return &m.one[i]
 	}
 	return m.at(i, sets[0])
 }
@@ -376,7 +403,6 @@ func (p *plan) reset(state *cluster.Cluster, cons []constraint.Entry) *plan {
 	clear(p.vecs) // lets go of the last list's tag vectors
 	p.vecs, p.atoms = slices.Grow(p.vecs[:0], 64), p.atoms[:0]
 	p.memo.reset(state, p.all)
-	clear(p.memo.cells) // the stamps of a reused plan's earlier lists
 	return p
 }
 

@@ -285,42 +285,110 @@ func planStep(rng *rand.Rand, state *cluster.Cluster, vectors [][]constraint.Tag
 // tag vector, and of vectors no container carries, on every node, with
 // and without subjectOnly, equals placementDelta over the whole list bit
 // for bit, on random clusters after each of a run of random allocate and
-// release steps. A compile that drops the atoms a vector is only a
-// target of must be caught.
+// release steps. It does so priced directly and through a set memo
+// woken at every step, as the score table prices a row. The list also
+// holds atoms over a tag no container carries at first: random steps
+// tentatively allocate a container of it and roll it back, so those
+// atoms go from dormant to awake and back. Two mutants must be caught: a
+// compile that drops the atoms a vector is only a target of, and a memo
+// that keeps the dormant flags of its first wake.
 func TestCompiledDeltaMatchesReference(t *testing.T) {
-	compared, caught := 0, 0
+	compared, caught, kept, dormant, woke := 0, 0, 0, 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		state, cons, vectors := planInstance(rng)
-		queued := append(slices.Clone(vectors), []constraint.Tag{"b"}, []constraint.Tag{"c", "gpu"}, nil)
+		q := constraint.AppIDTag("q") // no container carries it until a step allocates one
+		for _, a := range []constraint.Atom{
+			randomAtom(rng, []constraint.Tag{q}), randomAtom(rng, []constraint.Tag{q}),
+			constraint.AntiAffinity(constraint.E(q), constraint.E(q), constraint.Node),
+			constraint.MaxCardinality(constraint.E("a", q), constraint.E(q), 1, constraint.Rack),
+		} {
+			cons = append(cons, constraint.Entry{AppID: "q", Source: constraint.SourceApplication, Constraint: constraint.New(a)})
+		}
+		queued := append(slices.Clone(vectors), []constraint.Tag{"b"}, []constraint.Tag{"c", "gpu"}, nil, []constraint.Tag{"a", q})
+		type class struct {
+			atoms       vecAtoms
+			memo, stale [2]setMemo[float64] // by subjectOnly; stale is the mutant
+		}
+		classes := make([]class, len(queued))
+		for k, tags := range queued {
+			c := &classes[k]
+			c.atoms = compileAtoms(nil, cons, tags)
+			for so := range c.memo {
+				c.memo[so].reset(state, c.atoms)
+				c.stale[so].reset(state, c.atoms)
+				c.stale[so].wake(state, c.atoms)
+			}
+		}
+		tentative := cluster.ContainerID("")
 		for step := 0; step < 8; step++ {
-			for _, tags := range queued {
-				atoms := compileAtoms(nil, cons, tags)
+			for k, tags := range queued {
+				c := &classes[k]
 				var subjectOnly vecAtoms // the mutant
-				for _, r := range atoms {
+				for _, r := range c.atoms {
 					if r.subject {
 						subjectOnly = append(subjectOnly, r)
 					}
 				}
-				for _, n := range state.Nodes() {
-					for _, so := range []bool{false, true} {
-						got, want := atoms.delta(state, n.ID, so, nil), placementDelta(state, cons, tags, n.ID, so)
-						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("seed %d step %d: delta(%q, node %d, subjectOnly %v) = %v, reference %v", seed, step, tags, n.ID, so, got, want)
+				for so, sOnly := range []bool{false, true} {
+					m, stale := &c.memo[so], &c.stale[so]
+					m.epoch++
+					stale.epoch++
+					m.wake(state, c.atoms)
+					for _, d := range m.dormant {
+						if d {
+							dormant++
+						}
+					}
+					differs := false
+					for _, n := range state.Nodes() {
+						want := placementDelta(state, cons, tags, n.ID, sOnly)
+						for _, got := range []float64{c.atoms.delta(state, n.ID, sOnly, nil), c.atoms.delta(state, n.ID, sOnly, m)} {
+							if math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("seed %d step %d: delta(%q, node %d, subjectOnly %v) = %v, reference %v", seed, step, tags, n.ID, sOnly, got, want)
+							}
 						}
 						compared++
-						if math.Float64bits(subjectOnly.delta(state, n.ID, so, nil)) != math.Float64bits(want) {
+						if math.Float64bits(subjectOnly.delta(state, n.ID, sOnly, nil)) != math.Float64bits(want) {
 							caught++
 						}
+						if math.Float64bits(c.atoms.delta(state, n.ID, sOnly, stale)) != math.Float64bits(want) {
+							differs = true
+						}
+					}
+					if differs {
+						kept++
 					}
 				}
 			}
 			planStep(rng, state, vectors, step)
+			switch {
+			case tentative != "":
+				if _, ok := state.ContainerNode(tentative); ok { // planStep may have released it
+					if err := state.Release(tentative); err != nil {
+						t.Fatal(err)
+					}
+				}
+				tentative = ""
+			case rng.Intn(2) == 0:
+				id := cluster.MakeContainerID("q", step)
+				if state.Allocate(cluster.NodeID(rng.Intn(state.NumNodes())), id, resource.New(256, 0), []constraint.Tag{"a", q}) == nil {
+					tentative = id
+					woke++
+				}
+			}
 		}
 	}
-	t.Logf("%d deltas compared; the mutant without target-only atoms differs on %d", compared, caught)
+	t.Logf("%d deltas compared, %d dormant atoms priced, %d tentative allocations woke them; the mutant without target-only atoms differs on %d, the memo on its first dormant flags on %d sweeps",
+		compared, dormant, woke, caught, kept)
+	if dormant == 0 || woke == 0 {
+		t.Error("coverage: no atom was dormant, or no tentative allocation woke one")
+	}
 	if caught == 0 {
 		t.Error("a compile that drops target-only atoms is not caught")
+	}
+	if kept == 0 {
+		t.Error("a memo that keeps its first dormant flags is not caught")
 	}
 }
 

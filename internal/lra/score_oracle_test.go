@@ -297,7 +297,7 @@ func TestScratchRestoredAfterRelease(t *testing.T) {
 		fresh, work := state.Clone(), state.Clone()
 		for k, g := range newBestOfGreedy().algs {
 			c := cases[i+k]
-			res := g.placeOn(work, c.apps, c.flat)
+			res := g.placeOn(work, c.apps, c.flat, new(scoreTable))
 			if !reflect.DeepEqual(res.Placements, c.res.Placements) {
 				t.Fatalf("%s: places differently on the shared scratch than on a clone of its own", c.name)
 			}

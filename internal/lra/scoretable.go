@@ -79,9 +79,14 @@ type scoreClass struct {
 // and stamps each cell it rescores with that epoch, so a cell several
 // touches reach is rescored once. Every node of a rack is priced by one
 // reading of the rack per atom. A "node" atom is priced at every cell:
-// its sets are single nodes, which a memo could never serve twice.
+// its sets are single nodes, which a memo could never serve twice. An
+// atom whose subject and target no container carries is dormant
+// (setMemo.wake, at every fill and catch-up): it reads γ 0 everywhere,
+// so one memo entry serves the whole row, "node" atoms included.
 //
-// One Medea-ILP Place makes one table and its heuristics share it: each
+// A scorer keeps its table between Places and resets it for each
+// (reset), reusing every buffer. One Medea-ILP Place resets one table and
+// its heuristics share it: each
 // that scores like the table's owner restarts it (restart), and so does
 // candidate selection after them. Between two readers the state goes
 // back to where it was, through releases the table is not told of, so a
@@ -90,6 +95,7 @@ type scoreTable struct {
 	g       *greedy
 	work    *cluster.Cluster
 	classes []scoreClass
+	classOf []int       // by queue entry: its class (reset's result)
 	cells   []nodeScore // every class's scores, class by class
 	// log lists the nodes of every Allocate and Release since the table
 	// was made or restarted, in order (touched).
@@ -100,10 +106,11 @@ type scoreTable struct {
 	scope []bool
 }
 
-// newScoreTable groups the queue into classes and returns the table, no
-// row filled yet, with each queue entry's class index.
-func newScoreTable(g *greedy, work *cluster.Cluster, cons []constraint.Entry, queue []containerReq) (*scoreTable, []int) {
-	t := &scoreTable{g: g, work: work, log: make([]cluster.NodeID, 0, len(queue))}
+// reset makes t g's table of queue on work against cons, reusing every
+// buffer t holds, and returns each queue entry's class index (a buffer
+// of t's, rewritten by the next reset). No row is filled yet.
+func (t *scoreTable) reset(g *greedy, work *cluster.Cluster, cons []constraint.Entry, queue []containerReq) []int {
+	t.g, t.work, t.log = g, work, t.log[:0]
 	// A group's requests are consecutive, so each run of equal requests
 	// starts at most one class.
 	runs := 0
@@ -112,27 +119,31 @@ func newScoreTable(g *greedy, work *cluster.Cluster, cons []constraint.Entry, qu
 			runs++
 		}
 	}
-	t.classes = make([]scoreClass, 0, runs)
-	classOf := make([]int, len(queue))
+	// Within their capacity the class slots keep the buffers of the
+	// classes they held before, which compile reuses.
+	t.classes = slices.Grow(t.classes[:0], runs)
+	t.classOf = slices.Grow(t.classOf[:0], len(queue))[:len(queue)]
 	for i, r := range queue {
 		ci := t.find(r.tags, r.demand)
 		if ci < 0 {
 			ci = len(t.classes)
-			t.classes = append(t.classes, scoreClass{tags: r.tags, demand: r.demand, cursor: -1})
+			t.classes = t.classes[:ci+1]
+			c := &t.classes[ci]
+			c.tags, c.demand, c.cursor = r.tags, r.demand, -1
 		}
-		classOf[i] = ci
+		t.classOf[i] = ci
 	}
 	for ci := range t.classes {
 		t.classes[ci].compile(work, cons)
 	}
 
 	n := work.NumNodes()
-	t.cells = make([]nodeScore, len(t.classes)*n)
+	t.cells = slices.Grow(t.cells[:0], len(t.classes)*n)[:len(t.classes)*n]
 	for ci := range t.classes {
 		t.classes[ci].scores = t.cells[ci*n : (ci+1)*n]
 	}
 	t.scopeFor(g)
-	return t, classOf
+	return t.classOf
 }
 
 // find returns the index of the class of tags and demand, or -1.
@@ -146,9 +157,11 @@ func (t *scoreTable) find(tags []constraint.Tag, demand resource.Vector) int {
 }
 
 // compile compiles the class's atoms of cons, lists the node groups they
-// count over and lays its memo out for them.
+// count over and lays its memo out for them, reusing the class's
+// buffers.
 func (c *scoreClass) compile(work *cluster.Cluster, cons []constraint.Entry) {
-	c.atoms = compileAtoms(nil, cons, c.tags)
+	c.atoms = compileAtoms(c.atoms[:0], cons, c.tags)
+	c.groups = c.groups[:0]
 	for _, ref := range c.atoms {
 		if g := ref.atom.Group; g != constraint.Node && !slices.Contains(c.groups, g) {
 			c.groups = append(c.groups, g)
@@ -160,6 +173,7 @@ func (c *scoreClass) compile(work *cluster.Cluster, cons []constraint.Entry) {
 // fill scores every node for the class from scratch and takes its clean
 // count as Nc.
 func (t *scoreTable) fill(c *scoreClass) {
+	c.memo.wake(t.work, c.atoms)
 	c.clean = 0
 	for i, n := range t.work.Nodes() {
 		c.scores[i] = t.score(c, n)
@@ -170,15 +184,15 @@ func (t *scoreTable) fill(c *scoreClass) {
 	c.nc = c.clean
 }
 
-// scopeFor builds the scope matrix when g orders by Nc, and drops it
+// scopeFor builds the scope matrix when g orders by Nc, and empties it
 // otherwise.
 func (t *scoreTable) scopeFor(g *greedy) {
-	t.scope = nil
+	t.scope = t.scope[:0]
 	if g.order != orderNC {
 		return
 	}
 	k := len(t.classes)
-	t.scope = make([]bool, k*k)
+	t.scope = slices.Grow(t.scope, k*k)[:k*k]
 	for a := range t.classes {
 		for b := range t.classes {
 			t.scope[a*k+b] = sharesConstraintScope(t.classes[a].atoms, t.classes[b].tags)
@@ -269,6 +283,7 @@ func (t *scoreTable) ensure(ci int) *scoreClass {
 		t.fill(c)
 	} else if c.cursor < len(t.log) {
 		c.memo.epoch++ // the state changed
+		c.memo.wake(t.work, c.atoms)
 		for _, node := range t.log[c.cursor:] {
 			t.rescore(c, node)
 			for _, grp := range c.groups {

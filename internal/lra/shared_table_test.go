@@ -60,7 +60,7 @@ func TestSharedScoreTableMatchesFresh(t *testing.T) {
 		}
 
 		for k, g := range newBestOfGreedy().algs {
-			own, ownClassOf := g.ownTable(state, flat, queue)
+			own, ownClassOf := g.ownTable(state, flat, queue, new(scoreTable))
 			want := place(g, own, ownClassOf)
 			if k == 1 {
 				// Mutant: a restart that keeps Medea-TP's rows filled.
@@ -147,7 +147,7 @@ func memoAhead(tab *scoreTable) bool {
 // of its own.
 func freshBest(work *cluster.Cluster, apps []*Application, flat []constraint.Entry, base *scoreBase) (best *Result, bestScore float64) {
 	for _, g := range newBestOfGreedy().algs {
-		res := g.placeOn(work, apps, flat)
+		res := g.placeOn(work, apps, flat, new(scoreTable))
 		if score := base.scoreAndRelease(work, res); best == nil || score > bestScore {
 			best, bestScore = res, score
 		}
